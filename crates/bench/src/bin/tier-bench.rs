@@ -1,7 +1,7 @@
 //! Emit `BENCH_tiers.json`: execution-tier residency for the three NPB
 //! kernel ports at the native tier (`--opt=3`) — per pragma loop, how
 //! many iterations ran inside native bulk kernels vs through the
-//! interpreter, with kernel-bail / deopt / quicken counts, plus the
+//! interpreter, with kernel-bail / deopt counts, plus the
 //! machine-readable `kernel-missed` reasons for every compute loop the
 //! matcher left interpreted, so a 0%-native loop self-explains in the
 //! artefact. Since cross-call matching landed, EP's `randlc` fill and
@@ -173,13 +173,12 @@ fn port_json(name: &str, tiers: &[LoopTier], missed: &str) -> String {
     let native: u64 = tiers.iter().map(|t| t.native_iters).sum();
     let bails: u64 = tiers.iter().map(|t| t.bails).sum();
     let deopts: u64 = tiers.iter().map(|t| t.deopts).sum();
-    let quickens: u64 = tiers.iter().map(|t| t.quickens).sum();
     let loops: Vec<String> = tiers
         .iter()
         .map(|t| {
             format!(
                 "      {{\"loop\": \"{}\", \"spans\": {}, \"iters\": {}, \"native_iters\": {}, \
-                 \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}, \"quickens\": {}}}",
+                 \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}}}",
                 t.label,
                 t.dispatches,
                 t.total_iters,
@@ -187,13 +186,12 @@ fn port_json(name: &str, tiers: &[LoopTier], missed: &str) -> String {
                 t.native_frac(),
                 t.bails,
                 t.deopts,
-                t.quickens,
             )
         })
         .collect();
     format!(
         "    \"{name}\": {{\n      \"native_frac\": {:.4},\n      \"bails\": {bails},\n      \
-         \"deopts\": {deopts},\n      \"quickens\": {quickens},\n      \"loops\": [\n{}\n      ],\n      \
+         \"deopts\": {deopts},\n      \"loops\": [\n{}\n      ],\n      \
          \"kernel_missed\": {missed}\n    }}",
         if total == 0 {
             0.0

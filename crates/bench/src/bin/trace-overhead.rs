@@ -12,8 +12,8 @@
 //!   iteration (this path crosses the chunk/dispatch instrumentation);
 //! - `fork_join_ns`: region enter/exit (region spans + join wait);
 //! - `kernel_probe_ns`: the `--opt=3` bulk-kernel telemetry probe pair
-//!   (`kernel_begin_ts` + `kernel_end`) plus a quicken mark — the hooks
-//!   the tiered VM crosses on every kernel entry and rewrite.
+//!   (`kernel_begin_ts` + `kernel_end`) plus a deopt mark — the hooks
+//!   the tiered VM crosses on every kernel entry and deopt.
 //!
 //! Usage: `cargo run --release -p zomp-bench --bin trace-overhead [-- OUT]`
 //! (default output path `BENCH_trace_overhead.json`).
@@ -89,7 +89,7 @@ fn bench_fork_join() -> f64 {
 }
 
 /// The kernel-telemetry probe pair the VM's `BulkLoop` arm executes per
-/// native kernel run, plus a quickening mark — measured bare so the
+/// native kernel run, plus a deopt mark — measured bare so the
 /// disabled number bounds what `--opt=3` pays with tracing off.
 fn bench_kernel_probe() -> f64 {
     const CALLS: u64 = 1 << 17;
@@ -98,7 +98,7 @@ fn bench_kernel_probe() -> f64 {
             let t0 = trace::kernel_begin_ts();
             trace::kernel_end("bench-kernel", 7, 64, None, t0);
             if i & 0xfff == 0 {
-                trace::quicken("index->index.f", 11);
+                trace::deopt("index.f->index", 11);
             }
             black_box(t0);
         }

@@ -2,8 +2,8 @@
 //! three NPB-derived Zag kernels, run through both execution backends at
 //! 1 and 4 threads — the `ast` tree-walker oracle plus the register VM at
 //! every optimization level (`bytecode_o0` raw, `bytecode_o1`
-//! fold/copy-prop/DSE + frame arena, `bytecode_o2` + superinstruction
-//! fusion, static type specialization and quickening, `native` the
+//! fold/copy-prop/DSE, `bytecode_o2` + superinstruction
+//! fusion and static type specialization, `native` the
 //! `--opt=3` bulk-kernel tier) — and, as the reference ceiling, the
 //! hand-written Rust kernels from `crates/npb` (`npb_ns_per_op`, with
 //! each tier's fraction of that throughput in `npb_throughput_frac_1t`).

@@ -192,14 +192,10 @@ pub fn breakdown() -> Vec<BreakdownStat> {
                         EventKind::BarrierWait => a.barrier_ns += ev.dur_ns,
                         EventKind::ReductionCombine => a.reduction_ns += ev.dur_ns,
                         EventKind::TaskWait => a.join_ns += ev.dur_ns,
-                        // Tier events (bulk kernels, bails, deopts,
-                        // quickens) run *inside* chunk/compute time — they
-                        // are folded by `tier_report`, not double-counted
-                        // here.
-                        EventKind::BulkLoop
-                        | EventKind::KernelBail
-                        | EventKind::Deopt
-                        | EventKind::Quicken => {}
+                        // Tier events (bulk kernels, bails, deopts) run
+                        // *inside* chunk/compute time — they are folded by
+                        // `tier_report`, not double-counted here.
+                        EventKind::BulkLoop | EventKind::KernelBail | EventKind::Deopt => {}
                         EventKind::Parallel | EventKind::Implicit => unreachable!(),
                     }
                 }
@@ -231,8 +227,8 @@ pub fn breakdown() -> Vec<BreakdownStat> {
 
 /// Per-pragma-loop execution-tier residency: how many iterations of a
 /// worksharing loop ran inside native bulk kernels vs through the
-/// interpreter, plus the kernel-bail / deopt / quicken activity observed
-/// inside the loop's spans. One entry per loop label (the pragma's
+/// interpreter, plus the kernel-bail / deopt activity observed inside
+/// the loop's spans. One entry per loop label (the pragma's
 /// `unit:line` when the front end supplied one, else the schedule name).
 #[derive(Debug, Clone, Default)]
 pub struct LoopTier {
@@ -245,10 +241,8 @@ pub struct LoopTier {
     pub native_iters: u64,
     /// Kernel runs that bailed back to the interpreter.
     pub bails: u64,
-    /// In-place deoptimisations of quickened instructions.
+    /// Specialised instructions that fell back to their generic forms.
     pub deopts: u64,
-    /// Generic instructions quickened to typed variants.
-    pub quickens: u64,
 }
 
 impl LoopTier {
@@ -263,7 +257,7 @@ impl LoopTier {
 }
 
 /// Fold the event stream into per-loop tier residency. Each
-/// chunk / bulk-kernel / bail / deopt / quicken event is attributed to the
+/// chunk / bulk-kernel / bail / deopt event is attributed to the
 /// innermost enclosing loop-construct span on the same thread; a loop span
 /// with no chunk events nested (the statically partitioned path, which
 /// claims no per-chunk spans) contributes its own iteration payload
@@ -276,7 +270,6 @@ pub fn tier_report() -> Vec<LoopTier> {
         native: u64,
         bails: u64,
         deopts: u64,
-        quickens: u64,
     }
     let contains = |outer: &Event, inner: &Event| {
         inner.t_ns >= outer.t_ns && inner.t_ns + inner.dur_ns <= outer.t_ns + outer.dur_ns
@@ -302,7 +295,6 @@ pub fn tier_report() -> Vec<LoopTier> {
                 EventKind::BulkLoop => a.native += ev.a,
                 EventKind::KernelBail => a.bails += 1,
                 EventKind::Deopt => a.deopts += 1,
-                EventKind::Quicken => a.quickens += 1,
                 _ => {}
             }
         }
@@ -326,7 +318,6 @@ pub fn tier_report() -> Vec<LoopTier> {
             t.native_iters += span.native;
             t.bails += span.bails;
             t.deopts += span.deopts;
-            t.quickens += span.quickens;
         }
     }
     let mut out: Vec<LoopTier> = acc.into_values().collect();
@@ -337,11 +328,11 @@ pub fn tier_report() -> Vec<LoopTier> {
 /// Render the per-loop tier residency as a table.
 pub fn render_tiers() -> String {
     let mut s = String::from(
-        "loop                            spans        iters       native  native%   bails  deopts  quickens\n",
+        "loop                            spans        iters       native  native%   bails  deopts\n",
     );
     for t in tier_report() {
         s.push_str(&format!(
-            "{:<30} {:>6} {:>12} {:>12} {:>8.1} {:>7} {:>7} {:>9}\n",
+            "{:<30} {:>6} {:>12} {:>12} {:>8.1} {:>7} {:>7}\n",
             t.label,
             t.dispatches,
             t.total_iters,
@@ -349,7 +340,6 @@ pub fn render_tiers() -> String {
             100.0 * t.native_frac(),
             t.bails,
             t.deopts,
-            t.quickens,
         ));
     }
     s
@@ -431,7 +421,7 @@ pub fn render_json() -> String {
     for (i, t) in tiers.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"loop\": \"{}\", \"spans\": {}, \"iters\": {}, \"native_iters\": {}, \
-             \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}, \"quickens\": {}}}{}\n",
+             \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}}}{}\n",
             esc(&t.label),
             t.dispatches,
             t.total_iters,
@@ -439,7 +429,6 @@ pub fn render_json() -> String {
             t.native_frac(),
             t.bails,
             t.deopts,
-            t.quickens,
             if i + 1 < tiers.len() { "," } else { "" },
         ));
     }

@@ -164,12 +164,10 @@ pub enum EventKind {
     /// the label is the machine-readable reason, `a` = the loop-head pc,
     /// `b` = iterations completed before the bail.
     KernelBail,
-    /// A quickened instruction deoptimised back to its generic form
-    /// (`a` = pc). The label names the rewrite, e.g. `"index.f->index"`.
+    /// A specialised instruction fell back to its generic form for one
+    /// execution (`a` = pc). The label names the fallback, e.g.
+    /// `"index.f->index"`.
     Deopt,
-    /// A generic instruction quickened to a typed variant (`a` = pc). The
-    /// label names the rewrite, e.g. `"index->index.f"`.
-    Quicken,
 }
 
 impl EventKind {
@@ -187,7 +185,6 @@ impl EventKind {
             EventKind::BulkLoop => "bulk loop",
             EventKind::KernelBail => "kernel bail",
             EventKind::Deopt => "deopt",
-            EventKind::Quicken => "quicken",
         }
     }
 }
@@ -244,7 +241,6 @@ pub(crate) struct Counters {
     pub kernel_iters: AtomicU64,
     pub kernel_bails: AtomicU64,
     pub deopts: AtomicU64,
-    pub quickens: AtomicU64,
 }
 
 /// One OS thread's event ring + counters, padded so neighbouring threads'
@@ -397,7 +393,6 @@ pub fn reset() {
             &c.kernel_iters,
             &c.kernel_bails,
             &c.deopts,
-            &c.quickens,
         ] {
             a.store(0, Ordering::Relaxed);
         }
@@ -485,7 +480,7 @@ pub enum Probe<'a> {
         bail: Option<&'a str>,
         dur_ns: u64,
     },
-    /// A quickened instruction rewrote itself back to its generic form.
+    /// A specialised instruction fell back to its generic form.
     Deopt {
         rewrite: &'a str,
         pc: u32,
@@ -892,8 +887,9 @@ pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'stati
     }
 }
 
-/// A quickened instruction deoptimised in place back to its generic form.
-/// `rewrite` names the transition (e.g. `"index.f->index"`), `pc` the slot.
+/// A specialised instruction's type check failed and the interpreter ran
+/// its generic form in place for this one execution. `rewrite` names the
+/// fallback (e.g. `"index.f->index"`), `pc` the slot.
 pub fn deopt(rewrite: &'static str, pc: u32) {
     let m = mode();
     if m == 0 {
@@ -911,31 +907,6 @@ pub fn deopt(rewrite: &'static str, pc: u32) {
         let t = now_ns();
         record(Event {
             kind: EventKind::Deopt,
-            t_ns: t,
-            dur_ns: 0,
-            a: pc as u64,
-            b: 0,
-            label: rewrite,
-        });
-    }
-}
-
-/// A generic instruction quickened itself to a typed variant (runtime
-/// specialization hit). `rewrite` names the transition, `pc` the slot.
-pub fn quicken(rewrite: &'static str, pc: u32) {
-    let m = mode();
-    if m == 0 {
-        return;
-    }
-    if m & COUNTERS != 0 {
-        count(|c| {
-            c.quickens.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    if m & EVENTS != 0 {
-        let t = now_ns();
-        record(Event {
-            kind: EventKind::Quicken,
             t_ns: t,
             dur_ns: 0,
             a: pc as u64,
@@ -986,9 +957,9 @@ pub struct MetricsSnapshot {
     pub kernel_iters: u64,
     /// Kernel runs that bailed back to the interpreter mid-loop.
     pub kernel_bails: u64,
-    /// Quickened instructions deoptimised in place to their generic forms.
+    /// Specialised instructions that fell back to their generic forms.
     pub deopts: u64,
-    /// Generic instructions quickened to typed variants at runtime.
+    /// Always 0: nothing rewrites code at runtime. The benchmark reads it by name.
     pub quickens: u64,
     /// Events currently held in the rings.
     pub events_recorded: u64,
@@ -1024,7 +995,6 @@ pub fn metrics() -> MetricsSnapshot {
         s.kernel_iters += c.kernel_iters.load(Ordering::Relaxed);
         s.kernel_bails += c.kernel_bails.load(Ordering::Relaxed);
         s.deopts += c.deopts.load(Ordering::Relaxed);
-        s.quickens += c.quickens.load(Ordering::Relaxed);
         let end = r.len.load(Ordering::Acquire).min(RING_CAP);
         let start = r.start.load(Ordering::Relaxed).min(end);
         s.events_recorded += (end - start) as u64;
@@ -1112,9 +1082,7 @@ pub fn chrome_trace_json() -> String {
                 EventKind::KernelBail => {
                     format!(",\"args\":{{\"pc\":{},\"iters_done\":{}}}", ev.a, ev.b)
                 }
-                EventKind::Deopt | EventKind::Quicken => {
-                    format!(",\"args\":{{\"pc\":{}}}", ev.a)
-                }
+                EventKind::Deopt => format!(",\"args\":{{\"pc\":{}}}", ev.a),
                 _ => String::new(),
             };
             e.push_str(&args);
@@ -1136,7 +1104,7 @@ pub fn metrics_json() -> String {
          \"barrier_parks\": {},\n  \"dispatch_inits\": {},\n  \"dispatch_finis\": {},\n  \
          \"reductions\": {},\n  \"task_waits\": {},\n  \"kernel_enters\": {},\n  \
          \"kernel_iters\": {},\n  \"kernel_bails\": {},\n  \"deopts\": {},\n  \
-         \"quickens\": {},\n  \"events_recorded\": {},\n  \"events_dropped\": {}\n}}\n",
+         \"events_recorded\": {},\n  \"events_dropped\": {}\n}}\n",
         s.threads,
         s.regions,
         s.chunks_owned,
@@ -1155,7 +1123,6 @@ pub fn metrics_json() -> String {
         s.kernel_iters,
         s.kernel_bails,
         s.deopts,
-        s.quickens,
         s.events_recorded,
         s.events_dropped,
     )

@@ -475,8 +475,8 @@ fn disabled_tracing_overhead_guard() {
 
 /// The kernel/deopt telemetry probes added for the tier profiler share
 /// the disabled-cost bound with the dispatch path: with `mode() == 0`,
-/// `kernel_begin_ts` must not read a clock and `kernel_end`/`deopt`/
-/// `quicken` must early-return after one relaxed load each.
+/// `kernel_begin_ts` must not read a clock and `kernel_end`/`deopt`
+/// must early-return after one relaxed load each.
 #[test]
 fn disabled_kernel_probe_overhead_guard() {
     let _g = serial();
@@ -491,7 +491,6 @@ fn disabled_kernel_probe_overhead_guard() {
             trace::kernel_end("guard-kernel", 3, 8, None, ts);
             if i & 0xffff == 0 {
                 trace::deopt("index.f->index", 5);
-                trace::quicken("index->index.f", 5);
             }
             std::hint::black_box(ts);
         }

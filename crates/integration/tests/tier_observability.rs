@@ -1,8 +1,8 @@
 //! End-to-end checks of the tier-observability pipeline over the public
 //! VM API: the kernel telemetry probes fold into `MetricsSnapshot`,
-//! runtime quickening and deopt rewrites count, and the profiler's
-//! event fold attributes a kernel-carried pragma loop to the native
-//! tier with its `unit:line` label intact.
+//! specialised-opcode and bulk-loop fallbacks count and leave no state
+//! behind, and the profiler's event fold attributes a kernel-carried
+//! pragma loop to the native tier with its `unit:line` label intact.
 //!
 //! Tracing mode is process-global, so every test serialises on one
 //! mutex and restores the disabled state before releasing it.
@@ -79,38 +79,159 @@ fn kernel_counters_fold_into_metrics() {
     trace::reset();
 }
 
-/// A slot reassigned Int -> Float stays `Dynamic` under static typeck,
-/// so at `--opt=2` the interpreter quickens its generic ops on first
-/// execution and deopts when the type flips — both rewrites must land
-/// in the counters.
-#[test]
-fn quicken_and_deopt_counters_increment() {
-    let _g = serial();
-    let src = r#"fn main() void {
-    var x: any = undefined;
-    x = 1;
-    var i: i64 = 0;
-    while (i < 6) : (i += 1) {
-        x = x + x;
-        if (i == 2) { x = 0.5; }
-    }
-    print(x);
-}"#;
-    let vm =
-        Vm::build(src, Some("flip.zag"), Backend::Bytecode, OptLevel::O2).expect("compile flip");
+/// Run `name(args)` with counters on and return the outcome (result
+/// rendered, or error text) plus the counter snapshot of that one call.
+fn counted_call(
+    vm: &Vm,
+    name: &str,
+    args: Vec<Value>,
+) -> (Result<String, String>, trace::MetricsSnapshot) {
+    trace::reset();
     trace::enable_counters();
-    vm.call_function("main", Vec::new()).expect("run flip");
+    let r = vm.call_function(name, args);
     trace::disable_all();
     let m = trace::metrics();
-    assert!(
-        m.quickens >= 1,
-        "the generic add must quicken on its first Int execution"
-    );
-    assert!(
-        m.deopts >= 1,
-        "the Int->Float flip must deopt the quickened add"
-    );
     trace::reset();
+    (r.map(|v| v.render()).map_err(|e| e.to_string()), m)
+}
+
+/// Annotations are not enforced at the host boundary: typeck emits
+/// `ArithII` for an `i64`-annotated parameter, the host passes a Float,
+/// and the specialised opcode must fall back to the generic one in
+/// place — same result (`twice`) or same error text (`mixed`) as the
+/// walker, and the fallback is counted.
+#[test]
+fn host_float_into_i64_param_deopts_to_the_walker_outcome() {
+    let _g = serial();
+    let src = r#"
+fn twice(x: i64) i64 {
+    return x + x;
+}
+fn mixed(x: i64, y: i64) i64 {
+    return x + y;
+}
+"#;
+    let oracle = Vm::build(src, None, Backend::Ast, OptLevel::O0).expect("compile oracle");
+    for (backend, opt) in [
+        (Backend::Bytecode, OptLevel::O2),
+        (Backend::Native, OptLevel::O3),
+    ] {
+        let vm = Vm::build(src, None, backend, opt).expect("compile");
+        for (name, args) in [
+            ("twice", vec![Value::Float(1.5)]),
+            ("mixed", vec![Value::Float(1.5), Value::Int(2)]),
+        ] {
+            let (want, _) = counted_call(&oracle, name, args.clone());
+            let (got, m) = counted_call(&vm, name, args);
+            assert_eq!(got, want, "`{name}` at {backend:?} {opt:?}");
+            assert!(
+                m.deopts >= 1,
+                "`{name}` at {opt:?}: the Int-specialised add must deopt on a Float"
+            );
+        }
+    }
+}
+
+/// Nothing is sticky: a kernel that bailed on an undersized buffer
+/// (raising the walker's exact error) is tried again on the next call
+/// from the same thread, and with a well-sized buffer carries every
+/// iteration natively.
+#[test]
+fn kernel_bail_is_not_remembered_across_calls() {
+    let _g = serial();
+    const N: usize = 512;
+    let vm =
+        Vm::build(FILL, Some("fill.zag"), Backend::Native, OptLevel::O3).expect("compile fill");
+    let oracle = Vm::build(FILL, Some("fill.zag"), Backend::Ast, OptLevel::O0).expect("oracle");
+    let args = |len: usize| {
+        vec![
+            Value::ArrF(Arc::new(ArrF::new(len))),
+            Value::Int(N as i64),
+            Value::Int(1),
+        ]
+    };
+
+    let (want, _) = counted_call(&oracle, "fill", args(N - 1));
+    assert!(want.is_err(), "the oracle must run out of bounds: {want:?}");
+    let (got, m) = counted_call(&vm, "fill", args(N - 1));
+    assert_eq!(got, want, "bail must replay to the walker's error");
+    assert!(m.kernel_bails >= 1, "the undersized fill must bail");
+
+    let (got, m) = counted_call(&vm, "fill", args(N));
+    assert_eq!(got, Ok("void".to_string()));
+    assert_eq!(
+        m.kernel_iters, N as u64,
+        "the kernel must carry the whole loop again after an earlier bail"
+    );
+    assert_eq!(m.kernel_bails, 0);
+}
+
+/// A bail that is not an error: the loop is typed `[]i64` by its
+/// annotations, the host hands `[]f64`, so no template variant binds
+/// and the head bails at every chunk of every call. The walker's
+/// result must hold across schedules and team sizes.
+#[test]
+fn type_bail_at_every_chunk_matches_the_walker() {
+    let _g = serial();
+    const N: usize = 203;
+    const SQ: &str = r#"
+fn sq(a: []i64, out: []i64, n: i64, nthreads: i64) void {
+    //$omp parallel num_threads(nthreads) shared(a, out) firstprivate(n)
+    {
+        var i: i64 = 0;
+        //$omp while SCHEDULE
+        while (i < n) : (i += 1) {
+            out[i] = a[i] * a[i] - a[i];
+        }
+    }
+}
+"#;
+    let run = |vm: &Vm, threads: i64| {
+        let a = Arc::new(ArrF::new(N));
+        for i in 0..N as i64 {
+            a.set(i, 0.25 * i as f64 - 7.0).unwrap();
+        }
+        let out = Arc::new(ArrF::new(N));
+        let (r, m) = counted_call(
+            vm,
+            "sq",
+            vec![
+                Value::ArrF(a),
+                Value::ArrF(out.clone()),
+                Value::Int(N as i64),
+                Value::Int(threads),
+            ],
+        );
+        let bits: Vec<u64> = (0..N as i64)
+            .map(|i| out.get(i).unwrap().to_bits())
+            .collect();
+        (r, bits, m)
+    };
+    for sched in [
+        "schedule(static)",
+        "schedule(static, 5)",
+        "schedule(dynamic, 7)",
+    ] {
+        let src = SQ.replace("SCHEDULE", sched);
+        let vm = Vm::build(&src, None, Backend::Native, OptLevel::O3).expect("compile sq");
+        assert!(
+            vm.program
+                .code
+                .funcs
+                .iter()
+                .any(|f| !f.templates.is_empty()),
+            "the typed loop must install a template under {sched}"
+        );
+        let oracle = Vm::build(&src, None, Backend::Ast, OptLevel::O0).expect("compile oracle");
+        for threads in [1i64, 2, 4] {
+            let (want, want_bits, _) = run(&oracle, threads);
+            let (got, got_bits, m) = run(&vm, threads);
+            assert_eq!(got, want, "{sched}, {threads} threads");
+            assert_eq!(got_bits, want_bits, "{sched}, {threads} threads");
+            assert!(m.kernel_bails >= 1, "{sched}: the []f64 input must bail");
+            assert_eq!(m.kernel_iters, 0, "{sched}: no iteration may run typed");
+        }
+    }
 }
 
 /// The profiler's event fold sees the same run: one pragma loop,

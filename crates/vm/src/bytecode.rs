@@ -39,10 +39,9 @@
 //!   [`Insn::ArithFF`] the AddFF/MulFF… family, [`Insn::IndexF`], …).
 //!   At `--opt>=2` the typed-IR pass ([`crate::typeck`]) emits them
 //!   statically wherever forward type inference proves the operand types;
-//!   slots inference leaves `Dynamic` still specialise *at runtime*
-//!   through the interpreter's per-thread quickening cache, and both
-//!   kinds deopt back to the generic form when a slot changes type
-//!   mid-loop.
+//!   slots inference leaves `Dynamic` stay generic. Each typed form
+//!   re-checks its operands and runs the generic form in place when a
+//!   slot holds another type.
 //! * [`Insn::BulkLoop`] — the `--opt=3` native tier ([`crate::kernels`]):
 //!   a recognised hot loop shape replaced by one dispatch into a
 //!   precompiled slice kernel, with the original loop-head instruction
@@ -382,70 +381,69 @@ pub enum Insn {
         icell: Reg,
         idx: Reg,
     },
-    /// Quickened [`Insn::Arith`]: both operands observed `i64`. Runtime
-    /// only — written by the interpreter's per-thread quickening cache,
-    /// never by the compiler/optimizer. Deopts back to `Arith` (and
-    /// re-executes the generic arm) when a slot changes type.
+    /// Specialised [`Insn::Arith`]: both operands inferred `i64`. Emitted
+    /// by [`crate::typeck`] only; the interpreter checks the operands and
+    /// runs the generic `Arith` arm in place on a mismatch.
     ArithII {
         op: ArithOp,
         dst: Reg,
         a: Reg,
         b: Reg,
     },
-    /// Quickened [`Insn::Arith`]: both operands observed `f64`.
+    /// Specialised [`Insn::Arith`]: both operands inferred `f64`.
     ArithFF {
         op: ArithOp,
         dst: Reg,
         a: Reg,
         b: Reg,
     },
-    /// Quickened [`Insn::Cmp`]: both operands observed `i64`.
+    /// Specialised [`Insn::Cmp`]: both operands inferred `i64`.
     CmpII {
         op: CmpOp,
         dst: Reg,
         a: Reg,
         b: Reg,
     },
-    /// Quickened [`Insn::Cmp`]: both operands observed `f64`.
+    /// Specialised [`Insn::Cmp`]: both operands inferred `f64`.
     CmpFF {
         op: CmpOp,
         dst: Reg,
         a: Reg,
         b: Reg,
     },
-    /// Quickened [`Insn::CmpJumpFalse`]: both operands observed `i64`.
+    /// Specialised [`Insn::CmpJumpFalse`]: both operands inferred `i64`.
     CmpJumpFalseII {
         op: CmpOp,
         a: Reg,
         b: Reg,
         to: u32,
     },
-    /// Quickened [`Insn::CmpJumpFalse`]: both operands observed `f64`.
+    /// Specialised [`Insn::CmpJumpFalse`]: both operands inferred `f64`.
     CmpJumpFalseFF {
         op: CmpOp,
         a: Reg,
         b: Reg,
         to: u32,
     },
-    /// Quickened [`Insn::Index`]: array observed `ArrF`.
+    /// Specialised [`Insn::Index`]: array inferred `ArrF`.
     IndexF {
         dst: Reg,
         arr: Reg,
         idx: Reg,
     },
-    /// Quickened [`Insn::Index`]: array observed `ArrI`.
+    /// Specialised [`Insn::Index`]: array inferred `ArrI`.
     IndexI {
         dst: Reg,
         arr: Reg,
         idx: Reg,
     },
-    /// Quickened [`Insn::IndexSet`]: `ArrF` target, `f64` source observed.
+    /// Specialised [`Insn::IndexSet`]: `ArrF` target, `f64` source inferred.
     IndexSetF {
         arr: Reg,
         idx: Reg,
         src: Reg,
     },
-    /// Quickened [`Insn::IndexSet`]: `ArrI` target, `i64` source observed.
+    /// Specialised [`Insn::IndexSet`]: `ArrI` target, `i64` source inferred.
     IndexSetI {
         arr: Reg,
         idx: Reg,
@@ -494,9 +492,9 @@ pub enum Insn {
     /// [`CompiledFn::kernels`]; the descriptor carries the bound
     /// registers, the exit pc, and the replaced original instruction.
     /// On a type-precheck failure (or a data-dependent mid-loop bail)
-    /// the interpreter quickens this instruction back to the original
-    /// and resumes the interpreted loop at the exact iteration, so the
-    /// kernel is semantically transparent.
+    /// the interpreter runs the original in its place and resumes the
+    /// interpreted loop at the exact iteration, so the kernel is
+    /// semantically transparent.
     BulkLoop {
         kidx: u16,
     },
@@ -507,7 +505,7 @@ pub enum Insn {
     /// descriptor carries the monomorphized op chain, the exit pc,
     /// and the replaced original instruction. Deopt behaviour is
     /// identical to [`Insn::BulkLoop`]: on a type precheck failure or
-    /// a mid-loop bail the interpreter quickens back to the original
+    /// a mid-loop bail the interpreter runs the original in its place
     /// and replays the loop interpreted.
     TemplateLoop {
         tidx: u16,

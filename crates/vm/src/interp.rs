@@ -14,10 +14,9 @@
 //! two are required to produce byte-identical output (including error
 //! messages), which `crates/vm/tests/differential.rs` enforces.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
@@ -52,6 +51,17 @@ impl Backend {
             _ => None,
         }
     }
+
+    /// The optimization level a program is compiled at for this backend:
+    /// the native backend is the bulk-kernel tier by definition, so it
+    /// pins `O3`; the others take the requested level.
+    pub fn opt_level(self, requested: OptLevel) -> OptLevel {
+        if self == Backend::Native {
+            OptLevel::O3
+        } else {
+            requested
+        }
+    }
 }
 
 /// Map the core crate's backend selector (plain CLI/request data) onto
@@ -81,8 +91,8 @@ pub struct Program {
     /// against `original_source`. Warnings only — the embedder decides
     /// whether to surface or deny them (`zag` prints them by default).
     pub diags: Vec<zomp_front::Diag>,
-    /// Optimization level the image was compiled at. Also gates the
-    /// runtime tiers: the call-frame arena needs `>= O1`, quickening `O2`.
+    /// Optimization level the image was compiled at. Informational: the
+    /// interpreter executes whatever the image holds and never reads it.
     pub opt: OptLevel,
 }
 
@@ -224,14 +234,6 @@ impl Vm {
         ))
     }
 
-    /// [`Vm::new`] with an explicit execution backend.
-    pub fn with_backend(source: &str, backend: Backend) -> Result<Vm, zomp_front::Diag> {
-        Ok(Vm {
-            backend,
-            ..Vm::new(source)?
-        })
-    }
-
     /// Fully-explicit constructor: compilation unit (for pragma `unit:line`
     /// labels), backend, and optimization level.
     pub fn build(
@@ -240,14 +242,8 @@ impl Vm {
         backend: Backend,
         opt: OptLevel,
     ) -> Result<Vm, zomp_front::Diag> {
-        // The native backend is the bulk-kernel tier by definition.
-        let opt = if backend == Backend::Native {
-            OptLevel::O3
-        } else {
-            opt
-        };
         Ok(Vm::from_program(
-            Arc::new(compile_opt(source, unit, opt)?),
+            Arc::new(compile_opt(source, unit, backend.opt_level(opt))?),
             backend,
             Arc::clone(zomp::Runtime::global()),
         ))
@@ -637,8 +633,8 @@ impl Vm {
 
     /// Bytecode entry point for external callers (API calls, `fork_call`
     /// team workers): arguments arrive as a `Vec`, the frame comes from
-    /// the per-thread arena at `--opt>=1`.
-    fn run_bytecode(&self, fi: usize, mut args: Vec<Value>) -> VmResult<Value> {
+    /// the per-thread arena.
+    fn run_bytecode(&self, fi: usize, args: Vec<Value>) -> VmResult<Value> {
         let f = &self.program.code.funcs[fi];
         if args.len() != f.nparams {
             return err(format!(
@@ -648,78 +644,64 @@ impl Vm {
                 args.len()
             ));
         }
-        let want = f.nregs.max(f.nparams);
-        if self.program.opt >= OptLevel::O1 {
-            let mut regs = acquire_frame(want);
-            for (slot, arg) in regs.iter_mut().zip(args) {
-                *slot = arg;
-            }
-            let r = self.exec_frame(fi, &mut regs);
-            release_frame(regs);
-            r
-        } else {
-            args.resize(want, Value::Undefined);
-            self.exec_frame(fi, &mut args)
+        let mut regs = acquire_frame(f.nregs.max(f.nparams));
+        for (slot, arg) in regs.iter_mut().zip(args) {
+            *slot = arg;
         }
+        let r = self.dispatch(fi, &mut regs);
+        release_frame(regs);
+        r
     }
 
     /// Internal `Call`/`CallValue` path: arity-check, then move the
     /// argument block straight from the caller's registers into a pooled
     /// frame — no `Vec` allocation, no `Arc` traffic.
     fn call_fn(&self, fi: usize, regs: &mut [Value], base: Reg, n: u16) -> VmResult<Value> {
-        if self.program.opt >= OptLevel::O1 {
-            let f = &self.program.code.funcs[fi];
-            if n as usize != f.nparams {
-                return err(format!(
-                    "`{}` expects {} arguments, got {n}",
-                    f.name, f.nparams
-                ));
-            }
-            let mut frame = acquire_frame(f.nregs.max(f.nparams));
-            for i in 0..n as usize {
-                frame[i] = std::mem::replace(&mut regs[base as usize + i], Value::Undefined);
-            }
-            let r = self.exec_frame(fi, &mut frame);
-            release_frame(frame);
-            r
-        } else {
-            let call_args = take_args(regs, base, n);
-            self.run_bytecode(fi, call_args)
+        let f = &self.program.code.funcs[fi];
+        if n as usize != f.nparams {
+            return err(format!(
+                "`{}` expects {} arguments, got {n}",
+                f.name, f.nparams
+            ));
         }
+        let mut frame = acquire_frame(f.nregs.max(f.nparams));
+        for i in 0..n as usize {
+            frame[i] = std::mem::replace(&mut regs[base as usize + i], Value::Undefined);
+        }
+        let r = self.dispatch(fi, &mut frame);
+        release_frame(frame);
+        r
     }
 
-    /// Run one activation. At `--opt>=2` the function executes from the
-    /// calling thread's quickening cache (a `Cell<Insn>` copy of the
-    /// verified stream that type-specializes itself in place); below that,
-    /// straight from the shared image. Statically specialized opcodes and
-    /// `BulkLoop` deopts rely on the quickening cache to rewrite
-    /// themselves back, so `--opt>=2` streams must never run on the fixed
-    /// path.
-    fn exec_frame(&self, fi: usize, regs: &mut [Value]) -> VmResult<Value> {
-        if self.program.opt >= OptLevel::O2 {
-            let qf = quick_fn(&self.program, fi);
-            self.dispatch(fi, regs, &QuickCode(&qf.code))
-        } else {
-            let code: &[Insn] = &self.program.code.funcs[fi].code;
-            self.dispatch(fi, regs, &FixedCode(code))
-        }
-    }
-
-    /// The dispatch loop, monomorphized once per [`CodeStream`] (fixed
-    /// stream for `--opt<=1`, self-quickening stream for `--opt=2`).
+    /// The dispatch loop: one activation of function `fi`, read straight
+    /// from the shared image, so execution is a function of the compiled
+    /// image alone.
+    ///
+    /// The specialised opcodes `typeck` emits (`ArithII`, `IndexF`, …)
+    /// check their operand types; on a mismatch — as on a `BulkLoop` /
+    /// `TemplateLoop` bail — the arm swaps in the generic instruction and
+    /// re-enters the `match` through `'redo` for this one execution.
+    /// A specialised opcode is tried again at its next visit; a bailed
+    /// loop head is remembered in a local for the rest of this activation
+    /// only (the interpreted loop comes back to its head every
+    /// iteration), so the next call starts from the image again.
     ///
     /// Register and constant accesses go through [`rg`]/[`rg_mut`]/[`kc`],
     /// which skip bounds checks. The safety argument lives on those
     /// helpers: every instruction stream that reaches this loop passed
-    /// `optimize::verify_fn` at compile time, and quickened rewrites
-    /// preserve operands verbatim.
-    fn dispatch<C: CodeStream>(&self, fi: usize, regs: &mut [Value], code: &C) -> VmResult<Value> {
+    /// `optimize::verify_fn` at compile time, and a deopt copies operands
+    /// verbatim.
+    fn dispatch(&self, fi: usize, regs: &mut [Value]) -> VmResult<Value> {
         let f = &self.program.code.funcs[fi];
         let consts = &f.consts[..];
-        let mut pc = 0usize;
-        loop {
-            let insn = code.fetch(pc);
-            pc += 1;
+        let code = &f.code[..];
+        // `pc` is always the slot after `insn`; a deopt replaces `insn`
+        // and `continue`s, which skips the fetch at the bottom.
+        let mut insn = code[0];
+        let mut pc = 1usize;
+        // The last `BulkLoop`/`TemplateLoop` head that bailed here.
+        let mut bailed = usize::MAX;
+        'redo: loop {
             match insn {
                 Insn::Const { dst, k } => {
                     let v = kc(consts, k).dup();
@@ -786,20 +768,8 @@ impl Vm {
                 Insn::Index { dst, arr, idx } => {
                     let i = rg(regs, idx).as_int()?;
                     let v = match rg(regs, arr) {
-                        Value::ArrF(a) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::IndexF { dst, arr, idx });
-                                zomp::trace::quicken("index->index.f", (pc - 1) as u32);
-                            }
-                            Value::Float(a.get(i)?)
-                        }
-                        Value::ArrI(a) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::IndexI { dst, arr, idx });
-                                zomp::trace::quicken("index->index.i", (pc - 1) as u32);
-                            }
-                            Value::Int(a.get(i)?)
-                        }
+                        Value::ArrF(a) => Value::Float(a.get(i)?),
+                        Value::ArrI(a) => Value::Int(a.get(i)?),
                         other => return err(format!("cannot index {}", other.type_name())),
                     };
                     set(regs, dst, v);
@@ -810,10 +780,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Index { dst, arr, idx });
                         zomp::trace::deopt("index.f->index", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Index { dst, arr, idx };
+                        continue 'redo;
                     }
                 },
                 Insn::IndexI { dst, arr, idx } => match (rg(regs, arr), rg(regs, idx)) {
@@ -822,10 +791,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Index { dst, arr, idx });
                         zomp::trace::deopt("index.i->index", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Index { dst, arr, idx };
+                        continue 'redo;
                     }
                 },
                 Insn::IndexSet { arr, idx, src } => {
@@ -833,18 +801,10 @@ impl Vm {
                     match rg(regs, arr) {
                         Value::ArrF(a) => {
                             let v = rg(regs, src).as_float()?;
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::IndexSetF { arr, idx, src });
-                                zomp::trace::quicken("index_set->index_set.f", (pc - 1) as u32);
-                            }
                             a.set(i, v)?;
                         }
                         Value::ArrI(a) => {
                             let v = rg(regs, src).as_int()?;
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::IndexSetI { arr, idx, src });
-                                zomp::trace::quicken("index_set->index_set.i", (pc - 1) as u32);
-                            }
                             a.set(i, v)?;
                         }
                         other => return err(format!("cannot index {}", other.type_name())),
@@ -854,10 +814,9 @@ impl Vm {
                     match (rg(regs, arr), rg(regs, idx), rg(regs, src)) {
                         (Value::ArrF(a), Value::Int(i), Value::Float(v)) => a.set(*i, *v)?,
                         _ => {
-                            code.quicken(pc - 1, Insn::IndexSet { arr, idx, src });
                             zomp::trace::deopt("index_set.f->index_set", (pc - 1) as u32);
-                            pc -= 1;
-                            continue;
+                            insn = Insn::IndexSet { arr, idx, src };
+                            continue 'redo;
                         }
                     }
                 }
@@ -865,29 +824,16 @@ impl Vm {
                     match (rg(regs, arr), rg(regs, idx), rg(regs, src)) {
                         (Value::ArrI(a), Value::Int(i), Value::Int(v)) => a.set(*i, *v)?,
                         _ => {
-                            code.quicken(pc - 1, Insn::IndexSet { arr, idx, src });
                             zomp::trace::deopt("index_set.i->index_set", (pc - 1) as u32);
-                            pc -= 1;
-                            continue;
+                            insn = Insn::IndexSet { arr, idx, src };
+                            continue 'redo;
                         }
                     }
                 }
                 Insn::Arith { op, dst, a, b } => {
                     let v = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Float(x), Value::Float(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::ArithFF { op, dst, a, b });
-                                zomp::trace::quicken("arith->arith.ff", (pc - 1) as u32);
-                            }
-                            Value::Float(float_arith(op, *x, *y))
-                        }
-                        (Value::Int(x), Value::Int(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::ArithII { op, dst, a, b });
-                                zomp::trace::quicken("arith->arith.ii", (pc - 1) as u32);
-                            }
-                            Value::Int(int_arith(op, *x, *y)?)
-                        }
+                        (Value::Float(x), Value::Float(y)) => Value::Float(float_arith(op, *x, *y)),
+                        (Value::Int(x), Value::Int(y)) => Value::Int(int_arith(op, *x, *y)?),
                         (x, y) => binop_arith(arith_token(op), x, y)?,
                     };
                     set(regs, dst, v);
@@ -898,10 +844,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Arith { op, dst, a, b });
                         zomp::trace::deopt("arith.ii->arith", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Arith { op, dst, a, b };
+                        continue 'redo;
                     }
                 },
                 Insn::ArithFF { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
@@ -910,10 +855,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Arith { op, dst, a, b });
                         zomp::trace::deopt("arith.ff->arith", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Arith { op, dst, a, b };
+                        continue 'redo;
                     }
                 },
                 Insn::ArithK { op, dst, a, k } => {
@@ -1298,20 +1242,8 @@ impl Vm {
                 }
                 Insn::Cmp { op, dst, a, b } => {
                     let v = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Int(x), Value::Int(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::CmpII { op, dst, a, b });
-                                zomp::trace::quicken("cmp->cmp.ii", (pc - 1) as u32);
-                            }
-                            Value::Bool(cmp_int(op, *x, *y))
-                        }
-                        (Value::Float(x), Value::Float(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::CmpFF { op, dst, a, b });
-                                zomp::trace::quicken("cmp->cmp.ff", (pc - 1) as u32);
-                            }
-                            Value::Bool(cmp_float(op, *x, *y))
-                        }
+                        (Value::Int(x), Value::Int(y)) => Value::Bool(cmp_int(op, *x, *y)),
+                        (Value::Float(x), Value::Float(y)) => Value::Bool(cmp_float(op, *x, *y)),
                         (x, y) => binop(cmp_token(op), x, y)?,
                     };
                     set(regs, dst, v);
@@ -1322,10 +1254,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Cmp { op, dst, a, b });
                         zomp::trace::deopt("cmp.ii->cmp", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Cmp { op, dst, a, b };
+                        continue 'redo;
                     }
                 },
                 Insn::CmpFF { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
@@ -1334,10 +1265,9 @@ impl Vm {
                         set(regs, dst, v);
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::Cmp { op, dst, a, b });
                         zomp::trace::deopt("cmp.ff->cmp", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::Cmp { op, dst, a, b };
+                        continue 'redo;
                     }
                 },
                 Insn::Neg { dst, src } => {
@@ -1369,20 +1299,8 @@ impl Vm {
                 }
                 Insn::CmpJumpFalse { op, a, b, to } => {
                     let taken = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Int(x), Value::Int(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::CmpJumpFalseII { op, a, b, to });
-                                zomp::trace::quicken("cmp_jf->cmp_jf.ii", (pc - 1) as u32);
-                            }
-                            cmp_int(op, *x, *y)
-                        }
-                        (Value::Float(x), Value::Float(y)) => {
-                            if C::QUICKENS {
-                                code.quicken(pc - 1, Insn::CmpJumpFalseFF { op, a, b, to });
-                                zomp::trace::quicken("cmp_jf->cmp_jf.ff", (pc - 1) as u32);
-                            }
-                            cmp_float(op, *x, *y)
-                        }
+                        (Value::Int(x), Value::Int(y)) => cmp_int(op, *x, *y),
+                        (Value::Float(x), Value::Float(y)) => cmp_float(op, *x, *y),
                         (x, y) => binop(cmp_token(op), x, y)?.truthy()?,
                     };
                     if !taken {
@@ -1396,10 +1314,9 @@ impl Vm {
                         }
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::CmpJumpFalse { op, a, b, to });
                         zomp::trace::deopt("cmp_jf.ii->cmp_jf", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::CmpJumpFalse { op, a, b, to };
+                        continue 'redo;
                     }
                 },
                 Insn::CmpJumpFalseFF { op, a, b, to } => match (rg(regs, a), rg(regs, b)) {
@@ -1409,10 +1326,9 @@ impl Vm {
                         }
                     }
                     _ => {
-                        code.quicken(pc - 1, Insn::CmpJumpFalse { op, a, b, to });
                         zomp::trace::deopt("cmp_jf.ff->cmp_jf", (pc - 1) as u32);
-                        pc -= 1;
-                        continue;
+                        insn = Insn::CmpJumpFalse { op, a, b, to };
+                        continue 'redo;
                     }
                 },
                 Insn::IncCmpJump {
@@ -1552,21 +1468,24 @@ impl Vm {
                     self.output.lock().push(line);
                 }
                 Insn::BulkLoop { kidx } => {
-                    // Native tier (`--opt=3` only, hence always under
-                    // QuickCode): run the whole recognised loop as a
-                    // precompiled slice kernel. On success the kernel has
-                    // written back every register the loop defines; on any
-                    // precheck/bounds failure it wrote back the loop-carried
-                    // state it advanced, and deopting to the original head
-                    // instruction replays the failing iteration interpreted
-                    // (raising the exact error the interpreter would).
+                    // Native tier (`--opt=3` only): run the whole
+                    // recognised loop as a precompiled slice kernel. On
+                    // success the kernel has written back every register
+                    // the loop defines; on any precheck/bounds failure it
+                    // wrote back the loop-carried state it advanced, and
+                    // running the original head instruction in its place
+                    // replays the failing iteration interpreted (raising
+                    // the exact error the interpreter would). The kernel
+                    // is tried again at the next chunk unless this head
+                    // was the last to bail in this activation.
                     let desc = &f.kernels[kidx as usize];
-                    if crate::kernels::run(desc, (pc - 1) as u32, regs, consts) {
+                    if pc - 1 != bailed && crate::kernels::run(desc, (pc - 1) as u32, regs, consts)
+                    {
                         pc = desc.exit as usize;
                     } else {
-                        code.quicken(pc - 1, desc.orig);
-                        pc -= 1;
-                        continue;
+                        bailed = pc - 1;
+                        insn = desc.orig;
+                        continue 'redo;
                     }
                 }
                 Insn::TemplateLoop { tidx } => {
@@ -1575,12 +1494,12 @@ impl Vm {
                     // ops over an unboxed frame. Deopt contract is
                     // identical to `BulkLoop` above.
                     let desc = &f.templates[tidx as usize];
-                    if crate::templates::run(desc, (pc - 1) as u32, regs) {
+                    if pc - 1 != bailed && crate::templates::run(desc, (pc - 1) as u32, regs) {
                         pc = desc.exit as usize;
                     } else {
-                        code.quicken(pc - 1, desc.orig);
-                        pc -= 1;
-                        continue;
+                        bailed = pc - 1;
+                        insn = desc.orig;
+                        continue 'redo;
                     }
                 }
                 Insn::Trap { msg } => match kc(consts, msg) {
@@ -1594,29 +1513,23 @@ impl Vm {
                 }
                 Insn::RetVoid => return Ok(Value::Void),
             }
+            insn = code[pc];
+            pc += 1;
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Execution-tier machinery: frame arena, quickening cache, register access
+// Execution machinery: frame arena, register access
 // ---------------------------------------------------------------------------
 
 /// Cap on pooled frames per thread; beyond this, frames just drop.
 const FRAME_POOL_CAP: usize = 64;
 
 thread_local! {
-    /// Per-thread arena of register frames (`--opt>=1`). Frames are
-    /// cleared on release, so acquire only pays one fill.
+    /// Per-thread arena of register frames. Frames are cleared on
+    /// release, so acquire only pays one fill.
     static FRAME_POOL: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread quickening cache (`--opt>=2`): one `Cell<Insn>` copy of
-    /// each executed function, keyed to the owning program by weak pointer.
-    static QUICK: RefCell<QuickCache> = const {
-        RefCell::new(QuickCache {
-            program: Weak::new(),
-            fns: Vec::new(),
-        })
-    };
 }
 
 fn acquire_frame(n: usize) -> Vec<Value> {
@@ -1638,96 +1551,14 @@ fn release_frame(mut v: Vec<Value>) {
     });
 }
 
-/// A function's thread-private, self-modifying instruction stream.
-struct QuickFn {
-    code: Box<[Cell<Insn>]>,
-}
-
-struct QuickCache {
-    /// Weak so a cached program can die; `upgrade` + `ptr_eq` guards
-    /// against a new program reusing the allocation (ABA).
-    program: Weak<Program>,
-    fns: Vec<Option<Rc<QuickFn>>>,
-}
-
-/// Get (building on first use) the calling thread's quickenable copy of
-/// function `fi`. The copy starts as the verified optimized stream;
-/// rewrites stay invisible to other threads.
-fn quick_fn(program: &Arc<Program>, fi: usize) -> Rc<QuickFn> {
-    QUICK.with(|q| {
-        let mut q = q.borrow_mut();
-        let same = q
-            .program
-            .upgrade()
-            .is_some_and(|p| Arc::ptr_eq(&p, program));
-        if !same {
-            q.program = Arc::downgrade(program);
-            q.fns.clear();
-            q.fns.resize(program.code.funcs.len(), None);
-        }
-        if let Some(qf) = &q.fns[fi] {
-            return Rc::clone(qf);
-        }
-        let code: Box<[Cell<Insn>]> = program.code.funcs[fi]
-            .code
-            .iter()
-            .copied()
-            .map(Cell::new)
-            .collect();
-        let qf = Rc::new(QuickFn { code });
-        q.fns[fi] = Some(Rc::clone(&qf));
-        qf
-    })
-}
-
-/// How the dispatch loop reads instructions. Two impls: a plain slice
-/// (`--opt<=1`) and the per-thread quickening cache (`--opt=2`).
-trait CodeStream {
-    /// Whether `quicken` persists (lets the fixed-stream monomorphization
-    /// drop all quickening branches).
-    const QUICKENS: bool;
-    fn fetch(&self, pc: usize) -> Insn;
-    fn quicken(&self, pc: usize, insn: Insn);
-}
-
-struct FixedCode<'a>(&'a [Insn]);
-
-impl CodeStream for FixedCode<'_> {
-    const QUICKENS: bool = false;
-    #[inline(always)]
-    fn fetch(&self, pc: usize) -> Insn {
-        self.0[pc]
-    }
-    #[inline(always)]
-    fn quicken(&self, _pc: usize, _insn: Insn) {}
-}
-
-struct QuickCode<'a>(&'a [Cell<Insn>]);
-
-impl CodeStream for QuickCode<'_> {
-    const QUICKENS: bool = true;
-    #[inline(always)]
-    fn fetch(&self, pc: usize) -> Insn {
-        self.0[pc].get()
-    }
-    #[inline(always)]
-    fn quicken(&self, pc: usize, insn: Insn) {
-        // Single-threaded interior mutability: this stream is owned by the
-        // calling thread, and every rewrite is semantically equivalent to
-        // the instruction it replaces (specialize on observed types, or
-        // deopt back to the generic form).
-        self.0[pc].set(insn);
-    }
-}
-
 /// Unchecked register read.
 ///
 /// SAFETY contract for `rg`/`rg_mut`/`set`/`kc`: every instruction stream
 /// the dispatch loop executes passed `optimize::verify_fn` at compile
 /// time, which proves every register operand `< nregs` and every constant
 /// index `< consts.len()`; frames are allocated at exactly
-/// `nregs.max(nparams)` slots, and runtime quickening copies operands
-/// verbatim from verified instructions.
+/// `nregs.max(nparams)` slots, and a deopt copies operands verbatim from
+/// verified instructions.
 #[inline(always)]
 fn rg(regs: &[Value], r: Reg) -> &Value {
     debug_assert!((r as usize) < regs.len());

@@ -14,14 +14,14 @@
 //! work-sharing protocol (`omp.internal.ws_*`), schedules, reductions
 //! and tracing all keep working unchanged.
 //!
-//! Correctness contract, mirroring runtime quickening:
+//! Correctness contract:
 //!
 //! - A kernel only runs while its type/bounds prechecks hold. On
 //!   *any* violation — wrong runtime types, index out of bounds,
 //!   division by zero — it writes back the loop-carried registers it
 //!   has updated (induction variable, accumulators) and deopts: the
-//!   dispatch loop re-quickens the `BulkLoop` back to the original
-//!   head instruction and resumes interpretation at the loop head, so
+//!   dispatch loop runs the original head instruction in the
+//!   `BulkLoop`'s place and resumes interpretation at the loop head, so
 //!   the failing iteration replays in the interpreter and raises the
 //!   exact same error text at the exact same point (or simply keeps
 //!   running interpreted if the shape was merely untypical).
@@ -46,7 +46,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct KernelDesc {
     /// The loop-head instruction the `BulkLoop` replaced; deopt
-    /// target (the dispatch loop re-quickens to this and replays).
+    /// target (the dispatch loop runs this in its place and replays).
     pub orig: Insn,
     /// pc to resume at after a normal kernel exit.
     pub exit: u32,
@@ -890,9 +890,8 @@ fn const_int(f: &CompiledFn, k: u16) -> Option<i64> {
 // rewrites `Arith`→`ArithII`/`ArithFF`, `Index`→`IndexI`/`IndexF`,
 // `IndexSet`→`IndexSetI`/`IndexSetF` and `CmpJumpFalse`→`..II`/`..FF`
 // wherever inference proves the operand types; the kernel semantics
-// are identical either way (the specialized opcodes deopt on a type
-// mismatch exactly where the generic ones would re-quicken), so the
-// matchers accept both forms.
+// are identical either way (the specialized opcodes fall back to the
+// generic ones on a type mismatch), so the matchers accept both forms.
 fn as_arith(insn: Insn) -> Option<(ArithOp, Reg, Reg, Reg)> {
     match insn {
         Insn::Arith { op, dst, a, b }

@@ -13,8 +13,8 @@
 //! opcodes, post-processed by the [`optimize`] pipeline (constant
 //! folding, dead-store elimination, superinstruction fusion;
 //! `--opt=0|1|2|3` on the CLI), statically type-specialised from the
-//! block-structured [`ir`] by [`typeck`] (`--opt>=2`), and executed with
-//! runtime quickening plus a pooled call-frame arena — or the original
+//! block-structured [`ir`] by [`typeck`] (`--opt>=2`), and executed
+//! from a pooled call-frame arena — or the original
 //! tree-walking interpreter, kept as the differential-testing oracle
 //! (`--backend=ast` on the `zag` CLI). At `--opt=3`
 //! (`--backend=native`), recognised hot loop shapes additionally run as

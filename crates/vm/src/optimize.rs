@@ -60,11 +60,10 @@ use crate::value::Value;
 pub enum OptLevel {
     /// The naive compile output, executed as-is (the PR 3 pipeline).
     O0,
-    /// Constant folding, copy propagation, dead-store elimination, plus
-    /// the runtime call-frame arena.
+    /// Constant folding, copy propagation, dead-store elimination.
     O1,
-    /// `O1` + superinstruction fusion, static type specialization from
-    /// the typed IR ([`crate::typeck`]), and runtime quickening (default).
+    /// `O1` + superinstruction fusion and static type specialization from
+    /// the typed IR ([`crate::typeck`]) (default).
     #[default]
     O2,
     /// `O2` + the native bulk-kernel tier ([`crate::kernels`]): hot typed

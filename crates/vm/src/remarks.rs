@@ -16,8 +16,8 @@
 //!   artifacts (`BENCH_tiers.json`) can embed them per loop.
 //! - **`typeck-summary` / `typeck-dynamic`** — per-function static
 //!   specialization outcome (`--opt>=2`): how many sites inference
-//!   proved Int/Float, and for each site left to runtime quickening,
-//!   the operand types that blocked it.
+//!   proved Int/Float, and for each site left generic, the operand
+//!   types that blocked it.
 //! - **`opt-pipeline`** — per-function fold/copy-propagation, local
 //!   CSE, dead-store-elimination and fusion counts (`--opt>=1`).
 //!
@@ -370,7 +370,7 @@ fn typeck_remarks(source: &str, f: &CompiledFn, sites: &[SiteOutcome], out: &mut
         "typeck-summary",
         0,
         format!(
-            "fn `{}`: {spec} of {} specializable sites statically typed Int/Float, {} left to runtime quickening",
+            "fn `{}`: {spec} of {} specializable sites statically typed Int/Float, {} left generic",
             f.name,
             sites.len(),
             sites.len() - spec

@@ -36,7 +36,7 @@
 //!
 //! - Binds type-check every bound register before any side effect;
 //!   a mismatch falls through to the next variant and finally back
-//!   to the interpreter (quicken to the original head instruction).
+//!   to the interpreter (which runs the original head instruction).
 //! - Mid-loop failures (bounds, div-by-zero) restore the bound
 //!   loop-carried registers to their values at the start of the
 //!   failing iteration, write them back, and deopt, so the
@@ -80,7 +80,7 @@ const BAIL_DIV: Bail = "div";
 #[derive(Clone)]
 pub struct TemplateDesc {
     /// The loop-head instruction the `TemplateLoop` replaced; deopt
-    /// target (the dispatch loop re-quickens to this and replays).
+    /// target (the dispatch loop runs this in its place and replays).
     pub orig: Insn,
     /// pc to resume at after a normal exit.
     pub exit: u32,

@@ -1,22 +1,17 @@
 //! Static type inference over the block-structured IR and the
 //! Int/Float specialization pass driven by it (`--opt>=2`).
 //!
-//! The interpreter historically discovered slot types at runtime:
-//! the first execution of a generic [`Insn::Arith`] inspects its
-//! operands and quickens itself into [`Insn::ArithII`] /
-//! [`Insn::ArithFF`]. That works, but every hot loop pays one generic
-//! dispatch per site per thread, and the bytecode stream the native
-//! tier ([`crate::kernels`]) wants to pattern-match is only in its
-//! final shape after warm-up. This pass computes the same facts
-//! *statically*: a forward dataflow over [`crate::ir`] basic blocks
-//! assigns every register a lattice type per block entry, and every
-//! Arith/Cmp/Index/IndexSet site whose operands are provably
-//! Int/Float gets its specialized opcode emitted directly. Runtime
-//! quickening remains in place for the slots inference leaves
-//! [`Ty::Dynamic`] — and for the (sound but conservative) case where
-//! inference is wrong about nothing: the specialized opcodes keep
-//! their deopt arms, so a mis-specialized site falls back to the
-//! generic instruction instead of misbehaving.
+//! A generic [`Insn::Arith`] inspects its operand types on every
+//! execution. This pass computes those types *statically*: a forward
+//! dataflow over [`crate::ir`] basic blocks assigns every register a
+//! lattice type per block entry, and every Arith/Cmp/Index/IndexSet
+//! site whose operands are provably Int/Float gets its specialized
+//! opcode ([`Insn::ArithII`] / [`Insn::ArithFF`], …) emitted directly,
+//! which is also the shape the native tier ([`crate::kernels`])
+//! pattern-matches. Sites inference leaves [`Ty::Dynamic`] stay
+//! generic. The specialized opcodes keep their runtime type check, so
+//! a mis-specialized site runs the generic instruction in place
+//! instead of misbehaving.
 //!
 //! The lattice is deliberately flat: `Bottom < {Int, Float, Bool, …}
 //! < Dynamic`. Joining two different concrete types goes straight to
@@ -33,11 +28,10 @@
 //! Annotation-seeded and cell-content types (`*f64` params, `NewCell`
 //! of a known scalar) are *speculative*: Zag does not enforce
 //! annotations at call boundaries, and an aliased `CellSet` can
-//! change a cell's pointee type at any time. That is safe here for
-//! the same reason quickening is: every consumer of these facts —
-//! the specialized opcodes and the native kernels — re-checks types
-//! at runtime and deopts to the generic path, so a wrong guess costs
-//! speed, never behavior.
+//! change a cell's pointee type at any time. That is safe because
+//! every consumer of these facts — the specialized opcodes and the
+//! native kernels — re-checks types at runtime and deopts to the
+//! generic path, so a wrong guess costs speed, never behavior.
 
 use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, PreOpt, Reg};
 use crate::ir;
@@ -92,7 +86,7 @@ pub enum Ty {
     RedF,
     /// Work-sharing iterator handle.
     Ws,
-    /// Dataflow ⊤: statically unknown; runtime quickening owns it.
+    /// Dataflow ⊤: statically unknown; the site stays generic.
     Dynamic,
 }
 
@@ -576,7 +570,7 @@ fn omp_ret_ty(path: &[String], env: &[Ty], base: Reg) -> Ty {
 }
 
 /// Apply one instruction's effect to the environment. Must
-/// over-approximate the interpreter (including every quickened
+/// over-approximate the interpreter (including every specialized
 /// variant, which share the generic semantics).
 fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
     let get = |env: &[Ty], r: Reg| env[r as usize];
@@ -794,8 +788,8 @@ fn specialize_insn(insn: &Insn, env: &[Ty]) -> Option<Insn> {
 
 /// Statically specialize every function in the image in place
 /// (`--opt>=2`). Sites whose operands inference can prove Int/Float
-/// get their quickened opcode emitted directly; everything else is
-/// left for runtime quickening.
+/// get their specialized opcode emitted directly; everything else
+/// stays generic.
 pub fn specialize_image(image: &mut Image) {
     let types = infer_image(image);
     let nfuncs = image.funcs.len();
@@ -813,7 +807,7 @@ pub struct SiteOutcome {
     /// Generic opcode at the site (`arith`, `index`, ...).
     pub insn: &'static str,
     /// `Some(specialized opcode)` when the rewrite fired; `None` when
-    /// the site is left to runtime quickening.
+    /// the site is left generic.
     pub specialized: Option<&'static str>,
     /// The operand types inference had at the site.
     pub operands: Vec<Ty>,

@@ -11,8 +11,8 @@ use zomp_vm::{Backend, OptLevel, Value, Vm};
 
 /// Every optimization level the bytecode backend must stay faithful at:
 /// `O0` is the raw stream, `O1` adds folding/copy-prop/DSE, `O2` adds
-/// superinstruction fusion, static type specialization, and runtime
-/// quickening, `O3` adds native bulk-kernel installation for hot loops.
+/// superinstruction fusion and static type specialization, `O3` adds
+/// native bulk-kernel installation for hot loops.
 const OPT_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
 
 /// The opt levels this process actually exercises: all of [`OPT_LEVELS`]
@@ -285,10 +285,10 @@ fn main() void { f(1, 2); }"#,
 }
 
 /// Error corners aimed at the optimizer itself: each program's hot shape
-/// gets fused or quickened at `--opt=2`, and the fused/quickened arm's
-/// slow path must reproduce the walker's error text and ordering.
+/// gets fused or specialized at `--opt=2`, and the fused/specialized
+/// arm's slow path must reproduce the walker's error text and ordering.
 #[test]
-fn fused_and_quickened_errors_match_exactly() {
+fn fused_and_specialized_errors_match_exactly() {
     for (name, src) in [
         (
             // `a[k] * p[...]` with an i64 array: the FmaIdx chain must
@@ -373,11 +373,11 @@ fn fused_and_quickened_errors_match_exactly() {
     }
 }
 
-/// Quickening specializes `Arith`/`Cmp`/`Index` on first execution; these
-/// programs flip a slot's type mid-loop so the specialized instruction
-/// must deopt back to the generic form and keep producing oracle output.
+/// These programs flip a slot's type mid-loop, so any instruction
+/// specialized on it must fall back to the generic form and keep
+/// producing oracle output.
 #[test]
-fn quickening_deopt_agrees() {
+fn type_flip_deopt_agrees() {
     for (name, src) in [
         (
             "scalar_int_to_float_flip",

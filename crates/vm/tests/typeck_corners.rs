@@ -3,9 +3,9 @@
 //!
 //! The differential suite proves whole-program agreement; these tests pin
 //! the *mechanism*: which instructions the specializer rewrites statically,
-//! which slots it must leave `Dynamic` (so runtime quickening keeps the
-//! deopt safety net), and that a bulk kernel's mid-loop bail reproduces
-//! the interpreter's exact error.
+//! which slots it must leave `Dynamic` (so their sites stay generic),
+//! and that a bulk kernel's mid-loop bail reproduces the interpreter's
+//! exact error.
 
 use zomp_vm::bytecode::disasm_fn;
 use zomp_vm::typeck::{infer_image, Ty};
@@ -24,8 +24,7 @@ fn run(src: &str, backend: Backend, opt: OptLevel) -> Result<Vec<String>, String
 }
 
 /// A monomorphic integer loop specializes *statically*: the compiled
-/// image already holds `cjfii`/`addii` before the first instruction runs
-/// (quickening would only get there after a warm-up execution).
+/// image already holds `cjfii`/`addii` before the first instruction runs.
 #[test]
 fn int_loop_specializes_before_execution() {
     let src = r#"fn main() void {
@@ -44,8 +43,8 @@ fn int_loop_specializes_before_execution() {
 }
 
 /// A slot reassigned from Int to Float joins to `Dynamic`: the add on it
-/// must stay generic so runtime quickening (and its deopt) still owns it,
-/// and the program must keep matching the oracle through the type flip.
+/// must stay generic, and the program must keep matching the oracle
+/// through the type flip.
 #[test]
 fn mixed_reassignment_stays_dynamic_and_deopts() {
     let src = r#"fn main() void {
@@ -73,7 +72,7 @@ fn mixed_reassignment_stays_dynamic_and_deopts() {
         assert_eq!(
             run(src, Backend::Bytecode, opt),
             ast,
-            "quickening deopt diverged at --opt={opt}"
+            "type flip diverged at --opt={opt}"
         );
     }
 }

@@ -4,9 +4,8 @@
 //! accidental collisions need both a hash and a length match) together
 //! with the optimization level and backend — the only inputs that change
 //! the compiled image. Values are `Arc<Program>`: the VM executes a
-//! program immutably (per-thread quickening caches live in thread-local
-//! state, not the image), so one cached compilation can back any number
-//! of concurrent [`zomp_vm::Vm`] instances.
+//! program immutably, so one cached compilation can back any number of
+//! concurrent [`zomp_vm::Vm`] instances.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,13 +71,9 @@ impl ProgramCache {
         backend: Backend,
         opt: OptLevel,
     ) -> Result<(Arc<Program>, bool), zomp_front::Diag> {
-        // The native backend pins the image to --opt=3 (same normalization
-        // as `Vm::build`), so `native/O2` and `native/O3` share one entry.
-        let opt = if backend == Backend::Native {
-            OptLevel::O3
-        } else {
-            opt
-        };
+        // The native backend pins the image to --opt=3, so `native/O2` and
+        // `native/O3` share one entry.
+        let opt = backend.opt_level(opt);
         let key = Key {
             hash: fnv1a(source.as_bytes()),
             len: source.len(),
