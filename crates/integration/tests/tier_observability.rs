@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use zomp::{profile, trace};
-use zomp_vm::value::{ArrF, Value};
+use zomp_vm::value::{ArrF, ArrI, Value};
 use zomp_vm::{Backend, OptLevel, Vm};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -273,4 +273,106 @@ fn tier_report_attributes_fill_loop_to_native() {
     );
     assert_eq!(t.bails, 0);
     assert_eq!(t.deopts, 0);
+}
+
+/// A `schedule(dynamic, 1)` loop whose body crosses a call boundary, so
+/// no tier takes it and every iteration is one interpreted chunk claim:
+/// inside a region (`nthreads >= 1`: the team deck) or orphaned
+/// (`nthreads == 0`: the VM's serial deck).
+const CLAIMS: &str = r#"
+fn weigh(v: i64) i64 {
+    return v % 13 + 1;
+}
+fn claims(out: []i64, n: i64, nthreads: i64) void {
+    if (nthreads == 0) {
+        var k: i64 = 0;
+        //$omp while schedule(dynamic, 1)
+        while (k < n) : (k += 1) {
+            out[k] = out[k] + weigh(k);
+        }
+    } else {
+        //$omp parallel num_threads(nthreads) shared(out) firstprivate(n)
+        {
+            var i: i64 = 0;
+            //$omp while schedule(dynamic, 1)
+            while (i < n) : (i += 1) {
+                out[i] = out[i] + weigh(i);
+            }
+        }
+    }
+}
+"#;
+
+/// The chunk claim is one instruction (`wsnext`), and the split-phase
+/// trace bookkeeping rides behind it: a traced loop of `N` one-iteration
+/// chunks still counts `N` claims, closes one chunk span per claim, and
+/// its per-thread `LoopDispatch` spans carry shares that sum to `N`.
+#[test]
+fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
+    let _g = serial();
+    const N: u64 = 1000;
+    // `"key":123` → 123, for the one-entry-per-line Chrome trace export.
+    let arg = |line: &str, key: &str| -> u64 {
+        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit())
+            .collect();
+        digits.parse().expect("numeric trace arg")
+    };
+    for (backend, opt) in [
+        (Backend::Bytecode, OptLevel::O0),
+        (Backend::Bytecode, OptLevel::O2),
+        (Backend::Native, OptLevel::O3),
+    ] {
+        let vm = Vm::build(CLAIMS, Some("claims.zag"), backend, opt).expect("compile claims");
+        for threads in [0u64, 1, 2] {
+            let out = Arc::new(ArrI::new(N as usize));
+            trace::reset();
+            trace::enable_events();
+            trace::enable_counters();
+            vm.call_function(
+                "claims",
+                vec![
+                    Value::ArrI(out.clone()),
+                    Value::Int(N as i64),
+                    Value::Int(threads as i64),
+                ],
+            )
+            .expect("run claims");
+            trace::disable_all();
+            let m = trace::metrics();
+            let json = trace::chrome_trace_json();
+            trace::reset();
+            let what = format!("{backend:?} {opt:?}, {threads} threads");
+
+            for i in 0..N as i64 {
+                assert_eq!(out.get(i).unwrap(), i % 13 + 1, "{what}: out[{i}]");
+            }
+            assert_eq!(m.chunks_owned + m.chunks_stolen, N, "{what}: claims");
+            let chunks: Vec<&str> = json
+                .lines()
+                .filter(|l| l.contains("\"cat\":\"chunk ("))
+                .collect();
+            assert_eq!(chunks.len() as u64, N, "{what}: closed chunk spans");
+            assert!(
+                chunks.iter().all(|l| arg(l, "\"len\":") == 1),
+                "{what}: every chunk is one iteration"
+            );
+            let mut starts: Vec<u64> = chunks.iter().map(|l| arg(l, "\"start\":")).collect();
+            starts.sort_unstable();
+            assert_eq!(starts, (0..N).collect::<Vec<_>>(), "{what}: chunk starts");
+            let loops: Vec<&str> = json
+                .lines()
+                .filter(|l| l.contains("\"cat\":\"loop\""))
+                .collect();
+            assert_eq!(loops.len() as u64, threads.max(1), "{what}: loop spans");
+            assert!(
+                loops.iter().all(|l| l.contains("\"name\":\"claims.zag:")),
+                "{what}: loop spans carry the pragma label: {loops:?}"
+            );
+            let trips: u64 = loops.iter().map(|l| arg(l, "\"trip\":")).sum();
+            assert_eq!(trips, N, "{what}: per-thread loop spans sum to the trip");
+        }
+    }
 }

@@ -199,7 +199,14 @@ fn rank_pipeline_native_bit_identity_across_schedules_and_threads() {
     let want = rank_serial(&keys, &params);
     let nb = 1usize << nblog;
 
-    for sched in ["static", "static, 1", "static, 3", "dynamic", "dynamic, 2", "guided"] {
+    for sched in [
+        "static",
+        "static, 1",
+        "static, 3",
+        "dynamic",
+        "dynamic, 2",
+        "guided",
+    ] {
         let src = ZAG_RANK.replace(
             "schedule(static, 1) nowait",
             &format!("schedule({sched}) nowait"),

@@ -16,9 +16,10 @@ use zomp::schedule::{
 };
 use zomp::team::{Parallel, SingleToken, ThreadCtx};
 
+use crate::bytecode::OmpFn;
 use crate::interp::Vm;
 use crate::value::{
-    err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmResult, WsIter, WsMode, WsState,
+    err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmError, VmResult, WsIter, WsMode, WsState,
 };
 
 /// The `@builtin` math/alloc table, shared by both backends so a mismatch
@@ -122,39 +123,35 @@ fn stripe_for(addr: usize) -> &'static Mutex<()> {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Entry point from the interpreter: `omp.<path>(args)` or
-/// `omp.internal.<path>(args)`.
-pub(crate) fn call(vm: &Vm, path: &[&str], args: Vec<Value>) -> VmResult<Value> {
-    match path {
-        ["internal", name] => internal(vm, name, args),
+/// Entry point from both backends: `omp.<func>(args)`. The callee was
+/// resolved from its path by [`OmpFn::resolve`]; `args` is borrowed from
+/// the caller (the bytecode executor passes its argument registers).
+pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
+    match func {
         // The user-facing API with the redundant `omp_` prefix removed
         // (paper Listing 7).
-        ["get_thread_num"] => Ok(Value::Int(zomp::omp::get_thread_num() as i64)),
-        ["get_num_threads"] => Ok(Value::Int(zomp::omp::get_num_threads() as i64)),
-        ["get_max_threads"] => Ok(Value::Int(vm.runtime.icvs().num_threads() as i64)),
-        ["get_num_procs"] => Ok(Value::Int(zomp::omp::get_num_procs() as i64)),
-        ["in_parallel"] => Ok(Value::Bool(zomp::omp::in_parallel())),
-        ["get_level"] => Ok(Value::Int(zomp::omp::get_level() as i64)),
-        ["get_wtime"] => Ok(Value::Float(zomp::omp::get_wtime())),
-        ["set_num_threads"] => {
+        OmpFn::GetThreadNum => Ok(Value::Int(zomp::omp::get_thread_num() as i64)),
+        OmpFn::GetNumThreads => Ok(Value::Int(zomp::omp::get_num_threads() as i64)),
+        OmpFn::GetMaxThreads => Ok(Value::Int(vm.runtime.icvs().num_threads() as i64)),
+        OmpFn::GetNumProcs => Ok(Value::Int(zomp::omp::get_num_procs() as i64)),
+        OmpFn::InParallel => Ok(Value::Bool(zomp::omp::in_parallel())),
+        OmpFn::GetLevel => Ok(Value::Int(zomp::omp::get_level() as i64)),
+        OmpFn::GetWtime => Ok(Value::Float(zomp::omp::get_wtime())),
+        OmpFn::SetNumThreads => {
             vm.runtime
                 .icvs()
                 .set_num_threads(args[0].as_int()?.max(1) as usize);
             Ok(Value::Void)
         }
-        other => err(format!("unknown omp function omp.{}", other.join("."))),
-    }
-}
 
-fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> VmResult<Value> {
-    match name {
-        "fork_call" => fork_call(vm, args),
-        "if_threads" => {
+        // -- `omp.internal.*`: the preprocessor's lowering targets ---------
+        OmpFn::ForkCall => fork_call(vm, args),
+        OmpFn::IfThreads => {
             let cond = args[0].truthy()?;
             let nt = args[1].as_int()?;
             Ok(Value::Int(if cond { nt } else { 1 }))
         }
-        "barrier" => {
+        OmpFn::Barrier => {
             with_ctx(|ctx| {
                 if let Some(ctx) = ctx {
                     ctx.barrier();
@@ -162,10 +159,10 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
             });
             Ok(Value::Void)
         }
-        "is_master" => Ok(Value::Bool(with_ctx(|ctx| {
+        OmpFn::IsMaster => Ok(Value::Bool(with_ctx(|ctx| {
             ctx.map(|c| c.is_master()).unwrap_or(true)
         }))),
-        "single_begin" => {
+        OmpFn::SingleBegin => {
             let chosen = with_ctx(|ctx| match ctx {
                 Some(ctx) => {
                     let tok = ctx.single_begin();
@@ -179,11 +176,11 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
             });
             Ok(Value::Bool(chosen))
         }
-        "single_end" => {
+        OmpFn::SingleEnd => {
             let nowait = args[0].as_int()? != 0;
             let tok = SINGLE_STACK
                 .with(|s| s.borrow_mut().pop())
-                .ok_or_else(|| crate::value::VmError("single_end without single_begin".into()))?;
+                .ok_or_else(|| VmError("single_end without single_begin".into()))?;
             with_ctx(|ctx| {
                 if let (Some(ctx), Some(tok)) = (ctx, tok) {
                     ctx.single_end(tok, nowait);
@@ -191,7 +188,7 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
             });
             Ok(Value::Void)
         }
-        "critical_enter" => {
+        OmpFn::CriticalEnter => {
             let Value::Str(name) = &args[0] else {
                 return err("critical_enter expects a name string");
             };
@@ -200,43 +197,43 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
             vm.runtime.critical_lock(name).set();
             Ok(Value::Void)
         }
-        "critical_exit" => {
+        OmpFn::CriticalExit => {
             let Value::Str(name) = &args[0] else {
                 return err("critical_exit expects a name string");
             };
             vm.runtime.critical_lock(name).unset();
             Ok(Value::Void)
         }
-        "atomic_rmw" => atomic_rmw(args),
+        OmpFn::AtomicRmw => atomic_rmw(args),
 
         // -- reductions ------------------------------------------------------
-        "red_cell" => {
+        OmpFn::RedCell => {
             let op = red_op_from_code(args[0].as_int()?)?;
             RedHandle::new_local(op, &args[1]).map(Value::Red)
         }
-        "red_identity" => match &args[0] {
+        OmpFn::RedIdentity => match &args[0] {
             Value::Red(h) => Ok(h.identity()),
             other => err(format!("red_identity on {}", other.type_name())),
         },
-        "red_combine" => match &args[0] {
+        OmpFn::RedCombine => match &args[0] {
             Value::Red(h) => {
                 h.combine(&args[1])?;
                 Ok(Value::Void)
             }
             other => err(format!("red_combine on {}", other.type_name())),
         },
-        "red_get" => match &args[0] {
+        OmpFn::RedGet => match &args[0] {
             Value::Red(h) => Ok(h.get()),
             other => err(format!("red_get on {}", other.type_name())),
         },
-        "red_loop_begin" => {
+        OmpFn::RedLoopBegin => {
             let op = red_op_from_code(args[0].as_int()?)?;
-            let seed = args.remove(1);
+            let seed = &args[1];
             with_ctx(|ctx| match ctx {
                 Some(ctx) => {
                     let mut make_err = None;
                     let (payload, token) =
-                        ctx.construct_shared(|| match RedCellAny::new(op, &seed) {
+                        ctx.construct_shared(|| match RedCellAny::new(op, seed) {
                             Ok(cell) => Arc::new(cell),
                             Err(e) => {
                                 make_err = Some(e);
@@ -246,18 +243,18 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
                     if let Some(e) = make_err {
                         return Err(e);
                     }
-                    let cell = payload.downcast::<RedCellAny>().map_err(|_| {
-                        crate::value::VmError("reduction slot type confusion".into())
-                    })?;
+                    let cell = payload
+                        .downcast::<RedCellAny>()
+                        .map_err(|_| VmError("reduction slot type confusion".into()))?;
                     Ok(Value::Red(Arc::new(RedHandle {
                         cell,
                         token: Mutex::new(Some(token)),
                     })))
                 }
-                None => RedHandle::new_local(op, &seed).map(Value::Red),
+                None => RedHandle::new_local(op, seed).map(Value::Red),
             })
         }
-        "red_loop_end" => {
+        OmpFn::RedLoopEnd => {
             let Value::Red(h) = &args[0] else {
                 return err("red_loop_end expects a reduction cell");
             };
@@ -275,7 +272,7 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
         }
 
         // -- worksharing loops -------------------------------------------------
-        "trip_count" => {
+        OmpFn::TripCount => {
             let bounds = LoopBounds {
                 lb: args[0].as_int()?,
                 ub: args[1].as_int()?,
@@ -284,22 +281,20 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
             };
             let trip = bounds
                 .try_trip_count()
-                .map_err(|e| crate::value::VmError(e.to_string()))?;
+                .map_err(|e| VmError(e.to_string()))?;
             Ok(Value::Int(trip as i64))
         }
-        "ws_begin" => ws_begin(vm, args, false),
-        // Installed by the `--opt=3` kernel tier in place of `ws_begin`
-        // when every chunk body is a single native bulk kernel: same
-        // protocol, but dynamic claims are batch-granular while the deck
-        // is uncontended (the kernel handles any chunk length, so the
+        OmpFn::WsBegin => ws_begin(vm, args, false),
+        // Same protocol, but dynamic claims are batch-granular while the
+        // deck is uncontended (the kernel handles any chunk length, so the
         // clause chunk size only matters for steal granularity).
-        "ws_begin_bulk" => ws_begin(vm, args, true),
-        "ws_next" => ws_next(args),
-        "ws_lb" => ws_cur(args, true),
-        "ws_ub" => ws_cur(args, false),
-        "ws_fini" => ws_fini(args),
-
-        other => err(format!("unknown omp.internal function {other}")),
+        OmpFn::WsBeginBulk => ws_begin(vm, args, true),
+        // The unfused spelling of `Insn::WsNext`, for the tree-walker and
+        // hand-written `omp.internal.*` programs.
+        OmpFn::WsNext => Ok(Value::Bool(ws_claim(&args[0])?.is_some())),
+        OmpFn::WsLb => Ok(Value::Int(ws_cur(&args[0])?.0)),
+        OmpFn::WsUb => Ok(Value::Int(ws_cur(&args[0])?.1)),
+        OmpFn::WsFini => ws_fini(args),
     }
 }
 
@@ -307,7 +302,7 @@ fn internal(vm: &Vm, name: &str, #[allow(unused_mut)] mut args: Vec<Value>) -> V
 // fork_call
 // ---------------------------------------------------------------------------
 
-fn fork_call(vm: &Vm, args: Vec<Value>) -> VmResult<Value> {
+fn fork_call(vm: &Vm, args: &[Value]) -> VmResult<Value> {
     // An optional leading string is the region label (`unit:line` of the
     // pragma, emitted by `preprocess_named`). The label is always set
     // explicitly — even when empty — so the runtime's `#[track_caller]`
@@ -326,17 +321,20 @@ fn fork_call(vm: &Vm, args: Vec<Value>) -> VmResult<Value> {
             args[base + 1].type_name()
         ));
     };
-    let rest: Vec<Value> = args[base + 2..].to_vec();
+    // One lookup and arity check for the whole team; each thread enters
+    // the outlined function by index with its own copy of `rest`.
+    let rest = &args[base + 2..];
+    let fi = vm.resolve_fn(fname, rest.len())?;
     let par = if nt > 0 {
         Parallel::new().num_threads(nt as usize)
     } else {
         Parallel::new()
     };
     let par = par.label(label);
-    let failure: Mutex<Option<crate::value::VmError>> = Mutex::new(None);
+    let failure: Mutex<Option<VmError>> = Mutex::new(None);
     zomp::fork_call_rt(&vm.runtime, par, |ctx| {
         let _guard = CtxGuard::push(ctx);
-        if let Err(e) = vm.call_function(fname, rest.clone()) {
+        if let Err(e) = vm.call_resolved(fi, rest) {
             let mut slot = failure.lock();
             if slot.is_none() {
                 *slot = Some(e);
@@ -379,7 +377,7 @@ fn atomic_apply(op: i64, old_i: Option<i64>, old_f: Option<f64>, v: &Value) -> V
     }
 }
 
-fn atomic_rmw(args: Vec<Value>) -> VmResult<Value> {
+fn atomic_rmw(args: &[Value]) -> VmResult<Value> {
     let op = args[1].as_int()?;
     let v = &args[2];
     match &args[0] {
@@ -429,7 +427,7 @@ fn cmp_from_code(code: i64) -> VmResult<LoopCmp> {
     })
 }
 
-fn ws_begin(vm: &Vm, args: Vec<Value>, greedy: bool) -> VmResult<Value> {
+fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
     // An optional leading string is the worksharing pragma's `unit:line`
     // label (named translation units only), mirroring `fork_call`.
     let (label, base) = match args.first() {
@@ -449,7 +447,7 @@ fn ws_begin(vm: &Vm, args: Vec<Value>, greedy: bool) -> VmResult<Value> {
     // text — identical on both backends, since builtins are shared.
     let trip = bounds
         .try_trip_count()
-        .map_err(|e| crate::value::VmError(e.to_string()))?;
+        .map_err(|e| VmError(e.to_string()))?;
 
     // `runtime` resolves against the ICVs at loop entry (§III-B2).
     let sched = match kind_code {
@@ -471,7 +469,7 @@ fn ws_begin(vm: &Vm, args: Vec<Value>, greedy: bool) -> VmResult<Value> {
                 None => WsMode::StaticBlock(Some(static_block(tid, nth, trip))),
                 Some(c) => WsMode::StaticChunked(
                     StaticChunked::try_new(tid, nth, trip, c)
-                        .map_err(|e| crate::value::VmError(e.to_string()))?,
+                        .map_err(|e| VmError(e.to_string()))?,
                 ),
             },
             _ => match ctx {
@@ -534,9 +532,13 @@ fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
     }
 }
 
-fn ws_next(args: Vec<Value>) -> VmResult<Value> {
-    let ws = as_ws(&args[0])?;
-    let mut st = ws.state.lock();
+/// Claim the next chunk of the iterator `ws` and make it current: the
+/// chunk's bounds in source-variable units (first value, exclusive
+/// directional bound), or `None` once the loop is exhausted. One
+/// acquisition of the thread-private state covers the claim, the trace
+/// bookkeeping and both bounds — `__kmpc_dispatch_next(&lb, &ub)`.
+pub(crate) fn ws_claim(ws: &Value) -> VmResult<Option<(i64, i64)>> {
+    let mut st = as_ws(ws)?.state.lock();
     let traced = zomp::trace::active();
     if traced {
         // Split-phase: the previous chunk's body ran between calls — close
@@ -570,7 +572,7 @@ fn ws_next(args: Vec<Value>) -> VmResult<Value> {
             let lo = st.lb + r.start as i64 * st.incr;
             let hi = st.lb + r.end as i64 * st.incr;
             st.cur = Some((lo, hi));
-            Ok(Value::Bool(true))
+            Ok(st.cur)
         }
         None => {
             if traced && !st.finished {
@@ -578,21 +580,18 @@ fn ws_next(args: Vec<Value>) -> VmResult<Value> {
             }
             st.finished = true;
             st.cur = None;
-            Ok(Value::Bool(false))
+            Ok(None)
         }
     }
 }
 
-fn ws_cur(args: Vec<Value>, lower: bool) -> VmResult<Value> {
-    let ws = as_ws(&args[0])?;
-    let st = ws.state.lock();
-    match st.cur {
-        Some((lo, hi)) => Ok(Value::Int(if lower { lo } else { hi })),
-        None => err("worksharing iterator has no current chunk"),
-    }
+/// The chunk [`ws_claim`] last made current.
+fn ws_cur(ws: &Value) -> VmResult<(i64, i64)> {
+    let cur = as_ws(ws)?.state.lock().cur;
+    cur.ok_or_else(|| VmError("worksharing iterator has no current chunk".into()))
 }
 
-fn ws_fini(args: Vec<Value>) -> VmResult<Value> {
+fn ws_fini(args: &[Value]) -> VmResult<Value> {
     let ws = as_ws(&args[0])?;
     let nowait = args[1].as_int()? != 0;
     {

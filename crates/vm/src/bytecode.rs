@@ -17,6 +17,8 @@
 //!   dominate worksharing bodies.
 //! * [`Insn::Index`]/[`Insn::IndexSet`] — unboxed `f64`/`i64` array
 //!   element access with the bounds policy inlined.
+//! * [`Insn::WsNext`] — the chunk-pull loop head of every worksharing
+//!   loop: claim a chunk and write both bounds, or leave the loop.
 //!
 //! On top of those, two more instruction families exist (see
 //! [`crate::optimize`]):
@@ -116,6 +118,113 @@ impl BuiltinOp {
             "@allocI" => BuiltinOp::AllocI,
             "@len" => BuiltinOp::Len,
             _ => BuiltinOp::Dyn,
+        }
+    }
+}
+
+/// The `omp.*` namespace, resolved from the dotted call path once at
+/// compile time: the user-facing API of the paper's Listing 7 and the
+/// `omp.internal.*` lowering targets of the preprocessor. The run-time
+/// dispatch (`builtins::call`) matches on this enum; the path text lives
+/// only in [`OMP_FNS`], for resolution and for dumps and remarks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OmpFn {
+    GetThreadNum,
+    GetNumThreads,
+    GetMaxThreads,
+    GetNumProcs,
+    InParallel,
+    GetLevel,
+    GetWtime,
+    SetNumThreads,
+    ForkCall,
+    IfThreads,
+    Barrier,
+    IsMaster,
+    SingleBegin,
+    SingleEnd,
+    CriticalEnter,
+    CriticalExit,
+    AtomicRmw,
+    RedCell,
+    RedIdentity,
+    RedCombine,
+    RedGet,
+    RedLoopBegin,
+    RedLoopEnd,
+    TripCount,
+    WsBegin,
+    /// Installed by the `--opt=3` kernel tier in place of `WsBegin` when
+    /// the chunk body is a native bulk loop (see
+    /// `kernels::rewrite_ws_begin_bulk`).
+    WsBeginBulk,
+    WsNext,
+    WsLb,
+    WsUb,
+    WsFini,
+}
+
+/// Every [`OmpFn`] with its path after `omp.`, in declaration order (so
+/// `OMP_FNS[f as usize]` is `f`'s row; a unit test pins the order).
+const OMP_FNS: [(OmpFn, &str); 30] = [
+    (OmpFn::GetThreadNum, "get_thread_num"),
+    (OmpFn::GetNumThreads, "get_num_threads"),
+    (OmpFn::GetMaxThreads, "get_max_threads"),
+    (OmpFn::GetNumProcs, "get_num_procs"),
+    (OmpFn::InParallel, "in_parallel"),
+    (OmpFn::GetLevel, "get_level"),
+    (OmpFn::GetWtime, "get_wtime"),
+    (OmpFn::SetNumThreads, "set_num_threads"),
+    (OmpFn::ForkCall, "internal.fork_call"),
+    (OmpFn::IfThreads, "internal.if_threads"),
+    (OmpFn::Barrier, "internal.barrier"),
+    (OmpFn::IsMaster, "internal.is_master"),
+    (OmpFn::SingleBegin, "internal.single_begin"),
+    (OmpFn::SingleEnd, "internal.single_end"),
+    (OmpFn::CriticalEnter, "internal.critical_enter"),
+    (OmpFn::CriticalExit, "internal.critical_exit"),
+    (OmpFn::AtomicRmw, "internal.atomic_rmw"),
+    (OmpFn::RedCell, "internal.red_cell"),
+    (OmpFn::RedIdentity, "internal.red_identity"),
+    (OmpFn::RedCombine, "internal.red_combine"),
+    (OmpFn::RedGet, "internal.red_get"),
+    (OmpFn::RedLoopBegin, "internal.red_loop_begin"),
+    (OmpFn::RedLoopEnd, "internal.red_loop_end"),
+    (OmpFn::TripCount, "internal.trip_count"),
+    (OmpFn::WsBegin, "internal.ws_begin"),
+    (OmpFn::WsBeginBulk, "internal.ws_begin_bulk"),
+    (OmpFn::WsNext, "internal.ws_next"),
+    (OmpFn::WsLb, "internal.ws_lb"),
+    (OmpFn::WsUb, "internal.ws_ub"),
+    (OmpFn::WsFini, "internal.ws_fini"),
+];
+
+impl OmpFn {
+    /// Resolve the call path after `omp` (`["internal", "ws_next"]`).
+    /// Both backends resolve through here; `None` is a path neither knows,
+    /// which fails with [`OmpFn::unknown`] only if the call executes.
+    pub fn resolve(path: &[&str]) -> Option<OmpFn> {
+        let (prefix, name) = match path {
+            [name] => ("", name),
+            ["internal", name] => ("internal.", name),
+            _ => return None,
+        };
+        OMP_FNS
+            .iter()
+            .find(|(_, p)| p.strip_prefix(prefix) == Some(name))
+            .map(|&(f, _)| f)
+    }
+
+    /// The path after `omp.`, as written in source.
+    pub fn path(self) -> &'static str {
+        OMP_FNS[self as usize].1
+    }
+
+    /// The run-time error text for a call path [`OmpFn::resolve`] rejects.
+    pub fn unknown(path: &[&str]) -> String {
+        match path {
+            ["internal", name] => format!("unknown omp.internal function {name}"),
+            other => format!("unknown omp function omp.{}", other.join(".")),
         }
     }
 }
@@ -463,14 +572,27 @@ pub enum Insn {
         base: Reg,
         n: u16,
     },
-    /// Call into the `omp.*` namespace: `syms[sym]` is the dotted path
-    /// after `omp`, dispatched through `builtins::call` so the runtime
-    /// bindings keep their existing signatures.
+    /// Call into the `omp.*` namespace. The callee was resolved at compile
+    /// time; `builtins::call` matches on it and borrows the argument block
+    /// from the caller's registers (the values stay in place).
     OmpCall {
         dst: Reg,
-        sym: u16,
+        func: OmpFn,
         base: Reg,
         n: u16,
+    },
+    /// The chunk-pull loop head the preprocessor emits for every
+    /// worksharing loop, `while (ws_next(w)) { i = ws_lb(w); const ub =
+    /// ws_ub(w); ... }`, as one instruction: claim the next chunk of the
+    /// iterator in `r[ws]` and write its bounds to `r[lb]`, `r[ub]`, or
+    /// jump to `exit` (leaving both untouched) when the loop is exhausted.
+    /// This is the paper's `__kmpc_dispatch_next(&lb, &ub)` shape. Emitted
+    /// only by `compile` (every `--opt` level executes it).
+    WsNext {
+        ws: Reg,
+        lb: Reg,
+        ub: Reg,
+        exit: u32,
     },
     /// `@name(...)` with the operation resolved at compile time; `name_k`
     /// is the name string in the pool, for `Dyn` dispatch and error text.
@@ -544,8 +666,6 @@ pub struct CompiledFn {
     pub nregs: usize,
     pub code: Vec<Insn>,
     pub consts: Vec<Value>,
-    /// Dotted `omp.` call paths referenced by [`Insn::OmpCall`].
-    pub omp_syms: Vec<Vec<String>>,
     /// Debug names of named registers (params and locals), in allocation
     /// order: (register, name, address-taken?).
     pub locals: Vec<(Reg, String, bool)>,
@@ -629,9 +749,6 @@ fn disasm_fn_code(f: &CompiledFn, code: &[Insn], nconsts: usize, tag: &str) -> S
     }
     for (i, k) in f.consts.iter().take(nconsts).enumerate() {
         let _ = writeln!(out, "  k{i} = {}", const_text(k));
-    }
-    for (i, s) in f.omp_syms.iter().enumerate() {
-        let _ = writeln!(out, "  s{i} = omp.{}", s.join("."));
     }
     for (pc, insn) in code.iter().enumerate() {
         let _ = writeln!(out, "  {pc:>4}  {}", insn_text(f, insn));
@@ -783,8 +900,11 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
             base,
             n,
         } => format!("callv      r{dst}, r{callee}, r{base}..{n}"),
-        Insn::OmpCall { dst, sym, base, n } => {
-            format!("ompcall    r{dst}, s{sym}, r{base}..{n}")
+        Insn::OmpCall { dst, func, base, n } => {
+            format!("ompcall    r{dst}, omp.{}, r{base}..{n}", func.path())
+        }
+        Insn::WsNext { ws, lb, ub, exit } => {
+            format!("wsnext     r{lb}, r{ub}, r{ws} -> {exit}")
         }
         Insn::Builtin {
             dst,
@@ -806,7 +926,13 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
             let what = f
                 .templates
                 .get(*tidx as usize)
-                .map(|d| format!("{} insns, {} variants", d.prog.ninsns, d.prog.variants.len()))
+                .map(|d| {
+                    format!(
+                        "{} insns, {} variants",
+                        d.prog.ninsns,
+                        d.prog.variants.len()
+                    )
+                })
                 .unwrap_or_else(|| "?".to_string());
             format!("templateloop tmpl{tidx} ({what})")
         }
@@ -842,4 +968,22 @@ pub fn disasm_stages(image: &Image) -> String {
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn omp_fn_table_is_in_declaration_order_and_round_trips() {
+        for (i, &(f, path)) in OMP_FNS.iter().enumerate() {
+            assert_eq!(f as usize, i, "{path}");
+            let parts: Vec<&str> = path.split('.').collect();
+            assert_eq!(OmpFn::resolve(&parts), Some(f));
+            assert_eq!(f.path(), path);
+        }
+        assert_eq!(OmpFn::resolve(&["internal"]), None);
+        assert_eq!(OmpFn::resolve(&["ws_next"]), None);
+        assert_eq!(OmpFn::resolve(&["internal", "ws_next", "x"]), None);
+    }
 }

@@ -23,8 +23,11 @@
 //!   induction variable compiles to a [`Insn::CmpJumpFalse`] guard plus a
 //!   single [`Insn::IncCmpJump`] back-edge.
 //! * **Call shapes** — user functions resolve to direct indices, `omp.*`
-//!   paths to an interned symbol table (keeping the `builtins::call`
-//!   signature), `@builtins` to compile-time [`BuiltinOp`]s.
+//!   paths to an [`OmpFn`] (an unknown path lowers to a [`Insn::Trap`]
+//!   after its arguments), `@builtins` to compile-time [`BuiltinOp`]s.
+//! * **Chunk claims** — the preprocessor's `while (ws_next(w)) { i =
+//!   ws_lb(w); const ub = ws_ub(w); ... }` head lowers to one
+//!   [`Insn::WsNext`] (see [`FnCx::ws_chunk_loop`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -32,7 +35,7 @@ use std::sync::Arc;
 use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
 use zomp_front::token::Tag as T;
 
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, Reg};
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::interp::callee_path;
 use crate::value::Value;
 
@@ -133,8 +136,6 @@ struct FnCx<'a> {
     code: Vec<Insn>,
     consts: Vec<Value>,
     const_map: HashMap<CKey, u16>,
-    omp_syms: Vec<Vec<String>>,
-    sym_map: HashMap<String, u16>,
     scopes: Vec<Vec<Local>>,
     boxed_names: HashSet<String>,
     /// Registers permanently held by params/locals (and loop-pinned
@@ -156,8 +157,6 @@ impl<'a> FnCx<'a> {
             code: Vec::new(),
             consts: Vec::new(),
             const_map: HashMap::new(),
-            omp_syms: Vec::new(),
-            sym_map: HashMap::new(),
             scopes: vec![Vec::new()],
             boxed_names: HashSet::new(),
             locals_top: 0,
@@ -205,7 +204,6 @@ impl<'a> FnCx<'a> {
             nregs: self.nregs as usize,
             code: self.code,
             consts: self.consts,
-            omp_syms: self.omp_syms,
             locals: self.locals_debug,
             pre_opt: None,
             kernels: Vec::new(),
@@ -288,18 +286,6 @@ impl<'a> FnCx<'a> {
         k
     }
 
-    fn ksym(&mut self, path: &[&str]) -> u16 {
-        let joined = path.join(".");
-        if let Some(&s) = self.sym_map.get(&joined) {
-            return s;
-        }
-        let s = self.omp_syms.len() as u16;
-        self.omp_syms
-            .push(path.iter().map(|p| p.to_string()).collect());
-        self.sym_map.insert(joined, s);
-        s
-    }
-
     // -- emission helpers ---------------------------------------------------
 
     fn here(&self) -> u32 {
@@ -313,7 +299,8 @@ impl<'a> FnCx<'a> {
                 | Insn::JumpIfFalse { to, .. }
                 | Insn::JumpIfTrue { to, .. }
                 | Insn::CmpJumpFalse { to, .. }
-                | Insn::IncCmpJump { to, .. } => *to = target,
+                | Insn::IncCmpJump { to, .. }
+                | Insn::WsNext { exit: to, .. } => *to = target,
                 other => unreachable!("patching non-jump {other:?}"),
             }
         }
@@ -624,10 +611,125 @@ impl<'a> FnCx<'a> {
         Some((var, limit, op, step))
     }
 
+    /// The `w` of a call `omp.<func>(w)` whose one argument is an identifier.
+    fn ws_call_arg(&self, id: NodeId, func: OmpFn) -> Option<&'a str> {
+        let node = self.ast.node(id);
+        if node.tag != N::Call {
+            return None;
+        }
+        let resolved = match callee_path(self.ast, node.lhs).as_deref() {
+            Some(["omp", rest @ ..]) => OmpFn::resolve(rest),
+            _ => None,
+        };
+        let &[arg] = self.ast.call_args(node) else {
+            return None;
+        };
+        let arg = self.ast.node(arg);
+        (resolved == Some(func) && arg.tag == N::Ident).then(|| self.ast.token_text(arg.main_token))
+    }
+
+    /// The chunk-pull loop probe: `while (omp.internal.ws_next(w)) { X =
+    /// omp.internal.ws_lb(w); const U = omp.internal.ws_ub(w); ... }`, the
+    /// head of every worksharing loop the preprocessor emits (`X` is
+    /// assigned in the plain form and declared in the `collapse` form).
+    /// `w`, `X` and `U` must be unboxed locals so [`Insn::WsNext`] can write
+    /// the bounds straight into their registers; anything else keeps the
+    /// three generic calls. Returns `w`'s register and the body statements.
+    fn ws_chunk_loop(
+        &self,
+        cond: NodeId,
+        body: NodeId,
+        cont: Option<NodeId>,
+    ) -> Option<(Reg, Vec<NodeId>)> {
+        if cont.is_some() {
+            return None;
+        }
+        let ws_name = self.ws_call_arg(cond, OmpFn::WsNext)?;
+        let (ws, false) = self.lookup(ws_name)? else {
+            return None;
+        };
+        let body_node = self.ast.node(body);
+        if body_node.tag != N::Block {
+            return None;
+        }
+        let stmts = self.ast.range(body_node).to_vec();
+        let &[lb_stmt, ub_stmt, ..] = &stmts[..] else {
+            return None;
+        };
+        // The name and initialiser of an unboxed `var`/`const` declaration.
+        let unboxed_decl = |id: NodeId| {
+            let node = self.ast.node(id);
+            let name = self.ast.token_text(node.main_token);
+            (matches!(node.tag, N::VarDecl | N::ConstDecl)
+                && node.rhs > 0
+                && !self.boxed_names.contains(name))
+            .then(|| (name, node.rhs - 1))
+        };
+        let lb_node = self.ast.node(lb_stmt);
+        let (lb_name, lb_init) = if lb_node.tag == N::Assign {
+            let target = self.ast.node(lb_node.lhs);
+            let name = self.ast.token_text(target.main_token);
+            if target.tag != N::Ident || !matches!(self.lookup(name), Some((_, false))) {
+                return None;
+            }
+            (name, lb_node.rhs)
+        } else {
+            unboxed_decl(lb_stmt)?
+        };
+        let (_, ub_init) = unboxed_decl(ub_stmt)?;
+        (lb_name != ws_name
+            && self.ws_call_arg(lb_init, OmpFn::WsLb) == Some(ws_name)
+            && self.ws_call_arg(ub_init, OmpFn::WsUb) == Some(ws_name))
+        .then_some((ws, stmts))
+    }
+
+    /// Lower a loop [`FnCx::ws_chunk_loop`] matched: one [`Insn::WsNext`]
+    /// head whose out-registers are the targets of the body's first two
+    /// statements, then the rest of the body block.
+    fn compile_ws_loop(&mut self, ws: Reg, stmts: &[NodeId]) {
+        self.scopes.push(Vec::new());
+        let saved_top = self.locals_top;
+        let [lb, ub] = [stmts[0], stmts[1]].map(|stmt| {
+            let node = *self.ast.node(stmt);
+            if node.tag == N::Assign {
+                let target = self.ast.node(node.lhs).main_token;
+                let name = self.ast.token_text(target);
+                self.lookup(name).expect("matched by ws_chunk_loop").0
+            } else {
+                let name = self.ast.token_text(node.main_token).to_string();
+                self.alloc_local(&name, false)
+            }
+        });
+        let top = self.code.len();
+        self.code.push(Insn::WsNext {
+            ws,
+            lb,
+            ub,
+            exit: 0,
+        });
+        self.loops.push(LoopCx {
+            breaks: vec![top],
+            continues: Vec::new(),
+        });
+        for &stmt in &stmts[2..] {
+            self.tmp = self.locals_top;
+            self.compile_stmt(stmt);
+        }
+        self.scopes.pop();
+        self.locals_top = saved_top;
+        let lc = self.loops.pop().unwrap();
+        self.patch(&lc.continues, top as u32);
+        self.code.push(Insn::Jump { to: top as u32 });
+        let end = self.here();
+        self.patch(&lc.breaks, end);
+    }
+
     fn compile_while(&mut self, node: &Node) {
         let (cond, body, cont) = self.ast.while_parts(node);
         self.tmp = self.locals_top;
-        if let Some((var, limit, op, step)) = self.fusable_loop(cond, cont) {
+        if let Some((ws, stmts)) = self.ws_chunk_loop(cond, body, cont) {
+            self.compile_ws_loop(ws, &stmts);
+        } else if let Some((var, limit, op, step)) = self.fusable_loop(cond, cont) {
             let guard = self.code.len();
             self.code.push(Insn::CmpJumpFalse {
                 op,
@@ -926,17 +1028,20 @@ impl<'a> FnCx<'a> {
                 self.code.push(Insn::Print { base, n });
                 self.emit_const(Value::Void, hint)
             }
-            Some(["omp", rest @ ..]) if !rest.is_empty() => {
-                let sym = self.ksym(rest);
-                let d = self.dst_reg(hint);
-                self.code.push(Insn::OmpCall {
-                    dst: d,
-                    sym,
-                    base,
-                    n,
-                });
-                d
-            }
+            Some(["omp", rest @ ..]) if !rest.is_empty() => match OmpFn::resolve(rest) {
+                Some(func) => {
+                    let d = self.dst_reg(hint);
+                    self.code.push(Insn::OmpCall {
+                        dst: d,
+                        func,
+                        base,
+                        n,
+                    });
+                    d
+                }
+                // Walker order: the arguments ran, then the call fails.
+                None => self.trap_expr(OmpFn::unknown(rest), hint),
+            },
             Some([name]) if self.func_ids.contains_key(*name) => {
                 let func = self.func_ids[*name] as u16;
                 let d = self.dst_reg(hint);
@@ -1180,12 +1285,15 @@ fn main() void {
             "{}",
             disasm_fn(outlined)
         );
-        // The chunk-pull loop calls omp.internal.ws_next through the
-        // interned symbol table.
-        assert!(outlined
-            .omp_syms
-            .iter()
-            .any(|s| s == &["internal", "ws_next"]));
+        // The chunk-pull loop head is the one fused claim instruction.
+        assert!(
+            outlined
+                .code
+                .iter()
+                .any(|i| matches!(i, Insn::WsNext { .. })),
+            "{}",
+            disasm_fn(outlined)
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
 use zomp_front::token::Tag as T;
 
 use crate::builtins;
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, Image, Insn, Reg};
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, Image, Insn, OmpFn, Reg};
 use crate::optimize::OptLevel;
 use crate::value::{err, ArrF, ArrI, Slot, Value, VmError, VmResult};
 
@@ -283,15 +283,42 @@ impl Vm {
         let _rt = self.runtime.enter();
         match self.backend {
             Backend::Bytecode | Backend::Native => {
-                let &fi = self
-                    .program
-                    .code
-                    .by_name
-                    .get(name)
-                    .ok_or_else(|| VmError(format!("unknown function `{name}`")))?;
-                self.run_bytecode(fi, args)
+                let fi = self.resolve_fn(name, args.len())?;
+                self.run_bytecode(fi, args.into_iter())
             }
             Backend::Ast => self.call_function_ast(name, args),
+        }
+    }
+
+    /// Look `name` up in the image and check it takes `nargs` arguments.
+    /// `fork_call` resolves its outlined function through here once, before
+    /// the team forks, and every thread then enters by index.
+    pub(crate) fn resolve_fn(&self, name: &str, nargs: usize) -> VmResult<usize> {
+        let &fi = self
+            .program
+            .code
+            .by_name
+            .get(name)
+            .ok_or_else(|| VmError(format!("unknown function `{name}`")))?;
+        let f = &self.program.code.funcs[fi];
+        if nargs != f.nparams {
+            return err(format!(
+                "`{}` expects {} arguments, got {nargs}",
+                f.name, f.nparams
+            ));
+        }
+        Ok(fi)
+    }
+
+    /// Run function `fi` (from [`Vm::resolve_fn`]) on a team thread. The
+    /// runtime is already current there (`zomp::fork_call_rt` enters it on
+    /// every team thread), and each thread gets its own copy of `args`.
+    pub(crate) fn call_resolved(&self, fi: usize, args: &[Value]) -> VmResult<Value> {
+        match self.backend {
+            Backend::Bytecode | Backend::Native => self.run_bytecode(fi, args.iter().cloned()),
+            Backend::Ast => {
+                self.call_function_ast(&self.program.code.funcs[fi].name, args.to_vec())
+            }
         }
     }
 
@@ -603,7 +630,10 @@ impl Vm {
                 self.output.lock().push(line);
                 Ok(Value::Void)
             }
-            Some(["omp", rest @ ..]) if !rest.is_empty() => builtins::call(self, rest, args),
+            Some(["omp", rest @ ..]) if !rest.is_empty() => match OmpFn::resolve(rest) {
+                Some(func) => builtins::call(self, func, &args),
+                None => err(OmpFn::unknown(rest)),
+            },
             Some([name]) if self.program.functions.contains_key(*name) => {
                 self.call_function(name, args)
             }
@@ -632,18 +662,10 @@ impl Vm {
     // -- bytecode executor --------------------------------------------------
 
     /// Bytecode entry point for external callers (API calls, `fork_call`
-    /// team workers): arguments arrive as a `Vec`, the frame comes from
-    /// the per-thread arena.
-    fn run_bytecode(&self, fi: usize, args: Vec<Value>) -> VmResult<Value> {
+    /// team workers), after [`Vm::resolve_fn`] checked the arity: the
+    /// arguments fill a frame from the per-thread arena.
+    fn run_bytecode(&self, fi: usize, args: impl Iterator<Item = Value>) -> VmResult<Value> {
         let f = &self.program.code.funcs[fi];
-        if args.len() != f.nparams {
-            return err(format!(
-                "`{}` expects {} arguments, got {}",
-                f.name,
-                f.nparams,
-                args.len()
-            ));
-        }
         let mut regs = acquire_frame(f.nregs.max(f.nparams));
         for (slot, arg) in regs.iter_mut().zip(args) {
             *slot = arg;
@@ -1402,15 +1424,17 @@ impl Vm {
                     let v = self.call_fn(target, regs, base, n)?;
                     set(regs, dst, v);
                 }
-                Insn::OmpCall { dst, sym, base, n } => {
-                    let call_args = take_args(regs, base, n);
-                    let parts: Vec<&str> = f.omp_syms[sym as usize]
-                        .iter()
-                        .map(String::as_str)
-                        .collect();
-                    let v = builtins::call(self, &parts, call_args)?;
+                Insn::OmpCall { dst, func, base, n } => {
+                    let v = builtins::call(self, func, &regs[base as usize..(base + n) as usize])?;
                     set(regs, dst, v);
                 }
+                Insn::WsNext { ws, lb, ub, exit } => match builtins::ws_claim(rg(regs, ws))? {
+                    Some((lo, hi)) => {
+                        set(regs, lb, Value::Int(lo));
+                        set(regs, ub, Value::Int(hi));
+                    }
+                    None => pc = exit as usize,
+                },
                 Insn::Builtin {
                     dst,
                     op,
@@ -1669,16 +1693,6 @@ fn float_arith(op: ArithOp, x: f64, y: f64) -> f64 {
         ArithOp::Div => x / y,
         ArithOp::Rem => x % y,
     }
-}
-
-/// Move a contiguous argument block out of the caller's registers. Argument
-/// slots are always freshly-written temporaries, so stealing them (instead
-/// of cloning) is safe and avoids `Arc` traffic on hot call paths.
-fn take_args(regs: &mut [Value], base: u16, n: u16) -> Vec<Value> {
-    regs[base as usize..(base + n) as usize]
-        .iter_mut()
-        .map(|slot| std::mem::replace(slot, Value::Undefined))
-        .collect()
 }
 
 fn cmp_int(op: CmpOp, a: i64, b: i64) -> bool {

@@ -36,7 +36,7 @@
 //! static specialization have already happened), which is what makes
 //! the shapes short and stable enough to match insn-by-insn.
 
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, PreOpt, Reg};
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, PreOpt, Reg};
 use crate::optimize::verify_fn;
 use crate::value::{ArrF, ArrI, Value};
 use std::sync::Arc;
@@ -794,38 +794,17 @@ fn rewrite_ws_begin_bulk(f: &mut CompiledFn) {
         .collect();
     for pc in heads {
         // Nearest preceding worksharing begin, the same resolution rule
-        // as `loop_label`. A `ws_begin_bulk` hit means another kernel in
-        // the same loop already retargeted it.
-        let mut target = None;
-        for i in (0..pc).rev() {
-            let Insn::OmpCall { sym, .. } = f.code[i] else {
-                continue;
-            };
-            match f.omp_syms[sym as usize].last().map(String::as_str) {
-                Some("ws_begin") => target = Some((i, sym)),
-                Some("ws_begin_bulk") => {}
-                _ => continue,
-            }
-            break;
-        }
-        let Some((i, sym)) = target else {
-            continue;
-        };
-        let mut path = f.omp_syms[sym as usize].clone();
-        *path.last_mut().unwrap() = "ws_begin_bulk".to_string();
-        let idx = f
-            .omp_syms
-            .iter()
-            .position(|p| *p == path)
-            .unwrap_or_else(|| {
-                f.omp_syms.push(path);
-                f.omp_syms.len() - 1
-            });
-        if idx > u16::MAX as usize {
-            continue;
-        }
-        if let Insn::OmpCall { sym, .. } = &mut f.code[i] {
-            *sym = idx as u16;
+        // as `loop_label` (a `WsBeginBulk` hit means another kernel in the
+        // same loop already retargeted it).
+        let begin = f.code[..pc].iter_mut().rev().find_map(|insn| match insn {
+            Insn::OmpCall {
+                func: func @ (OmpFn::WsBegin | OmpFn::WsBeginBulk),
+                ..
+            } => Some(func),
+            _ => None,
+        });
+        if let Some(func) = begin {
+            *func = OmpFn::WsBeginBulk;
         }
     }
 }
@@ -836,15 +815,16 @@ fn rewrite_ws_begin_bulk(f: &mut CompiledFn) {
 /// emits that argument for named units). `""` when absent.
 pub(crate) fn loop_label(f: &CompiledFn, pc: usize) -> &'static str {
     for i in (0..pc).rev() {
-        let Insn::OmpCall { sym, base, .. } = f.code[i] else {
+        // Kernel installation may have retargeted the call to
+        // `WsBeginBulk`, and remarks resolve labels post-install.
+        let Insn::OmpCall {
+            func: OmpFn::WsBegin | OmpFn::WsBeginBulk,
+            base,
+            ..
+        } = f.code[i]
+        else {
             continue;
         };
-        let path = &f.omp_syms[sym as usize];
-        // `starts_with`: kernel installation may have retargeted the call
-        // to `ws_begin_bulk`, and remarks resolve labels post-install.
-        if !path.last().is_some_and(|s| s.starts_with("ws_begin")) {
-            continue;
-        }
         // The label argument is materialised by a `const` into the
         // call's first argument register somewhere before the call.
         for j in (0..i).rev() {
@@ -1545,7 +1525,10 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     {
         return None;
     }
-    if !all_distinct(&[fc, kf]) || !all_distinct(&[ra, v, x, y, rb, v2, p]) || !all_distinct(&[t3, acc, k2]) {
+    if !all_distinct(&[fc, kf])
+        || !all_distinct(&[ra, v, x, y, rb, v2, p])
+        || !all_distinct(&[t3, acc, k2])
+    {
         return None;
     }
     Some((

@@ -44,7 +44,7 @@
 //!
 //! [`verify_fn`] runs on every function both as it leaves `compile` and
 //! again after optimization. It proves all register operands `< nregs`,
-//! argument blocks in range, constant/symbol indices valid, jump targets
+//! argument blocks in range, constant indices valid, jump targets
 //! in bounds, and the stream properly terminated. The interpreter's
 //! dispatch loop relies on this to use unchecked register access.
 
@@ -113,6 +113,8 @@ impl fmt::Display for OptLevel {
 /// Visit every register an instruction *reads*. Call-style instructions
 /// read their whole argument block; `FmaIdx` reads its accumulator;
 /// `IncCmpJump`/`IncJump` read the induction register they update.
+/// `WsNext` counts its out-registers as read: its exit edge leaves them
+/// untouched, so whatever they held before stays observable.
 /// `BulkLoop` reports nothing: kernels are installed after every
 /// rewriting pass has run, and their registers are range-checked through
 /// the kernel descriptor in [`verify_fn`].
@@ -237,6 +239,11 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
             f(limit);
         }
         Insn::IncJump { var, .. } => f(var),
+        Insn::WsNext { ws, lb, ub, .. } => {
+            f(ws);
+            f(lb);
+            f(ub);
+        }
         Insn::Call { base, n, .. } => {
             for r in base..base + n {
                 f(r);
@@ -259,8 +266,9 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
 }
 
 /// Visit every register an instruction *writes*. Call argument blocks
-/// count as defs: the interpreter moves them out (`take_args` /
-/// `call_fn`) and leaves `Undefined` behind.
+/// count as defs: `call_fn` moves them out and leaves `Undefined` behind
+/// (`OmpCall` only borrows them; nothing reads a spent argument temporary,
+/// so one rule serves both, and `typeck::transfer` follows it).
 pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
     match *insn {
         Insn::Const { dst, .. }
@@ -293,6 +301,10 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         | Insn::Not { dst, .. }
         | Insn::Truthy { dst, .. } => f(dst),
         Insn::IncCmpJump { var, .. } | Insn::IncJump { var, .. } => f(var),
+        Insn::WsNext { lb, ub, .. } => {
+            f(lb);
+            f(ub);
+        }
         Insn::Call { dst, base, n, .. } | Insn::OmpCall { dst, base, n, .. } => {
             for r in base..base + n {
                 f(r);
@@ -339,7 +351,8 @@ pub(crate) fn jump_target(insn: &Insn) -> Option<u32> {
         | Insn::CmpJumpFalseII { to, .. }
         | Insn::CmpJumpFalseFF { to, .. }
         | Insn::IncCmpJump { to, .. }
-        | Insn::IncJump { to, .. } => Some(to),
+        | Insn::IncJump { to, .. }
+        | Insn::WsNext { exit: to, .. } => Some(to),
         _ => None,
     }
 }
@@ -354,7 +367,8 @@ fn retarget(insn: &mut Insn, map: &[u32]) {
         | Insn::CmpJumpFalseII { to, .. }
         | Insn::CmpJumpFalseFF { to, .. }
         | Insn::IncCmpJump { to, .. }
-        | Insn::IncJump { to, .. } => *to = map[*to as usize],
+        | Insn::IncJump { to, .. }
+        | Insn::WsNext { exit: to, .. } => *to = map[*to as usize],
         _ => {}
     }
 }
@@ -447,11 +461,6 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
         };
         if kbad {
             return bad(pc, "constant index out of range".into());
-        }
-        if let Insn::OmpCall { sym, .. } = *insn {
-            if sym as usize >= f.omp_syms.len() {
-                return bad(pc, format!("omp symbol s{sym} out of range"));
-            }
         }
         if let Insn::Call { func, .. } = *insn {
             if func as usize >= nfuncs {
@@ -759,6 +768,7 @@ fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
         }
         Insn::JumpIfFalse { cond, .. } | Insn::JumpIfTrue { cond, .. } => m(cond),
         Insn::IncCmpJump { limit, .. } => m(limit),
+        Insn::WsNext { ws, .. } => m(ws),
         Insn::CallValue { callee, .. } => m(callee),
         _ => {}
     }

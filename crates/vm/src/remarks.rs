@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 
 use zomp_front::Diag;
 
-use crate::bytecode::{CompiledFn, Image, Insn};
+use crate::bytecode::{CompiledFn, Image, Insn, OmpFn};
 use crate::optimize::{OptLevel, OptStats};
 use crate::typeck::SiteOutcome;
 use crate::value::Value;
@@ -135,16 +135,7 @@ fn kernel_remarks(source: &str, image: &Image, f: &CompiledFn, out: &mut Vec<Dia
         if installed.iter().any(|&(s, e)| head >= s && head < e) {
             continue;
         }
-        // The `while (ws_next(ws))` driver loop is the worksharing
-        // protocol, not a compute loop; its *inner* chunk loop is
-        // reported separately.
-        let is_protocol = (head..=tail).any(|pc| match f.code[pc] {
-            Insn::OmpCall { sym, .. } => {
-                f.omp_syms[sym as usize].last().map(String::as_str) == Some("ws_next")
-            }
-            _ => false,
-        });
-        if is_protocol {
+        if is_chunk_pull_loop(f, head, tail) {
             continue;
         }
         let (_, reason, note) = classify_miss(image, f, head, tail, &installed);
@@ -240,9 +231,7 @@ fn classify_miss(
         match f.code[pc] {
             Insn::Call { func, .. } => push(format!("`{}`", image.funcs[func as usize].name)),
             Insn::CallValue { .. } => push("an indirect call".to_string()),
-            Insn::OmpCall { sym, .. } => {
-                push(format!("`omp.{}`", f.omp_syms[sym as usize].join(".")))
-            }
+            Insn::OmpCall { func, .. } => push(format!("`omp.{}`", func.path())),
             Insn::Builtin { name_k, .. } => {
                 let name: &str = match f.consts.get(name_k as usize) {
                     Some(Value::Str(s)) => s,
@@ -339,13 +328,7 @@ pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
             if installed.iter().any(|&(s, e)| head >= s && head < e) {
                 continue;
             }
-            let is_protocol = (head..=tail).any(|pc| match f.code[pc] {
-                Insn::OmpCall { sym, .. } => {
-                    f.omp_syms[sym as usize].last().map(String::as_str) == Some("ws_next")
-                }
-                _ => false,
-            });
-            if is_protocol {
+            if is_chunk_pull_loop(f, head, tail) {
                 continue;
             }
             let (slug, _, note) = classify_miss(&image, f, head, tail, &installed);
@@ -391,6 +374,22 @@ fn typeck_remarks(source: &str, f: &CompiledFn, sites: &[SiteOutcome], out: &mut
         ));
     }
     let _ = source;
+}
+
+/// Whether the loop `head..=tail` claims chunks: the `while (ws_next(ws))`
+/// driver loop is the worksharing protocol, not a compute loop; its
+/// *inner* chunk loop is reported separately.
+fn is_chunk_pull_loop(f: &CompiledFn, head: usize, tail: usize) -> bool {
+    f.code[head..=tail].iter().any(|insn| {
+        matches!(
+            insn,
+            Insn::WsNext { .. }
+                | Insn::OmpCall {
+                    func: OmpFn::WsNext,
+                    ..
+                }
+        )
+    })
 }
 
 /// Back-edge loops of a function: `head -> furthest back-edge pc`.

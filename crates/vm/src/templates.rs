@@ -583,10 +583,16 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
     }
     let r = exec(v, &mut fr);
     for &s in &v.wf_i {
-        arci[s as usize].as_ref().unwrap().write_fence_end(bump_i[s as usize]);
+        arci[s as usize]
+            .as_ref()
+            .unwrap()
+            .write_fence_end(bump_i[s as usize]);
     }
     for &s in &v.wf_f {
-        arcf[s as usize].as_ref().unwrap().write_fence_end(bump_f[s as usize]);
+        arcf[s as usize]
+            .as_ref()
+            .unwrap()
+            .write_fence_end(bump_f[s as usize]);
     }
     match r {
         Ok(ran_body) => {
@@ -801,9 +807,20 @@ const SCRATCH0: u32 = 1 << 16;
 /// constraints applied but kinds not yet resolved.
 #[derive(Clone, Copy)]
 enum P {
-    Mov { d: u32, s: u32 },
-    Const { d: u32, v: KVal },
-    Bin { op: ArithOp, d: u32, a: u32, b: u32 },
+    Mov {
+        d: u32,
+        s: u32,
+    },
+    Const {
+        d: u32,
+        v: KVal,
+    },
+    Bin {
+        op: ArithOp,
+        d: u32,
+        a: u32,
+        b: u32,
+    },
     /// `left`: the immediate is the left operand (`ArithKL`).
     BinK {
         op: ArithOp,
@@ -812,8 +829,17 @@ enum P {
         v: KVal,
         left: bool,
     },
-    Ld { d: u32, arr: Reg, idx: u32, off: i32 },
-    St { arr: Reg, idx: u32, s: u32 },
+    Ld {
+        d: u32,
+        arr: Reg,
+        idx: u32,
+        off: i32,
+    },
+    St {
+        arr: Reg,
+        idx: u32,
+        s: u32,
+    },
 }
 
 impl P {
@@ -990,7 +1016,9 @@ impl<'f> Bld<'f> {
                 c!(self.uni(d, s));
                 self.protos.push(P::Mov { d, s });
             }
-            Insn::Arith { op, dst, a, b } | Insn::ArithII { op, dst, a, b } | Insn::ArithFF { op, dst, a, b } => {
+            Insn::Arith { op, dst, a, b }
+            | Insn::ArithII { op, dst, a, b }
+            | Insn::ArithFF { op, dst, a, b } => {
                 let d = t!(self.sv(dst));
                 let ra = t!(self.sv(a));
                 let rb = t!(self.sv(b));
@@ -1123,7 +1151,11 @@ impl<'f> Bld<'f> {
                 c!(self.setk(i, K::Int));
                 c!(self.uni_v(s, elem));
                 self.arrs.get_mut(&cell).unwrap().written = true;
-                self.protos.push(P::St { arr: cell, idx: i, s });
+                self.protos.push(P::St {
+                    arr: cell,
+                    idx: i,
+                    s,
+                });
             }
             Insn::IndexArith {
                 op,
@@ -1173,7 +1205,11 @@ impl<'f> Bld<'f> {
                     b: rb,
                 });
                 self.arrs.get_mut(&arr).unwrap().written = true;
-                self.protos.push(P::St { arr, idx: i, s: tmp });
+                self.protos.push(P::St {
+                    arr,
+                    idx: i,
+                    s: tmp,
+                });
             }
             Insn::IncElemK { op, arr, idx, k } => {
                 // arr[idx] = arr[idx] op k, load → arith → store.
@@ -1198,7 +1234,11 @@ impl<'f> Bld<'f> {
                     left: false,
                 });
                 self.arrs.get_mut(&arr).unwrap().written = true;
-                self.protos.push(P::St { arr, idx: i, s: tmp });
+                self.protos.push(P::St {
+                    arr,
+                    idx: i,
+                    s: tmp,
+                });
             }
             Insn::DerefIncElemK { op, cell, idx, k } => {
                 let v = t!(self.kc(k));
@@ -1222,7 +1262,11 @@ impl<'f> Bld<'f> {
                     left: false,
                 });
                 self.arrs.get_mut(&cell).unwrap().written = true;
-                self.protos.push(P::St { arr: cell, idx: i, s: tmp });
+                self.protos.push(P::St {
+                    arr: cell,
+                    idx: i,
+                    s: tmp,
+                });
             }
             Insn::FmaIdx { dst, x, arr, idx } => {
                 // dst = dst + x * arr[idx]; separate mul-then-add
@@ -2036,7 +2080,6 @@ mod tests {
             nregs,
             code,
             consts,
-            omp_syms: Vec::new(),
             locals: Vec::new(),
             pre_opt: None,
             kernels: Vec::new(),

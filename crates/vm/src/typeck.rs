@@ -33,9 +33,9 @@
 //! native kernels — re-checks types at runtime and deopts to the
 //! generic path, so a wrong guess costs speed, never behavior.
 
-use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, PreOpt, Reg};
+use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, OmpFn, PreOpt, Reg};
 use crate::ir;
-use crate::optimize::verify_fn;
+use crate::optimize::{verify_fn, visit_defs};
 use crate::value::Value;
 
 /// Static type of a register slot. One variant per runtime
@@ -286,48 +286,6 @@ pub fn infer_image(image: &Image) -> ImageTypes {
     }
 }
 
-/// Register written by an instruction, if any — used to invalidate
-/// the `Fn`-const tracking in [`seed_params`].
-fn written_reg(insn: &Insn) -> Option<Reg> {
-    match *insn {
-        Insn::Const { dst, .. }
-        | Insn::Move { dst, .. }
-        | Insn::NewCell { dst, .. }
-        | Insn::CellGet { dst, .. }
-        | Insn::Deref { dst, .. }
-        | Insn::ElemAddr { dst, .. }
-        | Insn::AddrDeref { dst, .. }
-        | Insn::Index { dst, .. }
-        | Insn::IndexOff { dst, .. }
-        | Insn::IndexF { dst, .. }
-        | Insn::IndexI { dst, .. }
-        | Insn::Arith { dst, .. }
-        | Insn::ArithII { dst, .. }
-        | Insn::ArithFF { dst, .. }
-        | Insn::ArithK { dst, .. }
-        | Insn::ArithKL { dst, .. }
-        | Insn::IndexArith { dst, .. }
-        | Insn::FmaIdx { dst, .. }
-        | Insn::DerefFmaIdx { dst, .. }
-        | Insn::FmaIdxCC { dst, .. }
-        | Insn::FmaGather { dst, .. }
-        | Insn::DerefIndex { dst, .. }
-        | Insn::DerefIndexOff { dst, .. }
-        | Insn::Cmp { dst, .. }
-        | Insn::CmpII { dst, .. }
-        | Insn::CmpFF { dst, .. }
-        | Insn::Neg { dst, .. }
-        | Insn::Not { dst, .. }
-        | Insn::Truthy { dst, .. }
-        | Insn::Call { dst, .. }
-        | Insn::CallValue { dst, .. }
-        | Insn::OmpCall { dst, .. }
-        | Insn::Builtin { dst, .. } => Some(dst),
-        Insn::IncCmpJump { var, .. } | Insn::IncJump { var, .. } => Some(var),
-        _ => None,
-    }
-}
-
 /// Join call-site argument evidence into the parameter summaries.
 /// Walks every reachable block with the converged environments,
 /// tracking which registers provably hold a specific `Fn` const so
@@ -394,10 +352,12 @@ fn seed_params(
                     // Unknown callee: the target's Fn value escaped
                     // first-class, so `open` already made it Dynamic.
                 }
-                Insn::OmpCall { sym, base, n, .. }
-                    if matches!(f.omp_syms[sym as usize].as_slice(),
-                        [a, b] if a == "internal" && b == "fork_call") =>
-                {
+                Insn::OmpCall {
+                    func: OmpFn::ForkCall,
+                    base,
+                    n,
+                    ..
+                } => {
                     // fork_call([label,] nt, fname, args...): the label
                     // is statically a Str const when present, nt an
                     // Int; anything else means we cannot trust the
@@ -420,23 +380,11 @@ fn seed_params(
                 _ => {}
             }
             transfer(insn, &mut env, f, rets);
-            match kf {
-                Some((d, v)) => known_fn[d as usize] = v,
-                None => {
-                    if let Some(d) = written_reg(insn) {
-                        known_fn[d as usize] = None;
-                    }
-                }
-            }
-            // Argument windows are consumed by calls; their Fn-const
-            // knowledge dies with them.
-            if let Insn::Call { base, n, .. }
-            | Insn::CallValue { base, n, .. }
-            | Insn::OmpCall { base, n, .. } = *insn
-            {
-                for r in base..base + n as Reg {
-                    known_fn[r as usize] = None;
-                }
+            // Fn-const knowledge dies with every register the instruction
+            // defines (call argument windows included).
+            visit_defs(insn, |d| known_fn[d as usize] = None);
+            if let Some((d, v)) = kf {
+                known_fn[d as usize] = v;
             }
         }
     }
@@ -540,32 +488,22 @@ fn red_elem(h: Ty) -> Ty {
     }
 }
 
-/// Return type of an `omp.*` runtime call, by symbol path. `env`,
-/// `base` give the argument types at the site — the reduction
-/// builtins' results are typed by their seed/handle argument.
-fn omp_ret_ty(path: &[String], env: &[Ty], base: Reg) -> Ty {
-    let parts: Vec<&str> = path.iter().map(|s| s.as_str()).collect();
+/// Return type of an `omp.*` runtime call. `env`, `base` give the
+/// argument types at the site — the reduction builtins' results are
+/// typed by their seed/handle argument.
+fn omp_ret_ty(func: OmpFn, env: &[Ty], base: Reg) -> Ty {
+    use OmpFn::*;
     let arg = |i: usize| env.get(base as usize + i).copied().unwrap_or(Ty::Dynamic);
-    match parts.as_slice() {
-        ["internal", name] => match *name {
-            "ws_next" | "is_master" | "single_begin" => Ty::Bool,
-            "ws_lb" | "ws_ub" | "trip_count" | "if_threads" => Ty::Int,
-            "ws_begin" | "ws_begin_bulk" => Ty::Ws,
-            "red_cell" | "red_loop_begin" => red_of(arg(1)),
-            "red_identity" | "red_get" | "red_loop_end" => red_elem(arg(0)),
-            "ws_fini" | "barrier" | "single_end" | "critical_enter" | "critical_exit"
-            | "atomic_rmw" | "red_combine" | "fork_call" => Ty::Void,
-            _ => Ty::Dynamic,
-        },
-        [name] => match *name {
-            "get_thread_num" | "get_num_threads" | "get_max_threads" | "get_num_procs"
-            | "get_level" => Ty::Int,
-            "in_parallel" => Ty::Bool,
-            "get_wtime" => Ty::Float,
-            "set_num_threads" => Ty::Void,
-            _ => Ty::Dynamic,
-        },
-        _ => Ty::Dynamic,
+    match func {
+        WsNext | IsMaster | SingleBegin | InParallel => Ty::Bool,
+        WsLb | WsUb | TripCount | IfThreads => Ty::Int,
+        GetThreadNum | GetNumThreads | GetMaxThreads | GetNumProcs | GetLevel => Ty::Int,
+        GetWtime => Ty::Float,
+        WsBegin | WsBeginBulk => Ty::Ws,
+        RedCell | RedLoopBegin => red_of(arg(1)),
+        RedIdentity | RedGet | RedLoopEnd => red_elem(arg(0)),
+        WsFini | Barrier | SingleEnd | CriticalEnter | CriticalExit | AtomicRmw | RedCombine
+        | ForkCall | SetNumThreads => Ty::Void,
     }
 }
 
@@ -575,7 +513,7 @@ fn omp_ret_ty(path: &[String], env: &[Ty], base: Reg) -> Ty {
 fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
     let get = |env: &[Ty], r: Reg| env[r as usize];
     let set = |env: &mut [Ty], r: Reg, t: Ty| env[r as usize] = t;
-    // Argument windows are consumed by take_args, leaving Undefined.
+    // Argument windows die with their call, as in `optimize::visit_defs`.
     let clear_args = |env: &mut [Ty], base: Reg, n: u16| {
         for r in base..base + n as Reg {
             env[r as usize] = Ty::Undef;
@@ -628,7 +566,12 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
         }
         Insn::AddrDeref { dst, src } => {
             let t = match get(env, src) {
-                t @ (Ty::Ptr | Ty::PtrF | Ty::PtrI | Ty::PtrAF | Ty::PtrAI | Ty::ElemPtrF
+                t @ (Ty::Ptr
+                | Ty::PtrF
+                | Ty::PtrI
+                | Ty::PtrAF
+                | Ty::PtrAI
+                | Ty::ElemPtrF
                 | Ty::ElemPtrI) => t,
                 _ => Ty::Dynamic,
             };
@@ -711,12 +654,20 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             clear_args(env, base, n);
             set(env, dst, Ty::Dynamic);
         }
-        Insn::OmpCall { dst, sym, base, n } => {
+        Insn::OmpCall { dst, func, base, n } => {
             // Result typing reads the argument types, so compute it
             // before the argument window is consumed.
-            let t = omp_ret_ty(&f.omp_syms[sym as usize], env, base);
+            let t = omp_ret_ty(func, env, base);
             clear_args(env, base, n);
             set(env, dst, t);
+        }
+        // A claimed chunk's bounds are `Int`. The exit edge leaves both
+        // registers as they were, but one transfer serves both edges:
+        // typing is speculative (every specialised consumer re-checks),
+        // and the loop body is the only reader that matters.
+        Insn::WsNext { lb, ub, .. } => {
+            set(env, lb, Ty::Int);
+            set(env, ub, Ty::Int);
         }
         Insn::Builtin {
             dst, op, base, n, ..

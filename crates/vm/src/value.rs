@@ -586,7 +586,10 @@ mod tests {
         assert_eq!(a.stamp.load(Ordering::Relaxed), 0);
         assert_eq!(a.range_hint(), Some((0, 7)));
         let s = a.stamp.load(Ordering::Relaxed);
-        assert!(s != 0 && s % 2 == 0, "tracking active and quiescent");
+        assert!(
+            s != 0 && s.is_multiple_of(2),
+            "tracking active and quiescent"
+        );
         // Bulk-write fence held open: the hint must refuse to scan.
         let bumped = a.write_fence_begin();
         assert!(bumped);

@@ -510,6 +510,229 @@ fn parallel_aggregates_agree() {
     }
 }
 
+/// One loop shape of the chunk-protocol matrix: the worksharing loop(s)
+/// as source, with `SCHED` standing for the schedule clause and `BODY` for
+/// the per-iteration statements over the index `e`, and the index values
+/// the loop must visit exactly once.
+struct ChunkShape {
+    name: &'static str,
+    loops: &'static str,
+    visits: Vec<i64>,
+}
+
+fn chunk_shapes() -> Vec<ChunkShape> {
+    vec![
+        ChunkShape {
+            name: "plain",
+            loops: "var i: i64 = 0;
+        //$omp while SCHED
+        while (i < 97) : (i += 1) { const e: i64 = i; BODY }",
+            visits: (0..97).collect(),
+        },
+        ChunkShape {
+            name: "collapse2",
+            loops: "var i: i64 = 0;
+        //$omp while SCHED collapse(2)
+        while (i < 9) : (i += 1) {
+            var j: i64 = 0;
+            while (j < 11) : (j += 1) { const e: i64 = i * 11 + j; BODY }
+        }",
+            visits: (0..99).collect(),
+        },
+        ChunkShape {
+            name: "nowait",
+            loops: "var i: i64 = 0;
+        //$omp while SCHED nowait
+        while (i < 50) : (i += 1) { const e: i64 = i; BODY }
+        var k: i64 = 50;
+        //$omp while SCHED
+        while (k < 97) : (k += 1) { const e: i64 = k; BODY }",
+            visits: (0..97).collect(),
+        },
+        ChunkShape {
+            name: "zero_trip",
+            loops: "var i: i64 = 5;
+        //$omp while SCHED
+        while (i < 5) : (i += 1) { const e: i64 = i; BODY }",
+            visits: Vec::new(),
+        },
+        ChunkShape {
+            name: "down_gt",
+            loops: "var i: i64 = 96;
+        //$omp while SCHED
+        while (i > -1) : (i -= 1) { const e: i64 = i; BODY }",
+            visits: (0..97).collect(),
+        },
+        ChunkShape {
+            name: "down_ge_stride2",
+            loops: "var i: i64 = 96;
+        //$omp while SCHED
+        while (i >= 0) : (i -= 2) { const e: i64 = i; BODY }",
+            visits: (0..97).step_by(2).collect(),
+        },
+    ]
+}
+
+/// The chunk protocol (`ws_begin` / the fused `wsnext` claim / `ws_fini`)
+/// across every schedule kind, team size and loop shape the preprocessor
+/// emits: each iteration must run exactly once with the right index value,
+/// identically on the oracle, the bytecode backend at every `--opt` level
+/// and the native backend. `hits` proves exactly-once coverage, the
+/// reduction proves the index values (inline, and through a user function
+/// so the chunk body crosses a call boundary).
+#[test]
+fn chunk_protocol_matrix_agrees() {
+    const SCHEDULES: [&str; 6] = [
+        "schedule(static)",
+        "schedule(static, 3)",
+        "schedule(dynamic, 1)",
+        "schedule(dynamic, 5)",
+        "schedule(guided)",
+        "schedule(runtime)",
+    ];
+    const BODIES: [(&str, &str); 2] = [
+        ("inline", "sum += e * 7 + 1;"),
+        ("call", "sum += weigh(e);"),
+    ];
+    for shape in chunk_shapes() {
+        let weight: i64 = shape.visits.iter().map(|i| i * 7 + 1).sum();
+        let expected = vec![format!(
+            "{} {} 0 {weight}",
+            shape.visits.len(),
+            100 - shape.visits.len()
+        )];
+        for sched in SCHEDULES {
+            for threads in [1, 2, 4] {
+                for (body_name, body) in BODIES {
+                    let loops = shape
+                        .loops
+                        .replace("SCHED", sched)
+                        .replace("BODY", &format!("\n//$omp atomic\nhits[e] += 1;\n{body}"));
+                    let src = format!(
+                        "fn weigh(v: i64) i64 {{ return v * 7 + 1; }}
+fn main() void {{
+    var hits: i64 = @allocI(100);
+    var sum: i64 = 0;
+    //$omp parallel num_threads({threads}) shared(hits) reduction(+: sum)
+    {{
+        {loops}
+    }}
+    var once: i64 = 0;
+    var never: i64 = 0;
+    var other: i64 = 0;
+    var k: i64 = 0;
+    while (k < 100) : (k += 1) {{
+        if (hits[k] == 1) {{ once += 1; }} else {{
+            if (hits[k] == 0) {{ never += 1; }} else {{ other += 1; }}
+        }}
+    }}
+    print(once, never, other, sum);
+}}"
+                    );
+                    let name = format!("{}/{sched}/t{threads}/{body_name}", shape.name);
+                    assert_eq!(
+                        run_on(&src, Backend::Ast, OptLevel::O0),
+                        Ok(expected.clone()),
+                        "{name}: oracle missed the expected coverage\n{src}"
+                    );
+                    assert_backends_agree(&name, &src);
+                }
+            }
+        }
+    }
+}
+
+/// Hand-written `omp.internal.*` drivers: the fused shape outside any
+/// region (the serial `Local` deck), the same loop with its bounds read
+/// again inside the body, and the shape `compile` must leave unfused
+/// (address-taken induction variable) — plus the protocol's error texts.
+#[test]
+fn handwritten_chunk_drivers_and_errors_agree() {
+    const DRIVER: &str = "fn main() void {
+    var s: i64 = 0;
+    var i: i64 = 0;
+    EXTRA
+    const w = omp.internal.ws_begin(KIND, 4, 0, 10, 1, 0);
+    while (omp.internal.ws_next(w)) {
+        i = omp.internal.ws_lb(w);
+        const ub = omp.internal.ws_ub(w);
+        s += omp.internal.ws_ub(w) - omp.internal.ws_lb(w);
+        while (i < ub) : (i += 1) { s += i * 100; }
+    }
+    omp.internal.ws_fini(w, 1);
+    print(s, i);
+}";
+    for kind in ["0", "1", "2"] {
+        for (name, extra) in [("fused", ""), ("boxed_unfused", "const p = &i;")] {
+            let src = DRIVER.replace("KIND", kind).replace("EXTRA", extra);
+            let ast = run_on(&src, Backend::Ast, OptLevel::O0);
+            assert_eq!(ast, Ok(vec!["4510 10".to_string()]), "{name}/{kind}");
+            assert_backends_agree(&format!("{name}/{kind}"), &src);
+        }
+    }
+    for (name, src, text) in [
+        (
+            "unknown_omp_function",
+            "fn main() void { print(1); omp.nonexistent(2); }",
+            "unknown omp function omp.nonexistent",
+        ),
+        (
+            "unknown_internal_function",
+            "fn main() void { omp.internal.nonexistent(); }",
+            "unknown omp.internal function nonexistent",
+        ),
+        (
+            "no_current_chunk",
+            "fn main() void {
+    const w = omp.internal.ws_begin(1, 4, 0, 10, 1, 0);
+    print(omp.internal.ws_lb(w));
+}",
+            "worksharing iterator has no current chunk",
+        ),
+        (
+            "not_an_iterator",
+            "fn main() void {
+    var w: i64 = 3;
+    var i: i64 = 0;
+    while (omp.internal.ws_next(w)) {
+        i = omp.internal.ws_lb(w);
+        const ub = omp.internal.ws_ub(w);
+    }
+}",
+            "expected a worksharing iterator, got i64",
+        ),
+        (
+            "zero_increment",
+            "fn main() void {
+    var s: i64 = 0;
+    //$omp parallel num_threads(2) reduction(+: s)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(dynamic, 1)
+        while (i < 10) : (i += 0) { s += 1; }
+    }
+    print(s);
+}",
+            "worksharing loop increment must be nonzero",
+        ),
+        (
+            "fork_call_unknown_function",
+            "fn main() void { omp.internal.fork_call(2, nope_fn); }",
+            "unknown variable `nope_fn`",
+        ),
+        (
+            "fork_call_arity",
+            "fn body(a: i64) void { print(a); }
+fn main() void { omp.internal.fork_call(2, body); }",
+            "`body` expects 1 arguments, got 0",
+        ),
+    ] {
+        let ast = run_on(src, Backend::Ast, OptLevel::O0);
+        assert_eq!(ast, Err(format!("runtime error: {text}")), "{name}");
+        assert_backends_agree(name, src);
+    }
+}
+
 /// Tokenwise equality with a relative tolerance for floats: reduction
 /// combine order depends on thread arrival, so float sums jitter in the
 /// last bits run-to-run on *both* backends.

@@ -6,8 +6,10 @@
 //! `tests/golden/loop.disasm` (the raw `--opt=0` stream),
 //! `tests/golden/loop.opt{1,2,3}.disasm` (the `--dump-bytecode` pre/post
 //! view, so fusion regressions are visible as instruction-level diffs),
-//! and `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
-//! inference regressions show up as type-annotation diffs).
+//! `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
+//! inference regressions show up as type-annotation diffs), and
+//! `tests/golden/chunk_heads.disasm` (the fused chunk-claim head of both
+//! worksharing loop shapes).
 //! To accept a new golden output:
 //!
 //! ```text
@@ -31,6 +33,23 @@ const PROGRAM: &str = r#"fn main() void {
 }
 "#;
 
+/// Compare `got` against `tests/golden/<golden>` (or rewrite the file
+/// under `UPDATE_GOLDEN=1`).
+fn assert_golden(got: &str, golden: &str) {
+    let path = format!("{}/tests/golden/{golden}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+    assert_eq!(
+        got, want,
+        "dump drifted from tests/golden/{golden}; \
+         review the diff and re-bless with UPDATE_GOLDEN=1 if intended"
+    );
+}
+
 fn check(opt: OptLevel, golden: &str) {
     let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), opt).expect("compile");
     // O0 keeps the historical single-stage golden; optimized levels use
@@ -40,18 +59,7 @@ fn check(opt: OptLevel, golden: &str) {
     } else {
         disasm_stages(&program.code)
     };
-    let path = format!("{}/tests/golden/{golden}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "bytecode disassembly drifted from tests/golden/{golden}; \
-         review the diff and re-bless with UPDATE_GOLDEN=1 if intended"
-    );
+    assert_golden(&got, golden);
 }
 
 #[test]
@@ -79,17 +87,57 @@ fn loop_program_opt3_disassembly_matches_golden() {
 #[test]
 fn loop_program_ir_dump_matches_golden() {
     let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), OptLevel::O2).expect("compile");
-    let got = zomp_vm::ir::dump(&program.code);
-    let path = format!("{}/tests/golden/loop.ir", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
+    assert_golden(&zomp_vm::ir::dump(&program.code), "loop.ir");
+}
+
+/// Both chunk-pull loops the preprocessor emits: the plain form assigns
+/// the user's induction variable, the `collapse(2)` form declares the
+/// flattened index.
+const CHUNK_PROGRAM: &str = r#"fn main() void {
+    var hits: i64 = @allocI(64);
+    //$omp parallel num_threads(2) shared(hits)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(dynamic, 1) nowait
+        while (i < 32) : (i += 1) {
+            hits[i] = 1;
+        }
+        var a: i64 = 0;
+        //$omp while schedule(guided) collapse(2)
+        while (a < 4) : (a += 1) {
+            var b: i64 = 0;
+            while (b < 8) : (b += 1) {
+                hits[32 + a * 8 + b] = 1;
+            }
+        }
     }
-    let want = std::fs::read_to_string(&path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "IR dump drifted from tests/golden/loop.ir; \
-         review the diff and re-bless with UPDATE_GOLDEN=1 if intended"
-    );
+    print(hits[0], hits[63]);
+}
+"#;
+
+/// The head of each chunk-pull loop — its `ws_begin` call, the fused
+/// `wsnext` claim and the instruction the claim falls through to — so an
+/// unfused `ws_next`/`ws_lb`/`ws_ub` triple shows as a golden diff, at
+/// every optimization level.
+#[test]
+fn chunk_loop_heads_match_golden() {
+    let mut got = String::new();
+    for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+        let program = zomp_vm::compile_opt(CHUNK_PROGRAM, None, opt).expect("compile");
+        let text = disasm(&program.code);
+        assert!(
+            !text.contains("ws_next") && !text.contains("ws_lb") && !text.contains("ws_ub"),
+            "unfused chunk-pull call at --opt={opt}:\n{text}"
+        );
+        got.push_str(&format!("--opt={opt}\n"));
+        let mut after_claim = false;
+        for line in text.lines() {
+            if after_claim || line.contains("ws_begin") || line.contains("wsnext") {
+                got.push_str(line);
+                got.push('\n');
+            }
+            after_claim = line.contains("wsnext");
+        }
+    }
+    assert_golden(&got, "chunk_heads.disasm");
 }
