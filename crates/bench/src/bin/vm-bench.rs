@@ -1,12 +1,12 @@
 //! Emit `BENCH_vm.json`: median nanoseconds per kernel iteration for the
 //! three NPB-derived Zag kernels, run through both execution backends at
 //! 1 and 4 threads — the `ast` tree-walker oracle plus the register VM at
-//! every optimization level (`bytecode_o0` raw, `bytecode_o1`
-//! fold/copy-prop/DSE, `bytecode_o2` + superinstruction
-//! fusion and static type specialization, `native` the
-//! `--opt=3` bulk-kernel tier) — and, as the reference ceiling, the
-//! hand-written Rust kernels from `crates/npb` (`npb_ns_per_op`, with
-//! each tier's fraction of that throughput in `npb_throughput_frac_1t`).
+//! every optimization level (`bytecode_o0` raw, `bytecode_o2`
+//! fold/copy-prop/DSE, superinstruction fusion and static type
+//! specialization, `native` the `--opt=3` bulk-kernel tier) — and, as
+//! the reference ceiling, the hand-written Rust kernels from
+//! `crates/npb` (`npb_ns_per_op`, with each tier's fraction of that
+//! throughput in `npb_throughput_frac_1t`).
 //!
 //! Kernels (the same ports the integration suite validates bit-for-bit):
 //!   - `cg_matvec_dynamic` — CSR sparse matvec over an NPB `makea` matrix
@@ -35,10 +35,9 @@ use zomp_vm::{Backend, OptLevel, Vm};
 const SAMPLES: usize = 7;
 /// Execution configurations measured for every kernel: the tree-walking
 /// oracle, then the bytecode VM at each optimization level.
-const CONFIGS: [(&str, Backend, OptLevel); 5] = [
+const CONFIGS: [(&str, Backend, OptLevel); 4] = [
     ("ast", Backend::Ast, OptLevel::O0),
     ("bytecode_o0", Backend::Bytecode, OptLevel::O0),
-    ("bytecode_o1", Backend::Bytecode, OptLevel::O1),
     ("bytecode_o2", Backend::Bytecode, OptLevel::O2),
     ("native", Backend::Native, OptLevel::O3),
 ];

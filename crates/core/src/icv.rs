@@ -145,13 +145,6 @@ impl Icvs {
         }
     }
 
-    /// The default runtime's ICV block.
-    #[deprecated(note = "process-global ICVs cannot isolate concurrent programs; \
-                use `Runtime::global().icvs()` or a per-instance `Runtime`")]
-    pub fn global() -> &'static Icvs {
-        crate::runtime::Runtime::global().icvs()
-    }
-
     /// `nthreads-var`.
     pub fn num_threads(&self) -> usize {
         self.nthreads.load(Ordering::Relaxed)

@@ -68,9 +68,8 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// Snapshot `OMP_NUM_THREADS` / `OMP_DYNAMIC` / `OMP_SCHEDULE` **now**.
     ///
-    /// Unlike the old `Icvs::global()` path, nothing is latched per process:
-    /// constructing another runtime after the environment changed sees the
-    /// new values.
+    /// Nothing is latched per process: constructing another runtime after
+    /// the environment changed sees the new values.
     pub fn from_env() -> Self {
         RuntimeConfig {
             num_threads: icv::parse_env_usize("OMP_NUM_THREADS").filter(|&n| n >= 1),

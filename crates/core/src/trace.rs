@@ -471,11 +471,13 @@ pub enum Probe<'a> {
     TaskWait {
         wait_ns: u64,
     },
-    /// One native bulk-kernel run (`ompt_callback_work`-flavoured): how
-    /// many iterations ran natively, and the bail reason when the kernel
-    /// handed the loop back to the interpreter mid-flight.
+    /// One native bulk-kernel run (`ompt_callback_work`-flavoured): the
+    /// loop-head pc it ran at, how many iterations ran natively, and the
+    /// bail reason when the kernel handed the loop back to the
+    /// interpreter mid-flight.
     Kernel {
         label: &'a str,
+        pc: u32,
         iters: u64,
         bail: Option<&'a str>,
         dur_ns: u64,
@@ -858,6 +860,7 @@ pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'stati
         };
         fire(Probe::Kernel {
             label,
+            pc,
             iters,
             bail,
             dur_ns: dur,

@@ -165,10 +165,9 @@ fn critical_and_threadprivate_registries_do_not_bleed() {
 
 #[test]
 fn env_is_read_per_runtime_not_latched_per_process() {
-    // Regression: the old Icvs::global() read OMP_NUM_THREADS into a
-    // process-wide OnceLock; every later configuration change was
-    // silently ignored. RuntimeConfig::from_env must snapshot at
-    // construction time, every time.
+    // Regression: a process-wide latch of OMP_NUM_THREADS silently
+    // ignores every later configuration change. RuntimeConfig::from_env
+    // must snapshot at construction time, every time.
     const VAR: &str = "OMP_NUM_THREADS";
     let saved = std::env::var(VAR).ok();
 

@@ -1,15 +1,20 @@
 //! End-to-end checks of the tier-observability pipeline over the public
 //! VM API: the kernel telemetry probes fold into `MetricsSnapshot`,
 //! specialised-opcode and bulk-loop fallbacks count and leave no state
-//! behind, and the profiler's event fold attributes a kernel-carried
-//! pragma loop to the native tier with its `unit:line` label intact.
+//! behind, the profiler's event fold attributes a natively-carried
+//! pragma loop to the native tier with its `unit:line` label intact, and
+//! every fixed kernel the NPB ports install is one they enter.
 //!
 //! Tracing mode is process-global, so every test serialises on one
 //! mutex and restores the disabled state before releasing it.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use zomp::{profile, trace};
+use zomp_bench::ports::{ZAG_EP, ZAG_MATVEC, ZAG_RANK};
+use zomp_vm::bytecode::Insn;
+use zomp_vm::kernels::KernelKind;
 use zomp_vm::value::{ArrF, ArrI, Value};
 use zomp_vm::{Backend, OptLevel, Vm};
 
@@ -24,8 +29,8 @@ fn serial() -> MutexGuard<'static, ()> {
     g
 }
 
-/// A fill-const pragma loop: the simplest of the seven bulk-kernel
-/// shapes, so at `--opt=3` every iteration runs native.
+/// A constant-fill pragma loop: no fixed kernel shape, so at `--opt=3`
+/// the template tier takes it and every iteration runs native.
 const FILL: &str = r#"
 fn fill(a: []f64, n: i64, nthreads: i64) void {
     //$omp parallel num_threads(nthreads) shared(a) firstprivate(n)
@@ -39,7 +44,7 @@ fn fill(a: []f64, n: i64, nthreads: i64) void {
 }
 "#;
 
-/// With counters on, a kernel-carried loop reports every trip through
+/// With counters on, a template-carried loop reports every trip through
 /// the `KernelEnter` telemetry: total native iterations equal the trip
 /// count, no bails, and the result array is still correct.
 #[test]
@@ -70,9 +75,9 @@ fn kernel_counters_fold_into_metrics() {
     );
     assert_eq!(
         m.kernel_iters, N as u64,
-        "every iteration of the fill loop must run inside the kernel"
+        "every iteration of the fill loop must run inside the template"
     );
-    assert_eq!(m.kernel_bails, 0, "fill-const must not bail");
+    assert_eq!(m.kernel_bails, 0, "an in-bounds fill must not bail");
     for i in 0..N as i64 {
         assert_eq!(a.get(i).unwrap(), 3.0);
     }
@@ -132,7 +137,7 @@ fn mixed(x: i64, y: i64) i64 {
     }
 }
 
-/// Nothing is sticky: a kernel that bailed on an undersized buffer
+/// Nothing is sticky: a template that bailed on an undersized buffer
 /// (raising the walker's exact error) is tried again on the next call
 /// from the same thread, and with a well-sized buffer carries every
 /// iteration natively.
@@ -161,7 +166,7 @@ fn kernel_bail_is_not_remembered_across_calls() {
     assert_eq!(got, Ok("void".to_string()));
     assert_eq!(
         m.kernel_iters, N as u64,
-        "the kernel must carry the whole loop again after an earlier bail"
+        "the template must carry the whole loop again after an earlier bail"
     );
     assert_eq!(m.kernel_bails, 0);
 }
@@ -375,4 +380,137 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
             assert_eq!(trips, N, "{what}: per-thread loop spans sum to the trip");
         }
     }
+}
+
+fn arr_i(v: impl IntoIterator<Item = i64>) -> Arc<ArrI> {
+    let v: Vec<i64> = v.into_iter().collect();
+    let a = Arc::new(ArrI::new(v.len()));
+    for (i, x) in v.into_iter().enumerate() {
+        a.set(i as i64, x).unwrap();
+    }
+    a
+}
+
+fn arr_f(v: &[f64]) -> Arc<ArrF> {
+    let a = Arc::new(ArrF::new(v.len()));
+    for (i, &x) in v.iter().enumerate() {
+        a.set(i as i64, x).unwrap();
+    }
+    a
+}
+
+/// The three NPB ports with small inputs: `(source, unit, entry, args)`.
+fn npb_ports() -> Vec<(&'static str, &'static str, &'static str, Vec<Value>)> {
+    const THREADS: i64 = 2;
+    let mat = npb::cg::makea::makea(&npb::class::CgParams {
+        class: npb::class::Class::S,
+        na: 160,
+        nonzer: 4,
+        niter: 1,
+        shift: 7.0,
+        zeta_verify: f64::NAN,
+    });
+    let cg = vec![
+        Value::Int(mat.n as i64),
+        Value::ArrI(arr_i(mat.rowstr.iter().map(|&v| v as i64))),
+        Value::ArrI(arr_i(mat.colidx.iter().map(|&v| v as i64))),
+        Value::ArrF(arr_f(&mat.a)),
+        Value::ArrF(arr_f(&vec![1.0; mat.n])),
+        Value::ArrF(Arc::new(ArrF::new(mat.n))),
+        Value::Int(2),
+        Value::Int(THREADS),
+    ];
+    let ep = vec![
+        Value::Int(10),
+        Value::Int(8),
+        Value::Int(THREADS),
+        Value::ArrF(Arc::new(ArrF::new(10))),
+    ];
+    let (maxlog, nblog) = (11u32, 5u32);
+    let keys = npb::is::create_seq(&npb::is::custom_params(12, maxlog, nblog));
+    let nb = 1usize << nblog;
+    let is = vec![
+        Value::ArrI(arr_i(keys.iter().map(|&k| k as i64))),
+        Value::Int(keys.len() as i64),
+        Value::Int(maxlog as i64),
+        Value::Int(nblog as i64),
+        Value::ArrI(Arc::new(ArrI::new(THREADS as usize * nb))),
+        Value::ArrI(Arc::new(ArrI::new(nb + 1))),
+        Value::ArrI(Arc::new(ArrI::new(keys.len()))),
+        Value::ArrI(Arc::new(ArrI::new(1usize << maxlog))),
+        Value::Int(THREADS),
+    ];
+    vec![
+        (ZAG_MATVEC, "cg.zag", "matvec", cg),
+        (ZAG_EP, "ep.zag", "ep", ep),
+        (ZAG_RANK, "is.zag", "rank", is),
+    ]
+}
+
+/// A fixed kernel earns its place by running: on the CG, EP and IS
+/// ports at `--opt=3` the pcs the `Kernel` probe reports (template heads
+/// aside) are exactly the image's `BulkLoop` pcs, nothing bails, and the
+/// shapes seen across the three ports are exactly [`KernelKind::NAMES`].
+/// A kernel that only shadows another — installed inside an enclosing
+/// kernel's span, so reached only after that one bails — fails here.
+#[test]
+fn every_installed_kernel_is_entered() {
+    let _g = serial();
+    let mut names: BTreeSet<&str> = BTreeSet::new();
+    for (source, unit, entry, args) in npb_ports() {
+        let vm = Vm::build(source, Some(unit), Backend::Native, OptLevel::O3).expect("compile");
+        let mut bulk: Vec<(u32, &str)> = Vec::new();
+        let mut templates: BTreeSet<u32> = BTreeSet::new();
+        for f in &vm.program.code.funcs {
+            for (pc, insn) in f.code.iter().enumerate() {
+                match *insn {
+                    Insn::BulkLoop { kidx } => {
+                        bulk.push((pc as u32, f.kernels[kidx as usize].kind.name()))
+                    }
+                    Insn::TemplateLoop { .. } => {
+                        templates.insert(pc as u32);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let installed: BTreeSet<u32> = bulk.iter().map(|&(pc, _)| pc).collect();
+        assert!(
+            installed.len() == bulk.len() && installed.is_disjoint(&templates),
+            "{unit}: loop-head pcs must be unique across functions for the probe's \
+             pc to identify a kernel: {bulk:?} vs templates {templates:?}"
+        );
+
+        let runs: Arc<Mutex<Vec<(u32, bool)>>> = Arc::default();
+        let sink = Arc::clone(&runs);
+        trace::register_callback(move |p| {
+            if let trace::Probe::Kernel { pc, bail, .. } = p {
+                sink.lock().unwrap().push((*pc, bail.is_some()));
+            }
+        });
+        let r = vm.call_function(entry, args);
+        trace::clear_callbacks();
+        r.unwrap_or_else(|e| panic!("run {unit}: {e}"));
+
+        let runs = runs.lock().unwrap();
+        assert!(
+            runs.iter().all(|&(_, bailed)| !bailed),
+            "{unit}: no kernel or template may bail: {runs:?}"
+        );
+        let entered: BTreeSet<u32> = runs
+            .iter()
+            .map(|&(pc, _)| pc)
+            .filter(|pc| !templates.contains(pc))
+            .collect();
+        assert_eq!(
+            entered, installed,
+            "{unit}: entered kernel pcs vs installed {bulk:?}"
+        );
+        names.extend(bulk.iter().map(|&(_, name)| name));
+    }
+    assert_eq!(
+        names,
+        BTreeSet::from(KernelKind::NAMES),
+        "the ports must install (and so enter) every kernel shape"
+    );
 }

@@ -163,7 +163,6 @@ fn zag_conj_grad_matches_rust_solver() {
     // tree-walker does.
     for (backend, opt) in [
         (Backend::Bytecode, zomp_vm::OptLevel::O0),
-        (Backend::Bytecode, zomp_vm::OptLevel::O1),
         (Backend::Bytecode, zomp_vm::OptLevel::O2),
         (Backend::Bytecode, zomp_vm::OptLevel::O3),
         (Backend::Native, zomp_vm::OptLevel::O2),

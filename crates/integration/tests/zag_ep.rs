@@ -186,7 +186,6 @@ fn zag_ep_matches_rust_ep() {
     // level, and at several team sizes.
     for (backend, opt) in [
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O0),
-        (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O1),
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O2),
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O3),
         (zomp_vm::Backend::Native, zomp_vm::OptLevel::O2),

@@ -133,7 +133,6 @@ fn zag_rank_matches_rust_serial() {
 
     for (backend, opt) in [
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O0),
-        (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O1),
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O2),
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O3),
         (zomp_vm::Backend::Native, zomp_vm::OptLevel::O2),
@@ -262,8 +261,8 @@ fn port_passes_data_sharing_check() {
 
 mod common;
 
-/// Golden `--remarks` output for the IS port: the histogram, prefix-sum
-/// and scatter phases should all appear as installed kernels.
+/// Golden `--remarks` output for the IS port: the histogram, scatter
+/// and fused rank-pipeline phases should all appear as installed kernels.
 #[test]
 fn is_port_remarks_match_golden() {
     common::check_remarks_golden(ZAG_RANK, "is.zag", "remarks_is.txt");

@@ -12,7 +12,7 @@
 //! zag --metrics m.json p.zag      # write aggregated runtime counters
 //! zag --backend ast p.zag         # run on the tree-walking oracle
 //! zag --backend native p.zag      # bytecode + native bulk kernels (--opt=3)
-//! zag --opt 0 p.zag               # bytecode optimization level (0|1|2|3)
+//! zag --opt 0 p.zag               # bytecode optimization level (0|2|3)
 //! zag --dump-bytecode p.zag       # print pre- and post-opt streams
 //! zag --dump-ir p.zag             # print the typed block-structured IR
 //! zag --remarks p.zag             # optimization remarks, no execution
@@ -33,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: zag [--check[=deny]] [--remarks[=json]] [--emit-preprocessed] [--trace-passes] \
          [--dump-ast] [--dump-bytecode] [--dump-ir] [--backend ast|bytecode|native] \
-         [--opt 0|1|2|3] [--threads N] [--schedule kind[,chunk]] \
+         [--opt 0|2|3] [--threads N] [--schedule kind[,chunk]] \
          [--safety debug|production|paranoid] [--profile[=json]] \
          [--trace FILE] [--metrics FILE] <program.zag>"
     );

@@ -67,9 +67,9 @@ pub fn compile_image(ast: &Ast) -> Image {
 }
 
 /// Compile and then run the optimization pipeline at the given
-/// level. `OptLevel::O0` returns the raw stream unchanged; `O1`/`O2`
-/// run the per-function rewrite fixpoint; `O2` additionally emits
-/// static Int/Float specializations from whole-image type inference
+/// level. `OptLevel::O0` returns the raw stream unchanged; `O2` runs
+/// the per-function rewrite fixpoint and emits static Int/Float
+/// specializations from whole-image type inference
 /// ([`crate::typeck`]); `O3` finally installs the native bulk kernels
 /// ([`crate::kernels`]) on the fully-rewritten stream.
 pub fn compile_image_opt(ast: &Ast, opt: crate::optimize::OptLevel) -> Image {
@@ -94,11 +94,9 @@ pub(crate) fn compile_image_opt_collect(
                 d.opt_stats.push(stats);
             }
         }
-        if opt >= crate::optimize::OptLevel::O2 {
-            match data {
-                Some(d) => d.sites = crate::typeck::specialize_image_remarked(&mut image),
-                None => crate::typeck::specialize_image(&mut image),
-            }
+        match data {
+            Some(d) => d.sites = crate::typeck::specialize_image_remarked(&mut image),
+            None => crate::typeck::specialize_image(&mut image),
         }
         if opt >= crate::optimize::OptLevel::O3 {
             crate::kernels::install_image(&mut image);

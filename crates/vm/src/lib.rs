@@ -12,7 +12,7 @@
 //! instruction stream with compile-time slot resolution and fused loop
 //! opcodes, post-processed by the [`optimize`] pipeline (constant
 //! folding, dead-store elimination, superinstruction fusion;
-//! `--opt=0|1|2|3` on the CLI), statically type-specialised from the
+//! `--opt=0|2|3` on the CLI), statically type-specialised from the
 //! block-structured [`ir`] by [`typeck`] (`--opt>=2`), and executed
 //! from a pooled call-frame arena — or the original
 //! tree-walking interpreter, kept as the differential-testing oracle

@@ -1,21 +1,21 @@
-//! The bytecode optimization pipeline (`zag --opt=0|1|2`).
+//! The bytecode optimization pipeline (`zag --opt=0|2|3`).
 //!
 //! Sits between [`crate::compile`] and [`crate::interp`]: `compile`
 //! produces the naive stream (exactly the `--opt=0` behaviour), and this
-//! module rewrites each [`CompiledFn`] in place. Pass ordering, repeated
-//! to a fixpoint:
+//! module rewrites each [`CompiledFn`] in place at every level above
+//! `--opt=0`. Pass ordering, repeated to a fixpoint:
 //!
-//! 1. **Constant folding + copy propagation** (`--opt>=1`) — block-local
+//! 1. **Constant folding + copy propagation** — block-local
 //!    forward walk: reads of registers holding a copy are redirected to
 //!    the original; `Arith`/`Cmp`/`Neg`/`Not`/`Truthy` over constant
 //!    operands fold to `Const` *only when evaluation succeeds* (an op
 //!    that would raise, like `1/0`, is left for the runtime so the error
 //!    and its text are preserved).
-//! 2. **Dead-store elimination** (`--opt>=1`) — a backward liveness
+//! 2. **Dead-store elimination** — a backward liveness
 //!    dataflow over basic blocks; only side-effect-free `Const`/`Move`
 //!    whose destination is dead are removed, then jump targets are
 //!    compacted.
-//! 3. **Superinstruction fusion** (`--opt=2`) — a peephole scan over the
+//! 3. **Superinstruction fusion** — a peephole scan over the
 //!    shapes that dominate the NPB inner loops; see the catalogue below.
 //!
 //! # Fusion catalogue
@@ -60,10 +60,9 @@ use crate::value::Value;
 pub enum OptLevel {
     /// The naive compile output, executed as-is (the PR 3 pipeline).
     O0,
-    /// Constant folding, copy propagation, dead-store elimination.
-    O1,
-    /// `O1` + superinstruction fusion and static type specialization from
-    /// the typed IR ([`crate::typeck`]) (default).
+    /// Constant folding, copy propagation, dead-store elimination,
+    /// superinstruction fusion, and static type specialization from the
+    /// typed IR ([`crate::typeck`]) (default).
     #[default]
     O2,
     /// `O2` + the native bulk-kernel tier ([`crate::kernels`]): hot typed
@@ -72,23 +71,21 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// Parse a CLI spelling (`0` | `1` | `2` | `3`).
+    /// Parse a CLI spelling (`0` | `2` | `3`).
     pub fn parse(s: &str) -> Option<OptLevel> {
         match s {
             "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
             "2" => Some(OptLevel::O2),
             "3" => Some(OptLevel::O3),
             _ => None,
         }
     }
 
-    /// Map a numeric level (from `ExecConfig::opt` or a service request)
-    /// onto the enum; values above 3 clamp to `O3`.
+    /// Map a numeric level (from `ExecConfig::opt` or a service request,
+    /// both of which admit only 0, 2 and 3) onto the enum.
     pub fn from_index(n: u8) -> OptLevel {
         match n {
             0 => OptLevel::O0,
-            1 => OptLevel::O1,
             2 => OptLevel::O2,
             _ => OptLevel::O3,
         }
@@ -99,7 +96,6 @@ impl fmt::Display for OptLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             OptLevel::O0 => "0",
-            OptLevel::O1 => "1",
             OptLevel::O2 => "2",
             OptLevel::O3 => "3",
         })
@@ -1443,11 +1439,9 @@ pub fn optimize_fn_stats(f: &mut CompiledFn, opt: OptLevel, nfuncs: usize) -> Op
         let pre_dse = f.code.len();
         changed |= dse(f);
         stats.dse += (pre_dse - f.code.len()) as u32;
-        if opt >= OptLevel::O2 {
-            let pre_fuse = f.code.len();
-            changed |= fuse(f);
-            stats.fused += (pre_fuse - f.code.len()) as u32;
-        }
+        let pre_fuse = f.code.len();
+        changed |= fuse(f);
+        stats.fused += (pre_fuse - f.code.len()) as u32;
         if !changed {
             break;
         }
@@ -1583,7 +1577,7 @@ mod tests {
     #[test]
     fn const_fold_collapses_pure_scalars() {
         let src = "fn main() void { var x: i64 = 2 + 3 * 4; print(x); }";
-        let img = image(src, OptLevel::O1);
+        let img = image(src, OptLevel::O2);
         let f = img.get("main").unwrap();
         assert!(
             !f.code.iter().any(|i| matches!(i, Insn::Arith { .. })),

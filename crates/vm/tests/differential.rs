@@ -10,20 +10,20 @@
 use zomp_vm::{Backend, OptLevel, Value, Vm};
 
 /// Every optimization level the bytecode backend must stay faithful at:
-/// `O0` is the raw stream, `O1` adds folding/copy-prop/DSE, `O2` adds
+/// `O0` is the raw stream, `O2` adds folding/copy-prop/DSE,
 /// superinstruction fusion and static type specialization, `O3` adds
 /// native bulk-kernel installation for hot loops.
-const OPT_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
+const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O2, OptLevel::O3];
 
 /// The opt levels this process actually exercises: all of [`OPT_LEVELS`]
-/// by default, or just the one named by `ZAG_TEST_OPT=0|1|2|3` — the hook
+/// by default, or just the one named by `ZAG_TEST_OPT=0|2|3` — the hook
 /// the CI opt-level matrix uses to run each level as a separate step with
 /// its own pass/fail line.
 fn opt_levels() -> Vec<OptLevel> {
     match std::env::var("ZAG_TEST_OPT") {
         Ok(s) => {
             let opt = OptLevel::parse(&s)
-                .unwrap_or_else(|| panic!("ZAG_TEST_OPT must be 0|1|2|3, got {s:?}"));
+                .unwrap_or_else(|| panic!("ZAG_TEST_OPT must be 0|2|3, got {s:?}"));
             vec![opt]
         }
         Err(_) => OPT_LEVELS.to_vec(),

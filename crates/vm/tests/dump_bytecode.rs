@@ -68,11 +68,6 @@ fn loop_program_disassembly_matches_golden() {
 }
 
 #[test]
-fn loop_program_opt1_disassembly_matches_golden() {
-    check(OptLevel::O1, "loop.opt1.disasm");
-}
-
-#[test]
 fn loop_program_opt2_disassembly_matches_golden() {
     check(OptLevel::O2, "loop.opt2.disasm");
 }
@@ -122,7 +117,7 @@ const CHUNK_PROGRAM: &str = r#"fn main() void {
 #[test]
 fn chunk_loop_heads_match_golden() {
     let mut got = String::new();
-    for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+    for opt in [OptLevel::O0, OptLevel::O2, OptLevel::O3] {
         let program = zomp_vm::compile_opt(CHUNK_PROGRAM, None, opt).expect("compile");
         let text = disasm(&program.code);
         assert!(

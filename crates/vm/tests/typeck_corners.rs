@@ -148,9 +148,10 @@ fn private_array_elem_type_stable_across_parallel_body() {
     );
 }
 
-/// At `--opt=3` the work-shared fill loop becomes a bulk kernel; when the
-/// loop runs out of bounds mid-flight the kernel must bail back to the
-/// interpreter and surface the *exact* error the oracle produces.
+/// At `--opt=3` the work-shared fill loop matches no fixed kernel and
+/// lands on the template tier; when the loop runs out of bounds
+/// mid-flight the template must bail back to the interpreter and surface
+/// the *exact* error the oracle produces.
 #[test]
 fn bulk_kernel_bails_with_oracle_error() {
     let src = r#"fn main() void {
@@ -165,8 +166,12 @@ fn bulk_kernel_bails_with_oracle_error() {
 }"#;
     let vm = build(src, OptLevel::O3);
     assert!(
-        vm.program.code.funcs.iter().any(|f| !f.kernels.is_empty()),
-        "expected a bulk kernel to install for the fill loop"
+        vm.program
+            .code
+            .funcs
+            .iter()
+            .any(|f| !f.templates.is_empty()),
+        "expected a template to install for the fill loop"
     );
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert!(ast.is_err(), "expected an out-of-bounds error");
@@ -174,9 +179,9 @@ fn bulk_kernel_bails_with_oracle_error() {
     assert_eq!(run(src, Backend::Native, OptLevel::O2), ast);
 }
 
-/// The happy path of the same kernel: in-bounds fill at `--opt=3` agrees
-/// with the oracle and still installs the kernel (i.e. the agreement is
-/// exercising the bulk path, not a failed match).
+/// The happy path of the same loop: in-bounds fill at `--opt=3` agrees
+/// with the oracle and still installs the template (i.e. the agreement
+/// is exercising the bulk path, not a failed match).
 #[test]
 fn bulk_kernel_fill_agrees_in_bounds() {
     let src = r#"fn main() void {
@@ -190,7 +195,57 @@ fn bulk_kernel_fill_agrees_in_bounds() {
     print(a[0], a[15]);
 }"#;
     let vm = build(src, OptLevel::O3);
-    assert!(vm.program.code.funcs.iter().any(|f| !f.kernels.is_empty()));
+    assert!(vm
+        .program
+        .code
+        .funcs
+        .iter()
+        .any(|f| !f.templates.is_empty()));
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert_eq!(run(src, Backend::Bytecode, OptLevel::O3), ast);
+}
+
+/// A fixed kernel's mid-loop bail, pinned on a non-LCG shape: the IS
+/// bucket-count loop installs `histogram`; with every key in range it
+/// agrees with the oracle, and with one key past the last bucket it
+/// bails at that element and replays to the oracle's exact error.
+#[test]
+fn histogram_kernel_bails_on_out_of_range_key() {
+    const HIST: &str = r#"fn main() void {
+    var keys: i64 = @allocI(16);
+    var k: i64 = 0;
+    while (k < 16) : (k += 1) { keys[k] = k; }
+    keys[9] = KEY9;
+    var sd: i64 = 4;
+    var total: i64 = 0;
+    //$omp parallel num_threads(1) shared(keys) firstprivate(sd) reduction(+: total)
+    {
+        var local: i64 = @allocI(4);
+        var i: i64 = 0;
+        //$omp while schedule(static) nowait
+        while (i < 16) : (i += 1) {
+            var b: i64 = keys[i] / sd;
+            local[b] = local[b] + 1;
+        }
+        total += local[0] + 10 * local[1] + 100 * local[2] + 1000 * local[3];
+    }
+    print(total);
+}"#;
+    for (key9, in_range) in [("9", true), ("1000", false)] {
+        let src = HIST.replace("KEY9", key9);
+        let vm = build(&src, OptLevel::O3);
+        assert!(
+            vm.program
+                .code
+                .funcs
+                .iter()
+                .flat_map(|f| &f.kernels)
+                .any(|k| k.kind.name() == "histogram"),
+            "expected the histogram kernel to install"
+        );
+        let ast = run(&src, Backend::Ast, OptLevel::O0);
+        assert_eq!(ast.is_ok(), in_range, "{ast:?}");
+        assert_eq!(run(&src, Backend::Bytecode, OptLevel::O3), ast);
+        assert_eq!(run(&src, Backend::Native, OptLevel::O2), ast);
+    }
 }

@@ -9,7 +9,7 @@
 //!   "entry":   "main",                       // default "main"
 //!   "args":    [4, 2.5, {"f64": [1, 2]}],    // default []
 //!   "backend": "ast" | "bytecode" | "native",// default "bytecode"
-//!   "opt":     0 | 1 | 2 | 3,                // default 3 (the service
+//!   "opt":     0 | 2 | 3,                    // default 3 (the service
 //!                                            // compiles once, runs many)
 //!   "threads": 4,                            // nthreads-var for this run
 //!   "schedule": "dynamic,64",                // run-sched-var for this run
@@ -386,6 +386,16 @@ mod tests {
             Err(e) => e,
         };
         assert!(e.contains("theads"), "{e}");
+    }
+
+    #[test]
+    fn removed_opt_level_is_rejected_with_the_valid_ones() {
+        let parsed = Json::parse(r#"{"source": "x", "opt": 1}"#).unwrap();
+        let e = match RunRequest::from_json(&parsed) {
+            Ok(_) => panic!("`opt: 1` accepted"),
+            Err(e) => e,
+        };
+        assert!(e.contains("expected 0, 2 or 3"), "{e}");
     }
 
     #[test]
