@@ -71,7 +71,7 @@ pub use config::ExecConfig;
 pub use reduction::RedOp;
 pub use runtime::{Runtime, RuntimeConfig};
 pub use schedule::{LoopBounds, Schedule, ScheduleKind};
-pub use team::{fork_call, fork_call_rt, Parallel, ThreadCtx};
+pub use team::{fork_call, fork_call_rt, Parallel, ThreadCtx, MAX_CALL_DEPTH, STACK_BYTES};
 pub use trace::MetricsSnapshot;
 pub use workshare::{parallel_for, parallel_reduce};
 

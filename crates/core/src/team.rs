@@ -600,6 +600,31 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
     }
 }
 
+/// Deepest chain of nested user-function activations — calls, and
+/// region bodies entered through `fork_call` — a thread running
+/// interpreted user code may build. The Zag VM turns activation
+/// `MAX_CALL_DEPTH + 1` into a runtime error; without the limit,
+/// unbounded recursion runs off the native stack and aborts the process
+/// (and with it every other request of a `zagd`).
+pub const MAX_CALL_DEPTH: usize = 2000;
+
+/// Stack size of every thread that runs user code: the pool workers
+/// here, `zagd`'s per-request thread, `zag`'s program thread. Sized from
+/// [`MAX_CALL_DEPTH`] so that limit is reached before the guard page.
+/// Measured per activation, worst of both VM backends and of recursion
+/// that opens a region at every level: 3.0 KB optimized, 57 KB in a debug
+/// build; budgeted at 6 KB and 96 KB. The optimized size stays under
+/// glibc's thread-stack cache (40 MB) for a few concurrent `zagd`
+/// requests — above it every spawn pays an `mmap`/`munmap` pair, which
+/// doubled spawn+join time at 16 MB x 2. The pages are only touched by
+/// recursion that deep.
+pub const STACK_BYTES: usize = MAX_CALL_DEPTH
+    * if cfg!(debug_assertions) {
+        96 << 10
+    } else {
+        6 << 10
+    };
+
 struct Pool {
     free: Mutex<Vec<Arc<WorkerSlot>>>,
     spawned: AtomicUsize,
@@ -629,6 +654,7 @@ impl Pool {
             let s = Arc::clone(&slot);
             std::thread::Builder::new()
                 .name(format!("zomp-worker-{id}"))
+                .stack_size(STACK_BYTES)
                 .spawn(move || worker_loop(s))
                 .expect("failed to spawn zomp worker thread");
             out.push(slot);

@@ -95,21 +95,30 @@ mod tests {
 
     #[test]
     fn values_persist_across_regions_on_same_thread() {
-        // The hot team reuses OS threads, so threadprivate state persists
-        // between regions — the property EP relies on.
+        // Threadprivate state outlives a region on the OS thread that
+        // wrote it. Here that is asserted for thread 0 — the forking
+        // thread, the same in both regions — and for the workers only
+        // that they see the initial value or one the first region wrote:
+        // other tests of this process fork on the same pool, so which
+        // workers a region gets is not fixed. `tests/hot_team.rs` checks
+        // the whole team, in a process of its own.
         let tp = ThreadPrivate::new(|| 0usize);
-        let mismatches = AtomicUsize::new(0);
+        let strays = AtomicUsize::new(0);
         fork_call(Parallel::new().num_threads(4), |ctx| {
             tp.set(ctx.thread_num() * 7 + 1);
         });
-        fork_call(Parallel::new().num_threads(4), |_ctx| {
-            // Whatever thread id we have now, the value must be one written
-            // by *some* thread in the previous region (nonzero).
-            if tp.get() == 0 {
-                mismatches.fetch_add(1, Ordering::SeqCst);
+        fork_call(Parallel::new().num_threads(4), |ctx| {
+            let seen = tp.get();
+            let ok = if ctx.thread_num() == 0 {
+                seen == 1
+            } else {
+                [0, 1, 8, 15, 22].contains(&seen)
+            };
+            if !ok {
+                strays.fetch_add(1, Ordering::SeqCst);
             }
         });
-        assert_eq!(mismatches.load(Ordering::SeqCst), 0);
+        assert_eq!(strays.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! VM API: the kernel telemetry probes fold into `MetricsSnapshot`,
 //! specialised-opcode and bulk-loop fallbacks count and leave no state
 //! behind, the profiler's event fold attributes a natively-carried
-//! pragma loop to the native tier with its `unit:line` label intact, and
-//! every fixed kernel the NPB ports install is one they enter.
+//! pragma loop to the native tier with its `unit:line` label intact,
+//! every fixed kernel the NPB ports install is one they enter, and every
+//! installed template's remark says whether it runs strip-mined.
 //!
 //! Tracing mode is process-global, so every test serialises on one
 //! mutex and restores the disabled state before releasing it.
@@ -380,6 +381,65 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
             assert_eq!(trips, N, "{what}: per-thread loop spans sum to the trip");
         }
     }
+}
+
+/// The benchmark's `vm_generic` stencil kind (a 3-point float stencil
+/// and an int sum of squares, both template loops) plus a serial
+/// histogram no fixed kernel takes.
+const STENCIL_AND_HIST: &str = r#"
+fn stencil(u: []f64, v: []f64, x: []i64, n: i64, reps: i64, nthreads: i64) i64 {
+    var acc: i64 = 0;
+    //$omp parallel num_threads(nthreads) shared(u, v, x) firstprivate(n, reps) reduction(+: acc)
+    {
+        var r: i64 = 0;
+        while (r < reps) : (r += 1) {
+            var i: i64 = 1;
+            //$omp while schedule(static) nowait
+            while (i < n - 1) : (i += 1) {
+                v[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1];
+            }
+            var j: i64 = 0;
+            //$omp while schedule(static) nowait
+            while (j < n) : (j += 1) {
+                acc = acc + x[j] * x[j];
+            }
+        }
+    }
+    return acc;
+}
+fn hist(key: []i64, h: []i64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        h[key[i]] += 1;
+    }
+}
+"#;
+
+/// Every `template-installed` remark says how the loop runs: the two
+/// benchmark loops are distributable and report `strip`, the histogram
+/// stores through a gathered index and reports the rule that keeps it
+/// scalar — in the text remark and in `--remarks=json` alike.
+#[test]
+fn template_remarks_carry_the_strip_verdict() {
+    let diags = zomp_vm::remarks::collect(STENCIL_AND_HIST, "stencil.zag", OptLevel::O3)
+        .expect("compile stencil");
+    let installed: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.code == "template-installed")
+        .map(|d| d.message.as_str())
+        .collect();
+    let verdict_of = |func: &str, insns: &str| {
+        let m = installed
+            .iter()
+            .find(|m| m.contains(func) && m.contains(insns))
+            .unwrap_or_else(|| panic!("no {insns} template in {func}: {installed:?}"));
+        m.rsplit_once("), ").expect("verdict suffix").1
+    };
+    assert_eq!(verdict_of("__omp_outlined_0", "13 insns"), "strip");
+    assert_eq!(verdict_of("__omp_outlined_0", "3 insns"), "strip");
+    assert_eq!(verdict_of("`hist`", "5 insns"), "scalar: non-affine-store");
+    let json = zomp_vm::remarks::render_json(&diags, STENCIL_AND_HIST);
+    assert!(json.contains("(pc 2), scalar: non-affine-store"), "{json}");
 }
 
 fn arr_i(v: impl IntoIterator<Item = i64>) -> Arc<ArrI> {

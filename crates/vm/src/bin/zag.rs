@@ -200,9 +200,23 @@ fn main() {
         print!("{}", zomp_vm::ir::dump(&vm.program.code));
         return;
     }
-    if let Err(e) = vm.call_function("main", Vec::new()) {
-        eprintln!("zag: {e}");
-        std::process::exit(1);
+    // The main thread's stack is whatever the shell's `ulimit -s` says;
+    // the program gets the stack every other thread running Zag code
+    // has, so runaway recursion is a runtime error here too.
+    let ran = std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(zomp::STACK_BYTES)
+            .spawn_scoped(s, || vm.call_function("main", Vec::new()))
+            .expect("spawn the program thread")
+            .join()
+    });
+    match ran {
+        Ok(Ok(_)) => {}
+        Ok(Err(e)) => {
+            eprintln!("zag: {e}");
+            std::process::exit(1);
+        }
+        Err(panic) => std::panic::resume_unwind(panic),
     }
 
     if profile {

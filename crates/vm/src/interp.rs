@@ -14,7 +14,7 @@
 //! two are required to produce byte-identical output (including error
 //! messages), which `crates/vm/tests/differential.rs` enforces.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,6 +26,41 @@ use crate::builtins;
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, Image, Insn, OmpFn, Reg};
 use crate::optimize::OptLevel;
 use crate::value::{err, ArrF, ArrI, Slot, Value, VmError, VmResult};
+
+thread_local! {
+    /// Zag calls currently nested on this thread's native stack.
+    static CALL_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One nested Zag function activation on this thread — a call, or a
+/// region body entered through `fork_call` — counted for as long as the
+/// guard lives. Both backends recurse natively per activation (`dispatch`
+/// → `call_fn` → `dispatch`, `eval_call` → `call_function`), so both take
+/// a guard per activation and fail number [`zomp::MAX_CALL_DEPTH`]` + 1`
+/// with the same error instead of running off the stack; every thread
+/// that runs Zag code for the runtime gets [`zomp::STACK_BYTES`] of it.
+struct CallDepth;
+
+impl CallDepth {
+    fn enter() -> VmResult<CallDepth> {
+        CALL_DEPTH.with(|d| {
+            if d.get() >= zomp::MAX_CALL_DEPTH {
+                return err(format!(
+                    "stack overflow: more than {} nested calls",
+                    zomp::MAX_CALL_DEPTH
+                ));
+            }
+            d.set(d.get() + 1);
+            Ok(CallDepth)
+        })
+    }
+}
+
+impl Drop for CallDepth {
+    fn drop(&mut self) {
+        CALL_DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
 
 /// Which execution engine runs function bodies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -314,6 +349,7 @@ impl Vm {
     /// runtime is already current there (`zomp::fork_call_rt` enters it on
     /// every team thread), and each thread gets its own copy of `args`.
     pub(crate) fn call_resolved(&self, fi: usize, args: &[Value]) -> VmResult<Value> {
+        let _depth = CallDepth::enter()?;
         match self.backend {
             Backend::Bytecode | Backend::Native => self.run_bytecode(fi, args.iter().cloned()),
             Backend::Ast => {
@@ -635,13 +671,17 @@ impl Vm {
                 None => err(OmpFn::unknown(rest)),
             },
             Some([name]) if self.program.functions.contains_key(*name) => {
+                let _depth = CallDepth::enter()?;
                 self.call_function(name, args)
             }
             _ => {
                 // Fall back: callee evaluates to a function value.
                 let callee = self.eval(frame, node.lhs)?;
                 match callee {
-                    Value::Fn(name) => self.call_function(&name, args),
+                    Value::Fn(name) => {
+                        let _depth = CallDepth::enter()?;
+                        self.call_function(&name, args)
+                    }
                     other => err(format!("{} is not callable", other.type_name())),
                 }
             }
@@ -679,6 +719,7 @@ impl Vm {
     /// argument block straight from the caller's registers into a pooled
     /// frame — no `Vec` allocation, no `Arc` traffic.
     fn call_fn(&self, fi: usize, regs: &mut [Value], base: Reg, n: u16) -> VmResult<Value> {
+        let _depth = CallDepth::enter()?;
         let f = &self.program.code.funcs[fi];
         if n as usize != f.nparams {
             return err(format!(

@@ -121,8 +121,10 @@ fn kernel_remarks(source: &str, image: &Image, f: &CompiledFn, out: &mut Vec<Dia
             "template-installed",
             label_offset(source, desc.label),
             format!(
-                "fn `{}`: template installed: typed loop, {} insns (pc {pc})",
-                f.name, desc.prog.ninsns
+                "fn `{}`: template installed: typed loop, {} insns (pc {pc}), {}",
+                f.name,
+                desc.prog.ninsns,
+                desc.prog.verdict()
             ),
         );
         if !desc.label.is_empty() {

@@ -15,6 +15,14 @@
 //! pointer call per source instruction per iteration, no `Value`
 //! boxing, no operand decoding, no match dispatch.
 //!
+//! A loop whose iterations are independent — apart from single-op
+//! reductions — runs *strip-mined* instead (see [`StripPlan`]): each op
+//! executes over a strip of up to [`STRIP`] consecutive iterations
+//! before the next op starts, every per-iteration scalar expanded to a
+//! column, so the indirect call is paid once per op per strip, not once
+//! per op per iteration. The installer decides which of the two walks a
+//! variant gets; the `template-installed` remark reports the verdict.
+//!
 //! Two loop forms are recognised, matching what the compiler emits
 //! for `while` loops after optimization:
 //!
@@ -51,7 +59,7 @@
 //! - Loads and stores execute in interpreter order within an
 //!   iteration, so aliasing arrays behave exactly as interpreted.
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -65,6 +73,17 @@ pub const NARR: usize = 6;
 /// Longest loop (source instructions, head through back-edge) the
 /// matcher will decode.
 const MAX_INSNS: usize = 24;
+/// Iterations a strip-mined variant runs per op. Per-element cost is
+/// flat from 64 to 512; 128 keeps a ten-column loop inside 10 KB of L1.
+const STRIP: usize = 128;
+/// Most columns per kind a strip plan may use (bounds the per-thread
+/// scratch at `2 * MAX_COLS * STRIP * 8` bytes).
+const MAX_COLS: usize = 32;
+/// Int column 0 is the induction variable's iota.
+const IOTA: u16 = 0;
+/// Strip operand tag: not a column but the loop-carried accumulator in
+/// scalar frame slot `operand & !ACC`.
+const ACC: u16 = 0x8000;
 
 type Bail = &'static str;
 const BAIL_TYPE: Bail = "type";
@@ -177,6 +196,34 @@ pub struct TVariant {
     /// fences open for the whole run, as the kernels do).
     pub wf_i: Vec<u16>,
     pub wf_f: Vec<u16>,
+    /// How to run the loop strip-mined, or why it must run one
+    /// iteration at a time (the reason the install remark prints).
+    pub strip: Result<StripPlan, &'static str>,
+}
+
+/// A distributable loop re-lowered for strip execution: strip-mine by
+/// [`STRIP`], distribute the strip loop over the ops, expand every
+/// per-iteration scalar to a column. Legal because the installer
+/// proved (`plan_strip`) that nothing but single-op accumulators is
+/// carried between iterations and no stored array is read or written
+/// at a second index.
+pub struct StripPlan {
+    /// The variant's protos lowered one by one (unfused) with column
+    /// operands: every definition gets a fresh column, so a
+    /// destination is always numbered above its sources.
+    ops: Vec<(StripFn, TOp)>,
+    /// Columns used per kind.
+    ni: usize,
+    nf: usize,
+    /// Loop-invariant scalars broadcast into columns on entry:
+    /// `(float?, slot, column)`.
+    bcast: Vec<(bool, u16, u16)>,
+    /// Some op reads the induction variable as a value (affine
+    /// loads/stores do not): fill [`IOTA`] every strip.
+    iota: bool,
+    /// Written slots and the column of their last definition, copied
+    /// back from the final lane on normal exit.
+    last: Vec<(bool, u16, u16)>,
 }
 
 /// One template op: a monomorphized function over the frame plus its
@@ -196,6 +243,18 @@ pub struct TOp {
 
 pub type OpFn = fn(&mut TFrame<'_>, &TOp) -> Result<(), Bail>;
 
+/// The strip form of an op: the same [`TOp`] operand layout, but `a`,
+/// `b`, `c` name columns (or carry the [`ACC`] tag) instead of slots.
+type StripFn = fn(&mut Strip<'_, '_>, &TOp) -> Result<(), Bail>;
+
+/// Both walks of one template op, generated together so each
+/// arithmetic expression is written once.
+#[derive(Clone, Copy)]
+struct Ops {
+    one: OpFn,
+    strip: StripFn,
+}
+
 /// The unboxed execution frame: fixed scalar slot files plus raw
 /// element slices of the bound arrays (the owning `Arc`s are held
 /// alive by the runner for the duration of the run).
@@ -204,6 +263,118 @@ pub struct TFrame<'a> {
     pub flts: [f64; NSLOT],
     pub ai: [&'a [UnsafeCell<i64>]; NARR],
     pub af: [&'a [UnsafeCell<f64>]; NARR],
+}
+
+/// The strip execution state: the scalar frame (invariants, the
+/// induction variable at the strip's first iteration, accumulators)
+/// plus this thread's column scratch.
+struct Strip<'s, 'a> {
+    fr: &'s mut TFrame<'a>,
+    ci: &'s mut [[i64; STRIP]],
+    cf: &'s mut [[f64; STRIP]],
+    /// Iterations in this strip (`1..=STRIP`).
+    n: usize,
+    /// The induction variable at lane 0, and its step per lane.
+    i0: i64,
+    step: i64,
+}
+
+/// One kind's columns: a strip's worth of lanes per expanded scalar.
+type Cols<T> = Vec<[T; STRIP]>;
+
+thread_local! {
+    /// Column scratch, grown to the widest plan this thread has run and
+    /// never shrunk or re-zeroed: every column is written (broadcast,
+    /// iota or an op's destination) before a strip reads it.
+    static COLS: RefCell<(Cols<i64>, Cols<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// An element kind's two files: scalar slots and columns.
+trait Lane: Copy {
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [Self; NSLOT], &'s mut [[Self; STRIP]]);
+}
+impl Lane for i64 {
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [i64; NSLOT], &'s mut [[i64; STRIP]]) {
+        (&mut sf.fr.ints, sf.ci)
+    }
+}
+impl Lane for f64 {
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [f64; NSLOT], &'s mut [[f64; STRIP]]) {
+        (&mut sf.fr.flts, sf.cf)
+    }
+}
+
+/// Destination column `d` (its first `n` lanes) and, read-only, the
+/// columns numbered below it — where a plan puts every source.
+fn split<T>(cols: &mut [[T; STRIP]], d: u16, n: usize) -> (&[[T; STRIP]], &mut [T]) {
+    let (lo, hi) = cols.split_at_mut(d as usize);
+    (lo, &mut hi[0][..n])
+}
+
+/// Strip form of `a = b op c`. With `a` an accumulator the strip folds
+/// into its scalar slot lane by lane, so a float sum rounds in
+/// iteration order exactly as the scalar chain does.
+fn strip2<T: Lane>(
+    sf: &mut Strip,
+    op: &TOp,
+    e: impl Fn(T, T) -> Result<T, Bail>,
+) -> Result<(), Bail> {
+    let n = sf.n;
+    let (file, cols) = T::files(sf);
+    if op.a & ACC != 0 {
+        let s = (op.a & !ACC) as usize;
+        let mut acc = file[s];
+        if op.b == op.a {
+            for &y in &cols[op.c as usize][..n] {
+                acc = e(acc, y)?;
+            }
+        } else {
+            for &x in &cols[op.b as usize][..n] {
+                acc = e(x, acc)?;
+            }
+        }
+        file[s] = acc;
+        return Ok(());
+    }
+    let (lo, d) = split(cols, op.a, n);
+    let (xs, ys) = (&lo[op.b as usize][..n], &lo[op.c as usize][..n]);
+    for k in 0..n {
+        d[k] = e(xs[k], ys[k])?;
+    }
+    Ok(())
+}
+
+/// Strip form of `a = b op immediate` (either operand order).
+fn strip1<T: Lane>(sf: &mut Strip, op: &TOp, e: impl Fn(T) -> Result<T, Bail>) -> Result<(), Bail> {
+    let n = sf.n;
+    let (file, cols) = T::files(sf);
+    if op.a & ACC != 0 {
+        let s = (op.a & !ACC) as usize;
+        let mut acc = file[s];
+        for _ in 0..n {
+            acc = e(acc)?;
+        }
+        file[s] = acc;
+        return Ok(());
+    }
+    let (lo, d) = split(cols, op.a, n);
+    for (d, &x) in d.iter_mut().zip(&lo[op.b as usize][..n]) {
+        *d = e(x)?;
+    }
+    Ok(())
+}
+
+impl TProg {
+    /// How the loop runs, for the install remark: `strip`, or
+    /// `scalar: <the rule that keeps it one iteration at a time>`
+    /// (the variants differ only in kinds, never in the verdict).
+    pub(crate) fn verdict(&self) -> String {
+        match &self.variants[0].strip {
+            Ok(_) => "strip".to_string(),
+            Err(why) => format!("scalar: {why}"),
+        }
+    }
 }
 
 impl TemplateDesc {
@@ -241,70 +412,84 @@ fn div_ok(x: i64, y: i64) -> bool {
     y != 0 && !(y == -1 && x == i64::MIN)
 }
 
+/// `a = b op c` over slots of one kind: the scalar op and its strip
+/// form from one expression.
+macro_rules! ops2 {
+    ($n:ident, $t:ty, $file:ident, |$x:ident, $y:ident| $e:expr) => {
+        #[allow(non_upper_case_globals)]
+        const $n: Ops = {
+            #[inline(always)]
+            fn e($x: $t, $y: $t) -> Result<$t, Bail> {
+                $e
+            }
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                fr.$file[op.a as usize] = e(fr.$file[op.b as usize], fr.$file[op.c as usize])?;
+                Ok(())
+            }
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                strip2::<$t>(sf, op, e)
+            }
+            Ops { one, strip }
+        };
+    };
+}
+/// `a = b op immediate` (`$imm` is the `TOp` field holding it).
+macro_rules! ops1 {
+    ($n:ident, $t:ty, $file:ident, $imm:ident, |$x:ident, $k:ident| $e:expr) => {
+        #[allow(non_upper_case_globals)]
+        const $n: Ops = {
+            #[inline(always)]
+            fn e($x: $t, $k: $t) -> Result<$t, Bail> {
+                $e
+            }
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                fr.$file[op.a as usize] = e(fr.$file[op.b as usize], op.$imm)?;
+                Ok(())
+            }
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                let k = op.$imm;
+                strip1::<$t>(sf, op, |x| e(x, k))
+            }
+            Ops { one, strip }
+        };
+    };
+}
 macro_rules! op_ii {
     ($n:ident, |$x:ident, $y:ident| $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.ints[op.b as usize];
-            let $y = fr.ints[op.c as usize];
-            fr.ints[op.a as usize] = $e;
-            Ok(())
-        }
+        ops2!($n, i64, ints, |$x, $y| Ok($e));
     };
 }
 macro_rules! op_ii_div {
     ($n:ident, |$x:ident, $y:ident| $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.ints[op.b as usize];
-            let $y = fr.ints[op.c as usize];
-            if !div_ok($x, $y) {
-                return Err(BAIL_DIV);
-            }
-            fr.ints[op.a as usize] = $e;
-            Ok(())
-        }
+        ops2!($n, i64, ints, |$x, $y| if div_ok($x, $y) {
+            Ok($e)
+        } else {
+            Err(BAIL_DIV)
+        });
     };
 }
 macro_rules! op_ik {
     ($n:ident, |$x:ident, $k:ident| $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.ints[op.b as usize];
-            let $k = op.ki;
-            fr.ints[op.a as usize] = $e;
-            Ok(())
-        }
+        ops1!($n, i64, ints, ki, |$x, $k| Ok($e));
     };
 }
 macro_rules! op_ik_div {
     ($n:ident, |$x:ident, $k:ident| $num:ident / $den:ident, $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.ints[op.b as usize];
-            let $k = op.ki;
-            if !div_ok($num, $den) {
-                return Err(BAIL_DIV);
-            }
-            fr.ints[op.a as usize] = $e;
-            Ok(())
-        }
+        ops1!($n, i64, ints, ki, |$x, $k| if div_ok($num, $den) {
+            Ok($e)
+        } else {
+            Err(BAIL_DIV)
+        });
     };
 }
 macro_rules! op_ff {
     ($n:ident, |$x:ident, $y:ident| $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.flts[op.b as usize];
-            let $y = fr.flts[op.c as usize];
-            fr.flts[op.a as usize] = $e;
-            Ok(())
-        }
+        ops2!($n, f64, flts, |$x, $y| Ok($e));
     };
 }
 macro_rules! op_fk {
     ($n:ident, |$x:ident, $k:ident| $e:expr) => {
-        fn $n(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-            let $x = fr.flts[op.b as usize];
-            let $k = op.kf;
-            fr.flts[op.a as usize] = $e;
-            Ok(())
-        }
+        ops1!($n, f64, flts, kf, |$x, $k| Ok($e));
     };
 }
 
@@ -375,63 +560,159 @@ fn fmak_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
     Ok(())
 }
 
-fn mov_i(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    fr.ints[op.a as usize] = fr.ints[op.b as usize];
+/// `a = b` and `a = immediate` for one kind.
+macro_rules! ops_mov {
+    ($mov:ident, $konst:ident, $t:ty, $file:ident, $imm:ident) => {
+        #[allow(non_upper_case_globals)]
+        const $mov: Ops = {
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                fr.$file[op.a as usize] = fr.$file[op.b as usize];
+                Ok(())
+            }
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                let n = sf.n;
+                let (lo, d) = split(<$t>::files(sf).1, op.a, n);
+                d.copy_from_slice(&lo[op.b as usize][..n]);
+                Ok(())
+            }
+            Ops { one, strip }
+        };
+        #[allow(non_upper_case_globals)]
+        const $konst: Ops = {
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                fr.$file[op.a as usize] = op.$imm;
+                Ok(())
+            }
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                let n = sf.n;
+                split(<$t>::files(sf).1, op.a, n).1.fill(op.$imm);
+                Ok(())
+            }
+            Ops { one, strip }
+        };
+    };
+}
+ops_mov!(mov_i, const_i, i64, ints, ki);
+ops_mov!(mov_f, const_f, f64, flts, kf);
+
+/// First element index of an affine access `ind + off` over a strip of
+/// `n` lanes, after checking the first and last lane against `len` —
+/// the lanes between them are monotone, so one check covers the strip.
+/// Any overflow on the way is reported as out of bounds: the scalar
+/// replay then finds out what the interpreter would really do.
+fn affine(len: usize, n: usize, i0: i64, step: i64, off: i64) -> Result<i64, Bail> {
+    let first = i0.checked_add(off).ok_or(BAIL_BOUNDS)?;
+    let last = first
+        .checked_add((n as i64 - 1) * step)
+        .ok_or(BAIL_BOUNDS)?;
+    if (first as u64) >= len as u64 || (last as u64) >= len as u64 {
+        return Err(BAIL_BOUNDS);
+    }
+    Ok(first)
+}
+
+/// Fill `d` from `arr`: a gather through the index column, or — `idx`
+/// `None`, the index is the induction variable — a (strided) slice copy.
+fn load_lanes<T: Copy>(
+    arr: &[UnsafeCell<T>],
+    d: &mut [T],
+    idx: Option<&[i64]>,
+    (i0, step, off): (i64, i64, i64),
+) -> Result<(), Bail> {
+    let Some(idx) = idx else {
+        let first = affine(arr.len(), d.len(), i0, step, off)?;
+        if step == 1 {
+            let src = &arr[first as usize..first as usize + d.len()];
+            for (d, c) in d.iter_mut().zip(src) {
+                // SAFETY: a plain element read through the cell, as the
+                // scalar `ld` does one lane at a time.
+                *d = unsafe { *c.get() };
+            }
+        } else {
+            for (k, d) in d.iter_mut().enumerate() {
+                // SAFETY: `affine` bounds-checked the first and last
+                // lane; the rest lie between them.
+                *d = unsafe { *arr.get_unchecked((first + k as i64 * step) as usize).get() };
+            }
+        }
+        return Ok(());
+    };
+    for (d, &i) in d.iter_mut().zip(idx) {
+        let i = i.wrapping_add(off);
+        if (i as u64) >= arr.len() as u64 {
+            return Err(BAIL_BOUNDS);
+        }
+        // SAFETY: checked on the line above.
+        *d = unsafe { *arr.get_unchecked(i as usize).get() };
+    }
     Ok(())
 }
-fn mov_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    fr.flts[op.a as usize] = fr.flts[op.b as usize];
-    Ok(())
-}
-fn const_i(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    fr.ints[op.a as usize] = op.ki;
-    Ok(())
-}
-fn const_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    fr.flts[op.a as usize] = op.kf;
+
+/// Store `s` at the affine index `ind + 0`, bounds-checked before the
+/// first lane is written.
+fn store_lanes<T: Copy>(arr: &[UnsafeCell<T>], s: &[T], i0: i64, step: i64) -> Result<(), Bail> {
+    let first = affine(arr.len(), s.len(), i0, step, 0)?;
+    for (k, &v) in s.iter().enumerate() {
+        // SAFETY: `affine` bounds-checked the first and last lane; the
+        // rest lie between them.
+        unsafe { *arr.get_unchecked((first + k as i64 * step) as usize).get() = v };
+    }
     Ok(())
 }
 
 /// Loads/stores: `b` is the index slot, `off` the static offset
 /// (`IndexOff`/`DerefIndexOff` fold it with a wrapping add, exactly
 /// as the interpreter's `index_off`). A negative or too-large index
-/// is one unsigned compare.
-fn ld_i(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let i = fr.ints[op.b as usize].wrapping_add(op.off);
-    let arr = fr.ai[op.c as usize];
-    if (i as u64) >= arr.len() as u64 {
-        return Err(BAIL_BOUNDS);
-    }
-    fr.ints[op.a as usize] = unsafe { *arr.get_unchecked(i as usize).get() };
-    Ok(())
+/// is one unsigned compare. `$dst` yields the strip load's
+/// `(int columns, destination lanes)`.
+macro_rules! ops_mem {
+    ($ld:ident, $st:ident, $file:ident, $arrs:ident, $cols:ident, |$sf:ident, $op:ident| $dst:expr) => {
+        #[allow(non_upper_case_globals)]
+        const $ld: Ops = {
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                let i = fr.ints[op.b as usize].wrapping_add(op.off);
+                let arr = fr.$arrs[op.c as usize];
+                if (i as u64) >= arr.len() as u64 {
+                    return Err(BAIL_BOUNDS);
+                }
+                fr.$file[op.a as usize] = unsafe { *arr.get_unchecked(i as usize).get() };
+                Ok(())
+            }
+            fn strip($sf: &mut Strip, $op: &TOp) -> Result<(), Bail> {
+                let arr = $sf.fr.$arrs[$op.c as usize];
+                let at = ($sf.i0, $sf.step, $op.off);
+                let (ci, d) = $dst;
+                let idx = ($op.b != IOTA).then(|| &ci[$op.b as usize][..d.len()]);
+                load_lanes(arr, d, idx, at)
+            }
+            Ops { one, strip }
+        };
+        #[allow(non_upper_case_globals)]
+        const $st: Ops = {
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                let i = fr.ints[op.b as usize].wrapping_add(op.off);
+                let arr = fr.$arrs[op.a as usize];
+                if (i as u64) >= arr.len() as u64 {
+                    return Err(BAIL_BOUNDS);
+                }
+                unsafe { *arr.get_unchecked(i as usize).get() = fr.$file[op.c as usize] };
+                Ok(())
+            }
+            /// A plan only ever stores at the induction variable.
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                debug_assert_eq!(op.b, IOTA);
+                let s = &sf.$cols[op.c as usize][..sf.n];
+                store_lanes(sf.fr.$arrs[op.a as usize], s, sf.i0, sf.step)
+            }
+            Ops { one, strip }
+        };
+    };
 }
-fn ld_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let i = fr.ints[op.b as usize].wrapping_add(op.off);
-    let arr = fr.af[op.c as usize];
-    if (i as u64) >= arr.len() as u64 {
-        return Err(BAIL_BOUNDS);
-    }
-    fr.flts[op.a as usize] = unsafe { *arr.get_unchecked(i as usize).get() };
-    Ok(())
-}
-fn st_i(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let i = fr.ints[op.b as usize].wrapping_add(op.off);
-    let arr = fr.ai[op.a as usize];
-    if (i as u64) >= arr.len() as u64 {
-        return Err(BAIL_BOUNDS);
-    }
-    unsafe { *arr.get_unchecked(i as usize).get() = fr.ints[op.c as usize] };
-    Ok(())
-}
-fn st_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let i = fr.ints[op.b as usize].wrapping_add(op.off);
-    let arr = fr.af[op.a as usize];
-    if (i as u64) >= arr.len() as u64 {
-        return Err(BAIL_BOUNDS);
-    }
-    unsafe { *arr.get_unchecked(i as usize).get() = fr.flts[op.c as usize] };
-    Ok(())
-}
+ops_mem!(ld_i, st_i, ints, ai, ci, |sf, op| split(sf.ci, op.a, sf.n));
+ops_mem!(ld_f, st_f, flts, af, cf, |sf, op| (
+    &*sf.ci,
+    &mut sf.cf[op.a as usize][..sf.n]
+));
 
 fn cmp_i(op: CmpOp, a: i64, b: i64) -> bool {
     match op {
@@ -581,7 +862,15 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
     for &s in &v.wf_f {
         bump_f[s as usize] = arcf[s as usize].as_ref().unwrap().write_fence_begin();
     }
-    let r = exec(v, &mut fr);
+    // Strip order moves an iteration's store past later iterations'
+    // loads, which is only invisible while no other bound array is the
+    // stored one under another name.
+    let r = match &v.strip {
+        Ok(plan) if !stored_alias(&arci, &v.wf_i) && !stored_alias(&arcf, &v.wf_f) => {
+            exec_strip(v, plan, &mut fr)
+        }
+        _ => exec(v, &mut fr),
+    };
     for &s in &v.wf_i {
         arci[s as usize]
             .as_ref()
@@ -620,6 +909,119 @@ fn box_out(o: &Out, fr: &TFrame, regs: &mut [Value]) {
         Out::Int { reg, slot } => regs[reg as usize] = Value::Int(fr.ints[slot as usize]),
         Out::Flt { reg, slot } => regs[reg as usize] = Value::Float(fr.flts[slot as usize]),
     }
+}
+
+/// Whether an array the variant stores into is also bound in another
+/// slot of its kind.
+fn stored_alias<T>(arcs: &[Option<Arc<T>>; NARR], stored: &[u16]) -> bool {
+    stored.iter().any(|&s| {
+        let target = arcs[s as usize].as_ref().unwrap();
+        arcs.iter()
+            .enumerate()
+            .any(|(k, a)| k != s as usize && a.as_ref().is_some_and(|a| Arc::ptr_eq(a, target)))
+    })
+}
+
+/// Iterations the loop runs from `i0`, or `None` when the induction
+/// variable would wrap on the way (the scalar chain owns wrapping
+/// loops). `first`: a do-while, whose first body runs before any test.
+/// The plan guarantees `cmp` and the sign of `step` agree.
+fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp, first: bool) -> Option<u64> {
+    let start = i0 as i128 + if first { step as i128 } else { 0 };
+    // Distance left to cover in the direction of travel.
+    let dist = match cmp {
+        CmpOp::Lt => lim as i128 - start,
+        CmpOp::Le => lim as i128 - start + 1,
+        CmpOp::Gt => start - lim as i128,
+        CmpOp::Ge => start - lim as i128 + 1,
+        CmpOp::Eq | CmpOp::Ne => return None,
+    };
+    let stride = step.unsigned_abs() as i128;
+    let trip = first as i128 + (dist.max(0) + stride - 1) / stride;
+    i64::try_from(i0 as i128 + trip * step as i128)
+        .is_ok()
+        .then_some(trip as u64)
+}
+
+/// Execute a distributable variant's loop strip by strip: every op runs
+/// over up to [`STRIP`] iterations before the next op starts. All
+/// fallible ops precede the iteration's store, so in strip order they
+/// precede every store of the strip: when a check fails nothing of the
+/// strip is in memory yet, and the scalar chain replays it from the
+/// strip-start state — storing the iterations that are in bounds,
+/// stopping at the one that is not, and bailing exactly as it always
+/// has.
+fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, Bail> {
+    let (ind, step, lim, cmp, first) = match v.shape {
+        Shape::DoWhile {
+            ind,
+            step,
+            lim,
+            cmp,
+        } => (ind as usize, step, lim, cmp, true),
+        Shape::HeadGuard {
+            ind, step, gb, cmp, ..
+        } => (ind as usize, step, gb, cmp, false),
+    };
+    let Some(trip) = trip_count(fr.ints[ind], fr.ints[lim as usize], step, cmp, first) else {
+        return exec(v, fr);
+    };
+    COLS.with(|cols| {
+        let (ci, cf) = &mut *cols.borrow_mut();
+        if ci.len() < plan.ni {
+            ci.resize(plan.ni, [0; STRIP]);
+        }
+        if cf.len() < plan.nf {
+            cf.resize(plan.nf, [0.0; STRIP]);
+        }
+        let widest = trip.min(STRIP as u64) as usize;
+        for &(flt, s, c) in &plan.bcast {
+            if flt {
+                cf[c as usize][..widest].fill(fr.flts[s as usize]);
+            } else {
+                ci[c as usize][..widest].fill(fr.ints[s as usize]);
+            }
+        }
+        let mut sf = Strip {
+            fr,
+            ci,
+            cf,
+            n: 0,
+            i0: 0,
+            step,
+        };
+        let mut left = trip;
+        while left > 0 {
+            sf.n = left.min(STRIP as u64) as usize;
+            sf.i0 = sf.fr.ints[ind];
+            if plan.iota {
+                for (k, x) in sf.ci[IOTA as usize][..sf.n].iter_mut().enumerate() {
+                    *x = sf.i0 + k as i64 * step;
+                }
+            }
+            // Accumulators fold into their scalar slots as the strip
+            // runs; a later op's failed check needs them back.
+            let start = (sf.fr.ints, sf.fr.flts);
+            for (f, op) in &plan.ops {
+                if f(&mut sf, op).is_err() {
+                    (sf.fr.ints, sf.fr.flts) = start;
+                    return exec(v, sf.fr).map(|ran| ran || left < trip);
+                }
+            }
+            sf.fr.ints[ind] = sf.i0 + sf.n as i64 * step;
+            left -= sf.n as u64;
+        }
+        if trip > 0 {
+            for &(flt, s, c) in &plan.last {
+                if flt {
+                    sf.fr.flts[s as usize] = sf.cf[c as usize][sf.n - 1];
+                } else {
+                    sf.fr.ints[s as usize] = sf.ci[c as usize][sf.n - 1];
+                }
+            }
+        }
+        Ok(trip > 0)
+    })
 }
 
 /// Execute the variant's loop. `Ok(ran_body)` on normal exit (whether
@@ -858,6 +1260,18 @@ impl P {
                 f(s);
             }
         }
+    }
+    /// The same proto defining `key` instead (stores define nothing).
+    fn retarget(mut self, key: u32) -> P {
+        match &mut self {
+            P::Mov { d, .. }
+            | P::Const { d, .. }
+            | P::Bin { d, .. }
+            | P::BinK { d, .. }
+            | P::Ld { d, .. } => *d = key,
+            P::St { .. } => {}
+        }
+        self
     }
     fn write(&self) -> Option<u32> {
         match *self {
@@ -1666,6 +2080,15 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         FormMeta::B { nhead, .. } => nhead,
         FormMeta::A { .. } => b.protos.len(),
     };
+    let hoisted: Vec<bool> = b
+        .protos
+        .iter()
+        .map(|p| {
+            matches!(p, P::Const { .. })
+                && p.write()
+                    .is_some_and(|d| write_count[&d] == 1 && !bound.contains(&d))
+        })
+        .collect();
     let mut ops = Vec::with_capacity(b.protos.len());
     let mut prelude = Vec::new();
     let mut nhead_hoisted = 0usize;
@@ -1695,11 +2118,8 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
                 continue;
             }
         }
-        let (op, op_fallible, is_store) = lower(p, &skind, &akind, &slot, &aslot)?;
-        let hoist = matches!(p, P::Const { .. })
-            && p.write()
-                .is_some_and(|d| write_count[&d] == 1 && !bound.contains(&d));
-        if hoist {
+        let (op, _, op_fallible, is_store) = lower(p, &skind, &akind, &slot, &aslot);
+        if hoisted[i] {
             prelude.push(op);
             if i < nhead_protos {
                 nhead_hoisted += 1;
@@ -1815,7 +2235,21 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
             }
         }
     };
+    let strip = plan_strip(
+        b,
+        m,
+        &Kinds {
+            skind: &skind,
+            akind: &akind,
+            slot: &slot,
+            aslot: &aslot,
+        },
+        &bound,
+        &write_count,
+        &hoisted,
+    );
     Some(TVariant {
+        strip,
         binds,
         prelude,
         ops,
@@ -1828,6 +2262,175 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         wf_i,
         wf_f,
     })
+}
+
+/// One kind resolution of a loop: the kind and frame slot of every
+/// scalar key and array register.
+struct Kinds<'m> {
+    skind: &'m HashMap<u32, K>,
+    akind: &'m HashMap<Reg, K>,
+    slot: &'m HashMap<u32, u16>,
+    aslot: &'m HashMap<Reg, u16>,
+}
+
+/// Placeholder key for the destination of the proto being re-lowered
+/// over columns (a key no register or scratch temporary can have).
+const DEF: u32 = u32::MAX;
+
+/// Decide whether the loop may run strip-mined, and if so re-lower it
+/// over columns. The strip walk distributes the loop over its ops, so
+/// it is legal only when no value flows from one iteration to a later
+/// one except through a reduction the strip can fold in order:
+///
+/// - `guard`: the trip count must be computable on entry — a monotone
+///   induction test against an unwritten limit, nothing in the head.
+/// - `carried-scalar`: a slot read before it is written, and written,
+///   must be a single-op accumulator (`a = a ⊕ t`) nothing else reads.
+/// - `non-affine-store` / `memory-dependence`: an array the loop
+///   stores into is accessed only at the induction variable itself, so
+///   each iteration owns one element of it.
+/// - `columns`: the expanded scalars must fit the per-thread scratch.
+///
+/// `Err` carries the first rule broken; that variant keeps the scalar
+/// chain.
+fn plan_strip(
+    b: &Bld,
+    m: &MatchOut,
+    kinds: &Kinds,
+    bound: &HashSet<u32>,
+    write_count: &HashMap<u32, usize>,
+    hoisted: &[bool],
+) -> Result<StripPlan, &'static str> {
+    let (var, step, lim, cmp) = match m.form {
+        FormMeta::A {
+            var,
+            step,
+            lim,
+            cmp,
+        } => (var as u32, step, lim as u32, cmp),
+        FormMeta::B {
+            var,
+            step,
+            nhead: 0,
+            ga,
+            gb,
+            cmp,
+        } if ga == var => (var as u32, step, gb as u32, cmp),
+        FormMeta::B { .. } => return Err("guard"),
+    };
+    let monotone = match cmp {
+        CmpOp::Lt | CmpOp::Le => step > 0,
+        CmpOp::Gt | CmpOp::Ge => step < 0,
+        CmpOp::Eq | CmpOp::Ne => false,
+    };
+    if !monotone || lim == var || write_count.contains_key(&lim) {
+        return Err("guard");
+    }
+    if write_count.contains_key(&var) {
+        return Err("carried-scalar");
+    }
+    let mut nreads: HashMap<u32, usize> = HashMap::from([(lim, 1)]);
+    for p in &b.protos {
+        p.reads(|r| *nreads.entry(r).or_default() += 1);
+    }
+    // Scalar key -> the column holding its current definition.
+    let mut cur: HashMap<u32, u16> = HashMap::from([(var, IOTA)]);
+    for (&key, &count) in write_count {
+        if !bound.contains(&key) {
+            continue;
+        }
+        let folds = b.protos.iter().any(|p| match *p {
+            P::Bin { d, a, b, .. } => d == key && (a == key) != (b == key),
+            P::BinK { d, a, .. } => d == key && a == key,
+            _ => false,
+        });
+        if count != 1 || nreads.get(&key) != Some(&1) || !folds {
+            return Err("carried-scalar");
+        }
+        cur.insert(key, ACC | kinds.slot[&key]);
+    }
+    for p in &b.protos {
+        if matches!(*p, P::St { idx, .. } if idx != var) {
+            return Err("non-affine-store");
+        }
+    }
+    for p in &b.protos {
+        if matches!(*p, P::Ld { arr, idx, off, .. } if b.arrs[&arr].written && (idx != var || off != 0))
+        {
+            return Err("memory-dependence");
+        }
+    }
+    let mut skind = kinds.skind.clone();
+    let mut ncols = [1usize, 0];
+    let mut fresh = |flt: bool| {
+        let n = &mut ncols[flt as usize];
+        *n += 1;
+        (*n <= MAX_COLS).then_some(*n as u16 - 1).ok_or("columns")
+    };
+    let mut plan = StripPlan {
+        ops: Vec::new(),
+        ni: 0,
+        nf: 0,
+        bcast: Vec::new(),
+        iota: false,
+        last: Vec::new(),
+    };
+    let mut defined: HashSet<u32> = HashSet::new();
+    for (p, _) in b.protos.iter().zip(hoisted).filter(|(_, &h)| !h) {
+        // A key with no column yet was not defined earlier in the
+        // iteration and is not carried, so it is loop-invariant.
+        let mut invariant = Vec::new();
+        p.reads(|r| {
+            if !cur.contains_key(&r) && !invariant.contains(&r) {
+                invariant.push(r);
+            }
+        });
+        for r in invariant {
+            let flt = skind[&r] != K::Int;
+            let c = fresh(flt)?;
+            cur.insert(r, c);
+            plan.bcast.push((flt, kinds.slot[&r], c));
+        }
+        plan.iota |= match *p {
+            P::Ld { .. } => false,
+            P::St { s, .. } => s == var,
+            _ => {
+                let mut reads_var = false;
+                p.reads(|r| reads_var |= r == var);
+                reads_var
+            }
+        };
+        // An accumulator keeps its tagged slot as the destination;
+        // every other definition gets the next column.
+        let def = p
+            .write()
+            .filter(|d| cur.get(d).is_none_or(|c| c & ACC == 0));
+        let p = match def {
+            Some(d) => {
+                let kind = skind[&d];
+                skind.insert(DEF, kind);
+                cur.insert(DEF, fresh(kind != K::Int)?);
+                p.retarget(DEF)
+            }
+            None => *p,
+        };
+        let (op, f, ..) = lower(&p, &skind, kinds.akind, &cur, kinds.aslot);
+        plan.ops.push((f, op));
+        if let Some(d) = def {
+            cur.insert(d, cur[&DEF]);
+            defined.insert(d);
+        }
+    }
+    for &key in b
+        .sorder
+        .iter()
+        .filter(|k| **k < SCRATCH0 && defined.contains(k))
+    {
+        plan.last
+            .push((skind[&key] != K::Int, kinds.slot[&key], cur[&key]));
+    }
+    [plan.ni, plan.nf] = ncols;
+    Ok(plan)
 }
 
 /// Peephole fusion: a multiply immediately followed by the add that
@@ -1861,7 +2464,7 @@ fn fuse(p1: &P, p2: &P, skind: &HashMap<u32, K>, slot: &HashMap<u32, u16>) -> Op
         return None;
     }
     let mut op = TOp {
-        f: mov_i,
+        f: mov_i.one,
         a: slot[&d2],
         b: slot[&other],
         c: 0,
@@ -1907,6 +2510,7 @@ fn fuse(p1: &P, p2: &P, skind: &HashMap<u32, K>, slot: &HashMap<u32, u16>) -> Op
 }
 
 /// Lower one proto-op under a kind resolution. Returns the op, its
+/// strip form (same operand layout, columns for slots), its
 /// fallibility, and whether it is an array store.
 fn lower(
     p: &P,
@@ -1914,9 +2518,9 @@ fn lower(
     akind: &HashMap<Reg, K>,
     slot: &HashMap<u32, u16>,
     aslot: &HashMap<Reg, u16>,
-) -> Option<(TOp, bool, bool)> {
+) -> (TOp, StripFn, bool, bool) {
     let mut op = TOp {
-        f: mov_i,
+        f: mov_i.one,
         a: 0,
         b: 0,
         c: 0,
@@ -1924,11 +2528,12 @@ fn lower(
         ki: 0,
         kf: 0.0,
     };
+    let ops: Ops;
     let (fallible, store) = match *p {
         P::Mov { d, s } => {
             op.a = slot[&d];
             op.b = slot[&s];
-            op.f = if skind[&d] == K::Int { mov_i } else { mov_f };
+            ops = if skind[&d] == K::Int { mov_i } else { mov_f };
             (false, false)
         }
         P::Const { d, v } => {
@@ -1936,11 +2541,11 @@ fn lower(
             match v {
                 KVal::I(x) => {
                     op.ki = x;
-                    op.f = const_i;
+                    ops = const_i;
                 }
                 KVal::F(x) => {
                     op.kf = x;
-                    op.f = const_f;
+                    ops = const_f;
                 }
             }
             (false, false)
@@ -1950,7 +2555,7 @@ fn lower(
             op.b = slot[&a];
             op.c = slot[&b];
             let int = skind[&d] == K::Int;
-            op.f = match (ao, int) {
+            ops = match (ao, int) {
                 (ArithOp::Add, true) => add_ii,
                 (ArithOp::Sub, true) => sub_ii,
                 (ArithOp::Mul, true) => mul_ii,
@@ -1983,7 +2588,7 @@ fn lower(
                     false
                 }
             };
-            op.f = match (ao, int, left) {
+            ops = match (ao, int, left) {
                 (ArithOp::Add, true, false) => addk_i,
                 (ArithOp::Sub, true, false) => subk_i,
                 (ArithOp::Mul, true, false) => mulk_i,
@@ -2012,18 +2617,19 @@ fn lower(
             op.b = slot[&idx];
             op.c = aslot[&arr];
             op.off = off as i64;
-            op.f = if akind[&arr] == K::Int { ld_i } else { ld_f };
+            ops = if akind[&arr] == K::Int { ld_i } else { ld_f };
             (true, false)
         }
         P::St { arr, idx, s } => {
             op.a = aslot[&arr];
             op.b = slot[&idx];
             op.c = slot[&s];
-            op.f = if akind[&arr] == K::Int { st_i } else { st_f };
+            ops = if akind[&arr] == K::Int { st_i } else { st_f };
             (true, true)
         }
     };
-    Some((op, fallible, store))
+    op.f = ops.one;
+    (op, ops.strip, fallible, store)
 }
 
 // ---------------------------------------------------------------------------
@@ -2262,5 +2868,349 @@ mod tests {
         assert!(run_inner(&prog, &mut regs).is_ok());
         assert!(matches!(regs[0], Value::Int(5)));
         assert!(matches!(regs[2], Value::Int(7)));
+    }
+
+    // -- strip execution ----------------------------------------------------
+
+    fn back_edge(var: Reg, limit: Reg, to: u32) -> Insn {
+        Insn::IncCmpJump {
+            var,
+            step: 1,
+            limit,
+            op: CmpOp::Lt,
+            to,
+        }
+    }
+
+    fn verdict(code: Vec<Insn>, consts: Vec<Value>, nregs: usize) -> String {
+        let f = mk(code, consts, nregs);
+        match_at(&f, 0).expect("should match").0.verdict()
+    }
+
+    fn cell(v: Value) -> Value {
+        Value::Ptr(Arc::new(parking_lot::Mutex::new(v)))
+    }
+
+    /// The benchmark's stencil body as `compile` + `optimize` emit it:
+    /// `v[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1]` over
+    /// shared (cell-held) arrays, r2 = &u, r3 = &v, r8 = i, r10 = ub.
+    fn stencil_fn() -> CompiledFn {
+        let ld = |dst, off| Insn::DerefIndexOff {
+            dst,
+            cell: 2,
+            idx: 8,
+            off,
+        };
+        let ff = |op, dst, a, b| Insn::ArithFF { op, dst, a, b };
+        mk(
+            vec![
+                Insn::Const { dst: 11, k: 0 },
+                ld(15, -1),
+                ff(ArithOp::Mul, 16, 11, 15),
+                Insn::Const { dst: 17, k: 1 },
+                Insn::DerefIndex {
+                    dst: 19,
+                    cell: 2,
+                    idx: 8,
+                },
+                ff(ArithOp::Mul, 20, 17, 19),
+                ff(ArithOp::Add, 21, 16, 20),
+                Insn::Const { dst: 22, k: 0 },
+                ld(26, 1),
+                ff(ArithOp::Mul, 27, 22, 26),
+                ff(ArithOp::Add, 28, 21, 27),
+                Insn::DerefIndexSet {
+                    cell: 3,
+                    idx: 8,
+                    src: 28,
+                },
+                back_edge(8, 10, 0),
+                Insn::RetVoid,
+            ],
+            vec![Value::Float(0.25), Value::Float(0.5)],
+            29,
+        )
+    }
+
+    fn stencil_regs(u: &Arc<ArrF>, v: &Arc<ArrF>, from: i64, to: i64) -> Vec<Value> {
+        let mut regs = vec![Value::Undefined; 29];
+        regs[2] = cell(Value::ArrF(u.clone()));
+        regs[3] = cell(Value::ArrF(v.clone()));
+        regs[8] = Value::Int(from);
+        regs[10] = Value::Int(to);
+        regs
+    }
+
+    fn ramp(n: usize) -> Arc<ArrF> {
+        let u = Arc::new(ArrF::new(n));
+        for i in 0..n {
+            u.set(i as i64, ((i * 37) % 101) as f64 * 0.173 + 0.01)
+                .unwrap();
+        }
+        u
+    }
+
+    /// Both benchmark loops are distributable, and the strip walk
+    /// computes bit-for-bit what the scalar chain does, at every trip
+    /// count around a strip boundary.
+    #[test]
+    fn benchmark_loops_run_strip_mined_and_match_the_scalar_chain() {
+        let f = stencil_fn();
+        let (prog, _) = match_at(&f, 0).expect("should match");
+        assert_eq!(prog.verdict(), "strip");
+        let u = ramp(3 * STRIP + 9);
+        for trip in [1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
+            let to = 1 + trip as i64;
+            let v = Arc::new(ArrF::new(u.len()));
+            let mut regs = stencil_regs(&u, &v, 1, to);
+            assert!(run_inner(&prog, &mut regs).is_ok());
+            let src = u.to_vec();
+            let got = v.to_vec();
+            for i in 1..=trip {
+                let want = 0.25 * src[i - 1] + 0.5 * src[i] + 0.25 * src[i + 1];
+                assert_eq!(got[i].to_bits(), want.to_bits(), "trip {trip} v[{i}]");
+            }
+            assert!(got[trip + 1..].iter().all(|&x| x == 0.0), "trip {trip}");
+            // Written slots hold the last iteration's definitions.
+            assert!(matches!(regs[8], Value::Int(i) if i == to));
+            assert!(matches!(regs[26], Value::Float(x) if x == src[trip + 1]));
+            assert!(matches!(regs[28], Value::Float(x) if x == got[trip]));
+        }
+
+        // `acc = acc + x[j] * x[j]` (the `dfmaidx` form), wrapping.
+        let f = mk(
+            vec![
+                Insn::DerefIndex {
+                    dst: 13,
+                    cell: 4,
+                    idx: 9,
+                },
+                Insn::DerefFmaIdx {
+                    dst: 6,
+                    x: 13,
+                    cell: 4,
+                    idx: 9,
+                },
+                back_edge(9, 11, 0),
+                Insn::RetVoid,
+            ],
+            vec![],
+            14,
+        );
+        let (prog, _) = match_at(&f, 0).expect("should match");
+        assert_eq!(prog.verdict(), "strip");
+        let n = 3 * STRIP + 7;
+        let x = Arc::new(ArrI::new(n));
+        let mut expect = 5i64;
+        for j in 0..n as i64 {
+            let e = (j - 100).wrapping_mul(0x0123_4567_89ab);
+            x.set(j, e).unwrap();
+            expect = expect.wrapping_add(e.wrapping_mul(e));
+        }
+        let mut regs = vec![Value::Undefined; 14];
+        regs[4] = cell(Value::ArrI(x));
+        regs[6] = Value::Int(5);
+        regs[9] = Value::Int(0);
+        regs[11] = Value::Int(n as i64);
+        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(matches!(regs[6], Value::Int(s) if s == expect));
+        assert!(matches!(regs[9], Value::Int(j) if j == n as i64));
+    }
+
+    /// A float sum is folded in iteration order, not per lane: the
+    /// strip result equals the sequential sum bit for bit.
+    #[test]
+    fn float_accumulator_rounds_in_iteration_order() {
+        let f = mk(
+            vec![
+                Insn::IndexF {
+                    dst: 3,
+                    arr: 1,
+                    idx: 2,
+                },
+                Insn::ArithFF {
+                    op: ArithOp::Add,
+                    dst: 4,
+                    a: 4,
+                    b: 3,
+                },
+                back_edge(2, 0, 0),
+                Insn::RetVoid,
+            ],
+            vec![],
+            5,
+        );
+        let (prog, _) = match_at(&f, 0).expect("should match");
+        assert_eq!(prog.verdict(), "strip");
+        let n = 3 * STRIP + 7;
+        let a = Arc::new(ArrF::new(n));
+        let mut expect = 0.0f64;
+        for i in 0..n {
+            let e = if i % 3 == 0 {
+                1.0e16
+            } else {
+                1.0 / (i as f64 + 1.0)
+            };
+            a.set(i as i64, e).unwrap();
+            expect += e;
+        }
+        let mut regs = vec![
+            Value::Int(n as i64),
+            Value::ArrF(a),
+            Value::Int(0),
+            Value::Undefined,
+            Value::Float(0.0),
+        ];
+        assert!(run_inner(&prog, &mut regs).is_ok());
+        assert!(matches!(regs[4], Value::Float(s) if s.to_bits() == expect.to_bits()));
+    }
+
+    /// An out-of-bounds load in the middle of the third strip: the
+    /// first two strips and the in-bounds part of the third are
+    /// stored, the induction register names the failing iteration.
+    #[test]
+    fn strip_bail_replays_to_the_failing_iteration() {
+        let f = stencil_fn();
+        let (prog, _) = match_at(&f, 0).expect("should match");
+        let fail_at = 2 * STRIP + 50;
+        // u[i + 1] is the first access past the end at i = len - 1.
+        let u = ramp(fail_at + 1);
+        let v = Arc::new(ArrF::new(4 * STRIP));
+        let mut regs = stencil_regs(&u, &v, 1, 3 * STRIP as i64 + 7);
+        assert_eq!(run_inner(&prog, &mut regs), Err(BAIL_BOUNDS));
+        assert!(matches!(regs[8], Value::Int(i) if i == fail_at as i64));
+        let got = v.to_vec();
+        assert!(got[1..fail_at].iter().all(|&x| x != 0.0));
+        assert!(got[fail_at..].iter().all(|&x| x == 0.0));
+    }
+
+    /// One loop per rule of `plan_strip`.
+    #[test]
+    fn classifier_names_the_rule_that_keeps_a_loop_scalar() {
+        let mulk = Insn::ArithK {
+            op: ArithOp::Mul,
+            dst: 1,
+            a: 1,
+            k: 0,
+        };
+        // `do { r1 *= 3 } while (++r2 != r0)`: no trip count.
+        let ne = Insn::IncCmpJump {
+            var: 2,
+            step: 1,
+            limit: 0,
+            op: CmpOp::Ne,
+            to: 0,
+        };
+        assert_eq!(
+            verdict(vec![mulk, ne, Insn::RetVoid], vec![Value::Int(3)], 3),
+            "scalar: guard"
+        );
+        // `r1 = r1 * 3 + r1`: a recurrence of two ops.
+        let add = Insn::Arith {
+            op: ArithOp::Add,
+            dst: 1,
+            a: 1,
+            b: 1,
+        };
+        assert_eq!(
+            verdict(
+                vec![mulk, add, back_edge(2, 0, 0), Insn::RetVoid],
+                vec![Value::Int(3)],
+                3
+            ),
+            "scalar: carried-scalar"
+        );
+        // `h[key[i]] += 1`: the histogram.
+        assert_eq!(
+            verdict(
+                vec![
+                    Insn::IndexI {
+                        dst: 3,
+                        arr: 1,
+                        idx: 2
+                    },
+                    Insn::IncElemK {
+                        op: ArithOp::Add,
+                        arr: 4,
+                        idx: 3,
+                        k: 0
+                    },
+                    back_edge(2, 0, 0),
+                    Insn::RetVoid
+                ],
+                vec![Value::Int(1)],
+                5
+            ),
+            "scalar: non-affine-store"
+        );
+        // `a[i] = a[i - 1]`: a value flows through memory.
+        assert_eq!(
+            verdict(
+                vec![
+                    Insn::IndexOff {
+                        dst: 3,
+                        arr: 1,
+                        idx: 2,
+                        off: -1
+                    },
+                    Insn::IndexSet {
+                        arr: 1,
+                        idx: 2,
+                        src: 3
+                    },
+                    back_edge(2, 0, 0),
+                    Insn::RetVoid
+                ],
+                vec![],
+                4
+            ),
+            "scalar: memory-dependence"
+        );
+        // 17 x `r3 = a[i] + r4`: 34 float definitions.
+        let mut code = vec![
+            Insn::IndexArith {
+                op: ArithOp::Add,
+                dst: 3,
+                arr: 1,
+                idx: 2,
+                rhs: 4
+            };
+            17
+        ];
+        code.extend([back_edge(2, 0, 0), Insn::RetVoid]);
+        assert_eq!(verdict(code, vec![], 5), "scalar: columns");
+    }
+
+    /// The same array bound as source and destination takes the scalar
+    /// chain at run time and so still sees its own stores.
+    #[test]
+    fn aliased_store_runs_the_scalar_chain() {
+        let f = stencil_fn();
+        let (prog, _) = match_at(&f, 0).expect("should match");
+        let n = 2 * STRIP;
+        let (u, twin) = (ramp(n), ramp(n));
+        let mut regs = stencil_regs(&u, &u, 1, n as i64 - 1);
+        assert!(run_inner(&prog, &mut regs).is_ok());
+        let mut expect = twin.to_vec();
+        for i in 1..n - 1 {
+            expect[i] = 0.25 * expect[i - 1] + 0.5 * expect[i] + 0.25 * expect[i + 1];
+        }
+        assert_eq!(u.to_vec(), expect);
+    }
+
+    /// Trip counts: do-while runs once even when the test is already
+    /// false; wrapping loops are left to the scalar chain.
+    #[test]
+    fn trip_count_matches_the_loop_semantics() {
+        use CmpOp::*;
+        assert_eq!(trip_count(0, 10, 1, Lt, true), Some(10));
+        assert_eq!(trip_count(0, 10, 3, Lt, true), Some(4));
+        assert_eq!(trip_count(0, 9, 3, Le, true), Some(4));
+        assert_eq!(trip_count(10, 10, 1, Lt, true), Some(1));
+        assert_eq!(trip_count(10, 10, 1, Lt, false), Some(0));
+        assert_eq!(trip_count(96, -1, -1, Gt, false), Some(97));
+        assert_eq!(trip_count(96, 0, -2, Ge, false), Some(49));
+        assert_eq!(trip_count(i64::MAX - 1, i64::MAX, 2, Le, true), None);
+        assert_eq!(trip_count(i64::MIN, i64::MAX, 1, Lt, false), Some(u64::MAX));
     }
 }

@@ -1,4 +1,5 @@
-//! `zag --check` / `--check=deny` end-to-end through the real binary.
+//! `zag --check` / `--check=deny` and the exit status of a failed run,
+//! end-to-end through the real binary.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -78,4 +79,29 @@ fn front_end_errors_render_through_the_same_formatter() {
     // `zag: <path>:<line>:<col>: <message>` — the unified Diag rendering.
     assert!(stderr.contains("zag: "), "stderr: {stderr}");
     assert!(stderr.contains(":2:"), "stderr: {stderr}");
+}
+
+/// Unbounded recursion ends `zag` with a `runtime error:` line and exit
+/// code 1 on every backend — not with the process aborting on a native
+/// stack overflow (the program runs on a thread sized for the call-depth
+/// limit, whatever `ulimit -s` gives the main thread).
+#[test]
+fn runaway_recursion_is_a_runtime_error_and_exit_code_1() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("down.zag");
+    std::fs::write(
+        &path,
+        "fn down(k: i64) i64 { if (k == 0) { return 0; } return 1 + down(k - 1); }
+fn main() void { print(down(100000)); }
+",
+    )
+    .expect("write the program");
+    for backend in ["ast", "bytecode", "native"] {
+        let out = zag(&["--backend", backend, path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{backend}: {stderr}");
+        assert!(
+            stderr.contains("zag: runtime error: stack overflow"),
+            "{backend}: {stderr}"
+        );
+    }
 }

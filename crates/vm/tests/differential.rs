@@ -833,3 +833,271 @@ fn bytecode_fork_call_keeps_pragma_labels() {
         );
     }
 }
+
+// -- strip-mined templates vs the oracle ------------------------------------
+
+/// `templates::STRIP`: iterations a strip-mined template runs per op.
+const STRIP: i64 = 128;
+
+/// The strip/scalar verdict of every template `src` installs at
+/// `--opt=3`, in remark order.
+fn template_verdicts(src: &str) -> Vec<String> {
+    zomp_vm::remarks::collect(src, "t.zag", OptLevel::O3)
+        .unwrap_or_else(|e| panic!("{}", e.render(src)))
+        .iter()
+        .filter(|d| d.code == "template-installed")
+        .map(|d| {
+            let (_, verdict) = d.message.rsplit_once("), ").expect("verdict suffix");
+            verdict.to_string()
+        })
+        .collect()
+}
+
+/// Four worksharing loops the template tier runs strip-mined — a float
+/// stencil, a descending loop and a stride-3 loop that use the induction
+/// variable as a value, and a wrapping `i64` reduction — then serial
+/// checksums, one a float sum whose value depends on the order of its
+/// additions.
+fn strip_program(n: i64, threads: i64, sched: &str) -> String {
+    format!(
+        "fn fsum(v: []f64, u: []f64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var m: i64 = 0;
+    while (m < n) : (m += 1) {{
+        s = s + v[m + 1] * 1.0e15;
+    }}
+    m = 0;
+    while (m < n) : (m += 1) {{
+        s = s + u[m];
+    }}
+    return s;
+}}
+fn isum(y: []i64, n: i64) i64 {{
+    var s: i64 = 0;
+    var m: i64 = 0;
+    while (m < n) : (m += 1) {{
+        s = s + y[m] * (m + 1);
+    }}
+    return s;
+}}
+fn main() void {{
+    var n: i64 = {n};
+    var u: []f64 = @allocF(n + 2);
+    var v: []f64 = @allocF(n + 2);
+    var x: []i64 = @allocI(n + 2);
+    var y: []i64 = @allocI(n + 2);
+    var z: []i64 = @allocI(n + 2);
+    var k: i64 = 0;
+    while (k < n + 2) : (k += 1) {{
+        u[k] = @intToFloat(k * 37 % 101) * 0.173 + 0.01;
+        x[k] = (k % 31 - 15) * 1000003;
+    }}
+    var acc: i64 = 0;
+    //$omp parallel num_threads({threads}) shared(u, v, x, y, z) firstprivate(n) reduction(+: acc)
+    {{
+        var i: i64 = 1;
+        //$omp while {sched} nowait
+        while (i < n + 1) : (i += 1) {{
+            v[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1];
+        }}
+        var d: i64 = n - 1;
+        //$omp while {sched} nowait
+        while (d > -1) : (d -= 1) {{
+            y[d] = x[d] * 3 + d;
+        }}
+        var s: i64 = 0;
+        //$omp while {sched} nowait
+        while (s < n) : (s += 3) {{
+            z[s] = x[s] * s;
+        }}
+        var j: i64 = 0;
+        //$omp while {sched}
+        while (j < n) : (j += 1) {{
+            acc = acc + x[j] * x[j] * 4611686018427;
+        }}
+    }}
+    print(acc, fsum(v, u, n), isum(y, n), isum(z, n), v[n], y[0]);
+}}"
+    )
+}
+
+/// Strip execution against the tree-walker at every trip count around a
+/// strip boundary, team size and schedule kind: chunks end mid-strip,
+/// strips end mid-chunk, and every result is bit-identical.
+#[test]
+fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
+    let verdicts = template_verdicts(&strip_program(5, 2, "schedule(static)"));
+    assert_eq!(
+        verdicts.iter().filter(|v| *v == "strip").count(),
+        7,
+        "four worksharing loops and three serial sums should be strip-mined: {verdicts:?}"
+    );
+    for n in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
+        for threads in [1, 2, 4] {
+            for sched in [
+                "schedule(static)",
+                "schedule(dynamic, 150)",
+                "schedule(guided)",
+            ] {
+                let name = format!("strip/n{n}/t{threads}/{sched}");
+                assert_backends_agree(&name, &strip_program(n, threads, sched));
+            }
+        }
+    }
+}
+
+/// Loops the classifier must leave on the scalar chain, or that reach it
+/// at run time: the same array passed as source and destination, a value
+/// carried through memory, two stores per iteration, and a head-guarded
+/// loop that runs zero times.
+#[test]
+fn strip_rejected_loops_agree() {
+    let src = format!(
+        "fn smooth(u: []f64, v: []f64, n: i64) void {{
+    var i: i64 = 1;
+    while (i < n) : (i += 1) {{
+        v[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1];
+    }}
+}}
+fn main() void {{
+    var n: i64 = {n};
+    var a: []f64 = @allocF(n + 1);
+    var b: []f64 = @allocF(n + 1);
+    var p: []i64 = @allocI(n + 1);
+    var q: []i64 = @allocI(n + 1);
+    var k: i64 = 0;
+    while (k < n + 1) : (k += 1) {{
+        a[k] = @intToFloat(k * 37 % 101) * 0.173 + 0.01;
+        p[k] = k % 7 + 1;
+    }}
+    smooth(a, b, n);
+    smooth(a, a, n);
+    k = 0;
+    while (k < n) : (k += 1) {{
+        p[k + 1] = p[k] * 2;
+    }}
+    k = 0;
+    while (k < n) : (k += 1) {{
+        q[k] = p[k] + 1;
+        p[k] = q[k] * 3;
+    }}
+    var zero: i64 = 0;
+    var fsum: f64 = 0.0;
+    k = 0;
+    while (k < zero) : (k = k + 1) {{
+        fsum = fsum + a[k];
+    }}
+    print(k, fsum);
+    k = 0;
+    while (k < n) : (k = k + 1) {{
+        fsum = fsum + a[k] - b[k] * 0.5;
+    }}
+    print(k, fsum, a[n - 1], b[n - 1], p[n], p[n - 1], q[n - 1]);
+}}",
+        n = 2 * STRIP + 40
+    );
+    let verdicts = template_verdicts(&src);
+    assert!(
+        verdicts.contains(&"scalar: non-affine-store".to_string()),
+        "`p[k + 1] = p[k] * 2` must stay scalar: {verdicts:?}"
+    );
+    assert_backends_agree("stay_scalar", &src);
+}
+
+/// An out-of-bounds load in the middle of the third strip: the error
+/// text and the stored array — everything before the failing iteration
+/// written, nothing after — are the tree-walker's at every tier.
+#[test]
+fn strip_out_of_bounds_matches_the_walker() {
+    let src = "fn scale(u: []f64, v: []f64, n: i64) f64 {
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        v[i] = u[i] * 2.0 + 1.0;
+    }
+    return s;
+}
+fn main() void {}";
+    assert_eq!(template_verdicts(src), ["strip"]);
+    let n = 3 * STRIP + 7;
+    let short = (2 * STRIP + 50) as usize;
+    let run = |backend: Backend, opt: OptLevel| {
+        let u = std::sync::Arc::new(zomp_vm::value::ArrF::new(short));
+        for i in 0..short {
+            u.set(i as i64, i as f64 * 0.5).unwrap();
+        }
+        let v = std::sync::Arc::new(zomp_vm::value::ArrF::new(n as usize));
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let r = vm.call_function(
+            "scale",
+            vec![Value::ArrF(u), Value::ArrF(v.clone()), Value::Int(n)],
+        );
+        let bits: Vec<u64> = v.to_vec().iter().map(|x| x.to_bits()).collect();
+        (r.map(|v| v.render()).map_err(|e| e.to_string()), bits)
+    };
+    let oracle = run(Backend::Ast, OptLevel::O0);
+    assert!(oracle.0.is_err(), "{:?}", oracle.0);
+    assert_eq!(oracle.1.iter().filter(|&&b| b != 0).count(), short);
+    for opt in opt_levels() {
+        assert_eq!(run(Backend::Bytecode, opt), oracle, "--opt={opt}");
+    }
+    assert_eq!(run(Backend::Native, OptLevel::O2), oracle, "native");
+}
+
+// -- call-depth limit --------------------------------------------------------
+
+/// Run `f` on a thread with the stack every thread running Zag code for
+/// the runtime has (`cargo test` threads get 2 MB, too little for
+/// `MAX_CALL_DEPTH` frames in a debug build).
+fn on_user_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(zomp::STACK_BYTES)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("the program thread must not overflow its stack")
+    })
+}
+
+/// `zomp::MAX_CALL_DEPTH` nested activations run; one more is the same
+/// runtime error on the oracle and at every tier, serially and on both
+/// threads of a `parallel` region (whose body is one activation itself) —
+/// never a native stack overflow.
+#[test]
+fn call_depth_limit_is_an_error_at_every_tier() {
+    let limit = zomp::MAX_CALL_DEPTH as i64;
+    // `down(k)` nests k + 1 calls.
+    let program = |serial: i64, forked: i64| {
+        format!(
+            "fn down(k: i64) i64 {{ if (k == 0) {{ return 0; }} return 1 + down(k - 1); }}
+fn main() void {{
+    print(down({serial}));
+    var total: i64 = 0;
+    //$omp parallel num_threads(2) reduction(+: total)
+    {{
+        total = total + down({forked});
+    }}
+    print(total);
+}}"
+        )
+    };
+    let deepest = program(limit - 1, limit - 2);
+    on_user_stack(|| {
+        assert_eq!(
+            run_on(&deepest, Backend::Ast, OptLevel::O0),
+            Ok(vec![(limit - 1).to_string(), (2 * (limit - 2)).to_string()])
+        );
+        assert_backends_agree("deepest", &deepest);
+    });
+    for (name, too_deep) in [
+        ("serial", program(limit, 0)),
+        ("forked", program(0, limit - 1)),
+    ] {
+        on_user_stack(|| {
+            let e = run_on(&too_deep, Backend::Ast, OptLevel::O0).expect_err("limit + 1");
+            assert!(e.contains("stack overflow"), "{name}: {e}");
+            assert_backends_agree(name, &too_deep);
+        });
+    }
+}

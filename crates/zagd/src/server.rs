@@ -289,7 +289,7 @@ fn handle_run(state: &State, body: &str) -> (u16, String) {
     // parallel regions inside fan out on the shared zomp worker pool.
     let (tx, rx) = mpsc::channel();
     let cache = CachePtr(&state.cache);
-    std::thread::spawn(move || {
+    let run = move || {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let out = execute(cache.get(), &req);
             (out.status, out.body.render())
@@ -314,7 +314,20 @@ fn handle_run(state: &State, body: &str) -> (u16, String) {
             }
         };
         let _ = tx.send(msg);
-    });
+    };
+    // A stack that holds `zomp::MAX_CALL_DEPTH` Zag calls: runaway
+    // recursion in a request is that request's runtime error, not a
+    // stack overflow that takes the whole server down.
+    if let Err(e) = std::thread::Builder::new()
+        .stack_size(zomp::STACK_BYTES)
+        .spawn(run)
+    {
+        let error = format!("cannot start an execution thread: {e}");
+        return (
+            503,
+            obj([("ok", Json::Bool(false)), ("error", Json::Str(error))]).render(),
+        );
+    }
     match rx.recv_timeout(deadline) {
         Ok((status, body, panicked)) => {
             if panicked {

@@ -118,12 +118,13 @@ fn identical_programs_at_different_team_sizes_agree() {
 fn queue_overflow_rejects_with_retry_after() {
     // One worker, queue of one. A slow request pins the worker; the next
     // connection fills the queue; the one after that must be rejected
-    // immediately with 503 + Retry-After.
+    // immediately with 503 + Retry-After. (The spin loop carries `s`
+    // through two ops per iteration, so no tier can strip-mine it away.)
     let addr = start(1, 1);
     let slow = format!(
         r#"{{"source": {}, "timeout_ms": 3000}}"#,
         Json::Str(
-            "fn main() void {\n    var i: i64 = 0;\n    while (i < 400000000) : (i += 1) {}\n}\n"
+            "fn main() void {\n    var s: i64 = 1;\n    var i: i64 = 0;\n    while (i < 400000000) : (i += 1) { s = s * 3 + i; }\n}\n"
                 .to_string()
         )
         .render()
@@ -147,7 +148,7 @@ fn deadline_exceeded_is_504_and_counted() {
     let b = format!(
         r#"{{"source": {}, "timeout_ms": 250}}"#,
         Json::Str(
-            "fn main() void {\n    var i: i64 = 0;\n    while (i < 2000000000) : (i += 1) {}\n}\n"
+            "fn main() void {\n    var s: i64 = 1;\n    var i: i64 = 0;\n    while (i < 2000000000) : (i += 1) { s = s * 3 + i; }\n}\n"
                 .to_string()
         )
         .render()
@@ -219,5 +220,60 @@ fn per_request_icvs_do_not_bleed_between_concurrent_requests() {
     for h in handles {
         let (nt, out) = h.join().unwrap();
         assert_eq!(out, nt.to_string(), "request saw another request's ICVs");
+    }
+}
+
+/// Runaway recursion in a request is that request's runtime error — on
+/// both backends, also from inside a `parallel` region — and the server
+/// answers the next request. (Before the call-depth limit the execution
+/// thread overflowed its native stack and the whole process aborted.)
+#[test]
+fn runaway_recursion_fails_the_request_not_the_server() {
+    let addr = start(2, 8);
+    let source = "fn down(k: i64) i64 { if (k == 0) { return 0; } return 1 + down(k - 1); }
+fn serial(k: i64) i64 { return down(k); }
+fn forked(k: i64) i64 {
+    var total: i64 = 0;
+    //$omp parallel num_threads(2) firstprivate(k) reduction(+: total)
+    {
+        total = total + down(k);
+    }
+    return total;
+}
+";
+    let limit = zomp::MAX_CALL_DEPTH as i64;
+    let request = |backend: &str, entry: &str, k: i64| {
+        let body = format!(
+            r#"{{"source": {}, "entry": "{entry}", "args": [{k}], "backend": "{backend}"}}"#,
+            Json::Str(source.to_string()).render()
+        );
+        client::post(addr, "/run", &body).expect("transport")
+    };
+    for backend in ["ast", "bytecode"] {
+        for entry in ["serial", "forked"] {
+            let resp = request(backend, entry, 100_000);
+            assert_eq!(resp.status, 500, "{backend} {entry}: {}", resp.body);
+            let j = Json::parse(&resp.body).unwrap();
+            assert_eq!(j.get("ok"), Some(&Json::Bool(false)));
+            let error = j.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(
+                error.contains("stack overflow"),
+                "{backend} {entry}: {error}"
+            );
+
+            // The deepest that runs: `limit` activations below the entry
+            // function — `down(k)` is k + 1 of them, a region body one.
+            let (k, teams) = if entry == "forked" {
+                (limit - 2, 2)
+            } else {
+                (limit - 1, 1)
+            };
+            let resp = request(backend, entry, k + 1);
+            assert_eq!(resp.status, 500, "{backend} {entry}: {}", resp.body);
+            let resp = request(backend, entry, k);
+            assert_eq!(resp.status, 200, "{backend} {entry}: {}", resp.body);
+            let j = Json::parse(&resp.body).unwrap();
+            assert_eq!(j.get("result"), Some(&Json::Int(teams * k)));
+        }
     }
 }
