@@ -609,15 +609,14 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
 pub const MAX_CALL_DEPTH: usize = 2000;
 
 /// Stack size of every thread that runs user code: the pool workers
-/// here, `zagd`'s per-request thread, `zag`'s program thread. Sized from
+/// here, `zagd`'s service workers, `zag`'s program thread. Sized from
 /// [`MAX_CALL_DEPTH`] so that limit is reached before the guard page.
 /// Measured per activation, worst of both VM backends and of recursion
 /// that opens a region at every level: 3.0 KB optimized, 57 KB in a debug
 /// build; budgeted at 6 KB and 96 KB. The optimized size stays under
-/// glibc's thread-stack cache (40 MB) for a few concurrent `zagd`
-/// requests — above it every spawn pays an `mmap`/`munmap` pair, which
-/// doubled spawn+join time at 16 MB x 2. The pages are only touched by
-/// recursion that deep.
+/// glibc's thread-stack cache (40 MB) for a few threads at once — above
+/// it every spawn pays an `mmap`/`munmap` pair, which doubled spawn+join
+/// time at 16 MB x 2. The pages are only touched by recursion that deep.
 pub const STACK_BYTES: usize = MAX_CALL_DEPTH
     * if cfg!(debug_assertions) {
         96 << 10

@@ -41,18 +41,20 @@ fn request(
         TcpStream::connect_timeout(&addr, Duration::from_secs(5)).map_err(|e| e.to_string())?;
     let _ = conn.set_read_timeout(Some(Duration::from_secs(120)));
     let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: zagd\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body leave in one segment.
+    let msg = format!(
+        "{method} {path} HTTP/1.1\r\nHost: zagd\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    conn.write_all(head.as_bytes()).map_err(|e| e.to_string())?;
-    conn.write_all(body.as_bytes()).map_err(|e| e.to_string())?;
+    conn.write_all(msg.as_bytes()).map_err(|e| e.to_string())?;
     let mut raw = Vec::new();
     conn.read_to_end(&mut raw).map_err(|e| e.to_string())?;
     parse_response(&raw)
 }
 
-fn parse_response(raw: &[u8]) -> Result<Response, String> {
+/// Everything a server sent before it closed the connection, as one
+/// response.
+pub fn parse_response(raw: &[u8]) -> Result<Response, String> {
     let text = std::str::from_utf8(raw).map_err(|e| e.to_string())?;
     let (head, body) = text
         .split_once("\r\n\r\n")

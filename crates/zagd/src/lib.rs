@@ -12,7 +12,8 @@
 //!   while the parallel regions inside all multiplex one hot team;
 //! * a **batched front end** ([`server::Server`]): a local HTTP socket
 //!   with bounded request queues, reject-with-`Retry-After`
-//!   backpressure, and per-request deadline + panic isolation.
+//!   backpressure, service workers that run the request themselves
+//!   under one deadline watchdog, and panic isolation.
 //!
 //! The request protocol is plain JSON over HTTP/1.1 ([`request`]); the
 //! in-crate [`json`] module supplies parsing because the workspace's
