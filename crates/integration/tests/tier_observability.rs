@@ -284,9 +284,14 @@ fn tier_report_attributes_fill_loop_to_native() {
 /// A `schedule(dynamic, 1)` loop whose body crosses a call boundary, so
 /// no tier takes it and every iteration is one interpreted chunk claim:
 /// inside a region (`nthreads >= 1`: the team deck) or orphaned
-/// (`nthreads == 0`: the VM's serial deck).
+/// (`nthreads == 0`: the VM's serial deck). The never-taken recursive
+/// branch is what keeps `weigh` a call: without it the inliner flattens
+/// the body, the loop becomes a template and claims whole owner batches.
 const CLAIMS: &str = r#"
 fn weigh(v: i64) i64 {
+    if (v < 0) {
+        return weigh(0 - v);
+    }
     return v % 13 + 1;
 }
 fn claims(out: []i64, n: i64, nthreads: i64) void {

@@ -644,13 +644,15 @@ pub enum Insn {
     RetVoid,
 }
 
-/// The pre-optimization instruction stream, kept on [`CompiledFn`] when
-/// the optimizer changed anything so `--dump-bytecode` can show both
-/// stages. `nconsts` is the pool length before optimization (folding only
-/// ever appends constants, so pre-opt indices stay valid).
+/// The instruction stream as lowered, kept on [`CompiledFn`] when a later
+/// pass changed anything so `--dump-bytecode` can show both stages.
+/// `nconsts` and `nregs` are the pool length and frame size it was lowered
+/// with (inlining and folding only ever append constants and registers, so
+/// its indices stay valid).
 pub struct PreOpt {
     pub code: Vec<Insn>,
     pub nconsts: usize,
+    pub nregs: usize,
 }
 
 /// One compiled function.
@@ -726,18 +728,24 @@ fn arith_text(op: ArithOp) -> &'static str {
 
 /// Render one function's bytecode as stable, diffable text.
 pub fn disasm_fn(f: &CompiledFn) -> String {
-    disasm_fn_code(f, &f.code, f.consts.len(), "")
+    disasm_fn_code(f, &f.code, f.consts.len(), f.nregs, "")
 }
 
 /// Render one function with an explicit instruction stream / pool length
 /// (the `--dump-bytecode` pre/post-optimization view).
-fn disasm_fn_code(f: &CompiledFn, code: &[Insn], nconsts: usize, tag: &str) -> String {
+fn disasm_fn_code(
+    f: &CompiledFn,
+    code: &[Insn],
+    nconsts: usize,
+    nregs: usize,
+    tag: &str,
+) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fn {}{tag} (params {}, regs {})",
-        f.name, f.nparams, f.nregs
+        "fn {}{tag} (params {}, regs {nregs})",
+        f.name, f.nparams
     );
     if !f.locals.is_empty() {
         let names: Vec<String> = f
@@ -953,15 +961,27 @@ pub fn disasm(image: &Image) -> String {
 }
 
 /// Render the whole image showing both optimization stages: for every
-/// function the optimizer rewrote, the pre-optimization stream first,
-/// then the optimized one (`--dump-bytecode` under `--opt>=1`).
+/// function a pass rewrote, the stream as lowered (before inlining)
+/// first, then the final one (`--dump-bytecode` under `--opt>=2`).
 pub fn disasm_stages(image: &Image) -> String {
     let mut out = String::new();
     for f in &image.funcs {
         if let Some(pre) = &f.pre_opt {
-            out.push_str(&disasm_fn_code(f, &pre.code, pre.nconsts, " [pre-opt]"));
+            out.push_str(&disasm_fn_code(
+                f,
+                &pre.code,
+                pre.nconsts,
+                pre.nregs,
+                " [pre-opt]",
+            ));
             out.push('\n');
-            out.push_str(&disasm_fn_code(f, &f.code, f.consts.len(), " [optimized]"));
+            out.push_str(&disasm_fn_code(
+                f,
+                &f.code,
+                f.consts.len(),
+                f.nregs,
+                " [optimized]",
+            ));
         } else {
             out.push_str(&disasm_fn(f));
         }

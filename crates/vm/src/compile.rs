@@ -67,7 +67,8 @@ pub fn compile_image(ast: &Ast) -> Image {
 }
 
 /// Compile and then run the optimization pipeline at the given
-/// level. `OptLevel::O0` returns the raw stream unchanged; `O2` runs
+/// level. `OptLevel::O0` returns the raw stream unchanged; `O2` inlines
+/// small leaf callees ([`crate::inline`]), runs
 /// the per-function rewrite fixpoint and emits static Int/Float
 /// specializations from whole-image type inference
 /// ([`crate::typeck`]); `O3` finally installs the native bulk kernels
@@ -87,6 +88,10 @@ pub(crate) fn compile_image_opt_collect(
 ) -> Image {
     let mut image = compile_image(ast);
     if opt > crate::optimize::OptLevel::O0 {
+        let inlined = crate::inline::inline_image(&mut image);
+        if let Some(d) = data.as_deref_mut() {
+            d.inline = inlined;
+        }
         let nfuncs = image.funcs.len();
         for f in &mut image.funcs {
             let stats = crate::optimize::optimize_fn_stats(f, opt, nfuncs);
@@ -107,7 +112,7 @@ pub(crate) fn compile_image_opt_collect(
 
 /// Constant-pool key (floats by bit pattern so `-0.0`/`0.0` stay distinct).
 #[derive(Hash, PartialEq, Eq)]
-enum CKey {
+pub(crate) enum CKey {
     Void,
     Undef,
     I(i64),
@@ -115,6 +120,22 @@ enum CKey {
     B(bool),
     S(String),
     Fn(String),
+}
+
+impl CKey {
+    pub(crate) fn of(v: &Value) -> CKey {
+        match v {
+            Value::Void => CKey::Void,
+            Value::Undefined => CKey::Undef,
+            Value::Int(i) => CKey::I(*i),
+            Value::Float(f) => CKey::F(f.to_bits()),
+            Value::Bool(b) => CKey::B(*b),
+            Value::Str(s) => CKey::S(s.to_string()),
+            Value::Fn(n) => CKey::Fn(n.to_string()),
+            // Non-literal values never enter the pool.
+            _ => unreachable!("non-constant value in const pool"),
+        }
+    }
 }
 
 struct Local {
@@ -264,17 +285,7 @@ impl<'a> FnCx<'a> {
     // -- pools --------------------------------------------------------------
 
     fn kconst(&mut self, v: Value) -> u16 {
-        let key = match &v {
-            Value::Void => CKey::Void,
-            Value::Undefined => CKey::Undef,
-            Value::Int(i) => CKey::I(*i),
-            Value::Float(f) => CKey::F(f.to_bits()),
-            Value::Bool(b) => CKey::B(*b),
-            Value::Str(s) => CKey::S(s.to_string()),
-            Value::Fn(n) => CKey::Fn(n.to_string()),
-            // Non-literal values never enter the pool.
-            _ => unreachable!("non-constant value in const pool"),
-        };
+        let key = CKey::of(&v);
         if let Some(&k) = self.const_map.get(&key) {
             return k;
         }

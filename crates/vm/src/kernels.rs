@@ -673,6 +673,7 @@ fn install_fn(f: &mut CompiledFn, nfuncs: usize, lcg: &[bool]) {
             f.pre_opt = Some(PreOpt {
                 code,
                 nconsts: f.consts.len(),
+                nregs: f.nregs,
             });
         }
         if let Err(e) = verify_fn(f, nfuncs) {

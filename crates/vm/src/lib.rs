@@ -10,7 +10,8 @@
 //! Function bodies execute on one of two backends ([`interp::Backend`]):
 //! the default register-bytecode VM ([`bytecode`], [`compile`]) — a flat
 //! instruction stream with compile-time slot resolution and fused loop
-//! opcodes, post-processed by the [`optimize`] pipeline (constant
+//! opcodes, with small leaf callees inlined into their callers
+//! ([`inline`]), post-processed by the [`optimize`] pipeline (constant
 //! folding, dead-store elimination, superinstruction fusion;
 //! `--opt=0|2|3` on the CLI), statically type-specialised from the
 //! block-structured [`ir`] by [`typeck`] (`--opt>=2`), and executed
@@ -43,6 +44,7 @@
 pub mod builtins;
 pub mod bytecode;
 pub mod compile;
+pub mod inline;
 pub mod interp;
 pub mod ir;
 pub mod kernels;

@@ -354,7 +354,7 @@ pub(crate) fn jump_target(insn: &Insn) -> Option<u32> {
 }
 
 /// Rewrite an instruction's jump target through an old→new index map.
-fn retarget(insn: &mut Insn, map: &[u32]) {
+pub(crate) fn retarget(insn: &mut Insn, map: &[u32]) {
     match insn {
         Insn::Jump { to }
         | Insn::JumpIfFalse { to, .. }
@@ -1447,9 +1447,11 @@ pub fn optimize_fn_stats(f: &mut CompiledFn, opt: OptLevel, nfuncs: usize) -> Op
         }
     }
     if f.code != orig_code {
-        f.pre_opt = Some(PreOpt {
+        // Inlining, when it touched `f`, already kept the stream as lowered.
+        f.pre_opt.get_or_insert(PreOpt {
             code: orig_code,
             nconsts: orig_nconsts,
+            nregs: f.nregs,
         });
     } else {
         // Nothing changed; drop any constants folding may have parked.

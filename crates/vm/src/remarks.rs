@@ -8,12 +8,18 @@
 //! - **`kernel-installed`** — a loop lowered to one of the native
 //!   bulk-kernel shapes ([`KernelKind::NAMES`], `--opt=3`), named.
 //! - **`kernel-missed`** — a loop that stayed interpreted, with a
-//!   machine-readable reason: `call-boundary` (naming every callee the
-//!   matcher stopped at — the matcher sees *through* a call only when
-//!   the callee verifies as the NPB 46-bit LCG, so anything else is a
-//!   boundary), `unsupported-op`, `dynamic-type`, or `shape`. The same
+//!   machine-readable reason: `call-boundary` (naming every call left
+//!   in the loop and, in brackets, why it is still one: a program
+//!   function carries the inliner's slug — `over-budget (47 > 24)`,
+//!   `has-loop`, `calls`, `omp-call`, `recursive`, `arity`, `indirect`,
+//!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`] — and a
+//!   runtime entry point or builtin says `runtime` / `builtin`),
+//!   `unsupported-op`, `dynamic-type`, or `shape`. The same
 //!   rows are exported structurally via [`kernel_misses`] so bench
 //!   artifacts (`BENCH_tiers.json`) can embed them per loop.
+//! - **`inlined`** — a direct call replaced by its callee's body
+//!   (`--opt>=2`, [`crate::inline`]), by its pc in the `[pre-opt]`
+//!   listing of `--dump-bytecode`.
 //! - **`typeck-summary` / `typeck-dynamic`** — per-function static
 //!   specialization outcome (`--opt>=2`): how many sites inference
 //!   proved Int/Float, and for each site left generic, the operand
@@ -31,6 +37,7 @@ use std::fmt::Write as _;
 use zomp_front::Diag;
 
 use crate::bytecode::{CompiledFn, Image, Insn, OmpFn};
+use crate::inline::{InlineData, Kept};
 use crate::kernels::KernelKind;
 use crate::optimize::{OptLevel, OptStats};
 use crate::typeck::SiteOutcome;
@@ -41,6 +48,7 @@ use crate::value::Value;
 /// `image.funcs`.
 #[derive(Default)]
 pub struct PassData {
+    pub inline: InlineData,
     pub opt_stats: Vec<OptStats>,
     pub sites: Vec<Vec<SiteOutcome>>,
 }
@@ -60,7 +68,17 @@ fn assemble(source: &str, image: &Image, data: &PassData, opt: OptLevel) -> Vec<
     let mut out = Vec::new();
     for (fi, f) in image.funcs.iter().enumerate() {
         if opt >= OptLevel::O3 {
-            kernel_remarks(source, image, f, &mut out);
+            kernel_remarks(source, image, fi, &data.inline, &mut out);
+        }
+        for site in data.inline.sites.iter().filter(|s| s.caller == fi) {
+            out.push(Diag::remark(
+                "inlined",
+                0,
+                format!(
+                    "fn `{}`: inlined `{}` ({} insns) at pc {}",
+                    f.name, image.funcs[site.callee].name, site.insns, site.pc
+                ),
+            ));
         }
         if let Some(sites) = data.sites.get(fi) {
             typeck_remarks(source, f, sites, &mut out);
@@ -85,7 +103,14 @@ fn assemble(source: &str, image: &Image, data: &PassData, opt: OptLevel) -> Vec<
 /// for every `TemplateLoop` in the final stream, then `kernel-missed`
 /// (with a reason) for every remaining back-edge loop that is not
 /// part of the worksharing protocol itself.
-fn kernel_remarks(source: &str, image: &Image, f: &CompiledFn, out: &mut Vec<Diag>) {
+fn kernel_remarks(
+    source: &str,
+    image: &Image,
+    fi: usize,
+    inline: &InlineData,
+    out: &mut Vec<Diag>,
+) {
+    let f = &image.funcs[fi];
     // Installed spans: the BulkLoop/TemplateLoop pc and everything to
     // its exit — the replaced loop body (including any nested loop the
     // shape subsumes, e.g. matvec-rows' inner gather) lives in that
@@ -139,7 +164,7 @@ fn kernel_remarks(source: &str, image: &Image, f: &CompiledFn, out: &mut Vec<Dia
         if is_chunk_pull_loop(f, head, tail) {
             continue;
         }
-        let (_, reason, note) = classify_miss(image, f, head, tail, &installed);
+        let (_, reason, note) = classify_miss(image, fi, inline, head, tail, &installed);
         let label = miss_label(image, f, head);
         let d = Diag::remark(
             "kernel-missed",
@@ -201,8 +226,9 @@ fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
 }
 
 /// Why the kernel matcher could not take a loop, most actionable
-/// reason first: a call boundary beats everything (verifying or
-/// inlining the callee would be the fix), then an opcode no shape
+/// reason first: a call boundary beats everything (the note says why
+/// each callee was not inlined, which is what would have to change),
+/// then an opcode no shape
 /// covers, then operand types the specializer could not prove, and
 /// finally a plain shape mismatch. Returns `(slug, human reason,
 /// note)`; the slug is the stable machine-readable vocabulary
@@ -212,11 +238,13 @@ fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
 /// `randlc` call inside an installed `lcg-fill`) would be noise.
 fn classify_miss(
     image: &Image,
-    f: &CompiledFn,
+    fi: usize,
+    inline: &InlineData,
     head: usize,
     tail: usize,
     installed: &[(usize, usize)],
 ) -> (&'static str, &'static str, String) {
+    let f = &image.funcs[fi];
     let mut callees: Vec<String> = Vec::new();
     let mut push = |c: String| {
         if !callees.contains(&c) {
@@ -230,15 +258,21 @@ fn classify_miss(
             continue;
         }
         match f.code[pc] {
-            Insn::Call { func, .. } => push(format!("`{}`", image.funcs[func as usize].name)),
-            Insn::CallValue { .. } => push("an indirect call".to_string()),
-            Insn::OmpCall { func, .. } => push(format!("`omp.{}`", func.path())),
+            Insn::Call { func, n, .. } => {
+                let g = func as usize;
+                // Every direct call left at `--opt>=2` was refused.
+                let why = (inline.why_kept(image, fi, g, n))
+                    .map_or("not-inlined".to_string(), |k| k.to_string());
+                push(format!("`{}` [{why}]", image.funcs[g].name));
+            }
+            Insn::CallValue { .. } => push(format!("a function value [{}]", Kept::Indirect)),
+            Insn::OmpCall { func, .. } => push(format!("`omp.{}` [runtime]", func.path())),
             Insn::Builtin { name_k, .. } => {
                 let name: &str = match f.consts.get(name_k as usize) {
                     Some(Value::Str(s)) => s,
                     _ => "@builtin",
                 };
-                push(format!("`{name}`"));
+                push(format!("`{name}` [builtin]"));
             }
             Insn::Arith { .. } => dynamic = dynamic.or(Some("arith")),
             Insn::Cmp { .. } => dynamic = dynamic.or(Some("cmp")),
@@ -259,11 +293,7 @@ fn classify_miss(
         (
             "call-boundary",
             "call boundary",
-            format!(
-                "the matcher only sees through calls whose callee verifies as the \
-                 46-bit LCG; loop body calls {}",
-                callees.join(", ")
-            ),
+            format!("calls that stayed calls: {}", callees.join(", ")),
         )
     } else if let Some(op) = unsupported {
         (
@@ -314,9 +344,10 @@ pub struct MissRow {
 pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
     let pre = zomp_front::preprocess::preprocess_named(source, unit)?;
     let ast = zomp_front::parse(&pre)?;
-    let image = crate::compile::compile_image_opt(&ast, OptLevel::O3);
+    let mut data = PassData::default();
+    let image = crate::compile::compile_image_opt_collect(&ast, OptLevel::O3, Some(&mut data));
     let mut rows = Vec::new();
-    for f in &image.funcs {
+    for (fi, f) in image.funcs.iter().enumerate() {
         let installed: Vec<(usize, usize)> = f
             .code
             .iter()
@@ -336,7 +367,7 @@ pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
             if is_chunk_pull_loop(f, head, tail) {
                 continue;
             }
-            let (slug, _, note) = classify_miss(&image, f, head, tail, &installed);
+            let (slug, _, note) = classify_miss(&image, fi, &data.inline, head, tail, &installed);
             rows.push(MissRow {
                 func: f.name.clone(),
                 label: miss_label(&image, f, head),
@@ -528,20 +559,26 @@ mod tests {
 
     #[test]
     fn call_boundary_miss_names_the_callee() {
-        let src = r#"fn randlc(x: *f64, a: f64) f64 {
-    x.* = x.* * a;
+        // `drain` has a loop, so the inliner leaves it; `half` goes in.
+        let src = r#"fn drain(x: *f64, a: f64) f64 {
+    while (x.* > 1.0) {
+        x.* = x.* * a;
+    }
     return x.*;
+}
+fn half(v: f64) f64 {
+    return v * 0.5;
 }
 fn main() void {
     var n: i64 = 8;
     var s: f64 = 0.0;
     //$omp parallel num_threads(2) shared(s) firstprivate(n)
     {
-        var t: f64 = 1.0;
+        var t: f64 = 9.0;
         var i: i64 = 0;
         //$omp while reduction(+: s)
         while (i < n) : (i += 1) {
-            s = s + randlc(&t, 0.5);
+            s = s + half(drain(&t, 0.5));
         }
     }
     print(s);
@@ -552,10 +589,22 @@ fn main() void {
         assert!(
             missed.iter().any(|d| {
                 d.message.contains("call boundary")
-                    && d.note.as_deref().is_some_and(|n| n.contains("randlc"))
+                    && d.note
+                        .as_deref()
+                        .is_some_and(|n| n.contains("`drain` [has-loop]") && !n.contains("half"))
             }),
             "{missed:?}"
         );
+        assert!(
+            diags.iter().any(|d| d.code == "inlined"
+                && d.message.contains("inlined `half` (4 insns)")
+                && d.message.contains("__omp_outlined_0")),
+            "{diags:?}"
+        );
+        // The slug rides in the note of the JSON form.
+        let json = render_json(&diags, src);
+        assert!(json.contains("`drain` [has-loop]"), "{json}");
+        assert!(json.contains("\"code\": \"inlined\""), "{json}");
     }
 
     #[test]

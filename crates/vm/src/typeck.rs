@@ -850,6 +850,7 @@ fn specialize_fn(
             f.pre_opt = Some(PreOpt {
                 code,
                 nconsts: f.consts.len(),
+                nregs: f.nregs,
             });
         }
         if let Err(e) = verify_fn(f, nfuncs) {

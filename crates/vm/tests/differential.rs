@@ -1044,6 +1044,288 @@ fn main() void {}";
     assert_eq!(run(Backend::Native, OptLevel::O2), oracle, "native");
 }
 
+// -- inlining vs the oracle --------------------------------------------------
+
+/// What the inliner did with `src` at `--opt=3`: the callee of every
+/// `inlined` remark, and every `call boundary` note joined (the notes carry
+/// the slug saying why each remaining callee stayed a call).
+fn inline_remarks(src: &str) -> (Vec<String>, String) {
+    let diags = zomp_vm::remarks::collect(src, "t.zag", OptLevel::O3)
+        .unwrap_or_else(|e| panic!("{}", e.render(src)));
+    let inlined = diags
+        .iter()
+        .filter(|d| d.code == "inlined")
+        .map(|d| {
+            let (_, rest) = d.message.split_once("inlined `").expect("callee");
+            rest.split_once('`').expect("callee").0.to_string()
+        })
+        .collect();
+    let notes: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.message.contains("call boundary"))
+        .filter_map(|d| d.note.as_deref())
+        .collect();
+    (inlined, notes.join("\n"))
+}
+
+/// Small helpers called from a worksharing loop: a three-`return` helper,
+/// a helper that calls a helper twice, and a `void` helper that calls that
+/// one and stores (three levels flattened into the loop). `sum`
+/// is an `i64` reduction and each iteration stores its own element, so the
+/// printed values do not depend on the schedule.
+fn inline_ws_program(sched: &str, threads: i64) -> String {
+    format!(
+        "fn step(k: i64, lim: i64) i64 {{
+    if (k % 3 == 0) {{
+        return k / 3 + lim;
+    }}
+    if (k % 5 == 0) {{
+        return k * 2 - lim;
+    }}
+    return k + 1;
+}}
+fn sq(v: i64) i64 {{ return v * v; }}
+fn poly(v: i64) i64 {{ return sq(v) + sq(v + 1); }}
+fn mark(out: []i64, i: i64) void {{ out[i] = poly(i) - 7; }}
+fn main() void {{
+    var out: []i64 = @allocI(211);
+    var sum: i64 = 0;
+    //$omp parallel num_threads({threads}) shared(out) reduction(+: sum)
+    {{
+        var i: i64 = 0;
+        //$omp while {sched}
+        while (i < 211) : (i += 1) {{
+            sum = sum + poly(i) + step(i, 3);
+            mark(out, i);
+        }}
+    }}
+    var check: i64 = 0;
+    var k: i64 = 0;
+    while (k < 211) : (k += 1) {{
+        check = check + out[k] * (k + 1);
+    }}
+    print(sum, check, mark(out, 0));
+}}"
+    )
+}
+
+/// Inlined helpers against the tree-walker (which never inlines) and the
+/// raw `--opt=0` stream: results, output and error text are identical at
+/// every tier and team size, and the remarks say which calls went in and,
+/// by slug, why the others did not.
+#[test]
+fn inline_matrix_agrees() {
+    // Under each of the six schedules; the loop is left without a call.
+    let (inlined, notes) = inline_remarks(&inline_ws_program("schedule(static)", 2));
+    for callee in ["step", "sq", "poly", "mark"] {
+        assert!(inlined.iter().any(|c| c == callee), "{callee}: {inlined:?}");
+    }
+    assert_eq!(notes, "", "no call is left in any loop");
+    for sched in [
+        "schedule(static)",
+        "schedule(static, 3)",
+        "schedule(dynamic, 1)",
+        "schedule(dynamic, 5)",
+        "schedule(guided)",
+        "schedule(runtime)",
+    ] {
+        for threads in [1, 2, 4] {
+            let name = format!("inline/{sched}/t{threads}");
+            assert_backends_agree(&name, &inline_ws_program(sched, threads));
+        }
+    }
+
+    // Parameters are copies, arguments run once and in order, and an
+    // address-taken local is a fresh cell at every inlined execution.
+    let serial = r#"fn bump(a: i64, b: i64) i64 {
+    a = a + 1;
+    b = b * 2;
+    return a + b;
+}
+fn say(x: i64) i64 {
+    print("say", x);
+    return x;
+}
+fn next(p: *i64) i64 {
+    p.* += 1;
+    return p.*;
+}
+fn sub(a: i64, b: i64) i64 { return a - b; }
+fn acc(p: *i64, v: i64) i64 {
+    var t: i64 = v;
+    const q = &t;
+    q.* = q.* + p.*;
+    p.* = t;
+    return t;
+}
+fn nothing() void {}
+fn main() void {
+    var x: i64 = 5;
+    print(bump(x, x), x);
+    var c: i64 = 0;
+    print(sub(say(1), say(2)), sub(next(&c), next(&c)), c);
+    var total: i64 = 0;
+    var i: i64 = 0;
+    while (i < 6) : (i += 1) {
+        total = total + acc(&c, i) + bump(i, i);
+    }
+    print(total, c, i, nothing());
+}"#;
+    let (inlined, _) = inline_remarks(serial);
+    for callee in ["bump", "say", "next", "sub", "acc", "nothing"] {
+        assert!(inlined.iter().any(|c| c == callee), "{callee}: {inlined:?}");
+    }
+    assert_eq!(
+        run_on(serial, Backend::Ast, OptLevel::O0),
+        Ok(vec![
+            "16 5".to_string(),
+            "say 1".to_string(),
+            "say 2".to_string(),
+            "-1 -1 2".to_string(),
+            "98 17 6 void".to_string(),
+        ])
+    );
+    assert_backends_agree("serial", serial);
+
+    // Calls that must stay calls, each named with its slug.
+    let kept = r#"fn fact(n: i64) i64 {
+    if (n < 2) { return 1; }
+    return n * fact(n - 1);
+}
+fn even(n: i64) i64 {
+    if (n == 0) { return 1; }
+    return odd(n - 1);
+}
+fn odd(n: i64) i64 {
+    if (n == 0) { return 0; }
+    return even(n - 1);
+}
+fn via(n: i64) i64 { return n + 1; }
+fn looped(n: i64) i64 {
+    var s: i64 = 0;
+    var j: i64 = 0;
+    while (j < n) : (j += 1) { s = s + j; }
+    return s;
+}
+fn big(v: i64) i64 {
+    var k: i64 = v;
+    k = k + 1; k = k + 1; k = k + 1; k = k + 1; k = k + 1; k = k + 1;
+    k = k + 1; k = k + 1; k = k + 1; k = k + 1; k = k + 1;
+    return k;
+}
+fn wrap(n: i64) i64 { return fact(n) + 1; }
+fn who(n: i64) i64 { return n + omp.get_thread_num(); }
+fn main() void {
+    const f = via;
+    var s: i64 = 0;
+    var i: i64 = 0;
+    while (i < 7) : (i += 1) {
+        s = s + fact(i) + even(i) + f(i) + looped(i) + big(i) + wrap(i) + who(i);
+    }
+    print(s);
+}"#;
+    let (inlined, notes) = inline_remarks(kept);
+    assert_eq!(inlined, Vec::<String>::new());
+    for slug in [
+        "`fact` [recursive]",
+        "`even` [recursive]",
+        "a function value [indirect]",
+        "`looped` [has-loop]",
+        "`big` [over-budget (25 > 24)]",
+        "`wrap` [calls]",
+        "`who` [omp-call]",
+    ] {
+        assert!(notes.contains(slug), "{slug} missing from: {notes}");
+    }
+    assert_backends_agree("kept", kept);
+
+    // A wrong-arity call stays a call and fails as one.
+    let arity = "fn two(a: i64, b: i64) i64 { return a + b; }
+fn main() void {
+    var i: i64 = 0;
+    while (i < 3) : (i += 1) { print(two(i, i)); print(two(i)); }
+}";
+    let (inlined, notes) = inline_remarks(arity);
+    assert_eq!(inlined, ["two"], "the two-argument site goes in");
+    assert!(notes.contains("`two` [arity]"), "{notes}");
+    assert_eq!(
+        run_on(arity, Backend::Ast, OptLevel::O0),
+        Err("runtime error: `two` expects 2 arguments, got 1".to_string())
+    );
+    assert_backends_agree("arity", arity);
+}
+
+/// An inlined helper that fails on some iterations only: the error text
+/// and everything done before it — lines printed, elements stored — are
+/// the tree-walker's, also where the enclosing loop became a template and
+/// bails to replay the failing iteration; and a host `f64` handed to an
+/// `i64`-annotated parameter flows through the inlined body to the
+/// walker's result or error.
+#[test]
+fn inline_faults_and_host_types_match_the_walker() {
+    let src = "fn inv(a: i64, b: i64) i64 { return a / b; }
+fn at(a: []i64, i: i64) i64 { return a[i]; }
+fn shout(out: []i64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        print(inv(1000, 7 - i));
+    }
+}
+fn fill(out: []i64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        out[i] = inv(1000, 7 - i);
+    }
+}
+fn copy(out: []i64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        out[i + 2] = at(out, i) * 2 + 1;
+    }
+}
+fn twice(x: i64) i64 { return x + x; }
+fn mixed(x: i64, y: i64) i64 { return x + y; }
+fn host(out: []i64, x: i64) i64 { return twice(x) + mixed(x, 2); }
+fn hosted(out: []i64, x: i64) i64 { return twice(x); }
+fn main() void {}";
+    let diags = zomp_vm::remarks::collect(src, "t.zag", OptLevel::O3).unwrap();
+    let templated = |func: &str| {
+        diags
+            .iter()
+            .any(|d| d.code == "template-installed" && d.message.contains(&format!("`{func}`")))
+    };
+    assert!(
+        templated("fill") && templated("copy"),
+        "once the helper is inlined the store loops are templates: {diags:?}"
+    );
+    let run = |backend: Backend, opt: OptLevel, func: &str, arg: Value| {
+        let out = std::sync::Arc::new(zomp_vm::value::ArrI::new(10));
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let r = vm.call_function(func, vec![Value::ArrI(out.clone()), arg]);
+        (
+            r.map(|v| v.render()).map_err(|e| e.to_string()),
+            vm.output.into_inner(),
+            out.to_vec(),
+        )
+    };
+    for (func, arg, fails) in [
+        ("shout", Value::Int(10), true),
+        ("fill", Value::Int(10), true),
+        ("copy", Value::Int(10), true),
+        ("host", Value::Float(1.5), true),
+        ("hosted", Value::Float(1.5), false),
+    ] {
+        let oracle = run(Backend::Ast, OptLevel::O0, func, arg.clone());
+        assert_eq!(oracle.0.is_err(), fails, "{func}: {:?}", oracle.0);
+        for opt in opt_levels() {
+            let got = run(Backend::Bytecode, opt, func, arg.clone());
+            assert_eq!(got, oracle, "{func} at --opt={opt}");
+        }
+        let got = run(Backend::Native, OptLevel::O2, func, arg.clone());
+        assert_eq!(got, oracle, "{func} on the native backend");
+    }
+}
+
 // -- call-depth limit --------------------------------------------------------
 
 /// Run `f` on a thread with the stack every thread running Zag code for
@@ -1063,7 +1345,9 @@ fn on_user_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// `zomp::MAX_CALL_DEPTH` nested activations run; one more is the same
 /// runtime error on the oracle and at every tier, serially and on both
 /// threads of a `parallel` region (whose body is one activation itself) —
-/// never a native stack overflow.
+/// never a native stack overflow. An inlined call is not an activation:
+/// the one program that differs between tiers is a leaf called from
+/// activation number `MAX_CALL_DEPTH` (DESIGN "Inlining").
 #[test]
 fn call_depth_limit_is_an_error_at_every_tier() {
     let limit = zomp::MAX_CALL_DEPTH as i64;
@@ -1100,4 +1384,33 @@ fn main() void {{
             assert_backends_agree(name, &too_deep);
         });
     }
+    // `down` recurses and stays a call at every tier; `one` is a call —
+    // activation `limit + 1` — only where nothing inlines it.
+    let boundary = format!(
+        "fn one() i64 {{ return 1; }}
+fn down(k: i64) i64 {{ if (k == 0) {{ return one(); }} return 1 + down(k - 1); }}
+fn main() void {{ print(down({})); }}",
+        limit - 1
+    );
+    on_user_stack(|| {
+        let oracle = run_on(&boundary, Backend::Ast, OptLevel::O0);
+        let e = oracle
+            .clone()
+            .expect_err("the leaf is one activation too many");
+        assert!(e.contains("stack overflow"), "{e}");
+        let inlined = Ok(vec![limit.to_string()]);
+        for opt in opt_levels() {
+            let want = if opt == OptLevel::O0 {
+                &oracle
+            } else {
+                &inlined
+            };
+            assert_eq!(
+                &run_on(&boundary, Backend::Bytecode, opt),
+                want,
+                "--opt={opt}"
+            );
+        }
+        assert_eq!(run_on(&boundary, Backend::Native, OptLevel::O2), inlined);
+    });
 }

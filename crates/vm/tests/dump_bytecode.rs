@@ -7,9 +7,10 @@
 //! `tests/golden/loop.opt{1,2,3}.disasm` (the `--dump-bytecode` pre/post
 //! view, so fusion regressions are visible as instruction-level diffs),
 //! `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
-//! inference regressions show up as type-annotation diffs), and
+//! inference regressions show up as type-annotation diffs),
 //! `tests/golden/chunk_heads.disasm` (the fused chunk-claim head of both
-//! worksharing loop shapes).
+//! worksharing loop shapes), and `tests/golden/inline_{step,weigh}.disasm`
+//! (a worksharing loop before and after its helper is inlined).
 //! To accept a new golden output:
 //!
 //! ```text
@@ -135,4 +136,112 @@ fn chunk_loop_heads_match_golden() {
         }
     }
     assert_golden(&got, "chunk_heads.disasm");
+}
+
+/// The benchmark's two helper shapes in a worksharing loop: `step` (three
+/// `return`s, so the inlined body keeps its branches and the loop stays
+/// interpreted) and `weigh` (one expression, so the loop is straight-line
+/// once it is inlined).
+const STEP_PROGRAM: &str = r#"fn step(k: i64, lim: i64) i64 {
+    if (k % 3 == 0) {
+        return k / 3 + lim;
+    }
+    if (k % 5 == 0) {
+        return k * 2 - lim;
+    }
+    return k + 1;
+}
+fn main() void {
+    var x: []i64 = @allocI(64);
+    var total: i64 = 0;
+    //$omp parallel num_threads(2) shared(x) reduction(+: total)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < 64) : (i += 1) {
+            total = total + step(x[i], 7);
+        }
+    }
+    print(total);
+}
+"#;
+
+const WEIGH_PROGRAM: &str = r#"fn weigh(v: i64) i64 {
+    return v % 13 + 1;
+}
+fn main() void {
+    var x: []i64 = @allocI(64);
+    var sum: i64 = 0;
+    //$omp parallel num_threads(2) shared(x) reduction(+: sum)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(dynamic, 1)
+        while (i < 64) : (i += 1) {
+            sum = sum + weigh(x[i]);
+        }
+    }
+    print(sum);
+}
+"#;
+
+/// The outlined region of `src` at `--opt=2` and `--opt=3`, `[pre-opt]`
+/// (the stream as lowered, call and all) and `[optimized]` (the merged
+/// one), and the same two listings with their headers dropped.
+fn outlined_stages(src: &str) -> (String, Vec<String>) {
+    let mut golden = String::new();
+    let mut optimized = Vec::new();
+    for opt in [OptLevel::O2, OptLevel::O3] {
+        let program = zomp_vm::compile_opt(src, None, opt).expect("compile");
+        golden.push_str(&format!("--opt={opt}\n"));
+        for listing in disasm_stages(&program.code).split("\n\n") {
+            if listing.starts_with("fn __omp_outlined_0") {
+                golden.push_str(listing);
+                golden.push_str("\n\n");
+            }
+            if listing.starts_with("fn __omp_outlined_0 [optimized]") {
+                optimized.push(listing.to_string());
+            }
+        }
+    }
+    (golden, optimized)
+}
+
+/// Whether a listing holds a direct `call` instruction.
+fn has_call(listing: &str) -> bool {
+    listing
+        .lines()
+        .any(|l| l.split_whitespace().nth(1) == Some("call"))
+}
+
+/// `step` leaves no `call` in the loop at either level, and the
+/// `[pre-opt]` listing still shows the one that was there.
+#[test]
+fn inlined_step_loop_matches_golden() {
+    let (golden, optimized) = outlined_stages(STEP_PROGRAM);
+    assert!(golden.contains("[pre-opt]") && has_call(&golden));
+    for listing in &optimized {
+        assert!(!has_call(listing), "{listing}");
+        assert!(
+            !listing.contains("templateloop"),
+            "branches stay: {listing}"
+        );
+    }
+    assert_golden(&golden, "inline_step.disasm");
+}
+
+/// `weigh` leaves a straight-line loop: interpreted at `--opt=2`; at
+/// `--opt=3` a template whose `ws_begin` claims owner batches.
+#[test]
+fn inlined_weigh_loop_matches_golden() {
+    let (golden, optimized) = outlined_stages(WEIGH_PROGRAM);
+    let [o2, o3] = &optimized[..] else {
+        panic!("two levels: {optimized:?}")
+    };
+    assert!(
+        has_call(&golden) && !has_call(o2) && !has_call(o3),
+        "{golden}"
+    );
+    assert!(o2.contains("omp.internal.ws_begin,") && !o2.contains("templateloop"));
+    assert!(o3.contains("omp.internal.ws_begin_bulk,") && o3.contains("templateloop"));
+    assert_golden(&golden, "inline_weigh.disasm");
 }
