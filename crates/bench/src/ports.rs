@@ -233,7 +233,7 @@ fn rank(keys: []i64, nkeys: i64, maxlog: i64, nblog: i64,
 /// Template-tier fixture: two typed loops whose shapes miss every fixed
 /// bulk kernel (a 3-point float stencil and a squared-sum int reduction)
 /// at a trip count large enough to measure the template speedup over the
-/// `--opt=2` bytecode. The real shape-missed loops in the NPB ports (EP's
+/// `--opt=0` bytecode. The real shape-missed loops in the NPB ports (EP's
 /// `nk`/`batches` setup doublings) run a handful of iterations, so the
 /// smoke gate measures here instead.
 pub const ZAG_TEMPLATE: &str = r#"

@@ -75,7 +75,7 @@ pub enum CheckMode {
 pub struct ExecConfig {
     /// `--backend ast|bytecode|native`.
     pub backend: Option<BackendSel>,
-    /// `--opt 0|2|3`.
+    /// `--opt 0|3`.
     pub opt: Option<u8>,
     /// `--threads N` (initial `nthreads-var`).
     pub threads: Option<usize>,
@@ -135,8 +135,8 @@ impl ExecConfig {
             let n: u8 = v
                 .parse()
                 .ok()
-                .filter(|n| matches!(n, 0 | 2 | 3))
-                .ok_or_else(|| format!("bad optimization level `{v}` (expected 0, 2 or 3)"))?;
+                .filter(|n| matches!(n, 0 | 3))
+                .ok_or_else(|| format!("bad optimization level `{v}` (expected 0 or 3)"))?;
             self.opt = Some(n);
             return Ok(true);
         }
@@ -275,8 +275,10 @@ mod tests {
     #[test]
     fn rejects_bad_values() {
         assert!(parse_all(&["--opt", "9"]).is_err());
-        let e = parse_all(&["--opt", "1"]).unwrap_err();
-        assert!(e.contains("expected 0, 2 or 3"), "{e}");
+        for gone in ["1", "2"] {
+            let e = parse_all(&["--opt", gone]).unwrap_err();
+            assert!(e.contains("expected 0 or 3"), "{e}");
+        }
         assert!(parse_all(&["--threads", "0"]).is_err());
         assert!(parse_all(&["--backend", "jit"]).is_err());
         assert!(parse_all(&["--safety", "fast"]).is_err());
@@ -285,8 +287,8 @@ mod tests {
 
     #[test]
     fn leaves_foreign_flags_alone() {
-        let (cfg, rest) = parse_all(&["--dump-ir", "--opt=2", "x.zag"]).unwrap();
-        assert_eq!(cfg.opt, Some(2));
+        let (cfg, rest) = parse_all(&["--dump-ir", "--opt=0", "x.zag"]).unwrap();
+        assert_eq!(cfg.opt, Some(0));
         assert_eq!(rest, vec!["--dump-ir", "x.zag"]);
     }
 

@@ -277,7 +277,6 @@ fn ep_bail_program_agrees_in_bounds() {
     assert!(oracle.is_ok(), "{oracle:?}");
     for (backend, opt) in [
         (Backend::Bytecode, OptLevel::O0),
-        (Backend::Bytecode, OptLevel::O2),
         (Backend::Native, OptLevel::O3),
     ] {
         assert_eq!(

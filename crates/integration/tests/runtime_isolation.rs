@@ -39,7 +39,7 @@ fn vm_on(program: &Arc<zomp_vm::Program>, rt: Arc<Runtime>) -> Vm {
 }
 
 fn checksum_program() -> Arc<zomp_vm::Program> {
-    Arc::new(compile_opt(CHECKSUM_SRC, None, OptLevel::O2).expect("compile"))
+    Arc::new(compile_opt(CHECKSUM_SRC, None, OptLevel::O3).expect("compile"))
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn team_size() i64 {
     return omp.get_max_threads();
 }
 "#;
-    let program = Arc::new(compile_opt(SRC, None, OptLevel::O2).expect("compile"));
+    let program = Arc::new(compile_opt(SRC, None, OptLevel::O3).expect("compile"));
     let handles: Vec<_> = [1usize, 2, 3, 4]
         .into_iter()
         .map(|nt| {

@@ -11,8 +11,8 @@
 //! zag --trace out.json p.zag      # write a chrome://tracing event file
 //! zag --metrics m.json p.zag      # write aggregated runtime counters
 //! zag --backend ast p.zag         # run on the tree-walking oracle
-//! zag --backend native p.zag      # bytecode + native bulk kernels (--opt=3)
-//! zag --opt 0 p.zag               # bytecode optimization level (0|2|3)
+//! zag --backend native p.zag      # alias of `--backend bytecode --opt 3`
+//! zag --opt 0 p.zag               # the unoptimized oracle stream (0|3; default 3)
 //! zag --dump-bytecode p.zag       # print pre- and post-opt streams
 //! zag --dump-ir p.zag             # print the typed block-structured IR
 //! zag --remarks p.zag             # optimization remarks, no execution
@@ -33,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: zag [--check[=deny]] [--remarks[=json]] [--emit-preprocessed] [--trace-passes] \
          [--dump-ast] [--dump-bytecode] [--dump-ir] [--backend ast|bytecode|native] \
-         [--opt 0|2|3] [--threads N] [--schedule kind[,chunk]] \
+         [--opt 0|3] [--threads N] [--schedule kind[,chunk]] \
          [--safety debug|production|paranoid] [--profile[=json]] \
          [--trace FILE] [--metrics FILE] <program.zag>"
     );
@@ -125,11 +125,8 @@ fn main() {
     }
 
     if let Some(json) = remarks {
-        // Remark collection recompiles with the pipeline instrumented;
-        // default to --opt=3 so kernel-installed/missed remarks appear
-        // unless the user pinned a lower level explicitly.
-        let ropt = if cfg.opt.is_some() { opt } else { OptLevel::O3 };
-        match zomp_vm::remarks::collect(&source, &path, ropt) {
+        // Remark collection recompiles with the pipeline instrumented.
+        match zomp_vm::remarks::collect(&source, &path, opt) {
             Ok(diags) => {
                 if json {
                     print!("{}", zomp_vm::remarks::render_json(&diags, &source));
@@ -138,7 +135,7 @@ fn main() {
                         println!("{}", render_diag(&path, &source, d));
                     }
                     if diags.is_empty() {
-                        println!("zag: {path}: no remarks at --opt={ropt}");
+                        println!("zag: {path}: no remarks at --opt={opt}");
                     }
                 }
                 return;

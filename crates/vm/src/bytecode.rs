@@ -23,23 +23,22 @@
 //! On top of those, two more instruction families exist (see
 //! [`crate::optimize`]):
 //!
-//! * **Superinstructions** emitted by the `--opt≥2` peephole fuser:
+//! * **Superinstructions** emitted by the `--opt=3` peephole fuser (ten
+//!   forms; the catalogue in [`crate::optimize`] says what keeps each):
 //!   constant-operand arithmetic ([`Insn::ArithK`]/[`Insn::ArithKL`] — the
 //!   "AddSlots" family that removes the const-reload register shuffle),
-//!   load-op ([`Insn::IndexArith`]), op-store ([`Insn::ArithStore`]),
 //!   element increment ([`Insn::IncElemK`] — IS histogram body), the CG
-//!   matvec accumulate chain ([`Insn::FmaIdx`]), offset indexing
-//!   ([`Insn::IndexOff`] — `rowstr[j + 1]`), the unconditional
-//!   increment back-edge ([`Insn::IncJump`]), and the deref-fused family
-//!   ([`Insn::DerefIndex`], [`Insn::DerefIndexOff`], [`Insn::DerefIndexSet`],
-//!   [`Insn::DerefIncElemK`], [`Insn::DerefFmaIdx`]) that accesses
-//!   `shared(...)` arrays under a single cell lock without cloning the
-//!   array value into a register.
+//!   matvec accumulate chain ([`Insn::FmaIdx`], [`Insn::FmaGather`]),
+//!   offset indexing ([`Insn::IndexOff`] — `rowstr[j + 1]`), the
+//!   unconditional increment back-edge ([`Insn::IncJump`]), and the
+//!   deref-fused family ([`Insn::DerefIndex`], [`Insn::DerefIndexOff`],
+//!   [`Insn::DerefIndexSet`]) that accesses `shared(...)` arrays under a
+//!   single cell lock without cloning the array value into a register.
 //! * **Type-specialised instructions** — generic
 //!   `Arith`/`Cmp`/`Index`/`IndexSet`/`CmpJumpFalse` have `i64`/`f64`
 //!   forms ([`Insn::ArithII`] is the AddII/SubII/MulII… family,
 //!   [`Insn::ArithFF`] the AddFF/MulFF… family, [`Insn::IndexF`], …).
-//!   At `--opt>=2` the typed-IR pass ([`crate::typeck`]) emits them
+//!   At `--opt=3` the typed-IR pass ([`crate::typeck`]) emits them
 //!   statically wherever forward type inference proves the operand types;
 //!   slots inference leaves `Dynamic` stay generic. Each typed form
 //!   re-checks its operands and runs the generic form in place when a
@@ -354,7 +353,7 @@ pub enum Insn {
         to: u32,
     },
     /// `r[dst] = r[a] op consts[k]` — fused constant right operand
-    /// (`--opt=2` peephole; "AddSlots" family: the `const` reload and its
+    /// (`--opt=3` peephole; "AddSlots" family: the `const` reload and its
     /// temporary register disappear).
     ArithK {
         op: ArithOp,
@@ -369,23 +368,6 @@ pub enum Insn {
         op: ArithOp,
         dst: Reg,
         k: u16,
-        b: Reg,
-    },
-    /// `r[dst] = r[arr][r[idx]] op r[rhs]` — fused load-op (indexed left
-    /// operand only, again to preserve error-message operand order).
-    IndexArith {
-        op: ArithOp,
-        dst: Reg,
-        arr: Reg,
-        idx: Reg,
-        rhs: Reg,
-    },
-    /// `r[arr][r[idx]] = r[a] op r[b]` — fused op-store.
-    ArithStore {
-        op: ArithOp,
-        arr: Reg,
-        idx: Reg,
-        a: Reg,
         b: Reg,
     },
     /// `r[arr][r[idx]] = r[arr][r[idx]] op consts[k]` — fused element
@@ -447,42 +429,13 @@ pub enum Insn {
         idx: Reg,
         src: Reg,
     },
-    /// `(*r[cell])[r[idx]] op= consts[k]` — deref-fused
-    /// [`Insn::IncElemK`] (the IS ranking body `ranks[b] += 1` on a shared
-    /// array): one lock covers the whole read-modify-write.
-    DerefIncElemK {
-        op: ArithOp,
-        cell: Reg,
-        idx: Reg,
-        k: u16,
-    },
-    /// `r[dst] = r[dst] + r[x] * (*r[cell])[r[idx]]` — [`Insn::FmaIdx`]
-    /// with the array operand read through a shared cell under one lock
-    /// (the CG dot-product body `d = d + p[j] * q[j]`).
-    DerefFmaIdx {
-        dst: Reg,
-        x: Reg,
-        cell: Reg,
-        idx: Reg,
-    },
-    /// `r[dst] = r[dst] + r[x] * (*r[acell])[(*r[icell])[r[idx]]]` — the
-    /// whole CG matvec gather (`s = s + a[k] * p[colidx[k]]` with `p` and
-    /// `colidx` both shared) as one dispatch. The `acell` pointer check
-    /// happens first (unfused `Deref` position); its *read* is deferred to
-    /// after the `icell` gather, which is unobservable because dereferencing
-    /// a checked `Ptr` cannot fail.
-    FmaIdxCC {
-        dst: Reg,
-        x: Reg,
-        acell: Reg,
-        icell: Reg,
-        idx: Reg,
-    },
     /// `r[dst] += (*r[xcell])[r[idx]] * (*r[acell])[(*r[icell])[r[idx]]]`
-    /// — [`Insn::FmaIdxCC`] with the multiplier itself gathered from a
-    /// shared array at the same index: the complete matvec body
-    /// `s = s + a[k] * p[colidx[k]]` with `a`, `p`, `colidx` all shared,
-    /// one dispatch per nonzero.
+    /// — the complete CG matvec body `s = s + a[k] * p[colidx[k]]` with
+    /// `a`, `p`, `colidx` all shared, one dispatch per nonzero. The `acell`
+    /// pointer check happens at the unfused `Deref` position (after the
+    /// `xcell` load, before the `icell` gather); its *read* is deferred to
+    /// after the gather, which is unobservable because dereferencing a
+    /// checked `Ptr` cannot fail.
     FmaGather {
         dst: Reg,
         xcell: Reg,
@@ -810,17 +763,6 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
         Insn::ArithKL { op, dst, k, b } => {
             format!("{:<10} r{dst}, k{k}, r{b}", format!("k{}", arith_text(*op)))
         }
-        Insn::IndexArith {
-            op,
-            dst,
-            arr,
-            idx,
-            rhs,
-        } => format!("idx{:<7} r{dst}, r{arr}[r{idx}], r{rhs}", arith_text(*op)),
-        Insn::ArithStore { op, arr, idx, a, b } => format!(
-            "{:<10} r{arr}[r{idx}], r{a}, r{b}",
-            format!("{}st", arith_text(*op))
-        ),
         Insn::IncElemK { op, arr, idx, k } => {
             format!("incelem    r{arr}[r{idx}] {}= k{k}", arith_text(*op))
         }
@@ -846,21 +788,6 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
         }
         Insn::DerefIndexSet { cell, idx, src } => {
             format!("dindexset  (r{cell})[r{idx}], r{src}")
-        }
-        Insn::DerefIncElemK { op, cell, idx, k } => {
-            format!("dincelem   (r{cell})[r{idx}] {}= k{k}", arith_text(*op))
-        }
-        Insn::DerefFmaIdx { dst, x, cell, idx } => {
-            format!("dfmaidx    r{dst} += r{x} * (r{cell})[r{idx}]")
-        }
-        Insn::FmaIdxCC {
-            dst,
-            x,
-            acell,
-            icell,
-            idx,
-        } => {
-            format!("fmacc      r{dst} += r{x} * (r{acell})[(r{icell})[r{idx}]]")
         }
         Insn::FmaGather {
             dst,
@@ -962,7 +889,7 @@ pub fn disasm(image: &Image) -> String {
 
 /// Render the whole image showing both optimization stages: for every
 /// function a pass rewrote, the stream as lowered (before inlining)
-/// first, then the final one (`--dump-bytecode` under `--opt>=2`).
+/// first, then the final one (`--dump-bytecode` under `--opt=3`).
 pub fn disasm_stages(image: &Image) -> String {
     let mut out = String::new();
     for f in &image.funcs {

@@ -67,12 +67,11 @@ pub fn compile_image(ast: &Ast) -> Image {
 }
 
 /// Compile and then run the optimization pipeline at the given
-/// level. `OptLevel::O0` returns the raw stream unchanged; `O2` inlines
-/// small leaf callees ([`crate::inline`]), runs
-/// the per-function rewrite fixpoint and emits static Int/Float
-/// specializations from whole-image type inference
-/// ([`crate::typeck`]); `O3` finally installs the native bulk kernels
-/// ([`crate::kernels`]) on the fully-rewritten stream.
+/// level. `OptLevel::O0` returns the raw stream unchanged; `O3` inlines
+/// small leaf callees ([`crate::inline`]), runs the per-function rewrite
+/// fixpoint, emits static Int/Float specializations from whole-image type
+/// inference ([`crate::typeck`]) and installs the native bulk kernels and
+/// templates ([`crate::kernels`]) on the fully-rewritten stream.
 pub fn compile_image_opt(ast: &Ast, opt: crate::optimize::OptLevel) -> Image {
     compile_image_opt_collect(ast, opt, None)
 }
@@ -103,9 +102,7 @@ pub(crate) fn compile_image_opt_collect(
             Some(d) => d.sites = crate::typeck::specialize_image_remarked(&mut image),
             None => crate::typeck::specialize_image(&mut image),
         }
-        if opt >= crate::optimize::OptLevel::O3 {
-            crate::kernels::install_image(&mut image);
-        }
+        crate::kernels::install_image(&mut image);
     }
     image
 }

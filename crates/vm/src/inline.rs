@@ -1,4 +1,4 @@
-//! Image-level inlining of small leaf callees (`--opt>=2`).
+//! Image-level inlining of small leaf callees (`--opt=3`).
 //!
 //! A [`Insn::Call`] costs a `CallDepth` round trip, a pooled frame filled
 //! and cleared, and a fresh activation of the dispatch loop — about twice
@@ -634,7 +634,7 @@ mod tests {
         // It would fit if the budget were checked after `optimize`.
         let pre = zomp_front::preprocess(&src).unwrap();
         let optimized =
-            crate::compile::compile_image_opt(&zomp_front::parse(&pre).unwrap(), OptLevel::O2);
+            crate::compile::compile_image_opt(&zomp_front::parse(&pre).unwrap(), OptLevel::O3);
         assert!(optimized.get("h").unwrap().code.len() <= MAX_CALLEE_INSNS);
         assert_eq!(calls(&optimized, "main"), 1);
 
@@ -666,7 +666,7 @@ fn main() void {
         let main = image.get("main").unwrap();
         assert_eq!(calls(&image, "main"), 0);
         assert!(main.code.iter().any(|i| matches!(i, Insn::NewCell { .. })));
-        for opt in [OptLevel::O0, OptLevel::O2, OptLevel::O3] {
+        for opt in [OptLevel::O0, OptLevel::O3] {
             let vm = crate::Vm::build(src, None, crate::Backend::Bytecode, opt).unwrap();
             vm.call_function("main", Vec::new()).unwrap();
             assert_eq!(vm.output.lock().clone(), ["10"], "--opt={opt}");

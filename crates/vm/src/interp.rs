@@ -939,42 +939,6 @@ impl Vm {
                     };
                     set(regs, dst, v);
                 }
-                Insn::IndexArith {
-                    op,
-                    dst,
-                    arr,
-                    idx,
-                    rhs,
-                } => {
-                    // Same evaluation (and error) order as the unfused
-                    // Index-then-Arith pair.
-                    let i = rg(regs, idx).as_int()?;
-                    let elem = match rg(regs, arr) {
-                        Value::ArrF(a) => Value::Float(a.get(i)?),
-                        Value::ArrI(a) => Value::Int(a.get(i)?),
-                        other => return err(format!("cannot index {}", other.type_name())),
-                    };
-                    let v = match (&elem, rg(regs, rhs)) {
-                        (Value::Float(x), Value::Float(y)) => Value::Float(float_arith(op, *x, *y)),
-                        (Value::Int(x), Value::Int(y)) => Value::Int(int_arith(op, *x, *y)?),
-                        (x, y) => binop_arith(arith_token(op), x, y)?,
-                    };
-                    set(regs, dst, v);
-                }
-                Insn::ArithStore { op, arr, idx, a, b } => {
-                    // Arith first, then the IndexSet steps — unfused order.
-                    let v = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Float(x), Value::Float(y)) => Value::Float(float_arith(op, *x, *y)),
-                        (Value::Int(x), Value::Int(y)) => Value::Int(int_arith(op, *x, *y)?),
-                        (x, y) => binop_arith(arith_token(op), x, y)?,
-                    };
-                    let i = rg(regs, idx).as_int()?;
-                    match rg(regs, arr) {
-                        Value::ArrF(arr) => arr.set(i, v.as_float()?)?,
-                        Value::ArrI(arr) => arr.set(i, v.as_int()?)?,
-                        other => return err(format!("cannot index {}", other.type_name())),
-                    }
-                }
                 Insn::IncElemK { op, arr, idx, k } => {
                     // Unfused order: Index (idx, arr, bounds) → Arith with
                     // the constant → IndexSet.
@@ -1098,152 +1062,6 @@ impl Vm {
                     }
                     other => return err(format!("cannot store through {}", other.type_name())),
                 },
-                Insn::DerefIncElemK { op, cell, idx, k } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        // Unfused chain: DerefIndex → ArithK → DerefIndexSet
-                        // on the same cell register; one lock covers the
-                        // read-modify-write (the unfused pair re-derefs the
-                        // same unchanged register, so collapsing the two
-                        // locks is only observable to racy rebinds of the
-                        // cell, which are unspecified).
-                        let i = rg(regs, idx).as_int()?;
-                        let g = slot.lock();
-                        match (&*g, kc(consts, k)) {
-                            (Value::ArrI(a), Value::Int(c)) => {
-                                let x = a.get(i)?;
-                                a.set(i, int_arith(op, x, *c)?)?;
-                            }
-                            (Value::ArrF(a), Value::Float(c)) => {
-                                let x = a.get(i)?;
-                                a.set(i, float_arith(op, x, *c))?;
-                            }
-                            (other, c) => {
-                                let elem = match other {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    o => return err(format!("cannot index {}", o.type_name())),
-                                };
-                                let nv = binop_arith(arith_token(op), &elem, c)?;
-                                match other {
-                                    Value::ArrF(a) => a.set(i, nv.as_float()?)?,
-                                    Value::ArrI(a) => a.set(i, nv.as_int()?)?,
-                                    _ => unreachable!(),
-                                }
-                            }
-                        }
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        let elem = Value::Float(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem = Value::Int(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
-                Insn::DerefFmaIdx { dst, x, cell, idx } => match rg(regs, cell) {
-                    Value::Ptr(slot) => {
-                        let g = slot.lock();
-                        let v = match (&*g, rg(regs, idx), rg(regs, x), rg(regs, dst)) {
-                            (
-                                Value::ArrF(a),
-                                Value::Int(i),
-                                Value::Float(xv),
-                                Value::Float(acc),
-                            ) => {
-                                // Mul then add, as the unfused pair.
-                                Value::Float(*acc + *xv * a.get(*i)?)
-                            }
-                            _ => {
-                                // Unfused order: Index; Mul; Add.
-                                let i = rg(regs, idx).as_int()?;
-                                let elem = match &*g {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    other => {
-                                        return err(format!("cannot index {}", other.type_name()))
-                                    }
-                                };
-                                let prod = binop_arith(T::Star, rg(regs, x), &elem)?;
-                                binop_arith(T::Plus, rg(regs, dst), &prod)?
-                            }
-                        };
-                        drop(g);
-                        set(regs, dst, v);
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        let elem = Value::Float(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem = Value::Int(a.get(*i2)?);
-                        rg(regs, idx).as_int()?;
-                        return err(format!("cannot index {}", elem.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
-                Insn::FmaIdxCC {
-                    dst,
-                    x,
-                    acell,
-                    icell,
-                    idx,
-                } => match rg(regs, acell) {
-                    Value::Ptr(ps) => {
-                        // Unfused order: Deref(acell) ran first — for a live
-                        // `Ptr` it cannot fail, so only the pointer *check*
-                        // stays in place and the read is deferred past the
-                        // index gather (observable only to racy rebinds of
-                        // the cell itself, which are unspecified).
-                        let iv = deref_index(regs, icell, idx)?;
-                        let g = ps.lock();
-                        let v = match (&*g, &iv, rg(regs, x), rg(regs, dst)) {
-                            (
-                                Value::ArrF(a),
-                                Value::Int(i),
-                                Value::Float(xv),
-                                Value::Float(acc),
-                            ) => {
-                                // Mul then add, as the unfused pair.
-                                Value::Float(*acc + *xv * a.get(*i)?)
-                            }
-                            _ => {
-                                // Unfused FmaIdx order: Index; Mul; Add.
-                                let i = iv.as_int()?;
-                                let elem = match &*g {
-                                    Value::ArrF(a) => Value::Float(a.get(i)?),
-                                    Value::ArrI(a) => Value::Int(a.get(i)?),
-                                    other => {
-                                        return err(format!("cannot index {}", other.type_name()))
-                                    }
-                                };
-                                let prod = binop_arith(T::Star, rg(regs, x), &elem)?;
-                                binop_arith(T::Plus, rg(regs, dst), &prod)?
-                            }
-                        };
-                        drop(g);
-                        set(regs, dst, v);
-                    }
-                    Value::ElemPtrF(a, i2) => {
-                        // Deref yields a scalar; the gather still runs, then
-                        // the FmaIdx slow path rejects the non-array operand.
-                        let elem_a = Value::Float(a.get(*i2)?);
-                        let iv = deref_index(regs, icell, idx)?;
-                        iv.as_int()?;
-                        return err(format!("cannot index {}", elem_a.type_name()));
-                    }
-                    Value::ElemPtrI(a, i2) => {
-                        let elem_a = Value::Int(a.get(*i2)?);
-                        let iv = deref_index(regs, icell, idx)?;
-                        iv.as_int()?;
-                        return err(format!("cannot index {}", elem_a.type_name()));
-                    }
-                    other => return err(format!("cannot dereference {}", other.type_name())),
-                },
                 Insn::FmaGather {
                     dst,
                     xcell,
@@ -1252,10 +1070,16 @@ impl Vm {
                     idx,
                 } => {
                     // Unfused order: DerefIndex(xcell)[idx] produced the
-                    // multiplier first, then the FmaIdxCC chain ran.
+                    // multiplier first, then Deref(acell), the index gather
+                    // and the FmaIdx chain ran.
                     let xv = deref_index(regs, xcell, idx)?;
                     match rg(regs, acell) {
                         Value::Ptr(ps) => {
+                            // Deref(acell) of a live `Ptr` cannot fail, so
+                            // only the pointer *check* stays in place and the
+                            // read is deferred past the index gather
+                            // (observable only to racy rebinds of the cell
+                            // itself, which are unspecified).
                             let iv = deref_index(regs, icell, idx)?;
                             let g = ps.lock();
                             let v = match (&*g, &iv, &xv, rg(regs, dst)) {
@@ -1289,6 +1113,9 @@ impl Vm {
                             set(regs, dst, v);
                         }
                         Value::ElemPtrF(a, i2) => {
+                            // Deref yields a scalar; the gather still runs,
+                            // then the FmaIdx slow path rejects the
+                            // non-array operand.
                             let elem_a = Value::Float(a.get(*i2)?);
                             let iv = deref_index(regs, icell, idx)?;
                             iv.as_int()?;

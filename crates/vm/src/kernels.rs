@@ -1,8 +1,8 @@
 //! Native bulk-kernel tier (`--opt=3` / `Backend::Native`).
 //!
-//! The bytecode interpreter at `--opt=2` already fuses and
-//! type-specialises the NPB inner loops, but every iteration still
-//! pays instruction dispatch and `Value` boxing per element. This
+//! The optimizer already fuses and type-specialises the NPB inner
+//! loops, but an interpreted iteration still pays instruction dispatch
+//! and `Value` boxing per element. This
 //! module closes the rest of the gap to hand-written Rust for the
 //! hottest loop *shapes*: after every other pass has run, the
 //! installer pattern-matches single-block loops in the final
@@ -773,7 +773,7 @@ fn const_int(f: &CompiledFn, k: u16) -> Option<i64> {
     }
 }
 
-// Generic-or-specialized views. Static specialization (`--opt>=2`)
+// Generic-or-specialized views. Static specialization
 // rewrites `Arith`→`ArithII`/`ArithFF`, `Index`→`IndexI`/`IndexF`,
 // `IndexSet`→`IndexSetI`/`IndexSetF` and `CmpJumpFalse`→`..II`/`..FF`
 // wherever inference proves the operand types; the kernel semantics

@@ -12,16 +12,16 @@
 //! instruction stream with compile-time slot resolution and fused loop
 //! opcodes, with small leaf callees inlined into their callers
 //! ([`inline`]), post-processed by the [`optimize`] pipeline (constant
-//! folding, dead-store elimination, superinstruction fusion;
-//! `--opt=0|2|3` on the CLI), statically type-specialised from the
-//! block-structured [`ir`] by [`typeck`] (`--opt>=2`), and executed
-//! from a pooled call-frame arena — or the original
-//! tree-walking interpreter, kept as the differential-testing oracle
-//! (`--backend=ast` on the `zag` CLI). At `--opt=3`
-//! (`--backend=native`), recognised hot loop shapes additionally run as
-//! precompiled slice-level bulk kernels ([`kernels`]) over the raw
-//! `f64`/`i64` array storage, dispatched through the same work-sharing
-//! runtime.
+//! folding, dead-store elimination, superinstruction fusion),
+//! statically type-specialised from the block-structured [`ir`] by
+//! [`typeck`], and executed from a pooled call-frame arena — or the
+//! original tree-walking interpreter, kept as the differential-testing
+//! oracle (`--backend=ast` on the `zag` CLI). All of that is `--opt=3`,
+//! the default; `--opt=0` executes the stream as lowered and is the
+//! second oracle. At `--opt=3` recognised hot loop shapes additionally
+//! run as precompiled slice-level bulk kernels ([`kernels`]) or
+//! strip-mined typed templates ([`templates`]) over the raw `f64`/`i64`
+//! array storage, dispatched through the same work-sharing runtime.
 //!
 //! ```
 //! let out = zomp_vm::Vm::run(r#"

@@ -1,9 +1,9 @@
-//! The bytecode optimization pipeline (`zag --opt=0|2|3`).
+//! The bytecode optimization pipeline (`zag --opt=0|3`).
 //!
 //! Sits between [`crate::compile`] and [`crate::interp`]: `compile`
 //! produces the naive stream (exactly the `--opt=0` behaviour), and this
-//! module rewrites each [`CompiledFn`] in place at every level above
-//! `--opt=0`. Pass ordering, repeated to a fixpoint:
+//! module rewrites each [`CompiledFn`] in place at `--opt=3`. Pass
+//! ordering, repeated to a fixpoint:
 //!
 //! 1. **Constant folding + copy propagation** — block-local
 //!    forward walk: reads of registers holding a copy are redirected to
@@ -20,25 +20,35 @@
 //!
 //! # Fusion catalogue
 //!
-//! | pattern (after pass 1/2)              | fused                  |
-//! |---------------------------------------|------------------------|
-//! | `const t,k; arith d,a,t`              | `ArithK d,a,k`         |
-//! | `const t,k; arith d,t,b`              | `ArithKL d,k,b`        |
-//! | `index t,A[i]; arith d,t,r`           | `IndexArith d,A[i],r`  |
-//! | `arith t,a,b; indexset A[i],t`        | `ArithStore A[i],a,b`  |
-//! | `index t,A[i]; arithk u,t,k; indexset A[i],u` | `IncElemK A[i],k` |
-//! | `index t,A[i]; mul u,x,t; add s,s,u`  | `FmaIdx s,x,A[i]`      |
-//! | `arithk t,j,±k; index d,A[t]`         | `IndexOff d,A[j±k]`    |
-//! | `arithk v,v,±k; jump`                 | `IncJump v,±k`         |
-//! | `move t,x; builtin d,op,t..1`         | `builtin d,op,x..1`    |
+//! A fused form stays only while a kernel or template matcher reads it
+//! (it is the canonical vocabulary that matcher's legality rule is stated
+//! in) or a gated workload runs it in a loop that stays interpreted. The
+//! *kept by* column names that reader; a form with an empty column goes,
+//! with its matcher here, its `interp.rs` arm and its replay-order proof
+//! (DESIGN "Fusion catalogue" has the five that went that way).
+//!
+//! | pattern (after pass 1/2)                        | fused               | kept by |
+//! |-------------------------------------------------|---------------------|---------|
+//! | `const t,k; arith d,a,t`                        | `ArithK d,a,k`      | `kernels::lcg_callee` (the LCG lifter), `match_rank_pipeline`, `match_ep_pairs`, template decoder; hot in `dyn` and `fork_small` |
+//! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, `match_lcg_fill`, `match_ep_pairs`, template decoder |
+//! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | `match_histogram`, `match_scatter`, `match_ep_pairs`, template decoder |
+//! | `index t,A[i]; mul u,x,t; add s,s,u`            | `FmaIdx s,x,A[i]`   | template decoder (`fma_tail`); the tail of `FmaGather` |
+//! | `arithk t,j,±k; index d,A[t]`                   | `IndexOff d,A[j±k]` | `match_ep_pairs`, template decoder |
+//! | `arithk v,v,±k; jump`                           | `IncJump v,±k`      | `match_matvec_rows`, `match_lcg_fill`, template form B |
+//! | `deref t,C; index d,t[i]`                       | `DerefIndex d,(C)[i]` | `match_matvec_rows`, `match_histogram`, `match_scatter`, `match_rank_pipeline`, template decoder |
+//! | `deref t,C; indexoff d,t[j±k]`                  | `DerefIndexOff d,(C)[j±k]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder (the stencil) |
+//! | `deref t,C; indexset t[i],s`                    | `DerefIndexSet (C)[i],s` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
+//! | `dindex t,(X)[i]; deref a,A; dindex c,(C)[i]; fmaidx d,t,a[c]` | `FmaGather d,(X),(A),(C),i` | `match_matvec_rows` |
+//!
+//! One more rewrite is not a superinstruction (no new opcode):
+//! `move t,x; builtin d,op,t..1` → `builtin d,op,x..1`, likewise `print`.
 //!
 //! Every fusion requires the consumed temporaries to be dead (or
 //! redefined) afterwards and no jump target inside the consumed window,
 //! and every fused opcode's interpreter arm replays the *unfused*
 //! evaluation order on its slow path so runtime errors (which message,
 //! which operand order) are byte-identical with `--opt=0` and the
-//! tree-walking oracle — the differential suite enforces this at every
-//! level.
+//! tree-walking oracle — the differential suite enforces this.
 //!
 //! # Verification
 //!
@@ -55,38 +65,38 @@ use crate::bytecode::{ArithOp, CompiledFn, Insn, PreOpt, Reg};
 use crate::interp::{arith_token, binop, binop_arith, cmp_token};
 use crate::value::Value;
 
-/// Optimization level for the bytecode pipeline.
+/// Optimization level for the bytecode pipeline. Two rungs, named by
+/// their `--opt` spelling: the oracle and the best tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
-    /// The naive compile output, executed as-is (the PR 3 pipeline).
+    /// The naive compile output, executed as-is: with the tree-walker, one
+    /// of the two oracles every other configuration is compared against.
     O0,
-    /// Constant folding, copy propagation, dead-store elimination,
-    /// superinstruction fusion, and static type specialization from the
-    /// typed IR ([`crate::typeck`]) (default).
+    /// The whole pipeline (default): inlining ([`crate::inline`]), constant
+    /// folding, copy propagation, dead-store elimination, superinstruction
+    /// fusion, static type specialization from the typed IR
+    /// ([`crate::typeck`]), then the native tiers — fixed bulk kernels
+    /// ([`crate::kernels`]) and strip-mined templates
+    /// ([`crate::templates`]).
     #[default]
-    O2,
-    /// `O2` + the native bulk-kernel tier ([`crate::kernels`]): hot typed
-    /// loop shapes lower to precompiled slice kernels.
     O3,
 }
 
 impl OptLevel {
-    /// Parse a CLI spelling (`0` | `2` | `3`).
+    /// Parse a CLI spelling (`0` | `3`).
     pub fn parse(s: &str) -> Option<OptLevel> {
         match s {
             "0" => Some(OptLevel::O0),
-            "2" => Some(OptLevel::O2),
             "3" => Some(OptLevel::O3),
             _ => None,
         }
     }
 
     /// Map a numeric level (from `ExecConfig::opt` or a service request,
-    /// both of which admit only 0, 2 and 3) onto the enum.
+    /// both of which admit only 0 and 3) onto the enum.
     pub fn from_index(n: u8) -> OptLevel {
         match n {
             0 => OptLevel::O0,
-            2 => OptLevel::O2,
             _ => OptLevel::O3,
         }
     }
@@ -96,7 +106,6 @@ impl fmt::Display for OptLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             OptLevel::O0 => "0",
-            OptLevel::O2 => "2",
             OptLevel::O3 => "3",
         })
     }
@@ -148,9 +157,7 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
             f(arr);
             f(idx);
         }
-        Insn::DerefIndex { cell, idx, .. }
-        | Insn::DerefIndexOff { cell, idx, .. }
-        | Insn::DerefIncElemK { cell, idx, .. } => {
+        Insn::DerefIndex { cell, idx, .. } | Insn::DerefIndexOff { cell, idx, .. } => {
             f(cell);
             f(idx);
         }
@@ -158,25 +165,6 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
             f(cell);
             f(idx);
             f(src);
-        }
-        Insn::DerefFmaIdx { dst, x, cell, idx } => {
-            f(dst);
-            f(x);
-            f(cell);
-            f(idx);
-        }
-        Insn::FmaIdxCC {
-            dst,
-            x,
-            acell,
-            icell,
-            idx,
-        } => {
-            f(dst);
-            f(x);
-            f(acell);
-            f(icell);
-            f(idx);
         }
         Insn::FmaGather {
             dst,
@@ -212,17 +200,6 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
         }
         Insn::ArithK { a, .. } => f(a),
         Insn::ArithKL { b, .. } => f(b),
-        Insn::IndexArith { arr, idx, rhs, .. } => {
-            f(arr);
-            f(idx);
-            f(rhs);
-        }
-        Insn::ArithStore { arr, idx, a, b, .. } => {
-            f(arr);
-            f(idx);
-            f(a);
-            f(b);
-        }
         Insn::FmaIdx { dst, x, arr, idx } => {
             f(dst);
             f(x);
@@ -280,15 +257,12 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         | Insn::IndexOff { dst, .. }
         | Insn::DerefIndex { dst, .. }
         | Insn::DerefIndexOff { dst, .. }
-        | Insn::DerefFmaIdx { dst, .. }
-        | Insn::FmaIdxCC { dst, .. }
         | Insn::FmaGather { dst, .. }
         | Insn::Arith { dst, .. }
         | Insn::ArithII { dst, .. }
         | Insn::ArithFF { dst, .. }
         | Insn::ArithK { dst, .. }
         | Insn::ArithKL { dst, .. }
-        | Insn::IndexArith { dst, .. }
         | Insn::FmaIdx { dst, .. }
         | Insn::Cmp { dst, .. }
         | Insn::CmpII { dst, .. }
@@ -319,10 +293,8 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         | Insn::IndexSet { .. }
         | Insn::IndexSetF { .. }
         | Insn::IndexSetI { .. }
-        | Insn::ArithStore { .. }
         | Insn::IncElemK { .. }
         | Insn::DerefIndexSet { .. }
-        | Insn::DerefIncElemK { .. }
         | Insn::Jump { .. }
         | Insn::JumpIfFalse { .. }
         | Insn::JumpIfTrue { .. }
@@ -449,8 +421,7 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
             Insn::Const { k, .. }
             | Insn::ArithK { k, .. }
             | Insn::ArithKL { k, .. }
-            | Insn::IncElemK { k, .. }
-            | Insn::DerefIncElemK { k, .. } => !kcheck(k),
+            | Insn::IncElemK { k, .. } => !kcheck(k),
             Insn::Builtin { name_k, .. } => !kcheck(name_k),
             Insn::Trap { msg } => !kcheck(msg),
             _ => false,
@@ -695,9 +666,7 @@ fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
             m(arr);
             m(idx);
         }
-        Insn::DerefIndex { cell, idx, .. }
-        | Insn::DerefIndexOff { cell, idx, .. }
-        | Insn::DerefIncElemK { cell, idx, .. } => {
+        Insn::DerefIndex { cell, idx, .. } | Insn::DerefIndexOff { cell, idx, .. } => {
             m(cell);
             m(idx);
         }
@@ -705,23 +674,6 @@ fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
             m(cell);
             m(idx);
             m(src);
-        }
-        Insn::DerefFmaIdx { x, cell, idx, .. } => {
-            m(x);
-            m(cell);
-            m(idx);
-        }
-        Insn::FmaIdxCC {
-            x,
-            acell,
-            icell,
-            idx,
-            ..
-        } => {
-            m(x);
-            m(acell);
-            m(icell);
-            m(idx);
         }
         Insn::FmaGather {
             xcell,
@@ -746,17 +698,6 @@ fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
         }
         Insn::ArithK { a, .. } => m(a),
         Insn::ArithKL { b, .. } => m(b),
-        Insn::IndexArith { arr, idx, rhs, .. } => {
-            m(arr);
-            m(idx);
-            m(rhs);
-        }
-        Insn::ArithStore { arr, idx, a, b, .. } => {
-            m(arr);
-            m(idx);
-            m(a);
-            m(b);
-        }
         Insn::FmaIdx { x, arr, idx, .. } => {
             m(x);
             m(arr);
@@ -1088,38 +1029,20 @@ fn try_fuse_at(
             return Some((Insn::FmaIdx { dst, x, arr, idx }, 3));
         }
     }
-    // DerefIncElemK: dindex t1,(C)[i]; arithk t2,t1,k; dindexset (C)[i],t2
-    // (appears once the two deref fusions below have fired in an earlier
-    // round — the IS ranking body on a shared array).
-    if let [Insn::DerefIndex { dst: t1, cell, idx }, Insn::ArithK { op, dst: t2, a, k }, Insn::DerefIndexSet {
-        cell: c2,
-        idx: i2,
-        src,
-    }, ..] = *w
-    {
-        if a == t1
-            && src == t2
-            && c2 == cell
-            && i2 == idx
-            && t1 != cell
-            && t1 != idx
-            && t2 != cell
-            && t2 != idx
-            && no_leader(lead, i, 3)
-            && consumed(t1, t2, live, i + 1)
-            && !live[i + 2].contains(t2)
-        {
-            return Some((Insn::DerefIncElemK { op, cell, idx, k }, 3));
-        }
-    }
-    // FmaIdxCC: deref t,(A); dindex t2,(C)[i]; fmaidx d += x * t[t2] — the
-    // matvec gather with both arrays shared. Sound without reordering
-    // hazards: the fused arm checks `acell` is a pointer at the original
-    // deref position and only defers the (infallible) read.
-    if let [Insn::Deref { dst: t, ptr: acell }, Insn::DerefIndex {
-        dst: t2,
-        cell: icell,
+    // FmaGather: dindex t,(X)[i]; deref a,(A); dindex c,(C)[i];
+    // fmaidx d += t * a[c] — the matvec body with multiplier, operand and
+    // index arrays all shared (the three inner forms are themselves fused
+    // in an earlier round). Sound without reordering hazards: the fused
+    // arm checks `acell` is a pointer at the original deref position and
+    // only defers the (infallible) read.
+    if let [Insn::DerefIndex {
+        dst: t,
+        cell: xcell,
         idx,
+    }, Insn::Deref { dst: a, ptr: acell }, Insn::DerefIndex {
+        dst: c,
+        cell: icell,
+        idx: i2,
     }, Insn::FmaIdx {
         dst,
         x,
@@ -1127,48 +1050,20 @@ fn try_fuse_at(
         idx: fi,
     }, ..] = *w
     {
-        let temps_ok = t != t2
-            && ![dst, x, acell, icell, idx].contains(&t)
-            && ![dst, x, acell, icell, idx].contains(&t2);
-        if arr == t
-            && fi == t2
-            && temps_ok
-            && no_leader(lead, i, 3)
-            && !live[i + 2].contains(t)
-            && !live[i + 2].contains(t2)
-        {
-            return Some((
-                Insn::FmaIdxCC {
-                    dst,
-                    x,
-                    acell,
-                    icell,
-                    idx,
-                },
-                3,
-            ));
-        }
-    }
-    // FmaGather: dindex t,(X)[i]; fmacc d += t * (A)[(C)[i]] — the
-    // multiplier gathered from a shared array at the same index (appears
-    // once FmaIdxCC has formed in an earlier round).
-    if let [Insn::DerefIndex {
-        dst: t,
-        cell: xcell,
-        idx,
-    }, Insn::FmaIdxCC {
-        dst,
-        x,
-        acell,
-        icell,
-        idx: i2,
-    }, ..] = *w
-    {
+        let operands = [dst, xcell, acell, icell, idx];
+        let temps_ok = t != a
+            && t != c
+            && a != c
+            && !operands.contains(&t)
+            && !operands.contains(&a)
+            && !operands.contains(&c);
         if x == t
+            && arr == a
+            && fi == c
             && i2 == idx
-            && ![dst, xcell, acell, icell, idx].contains(&t)
-            && no_leader(lead, i, 2)
-            && !live[i + 1].contains(t)
+            && temps_ok
+            && no_leader(lead, i, 4)
+            && [t, a, c].iter().all(|&r| !live[i + 3].contains(r))
         {
             return Some((
                 Insn::FmaGather {
@@ -1178,36 +1073,8 @@ fn try_fuse_at(
                     icell,
                     idx,
                 },
-                2,
+                4,
             ));
-        }
-    }
-    // DerefFmaIdx via load-mul-add: dindex tp,(C)[i]; mul tm,x,tp; add
-    // d,d,tm — the accumulate chain when the gathered array is shared
-    // (`d = d + p[j] * q[j]` after `q[j]` fused to a DerefIndex).
-    if let [Insn::DerefIndex { dst: tp, cell, idx }, Insn::Arith {
-        op: ArithOp::Mul,
-        dst: tm,
-        a: x,
-        b,
-    }, Insn::Arith {
-        op: ArithOp::Add,
-        dst,
-        a: acc,
-        b: b2,
-    }, ..] = *w
-    {
-        let temps_distinct =
-            tp != tm && ![cell, idx, x, dst].contains(&tp) && ![cell, idx, x, dst].contains(&tm);
-        if b == tp
-            && b2 == tm
-            && acc == dst
-            && temps_distinct
-            && no_leader(lead, i, 3)
-            && !live[i + 2].contains(tp)
-            && !live[i + 2].contains(tm)
-        {
-            return Some((Insn::DerefFmaIdx { dst, x, cell, idx }, 3));
         }
     }
     // DerefIndex: deref t,C; index d,t[i] — the shared-array load with the
@@ -1253,19 +1120,6 @@ fn try_fuse_at(
             return Some((Insn::DerefIndexSet { cell, idx, src }, 2));
         }
     }
-    // DerefFmaIdx: deref t,C; fmaidx d += x * t[i]
-    if let [Insn::Deref { dst: t, ptr: cell }, Insn::FmaIdx { dst, x, arr, idx }, ..] = *w {
-        if arr == t
-            && t != dst
-            && t != x
-            && t != idx
-            && t != cell
-            && no_leader(lead, i, 2)
-            && !live[i + 1].contains(t)
-        {
-            return Some((Insn::DerefFmaIdx { dst, x, cell, idx }, 2));
-        }
-    }
     // IndexOff: arithk t,j±k; index d,A[t]
     if let [Insn::ArithK {
         op: op @ (ArithOp::Add | ArithOp::Sub),
@@ -1303,33 +1157,6 @@ fn try_fuse_at(
                 let step = if op == ArithOp::Add { c } else { -c };
                 return Some((Insn::IncJump { var: v, step, to }, 2));
             }
-        }
-    }
-    // IndexArith: index t,A[i]; arith d,t,rhs  (indexed left operand)
-    if let [Insn::Index { dst: t, arr, idx }, Insn::Arith { op, dst, a, b: rhs }, ..] = *w {
-        if a == t
-            && rhs != t
-            && t != arr
-            && t != idx
-            && no_leader(lead, i, 2)
-            && consumed(t, dst, live, i + 1)
-        {
-            return Some((
-                Insn::IndexArith {
-                    op,
-                    dst,
-                    arr,
-                    idx,
-                    rhs,
-                },
-                2,
-            ));
-        }
-    }
-    // ArithStore: arith t,a,b; indexset A[i],t
-    if let [Insn::Arith { op, dst: t, a, b }, Insn::IndexSet { arr, idx, src }, ..] = *w {
-        if src == t && t != arr && t != idx && no_leader(lead, i, 2) && !live[i + 1].contains(t) {
-            return Some((Insn::ArithStore { op, arr, idx, a, b }, 2));
         }
     }
     // ArithK / ArithKL: const t,k; arith d,a,b with t as one operand
@@ -1468,10 +1295,18 @@ mod tests {
     use super::*;
     use crate::bytecode::Image;
 
+    /// Lower `src` and, at `O3`, run this module's passes alone (no
+    /// inlining, typeck or kernel install), so the tests read what the
+    /// fuser emitted.
     fn image(src: &str, opt: OptLevel) -> Image {
         let pre = zomp_front::preprocess(src).expect("preprocess");
         let ast = zomp_front::parse(&pre).expect("parse");
-        crate::compile::compile_image_opt(&ast, opt)
+        let mut img = crate::compile::compile_image(&ast);
+        let nfuncs = img.funcs.len();
+        for f in &mut img.funcs {
+            optimize_fn(f, opt, nfuncs);
+        }
+        img
     }
 
     fn count(image: &Image, name: &str, pred: impl Fn(&Insn) -> bool) -> usize {
@@ -1501,7 +1336,7 @@ mod tests {
             }
             print(h[0]);
         }";
-        let img = image(src, OptLevel::O2);
+        let img = image(src, OptLevel::O3);
         assert!(
             count(&img, "main", |i| matches!(i, Insn::IncElemK { .. })) >= 1,
             "expected IncElemK in:\n{}",
@@ -1526,7 +1361,7 @@ mod tests {
             }
             print(s);
         }";
-        let img = image(src, OptLevel::O2);
+        let img = image(src, OptLevel::O3);
         let dis = crate::bytecode::disasm(&img);
         assert!(
             count(&img, "main", |i| matches!(i, Insn::FmaIdx { .. })) >= 1,
@@ -1536,6 +1371,85 @@ mod tests {
             count(&img, "main", |i| matches!(i, Insn::IndexOff { .. })) >= 1,
             "expected IndexOff in:\n{dis}"
         );
+    }
+
+    /// The CG matvec with `a`, `p`, `col` shared (cell-held in the
+    /// outlined function), `x` the multiplier: either a shared array
+    /// element or a local.
+    fn shared_matvec(x: &str) -> String {
+        format!(
+            "fn main() void {{
+            var a: []f64 = @allocF(4);
+            var p: []f64 = @allocF(4);
+            var col: []i64 = @allocI(4);
+            var q: []f64 = @allocF(1);
+            var m: f64 = 0.5;
+            a[0] = 1.5; a[1] = 2.5; a[2] = 3.5; a[3] = 4.5;
+            p[0] = 2.0; p[1] = 4.0; p[2] = 8.0; p[3] = 16.0;
+            col[0] = 3; col[1] = 1; col[2] = 0; col[3] = 2;
+            //$omp parallel num_threads(1) shared(a, p, col, q) firstprivate(m)
+            {{
+                var s: f64 = 0.0;
+                var k: i64 = 0;
+                while (k < 4) : (k += 1) {{
+                    s = s + {x} * p[col[k]];
+                }}
+                q[0] = s;
+            }}
+            print(q[0]);
+        }}"
+        )
+    }
+
+    fn run(src: &str, opt: OptLevel) -> Vec<String> {
+        let vm = crate::Vm::build(src, None, crate::Backend::Bytecode, opt).expect("build");
+        vm.call_function("main", Vec::new()).expect("run");
+        vm.output.into_inner()
+    }
+
+    #[test]
+    fn shared_matvec_body_fuses_straight_to_fmagather() {
+        let src = shared_matvec("a[k]");
+        let img = image(&src, OptLevel::O3);
+        let f = img.get("__omp_outlined_0").unwrap();
+        let dis = crate::bytecode::disasm_fn(f);
+        let at = f
+            .code
+            .iter()
+            .position(|i| matches!(i, Insn::FmaGather { .. }))
+            .unwrap_or_else(|| panic!("expected FmaGather in:\n{dis}"));
+        // The whole four-instruction window went: the loop body is the
+        // one instruction, its back-edge jumps straight to it.
+        assert!(
+            matches!(f.code[at + 1], Insn::IncCmpJump { to, .. } if to as usize == at),
+            "{dis}"
+        );
+        assert_eq!(run(&src, OptLevel::O3), run(&src, OptLevel::O0));
+    }
+
+    #[test]
+    fn local_multiplier_stays_deref_dindex_fmaidx() {
+        let src = shared_matvec("m");
+        let img = image(&src, OptLevel::O3);
+        let f = img.get("__omp_outlined_0").unwrap();
+        let dis = crate::bytecode::disasm_fn(f);
+        let at = f
+            .code
+            .iter()
+            .position(|i| matches!(i, Insn::FmaIdx { .. }))
+            .unwrap_or_else(|| panic!("expected FmaIdx in:\n{dis}"));
+        assert!(
+            matches!(
+                f.code[at - 2..at],
+                [Insn::Deref { .. }, Insn::DerefIndex { .. }]
+            ),
+            "{dis}"
+        );
+        assert!(
+            !f.code.iter().any(|i| matches!(i, Insn::FmaGather { .. })),
+            "{dis}"
+        );
+        assert_eq!(run(&src, OptLevel::O3), run(&src, OptLevel::O0));
     }
 
     #[test]
@@ -1548,7 +1462,7 @@ mod tests {
             while (i < a[0] + 8) : (i += 1) { a[1] = i; }
             print(a[1]);
         }";
-        let img = image(src, OptLevel::O2);
+        let img = image(src, OptLevel::O3);
         let f = img.get("main").unwrap();
         let has_fused_backedge = f
             .code
@@ -1564,7 +1478,7 @@ mod tests {
     #[test]
     fn erroring_const_op_is_not_folded() {
         let src = "fn main() void { print(1 / 0); }";
-        let img = image(src, OptLevel::O2);
+        let img = image(src, OptLevel::O3);
         let f = img.get("main").unwrap();
         assert!(
             f.code.iter().any(|i| matches!(
@@ -1579,7 +1493,7 @@ mod tests {
     #[test]
     fn const_fold_collapses_pure_scalars() {
         let src = "fn main() void { var x: i64 = 2 + 3 * 4; print(x); }";
-        let img = image(src, OptLevel::O2);
+        let img = image(src, OptLevel::O3);
         let f = img.get("main").unwrap();
         assert!(
             !f.code.iter().any(|i| matches!(i, Insn::Arith { .. })),

@@ -18,14 +18,14 @@
 //!   rows are exported structurally via [`kernel_misses`] so bench
 //!   artifacts (`BENCH_tiers.json`) can embed them per loop.
 //! - **`inlined`** — a direct call replaced by its callee's body
-//!   (`--opt>=2`, [`crate::inline`]), by its pc in the `[pre-opt]`
+//!   (`--opt=3`, [`crate::inline`]), by its pc in the `[pre-opt]`
 //!   listing of `--dump-bytecode`.
 //! - **`typeck-summary` / `typeck-dynamic`** — per-function static
-//!   specialization outcome (`--opt>=2`): how many sites inference
+//!   specialization outcome (`--opt=3`): how many sites inference
 //!   proved Int/Float, and for each site left generic, the operand
 //!   types that blocked it.
 //! - **`opt-pipeline`** — per-function fold/copy-propagation, local
-//!   CSE, dead-store-elimination and fusion counts (`--opt>=2`).
+//!   CSE, dead-store-elimination and fusion counts (`--opt=3`).
 //!
 //! Remarks belonging to a pragma loop carry its `unit:line` label (the
 //! same label the preprocessor threads into `ws_begin`/`fork_call` for
@@ -59,17 +59,19 @@ pub struct PassData {
 pub fn collect(source: &str, unit: &str, opt: OptLevel) -> Result<Vec<Diag>, Diag> {
     let pre = zomp_front::preprocess::preprocess_named(source, unit)?;
     let ast = zomp_front::parse(&pre)?;
+    if opt == OptLevel::O0 {
+        // No pass runs on the oracle stream: nothing to remark on.
+        return Ok(Vec::new());
+    }
     let mut data = PassData::default();
     let image = crate::compile::compile_image_opt_collect(&ast, opt, Some(&mut data));
-    Ok(assemble(source, &image, &data, opt))
+    Ok(assemble(source, &image, &data))
 }
 
-fn assemble(source: &str, image: &Image, data: &PassData, opt: OptLevel) -> Vec<Diag> {
+fn assemble(source: &str, image: &Image, data: &PassData) -> Vec<Diag> {
     let mut out = Vec::new();
     for (fi, f) in image.funcs.iter().enumerate() {
-        if opt >= OptLevel::O3 {
-            kernel_remarks(source, image, fi, &data.inline, &mut out);
-        }
+        kernel_remarks(source, image, fi, &data.inline, &mut out);
         for site in data.inline.sites.iter().filter(|s| s.caller == fi) {
             out.push(Diag::remark(
                 "inlined",
@@ -260,7 +262,7 @@ fn classify_miss(
         match f.code[pc] {
             Insn::Call { func, n, .. } => {
                 let g = func as usize;
-                // Every direct call left at `--opt>=2` was refused.
+                // Every direct call left at `--opt=3` was refused.
                 let why = (inline.why_kept(image, fi, g, n))
                     .map_or("not-inlined".to_string(), |k| k.to_string());
                 push(format!("`{}` [{why}]", image.funcs[g].name));
@@ -534,7 +536,7 @@ mod tests {
 
     #[test]
     fn collect_reports_opt_and_typeck_remarks() {
-        let diags = collect(LOOPY, "demo.zag", OptLevel::O2).expect("collect");
+        let diags = collect(LOOPY, "demo.zag", OptLevel::O3).expect("collect");
         assert!(
             diags.iter().any(|d| d.code == "typeck-summary"),
             "{diags:?}"

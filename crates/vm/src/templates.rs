@@ -1571,60 +1571,6 @@ impl<'f> Bld<'f> {
                     s,
                 });
             }
-            Insn::IndexArith {
-                op,
-                dst,
-                arr,
-                idx,
-                rhs,
-            } => {
-                // dst = arr[idx] op rhs, unfused Index-then-Arith.
-                let elem = t!(self.av(arr, false));
-                let d = t!(self.sv(dst));
-                let i = t!(self.sv(idx));
-                let r = t!(self.sv(rhs));
-                c!(self.setk(i, K::Int));
-                let tmp = self.scratch();
-                c!(self.uni_v(tmp, elem));
-                c!(self.uni(d, tmp));
-                c!(self.uni(d, r));
-                self.protos.push(P::Ld {
-                    d: tmp,
-                    arr,
-                    idx: i,
-                    off: 0,
-                });
-                self.protos.push(P::Bin {
-                    op,
-                    d,
-                    a: tmp,
-                    b: r,
-                });
-            }
-            Insn::ArithStore { op, arr, idx, a, b } => {
-                // arr[idx] = a op b, arith first (unfused error order).
-                let elem = t!(self.av(arr, false));
-                let ra = t!(self.sv(a));
-                let rb = t!(self.sv(b));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                let tmp = self.scratch();
-                c!(self.uni(ra, rb));
-                c!(self.uni_v(ra, self.svar[&tmp]));
-                c!(self.uni_v(tmp, elem));
-                self.protos.push(P::Bin {
-                    op,
-                    d: tmp,
-                    a: ra,
-                    b: rb,
-                });
-                self.arrs.get_mut(&arr).unwrap().written = true;
-                self.protos.push(P::St {
-                    arr,
-                    idx: i,
-                    s: tmp,
-                });
-            }
             Insn::IncElemK { op, arr, idx, k } => {
                 // arr[idx] = arr[idx] op k, load → arith → store.
                 let v = t!(self.kc(k));
@@ -1654,53 +1600,20 @@ impl<'f> Bld<'f> {
                     s: tmp,
                 });
             }
-            Insn::DerefIncElemK { op, cell, idx, k } => {
-                let v = t!(self.kc(k));
-                let elem = t!(self.av(cell, true));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                let tmp = self.scratch();
-                c!(self.uni_v(tmp, elem));
-                c!(self.setk(tmp, v.k()));
-                self.protos.push(P::Ld {
-                    d: tmp,
-                    arr: cell,
-                    idx: i,
-                    off: 0,
-                });
-                self.protos.push(P::BinK {
-                    op,
-                    d: tmp,
-                    a: tmp,
-                    v,
-                    left: false,
-                });
-                self.arrs.get_mut(&cell).unwrap().written = true;
-                self.protos.push(P::St {
-                    arr: cell,
-                    idx: i,
-                    s: tmp,
-                });
-            }
             Insn::FmaIdx { dst, x, arr, idx } => {
                 // dst = dst + x * arr[idx]; separate mul-then-add
                 // keeps results bit-identical to the unfused pair.
                 let elem = t!(self.av(arr, false));
-                c!(self.fma_tail(dst, x, elem, arr, false, idx));
-            }
-            Insn::DerefFmaIdx { dst, x, cell, idx } => {
-                let elem = t!(self.av(cell, true));
-                c!(self.fma_tail(dst, x, elem, cell, true, idx));
+                c!(self.fma_tail(dst, x, elem, arr, idx));
             }
             _ => return false,
         }
         true
     }
 
-    /// Shared tail for the fma forms: `tmp = arr-ish[idx]; tmp2 = x *
-    /// tmp; dst = dst + tmp2` (`cell` only affects how `arr` was
-    /// registered, which already happened).
-    fn fma_tail(&mut self, dst: Reg, x: Reg, elem: u32, arr: Reg, _cell: bool, idx: Reg) -> bool {
+    /// The `FmaIdx` body: `tmp = arr[idx]; tmp2 = x * tmp; dst = dst +
+    /// tmp2`.
+    fn fma_tail(&mut self, dst: Reg, x: Reg, elem: u32, arr: Reg, idx: Reg) -> bool {
         let Some(d) = self.sv(dst) else { return false };
         let Some(rx) = self.sv(x) else { return false };
         let Some(i) = self.sv(idx) else { return false };
@@ -2977,19 +2890,27 @@ mod tests {
             assert!(matches!(regs[28], Value::Float(x) if x == got[trip]));
         }
 
-        // `acc = acc + x[j] * x[j]` (the `dfmaidx` form), wrapping.
+        // `acc = acc + x[j] * x[j]` over a shared array, wrapping.
+        let ld = |dst| Insn::DerefIndex {
+            dst,
+            cell: 4,
+            idx: 9,
+        };
         let f = mk(
             vec![
-                Insn::DerefIndex {
-                    dst: 13,
-                    cell: 4,
-                    idx: 9,
+                ld(13),
+                ld(12),
+                Insn::Arith {
+                    op: ArithOp::Mul,
+                    dst: 10,
+                    a: 13,
+                    b: 12,
                 },
-                Insn::DerefFmaIdx {
+                Insn::Arith {
+                    op: ArithOp::Add,
                     dst: 6,
-                    x: 13,
-                    cell: 4,
-                    idx: 9,
+                    a: 6,
+                    b: 10,
                 },
                 back_edge(9, 11, 0),
                 Insn::RetVoid,
@@ -3166,19 +3087,21 @@ mod tests {
             ),
             "scalar: memory-dependence"
         );
-        // 17 x `r3 = a[i] + r4`: 34 float definitions.
-        let mut code = vec![
-            Insn::IndexArith {
-                op: ArithOp::Add,
-                dst: 3,
-                arr: 1,
-                idx: 2,
-                rhs: 4
-            };
-            17
-        ];
+        // `r3 = a[i]`, then 16 x `r3 = r3 + r(5+n)`: 17 float definitions
+        // and 16 broadcast invariants.
+        let mut code = vec![Insn::IndexF {
+            dst: 3,
+            arr: 1,
+            idx: 2,
+        }];
+        code.extend((5..21).map(|b| Insn::ArithFF {
+            op: ArithOp::Add,
+            dst: 3,
+            a: 3,
+            b,
+        }));
         code.extend([back_edge(2, 0, 0), Insn::RetVoid]);
-        assert_eq!(verdict(code, vec![], 5), "scalar: columns");
+        assert_eq!(verdict(code, vec![], 21), "scalar: columns");
     }
 
     /// The same array bound as source and destination takes the scalar

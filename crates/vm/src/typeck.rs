@@ -1,5 +1,5 @@
 //! Static type inference over the block-structured IR and the
-//! Int/Float specialization pass driven by it (`--opt>=2`).
+//! Int/Float specialization pass driven by it (`--opt=3`).
 //!
 //! A generic [`Insn::Arith`] inspects its operand types on every
 //! execution. This pass computes those types *statically*: a forward
@@ -598,20 +598,14 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             let t = arith_ty(Ty::of_const(&f.consts[k as usize]), get(env, b));
             set(env, dst, t);
         }
-        Insn::IndexArith { dst, arr, rhs, .. } => {
-            let t = arith_ty(elem_ty(get(env, arr)), get(env, rhs));
-            set(env, dst, t);
-        }
-        Insn::ArithStore { .. } | Insn::IncElemK { .. } | Insn::DerefIncElemK { .. } => {}
+        Insn::IncElemK { .. } => {}
         Insn::FmaIdx { dst, x, arr, .. } => {
             let prod = arith_ty(get(env, x), elem_ty(get(env, arr)));
             let t = arith_ty(get(env, dst), prod);
             set(env, dst, t);
         }
-        Insn::DerefFmaIdx { dst, .. }
-        | Insn::FmaIdxCC { dst, .. }
-        | Insn::FmaGather { dst, .. } => {
-            // Float-only fused accumulators; the result joins the
+        Insn::FmaGather { dst, .. } => {
+            // Float-only fused accumulator; the result joins the
             // accumulator with a gathered product whose types the
             // runtime re-checks anyway.
             set(env, dst, Ty::Dynamic);
@@ -738,7 +732,7 @@ fn specialize_insn(insn: &Insn, env: &[Ty]) -> Option<Insn> {
 }
 
 /// Statically specialize every function in the image in place
-/// (`--opt>=2`). Sites whose operands inference can prove Int/Float
+/// (`--opt=3`). Sites whose operands inference can prove Int/Float
 /// get their specialized opcode emitted directly; everything else
 /// stays generic.
 pub fn specialize_image(image: &mut Image) {

@@ -1,10 +1,10 @@
 //! Golden-file test for the bytecode disassembly of a small loop program,
-//! at every optimization level.
+//! at both optimization levels.
 //!
 //! Codegen changes (new fusion rules, different register assignment,
 //! constant-pool ordering) show up as a readable diff against
 //! `tests/golden/loop.disasm` (the raw `--opt=0` stream),
-//! `tests/golden/loop.opt{1,2,3}.disasm` (the `--dump-bytecode` pre/post
+//! `tests/golden/loop.opt3.disasm` (the `--dump-bytecode` pre/post
 //! view, so fusion regressions are visible as instruction-level diffs),
 //! `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
 //! inference regressions show up as type-annotation diffs),
@@ -53,8 +53,8 @@ fn assert_golden(got: &str, golden: &str) {
 
 fn check(opt: OptLevel, golden: &str) {
     let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), opt).expect("compile");
-    // O0 keeps the historical single-stage golden; optimized levels use
-    // the pre/post `--dump-bytecode` rendering.
+    // O0 keeps the historical single-stage golden; the optimized level
+    // uses the pre/post `--dump-bytecode` rendering.
     let got = if opt == OptLevel::O0 {
         disasm(&program.code)
     } else {
@@ -69,20 +69,15 @@ fn loop_program_disassembly_matches_golden() {
 }
 
 #[test]
-fn loop_program_opt2_disassembly_matches_golden() {
-    check(OptLevel::O2, "loop.opt2.disasm");
-}
-
-#[test]
 fn loop_program_opt3_disassembly_matches_golden() {
     check(OptLevel::O3, "loop.opt3.disasm");
 }
 
 /// The `--dump-ir` surface: blocks, predecessors/successors, and the
-/// inferred per-block entry types for the same loop program at `--opt=2`.
+/// inferred per-block entry types for the same loop program at `--opt=3`.
 #[test]
 fn loop_program_ir_dump_matches_golden() {
-    let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), OptLevel::O2).expect("compile");
+    let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), OptLevel::O3).expect("compile");
     assert_golden(&zomp_vm::ir::dump(&program.code), "loop.ir");
 }
 
@@ -114,11 +109,11 @@ const CHUNK_PROGRAM: &str = r#"fn main() void {
 /// The head of each chunk-pull loop — its `ws_begin` call, the fused
 /// `wsnext` claim and the instruction the claim falls through to — so an
 /// unfused `ws_next`/`ws_lb`/`ws_ub` triple shows as a golden diff, at
-/// every optimization level.
+/// both optimization levels.
 #[test]
 fn chunk_loop_heads_match_golden() {
     let mut got = String::new();
-    for opt in [OptLevel::O0, OptLevel::O2, OptLevel::O3] {
+    for opt in [OptLevel::O0, OptLevel::O3] {
         let program = zomp_vm::compile_opt(CHUNK_PROGRAM, None, opt).expect("compile");
         let text = disasm(&program.code);
         assert!(
@@ -184,23 +179,21 @@ fn main() void {
 }
 "#;
 
-/// The outlined region of `src` at `--opt=2` and `--opt=3`, `[pre-opt]`
-/// (the stream as lowered, call and all) and `[optimized]` (the merged
-/// one), and the same two listings with their headers dropped.
-fn outlined_stages(src: &str) -> (String, Vec<String>) {
-    let mut golden = String::new();
-    let mut optimized = Vec::new();
-    for opt in [OptLevel::O2, OptLevel::O3] {
-        let program = zomp_vm::compile_opt(src, None, opt).expect("compile");
-        golden.push_str(&format!("--opt={opt}\n"));
-        for listing in disasm_stages(&program.code).split("\n\n") {
-            if listing.starts_with("fn __omp_outlined_0") {
-                golden.push_str(listing);
-                golden.push_str("\n\n");
-            }
-            if listing.starts_with("fn __omp_outlined_0 [optimized]") {
-                optimized.push(listing.to_string());
-            }
+/// The outlined region of `src` at `--opt=3`: the golden text — its
+/// `[pre-opt]` listing (the stream as lowered, call and all) and its
+/// `[optimized]` one (the merged stream) — and the `[optimized]` listing
+/// alone.
+fn outlined_stages(src: &str) -> (String, String) {
+    let program = zomp_vm::compile_opt(src, None, OptLevel::O3).expect("compile");
+    let mut golden = "--opt=3\n".to_string();
+    let mut optimized = String::new();
+    for listing in disasm_stages(&program.code).split("\n\n") {
+        if listing.starts_with("fn __omp_outlined_0") {
+            golden.push_str(listing);
+            golden.push_str("\n\n");
+        }
+        if listing.starts_with("fn __omp_outlined_0 [optimized]") {
+            optimized = listing.to_string();
         }
     }
     (golden, optimized)
@@ -213,35 +206,28 @@ fn has_call(listing: &str) -> bool {
         .any(|l| l.split_whitespace().nth(1) == Some("call"))
 }
 
-/// `step` leaves no `call` in the loop at either level, and the
-/// `[pre-opt]` listing still shows the one that was there.
+/// `step` leaves no `call` in the loop, and the `[pre-opt]` listing still
+/// shows the one that was there.
 #[test]
 fn inlined_step_loop_matches_golden() {
     let (golden, optimized) = outlined_stages(STEP_PROGRAM);
     assert!(golden.contains("[pre-opt]") && has_call(&golden));
-    for listing in &optimized {
-        assert!(!has_call(listing), "{listing}");
-        assert!(
-            !listing.contains("templateloop"),
-            "branches stay: {listing}"
-        );
-    }
+    assert!(!has_call(&optimized), "{optimized}");
+    assert!(
+        !optimized.contains("templateloop"),
+        "branches stay: {optimized}"
+    );
     assert_golden(&golden, "inline_step.disasm");
 }
 
-/// `weigh` leaves a straight-line loop: interpreted at `--opt=2`; at
-/// `--opt=3` a template whose `ws_begin` claims owner batches.
+/// `weigh` leaves a straight-line loop: a template whose `ws_begin`
+/// claims owner batches.
 #[test]
 fn inlined_weigh_loop_matches_golden() {
     let (golden, optimized) = outlined_stages(WEIGH_PROGRAM);
-    let [o2, o3] = &optimized[..] else {
-        panic!("two levels: {optimized:?}")
-    };
+    assert!(has_call(&golden) && !has_call(&optimized), "{golden}");
     assert!(
-        has_call(&golden) && !has_call(o2) && !has_call(o3),
-        "{golden}"
+        optimized.contains("omp.internal.ws_begin_bulk,") && optimized.contains("templateloop")
     );
-    assert!(o2.contains("omp.internal.ws_begin,") && !o2.contains("templateloop"));
-    assert!(o3.contains("omp.internal.ws_begin_bulk,") && o3.contains("templateloop"));
     assert_golden(&golden, "inline_weigh.disasm");
 }

@@ -15,6 +15,20 @@ fn build(src: &str, opt: OptLevel) -> Vm {
     Vm::build(src, None, Backend::Bytecode, opt).unwrap_or_else(|e| panic!("{}", e.render(src)))
 }
 
+/// The image as the specializer leaves it — lowered, optimized, typed —
+/// before the kernel tier replaces loop heads with `bulkloop` /
+/// `templateloop`.
+fn specialized(src: &str) -> zomp_vm::bytecode::Image {
+    let pre = zomp_front::preprocess(src).expect("preprocess");
+    let mut image = zomp_vm::compile::compile_image(&zomp_front::parse(&pre).expect("parse"));
+    let nfuncs = image.funcs.len();
+    for f in &mut image.funcs {
+        zomp_vm::optimize::optimize_fn(f, OptLevel::O3, nfuncs);
+    }
+    zomp_vm::typeck::specialize_image(&mut image);
+    image
+}
+
 fn run(src: &str, backend: Backend, opt: OptLevel) -> Result<Vec<String>, String> {
     let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
     match vm.call_function("main", Vec::new()) {
@@ -33,8 +47,7 @@ fn int_loop_specializes_before_execution() {
     while (i < 10) : (i += 1) { s = s + i; }
     print(s);
 }"#;
-    let vm = build(src, OptLevel::O2);
-    let dis = disasm_fn(vm.program.code.get("main").unwrap());
+    let dis = disasm_fn(specialized(src).get("main").unwrap());
     assert!(
         dis.contains("cjfii"),
         "loop compare not specialized:\n{dis}"
@@ -57,7 +70,7 @@ fn mixed_reassignment_stays_dynamic_and_deopts() {
     }
     print(x);
 }"#;
-    let vm = build(src, OptLevel::O2);
+    let vm = build(src, OptLevel::O3);
     let dis = disasm_fn(vm.program.code.get("main").unwrap());
     assert!(
         dis.contains("add        r"),
@@ -68,13 +81,11 @@ fn mixed_reassignment_stays_dynamic_and_deopts() {
         "a Dynamic slot must not be statically specialized:\n{dis}"
     );
     let ast = run(src, Backend::Ast, OptLevel::O0);
-    for opt in [OptLevel::O2, OptLevel::O3] {
-        assert_eq!(
-            run(src, Backend::Bytecode, opt),
-            ast,
-            "type flip diverged at --opt={opt}"
-        );
-    }
+    assert_eq!(
+        run(src, Backend::Bytecode, OptLevel::O3),
+        ast,
+        "type flip diverged at --opt=3"
+    );
 }
 
 /// `&x` boxes the local: inference types its register as a cell pointer
@@ -90,7 +101,7 @@ fn address_taken_local_is_ptr() {
     while (i < 3) : (i += 1) { p.* = x + 1; }
     print(x);
 }"#;
-    let vm = build(src, OptLevel::O2);
+    let vm = build(src, OptLevel::O3);
     let f = vm.program.code.get("main").unwrap();
     let dis = disasm_fn(f);
     assert!(dis.contains("newcell"), "local `x` should be boxed:\n{dis}");
@@ -132,8 +143,7 @@ fn private_array_elem_type_stable_across_parallel_body() {
     }
     print(t);
 }"#;
-    let vm = build(src, OptLevel::O2);
-    let dis = disasm_fn(vm.program.code.get("__omp_outlined_0").unwrap());
+    let dis = disasm_fn(specialized(src).get("__omp_outlined_0").unwrap());
     assert!(
         dis.contains("indexsetf"),
         "array store not specialized in outlined fn:\n{dis}"
@@ -143,7 +153,7 @@ fn private_array_elem_type_stable_across_parallel_body() {
         "array load not specialized in outlined fn:\n{dis}"
     );
     assert_eq!(
-        run(src, Backend::Bytecode, OptLevel::O2),
+        run(src, Backend::Bytecode, OptLevel::O3),
         Ok(vec!["24".to_string()])
     );
 }
@@ -176,7 +186,7 @@ fn bulk_kernel_bails_with_oracle_error() {
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert!(ast.is_err(), "expected an out-of-bounds error");
     assert_eq!(run(src, Backend::Bytecode, OptLevel::O3), ast);
-    assert_eq!(run(src, Backend::Native, OptLevel::O2), ast);
+    assert_eq!(run(src, Backend::Bytecode, OptLevel::O0), ast);
 }
 
 /// The happy path of the same loop: in-bounds fill at `--opt=3` agrees
@@ -246,6 +256,6 @@ fn histogram_kernel_bails_on_out_of_range_key() {
         let ast = run(&src, Backend::Ast, OptLevel::O0);
         assert_eq!(ast.is_ok(), in_range, "{ast:?}");
         assert_eq!(run(&src, Backend::Bytecode, OptLevel::O3), ast);
-        assert_eq!(run(&src, Backend::Native, OptLevel::O2), ast);
+        assert_eq!(run(&src, Backend::Bytecode, OptLevel::O0), ast);
     }
 }

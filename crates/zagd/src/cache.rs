@@ -1,11 +1,17 @@
 //! The compiled-program cache: parse/lint/compile once, run many.
 //!
-//! Keys are the FNV-1a hash of the source text (plus its length, making
-//! accidental collisions need both a hash and a length match) together
-//! with the optimization level and backend — the only inputs that change
-//! the compiled image. Values are `Arc<Program>`: the VM executes a
-//! program immutably, so one cached compilation can back any number of
-//! concurrent [`zomp_vm::Vm`] instances.
+//! Keys are the FNV-1a hashes of the source text and of the compilation
+//! unit name together with the optimization level
+//! — the inputs that change a compiled [`Program`]: the unit is in every
+//! pragma's `unit:line` label, the backend is not an input at all
+//! (`compile_opt` never sees it; it only picks the level, and chooses the
+//! engine at run time). The hashes only *find* an entry: it is served when
+//! the source and unit it was compiled from equal the request's, so a
+//! collision — 64-bit FNV-1a collisions can be crafted —
+//! costs a recompile, never another program's image. Values are
+//! `Arc<Program>`: the VM executes a program immutably, so one cached
+//! compilation can back any number of concurrent [`zomp_vm::Vm`]
+//! instances.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,9 +33,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     hash: u64,
-    len: usize,
+    unit: u64,
     opt: OptLevel,
-    backend: Backend,
+}
+
+impl Key {
+    fn of(source: &str, unit: Option<&str>, opt: OptLevel) -> Key {
+        Key {
+            hash: fnv1a(source.as_bytes()),
+            unit: fnv1a(unit.unwrap_or("").as_bytes()),
+            opt,
+        }
+    }
+}
+
+/// What a key maps to: the program, and the unit it was compiled under
+/// (the source is on the program).
+struct Entry {
+    program: Arc<Program>,
+    unit: Option<String>,
 }
 
 /// A bounded map of compiled programs with hit/miss accounting.
@@ -41,7 +63,7 @@ pub struct ProgramCache {
 }
 
 struct Inner {
-    map: HashMap<Key, Arc<Program>>,
+    map: HashMap<Key, Entry>,
     /// Insertion order for FIFO eviction when the cache is full.
     order: VecDeque<Key>,
 }
@@ -59,11 +81,11 @@ impl ProgramCache {
         }
     }
 
-    /// Look up `source` compiled at `(backend, opt)`, compiling on a miss.
-    /// Returns the shared program and whether it was served from cache.
-    /// Compile failures are not cached: they are cheap to reproduce (the
-    /// pipeline bails at the first error) and a negative entry would pin
-    /// request-supplied garbage in memory.
+    /// Look up `source` compiled under `unit` at the level `(backend, opt)`
+    /// names, compiling on a miss. Returns the shared program and whether
+    /// it was served from cache. Compile failures are not cached: they are
+    /// cheap to reproduce (the pipeline bails at the first error) and a
+    /// negative entry would pin request-supplied garbage in memory.
     pub fn get_or_compile(
         &self,
         source: &str,
@@ -71,22 +93,20 @@ impl ProgramCache {
         backend: Backend,
         opt: OptLevel,
     ) -> Result<(Arc<Program>, bool), zomp_front::Diag> {
-        // The native backend pins the image to --opt=3, so `native/O2` and
-        // `native/O3` share one entry.
+        // The backend only picks the level (`native` pins --opt=3); the
+        // three of them share one entry per level.
         let opt = backend.opt_level(opt);
-        let key = Key {
-            hash: fnv1a(source.as_bytes()),
-            len: source.len(),
-            opt,
-            backend,
-        };
-        if let Some(p) = self.inner.lock().unwrap().map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(p), true));
+        let key = Key::of(source, unit, opt);
+        if let Some(e) = self.inner.lock().unwrap().map.get(&key) {
+            if e.program.original_source == source && e.unit.as_deref() == unit {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((Arc::clone(&e.program), true));
+            }
         }
         // Compile outside the lock: a slow compilation must not stall
         // cache hits for other requests. Two racing misses on the same
-        // key both compile; the second insert simply replaces the first.
+        // key both compile; the second insert simply replaces the first
+        // (as does a colliding program's).
         let program = Arc::new(zomp_vm::compile_opt(source, unit, opt)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
@@ -100,7 +120,11 @@ impl ProgramCache {
             }
             inner.order.push_back(key);
         }
-        inner.map.insert(key, Arc::clone(&program));
+        let entry = Entry {
+            program: Arc::clone(&program),
+            unit: unit.map(str::to_string),
+        };
+        inner.map.insert(key, entry);
         Ok((program, false))
     }
 
@@ -151,32 +175,92 @@ mod tests {
     }
 
     #[test]
-    fn opt_and_backend_are_part_of_the_key() {
+    fn opt_is_part_of_the_key_and_backend_is_not() {
         let cache = ProgramCache::new(8);
-        cache
+        let (o0, _) = cache
             .get_or_compile(PROG, None, Backend::Bytecode, OptLevel::O0)
             .unwrap();
-        let (_, cached) = cache
+        let (o3, cached) = cache
             .get_or_compile(PROG, None, Backend::Bytecode, OptLevel::O3)
             .unwrap();
         assert!(!cached, "different opt level must recompile");
-        let (_, cached) = cache
-            .get_or_compile(PROG, None, Backend::Ast, OptLevel::O0)
-            .unwrap();
-        assert!(!cached, "different backend must recompile");
-        assert_eq!(cache.entries(), 3);
+        // `compile_opt` never sees the backend: one image per level serves
+        // them all.
+        for (backend, opt, want) in [
+            (Backend::Ast, OptLevel::O0, &o0),
+            (Backend::Ast, OptLevel::O3, &o3),
+            (Backend::Native, OptLevel::O3, &o3),
+        ] {
+            let (p, cached) = cache.get_or_compile(PROG, None, backend, opt).unwrap();
+            assert!(cached && Arc::ptr_eq(&p, want), "{backend:?} {opt:?}");
+        }
+        assert_eq!(cache.entries(), 2);
     }
 
     #[test]
     fn native_backend_normalizes_to_o3() {
         let cache = ProgramCache::new(8);
         cache
-            .get_or_compile(PROG, None, Backend::Native, OptLevel::O2)
+            .get_or_compile(PROG, None, Backend::Native, OptLevel::O0)
             .unwrap();
-        let (_, cached) = cache
+        let (p, cached) = cache
             .get_or_compile(PROG, None, Backend::Native, OptLevel::O3)
             .unwrap();
         assert!(cached, "native always compiles at O3; both keys match");
+        assert_eq!(p.opt, OptLevel::O3);
+    }
+
+    /// The pragma label of `p`'s one parallel region, from its `fork_call`.
+    fn region_label(p: &Program) -> String {
+        let at = p.final_source.find(".zag:").expect("a unit:line label");
+        let start = p.final_source[..at].rfind('"').unwrap() + 1;
+        let end = at + p.final_source[at..].find('"').unwrap();
+        p.final_source[start..end].to_string()
+    }
+
+    #[test]
+    fn same_source_under_two_units_is_two_entries_with_their_own_labels() {
+        const REGION: &str =
+            "fn main() void {\n    //$omp parallel num_threads(2)\n    {\n        print(1);\n    }\n}\n";
+        let cache = ProgramCache::new(8);
+        for round in 0..2 {
+            for unit in ["a.zag", "b.zag"] {
+                let (p, cached) = cache
+                    .get_or_compile(REGION, Some(unit), Backend::Bytecode, OptLevel::O3)
+                    .unwrap();
+                assert_eq!(cached, round == 1, "{unit}, round {round}");
+                assert_eq!(region_label(&p), format!("{unit}:2"));
+            }
+        }
+        assert_eq!(cache.entries(), 2);
+    }
+
+    #[test]
+    fn a_hash_collision_is_a_miss_not_another_programs_image() {
+        const OTHER: &str = "fn main() void {\n    print(2 + 1);\n}\n";
+        let cache = ProgramCache::new(8);
+        // Forge the collision: `OTHER`'s image filed under `PROG`'s key.
+        let forged = Entry {
+            program: Arc::new(zomp_vm::compile_opt(OTHER, None, OptLevel::O3).unwrap()),
+            unit: None,
+        };
+        let key = Key::of(PROG, None, OptLevel::O3);
+        {
+            let mut inner = cache.inner.lock().unwrap();
+            inner.map.insert(key, forged);
+            inner.order.push_back(key);
+        }
+        let (p, cached) = cache
+            .get_or_compile(PROG, None, Backend::Bytecode, OptLevel::O3)
+            .unwrap();
+        assert!(!cached);
+        assert_eq!(p.original_source, PROG);
+        // The right program replaced the forged entry in place.
+        let (_, cached) = cache
+            .get_or_compile(PROG, None, Backend::Bytecode, OptLevel::O3)
+            .unwrap();
+        assert!(cached);
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
@@ -187,18 +271,18 @@ mod tests {
             .collect();
         for p in &progs {
             cache
-                .get_or_compile(p, None, Backend::Bytecode, OptLevel::O2)
+                .get_or_compile(p, None, Backend::Bytecode, OptLevel::default())
                 .unwrap();
         }
         assert_eq!(cache.entries(), 2);
         // The oldest entry was evicted; looking it up recompiles.
         let (_, cached) = cache
-            .get_or_compile(&progs[0], None, Backend::Bytecode, OptLevel::O2)
+            .get_or_compile(&progs[0], None, Backend::Bytecode, OptLevel::default())
             .unwrap();
         assert!(!cached);
         // The newest survived.
         let (_, cached) = cache
-            .get_or_compile(&progs[2], None, Backend::Bytecode, OptLevel::O2)
+            .get_or_compile(&progs[2], None, Backend::Bytecode, OptLevel::default())
             .unwrap();
         assert!(cached);
     }
@@ -208,7 +292,7 @@ mod tests {
         let cache = ProgramCache::new(8);
         let bad = "fn main() void {\n    print(;\n}\n";
         assert!(cache
-            .get_or_compile(bad, None, Backend::Bytecode, OptLevel::O2)
+            .get_or_compile(bad, None, Backend::Bytecode, OptLevel::default())
             .is_err());
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.misses(), 0, "failures do not count as misses");

@@ -116,7 +116,7 @@ mod tests {
     use zomp_vm::{Backend, OptLevel, Value, Vm};
 
     fn run(source: &str, entry: &str, args: Vec<Value>) -> Value {
-        let vm = Vm::build(source, None, Backend::Bytecode, OptLevel::O2)
+        let vm = Vm::build(source, None, Backend::Bytecode, OptLevel::default())
             .unwrap_or_else(|e| panic!("{}", e.render(source)));
         vm.call_function(entry, args)
             .unwrap_or_else(|e| panic!("{e}"))

@@ -5,8 +5,8 @@
 //! and amortizes it:
 //!
 //! * a **compiled-program cache** ([`cache::ProgramCache`]) keyed by
-//!   source hash + (opt level, backend): parse/lint/compile once at
-//!   `--opt=3`, run many;
+//!   source hash + unit + opt level and checked against the source
+//!   itself: parse/lint/compile once at `--opt=3`, run many;
 //! * a **shared worker pool**: every program execution gets its own
 //!   [`zomp::Runtime`] (ICVs, critical sections, threadprivate storage),
 //!   while the parallel regions inside all multiplex one hot team;

@@ -9,7 +9,7 @@
 //!   "entry":   "main",                       // default "main"
 //!   "args":    [4, 2.5, {"f64": [1, 2]}],    // default []
 //!   "backend": "ast" | "bytecode" | "native",// default "bytecode"
-//!   "opt":     0 | 2 | 3,                    // default 3 (the service
+//!   "opt":     0 | 3,                        // default 3 (the service
 //!                                            // compiles once, runs many)
 //!   "threads": 4,                            // nthreads-var for this run
 //!   "schedule": "dynamic,64",                // run-sched-var for this run
@@ -75,10 +75,9 @@ impl RunRequest {
             .ok_or("missing required string field `source`")?
             .to_string();
 
+        // `opt` is left to default to 3: the whole point of the cache is to
+        // pay for the best image once and reuse it.
         let mut cfg = ExecConfig::new();
-        // `opt` defaults to 3: the whole point of the cache is to pay for
-        // the best image once and reuse it.
-        cfg.opt = Some(3);
         if let Some(v) = body.get("backend") {
             let s = v.as_str().ok_or("`backend` must be a string")?;
             cfg.parse_flag(&format!("--backend={s}"), &mut std::iter::empty())
@@ -135,10 +134,7 @@ impl RunRequest {
     }
 
     pub fn opt(&self) -> OptLevel {
-        self.cfg
-            .opt
-            .map(OptLevel::from_index)
-            .unwrap_or(OptLevel::O3)
+        self.cfg.opt.map(OptLevel::from_index).unwrap_or_default()
     }
 }
 
@@ -390,12 +386,14 @@ mod tests {
 
     #[test]
     fn removed_opt_level_is_rejected_with_the_valid_ones() {
-        let parsed = Json::parse(r#"{"source": "x", "opt": 1}"#).unwrap();
-        let e = match RunRequest::from_json(&parsed) {
-            Ok(_) => panic!("`opt: 1` accepted"),
-            Err(e) => e,
-        };
-        assert!(e.contains("expected 0, 2 or 3"), "{e}");
+        for gone in [1, 2] {
+            let parsed = Json::parse(&format!(r#"{{"source": "x", "opt": {gone}}}"#)).unwrap();
+            let e = match RunRequest::from_json(&parsed) {
+                Ok(_) => panic!("`opt: {gone}` accepted"),
+                Err(e) => e,
+            };
+            assert!(e.contains("expected 0 or 3"), "{e}");
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Accepted-but-unserviced connection bound; beyond it, 503.
     pub queue_cap: usize,
-    /// Compiled-program cache capacity (distinct source/opt/backend keys).
+    /// Compiled-program cache capacity (distinct source/unit/opt keys).
     pub cache_cap: usize,
     /// Deadline for requests that do not carry `timeout_ms`.
     pub default_timeout_ms: u64,
