@@ -191,7 +191,7 @@ fn bench_barrier_impls(c: &mut Criterion) {
                         let bar = &bar;
                         s.spawn(move || {
                             for _ in 0..CYCLES {
-                                black_box(bar.wait_as(tid));
+                                black_box(bar.wait_as(tid).expect("nobody poisons this barrier"));
                             }
                         });
                     }

@@ -20,7 +20,7 @@
 //! for dedicated cores (spin wins) and for the oversubscribed case
 //! (blocking avoids burning the timeslice).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -42,18 +42,99 @@ const TREE_FANIN: usize = 4;
 /// would add pure overhead.
 const TREE_THRESHOLD: usize = 8;
 
+/// A wait that ended because the barrier was [poisoned](Barrier::poison),
+/// not because the team arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Poisoned;
+
 /// A reusable barrier for a fixed-size team.
 ///
 /// [`Barrier::wait_as`] is the hot entry point (the caller supplies its team
 /// id, letting the tree route it to its leaf without shared state);
 /// [`Barrier::wait`] keeps the id-less API by handing out arrival tickets
 /// from one extra atomic.
+///
+/// A thread that will never arrive (it failed) [poisons](Barrier::poison)
+/// the barrier instead: whoever is waiting, or arrives later and would
+/// have to wait, is let go with `Err(Poisoned)`. Poison is for good — a
+/// team is built per region — and only waiting looks at it: the arrival
+/// path is what it was.
 #[derive(Debug)]
 pub struct Barrier {
     n: usize,
     /// Ticket dispenser for the id-less [`Barrier::wait`] entry point.
     tickets: AtomicU64,
     core: BarrierCore,
+}
+
+/// What every waiter of one barrier watches: the generation word its
+/// last arriver bumps, the poison flag, and the condvar both signal.
+#[derive(Debug)]
+struct Release {
+    generation: AtomicU64,
+    poisoned: AtomicBool,
+    mutex: Mutex<()>,
+    cvar: Condvar,
+}
+
+impl Release {
+    fn new() -> Self {
+        Release {
+            generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            mutex: Mutex::new(()),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Last arriver: open the next generation and wake the parked.
+    fn open(&self) {
+        let _g = self.mutex.lock();
+        // Release: publishes the whole team's cycle (including the
+        // arrival-counter resets) to the waiters' acquire loads.
+        self.generation.fetch_add(1, Ordering::Release);
+        self.cvar.notify_all();
+    }
+
+    fn poison(&self) {
+        // Taken so a waiter between its last check and its park cannot
+        // miss the wake-up.
+        let _g = self.mutex.lock();
+        // Release/Acquire with `wait`: what the failed thread wrote
+        // before poisoning (its error) is visible to whoever it lets go.
+        self.poisoned.store(true, Ordering::Release);
+        self.cvar.notify_all();
+    }
+
+    /// Not the last arriver: spin, then park, until generation `gen` is
+    /// over or the barrier is poisoned. The poison flag is read only
+    /// here, on the waiting side — an arrival that completes the barrier
+    /// never looks at it.
+    fn wait(&self, gen: u64) -> Waited {
+        let released = || self.generation.load(Ordering::Acquire) != gen;
+        let done = || released() || self.poisoned.load(Ordering::Acquire);
+        let parked = !spin(done);
+        if parked {
+            let mut g = self.mutex.lock();
+            while !done() {
+                self.cvar.wait(&mut g);
+            }
+        }
+        // A generation that did advance was a real barrier, whatever
+        // happened since; the next wait reports the poison.
+        Waited {
+            parked,
+            released: released(),
+        }
+    }
+}
+
+/// How a wait that was not the last arrival ended.
+struct Waited {
+    /// It gave up spinning and parked on the condvar.
+    parked: bool,
+    /// The team arrived (`false`: let go by poison).
+    released: bool,
 }
 
 #[derive(Debug)]
@@ -107,28 +188,53 @@ impl Barrier {
     }
 
     /// Block until all `n` threads have arrived, as team thread `tid`
-    /// (`tid < n`, each id arriving exactly once per cycle). Returns `true`
-    /// in exactly one thread per cycle (the overall last arriver), mirroring
-    /// `std::sync::Barrier`'s leader flag.
-    pub fn wait_as(&self, tid: usize) -> bool {
+    /// (`tid < n`, each id arriving exactly once per cycle). Returns
+    /// `Ok(true)` in exactly one thread per cycle (the overall last
+    /// arriver), mirroring `std::sync::Barrier`'s leader flag, and
+    /// `Err(Poisoned)` when the wait was cut short by [`Barrier::poison`].
+    pub fn wait_as(&self, tid: usize) -> Result<bool, Poisoned> {
         if self.n == 1 {
-            return true;
+            return Ok(true);
         }
         let t0 = crate::trace::barrier_begin();
-        let (leader, parked) = match &self.core {
+        // `None`: this thread arrived last and waited for nobody.
+        let waited = match &self.core {
             BarrierCore::Central(c) => c.wait(),
             BarrierCore::Tree(t) => t.wait(tid),
         };
-        crate::trace::barrier_end(t0, parked);
-        leader
+        crate::trace::barrier_end(t0, waited.as_ref().is_some_and(|w| w.parked));
+        match waited {
+            None => Ok(true),
+            Some(w) if w.released => Ok(false),
+            Some(_) => Err(Poisoned),
+        }
+    }
+
+    /// Let go of every thread waiting here now or later: a teammate
+    /// failed and will not arrive.
+    pub fn poison(&self) {
+        self.release().poison();
+    }
+
+    /// Has [`Barrier::poison`] been called? For the runtime's other
+    /// team-wide waits, which have no barrier to be let go from.
+    pub fn is_poisoned(&self) -> bool {
+        self.release().poisoned.load(Ordering::Acquire)
+    }
+
+    fn release(&self) -> &Release {
+        match &self.core {
+            BarrierCore::Central(c) => &c.release,
+            BarrierCore::Tree(t) => &t.release,
+        }
     }
 
     /// Id-less [`Barrier::wait_as`]: derives a per-cycle id from an arrival
     /// ticket. Tickets can't tangle across cycles — a thread cannot start
     /// cycle `k+1` before all `n` tickets of cycle `k` were claimed.
-    pub fn wait(&self) -> bool {
+    pub fn wait(&self) -> Result<bool, Poisoned> {
         if self.n == 1 {
-            return true;
+            return Ok(true);
         }
         // Relaxed: the ticket value itself is the only payload, and the
         // barrier's own acquire/release edges order everything else.
@@ -142,9 +248,7 @@ impl Barrier {
 struct CentralBarrier {
     n: usize,
     arrived: AtomicUsize,
-    generation: AtomicU64,
-    mutex: Mutex<()>,
-    cvar: Condvar,
+    release: Release,
 }
 
 impl CentralBarrier {
@@ -152,16 +256,14 @@ impl CentralBarrier {
         CentralBarrier {
             n,
             arrived: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            mutex: Mutex::new(()),
-            cvar: Condvar::new(),
+            release: Release::new(),
         }
     }
 
-    /// Returns `(leader, parked)`: whether this arrival was the releasing
-    /// last arriver, and whether its wait fell through to a condvar park.
-    fn wait(&self) -> (bool, bool) {
-        let gen = self.generation.load(Ordering::Acquire);
+    /// `None` for the releasing last arriver; for everyone else the
+    /// outcome of its [`Release::wait`].
+    fn wait(&self) -> Option<Waited> {
+        let gen = self.release.generation.load(Ordering::Acquire);
         // AcqRel: the last arriver's read end of this RMW pulls in every
         // earlier thread's pre-barrier writes; the write end publishes ours.
         let pos = self.arrived.fetch_add(1, Ordering::AcqRel) + 1;
@@ -170,17 +272,10 @@ impl CentralBarrier {
             // releasing the others (they cannot re-arrive until the
             // generation advances).
             self.arrived.store(0, Ordering::Release);
-            let _g = self.mutex.lock();
-            // Release: publishes the whole cycle (including the reset) to
-            // the waiters' acquire loads below.
-            self.generation.fetch_add(1, Ordering::Release);
-            self.cvar.notify_all();
-            (true, false)
+            self.release.open();
+            None
         } else {
-            let parked = spin_then_park(&self.mutex, &self.cvar, || {
-                self.generation.load(Ordering::Acquire) != gen
-            });
-            (false, parked)
+            Some(self.release.wait(gen))
         }
     }
 }
@@ -208,9 +303,7 @@ struct TreeBarrier {
     nodes: Box<[CachePadded<TreeNode>]>,
     /// Leaf node index of each team thread.
     leaf_of: Box<[usize]>,
-    generation: AtomicU64,
-    mutex: Mutex<()>,
-    cvar: Condvar,
+    release: Release,
 }
 
 impl TreeBarrier {
@@ -247,15 +340,13 @@ impl TreeBarrier {
         TreeBarrier {
             nodes: nodes.into_boxed_slice(),
             leaf_of,
-            generation: AtomicU64::new(0),
-            mutex: Mutex::new(()),
-            cvar: Condvar::new(),
+            release: Release::new(),
         }
     }
 
-    /// Returns `(leader, parked)` — see [`CentralBarrier::wait`].
-    fn wait(&self, tid: usize) -> (bool, bool) {
-        let gen = self.generation.load(Ordering::Acquire);
+    /// See [`CentralBarrier::wait`].
+    fn wait(&self, tid: usize) -> Option<Waited> {
+        let gen = self.release.generation.load(Ordering::Acquire);
         let mut node = self.leaf_of[tid];
         loop {
             let nd = &self.nodes[node];
@@ -265,10 +356,7 @@ impl TreeBarrier {
             let pos = nd.arrived.fetch_add(1, Ordering::AcqRel) + 1;
             if pos < nd.expect {
                 // Not last at this node: wait for the root release.
-                let parked = spin_then_park(&self.mutex, &self.cvar, || {
-                    self.generation.load(Ordering::Acquire) != gen
-                });
-                return (false, parked);
+                return Some(self.release.wait(gen));
             }
             // Last arriver: reset for the next cycle, then ascend. Relaxed
             // is enough — the reset is published to next-cycle arrivers by
@@ -278,34 +366,26 @@ impl TreeBarrier {
             match nd.parent {
                 Some(p) => node = p,
                 None => {
-                    let _g = self.mutex.lock();
-                    // Release: publishes the whole team's cycle to the
-                    // waiters' acquire loads.
-                    self.generation.fetch_add(1, Ordering::Release);
-                    self.cvar.notify_all();
-                    return (true, false);
+                    self.release.open();
+                    return None;
                 }
             }
         }
     }
 }
 
-/// Spin for [`SPIN_ROUNDS`], then block on the condvar until `done()`.
-/// Returns `true` if the wait gave up spinning and parked — the
+/// Poll `done` for up to [`SPIN_ROUNDS`] pause/yield rounds; `false` means
+/// the caller should stop burning its timeslice and park — the
 /// spin-vs-park transition the observability counters report.
-fn spin_then_park(mutex: &Mutex<()>, cvar: &Condvar, done: impl Fn() -> bool) -> bool {
+fn spin(done: impl Fn() -> bool) -> bool {
     for _ in 0..SPIN_ROUNDS {
         if done() {
-            return false;
+            return true;
         }
         std::hint::spin_loop();
         std::thread::yield_now();
     }
-    let mut g = mutex.lock();
-    while !done() {
-        cvar.wait(&mut g);
-    }
-    true
+    false
 }
 
 /// A one-shot countdown latch used for region join: the master waits until
@@ -338,16 +418,12 @@ impl Latch {
 
     /// Block until the count reaches zero.
     pub fn wait(&self) {
-        for _ in 0..SPIN_ROUNDS {
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                return;
+        let done = || self.remaining.load(Ordering::Acquire) == 0;
+        if !spin(done) {
+            let mut g = self.mutex.lock();
+            while !done() {
+                self.cvar.wait(&mut g);
             }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let mut g = self.mutex.lock();
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            self.cvar.wait(&mut g);
         }
     }
 }
@@ -360,8 +436,8 @@ mod tests {
     #[test]
     fn single_thread_barrier_is_noop() {
         let b = Barrier::new(1);
-        assert!(b.wait());
-        assert!(b.wait());
+        assert_eq!(b.wait(), Ok(true));
+        assert_eq!(b.wait(), Ok(true));
     }
 
     #[test]
@@ -401,9 +477,9 @@ mod tests {
                 s.spawn(move || {
                     for counter in counters.iter() {
                         counter.fetch_add(1, Ordering::SeqCst);
-                        b.wait_as(tid);
+                        b.wait_as(tid).unwrap();
                         assert_eq!(counter.load(Ordering::SeqCst), n);
-                        b.wait_as(tid);
+                        b.wait_as(tid).unwrap();
                     }
                 });
             }
@@ -431,7 +507,7 @@ mod tests {
                 let leaders = &leaders;
                 s.spawn(move || {
                     for _ in 0..cycles {
-                        if b.wait_as(tid) {
+                        if b.wait_as(tid).unwrap() {
                             leaders.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -464,12 +540,53 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..5 {
                         hits.fetch_add(1, Ordering::SeqCst);
-                        b.wait();
+                        b.wait().unwrap();
                     }
                 });
             }
         });
         assert_eq!(hits.load(Ordering::SeqCst), N * 5);
+    }
+
+    /// One thread of the team never arrives and poisons instead: the
+    /// others are let go with `Poisoned`, whether they were already
+    /// waiting (spinning or parked) or arrive afterwards. Central and
+    /// tree alike.
+    #[test]
+    fn poison_lets_waiters_go_now_and_later() {
+        for n in [3usize, 12] {
+            let b = Barrier::new(n);
+            let (waiting_tx, waiting_rx) = std::sync::mpsc::channel();
+            std::thread::scope(|s| {
+                // All but the failing thread and one late-comer wait now.
+                for tid in 2..n {
+                    let (b, tx) = (&b, waiting_tx.clone());
+                    s.spawn(move || {
+                        tx.send(()).unwrap();
+                        assert_eq!(b.wait_as(tid), Err(Poisoned));
+                    });
+                }
+                for _ in 2..n {
+                    waiting_rx.recv().unwrap();
+                }
+                assert!(!b.is_poisoned());
+                b.poison();
+            });
+            assert!(b.is_poisoned());
+            assert_eq!(b.wait_as(1), Err(Poisoned), "team of {n}, late arrival");
+        }
+    }
+
+    /// A barrier the whole team reached stays a real one even if the
+    /// poison lands before a waiter has looked: only the next wait
+    /// reports it.
+    #[test]
+    fn completed_generation_wins_over_poison() {
+        let r = Release::new();
+        r.open();
+        r.poison();
+        assert!(r.wait(0).released);
+        assert!(!r.wait(1).released);
     }
 
     #[test]

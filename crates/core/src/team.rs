@@ -114,7 +114,8 @@ pub struct TeamShared {
     /// `schedule(runtime)` resolution, and `critical` sections inside the
     /// region all resolve against the forking runtime, not a process global.
     runtime: Arc<Runtime>,
-    /// First panic payload raised inside the region, re-thrown by the master.
+    /// First panic payload raised inside the region (master's included),
+    /// re-thrown by the master after the join.
     panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -152,6 +153,13 @@ impl TeamShared {
         // Acquire: pairs with the Release `gen` bump in `release_slot` so the
         // recycled slot's cleared state is visible before we reuse it.
         while slot.gen.load(Ordering::Acquire) != c {
+            // A failed teammate never releases its slots, so the recycle
+            // this waits for may never come. Hand out the stale slot:
+            // its exhausted dispatcher / claimed `single` send the caller
+            // on to the next barrier, which reports the poison.
+            if self.barrier.is_poisoned() {
+                break;
+            }
             std::hint::spin_loop();
             std::thread::yield_now();
         }
@@ -177,11 +185,16 @@ impl TeamShared {
         }
     }
 
+    /// A team thread panicked: keep the first payload for the master to
+    /// re-throw and let go of everyone who would wait for that thread.
     fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut g = self.panic_payload.lock();
-        if g.is_none() {
-            *g = Some(payload);
+        {
+            let mut g = self.panic_payload.lock();
+            if g.is_none() {
+                *g = Some(payload);
+            }
         }
+        self.barrier.poison();
     }
 }
 
@@ -231,11 +244,24 @@ impl<'a> ThreadCtx<'a> {
         self.team.runtime()
     }
 
-    /// Explicit `omp barrier`.
-    pub fn barrier(&self) {
+    /// Explicit `omp barrier`. `false` when the wait ended because the
+    /// team was [poisoned](ThreadCtx::poison), not because everyone
+    /// arrived: the caller should wind its own work up, as no later
+    /// barrier of this region will synchronise either.
+    pub fn barrier(&self) -> bool {
         // `wait_as` routes this thread straight to its tree leaf without
         // consuming an arrival ticket.
-        self.team.barrier.wait_as(self.tid);
+        self.team.barrier.wait_as(self.tid).is_ok()
+    }
+
+    /// Declare that this thread is abandoning the region (its body
+    /// failed) and will not reach the constructs its teammates wait at.
+    /// Their waits at the team barrier and for a construct slot end at
+    /// once, now and for the rest of the region (a `TeamShared` serves
+    /// one region, so nothing is ever reset), and [`ThreadCtx::barrier`]
+    /// tells them why.
+    pub fn poison(&self) {
+        self.team.barrier.poison();
     }
 
     /// `omp master`: run `f` on thread 0 only. No implied barrier.
@@ -478,12 +504,12 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Finish a split-phase `single`; synchronises unless `nowait`.
-    pub fn single_end(&self, token: SingleToken, nowait: bool) {
+    /// Returns what the closing [`ThreadCtx::barrier`] did (`true` with
+    /// `nowait`).
+    pub fn single_end(&self, token: SingleToken, nowait: bool) -> bool {
         let slot = &self.team.slots[(token.construct as usize) % NUM_CONSTRUCT_SLOTS];
         self.team.release_slot(slot);
-        if !nowait {
-            self.barrier();
-        }
+        nowait || self.barrier()
     }
 }
 
@@ -855,17 +881,20 @@ where
         let _rt = rt.enter();
         with_region_state(0, n, || f(&ctx));
     }));
+    // Before the join: workers parked at a barrier the master will not
+    // reach would otherwise keep the latch from ever opening.
+    if let Err(payload) = master_result {
+        team.record_panic(payload);
+    }
 
     let t_join = trace::stamp();
     latch.wait();
     trace::task_wait(t_join);
     Pool::global().checkin(workers);
 
-    if let Err(payload) = master_result {
-        panic::resume_unwind(payload);
-    }
-    let worker_panic = team.panic_payload.lock().take();
-    if let Some(payload) = worker_panic {
+    // The first panic of the region, whichever thread raised it.
+    let first_panic = team.panic_payload.lock().take();
+    if let Some(payload) = first_panic {
         panic::resume_unwind(payload);
     }
 }
@@ -1022,6 +1051,39 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    /// A thread that panics never reaches the barrier its teammates wait
+    /// at: they are let go (`barrier()` says so), and the panic the
+    /// master re-throws is the first one, not one a teammate raised on
+    /// its way out — whether the first came from the master or a worker.
+    #[test]
+    fn panic_ahead_of_a_barrier_releases_the_team() {
+        for failing in [0usize, 2] {
+            let result = panic::catch_unwind(|| {
+                fork_call(Parallel::new().num_threads(3), |ctx| {
+                    if ctx.thread_num() == failing {
+                        panic!("first, from thread {failing}");
+                    }
+                    if !ctx.barrier() {
+                        panic!("second, from a released teammate");
+                    }
+                    unreachable!("the barrier cannot complete without thread {failing}");
+                });
+            });
+            let payload = result.expect_err("the region panicked");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("first, from thread {failing}").as_str())
+            );
+        }
+        // The pool threads of the failed teams serve the next region.
+        let hits = AtomicUsize::new(0);
+        fork_call(Parallel::new().num_threads(3), |ctx| {
+            hits.fetch_add(1, Ordering::SeqCst);
+            assert!(ctx.barrier());
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
     }
 }
 

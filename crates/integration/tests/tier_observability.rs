@@ -573,3 +573,64 @@ fn every_installed_kernel_is_entered() {
         "the ports must install (and so enter) every kernel shape"
     );
 }
+
+/// `lcg-fill` runs jump-ahead streams only on a seed and multiplier
+/// that are integers in `[0, 2^46)`; a fill that has to run one stream
+/// instead says so through the `Deopt` probe, once per kernel entry,
+/// under the kernel's own pc. The EP port as shipped never does; with
+/// half a unit added to its seed every batch does, and still computes
+/// what the walker computes.
+#[test]
+fn sequential_lcg_fill_is_counted_as_a_deopt() {
+    let _g = serial();
+    const PORT_SEED: &str = "271828183.0";
+    assert!(ZAG_EP.contains(PORT_SEED), "the EP port's seed spelling");
+    let (m, mk) = (9i64, 5i64);
+    let batches = 1u64 << (m - mk);
+    let args = || {
+        vec![
+            Value::Int(m),
+            Value::Int(mk),
+            Value::Int(1),
+            Value::ArrF(Arc::new(ArrF::new(10))),
+        ]
+    };
+    for (seed, sequential_fills) in [(PORT_SEED, 0), ("271828183.5", batches)] {
+        let source = ZAG_EP.replacen(PORT_SEED, seed, 1);
+        let oracle = Vm::build(&source, None, Backend::Ast, OptLevel::O0).expect("compile oracle");
+        let vm =
+            Vm::build(&source, Some("ep.zag"), Backend::Native, OptLevel::O3).expect("compile");
+        let fill_pc = vm
+            .program
+            .code
+            .funcs
+            .iter()
+            .flat_map(|f| f.code.iter().enumerate().map(move |(pc, i)| (f, pc, i)))
+            .find_map(|(f, pc, insn)| match *insn {
+                Insn::BulkLoop { kidx } if f.kernels[kidx as usize].kind.name() == "lcg-fill" => {
+                    Some(pc as u32)
+                }
+                _ => None,
+            })
+            .expect("the port installs lcg-fill");
+
+        let deopts: Arc<Mutex<Vec<(String, u32)>>> = Arc::default();
+        let sink = Arc::clone(&deopts);
+        trace::register_callback(move |p| {
+            if let trace::Probe::Deopt { rewrite, pc } = p {
+                sink.lock().unwrap().push((rewrite.to_string(), *pc));
+            }
+        });
+        let (got, metrics) = counted_call(&vm, "ep", args());
+        trace::clear_callbacks();
+        let (want, _) = counted_call(&oracle, "ep", args());
+        assert_eq!(got, want, "seed {seed}");
+        assert_eq!(metrics.kernel_bails, 0, "seed {seed}");
+        assert_eq!(metrics.deopts, sequential_fills, "seed {seed}");
+        assert_eq!(
+            *deopts.lock().unwrap(),
+            vec![("lcg-fill:sequential".to_string(), fill_pc); sequential_fills as usize],
+            "seed {seed}"
+        );
+    }
+}

@@ -82,6 +82,24 @@ impl Drop for CtxGuard {
     }
 }
 
+/// The team barrier of the innermost active region (nothing outside
+/// one). A wait the runtime cut short because a teammate's body failed
+/// becomes this thread's error, so it unwinds out of the region too
+/// instead of computing on; `fork_call` reports the teammate's error,
+/// which was stored before the team was poisoned.
+fn team_barrier() -> VmResult<()> {
+    synced(with_ctx(|ctx| ctx.is_none_or(|c| c.barrier())))
+}
+
+/// `ok`: what `ThreadCtx::barrier` / `single_end` returned.
+fn synced(ok: bool) -> VmResult<()> {
+    if ok {
+        Ok(())
+    } else {
+        err("a teammate failed inside the parallel region")
+    }
+}
+
 /// Run `f` with the innermost active region context, if any.
 fn with_ctx<R>(f: impl FnOnce(Option<&ThreadCtx<'_>>) -> R) -> R {
     let ptr = CTX_STACK.with(|s| s.borrow().last().copied());
@@ -151,14 +169,7 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
             let nt = args[1].as_int()?;
             Ok(Value::Int(if cond { nt } else { 1 }))
         }
-        OmpFn::Barrier => {
-            with_ctx(|ctx| {
-                if let Some(ctx) = ctx {
-                    ctx.barrier();
-                }
-            });
-            Ok(Value::Void)
-        }
+        OmpFn::Barrier => team_barrier().map(|()| Value::Void),
         OmpFn::IsMaster => Ok(Value::Bool(with_ctx(|ctx| {
             ctx.map(|c| c.is_master()).unwrap_or(true)
         }))),
@@ -181,11 +192,10 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
             let tok = SINGLE_STACK
                 .with(|s| s.borrow_mut().pop())
                 .ok_or_else(|| VmError("single_end without single_begin".into()))?;
-            with_ctx(|ctx| {
-                if let (Some(ctx), Some(tok)) = (ctx, tok) {
-                    ctx.single_end(tok, nowait);
-                }
-            });
+            synced(with_ctx(|ctx| match (ctx, tok) {
+                (Some(ctx), Some(tok)) => ctx.single_end(tok, nowait),
+                _ => true,
+            }))?;
             Ok(Value::Void)
         }
         OmpFn::CriticalEnter => {
@@ -260,14 +270,12 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
             };
             h.combine(&args[1])?;
             with_ctx(|ctx| {
-                if let Some(ctx) = ctx {
-                    if let Some(tok) = h.token.lock().take() {
-                        ctx.construct_done(tok);
-                    }
-                    // The combined value is only complete after the barrier.
-                    ctx.barrier();
+                if let (Some(ctx), Some(tok)) = (ctx, h.token.lock().take()) {
+                    ctx.construct_done(tok);
                 }
             });
+            // The combined value is only complete after the barrier.
+            team_barrier()?;
             Ok(h.get())
         }
 
@@ -335,10 +343,16 @@ fn fork_call(vm: &Vm, args: &[Value]) -> VmResult<Value> {
     zomp::fork_call_rt(&vm.runtime, par, |ctx| {
         let _guard = CtxGuard::push(ctx);
         if let Err(e) = vm.call_resolved(fi, rest) {
-            let mut slot = failure.lock();
-            if slot.is_none() {
-                *slot = Some(e);
+            {
+                let mut slot = failure.lock();
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
             }
+            // This thread skips every barrier left in the region: let go
+            // of the teammates waiting there (after the error is stored,
+            // so theirs — see `synced` — can only come second).
+            ctx.poison();
         }
     });
     match failure.into_inner() {
@@ -613,11 +627,7 @@ fn ws_fini(args: &[Value]) -> VmResult<Value> {
         }
     }
     if !nowait {
-        with_ctx(|ctx| {
-            if let Some(ctx) = ctx {
-                ctx.barrier();
-            }
-        });
+        team_barrier()?;
     }
     Ok(Value::Void)
 }

@@ -128,9 +128,13 @@ fn kernel_remarks(
             "kernel-installed",
             label_offset(source, desc.label),
             format!(
-                "fn `{}`: kernel installed: {} (pc {pc})",
+                "fn `{}`: kernel installed: {} (pc {pc}){}",
                 f.name,
-                desc.kind.name()
+                desc.kind.name(),
+                desc.kind
+                    .note()
+                    .map(|n| format!(" [{n}]"))
+                    .unwrap_or_default()
             ),
         );
         if !desc.label.is_empty() {

@@ -197,6 +197,39 @@ fn failed_request_does_not_poison_the_server() {
     assert_eq!(j.get("ok"), Some(&Json::Bool(true)));
 }
 
+/// A program in which one thread of the team fails inside a worksharing
+/// loop is an ordinary failed request: the error comes back at once,
+/// not as a 504 at the deadline with the worker written off, because the
+/// failed thread's teammates no longer wait for it at the loop's barrier.
+#[test]
+fn a_thread_failing_inside_a_loop_fails_the_request_at_once() {
+    const OOB_IN_LOOP: &str = include_str!("../../integration/fixtures/faults/oob_in_loop.zag");
+    let addr = start(1, 8);
+    for threads in [2, 4] {
+        let bad = format!(
+            r#"{{"source": {}, "threads": {threads}, "timeout_ms": 5000}}"#,
+            Json::Str(OOB_IN_LOOP.to_string()).render()
+        );
+        let resp = client::post(addr, "/run", &bad).unwrap();
+        assert_eq!(resp.status, 500, "team of {threads}: {}", resp.body);
+        let j = Json::parse(&resp.body).unwrap();
+        assert_eq!(j.get("ok"), Some(&Json::Bool(false)));
+        let error = j.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            error.contains("out of bounds"),
+            "team of {threads}: {}",
+            resp.body
+        );
+        let s = stats(addr);
+        assert_eq!(stat(&s, "timeouts"), 0, "{}", s.render());
+        assert_eq!(stat(&s, "abandoned"), 0, "{}", s.render());
+        // The one worker — and the pool threads of the failed team —
+        // serve the next request.
+        let good = body(&demo::ep(), "ep_demo", "[10, 8, 2]", threads);
+        assert_eq!(post_ok(addr, &good).get("ok"), Some(&Json::Bool(true)));
+    }
+}
+
 #[test]
 fn per_request_icvs_do_not_bleed_between_concurrent_requests() {
     let addr = start(4, 16);
