@@ -117,7 +117,9 @@ fn bench_reductions(c: &mut Criterion) {
 }
 
 /// Work-stealing decks vs the legacy shared cursor: drain the same loop
-/// through both dispatchers, solo and with 4 contending threads.
+/// through both dispatchers, solo and with 4 contending threads. The solo
+/// deck is a team of 2 drained by one thread (a team of one would claim
+/// the whole loop at once).
 fn bench_dispatch_impls(c: &mut Criterion) {
     use zomp::schedule::{legacy::SharedCursorDispatch, DynamicDispatch};
     const N: u64 = 1 << 15;
@@ -125,7 +127,7 @@ fn bench_dispatch_impls(c: &mut Criterion) {
     g.sample_size(20).measurement_time(Duration::from_secs(2));
     g.bench_function("steal_deck_solo", |b| {
         b.iter(|| {
-            let d = DynamicDispatch::new(N, 1, Some(1));
+            let d = DynamicDispatch::new(N, 2, Some(1));
             while let Some(r) = d.next(0) {
                 black_box(r);
             }

@@ -318,32 +318,13 @@ impl StaticChunked {
         if nth < 1 || tid >= nth {
             return Err(ScheduleError::BadThread { tid, nth });
         }
-        let chunk = chunk as u64;
+        let chunk = serialized_chunk(nth, trip, chunk as u64);
         Ok(StaticChunked {
             next_start: tid as u64 * chunk,
             stride: chunk * nth as u64,
             chunk,
             trip,
         })
-    }
-}
-
-impl StaticChunked {
-    /// Greedy claim for bulk-kernel loops (`ws_begin_bulk`): when this
-    /// thread owns *every* remaining chunk — a single-thread team, where
-    /// the round-robin stride equals the chunk size so consecutive chunks
-    /// are contiguous — coalesce them into one claim instead of paying
-    /// the claim protocol and kernel prologue per clause-sized chunk.
-    /// With more than one thread the chunks interleave and the static
-    /// *mapping* of iterations to threads must not change, so the claim
-    /// falls back to the per-chunk iterator.
-    pub fn next_bulk(&mut self) -> Option<Range<u64>> {
-        if self.stride == self.chunk && self.next_start < self.trip {
-            let start = self.next_start;
-            self.next_start = self.trip;
-            return Some(start..self.trip);
-        }
-        self.next()
     }
 }
 
@@ -367,6 +348,19 @@ impl Iterator for StaticChunked {
 /// Default chunk size for `schedule(dynamic)` with no chunk clause (the
 /// OpenMP spec mandates 1).
 pub const DYNAMIC_DEFAULT_CHUNK: u64 = 1;
+
+/// The chunk every schedule claims in a team of `nth`: the clause's, but a
+/// team of one takes the whole loop — its first claim is `[0, trip)`, the
+/// next is nothing. With no thread to balance against only the claim count
+/// changes (libomp's `__kmp_dispatch_next` merges a serialized team's
+/// chunks the same way).
+fn serialized_chunk(nth: usize, trip: u64, chunk: u64) -> u64 {
+    if nth <= 1 {
+        trip.max(1)
+    } else {
+        chunk
+    }
+}
 
 /// How a dispatched chunk was obtained — the claim-path provenance reported
 /// to [`crate::trace`] (`ompt_dispatch_ws_loop_chunk`-style event payload).
@@ -459,8 +453,7 @@ pub(crate) struct StealDeck {
 
 impl StealDeck {
     fn new(trip: u64, nth: usize) -> Self {
-        debug_assert!(trip <= STEAL_MAX_TRIP);
-        let nth = nth.max(1);
+        debug_assert!(trip <= STEAL_MAX_TRIP && nth > 1);
         let slots = (0..nth)
             .map(|tid| {
                 let r = static_block(tid, nth, trip);
@@ -707,8 +700,9 @@ impl fmt::Debug for StealDeck {
 /// `__kmpc_dispatch_next` protocol for `kmp_sch_dynamic_chunked`.
 ///
 /// Backed by the work-stealing [`StealDeck`] (per-thread padded ranges,
-/// steal-half on drain); loops longer than [`STEAL_MAX_TRIP`] fall back to
-/// the [`legacy::SharedCursorDispatch`] single-cursor protocol.
+/// steal-half on drain). A team of one (nothing to steal) and loops
+/// longer than [`STEAL_MAX_TRIP`] use the [`legacy::SharedCursorDispatch`]
+/// single-cursor protocol instead.
 #[derive(Debug)]
 pub struct DynamicDispatch {
     core: DynCore,
@@ -726,7 +720,8 @@ impl DynamicDispatch {
         let chunk = chunk
             .map(|c| c.max(1) as u64)
             .unwrap_or(DYNAMIC_DEFAULT_CHUNK);
-        let core = if trip <= STEAL_MAX_TRIP {
+        let chunk = serialized_chunk(nth, trip, chunk);
+        let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
             DynCore::Steal(StealDeck::new(trip, nth))
         } else {
             DynCore::Legacy(legacy::SharedCursorDispatch::new(trip, chunk))
@@ -766,17 +761,6 @@ impl DynamicDispatch {
             DynCore::Legacy(d) => d.next().map(|r| (r, ChunkOrigin::Owned)),
         }
     }
-
-    /// [`Self::next_bulk_with_origin`] without the provenance payload.
-    #[inline]
-    pub fn next_bulk(&self, tid: usize) -> Option<Range<u64>> {
-        self.next_bulk_with_origin(tid).map(|(r, _)| r)
-    }
-
-    /// The chunk size in effect.
-    pub fn chunk(&self) -> u64 {
-        self.chunk
-    }
 }
 
 /// Dispatch state for `schedule(guided[, chunk])`.
@@ -801,10 +785,11 @@ enum GuidedCore {
 impl GuidedDispatch {
     pub fn new(trip: u64, nth: usize, chunk: Option<i64>) -> Self {
         let min_chunk = chunk.map(|c| c.max(1) as u64).unwrap_or(1);
-        let core = if trip <= STEAL_MAX_TRIP {
+        let min_chunk = serialized_chunk(nth, trip, min_chunk);
+        let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
             GuidedCore::Steal(StealDeck::new(trip, nth))
         } else {
-            GuidedCore::Legacy(legacy::SharedGuidedDispatch::new(trip, nth, chunk))
+            GuidedCore::Legacy(legacy::SharedGuidedDispatch::new(trip, nth, min_chunk))
         };
         GuidedDispatch { core, min_chunk }
     }
@@ -829,9 +814,10 @@ impl GuidedDispatch {
 
 /// The pre-stealing shared-state dispatch protocols.
 ///
-/// Kept for two reasons: loops longer than [`STEAL_MAX_TRIP`] (whose ranges
-/// don't fit the packed-`u32` steal words), and as the baseline the
-/// `zomp-bench` crate measures the work-stealing protocol against.
+/// They serve teams of one (nothing to steal: one cursor, one whole-loop
+/// chunk — see [`serialized_chunk`]), loops longer than [`STEAL_MAX_TRIP`]
+/// (whose ranges don't fit the packed-`u32` steal words), and the
+/// `zomp-bench` crate as the baseline for the work-stealing protocol.
 pub mod legacy {
     use super::*;
 
@@ -877,12 +863,12 @@ pub mod legacy {
     }
 
     impl SharedGuidedDispatch {
-        pub fn new(trip: u64, nth: usize, chunk: Option<i64>) -> Self {
+        pub fn new(trip: u64, nth: usize, min_chunk: u64) -> Self {
             SharedGuidedDispatch {
                 taken: AtomicU64::new(0),
                 trip,
                 nth: nth.max(1) as u64,
-                min_chunk: chunk.map(|c| c.max(1) as u64).unwrap_or(1),
+                min_chunk: min_chunk.max(1),
             }
         }
 
@@ -1026,16 +1012,54 @@ mod tests {
 
     #[test]
     fn dynamic_dispatch_covers_exactly() {
-        let d = DynamicDispatch::new(103, 1, Some(10));
+        // A team of 2 claims clause-sized chunks; a team of one claims the
+        // whole loop once.
+        let d = DynamicDispatch::new(103, 2, Some(10));
         let mut seen = [false; 103];
-        while let Some(r) = d.next(0) {
-            assert!(r.end - r.start <= 10, "chunk granularity exceeded");
-            for i in r {
-                assert!(!seen[i as usize]);
-                seen[i as usize] = true;
+        let mut claims = 0;
+        for tid in [0, 1] {
+            while let Some(r) = d.next(tid) {
+                assert!(r.end - r.start <= 10, "chunk granularity exceeded");
+                claims += 1;
+                for i in r {
+                    assert!(!seen[i as usize]);
+                    seen[i as usize] = true;
+                }
             }
         }
         assert!(seen.iter().all(|&s| s));
+        assert!(
+            claims >= 11,
+            "{claims} claims of at most 10 cannot cover 103"
+        );
+        let d = DynamicDispatch::new(103, 1, Some(10));
+        assert_eq!(d.next(0), Some(0..103));
+        assert_eq!(d.next(0), None);
+    }
+
+    /// The serialized-team contract, for every schedule and both dispatch
+    /// cores: a team of one's first claim is `[0, trip)`, its next claim
+    /// is nothing (and an empty loop claims nothing at all).
+    #[test]
+    fn team_of_one_claims_the_whole_loop_once() {
+        for trip in [0, 1, 2, 127, 128, 129, 1000, STEAL_MAX_TRIP + 10] {
+            let whole = (trip > 0).then_some(0..trip);
+            for chunk in [None, Some(1), Some(7)] {
+                let d = DynamicDispatch::new(trip, 1, chunk);
+                assert_eq!(d.next(0), whole, "dynamic {chunk:?}, trip {trip}");
+                assert_eq!(d.next(0), None);
+                let d = DynamicDispatch::new(trip, 1, chunk);
+                assert_eq!(d.next_bulk_with_origin(0).map(|(r, _)| r), whole);
+                assert_eq!(d.next_bulk_with_origin(0), None);
+                let g = GuidedDispatch::new(trip, 1, chunk);
+                assert_eq!(g.next(0), whole, "guided {chunk:?}, trip {trip}");
+                assert_eq!(g.next(0), None);
+                let c = chunk.unwrap_or(3);
+                let s: Vec<_> = StaticChunked::new(0, 1, trip, c).collect();
+                assert_eq!(s, whole.iter().cloned().collect::<Vec<_>>(), "static, {c}");
+            }
+            assert_eq!(static_block(0, 1, trip), 0..trip);
+        }
     }
 
     #[test]
@@ -1101,9 +1125,12 @@ mod tests {
 
     #[test]
     fn dynamic_default_chunk_is_one() {
-        let d = DynamicDispatch::new(5, 1, None);
+        let d = DynamicDispatch::new(5, 2, None);
         assert_eq!(d.next(0), Some(0..1));
-        assert_eq!(d.chunk(), 1);
+        assert_eq!(d.next(1), Some(3..4));
+        // A team of one: the whole loop, whatever the default.
+        let d = DynamicDispatch::new(5, 1, None);
+        assert_eq!(d.next(0), Some(0..5));
     }
 
     #[test]
@@ -1116,23 +1143,33 @@ mod tests {
 
     #[test]
     fn guided_chunks_decay_and_cover() {
-        // Single-threaded deck: one slot holding the whole space, so the
-        // classic decay shape is exactly reproduced (first chunk trip/2).
-        let g = GuidedDispatch::new(1000, 1, None);
+        // Thread 1 of a team of 2 drains its own slot of 500 first, so
+        // the classic decay shape is exactly reproduced there (first
+        // chunk = half the slot), then thread 0 drains the rest.
+        let g = GuidedDispatch::new(1000, 2, None);
         let mut chunks = vec![];
-        let mut covered = 0;
-        while let Some(r) = g.next(0) {
+        let mut covered = 500;
+        while covered < 1000 {
+            let r = g.next(1).unwrap();
             assert_eq!(r.start, covered, "guided chunks are contiguous");
             covered = r.end;
             chunks.push(r.end - r.start);
         }
-        assert_eq!(covered, 1000);
-        assert_eq!(chunks[0], 500);
+        assert_eq!(chunks[0], 250);
         for w in chunks.windows(2) {
             assert!(w[1] <= w[0], "guided chunk sizes must not grow");
         }
         // Tail chunks bottom out at the minimum chunk size (1 here).
         assert_eq!(*chunks.last().unwrap(), 1);
+        let mut rest = 0;
+        while let Some(r) = g.next(0) {
+            rest += r.end - r.start;
+        }
+        assert_eq!(rest, 500);
+        // A team of one: no decay, one claim of the whole loop.
+        let g = GuidedDispatch::new(1000, 1, None);
+        assert_eq!(g.next(0), Some(0..1000));
+        assert_eq!(g.next(0), None);
     }
 
     #[test]
@@ -1186,7 +1223,7 @@ mod tests {
 
     #[test]
     fn legacy_guided_first_chunk_is_global_formula() {
-        let g = legacy::SharedGuidedDispatch::new(1000, 4, None);
+        let g = legacy::SharedGuidedDispatch::new(1000, 4, 1);
         let mut covered = 0;
         let mut first = None;
         while let Some(r) = g.next() {

@@ -46,11 +46,12 @@ proptest! {
         prop_assert!(seen.iter().all(|&c| c == 1));
     }
 
-    /// dynamic work-stealing dispatch covers exactly once regardless of
-    /// chunk, deck width, and which single thread drains it (the drain-all
-    /// caller exercises the steal path against every other slot).
+    /// dynamic work-stealing dispatch covers exactly once in clause-sized
+    /// chunks regardless of chunk, deck width (2 and up), and which single
+    /// thread drains it (the drain-all caller exercises the steal path
+    /// against every other slot); a team of one claims the whole loop once.
     #[test]
-    fn dynamic_dispatch_partitions(trip in 0u64..5_000, nth in 1usize..9,
+    fn dynamic_dispatch_partitions(trip in 0u64..5_000, nth in 2usize..9,
                                    chunk in proptest::option::of(1i64..300),
                                    drainer in 0usize..8) {
         let d = DynamicDispatch::new(trip, nth, chunk);
@@ -64,6 +65,9 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&c| c == 1));
+        let solo = DynamicDispatch::new(trip, 1, chunk);
+        prop_assert_eq!(solo.next(0), (trip > 0).then_some(0..trip));
+        prop_assert_eq!(solo.next(0), None);
     }
 
     /// guided work-stealing dispatch covers exactly once; every claim
@@ -109,7 +113,7 @@ proptest! {
         }
         prop_assert_eq!(covered, trip);
 
-        let g = zomp::schedule::legacy::SharedGuidedDispatch::new(trip, nth, None);
+        let g = zomp::schedule::legacy::SharedGuidedDispatch::new(trip, nth, 1);
         let mut covered = 0u64;
         let mut last = u64::MAX;
         while let Some(r) = g.next() {

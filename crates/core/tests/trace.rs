@@ -453,7 +453,9 @@ fn disabled_tracing_overhead_guard() {
     // Warm-up pass, then three timed passes; take the fastest.
     let mut best_ns_per_claim = f64::INFINITY;
     for pass in 0..4 {
-        let d = zomp::schedule::DynamicDispatch::new(TRIP, 1, Some(1));
+        // A team of 2 drained by one thread (its own half, then steals):
+        // a team of one would claim the whole loop once.
+        let d = zomp::schedule::DynamicDispatch::new(TRIP, 2, Some(1));
         let t0 = Instant::now();
         let mut claims = 0u64;
         while let Some(r) = d.next(0) {

@@ -157,6 +157,89 @@ fn healthy_region_is_exact(vm: &Arc<Vm>, what: &str, threads: i64) {
     }
 }
 
+/// Failures *inside* `critical`: the failing thread never reaches its
+/// `critical_exit`, and the lock lives on the `Vm`'s runtime, so a held
+/// lock would block a teammate at the same `critical` — and every later
+/// call on the same `Vm` that enters it.
+const CRITICAL: &str = r#"
+// Every thread but thread 1 fails inside the section, with one text.
+fn in_region(n: i64, nthreads: i64) i64 {
+    var a: []i64 = @allocI(n);
+    //$omp parallel num_threads(nthreads) shared(a) firstprivate(n)
+    {
+        //$omp critical
+        {
+            if (omp.get_thread_num() != 1) {
+                a[n] = 1;
+            }
+            a[0] = a[0] + 1;
+        }
+    }
+    return a[0];
+}
+
+// The same failure with no region around it.
+fn serial(n: i64) i64 {
+    var a: []i64 = @allocI(n);
+    //$omp critical
+    {
+        a[n] = 1;
+    }
+    return a[0];
+}
+
+fn healthy(nthreads: i64) i64 {
+    var count: i64 = 0;
+    //$omp parallel num_threads(nthreads) shared(count)
+    {
+        //$omp critical
+        {
+            count = count + 1;
+        }
+    }
+    return count;
+}
+"#;
+
+#[test]
+fn a_thread_failing_inside_critical_lets_go_of_the_lock() {
+    let build = |backend, opt| {
+        Arc::new(
+            Vm::build(CRITICAL, None, backend, opt)
+                .unwrap_or_else(|e| panic!("{}", e.render(CRITICAL))),
+        )
+    };
+    let tiers = [
+        ("walker", build(Backend::Ast, OptLevel::O0)),
+        ("--opt=0", build(Backend::Bytecode, OptLevel::O0)),
+        ("--opt=3", build(Backend::Bytecode, OptLevel::O3)),
+    ];
+    let want = call_within_5s(&tiers[0].1, "walker, serial", "serial", vec![Value::Int(N)])
+        .expect_err("`serial` fails by construction");
+    assert!(want.contains("out of bounds"), "{want}");
+    for (tier, vm) in &tiers {
+        // Each failure is followed by regions that enter the same
+        // `critical` on the same `Vm`, at every team size.
+        let healthy = |what: &str| {
+            for threads in [1i64, 2, 4] {
+                let got = call_within_5s(vm, what, "healthy", vec![Value::Int(threads)]);
+                assert_eq!(got.map(|v| v.render()), Ok(threads.to_string()), "{what}");
+            }
+        };
+        let what = format!("serial, {tier}");
+        let got = call_within_5s(vm, &what, "serial", vec![Value::Int(N)]);
+        assert_eq!(got.map(|v| v.render()), Err(want.clone()), "{what}");
+        healthy(&what);
+        for threads in [1i64, 2, 4] {
+            let what = format!("team of {threads}, {tier}");
+            let args = vec![Value::Int(N), Value::Int(threads)];
+            let got = call_within_5s(vm, &what, "in_region", args);
+            assert_eq!(got.map(|v| v.render()), Err(want.clone()), "{what}");
+            healthy(&what);
+        }
+    }
+}
+
 #[test]
 fn a_failed_thread_does_not_strand_its_team() {
     for sched in [

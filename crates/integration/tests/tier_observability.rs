@@ -310,9 +310,12 @@ fn claims(out: []i64, n: i64, nthreads: i64) void {
 "#;
 
 /// The chunk claim is one instruction (`wsnext`), and the split-phase
-/// trace bookkeeping rides behind it: a traced loop of `N` one-iteration
-/// chunks still counts `N` claims, closes one chunk span per claim, and
-/// its per-thread `LoopDispatch` spans carry shares that sum to `N`.
+/// trace bookkeeping rides behind it: a traced `schedule(dynamic, 1)` loop
+/// at a team of 2 counts `N` one-iteration claims and closes one chunk
+/// span per claim; a team of one (and an orphaned loop) claims the whole
+/// loop once and closes one span of `N`. Either way the per-thread
+/// `LoopDispatch` spans keep the pragma label and the dispatch count of
+/// a dynamic schedule, and carry shares that sum to `N`.
 #[test]
 fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
     let _g = serial();
@@ -354,24 +357,42 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
             for i in 0..N as i64 {
                 assert_eq!(out.get(i).unwrap(), i % 13 + 1, "{what}: out[{i}]");
             }
-            assert_eq!(m.chunks_owned + m.chunks_stolen, N, "{what}: claims");
+            // One claim per iteration at a team of 2; one of `N` at 1.
+            let (claims, len) = if threads == 2 { (N, 1) } else { (1, N) };
+            assert_eq!(m.chunks_owned + m.chunks_stolen, claims, "{what}: claims");
+            assert_eq!(
+                m.iters_owned + m.iters_stolen,
+                N,
+                "{what}: claimed iterations"
+            );
             let chunks: Vec<&str> = json
                 .lines()
                 .filter(|l| l.contains("\"cat\":\"chunk ("))
                 .collect();
-            assert_eq!(chunks.len() as u64, N, "{what}: closed chunk spans");
+            assert_eq!(chunks.len() as u64, claims, "{what}: closed chunk spans");
             assert!(
-                chunks.iter().all(|l| arg(l, "\"len\":") == 1),
-                "{what}: every chunk is one iteration"
+                chunks.iter().all(|l| arg(l, "\"len\":") == len),
+                "{what}: every chunk is {len} iterations"
             );
             let mut starts: Vec<u64> = chunks.iter().map(|l| arg(l, "\"start\":")).collect();
             starts.sort_unstable();
-            assert_eq!(starts, (0..N).collect::<Vec<_>>(), "{what}: chunk starts");
+            let want: Vec<u64> = (0..N).step_by(len as usize).collect();
+            assert_eq!(starts, want, "{what}: chunk starts");
             let loops: Vec<&str> = json
                 .lines()
                 .filter(|l| l.contains("\"cat\":\"loop\""))
                 .collect();
             assert_eq!(loops.len() as u64, threads.max(1), "{what}: loop spans");
+            assert_eq!(
+                m.dispatch_inits,
+                threads.max(1),
+                "{what}: dynamic dispatches"
+            );
+            assert_eq!(
+                m.dispatch_finis,
+                threads.max(1),
+                "{what}: dynamic dispatches"
+            );
             assert!(
                 loops.iter().all(|l| l.contains("\"name\":\"claims.zag:")),
                 "{what}: loop spans carry the pragma label: {loops:?}"

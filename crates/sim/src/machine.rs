@@ -276,7 +276,14 @@ impl Machine {
     ///   refilled by one uncontended atomic per [`zomp::schedule::STEAL_BATCH`]
     ///   chunks, plus ~log2(t) contended steal CASes over the whole loop as
     ///   the tail drains.
+    ///
+    /// A team of one claims its whole loop once under either protocol
+    /// (`zomp::schedule`'s serialized-team rule), whatever `chunks` the
+    /// clause would cut it into.
     pub fn dispatch_cost(&self, imp: DispatchImpl, t: usize, chunks: u64) -> f64 {
+        if t <= 1 {
+            return chunks.min(1) as f64 * self.dispatch_chunk_s;
+        }
         let n = chunks as f64;
         match imp {
             DispatchImpl::SharedCursor => {
@@ -389,20 +396,25 @@ mod tests {
     #[test]
     fn shared_cursor_dispatch_degrades_with_contention() {
         let m = Machine::archer2();
-        let c1 = m.dispatch_cost(DispatchImpl::SharedCursor, 1, 1000);
+        let c2 = m.dispatch_cost(DispatchImpl::SharedCursor, 2, 1000);
         let c4 = m.dispatch_cost(DispatchImpl::SharedCursor, 4, 1000);
         let c128 = m.dispatch_cost(DispatchImpl::SharedCursor, 128, 1000);
-        assert!(c4 > c1);
+        assert!(c4 > c2);
         assert!(c128 > 10.0 * c4, "c128 = {c128:e} vs c4 = {c4:e}");
     }
 
     #[test]
     fn work_stealing_dispatch_stays_near_flat() {
         let m = Machine::archer2();
-        let s1 = m.dispatch_cost(DispatchImpl::WorkStealing, 1, 1000);
+        let s2 = m.dispatch_cost(DispatchImpl::WorkStealing, 2, 1000);
         let s128 = m.dispatch_cost(DispatchImpl::WorkStealing, 128, 1000);
         // Team size adds only the tail-steal term, not a per-chunk factor.
-        assert!(s128 < 1.1 * s1, "s128 = {s128:e} vs s1 = {s1:e}");
+        assert!(s128 < 1.1 * s2, "s128 = {s128:e} vs s2 = {s2:e}");
+        // A team of one pays one claim, under either protocol.
+        for imp in [DispatchImpl::WorkStealing, DispatchImpl::SharedCursor] {
+            assert_eq!(m.dispatch_cost(imp, 1, 1000), m.dispatch_chunk_s);
+            assert_eq!(m.dispatch_cost(imp, 1, 0), 0.0);
+        }
     }
 
     #[test]

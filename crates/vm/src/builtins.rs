@@ -10,10 +10,10 @@ use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use zomp::kmpc::for_static_init;
 use zomp::reduction::RedOp;
-use zomp::schedule::{
-    static_block, DynamicDispatch, LoopBounds, LoopCmp, Schedule, ScheduleKind, StaticChunked,
-};
+use zomp::schedule::{LoopBounds, LoopCmp, Schedule, ScheduleKind};
+use zomp::sync::OmpLock;
 use zomp::team::{Parallel, SingleToken, ThreadCtx};
 
 use crate::bytecode::OmpFn;
@@ -63,6 +63,23 @@ pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
 thread_local! {
     static CTX_STACK: RefCell<Vec<*const ()>> = const { RefCell::new(Vec::new()) };
     static SINGLE_STACK: RefCell<Vec<Option<SingleToken>>> = const { RefCell::new(Vec::new()) };
+    /// The `critical` locks this thread holds: a body that fails inside
+    /// one never reaches its `critical_exit` ([`release_criticals`]).
+    static HELD_CRITICALS: RefCell<Vec<Arc<OmpLock>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How many `critical` locks this thread holds: the mark to pass to
+/// [`release_criticals`] if the call about to run fails.
+pub(crate) fn criticals_held() -> usize {
+    HELD_CRITICALS.with(|h| h.borrow().len())
+}
+
+/// Unlock every `critical` this thread entered since `mark`, where a
+/// `VmError` leaves the code that entered them.
+pub(crate) fn release_criticals(mark: usize) {
+    for lock in HELD_CRITICALS.with(|h| h.borrow_mut().split_off(mark)) {
+        lock.unset();
+    }
 }
 
 pub(crate) struct CtxGuard;
@@ -204,14 +221,18 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
             };
             // Split-phase (enter/exit straddle interpreter calls), so the
             // guardless `OmpLock` from the VM runtime's registry is used.
-            vm.runtime.critical_lock(name).set();
+            let lock = vm.runtime.critical_lock(name);
+            lock.set();
+            HELD_CRITICALS.with(|h| h.borrow_mut().push(lock));
             Ok(Value::Void)
         }
         OmpFn::CriticalExit => {
             let Value::Str(name) = &args[0] else {
                 return err("critical_exit expects a name string");
             };
-            vm.runtime.critical_lock(name).unset();
+            let lock = vm.runtime.critical_lock(name);
+            lock.unset();
+            HELD_CRITICALS.with(|h| h.borrow_mut().retain(|l| !Arc::ptr_eq(l, &lock)));
             Ok(Value::Void)
         }
         OmpFn::AtomicRmw => atomic_rmw(args),
@@ -342,7 +363,10 @@ fn fork_call(vm: &Vm, args: &[Value]) -> VmResult<Value> {
     let failure: Mutex<Option<VmError>> = Mutex::new(None);
     zomp::fork_call_rt(&vm.runtime, par, |ctx| {
         let _guard = CtxGuard::push(ctx);
+        let held = criticals_held();
         if let Err(e) = vm.call_resolved(fi, rest) {
+            // Teammates waiting at a `critical` it holds must get in.
+            release_criticals(held);
             {
                 let mut slot = failure.lock();
                 if slot.is_none() {
@@ -474,27 +498,23 @@ fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
         },
     };
 
+    let dynamic = sched.kind != ScheduleKind::Static;
     let mode = with_ctx(|ctx| -> VmResult<WsMode> {
-        let (tid, nth) = ctx
-            .map(|c| (c.thread_num(), c.num_threads()))
-            .unwrap_or((0, 1));
-        Ok(match sched.kind {
-            ScheduleKind::Static => match sched.chunk {
-                None => WsMode::StaticBlock(Some(static_block(tid, nth, trip))),
-                Some(c) => WsMode::StaticChunked(
-                    StaticChunked::try_new(tid, nth, trip, c)
+        Ok(match ctx {
+            Some(ctx) if dynamic => WsMode::Dispatch(ctx.dispatch_begin_labelled(
+                sched,
+                trip,
+                (!label.is_empty()).then_some(label),
+            )),
+            // Static, or orphaned: a team of one, whose one claim is the
+            // whole loop under every schedule.
+            _ => {
+                let (tid, nth) = ctx.map_or((0, 1), |c| (c.thread_num(), c.num_threads()));
+                WsMode::Static(
+                    for_static_init(tid, nth, trip, sched.chunk)
                         .map_err(|e| VmError(e.to_string()))?,
-                ),
-            },
-            _ => match ctx {
-                Some(ctx) => WsMode::Dispatch(ctx.dispatch_begin_labelled(
-                    sched,
-                    trip,
-                    (!label.is_empty()).then_some(label),
-                )),
-                // Serial fallback: a 1-thread deck claimed as tid 0.
-                None => WsMode::Local(DynamicDispatch::new(trip, 1, sched.chunk)),
-            },
+                )
+            }
         })
     })?;
 
@@ -503,8 +523,7 @@ fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
     // spans the construct through `dispatch_begin_labelled`.
     let t0 = match &mode {
         WsMode::Dispatch(_) => 0,
-        WsMode::Local(_) => zomp::trace::dispatch_begin_ts(true),
-        _ => zomp::trace::dispatch_begin_ts(false),
+        _ => zomp::trace::dispatch_begin_ts(dynamic),
     };
 
     Ok(Value::Ws(Arc::new(WsIter {
@@ -515,6 +534,7 @@ fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
             cur: None,
             finished: false,
             label,
+            dynamic,
             t0,
             iters: 0,
             pending: None,
@@ -531,8 +551,7 @@ fn ws_close_span(st: &mut WsState) {
         zomp::trace::chunk(zomp::schedule::ChunkOrigin::Owned, start, len, t0);
     }
     if !matches!(st.mode, WsMode::Dispatch(_)) {
-        let dynamic = matches!(st.mode, WsMode::Local(_));
-        zomp::trace::dispatch_end(st.label, st.iters, dynamic, st.t0);
+        zomp::trace::dispatch_end(st.label, st.iters, st.dynamic, st.t0);
     }
 }
 
@@ -554,28 +573,19 @@ fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
 pub(crate) fn ws_claim(ws: &Value) -> VmResult<Option<(i64, i64)>> {
     let mut st = as_ws(ws)?.state.lock();
     let traced = zomp::trace::active();
-    if traced {
-        // Split-phase: the previous chunk's body ran between calls — close
-        // its span before claiming the next (team Dispatch does its own).
-        if let Some((start, len, t0)) = st.pending.take() {
-            zomp::trace::chunk(zomp::schedule::ChunkOrigin::Owned, start, len, t0);
-        }
+    // Split-phase: the previous chunk's body ran between calls — close its
+    // span before claiming the next (team Dispatch does its own).
+    if let Some((start, len, t0)) = st.pending.take() {
+        zomp::trace::chunk(zomp::schedule::ChunkOrigin::Owned, start, len, t0);
     }
     let greedy = st.greedy;
     let logical = match &mut st.mode {
-        WsMode::StaticBlock(r) => r.take().filter(|r| !r.is_empty()),
-        // Static chunking is a *mapping* of iterations to threads, not a
-        // dispatch protocol — bulk mode only coalesces chunks when the
-        // mapping is unaffected (single-thread teams; see `next_bulk`).
-        WsMode::StaticChunked(it) if greedy => it.next_bulk(),
-        WsMode::StaticChunked(it) => it.next(),
+        WsMode::Static(it) => it.next().filter(|r| !r.is_empty()),
         WsMode::Dispatch(d) => with_ctx(|ctx| match ctx {
             Some(ctx) if greedy => ctx.dispatch_next_bulk(d),
             Some(ctx) => ctx.dispatch_next(d),
             None => None,
         }),
-        WsMode::Local(d) if greedy => d.next_bulk(0),
-        WsMode::Local(d) => d.next(0),
     };
     match logical {
         Some(r) => {

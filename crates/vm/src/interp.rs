@@ -316,6 +316,8 @@ impl Vm {
     /// than whatever instance the calling thread happened to have current.
     pub fn call_function(&self, name: &str, args: Vec<Value>) -> VmResult<Value> {
         let _rt = self.runtime.enter();
+        // A `critical` a failed call never left would wedge this `Vm`.
+        let held = builtins::criticals_held();
         match self.backend {
             Backend::Bytecode | Backend::Native => {
                 let fi = self.resolve_fn(name, args.len())?;
@@ -323,6 +325,7 @@ impl Vm {
             }
             Backend::Ast => self.call_function_ast(name, args),
         }
+        .inspect_err(|_| builtins::release_criticals(held))
     }
 
     /// Look `name` up in the image and check it takes `nargs` arguments.

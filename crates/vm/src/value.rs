@@ -321,6 +321,8 @@ pub struct WsState {
     /// The worksharing pragma's `unit:line` label for the observability
     /// layer; `""` when the translation unit was unnamed.
     pub label: &'static str,
+    /// A dynamic/guided schedule, also where an orphaned loop runs static.
+    pub dynamic: bool,
     /// Construct-entry timestamp of this thread's `LoopDispatch` trace
     /// span (0 = tracing off at entry). Only the locally driven modes use
     /// it — team [`WsMode::Dispatch`] records its own span.
@@ -339,14 +341,11 @@ pub struct WsState {
 }
 
 pub enum WsMode {
-    /// Single static block (already computed); `None` once consumed.
-    StaticBlock(Option<std::ops::Range<u64>>),
-    /// Round-robin static chunks.
-    StaticChunked(zomp::schedule::StaticChunked),
+    /// This thread's static block or round-robin chunks; also every
+    /// orphaned loop, as a team of one (one claim of `[0, trip)`).
+    Static(zomp::kmpc::StaticIter),
     /// Team dispatch (dynamic/guided/runtime inside a region).
     Dispatch(WsDispatch),
-    /// Serial fallback dispatch (dynamic/guided outside any region).
-    Local(zomp::schedule::DynamicDispatch),
 }
 
 /// A Zag runtime value.

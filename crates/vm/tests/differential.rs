@@ -815,8 +815,162 @@ fn main() void {{
     }
 }
 
+/// Runs `test` in a process of its own: the trace counters it reads are
+/// process-wide, and the other tests of this binary claim chunks too. The
+/// harness's call of test `name` re-runs the binary for that test alone,
+/// and the child (or a person who asked for `--exact`) does the work.
+fn alone(name: &str, test: impl FnOnce()) {
+    if std::env::args().any(|a| a == "--exact") {
+        return test();
+    }
+    let exe = std::env::current_exe().expect("the test binary's path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--nocapture"])
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "`{name}` in a process of its own:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// One worksharing loop twice over: orphaned, and in a region of
+/// `nthreads`. `SCHED` is the clause, `BODY` the iteration: it marks
+/// `hits[i]` and adds to `sum` inline or through a call that stays a call
+/// (the recursive branch keeps `weigh` from inlining, so that loop stays
+/// out of the bulk tiers at `--opt=3`; the inline one may not).
+const SERIALIZED: &str = "fn weigh(v: i64) i64 {
+    if (v < 0) { return weigh(0 - v); }
+    return v % 13 + 1;
+}
+fn orphaned(hits: []i64, n: i64) i64 {
+    var sum: i64 = 0;
+    var i: i64 = 0;
+    //$omp while SCHED
+    while (i < n) : (i += 1) { BODY }
+    return sum;
+}
+fn team(hits: []i64, n: i64, nthreads: i64) i64 {
+    var sum: i64 = 0;
+    //$omp parallel num_threads(nthreads) shared(hits) firstprivate(n) reduction(+: sum)
+    {
+        var i: i64 = 0;
+        //$omp while SCHED
+        while (i < n) : (i += 1) { BODY }
+    }
+    return sum;
+}";
+
+/// A team of one — or no team at all — claims its whole worksharing loop
+/// once under every schedule, on the walker, `--opt=0` and `--opt=3`
+/// alike: one claim of `trip` iterations (none for an empty loop), with
+/// results bit-identical to the walker's. Teams of 2 and 4 keep the claim
+/// counts of the per-chunk protocol: exactly those of the closed-form
+/// static schedules and of one-iteration dynamic claims, and for the
+/// decks at least one claim per non-empty thread block (every claim stays
+/// inside one block) and per clause-sized chunk where claims are capped
+/// at the chunk.
+#[test]
+fn team_of_one_claims_every_schedule_once() {
+    use std::sync::Arc;
+    use zomp::trace;
+    use zomp_vm::value::ArrI;
+    alone("team_of_one_claims_every_schedule_once", || {
+        // `runtime` resolves against the `Vm`'s ICVs, set to `dynamic, 3`.
+        const SCHEDULES: [(&str, Option<u64>); 7] = [
+            ("schedule(static)", None),
+            ("schedule(static, 3)", None),
+            ("schedule(dynamic)", Some(1)),
+            ("schedule(dynamic, 5)", Some(5)),
+            ("schedule(guided)", None),
+            ("schedule(guided, 4)", None),
+            ("schedule(runtime)", Some(3)),
+        ];
+        const BODIES: [(&str, &str); 2] = [
+            ("inline", "hits[i] = hits[i] + 1; sum += i * 7 + 1;"),
+            ("call", "hits[i] = hits[i] + 1; sum += weigh(i);"),
+        ];
+        let trips = [0u64, 1, 2, 127, 128, 129, 255, 257, 1023, 1025];
+        let runtime = Arc::new(zomp::Runtime::with_config(
+            &zomp::RuntimeConfig::default().run_schedule(zomp::Schedule::dynamic(Some(3))),
+        ));
+        for (sched, cap) in SCHEDULES {
+            for (body_name, body) in BODIES {
+                let src = SERIALIZED.replace("SCHED", sched).replace("BODY", body);
+                let build = |backend, opt| {
+                    let mut vm =
+                        Vm::build(&src, None, backend, opt).unwrap_or_else(|e| panic!("{e:?}"));
+                    vm.runtime = Arc::clone(&runtime);
+                    vm
+                };
+                let mut tiers = vec![("walker".to_string(), build(Backend::Ast, OptLevel::O0))];
+                for opt in opt_levels() {
+                    tiers.push((format!("--opt={opt}"), build(Backend::Bytecode, opt)));
+                }
+                for trip in trips {
+                    // `None` is the orphaned loop; `Some(t)` a team of `t`.
+                    for threads in [None, Some(1u64), Some(2), Some(4)] {
+                        let mut walker = None;
+                        for (tier, vm) in &tiers {
+                            let what = format!("{sched}/{body_name}/n{trip}/{threads:?}/{tier}");
+                            let hits = Arc::new(ArrI::new(trip as usize));
+                            let mut args = vec![Value::ArrI(hits.clone()), Value::Int(trip as i64)];
+                            let entry = match threads {
+                                None => "orphaned",
+                                Some(t) => {
+                                    args.push(Value::Int(t as i64));
+                                    "team"
+                                }
+                            };
+                            trace::reset();
+                            trace::enable_counters();
+                            let ret = vm.call_function(entry, args);
+                            trace::disable_all();
+                            let m = trace::metrics();
+                            let ret = ret.unwrap_or_else(|e| panic!("{what}: {e}")).render();
+                            let hits: Vec<i64> =
+                                (0..trip as i64).map(|i| hits.get(i).unwrap()).collect();
+                            assert!(hits.iter().all(|&h| h == 1), "{what}: coverage {hits:?}");
+                            match &walker {
+                                None => walker = Some(ret),
+                                Some(w) => assert_eq!(&ret, w, "{what}: differs from the walker"),
+                            }
+                            let claims = m.chunks_owned + m.chunks_stolen;
+                            assert_eq!(m.iters_owned + m.iters_stolen, trip, "{what}: iterations");
+                            let nth = match threads {
+                                None | Some(1) => {
+                                    assert_eq!(claims, u64::from(trip > 0), "{what}: claims");
+                                    continue;
+                                }
+                                Some(t) => t,
+                            };
+                            if sched == "schedule(static)" {
+                                assert_eq!(claims, trip.min(nth), "{what}: one claim per block");
+                            } else if sched == "schedule(static, 3)" {
+                                assert_eq!(claims, trip.div_ceil(3), "{what}: one per chunk");
+                            } else {
+                                assert!(
+                                    (trip.min(nth)..=trip).contains(&claims),
+                                    "{what}: {claims} claims"
+                                );
+                                // Only bulk claims (`--opt=3`, a loop the
+                                // native tiers take) may exceed the cap.
+                                if let (Some(c), "call") = (cap, body_name) {
+                                    assert!(claims >= trip.div_ceil(c), "{what}: {claims} claims");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// Hand-written `omp.internal.*` drivers: the fused shape outside any
-/// region (the serial `Local` deck), the same loop with its bounds read
+/// region (a team of one: one claim), the same loop with its bounds read
 /// again inside the body, and the shape `compile` must leave unfused
 /// (address-taken induction variable) — plus the protocol's error texts.
 #[test]

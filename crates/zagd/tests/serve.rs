@@ -230,6 +230,55 @@ fn a_thread_failing_inside_a_loop_fails_the_request_at_once() {
     }
 }
 
+/// The same for a thread that fails *inside* `critical`: it lets go of
+/// the lock, so the teammate waiting to enter does not hold the request
+/// to its deadline, and the next request entering that `critical` runs.
+#[test]
+fn a_thread_failing_inside_critical_fails_the_request_at_once() {
+    const FAIL_IN_CRITICAL: &str =
+        include_str!("../../integration/fixtures/faults/fail_in_critical.zag");
+    const COUNT: &str = "fn main() void {
+    var count: i64 = 0;
+    //$omp parallel shared(count)
+    {
+        //$omp critical
+        {
+            count = count + 1;
+        }
+    }
+    print(count);
+}
+";
+    let addr = start(1, 8);
+    for threads in [2, 4] {
+        let run = |source: &str| {
+            let b = format!(
+                r#"{{"source": {}, "threads": {threads}, "timeout_ms": 5000}}"#,
+                Json::Str(source.to_string()).render()
+            );
+            client::post(addr, "/run", &b).unwrap()
+        };
+        let resp = run(FAIL_IN_CRITICAL);
+        assert_eq!(resp.status, 500, "team of {threads}: {}", resp.body);
+        let j = Json::parse(&resp.body).unwrap();
+        assert_eq!(j.get("ok"), Some(&Json::Bool(false)));
+        let error = j.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            error.contains("out of bounds"),
+            "team of {threads}: {}",
+            resp.body
+        );
+        let resp = run(COUNT);
+        assert_eq!(resp.status, 200, "team of {threads}: {}", resp.body);
+        let j = Json::parse(&resp.body).unwrap();
+        let out = j.get("output").and_then(Json::as_arr).expect("output");
+        assert_eq!(out[0].as_str(), Some(threads.to_string().as_str()));
+        let s = stats(addr);
+        assert_eq!(stat(&s, "timeouts"), 0, "{}", s.render());
+        assert_eq!(stat(&s, "abandoned"), 0, "{}", s.render());
+    }
+}
+
 #[test]
 fn per_request_icvs_do_not_bleed_between_concurrent_requests() {
     let addr = start(4, 16);
