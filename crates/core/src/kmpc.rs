@@ -5,20 +5,21 @@
 //! the *internal* libomp entry points, re-exported to Zig under
 //! `.omp.internal` together with generic wrapper helpers (§III-C). This
 //! module is that layer: thin, explicitly-named functions matching the
-//! libomp contract, used by the `zomp-vm` crate as the lowering target of
-//! preprocessed pragmas. Rust applications normally use
-//! [`crate::workshare`] instead.
+//! libomp contract. Its [`WsLoop`] drives every worksharing loop: the
+//! `zomp-vm` crate's `ws_*` builtins, [`crate::workshare::for_loop`] and
+//! [`crate::team::ThreadCtx::sections`] all run through it. Rust
+//! applications normally use [`crate::workshare`] instead.
 //!
 //! Name mapping:
 //!
 //! | libomp | here |
 //! |---|---|
 //! | `__kmpc_fork_call` | [`fork_call`] (re-export of [`crate::team::fork_call`]) |
-//! | `__kmpc_for_static_init_8` | [`for_static_init`] |
-//! | `__kmpc_for_static_fini` | [`for_static_fini`] |
-//! | `__kmpc_dispatch_init_8` | [`dispatch_init`] |
-//! | `__kmpc_dispatch_next_8` | [`DispatchHandle::next`] |
-//! | `__kmpc_barrier` | [`barrier`] |
+//! | `__kmpc_for_static_init_8` | [`for_static_init`]; [`WsLoop::begin`] |
+//! | `__kmpc_dispatch_init_8` | [`WsLoop::begin`] |
+//! | `__kmpc_dispatch_next_8` | [`WsLoop::next`] / [`WsLoop::next_bulk`] |
+//! | `__kmpc_dispatch_fini` / `__kmpc_for_static_fini` | [`WsLoop::end`] |
+//! | `__kmpc_barrier` | [`crate::team::ThreadCtx::barrier`] |
 //! | `__kmpc_critical` / `__kmpc_end_critical` | [`crate::sync::critical_named`] |
 //! | `__kmpc_master` | [`crate::team::ThreadCtx::master`] |
 //! | `__kmpc_single` | [`crate::team::ThreadCtx::single`] |
@@ -27,11 +28,12 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::runtime::Runtime;
 use crate::schedule::{
-    static_block, ChunkOrigin, DynamicDispatch, GuidedDispatch, LoopBounds, Schedule,
-    ScheduleError, ScheduleKind, StaticChunked,
+    static_block, ChunkOrigin, DynamicDispatch, GuidedDispatch, Schedule, ScheduleError,
+    ScheduleKind, StaticChunked,
 };
-use crate::team::{Dispatcher, ThreadCtx};
+use crate::team::ThreadCtx;
 use crate::trace;
 
 pub use crate::team::fork_call;
@@ -75,188 +77,213 @@ pub fn for_static_init(
     })
 }
 
-/// `__kmpc_for_static_fini` (+ the loop's implicit barrier unless `nowait`).
-pub fn for_static_fini(ctx: &ThreadCtx<'_>, nowait: bool) {
-    if !nowait {
-        ctx.barrier();
-    }
+/// Shared dispatch state of one dynamic/guided worksharing loop, kept in
+/// the team's construct slot.
+#[derive(Debug)]
+pub(crate) enum Dispatcher {
+    Dynamic(DynamicDispatch),
+    Guided(GuidedDispatch),
 }
 
-/// Live handle over a dynamically scheduled loop: the
-/// `__kmpc_dispatch_init` result. Dropping without exhausting the iteration
-/// space still releases the team slot correctly.
-pub struct DispatchHandle<'a, 'b> {
-    ctx: &'b ThreadCtx<'a>,
-    slot: &'a crate::team::ConstructSlot,
-    dispatcher: Arc<Dispatcher>,
-    finished: bool,
-    /// Trace state: construct-entry timestamp, trip/label for the
-    /// `LoopDispatch` span, and the claimed-but-unclosed chunk whose body
-    /// runs between `next` calls.
-    t0: u64,
-    trip: u64,
+/// Where a [`WsLoop`] claims its chunks.
+enum Claims {
+    /// This thread's closed-form ranges: a static schedule, or any
+    /// schedule at a team of one.
+    Static(StaticIter),
+    /// The dispatcher of team construct `construct`, claimed as thread
+    /// `tid` (the work-stealing decks key per-thread state by team id).
+    Team {
+        construct: u64,
+        tid: usize,
+        dispatcher: Arc<Dispatcher>,
+    },
+    /// [`WsLoop::end`] ran.
+    Ended,
+}
+
+/// One thread's split-phase handle on one worksharing loop. Every
+/// worksharing loop in the runtime runs through it.
+///
+/// [`WsLoop::begin`] is `__kmpc_for_static_init` and `__kmpc_dispatch_init`
+/// in one. A static schedule gets this thread's closed-form ranges, and so
+/// does every schedule at a team of one (orphaned loops included): with no
+/// thread to balance against, a serialized team needs no dispatcher, and its
+/// one claim is the whole loop. Dynamic and guided schedules at a team of 2
+/// or more share the team construct slot's work-stealing dispatcher.
+/// [`WsLoop::next`] then claims chunks in normalised iteration units, and
+/// [`WsLoop::end`] finishes the construct for this thread.
+///
+/// The handle records the loop's trace spans: one `LoopDispatch` span per
+/// thread, reporting the iterations that thread claimed (so a team's spans
+/// sum to the trip), with one span per claimed chunk nested inside it.
+///
+/// Contract, as for every OpenMP worksharing construct: the thread that
+/// began a loop claims from it and ends it, and every thread of a team
+/// begins the same loops in the same order. Dropping a handle does not end
+/// it: a team loop dropped before [`WsLoop::end`] keeps its construct slot.
+pub struct WsLoop {
+    claims: Claims,
+    /// Label of the `LoopDispatch` span.
     label: &'static str,
+    /// A dynamic or guided schedule: counted as a dispatch init/fini pair
+    /// whichever path serves it.
+    dynamic: bool,
+    /// Construct-entry timestamp (0 when tracing was off at entry).
+    t0: u64,
+    /// Iterations this thread claimed while tracing was on.
+    claimed: u64,
+    /// The claimed chunk `(origin, start, len, t0)` whose body runs
+    /// between claims: its span closes at the next claim or at `end`.
     pending: Option<(ChunkOrigin, u64, u64, u64)>,
 }
 
-/// `__kmpc_dispatch_init`: enter a dynamic/guided/runtime worksharing loop.
-///
-/// The schedule kind maps to libomp's `kmp_sch_dynamic_chunked`,
-/// `kmp_sch_guided_chunked` and `kmp_sch_runtime` respectively; `runtime` is
-/// resolved against the ICVs here, at loop entry. A non-positive chunk is a
-/// typed [`ScheduleError`] — validated before any team state is touched, so
-/// an `Err` leaves no construct slot to release.
-pub fn dispatch_init<'a, 'b>(
-    ctx: &'b ThreadCtx<'a>,
-    sched: Schedule,
-    trip: u64,
-) -> Result<DispatchHandle<'a, 'b>, ScheduleError> {
-    let sched = if sched.kind == ScheduleKind::Runtime {
-        ctx.runtime().icvs().run_schedule()
-    } else {
-        sched
-    };
-    if let Some(c) = sched.chunk {
-        if c < 1 {
+impl WsLoop {
+    /// Enter a worksharing loop of `trip` normalised iterations. `ctx` is
+    /// the calling thread's region context, `None` for an orphaned loop.
+    ///
+    /// `runtime` is resolved against the team's ICVs (an orphaned loop's:
+    /// [`Runtime::current`]). A non-positive chunk is a typed
+    /// [`ScheduleError`] under every kind, returned before any team state is
+    /// touched, so an `Err` leaves nothing to release. `label` names the
+    /// `LoopDispatch` span; `None` names it after the schedule kind.
+    pub fn begin(
+        ctx: Option<&ThreadCtx<'_>>,
+        sched: Schedule,
+        trip: u64,
+        label: Option<&'static str>,
+    ) -> Result<WsLoop, ScheduleError> {
+        let sched = if sched.kind == ScheduleKind::Runtime {
+            match ctx {
+                Some(ctx) => ctx.runtime().icvs().run_schedule(),
+                None => Runtime::current().icvs().run_schedule(),
+            }
+        } else {
+            sched
+        };
+        if let Some(c) = sched.chunk.filter(|&c| c < 1) {
             return Err(ScheduleError::NonPositiveChunk(c));
         }
+        let dynamic = sched.kind != ScheduleKind::Static;
+        let t0 = trace::dispatch_begin_ts(dynamic);
+        let claims = match ctx {
+            Some(ctx) if dynamic && ctx.num_threads() > 1 => {
+                let (slot, construct) = ctx.enter_construct();
+                let nth = ctx.num_threads();
+                let dispatcher = ctx.slot_dispatcher(slot, || match sched.kind {
+                    ScheduleKind::Guided => {
+                        Dispatcher::Guided(GuidedDispatch::new(trip, nth, sched.chunk))
+                    }
+                    _ => Dispatcher::Dynamic(DynamicDispatch::new(trip, nth, sched.chunk)),
+                });
+                Claims::Team {
+                    construct,
+                    tid: ctx.thread_num(),
+                    dispatcher,
+                }
+            }
+            _ => {
+                let (tid, nth) = ctx.map_or((0, 1), |c| (c.thread_num(), c.num_threads()));
+                Claims::Static(for_static_init(tid, nth, trip, sched.chunk)?)
+            }
+        };
+        Ok(WsLoop {
+            claims,
+            label: label.unwrap_or(match sched.kind {
+                ScheduleKind::Static => "static",
+                ScheduleKind::Guided => "guided",
+                _ => "dynamic",
+            }),
+            dynamic,
+            t0,
+            claimed: 0,
+            pending: None,
+        })
     }
-    let (slot, _c) = ctx.enter_construct();
-    let nth = ctx.num_threads();
-    let t0 = trace::dispatch_begin_ts(true);
-    let dispatcher = ctx.slot_dispatcher(slot, || match sched.kind {
-        ScheduleKind::Guided => Dispatcher::Guided(GuidedDispatch::new(trip, nth, sched.chunk)),
-        _ => Dispatcher::Dynamic(DynamicDispatch::new(trip, nth, sched.chunk)),
-    });
-    Ok(DispatchHandle {
-        ctx,
-        slot,
-        dispatcher,
-        finished: false,
-        t0,
-        trip,
-        label: match sched.kind {
-            ScheduleKind::Guided => "guided",
-            _ => "dynamic",
-        },
-        pending: None,
-    })
-}
 
-#[allow(clippy::should_implement_trait)] // deliberately named after __kmpc_dispatch_next
-impl DispatchHandle<'_, '_> {
-    /// `__kmpc_dispatch_next`: claim the next chunk of normalised
-    /// iterations, or `None` when the loop is exhausted (which releases the
-    /// team's construct slot).
+    /// `__kmpc_dispatch_next`: close the previous chunk's span and claim
+    /// the next chunk of normalised iterations, or `None` once this
+    /// thread's share is exhausted.
+    #[inline]
+    #[allow(clippy::should_implement_trait)] // named after __kmpc_dispatch_next
     pub fn next(&mut self) -> Option<Range<u64>> {
-        if self.finished {
-            return None;
+        self.claim(false)
+    }
+
+    /// [`WsLoop::next`] for a chunk body that is a single native kernel:
+    /// a dynamic deck hands out whole owner batches while uncontended,
+    /// where per-chunk claim and kernel-entry overhead would dominate.
+    /// Other claims are unchanged.
+    #[inline]
+    pub fn next_bulk(&mut self) -> Option<Range<u64>> {
+        self.claim(true)
+    }
+
+    #[inline]
+    fn claim(&mut self, bulk: bool) -> Option<Range<u64>> {
+        self.close_chunk();
+        let (r, origin) = match &mut self.claims {
+            Claims::Static(it) => (it.find(|r| !r.is_empty())?, ChunkOrigin::Owned),
+            Claims::Team {
+                tid, dispatcher, ..
+            } => match &**dispatcher {
+                Dispatcher::Dynamic(d) if bulk => d.next_bulk_with_origin(*tid)?,
+                Dispatcher::Dynamic(d) => d.next_with_origin(*tid)?,
+                Dispatcher::Guided(g) => g.next_with_origin(*tid)?,
+            },
+            Claims::Ended => return None,
+        };
+        if trace::active() {
+            self.claimed += r.end - r.start;
+            self.pending = Some((origin, r.start, r.end - r.start, trace::chunk_begin_ts()));
         }
-        // The previous chunk's body ran between `next` calls: close its
-        // trace span before claiming the next one.
+        Some(r)
+    }
+
+    fn close_chunk(&mut self) {
         if let Some((origin, start, len, t0)) = self.pending.take() {
             trace::chunk(origin, start, len, t0);
         }
-        match self.dispatcher.next_with_origin(self.ctx.thread_num()) {
-            Some((r, origin)) => {
-                if trace::active() {
-                    self.pending =
-                        Some((origin, r.start, r.end - r.start, trace::chunk_begin_ts()));
-                }
-                Some(r)
-            }
-            None => {
-                self.finish();
-                None
-            }
-        }
     }
 
-    fn finish(&mut self) {
-        if !self.finished {
-            self.finished = true;
-            if let Some((origin, start, len, t0)) = self.pending.take() {
-                trace::chunk(origin, start, len, t0);
-            }
-            trace::dispatch_end(self.label, self.trip, true, self.t0);
-            self.ctx.finish_construct(self.slot);
+    /// `__kmpc_dispatch_fini` / `__kmpc_for_static_fini`: finish the loop
+    /// for this thread, exhausted or not. Closes its spans and releases
+    /// its construct slot (a team loop's `ctx` must be the one passed to
+    /// [`WsLoop::begin`]). Idempotent. The loop's implicit barrier is the
+    /// caller's.
+    pub fn end(&mut self, ctx: Option<&ThreadCtx<'_>>) {
+        let claims = std::mem::replace(&mut self.claims, Claims::Ended);
+        if matches!(claims, Claims::Ended) {
+            return;
+        }
+        self.close_chunk();
+        trace::dispatch_end(self.label, self.claimed, self.dynamic, self.t0);
+        if let Claims::Team {
+            construct,
+            dispatcher,
+            ..
+        } = claims
+        {
+            drop(dispatcher);
+            ctx.expect("a team loop is ended by the thread that began it")
+                .release_construct(construct);
         }
     }
-
-    /// `__kmpc_dispatch_fini`: explicit early termination + optional
-    /// barrier. Called implicitly on drop (without the barrier).
-    pub fn fini(mut self, nowait: bool) {
-        self.finish();
-        if !nowait {
-            self.ctx.barrier();
-        }
-    }
-}
-
-impl Drop for DispatchHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// `__kmpc_barrier`.
-pub fn barrier(ctx: &ThreadCtx<'_>) {
-    ctx.barrier();
-}
-
-/// Helper mirroring the paper's generic `__kmpc_for_static_*` wrapper: run a
-/// full statically scheduled loop (init → body → fini) in source-iteration
-/// units.
-pub fn static_loop<F: FnMut(i64)>(
-    ctx: &ThreadCtx<'_>,
-    bounds: LoopBounds,
-    chunk: Option<i64>,
-    nowait: bool,
-    mut body: F,
-) {
-    let trip = bounds.trip_count();
-    let t_construct = trace::dispatch_begin_ts(false);
-    let iter = for_static_init(ctx.thread_num(), ctx.num_threads(), trip, chunk)
-        .unwrap_or_else(|e| panic!("{e}"));
-    for r in iter {
-        if r.is_empty() {
-            continue;
-        }
-        let t0 = trace::chunk_begin_ts();
-        let (start, len) = (r.start, r.end - r.start);
-        for i in r {
-            body(bounds.iter_value(i));
-        }
-        trace::chunk(ChunkOrigin::Owned, start, len, t0);
-    }
-    trace::dispatch_end("static", trip, false, t_construct);
-    for_static_fini(ctx, nowait);
-}
-
-/// Helper mirroring the paper's generic `__kmpc_dispatch_*` wrapper: run a
-/// full dynamically scheduled loop in source-iteration units.
-pub fn dispatch_loop<F: FnMut(i64)>(
-    ctx: &ThreadCtx<'_>,
-    bounds: LoopBounds,
-    sched: Schedule,
-    nowait: bool,
-    mut body: F,
-) {
-    let trip = bounds.trip_count();
-    let mut h = dispatch_init(ctx, sched, trip).unwrap_or_else(|e| panic!("{e}"));
-    while let Some(r) = h.next() {
-        for i in r {
-            body(bounds.iter_value(i));
-        }
-    }
-    h.fini(nowait);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::team::Parallel;
+    use crate::schedule::LoopBounds;
+    use crate::team::{Parallel, NUM_CONSTRUCT_SLOTS};
     use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+
+    /// Drain `ws` to exhaustion and end it.
+    fn drain(ctx: &ThreadCtx<'_>, mut ws: WsLoop, mut body: impl FnMut(u64)) {
+        while let Some(r) = ws.next() {
+            r.for_each(&mut body);
+        }
+        ws.end(Some(ctx));
+    }
 
     #[test]
     fn static_init_block_matches_schedule_module() {
@@ -273,38 +300,69 @@ mod tests {
         assert_eq!(ranges, vec![0..3, 6..9]);
     }
 
+    /// Every kind, `runtime` included, at teams of 1, 2 and 4: each
+    /// iteration is claimed exactly once.
     #[test]
     fn dispatch_loop_covers_all_iterations() {
-        const N: i64 = 250;
-        let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        fork_call(Parallel::new().num_threads(4), |ctx| {
-            dispatch_loop(
-                ctx,
-                LoopBounds::upto(0, N),
-                Schedule::dynamic(Some(7)),
-                false,
-                |i| {
-                    hits[i as usize].fetch_add(1, Ordering::SeqCst);
-                },
-            );
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        const N: u64 = 250;
+        for sched in [
+            Schedule::static_default(),
+            Schedule::static_chunked(7),
+            Schedule::dynamic(Some(7)),
+            Schedule::guided(None),
+            Schedule::runtime(),
+        ] {
+            for nth in [1, 2, 4] {
+                let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+                fork_call(Parallel::new().num_threads(nth), |ctx| {
+                    let ws = WsLoop::begin(Some(ctx), sched, N, None).expect("valid schedule");
+                    drain(ctx, ws, |i| {
+                        hits[i as usize].fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                    "{sched:?} at {nth}"
+                );
+            }
+        }
     }
 
+    /// A static loop claims exactly this thread's `for_static_init`
+    /// ranges and takes no construct slot; strided bounds denormalise.
     #[test]
     fn static_loop_strided() {
+        let bounds = LoopBounds::upto_by(0, 20, 4);
+        let trip = bounds.trip_count();
         let sum = AtomicI64::new(0);
         fork_call(Parallel::new().num_threads(3), |ctx| {
-            static_loop(ctx, LoopBounds::upto_by(0, 20, 4), None, false, |i| {
-                sum.fetch_add(i, Ordering::SeqCst);
-            });
+            for chunk in [None, Some(1)] {
+                let sched = Schedule {
+                    kind: ScheduleKind::Static,
+                    chunk,
+                };
+                let mut ws = WsLoop::begin(Some(ctx), sched, trip, None).expect("valid schedule");
+                let mut claims = Vec::new();
+                while let Some(r) = ws.next() {
+                    for i in r.clone() {
+                        sum.fetch_add(bounds.iter_value(i), Ordering::SeqCst);
+                    }
+                    claims.push(r);
+                }
+                ws.end(Some(ctx));
+                let want: Vec<_> = for_static_init(ctx.thread_num(), 3, trip, chunk)
+                    .expect("valid static init")
+                    .filter(|r| !r.is_empty())
+                    .collect();
+                assert_eq!(claims, want);
+            }
+            assert_eq!(ctx.constructs_entered(), 0, "a static loop takes no slot");
         });
-        assert_eq!(sum.load(Ordering::SeqCst), 4 + 8 + 12 + 16);
+        assert_eq!(sum.load(Ordering::SeqCst), 2 * (4 + 8 + 12 + 16));
     }
 
     #[test]
     fn invalid_static_init_parameters_are_typed_errors() {
-        use crate::schedule::ScheduleError;
         assert_eq!(
             for_static_init(4, 4, 10, None).err(),
             Some(ScheduleError::BadThread { tid: 4, nth: 4 })
@@ -315,44 +373,61 @@ mod tests {
         );
     }
 
+    /// Under every kind, at a team of one, of two, and orphaned, a chunk
+    /// below 1 is a typed error that takes no construct slot; the team
+    /// then runs a loop as usual.
     #[test]
     fn invalid_dispatch_chunk_is_a_typed_error_and_releases_nothing() {
-        use crate::schedule::ScheduleError;
-        fork_call(Parallel::new().num_threads(2), |ctx| {
-            let err = dispatch_init(ctx, Schedule::dynamic(Some(-3)), 10).err();
-            assert_eq!(err, Some(ScheduleError::NonPositiveChunk(-3)));
-            ctx.barrier();
-            // The team must be fully usable afterwards.
-            dispatch_loop(
-                ctx,
-                LoopBounds::upto(0, 8),
-                Schedule::dynamic(None),
-                false,
-                |_| {},
-            );
-        });
+        let kinds = [
+            ScheduleKind::Static,
+            ScheduleKind::Dynamic,
+            ScheduleKind::Guided,
+        ];
+        for c in [0, -3] {
+            for kind in kinds {
+                let sched = Schedule {
+                    kind,
+                    chunk: Some(c),
+                };
+                let err = Some(ScheduleError::NonPositiveChunk(c));
+                assert_eq!(WsLoop::begin(None, sched, 10, None).err(), err);
+                for nth in [1, 2] {
+                    let hits = AtomicUsize::new(0);
+                    fork_call(Parallel::new().num_threads(nth), |ctx| {
+                        assert_eq!(WsLoop::begin(Some(ctx), sched, 10, None).err(), err);
+                        assert_eq!(ctx.constructs_entered(), 0, "{sched:?}: no slot taken");
+                        let ws = WsLoop::begin(Some(ctx), Schedule::dynamic(None), 8, None)
+                            .expect("valid schedule");
+                        drain(ctx, ws, |_| {
+                            hits.fetch_add(1, Ordering::SeqCst);
+                        });
+                    });
+                    assert_eq!(hits.load(Ordering::SeqCst), 8);
+                }
+            }
+        }
     }
 
+    /// A thread that takes one chunk and ends the loop there releases its
+    /// slot: more abandoned loops than the ring has slots do not wedge
+    /// the team, and a later loop still covers its space.
     #[test]
     fn abandoned_dispatch_handle_releases_slot() {
-        // A thread taking only the first chunk then dropping the handle must
-        // not wedge subsequent constructs.
+        let hits = AtomicUsize::new(0);
         fork_call(Parallel::new().num_threads(2), |ctx| {
-            {
-                let mut h =
-                    dispatch_init(ctx, Schedule::dynamic(Some(1)), 4).expect("valid dispatch");
-                let _ = h.next();
-                // handle dropped here without exhaustion
+            for _ in 0..3 * NUM_CONSTRUCT_SLOTS {
+                let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(1)), 4, None)
+                    .expect("valid schedule");
+                let _ = ws.next();
+                ws.end(Some(ctx));
             }
             ctx.barrier();
-            // A later construct on the same ring must still work.
-            dispatch_loop(
-                ctx,
-                LoopBounds::upto(0, 8),
-                Schedule::dynamic(None),
-                false,
-                |_| {},
-            );
+            let ws =
+                WsLoop::begin(Some(ctx), Schedule::dynamic(None), 8, None).expect("valid schedule");
+            drain(ctx, ws, |_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
         });
+        assert_eq!(hits.load(Ordering::SeqCst), 8);
     }
 }

@@ -137,7 +137,7 @@ pub struct LoopBounds {
 ///
 /// Returned by the fallible entry points ([`LoopBounds::try_trip_count`],
 /// [`StaticChunked::try_new`], [`crate::kmpc::for_static_init`],
-/// [`crate::kmpc::dispatch_init`]); the panicking convenience wrappers
+/// [`crate::kmpc::WsLoop::begin`]); the panicking convenience wrappers
 /// panic with exactly this error's `Display` text, so both surfaces report
 /// identical messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,11 +349,12 @@ impl Iterator for StaticChunked {
 /// OpenMP spec mandates 1).
 pub const DYNAMIC_DEFAULT_CHUNK: u64 = 1;
 
-/// The chunk every schedule claims in a team of `nth`: the clause's, but a
-/// team of one takes the whole loop — its first claim is `[0, trip)`, the
-/// next is nothing. With no thread to balance against only the claim count
-/// changes (libomp's `__kmp_dispatch_next` merges a serialized team's
-/// chunks the same way).
+/// The chunk `schedule(static, chunk)` claims in a team of `nth`: the
+/// clause's, but a team of one takes the whole loop — its first claim is
+/// `[0, trip)`, the next is nothing. With no thread to balance against only
+/// the claim count changes (libomp's `__kmp_dispatch_next` merges a
+/// serialized team's chunks the same way). [`crate::kmpc::WsLoop`] serves
+/// every schedule of a team of one through this static path.
 fn serialized_chunk(nth: usize, trip: u64, chunk: u64) -> u64 {
     if nth <= 1 {
         trip.max(1)
@@ -700,9 +701,9 @@ impl fmt::Debug for StealDeck {
 /// `__kmpc_dispatch_next` protocol for `kmp_sch_dynamic_chunked`.
 ///
 /// Backed by the work-stealing [`StealDeck`] (per-thread padded ranges,
-/// steal-half on drain). A team of one (nothing to steal) and loops
-/// longer than [`STEAL_MAX_TRIP`] use the [`legacy::SharedCursorDispatch`]
-/// single-cursor protocol instead.
+/// steal-half on drain). Loops longer than [`STEAL_MAX_TRIP`], and a deck
+/// of one thread (which `WsLoop` never builds), use the
+/// [`legacy::SharedCursorDispatch`] single-cursor protocol instead.
 #[derive(Debug)]
 pub struct DynamicDispatch {
     core: DynCore,
@@ -720,7 +721,6 @@ impl DynamicDispatch {
         let chunk = chunk
             .map(|c| c.max(1) as u64)
             .unwrap_or(DYNAMIC_DEFAULT_CHUNK);
-        let chunk = serialized_chunk(nth, trip, chunk);
         let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
             DynCore::Steal(StealDeck::new(trip, nth))
         } else {
@@ -785,7 +785,6 @@ enum GuidedCore {
 impl GuidedDispatch {
     pub fn new(trip: u64, nth: usize, chunk: Option<i64>) -> Self {
         let min_chunk = chunk.map(|c| c.max(1) as u64).unwrap_or(1);
-        let min_chunk = serialized_chunk(nth, trip, min_chunk);
         let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
             GuidedCore::Steal(StealDeck::new(trip, nth))
         } else {
@@ -814,10 +813,9 @@ impl GuidedDispatch {
 
 /// The pre-stealing shared-state dispatch protocols.
 ///
-/// They serve teams of one (nothing to steal: one cursor, one whole-loop
-/// chunk — see [`serialized_chunk`]), loops longer than [`STEAL_MAX_TRIP`]
-/// (whose ranges don't fit the packed-`u32` steal words), and the
-/// `zomp-bench` crate as the baseline for the work-stealing protocol.
+/// They serve loops longer than [`STEAL_MAX_TRIP`] (whose ranges don't fit
+/// the packed-`u32` steal words), and the `zomp-bench` crate as the
+/// baseline for the work-stealing protocol.
 pub mod legacy {
     use super::*;
 
@@ -1012,8 +1010,6 @@ mod tests {
 
     #[test]
     fn dynamic_dispatch_covers_exactly() {
-        // A team of 2 claims clause-sized chunks; a team of one claims the
-        // whole loop once.
         let d = DynamicDispatch::new(103, 2, Some(10));
         let mut seen = [false; 103];
         let mut claims = 0;
@@ -1032,33 +1028,48 @@ mod tests {
             claims >= 11,
             "{claims} claims of at most 10 cannot cover 103"
         );
-        let d = DynamicDispatch::new(103, 1, Some(10));
-        assert_eq!(d.next(0), Some(0..103));
-        assert_eq!(d.next(0), None);
     }
 
-    /// The serialized-team contract, for every schedule and both dispatch
-    /// cores: a team of one's first claim is `[0, trip)`, its next claim
-    /// is nothing (and an empty loop claims nothing at all).
+    /// The serialized-team contract of [`crate::kmpc::WsLoop`], for every
+    /// schedule, at a team of one and orphaned: the first claim is
+    /// `[0, trip)` (nothing for an empty loop), the next is nothing, and
+    /// no construct slot is taken — also past [`STEAL_MAX_TRIP`].
     #[test]
     fn team_of_one_claims_the_whole_loop_once() {
+        use crate::kmpc::WsLoop;
+        use crate::team::{fork_call, Parallel, ThreadCtx};
+        fn claims(
+            ctx: Option<&ThreadCtx<'_>>,
+            sched: Schedule,
+            trip: u64,
+            bulk: bool,
+        ) -> [Option<Range<u64>>; 2] {
+            let mut ws = WsLoop::begin(ctx, sched, trip, None).expect("valid schedule");
+            let mut next = || if bulk { ws.next_bulk() } else { ws.next() };
+            let got = [next(), next()];
+            ws.end(ctx);
+            got
+        }
         for trip in [0, 1, 2, 127, 128, 129, 1000, STEAL_MAX_TRIP + 10] {
-            let whole = (trip > 0).then_some(0..trip);
+            let whole = [(trip > 0).then_some(0..trip), None];
             for chunk in [None, Some(1), Some(7)] {
-                let d = DynamicDispatch::new(trip, 1, chunk);
-                assert_eq!(d.next(0), whole, "dynamic {chunk:?}, trip {trip}");
-                assert_eq!(d.next(0), None);
-                let d = DynamicDispatch::new(trip, 1, chunk);
-                assert_eq!(d.next_bulk_with_origin(0).map(|(r, _)| r), whole);
-                assert_eq!(d.next_bulk_with_origin(0), None);
-                let g = GuidedDispatch::new(trip, 1, chunk);
-                assert_eq!(g.next(0), whole, "guided {chunk:?}, trip {trip}");
-                assert_eq!(g.next(0), None);
-                let c = chunk.unwrap_or(3);
-                let s: Vec<_> = StaticChunked::new(0, 1, trip, c).collect();
-                assert_eq!(s, whole.iter().cloned().collect::<Vec<_>>(), "static, {c}");
+                for kind in [
+                    ScheduleKind::Static,
+                    ScheduleKind::Dynamic,
+                    ScheduleKind::Guided,
+                    ScheduleKind::Runtime,
+                ] {
+                    let sched = Schedule { kind, chunk };
+                    for bulk in [false, true] {
+                        let what = format!("{sched:?}, trip {trip}, bulk {bulk}");
+                        assert_eq!(claims(None, sched, trip, bulk), whole, "orphaned {what}");
+                        fork_call(Parallel::new().num_threads(1), |ctx| {
+                            assert_eq!(claims(Some(ctx), sched, trip, bulk), whole, "{what}");
+                            assert_eq!(ctx.constructs_entered(), 0, "{what}: slot taken");
+                        });
+                    }
+                }
             }
-            assert_eq!(static_block(0, 1, trip), 0..trip);
         }
     }
 
@@ -1128,9 +1139,6 @@ mod tests {
         let d = DynamicDispatch::new(5, 2, None);
         assert_eq!(d.next(0), Some(0..1));
         assert_eq!(d.next(1), Some(3..4));
-        // A team of one: the whole loop, whatever the default.
-        let d = DynamicDispatch::new(5, 1, None);
-        assert_eq!(d.next(0), Some(0..5));
     }
 
     #[test]
@@ -1166,10 +1174,6 @@ mod tests {
             rest += r.end - r.start;
         }
         assert_eq!(rest, 500);
-        // A team of one: no decay, one claim of the whole loop.
-        let g = GuidedDispatch::new(1000, 1, None);
-        assert_eq!(g.next(0), Some(0..1000));
-        assert_eq!(g.next(0), None);
     }
 
     #[test]

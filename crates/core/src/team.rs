@@ -23,8 +23,9 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::barrier::{Barrier, Latch};
 use crate::icv::Icvs;
+use crate::kmpc::{Dispatcher, WsLoop};
 use crate::runtime::Runtime;
-use crate::schedule::{ChunkOrigin, DynamicDispatch, GuidedDispatch};
+use crate::schedule::Schedule;
 use crate::trace;
 
 /// Number of in-flight worksharing-construct buffers per team. Threads may
@@ -32,45 +33,9 @@ use crate::trace;
 /// uses 7 dispatch buffers for the same purpose.
 pub(crate) const NUM_CONSTRUCT_SLOTS: usize = 16;
 
-/// Shared dispatch state of one dynamic/guided worksharing loop (or a
-/// `sections` construct, which reuses the dynamic dispatcher with chunk 1).
-#[derive(Debug)]
-pub(crate) enum Dispatcher {
-    Dynamic(DynamicDispatch),
-    Guided(GuidedDispatch),
-}
-
-impl Dispatcher {
-    /// Claim the next chunk for team thread `tid`, plus claim-path
-    /// provenance for the observability layer (the work-stealing decks key
-    /// per-thread state by team id, so callers pass their own).
-    pub(crate) fn next_with_origin(
-        &self,
-        tid: usize,
-    ) -> Option<(std::ops::Range<u64>, ChunkOrigin)> {
-        match self {
-            Dispatcher::Dynamic(d) => d.next_with_origin(tid),
-            Dispatcher::Guided(g) => g.next_with_origin(tid),
-        }
-    }
-
-    /// Bulk claim for chunk bodies that are a single native kernel: the
-    /// dynamic deck hands out whole owner batches while uncontended (see
-    /// [`DynamicDispatch::next_bulk_with_origin`]); guided chunks already
-    /// start at `~trip/(2*nth)`, so they dispatch unchanged.
-    pub(crate) fn next_bulk_with_origin(
-        &self,
-        tid: usize,
-    ) -> Option<(std::ops::Range<u64>, ChunkOrigin)> {
-        match self {
-            Dispatcher::Dynamic(d) => d.next_bulk_with_origin(tid),
-            Dispatcher::Guided(g) => g.next_with_origin(tid),
-        }
-    }
-}
-
 #[derive(Default)]
 struct SlotState {
+    /// A dynamic/guided worksharing loop's dispatcher (see [`WsLoop`]).
     dispatch: Option<Arc<Dispatcher>>,
     /// `single` construct: has some thread already claimed the body?
     claimed: bool,
@@ -293,22 +258,19 @@ impl<'a> ThreadCtx<'a> {
     /// `omp sections`: distribute the given section bodies across the team
     /// (each runs exactly once). Implied barrier unless `nowait`.
     pub fn sections(&self, nowait: bool, sections: &[&(dyn Fn() + Sync)]) {
-        let (slot, _c) = self.enter_construct();
-        let nth = self.num_threads();
-        let t_construct = trace::dispatch_begin_ts(true);
-        let dispatcher = self.slot_dispatcher(slot, || {
-            Dispatcher::Dynamic(DynamicDispatch::new(sections.len() as u64, nth, Some(1)))
-        });
-        while let Some((r, origin)) = dispatcher.next_with_origin(self.thread_num()) {
-            let t0 = trace::chunk_begin_ts();
-            for s in r.clone() {
+        let mut ws = WsLoop::begin(
+            Some(self),
+            Schedule::dynamic(Some(1)),
+            sections.len() as u64,
+            Some("sections"),
+        )
+        .expect("chunk 1 is positive");
+        while let Some(r) = ws.next() {
+            for s in r {
                 sections[s as usize]();
             }
-            trace::chunk(origin, r.start, r.end - r.start, t0);
         }
-        drop(dispatcher);
-        trace::dispatch_end("sections", sections.len() as u64, true, t_construct);
-        self.team.release_slot(slot);
+        ws.end(Some(self));
         if !nowait {
             self.barrier();
         }
@@ -335,9 +297,16 @@ impl<'a> ThreadCtx<'a> {
         Arc::clone(st.dispatch.as_ref().unwrap())
     }
 
-    /// Internal: thread is done with the construct served by `slot`.
-    pub(crate) fn finish_construct(&self, slot: &ConstructSlot) {
-        self.team.release_slot(slot);
+    /// Internal: this thread is done with construct `c`.
+    pub(crate) fn release_construct(&self, c: u64) {
+        self.team
+            .release_slot(&self.team.slots[(c as usize) % NUM_CONSTRUCT_SLOTS]);
+    }
+
+    /// Constructs this thread has entered so far in the region.
+    #[cfg(test)]
+    pub(crate) fn constructs_entered(&self) -> u64 {
+        self.construct_counter.get()
     }
 
     /// A construct-scoped shared value: the first thread to arrive creates
@@ -360,129 +329,13 @@ impl<'a> ThreadCtx<'a> {
 
     /// Finish a construct entered via [`ThreadCtx::construct_shared`].
     pub fn construct_done(&self, token: ConstructToken) {
-        let slot = &self.team.slots[(token.construct as usize) % NUM_CONSTRUCT_SLOTS];
-        self.team.release_slot(slot);
+        self.release_construct(token.construct);
     }
 
-    // -- Split-phase construct APIs ----------------------------------------
-    //
-    // The closure-based `single`/`for_loop` APIs cannot serve a lowering
-    // target where the construct body is inline code (the paper's
-    // preprocessor output, executed by the `zomp-vm` interpreter). These
-    // split-phase equivalents expose the same team machinery as begin/next/
-    // end calls. Contract: a handle must be used by the thread and region
-    // that created it, and every thread of the team must reach the same
-    // constructs in the same order — the usual OpenMP rules.
-
-    /// Begin a dynamically scheduled worksharing loop (`__kmpc_dispatch_init`
-    /// shape, handle-based). `runtime` schedules are resolved against the
-    /// ICVs here.
-    pub fn dispatch_begin(&self, sched: crate::schedule::Schedule, trip: u64) -> WsDispatch {
-        self.dispatch_begin_labelled(sched, trip, None)
-    }
-
-    /// [`ThreadCtx::dispatch_begin`] with an explicit construct label for
-    /// the `LoopDispatch` trace span — the pragma's `unit:line` when the
-    /// front end supplied one; `None` falls back to the schedule name.
-    pub fn dispatch_begin_labelled(
-        &self,
-        sched: crate::schedule::Schedule,
-        trip: u64,
-        label: Option<&'static str>,
-    ) -> WsDispatch {
-        use crate::schedule::{DynamicDispatch, GuidedDispatch, ScheduleKind};
-        let sched = if sched.kind == ScheduleKind::Runtime {
-            self.team.runtime.icvs().run_schedule()
-        } else {
-            sched
-        };
-        let (slot, c) = self.enter_construct();
-        let nth = self.num_threads();
-        let t0 = trace::dispatch_begin_ts(true);
-        let label = label.unwrap_or(match sched.kind {
-            ScheduleKind::Guided => "guided",
-            _ => "dynamic",
-        });
-        let dispatcher = self.slot_dispatcher(slot, || match sched.kind {
-            ScheduleKind::Guided => Dispatcher::Guided(GuidedDispatch::new(trip, nth, sched.chunk)),
-            _ => Dispatcher::Dynamic(DynamicDispatch::new(trip, nth, sched.chunk)),
-        });
-        WsDispatch {
-            construct: c,
-            dispatcher,
-            finished: std::cell::Cell::new(false),
-            label,
-            t0,
-            pending: std::cell::Cell::new(None),
-            claimed: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Claim the next chunk from a split-phase dispatch; releases the
-    /// construct slot on exhaustion. Returns normalised iteration bounds.
-    ///
-    /// A split-phase claim's body runs *between* `dispatch_next` calls, so
-    /// each call closes out the previous chunk's trace span before opening
-    /// the next one (the handle's `pending` cell carries it over).
-    pub fn dispatch_next(&self, d: &WsDispatch) -> Option<std::ops::Range<u64>> {
-        self.dispatch_next_inner(d, false)
-    }
-
-    /// [`ThreadCtx::dispatch_next`] claiming bulk ranges: whole owner
-    /// batches while the deck is uncontended. For chunk bodies that are a
-    /// single `--opt=3` native kernel, where per-chunk claim/loop-entry
-    /// overhead dominates and the kernel handles any chunk length.
-    pub fn dispatch_next_bulk(&self, d: &WsDispatch) -> Option<std::ops::Range<u64>> {
-        self.dispatch_next_inner(d, true)
-    }
-
-    fn dispatch_next_inner(&self, d: &WsDispatch, bulk: bool) -> Option<std::ops::Range<u64>> {
-        if d.finished.get() {
-            return None;
-        }
-        if let Some(p) = d.pending.take() {
-            trace::chunk(p.origin, p.start, p.len, p.t0);
-        }
-        let claim = if bulk {
-            d.dispatcher.next_bulk_with_origin(self.thread_num())
-        } else {
-            d.dispatcher.next_with_origin(self.thread_num())
-        };
-        match claim {
-            Some((r, origin)) => {
-                if trace::active() {
-                    d.claimed.set(d.claimed.get() + (r.end - r.start));
-                    d.pending.set(Some(PendingChunk {
-                        origin,
-                        start: r.start,
-                        len: r.end - r.start,
-                        t0: trace::chunk_begin_ts(),
-                    }));
-                }
-                Some(r)
-            }
-            None => {
-                self.dispatch_end(d);
-                None
-            }
-        }
-    }
-
-    /// Explicitly finish a split-phase dispatch (idempotent).
-    pub fn dispatch_end(&self, d: &WsDispatch) {
-        if !d.finished.get() {
-            d.finished.set(true);
-            if let Some(p) = d.pending.take() {
-                trace::chunk(p.origin, p.start, p.len, p.t0);
-            }
-            // The span reports this thread's claimed share, not the full
-            // trip: per-thread spans must sum to the loop's iteration
-            // count when the profiler folds them.
-            trace::dispatch_end(d.label, d.claimed.get(), true, d.t0);
-            let slot = &self.team.slots[(d.construct as usize) % NUM_CONSTRUCT_SLOTS];
-            self.team.release_slot(slot);
-        }
-    }
+    // The closure-based `single` cannot serve a lowering target whose
+    // construct body is inline code (the paper's preprocessor output, run by
+    // the `zomp-vm` interpreter); `single_begin`/`single_end` expose the same
+    // team machinery split-phase, as `WsLoop` does for loops.
 
     /// Split-phase `single`: returns a token saying whether this thread won
     /// the body. Pass the token to [`ThreadCtx::single_end`] after the body.
@@ -507,38 +360,9 @@ impl<'a> ThreadCtx<'a> {
     /// Returns what the closing [`ThreadCtx::barrier`] did (`true` with
     /// `nowait`).
     pub fn single_end(&self, token: SingleToken, nowait: bool) -> bool {
-        let slot = &self.team.slots[(token.construct as usize) % NUM_CONSTRUCT_SLOTS];
-        self.team.release_slot(slot);
+        self.release_construct(token.construct);
         nowait || self.barrier()
     }
-}
-
-/// A claimed-but-unclosed chunk carried between split-phase
-/// `dispatch_next` calls so its body execution can be spanned.
-#[derive(Clone, Copy)]
-struct PendingChunk {
-    origin: ChunkOrigin,
-    start: u64,
-    len: u64,
-    t0: u64,
-}
-
-/// Split-phase dispatch handle for pragma-lowered worksharing loops. See
-/// [`ThreadCtx::dispatch_begin`].
-pub struct WsDispatch {
-    construct: u64,
-    dispatcher: Arc<Dispatcher>,
-    finished: std::cell::Cell<bool>,
-    /// Schedule label reported on the construct's `LoopDispatch` span.
-    label: &'static str,
-    /// Construct-entry timestamp (0 when tracing was off at entry).
-    t0: u64,
-    pending: std::cell::Cell<Option<PendingChunk>>,
-    /// Iterations this thread actually claimed — reported on its
-    /// `LoopDispatch` span so per-thread spans sum to the loop's trip
-    /// (the tier profiler folds them; a thread that claimed nothing
-    /// must not report the whole trip).
-    claimed: std::cell::Cell<u64>,
 }
 
 /// Token of a split-phase `single` construct. See
@@ -1090,20 +914,23 @@ mod tests {
 #[cfg(test)]
 mod split_phase_tests {
     use super::*;
-    use crate::schedule::Schedule;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Bulk claims (whole owner batches while the deck is uncontended)
+    /// still hand out every iteration exactly once.
     #[test]
     fn split_dispatch_covers_all_iterations() {
         const N: u64 = 173;
         let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
         fork_call(Parallel::new().num_threads(4), |ctx| {
-            let d = ctx.dispatch_begin(Schedule::dynamic(Some(5)), N);
-            while let Some(r) = ctx.dispatch_next(&d) {
+            let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(5)), N, None)
+                .expect("valid schedule");
+            while let Some(r) = ws.next_bulk() {
                 for i in r {
                     hits[i as usize].fetch_add(1, Ordering::SeqCst);
                 }
             }
+            ws.end(Some(ctx));
             ctx.barrier();
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
@@ -1124,12 +951,17 @@ mod split_phase_tests {
         assert_eq!(wins.load(Ordering::SeqCst), 10);
     }
 
+    /// `end` before exhaustion releases the slot, a second `end` is a
+    /// no-op, and an ended loop claims nothing more.
     #[test]
     fn split_dispatch_explicit_end_without_exhaustion() {
         fork_call(Parallel::new().num_threads(2), |ctx| {
-            let d = ctx.dispatch_begin(Schedule::dynamic(Some(1)), 6);
-            let _ = ctx.dispatch_next(&d);
-            ctx.dispatch_end(&d);
+            let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(1)), 6, None)
+                .expect("valid schedule");
+            assert!(ws.next().is_some());
+            ws.end(Some(ctx));
+            ws.end(Some(ctx));
+            assert_eq!(ws.next(), None);
             ctx.barrier();
             // Team machinery must still be usable afterwards.
             let tok = ctx.single_begin();

@@ -9,108 +9,39 @@
 //! * **dynamic/guided/runtime** schedules call `__kmpc_dispatch_init` and
 //!   then grab chunks with `__kmpc_dispatch_next` until exhaustion.
 //!
-//! [`for_loop`] drives either protocol from inside a region, [`for_reduce`]
-//! layers the reduction protocol (thread-local partial initialised to the
+//! [`for_loop`] drives either protocol from inside a region through
+//! [`crate::kmpc::WsLoop`], which runs every loop of the runtime;
+//! [`for_reduce`] layers the reduction protocol (thread-local partial initialised to the
 //! operator identity, atomically combined at loop end) on top, and
 //! [`parallel_for`] / [`parallel_reduce`] fuse a `parallel` region with a
 //! single loop — the `parallel while` combined construct.
 
+use crate::kmpc::WsLoop;
 use crate::reduction::{RedCell, RedOp, Reduce, ReduceTree};
-use crate::schedule::{
-    static_block, ChunkOrigin, DynamicDispatch, GuidedDispatch, LoopBounds, Schedule, ScheduleKind,
-    StaticChunked,
-};
-use crate::team::{fork_call, Dispatcher, Parallel, ThreadCtx};
-use crate::trace;
-
-/// Resolve `schedule(runtime)` against the forking runtime's ICVs at loop
-/// entry.
-fn resolve_schedule(ctx: &ThreadCtx<'_>, sched: Schedule) -> Schedule {
-    if sched.kind == ScheduleKind::Runtime {
-        ctx.runtime().icvs().run_schedule()
-    } else {
-        sched
-    }
-}
+use crate::schedule::{LoopBounds, Schedule};
+use crate::team::{fork_call, Parallel, ThreadCtx};
 
 /// Execute a worksharing loop from inside a parallel region.
 ///
 /// `f` is called with the source loop-variable value for each iteration
 /// assigned to the calling thread. Unless `nowait`, the team synchronises at
 /// loop end (the implicit barrier every worksharing construct carries by
-/// default).
+/// default). Panics with [`crate::schedule::ScheduleError`]'s text on a
+/// non-conforming loop or a chunk below 1.
 pub fn for_loop<B, F>(ctx: &ThreadCtx<'_>, sched: Schedule, bounds: B, nowait: bool, mut f: F)
 where
     B: Into<LoopBounds>,
     F: FnMut(i64),
 {
     let bounds: LoopBounds = bounds.into();
-    let trip = bounds.trip_count();
-    let sched = resolve_schedule(ctx, sched);
-
-    match sched.kind {
-        ScheduleKind::Static => {
-            // Static partitioning has no dispatcher to initialise, but the
-            // construct still gets a LoopDispatch trace span with its
-            // (all-Owned) chunk spans nested inside.
-            let t_construct = trace::dispatch_begin_ts(false);
-            match sched.chunk {
-                None => {
-                    // __kmpc_for_static_init with kmp_sch_static.
-                    let r = static_block(ctx.thread_num(), ctx.num_threads(), trip);
-                    if !r.is_empty() {
-                        let t0 = trace::chunk_begin_ts();
-                        let (start, len) = (r.start, r.end - r.start);
-                        for i in r {
-                            f(bounds.iter_value(i));
-                        }
-                        trace::chunk(ChunkOrigin::Owned, start, len, t0);
-                    }
-                }
-                Some(chunk) => {
-                    // kmp_sch_static_chunked: stride = chunk * nthreads.
-                    for r in StaticChunked::new(ctx.thread_num(), ctx.num_threads(), trip, chunk) {
-                        let t0 = trace::chunk_begin_ts();
-                        let (start, len) = (r.start, r.end - r.start);
-                        for i in r {
-                            f(bounds.iter_value(i));
-                        }
-                        trace::chunk(ChunkOrigin::Owned, start, len, t0);
-                    }
-                }
-            }
-            trace::dispatch_end("static", trip, false, t_construct);
+    let mut ws = WsLoop::begin(Some(ctx), sched, bounds.trip_count(), None)
+        .unwrap_or_else(|e| panic!("{e}"));
+    while let Some(r) = ws.next() {
+        for i in r {
+            f(bounds.iter_value(i));
         }
-        ScheduleKind::Dynamic | ScheduleKind::Guided => {
-            // __kmpc_dispatch_init / __kmpc_dispatch_next.
-            let (slot, _c) = ctx.enter_construct();
-            let nth = ctx.num_threads();
-            let t_construct = trace::dispatch_begin_ts(true);
-            let label = match sched.kind {
-                ScheduleKind::Dynamic => "dynamic",
-                _ => "guided",
-            };
-            let dispatcher = ctx.slot_dispatcher(slot, || match sched.kind {
-                ScheduleKind::Dynamic => {
-                    Dispatcher::Dynamic(DynamicDispatch::new(trip, nth, sched.chunk))
-                }
-                _ => Dispatcher::Guided(GuidedDispatch::new(trip, nth, sched.chunk)),
-            });
-            while let Some((r, origin)) = dispatcher.next_with_origin(ctx.thread_num()) {
-                let t0 = trace::chunk_begin_ts();
-                let (start, len) = (r.start, r.end - r.start);
-                for i in r {
-                    f(bounds.iter_value(i));
-                }
-                trace::chunk(origin, start, len, t0);
-            }
-            drop(dispatcher);
-            trace::dispatch_end(label, trip, true, t_construct);
-            ctx.finish_construct(slot);
-        }
-        ScheduleKind::Runtime => unreachable!("resolved above"),
     }
-
+    ws.end(Some(ctx));
     if !nowait {
         ctx.barrier();
     }
@@ -251,6 +182,31 @@ mod tests {
             parallel_for(Parallel::new().num_threads(4), sched, 5..5, |_| {
                 panic!("no iterations should run")
             });
+        }
+    }
+
+    /// A chunk below 1 panics under every kind, with the typed error's
+    /// text, before any iteration runs.
+    #[test]
+    fn non_positive_chunk_panics_under_every_kind() {
+        for sched in [
+            Schedule::static_chunked(0),
+            Schedule::dynamic(Some(0)),
+            Schedule::guided(Some(-2)),
+        ] {
+            let ran = AtomicUsize::new(0);
+            let err = std::panic::catch_unwind(|| {
+                parallel_for(Parallel::new().num_threads(2), sched, 0..10, |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            })
+            .expect_err("a non-positive chunk panics");
+            assert_eq!(
+                err.downcast_ref::<String>().map(String::as_str),
+                Some("chunk sizes must be positive"),
+                "{sched:?}"
+            );
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "{sched:?}");
         }
     }
 

@@ -49,7 +49,8 @@ proptest! {
     /// dynamic work-stealing dispatch covers exactly once in clause-sized
     /// chunks regardless of chunk, deck width (2 and up), and which single
     /// thread drains it (the drain-all caller exercises the steal path
-    /// against every other slot); a team of one claims the whole loop once.
+    /// against every other slot); an orphaned loop (a team of one) claims
+    /// the whole loop once.
     #[test]
     fn dynamic_dispatch_partitions(trip in 0u64..5_000, nth in 2usize..9,
                                    chunk in proptest::option::of(1i64..300),
@@ -65,9 +66,10 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&c| c == 1));
-        let solo = DynamicDispatch::new(trip, 1, chunk);
-        prop_assert_eq!(solo.next(0), (trip > 0).then_some(0..trip));
-        prop_assert_eq!(solo.next(0), None);
+        let mut solo = zomp::kmpc::WsLoop::begin(None, Schedule::dynamic(chunk), trip, None)
+            .expect("positive chunk");
+        prop_assert_eq!(solo.next(), (trip > 0).then_some(0..trip));
+        prop_assert_eq!(solo.next(), None);
     }
 
     /// guided work-stealing dispatch covers exactly once; every claim

@@ -272,6 +272,40 @@ fn chunk_counters_reconcile_across_all_schedules() {
     trace::disable_all();
 }
 
+/// Each thread's `LoopDispatch` span reports the iterations it claimed, so
+/// the tier profiler folds a Rust-API loop to its trip under every kind and
+/// team size: a thread that claimed nothing adds nothing.
+#[test]
+fn loop_spans_fold_to_the_trip() {
+    let _g = serial();
+    let schedules = [
+        Schedule::static_default(),
+        Schedule::static_chunked(1),
+        Schedule::dynamic(Some(1)),
+        Schedule::dynamic(Some(5)),
+        Schedule::guided(None),
+        Schedule::runtime(),
+    ];
+    for nth in [1usize, 2, 4] {
+        for sched in schedules {
+            for trip in [0i64, 1, 2, 3, 1000] {
+                trace::reset();
+                zomp::profile::enable();
+                zomp::parallel_for(Parallel::new().num_threads(nth), sched, 0..trip, |i| {
+                    std::hint::black_box(i);
+                });
+                zomp::profile::disable();
+                let total: u64 = zomp::profile::tier_report()
+                    .iter()
+                    .map(|t| t.total_iters)
+                    .sum();
+                assert_eq!(total, trip as u64, "{sched:?} nth={nth} trip={trip}");
+            }
+        }
+    }
+    trace::reset();
+}
+
 /// A contended dynamic loop on an imbalanced body actually exercises the
 /// steal path, and stolen chunks surface in the metrics.
 #[test]
@@ -379,15 +413,17 @@ fn chrome_trace_export_is_structurally_valid() {
             .any(|s| s.line.contains("\"cat\":\"parallel\"") && s.line.contains("trace.rs:")),
         "missing file:line region label"
     );
-    // Chunk slices carry provenance; loop slices carry the trip count.
+    // Chunk slices carry provenance; loop slices carry each thread's
+    // claimed share of the trip count.
     assert!(
         slices.iter().any(|s| s.line.contains("\"stolen\":false")),
         "missing owned-chunk provenance args"
     );
-    assert!(
-        slices.iter().any(|s| s.line.contains("\"trip\":2048")),
-        "missing loop trip args"
-    );
+    let trips: f64 = slices
+        .iter()
+        .filter_map(|s| json::num_field(s.line, "trip"))
+        .sum();
+    assert_eq!(trips, 2048.0, "loop trip args sum to the trip");
 
     // Spans strictly nest per tid (timestamps are exact: µs with three
     // decimals encodes integer nanoseconds).

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zomp::kmpc::for_static_init;
+use zomp::kmpc::WsLoop;
 use zomp::reduction::RedOp;
 use zomp::schedule::{LoopBounds, LoopCmp, Schedule, ScheduleKind};
 use zomp::sync::OmpLock;
@@ -19,7 +19,7 @@ use zomp::team::{Parallel, SingleToken, ThreadCtx};
 use crate::bytecode::OmpFn;
 use crate::interp::Vm;
 use crate::value::{
-    err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmError, VmResult, WsIter, WsMode, WsState,
+    err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmError, VmResult, WsIter, WsState,
 };
 
 /// The `@builtin` math/alloc table, shared by both backends so a mismatch
@@ -313,11 +313,11 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
                 .map_err(|e| VmError(e.to_string()))?;
             Ok(Value::Int(trip as i64))
         }
-        OmpFn::WsBegin => ws_begin(vm, args, false),
+        OmpFn::WsBegin => ws_begin(args, false),
         // Same protocol, but dynamic claims are batch-granular while the
         // deck is uncontended (the kernel handles any chunk length, so the
         // clause chunk size only matters for steal granularity).
-        OmpFn::WsBeginBulk => ws_begin(vm, args, true),
+        OmpFn::WsBeginBulk => ws_begin(args, true),
         // The unfused spelling of `Insn::WsNext`, for the tree-walker and
         // hand-written `omp.internal.*` programs.
         OmpFn::WsNext => Ok(Value::Bool(ws_claim(&args[0])?.is_some())),
@@ -465,12 +465,12 @@ fn cmp_from_code(code: i64) -> VmResult<LoopCmp> {
     })
 }
 
-fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
+fn ws_begin(args: &[Value], bulk: bool) -> VmResult<Value> {
     // An optional leading string is the worksharing pragma's `unit:line`
     // label (named translation units only), mirroring `fork_call`.
     let (label, base) = match args.first() {
-        Some(Value::Str(s)) => (zomp::trace::intern(s), 1usize),
-        _ => ("", 0usize),
+        Some(Value::Str(s)) => (Some(zomp::trace::intern(s)), 1usize),
+        _ => (None, 0usize),
     };
     let kind_code = args[base].as_int()?;
     let chunk_raw = args[base + 1].as_int()?;
@@ -478,7 +478,16 @@ fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
     let ub = args[base + 3].as_int()?;
     let incr = args[base + 4].as_int()?;
     let cmp = cmp_from_code(args[base + 5].as_int()?)?;
-    let chunk = (chunk_raw > 0).then_some(chunk_raw);
+    let kind = match kind_code {
+        1 => ScheduleKind::Dynamic,
+        2 => ScheduleKind::Guided,
+        3 => ScheduleKind::Runtime,
+        _ => ScheduleKind::Static,
+    };
+    let sched = Schedule {
+        kind,
+        chunk: (chunk_raw > 0).then_some(chunk_raw),
+    };
 
     let bounds = LoopBounds { lb, ub, incr, cmp };
     // Non-conforming loops surface as `Trap`s with the `ScheduleError`
@@ -486,73 +495,17 @@ fn ws_begin(vm: &Vm, args: &[Value], greedy: bool) -> VmResult<Value> {
     let trip = bounds
         .try_trip_count()
         .map_err(|e| VmError(e.to_string()))?;
-
-    // `runtime` resolves against the ICVs at loop entry (§III-B2).
-    let sched = match kind_code {
-        1 => Schedule::dynamic(chunk),
-        2 => Schedule::guided(chunk),
-        3 => vm.runtime.icvs().run_schedule(),
-        _ => Schedule {
-            kind: ScheduleKind::Static,
-            chunk,
-        },
-    };
-
-    let dynamic = sched.kind != ScheduleKind::Static;
-    let mode = with_ctx(|ctx| -> VmResult<WsMode> {
-        Ok(match ctx {
-            Some(ctx) if dynamic => WsMode::Dispatch(ctx.dispatch_begin_labelled(
-                sched,
-                trip,
-                (!label.is_empty()).then_some(label),
-            )),
-            // Static, or orphaned: a team of one, whose one claim is the
-            // whole loop under every schedule.
-            _ => {
-                let (tid, nth) = ctx.map_or((0, 1), |c| (c.thread_num(), c.num_threads()));
-                WsMode::Static(
-                    for_static_init(tid, nth, trip, sched.chunk)
-                        .map_err(|e| VmError(e.to_string()))?,
-                )
-            }
-        })
-    })?;
-
-    // The locally driven modes record their own `LoopDispatch` span
-    // (closed when the loop exhausts or at fini); team `Dispatch` already
-    // spans the construct through `dispatch_begin_labelled`.
-    let t0 = match &mode {
-        WsMode::Dispatch(_) => 0,
-        _ => zomp::trace::dispatch_begin_ts(dynamic),
-    };
-
+    let ws = with_ctx(|ctx| WsLoop::begin(ctx, sched, trip, label))
+        .map_err(|e| VmError(e.to_string()))?;
     Ok(Value::Ws(Arc::new(WsIter {
+        bulk,
         state: Mutex::new(WsState {
             lb,
             incr,
-            mode,
             cur: None,
-            finished: false,
-            label,
-            dynamic,
-            t0,
-            iters: 0,
-            pending: None,
-            greedy,
+            ws,
         }),
     })))
-}
-
-/// Close a locally driven loop's trace bookkeeping: flush the pending
-/// chunk span and record the thread's `LoopDispatch` span. No-op for team
-/// [`WsMode::Dispatch`] loops (the team handle spans those).
-fn ws_close_span(st: &mut WsState) {
-    if let Some((start, len, t0)) = st.pending.take() {
-        zomp::trace::chunk(zomp::schedule::ChunkOrigin::Owned, start, len, t0);
-    }
-    if !matches!(st.mode, WsMode::Dispatch(_)) {
-        zomp::trace::dispatch_end(st.label, st.iters, st.dynamic, st.t0);
-    }
 }
 
 fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
@@ -571,42 +524,16 @@ fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
 /// acquisition of the thread-private state covers the claim, the trace
 /// bookkeeping and both bounds — `__kmpc_dispatch_next(&lb, &ub)`.
 pub(crate) fn ws_claim(ws: &Value) -> VmResult<Option<(i64, i64)>> {
-    let mut st = as_ws(ws)?.state.lock();
-    let traced = zomp::trace::active();
-    // Split-phase: the previous chunk's body ran between calls — close its
-    // span before claiming the next (team Dispatch does its own).
-    if let Some((start, len, t0)) = st.pending.take() {
-        zomp::trace::chunk(zomp::schedule::ChunkOrigin::Owned, start, len, t0);
-    }
-    let greedy = st.greedy;
-    let logical = match &mut st.mode {
-        WsMode::Static(it) => it.next().filter(|r| !r.is_empty()),
-        WsMode::Dispatch(d) => with_ctx(|ctx| match ctx {
-            Some(ctx) if greedy => ctx.dispatch_next_bulk(d),
-            Some(ctx) => ctx.dispatch_next(d),
-            None => None,
-        }),
+    let ws = as_ws(ws)?;
+    let mut st = ws.state.lock();
+    let claim = if ws.bulk {
+        st.ws.next_bulk()
+    } else {
+        st.ws.next()
     };
-    match logical {
-        Some(r) => {
-            if traced && !matches!(st.mode, WsMode::Dispatch(_)) {
-                st.iters += r.end - r.start;
-                st.pending = Some((r.start, r.end - r.start, zomp::trace::chunk_begin_ts()));
-            }
-            let lo = st.lb + r.start as i64 * st.incr;
-            let hi = st.lb + r.end as i64 * st.incr;
-            st.cur = Some((lo, hi));
-            Ok(st.cur)
-        }
-        None => {
-            if traced && !st.finished {
-                ws_close_span(&mut st);
-            }
-            st.finished = true;
-            st.cur = None;
-            Ok(None)
-        }
-    }
+    let (lb, incr) = (st.lb, st.incr);
+    st.cur = claim.map(|r| (lb + r.start as i64 * incr, lb + r.end as i64 * incr));
+    Ok(st.cur)
 }
 
 /// The chunk [`ws_claim`] last made current.
@@ -615,29 +542,14 @@ fn ws_cur(ws: &Value) -> VmResult<(i64, i64)> {
     cur.ok_or_else(|| VmError("worksharing iterator has no current chunk".into()))
 }
 
+/// End the loop for this thread, exhausted or not (which releases its team
+/// construct slot), then synchronise unless `nowait`.
 fn ws_fini(args: &[Value]) -> VmResult<Value> {
     let ws = as_ws(&args[0])?;
     let nowait = args[1].as_int()? != 0;
-    {
-        let mut st = ws.state.lock();
-        // Loops abandoned before exhaustion must still release their team
-        // construct slot (and close their trace spans).
-        if let WsMode::Dispatch(d) = &st.mode {
-            if !st.finished {
-                with_ctx(|ctx| {
-                    if let Some(ctx) = ctx {
-                        ctx.dispatch_end(d);
-                    }
-                });
-                st.finished = true;
-            }
-        } else if !st.finished && zomp::trace::active() {
-            ws_close_span(&mut st);
-            st.finished = true;
-        }
-    }
-    if !nowait {
-        team_barrier()?;
-    }
+    synced(with_ctx(|ctx| {
+        ws.state.lock().ws.end(ctx);
+        nowait || ctx.is_none_or(|c| c.barrier())
+    }))?;
     Ok(Value::Void)
 }

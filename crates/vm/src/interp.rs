@@ -7,9 +7,9 @@
 //! pipeline end to end.
 //!
 //! The default backend is the register-bytecode VM ([`Backend::Bytecode`]):
-//! functions are lowered once by [`crate::compile`] and executed by
-//! [`Vm::run_bytecode`] with a dense `match` dispatch over flat
-//! instructions and unboxed register frames. The original tree-walker is
+//! functions are lowered once by [`crate::compile`](mod@crate::compile)
+//! and executed by [`Vm::run_bytecode`] with a dense `match` dispatch over
+//! flat instructions and unboxed register frames. The original tree-walker is
 //! kept behind [`Backend::Ast`] as the differential-testing oracle; the
 //! two are required to produce byte-identical output (including error
 //! messages), which `crates/vm/tests/differential.rs` enforces.

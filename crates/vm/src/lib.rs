@@ -8,9 +8,10 @@
 //! use; reductions go through the same atomic cells, CAS loops included.
 //!
 //! Function bodies execute on one of two backends ([`interp::Backend`]):
-//! the default register-bytecode VM ([`bytecode`], [`compile`]) — a flat
-//! instruction stream with compile-time slot resolution and fused loop
-//! opcodes, with small leaf callees inlined into their callers
+//! the default register-bytecode VM ([`bytecode`],
+//! [`compile`](mod@compile)) — a flat instruction stream with
+//! compile-time slot resolution and fused loop opcodes, with small leaf
+//! callees inlined into their callers
 //! ([`inline`]), post-processed by the [`optimize`] pipeline (constant
 //! folding, dead-store elimination, superinstruction fusion),
 //! statically type-specialised from the block-structured [`ir`] by

@@ -1,9 +1,9 @@
 //! The bytecode optimization pipeline (`zag --opt=0|3`).
 //!
-//! Sits between [`crate::compile`] and [`crate::interp`]: `compile`
-//! produces the naive stream (exactly the `--opt=0` behaviour), and this
-//! module rewrites each [`CompiledFn`] in place at `--opt=3`. Pass
-//! ordering, repeated to a fixpoint:
+//! Sits between [`crate::compile`](mod@crate::compile) and
+//! [`crate::interp`]: `compile` produces the naive stream (exactly the
+//! `--opt=0` behaviour), and this module rewrites each [`CompiledFn`] in
+//! place at `--opt=3`. Pass ordering, repeated to a fixpoint:
 //!
 //! 1. **Constant folding + copy propagation** — block-local
 //!    forward walk: reads of registers holding a copy are redirected to

@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use zomp::kmpc::WsLoop;
 use zomp::reduction::{RedCell, RedOp};
 use zomp::safety::{safety_mode, SafetyMode};
-use zomp::team::{ConstructToken, WsDispatch};
+use zomp::team::ConstructToken;
 
 /// A variable slot: scalar variables, shareable across threads through
 /// [`Value::Ptr`].
@@ -306,6 +307,10 @@ impl RedHandle {
 /// Worksharing-loop iterator state (the VM object behind the
 /// `omp.internal.ws_*` generic wrapper family).
 pub struct WsIter {
+    /// Begun by `omp.internal.ws_begin_bulk` (installed by the `--opt=3`
+    /// kernel tier when the chunk body is a single native kernel): claims
+    /// take [`WsLoop::next_bulk`]'s whole owner batches.
+    pub bulk: bool,
     pub state: Mutex<WsState>,
 }
 
@@ -313,39 +318,10 @@ pub struct WsState {
     /// Denormalisation: source value of iteration 0 and the stride.
     pub lb: i64,
     pub incr: i64,
-    pub mode: WsMode,
     /// Current chunk in source-variable units: (first value, exclusive
     /// directional bound).
     pub cur: Option<(i64, i64)>,
-    pub finished: bool,
-    /// The worksharing pragma's `unit:line` label for the observability
-    /// layer; `""` when the translation unit was unnamed.
-    pub label: &'static str,
-    /// A dynamic/guided schedule, also where an orphaned loop runs static.
-    pub dynamic: bool,
-    /// Construct-entry timestamp of this thread's `LoopDispatch` trace
-    /// span (0 = tracing off at entry). Only the locally driven modes use
-    /// it — team [`WsMode::Dispatch`] records its own span.
-    pub t0: u64,
-    /// Iterations claimed so far (the local span's trip payload).
-    pub iters: u64,
-    /// A claimed-but-unclosed chunk `(start, len, t0)`: its body runs
-    /// between `ws_next` calls, so the span closes on the next claim or at
-    /// fini (the split-phase pattern of `team::WsDispatch`).
-    pub pending: Option<(u64, u64, u64)>,
-    /// Bulk-claim mode (`omp.internal.ws_begin_bulk`, installed by the
-    /// `--opt=3` kernel tier when the chunk body is a single native
-    /// kernel): dynamic claims take whole owner batches while the
-    /// work-stealing deck is uncontended.
-    pub greedy: bool,
-}
-
-pub enum WsMode {
-    /// This thread's static block or round-robin chunks; also every
-    /// orphaned loop, as a team of one (one claim of `[0, trip)`).
-    Static(zomp::kmpc::StaticIter),
-    /// Team dispatch (dynamic/guided/runtime inside a region).
-    Dispatch(WsDispatch),
+    pub ws: WsLoop,
 }
 
 /// A Zag runtime value.

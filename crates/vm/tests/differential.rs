@@ -7,6 +7,9 @@
 //! values (e.g. which thread won a `single`), so for those we compare the
 //! lines proven stable under a single backend across repeated runs.
 
+use zomp::schedule::{LoopBounds, LoopCmp, Schedule};
+use zomp::workshare::{for_loop, parallel_sections};
+use zomp::Parallel;
 use zomp_vm::{Backend, OptLevel, Value, Vm};
 
 /// Every optimization level the bytecode backend must stay faithful at:
@@ -685,11 +688,13 @@ fn parallel_aggregates_agree() {
 
 /// One loop shape of the chunk-protocol matrix: the worksharing loop(s)
 /// as source, with `SCHED` standing for the schedule clause and `BODY` for
-/// the per-iteration statements over the index `e`, and the index values
-/// the loop must visit exactly once.
+/// the per-iteration statements over the index `e`; the same loops as
+/// Rust-API bounds whose values are `e` (every loop but the last is
+/// `nowait`); and the index values the loops must visit exactly once.
 struct ChunkShape {
     name: &'static str,
     loops: &'static str,
+    bounds: Vec<LoopBounds>,
     visits: Vec<i64>,
 }
 
@@ -700,6 +705,7 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             loops: "var i: i64 = 0;
         //$omp while SCHED
         while (i < 97) : (i += 1) { const e: i64 = i; BODY }",
+            bounds: vec![LoopBounds::upto(0, 97)],
             visits: (0..97).collect(),
         },
         ChunkShape {
@@ -710,6 +716,7 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             var j: i64 = 0;
             while (j < 11) : (j += 1) { const e: i64 = i * 11 + j; BODY }
         }",
+            bounds: vec![LoopBounds::upto(0, 99)],
             visits: (0..99).collect(),
         },
         ChunkShape {
@@ -720,6 +727,7 @@ fn chunk_shapes() -> Vec<ChunkShape> {
         var k: i64 = 50;
         //$omp while SCHED
         while (k < 97) : (k += 1) { const e: i64 = k; BODY }",
+            bounds: vec![LoopBounds::upto(0, 50), LoopBounds::upto(50, 97)],
             visits: (0..97).collect(),
         },
         ChunkShape {
@@ -727,6 +735,7 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             loops: "var i: i64 = 5;
         //$omp while SCHED
         while (i < 5) : (i += 1) { const e: i64 = i; BODY }",
+            bounds: vec![LoopBounds::upto(5, 5)],
             visits: Vec::new(),
         },
         ChunkShape {
@@ -734,6 +743,12 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             loops: "var i: i64 = 96;
         //$omp while SCHED
         while (i > -1) : (i -= 1) { const e: i64 = i; BODY }",
+            bounds: vec![LoopBounds {
+                lb: 96,
+                ub: -1,
+                incr: -1,
+                cmp: LoopCmp::Gt,
+            }],
             visits: (0..97).collect(),
         },
         ChunkShape {
@@ -741,9 +756,71 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             loops: "var i: i64 = 96;
         //$omp while SCHED
         while (i >= 0) : (i -= 2) { const e: i64 = i; BODY }",
+            bounds: vec![LoopBounds {
+                lb: 96,
+                ub: 0,
+                incr: -2,
+                cmp: LoopCmp::Ge,
+            }],
             visits: (0..97).step_by(2).collect(),
         },
     ]
+}
+
+/// The Rust-API constructs over one shape at a team of `threads`: its loops
+/// through `for_loop` under `sched`, and its index values as the sections
+/// of one `sections` construct. For each, the per-index hit counts and the
+/// sum of its threads' `LoopDispatch` span payloads.
+fn rust_api_row(shape: &ChunkShape, sched: Schedule, threads: usize) -> [(Vec<i64>, u64); 2] {
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use zomp::trace;
+    let traced = |run: &dyn Fn(&[AtomicI64])| {
+        let hits: Vec<AtomicI64> = (0..100).map(|_| AtomicI64::new(0)).collect();
+        trace::reset();
+        trace::enable_events();
+        run(&hits);
+        trace::disable_all();
+        let spans = trace::chrome_trace_json()
+            .lines()
+            .filter(|l| l.contains("\"cat\":\"loop\""))
+            .map(|l| {
+                let digits = l.split("\"trip\":").nth(1).expect("a trip arg");
+                let end = digits
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(digits.len());
+                digits[..end].parse::<u64>().expect("a numeric trip arg")
+            })
+            .sum();
+        (
+            hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
+            spans,
+        )
+    };
+    let team = Parallel::new().num_threads(threads);
+    let last = shape.bounds.len() - 1;
+    let looped = traced(&|hits| {
+        zomp::fork_call(team, |ctx| {
+            for (k, &bounds) in shape.bounds.iter().enumerate() {
+                for_loop(ctx, sched, bounds, k < last, |e| {
+                    hits[e as usize].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        })
+    });
+    let sectioned = traced(&|hits| {
+        let bodies: Vec<Box<dyn Fn() + Sync + '_>> = shape
+            .visits
+            .iter()
+            .map(|&e| {
+                Box::new(move || {
+                    hits[e as usize].fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn Fn() + Sync>
+            })
+            .collect();
+        let refs: Vec<&(dyn Fn() + Sync)> = bodies.iter().map(|b| b.as_ref()).collect();
+        parallel_sections(team, &refs);
+    });
+    [looped, sectioned]
 }
 
 /// The chunk protocol (`ws_begin` / the fused `wsnext` claim / `ws_fini`)
@@ -752,37 +829,53 @@ fn chunk_shapes() -> Vec<ChunkShape> {
 /// identically on the oracle, the bytecode backend at every `--opt` level
 /// and the native backend. `hits` proves exactly-once coverage, the
 /// reduction proves the index values (inline, and through a user function
-/// so the chunk body crosses a call boundary).
+/// so the chunk body crosses a call boundary). The Rust-API constructs
+/// (`for_loop`, and `sections`, which has no schedule clause) run the same
+/// shapes: exactly-once coverage, and per-thread loop spans that sum to the
+/// iterations run (this reads the process-wide trace rings, hence `alone`).
 #[test]
 fn chunk_protocol_matrix_agrees() {
-    const SCHEDULES: [&str; 6] = [
-        "schedule(static)",
-        "schedule(static, 3)",
-        "schedule(dynamic, 1)",
-        "schedule(dynamic, 5)",
-        "schedule(guided)",
-        "schedule(runtime)",
+    const SCHEDULES: [(&str, Schedule); 6] = [
+        ("schedule(static)", Schedule::static_default()),
+        ("schedule(static, 3)", Schedule::static_chunked(3)),
+        ("schedule(dynamic, 1)", Schedule::dynamic(Some(1))),
+        ("schedule(dynamic, 5)", Schedule::dynamic(Some(5))),
+        ("schedule(guided)", Schedule::guided(None)),
+        ("schedule(runtime)", Schedule::runtime()),
     ];
     const BODIES: [(&str, &str); 2] = [
         ("inline", "sum += e * 7 + 1;"),
         ("call", "sum += weigh(e);"),
     ];
-    for shape in chunk_shapes() {
-        let weight: i64 = shape.visits.iter().map(|i| i * 7 + 1).sum();
-        let expected = vec![format!(
-            "{} {} 0 {weight}",
-            shape.visits.len(),
-            100 - shape.visits.len()
-        )];
-        for sched in SCHEDULES {
-            for threads in [1, 2, 4] {
-                for (body_name, body) in BODIES {
-                    let loops = shape
-                        .loops
-                        .replace("SCHED", sched)
-                        .replace("BODY", &format!("\n//$omp atomic\nhits[e] += 1;\n{body}"));
-                    let src = format!(
-                        "fn weigh(v: i64) i64 {{ return v * 7 + 1; }}
+    alone("chunk_protocol_matrix_agrees", || {
+        for shape in chunk_shapes() {
+            let weight: i64 = shape.visits.iter().map(|i| i * 7 + 1).sum();
+            let expected = vec![format!(
+                "{} {} 0 {weight}",
+                shape.visits.len(),
+                100 - shape.visits.len()
+            )];
+            let mut once = vec![0i64; 100];
+            for &e in &shape.visits {
+                once[e as usize] = 1;
+            }
+            for (sched, schedule) in SCHEDULES {
+                for threads in [1, 2, 4] {
+                    let apis = ["for_loop", "sections"];
+                    for (api, (hits, spans)) in
+                        apis.iter().zip(rust_api_row(&shape, schedule, threads))
+                    {
+                        let name = format!("{}/{sched}/t{threads}/{api}", shape.name);
+                        assert_eq!(hits, once, "{name}: coverage");
+                        assert_eq!(spans, shape.visits.len() as u64, "{name}: span payloads");
+                    }
+                    for (body_name, body) in BODIES {
+                        let loops = shape
+                            .loops
+                            .replace("SCHED", sched)
+                            .replace("BODY", &format!("\n//$omp atomic\nhits[e] += 1;\n{body}"));
+                        let src = format!(
+                            "fn weigh(v: i64) i64 {{ return v * 7 + 1; }}
 fn main() void {{
     var hits: i64 = @allocI(100);
     var sum: i64 = 0;
@@ -801,18 +894,19 @@ fn main() void {{
     }}
     print(once, never, other, sum);
 }}"
-                    );
-                    let name = format!("{}/{sched}/t{threads}/{body_name}", shape.name);
-                    assert_eq!(
-                        run_on(&src, Backend::Ast, OptLevel::O0),
-                        Ok(expected.clone()),
-                        "{name}: oracle missed the expected coverage\n{src}"
-                    );
-                    assert_backends_agree(&name, &src);
+                        );
+                        let name = format!("{}/{sched}/t{threads}/{body_name}", shape.name);
+                        assert_eq!(
+                            run_on(&src, Backend::Ast, OptLevel::O0),
+                            Ok(expected.clone()),
+                            "{name}: oracle missed the expected coverage\n{src}"
+                        );
+                        assert_backends_agree(&name, &src);
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Runs `test` in a process of its own: the trace counters it reads are
