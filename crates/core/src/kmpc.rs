@@ -33,7 +33,7 @@ use crate::schedule::{
     static_block, ChunkOrigin, DynamicDispatch, GuidedDispatch, Schedule, ScheduleError,
     ScheduleKind, StaticChunked,
 };
-use crate::team::ThreadCtx;
+use crate::team::{TeamShared, ThreadCtx};
 use crate::trace;
 
 pub use crate::team::fork_call;
@@ -90,9 +90,10 @@ enum Claims {
     /// This thread's closed-form ranges: a static schedule, or any
     /// schedule at a team of one.
     Static(StaticIter),
-    /// The dispatcher of team construct `construct`, claimed as thread
+    /// The dispatcher of `team`'s construct `construct`, claimed as thread
     /// `tid` (the work-stealing decks key per-thread state by team id).
     Team {
+        team: Arc<TeamShared>,
         construct: u64,
         tid: usize,
         dispatcher: Arc<Dispatcher>,
@@ -118,9 +119,9 @@ enum Claims {
 /// sum to the trip), with one span per claimed chunk nested inside it.
 ///
 /// Contract, as for every OpenMP worksharing construct: the thread that
-/// began a loop claims from it and ends it, and every thread of a team
-/// begins the same loops in the same order. Dropping a handle does not end
-/// it: a team loop dropped before [`WsLoop::end`] keeps its construct slot.
+/// began a loop claims from it, and every thread of a team begins the same
+/// loops in the same order. Dropping a handle ends it, so a thread that
+/// abandons a loop still releases its construct slot.
 pub struct WsLoop {
     claims: Claims,
     /// Label of the `LoopDispatch` span.
@@ -176,6 +177,7 @@ impl WsLoop {
                     _ => Dispatcher::Dynamic(DynamicDispatch::new(trip, nth, sched.chunk)),
                 });
                 Claims::Team {
+                    team: ctx.shared_team(),
                     construct,
                     tid: ctx.thread_num(),
                     dispatcher,
@@ -247,10 +249,9 @@ impl WsLoop {
 
     /// `__kmpc_dispatch_fini` / `__kmpc_for_static_fini`: finish the loop
     /// for this thread, exhausted or not. Closes its spans and releases
-    /// its construct slot (a team loop's `ctx` must be the one passed to
-    /// [`WsLoop::begin`]). Idempotent. The loop's implicit barrier is the
-    /// caller's.
-    pub fn end(&mut self, ctx: Option<&ThreadCtx<'_>>) {
+    /// its construct slot. Idempotent, and run on drop. The loop's
+    /// implicit barrier is the caller's.
+    pub fn end(&mut self) {
         let claims = std::mem::replace(&mut self.claims, Claims::Ended);
         if matches!(claims, Claims::Ended) {
             return;
@@ -258,15 +259,21 @@ impl WsLoop {
         self.close_chunk();
         trace::dispatch_end(self.label, self.claimed, self.dynamic, self.t0);
         if let Claims::Team {
+            team,
             construct,
             dispatcher,
             ..
         } = claims
         {
             drop(dispatcher);
-            ctx.expect("a team loop is ended by the thread that began it")
-                .release_construct(construct);
+            team.release_construct(construct);
         }
+    }
+}
+
+impl Drop for WsLoop {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -278,11 +285,11 @@ mod tests {
     use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
     /// Drain `ws` to exhaustion and end it.
-    fn drain(ctx: &ThreadCtx<'_>, mut ws: WsLoop, mut body: impl FnMut(u64)) {
+    fn drain(mut ws: WsLoop, mut body: impl FnMut(u64)) {
         while let Some(r) = ws.next() {
             r.for_each(&mut body);
         }
-        ws.end(Some(ctx));
+        ws.end();
     }
 
     #[test]
@@ -316,7 +323,7 @@ mod tests {
                 let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
                 fork_call(Parallel::new().num_threads(nth), |ctx| {
                     let ws = WsLoop::begin(Some(ctx), sched, N, None).expect("valid schedule");
-                    drain(ctx, ws, |i| {
+                    drain(ws, |i| {
                         hits[i as usize].fetch_add(1, Ordering::SeqCst);
                     });
                 });
@@ -349,7 +356,7 @@ mod tests {
                     }
                     claims.push(r);
                 }
-                ws.end(Some(ctx));
+                ws.end();
                 let want: Vec<_> = for_static_init(ctx.thread_num(), 3, trip, chunk)
                     .expect("valid static init")
                     .filter(|r| !r.is_empty())
@@ -398,7 +405,7 @@ mod tests {
                         assert_eq!(ctx.constructs_entered(), 0, "{sched:?}: no slot taken");
                         let ws = WsLoop::begin(Some(ctx), Schedule::dynamic(None), 8, None)
                             .expect("valid schedule");
-                        drain(ctx, ws, |_| {
+                        drain(ws, |_| {
                             hits.fetch_add(1, Ordering::SeqCst);
                         });
                     });
@@ -408,9 +415,9 @@ mod tests {
         }
     }
 
-    /// A thread that takes one chunk and ends the loop there releases its
-    /// slot: more abandoned loops than the ring has slots do not wedge
-    /// the team, and a later loop still covers its space.
+    /// A thread that takes one chunk and drops the handle without ending
+    /// it releases its slot: more abandoned loops than the ring has slots
+    /// do not wedge the team, and a later loop still covers its space.
     #[test]
     fn abandoned_dispatch_handle_releases_slot() {
         let hits = AtomicUsize::new(0);
@@ -419,12 +426,11 @@ mod tests {
                 let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(1)), 4, None)
                     .expect("valid schedule");
                 let _ = ws.next();
-                ws.end(Some(ctx));
             }
             ctx.barrier();
             let ws =
                 WsLoop::begin(Some(ctx), Schedule::dynamic(None), 8, None).expect("valid schedule");
-            drain(ctx, ws, |_| {
+            drain(ws, |_| {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
         });

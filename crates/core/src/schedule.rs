@@ -1047,7 +1047,7 @@ mod tests {
             let mut ws = WsLoop::begin(ctx, sched, trip, None).expect("valid schedule");
             let mut next = || if bulk { ws.next_bulk() } else { ws.next() };
             let got = [next(), next()];
-            ws.end(ctx);
+            ws.end();
             got
         }
         for trip in [0, 1, 2, 127, 128, 129, 1000, STEAL_MAX_TRIP + 10] {

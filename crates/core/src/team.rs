@@ -150,6 +150,11 @@ impl TeamShared {
         }
     }
 
+    /// The calling thread is done with construct `c`.
+    pub(crate) fn release_construct(&self, c: u64) {
+        self.release_slot(&self.slots[(c as usize) % NUM_CONSTRUCT_SLOTS]);
+    }
+
     /// A team thread panicked: keep the first payload for the master to
     /// re-throw and let go of everyone who would wait for that thread.
     fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
@@ -173,14 +178,20 @@ impl TeamShared {
 pub struct ThreadCtx<'a> {
     tid: usize,
     team: &'a TeamShared,
+    /// The `Arc` a team of 2+ is shared through, which a [`WsLoop`] keeps
+    /// so it can release its construct slot wherever it is ended or
+    /// dropped. `None` for a team of one: it lives on the forking thread's
+    /// stack, and its loops take no slot.
+    shared: Option<&'a Arc<TeamShared>>,
     construct_counter: Cell<u64>,
 }
 
 impl<'a> ThreadCtx<'a> {
-    fn new(tid: usize, team: &'a TeamShared) -> Self {
+    fn new(tid: usize, team: &'a TeamShared, shared: Option<&'a Arc<TeamShared>>) -> Self {
         ThreadCtx {
             tid,
             team,
+            shared,
             construct_counter: Cell::new(0),
         }
     }
@@ -270,7 +281,7 @@ impl<'a> ThreadCtx<'a> {
                 sections[s as usize]();
             }
         }
-        ws.end(Some(self));
+        ws.end();
         if !nowait {
             self.barrier();
         }
@@ -298,9 +309,13 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Internal: this thread is done with construct `c`.
-    pub(crate) fn release_construct(&self, c: u64) {
-        self.team
-            .release_slot(&self.team.slots[(c as usize) % NUM_CONSTRUCT_SLOTS]);
+    fn release_construct(&self, c: u64) {
+        self.team.release_construct(c);
+    }
+
+    /// Internal: a team of 2+, for a handle that outlives this borrow.
+    pub(crate) fn shared_team(&self) -> Arc<TeamShared> {
+        Arc::clone(self.shared.expect("a team of 2+ is shared"))
     }
 
     /// Constructs this thread has entered so far in the region.
@@ -428,7 +443,7 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
     loop {
         let job = slot.take();
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            let ctx = ThreadCtx::new(job.tid, &job.team);
+            let ctx = ThreadCtx::new(job.tid, &job.team, Some(&job.team));
             // Bind the forking runtime on this pool thread for the region's
             // duration: the pool is shared by all runtimes, so the binding
             // must travel with the job, not live on the thread.
@@ -672,7 +687,7 @@ where
 
     if n == 1 {
         let team = TeamShared::new(1, label, Arc::clone(rt));
-        let ctx = ThreadCtx::new(0, &team);
+        let ctx = ThreadCtx::new(0, &team, None);
         let _rt = rt.enter();
         with_region_state(0, 1, || f(&ctx));
         return;
@@ -701,7 +716,7 @@ where
     }
 
     let master_result = panic::catch_unwind(AssertUnwindSafe(|| {
-        let ctx = ThreadCtx::new(0, &team);
+        let ctx = ThreadCtx::new(0, &team, Some(&team));
         let _rt = rt.enter();
         with_region_state(0, n, || f(&ctx));
     }));
@@ -930,7 +945,7 @@ mod split_phase_tests {
                     hits[i as usize].fetch_add(1, Ordering::SeqCst);
                 }
             }
-            ws.end(Some(ctx));
+            ws.end();
             ctx.barrier();
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
@@ -951,21 +966,25 @@ mod split_phase_tests {
         assert_eq!(wins.load(Ordering::SeqCst), 10);
     }
 
-    /// `end` before exhaustion releases the slot, a second `end` is a
-    /// no-op, and an ended loop claims nothing more.
+    /// `end` before exhaustion releases the slot, a second `end` and the
+    /// drop that follows are no-ops, and an ended loop claims nothing more.
     #[test]
     fn split_dispatch_explicit_end_without_exhaustion() {
         fork_call(Parallel::new().num_threads(2), |ctx| {
             let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(1)), 6, None)
                 .expect("valid schedule");
             assert!(ws.next().is_some());
-            ws.end(Some(ctx));
-            ws.end(Some(ctx));
+            ws.end();
+            ws.end();
             assert_eq!(ws.next(), None);
+            drop(ws);
             ctx.barrier();
-            // Team machinery must still be usable afterwards.
-            let tok = ctx.single_begin();
-            ctx.single_end(tok, false);
+            // Team machinery must still be usable afterwards, past the
+            // slot's next turn (a second release would skip that turn).
+            for _ in 0..=NUM_CONSTRUCT_SLOTS {
+                let tok = ctx.single_begin();
+                ctx.single_end(tok, false);
+            }
         });
     }
 }

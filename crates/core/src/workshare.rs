@@ -41,7 +41,7 @@ where
             f(bounds.iter_value(i));
         }
     }
-    ws.end(Some(ctx));
+    ws.end();
     if !nowait {
         ctx.barrier();
     }

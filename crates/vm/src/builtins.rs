@@ -547,9 +547,9 @@ fn ws_cur(ws: &Value) -> VmResult<(i64, i64)> {
 fn ws_fini(args: &[Value]) -> VmResult<Value> {
     let ws = as_ws(&args[0])?;
     let nowait = args[1].as_int()? != 0;
-    synced(with_ctx(|ctx| {
-        ws.state.lock().ws.end(ctx);
-        nowait || ctx.is_none_or(|c| c.barrier())
-    }))?;
+    ws.state.lock().ws.end();
+    if !nowait {
+        team_barrier()?;
+    }
     Ok(Value::Void)
 }

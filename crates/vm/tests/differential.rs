@@ -7,6 +7,8 @@
 //! values (e.g. which thread won a `single`), so for those we compare the
 //! lines proven stable under a single backend across repeated runs.
 
+use std::sync::atomic::{AtomicI64, Ordering};
+
 use zomp::schedule::{LoopBounds, LoopCmp, Schedule};
 use zomp::workshare::{for_loop, parallel_sections};
 use zomp::Parallel;
@@ -767,47 +769,51 @@ fn chunk_shapes() -> Vec<ChunkShape> {
     ]
 }
 
-/// The Rust-API constructs over one shape at a team of `threads`: its loops
-/// through `for_loop` under `sched`, and its index values as the sections
-/// of one `sections` construct. For each, the per-index hit counts and the
-/// sum of its threads' `LoopDispatch` span payloads.
-fn rust_api_row(shape: &ChunkShape, sched: Schedule, threads: usize) -> [(Vec<i64>, u64); 2] {
-    use std::sync::atomic::{AtomicI64, Ordering};
+/// Runs `run` over 100 fresh hit counters with the trace on: the per-index
+/// hit counts, and the sum of its threads' `LoopDispatch` span payloads.
+fn traced_hits(run: impl FnOnce(&[AtomicI64])) -> (Vec<i64>, u64) {
     use zomp::trace;
-    let traced = |run: &dyn Fn(&[AtomicI64])| {
-        let hits: Vec<AtomicI64> = (0..100).map(|_| AtomicI64::new(0)).collect();
-        trace::reset();
-        trace::enable_events();
-        run(&hits);
-        trace::disable_all();
-        let spans = trace::chrome_trace_json()
-            .lines()
-            .filter(|l| l.contains("\"cat\":\"loop\""))
-            .map(|l| {
-                let digits = l.split("\"trip\":").nth(1).expect("a trip arg");
-                let end = digits
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(digits.len());
-                digits[..end].parse::<u64>().expect("a numeric trip arg")
-            })
-            .sum();
-        (
-            hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
-            spans,
-        )
-    };
-    let team = Parallel::new().num_threads(threads);
+    let hits: Vec<AtomicI64> = (0..100).map(|_| AtomicI64::new(0)).collect();
+    trace::reset();
+    trace::enable_events();
+    run(&hits);
+    trace::disable_all();
+    let spans = trace::chrome_trace_json()
+        .lines()
+        .filter(|l| l.contains("\"cat\":\"loop\""))
+        .map(|l| {
+            let digits = l.split("\"trip\":").nth(1).expect("a trip arg");
+            let end = digits
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(digits.len());
+            digits[..end].parse::<u64>().expect("a numeric trip arg")
+        })
+        .sum();
+    (
+        hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
+        spans,
+    )
+}
+
+/// One shape's loops through `for_loop` under `sched` at a team of
+/// `threads`, as [`traced_hits`] reports them.
+fn for_loop_row(shape: &ChunkShape, sched: Schedule, threads: usize) -> (Vec<i64>, u64) {
     let last = shape.bounds.len() - 1;
-    let looped = traced(&|hits| {
-        zomp::fork_call(team, |ctx| {
+    traced_hits(|hits| {
+        zomp::fork_call(Parallel::new().num_threads(threads), |ctx| {
             for (k, &bounds) in shape.bounds.iter().enumerate() {
                 for_loop(ctx, sched, bounds, k < last, |e| {
                     hits[e as usize].fetch_add(1, Ordering::Relaxed);
                 });
             }
         })
-    });
-    let sectioned = traced(&|hits| {
+    })
+}
+
+/// One shape's index values as the sections of one `sections` construct at
+/// a team of `threads`, as [`traced_hits`] reports them.
+fn sections_row(shape: &ChunkShape, threads: usize) -> (Vec<i64>, u64) {
+    traced_hits(|hits| {
         let bodies: Vec<Box<dyn Fn() + Sync + '_>> = shape
             .visits
             .iter()
@@ -818,9 +824,8 @@ fn rust_api_row(shape: &ChunkShape, sched: Schedule, threads: usize) -> [(Vec<i6
             })
             .collect();
         let refs: Vec<&(dyn Fn() + Sync)> = bodies.iter().map(|b| b.as_ref()).collect();
-        parallel_sections(team, &refs);
-    });
-    [looped, sectioned]
+        parallel_sections(Parallel::new().num_threads(threads), &refs);
+    })
 }
 
 /// The chunk protocol (`ws_begin` / the fused `wsnext` claim / `ws_fini`)
@@ -859,16 +864,19 @@ fn chunk_protocol_matrix_agrees() {
             for &e in &shape.visits {
                 once[e as usize] = 1;
             }
+            let trip = shape.visits.len() as u64;
+            for threads in [1, 2, 4] {
+                let name = format!("{}/t{threads}/sections", shape.name);
+                let (hits, spans) = sections_row(&shape, threads);
+                assert_eq!(hits, once, "{name}: coverage");
+                assert_eq!(spans, trip, "{name}: span payloads");
+            }
             for (sched, schedule) in SCHEDULES {
                 for threads in [1, 2, 4] {
-                    let apis = ["for_loop", "sections"];
-                    for (api, (hits, spans)) in
-                        apis.iter().zip(rust_api_row(&shape, schedule, threads))
-                    {
-                        let name = format!("{}/{sched}/t{threads}/{api}", shape.name);
-                        assert_eq!(hits, once, "{name}: coverage");
-                        assert_eq!(spans, shape.visits.len() as u64, "{name}: span payloads");
-                    }
+                    let name = format!("{}/{sched}/t{threads}/for_loop", shape.name);
+                    let (hits, spans) = for_loop_row(&shape, schedule, threads);
+                    assert_eq!(hits, once, "{name}: coverage");
+                    assert_eq!(spans, trip, "{name}: span payloads");
                     for (body_name, body) in BODIES {
                         let loops = shape
                             .loops
@@ -1065,8 +1073,9 @@ fn team_of_one_claims_every_schedule_once() {
 
 /// Hand-written `omp.internal.*` drivers: the fused shape outside any
 /// region (a team of one: one claim), the same loop with its bounds read
-/// again inside the body, and the shape `compile` must leave unfused
-/// (address-taken induction variable) — plus the protocol's error texts.
+/// again inside the body, the shape `compile` must leave unfused
+/// (address-taken induction variable), and a team's dynamic loop ended
+/// after its region — plus the protocol's error texts.
 #[test]
 fn handwritten_chunk_drivers_and_errors_agree() {
     const DRIVER: &str = "fn main() void {
@@ -1091,6 +1100,28 @@ fn handwritten_chunk_drivers_and_errors_agree() {
             assert_backends_agree(&format!("{name}/{kind}"), &src);
         }
     }
+    // One thread's iterator outlives the region in a shared variable and
+    // is ended where no region context exists; the other's is dropped
+    // unended at region exit.
+    let fini_after_region = "fn main() void {
+    var w: i64 = 0;
+    var s: i64 = 0;
+    //$omp parallel num_threads(2) shared(w) reduction(+: s)
+    {
+        const mine = omp.internal.ws_begin(1, 1, 0, 10, 1, 0);
+        if (omp.internal.ws_next(mine)) { s += omp.internal.ws_ub(mine) - omp.internal.ws_lb(mine); }
+        //$omp critical
+        { w = mine; }
+    }
+    omp.internal.ws_fini(w, 0);
+    print(s);
+}";
+    assert_eq!(
+        run_on(fini_after_region, Backend::Ast, OptLevel::O0),
+        Ok(vec!["2".to_string()]),
+        "fini_after_region"
+    );
+    assert_backends_agree("fini_after_region", fini_after_region);
     for (name, src, text) in [
         (
             "unknown_omp_function",
