@@ -1,8 +1,9 @@
 //! The unified diagnostics type of the front-end.
 //!
 //! Every error and warning the pipeline can produce — tokenizer, parser,
-//! preprocessor, the data-sharing analysis of [`crate::analyze`], and the
-//! VM's program loader — is one [`Diag`]: a severity, a stable rule code,
+//! preprocessor, the data-sharing analysis of
+//! [`crate::analyze`](mod@crate::analyze), and the VM's program loader —
+//! is one [`Diag`]: a severity, a stable rule code,
 //! a byte offset into the source it was produced against, an optional
 //! pragma label (`unit:line`, the same label `preprocess_named` threads
 //! into `fork_call` for the observability layer), the message, and an

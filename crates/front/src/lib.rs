@@ -17,13 +17,13 @@
 //!   stored as contiguous `extra_data` slices (Fig. 2).
 //! * [`parser`] — recursive descent around an `eat_token` that also accepts
 //!   OpenMP keyword tags.
-//! * [`preprocess`] — the multi-pass source-to-source preprocessor of
+//! * [`preprocess`](mod@preprocess) — the multi-pass source-to-source preprocessor of
 //!   Listing 5: parallel regions are outlined first, then worksharing
 //!   loops are rewritten into `omp.internal.*` runtime-call driver loops,
 //!   then the simple directives; source offsets are adjusted after each
 //!   replacement, and shared scalars are rewritten to pointer accesses
 //!   (§III-B3) using only the AST.
-//! * [`analyze`] — the post-parse data-sharing lint: classifies every
+//! * [`analyze`](mod@analyze) — the post-parse data-sharing lint: classifies every
 //!   variable of each `parallel`/worksharing region into its sharing class
 //!   and reports probable races and clause misuse as structured [`Diag`]
 //!   warnings (`zag --check`).

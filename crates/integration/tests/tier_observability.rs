@@ -3,8 +3,9 @@
 //! specialised-opcode and bulk-loop fallbacks count and leave no state
 //! behind, the profiler's event fold attributes a natively-carried
 //! pragma loop to the native tier with its `unit:line` label intact,
-//! every fixed kernel the NPB ports install is one they enter, and every
-//! installed template's remark says whether it runs strip-mined.
+//! every fixed kernel the NPB ports install is one they enter, every
+//! installed template's remark says whether it runs strip-mined, and the
+//! structural miss rows are the `kernel-missed` remarks.
 //!
 //! Tracing mode is process-global, so every test serialises on one
 //! mutex and restores the disabled state before releasing it.
@@ -460,6 +461,54 @@ fn template_remarks_carry_the_strip_verdict() {
     assert_eq!(verdict_of("`hist`", "6 insns"), "scalar: non-affine-store");
     let json = zomp_vm::remarks::render_json(&diags, STENCIL_AND_HIST);
     assert!(json.contains("(pc 2), scalar: non-affine-store"), "{json}");
+}
+
+/// The two miss surfaces agree: over the CG/EP/IS ports and every
+/// `examples/zag` program, each `remarks::kernel_misses` row matches
+/// exactly one `kernel-missed` remark and each remark exactly one row, on
+/// function, head pc and reason (the message), label and note.
+#[test]
+fn kernel_misses_rows_are_the_kernel_missed_remarks() {
+    let mut corpus: Vec<(String, String)> = [
+        (ZAG_MATVEC, "cg.zag"),
+        (ZAG_EP, "ep.zag"),
+        (ZAG_RANK, "is.zag"),
+    ]
+    .map(|(source, unit)| (source.to_string(), unit.to_string()))
+    .into();
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/zag");
+    for entry in std::fs::read_dir(examples).expect("examples/zag exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "zag") {
+            let source = std::fs::read_to_string(&path).expect("read example");
+            let unit = path.file_name().unwrap().to_string_lossy().into_owned();
+            corpus.push((source, unit));
+        }
+    }
+    let mut total = 0;
+    for (source, unit) in &corpus {
+        let rows = zomp_vm::remarks::kernel_misses(source, unit).expect("kernel_misses");
+        let remarks = zomp_vm::remarks::collect(source, unit, OptLevel::O3).expect("collect");
+        let missed: Vec<_> = remarks
+            .iter()
+            .filter(|d| d.code == "kernel-missed")
+            .collect();
+        let same = |row: &zomp_vm::remarks::MissRow, d: &zomp_front::Diag| {
+            d.message == row.message()
+                && d.label.as_deref() == Some(row.label.as_str())
+                && d.note.as_deref() == Some(row.note.as_str())
+        };
+        for row in &rows {
+            let n = missed.iter().filter(|d| same(row, d)).count();
+            assert_eq!(n, 1, "{unit}: {} matches {n} remarks", row.message());
+        }
+        for d in &missed {
+            let n = rows.iter().filter(|row| same(row, d)).count();
+            assert_eq!(n, 1, "{unit}: remark `{}` matches {n} rows", d.message);
+        }
+        total += rows.len();
+    }
+    assert!(total > 0, "no loop in the corpus missed a kernel");
 }
 
 fn arr_i(v: impl IntoIterator<Item = i64>) -> Arc<ArrI> {

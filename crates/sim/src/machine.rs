@@ -14,8 +14,8 @@
 use npb::model::Access;
 
 /// Which dynamic-dispatch implementation the simulated runtime uses. The
-/// live runtime ships the work-stealing deck ([`zomp::schedule::StealDeck`]
-/// semantics); the shared cursor is kept as the contention baseline so the
+/// live runtime ships the work-stealing deck ([`zomp::schedule`]'s
+/// `StealDeck` semantics); the shared cursor is kept as the contention baseline so the
 /// model can quantify what the refactor bought.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchImpl {

@@ -190,7 +190,13 @@ fn main() {
     }
 
     if dump_bytecode {
-        print!("{}", zomp_vm::bytecode::disasm_stages(&vm.program.code));
+        // Lowering is deterministic: lowering again gives the stream the
+        // passes started from.
+        let lowered = zomp_vm::compile::compile_image(&vm.program.ast);
+        print!(
+            "{}",
+            zomp_vm::bytecode::disasm_stages(&lowered, &vm.program.code)
+        );
         return;
     }
     if dump_ir {

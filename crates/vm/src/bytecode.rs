@@ -597,17 +597,6 @@ pub enum Insn {
     RetVoid,
 }
 
-/// The instruction stream as lowered, kept on [`CompiledFn`] when a later
-/// pass changed anything so `--dump-bytecode` can show both stages.
-/// `nconsts` and `nregs` are the pool length and frame size it was lowered
-/// with (inlining and folding only ever append constants and registers, so
-/// its indices stay valid).
-pub struct PreOpt {
-    pub code: Vec<Insn>,
-    pub nconsts: usize,
-    pub nregs: usize,
-}
-
 /// One compiled function.
 pub struct CompiledFn {
     pub name: String,
@@ -624,8 +613,6 @@ pub struct CompiledFn {
     /// Debug names of named registers (params and locals), in allocation
     /// order: (register, name, address-taken?).
     pub locals: Vec<(Reg, String, bool)>,
-    /// `Some` iff the optimizer rewrote `code` (see [`PreOpt`]).
-    pub pre_opt: Option<PreOpt>,
     /// Native bulk-kernel descriptors referenced by [`Insn::BulkLoop`]
     /// (`--opt=3` only; empty below that).
     pub kernels: Vec<crate::kernels::KernelDesc>,
@@ -681,24 +668,17 @@ fn arith_text(op: ArithOp) -> &'static str {
 
 /// Render one function's bytecode as stable, diffable text.
 pub fn disasm_fn(f: &CompiledFn) -> String {
-    disasm_fn_code(f, &f.code, f.consts.len(), f.nregs, "")
+    disasm_tagged(f, "")
 }
 
-/// Render one function with an explicit instruction stream / pool length
-/// (the `--dump-bytecode` pre/post-optimization view).
-fn disasm_fn_code(
-    f: &CompiledFn,
-    code: &[Insn],
-    nconsts: usize,
-    nregs: usize,
-    tag: &str,
-) -> String {
+/// [`disasm_fn`] with `tag` after the name (the `--dump-bytecode` stages).
+fn disasm_tagged(f: &CompiledFn, tag: &str) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fn {}{tag} (params {}, regs {nregs})",
-        f.name, f.nparams
+        "fn {}{tag} (params {}, regs {})",
+        f.name, f.nparams, f.nregs
     );
     if !f.locals.is_empty() {
         let names: Vec<String> = f
@@ -708,10 +688,10 @@ fn disasm_fn_code(
             .collect();
         let _ = writeln!(out, "  locals: {}", names.join(" "));
     }
-    for (i, k) in f.consts.iter().take(nconsts).enumerate() {
+    for (i, k) in f.consts.iter().enumerate() {
         let _ = writeln!(out, "  k{i} = {}", const_text(k));
     }
-    for (pc, insn) in code.iter().enumerate() {
+    for (pc, insn) in f.code.iter().enumerate() {
         let _ = writeln!(out, "  {pc:>4}  {}", insn_text(f, insn));
     }
     out
@@ -887,28 +867,18 @@ pub fn disasm(image: &Image) -> String {
     out
 }
 
-/// Render the whole image showing both optimization stages: for every
-/// function a pass rewrote, the stream as lowered (before inlining)
-/// first, then the final one (`--dump-bytecode` under `--opt=3`).
-pub fn disasm_stages(image: &Image) -> String {
+/// Render the whole image showing both optimization stages
+/// (`--dump-bytecode`): every function whose final stream differs from
+/// its stream in `lowered` — the same program through
+/// [`crate::compile::compile_image`] alone — is listed as lowered
+/// (before inlining) first, then as it ends.
+pub fn disasm_stages(lowered: &Image, image: &Image) -> String {
     let mut out = String::new();
-    for f in &image.funcs {
-        if let Some(pre) = &f.pre_opt {
-            out.push_str(&disasm_fn_code(
-                f,
-                &pre.code,
-                pre.nconsts,
-                pre.nregs,
-                " [pre-opt]",
-            ));
+    for (pre, f) in lowered.funcs.iter().zip(&image.funcs) {
+        if pre.code != f.code {
+            out.push_str(&disasm_tagged(pre, " [pre-opt]"));
             out.push('\n');
-            out.push_str(&disasm_fn_code(
-                f,
-                &f.code,
-                f.consts.len(),
-                f.nregs,
-                " [optimized]",
-            ));
+            out.push_str(&disasm_tagged(f, " [optimized]"));
         } else {
             out.push_str(&disasm_fn(f));
         }

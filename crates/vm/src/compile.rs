@@ -1,4 +1,13 @@
-//! AST → register-bytecode lowering.
+//! AST → register-bytecode lowering, and the one compile pipeline.
+//!
+//! **Pipeline.** [`compile_image_opt`] lowers the program, then at
+//! `--opt=3` runs the passes of [`PASSES`] in order: inline, optimize,
+//! typeck, install. It owns what the passes share. It verifies every
+//! function with [`verify_fn`] after lowering and after each pass, and
+//! each pass records what it did in its field of [`PassData`], which
+//! `zag --remarks` renders. No pass verifies or snapshots code itself;
+//! `--dump-bytecode` lowers the program again to show the stream as
+//! lowered next to the final one.
 //!
 //! The compiler runs once per program load (post-preprocess, so outlined
 //! parallel regions and worksharing driver loops are ordinary code) and
@@ -36,7 +45,10 @@ use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
 use zomp_front::token::Tag as T;
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
+use crate::inline::InlineData;
 use crate::interp::callee_path;
+use crate::optimize::{verify_fn, OptLevel, OptStats};
+use crate::typeck::SiteOutcome;
 use crate::value::Value;
 
 /// Compile every function of a parsed (pragma-free) program.
@@ -54,57 +66,77 @@ pub fn compile_image(ast: &Ast) -> Image {
             decls.push(decl);
         }
     }
-    let funcs: Vec<CompiledFn> = decls
+    let funcs = decls
         .iter()
         .map(|&decl| FnCx::new(ast, &by_name).compile_fn(decl))
         .collect();
-    for f in &funcs {
-        if let Err(e) = crate::optimize::verify_fn(f, funcs.len()) {
-            panic!("compiler produced invalid bytecode: {e}");
-        }
-    }
     Image { funcs, by_name }
 }
 
-/// Compile and then run the optimization pipeline at the given
-/// level. `OptLevel::O0` returns the raw stream unchanged; `O3` inlines
-/// small leaf callees ([`crate::inline`]), runs the per-function rewrite
-/// fixpoint, emits static Int/Float specializations from whole-image type
-/// inference ([`crate::typeck`]) and installs the native bulk kernels and
-/// templates ([`crate::kernels`]) on the fully-rewritten stream.
-pub fn compile_image_opt(ast: &Ast, opt: crate::optimize::OptLevel) -> Image {
-    compile_image_opt_collect(ast, opt, None)
+/// What the passes recorded about the image, indexed like `image.funcs`:
+/// the data [`crate::remarks`] renders.
+#[derive(Default)]
+pub struct PassData {
+    pub inline: InlineData,
+    pub opt_stats: Vec<OptStats>,
+    pub sites: Vec<Vec<SiteOutcome>>,
 }
 
-/// [`compile_image_opt`], optionally filling a [`crate::remarks::PassData`]
-/// with per-pass statistics as the pipeline runs (`zag --remarks`). The
-/// single pipeline definition — the remark path and the normal path
-/// cannot drift.
-pub(crate) fn compile_image_opt_collect(
-    ast: &Ast,
-    opt: crate::optimize::OptLevel,
-    mut data: Option<&mut crate::remarks::PassData>,
-) -> Image {
+/// One pass of the pipeline: rewrites the image in place and records what
+/// it did in its field of [`PassData`].
+pub struct Pass {
+    pub name: &'static str,
+    pub run: fn(&mut Image, &mut PassData),
+}
+
+/// The `--opt=3` passes, in the order [`compile_image_opt`] runs them.
+pub const PASSES: [Pass; 4] = [
+    Pass {
+        name: "inline",
+        run: |image, data| data.inline = crate::inline::inline_image(image),
+    },
+    Pass {
+        name: "optimize",
+        run: |image, data| {
+            let nfuncs = image.funcs.len();
+            data.opt_stats = (image.funcs.iter_mut())
+                .map(|f| crate::optimize::optimize_fn(f, OptLevel::O3, nfuncs))
+                .collect();
+        },
+    },
+    Pass {
+        name: "typeck",
+        run: |image, data| data.sites = crate::typeck::specialize_image(image),
+    },
+    Pass {
+        name: "install",
+        run: |image, _| crate::kernels::install_image(image),
+    },
+];
+
+/// Lower `ast`, then run every pass of [`PASSES`] at `O3` (none at `O0`),
+/// verifying the whole image after lowering and after each pass.
+pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
     let mut image = compile_image(ast);
-    if opt > crate::optimize::OptLevel::O0 {
-        let inlined = crate::inline::inline_image(&mut image);
-        if let Some(d) = data.as_deref_mut() {
-            d.inline = inlined;
+    let mut data = PassData::default();
+    verify(&image, "lowering");
+    if opt == OptLevel::O3 {
+        for pass in &PASSES {
+            (pass.run)(&mut image, &mut data);
+            verify(&image, pass.name);
         }
-        let nfuncs = image.funcs.len();
-        for f in &mut image.funcs {
-            let stats = crate::optimize::optimize_fn_stats(f, opt, nfuncs);
-            if let Some(d) = data.as_deref_mut() {
-                d.opt_stats.push(stats);
-            }
-        }
-        match data {
-            Some(d) => d.sites = crate::typeck::specialize_image_remarked(&mut image),
-            None => crate::typeck::specialize_image(&mut image),
-        }
-        crate::kernels::install_image(&mut image);
     }
-    image
+    (image, data)
+}
+
+/// Panic unless every function passes [`verify_fn`]: the interpreter's
+/// unchecked register and constant access relies on it.
+fn verify(image: &Image, pass: &str) {
+    for f in &image.funcs {
+        if let Err(e) = verify_fn(f, image.funcs.len()) {
+            panic!("{pass} produced invalid bytecode in fn `{}`: {e}", f.name);
+        }
+    }
 }
 
 /// Constant-pool key (floats by bit pattern so `-0.0`/`0.0` stay distinct).
@@ -221,7 +253,6 @@ impl<'a> FnCx<'a> {
             code: self.code,
             consts: self.consts,
             locals: self.locals_debug,
-            pre_opt: None,
             kernels: Vec::new(),
             templates: Vec::new(),
         }
@@ -1300,6 +1331,15 @@ fn main() void {
             "{}",
             disasm_fn(outlined)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "optimize produced invalid bytecode in fn `main`: pc 0:")]
+    fn verify_names_the_pass_and_the_function() {
+        let mut image = image_for("fn main() void { print(1); }");
+        let f = &mut image.funcs[0];
+        f.code.insert(0, Insn::Jump { to: 99 });
+        verify(&image, "optimize");
     }
 
     #[test]

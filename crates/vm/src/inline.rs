@@ -48,9 +48,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::bytecode::{CompiledFn, Image, Insn, PreOpt, Reg};
+use crate::bytecode::{CompiledFn, Image, Insn, Reg};
 use crate::compile::CKey;
-use crate::optimize::{falls_through, jump_target, retarget, verify_fn, visit_defs, visit_uses};
+use crate::optimize::{falls_through, jump_target, retarget, visit_defs, visit_uses};
 use crate::value::Value;
 
 /// Longest callee, in instructions before optimization, that is inlined.
@@ -169,17 +169,9 @@ pub(crate) fn inline_image(image: &mut Image) -> InlineData {
     for fi in order {
         if let Some(merged) = inline_into(image, fi, &mut data) {
             let f = &mut image.funcs[fi];
-            let pre = PreOpt {
-                code: std::mem::replace(&mut f.code, merged.code),
-                nconsts: f.consts.len(),
-                nregs: f.nregs,
-            };
+            f.code = merged.code;
             f.consts = merged.consts;
             f.nregs = merged.nregs;
-            f.pre_opt = Some(pre);
-            if let Err(e) = verify_fn(f, nfuncs) {
-                panic!("inlining produced invalid bytecode: {e}");
-            }
         }
         if !cyclic[fi] {
             data.verdicts[fi] = refusal(&image.funcs[fi]);
@@ -633,7 +625,7 @@ mod tests {
         );
         // It would fit if the budget were checked after `optimize`.
         let pre = zomp_front::preprocess(&src).unwrap();
-        let optimized =
+        let (optimized, _) =
             crate::compile::compile_image_opt(&zomp_front::parse(&pre).unwrap(), OptLevel::O3);
         assert!(optimized.get("h").unwrap().code.len() <= MAX_CALLEE_INSNS);
         assert_eq!(calls(&optimized, "main"), 1);

@@ -174,7 +174,7 @@ fn compile_inner(
             functions.insert(ast.token_text(node.main_token).to_string(), decl);
         }
     }
-    let code = crate::compile::compile_image_opt(&ast, opt);
+    let (code, _) = crate::compile::compile_image_opt(&ast, opt);
     Ok(Program {
         ast,
         functions,

@@ -36,8 +36,7 @@
 //! static specialization have already happened), which is what makes
 //! the shapes short and stable enough to match insn-by-insn.
 
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, PreOpt, Reg};
-use crate::optimize::verify_fn;
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::value::{ArrF, ArrI, Value};
 use std::sync::Arc;
 
@@ -644,20 +643,13 @@ fn lcg_callee(f: &CompiledFn) -> bool {
 /// every function as LCG-shaped or not so the loop matchers can see
 /// *through* `Call` boundaries without borrowing the image twice.
 pub fn install_image(image: &mut Image) {
-    let nfuncs = image.funcs.len();
     let lcg: Vec<bool> = image.funcs.iter().map(lcg_callee).collect();
     for f in &mut image.funcs {
-        install_fn(f, nfuncs, &lcg);
+        install_fn(f, &lcg);
     }
 }
 
-fn install_fn(f: &mut CompiledFn, nfuncs: usize, lcg: &[bool]) {
-    let orig = if f.pre_opt.is_none() {
-        Some(f.code.clone())
-    } else {
-        None
-    };
-    let mut installed = false;
+fn install_fn(f: &mut CompiledFn, lcg: &[bool]) {
     for pc in 0..f.code.len() {
         if f.kernels.len() >= u16::MAX as usize {
             break;
@@ -673,25 +665,12 @@ fn install_fn(f: &mut CompiledFn, nfuncs: usize, lcg: &[bool]) {
             label: loop_label(f, pc),
         });
         f.code[pc] = Insn::BulkLoop { kidx };
-        installed = true;
     }
     // Typed-template tier: generic loops that missed every fixed
     // kernel shape (runs second so the specialised kernels win the
     // overlap; skips pcs covered by an installed kernel span).
-    installed |= crate::templates::install_fn(f);
-    if installed {
-        rewrite_ws_begin_bulk(f);
-        if let Some(code) = orig {
-            f.pre_opt = Some(PreOpt {
-                code,
-                nconsts: f.consts.len(),
-                nregs: f.nregs,
-            });
-        }
-        if let Err(e) = verify_fn(f, nfuncs) {
-            panic!("kernel installation produced invalid bytecode: {e}");
-        }
-    }
+    crate::templates::install_fn(f);
+    rewrite_ws_begin_bulk(f);
 }
 
 /// Retarget the `omp.internal.ws_begin` call enclosing each installed

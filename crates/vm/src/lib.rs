@@ -23,6 +23,10 @@
 //! run as precompiled slice-level bulk kernels ([`kernels`]) or
 //! strip-mined typed templates ([`templates`]) over the raw `f64`/`i64`
 //! array storage, dispatched through the same work-sharing runtime.
+//! One pipeline, [`compile::compile_image_opt`], runs those passes in
+//! the order of [`compile::PASSES`] (inline, optimize, typeck, install),
+//! verifies the image after lowering and after each pass, and keeps what
+//! each pass recorded for `zag --remarks` ([`remarks`]).
 //!
 //! ```
 //! let out = zomp_vm::Vm::run(r#"

@@ -52,16 +52,17 @@
 //!
 //! # Verification
 //!
-//! [`verify_fn`] runs on every function both as it leaves `compile` and
-//! again after optimization. It proves all register operands `< nregs`,
-//! argument blocks in range, constant indices valid, jump targets
-//! in bounds, and the stream properly terminated. The interpreter's
-//! dispatch loop relies on this to use unchecked register access.
+//! The pipeline ([`crate::compile::compile_image_opt`]) runs [`verify_fn`]
+//! on every function after lowering and after every pass. It proves all
+//! register operands `< nregs`, argument blocks in range, constant
+//! indices valid, jump targets in bounds, and the stream properly
+//! terminated. The interpreter's dispatch loop relies on this to use
+//! unchecked register access.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::bytecode::{ArithOp, CompiledFn, Insn, PreOpt, Reg};
+use crate::bytecode::{ArithOp, CompiledFn, Insn, Reg};
 use crate::interp::{arith_token, binop, binop_arith, cmp_token};
 use crate::value::Value;
 
@@ -379,10 +380,10 @@ pub(crate) fn leaders(code: &[Insn]) -> Vec<bool> {
 /// Prove a compiled function safe to execute with unchecked register and
 /// constant access: every operand in range, every argument block inside
 /// the frame, every jump target inside the stream, and a terminator (or
-/// unconditional jump) last. Runs on both the raw compile output and the
-/// optimized stream; the interpreter's `rg`/`kc` helpers cite this.
+/// unconditional jump) last. The pipeline runs it after lowering and after
+/// every pass; the interpreter's `rg`/`kc` helpers cite this.
 pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
-    let bad = |pc: usize, what: String| Err(format!("fn `{}` pc {pc}: {what}", f.name));
+    let bad = |pc: usize, what: String| Err(format!("pc {pc}: {what}"));
     if f.nregs < f.nparams {
         return bad(0, format!("nregs {} < nparams {}", f.nregs, f.nparams));
     }
@@ -1244,17 +1245,10 @@ fn fuse(f: &mut CompiledFn) -> bool {
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Optimize one function in place at the given level. Keeps the original
-/// stream on [`CompiledFn::pre_opt`] when anything changed, and verifies
-/// the result — the interpreter's unchecked register access depends on
-/// every executed stream having passed [`verify_fn`].
-pub fn optimize_fn(f: &mut CompiledFn, opt: OptLevel, nfuncs: usize) {
-    optimize_fn_stats(f, opt, nfuncs);
-}
-
-/// [`optimize_fn`], additionally reporting what each pass did — the
-/// data source for `zag --remarks`.
-pub fn optimize_fn_stats(f: &mut CompiledFn, opt: OptLevel, nfuncs: usize) -> OptStats {
+/// Optimize one function in place at the given level and report what each
+/// rewrite did (the data source for `zag --remarks`). `_nfuncs` is unread:
+/// ROADMAP 1(b) drops it when `layers.rs` walks [`crate::compile::PASSES`].
+pub fn optimize_fn(f: &mut CompiledFn, opt: OptLevel, _nfuncs: usize) -> OptStats {
     let mut stats = OptStats::default();
     if opt == OptLevel::O0 {
         return stats;
@@ -1273,19 +1267,9 @@ pub fn optimize_fn_stats(f: &mut CompiledFn, opt: OptLevel, nfuncs: usize) -> Op
             break;
         }
     }
-    if f.code != orig_code {
-        // Inlining, when it touched `f`, already kept the stream as lowered.
-        f.pre_opt.get_or_insert(PreOpt {
-            code: orig_code,
-            nconsts: orig_nconsts,
-            nregs: f.nregs,
-        });
-    } else {
+    if f.code == orig_code {
         // Nothing changed; drop any constants folding may have parked.
         f.consts.truncate(orig_nconsts);
-    }
-    if let Err(e) = verify_fn(f, nfuncs) {
-        panic!("optimizer produced invalid bytecode: {e}");
     }
     stats
 }
@@ -1299,14 +1283,17 @@ mod tests {
     /// inlining, typeck or kernel install), so the tests read what the
     /// fuser emitted.
     fn image(src: &str, opt: OptLevel) -> Image {
-        let pre = zomp_front::preprocess(src).expect("preprocess");
-        let ast = zomp_front::parse(&pre).expect("parse");
-        let mut img = crate::compile::compile_image(&ast);
+        let mut img = lowered(src);
         let nfuncs = img.funcs.len();
         for f in &mut img.funcs {
             optimize_fn(f, opt, nfuncs);
         }
         img
+    }
+
+    fn lowered(src: &str) -> Image {
+        let pre = zomp_front::preprocess(src).expect("preprocess");
+        crate::compile::compile_image(&zomp_front::parse(&pre).expect("parse"))
     }
 
     fn count(image: &Image, name: &str, pred: impl Fn(&Insn) -> bool) -> usize {
@@ -1323,7 +1310,8 @@ mod tests {
     fn opt0_is_untouched() {
         let src = "fn main() void { var i: i64 = 0; while (i < 10) : (i += 1) { print(i); } }";
         let img = image(src, OptLevel::O0);
-        assert!(img.get("main").unwrap().pre_opt.is_none());
+        let main = |img: &Image| img.get("main").unwrap().code.clone();
+        assert_eq!(main(&img), main(&lowered(src)));
     }
 
     #[test]
@@ -1505,10 +1493,7 @@ mod tests {
 
     #[test]
     fn verify_rejects_bad_register() {
-        let src = "fn main() void { print(1); }";
-        let pre = zomp_front::preprocess(src).unwrap();
-        let ast = zomp_front::parse(&pre).unwrap();
-        let mut img = crate::compile::compile_image_opt(&ast, OptLevel::O0);
+        let mut img = lowered("fn main() void { print(1); }");
         let fi = img.by_name["main"];
         let f = &mut img.funcs[fi];
         f.code.insert(

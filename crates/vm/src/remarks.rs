@@ -1,9 +1,10 @@
 //! Optimization remarks (`zag --remarks[=json]`).
 //!
-//! Recompiles a program with the pipeline instrumented and reports,
-//! through the unified [`Diag`] API, what the tiered compiler actually
-//! did — the compile-time half of the observability layer (the runtime
-//! half is `zomp::trace` / `zag --profile`):
+//! Recompiles a program and reports, from the final image and what the
+//! passes recorded ([`PassData`]), through the unified [`Diag`] API, what
+//! the tiered compiler actually did — the compile-time half of the
+//! observability layer (the runtime half is `zomp::trace` / `zag
+//! --profile`):
 //!
 //! - **`kernel-installed`** — a loop lowered to one of the native
 //!   bulk-kernel shapes ([`KernelKind::NAMES`], `--opt=3`), named.
@@ -14,8 +15,8 @@
 //!   `has-loop`, `calls`, `omp-call`, `recursive`, `arity`, `indirect`,
 //!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`] — and a
 //!   runtime entry point or builtin says `runtime` / `builtin`),
-//!   `unsupported-op`, `dynamic-type`, or `shape`. The same
-//!   rows are exported structurally via [`kernel_misses`] so bench
+//!   `unsupported-op`, `dynamic-type`, or `shape`. The remarks render
+//!   the rows [`kernel_misses`] exports structurally, so bench
 //!   artifacts (`BENCH_tiers.json`) can embed them per loop.
 //! - **`inlined`** — a direct call replaced by its callee's body
 //!   (`--opt=3`, [`crate::inline`]), by its pc in the `[pre-opt]`
@@ -37,34 +38,30 @@ use std::fmt::Write as _;
 use zomp_front::Diag;
 
 use crate::bytecode::{CompiledFn, Image, Insn, OmpFn};
+use crate::compile::PassData;
 use crate::inline::{InlineData, Kept};
 use crate::kernels::KernelKind;
-use crate::optimize::{OptLevel, OptStats};
+use crate::optimize::{jump_target, OptLevel};
 use crate::typeck::SiteOutcome;
 use crate::value::Value;
 
-/// Per-pass statistics collected while
-/// [`crate::compile::compile_image_opt_collect`] runs, indexed like
-/// `image.funcs`.
-#[derive(Default)]
-pub struct PassData {
-    pub inline: InlineData,
-    pub opt_stats: Vec<OptStats>,
-    pub sites: Vec<Vec<SiteOutcome>>,
-}
-
-/// Compile `source` at `opt` with the pipeline instrumented and return
-/// the optimization remarks. `unit` labels pragma loops `unit:line`
-/// (normally the source path, as in `compile_named`).
-pub fn collect(source: &str, unit: &str, opt: OptLevel) -> Result<Vec<Diag>, Diag> {
+/// Preprocess and parse `source`, then run the compile pipeline at `opt`,
+/// keeping what the passes recorded.
+fn compile(source: &str, unit: &str, opt: OptLevel) -> Result<(Image, PassData), Diag> {
     let pre = zomp_front::preprocess::preprocess_named(source, unit)?;
     let ast = zomp_front::parse(&pre)?;
+    Ok(crate::compile::compile_image_opt(&ast, opt))
+}
+
+/// Compile `source` at `opt` and return the optimization remarks. `unit`
+/// labels pragma loops `unit:line` (normally the source path, as in
+/// `compile_named`).
+pub fn collect(source: &str, unit: &str, opt: OptLevel) -> Result<Vec<Diag>, Diag> {
+    let (image, data) = compile(source, unit, opt)?;
     if opt == OptLevel::O0 {
         // No pass runs on the oracle stream: nothing to remark on.
         return Ok(Vec::new());
     }
-    let mut data = PassData::default();
-    let image = crate::compile::compile_image_opt_collect(&ast, opt, Some(&mut data));
     Ok(assemble(source, &image, &data))
 }
 
@@ -83,7 +80,7 @@ fn assemble(source: &str, image: &Image, data: &PassData) -> Vec<Diag> {
             ));
         }
         if let Some(sites) = data.sites.get(fi) {
-            typeck_remarks(source, f, sites, &mut out);
+            typeck_remarks(f, sites, &mut out);
         }
         if let Some(stats) = data.opt_stats.get(fi) {
             if stats.any() {
@@ -113,17 +110,11 @@ fn kernel_remarks(
     out: &mut Vec<Diag>,
 ) {
     let f = &image.funcs[fi];
-    // Installed spans: the BulkLoop/TemplateLoop pc and everything to
-    // its exit — the replaced loop body (including any nested loop the
-    // shape subsumes, e.g. matvec-rows' inner gather) lives in that
-    // range.
-    let mut installed: Vec<(usize, usize)> = Vec::new();
     for (pc, insn) in f.code.iter().enumerate() {
         let Insn::BulkLoop { kidx } = insn else {
             continue;
         };
         let desc = &f.kernels[*kidx as usize];
-        installed.push((pc, desc.exit as usize));
         let mut d = Diag::remark(
             "kernel-installed",
             label_offset(source, desc.label),
@@ -147,7 +138,6 @@ fn kernel_remarks(
             continue;
         };
         let desc = &f.templates[*tidx as usize];
-        installed.push((pc, desc.exit as usize));
         let mut d = Diag::remark(
             "template-installed",
             label_offset(source, desc.label),
@@ -163,27 +153,49 @@ fn kernel_remarks(
         }
         out.push(d);
     }
-    for (head, tail) in loops_of(f) {
-        if installed.iter().any(|&(s, e)| head >= s && head < e) {
-            continue;
-        }
-        if is_chunk_pull_loop(f, head, tail) {
-            continue;
-        }
-        let (_, reason, note) = classify_miss(image, fi, inline, head, tail, &installed);
-        let label = miss_label(image, f, head);
+    for row in misses(image, fi, inline) {
         let d = Diag::remark(
             "kernel-missed",
-            label_offset(source, &label),
-            format!(
-                "fn `{}`: loop at pc {head}..{tail} not lowered to a bulk kernel: {reason}",
-                f.name
-            ),
-        )
-        .with_note(note)
-        .with_label(label);
-        out.push(d);
+            label_offset(source, &row.label),
+            row.message(),
+        );
+        out.push(d.with_note(row.note).with_label(row.label));
     }
+}
+
+/// The `kernel-missed` rows of function `fi`: every back-edge loop that
+/// no installed kernel or template span covers and that is not part of
+/// the worksharing protocol itself.
+fn misses(image: &Image, fi: usize, inline: &InlineData) -> Vec<MissRow> {
+    let f = &image.funcs[fi];
+    // Installed spans: the BulkLoop/TemplateLoop pc and everything to
+    // its exit — the replaced loop body (including any nested loop the
+    // shape subsumes, e.g. matvec-rows' inner gather) lives in that
+    // range.
+    let installed: Vec<(usize, usize)> = (f.code.iter().enumerate())
+        .filter_map(|(pc, insn)| match insn {
+            Insn::BulkLoop { kidx } => Some((pc, f.kernels[*kidx as usize].exit as usize)),
+            Insn::TemplateLoop { tidx } => Some((pc, f.templates[*tidx as usize].exit as usize)),
+            _ => None,
+        })
+        .collect();
+    (loops_of(f).into_iter())
+        .filter(|&(head, tail)| {
+            !installed.iter().any(|&(s, e)| head >= s && head < e)
+                && !is_chunk_pull_loop(f, head, tail)
+        })
+        .map(|(head, tail)| {
+            let (reason, note) = classify_miss(image, fi, inline, head, tail, &installed);
+            MissRow {
+                func: f.name.clone(),
+                label: miss_label(image, f, head),
+                head,
+                tail,
+                reason,
+                note,
+            }
+        })
+        .collect()
 }
 
 /// Label for a `kernel-missed` row. Loops under a worksharing pragma
@@ -236,9 +248,9 @@ fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
 /// each callee was not inlined, which is what would have to change),
 /// then an opcode no shape
 /// covers, then operand types the specializer could not prove, and
-/// finally a plain shape mismatch. Returns `(slug, human reason,
-/// note)`; the slug is the stable machine-readable vocabulary
-/// promised in the module docs. Instructions inside an `installed`
+/// finally a plain shape mismatch. Returns `(slug, note)`; the slug is
+/// the stable machine-readable vocabulary promised in the module docs
+/// ([`MissRow::reason`]). Instructions inside an `installed`
 /// kernel span are skipped: they were subsumed by a `BulkLoop` and no
 /// longer block the *enclosing* loop, so naming them (e.g. the
 /// `randlc` call inside an installed `lcg-fill`) would be noise.
@@ -249,7 +261,7 @@ fn classify_miss(
     head: usize,
     tail: usize,
     installed: &[(usize, usize)],
-) -> (&'static str, &'static str, String) {
+) -> (&'static str, String) {
     let f = &image.funcs[fi];
     let mut callees: Vec<String> = Vec::new();
     let mut push = |c: String| {
@@ -298,25 +310,21 @@ fn classify_miss(
     if !callees.is_empty() {
         (
             "call-boundary",
-            "call boundary",
             format!("calls that stayed calls: {}", callees.join(", ")),
         )
     } else if let Some(op) = unsupported {
         (
             "unsupported-op",
-            "unsupported opcode",
             format!("`{op}` has no bulk-kernel lowering"),
         )
     } else if let Some(op) = dynamic {
         (
             "dynamic-type",
-            "dynamic operand types",
             format!("`{op}` operands were not statically proven Int/Float"),
         )
     } else {
         (
             "shape",
-            "shape mismatch",
             format!(
                 "loop bounds/indexing structure matches none of the {} kernel shapes: {}",
                 KernelKind::NAMES.len(),
@@ -332,11 +340,14 @@ fn classify_miss(
 pub struct MissRow {
     /// Enclosing function name.
     pub func: String,
-    /// The worksharing pragma's `unit:line` label, `""` when the loop
-    /// sits outside any labelled pragma.
+    /// The loop's label (see `miss_label`): its worksharing pragma's
+    /// `unit:line`, the one pragma its function is called from, or
+    /// `fn:<name>`.
     pub label: String,
     /// Loop head pc in the final instruction stream.
     pub head: usize,
+    /// The loop's furthest back-edge pc.
+    pub tail: usize,
     /// Stable reason slug: `call-boundary`, `unsupported-op`,
     /// `dynamic-type`, or `shape`.
     pub reason: &'static str,
@@ -344,49 +355,33 @@ pub struct MissRow {
     pub note: String,
 }
 
-/// Recompile `source` at `--opt=3` and report every compute loop the
-/// kernel matcher left interpreted, with machine-readable reasons —
-/// the structural twin of the `kernel-missed` remarks.
-pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
-    let pre = zomp_front::preprocess::preprocess_named(source, unit)?;
-    let ast = zomp_front::parse(&pre)?;
-    let mut data = PassData::default();
-    let image = crate::compile::compile_image_opt_collect(&ast, OptLevel::O3, Some(&mut data));
-    let mut rows = Vec::new();
-    for (fi, f) in image.funcs.iter().enumerate() {
-        let installed: Vec<(usize, usize)> = f
-            .code
-            .iter()
-            .enumerate()
-            .filter_map(|(pc, insn)| match insn {
-                Insn::BulkLoop { kidx } => Some((pc, f.kernels[*kidx as usize].exit as usize)),
-                Insn::TemplateLoop { tidx } => {
-                    Some((pc, f.templates[*tidx as usize].exit as usize))
-                }
-                _ => None,
-            })
-            .collect();
-        for (head, tail) in loops_of(f) {
-            if installed.iter().any(|&(s, e)| head >= s && head < e) {
-                continue;
-            }
-            if is_chunk_pull_loop(f, head, tail) {
-                continue;
-            }
-            let (slug, _, note) = classify_miss(&image, fi, &data.inline, head, tail, &installed);
-            rows.push(MissRow {
-                func: f.name.clone(),
-                label: miss_label(&image, f, head),
-                head,
-                reason: slug,
-                note,
-            });
-        }
+impl MissRow {
+    /// The message of this row's `kernel-missed` remark.
+    pub fn message(&self) -> String {
+        let reason = match self.reason {
+            "call-boundary" => "call boundary",
+            "unsupported-op" => "unsupported opcode",
+            "dynamic-type" => "dynamic operand types",
+            _ => "shape mismatch",
+        };
+        format!(
+            "fn `{}`: loop at pc {}..{} not lowered to a bulk kernel: {reason}",
+            self.func, self.head, self.tail
+        )
     }
-    Ok(rows)
 }
 
-fn typeck_remarks(source: &str, f: &CompiledFn, sites: &[SiteOutcome], out: &mut Vec<Diag>) {
+/// Recompile `source` at `--opt=3` and report every compute loop the
+/// kernel matcher left interpreted, with machine-readable reasons —
+/// the rows the `kernel-missed` remarks render.
+pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
+    let (image, data) = compile(source, unit, OptLevel::O3)?;
+    Ok((0..image.funcs.len())
+        .flat_map(|fi| misses(&image, fi, &data.inline))
+        .collect())
+}
+
+fn typeck_remarks(f: &CompiledFn, sites: &[SiteOutcome], out: &mut Vec<Diag>) {
     if sites.is_empty() {
         return;
     }
@@ -415,7 +410,6 @@ fn typeck_remarks(source: &str, f: &CompiledFn, sites: &[SiteOutcome], out: &mut
             ),
         ));
     }
-    let _ = source;
 }
 
 /// Whether the loop `head..=tail` claims chunks: the `while (ws_next(ws))`
@@ -438,16 +432,8 @@ fn is_chunk_pull_loop(f: &CompiledFn, head: usize, tail: usize) -> bool {
 fn loops_of(f: &CompiledFn) -> Vec<(usize, usize)> {
     let mut map: BTreeMap<usize, usize> = BTreeMap::new();
     for (pc, insn) in f.code.iter().enumerate() {
-        let to = match *insn {
-            Insn::Jump { to }
-            | Insn::JumpIfFalse { to, .. }
-            | Insn::JumpIfTrue { to, .. }
-            | Insn::CmpJumpFalse { to, .. }
-            | Insn::CmpJumpFalseII { to, .. }
-            | Insn::CmpJumpFalseFF { to, .. }
-            | Insn::IncCmpJump { to, .. }
-            | Insn::IncJump { to, .. } => to as usize,
-            _ => continue,
+        let Some(to) = jump_target(insn).map(|t| t as usize) else {
+            continue;
         };
         if to <= pc {
             let e = map.entry(to).or_insert(pc);

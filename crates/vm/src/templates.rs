@@ -2551,8 +2551,8 @@ fn lower(
 
 /// Install templates in one function. Runs inside the kernel
 /// installer after the fixed kernels, skipping any pc covered by an
-/// installed kernel's span. Returns whether anything was installed.
-pub(crate) fn install_fn(f: &mut CompiledFn) -> bool {
+/// installed kernel's span.
+pub(crate) fn install_fn(f: &mut CompiledFn) {
     let spans: Vec<(usize, usize)> = f
         .code
         .iter()
@@ -2563,7 +2563,6 @@ pub(crate) fn install_fn(f: &mut CompiledFn) -> bool {
         })
         .collect();
     let covered = |pc: usize| spans.iter().any(|&(s, e)| pc >= s && pc < e);
-    let mut installed = false;
     for pc in 0..f.code.len() {
         if f.templates.len() >= u16::MAX as usize {
             break;
@@ -2582,9 +2581,7 @@ pub(crate) fn install_fn(f: &mut CompiledFn) -> bool {
             prog: Arc::new(prog),
         });
         f.code[pc] = Insn::TemplateLoop { tidx };
-        installed = true;
     }
-    installed
 }
 
 #[cfg(test)]
@@ -2600,7 +2597,6 @@ mod tests {
             code,
             consts,
             locals: Vec::new(),
-            pre_opt: None,
             kernels: Vec::new(),
             templates: Vec::new(),
         }

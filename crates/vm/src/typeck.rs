@@ -33,9 +33,9 @@
 //! native kernels — re-checks types at runtime and deopts to the
 //! generic path, so a wrong guess costs speed, never behavior.
 
-use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, OmpFn, PreOpt, Reg};
+use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::ir;
-use crate::optimize::{verify_fn, visit_defs};
+use crate::optimize::visit_defs;
 use crate::value::Value;
 
 /// Static type of a register slot. One variant per runtime
@@ -734,13 +734,13 @@ fn specialize_insn(insn: &Insn, env: &[Ty]) -> Option<Insn> {
 /// Statically specialize every function in the image in place
 /// (`--opt=3`). Sites whose operands inference can prove Int/Float
 /// get their specialized opcode emitted directly; everything else
-/// stays generic.
-pub fn specialize_image(image: &mut Image) {
+/// stays generic. Returns every specializable site's outcome per
+/// function — the data source for `--remarks`.
+pub fn specialize_image(image: &mut Image) -> Vec<Vec<SiteOutcome>> {
     let types = infer_image(image);
-    let nfuncs = image.funcs.len();
-    for (fi, f) in image.funcs.iter_mut().enumerate() {
-        specialize_fn(f, &types.fns[fi], &types.rets, nfuncs, None);
-    }
+    (image.funcs.iter_mut().enumerate())
+        .map(|(fi, f)| specialize_fn(f, &types.fns[fi], &types.rets))
+        .collect()
 }
 
 /// Outcome of one statically-specializable site, reported through
@@ -758,29 +758,16 @@ pub struct SiteOutcome {
     pub operands: Vec<Ty>,
 }
 
-/// [`specialize_image`], additionally reporting every specializable
-/// site's outcome per function — the data source for `--remarks`.
-pub fn specialize_image_remarked(image: &mut Image) -> Vec<Vec<SiteOutcome>> {
-    let types = infer_image(image);
-    let nfuncs = image.funcs.len();
-    let mut all = Vec::with_capacity(image.funcs.len());
-    for (fi, f) in image.funcs.iter_mut().enumerate() {
-        let mut sink = Vec::new();
-        specialize_fn(f, &types.fns[fi], &types.rets, nfuncs, Some(&mut sink));
-        all.push(sink);
-    }
-    all
-}
-
-/// The generic opcode name and operand registers of a specializable
-/// site, or `None` for every other instruction.
-fn site_shape(insn: &Insn) -> Option<(&'static str, Vec<Reg>)> {
+/// The generic opcode name and operand types (under `env`) of a
+/// specializable site, or `None` for every other instruction.
+fn site_shape(insn: &Insn, env: &[Ty]) -> Option<(&'static str, Vec<Ty>)> {
+    let t = |r: Reg| env[r as usize];
     match *insn {
-        Insn::Arith { a, b, .. } => Some(("arith", vec![a, b])),
-        Insn::Cmp { a, b, .. } => Some(("cmp", vec![a, b])),
-        Insn::CmpJumpFalse { a, b, .. } => Some(("cmp_jf", vec![a, b])),
-        Insn::Index { arr, idx, .. } => Some(("index", vec![arr, idx])),
-        Insn::IndexSet { arr, idx, src } => Some(("index_set", vec![arr, idx, src])),
+        Insn::Arith { a, b, .. } => Some(("arith", vec![t(a), t(b)])),
+        Insn::Cmp { a, b, .. } => Some(("cmp", vec![t(a), t(b)])),
+        Insn::CmpJumpFalse { a, b, .. } => Some(("cmp_jf", vec![t(a), t(b)])),
+        Insn::Index { arr, idx, .. } => Some(("index", vec![t(arr), t(idx)])),
+        Insn::IndexSet { arr, idx, src } => Some(("index_set", vec![t(arr), t(idx), t(src)])),
         _ => None,
     }
 }
@@ -802,20 +789,9 @@ fn spec_name(insn: &Insn) -> &'static str {
     }
 }
 
-fn specialize_fn(
-    f: &mut CompiledFn,
-    types: &FnTypes,
-    rets: &[Ty],
-    nfuncs: usize,
-    mut sink: Option<&mut Vec<SiteOutcome>>,
-) {
+fn specialize_fn(f: &mut CompiledFn, types: &FnTypes, rets: &[Ty]) -> Vec<SiteOutcome> {
     let fir = ir::lift(f);
-    let orig = if f.pre_opt.is_none() {
-        Some(f.code.clone())
-    } else {
-        None
-    };
-    let mut changed = false;
+    let mut sites = Vec::new();
     for (b, blk) in fir.blocks.iter().enumerate() {
         let Some(entry) = &types.entry[b] else {
             continue;
@@ -824,31 +800,19 @@ fn specialize_fn(
         for pc in blk.start..=blk.end {
             let insn = f.code[pc];
             let spec = specialize_insn(&insn, &env);
-            if let (Some(out), Some((name, regs))) = (sink.as_deref_mut(), site_shape(&insn)) {
-                out.push(SiteOutcome {
+            if let Some((name, operands)) = site_shape(&insn, &env) {
+                sites.push(SiteOutcome {
                     pc: pc as u32,
                     insn: name,
                     specialized: spec.as_ref().map(spec_name),
-                    operands: regs.iter().map(|&r| env[r as usize]).collect(),
+                    operands,
                 });
             }
             if let Some(spec) = spec {
                 f.code[pc] = spec;
-                changed = true;
             }
             transfer(&insn, &mut env, f, rets);
         }
     }
-    if changed {
-        if let Some(code) = orig {
-            f.pre_opt = Some(PreOpt {
-                code,
-                nconsts: f.consts.len(),
-                nregs: f.nregs,
-            });
-        }
-        if let Err(e) = verify_fn(f, nfuncs) {
-            panic!("type specialization produced invalid bytecode: {e}");
-        }
-    }
+    sites
 }

@@ -18,6 +18,7 @@
 //! ```
 
 use zomp_vm::bytecode::{disasm, disasm_stages};
+use zomp_vm::compile::compile_image;
 use zomp_vm::OptLevel;
 
 const PROGRAM: &str = r#"fn main() void {
@@ -51,6 +52,12 @@ fn assert_golden(got: &str, golden: &str) {
     );
 }
 
+/// `zag --dump-bytecode`'s listing of `program`: its image next to the
+/// same program lowered again.
+fn stages(program: &zomp_vm::Program) -> String {
+    disasm_stages(&compile_image(&program.ast), &program.code)
+}
+
 fn check(opt: OptLevel, golden: &str) {
     let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), opt).expect("compile");
     // O0 keeps the historical single-stage golden; the optimized level
@@ -58,7 +65,7 @@ fn check(opt: OptLevel, golden: &str) {
     let got = if opt == OptLevel::O0 {
         disasm(&program.code)
     } else {
-        disasm_stages(&program.code)
+        stages(&program)
     };
     assert_golden(&got, golden);
 }
@@ -187,7 +194,7 @@ fn outlined_stages(src: &str) -> (String, String) {
     let program = zomp_vm::compile_opt(src, None, OptLevel::O3).expect("compile");
     let mut golden = "--opt=3\n".to_string();
     let mut optimized = String::new();
-    for listing in disasm_stages(&program.code).split("\n\n") {
+    for listing in stages(&program).split("\n\n") {
         if listing.starts_with("fn __omp_outlined_0") {
             golden.push_str(listing);
             golden.push_str("\n\n");

@@ -8,6 +8,7 @@
 //! exact error.
 
 use zomp_vm::bytecode::disasm_fn;
+use zomp_vm::compile::{compile_image, PassData, PASSES};
 use zomp_vm::typeck::{infer_image, Ty};
 use zomp_vm::{Backend, OptLevel, Vm};
 
@@ -15,17 +16,17 @@ fn build(src: &str, opt: OptLevel) -> Vm {
     Vm::build(src, None, Backend::Bytecode, opt).unwrap_or_else(|e| panic!("{}", e.render(src)))
 }
 
-/// The image as the specializer leaves it — lowered, optimized, typed —
-/// before the kernel tier replaces loop heads with `bulkloop` /
-/// `templateloop`.
+/// The image as the specializer leaves it — lowered, then run through
+/// [`PASSES`] up to and including `typeck` — before the kernel tier
+/// replaces loop heads with `bulkloop` / `templateloop`.
 fn specialized(src: &str) -> zomp_vm::bytecode::Image {
     let pre = zomp_front::preprocess(src).expect("preprocess");
-    let mut image = zomp_vm::compile::compile_image(&zomp_front::parse(&pre).expect("parse"));
-    let nfuncs = image.funcs.len();
-    for f in &mut image.funcs {
-        zomp_vm::optimize::optimize_fn(f, OptLevel::O3, nfuncs);
+    let mut image = compile_image(&zomp_front::parse(&pre).expect("parse"));
+    let mut data = PassData::default();
+    let typeck = PASSES.iter().position(|p| p.name == "typeck").unwrap();
+    for pass in &PASSES[..=typeck] {
+        (pass.run)(&mut image, &mut data);
     }
-    zomp_vm::typeck::specialize_image(&mut image);
     image
 }
 
