@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use npb::cg::makea::makea;
 use npb::class::{CgParams, Class};
+use zomp::json::{obj, Json};
 use zomp::profile::{self, LoopTier};
 use zomp_bench::ports::{ZAG_EP, ZAG_MATVEC, ZAG_RANK};
 use zomp_vm::value::{ArrF, ArrI, Value};
@@ -139,67 +140,45 @@ fn run_is() -> Vec<LoopTier> {
     })
 }
 
-/// JSON-escape for the strings embedded below (labels, notes).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// The port's `kernel-missed` rows (machine-readable reason slugs from
-/// `zomp_vm::remarks`), rendered as a JSON array.
-fn missed_json(source: &str, unit: &str) -> String {
+/// `zomp_vm::remarks`).
+fn missed_json(source: &str, unit: &str) -> Json {
     let rows = zomp_vm::remarks::kernel_misses(source, unit).expect("remarks recompile");
-    if rows.is_empty() {
-        return "[]".into();
-    }
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "        {{\"fn\": \"{}\", \"loop\": \"{}\", \"pc\": {}, \"reason\": \"{}\", \
-                 \"note\": \"{}\"}}",
-                esc(&r.func),
-                esc(&r.label),
-                r.head,
-                r.reason,
-                esc(&r.note),
-            )
-        })
-        .collect();
-    format!("[\n{}\n      ]", items.join(",\n"))
+    let rows = rows.into_iter().map(|r| {
+        obj([
+            ("fn", Json::Str(r.func)),
+            ("loop", Json::Str(r.label)),
+            ("pc", Json::Int(r.head as i64)),
+            ("reason", r.reason.into()),
+            ("note", Json::Str(r.note)),
+        ])
+    });
+    Json::Arr(rows.collect())
 }
 
-fn port_json(name: &str, tiers: &[LoopTier], missed: &str) -> String {
+/// Share of the port's iterations that ran natively, in `[0, 1]`.
+fn native_frac(tiers: &[LoopTier]) -> f64 {
     let total: u64 = tiers.iter().map(|t| t.total_iters).sum();
     let native: u64 = tiers.iter().map(|t| t.native_iters).sum();
-    let bails: u64 = tiers.iter().map(|t| t.bails).sum();
-    let deopts: u64 = tiers.iter().map(|t| t.deopts).sum();
-    let loops: Vec<String> = tiers
-        .iter()
-        .map(|t| {
-            format!(
-                "      {{\"loop\": \"{}\", \"spans\": {}, \"iters\": {}, \"native_iters\": {}, \
-                 \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}}}",
-                t.label,
-                t.dispatches,
-                t.total_iters,
-                t.native_iters,
-                t.native_frac(),
-                t.bails,
-                t.deopts,
-            )
-        })
-        .collect();
-    format!(
-        "    \"{name}\": {{\n      \"native_frac\": {:.4},\n      \"bails\": {bails},\n      \
-         \"deopts\": {deopts},\n      \"loops\": [\n{}\n      ],\n      \
-         \"kernel_missed\": {missed}\n    }}",
-        if total == 0 {
-            0.0
-        } else {
-            native as f64 / total as f64
-        },
-        loops.join(",\n"),
-    )
+    if total == 0 {
+        0.0
+    } else {
+        native as f64 / total as f64
+    }
+}
+
+fn port_json(tiers: &[LoopTier], missed: Json) -> Json {
+    let sum = |count: fn(&LoopTier) -> u64| Json::Int(tiers.iter().map(count).sum::<u64>() as i64);
+    obj([
+        ("native_frac", Json::Float(native_frac(tiers))),
+        ("bails", sum(|t| t.bails)),
+        ("deopts", sum(|t| t.deopts)),
+        (
+            "loops",
+            Json::Arr(tiers.iter().map(LoopTier::to_json).collect()),
+        ),
+        ("kernel_missed", missed),
+    ])
 }
 
 /// CI guard: the CG port's dynamic matvec loop, the EP port's batch
@@ -234,20 +213,12 @@ fn smoke() -> ! {
         // fixed kernel now (histogram, scatter, the fused rank
         // pipeline), so a single majority-native loop is not enough —
         // the port as a whole must run mostly native.
-        if name == "IS" {
-            let total: u64 = tiers.iter().map(|t| t.total_iters).sum();
-            let native: u64 = tiers.iter().map(|t| t.native_iters).sum();
-            if total == 0 || (native as f64) / (total as f64) <= 0.5 {
-                eprintln!(
-                    "tier-bench --smoke: IS aggregate native residency {:.1}% is not a majority",
-                    if total == 0 {
-                        0.0
-                    } else {
-                        100.0 * native as f64 / total as f64
-                    }
-                );
-                failed = true;
-            }
+        if name == "IS" && native_frac(&tiers) <= 0.5 {
+            eprintln!(
+                "tier-bench --smoke: IS aggregate native residency {:.1}% is not a majority",
+                100.0 * native_frac(&tiers)
+            );
+            failed = true;
         }
     }
     if failed {
@@ -288,27 +259,25 @@ fn main() {
     let is = run_is();
 
     let meta = zomp_bench::meta::json_object();
-    let json = format!(
-        "{{\n  \"meta\": {meta},\n  \"threads\": {THREADS},\n  \"ports\": {{\n{},\n{},\n{}\n  }}\n}}\n",
-        port_json("cg", &cg, &missed_json(ZAG_MATVEC, "cg.zag")),
-        port_json("ep", &ep, &missed_json(ZAG_EP, "ep.zag")),
-        port_json("is", &is, &missed_json(ZAG_RANK, "is.zag")),
-    );
+    let json = obj([
+        ("meta", Json::parse(&meta).expect("the meta stamp is JSON")),
+        ("threads", Json::Int(THREADS)),
+        (
+            "ports",
+            obj([
+                ("cg", port_json(&cg, missed_json(ZAG_MATVEC, "cg.zag"))),
+                ("ep", port_json(&ep, missed_json(ZAG_EP, "ep.zag"))),
+                ("is", port_json(&is, missed_json(ZAG_RANK, "is.zag"))),
+            ]),
+        ),
+    ])
+    .render();
     std::fs::write(&out, &json).expect("write BENCH_tiers.json");
-    print!("{json}");
-    let frac = |tiers: &[LoopTier]| {
-        let total: u64 = tiers.iter().map(|t| t.total_iters).sum();
-        let native: u64 = tiers.iter().map(|t| t.native_iters).sum();
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * native as f64 / total as f64
-        }
-    };
+    println!("{json}");
     eprintln!(
         "native iteration share: cg {:.1}%, ep {:.1}%, is {:.1}% -> {out}",
-        frac(&cg),
-        frac(&ep),
-        frac(&is)
+        100.0 * native_frac(&cg),
+        100.0 * native_frac(&ep),
+        100.0 * native_frac(&is)
     );
 }

@@ -196,7 +196,7 @@ impl Barrier {
         if self.n == 1 {
             return Ok(true);
         }
-        let t0 = crate::trace::barrier_begin();
+        let t0 = crate::trace::stamp();
         // `None`: this thread arrived last and waited for nobody.
         let waited = match &self.core {
             BarrierCore::Central(c) => c.wait(),

@@ -1,17 +1,27 @@
-//! A small JSON value type with a recursive-descent parser and a writer.
+//! The workspace's one JSON value type, with its writer and its parser.
 //!
-//! The workspace's vendored `serde_json` stand-in is serialize-only, and
-//! the service needs to *read* request bodies, so `zagd` carries its own
-//! parser. It covers the full JSON grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null) and distinguishes integers from
-//! floats — the request decoder maps them onto the VM's `Int`/`Float`
-//! value split, where `4` and `4.0` are different types.
+//! Every JSON document the system writes is a [`Json`] value rendered by
+//! [`Json::render`]: the Chrome trace and metrics dumps of [`crate::trace`],
+//! `zag --profile=json` and `--remarks=json`, and every `zagd` response.
+//! Every document it reads (`zagd` request bodies, and the tests that check
+//! the written ones) goes through [`Json::parse`]. Output is compact, with
+//! object keys in sorted order; nothing promises a line layout.
+//!
+//! The parser takes the RFC 8259 grammar (surrogate pairs included) and
+//! distinguishes integers from floats — the request decoder maps them onto
+//! the VM's `Int`/`Float` value split, where `4` and `4.0` are different
+//! types. It recurses once per nesting level, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`] rather than overflow its stack on
+//! hostile input.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Objects keep sorted key order (`BTreeMap`) so
-/// serialization is deterministic.
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// A JSON value. Objects keep sorted key order (`BTreeMap`) so rendering
+/// is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -29,7 +39,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let b = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -80,7 +90,7 @@ impl Json {
         }
     }
 
-    /// Serialize back to compact JSON text.
+    /// Serialize to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -178,8 +188,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -195,7 +209,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -220,7 +234,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -260,34 +274,66 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let n = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        // Surrogate pairs are not reassembled; the BMP
-                        // covers every escape the service itself emits.
-                        out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(parse_unicode_escape(b, pos)?),
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
             }
-            Some(&c) => {
-                // Multi-byte UTF-8 passes through untouched.
+            Some(_) => {
+                // Copy the run up to the next quote, escape or control
+                // byte; those are ASCII, so the run is whole UTF-8.
                 let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && b[*pos] & 0xc0 == 0x80 {
+                while b
+                    .get(*pos)
+                    .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                {
                     *pos += 1;
                 }
+                if *pos == start {
+                    return Err(format!("control character in string at byte {pos}"));
+                }
                 out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?);
-                let _ = c;
             }
         }
     }
+}
+
+/// The character of the `\u` escape whose `u` is at `pos`: one BMP code
+/// point, or a surrogate pair written as two escapes. Leaves `pos` on the
+/// escape's last hex digit.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos;
+    let unpaired = || format!("unpaired surrogate at byte {at}");
+    let hi = parse_hex4(b, pos)?;
+    let code = match hi {
+        0xd800..=0xdbff => {
+            if b.get(*pos + 1..*pos + 3) != Some(&b"\\u"[..]) {
+                return Err(unpaired());
+            }
+            *pos += 2;
+            let lo = parse_hex4(b, pos)?;
+            if !(0xdc00..=0xdfff).contains(&lo) {
+                return Err(unpaired());
+            }
+            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+        }
+        0xdc00..=0xdfff => return Err(unpaired()),
+        _ => hi,
+    };
+    char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"))
+}
+
+/// The four hex digits after the `u` at `pos`; moves `pos` onto the last
+/// of them.
+fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let n = (b.get(*pos + 1..*pos + 5))
+        .and_then(|h| {
+            h.iter()
+                .try_fold(0, |n, &c| Some(n * 16 + char::from(c).to_digit(16)?))
+        })
+        .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+    *pos += 4;
+    Ok(n)
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -347,9 +393,54 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "12 34", "nul", ""] {
+        for bad in [
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "12 34",
+            "nul",
+            "",
+            // RFC 8259: raw control characters must be escaped.
+            "\"a\tb\"",
+            "\"a\nb\"",
+            // Lone or reversed surrogates encode no character, and a `\u`
+            // takes exactly four hex digits.
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\u+123""#,
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs() {
+        // Python's `json.dumps` writes non-BMP characters this way.
+        let u = |hex: &str| format!("\\u{hex}");
+        let text = format!("\"a{}{}b{}\"", u("d83d"), u("de00"), u("00e9"));
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}b\u{e9}"));
+        // Raw UTF-8 passes through and renders unescaped.
+        let raw = Json::parse("\"\u{1f600}\"").unwrap();
+        assert_eq!(raw, Json::from("\u{1f600}"));
+        assert_eq!(raw.render(), "\"\u{1f600}\"");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Objects count too, and the check fires long before the stack
+        // depth a 100 000-deep document would need.
+        let deep = "{\"a\":".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

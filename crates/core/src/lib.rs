@@ -52,6 +52,7 @@ pub mod atomic;
 pub mod barrier;
 pub mod config;
 pub mod icv;
+pub mod json;
 pub mod kmpc;
 pub mod omp;
 pub mod pad;

@@ -33,6 +33,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use crate::json::{obj, Json};
 use crate::trace::{self, Event, EventKind};
 
 /// Turn region instrumentation on (event rings + counters).
@@ -246,6 +247,20 @@ pub struct LoopTier {
 }
 
 impl LoopTier {
+    /// This row as a JSON object, keyed like the `--profile` tier table.
+    pub fn to_json(&self) -> Json {
+        let int = |v: u64| Json::Int(v as i64);
+        obj([
+            ("loop", Json::Str(self.label.clone())),
+            ("spans", int(self.dispatches)),
+            ("iters", int(self.total_iters)),
+            ("native_iters", int(self.native_iters)),
+            ("native_frac", Json::Float(self.native_frac())),
+            ("bails", int(self.bails)),
+            ("deopts", int(self.deopts)),
+        ])
+    }
+
     /// Fraction of iterations that ran natively, in `[0, 1]`.
     pub fn native_frac(&self) -> f64 {
         if self.total_iters == 0 {
@@ -388,52 +403,25 @@ pub fn render_breakdown() -> String {
 /// Render the whole profile — per-construct breakdown joined with the
 /// per-loop tier residency — as one JSON object (`zag --profile=json`).
 pub fn render_json() -> String {
-    fn esc(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
-    let ns = |d: Duration| d.as_nanos() as u64;
-    let mut s = String::from("{\n  \"breakdown\": [\n");
-    let rows = breakdown();
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"region\": \"{}\", \"calls\": {}, \"busy_ns\": {}, \"compute_ns\": {}, \
-             \"dispatch_ns\": {}, \"barrier_ns\": {}, \"reduction_ns\": {}, \"join_ns\": {}}}{}\n",
-            esc(&r.label),
-            r.invocations,
-            ns(r.busy),
-            ns(r.compute),
-            ns(r.dispatch),
-            ns(r.barrier),
-            ns(r.reduction),
-            ns(r.join),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n  \"tiers\": [\n");
-    let tiers = tier_report();
-    for (i, t) in tiers.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"loop\": \"{}\", \"spans\": {}, \"iters\": {}, \"native_iters\": {}, \
-             \"native_frac\": {:.4}, \"bails\": {}, \"deopts\": {}}}{}\n",
-            esc(&t.label),
-            t.dispatches,
-            t.total_iters,
-            t.native_iters,
-            t.native_frac(),
-            t.bails,
-            t.deopts,
-            if i + 1 < tiers.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let ns = |d: Duration| Json::Int(d.as_nanos() as i64);
+    let regions = breakdown().into_iter().map(|r| {
+        obj([
+            ("region", Json::Str(r.label)),
+            ("calls", Json::Int(r.invocations as i64)),
+            ("busy_ns", ns(r.busy)),
+            ("compute_ns", ns(r.compute)),
+            ("dispatch_ns", ns(r.dispatch)),
+            ("barrier_ns", ns(r.barrier)),
+            ("reduction_ns", ns(r.reduction)),
+            ("join_ns", ns(r.join)),
+        ])
+    });
+    let tiers = tier_report().iter().map(LoopTier::to_json).collect();
+    obj([
+        ("breakdown", Json::Arr(regions.collect())),
+        ("tiers", Json::Arr(tiers)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -682,7 +682,7 @@ where
     let _region = RegionGuard {
         label,
         threads: n,
-        t0: trace::region_begin(label, n),
+        t0: trace::stamp(),
     };
 
     if n == 1 {

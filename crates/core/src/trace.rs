@@ -2,32 +2,30 @@
 //! and barrier counters, and Chrome-trace / JSON exporters.
 //!
 //! OpenMP exposes runtime introspection through the OMPT tool interface:
-//! a tool registers callbacks and the runtime reports fork/join, dispatch
-//! and synchronisation activity. This module is that layer for zomp,
-//! designed around the constraint the paper's §VI profiling proposal
-//! implies ("similar to that of gprof" — always compiled in, negligible
-//! when off):
+//! the runtime reports fork/join, dispatch and synchronisation activity
+//! to a tool. This module is that layer for zomp, designed around the
+//! constraint the paper's §VI profiling proposal implies ("similar to that
+//! of gprof" — always compiled in, negligible when off). The runtime
+//! reports what it saw through two sinks, each switched by one bit of a
+//! mode byte:
 //!
-//! * **Disabled path**: one relaxed load of a mode byte ([`mode`]). No
+//! * **Disabled path**: one relaxed load of the mode byte ([`mode`]). No
 //!   timestamps, no allocation, no locks.
-//! * **Enabled path**: events go to *lock-free per-thread rings* —
+//! * **Events** ([`EVENTS`]): spans go to *lock-free per-thread rings* —
 //!   cache-line padded, fixed capacity ([`RING_CAP`]), owner-only writes
 //!   published with a single release store. A full ring drops new events
 //!   and counts them ([`MetricsSnapshot::events_dropped`]); earlier events
 //!   are never corrupted.
-//! * **Counters**: per-thread relaxed counters (chunks owned vs stolen,
-//!   steal failures, barrier spin vs park resolutions, dispatch init/fini
-//!   calls, …) folded into a [`MetricsSnapshot`] on demand.
-//! * **Callbacks**: an OMPT-flavoured [`Probe`] stream
-//!   (`ParallelBegin/End`, `LoopDispatch`, `ChunkAcquired`,
-//!   `BarrierEnter/Exit`, `ReductionCombine`, `TaskWait`) for tools that
-//!   want live events instead of post-mortem rings.
+//! * **Counters** ([`COUNTERS`]): per-thread relaxed counters (chunks
+//!   owned vs stolen, steal failures, barrier spin vs park resolutions,
+//!   dispatch init/fini calls, …) folded into a [`MetricsSnapshot`] on
+//!   demand.
 //!
-//! Two exporters: [`chrome_trace_json`] emits the Chrome Trace Event
-//! Format (load the file in `chrome://tracing` or Perfetto: one row per OS
-//! thread, one slice per region / loop / chunk / barrier wait), and
-//! [`metrics_json`] dumps the counter snapshot. Both are also reachable
-//! without code changes through the `ZOMP_TRACE=<path>` and
+//! Two exporters build [`Json`] documents: [`chrome_trace_json`] in the
+//! Chrome Trace Event Format (load the file in `chrome://tracing` or
+//! Perfetto: one row per OS thread, one slice per region / loop / chunk /
+//! barrier wait), and [`metrics_json`] from the counter snapshot. Both are
+//! also reachable without code changes through the `ZOMP_TRACE=<path>` and
 //! `ZOMP_METRICS=<path>` environment variables (see [`init_from_env`] /
 //! [`finish`], called by the shipped binaries).
 //!
@@ -39,12 +37,13 @@
 
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::json::{obj, Json};
 use crate::pad::CachePadded;
 use crate::schedule::ChunkOrigin;
 
@@ -56,8 +55,6 @@ use crate::schedule::ChunkOrigin;
 pub const COUNTERS: u8 = 1;
 /// Mode bit: record events into the per-thread rings (exporters, profile).
 pub const EVENTS: u8 = 2;
-/// Mode bit: invoke registered [`Probe`] callbacks.
-pub const CALLBACKS: u8 = 4;
 
 /// The global observability mode byte. Relaxed everywhere: it is an
 /// independent on/off switch; recorded data is ordered by the rings' own
@@ -113,9 +110,10 @@ pub fn now_ns() -> u64 {
     (epoch().elapsed().as_nanos() as u64).max(1)
 }
 
-/// [`now_ns`] when any instrumentation is on, else the 0 sentinel. The
-/// `*_end` helpers skip event/callback emission for sentinel begins (the
-/// mode flipped mid-span), keeping spans internally consistent.
+/// [`now_ns`] when any instrumentation is on, else the 0 sentinel: the
+/// begin stamp of a region, barrier wait or join wait. The `*_end` helpers
+/// record no event for a sentinel begin (the mode flipped mid-span),
+/// keeping spans internally consistent.
 #[inline]
 pub(crate) fn stamp() -> u64 {
     if mode() == 0 {
@@ -156,9 +154,9 @@ pub enum EventKind {
     /// One atomic merge into a reduction cell.
     ReductionCombine,
     /// One native bulk-kernel execution (`--opt=3` tier): `a` = iterations
-    /// completed natively, `b` = 1 if the kernel bailed back to the
-    /// interpreter mid-loop. Labelled with the worksharing pragma's
-    /// `unit:line` (falling back to the kernel shape name).
+    /// completed natively, `b` = the loop-head pc it ran at. Labelled with
+    /// the worksharing pragma's `unit:line` (falling back to the kernel
+    /// shape name). A bail is the [`EventKind::KernelBail`] beside it.
     BulkLoop,
     /// A kernel bail, recorded alongside its [`EventKind::BulkLoop`] span:
     /// the label is the machine-readable reason, `a` = the loop-head pc,
@@ -435,128 +433,31 @@ pub fn location_label(loc: &'static std::panic::Location<'static>) -> &'static s
 }
 
 // ---------------------------------------------------------------------------
-// Callbacks (the OMPT-flavoured tool interface)
-// ---------------------------------------------------------------------------
-
-/// A live runtime event, delivered to registered callbacks. Mirrors the
-/// OMPT callback set the paper's runtime would need:
-/// `ompt_callback_parallel_begin/end`, `ompt_callback_work`,
-/// `ompt_callback_dispatch`, `ompt_callback_sync_region`.
-#[derive(Debug, Clone, Copy)]
-pub enum Probe<'a> {
-    ParallelBegin {
-        label: &'a str,
-        threads: usize,
-    },
-    ParallelEnd {
-        label: &'a str,
-        threads: usize,
-        dur_ns: u64,
-    },
-    LoopDispatch {
-        trip: u64,
-        dur_ns: u64,
-    },
-    ChunkAcquired {
-        start: u64,
-        len: u64,
-        stolen: bool,
-    },
-    BarrierEnter,
-    BarrierExit {
-        parked: bool,
-        wait_ns: u64,
-    },
-    ReductionCombine,
-    TaskWait {
-        wait_ns: u64,
-    },
-    /// One native bulk-kernel run (`ompt_callback_work`-flavoured): the
-    /// loop-head pc it ran at, how many iterations ran natively, and the
-    /// bail reason when the kernel handed the loop back to the
-    /// interpreter mid-flight.
-    Kernel {
-        label: &'a str,
-        pc: u32,
-        iters: u64,
-        bail: Option<&'a str>,
-        dur_ns: u64,
-    },
-    /// A specialised instruction fell back to its generic form.
-    Deopt {
-        rewrite: &'a str,
-        pc: u32,
-    },
-}
-
-type Callback = Arc<dyn Fn(&Probe<'_>) + Send + Sync>;
-
-/// Registered callbacks, published as a leaked immutable vector so the
-/// enabled path is a relaxed pointer load — registration replaces the
-/// whole vector (bounded leak: tools register a handful of callbacks once).
-static CALLBACK_LIST: AtomicPtr<Vec<Callback>> = AtomicPtr::new(std::ptr::null_mut());
-
-/// Register a callback and turn the [`CALLBACKS`] mode bit on.
-pub fn register_callback(cb: impl Fn(&Probe<'_>) + Send + Sync + 'static) {
-    let _publish = callbacks_lock().lock();
-    let old = CALLBACK_LIST.load(Ordering::Acquire);
-    let mut list: Vec<Callback> = if old.is_null() {
-        Vec::new()
-    } else {
-        // SAFETY: published vectors are leaked and never freed.
-        unsafe { (*old).clone() }
-    };
-    list.push(Arc::new(cb));
-    let leaked = Box::into_raw(Box::new(list));
-    CALLBACK_LIST.store(leaked, Ordering::Release);
-    MODE.fetch_or(CALLBACKS, Ordering::Relaxed);
-}
-
-/// Drop all callbacks and clear the [`CALLBACKS`] bit.
-pub fn clear_callbacks() {
-    let _publish = callbacks_lock().lock();
-    MODE.fetch_and(!CALLBACKS, Ordering::Relaxed);
-    CALLBACK_LIST.store(std::ptr::null_mut(), Ordering::Release);
-}
-
-fn callbacks_lock() -> &'static Mutex<()> {
-    static L: OnceLock<Mutex<()>> = OnceLock::new();
-    L.get_or_init(|| Mutex::new(()))
-}
-
-#[inline]
-fn fire(probe: Probe<'_>) {
-    let p = CALLBACK_LIST.load(Ordering::Acquire);
-    if p.is_null() {
-        return;
-    }
-    // SAFETY: published vectors are leaked and never freed or mutated.
-    for cb in unsafe { (*p).iter() } {
-        cb(&probe);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Instrumentation entry points (called from the runtime hot paths)
 // ---------------------------------------------------------------------------
 //
-// Shape: a `*_begin` helper returns a timestamp (0 when instrumentation is
-// off — one relaxed load), the matching `*_end`/span helper checks the
-// mode once more and records counters / events / callbacks as enabled.
-// Counters never need the begin timestamp; events and callbacks skip
-// sentinel (0) begins so a mid-span mode flip cannot fabricate a span
-// stretching back to the epoch.
+// Shape: a begin stamp ([`stamp`], or a `*_begin_ts` helper) is 0 when
+// instrumentation is off — one relaxed load — and the matching `*_end` /
+// span helper checks the mode once more and records counters and events as
+// enabled. Counters never need the begin timestamp; events skip sentinel
+// (0) begins so a mid-span mode flip cannot fabricate a span stretching
+// back to the epoch.
 
-/// Region entry. Fires [`Probe::ParallelBegin`].
-pub fn region_begin(label: &'static str, threads: usize) -> u64 {
-    let m = mode();
-    if m == 0 {
-        return 0;
+/// Record the span that began at `t0`, unless events are off (`m`) or `t0`
+/// is the sentinel.
+#[inline]
+fn record_span(m: u8, kind: EventKind, t0: u64, a: u64, b: u64, label: &'static str) {
+    if t0 == 0 || m & EVENTS == 0 {
+        return;
     }
-    if m & CALLBACKS != 0 {
-        fire(Probe::ParallelBegin { label, threads });
-    }
-    now_ns()
+    record(Event {
+        kind,
+        t_ns: t0,
+        dur_ns: now_ns().saturating_sub(t0),
+        a,
+        b,
+        label,
+    });
 }
 
 /// Region exit on any participating thread; `master` distinguishes the
@@ -572,31 +473,12 @@ pub fn region_end(label: &'static str, threads: usize, master: bool, t0: u64) {
             c.regions.fetch_add(1, Ordering::Relaxed);
         });
     }
-    if t0 == 0 {
-        return;
-    }
-    let dur = now_ns().saturating_sub(t0);
-    if m & EVENTS != 0 {
-        record(Event {
-            kind: if master {
-                EventKind::Parallel
-            } else {
-                EventKind::Implicit
-            },
-            t_ns: t0,
-            dur_ns: dur,
-            a: threads as u64,
-            b: 0,
-            label,
-        });
-    }
-    if m & CALLBACKS != 0 && master {
-        fire(Probe::ParallelEnd {
-            label,
-            threads,
-            dur_ns: dur,
-        });
-    }
+    let kind = if master {
+        EventKind::Parallel
+    } else {
+        EventKind::Implicit
+    };
+    record_span(m, kind, t0, threads as u64, 0, label);
 }
 
 /// Worksharing-construct entry (`__kmpc_dispatch_init` /
@@ -627,30 +509,14 @@ pub fn dispatch_end(label: &'static str, trip: u64, dynamic: bool, t0: u64) {
             c.dispatch_finis.fetch_add(1, Ordering::Relaxed);
         });
     }
-    if t0 == 0 {
-        return;
-    }
-    let dur = now_ns().saturating_sub(t0);
-    if m & EVENTS != 0 {
-        record(Event {
-            kind: EventKind::LoopDispatch,
-            t_ns: t0,
-            dur_ns: dur,
-            a: trip,
-            b: 0,
-            label,
-        });
-    }
-    if m & CALLBACKS != 0 {
-        fire(Probe::LoopDispatch { trip, dur_ns: dur });
-    }
+    record_span(m, EventKind::LoopDispatch, t0, trip, 0, label);
 }
 
 /// Timestamp just before a claimed chunk's body runs (0 when events are
 /// off — counter-only tracing skips per-chunk clock reads).
 #[inline]
 pub fn chunk_begin_ts() -> u64 {
-    if mode() & (EVENTS | CALLBACKS) == 0 {
+    if mode() & EVENTS == 0 {
         0
     } else {
         now_ns()
@@ -676,27 +542,11 @@ pub fn chunk(origin: ChunkOrigin, start: u64, len: u64, t0: u64) {
             }
         });
     }
-    if m & CALLBACKS != 0 {
-        fire(Probe::ChunkAcquired {
-            start,
-            len,
-            stolen: origin == ChunkOrigin::Stolen,
-        });
-    }
-    if t0 == 0 || m & EVENTS == 0 {
-        return;
-    }
-    record(Event {
-        kind: match origin {
-            ChunkOrigin::Owned => EventKind::ChunkOwned,
-            ChunkOrigin::Stolen => EventKind::ChunkStolen,
-        },
-        t_ns: t0,
-        dur_ns: now_ns().saturating_sub(t0),
-        a: start,
-        b: len,
-        label: "",
-    });
+    let kind = match origin {
+        ChunkOrigin::Owned => EventKind::ChunkOwned,
+        ChunkOrigin::Stolen => EventKind::ChunkStolen,
+    };
+    record_span(m, kind, t0, start, len, "");
 }
 
 /// A steal attempt that found no victim with work (dispatch exhaustion
@@ -711,20 +561,8 @@ pub fn steal_failure() {
     });
 }
 
-/// Barrier arrival. Fires [`Probe::BarrierEnter`].
-pub fn barrier_begin() -> u64 {
-    let m = mode();
-    if m == 0 {
-        return 0;
-    }
-    if m & CALLBACKS != 0 {
-        fire(Probe::BarrierEnter);
-    }
-    now_ns()
-}
-
 /// Barrier release; `parked` says whether the wait gave up spinning and
-/// blocked on the condvar.
+/// blocked on the condvar. `t0` is the arrival `stamp()`.
 pub fn barrier_end(t0: u64, parked: bool) {
     let m = mode();
     if m == 0 {
@@ -740,26 +578,7 @@ pub fn barrier_end(t0: u64, parked: bool) {
             }
         });
     }
-    if t0 == 0 {
-        return;
-    }
-    let dur = now_ns().saturating_sub(t0);
-    if m & EVENTS != 0 {
-        record(Event {
-            kind: EventKind::BarrierWait,
-            t_ns: t0,
-            dur_ns: dur,
-            a: parked as u64,
-            b: 0,
-            label: "",
-        });
-    }
-    if m & CALLBACKS != 0 {
-        fire(Probe::BarrierExit {
-            parked,
-            wait_ns: dur,
-        });
-    }
+    record_span(m, EventKind::BarrierWait, t0, parked as u64, 0, "");
 }
 
 /// One atomic merge into a reduction cell (the single root combine of a
@@ -774,20 +593,7 @@ pub fn reduction_combine(t0: u64) {
             c.reductions.fetch_add(1, Ordering::Relaxed);
         });
     }
-    if m & CALLBACKS != 0 {
-        fire(Probe::ReductionCombine);
-    }
-    if t0 == 0 || m & EVENTS == 0 {
-        return;
-    }
-    record(Event {
-        kind: EventKind::ReductionCombine,
-        t_ns: t0,
-        dur_ns: now_ns().saturating_sub(t0),
-        a: 0,
-        b: 0,
-        label: "",
-    });
+    record_span(m, EventKind::ReductionCombine, t0, 0, 0, "");
 }
 
 /// The master's join wait at region end.
@@ -801,42 +607,26 @@ pub fn task_wait(t0: u64) {
             c.task_waits.fetch_add(1, Ordering::Relaxed);
         });
     }
-    if t0 == 0 {
-        return;
-    }
-    let dur = now_ns().saturating_sub(t0);
-    if m & EVENTS != 0 {
-        record(Event {
-            kind: EventKind::TaskWait,
-            t_ns: t0,
-            dur_ns: dur,
-            a: 0,
-            b: 0,
-            label: "",
-        });
-    }
-    if m & CALLBACKS != 0 {
-        fire(Probe::TaskWait { wait_ns: dur });
-    }
+    record_span(m, EventKind::TaskWait, t0, 0, 0, "");
 }
 
-/// Timestamp just before a native bulk kernel runs (0 when neither events
-/// nor callbacks are on — counter-only tracing skips the clock read, and
-/// the disabled path stays one relaxed load).
+/// Timestamp just before a native bulk kernel runs (0 when events are
+/// off — counter-only tracing skips the clock read, and the disabled path
+/// stays one relaxed load).
 #[inline]
 pub fn kernel_begin_ts() -> u64 {
-    if mode() & (EVENTS | CALLBACKS) == 0 {
+    if mode() & EVENTS == 0 {
         0
     } else {
         now_ns()
     }
 }
 
-/// One native bulk-kernel execution, after it ran. `iters` is the count of
-/// loop iterations the kernel completed natively; `bail` carries the
-/// machine-readable reason when it handed the remaining iterations back to
-/// the interpreter. Records the [`EventKind::BulkLoop`] span (plus a
-/// [`EventKind::KernelBail`] marker on bails) and bumps the
+/// One native bulk-kernel execution at loop-head `pc`, after it ran.
+/// `iters` is the count of loop iterations the kernel completed natively;
+/// `bail` carries the machine-readable reason when it handed the remaining
+/// iterations back to the interpreter. Records the [`EventKind::BulkLoop`]
+/// span (plus a [`EventKind::KernelBail`] marker on bails) and bumps the
 /// kernel enter/iteration/bail counters.
 pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'static str>, t0: u64) {
     let m = mode();
@@ -852,20 +642,6 @@ pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'stati
             }
         });
     }
-    if m & CALLBACKS != 0 {
-        let dur = if t0 == 0 {
-            0
-        } else {
-            now_ns().saturating_sub(t0)
-        };
-        fire(Probe::Kernel {
-            label,
-            pc,
-            iters,
-            bail,
-            dur_ns: dur,
-        });
-    }
     if t0 == 0 || m & EVENTS == 0 {
         return;
     }
@@ -875,7 +651,7 @@ pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'stati
         t_ns: t0,
         dur_ns: dur,
         a: iters,
-        b: bail.is_some() as u64,
+        b: pc as u64,
         label,
     });
     if let Some(reason) = bail {
@@ -903,14 +679,10 @@ pub fn deopt(rewrite: &'static str, pc: u32) {
             c.deopts.fetch_add(1, Ordering::Relaxed);
         });
     }
-    if m & CALLBACKS != 0 {
-        fire(Probe::Deopt { rewrite, pc });
-    }
     if m & EVENTS != 0 {
-        let t = now_ns();
         record(Event {
             kind: EventKind::Deopt,
-            t_ns: t,
+            t_ns: now_ns(),
             dur_ns: 0,
             a: pc as u64,
             b: 0,
@@ -1010,135 +782,96 @@ pub fn metrics() -> MetricsSnapshot {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Minimal JSON string escaping (labels are paths and thread names).
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Render the recorded events in the Chrome Trace Event Format
+/// The recorded events in the Chrome Trace Event Format
 /// (`chrome://tracing` / Perfetto): one `pid`, one `tid` row per OS
 /// thread, one complete (`"ph":"X"`) slice per span, timestamps in
 /// microseconds.
-pub fn chrome_trace_json() -> String {
-    let mut out = String::with_capacity(1 << 16);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push_entry = |entry: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str(&entry);
-    };
+pub fn chrome_trace_json() -> Json {
+    let int = |v: u64| Json::Int(v as i64);
+    let mut entries = Vec::new();
     for (seq, name, events) in all_events() {
-        let mut meta = format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{seq},\
-             \"args\":{{\"name\":\""
-        );
-        escape(&name, &mut meta);
-        meta.push_str("\"}}");
-        push_entry(meta, &mut out);
+        entries.push(obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", Json::Int(1)),
+            ("tid", int(seq as u64)),
+            ("args", obj([("name", Json::Str(name))])),
+        ]));
         for ev in events {
-            let mut e = String::from("{\"name\":\"");
-            if ev.label.is_empty() {
-                e.push_str(ev.kind.name());
-            } else {
-                escape(ev.label, &mut e);
-            }
-            e.push_str("\",\"cat\":\"");
-            e.push_str(ev.kind.name());
-            e.push_str(&format!(
-                "\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{seq}",
-                ev.t_ns as f64 / 1e3,
-                ev.dur_ns as f64 / 1e3,
-            ));
             let args = match ev.kind {
-                EventKind::Parallel | EventKind::Implicit => {
-                    format!(",\"args\":{{\"threads\":{}}}", ev.a)
-                }
-                EventKind::LoopDispatch => format!(",\"args\":{{\"trip\":{}}}", ev.a),
-                EventKind::ChunkOwned => {
-                    format!(
-                        ",\"args\":{{\"start\":{},\"len\":{},\"stolen\":false}}",
-                        ev.a, ev.b
-                    )
-                }
-                EventKind::ChunkStolen => {
-                    format!(
-                        ",\"args\":{{\"start\":{},\"len\":{},\"stolen\":true}}",
-                        ev.a, ev.b
-                    )
-                }
-                EventKind::BarrierWait => format!(",\"args\":{{\"parked\":{}}}", ev.a != 0),
-                EventKind::BulkLoop => {
-                    format!(",\"args\":{{\"iters\":{},\"bailed\":{}}}", ev.a, ev.b != 0)
-                }
-                EventKind::KernelBail => {
-                    format!(",\"args\":{{\"pc\":{},\"iters_done\":{}}}", ev.a, ev.b)
-                }
-                EventKind::Deopt => format!(",\"args\":{{\"pc\":{}}}", ev.a),
-                _ => String::new(),
+                EventKind::Parallel | EventKind::Implicit => Some(obj([("threads", int(ev.a))])),
+                EventKind::LoopDispatch => Some(obj([("trip", int(ev.a))])),
+                EventKind::ChunkOwned | EventKind::ChunkStolen => Some(obj([
+                    ("start", int(ev.a)),
+                    ("len", int(ev.b)),
+                    ("stolen", Json::Bool(ev.kind == EventKind::ChunkStolen)),
+                ])),
+                EventKind::BarrierWait => Some(obj([("parked", Json::Bool(ev.a != 0))])),
+                EventKind::BulkLoop => Some(obj([("iters", int(ev.a)), ("pc", int(ev.b))])),
+                EventKind::KernelBail => Some(obj([("pc", int(ev.a)), ("iters_done", int(ev.b))])),
+                EventKind::Deopt => Some(obj([("pc", int(ev.a))])),
+                EventKind::TaskWait | EventKind::ReductionCombine => None,
             };
-            e.push_str(&args);
-            e.push('}');
-            push_entry(e, &mut out);
+            let name = if ev.label.is_empty() {
+                ev.kind.name()
+            } else {
+                ev.label
+            };
+            let slice = [
+                ("name", name.into()),
+                ("cat", ev.kind.name().into()),
+                ("ph", "X".into()),
+                ("ts", Json::Float(ev.t_ns as f64 / 1e3)),
+                ("dur", Json::Float(ev.dur_ns as f64 / 1e3)),
+                ("pid", Json::Int(1)),
+                ("tid", int(seq as u64)),
+            ];
+            let slice = slice.into_iter().chain(args.map(|a| ("args", a)));
+            entries.push(Json::Obj(slice.map(|(k, v)| (k.to_string(), v)).collect()));
         }
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    obj([
+        ("traceEvents", Json::Arr(entries)),
+        ("displayTimeUnit", "ms".into()),
+    ])
 }
 
-/// Render the counter snapshot as machine-readable JSON.
-pub fn metrics_json() -> String {
+/// The counter snapshot ([`metrics`]) as one JSON object.
+pub fn metrics_json() -> Json {
     let s = metrics();
-    format!(
-        "{{\n  \"threads\": {},\n  \"regions\": {},\n  \"chunks_owned\": {},\n  \
-         \"chunks_stolen\": {},\n  \"iters_owned\": {},\n  \"iters_stolen\": {},\n  \
-         \"steal_failures\": {},\n  \"barrier_waits\": {},\n  \"barrier_spins\": {},\n  \
-         \"barrier_parks\": {},\n  \"dispatch_inits\": {},\n  \"dispatch_finis\": {},\n  \
-         \"reductions\": {},\n  \"task_waits\": {},\n  \"kernel_enters\": {},\n  \
-         \"kernel_iters\": {},\n  \"kernel_bails\": {},\n  \"deopts\": {},\n  \
-         \"events_recorded\": {},\n  \"events_dropped\": {}\n}}\n",
-        s.threads,
-        s.regions,
-        s.chunks_owned,
-        s.chunks_stolen,
-        s.iters_owned,
-        s.iters_stolen,
-        s.steal_failures,
-        s.barrier_waits,
-        s.barrier_spins,
-        s.barrier_parks,
-        s.dispatch_inits,
-        s.dispatch_finis,
-        s.reductions,
-        s.task_waits,
-        s.kernel_enters,
-        s.kernel_iters,
-        s.kernel_bails,
-        s.deopts,
-        s.events_recorded,
-        s.events_dropped,
-    )
+    obj([
+        ("threads", s.threads),
+        ("regions", s.regions),
+        ("chunks_owned", s.chunks_owned),
+        ("chunks_stolen", s.chunks_stolen),
+        ("iters_owned", s.iters_owned),
+        ("iters_stolen", s.iters_stolen),
+        ("steal_failures", s.steal_failures),
+        ("barrier_waits", s.barrier_waits),
+        ("barrier_spins", s.barrier_spins),
+        ("barrier_parks", s.barrier_parks),
+        ("dispatch_inits", s.dispatch_inits),
+        ("dispatch_finis", s.dispatch_finis),
+        ("reductions", s.reductions),
+        ("task_waits", s.task_waits),
+        ("kernel_enters", s.kernel_enters),
+        ("kernel_iters", s.kernel_iters),
+        ("kernel_bails", s.kernel_bails),
+        ("deopts", s.deopts),
+        ("events_recorded", s.events_recorded),
+        ("events_dropped", s.events_dropped),
+    ]
+    .map(|(k, v)| (k, Json::Int(v as i64))))
 }
 
 /// Write [`chrome_trace_json`] to `path`.
 pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace_json())
+    std::fs::write(path, chrome_trace_json().render())
 }
 
 /// Write [`metrics_json`] to `path`.
 pub fn write_metrics_json(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, metrics_json())
+    std::fs::write(path, metrics_json().render())
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,7 +946,6 @@ mod tests {
         disable_all();
         assert_eq!(mode(), 0);
         assert_eq!(stamp(), 0);
-        assert_eq!(region_begin("x", 4), 0);
         // End helpers on sentinel begins must not record.
         let before = metrics().events_recorded;
         region_end("x", 4, true, 0);
@@ -1233,7 +965,7 @@ mod tests {
         chunk(ChunkOrigin::Owned, 0, 10, t0);
         chunk(ChunkOrigin::Stolen, 10, 5, chunk_begin_ts());
         steal_failure();
-        let t = barrier_begin();
+        let t = stamp();
         barrier_end(t, true);
         disable_all();
         let m = metrics();
@@ -1292,26 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn callbacks_fire_and_clear() {
-        let _g = test_serial();
-        disable_all();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        register_callback(move |p| {
-            if matches!(p, Probe::BarrierEnter) {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let t = barrier_begin();
-        barrier_end(t, false);
-        clear_callbacks();
-        let t = barrier_begin();
-        barrier_end(t, false);
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(mode() & CALLBACKS, 0);
-    }
-
-    #[test]
     fn interning_dedupes() {
         let a = intern("some/file.rs:42");
         let b = intern("some/file.rs:42");
@@ -1334,32 +1046,17 @@ mod tests {
             label: intern("demo \"region\""),
         });
         disable_all();
-        let json = chrome_trace_json();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("demo \\\"region\\\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        // Structural sanity: balanced braces/brackets outside strings.
-        let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-        for c in json.chars() {
-            if in_str {
-                if esc {
-                    esc = false;
-                } else if c == '\\' {
-                    esc = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0, "unbalanced JSON");
+        let json = Json::parse(&chrome_trace_json().render()).expect("the trace parses");
+        let slice = json
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .and_then(|es| es.iter().find(|e| e.get("ph") == Some(&Json::from("X"))))
+            .expect("one complete slice");
+        assert_eq!(slice.get("name"), Some(&Json::from("demo \"region\"")));
+        assert_eq!(
+            slice.get("args").and_then(|a| a.get("threads")),
+            Some(&Json::Int(4))
+        );
         reset();
     }
 }

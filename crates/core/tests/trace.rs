@@ -1,16 +1,16 @@
 //! End-to-end tests of the observability layer over the public API:
-//! callback nesting, counter reconciliation across every schedule, ring
+//! region-span nesting, counter reconciliation across every schedule, ring
 //! overflow behaviour, Chrome-trace export validity, and the
 //! disabled-path overhead guard.
 //!
 //! Tracing mode is process-global, so every test serialises on one mutex
 //! and restores the disabled state before releasing it.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use zomp::json::Json;
 use zomp::schedule::Schedule;
 use zomp::team::{fork_call, Parallel};
 use zomp::trace;
@@ -23,129 +23,49 @@ fn serial() -> MutexGuard<'static, ()> {
         .lock()
         .unwrap_or_else(|p| p.into_inner());
     trace::disable_all();
-    trace::clear_callbacks();
     trace::reset();
     g
 }
 
-/// Minimal JSON support for validating the hand-formatted exporter output
-/// (the workspace's vendored serde_json is serialisation-only).
-mod json {
-    /// Validate a complete JSON document by recursive descent; panics with
-    /// context on malformed input.
-    pub fn validate(text: &str) {
-        let b = text.as_bytes();
-        let end = value(b, skip_ws(b, 0));
-        assert!(
-            skip_ws(b, end) == b.len(),
-            "trailing garbage at byte {end} of {} bytes",
-            b.len()
-        );
-    }
-
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && matches!(b[i], b' ' | b'\t' | b'\n' | b'\r') {
-            i += 1;
-        }
-        i
-    }
-
-    fn value(b: &[u8], i: usize) -> usize {
-        assert!(i < b.len(), "unexpected end of JSON");
-        match b[i] {
-            b'{' => composite(b, i, b'}', true),
-            b'[' => composite(b, i, b']', false),
-            b'"' => string(b, i),
-            b't' => lit(b, i, b"true"),
-            b'f' => lit(b, i, b"false"),
-            b'n' => lit(b, i, b"null"),
-            b'-' | b'0'..=b'9' => number(b, i),
-            c => panic!("unexpected byte {:?} at {i}", c as char),
-        }
-    }
-
-    fn composite(b: &[u8], start: usize, close: u8, object: bool) -> usize {
-        let mut i = skip_ws(b, start + 1);
-        if b[i] == close {
-            return i + 1;
-        }
-        loop {
-            if object {
-                i = skip_ws(b, string(b, skip_ws(b, i)));
-                assert_eq!(b[i], b':', "expected ':' at {i}");
-                i += 1;
-            }
-            i = skip_ws(b, value(b, skip_ws(b, i)));
-            match b[i] {
-                b',' => i += 1,
-                c if c == close => return i + 1,
-                c => panic!("expected ',' or close at {i}, got {:?}", c as char),
-            }
-        }
-    }
-
-    fn string(b: &[u8], start: usize) -> usize {
-        assert_eq!(b[start], b'"', "expected string at {start}");
-        let mut i = start + 1;
-        while i < b.len() {
-            match b[i] {
-                b'"' => return i + 1,
-                b'\\' => i += 2,
-                _ => i += 1,
-            }
-        }
-        panic!("unterminated string starting at {start}")
-    }
-
-    fn number(b: &[u8], mut i: usize) -> usize {
-        let start = i;
-        while i < b.len() && matches!(b[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            i += 1;
-        }
-        std::str::from_utf8(&b[start..i])
-            .unwrap()
-            .parse::<f64>()
-            .unwrap_or_else(|_| panic!("bad number at {start}"));
-        i
-    }
-
-    fn lit(b: &[u8], i: usize, word: &[u8]) -> usize {
-        assert_eq!(&b[i..i + word.len()], word, "bad literal at {i}");
-        i + word.len()
-    }
-
-    /// Extract a numeric field `"key":<num>` from a single JSON line.
-    pub fn num_field(line: &str, key: &str) -> Option<f64> {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let end = rest
-            .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
+/// The Chrome trace as a file would hold it, parsed back.
+fn exported_trace() -> Json {
+    Json::parse(&trace::chrome_trace_json().render()).expect("the Chrome trace parses")
 }
 
-/// One exported `"ph":"X"` slice, recovered from its line in the Chrome
-/// trace (the exporter writes one entry per line).
+/// One exported `"ph":"X"` slice.
 struct Slice<'a> {
-    line: &'a str,
+    ev: &'a Json,
+    cat: &'a str,
     tid: i64,
     /// Start/end in exact nanoseconds (µs with three decimals).
     t0_ns: i64,
     t1_ns: i64,
 }
 
-fn slices(chrome_json: &str) -> Vec<Slice<'_>> {
-    chrome_json
-        .lines()
-        .filter(|l| l.contains("\"ph\":\"X\""))
-        .map(|line| {
-            let ts = json::num_field(line, "ts").expect("ts field");
-            let dur = json::num_field(line, "dur").expect("dur field");
+impl Slice<'_> {
+    fn name(&self) -> &str {
+        self.ev.get("name").and_then(Json::as_str).unwrap_or("")
+    }
+
+    fn arg(&self, key: &str) -> Option<&Json> {
+        self.ev.get("args")?.get(key)
+    }
+}
+
+fn slices(doc: &Json) -> Vec<Slice<'_>> {
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    (events.expect("a traceEvents array").iter())
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|ev| {
+            let num = |key: &str| {
+                let v = ev.get(key).and_then(Json::as_f64);
+                v.unwrap_or_else(|| panic!("no {key} in {ev:?}"))
+            };
+            let (ts, dur) = (num("ts"), num("dur"));
             Slice {
-                line,
-                tid: json::num_field(line, "tid").expect("tid field") as i64,
+                ev,
+                cat: ev.get("cat").and_then(Json::as_str).expect("a cat"),
+                tid: num("tid") as i64,
                 t0_ns: (ts * 1e3).round() as i64,
                 t1_ns: ((ts + dur) * 1e3).round() as i64,
             }
@@ -153,67 +73,64 @@ fn slices(chrome_json: &str) -> Vec<Slice<'_>> {
         .collect()
 }
 
-/// Satellite 3a: `ParallelBegin`/`ParallelEnd` callbacks strictly nest on
-/// every thread, including across nested `fork_call`s.
-#[test]
-fn region_callbacks_strictly_nest_per_thread() {
-    let _g = serial();
-    thread_local! {
-        static DEPTH: Cell<i64> = const { Cell::new(0) };
+/// Assert that on every `tid` any two of `slices` are nested or disjoint;
+/// returns the deepest nesting seen.
+fn assert_nested(slices: &[&Slice]) -> usize {
+    let mut by_tid: std::collections::HashMap<i64, Vec<(i64, i64)>> = Default::default();
+    for s in slices {
+        by_tid.entry(s.tid).or_default().push((s.t0_ns, s.t1_ns));
     }
-    static UNDERFLOWS: AtomicU64 = AtomicU64::new(0);
-    static MAX_DEPTH: AtomicI64 = AtomicI64::new(0);
-    static BEGINS: AtomicU64 = AtomicU64::new(0);
-    static ENDS: AtomicU64 = AtomicU64::new(0);
-    UNDERFLOWS.store(0, Ordering::SeqCst);
-    MAX_DEPTH.store(0, Ordering::SeqCst);
-    BEGINS.store(0, Ordering::SeqCst);
-    ENDS.store(0, Ordering::SeqCst);
-
-    trace::register_callback(|p| match p {
-        trace::Probe::ParallelBegin { .. } => {
-            BEGINS.fetch_add(1, Ordering::SeqCst);
-            let d = DEPTH.with(|d| {
-                d.set(d.get() + 1);
-                d.get()
-            });
-            MAX_DEPTH.fetch_max(d, Ordering::SeqCst);
+    let mut deepest = 0;
+    for (tid, mut spans) in by_tid {
+        // Sort by start, widest first, and check against a stack of open
+        // intervals: each span must fit entirely inside the innermost
+        // still-open one.
+        spans.sort_by_key(|&(s, e)| (s, std::cmp::Reverse(e)));
+        let mut stack: Vec<i64> = Vec::new();
+        for (s, e) in spans {
+            while matches!(stack.last(), Some(&top) if top <= s) {
+                stack.pop();
+            }
+            if let Some(&top) = stack.last() {
+                assert!(e <= top, "tid {tid}: span [{s},{e}] crosses boundary {top}");
+            }
+            stack.push(e);
+            deepest = deepest.max(stack.len());
         }
-        trace::Probe::ParallelEnd { .. } => {
-            ENDS.fetch_add(1, Ordering::SeqCst);
-            DEPTH.with(|d| {
-                if d.get() <= 0 {
-                    UNDERFLOWS.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    d.set(d.get() - 1);
-                }
-            });
-        }
-        _ => {}
-    });
+    }
+    deepest
+}
 
+/// `parallel` and `implicit task` spans strictly nest on every thread,
+/// including across nested `fork_call`s.
+#[test]
+fn region_spans_strictly_nest_per_thread() {
+    let _g = serial();
+    trace::enable_events();
+    trace::enable_counters();
     for _ in 0..8 {
         fork_call(Parallel::new().num_threads(4).label("outer"), |ctx| {
             let tid = ctx.thread_num();
-            // Nested region from every thread: inner teams whose begin/end
+            // Nested region from every thread: inner teams whose spans
             // must nest inside the outer implicit task.
             fork_call(Parallel::new().num_threads(2).label("inner"), move |_| {
                 std::hint::black_box(tid);
             });
         });
     }
-    trace::clear_callbacks();
+    let m = trace::metrics();
+    let doc = exported_trace();
+    trace::disable_all();
 
-    assert_eq!(UNDERFLOWS.load(Ordering::SeqCst), 0, "end before begin");
-    assert_eq!(
-        BEGINS.load(Ordering::SeqCst),
-        ENDS.load(Ordering::SeqCst),
-        "unbalanced begin/end"
-    );
+    assert_eq!(m.events_dropped, 0, "a full ring could hide a span");
+    let all = slices(&doc);
+    let regions: Vec<&Slice> = (all.iter())
+        .filter(|s| matches!(s.cat, "parallel" | "implicit task"))
+        .collect();
     // 8 outer + 8*4 nested masters.
-    assert_eq!(BEGINS.load(Ordering::SeqCst), 8 + 8 * 4);
-    assert!(MAX_DEPTH.load(Ordering::SeqCst) >= 2, "nesting observed");
-    DEPTH.with(|d| assert_eq!(d.get(), 0, "caller thread depth balanced"));
+    let masters = regions.iter().filter(|s| s.cat == "parallel").count();
+    assert_eq!(masters, 8 + 8 * 4);
+    assert!(assert_nested(&regions) >= 2, "nesting observed");
 }
 
 /// Satellite 3b: across every schedule kind, team size and chunk size,
@@ -361,7 +278,7 @@ fn ring_overflow_drops_and_counts_without_corruption() {
         });
     }
     let m = trace::metrics();
-    let json = trace::chrome_trace_json();
+    let doc = exported_trace();
     trace::disable_all();
 
     assert!(m.events_dropped > 0, "ring never overflowed: {m:?}");
@@ -370,12 +287,11 @@ fn ring_overflow_drops_and_counts_without_corruption() {
         "ring not full: {m:?}"
     );
     // The retained prefix still exports as valid JSON with sane spans.
-    json::validate(&json);
-    let slices = slices(&json);
+    let slices = slices(&doc);
     assert!(!slices.is_empty(), "no slices survived");
     for s in &slices {
-        assert!(s.t0_ns > 0, "zero timestamp: {}", s.line);
-        assert!(s.t1_ns >= s.t0_ns, "negative duration: {}", s.line);
+        assert!(s.t0_ns > 0, "zero timestamp: {:?}", s.ev);
+        assert!(s.t1_ns >= s.t0_ns, "negative duration: {:?}", s.ev);
     }
 }
 
@@ -394,59 +310,38 @@ fn chrome_trace_export_is_structurally_valid() {
             std::hint::black_box(i);
         });
     });
-    let json = trace::chrome_trace_json();
+    let doc = exported_trace();
     trace::disable_all();
 
-    json::validate(&json);
-
     // Thread-name metadata rows.
+    let entries = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     assert!(
-        json.lines()
-            .any(|l| l.contains("\"ph\":\"M\"") && l.contains("\"thread_name\"")),
+        entries
+            .iter()
+            .any(|e| e.get("ph").and_then(Json::as_str) == Some("M")
+                && e.get("name").and_then(Json::as_str) == Some("thread_name")),
         "missing thread_name metadata"
     );
-    let slices = slices(&json);
+    let slices = slices(&doc);
     // The pragma-style auto-label points at this file.
     assert!(
-        slices
-            .iter()
-            .any(|s| s.line.contains("\"cat\":\"parallel\"") && s.line.contains("trace.rs:")),
+        (slices.iter()).any(|s| s.cat == "parallel" && s.name().contains("trace.rs:")),
         "missing file:line region label"
     );
     // Chunk slices carry provenance; loop slices carry each thread's
     // claimed share of the trip count.
     assert!(
-        slices.iter().any(|s| s.line.contains("\"stolen\":false")),
+        (slices.iter()).any(|s| s.arg("stolen") == Some(&Json::Bool(false))),
         "missing owned-chunk provenance args"
     );
-    let trips: f64 = slices
-        .iter()
-        .filter_map(|s| json::num_field(s.line, "trip"))
+    let trips: i64 = (slices.iter())
+        .filter_map(|s| s.arg("trip").and_then(Json::as_i64))
         .sum();
-    assert_eq!(trips, 2048.0, "loop trip args sum to the trip");
+    assert_eq!(trips, 2048, "loop trip args sum to the trip");
 
     // Spans strictly nest per tid (timestamps are exact: µs with three
     // decimals encodes integer nanoseconds).
-    let mut by_tid: std::collections::HashMap<i64, Vec<(i64, i64)>> = Default::default();
-    for s in &slices {
-        by_tid.entry(s.tid).or_default().push((s.t0_ns, s.t1_ns));
-    }
-    for (tid, mut spans) in by_tid {
-        // Sort by start, widest first, and check against a stack of open
-        // intervals: each span must fit entirely inside the innermost
-        // still-open one.
-        spans.sort_by_key(|&(s, e)| (s, std::cmp::Reverse(e)));
-        let mut stack: Vec<i64> = Vec::new();
-        for (s, e) in spans {
-            while matches!(stack.last(), Some(&top) if top <= s) {
-                stack.pop();
-            }
-            if let Some(&top) = stack.last() {
-                assert!(e <= top, "tid {tid}: span [{s},{e}] crosses boundary {top}");
-            }
-            stack.push(e);
-        }
-    }
+    assert_nested(&slices.iter().collect::<Vec<_>>());
 }
 
 /// The counter snapshot round-trips through the JSON exporter.
@@ -458,21 +353,43 @@ fn metrics_json_matches_snapshot() {
         for_loop(ctx, Schedule::dynamic(Some(4)), 0..64i64, false, |_| {});
     });
     let snap = trace::metrics();
-    let json = trace::metrics_json();
+    let json = Json::parse(&trace::metrics_json().render()).expect("the metrics parse");
     trace::disable_all();
 
-    json::validate(&json);
-    // metrics_json may use `"key": value` spacing; normalise before lookup.
-    let json = json.replace("\": ", "\":");
     let get = |k: &str| -> u64 {
-        json.lines()
-            .find_map(|l| json::num_field(l, k))
-            .unwrap_or_else(|| panic!("missing field {k}")) as u64
+        let v = json.get(k).and_then(Json::as_i64);
+        v.unwrap_or_else(|| panic!("missing field {k}")) as u64
     };
     assert_eq!(get("regions"), snap.regions);
     assert_eq!(get("iters_owned") + get("iters_stolen"), 64);
     assert_eq!(get("dispatch_inits"), get("dispatch_finis"));
     assert!(get("threads") >= 2);
+}
+
+/// A region label with quotes, backslashes and control characters comes
+/// back intact from the profile, Chrome-trace and metrics documents.
+#[test]
+fn control_character_labels_round_trip_through_every_document() {
+    let _g = serial();
+    const LABEL: &str = "a\"b\\c\td\ne\u{1}";
+    zomp::profile::enable();
+    fork_call(Parallel::new().num_threads(2).label(LABEL), |ctx| {
+        for_loop(ctx, Schedule::dynamic(Some(4)), 0..64i64, false, |_| {});
+    });
+    zomp::profile::disable();
+    let profile = Json::parse(&zomp::profile::render_json()).expect("the profile parses");
+    let doc = exported_trace();
+    Json::parse(&trace::metrics_json().render()).expect("the metrics parse");
+
+    let regions = profile.get("breakdown").and_then(Json::as_arr).unwrap();
+    assert!(
+        (regions.iter()).any(|r| r.get("region") == Some(&Json::from(LABEL))),
+        "{profile:?}"
+    );
+    assert!(
+        (slices(&doc).iter()).any(|s| s.cat == "parallel" && s.name() == LABEL),
+        "{doc:?}"
+    );
 }
 
 /// Satellite 4: with instrumentation fully disabled, the dynamic dispatch
@@ -565,7 +482,7 @@ fn finish_writes_configured_outputs() {
     assert_eq!(written.len(), 2, "{written:?}");
     for p in [&trace_path, &metrics_path] {
         let text = std::fs::read_to_string(p).unwrap();
-        json::validate(&text);
+        Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

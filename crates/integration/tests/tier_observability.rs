@@ -13,6 +13,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use zomp::json::Json;
 use zomp::{profile, trace};
 use zomp_bench::ports::{ZAG_EP, ZAG_MATVEC, ZAG_RANK};
 use zomp_vm::bytecode::Insn;
@@ -29,6 +30,28 @@ fn serial() -> MutexGuard<'static, ()> {
     trace::disable_all();
     trace::reset();
     g
+}
+
+/// The exported Chrome trace's slices whose category starts with `cat`,
+/// parsed back from the text a trace file would hold.
+fn exported_slices(cat: &str) -> Vec<Json> {
+    let doc = Json::parse(&trace::chrome_trace_json().render()).expect("the trace parses");
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    (events.expect("a traceEvents array").iter())
+        .filter(|e| {
+            e.get("cat")
+                .and_then(Json::as_str)
+                .is_some_and(|c| c.starts_with(cat))
+        })
+        .cloned()
+        .collect()
+}
+
+/// The integer arg `key` of an exported slice.
+fn arg(slice: &Json, key: &str) -> u64 {
+    let v = slice.get("args").and_then(|a| a.get(key));
+    v.and_then(Json::as_i64)
+        .unwrap_or_else(|| panic!("no {key} in {slice:?}")) as u64
 }
 
 /// A constant-fill pragma loop: no fixed kernel shape, so at `--opt=3`
@@ -321,15 +344,6 @@ fn claims(out: []i64, n: i64, nthreads: i64) void {
 fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
     let _g = serial();
     const N: u64 = 1000;
-    // `"key":123` → 123, for the one-entry-per-line Chrome trace export.
-    let arg = |line: &str, key: &str| -> u64 {
-        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
-        let digits: String = line[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        digits.parse().expect("numeric trace arg")
-    };
     for (backend, opt) in [
         (Backend::Bytecode, OptLevel::O0),
         (Backend::Native, OptLevel::O3),
@@ -351,7 +365,8 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
             .expect("run claims");
             trace::disable_all();
             let m = trace::metrics();
-            let json = trace::chrome_trace_json();
+            let chunks = exported_slices("chunk (");
+            let loops = exported_slices("loop");
             trace::reset();
             let what = format!("{backend:?} {opt:?}, {threads} threads");
 
@@ -366,23 +381,15 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
                 N,
                 "{what}: claimed iterations"
             );
-            let chunks: Vec<&str> = json
-                .lines()
-                .filter(|l| l.contains("\"cat\":\"chunk ("))
-                .collect();
             assert_eq!(chunks.len() as u64, claims, "{what}: closed chunk spans");
             assert!(
-                chunks.iter().all(|l| arg(l, "\"len\":") == len),
+                chunks.iter().all(|c| arg(c, "len") == len),
                 "{what}: every chunk is {len} iterations"
             );
-            let mut starts: Vec<u64> = chunks.iter().map(|l| arg(l, "\"start\":")).collect();
+            let mut starts: Vec<u64> = chunks.iter().map(|c| arg(c, "start")).collect();
             starts.sort_unstable();
             let want: Vec<u64> = (0..N).step_by(len as usize).collect();
             assert_eq!(starts, want, "{what}: chunk starts");
-            let loops: Vec<&str> = json
-                .lines()
-                .filter(|l| l.contains("\"cat\":\"loop\""))
-                .collect();
             assert_eq!(loops.len() as u64, threads.max(1), "{what}: loop spans");
             assert_eq!(
                 m.dispatch_inits,
@@ -395,10 +402,11 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
                 "{what}: dynamic dispatches"
             );
             assert!(
-                loops.iter().all(|l| l.contains("\"name\":\"claims.zag:")),
+                (loops.iter()).all(|l| (l.get("name").and_then(Json::as_str))
+                    .is_some_and(|n| n.starts_with("claims.zag:"))),
                 "{what}: loop spans carry the pragma label: {loops:?}"
             );
-            let trips: u64 = loops.iter().map(|l| arg(l, "\"trip\":")).sum();
+            let trips: u64 = loops.iter().map(|l| arg(l, "trip")).sum();
             assert_eq!(trips, N, "{what}: per-thread loop spans sum to the trip");
         }
     }
@@ -577,8 +585,8 @@ fn npb_ports() -> Vec<(&'static str, &'static str, &'static str, Vec<Value>)> {
 }
 
 /// A fixed kernel earns its place by running: on the CG, EP and IS
-/// ports at `--opt=3` the pcs the `Kernel` probe reports (template heads
-/// aside) are exactly the image's `BulkLoop` pcs, nothing bails, and the
+/// ports at `--opt=3` the pcs of the traced `bulk loop` spans (template
+/// heads aside) are exactly the image's `BulkLoop` pcs, nothing bails, and the
 /// shapes seen across the three ports are exactly [`KernelKind::NAMES`].
 /// A kernel that only shadows another — installed inside an enclosing
 /// kernel's span, so reached only after that one bails — fails here.
@@ -606,29 +614,23 @@ fn every_installed_kernel_is_entered() {
         let installed: BTreeSet<u32> = bulk.iter().map(|&(pc, _)| pc).collect();
         assert!(
             installed.len() == bulk.len() && installed.is_disjoint(&templates),
-            "{unit}: loop-head pcs must be unique across functions for the probe's \
+            "{unit}: loop-head pcs must be unique across functions for the span's \
              pc to identify a kernel: {bulk:?} vs templates {templates:?}"
         );
 
-        let runs: Arc<Mutex<Vec<(u32, bool)>>> = Arc::default();
-        let sink = Arc::clone(&runs);
-        trace::register_callback(move |p| {
-            if let trace::Probe::Kernel { pc, bail, .. } = p {
-                sink.lock().unwrap().push((*pc, bail.is_some()));
-            }
-        });
+        trace::reset();
+        trace::enable_events();
         let r = vm.call_function(entry, args);
-        trace::clear_callbacks();
+        trace::disable_all();
         r.unwrap_or_else(|e| panic!("run {unit}: {e}"));
-
-        let runs = runs.lock().unwrap();
+        assert_eq!(trace::metrics().events_dropped, 0, "{unit}: a full ring");
+        let bails = exported_slices("kernel bail");
         assert!(
-            runs.iter().all(|&(_, bailed)| !bailed),
-            "{unit}: no kernel or template may bail: {runs:?}"
+            bails.is_empty(),
+            "{unit}: no kernel or template may bail: {bails:?}"
         );
-        let entered: BTreeSet<u32> = runs
-            .iter()
-            .map(|&(pc, _)| pc)
+        let entered: BTreeSet<u32> = (exported_slices("bulk loop").iter())
+            .map(|run| arg(run, "pc") as u32)
             .filter(|pc| !templates.contains(pc))
             .collect();
         assert_eq!(
@@ -646,7 +648,7 @@ fn every_installed_kernel_is_entered() {
 
 /// `lcg-fill` runs jump-ahead streams only on a seed and multiplier
 /// that are integers in `[0, 2^46)`; a fill that has to run one stream
-/// instead says so through the `Deopt` probe, once per kernel entry,
+/// instead says so with a traced `deopt` event, once per kernel entry,
 /// under the kernel's own pc. The EP port as shipped never does; with
 /// half a unit added to its seed every batch does, and still computes
 /// what the walker computes.
@@ -684,21 +686,29 @@ fn sequential_lcg_fill_is_counted_as_a_deopt() {
             })
             .expect("the port installs lcg-fill");
 
-        let deopts: Arc<Mutex<Vec<(String, u32)>>> = Arc::default();
-        let sink = Arc::clone(&deopts);
-        trace::register_callback(move |p| {
-            if let trace::Probe::Deopt { rewrite, pc } = p {
-                sink.lock().unwrap().push((rewrite.to_string(), *pc));
-            }
-        });
-        let (got, metrics) = counted_call(&vm, "ep", args());
-        trace::clear_callbacks();
+        trace::reset();
+        trace::enable_events();
+        trace::enable_counters();
+        let got = vm.call_function("ep", args());
+        trace::disable_all();
+        let metrics = trace::metrics();
+        let deopts: Vec<(String, u32)> = (exported_slices("deopt").iter())
+            .map(|d| {
+                let name = d.get("name").and_then(Json::as_str).expect("a name");
+                (name.to_string(), arg(d, "pc") as u32)
+            })
+            .collect();
         let (want, _) = counted_call(&oracle, "ep", args());
-        assert_eq!(got, want, "seed {seed}");
+        assert_eq!(
+            got.map(|v| v.render()).map_err(|e| e.to_string()),
+            want,
+            "seed {seed}"
+        );
+        assert_eq!(metrics.events_dropped, 0, "seed {seed}: a full ring");
         assert_eq!(metrics.kernel_bails, 0, "seed {seed}");
         assert_eq!(metrics.deopts, sequential_fills, "seed {seed}");
         assert_eq!(
-            *deopts.lock().unwrap(),
+            deopts,
             vec![("lcg-fill:sequential".to_string(), fill_pc); sequential_fills as usize],
             "seed {seed}"
         );

@@ -129,7 +129,7 @@ fn main() {
         match zomp_vm::remarks::collect(&source, &path, opt) {
             Ok(diags) => {
                 if json {
-                    print!("{}", zomp_vm::remarks::render_json(&diags, &source));
+                    println!("{}", zomp_vm::remarks::render_json(&diags, &source));
                 } else {
                     for d in &diags {
                         println!("{}", render_diag(&path, &source, d));
@@ -225,7 +225,7 @@ fn main() {
     if profile {
         zomp::profile::disable();
         if profile_json {
-            print!("{}", zomp::profile::render_json());
+            println!("{}", zomp::profile::render_json());
         } else {
             eprintln!("\n--- region profile (gprof-style) ---");
             eprint!("{}", zomp::profile::render_report());

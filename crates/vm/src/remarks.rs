@@ -33,8 +33,8 @@
 //! runtime spans), so `--remarks` and `--profile` rows join on it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use zomp::json::{obj, Json};
 use zomp_front::Diag;
 
 use crate::bytecode::{CompiledFn, Image, Insn, OmpFn};
@@ -463,46 +463,22 @@ fn label_offset(source: &str, label: &str) -> usize {
 /// Render remarks as a JSON array (`zag --remarks=json`), with
 /// line/column resolved against `source` exactly like [`Diag::render`].
 pub fn render_json(diags: &[Diag], source: &str) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        let upto = &source[..d.offset.min(source.len())];
+    let text = |s: Option<&str>| s.map_or(Json::Null, Json::from);
+    let rows = diags.iter().map(|d| {
+        let at = d.offset.min(source.len());
+        let upto = &source[..at];
         let line = upto.matches('\n').count() + 1;
-        let col = d.offset.min(source.len()) - upto.rfind('\n').map(|p| p + 1).unwrap_or(0) + 1;
-        let _ = write!(
-            out,
-            "  {{\"code\": \"{}\", \"line\": {line}, \"col\": {col}, \"label\": {}, \"message\": \"{}\", \"note\": {}}}",
-            esc(d.code),
-            d.label
-                .as_deref()
-                .map(|l| format!("\"{}\"", esc(l)))
-                .unwrap_or_else(|| "null".to_string()),
-            esc(&d.message),
-            d.note
-                .as_deref()
-                .map(|n| format!("\"{}\"", esc(n)))
-                .unwrap_or_else(|| "null".to_string()),
-        );
-        out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+        let col = at - upto.rfind('\n').map_or(0, |p| p + 1) + 1;
+        obj([
+            ("code", d.code.into()),
+            ("line", Json::Int(line as i64)),
+            ("col", Json::Int(col as i64)),
+            ("label", text(d.label.as_deref())),
+            ("message", d.message.as_str().into()),
+            ("note", text(d.note.as_deref())),
+        ])
+    });
+    Json::Arr(rows.collect()).render()
 }
 
 #[cfg(test)]
@@ -596,15 +572,21 @@ fn main() void {
         // The slug rides in the note of the JSON form.
         let json = render_json(&diags, src);
         assert!(json.contains("`drain` [has-loop]"), "{json}");
-        assert!(json.contains("\"code\": \"inlined\""), "{json}");
+        assert!(json.contains("\"code\":\"inlined\""), "{json}");
     }
 
     #[test]
     fn json_escapes_and_shapes() {
-        let d = Diag::remark("kernel-missed", 0, "say \"hi\"").with_label("a.zag:1");
-        let json = render_json(&[d], "x\n");
-        assert!(json.contains("\\\"hi\\\""), "{json}");
-        assert!(json.contains("\"label\": \"a.zag:1\""), "{json}");
-        assert!(json.trim_start().starts_with('['), "{json}");
+        let msg = "say \"hi\"\tand\r\u{1}";
+        let d = Diag::remark("kernel-missed", 3, msg).with_label("a.zag:2");
+        let json = Json::parse(&render_json(&[d], "x\ny\n")).expect("remarks parse");
+        let [row] = json.as_arr().expect("an array") else {
+            panic!("one row: {json:?}")
+        };
+        assert_eq!(row.get("message"), Some(&Json::from(msg)));
+        assert_eq!(row.get("label"), Some(&Json::from("a.zag:2")));
+        assert_eq!(row.get("note"), Some(&Json::Null));
+        assert_eq!(row.get("line"), Some(&Json::Int(2)));
+        assert_eq!(row.get("col"), Some(&Json::Int(2)));
     }
 }

@@ -1,8 +1,10 @@
-//! `zag --check` / `--check=deny` and the exit status of a failed run,
-//! end-to-end through the real binary.
+//! `zag --check` / `--check=deny`, the exit status of a failed run and
+//! the JSON outputs, end-to-end through the real binary.
 
 use std::path::Path;
 use std::process::{Command, Output};
+
+use zomp::json::Json;
 
 fn zag(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zag"))
@@ -104,4 +106,71 @@ fn main() void { print(down(100000)); }
             "{backend}: {stderr}"
         );
     }
+}
+
+/// The JSON outputs end to end through the binary: `--trace`, `--metrics`
+/// and `--profile=json` on one run of the tour, `--remarks=json` on
+/// another. Every written file and the last stdout line parse, and the
+/// trace holds the `schedule(dynamic, 8)` loop's span, labelled
+/// `tour.zag:<line>`, and its chunks.
+#[test]
+fn json_outputs_parse_end_to_end() {
+    let tour = repo("examples/zag/tour.zag");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = dir.join("tour.trace.json").display().to_string();
+    let metrics = dir.join("tour.metrics.json").display().to_string();
+    let last_line = |out: Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let last = stdout.lines().last().unwrap_or_default();
+        Json::parse(last).unwrap_or_else(|e| panic!("{e}: {stdout}"))
+    };
+    let written = |path: &str| {
+        let text = std::fs::read_to_string(path).expect("zag wrote the file");
+        Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+
+    let profile = last_line(zag(&[
+        "--trace",
+        &trace,
+        "--metrics",
+        &metrics,
+        "--profile=json",
+        &tour,
+    ]));
+    assert!(
+        profile.get("tiers").and_then(Json::as_arr).is_some(),
+        "{profile:?}"
+    );
+    assert!(written(&metrics).get("chunks_owned").is_some());
+    let doc = written(&trace);
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents");
+    let field = |e: &Json, key: &str| {
+        e.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert!(
+        events.iter().any(|e| field(e, "cat") == "loop"
+            && field(e, "name")
+                .rsplit_once(':')
+                .is_some_and(
+                    |(unit, line)| unit.ends_with("tour.zag") && line.parse::<u32>().is_ok()
+                )),
+        "no loop span labelled tour.zag:<line>"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| field(e, "cat").starts_with("chunk (")),
+        "no chunk span"
+    );
+
+    let remarks = last_line(zag(&["--remarks=json", &tour]));
+    assert!(remarks.as_arr().is_some(), "{remarks:?}");
 }

@@ -9,7 +9,9 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
+use zomp::json::Json;
 use zomp::schedule::{LoopBounds, LoopCmp, Schedule};
+use zomp::trace;
 use zomp::workshare::{for_loop, parallel_sections};
 use zomp::Parallel;
 use zomp_vm::{Backend, OptLevel, Value, Vm};
@@ -769,29 +771,35 @@ fn chunk_shapes() -> Vec<ChunkShape> {
     ]
 }
 
+/// The exported Chrome trace's slices of category `cat`, parsed back from
+/// the text a trace file would hold.
+fn exported_slices(cat: &str) -> Vec<Json> {
+    let doc = Json::parse(&trace::chrome_trace_json().render()).expect("the trace parses");
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    (events.expect("a traceEvents array").iter())
+        .filter(|e| e.get("cat").and_then(Json::as_str) == Some(cat))
+        .cloned()
+        .collect()
+}
+
 /// Runs `run` over 100 fresh hit counters with the trace on: the per-index
 /// hit counts, and the sum of its threads' `LoopDispatch` span payloads.
 fn traced_hits(run: impl FnOnce(&[AtomicI64])) -> (Vec<i64>, u64) {
-    use zomp::trace;
     let hits: Vec<AtomicI64> = (0..100).map(|_| AtomicI64::new(0)).collect();
     trace::reset();
     trace::enable_events();
     run(&hits);
     trace::disable_all();
-    let spans = trace::chrome_trace_json()
-        .lines()
-        .filter(|l| l.contains("\"cat\":\"loop\""))
+    let trips = exported_slices("loop")
+        .iter()
         .map(|l| {
-            let digits = l.split("\"trip\":").nth(1).expect("a trip arg");
-            let end = digits
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(digits.len());
-            digits[..end].parse::<u64>().expect("a numeric trip arg")
+            let trip = l.get("args").and_then(|a| a.get("trip"));
+            trip.and_then(Json::as_i64).expect("a trip arg") as u64
         })
         .sum();
     (
         hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
-        spans,
+        trips,
     )
 }
 
@@ -977,7 +985,6 @@ fn team(hits: []i64, n: i64, nthreads: i64) i64 {
 #[test]
 fn team_of_one_claims_every_schedule_once() {
     use std::sync::Arc;
-    use zomp::trace;
     use zomp_vm::value::ArrI;
     alone("team_of_one_claims_every_schedule_once", || {
         // `runtime` resolves against the `Vm`'s ICVs, set to `dynamic, 3`.
@@ -1244,24 +1251,12 @@ fn example_programs_stable_lines_agree() {
     assert!(seen >= 3, "expected the shipped sample programs");
 }
 
-/// PR 2's pragma labels (`unit:line` from `preprocess_named`) must reach
-/// the runtime's `ParallelBegin` probe when regions are entered through
-/// compiled bytecode, so Chrome traces keep source-pragma names.
+/// Pragma labels (`unit:line` from `preprocess_named`) must reach the
+/// runtime's `parallel` spans when regions are entered through compiled
+/// bytecode, so Chrome traces keep source-pragma names (this reads the
+/// process-wide trace rings, hence `alone`).
 #[test]
 fn bytecode_fork_call_keeps_pragma_labels() {
-    use std::sync::{Mutex, OnceLock};
-    static LABELS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let labels = LABELS.get_or_init(|| Mutex::new(Vec::new()));
-    zomp::trace::register_callback(|probe| {
-        if let zomp::trace::Probe::ParallelBegin { label, .. } = probe {
-            LABELS
-                .get()
-                .unwrap()
-                .lock()
-                .unwrap()
-                .push(label.to_string());
-        }
-    });
     let src = r#"fn main() void {
     var s: i64 = 0;
     //$omp parallel num_threads(2) reduction(+: s)
@@ -1270,20 +1265,25 @@ fn bytecode_fork_call_keeps_pragma_labels() {
     }
     print(s);
 }"#;
-    for opt in opt_levels() {
-        labels.lock().unwrap().clear();
-        let vm = Vm::build(src, Some("label_demo.zag"), Backend::Bytecode, opt).unwrap();
-        assert!(matches!(
-            vm.call_function("main", Vec::new()).unwrap(),
-            Value::Void
-        ));
-        assert_eq!(vm.output.into_inner(), vec!["2"]);
-        let got = labels.lock().unwrap();
-        assert!(
-            got.iter().any(|l| l == "label_demo.zag:3"),
-            "pragma label missing from ParallelBegin probes at --opt={opt}: {got:?}"
-        );
-    }
+    alone("bytecode_fork_call_keeps_pragma_labels", || {
+        for opt in opt_levels() {
+            let vm = Vm::build(src, Some("label_demo.zag"), Backend::Bytecode, opt).unwrap();
+            trace::reset();
+            trace::enable_events();
+            let ran = vm.call_function("main", Vec::new());
+            trace::disable_all();
+            assert!(matches!(ran.unwrap(), Value::Void));
+            assert_eq!(vm.output.into_inner(), vec!["2"]);
+            assert_eq!(trace::metrics().events_dropped, 0, "--opt={opt}");
+            let labels: Vec<Json> = (exported_slices("parallel").iter())
+                .filter_map(|s| s.get("name").cloned())
+                .collect();
+            assert!(
+                labels.contains(&Json::from("label_demo.zag:3")),
+                "pragma label missing from the parallel spans at --opt={opt}: {labels:?}"
+            );
+        }
+    });
 }
 
 // -- strip-mined templates vs the oracle ------------------------------------

@@ -15,9 +15,8 @@
 //!   backpressure, service workers that run the request themselves
 //!   under one deadline watchdog, and panic isolation.
 //!
-//! The request protocol is plain JSON over HTTP/1.1 ([`request`]); the
-//! in-crate [`json`] module supplies parsing because the workspace's
-//! vendored `serde_json` stand-in is serialize-only.
+//! The request protocol is plain JSON over HTTP/1.1 ([`request`]), read
+//! and written with the workspace's one JSON type, [`zomp::json::Json`].
 //!
 //! ```text
 //! $ zagd --addr 127.0.0.1:7099 &
@@ -28,11 +27,11 @@
 pub mod cache;
 pub mod client;
 pub mod demo;
-pub mod json;
 pub mod request;
 pub mod server;
 
 pub use cache::ProgramCache;
-pub use json::Json;
 pub use request::{execute, RunOutcome, RunRequest};
 pub use server::{Server, ServerConfig};
+pub use zomp::json;
+pub use zomp::json::Json;

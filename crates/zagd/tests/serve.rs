@@ -764,7 +764,13 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
         let idle = thread_count();
         let mut oversize_head = b"GET /health HTTP/1.1\r\nX-Pad: ".to_vec();
         oversize_head.resize(70 * 1024, b'a');
-        let corpus: [(&str, Vec<u8>); 7] = [
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let mut deep_body = format!(
+            "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            deep.len()
+        );
+        deep_body.push_str(&deep);
+        let corpus: [(&str, Vec<u8>); 8] = [
             (
                 "body shorter than Content-Length, then close",
                 b"POST /run HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"source\": ".to_vec(),
@@ -784,6 +790,7 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
             ),
             ("request line with no path", b"GET\r\n\r\n".to_vec()),
             ("empty connection", Vec::new()),
+            ("body nested 100 000 deep", deep_body.into_bytes()),
         ];
         for (what, bytes) in corpus {
             let mut conn = TcpStream::connect(addr).expect("connect");
@@ -807,8 +814,9 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
         }
         let s = stats(addr);
         assert_eq!(stat(&s, "panics"), 0);
-        // The first request, one after each case, this `/stats`: what
+        // The first request, one after each case, the deep body (a
+        // request, refused by the JSON parser) and this `/stats`: what
         // could not be read as a request was not served.
-        assert_eq!(stat(&s, "served"), 1 + 7 + 1);
+        assert_eq!(stat(&s, "served"), 1 + 8 + 1 + 1);
     });
 }
