@@ -116,12 +116,13 @@ fn bench_reductions(c: &mut Criterion) {
     g.finish();
 }
 
-/// Work-stealing decks vs the legacy shared cursor: drain the same loop
+/// Work-stealing decks vs the shared-cursor baseline: drain the same loop
 /// through both dispatchers, solo and with 4 contending threads. The solo
 /// deck is a team of 2 drained by one thread (a team of one would claim
 /// the whole loop at once).
 fn bench_dispatch_impls(c: &mut Criterion) {
-    use zomp::schedule::{legacy::SharedCursorDispatch, DynamicDispatch};
+    use zomp::schedule::DynamicDispatch;
+    use zomp_bench::baseline::SharedCursor;
     const N: u64 = 1 << 15;
     let mut g = c.benchmark_group("dispatch_next");
     g.sample_size(20).measurement_time(Duration::from_secs(2));
@@ -135,7 +136,7 @@ fn bench_dispatch_impls(c: &mut Criterion) {
     });
     g.bench_function("shared_cursor_solo", |b| {
         b.iter(|| {
-            let d = SharedCursorDispatch::new(N, 1);
+            let d = SharedCursor::new(N, 1);
             while let Some(r) = d.next() {
                 black_box(r);
             }
@@ -158,7 +159,7 @@ fn bench_dispatch_impls(c: &mut Criterion) {
     });
     g.bench_function("shared_cursor_4way", |b| {
         b.iter(|| {
-            let d = SharedCursorDispatch::new(N, 1);
+            let d = SharedCursor::new(N, 1);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     let d = &d;

@@ -3,8 +3,8 @@
 //!
 //! Covers the four hot paths the contention-aware refactor touched —
 //! region fork/join, barrier cycles, dynamic-dispatch chunk claims (both
-//! the work-stealing decks and the legacy shared cursor, so the speedup is
-//! recorded), and reduction merges (padded combining tree vs flat atomic).
+//! the work-stealing decks and the shared-cursor baseline, so the speedup
+//! is recorded), and reduction merges (padded combining tree vs flat atomic).
 //!
 //! Usage: `cargo run --release -p zomp-bench --bin runtime-bench [-- OUT]`
 //! (default output path `BENCH_runtime.json` in the current directory).
@@ -14,7 +14,8 @@ use std::time::Instant;
 
 use zomp::prelude::*;
 use zomp::reduction::ReduceTree;
-use zomp::schedule::{legacy::SharedCursorDispatch, DynamicDispatch};
+use zomp::schedule::DynamicDispatch;
+use zomp_bench::baseline::SharedCursor;
 
 /// Contending threads for every multi-thread measurement (the acceptance
 /// configuration for the dispatch speedup).
@@ -78,9 +79,9 @@ fn bench_dispatch_steal(trip: u64) -> f64 {
     })
 }
 
-fn bench_dispatch_legacy(trip: u64) -> f64 {
+fn bench_dispatch_shared_cursor(trip: u64) -> f64 {
     median_ns_per_op(trip, || {
-        let d = SharedCursorDispatch::new(trip, 1);
+        let d = SharedCursor::new(trip, 1);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 let d = &d;
@@ -153,8 +154,8 @@ fn main() {
     let barrier_ns = bench_barrier();
     eprintln!("measuring dispatch-next, work-stealing decks...");
     let steal_ns = bench_dispatch_steal(TRIP);
-    eprintln!("measuring dispatch-next, legacy shared cursor...");
-    let legacy_ns = bench_dispatch_legacy(TRIP);
+    eprintln!("measuring dispatch-next, shared-cursor baseline...");
+    let legacy_ns = bench_dispatch_shared_cursor(TRIP);
     eprintln!("measuring reduction merge, combining tree...");
     let tree_ns = bench_reduction_tree();
     eprintln!("measuring reduction merge, flat atomic...");

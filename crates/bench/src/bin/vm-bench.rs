@@ -579,14 +579,18 @@ fn json_list(ns: &[f64]) -> String {
 
 fn main() {
     // Shared execution flags (`--threads`, `--schedule`, `--trace`,
-    // `--metrics`, `--safety`) go through the common builder; what is
-    // left is `--smoke` or the output path.
+    // `--metrics`) go through the common builder; what is left is
+    // `--smoke` or the output path.
     let mut cfg = zomp::ExecConfig::new();
     let mut arg: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match cfg.parse_flag(&a, &mut it) {
             Ok(true) => continue,
+            Ok(false) if a.starts_with("--") && a != "--smoke" => {
+                eprintln!("vm-bench: unknown flag `{a}`");
+                std::process::exit(2);
+            }
             Ok(false) => arg = Some(a),
             Err(e) => {
                 eprintln!("vm-bench: {e}");

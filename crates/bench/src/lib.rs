@@ -14,8 +14,10 @@
 //!
 //! The [`paper`] module is the transcription of the paper's published
 //! numbers; [`experiments`] runs the model and pairs each artefact with its
-//! reference.
+//! reference. [`baseline`] holds the shared-cursor dispatcher the runtime's
+//! work-stealing deck is measured against.
 
+pub mod baseline;
 pub mod experiments;
 pub mod format;
 pub mod meta;

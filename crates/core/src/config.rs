@@ -3,7 +3,7 @@
 //!
 //! `zag`, `npb-run`, `vm-bench`, `tier-bench`, and the `zagd` service all
 //! take the same knobs — optimization level, backend, team size, schedule,
-//! safety mode, trace/metrics sinks, lint gating — and until this module
+//! trace/metrics sinks, lint gating — and until this module
 //! each binary re-implemented the parsing. [`ExecConfig`] centralises it:
 //! a CLI feeds `argv` through [`ExecConfig::parse_flag`] and keeps its
 //! binary-specific flags in its own `match`; a service fills the fields
@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use crate::icv::parse_omp_schedule;
 use crate::runtime::{Runtime, RuntimeConfig};
-use crate::safety::SafetyMode;
 use crate::schedule::Schedule;
 
 /// Which execution backend to use, as named on the command line. The VM
@@ -81,8 +80,6 @@ pub struct ExecConfig {
     pub threads: Option<usize>,
     /// `--schedule kind[,chunk]` (initial `run-sched-var`).
     pub schedule: Option<Schedule>,
-    /// `--safety debug|production|paranoid`.
-    pub safety: Option<SafetyMode>,
     /// `--trace FILE`: Chrome trace sink.
     pub trace_path: Option<String>,
     /// `--metrics FILE`: counters sink.
@@ -155,16 +152,6 @@ impl ExecConfig {
             self.schedule = Some(parse_omp_schedule(&v));
             return Ok(true);
         }
-        if arg == "--safety" || arg.starts_with("--safety=") {
-            let v = value("--safety", arg, rest)?;
-            self.safety = Some(match v.as_str() {
-                "debug" => SafetyMode::Debug,
-                "production" => SafetyMode::Production,
-                "paranoid" => SafetyMode::Paranoid,
-                _ => return Err(format!("unknown safety mode `{v}`")),
-            });
-            return Ok(true);
-        }
         if arg == "--trace" || arg.starts_with("--trace=") {
             self.trace_path = Some(value("--trace", arg, rest)?);
             return Ok(true);
@@ -200,14 +187,10 @@ impl ExecConfig {
         rt
     }
 
-    /// Apply this config to the process: safety mode and, on the default
-    /// global runtime, team size, schedule, and trace/metrics sinks. This is
-    /// the classic single-program CLI behaviour (`zag`, `npb-run`, the bench
-    /// drivers).
+    /// Apply this config to the default global runtime: team size,
+    /// schedule, and trace/metrics sinks. This is the classic
+    /// single-program CLI behaviour (`zag`, `npb-run`, the bench drivers).
     pub fn apply_global(&self) {
-        if let Some(m) = self.safety {
-            crate::safety::set_safety_mode(m);
-        }
         let rt = Runtime::global();
         if let Some(n) = self.threads {
             rt.icvs().set_num_threads(n);
@@ -253,8 +236,6 @@ mod tests {
             "--trace",
             "t.json",
             "--metrics=m.json",
-            "--safety",
-            "production",
             "--check=deny",
             "prog.zag",
         ])
@@ -267,7 +248,6 @@ mod tests {
         assert_eq!(s.chunk, Some(2));
         assert_eq!(cfg.trace_path.as_deref(), Some("t.json"));
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
-        assert_eq!(cfg.safety, Some(SafetyMode::Production));
         assert_eq!(cfg.check, CheckMode::Deny);
         assert_eq!(rest, vec!["prog.zag"]);
     }
@@ -281,15 +261,14 @@ mod tests {
         }
         assert!(parse_all(&["--threads", "0"]).is_err());
         assert!(parse_all(&["--backend", "jit"]).is_err());
-        assert!(parse_all(&["--safety", "fast"]).is_err());
         assert!(parse_all(&["--opt"]).is_err());
     }
 
     #[test]
     fn leaves_foreign_flags_alone() {
-        let (cfg, rest) = parse_all(&["--dump-ir", "--opt=0", "x.zag"]).unwrap();
+        let (cfg, rest) = parse_all(&["--dump-ir", "--opt=0", "--safety", "x.zag"]).unwrap();
         assert_eq!(cfg.opt, Some(0));
-        assert_eq!(rest, vec!["--dump-ir", "x.zag"]);
+        assert_eq!(rest, vec!["--dump-ir", "--safety", "x.zag"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `__kmpc_fork_call` | [`fork_call`] (re-export of [`crate::team::fork_call`]) |
 //! | `__kmpc_for_static_init_8` | [`for_static_init`]; [`WsLoop::begin`] |
 //! | `__kmpc_dispatch_init_8` | [`WsLoop::begin`] |
-//! | `__kmpc_dispatch_next_8` | [`WsLoop::next`] / [`WsLoop::next_bulk`] |
+//! | `__kmpc_dispatch_next_8` | [`WsLoop::next`] |
 //! | `__kmpc_dispatch_fini` / `__kmpc_for_static_fini` | [`WsLoop::end`] |
 //! | `__kmpc_barrier` | [`crate::team::ThreadCtx::barrier`] |
 //! | `__kmpc_critical` / `__kmpc_end_critical` | [`crate::sync::critical_named`] |
@@ -31,7 +31,7 @@ use std::sync::Arc;
 use crate::runtime::Runtime;
 use crate::schedule::{
     static_block, ChunkOrigin, DynamicDispatch, GuidedDispatch, Schedule, ScheduleError,
-    ScheduleKind, StaticChunked,
+    ScheduleKind, StaticChunked, STEAL_MAX_TRIP,
 };
 use crate::team::{TeamShared, ThreadCtx};
 use crate::trace;
@@ -87,8 +87,8 @@ pub(crate) enum Dispatcher {
 
 /// Where a [`WsLoop`] claims its chunks.
 enum Claims {
-    /// This thread's closed-form ranges: a static schedule, or any
-    /// schedule at a team of one.
+    /// This thread's closed-form ranges: a static schedule, any schedule
+    /// at a team of one, or a loop too long for the steal deck.
     Static(StaticIter),
     /// The dispatcher of `team`'s construct `construct`, claimed as thread
     /// `tid` (the work-stealing decks key per-thread state by team id).
@@ -110,9 +110,11 @@ enum Claims {
 /// does every schedule at a team of one (orphaned loops included): with no
 /// thread to balance against, a serialized team needs no dispatcher, and its
 /// one claim is the whole loop. Dynamic and guided schedules at a team of 2
-/// or more share the team construct slot's work-stealing dispatcher.
-/// [`WsLoop::next`] then claims chunks in normalised iteration units, and
-/// [`WsLoop::end`] finishes the construct for this thread.
+/// or more share the team construct slot's work-stealing dispatcher, up to
+/// [`STEAL_MAX_TRIP`] iterations; a longer loop takes the static path with
+/// the clause's chunk. [`WsLoop::next`] then claims chunks in normalised
+/// iteration units, and [`WsLoop::end`] finishes the construct for this
+/// thread.
 ///
 /// The handle records the loop's trace spans: one `LoopDispatch` span per
 /// thread, reporting the iterations that thread claimed (so a team's spans
@@ -167,7 +169,7 @@ impl WsLoop {
         let dynamic = sched.kind != ScheduleKind::Static;
         let t0 = trace::dispatch_begin_ts(dynamic);
         let claims = match ctx {
-            Some(ctx) if dynamic && ctx.num_threads() > 1 => {
+            Some(ctx) if dynamic && ctx.num_threads() > 1 && trip <= STEAL_MAX_TRIP => {
                 let (slot, construct) = ctx.enter_construct();
                 let nth = ctx.num_threads();
                 let dispatcher = ctx.slot_dispatcher(slot, || match sched.kind {
@@ -204,31 +206,17 @@ impl WsLoop {
 
     /// `__kmpc_dispatch_next`: close the previous chunk's span and claim
     /// the next chunk of normalised iterations, or `None` once this
-    /// thread's share is exhausted.
+    /// thread's share is exhausted. A dynamic claim is a whole batch (see
+    /// [`DynamicDispatch`]).
     #[inline]
     #[allow(clippy::should_implement_trait)] // named after __kmpc_dispatch_next
     pub fn next(&mut self) -> Option<Range<u64>> {
-        self.claim(false)
-    }
-
-    /// [`WsLoop::next`] for a chunk body that is a single native kernel:
-    /// a dynamic deck hands out whole owner batches while uncontended,
-    /// where per-chunk claim and kernel-entry overhead would dominate.
-    /// Other claims are unchanged.
-    #[inline]
-    pub fn next_bulk(&mut self) -> Option<Range<u64>> {
-        self.claim(true)
-    }
-
-    #[inline]
-    fn claim(&mut self, bulk: bool) -> Option<Range<u64>> {
         self.close_chunk();
         let (r, origin) = match &mut self.claims {
             Claims::Static(it) => (it.find(|r| !r.is_empty())?, ChunkOrigin::Owned),
             Claims::Team {
                 tid, dispatcher, ..
             } => match &**dispatcher {
-                Dispatcher::Dynamic(d) if bulk => d.next_bulk_with_origin(*tid)?,
                 Dispatcher::Dynamic(d) => d.next_with_origin(*tid)?,
                 Dispatcher::Guided(g) => g.next_with_origin(*tid)?,
             },
@@ -411,6 +399,45 @@ mod tests {
                     });
                     assert_eq!(hits.load(Ordering::SeqCst), 8);
                 }
+            }
+        }
+    }
+
+    /// A dynamic or guided loop longer than the steal deck holds takes the
+    /// static path at teams of 2 and 4: each thread's claims are
+    /// `for_static_init`'s with the clause's chunk, they sum to the trip,
+    /// and no construct slot is taken.
+    #[test]
+    fn huge_trip_takes_the_static_path() {
+        use crate::runtime::{Runtime, RuntimeConfig};
+        const TRIP: u64 = STEAL_MAX_TRIP + 10;
+        let big = Schedule::dynamic(Some(1 << 20));
+        let rt = Runtime::with_config(&RuntimeConfig::default().run_schedule(big));
+        for (sched, chunk) in [
+            (big, big.chunk),
+            (Schedule::guided(None), None),
+            (Schedule::runtime(), big.chunk),
+        ] {
+            for nth in [2, 4] {
+                let total = AtomicUsize::new(0);
+                crate::team::fork_call_rt(&rt, Parallel::new().num_threads(nth), |ctx| {
+                    let mut ws = WsLoop::begin(Some(ctx), sched, TRIP, None).expect("valid");
+                    let claims: Vec<_> = std::iter::from_fn(|| ws.next()).collect();
+                    ws.end();
+                    let want: Vec<_> = for_static_init(ctx.thread_num(), nth, TRIP, chunk)
+                        .expect("valid static init")
+                        .filter(|r| !r.is_empty())
+                        .collect();
+                    assert_eq!(claims, want, "{sched:?} at {nth}");
+                    let len: u64 = claims.iter().map(|r| r.end - r.start).sum();
+                    total.fetch_add(len as usize, Ordering::SeqCst);
+                    assert_eq!(ctx.constructs_entered(), 0, "{sched:?}: slot taken");
+                });
+                assert_eq!(
+                    total.load(Ordering::SeqCst) as u64,
+                    TRIP,
+                    "{sched:?} at {nth}"
+                );
             }
         }
     }

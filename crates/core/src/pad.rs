@@ -1,4 +1,4 @@
-//! Cache-line padding for contended per-thread runtime state.
+//! Cache-line padding for per-thread runtime state that other threads touch.
 //!
 //! The hot dispatch/barrier/reduction paths keep one slot per thread; without
 //! padding, neighbouring slots share a cache line and every owner-local

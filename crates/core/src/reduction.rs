@@ -360,7 +360,7 @@ unsafe impl<T: Send> Sync for RNode<T> {}
 
 /// Single-shot padded tree reduction for one worksharing construct.
 ///
-/// The contended single-cell merge (`nth` CAS loops on one line) is replaced
+/// The shared single-cell merge (`nth` CAS loops on one line) is replaced
 /// by: each thread publishes its partial in a cache-line-padded slot, then
 /// arrives at its leaf node; the last arriver of each node folds its
 /// children *sequentially* and ascends, so partials combine in a log₄(nth)
@@ -469,7 +469,7 @@ impl<T: Reduce> ReduceTree<T> {
                     node = p;
                 }
                 None => {
-                    // Root: one contended merge total, via the CAS-loop /
+                    // Root: one shared-cell merge total, via the CAS-loop /
                     // native-RMW leaf combiner (the paper's Listing 6).
                     cell.combine(folded);
                     return;

@@ -16,10 +16,10 @@
 //!   state, modelled by [`DynamicDispatch`] and [`GuidedDispatch`].
 //!
 //! The dispatch protocol is contention-aware: instead of the textbook single
-//! shared cursor (kept in [`legacy`] as fallback and benchmark baseline),
-//! the iteration space is carved into per-thread, cache-line-padded ranges
-//! up front and threads *steal half* of a victim's remaining range when
-//! their own runs dry ([`StealDeck`]). Entry-point semantics are unchanged:
+//! shared cursor (`zomp-bench` keeps one as the benchmark baseline), the
+//! iteration space is carved into per-thread, cache-line-padded ranges up
+//! front and threads *steal half* of a victim's remaining range when their
+//! own runs dry ([`StealDeck`]). Entry-point semantics are unchanged:
 //! `__kmpc_dispatch_next` still hands each caller disjoint chunks until the
 //! space is exhausted.
 //!
@@ -28,10 +28,9 @@
 //! comparison operator from the condition, increment from the continuation
 //! expression); [`LoopBounds`] normalises all of that to a trip count.
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pad::CachePadded;
 
@@ -319,9 +318,11 @@ impl StaticChunked {
             return Err(ScheduleError::BadThread { tid, nth });
         }
         let chunk = serialized_chunk(nth, trip, chunk as u64);
+        // A saturated start or stride lies past any trip: the thread's
+        // chunks end there instead of wrapping back into the loop.
         Ok(StaticChunked {
-            next_start: tid as u64 * chunk,
-            stride: chunk * nth as u64,
+            next_start: (tid as u64).saturating_mul(chunk),
+            stride: chunk.saturating_mul(nth as u64),
             chunk,
             trip,
         })
@@ -336,11 +337,8 @@ impl Iterator for StaticChunked {
             return None;
         }
         let start = self.next_start;
-        let end = (start + self.chunk).min(self.trip);
-        self.next_start = match start.checked_add(self.stride) {
-            Some(v) => v,
-            None => self.trip,
-        };
+        let end = start.saturating_add(self.chunk).min(self.trip);
+        self.next_start = start.saturating_add(self.stride);
         Some(start..end)
     }
 }
@@ -366,11 +364,10 @@ fn serialized_chunk(nth: usize, trip: u64, chunk: u64) -> u64 {
 /// How a dispatched chunk was obtained — the claim-path provenance reported
 /// to [`crate::trace`] (`ompt_dispatch_ws_loop_chunk`-style event payload).
 ///
-/// `Owned` covers claims served from the calling thread's own deck slot or
-/// owner-private batch cache (including remainders a previous steal
-/// published there — the *claim* itself was local and uncontended), plus
-/// every static-schedule chunk and the legacy shared-cursor protocols.
-/// `Stolen` marks claims that CAS-carved a range out of a victim's slot.
+/// `Owned` covers claims served from the calling thread's own deck slot
+/// (including remainders a previous steal published there — the *claim*
+/// itself was local), plus every static-schedule chunk. `Stolen` marks
+/// claims that CAS-carved a range out of a victim's slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkOrigin {
     Owned,
@@ -379,15 +376,16 @@ pub enum ChunkOrigin {
 
 /// Largest trip count the work-stealing deck handles: ranges are packed as
 /// two `u32` halves into one `AtomicU64`, and the owner's fetch-add claims
-/// need headroom in the low half (see [`StealSlot::range`]). Loops longer
-/// than this fall back to the [`legacy`] shared-cursor protocol.
+/// need headroom in the low half (see [`StealDeck`]). The dispatchers panic
+/// past it; [`crate::kmpc::WsLoop::begin`] serves longer dynamic and guided
+/// loops on the static path, keeping the clause's chunk.
 pub const STEAL_MAX_TRIP: u64 = 1 << 31;
 
-/// Owner claims are batched: one atomic RMW claims `chunk * STEAL_BATCH`
-/// iterations into an owner-private cache, which then serves `chunk`-sized
-/// pieces with no atomics at all. This amortises the per-chunk atomic cost
-/// that made the shared cursor the fork/dispatch bottleneck. Public so the
-/// analytic simulator's dispatch cost model stays in sync with the runtime.
+/// A dynamic claim is one batch: one atomic RMW on the thread's own slot
+/// claims `chunk * STEAL_BATCH` iterations and hands them out whole. This
+/// amortises the per-chunk atomic cost that made the shared cursor the
+/// fork/dispatch bottleneck. Public so the analytic simulator's dispatch
+/// cost model stays in sync with the runtime.
 pub const STEAL_BATCH: u64 = 8;
 
 /// Cap on a single owner batch so `lo + batch` can never carry out of the
@@ -406,68 +404,46 @@ const fn unpack(w: u64) -> (u32, u32) {
     (w as u32, (w >> 32) as u32)
 }
 
-/// One thread's share of the iteration space, padded to its own cache line.
-struct StealSlot {
-    /// Remaining owned range packed as `(hi << 32) | lo`. The owner advances
-    /// `lo` (a fetch-add on the low half); thieves shrink `hi` by CAS-ing the
-    /// whole word. `lo` may overshoot `hi` by at most one batch (the owner
-    /// pre-checks emptiness before fetch-adding), so with `hi <= 2^31` and
-    /// batches capped at [`STEAL_BATCH_CAP`] the low half never carries into
-    /// the high half.
-    range: AtomicU64,
-    /// Owner-private cache of one claimed batch `(lo, hi, stolen)`, drained
-    /// chunk-by-chunk without touching shared state; `stolen` remembers the
-    /// batch's [`ChunkOrigin`] for tracing. Never read or written by other
-    /// threads (see the `Sync` impl note).
-    local: UnsafeCell<(u32, u32, bool)>,
-}
-
-// SAFETY: `local` is only ever accessed by the slot's owning thread — the
-// `next(tid)` contract says each thread passes its own team id. All
-// cross-thread traffic goes through the atomic `range` word.
-unsafe impl Sync for StealSlot {}
-
 /// Work-stealing dispatch core shared by [`DynamicDispatch`] and
 /// [`GuidedDispatch`].
 ///
 /// The iteration space is carved into `nth` contiguous blocks (the same
-/// partition as `schedule(static)`) held in per-thread [`StealSlot`]s. A
-/// thread claims from its own slot until it drains, then steals the upper
-/// half of a victim's remaining range, keeps one batch, and publishes the
-/// rest in its own slot for others to steal in turn.
+/// partition as `schedule(static)`), one per thread, each in its own
+/// cache-line-padded slot. A thread claims from its own slot until it
+/// drains, then steals the upper half of a victim's remaining range, keeps
+/// one claim's worth, and publishes the rest in its own slot for others to
+/// steal in turn. A one-slot deck never finds a victim.
+///
+/// Each slot holds its remaining range packed as `(hi << 32) | lo`. The
+/// owner advances `lo` (a fetch-add on the low half); thieves shrink `hi`
+/// by CAS-ing the whole word. `lo` may overshoot `hi` by at most one batch
+/// (the owner pre-checks emptiness before fetch-adding), so with
+/// `hi <= 2^31` and batches capped at [`STEAL_BATCH_CAP`] the low half
+/// never carries into the high half.
 ///
 /// All atomics here are `Relaxed`: the claimed bounds travel *inside* the
 /// atomic word itself, atomic RMWs guarantee each iteration is claimed
 /// exactly once regardless of ordering, and the loop body's user data is
 /// ordered by the construct's barriers, not by the dispatch protocol.
 pub(crate) struct StealDeck {
-    slots: Box<[CachePadded<StealSlot>]>,
-    /// Has any thread ever entered the steal path on this deck? Sticky,
-    /// set before the victim scan. While false, every slot's remaining
-    /// range is untouched by thieves, so bulk claimants
-    /// ([`Self::next_dynamic_bulk`]) may take their whole batch in one
-    /// claim without starving anyone: a thread that *would* want to
-    /// steal flips the flag first, and from then on bulk claims degrade
-    /// to the chunk-at-a-time protocol that leaves stealable remainders.
-    contended: AtomicBool,
+    slots: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl StealDeck {
+    /// Panics past [`STEAL_MAX_TRIP`]: the packed `u32` range words would
+    /// silently truncate a longer loop.
     fn new(trip: u64, nth: usize) -> Self {
-        debug_assert!(trip <= STEAL_MAX_TRIP && nth > 1);
+        assert!(
+            trip <= STEAL_MAX_TRIP,
+            "a dispatched loop of {trip} iterations exceeds STEAL_MAX_TRIP ({STEAL_MAX_TRIP})"
+        );
         let slots = (0..nth)
             .map(|tid| {
                 let r = static_block(tid, nth, trip);
-                CachePadded::new(StealSlot {
-                    range: AtomicU64::new(pack(r.start as u32, r.end as u32)),
-                    local: UnsafeCell::new((0, 0, false)),
-                })
+                CachePadded::new(AtomicU64::new(pack(r.start as u32, r.end as u32)))
             })
             .collect();
-        StealDeck {
-            slots,
-            contended: AtomicBool::new(false),
-        }
+        StealDeck { slots }
     }
 
     /// Claim up to `want` iterations from this thread's own slot.
@@ -477,11 +453,11 @@ impl StealDeck {
         // Pre-check emptiness so repeated calls on a drained slot never
         // fetch-add: this bounds `lo`'s overshoot past `hi` to one batch,
         // which the packing headroom absorbs.
-        let (lo, hi) = unpack(slot.range.load(Ordering::Relaxed));
+        let (lo, hi) = unpack(slot.load(Ordering::Relaxed));
         if lo >= hi {
             return None;
         }
-        let (lo, hi) = unpack(slot.range.fetch_add(want, Ordering::Relaxed));
+        let (lo, hi) = unpack(slot.fetch_add(want, Ordering::Relaxed));
         if lo >= hi {
             // A thief shrank `hi` below `lo` between the check and the claim.
             return None;
@@ -498,16 +474,11 @@ impl StealDeck {
     /// remnants, and remnants smaller than one iteration's worth of interest
     /// could outlive every active claimant.
     fn steal(&self, tid: usize, min_keep: u64) -> Option<(u32, u32)> {
-        // Sticky contention mark, set *before* scanning victims so a bulk
-        // claimant racing this thief sees the flag no later than the thief
-        // sees the claimant's slot state (both sides are RMW/load on the
-        // same slot words; the flag is advisory — see `next_dynamic_bulk`).
-        self.contended.store(true, Ordering::Relaxed);
         let n = self.slots.len();
         for off in 1..n {
             let slot = &self.slots[(tid + off) % n];
             loop {
-                let w = slot.range.load(Ordering::Relaxed);
+                let w = slot.load(Ordering::Relaxed);
                 let (lo, hi) = unpack(w);
                 if lo >= hi {
                     break;
@@ -524,7 +495,6 @@ impl StealDeck {
                 // (steals take upper halves, owners only advance `lo`), so a
                 // stale `w` can never reappear as the current word.
                 if slot
-                    .range
                     .compare_exchange_weak(w, pack(lo, mid), Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
@@ -542,86 +512,25 @@ impl StealDeck {
     /// other thieves can find it. Plain store: thieves skip empty slots, so
     /// nothing CASes against the pre-store word.
     fn install(&self, tid: usize, lo: u32, hi: u32) {
-        self.slots[tid].range.store(pack(lo, hi), Ordering::Relaxed);
+        self.slots[tid].store(pack(lo, hi), Ordering::Relaxed);
     }
 
-    /// `schedule(dynamic)` claim protocol: fixed `chunk`-sized pieces, with
-    /// owner claims batched [`STEAL_BATCH`] chunks at a time.
+    /// `schedule(dynamic)` claim protocol: a claim is one batch of
+    /// [`STEAL_BATCH`] clause chunks, fetch-added off this thread's own
+    /// slot; once that drains, a steal keeps one batch and publishes the
+    /// rest in the slot.
     #[inline]
     fn next_dynamic(&self, tid: usize, chunk: u64) -> Option<(Range<u64>, ChunkOrigin)> {
-        let slot = &self.slots[tid];
-        // SAFETY: `local` is owner-private per the `next(tid)` contract.
-        let cache = unsafe { &mut *slot.local.get() };
-        loop {
-            if cache.0 < cache.1 {
-                let lo = cache.0;
-                let hi = ((lo as u64 + chunk).min(cache.1 as u64)) as u32;
-                cache.0 = hi;
-                let origin = if cache.2 {
-                    ChunkOrigin::Stolen
-                } else {
-                    ChunkOrigin::Owned
-                };
-                return Some((lo as u64..hi as u64, origin));
-            }
-            let batch = (chunk.saturating_mul(STEAL_BATCH)).min(STEAL_BATCH_CAP);
-            if let Some((lo, hi)) = self.claim_local(tid, batch) {
-                *cache = (lo, hi, false);
-                continue;
-            }
-            match self.steal(tid, 1) {
-                Some((lo, hi)) => {
-                    // Keep one batch for ourselves, publish the rest.
-                    let take = ((lo as u64 + batch).min(hi as u64)) as u32;
-                    *cache = (lo, take, true);
-                    if take < hi {
-                        self.install(tid, take, hi);
-                    }
-                }
-                None => return None,
-            }
-        }
-    }
-
-    /// Bulk variant of [`Self::next_dynamic`] for claimants whose chunk
-    /// body is a single native kernel (`--opt=3` `BulkLoop`): while the
-    /// deck is uncontended, hand back the *entire* owner batch in one
-    /// claim instead of `chunk`-sized pieces, amortising the claim
-    /// protocol (and the VM's per-chunk `ws_next`/kernel-entry overhead)
-    /// across `chunk * STEAL_BATCH` iterations.
-    ///
-    /// The contention flag is advisory, not a lock: a thief that races a
-    /// bulk claim still operates on the same atomic range words, so every
-    /// iteration is claimed exactly once either way — a lost race only
-    /// means one oversized chunk that could have been split. Once the
-    /// flag is up it stays up, and this degrades to `next_dynamic`
-    /// exactly, preserving stealable remainders under real contention.
-    #[inline]
-    fn next_dynamic_bulk(&self, tid: usize, chunk: u64) -> Option<(Range<u64>, ChunkOrigin)> {
-        if self.contended.load(Ordering::Relaxed) {
-            return self.next_dynamic(tid, chunk);
-        }
-        let slot = &self.slots[tid];
-        // SAFETY: `local` is owner-private per the `next(tid)` contract.
-        let cache = unsafe { &mut *slot.local.get() };
-        if cache.0 < cache.1 {
-            // Drain whatever a previous chunked claim left cached.
-            let (lo, hi) = (cache.0, cache.1);
-            cache.0 = hi;
-            let origin = if cache.2 {
-                ChunkOrigin::Stolen
-            } else {
-                ChunkOrigin::Owned
-            };
-            return Some((lo as u64..hi as u64, origin));
-        }
-        let batch = (chunk.saturating_mul(STEAL_BATCH)).min(STEAL_BATCH_CAP);
+        let batch = chunk.saturating_mul(STEAL_BATCH).min(STEAL_BATCH_CAP);
         if let Some((lo, hi)) = self.claim_local(tid, batch) {
             return Some((lo as u64..hi as u64, ChunkOrigin::Owned));
         }
-        // Own slot drained: fall back to the stealing protocol (which
-        // raises the contention flag before touching any victim).
-        self.next_dynamic(tid, chunk)
+        let (lo, hi) = self.steal(tid, 1)?;
+        let take = ((lo as u64 + batch).min(hi as u64)) as u32;
+        if take < hi {
+            self.install(tid, take, hi);
+        }
+        Some((lo as u64..take as u64, ChunkOrigin::Stolen))
     }
 
     /// `schedule(guided)` claim protocol: each claim takes half the *local*
@@ -642,12 +551,11 @@ impl StealDeck {
         };
         let slot = &self.slots[tid];
         loop {
-            let w = slot.range.load(Ordering::Relaxed);
+            let w = slot.load(Ordering::Relaxed);
             let (lo, hi) = unpack(w);
             if lo < hi {
                 let take = sized((hi - lo) as u64);
                 if slot
-                    .range
                     .compare_exchange_weak(
                         w,
                         pack(lo + take as u32, hi),
@@ -681,7 +589,7 @@ impl StealDeck {
         self.slots
             .iter()
             .map(|s| {
-                let (lo, hi) = unpack(s.range.load(Ordering::Relaxed));
+                let (lo, hi) = unpack(s.load(Ordering::Relaxed));
                 hi.saturating_sub(lo) as u64
             })
             .sum()
@@ -701,65 +609,42 @@ impl fmt::Debug for StealDeck {
 /// `__kmpc_dispatch_next` protocol for `kmp_sch_dynamic_chunked`.
 ///
 /// Backed by the work-stealing [`StealDeck`] (per-thread padded ranges,
-/// steal-half on drain). Loops longer than [`STEAL_MAX_TRIP`], and a deck
-/// of one thread (which `WsLoop` never builds), use the
-/// [`legacy::SharedCursorDispatch`] single-cursor protocol instead.
+/// steal-half on drain). A claim is a batch of up to [`STEAL_BATCH`] clause
+/// chunks: the ones its thread would win on its next calls anyway, so each
+/// thread runs the iterations, in the order, that clause-sized claims give.
 #[derive(Debug)]
 pub struct DynamicDispatch {
-    core: DynCore,
+    deck: StealDeck,
     chunk: u64,
 }
 
-#[derive(Debug)]
-enum DynCore {
-    Steal(StealDeck),
-    Legacy(legacy::SharedCursorDispatch),
-}
-
 impl DynamicDispatch {
+    /// Panics if `trip` exceeds [`STEAL_MAX_TRIP`];
+    /// [`crate::kmpc::WsLoop::begin`] serves such loops statically.
     pub fn new(trip: u64, nth: usize, chunk: Option<i64>) -> Self {
         let chunk = chunk
             .map(|c| c.max(1) as u64)
             .unwrap_or(DYNAMIC_DEFAULT_CHUNK);
-        let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
-            DynCore::Steal(StealDeck::new(trip, nth))
-        } else {
-            DynCore::Legacy(legacy::SharedCursorDispatch::new(trip, chunk))
-        };
-        DynamicDispatch { core, chunk }
+        DynamicDispatch {
+            deck: StealDeck::new(trip, nth),
+            chunk,
+        }
     }
 
-    /// Claim the next chunk for thread `tid`, or `None` when this thread's
+    /// Claim the next batch for thread `tid`, or `None` when this thread's
     /// range has drained and no victim has work left to steal.
     ///
-    /// Each thread must pass its own team id: per-thread state keyed by
-    /// `tid` is accessed without locks.
+    /// Each thread must pass its own team id.
     #[inline]
     pub fn next(&self, tid: usize) -> Option<Range<u64>> {
         self.next_with_origin(tid).map(|(r, _)| r)
     }
 
-    /// [`next`](Self::next) plus the chunk's claim-path provenance, for the
+    /// [`next`](Self::next) plus the claim's provenance, for the
     /// observability layer.
     #[inline]
     pub fn next_with_origin(&self, tid: usize) -> Option<(Range<u64>, ChunkOrigin)> {
-        match &self.core {
-            DynCore::Steal(deck) => deck.next_dynamic(tid, self.chunk),
-            DynCore::Legacy(d) => d.next().map(|r| (r, ChunkOrigin::Owned)),
-        }
-    }
-
-    /// Bulk claim for single-kernel chunk bodies: whole owner batches
-    /// while the deck is uncontended, [`Self::next_with_origin`]'s
-    /// chunk-at-a-time protocol once any thread has entered the steal
-    /// path. The legacy shared-cursor core has no per-thread slots to
-    /// coarsen, so it dispatches unchanged.
-    #[inline]
-    pub fn next_bulk_with_origin(&self, tid: usize) -> Option<(Range<u64>, ChunkOrigin)> {
-        match &self.core {
-            DynCore::Steal(deck) => deck.next_dynamic_bulk(tid, self.chunk),
-            DynCore::Legacy(d) => d.next().map(|r| (r, ChunkOrigin::Owned)),
-        }
+        self.deck.next_dynamic(tid, self.chunk)
     }
 }
 
@@ -772,25 +657,18 @@ impl DynamicDispatch {
 /// deck as [`DynamicDispatch`].
 #[derive(Debug)]
 pub struct GuidedDispatch {
-    core: GuidedCore,
+    deck: StealDeck,
     min_chunk: u64,
 }
 
-#[derive(Debug)]
-enum GuidedCore {
-    Steal(StealDeck),
-    Legacy(legacy::SharedGuidedDispatch),
-}
-
 impl GuidedDispatch {
+    /// Panics if `trip` exceeds [`STEAL_MAX_TRIP`], as
+    /// [`DynamicDispatch::new`] does.
     pub fn new(trip: u64, nth: usize, chunk: Option<i64>) -> Self {
-        let min_chunk = chunk.map(|c| c.max(1) as u64).unwrap_or(1);
-        let core = if nth > 1 && trip <= STEAL_MAX_TRIP {
-            GuidedCore::Steal(StealDeck::new(trip, nth))
-        } else {
-            GuidedCore::Legacy(legacy::SharedGuidedDispatch::new(trip, nth, min_chunk))
-        };
-        GuidedDispatch { core, min_chunk }
+        GuidedDispatch {
+            deck: StealDeck::new(trip, nth),
+            min_chunk: chunk.map(|c| c.max(1) as u64).unwrap_or(1),
+        }
     }
 
     /// Claim the next (decaying) chunk for thread `tid`. Same `tid` contract
@@ -804,94 +682,7 @@ impl GuidedDispatch {
     /// observability layer.
     #[inline]
     pub fn next_with_origin(&self, tid: usize) -> Option<(Range<u64>, ChunkOrigin)> {
-        match &self.core {
-            GuidedCore::Steal(deck) => deck.next_guided(tid, self.min_chunk),
-            GuidedCore::Legacy(g) => g.next().map(|r| (r, ChunkOrigin::Owned)),
-        }
-    }
-}
-
-/// The pre-stealing shared-state dispatch protocols.
-///
-/// They serve loops longer than [`STEAL_MAX_TRIP`] (whose ranges don't fit
-/// the packed-`u32` steal words), and the `zomp-bench` crate as the
-/// baseline for the work-stealing protocol.
-pub mod legacy {
-    use super::*;
-
-    /// Single shared atomic cursor; every chunk claim is one contended
-    /// fetch-add on the same cache line.
-    #[derive(Debug)]
-    pub struct SharedCursorDispatch {
-        cursor: AtomicU64,
-        trip: u64,
-        chunk: u64,
-    }
-
-    impl SharedCursorDispatch {
-        pub fn new(trip: u64, chunk: u64) -> Self {
-            SharedCursorDispatch {
-                cursor: AtomicU64::new(0),
-                trip,
-                chunk: chunk.max(1),
-            }
-        }
-
-        /// Claim the next chunk, or `None` once the space is exhausted.
-        #[inline]
-        pub fn next(&self) -> Option<Range<u64>> {
-            // Relaxed: the claimed start travels in the RMW result itself
-            // and user data is ordered by the construct barriers.
-            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.trip {
-                return None;
-            }
-            Some(start..(start + self.chunk).min(self.trip))
-        }
-    }
-
-    /// Single shared `taken` cell claimed with a CAS loop; chunk sizes
-    /// follow the classic global `ceil(remaining / (2 * nth))` formula.
-    #[derive(Debug)]
-    pub struct SharedGuidedDispatch {
-        taken: AtomicU64,
-        trip: u64,
-        nth: u64,
-        min_chunk: u64,
-    }
-
-    impl SharedGuidedDispatch {
-        pub fn new(trip: u64, nth: usize, min_chunk: u64) -> Self {
-            SharedGuidedDispatch {
-                taken: AtomicU64::new(0),
-                trip,
-                nth: nth.max(1) as u64,
-                min_chunk: min_chunk.max(1),
-            }
-        }
-
-        /// Claim the next (decaying) chunk.
-        pub fn next(&self) -> Option<Range<u64>> {
-            loop {
-                // Relaxed load/CAS: value-only protocol, same as above.
-                let taken = self.taken.load(Ordering::Relaxed);
-                if taken >= self.trip {
-                    return None;
-                }
-                let remaining = self.trip - taken;
-                let chunk = (remaining.div_ceil(2 * self.nth)).max(self.min_chunk);
-                let chunk = chunk.min(remaining);
-                match self.taken.compare_exchange_weak(
-                    taken,
-                    taken + chunk,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(taken..taken + chunk),
-                    Err(_) => continue,
-                }
-            }
-        }
+        self.deck.next_guided(tid, self.min_chunk)
     }
 }
 
@@ -1008,6 +799,25 @@ mod tests {
         }
     }
 
+    /// A huge `schedule(static, chunk)` chunk saturates the start and the
+    /// stride instead of wrapping them: the team covers the loop exactly
+    /// once and every thread's claims end.
+    #[test]
+    fn huge_static_chunk_covers_once_and_ends() {
+        for chunk in [1i64 << 62, i64::MAX] {
+            for nth in [2usize, 3, 4, 128] {
+                for trip in [0u64, 10, 1 << 40] {
+                    let mut claims: Vec<Range<u64>> = (0..nth)
+                        .flat_map(|tid| StaticChunked::new(tid, nth, trip, chunk).take(3))
+                        .collect();
+                    claims.sort_by_key(|r| r.start);
+                    let want = [(trip > 0).then_some(0..trip)];
+                    assert_eq!(claims, want.into_iter().flatten().collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
     #[test]
     fn dynamic_dispatch_covers_exactly() {
         let d = DynamicDispatch::new(103, 2, Some(10));
@@ -1015,7 +825,7 @@ mod tests {
         let mut claims = 0;
         for tid in [0, 1] {
             while let Some(r) = d.next(tid) {
-                assert!(r.end - r.start <= 10, "chunk granularity exceeded");
+                assert!(r.end - r.start <= 10 * STEAL_BATCH, "batch exceeded");
                 claims += 1;
                 for i in r {
                     assert!(!seen[i as usize]);
@@ -1025,8 +835,8 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert!(
-            claims >= 11,
-            "{claims} claims of at most 10 cannot cover 103"
+            claims >= 2,
+            "{claims} claims of at most 80 cannot cover 103"
         );
     }
 
@@ -1042,11 +852,9 @@ mod tests {
             ctx: Option<&ThreadCtx<'_>>,
             sched: Schedule,
             trip: u64,
-            bulk: bool,
         ) -> [Option<Range<u64>>; 2] {
             let mut ws = WsLoop::begin(ctx, sched, trip, None).expect("valid schedule");
-            let mut next = || if bulk { ws.next_bulk() } else { ws.next() };
-            let got = [next(), next()];
+            let got = [ws.next(), ws.next()];
             ws.end();
             got
         }
@@ -1060,14 +868,12 @@ mod tests {
                     ScheduleKind::Runtime,
                 ] {
                     let sched = Schedule { kind, chunk };
-                    for bulk in [false, true] {
-                        let what = format!("{sched:?}, trip {trip}, bulk {bulk}");
-                        assert_eq!(claims(None, sched, trip, bulk), whole, "orphaned {what}");
-                        fork_call(Parallel::new().num_threads(1), |ctx| {
-                            assert_eq!(claims(Some(ctx), sched, trip, bulk), whole, "{what}");
-                            assert_eq!(ctx.constructs_entered(), 0, "{what}: slot taken");
-                        });
-                    }
+                    let what = format!("{sched:?}, trip {trip}");
+                    assert_eq!(claims(None, sched, trip), whole, "orphaned {what}");
+                    fork_call(Parallel::new().num_threads(1), |ctx| {
+                        assert_eq!(claims(Some(ctx), sched, trip), whole, "{what}");
+                        assert_eq!(ctx.constructs_entered(), 0, "{what}: slot taken");
+                    });
                 }
             }
         }
@@ -1080,7 +886,7 @@ mod tests {
         let d = DynamicDispatch::new(1000, 4, Some(7));
         let mut seen = [false; 1000];
         while let Some(r) = d.next(0) {
-            assert!(r.end - r.start <= 7);
+            assert!(r.end - r.start <= 7 * STEAL_BATCH);
             for i in r {
                 assert!(!seen[i as usize], "iteration {i} executed twice");
                 seen[i as usize] = true;
@@ -1129,16 +935,21 @@ mod tests {
         assert_eq!(total, 1000);
         assert!(owned > 0, "own block must be claimed locally");
         assert!(stolen > 0, "other blocks must be reached by stealing");
-        // Legacy fallback reports everything as Owned.
-        let d = DynamicDispatch::new(STEAL_MAX_TRIP + 10, 4, Some(1 << 20));
-        assert_eq!(d.next_with_origin(2).unwrap().1, ChunkOrigin::Owned);
+    }
+
+    /// The default chunk is 1, so a claim is a batch of `STEAL_BATCH`
+    /// iterations off the thread's own block.
+    #[test]
+    fn dynamic_default_chunk_is_one() {
+        let d = DynamicDispatch::new(40, 2, None);
+        assert_eq!(d.next(0), Some(0..8));
+        assert_eq!(d.next(1), Some(20..28));
     }
 
     #[test]
-    fn dynamic_default_chunk_is_one() {
-        let d = DynamicDispatch::new(5, 2, None);
-        assert_eq!(d.next(0), Some(0..1));
-        assert_eq!(d.next(1), Some(3..4));
+    #[should_panic(expected = "exceeds STEAL_MAX_TRIP")]
+    fn dispatch_past_steal_max_trip_panics() {
+        DynamicDispatch::new(STEAL_MAX_TRIP + 1, 2, None);
     }
 
     #[test]
@@ -1212,41 +1023,5 @@ mod tests {
         let below_min = sizes.iter().filter(|&&s| s < 10).count();
         assert!(below_min <= 24, "too many sub-minimum claims: {sizes:?}");
         assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn legacy_shared_cursor_matches_old_protocol() {
-        let d = legacy::SharedCursorDispatch::new(103, 10);
-        let mut covered = 0;
-        while let Some(r) = d.next() {
-            assert_eq!(r.start, covered, "shared cursor chunks are sequential");
-            covered = r.end;
-        }
-        assert_eq!(covered, 103);
-    }
-
-    #[test]
-    fn legacy_guided_first_chunk_is_global_formula() {
-        let g = legacy::SharedGuidedDispatch::new(1000, 4, 1);
-        let mut covered = 0;
-        let mut first = None;
-        while let Some(r) = g.next() {
-            assert_eq!(r.start, covered);
-            covered = r.end;
-            first.get_or_insert(r.end - r.start);
-        }
-        assert_eq!(covered, 1000);
-        assert_eq!(first, Some(125)); // remaining / (2 * nth)
-    }
-
-    #[test]
-    fn huge_trip_falls_back_to_legacy() {
-        let d = DynamicDispatch::new(STEAL_MAX_TRIP + 10, 4, Some(1 << 20));
-        assert!(matches!(d.core, DynCore::Legacy(_)));
-        // First chunks are sequential from 0 (shared-cursor behaviour).
-        assert_eq!(d.next(2), Some(0..(1 << 20)));
-        let g = GuidedDispatch::new(STEAL_MAX_TRIP + 10, 4, None);
-        assert!(matches!(g.core, GuidedCore::Legacy(_)));
-        assert!(g.next(1).unwrap().start == 0);
     }
 }

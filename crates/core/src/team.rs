@@ -931,8 +931,8 @@ mod split_phase_tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Bulk claims (whole owner batches while the deck is uncontended)
-    /// still hand out every iteration exactly once.
+    /// Batch claims (up to `STEAL_BATCH` clause chunks each) hand out
+    /// every iteration exactly once.
     #[test]
     fn split_dispatch_covers_all_iterations() {
         const N: u64 = 173;
@@ -940,7 +940,8 @@ mod split_phase_tests {
         fork_call(Parallel::new().num_threads(4), |ctx| {
             let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(5)), N, None)
                 .expect("valid schedule");
-            while let Some(r) = ws.next_bulk() {
+            while let Some(r) = ws.next() {
+                assert!(r.end - r.start <= 5 * crate::schedule::STEAL_BATCH);
                 for i in r {
                     hits[i as usize].fetch_add(1, Ordering::SeqCst);
                 }

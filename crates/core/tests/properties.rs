@@ -7,8 +7,14 @@ use proptest::prelude::*;
 use zomp::prelude::*;
 use zomp::reduction::Reduce;
 use zomp::schedule::{
-    static_block, DynamicDispatch, GuidedDispatch, LoopBounds, LoopCmp, StaticChunked,
+    static_block, DynamicDispatch, GuidedDispatch, LoopBounds, LoopCmp, StaticChunked, STEAL_BATCH,
 };
+
+/// The largest dynamic claim: one batch of `STEAL_BATCH` clause chunks,
+/// capped at 2^29 iterations.
+fn max_batch(chunk: Option<i64>) -> u64 {
+    (chunk.unwrap_or(1) as u64 * STEAL_BATCH).min(1 << 29)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -46,21 +52,20 @@ proptest! {
         prop_assert!(seen.iter().all(|&c| c == 1));
     }
 
-    /// dynamic work-stealing dispatch covers exactly once in clause-sized
-    /// chunks regardless of chunk, deck width (2 and up), and which single
-    /// thread drains it (the drain-all caller exercises the steal path
-    /// against every other slot); an orphaned loop (a team of one) claims
-    /// the whole loop once.
+    /// dynamic work-stealing dispatch covers exactly once in claims of at
+    /// most one batch regardless of chunk, deck width (2 and up), and which
+    /// single thread drains it (the drain-all caller exercises the steal
+    /// path against every other slot); an orphaned loop (a team of one)
+    /// claims the whole loop once.
     #[test]
     fn dynamic_dispatch_partitions(trip in 0u64..5_000, nth in 2usize..9,
                                    chunk in proptest::option::of(1i64..300),
                                    drainer in 0usize..8) {
         let d = DynamicDispatch::new(trip, nth, chunk);
         let tid = drainer % nth;
-        let max_chunk = chunk.unwrap_or(1) as u64;
         let mut seen = vec![0u8; trip as usize];
         while let Some(r) = d.next(tid) {
-            prop_assert!(r.end - r.start <= max_chunk);
+            prop_assert!(r.end - r.start <= max_batch(chunk));
             for i in r {
                 seen[i as usize] += 1;
             }
@@ -102,30 +107,33 @@ proptest! {
         prop_assert!(seen.iter().all(|&c| c == 1));
     }
 
-    /// The legacy shared-cursor protocols (huge-trip fallback and bench
-    /// baseline) keep their original sequential-chunk behaviour.
+    /// `nth` threads draining one dynamic deck together, racing each
+    /// other's owner claims with steals: every claim is at most one batch
+    /// and every iteration is claimed exactly once.
     #[test]
-    fn legacy_dispatch_partitions(trip in 0u64..5_000, nth in 1usize..65,
-                                  chunk in 1u64..300) {
-        let d = zomp::schedule::legacy::SharedCursorDispatch::new(trip, chunk);
-        let mut covered = 0u64;
-        while let Some(r) = d.next() {
-            prop_assert_eq!(r.start, covered);
-            covered = r.end;
-        }
-        prop_assert_eq!(covered, trip);
-
-        let g = zomp::schedule::legacy::SharedGuidedDispatch::new(trip, nth, 1);
-        let mut covered = 0u64;
-        let mut last = u64::MAX;
-        while let Some(r) = g.next() {
-            prop_assert_eq!(r.start, covered);
-            let size = r.end - r.start;
-            prop_assert!(size <= last);
-            last = size.max(1);
-            covered = r.end;
-        }
-        prop_assert_eq!(covered, trip);
+    fn dynamic_dispatch_concurrent_partitions(trip in 0u64..20_000, nth in 2usize..9,
+                                              chunk in proptest::option::of(1i64..300)) {
+        use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+        let d = DynamicDispatch::new(trip, nth, chunk);
+        let hits: Vec<AtomicU8> = (0..trip).map(|_| AtomicU8::new(0)).collect();
+        let oversized = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..nth {
+                let (d, hits, oversized) = (&d, &hits, &oversized);
+                s.spawn(move || {
+                    while let Some(r) = d.next(tid) {
+                        if r.end - r.start > max_batch(chunk) {
+                            oversized.fetch_add(1, Ordering::Relaxed);
+                        }
+                        for i in r {
+                            hits[i as usize].fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        prop_assert_eq!(oversized.load(Ordering::Relaxed), 0);
+        prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     /// trip_count matches literally executing the source loop.

@@ -410,13 +410,18 @@ fn disabled_tracing_overhead_guard() {
         // a team of one would claim the whole loop once.
         let d = zomp::schedule::DynamicDispatch::new(TRIP, 2, Some(1));
         let t0 = Instant::now();
-        let mut claims = 0u64;
+        let (mut claims, mut iters) = (0u64, 0u64);
         while let Some(r) = d.next(0) {
             std::hint::black_box(r.start);
             claims += 1;
+            iters += r.end - r.start;
         }
         let ns = t0.elapsed().as_nanos() as f64 / claims as f64;
-        assert_eq!(claims, TRIP);
+        assert_eq!(iters, TRIP);
+        // A claim is a batch of STEAL_BATCH chunks; each steal may leave
+        // one short batch behind.
+        let batches = TRIP / zomp::schedule::STEAL_BATCH;
+        assert!((batches..batches + 64).contains(&claims), "{claims} claims");
         if pass > 0 {
             best_ns_per_claim = best_ns_per_claim.min(ns);
         }

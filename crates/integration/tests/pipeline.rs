@@ -168,8 +168,9 @@ fn main() void {
     .unwrap();
 }
 
-/// Zig-style safety modes apply across the whole stack: the same Zag
-/// program traps out-of-bounds in Debug and does not trap in Production.
+/// Zag arrays check bounds in every safety mode: the mode governs only the
+/// Rust API's `SharedSlice`, so an out-of-bounds read and store fail with
+/// the same text under `Debug` and `Production`.
 #[test]
 fn safety_mode_crosses_the_stack() {
     use zomp::safety::{with_safety_mode, SafetyMode};
@@ -190,17 +191,16 @@ fn main() void {
     with_safety_mode(SafetyMode::Production, || {
         assert_eq!(Vm::run(PROG).unwrap(), vec!["3"]);
     });
-    // Out-of-bounds read traps in Debug mode with a clear message.
-    const BAD: &str = r#"
-fn main() void {
-    var a: []i64 = @allocI(4);
-    print(a[9]);
-}
-"#;
-    with_safety_mode(SafetyMode::Debug, || {
-        let e = Vm::run(BAD).unwrap_err();
-        assert!(e.to_string().contains("out of bounds"), "{e}");
-    });
+    for (bad, text) in [
+        ("print(a[9]);", "index 9 out of bounds (len 4)"),
+        ("a[1000] = 7;", "index 1000 out of bounds (len 4)"),
+    ] {
+        let src = format!("fn main() void {{ var a: []i64 = @allocI(4); {bad} }}");
+        for mode in [SafetyMode::Debug, SafetyMode::Production] {
+            let e = with_safety_mode(mode, || Vm::run(&src).unwrap_err());
+            assert!(e.to_string().contains(text), "{mode:?} {bad}: {e}");
+        }
+    }
 }
 
 /// The preprocessor's output is a fixed point: preprocessing it again

@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use zomp::json::Json;
+use zomp::schedule::STEAL_BATCH;
 use zomp::{profile, trace};
 use zomp_bench::ports::{ZAG_EP, ZAG_MATVEC, ZAG_RANK};
 use zomp_vm::bytecode::Insn;
@@ -301,11 +302,11 @@ fn tier_report_attributes_fill_loop_to_native() {
 }
 
 /// A `schedule(dynamic, 1)` loop whose body crosses a call boundary, so
-/// no tier takes it and every iteration is one interpreted chunk claim:
-/// inside a region (`nthreads >= 1`: the team deck) or orphaned
-/// (`nthreads == 0`: the VM's serial deck). The never-taken recursive
-/// branch is what keeps `weigh` a call: without it the inliner flattens
-/// the body, the loop becomes a template and claims whole owner batches.
+/// no tier takes it and every claim runs interpreted: inside a region
+/// (`nthreads >= 1`: the team deck) or orphaned (`nthreads == 0`: the
+/// serialized static path). The never-taken recursive branch is what keeps
+/// `weigh` a call: without it the inliner flattens the body and the loop
+/// becomes a template.
 const CLAIMS: &str = r#"
 fn weigh(v: i64) i64 {
     if (v < 0) {
@@ -335,9 +336,10 @@ fn claims(out: []i64, n: i64, nthreads: i64) void {
 
 /// The chunk claim is one instruction (`wsnext`), and the split-phase
 /// trace bookkeeping rides behind it: a traced `schedule(dynamic, 1)` loop
-/// at a team of 2 counts `N` one-iteration claims and closes one chunk
-/// span per claim; a team of one (and an orphaned loop) claims the whole
-/// loop once and closes one span of `N`. Either way the per-thread
+/// at a team of 2 claims batches of at most `STEAL_BATCH` iterations and
+/// closes one chunk span per claim; a team of one (and an orphaned loop)
+/// claims the whole loop once and closes one span of `N`. The chunk spans
+/// tile the loop. Either way the per-thread
 /// `LoopDispatch` spans keep the pragma label and the dispatch count of
 /// a dynamic schedule, and carry shares that sum to `N`.
 #[test]
@@ -373,23 +375,28 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
             for i in 0..N as i64 {
                 assert_eq!(out.get(i).unwrap(), i % 13 + 1, "{what}: out[{i}]");
             }
-            // One claim per iteration at a team of 2; one of `N` at 1.
-            let (claims, len) = if threads == 2 { (N, 1) } else { (1, N) };
-            assert_eq!(m.chunks_owned + m.chunks_stolen, claims, "{what}: claims");
+            // Batches of at most `STEAL_BATCH` at a team of 2; one claim
+            // of `N` at 1.
+            let max_len = if threads == 2 { STEAL_BATCH } else { N };
+            let claims = m.chunks_owned + m.chunks_stolen;
+            assert!(claims >= N.div_ceil(max_len), "{what}: {claims} claims");
             assert_eq!(
                 m.iters_owned + m.iters_stolen,
                 N,
                 "{what}: claimed iterations"
             );
             assert_eq!(chunks.len() as u64, claims, "{what}: closed chunk spans");
-            assert!(
-                chunks.iter().all(|c| arg(c, "len") == len),
-                "{what}: every chunk is {len} iterations"
-            );
-            let mut starts: Vec<u64> = chunks.iter().map(|c| arg(c, "start")).collect();
-            starts.sort_unstable();
-            let want: Vec<u64> = (0..N).step_by(len as usize).collect();
-            assert_eq!(starts, want, "{what}: chunk starts");
+            let mut spans: Vec<(u64, u64)> = (chunks.iter())
+                .map(|c| (arg(c, "start"), arg(c, "len")))
+                .collect();
+            spans.sort_unstable();
+            let mut next = 0;
+            for (start, len) in spans {
+                assert_eq!(start, next, "{what}: chunk spans tile the loop");
+                assert!(len <= max_len, "{what}: a chunk of {len} > {max_len}");
+                next = start + len;
+            }
+            assert_eq!(next, N, "{what}: chunk spans tile the loop");
             assert_eq!(loops.len() as u64, threads.max(1), "{what}: loop spans");
             assert_eq!(
                 m.dispatch_inits,

@@ -6,6 +6,7 @@
 //! npb-run is W --threads 2 --serial-check
 //! npb-run cg A --threads 4 --trace trace.json   # chrome://tracing events
 //! npb-run ep A --threads 4 --metrics m.json     # aggregated counters
+//! npb-run cg A --threads 4 --safety production  # unchecked shared slices
 //! ```
 //!
 //! Prints a report shaped like the reference implementations': class,
@@ -15,6 +16,7 @@ use std::time::Instant;
 
 use npb::class::{CgParams, Class, EpParams, IsParams};
 use npb::verify::VerifyStatus;
+use zomp::safety::{set_safety_mode, SafetyMode};
 use zomp::ExecConfig;
 
 struct Args {
@@ -27,10 +29,11 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: npb-run <cg|ep|is> <S|W|A|B|C> [--threads N] [--serial-check]\n\
-         \t\t[--trace FILE] [--metrics FILE]\n\
+         \t\t[--safety debug|production|paranoid] [--trace FILE] [--metrics FILE]\n\
          \n\
          --threads N      run the zomp-parallel implementation on N threads\n\
          --serial-check   also run serially and cross-check the results\n\
+         --safety MODE    bounds checks on shared slices (default debug)\n\
          --trace FILE     write a chrome://tracing JSON event file\n\
          --metrics FILE   write aggregated runtime counters as JSON"
     );
@@ -39,8 +42,8 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     // The shared execution flags (`--threads`, `--trace`, `--metrics`,
-    // `--schedule`, `--safety`) come from the `ExecConfig` builder; the
-    // kernel/class positionals and `--serial-check` stay local.
+    // `--schedule`) come from the `ExecConfig` builder; the kernel/class
+    // positionals, `--serial-check` and `--safety` stay local.
     let mut cfg = ExecConfig::new();
     let mut kernel = None;
     let mut class = None;
@@ -57,6 +60,12 @@ fn parse_args() -> Args {
         }
         match a.as_str() {
             "--serial-check" => serial_check = true,
+            "--safety" => set_safety_mode(match it.next().as_deref() {
+                Some("debug") => SafetyMode::Debug,
+                Some("production") => SafetyMode::Production,
+                Some("paranoid") => SafetyMode::Paranoid,
+                _ => usage(),
+            }),
             "--help" | "-h" => usage(),
             other if kernel.is_none() => kernel = Some(other.to_ascii_lowercase()),
             other if class.is_none() => {

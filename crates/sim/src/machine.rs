@@ -19,12 +19,13 @@ use npb::model::Access;
 /// model can quantify what the refactor bought.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchImpl {
-    /// Legacy shared cursor: every chunk grab is an atomic RMW on one
-    /// global cache line, so all contending threads serialise on it.
+    /// Shared cursor: every chunk grab is an atomic RMW on one global
+    /// cache line, so all contending threads serialise on it.
     SharedCursor,
-    /// Work-stealing per-thread decks: chunk grabs hit a thread-local
-    /// padded word (uncontended), one atomic per [`zomp::schedule::STEAL_BATCH`]
-    /// chunks; cross-thread traffic is a handful of steals near the tail.
+    /// Work-stealing per-thread decks: a claim is one atomic on a
+    /// thread-local padded word (uncontended) that takes
+    /// [`zomp::schedule::STEAL_BATCH`] chunks at once; cross-thread traffic
+    /// is a handful of steals near the tail.
     WorkStealing,
 }
 
@@ -272,10 +273,9 @@ impl Machine {
     ///   average queues behind the other `t - 1` threads doing the same —
     ///   the per-grab cost grows linearly with the team, which is exactly
     ///   the contention the work-stealing refactor removes.
-    /// * Work stealing: grabs are served from an owner-private cache
-    ///   refilled by one uncontended atomic per [`zomp::schedule::STEAL_BATCH`]
-    ///   chunks, plus ~log2(t) contended steal CASes over the whole loop as
-    ///   the tail drains.
+    /// * Work stealing: one claim, a single uncontended atomic, takes a
+    ///   batch of [`zomp::schedule::STEAL_BATCH`] chunks, plus ~log2(t)
+    ///   contended steal CASes over the whole loop as the tail drains.
     ///
     /// A team of one claims its whole loop once under either protocol
     /// (`zomp::schedule`'s serialized-team rule), whatever `chunks` the

@@ -7,7 +7,6 @@
 //! zag --emit-preprocessed p.zag   # print the pragma-free source and exit
 //! zag --trace-passes p.zag        # print every preprocessor pass, then run
 //! zag --threads 8 p.zag           # set the default team size (nthreads-var)
-//! zag --safety production p.zag   # Zig-style build mode for shared arrays
 //! zag --trace out.json p.zag      # write a chrome://tracing event file
 //! zag --metrics m.json p.zag      # write aggregated runtime counters
 //! zag --backend ast p.zag         # run on the tree-walking oracle
@@ -20,7 +19,7 @@
 //! ```
 //!
 //! The execution knobs shared with the other drivers (`--backend`, `--opt`,
-//! `--threads`, `--schedule`, `--safety`, `--trace`, `--metrics`,
+//! `--threads`, `--schedule`, `--trace`, `--metrics`,
 //! `--check`) are parsed by [`zomp::ExecConfig`]; only the flags unique to
 //! `zag` are matched here.
 
@@ -34,7 +33,7 @@ fn usage() -> ! {
         "usage: zag [--check[=deny]] [--remarks[=json]] [--emit-preprocessed] [--trace-passes] \
          [--dump-ast] [--dump-bytecode] [--dump-ir] [--backend ast|bytecode|native] \
          [--opt 0|3] [--threads N] [--schedule kind[,chunk]] \
-         [--safety debug|production|paranoid] [--profile[=json]] \
+         [--profile[=json]] \
          [--trace FILE] [--metrics FILE] <program.zag>"
     );
     std::process::exit(2);

@@ -313,11 +313,7 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
                 .map_err(|e| VmError(e.to_string()))?;
             Ok(Value::Int(trip as i64))
         }
-        OmpFn::WsBegin => ws_begin(args, false),
-        // Same protocol, but dynamic claims are batch-granular while the
-        // deck is uncontended (the kernel handles any chunk length, so the
-        // clause chunk size only matters for steal granularity).
-        OmpFn::WsBeginBulk => ws_begin(args, true),
+        OmpFn::WsBegin => ws_begin(args),
         // The unfused spelling of `Insn::WsNext`, for the tree-walker and
         // hand-written `omp.internal.*` programs.
         OmpFn::WsNext => Ok(Value::Bool(ws_claim(&args[0])?.is_some())),
@@ -465,7 +461,7 @@ fn cmp_from_code(code: i64) -> VmResult<LoopCmp> {
     })
 }
 
-fn ws_begin(args: &[Value], bulk: bool) -> VmResult<Value> {
+fn ws_begin(args: &[Value]) -> VmResult<Value> {
     // An optional leading string is the worksharing pragma's `unit:line`
     // label (named translation units only), mirroring `fork_call`.
     let (label, base) = match args.first() {
@@ -497,15 +493,12 @@ fn ws_begin(args: &[Value], bulk: bool) -> VmResult<Value> {
         .map_err(|e| VmError(e.to_string()))?;
     let ws = with_ctx(|ctx| WsLoop::begin(ctx, sched, trip, label))
         .map_err(|e| VmError(e.to_string()))?;
-    Ok(Value::Ws(Arc::new(WsIter {
-        bulk,
-        state: Mutex::new(WsState {
-            lb,
-            incr,
-            cur: None,
-            ws,
-        }),
-    })))
+    Ok(Value::Ws(Arc::new(Mutex::new(WsState {
+        lb,
+        incr,
+        cur: None,
+        ws,
+    }))))
 }
 
 fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
@@ -525,12 +518,8 @@ fn as_ws(v: &Value) -> VmResult<&Arc<WsIter>> {
 /// bookkeeping and both bounds — `__kmpc_dispatch_next(&lb, &ub)`.
 pub(crate) fn ws_claim(ws: &Value) -> VmResult<Option<(i64, i64)>> {
     let ws = as_ws(ws)?;
-    let mut st = ws.state.lock();
-    let claim = if ws.bulk {
-        st.ws.next_bulk()
-    } else {
-        st.ws.next()
-    };
+    let mut st = ws.lock();
+    let claim = st.ws.next();
     let (lb, incr) = (st.lb, st.incr);
     st.cur = claim.map(|r| (lb + r.start as i64 * incr, lb + r.end as i64 * incr));
     Ok(st.cur)
@@ -538,7 +527,7 @@ pub(crate) fn ws_claim(ws: &Value) -> VmResult<Option<(i64, i64)>> {
 
 /// The chunk [`ws_claim`] last made current.
 fn ws_cur(ws: &Value) -> VmResult<(i64, i64)> {
-    let cur = as_ws(ws)?.state.lock().cur;
+    let cur = as_ws(ws)?.lock().cur;
     cur.ok_or_else(|| VmError("worksharing iterator has no current chunk".into()))
 }
 
@@ -547,7 +536,7 @@ fn ws_cur(ws: &Value) -> VmResult<(i64, i64)> {
 fn ws_fini(args: &[Value]) -> VmResult<Value> {
     let ws = as_ws(&args[0])?;
     let nowait = args[1].as_int()? != 0;
-    ws.state.lock().ws.end();
+    ws.lock().ws.end();
     if !nowait {
         team_barrier()?;
     }

@@ -153,10 +153,6 @@ pub enum OmpFn {
     RedLoopEnd,
     TripCount,
     WsBegin,
-    /// Installed by the `--opt=3` kernel tier in place of `WsBegin` when
-    /// the chunk body is a native bulk loop (see
-    /// `kernels::rewrite_ws_begin_bulk`).
-    WsBeginBulk,
     WsNext,
     WsLb,
     WsUb,
@@ -165,7 +161,7 @@ pub enum OmpFn {
 
 /// Every [`OmpFn`] with its path after `omp.`, in declaration order (so
 /// `OMP_FNS[f as usize]` is `f`'s row; a unit test pins the order).
-const OMP_FNS: [(OmpFn, &str); 30] = [
+const OMP_FNS: [(OmpFn, &str); 29] = [
     (OmpFn::GetThreadNum, "get_thread_num"),
     (OmpFn::GetNumThreads, "get_num_threads"),
     (OmpFn::GetMaxThreads, "get_max_threads"),
@@ -191,7 +187,6 @@ const OMP_FNS: [(OmpFn, &str); 30] = [
     (OmpFn::RedLoopEnd, "internal.red_loop_end"),
     (OmpFn::TripCount, "internal.trip_count"),
     (OmpFn::WsBegin, "internal.ws_begin"),
-    (OmpFn::WsBeginBulk, "internal.ws_begin_bulk"),
     (OmpFn::WsNext, "internal.ws_next"),
     (OmpFn::WsLb, "internal.ws_lb"),
     (OmpFn::WsUb, "internal.ws_ub"),

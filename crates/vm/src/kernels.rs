@@ -670,41 +670,6 @@ fn install_fn(f: &mut CompiledFn, lcg: &[bool]) {
     // kernel shape (runs second so the specialised kernels win the
     // overlap; skips pcs covered by an installed kernel span).
     crate::templates::install_fn(f);
-    rewrite_ws_begin_bulk(f);
-}
-
-/// Retarget the `omp.internal.ws_begin` call enclosing each installed
-/// kernel or template to `ws_begin_bulk`: the chunk body is (dominated
-/// by) a native loop, which handles any chunk length, so the dynamic dispatcher
-/// may claim whole owner batches while its deck is uncontended instead of
-/// paying the claim protocol and kernel entry per clause-sized chunk. The
-/// schedule's *mapping* semantics are untouched — static chunking and
-/// contended dynamic dispatch behave exactly as before (see
-/// `zomp::schedule::DynamicDispatch::next_bulk_with_origin`).
-fn rewrite_ws_begin_bulk(f: &mut CompiledFn) {
-    let heads: Vec<usize> = (0..f.code.len())
-        .filter(|&pc| {
-            matches!(
-                f.code[pc],
-                Insn::BulkLoop { .. } | Insn::TemplateLoop { .. }
-            )
-        })
-        .collect();
-    for pc in heads {
-        // Nearest preceding worksharing begin, the same resolution rule
-        // as `loop_label` (a `WsBeginBulk` hit means another kernel in the
-        // same loop already retargeted it).
-        let begin = f.code[..pc].iter_mut().rev().find_map(|insn| match insn {
-            Insn::OmpCall {
-                func: func @ (OmpFn::WsBegin | OmpFn::WsBeginBulk),
-                ..
-            } => Some(func),
-            _ => None,
-        });
-        if let Some(func) = begin {
-            *func = OmpFn::WsBeginBulk;
-        }
-    }
 }
 
 /// Resolve the pragma label of the worksharing loop enclosing the
@@ -713,10 +678,8 @@ fn rewrite_ws_begin_bulk(f: &mut CompiledFn) {
 /// emits that argument for named units). `""` when absent.
 pub(crate) fn loop_label(f: &CompiledFn, pc: usize) -> &'static str {
     for i in (0..pc).rev() {
-        // Kernel installation may have retargeted the call to
-        // `WsBeginBulk`, and remarks resolve labels post-install.
         let Insn::OmpCall {
-            func: OmpFn::WsBegin | OmpFn::WsBeginBulk,
+            func: OmpFn::WsBegin,
             base,
             ..
         } = f.code[i]

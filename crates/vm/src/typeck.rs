@@ -499,7 +499,7 @@ fn omp_ret_ty(func: OmpFn, env: &[Ty], base: Reg) -> Ty {
         WsLb | WsUb | TripCount | IfThreads => Ty::Int,
         GetThreadNum | GetNumThreads | GetMaxThreads | GetNumProcs | GetLevel => Ty::Int,
         GetWtime => Ty::Float,
-        WsBegin | WsBeginBulk => Ty::Ws,
+        WsBegin => Ty::Ws,
         RedCell | RedLoopBegin => red_of(arg(1)),
         RedIdentity | RedGet | RedLoopEnd => red_elem(arg(0)),
         WsFini | Barrier | SingleEnd | CriticalEnter | CriticalExit | AtomicRmw | RedCombine

@@ -8,9 +8,10 @@
 //! Shared mutability follows the OpenMP contract: scalar variables live in
 //! `Arc<Mutex<Value>>` slots (shared scalars are passed as [`Value::Ptr`]
 //! after the preprocessor's pointer rewriting), and arrays are
-//! [`ArrF`]/[`ArrI`] — `UnsafeCell` element storage with Zig-style
-//! bounds-checking controlled by [`zomp::safety::SafetyMode`]
-//! (debug = checked, production = unchecked).
+//! [`ArrF`]/[`ArrI`] — `UnsafeCell` element storage, bounds-checked on
+//! every access. [`zomp::safety::SafetyMode`] governs only the Rust API's
+//! [`zomp::shared::SharedSlice`]: a Zag index never reaches memory
+//! unchecked.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use zomp::kmpc::WsLoop;
 use zomp::reduction::{RedCell, RedOp};
-use zomp::safety::{safety_mode, SafetyMode};
 use zomp::team::ConstructToken;
 
 /// A variable slot: scalar variables, shareable across threads through
@@ -47,11 +47,9 @@ pub fn err<T>(msg: impl Into<String>) -> VmResult<T> {
 macro_rules! shared_array {
     ($name:ident, $elem:ty, $zero:expr) => {
         /// A shared numeric array. Element reads/writes are raw under the
-        /// OpenMP no-data-race contract; bounds are checked unless the
-        /// safety mode is `Production` (Zig's debug/release duality).
+        /// OpenMP no-data-race contract; bounds are checked on every access.
         pub struct $name {
             data: Box<[UnsafeCell<$elem>]>,
-            checked: bool,
             /// Write seqlock for [`Self::range_hint`]. `0` = hint
             /// tracking inactive (the common case: `set` pays one
             /// relaxed load and nothing else). Activated lazily by the
@@ -74,7 +72,6 @@ macro_rules! shared_array {
                 let data = (0..n).map(|_| UnsafeCell::new($zero)).collect();
                 Self {
                     data,
-                    checked: safety_mode() != SafetyMode::Production,
                     stamp: AtomicU64::new(0),
                     hint: Mutex::new(None),
                 }
@@ -90,7 +87,7 @@ macro_rules! shared_array {
 
             #[inline]
             fn check(&self, i: i64) -> VmResult<usize> {
-                if self.checked && (i < 0 || i as usize >= self.data.len()) {
+                if i < 0 || i as usize >= self.data.len() {
                     return err(format!(
                         "index {} out of bounds (len {})",
                         i,
@@ -103,8 +100,8 @@ macro_rules! shared_array {
             #[inline]
             pub fn get(&self, i: i64) -> VmResult<$elem> {
                 let i = self.check(i)?;
-                // SAFETY: bounds validated (or contractually valid in
-                // production mode); no concurrent writer per OpenMP rules.
+                // SAFETY: bounds validated; no concurrent writer per OpenMP
+                // rules.
                 Ok(unsafe { *self.data.get_unchecked(i).get() })
             }
 
@@ -202,10 +199,9 @@ macro_rules! shared_array {
 
             /// Raw element storage for the `--opt=3` bulk kernels
             /// ([`crate::kernels`]). Kernels bounds-check the whole
-            /// index range themselves (in every safety mode) and bail
-            /// back to the interpreter on violation, so the exact
-            /// checked/unchecked error behaviour of `get`/`set` is
-            /// reproduced by the interpreter replay.
+            /// index range themselves and bail back to the interpreter on
+            /// violation, so the exact error of `get`/`set` is reproduced
+            /// by the interpreter replay.
             pub(crate) fn cells(&self) -> &[UnsafeCell<$elem>] {
                 &self.data
             }
@@ -304,15 +300,9 @@ impl RedHandle {
     }
 }
 
-/// Worksharing-loop iterator state (the VM object behind the
+/// Worksharing-loop iterator (the VM object behind the
 /// `omp.internal.ws_*` generic wrapper family).
-pub struct WsIter {
-    /// Begun by `omp.internal.ws_begin_bulk` (installed by the `--opt=3`
-    /// kernel tier when the chunk body is a single native kernel): claims
-    /// take [`WsLoop::next_bulk`]'s whole owner batches.
-    pub bulk: bool,
-    pub state: Mutex<WsState>,
-}
+pub type WsIter = Mutex<WsState>;
 
 pub struct WsState {
     /// Denormalisation: source value of iteration 0 and the stride.
@@ -463,13 +453,11 @@ mod tests {
 
     #[test]
     fn arrays_bounds_check_in_debug_mode() {
-        zomp::safety::with_safety_mode(SafetyMode::Debug, || {
-            let a = ArrF::new(4);
-            assert!(a.set(3, 1.5).is_ok());
-            assert_eq!(a.get(3).unwrap(), 1.5);
-            assert!(a.get(4).is_err());
-            assert!(a.set(-1, 0.0).is_err());
-        });
+        let a = ArrF::new(4);
+        assert!(a.set(3, 1.5).is_ok());
+        assert_eq!(a.get(3).unwrap(), 1.5);
+        assert!(a.get(4).is_err());
+        assert!(a.set(-1, 0.0).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use zomp::json::Json;
-use zomp::schedule::{LoopBounds, LoopCmp, Schedule};
+use zomp::schedule::{LoopBounds, LoopCmp, Schedule, STEAL_BATCH};
 use zomp::trace;
 use zomp::workshare::{for_loop, parallel_sections};
 use zomp::Parallel;
@@ -976,12 +976,11 @@ fn team(hits: []i64, n: i64, nthreads: i64) i64 {
 /// A team of one — or no team at all — claims its whole worksharing loop
 /// once under every schedule, on the walker, `--opt=0` and `--opt=3`
 /// alike: one claim of `trip` iterations (none for an empty loop), with
-/// results bit-identical to the walker's. Teams of 2 and 4 keep the claim
-/// counts of the per-chunk protocol: exactly those of the closed-form
-/// static schedules and of one-iteration dynamic claims, and for the
+/// results bit-identical to the walker's. At teams of 2 and 4 the static
+/// schedules claim exactly their closed-form blocks and chunks, and the
 /// decks at least one claim per non-empty thread block (every claim stays
-/// inside one block) and per clause-sized chunk where claims are capped
-/// at the chunk.
+/// inside one block) and, for dynamic, one per batch of `STEAL_BATCH`
+/// clause chunks — the same bounds at every tier.
 #[test]
 fn team_of_one_claims_every_schedule_once() {
     use std::sync::Arc;
@@ -1064,10 +1063,12 @@ fn team_of_one_claims_every_schedule_once() {
                                     (trip.min(nth)..=trip).contains(&claims),
                                     "{what}: {claims} claims"
                                 );
-                                // Only bulk claims (`--opt=3`, a loop the
-                                // native tiers take) may exceed the cap.
-                                if let (Some(c), "call") = (cap, body_name) {
-                                    assert!(claims >= trip.div_ceil(c), "{what}: {claims} claims");
+                                if let Some(c) = cap {
+                                    let batch = STEAL_BATCH * c;
+                                    assert!(
+                                        claims >= trip.div_ceil(batch),
+                                        "{what}: {claims} claims"
+                                    );
                                 }
                             }
                         }
@@ -1125,10 +1126,33 @@ fn handwritten_chunk_drivers_and_errors_agree() {
 }";
     assert_eq!(
         run_on(fini_after_region, Backend::Ast, OptLevel::O0),
-        Ok(vec!["2".to_string()]),
+        Ok(vec!["10".to_string()]),
         "fini_after_region"
     );
     assert_backends_agree("fini_after_region", fini_after_region);
+    // A `static` chunk of 2^62 at a team of 4: the stride saturates, so
+    // thread 0 claims the loop once and the others nothing. At most four
+    // claims per thread, so a stride that wraps to 0 fails (30) instead of
+    // spinning.
+    let huge_static_chunk = "fn main() void {
+    var s: i64 = 0;
+    //$omp parallel num_threads(4) reduction(+: s)
+    {
+        const w = omp.internal.ws_begin(0, 4611686018427387904, 0, 10, 1, 0);
+        var n: i64 = 0;
+        while (n < 4 and omp.internal.ws_next(w)) : (n += 1) {
+            s += omp.internal.ws_ub(w) - omp.internal.ws_lb(w);
+        }
+        omp.internal.ws_fini(w, 0);
+    }
+    print(s);
+}";
+    assert_eq!(
+        run_on(huge_static_chunk, Backend::Ast, OptLevel::O0),
+        Ok(vec!["10".to_string()]),
+        "huge_static_chunk"
+    );
+    assert_backends_agree("huge_static_chunk", huge_static_chunk);
     for (name, src, text) in [
         (
             "unknown_omp_function",

@@ -227,14 +227,11 @@ fn inlined_step_loop_matches_golden() {
     assert_golden(&golden, "inline_step.disasm");
 }
 
-/// `weigh` leaves a straight-line loop: a template whose `ws_begin`
-/// claims owner batches.
+/// `weigh` leaves a straight-line loop: a template.
 #[test]
 fn inlined_weigh_loop_matches_golden() {
     let (golden, optimized) = outlined_stages(WEIGH_PROGRAM);
     assert!(has_call(&golden) && !has_call(&optimized), "{golden}");
-    assert!(
-        optimized.contains("omp.internal.ws_begin_bulk,") && optimized.contains("templateloop")
-    );
+    assert!(optimized.contains("omp.internal.ws_begin,") && optimized.contains("templateloop"));
     assert_golden(&golden, "inline_weigh.disasm");
 }
