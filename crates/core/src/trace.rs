@@ -1047,12 +1047,17 @@ mod tests {
         });
         disable_all();
         let json = Json::parse(&chrome_trace_json().render()).expect("the trace parses");
+        // Found by its name: a test that does not take `test_serial` may
+        // run a region while events are on and add `implicit task` slices.
+        let name = Json::from("demo \"region\"");
         let slice = json
             .get("traceEvents")
             .and_then(Json::as_arr)
-            .and_then(|es| es.iter().find(|e| e.get("ph") == Some(&Json::from("X"))))
-            .expect("one complete slice");
-        assert_eq!(slice.get("name"), Some(&Json::from("demo \"region\"")));
+            .and_then(|es| {
+                es.iter()
+                    .find(|e| e.get("ph") == Some(&Json::from("X")) && e.get("name") == Some(&name))
+            })
+            .expect("the region's complete slice, its label escaped and read back");
         assert_eq!(
             slice.get("args").and_then(|a| a.get("threads")),
             Some(&Json::Int(4))

@@ -14,10 +14,22 @@ use crate::omp_kw::{lookup, OmpKw};
 use crate::token::{tokenize, Tag as T, Token};
 use crate::Diag;
 
+/// The deepest nesting [`parse`] accepts. Every block, `if`, `while`,
+/// expression, unary operator and operand of a left-associative chain
+/// (`a + b + c`, `f(x)[i].*`) is one level. Past it, parsing stops with an
+/// error at the first token one level too deep. Every later stage walks
+/// the tree recursively; at this bound a program still goes through
+/// analysis, preprocessing, lowering and the tree-walker of a debug build
+/// inside a 2 MB thread stack (`zomp-vm`'s
+/// `programs_at_the_nesting_bound_compile_and_run`).
+pub const MAX_NEST: u32 = 256;
+
 pub struct Parser<'s> {
     source: &'s str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open at the current token (see [`MAX_NEST`]).
+    depth: u32,
     nodes: Vec<Node>,
     extra: Vec<u32>,
     /// Per-node (first token, last token) — exact spans for the
@@ -25,20 +37,23 @@ pub struct Parser<'s> {
     spans: Vec<(TokenId, TokenId)>,
 }
 
-type PResult<T> = Result<T, Diag>;
+/// Errors are boxed inside the parser: one parenthesis is nine frames of
+/// descent, and a word-sized error keeps each of them small.
+type PResult<T> = Result<T, Box<Diag>>;
 
 /// Parse a full source file.
-pub fn parse(source: &str) -> PResult<Ast> {
+pub fn parse(source: &str) -> Result<Ast, Diag> {
     let tokens = tokenize(source)?;
     let mut p = Parser {
         source,
         tokens,
         pos: 0,
+        depth: 0,
         nodes: Vec::new(),
         extra: Vec::new(),
         spans: Vec::new(),
     };
-    let root = p.parse_root()?;
+    let root = p.parse_root().map_err(|e| *e)?;
     Ok(Ast {
         source: source.to_string(),
         tokens: p.tokens,
@@ -63,7 +78,18 @@ impl<'s> Parser<'s> {
     }
 
     fn err<R>(&self, msg: impl Into<String>) -> PResult<R> {
-        Err(Diag::parse(self.here(), msg))
+        Err(Box::new(Diag::parse(self.here(), msg)))
+    }
+
+    /// Open one more level of nesting; past [`MAX_NEST`], an error at the
+    /// current token. The caller closes it (`depth -= 1`) once its node is
+    /// built; an error ends the parse, so that path need not.
+    fn nest(&mut self) -> PResult<()> {
+        if self.depth == MAX_NEST {
+            return self.err(format!("nesting deeper than {MAX_NEST} levels"));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     /// The Zig-style `eatToken`: if the next token matches, consume and
@@ -105,8 +131,10 @@ impl<'s> Parser<'s> {
     }
 
     fn expect(&mut self, tag: T, what: &str) -> PResult<TokenId> {
-        self.eat_token(tag)
-            .ok_or_else(|| Diag::parse(self.here(), format!("expected {what}")))
+        match self.eat_token(tag) {
+            Some(id) => Ok(id),
+            None => self.err(format!("expected {what}")),
+        }
     }
 
     /// Create a node. `start` is its first token; its last token is the
@@ -199,6 +227,7 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_block(&mut self) -> PResult<NodeId> {
+        self.nest()?;
         let open = self.expect(T::LBrace, "'{'")?;
         let mut stmts = Vec::new();
         while self.cur_tag() != T::RBrace {
@@ -209,6 +238,7 @@ impl<'s> Parser<'s> {
         }
         self.expect(T::RBrace, "'}'")?;
         let (lo, hi) = self.add_range(&stmts);
+        self.depth -= 1;
         Ok(self.add_at(N::Block, open, open, lo, hi))
     }
 
@@ -273,6 +303,7 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_while(&mut self) -> PResult<NodeId> {
+        self.nest()?;
         let tok = self.expect(T::KwWhile, "'while'")?;
         self.expect(T::LParen, "'(' after while")?;
         let cond = self.parse_expr()?;
@@ -288,6 +319,7 @@ impl<'s> Parser<'s> {
         };
         let body = self.parse_stmt()?;
         let (lo, _) = self.add_range(&[body, cont]);
+        self.depth -= 1;
         Ok(self.add_at(N::While, tok, tok, cond, lo))
     }
 
@@ -319,6 +351,7 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_if(&mut self) -> PResult<NodeId> {
+        self.nest()?;
         let tok = self.expect(T::KwIf, "'if'")?;
         self.expect(T::LParen, "'(' after if")?;
         let cond = self.parse_expr()?;
@@ -335,6 +368,7 @@ impl<'s> Parser<'s> {
             0
         };
         let (lo, _) = self.add_range(&[then, els]);
+        self.depth -= 1;
         Ok(self.add_at(N::If, tok, tok, cond, lo))
     }
 
@@ -356,28 +390,37 @@ impl<'s> Parser<'s> {
     // -- expressions ----------------------------------------------------------
 
     fn parse_expr(&mut self) -> PResult<NodeId> {
-        self.parse_or()
+        self.nest()?;
+        let e = self.parse_or()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn parse_or(&mut self) -> PResult<NodeId> {
+        let depth = self.depth;
         let mut lhs = self.parse_and()?;
         while self.cur_tag() == T::KwOr {
+            self.nest()?;
             let tok = self.pos as TokenId;
             self.pos += 1;
             let rhs = self.parse_and()?;
             lhs = self.add_at(N::BinOp, tok, self.node_start(lhs), lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> PResult<NodeId> {
+        let depth = self.depth;
         let mut lhs = self.parse_cmp()?;
         while self.cur_tag() == T::KwAnd {
+            self.nest()?;
             let tok = self.pos as TokenId;
             self.pos += 1;
             let rhs = self.parse_cmp()?;
             lhs = self.add_at(N::BinOp, tok, self.node_start(lhs), lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -395,31 +438,41 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_add(&mut self) -> PResult<NodeId> {
+        let depth = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
             match self.cur_tag() {
                 T::Plus | T::Minus => {
+                    self.nest()?;
                     let tok = self.pos as TokenId;
                     self.pos += 1;
                     let rhs = self.parse_mul()?;
                     lhs = self.add_at(N::BinOp, tok, self.node_start(lhs), lhs, rhs);
                 }
-                _ => return Ok(lhs),
+                _ => {
+                    self.depth = depth;
+                    return Ok(lhs);
+                }
             }
         }
     }
 
     fn parse_mul(&mut self) -> PResult<NodeId> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             match self.cur_tag() {
                 T::Star | T::Slash | T::Percent => {
+                    self.nest()?;
                     let tok = self.pos as TokenId;
                     self.pos += 1;
                     let rhs = self.parse_unary()?;
                     lhs = self.add_at(N::BinOp, tok, self.node_start(lhs), lhs, rhs);
                 }
-                _ => return Ok(lhs),
+                _ => {
+                    self.depth = depth;
+                    return Ok(lhs);
+                }
             }
         }
     }
@@ -427,9 +480,11 @@ impl<'s> Parser<'s> {
     fn parse_unary(&mut self) -> PResult<NodeId> {
         match self.cur_tag() {
             T::Minus | T::Bang | T::Amp => {
+                self.nest()?;
                 let tok = self.pos as TokenId;
                 self.pos += 1;
                 let operand = self.parse_unary()?;
+                self.depth -= 1;
                 Ok(self.add_at(N::UnOp, tok, tok, operand, 0))
             }
             _ => self.parse_postfix(),
@@ -437,9 +492,14 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_postfix(&mut self) -> PResult<NodeId> {
+        let depth = self.depth;
         let mut e = self.parse_primary()?;
         loop {
-            match self.cur_tag() {
+            let tag = self.cur_tag();
+            if matches!(tag, T::LParen | T::LBracket | T::DotStar | T::Dot) {
+                self.nest()?;
+            }
+            match tag {
                 T::LParen => {
                     self.pos += 1;
                     let args = self.parse_args()?;
@@ -469,7 +529,10 @@ impl<'s> Parser<'s> {
                     let field = self.expect(T::Ident, "field name after '.'")?;
                     e = self.add_at(N::Member, field, self.node_start(e), e, 0);
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -899,6 +962,42 @@ mod tests {
         assert!(with.has_pragmas());
         let without = parse_ok("fn f() void { }");
         assert!(!without.has_pragmas());
+    }
+
+    /// `print` of `n` nested parentheses: the body block, the statement's
+    /// expression, the call and its argument hold four more levels.
+    fn parens(n: usize) -> String {
+        let (open, close) = ("(".repeat(n), ")".repeat(n));
+        format!("fn main() void {{ print({open}1{close}); }}")
+    }
+
+    /// `print` in `n` nested blocks in a parallel region: the body block,
+    /// the region's block, and the statement's expression, call and
+    /// argument hold five more levels.
+    fn blocks(n: usize) -> String {
+        let (open, close) = ("{".repeat(n), "}".repeat(n));
+        format!("fn main() void {{\n//$omp parallel\n{{ {open}print(1);{close} }}\n}}")
+    }
+
+    #[test]
+    fn nesting_bound() {
+        let limit = MAX_NEST as usize;
+        for (at, over) in [
+            (parens(limit - 4), parens(limit - 3)),
+            (blocks(limit - 5), blocks(limit - 4)),
+        ] {
+            let ast = parse_ok(&at);
+            assert!(crate::analyze(&ast, "t").is_empty());
+            let done = crate::preprocess::preprocess_parsed(ast, None).unwrap();
+            assert!(!done.has_pragmas());
+            let err = parse(&over).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("nesting deeper than {MAX_NEST} levels")
+            );
+            // At the first token one level too deep: the argument `1`.
+            assert_eq!(Some(err.offset), over.find('1'), "{over}");
+        }
     }
 
     #[test]

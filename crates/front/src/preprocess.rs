@@ -30,7 +30,7 @@ use crate::Diag;
 /// Preprocess until no pragmas remain; returns the final pragma-free
 /// source.
 pub fn preprocess(source: &str) -> Result<String, Diag> {
-    Ok(preprocess_inner(source, None)?.0)
+    Ok(preprocess_parsed(parse(source)?, None)?.source)
 }
 
 /// [`preprocess`] with a compilation-unit name (normally the source file
@@ -39,24 +39,35 @@ pub fn preprocess(source: &str) -> Result<String, Diag> {
 /// runtime's observability layer uses to label the region — trace slices
 /// and profile rows point back at the pragma instead of at the VM.
 pub fn preprocess_named(source: &str, unit: &str) -> Result<String, Diag> {
-    Ok(preprocess_inner(source, Some(unit))?.0)
+    Ok(preprocess_parsed(parse(source)?, Some(unit))?.source)
+}
+
+/// Preprocess starting from the caller's parse of the source, and return
+/// the parse of the final pragma-free source (its text is `.source`).
+/// Each text is parsed once: a source without pragmas comes back as it
+/// went in.
+pub fn preprocess_parsed(ast: Ast, unit: Option<&str>) -> Result<Ast, Diag> {
+    preprocess_inner(ast, unit, None)
 }
 
 /// Like [`preprocess`], but also returns each intermediate pass output (for
 /// tests and for showing the pipeline in examples).
 pub fn preprocess_trace(source: &str) -> Result<(String, Vec<String>), Diag> {
-    preprocess_inner(source, None)
+    let mut trace = Vec::new();
+    let ast = preprocess_inner(parse(source)?, None, Some(&mut trace))?;
+    Ok((ast.source, trace))
 }
 
-fn preprocess_inner(source: &str, unit: Option<&str>) -> Result<(String, Vec<String>), Diag> {
-    let mut src = source.to_string();
-    let mut trace = Vec::new();
+fn preprocess_inner(
+    mut ast: Ast,
+    unit: Option<&str>,
+    mut trace: Option<&mut Vec<String>>,
+) -> Result<Ast, Diag> {
     let mut counter = 0usize;
     // Each iteration eliminates at least one directive; bound generously.
     for _ in 0..256 {
-        let ast = parse(&src)?;
         if !ast.has_pragmas() {
-            return Ok((src, trace));
+            return Ok(ast);
         }
         let step = if contains(&ast, N::OmpParallel) {
             Step::Parallel
@@ -65,8 +76,11 @@ fn preprocess_inner(source: &str, unit: Option<&str>) -> Result<(String, Vec<Str
         } else {
             Step::Simple
         };
-        src = run_pass(&ast, step, &mut counter, unit)?;
-        trace.push(src.clone());
+        let src = run_pass(&ast, step, &mut counter, unit)?;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(src.clone());
+        }
+        ast = parse(&src)?;
     }
     Err(Diag::preprocess(0, "preprocessor did not converge"))
 }
@@ -1037,5 +1051,43 @@ mod tests {
         assert!(out.contains("ws_begin(0, 0, i, 0, -(1), 2)"), "{out}");
         assert!(out.contains("while (i > __ub_0)"), "{out}");
         parse(&out).unwrap();
+    }
+
+    /// Starting from the caller's parse changes nothing: on every program
+    /// the repository ships (`examples/zag/` and the integration
+    /// fixtures), [`preprocess_parsed`] gives [`preprocess_named`]'s text,
+    /// or its error, and the parse of that text.
+    #[test]
+    fn preprocess_parsed_agrees_with_preprocess_named() {
+        use crate::dump::dump_tree;
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut dirs = vec![root.join("examples/zag")];
+        let fixtures = std::fs::read_dir(root.join("crates/integration/fixtures")).unwrap();
+        dirs.extend(fixtures.map(|d| d.unwrap().path()));
+        let mut checked = 0;
+        for dir in dirs {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|e| e != "zag") {
+                    continue;
+                }
+                let src = std::fs::read_to_string(&path).unwrap();
+                let unit = path.display().to_string();
+                let named = preprocess_named(&src, &unit);
+                let parsed = parse(&src).and_then(|ast| preprocess_parsed(ast, Some(&unit)));
+                match (named, parsed) {
+                    (Ok(text), Ok(ast)) => {
+                        assert_eq!(ast.source, text, "{unit}");
+                        assert_eq!(dump_tree(&ast), dump_tree(&parse(&text).unwrap()), "{unit}");
+                        checked += 1;
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!((a.offset, a.message), (b.offset, b.message), "{unit}")
+                    }
+                    (a, b) => panic!("{unit}: {a:?} vs {:?}", b.map(|ast| ast.source)),
+                }
+            }
+        }
+        assert!(checked >= 10, "only {checked} programs preprocessed");
     }
 }

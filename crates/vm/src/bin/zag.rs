@@ -16,6 +16,8 @@
 //! zag --dump-ir p.zag             # print the typed block-structured IR
 //! zag --remarks p.zag             # optimization remarks, no execution
 //! zag --remarks=json p.zag        # same, as a JSON array
+//! zag --time-passes p.zag         # wall time and insns per compile pass, no execution
+//! zag --time-passes=json p.zag    # same, as one JSON document
 //! ```
 //!
 //! The execution knobs shared with the other drivers (`--backend`, `--opt`,
@@ -30,7 +32,8 @@ use zomp_vm::{Backend, OptLevel, Vm};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: zag [--check[=deny]] [--remarks[=json]] [--emit-preprocessed] [--trace-passes] \
+        "usage: zag [--check[=deny]] [--remarks[=json]] [--time-passes[=json]] \
+         [--emit-preprocessed] [--trace-passes] \
          [--dump-ast] [--dump-bytecode] [--dump-ir] [--backend ast|bytecode|native] \
          [--opt 0|3] [--threads N] [--schedule kind[,chunk]] \
          [--profile[=json]] \
@@ -60,6 +63,8 @@ fn main() {
     let mut profile_json = false;
     // `--remarks`: None = off, Some(true) = JSON output.
     let mut remarks: Option<bool> = None;
+    // `--time-passes`: None = off, Some(true) = JSON output.
+    let mut time_passes: Option<bool> = None;
     let mut cfg = ExecConfig::new();
     let mut path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -80,6 +85,8 @@ fn main() {
             "--dump-ir" => dump_ir = true,
             "--remarks" => remarks = Some(false),
             "--remarks=json" => remarks = Some(true),
+            "--time-passes" => time_passes = Some(false),
+            "--time-passes=json" => time_passes = Some(true),
             "--profile" => profile = true,
             "--profile=json" => {
                 profile = true;
@@ -141,6 +148,15 @@ fn main() {
             }
             Err(e) => fail(&path, &source, &e),
         }
+    }
+
+    if let Some(json) = time_passes {
+        match zomp_vm::compile::compile_source(&source, &path, opt) {
+            Ok((_, data)) if json => println!("{}", data.time_json().render()),
+            Ok((_, data)) => print!("{}", data.time_table()),
+            Err(e) => fail(&path, &source, &e),
+        }
+        return;
     }
 
     if dump_ast {

@@ -39,10 +39,14 @@
 //!   [`Insn::WsNext`] (see [`FnCx::ws_chunk_loop`]).
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use zomp::json::{obj, Json};
 use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
 use zomp_front::token::Tag as T;
+use zomp_front::Diag;
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::inline::InlineData;
@@ -80,6 +84,72 @@ pub struct PassData {
     pub inline: InlineData,
     pub opt_stats: Vec<OptStats>,
     pub sites: Vec<Vec<SiteOutcome>>,
+    /// One entry per step [`compile_image_opt`] ran, in order: `lowering`,
+    /// then each pass of [`PASSES`] (`zag --time-passes`).
+    pub times: Vec<PassTime>,
+    /// Wall time of every [`verify_fn`] call, summed.
+    pub verify: Duration,
+}
+
+/// What one pipeline step cost and left behind.
+pub struct PassTime {
+    pub name: &'static str,
+    pub wall: Duration,
+    /// Instructions in the image after the step.
+    pub insns: usize,
+}
+
+impl PassData {
+    /// Record the step `name` that started at `t` and verify its output;
+    /// `t` moves to the end of the verification.
+    fn step(&mut self, image: &Image, name: &'static str, t: &mut Instant) {
+        let done = Instant::now();
+        self.times.push(PassTime {
+            name,
+            wall: done - *t,
+            insns: image.funcs.iter().map(|f| f.code.len()).sum(),
+        });
+        verify(image, name);
+        *t = Instant::now();
+        self.verify += *t - done;
+    }
+
+    /// The step times as a table, one row per step, then `verify` and the
+    /// total.
+    pub fn time_table(&self) -> String {
+        let us = |d: Duration| d.as_secs_f64() * 1e6;
+        let mut out = format!("{:<10} {:>10} {:>8}\n", "pass", "wall_us", "insns");
+        for t in &self.times {
+            let _ = writeln!(out, "{:<10} {:>10.1} {:>8}", t.name, us(t.wall), t.insns);
+        }
+        let _ = writeln!(out, "{:<10} {:>10.1}", "verify", us(self.verify));
+        let _ = writeln!(out, "{:<10} {:>10.1}", "total", us(self.total()));
+        out
+    }
+
+    /// The step times as one JSON document: `passes` (`name`, `wall_us`,
+    /// `insns`), `verify_us` and `total_us`.
+    pub fn time_json(&self) -> Json {
+        let us = |d: Duration| Json::Float(d.as_secs_f64() * 1e6);
+        let passes = (self.times.iter())
+            .map(|t| {
+                obj([
+                    ("name", Json::from(t.name)),
+                    ("wall_us", us(t.wall)),
+                    ("insns", Json::Int(t.insns as i64)),
+                ])
+            })
+            .collect();
+        obj([
+            ("passes", Json::Arr(passes)),
+            ("verify_us", us(self.verify)),
+            ("total_us", us(self.total())),
+        ])
+    }
+
+    fn total(&self) -> Duration {
+        self.times.iter().map(|t| t.wall).sum::<Duration>() + self.verify
+    }
 }
 
 /// One pass of the pipeline: rewrites the image in place and records what
@@ -117,16 +187,25 @@ pub const PASSES: [Pass; 4] = [
 /// Lower `ast`, then run every pass of [`PASSES`] at `O3` (none at `O0`),
 /// verifying the whole image after lowering and after each pass.
 pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
-    let mut image = compile_image(ast);
     let mut data = PassData::default();
-    verify(&image, "lowering");
+    let mut t = Instant::now();
+    let mut image = compile_image(ast);
+    data.step(&image, "lowering", &mut t);
     if opt == OptLevel::O3 {
         for pass in &PASSES {
             (pass.run)(&mut image, &mut data);
-            verify(&image, pass.name);
+            data.step(&image, pass.name, &mut t);
         }
     }
     (image, data)
+}
+
+/// Parse and preprocess `source`, then run the pipeline at `opt`, keeping
+/// what the passes recorded (`zag --remarks`, `zag --time-passes`). `unit`
+/// labels pragma loops `unit:line`, as in `compile_named`.
+pub fn compile_source(source: &str, unit: &str, opt: OptLevel) -> Result<(Image, PassData), Diag> {
+    let pre = zomp_front::preprocess::preprocess_parsed(zomp_front::parse(source)?, Some(unit))?;
+    Ok(compile_image_opt(&pre, opt))
 }
 
 /// Panic unless every function passes [`verify_fn`]: the interpreter's

@@ -159,13 +159,12 @@ fn compile_inner(
 ) -> Result<Program, zomp_front::Diag> {
     // The data-sharing lint runs on the original, still-pragma'd parse so
     // its diagnostics point at the user's directives, not the rewritten
-    // driver loops.
-    let diags = zomp_front::analyze(&zomp_front::parse(source)?, unit.unwrap_or("<input>"));
-    let final_source = match unit {
-        Some(u) => zomp_front::preprocess::preprocess_named(source, u)?,
-        None => zomp_front::preprocess(source)?,
-    };
-    let ast = zomp_front::parse(&final_source)?;
+    // driver loops. The preprocessor starts from that same parse and
+    // hands back the parse of its final text.
+    let original = zomp_front::parse(source)?;
+    let diags = zomp_front::analyze(&original, unit.unwrap_or("<input>"));
+    let ast = zomp_front::preprocess::preprocess_parsed(original, unit)?;
+    let final_source = ast.source.clone();
     let mut functions = HashMap::new();
     let root = *ast.node(ast.root);
     for &decl in ast.range(&root) {

@@ -643,6 +643,17 @@ fn lcg_callee(f: &CompiledFn) -> bool {
 /// every function as LCG-shaped or not so the loop matchers can see
 /// *through* `Call` boundaries without borrowing the image twice.
 pub fn install_image(image: &mut Image) {
+    install_kernels(image);
+    // Typed-template tier: generic loops that missed every fixed
+    // kernel shape (runs second so the specialised kernels win the
+    // overlap; skips pcs covered by an installed kernel span).
+    for f in &mut image.funcs {
+        crate::templates::install_fn(f);
+    }
+}
+
+/// The fixed-kernel half of [`install_image`].
+pub(crate) fn install_kernels(image: &mut Image) {
     let lcg: Vec<bool> = image.funcs.iter().map(lcg_callee).collect();
     for f in &mut image.funcs {
         install_fn(f, &lcg);
@@ -666,10 +677,6 @@ fn install_fn(f: &mut CompiledFn, lcg: &[bool]) {
         });
         f.code[pc] = Insn::BulkLoop { kidx };
     }
-    // Typed-template tier: generic loops that missed every fixed
-    // kernel shape (runs second so the specialised kernels win the
-    // overlap; skips pcs covered by an installed kernel span).
-    crate::templates::install_fn(f);
 }
 
 /// Resolve the pragma label of the worksharing loop enclosing the

@@ -495,43 +495,6 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
 // Liveness
 // ---------------------------------------------------------------------------
 
-/// A dense register set.
-#[derive(Clone, PartialEq)]
-struct BitSet {
-    w: Vec<u64>,
-}
-
-impl BitSet {
-    fn new(nregs: usize) -> BitSet {
-        BitSet {
-            w: vec![0; nregs.div_ceil(64).max(1)],
-        }
-    }
-
-    fn set(&mut self, r: Reg) {
-        self.w[r as usize / 64] |= 1u64 << (r as usize % 64);
-    }
-
-    fn remove(&mut self, r: Reg) {
-        self.w[r as usize / 64] &= !(1u64 << (r as usize % 64));
-    }
-
-    fn contains(&self, r: Reg) -> bool {
-        self.w[r as usize / 64] & (1u64 << (r as usize % 64)) != 0
-    }
-
-    /// Union in `other`; reports whether anything changed.
-    fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.w.iter_mut().zip(&other.w) {
-            let next = *a | *b;
-            changed |= next != *a;
-            *a = next;
-        }
-        changed
-    }
-}
-
 /// Successor instruction indices of the block-ending instruction at `end`.
 pub(crate) fn succs(code: &[Insn], end: usize, out: &mut Vec<usize>) {
     out.clear();
@@ -543,11 +506,53 @@ pub(crate) fn succs(code: &[Insn], end: usize, out: &mut Vec<usize>) {
     }
 }
 
-/// Backward liveness: for each instruction, the registers whose current
-/// value may still be read afterwards (`live_after[i]`).
-fn liveness(f: &CompiledFn) -> Vec<BitSet> {
+/// Backward liveness as one flat bit matrix: row `i` holds the registers
+/// whose value after instruction `i` may still be read.
+struct Live {
+    /// Words per row: `nregs.div_ceil(64)`.
+    stride: usize,
+    bits: Vec<u64>,
+}
+
+impl Live {
+    fn has(&self, at: usize, r: Reg) -> bool {
+        self.bits[at * self.stride + r as usize / 64] & (1u64 << (r % 64)) != 0
+    }
+}
+
+/// Apply instruction `insn` backwards to the live set `row`.
+fn transfer(insn: &Insn, row: &mut [u64]) {
+    visit_defs(insn, |d| row[d as usize / 64] &= !(1u64 << (d % 64)));
+    visit_uses(insn, |u| row[u as usize / 64] |= 1u64 << (u % 64));
+}
+
+/// Union of the live-in rows of the successors of the block ending at
+/// `end`, into `out`.
+fn live_out(
+    code: &[Insn],
+    end: usize,
+    block_of: &[usize],
+    live_in: &[u64],
+    out: &mut [u64],
+    sbuf: &mut Vec<usize>,
+) {
+    let w = out.len();
+    out.fill(0);
+    succs(code, end, sbuf);
+    for &s in sbuf.iter() {
+        let b = block_of[s];
+        for (o, i) in out.iter_mut().zip(&live_in[b * w..(b + 1) * w]) {
+            *o |= i;
+        }
+    }
+}
+
+/// Backward liveness of every instruction of `f`: a fixpoint over the
+/// blocks' live-in rows, then one walk that fills each instruction's row.
+fn liveness(f: &CompiledFn) -> Live {
     let code = &f.code;
     let n = code.len();
+    let w = f.nregs.div_ceil(64);
     let lead = leaders(code);
     let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
     let nb = starts.len();
@@ -564,39 +569,34 @@ fn liveness(f: &CompiledFn) -> Vec<BitSet> {
     let ends: Vec<usize> = (0..nb)
         .map(|b| if b + 1 < nb { starts[b + 1] - 1 } else { n - 1 })
         .collect();
-    let mut live_in = vec![BitSet::new(f.nregs); nb];
-    let mut live_out = vec![BitSet::new(f.nregs); nb];
+    let mut live_in = vec![0u64; nb * w];
+    let mut cur = vec![0u64; w];
     let mut sbuf = Vec::new();
     loop {
         let mut changed = false;
         for b in (0..nb).rev() {
-            succs(code, ends[b], &mut sbuf);
-            let mut out = BitSet::new(f.nregs);
-            for &s in &sbuf {
-                out.union_with(&live_in[block_of[s]]);
-            }
-            let mut cur = out.clone();
+            live_out(code, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
             for i in (starts[b]..=ends[b]).rev() {
-                visit_defs(&code[i], |d| cur.remove(d));
-                visit_uses(&code[i], |u| cur.set(u));
+                transfer(&code[i], &mut cur);
             }
-            changed |= live_out[b].union_with(&out);
-            changed |= live_in[b].union_with(&cur);
+            for (a, c) in live_in[b * w..(b + 1) * w].iter_mut().zip(&cur) {
+                changed |= *a | c != *a;
+                *a |= c;
+            }
         }
         if !changed {
             break;
         }
     }
-    let mut live_after = vec![BitSet::new(f.nregs); n];
+    let mut bits = vec![0u64; n * w];
     for b in 0..nb {
-        let mut cur = live_out[b].clone();
+        live_out(code, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
         for i in (starts[b]..=ends[b]).rev() {
-            live_after[i] = cur.clone();
-            visit_defs(&code[i], |d| cur.remove(d));
-            visit_uses(&code[i], |u| cur.set(u));
+            bits[i * w..(i + 1) * w].copy_from_slice(&cur);
+            transfer(&code[i], &mut cur);
         }
     }
-    live_after
+    Live { stride: w, bits }
 }
 
 // ---------------------------------------------------------------------------
@@ -907,15 +907,14 @@ fn fold_and_copyprop(f: &mut CompiledFn, stats: &mut OptStats) -> bool {
 /// dead, plus self-moves, then compact jump targets.
 // Index loops: `keep`/`map`/`f.code` are parallel positional tables.
 #[allow(clippy::needless_range_loop)]
-fn dse(f: &mut CompiledFn) -> bool {
-    let live = liveness(f);
+fn dse(f: &mut CompiledFn, live: &Live) -> bool {
     let n = f.code.len();
     let mut keep = vec![true; n];
     let mut changed = false;
     for i in 0..n {
         let dead = match f.code[i] {
-            Insn::Move { dst, src } => dst == src || !live[i].contains(dst),
-            Insn::Const { dst, .. } => !live[i].contains(dst),
+            Insn::Move { dst, src } => dst == src || !live.has(i, dst),
+            Insn::Const { dst, .. } => !live.has(i, dst),
             _ => false,
         };
         if dead {
@@ -954,8 +953,8 @@ fn dse(f: &mut CompiledFn) -> bool {
 /// `true` when the value the pattern left in `t` is unobservable: `t` is
 /// redefined by the fused instruction itself, or not live after old
 /// instruction index `at`.
-fn consumed(t: Reg, redef: Reg, live: &[BitSet], at: usize) -> bool {
-    t == redef || !live[at].contains(t)
+fn consumed(t: Reg, redef: Reg, live: &Live, at: usize) -> bool {
+    t == redef || !live.has(at, t)
 }
 
 fn no_leader(lead: &[bool], i: usize, len: usize) -> bool {
@@ -977,7 +976,7 @@ fn small_int_const(consts: &[Value], k: u16) -> Option<i32> {
 fn try_fuse_at(
     code: &[Insn],
     consts: &[Value],
-    live: &[BitSet],
+    live: &Live,
     lead: &[bool],
     i: usize,
 ) -> Option<(Insn, usize)> {
@@ -999,7 +998,7 @@ fn try_fuse_at(
             && t2 != idx
             && no_leader(lead, i, 3)
             && consumed(t1, t2, live, i + 1)
-            && !live[i + 2].contains(t2)
+            && !live.has(i + 2, t2)
         {
             return Some((Insn::IncElemK { op, arr, idx, k }, 3));
         }
@@ -1024,8 +1023,8 @@ fn try_fuse_at(
             && acc == dst
             && temps_distinct
             && no_leader(lead, i, 3)
-            && !live[i + 2].contains(tp)
-            && !live[i + 2].contains(tm)
+            && !live.has(i + 2, tp)
+            && !live.has(i + 2, tm)
         {
             return Some((Insn::FmaIdx { dst, x, arr, idx }, 3));
         }
@@ -1064,7 +1063,7 @@ fn try_fuse_at(
             && i2 == idx
             && temps_ok
             && no_leader(lead, i, 4)
-            && [t, a, c].iter().all(|&r| !live[i + 3].contains(r))
+            && [t, a, c].iter().all(|&r| !live.has(i + 3, r))
         {
             return Some((
                 Insn::FmaGather {
@@ -1116,7 +1115,7 @@ fn try_fuse_at(
             && src != t
             && t != cell
             && no_leader(lead, i, 2)
-            && !live[i + 1].contains(t)
+            && !live.has(i + 1, t)
         {
             return Some((Insn::DerefIndexSet { cell, idx, src }, 2));
         }
@@ -1196,7 +1195,7 @@ fn try_fuse_at(
         }
     }
     if let [Insn::Move { dst: t, src }, Insn::Print { base, n: 1 }, ..] = *w {
-        if base == t && src != t && no_leader(lead, i, 2) && !live[i + 1].contains(t) {
+        if base == t && src != t && no_leader(lead, i, 2) && !live.has(i + 1, t) {
             return Some((Insn::Print { base: src, n: 1 }, 2));
         }
     }
@@ -1206,8 +1205,7 @@ fn try_fuse_at(
 // Index loop: `map` entries for consumed window interiors are assigned
 // against the moving `out.len()` cursor, not iterated.
 #[allow(clippy::needless_range_loop)]
-fn fuse(f: &mut CompiledFn) -> bool {
-    let live = liveness(f);
+fn fuse(f: &mut CompiledFn, live: &Live) -> bool {
     let lead = leaders(&f.code);
     let n = f.code.len();
     let mut out: Vec<Insn> = Vec::with_capacity(n);
@@ -1216,7 +1214,7 @@ fn fuse(f: &mut CompiledFn) -> bool {
     let mut changed = false;
     while i < n {
         map[i] = out.len() as u32;
-        if let Some((fused, consumed)) = try_fuse_at(&f.code, &f.consts, &live, &lead, i) {
+        if let Some((fused, consumed)) = try_fuse_at(&f.code, &f.consts, live, &lead, i) {
             for j in i + 1..i + consumed {
                 // Interior indices are never jump targets (no_leader), but
                 // keep the map total.
@@ -1258,10 +1256,14 @@ pub fn optimize_fn(f: &mut CompiledFn, opt: OptLevel, _nfuncs: usize) -> OptStat
     for _ in 0..8 {
         let mut changed = fold_and_copyprop(f, &mut stats);
         let pre_dse = f.code.len();
-        changed |= dse(f);
+        let mut live = liveness(f);
+        if dse(f, &live) {
+            changed = true;
+            live = liveness(f);
+        }
         stats.dse += (pre_dse - f.code.len()) as u32;
         let pre_fuse = f.code.len();
-        changed |= fuse(f);
+        changed |= fuse(f, &live);
         stats.fused += (pre_fuse - f.code.len()) as u32;
         if !changed {
             break;
@@ -1504,5 +1506,40 @@ mod tests {
             },
         );
         assert!(verify_fn(f, 1).is_err());
+    }
+
+    /// Liveness rows two words wide (`nregs` 80): the dead `Const` into
+    /// r70 goes, the `Const` into r65, read across a block boundary,
+    /// stays.
+    #[test]
+    fn liveness_spans_two_words_per_row() {
+        let mut f = CompiledFn {
+            name: "wide".to_string(),
+            nparams: 0,
+            param_tys: Vec::new(),
+            nregs: 80,
+            code: vec![
+                Insn::Const { dst: 65, k: 0 },
+                Insn::Const { dst: 70, k: 0 },
+                Insn::Jump { to: 3 },
+                Insn::Ret { src: 65 },
+            ],
+            consts: vec![Value::Int(7)],
+            locals: Vec::new(),
+            kernels: Vec::new(),
+            templates: Vec::new(),
+        };
+        let live = liveness(&f);
+        assert!(live.has(1, 65) && !live.has(0, 70) && !live.has(1, 70));
+        let stats = optimize_fn(&mut f, OptLevel::O3, 1);
+        assert_eq!(stats.dse, 1);
+        assert_eq!(
+            f.code,
+            [
+                Insn::Const { dst: 65, k: 0 },
+                Insn::Jump { to: 2 },
+                Insn::Ret { src: 65 },
+            ]
+        );
     }
 }

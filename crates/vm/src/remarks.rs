@@ -38,26 +38,18 @@ use zomp::json::{obj, Json};
 use zomp_front::Diag;
 
 use crate::bytecode::{CompiledFn, Image, Insn, OmpFn};
-use crate::compile::PassData;
+use crate::compile::{compile_source, PassData};
 use crate::inline::{InlineData, Kept};
 use crate::kernels::KernelKind;
 use crate::optimize::{jump_target, OptLevel};
 use crate::typeck::SiteOutcome;
 use crate::value::Value;
 
-/// Preprocess and parse `source`, then run the compile pipeline at `opt`,
-/// keeping what the passes recorded.
-fn compile(source: &str, unit: &str, opt: OptLevel) -> Result<(Image, PassData), Diag> {
-    let pre = zomp_front::preprocess::preprocess_named(source, unit)?;
-    let ast = zomp_front::parse(&pre)?;
-    Ok(crate::compile::compile_image_opt(&ast, opt))
-}
-
 /// Compile `source` at `opt` and return the optimization remarks. `unit`
 /// labels pragma loops `unit:line` (normally the source path, as in
 /// `compile_named`).
 pub fn collect(source: &str, unit: &str, opt: OptLevel) -> Result<Vec<Diag>, Diag> {
-    let (image, data) = compile(source, unit, opt)?;
+    let (image, data) = compile_source(source, unit, opt)?;
     if opt == OptLevel::O0 {
         // No pass runs on the oracle stream: nothing to remark on.
         return Ok(Vec::new());
@@ -375,7 +367,7 @@ impl MissRow {
 /// kernel matcher left interpreted, with machine-readable reasons —
 /// the rows the `kernel-missed` remarks render.
 pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
-    let (image, data) = compile(source, unit, OptLevel::O3)?;
+    let (image, data) = compile_source(source, unit, OptLevel::O3)?;
     Ok((0..image.funcs.len())
         .flat_map(|fi| misses(&image, fi, &data.inline))
         .collect())

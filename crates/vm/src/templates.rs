@@ -1674,8 +1674,8 @@ struct MatchOut {
     ninsns: usize,
 }
 
-/// Match a template loop headed at `pc`. Tried at every pc not
-/// covered by an installed kernel; `None` leaves the loop alone.
+/// Match a template loop headed at `pc`; `None` leaves the loop alone.
+/// Only a back-edge target can match (see [`loop_heads`]).
 pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Option<(TProg, u32)> {
     if let Some(r) = match_form_a(f, pc) {
         return Some(r);
@@ -2549,10 +2549,27 @@ fn lower(
 // Installation
 // ---------------------------------------------------------------------------
 
-/// Install templates in one function. Runs inside the kernel
-/// installer after the fixed kernels, skipping any pc covered by an
-/// installed kernel's span.
+/// The pcs a template loop can be headed at: the targets of every
+/// `IncCmpJump`/`IncJump`. Form A matches only when the `IncCmpJump`
+/// closing its body jumps to `pc`, form B only when the `IncJump` does,
+/// and both back-edges sit at some `j >= pc`. [`install_fn`] rewrites
+/// only pcs it has already passed, so the back-edge of any loop it can
+/// still match is in `f.code` when this scan runs.
+fn loop_heads(code: &[Insn]) -> Vec<bool> {
+    let mut head = vec![false; code.len()];
+    for insn in code {
+        if let Insn::IncCmpJump { to, .. } | Insn::IncJump { to, .. } = *insn {
+            head[to as usize] = true;
+        }
+    }
+    head
+}
+
+/// Install templates in one function. Runs in the kernel installer
+/// after the fixed kernels, at loop heads only, skipping any pc covered
+/// by an installed kernel's span.
 pub(crate) fn install_fn(f: &mut CompiledFn) {
+    let heads = loop_heads(&f.code);
     let spans: Vec<(usize, usize)> = f
         .code
         .iter()
@@ -2563,11 +2580,11 @@ pub(crate) fn install_fn(f: &mut CompiledFn) {
         })
         .collect();
     let covered = |pc: usize| spans.iter().any(|&(s, e)| pc >= s && pc < e);
-    for pc in 0..f.code.len() {
+    for (pc, head) in heads.into_iter().enumerate() {
         if f.templates.len() >= u16::MAX as usize {
             break;
         }
-        if covered(pc) {
+        if !head || covered(pc) {
             continue;
         }
         let Some((prog, exit)) = match_at(f, pc) else {
@@ -3131,5 +3148,74 @@ mod tests {
         assert_eq!(trip_count(96, 0, -2, Ge, false), Some(49));
         assert_eq!(trip_count(i64::MAX - 1, i64::MAX, 2, Le, true), None);
         assert_eq!(trip_count(i64::MIN, i64::MAX, 1, Lt, false), Some(u64::MAX));
+    }
+
+    /// Every program the repository ships: `examples/zag/` and the
+    /// integration fixtures.
+    fn shipped_programs() -> Vec<(String, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut dirs = vec![root.join("examples/zag")];
+        let fixtures = std::fs::read_dir(root.join("crates/integration/fixtures")).unwrap();
+        dirs.extend(fixtures.map(|d| d.unwrap().path()));
+        let mut out = Vec::new();
+        for dir in dirs {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "zag") {
+                    let src = std::fs::read_to_string(&path).unwrap();
+                    out.push((path.display().to_string(), src));
+                }
+            }
+        }
+        out
+    }
+
+    /// The exactness argument of [`loop_heads`], on every shipped program
+    /// and a form-B loop (no shipped program has one): on the image as
+    /// [`install_fn`] sees it (the fixed kernels already in), no pc that
+    /// no back-edge targets matches a template, and both forms match
+    /// somewhere.
+    #[test]
+    fn templates_match_only_at_loop_heads() {
+        let form_b = "fn bump(a: []f64, n: i64) void {\n\
+                      var i: i64 = 0;\n\
+                      while (i < n - 1) : (i += 1) { a[i] = a[i] + 1.0; }\n}\n";
+        let mut programs = shipped_programs();
+        programs.push(("form B".to_string(), form_b.to_string()));
+        // Matches closed by an `IncCmpJump` (form A) and an `IncJump` (B).
+        let mut matched = [0, 0];
+        for (path, src) in programs {
+            // Programs the front end refuses (the deep-nesting fault)
+            // never reach the installer.
+            let Ok(pre) = zomp_front::preprocess(&src) else {
+                continue;
+            };
+            let ast = zomp_front::parse(&pre).unwrap();
+            let mut image = crate::compile::compile_image(&ast);
+            let mut data = crate::compile::PassData::default();
+            for pass in crate::compile::PASSES
+                .iter()
+                .filter(|p| p.name != "install")
+            {
+                (pass.run)(&mut image, &mut data);
+            }
+            crate::kernels::install_kernels(&mut image);
+            for f in &image.funcs {
+                let heads = loop_heads(&f.code);
+                for (pc, head) in heads.into_iter().enumerate() {
+                    if match_at(f, pc).is_none() {
+                        continue;
+                    }
+                    assert!(head, "{path}: fn `{}` matched at pc {pc}", f.name);
+                    let by_inc_jump = (f.code.iter())
+                        .any(|i| matches!(*i, Insn::IncJump { to, .. } if to as usize == pc));
+                    matched[by_inc_jump as usize] += 1;
+                }
+            }
+        }
+        assert!(
+            matched.iter().all(|&n| n > 0),
+            "matches per form: {matched:?}"
+        );
     }
 }

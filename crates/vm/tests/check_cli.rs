@@ -109,10 +109,10 @@ fn main() void { print(down(100000)); }
 }
 
 /// The JSON outputs end to end through the binary: `--trace`, `--metrics`
-/// and `--profile=json` on one run of the tour, `--remarks=json` on
-/// another. Every written file and the last stdout line parse, and the
-/// trace holds the `schedule(dynamic, 8)` loop's span, labelled
-/// `tour.zag:<line>`, and its chunks.
+/// and `--profile=json` on one run of the tour, `--remarks=json` and
+/// `--time-passes=json` on two more. Every written file and the last
+/// stdout line parse, and the trace holds the `schedule(dynamic, 8)`
+/// loop's span, labelled `tour.zag:<line>`, and its chunks.
 #[test]
 fn json_outputs_parse_end_to_end() {
     let tour = repo("examples/zag/tour.zag");
@@ -173,4 +173,22 @@ fn json_outputs_parse_end_to_end() {
 
     let remarks = last_line(zag(&["--remarks=json", &tour]));
     assert!(remarks.as_arr().is_some(), "{remarks:?}");
+
+    // One row per step: lowering, then the four passes, each with the
+    // image's instruction count after it.
+    let times = last_line(zag(&["--time-passes=json", &tour]));
+    let passes = times.get("passes").and_then(Json::as_arr).expect("passes");
+    let names: Vec<&str> = (passes.iter())
+        .map(|p| p.get("name").and_then(Json::as_str).unwrap_or_default())
+        .collect();
+    assert_eq!(
+        names,
+        ["lowering", "inline", "optimize", "typeck", "install"]
+    );
+    assert!(passes.iter().all(
+        |p| p.get("insns").and_then(Json::as_i64).is_some_and(|n| n > 0)
+            && p.get("wall_us").and_then(Json::as_f64).is_some()
+    ));
+    assert!(times.get("verify_us").and_then(Json::as_f64).is_some());
+    assert!(times.get("total_us").and_then(Json::as_f64).is_some());
 }

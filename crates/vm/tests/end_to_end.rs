@@ -698,3 +698,101 @@ fn main() void {
     .unwrap_err();
     assert!(err.to_string().contains("collapse"), "{err}");
 }
+
+// -- the nesting bound ---------------------------------------------------------
+
+/// A way Zag source nests: its name, and the program nested `n` levels
+/// that way, which prints one line.
+type Shape = (&'static str, fn(usize) -> String);
+
+fn deep_shapes() -> Vec<Shape> {
+    fn main(body: String) -> String {
+        format!("fn main() void {{\n    var x: i64 = 1;\n    {body}\n}}\n")
+    }
+    vec![
+        ("parens", |n| {
+            main(format!("print({}x{});", "(".repeat(n), ")".repeat(n)))
+        }),
+        ("right-nested sum", |n| {
+            main(format!("print({}x{});", "x + (".repeat(n), ")".repeat(n)))
+        }),
+        ("left chain", |n| {
+            main(format!("print({}x);", "x + ".repeat(n)))
+        }),
+        ("unary", |n| main(format!("print({}x);", "- ".repeat(n)))),
+        ("blocks", |n| {
+            main(format!("{}print(x);{}", "{ ".repeat(n), " }".repeat(n)))
+        }),
+        ("ifs", |n| {
+            main(format!(
+                "{}print(x);{}",
+                "if (x > 0) { ".repeat(n),
+                " }".repeat(n)
+            ))
+        }),
+        ("whiles", |n| {
+            let (open, close) = ("while (x > 0) { ".repeat(n), " break; }".repeat(n));
+            main(format!("{open}print(x);{close}"))
+        }),
+        ("else-if chain", |n| {
+            main(format!(
+                "if (x < 0) {{ }}{} else {{ print(x); }}",
+                " else if (x < 0) { }".repeat(n)
+            ))
+        }),
+        ("worksharing loop", |n| {
+            let (open, close) = ("{ ".repeat(n), " }".repeat(n));
+            main(format!(
+                "var s: i64 = 0;\n//$omp parallel num_threads(2) shared(s)\n{{ {open}\n\
+                 var i: i64 = 0;\n//$omp while reduction(+: s)\n\
+                 while (i < 4) : (i += 1) {{ s += i; }}\n{close} }}\nprint(s);"
+            ))
+        }),
+    ]
+}
+
+/// A program as deep as the front end takes (the deepest `n` that
+/// compiles; one level more is the parser's nesting error) lowers at both
+/// opt levels and runs on both backends inside a 2 MB thread stack. The
+/// preprocessor parses what it writes under the same bound, so a
+/// worksharing loop's limit sits a few levels below the parser's.
+#[test]
+fn programs_at_the_nesting_bound_compile_and_run() {
+    use zomp_front::parser::MAX_NEST;
+    use zomp_vm::{Backend, OptLevel};
+    for (name, shape) in deep_shapes() {
+        let compiles = |n: usize| zomp_vm::compile(&shape(n)).err();
+        let n = (1..MAX_NEST as usize)
+            .rev()
+            .find(|&n| compiles(n).is_none())
+            .expect("some depth compiles");
+        let err = compiles(n + 1).expect("one level deeper is refused");
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_NEST} levels"),
+            "{name}"
+        );
+        assert!(n + 8 >= MAX_NEST as usize / 2, "{name}: only {n} levels");
+        let src = shape(n);
+        let runs = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut outs = Vec::new();
+                for backend in [Backend::Ast, Backend::Bytecode] {
+                    for opt in [OptLevel::O0, OptLevel::O3] {
+                        let vm = Vm::build(&src, None, backend, opt).expect("compiles");
+                        vm.call_function("main", Vec::new()).expect("runs");
+                        outs.push(vm.output.into_inner());
+                    }
+                }
+                outs
+            })
+            .expect("spawn")
+            .join()
+            .unwrap_or_else(|_| panic!("{name} at depth {n} failed"));
+        assert!(
+            runs.iter().all(|o| o.len() == 1 && *o == runs[0]),
+            "{name}: {runs:?}"
+        );
+    }
+}

@@ -770,7 +770,16 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
             deep.len()
         );
         deep_body.push_str(&deep);
-        let corpus: [(&str, Vec<u8>); 8] = [
+        let nested = "(".repeat(20_000) + "1" + &")".repeat(20_000);
+        let nested = format!(
+            r#"{{"source": {}}}"#,
+            Json::Str(format!("fn main() void {{ print({nested}); }}")).render()
+        );
+        let deep_source = format!(
+            "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n{nested}",
+            nested.len()
+        );
+        let corpus: [(&str, Vec<u8>); 9] = [
             (
                 "body shorter than Content-Length, then close",
                 b"POST /run HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"source\": ".to_vec(),
@@ -791,6 +800,7 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
             ("request line with no path", b"GET\r\n\r\n".to_vec()),
             ("empty connection", Vec::new()),
             ("body nested 100 000 deep", deep_body.into_bytes()),
+            ("source nested 20 000 deep", deep_source.into_bytes()),
         ];
         for (what, bytes) in corpus {
             let mut conn = TcpStream::connect(addr).expect("connect");
@@ -805,7 +815,13 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
             if !(bytes.is_empty() && raw.is_empty()) {
                 let resp = client::parse_response(&raw).expect(what);
                 assert!((400..500).contains(&resp.status), "{what}: {}", resp.body);
-                assert_eq!(assert_whole(&resp).get("ok"), Some(&Json::Bool(false)));
+                let reply = assert_whole(&resp);
+                assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+                if what.starts_with("source") {
+                    // The ordinary compile-error reply, at the parser's bound.
+                    assert_eq!(resp.status, 422, "{}", resp.body);
+                    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+                }
             }
             drop(conn);
             let j = post_ok(addr, &spin_body(1000, 60_000));
@@ -815,8 +831,9 @@ fn malformed_requests_get_4xx_and_the_worker_goes_on() {
         let s = stats(addr);
         assert_eq!(stat(&s, "panics"), 0);
         // The first request, one after each case, the deep body (a
-        // request, refused by the JSON parser) and this `/stats`: what
-        // could not be read as a request was not served.
-        assert_eq!(stat(&s, "served"), 1 + 8 + 1 + 1);
+        // request, refused by the JSON parser), the deep source (a request,
+        // refused by the Zag parser) and this `/stats`: what could not be
+        // read as a request was not served.
+        assert_eq!(stat(&s, "served"), 1 + 9 + 2 + 1);
     });
 }
