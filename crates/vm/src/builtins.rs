@@ -37,7 +37,7 @@ pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
         ("@cos", [Value::Float(v)]) => Ok(Value::Float(v.cos())),
         ("@pow", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.powf(*b))),
         ("@abs", [Value::Float(v)]) => Ok(Value::Float(v.abs())),
-        ("@abs", [Value::Int(v)]) => Ok(Value::Int(v.abs())),
+        ("@abs", [Value::Int(v)]) => Ok(Value::Int(v.wrapping_abs())),
         ("@max", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.max(*b))),
         ("@max", [Value::Int(a), Value::Int(b)]) => Ok(Value::Int(*a.max(b))),
         ("@min", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.min(*b))),
@@ -396,7 +396,7 @@ fn atomic_apply(op: i64, old_i: Option<i64>, old_f: Option<f64>, v: &Value) -> V
                 if *b == 0 {
                     return err("atomic division by zero");
                 }
-                a / b
+                a.wrapping_div(*b)
             }
             _ => return err(format!("unknown atomic op {op}")),
         })),

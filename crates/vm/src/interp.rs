@@ -549,7 +549,7 @@ impl Vm {
                 match op {
                     T::Amp => self.eval_addr(frame, node.lhs),
                     T::Minus => match self.eval(frame, node.lhs)? {
-                        Value::Int(v) => Ok(Value::Int(-v)),
+                        Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
                         Value::Float(v) => Ok(Value::Float(-v)),
                         other => err(format!("cannot negate {}", other.type_name())),
                     },
@@ -1164,7 +1164,7 @@ impl Vm {
                 },
                 Insn::Neg { dst, src } => {
                     let v = match rg(regs, src) {
-                        Value::Int(v) => Value::Int(-v),
+                        Value::Int(v) => Value::Int(v.wrapping_neg()),
                         Value::Float(v) => Value::Float(-v),
                         other => return err(format!("cannot negate {}", other.type_name())),
                     };
@@ -1326,7 +1326,7 @@ impl Vm {
                                 Value::Float(a.powf(*b))
                             }
                             (BuiltinOp::Abs, [Value::Float(v)]) => Value::Float(v.abs()),
-                            (BuiltinOp::Abs, [Value::Int(v)]) => Value::Int(v.abs()),
+                            (BuiltinOp::Abs, [Value::Int(v)]) => Value::Int(v.wrapping_abs()),
                             (BuiltinOp::Max, [Value::Float(a), Value::Float(b)]) => {
                                 Value::Float(a.max(*b))
                             }
@@ -1543,13 +1543,13 @@ fn int_arith(op: ArithOp, x: i64, y: i64) -> VmResult<i64> {
             if y == 0 {
                 return err("integer division by zero");
             }
-            x / y
+            x.wrapping_div(y)
         }
         ArithOp::Rem => {
             if y == 0 {
                 return err("remainder by zero");
             }
-            x % y
+            x.wrapping_rem(y)
         }
     })
 }
@@ -1651,13 +1651,13 @@ pub(crate) fn binop_arith(op: T, a: &Value, b: &Value) -> VmResult<Value> {
                 if *b == 0 {
                     return err("integer division by zero");
                 }
-                a / b
+                a.wrapping_div(*b)
             }
             T::Percent => {
                 if *b == 0 {
                     return err("remainder by zero");
                 }
-                a % b
+                a.wrapping_rem(*b)
             }
             other => return err(format!("bad arithmetic operator {other:?}")),
         })),

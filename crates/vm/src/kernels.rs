@@ -1626,8 +1626,8 @@ fn reg_float(regs: &[Value], r: Reg) -> Option<f64> {
     }
 }
 
-/// `i64::MIN / -1` overflows (a panic in the interpreter's checked
-/// division as well); treat it as a deopt so the interpreter owns it.
+/// A zero divisor is an error and `i64::MIN / -1` wraps in the
+/// interpreter; treat both as a deopt so the interpreter owns them.
 fn div_ok(x: i64, y: i64) -> bool {
     y != 0 && !(y == -1 && x == i64::MIN)
 }

@@ -799,7 +799,7 @@ fn fold_and_copyprop(f: &mut CompiledFn, stats: &mut OptStats) -> bool {
             Insn::Neg { dst, src } => {
                 if let Some(&ks) = const_of.get(&src) {
                     let v = match &f.consts[ks as usize] {
-                        Value::Int(v) => Some(Value::Int(-v)),
+                        Value::Int(v) => Some(Value::Int(v.wrapping_neg())),
                         Value::Float(v) => Some(Value::Float(-v)),
                         _ => None,
                     };

@@ -406,8 +406,9 @@ impl TemplateDesc {
 // Template ops (the monomorphized instruction set)
 // ---------------------------------------------------------------------------
 
-/// `i64::MIN / -1` overflows (a panic in the interpreter's checked
-/// division as well); deopt so the interpreter owns it.
+/// A zero divisor is an error and `i64::MIN / -1` wraps (to `MIN`, and
+/// `MIN % -1` to 0) in the interpreter; deopt on both so the interpreter
+/// owns the error text and the wrapped value.
 fn div_ok(x: i64, y: i64) -> bool {
     y != 0 && !(y == -1 && x == i64::MIN)
 }
