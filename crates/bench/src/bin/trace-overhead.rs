@@ -98,7 +98,7 @@ fn bench_kernel_probe() -> f64 {
             let t0 = trace::kernel_begin_ts();
             trace::kernel_end("bench-kernel", 7, 64, None, t0);
             if i & 0xfff == 0 {
-                trace::deopt("index.f->index", 11);
+                trace::deopt("lcg-fill:sequential", 11);
             }
             black_box(t0);
         }

@@ -2,8 +2,8 @@
 //! three NPB-derived Zag kernels, run through both execution backends at
 //! 1 and 4 threads — the `ast` tree-walker oracle plus the register VM at
 //! both optimization levels (`bytecode_o0` raw, `native` the whole
-//! `--opt=3` pipeline: fold/copy-prop/DSE, superinstruction fusion, static
-//! type specialization, bulk kernels and templates) — and, as
+//! `--opt=3` pipeline: inlining, fold/copy-prop/DSE, superinstruction
+//! fusion, bulk kernels and templates) — and, as
 //! the reference ceiling, the hand-written Rust kernels from
 //! `crates/npb` (`npb_ns_per_op`, with each tier's fraction of that
 //! throughput in `npb_throughput_frac_1t`).

@@ -162,9 +162,9 @@ pub enum EventKind {
     /// the label is the machine-readable reason, `a` = the loop-head pc,
     /// `b` = iterations completed before the bail.
     KernelBail,
-    /// A specialised instruction fell back to its generic form for one
-    /// execution (`a` = pc). The label names the fallback, e.g.
-    /// `"index.f->index"`.
+    /// A native tier took its slow path without bailing (`a` = pc). The
+    /// label names it: `"lcg-fill:sequential"`, a fill that ran one
+    /// stream because its seed or multiplier was not exact.
     Deopt,
 }
 
@@ -666,9 +666,8 @@ pub fn kernel_end(label: &'static str, pc: u32, iters: u64, bail: Option<&'stati
     }
 }
 
-/// A specialised instruction's type check failed and the interpreter ran
-/// its generic form in place for this one execution. `rewrite` names the
-/// fallback (e.g. `"index.f->index"`), `pc` the slot.
+/// A native tier took its slow path without bailing. `rewrite` names it
+/// (`"lcg-fill:sequential"`), `pc` the loop head.
 pub fn deopt(rewrite: &'static str, pc: u32) {
     let m = mode();
     if m == 0 {
@@ -732,7 +731,7 @@ pub struct MetricsSnapshot {
     pub kernel_iters: u64,
     /// Kernel runs that bailed back to the interpreter mid-loop.
     pub kernel_bails: u64,
-    /// Specialised instructions that fell back to their generic forms.
+    /// Slow paths a native tier took without bailing ([`deopt`]).
     pub deopts: u64,
     /// Always 0: nothing rewrites code at runtime. The benchmark reads it by name.
     pub quickens: u64,

@@ -324,6 +324,117 @@ fn ep_pairs_bail_reproduces_oracle_error() {
 }
 
 // ---------------------------------------------------------------------------
+// Type surprises
+// ---------------------------------------------------------------------------
+
+/// EP's batch loop with the type of three inputs chosen by the host: the
+/// deviate buffer `x` (`[]i64` when `xint == 1`), the seed `s` the fill's
+/// seed cell starts from, and the `sx` accumulator's start `sx0`. The
+/// annotations name the types the kernels expect; Zag does not enforce
+/// them, so nothing but the kernels' entry checks stands between a
+/// wrong-typed input and a wrong result.
+const EP_TYPES: &str = r#"
+fn buf(int: i64, n: i64) any {
+    if (int == 1) {
+        return @allocI(n);
+    }
+    return @allocF(n);
+}
+
+fn ep(nk: i64, batches: i64, s: f64, sx0: f64, xint: i64, nthreads: i64) f64 {
+    var a: f64 = 1220703125.0;
+    var sx: f64 = sx0;
+    var sy: f64 = 0.0;
+    //$omp parallel num_threads(nthreads) firstprivate(a, s, nk, batches, xint) reduction(+: sx, sy)
+    {
+        var x: []f64 = buf(xint, 2 * nk);
+        var qq: []f64 = @allocF(10);
+        var k: i64 = 0;
+        //$omp while schedule(static)
+        while (k < batches) : (k += 1) {
+            var t1: f64 = s;
+            var j: i64 = 0;
+            while (j < 2 * nk) : (j += 1) {
+                x[j] = randlc(&t1, a);
+            }
+            var i: i64 = 0;
+            while (i < nk) : (i += 1) {
+                var x1: f64 = 2.0 * x[2 * i] - 1.0;
+                var x2: f64 = 2.0 * x[2 * i + 1] - 1.0;
+                var tt: f64 = x1 * x1 + x2 * x2;
+                if (tt <= 1.0) {
+                    var t2: f64 = @sqrt(-2.0 * @log(tt) / tt);
+                    var t3: f64 = x1 * t2;
+                    var t4: f64 = x2 * t2;
+                    var l: i64 = @floatToInt(@max(@abs(t3), @abs(t4)));
+                    qq[l] = qq[l] + 1.0;
+                    sx = sx + t3;
+                    sy = sy + t4;
+                }
+            }
+        }
+    }
+    return sx + sy;
+}
+"#;
+
+/// Both EP kernels install on the generic instruction forms, and each
+/// wrong-typed input makes a kernel bail at entry: `x` as `[]i64` and an
+/// `Int` seed cell (`lcg-fill`), an `Int` `sx` accumulator (`ep-pairs`).
+/// The interpreter then replays the loop to the walker's error text, at
+/// teams of 1 and 2. With every input as annotated, nothing bails.
+#[test]
+fn ep_kernels_bail_on_each_wrong_typed_input() {
+    let src = format!("{RANDLC}{EP_TYPES}");
+    let build = |backend, opt| {
+        Vm::build(&src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(&src)))
+    };
+    let vm = build(Backend::Bytecode, OptLevel::O3);
+    let walker = build(Backend::Ast, OptLevel::O0);
+    let installed: Vec<&str> = (vm.program.code.funcs.iter())
+        .flat_map(|f| f.kernels.iter().map(|k| k.kind.name()))
+        .collect();
+    assert_eq!(installed, ["lcg-fill", "ep-pairs"]);
+    let (seed, f0) = (Value::Float(271_828_183.0), Value::Float(0.0));
+    let cases = [
+        ("as annotated", seed.clone(), f0.clone(), 0),
+        ("x: []i64", seed.clone(), f0.clone(), 1),
+        ("Int seed cell", Value::Int(271_828_183), f0.clone(), 0),
+        ("Int sx", seed, Value::Int(0), 0),
+    ];
+    for (what, s, sx0, xint) in cases {
+        for threads in [1i64, 2] {
+            let args = || {
+                let (nk, batches) = (Value::Int(64), Value::Int(4));
+                let (xint, threads) = (Value::Int(xint), Value::Int(threads));
+                vec![nk, batches, s.clone(), sx0.clone(), xint, threads]
+            };
+            let run = |vm: &Vm| {
+                (vm.call_function("ep", args()))
+                    .map(|v| v.render())
+                    .map_err(|e| e.to_string())
+            };
+            let want = run(&walker);
+            zomp::trace::reset();
+            zomp::trace::enable_counters();
+            let got = run(&vm);
+            zomp::trace::disable_all();
+            let m = zomp::trace::metrics();
+            zomp::trace::reset();
+            assert_eq!(got, want, "{what}, {threads} threads");
+            if xint == 0 && matches!((&s, &sx0), (Value::Float(_), Value::Float(_))) {
+                assert!(want.is_ok(), "{want:?}");
+                assert_eq!(m.kernel_bails, 0, "{what}, {threads} threads");
+                assert!(m.kernel_iters > 0, "{what}, {threads} threads");
+            } else {
+                assert!(want.is_err(), "{what}: {want:?}");
+                assert!(m.kernel_bails >= 1, "{what}, {threads} threads");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // One claim of the fill kernel, driven directly
 // ---------------------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 //! End-to-end checks of the tier-observability pipeline over the public
 //! VM API: the kernel telemetry probes fold into `MetricsSnapshot`,
-//! specialised-opcode and bulk-loop fallbacks count and leave no state
-//! behind, the profiler's event fold attributes a natively-carried
+//! bulk-loop fallbacks count and leave no state behind, the profiler's event fold attributes a natively-carried
 //! pragma loop to the native tier with its `unit:line` label intact,
 //! every fixed kernel the NPB ports install is one they enter, every
 //! installed template's remark says whether it runs strip-mined, and the
@@ -126,13 +125,11 @@ fn counted_call(
     (r.map(|v| v.render()).map_err(|e| e.to_string()), m)
 }
 
-/// Annotations are not enforced at the host boundary: typeck emits
-/// `ArithII` for an `i64`-annotated parameter, the host passes a Float,
-/// and the specialised opcode must fall back to the generic one in
-/// place — same result (`twice`) or same error text (`mixed`) as the
-/// walker, and the fallback is counted.
+/// Annotations are not enforced at the host boundary: the host passes a
+/// Float to an `i64`-annotated parameter, and the compiled add gives the
+/// walker's result (`twice`) or the walker's error text (`mixed`).
 #[test]
-fn host_float_into_i64_param_deopts_to_the_walker_outcome() {
+fn host_float_into_i64_param_matches_the_walker_outcome() {
     let _g = serial();
     let src = r#"
 fn twice(x: i64) i64 {
@@ -149,12 +146,8 @@ fn mixed(x: i64, y: i64) i64 {
         ("mixed", vec![Value::Float(1.5), Value::Int(2)]),
     ] {
         let (want, _) = counted_call(&oracle, name, args.clone());
-        let (got, m) = counted_call(&vm, name, args);
+        let (got, _) = counted_call(&vm, name, args);
         assert_eq!(got, want, "`{name}`");
-        assert!(
-            m.deopts >= 1,
-            "`{name}`: the Int-specialised add must deopt on a Float"
-        );
     }
 }
 
@@ -192,10 +185,14 @@ fn kernel_bail_is_not_remembered_across_calls() {
     assert_eq!(m.kernel_bails, 0);
 }
 
-/// A bail that is not an error: the loop is typed `[]i64` by its
-/// annotations, the host hands `[]f64`, so no template variant binds
-/// and the head bails at every chunk of every call. The walker's
-/// result must hold across schedules and team sizes.
+/// `a` and `out` are one kind group (`out[i]` is computed from `a[i]`),
+/// so the template carries an all-`i64` and an all-`f64` variant. A host
+/// `[]f64` `a` with a `[]i64` `out` fits neither: no variant binds, the
+/// head bails at every chunk of every call, and the interpreter raises
+/// the walker's error. Both as `[]f64` (against the `[]i64` annotations,
+/// which are not enforced) bind the float variant and run every
+/// iteration natively, bit for bit the walker's result. Across schedules
+/// and team sizes.
 #[test]
 fn type_bail_at_every_chunk_matches_the_walker() {
     let _g = serial();
@@ -212,24 +209,30 @@ fn sq(a: []i64, out: []i64, n: i64, nthreads: i64) void {
     }
 }
 "#;
-    let run = |vm: &Vm, threads: i64| {
+    // `out_int` picks a `[]i64` output; the result is `out`'s bits.
+    let run = |vm: &Vm, threads: i64, out_int: bool| {
         let a = Arc::new(ArrF::new(N));
         for i in 0..N as i64 {
             a.set(i, 0.25 * i as f64 - 7.0).unwrap();
         }
-        let out = Arc::new(ArrF::new(N));
-        let (r, m) = counted_call(
-            vm,
-            "sq",
-            vec![
-                Value::ArrF(a),
-                Value::ArrF(out.clone()),
-                Value::Int(N as i64),
-                Value::Int(threads),
-            ],
-        );
+        let (outf, outi) = (Arc::new(ArrF::new(N)), Arc::new(ArrI::new(N)));
+        let out = if out_int {
+            Value::ArrI(outi.clone())
+        } else {
+            Value::ArrF(outf.clone())
+        };
+        let args = vec![
+            Value::ArrF(a),
+            out,
+            Value::Int(N as i64),
+            Value::Int(threads),
+        ];
+        let (r, m) = counted_call(vm, "sq", args);
         let bits: Vec<u64> = (0..N as i64)
-            .map(|i| out.get(i).unwrap().to_bits())
+            .map(|i| match out_int {
+                true => outi.get(i).unwrap() as u64,
+                false => outf.get(i).unwrap().to_bits(),
+            })
             .collect();
         (r, bits, m)
     };
@@ -250,12 +253,20 @@ fn sq(a: []i64, out: []i64, n: i64, nthreads: i64) void {
         );
         let oracle = Vm::build(&src, None, Backend::Ast, OptLevel::O0).expect("compile oracle");
         for threads in [1i64, 2, 4] {
-            let (want, want_bits, _) = run(&oracle, threads);
-            let (got, got_bits, m) = run(&vm, threads);
+            let (want, want_bits, _) = run(&oracle, threads, true);
+            assert!(want.is_err(), "{sched}: a float into []i64 must fail");
+            let (got, got_bits, m) = run(&vm, threads, true);
             assert_eq!(got, want, "{sched}, {threads} threads");
             assert_eq!(got_bits, want_bits, "{sched}, {threads} threads");
-            assert!(m.kernel_bails >= 1, "{sched}: the []f64 input must bail");
+            assert!(m.kernel_bails >= 1, "{sched}: no variant may bind");
             assert_eq!(m.kernel_iters, 0, "{sched}: no iteration may run typed");
+
+            let (want, want_bits, _) = run(&oracle, threads, false);
+            let (got, got_bits, m) = run(&vm, threads, false);
+            assert_eq!(got, want, "{sched}, {threads} threads, []f64");
+            assert_eq!(got_bits, want_bits, "{sched}, {threads} threads, []f64");
+            assert_eq!(m.kernel_bails, 0, "{sched}: the float variant binds");
+            assert_eq!(m.kernel_iters, N as u64, "{sched}: every iteration native");
         }
     }
 }

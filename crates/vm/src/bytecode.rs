@@ -34,15 +34,6 @@
 //!   deref-fused family ([`Insn::DerefIndex`], [`Insn::DerefIndexOff`],
 //!   [`Insn::DerefIndexSet`]) that accesses `shared(...)` arrays under a
 //!   single cell lock without cloning the array value into a register.
-//! * **Type-specialised instructions** — generic
-//!   `Arith`/`Cmp`/`Index`/`IndexSet`/`CmpJumpFalse` have `i64`/`f64`
-//!   forms ([`Insn::ArithII`] is the AddII/SubII/MulII… family,
-//!   [`Insn::ArithFF`] the AddFF/MulFF… family, [`Insn::IndexF`], …).
-//!   At `--opt=3` the typed-IR pass ([`crate::typeck`]) emits them
-//!   statically wherever forward type inference proves the operand types;
-//!   slots inference leaves `Dynamic` stay generic. Each typed form
-//!   re-checks its operands and runs the generic form in place when a
-//!   slot holds another type.
 //! * [`Insn::BulkLoop`] — the `--opt=3` native tier ([`crate::kernels`]):
 //!   a recognised hot loop shape replaced by one dispatch into a
 //!   precompiled slice kernel, with the original loop-head instruction
@@ -438,74 +429,6 @@ pub enum Insn {
         icell: Reg,
         idx: Reg,
     },
-    /// Specialised [`Insn::Arith`]: both operands inferred `i64`. Emitted
-    /// by [`crate::typeck`] only; the interpreter checks the operands and
-    /// runs the generic `Arith` arm in place on a mismatch.
-    ArithII {
-        op: ArithOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Specialised [`Insn::Arith`]: both operands inferred `f64`.
-    ArithFF {
-        op: ArithOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Specialised [`Insn::Cmp`]: both operands inferred `i64`.
-    CmpII {
-        op: CmpOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Specialised [`Insn::Cmp`]: both operands inferred `f64`.
-    CmpFF {
-        op: CmpOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Specialised [`Insn::CmpJumpFalse`]: both operands inferred `i64`.
-    CmpJumpFalseII {
-        op: CmpOp,
-        a: Reg,
-        b: Reg,
-        to: u32,
-    },
-    /// Specialised [`Insn::CmpJumpFalse`]: both operands inferred `f64`.
-    CmpJumpFalseFF {
-        op: CmpOp,
-        a: Reg,
-        b: Reg,
-        to: u32,
-    },
-    /// Specialised [`Insn::Index`]: array inferred `ArrF`.
-    IndexF {
-        dst: Reg,
-        arr: Reg,
-        idx: Reg,
-    },
-    /// Specialised [`Insn::Index`]: array inferred `ArrI`.
-    IndexI {
-        dst: Reg,
-        arr: Reg,
-        idx: Reg,
-    },
-    /// Specialised [`Insn::IndexSet`]: `ArrF` target, `f64` source inferred.
-    IndexSetF {
-        arr: Reg,
-        idx: Reg,
-        src: Reg,
-    },
-    /// Specialised [`Insn::IndexSet`]: `ArrI` target, `i64` source inferred.
-    IndexSetI {
-        arr: Reg,
-        idx: Reg,
-        src: Reg,
-    },
     /// Direct call of program function `func` (compile-time resolved).
     Call {
         dst: Reg,
@@ -598,8 +521,8 @@ pub struct CompiledFn {
     pub nparams: usize,
     /// Source-level parameter type annotations, verbatim (`"i64"`,
     /// `"[]f64"`, `"*f64"`, `"any"`, ...), one per parameter. Zag does
-    /// not enforce these at call boundaries; the type inference pass
-    /// reads them as speculative seeds (see [`crate::typeck`]).
+    /// not enforce these at call boundaries; type inference reads them
+    /// as speculative seeds (see [`crate::typeck`]).
     pub param_tys: Vec<String>,
     /// Register-file size: params, locals, then temporaries.
     pub nregs: usize,
@@ -773,34 +696,6 @@ pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
         } => {
             format!("fmagather  r{dst} += (r{xcell})[r{idx}] * (r{acell})[(r{icell})[r{idx}]]")
         }
-        Insn::ArithII { op, dst, a, b } => {
-            format!(
-                "{:<10} r{dst}, r{a}, r{b}",
-                format!("{}ii", arith_text(*op))
-            )
-        }
-        Insn::ArithFF { op, dst, a, b } => {
-            format!(
-                "{:<10} r{dst}, r{a}, r{b}",
-                format!("{}ff", arith_text(*op))
-            )
-        }
-        Insn::CmpII { op, dst, a, b } => {
-            format!("cmpii      r{dst}, r{a} {} r{b}", cmp_text(*op))
-        }
-        Insn::CmpFF { op, dst, a, b } => {
-            format!("cmpff      r{dst}, r{a} {} r{b}", cmp_text(*op))
-        }
-        Insn::CmpJumpFalseII { op, a, b, to } => {
-            format!("cjfii      r{a} {} r{b} -> {to}", cmp_text(*op))
-        }
-        Insn::CmpJumpFalseFF { op, a, b, to } => {
-            format!("cjfff      r{a} {} r{b} -> {to}", cmp_text(*op))
-        }
-        Insn::IndexF { dst, arr, idx } => format!("indexf     r{dst}, r{arr}[r{idx}]"),
-        Insn::IndexI { dst, arr, idx } => format!("indexi     r{dst}, r{arr}[r{idx}]"),
-        Insn::IndexSetF { arr, idx, src } => format!("indexsetf  r{arr}[r{idx}], r{src}"),
-        Insn::IndexSetI { arr, idx, src } => format!("indexseti  r{arr}[r{idx}], r{src}"),
         Insn::Call { dst, func, base, n } => {
             format!("call       r{dst}, f{func}, r{base}..{n}")
         }

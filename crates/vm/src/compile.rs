@@ -2,7 +2,7 @@
 //!
 //! **Pipeline.** [`compile_image_opt`] lowers the program, then at
 //! `--opt=3` runs the passes of [`PASSES`] in order: inline, optimize,
-//! typeck, install. It owns what the passes share. It verifies every
+//! install. It owns what the passes share. It verifies every
 //! function with [`verify_fn`] after lowering and after each pass, and
 //! each pass records what it did in its field of [`PassData`], which
 //! `zag --remarks` renders. No pass verifies or snapshots code itself;
@@ -52,7 +52,6 @@ use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn,
 use crate::inline::InlineData;
 use crate::interp::callee_path;
 use crate::optimize::{verify_fn, OptLevel, OptStats};
-use crate::typeck::SiteOutcome;
 use crate::value::Value;
 
 /// Compile every function of a parsed (pragma-free) program.
@@ -83,7 +82,6 @@ pub fn compile_image(ast: &Ast) -> Image {
 pub struct PassData {
     pub inline: InlineData,
     pub opt_stats: Vec<OptStats>,
-    pub sites: Vec<Vec<SiteOutcome>>,
     /// One entry per step [`compile_image_opt`] ran, in order: `lowering`,
     /// then each pass of [`PASSES`] (`zag --time-passes`).
     pub times: Vec<PassTime>,
@@ -160,7 +158,7 @@ pub struct Pass {
 }
 
 /// The `--opt=3` passes, in the order [`compile_image_opt`] runs them.
-pub const PASSES: [Pass; 4] = [
+pub const PASSES: [Pass; 3] = [
     Pass {
         name: "inline",
         run: |image, data| data.inline = crate::inline::inline_image(image),
@@ -173,10 +171,6 @@ pub const PASSES: [Pass; 4] = [
                 .map(|f| crate::optimize::optimize_fn(f, OptLevel::O3, nfuncs))
                 .collect();
         },
-    },
-    Pass {
-        name: "typeck",
-        run: |image, data| data.sites = crate::typeck::specialize_image(image),
     },
     Pass {
         name: "install",

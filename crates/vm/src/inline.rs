@@ -7,9 +7,8 @@
 //! between lowering and [`crate::optimize`], and replaces every direct call
 //! of an *eligible* callee by the callee's code, so the per-function passes
 //! clean up the seams (copy propagation forwards the parameter moves, DSE
-//! drops the dead ones, fusion sees across the old boundary), `typeck`
-//! specialises the merged body, and the kernel and template matchers see a
-//! loop without a `Call`.
+//! drops the dead ones, fusion sees across the old boundary), and the
+//! kernel and template matchers see a loop without a `Call`.
 //!
 //! **Eligibility** (legality first, then profitability):
 //!

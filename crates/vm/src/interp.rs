@@ -742,14 +742,11 @@ impl Vm {
     /// from the shared image, so execution is a function of the compiled
     /// image alone.
     ///
-    /// The specialised opcodes `typeck` emits (`ArithII`, `IndexF`, …)
-    /// check their operand types; on a mismatch — as on a `BulkLoop` /
-    /// `TemplateLoop` bail — the arm swaps in the generic instruction and
-    /// re-enters the `match` through `'redo` for this one execution.
-    /// A specialised opcode is tried again at its next visit; a bailed
-    /// loop head is remembered in a local for the rest of this activation
-    /// only (the interpreted loop comes back to its head every
-    /// iteration), so the next call starts from the image again.
+    /// When a `BulkLoop` / `TemplateLoop` bails, the arm swaps in the
+    /// loop-head instruction it replaced and re-enters the `match` through
+    /// `'redo`. The bailed head is remembered in a local for the rest of
+    /// this activation only (the interpreted loop comes back to its head
+    /// every iteration), so the next call starts from the image again.
     ///
     /// Register and constant accesses go through [`rg`]/[`rg_mut`]/[`kc`],
     /// which skip bounds checks. The safety argument lives on those
@@ -839,28 +836,6 @@ impl Vm {
                     };
                     set(regs, dst, v);
                 }
-                Insn::IndexF { dst, arr, idx } => match (rg(regs, arr), rg(regs, idx)) {
-                    (Value::ArrF(a), Value::Int(i)) => {
-                        let v = Value::Float(a.get(*i)?);
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("index.f->index", (pc - 1) as u32);
-                        insn = Insn::Index { dst, arr, idx };
-                        continue 'redo;
-                    }
-                },
-                Insn::IndexI { dst, arr, idx } => match (rg(regs, arr), rg(regs, idx)) {
-                    (Value::ArrI(a), Value::Int(i)) => {
-                        let v = Value::Int(a.get(*i)?);
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("index.i->index", (pc - 1) as u32);
-                        insn = Insn::Index { dst, arr, idx };
-                        continue 'redo;
-                    }
-                },
                 Insn::IndexSet { arr, idx, src } => {
                     let i = rg(regs, idx).as_int()?;
                     match rg(regs, arr) {
@@ -875,26 +850,6 @@ impl Vm {
                         other => return err(format!("cannot index {}", other.type_name())),
                     }
                 }
-                Insn::IndexSetF { arr, idx, src } => {
-                    match (rg(regs, arr), rg(regs, idx), rg(regs, src)) {
-                        (Value::ArrF(a), Value::Int(i), Value::Float(v)) => a.set(*i, *v)?,
-                        _ => {
-                            zomp::trace::deopt("index_set.f->index_set", (pc - 1) as u32);
-                            insn = Insn::IndexSet { arr, idx, src };
-                            continue 'redo;
-                        }
-                    }
-                }
-                Insn::IndexSetI { arr, idx, src } => {
-                    match (rg(regs, arr), rg(regs, idx), rg(regs, src)) {
-                        (Value::ArrI(a), Value::Int(i), Value::Int(v)) => a.set(*i, *v)?,
-                        _ => {
-                            zomp::trace::deopt("index_set.i->index_set", (pc - 1) as u32);
-                            insn = Insn::IndexSet { arr, idx, src };
-                            continue 'redo;
-                        }
-                    }
-                }
                 Insn::Arith { op, dst, a, b } => {
                     let v = match (rg(regs, a), rg(regs, b)) {
                         (Value::Float(x), Value::Float(y)) => Value::Float(float_arith(op, *x, *y)),
@@ -903,28 +858,6 @@ impl Vm {
                     };
                     set(regs, dst, v);
                 }
-                Insn::ArithII { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        let v = Value::Int(int_arith(op, *x, *y)?);
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("arith.ii->arith", (pc - 1) as u32);
-                        insn = Insn::Arith { op, dst, a, b };
-                        continue 'redo;
-                    }
-                },
-                Insn::ArithFF { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        let v = Value::Float(float_arith(op, *x, *y));
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("arith.ff->arith", (pc - 1) as u32);
-                        insn = Insn::Arith { op, dst, a, b };
-                        continue 'redo;
-                    }
-                },
                 Insn::ArithK { op, dst, a, k } => {
                     let v = match (rg(regs, a), kc(consts, k)) {
                         (Value::Float(x), Value::Float(y)) => Value::Float(float_arith(op, *x, *y)),
@@ -1140,28 +1073,6 @@ impl Vm {
                     };
                     set(regs, dst, v);
                 }
-                Insn::CmpII { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        let v = Value::Bool(cmp_int(op, *x, *y));
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("cmp.ii->cmp", (pc - 1) as u32);
-                        insn = Insn::Cmp { op, dst, a, b };
-                        continue 'redo;
-                    }
-                },
-                Insn::CmpFF { op, dst, a, b } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        let v = Value::Bool(cmp_float(op, *x, *y));
-                        set(regs, dst, v);
-                    }
-                    _ => {
-                        zomp::trace::deopt("cmp.ff->cmp", (pc - 1) as u32);
-                        insn = Insn::Cmp { op, dst, a, b };
-                        continue 'redo;
-                    }
-                },
                 Insn::Neg { dst, src } => {
                     let v = match rg(regs, src) {
                         Value::Int(v) => Value::Int(v.wrapping_neg()),
@@ -1199,30 +1110,6 @@ impl Vm {
                         pc = to as usize;
                     }
                 }
-                Insn::CmpJumpFalseII { op, a, b, to } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        if !cmp_int(op, *x, *y) {
-                            pc = to as usize;
-                        }
-                    }
-                    _ => {
-                        zomp::trace::deopt("cmp_jf.ii->cmp_jf", (pc - 1) as u32);
-                        insn = Insn::CmpJumpFalse { op, a, b, to };
-                        continue 'redo;
-                    }
-                },
-                Insn::CmpJumpFalseFF { op, a, b, to } => match (rg(regs, a), rg(regs, b)) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        if !cmp_float(op, *x, *y) {
-                            pc = to as usize;
-                        }
-                    }
-                    _ => {
-                        zomp::trace::deopt("cmp_jf.ff->cmp_jf", (pc - 1) as u32);
-                        insn = Insn::CmpJumpFalse { op, a, b, to };
-                        continue 'redo;
-                    }
-                },
                 Insn::IncCmpJump {
                     var,
                     step,

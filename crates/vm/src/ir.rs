@@ -8,8 +8,8 @@
 //! view, not a new encoding: blocks are index ranges into
 //! `CompiledFn::code`, so there is nothing to lower back — rewrites
 //! happen in place on the flat stream and stay valid as long as they
-//! do not move instructions (the specializer and kernel installer
-//! both only overwrite single slots).
+//! do not move instructions (the kernel and template installers only
+//! overwrite single slots).
 
 use crate::bytecode::{insn_text, CompiledFn, Image};
 use crate::optimize::{falls_through, jump_target, leaders};

@@ -1,7 +1,7 @@
 //! Native bulk-kernel tier (`--opt=3` / `Backend::Native`).
 //!
-//! The optimizer already fuses and type-specialises the NPB inner
-//! loops, but an interpreted iteration still pays instruction dispatch
+//! The optimizer already fuses the NPB inner loops, but an interpreted
+//! iteration still pays instruction dispatch
 //! and `Value` boxing per element. This
 //! module closes the rest of the gap to hand-written Rust for the
 //! hottest loop *shapes*: after every other pass has run, the
@@ -32,8 +32,8 @@
 //!   iteration (re-loading after potentially aliasing stores), so
 //!   kernels are exact even when two names refer to one array.
 //!
-//! Matchers run on the *final* stream (constant folding, fusion and
-//! static specialization have already happened), which is what makes
+//! Matchers run on the *final* stream (inlining, constant folding and
+//! fusion have already happened), which is what makes
 //! the shapes short and stable enough to match insn-by-insn.
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
@@ -541,7 +541,7 @@ fn lcg_callee(f: &CompiledFn) -> bool {
                 };
             }
             Insn::Move { dst, src } => env[dst as usize] = get(&env, src),
-            Insn::Arith { op, dst, a, b } | Insn::ArithFF { op, dst, a, b } => {
+            Insn::Arith { op, dst, a, b } => {
                 let (Some(l), Some(r)) = (get(&env, a), get(&env, b)) else {
                     return false;
                 };
@@ -639,13 +639,13 @@ fn lcg_callee(f: &CompiledFn) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Install bulk kernels in every function (`--opt=3` only; runs after
-/// optimization and static specialization). A pre-pass classifies
+/// inlining and optimization). A pre-pass classifies
 /// every function as LCG-shaped or not so the loop matchers can see
 /// *through* `Call` boundaries without borrowing the image twice.
 pub fn install_image(image: &mut Image) {
     install_kernels(image);
     // Typed-template tier: generic loops that missed every fixed
-    // kernel shape (runs second so the specialised kernels win the
+    // kernel shape (runs second so the fixed kernels win the
     // overlap; skips pcs covered by an installed kernel span).
     for f in &mut image.funcs {
         crate::templates::install_fn(f);
@@ -734,44 +734,36 @@ fn const_int(f: &CompiledFn, k: u16) -> Option<i64> {
     }
 }
 
-// Generic-or-specialized views. Static specialization
-// rewrites `Arith`→`ArithII`/`ArithFF`, `Index`→`IndexI`/`IndexF`,
-// `IndexSet`→`IndexSetI`/`IndexSetF` and `CmpJumpFalse`→`..II`/`..FF`
-// wherever inference proves the operand types; the kernel semantics
-// are identical either way (the specialized opcodes fall back to the
-// generic ones on a type mismatch), so the matchers accept both forms.
+// Field views of the generic forms the matchers read. A matcher takes no
+// type evidence from the stream: each kernel checks, before its first side
+// effect, the type of every register it reads that the loop does not
+// define (and of every pool constant it uses), and computes everything
+// else from those. So a type the shape did not expect bails, and the
+// interpreter replays the loop with its own checks.
 fn as_arith(insn: Insn) -> Option<(ArithOp, Reg, Reg, Reg)> {
     match insn {
-        Insn::Arith { op, dst, a, b }
-        | Insn::ArithII { op, dst, a, b }
-        | Insn::ArithFF { op, dst, a, b } => Some((op, dst, a, b)),
+        Insn::Arith { op, dst, a, b } => Some((op, dst, a, b)),
         _ => None,
     }
 }
 
 fn as_index(insn: Insn) -> Option<(Reg, Reg, Reg)> {
     match insn {
-        Insn::Index { dst, arr, idx }
-        | Insn::IndexI { dst, arr, idx }
-        | Insn::IndexF { dst, arr, idx } => Some((dst, arr, idx)),
+        Insn::Index { dst, arr, idx } => Some((dst, arr, idx)),
         _ => None,
     }
 }
 
 fn as_index_set(insn: Insn) -> Option<(Reg, Reg, Reg)> {
     match insn {
-        Insn::IndexSet { arr, idx, src }
-        | Insn::IndexSetI { arr, idx, src }
-        | Insn::IndexSetF { arr, idx, src } => Some((arr, idx, src)),
+        Insn::IndexSet { arr, idx, src } => Some((arr, idx, src)),
         _ => None,
     }
 }
 
 fn as_cmp_jf(insn: Insn) -> Option<(CmpOp, Reg, Reg, u32)> {
     match insn {
-        Insn::CmpJumpFalse { op, a, b, to }
-        | Insn::CmpJumpFalseII { op, a, b, to }
-        | Insn::CmpJumpFalseFF { op, a, b, to } => Some((op, a, b, to)),
+        Insn::CmpJumpFalse { op, a, b, to } => Some((op, a, b, to)),
         _ => None,
     }
 }
@@ -1253,17 +1245,20 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
 /// EP deviate fill, matched *through* the call boundary:
 /// ```text
 /// pc+0  kmul   lim, k, nk          ; lim = c * nk (head, re-executed)
-/// pc+1  cjfii  j < lim -> pc+7     ; while-loop guard
+/// pc+1  cjfalse j < lim -> pc+7    ; while-loop guard
 /// pc+2  move   targ, tcell         ; arg 0: the seed cell (&t)
 /// pc+3  move   aarg, areg          ; arg 1: the multiplier
 /// pc+4  call   res, f, targ..2     ; f verified LCG-shaped
-/// pc+5  indexsetf arr[j], res
+/// pc+5  indexset arr[j], res
 /// pc+6  incjump j += 1 -> pc+0
 /// ```
 /// Only installs when `lcg[f]` held for the callee, i.e. the call is
 /// *provably* the NPB 46-bit LCG step; the kernel then runs the whole
 /// batch against a local copy of the seed without frame setup per
-/// element.
+/// element. The shape says nothing about types: [`run_lcg_fill`] bails
+/// unless `arr` is a `[]f64`, `j` and `nk` are `Int`, the multiplier is
+/// a `Float`, the seed cell holds a `Float` and `k` is an `Int`
+/// constant.
 fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind, u32)> {
     let code = &f.code;
     let Insn::ArithKL {
@@ -1276,13 +1271,7 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
         return None;
     };
     const_int(f, k)?;
-    let Insn::CmpJumpFalseII {
-        op: CmpOp::Lt,
-        a: j,
-        b: lim2,
-        to,
-    } = *code.get(pc + 1)?
-    else {
+    let (CmpOp::Lt, j, lim2, to) = as_cmp_jf(*code.get(pc + 1)?)? else {
         return None;
     };
     if lim2 != lim || to as usize != pc + 7 {
@@ -1317,9 +1306,7 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
     if base != targ || !lcg.get(func as usize).copied().unwrap_or(false) {
         return None;
     }
-    let Insn::IndexSetF { arr, idx, src } = *code.get(pc + 5)? else {
-        return None;
-    };
+    let (arr, idx, src) = as_index_set(*code.get(pc + 5)?)?;
     if idx != j || src != res {
         return None;
     }
@@ -1369,9 +1356,13 @@ fn const_float_is(f: &CompiledFn, k: u16, want: f64) -> bool {
 /// back-edge at `pc+31`, exit `pc+32`): candidate pair from `x[2i]`,
 /// `x[2i+1]`, radius test `tt <= 1.0`, Box–Muller transform,
 /// histogram bump `q[l] += 1.0` and the two reduction accumulators.
-/// All arithmetic in the body is total under the interpreter (wrapping
-/// int ops, IEEE float ops, saturating `@floatToInt`), so the only
-/// bail sources are the three array accesses.
+/// The shape says nothing about types: [`run_ep_pairs`] bails unless
+/// `x` and `q` are `[]f64`, `i` and `nk` are `Int` and `sx`/`sy` are
+/// `Float`, and the matcher pins the pool constants' values and types.
+/// Past that check all arithmetic in the body is total under the
+/// interpreter (wrapping int ops, IEEE float ops, saturating
+/// `@floatToInt`), so the only other bail sources are the three array
+/// accesses.
 #[rustfmt::skip]
 fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     let code = &f.code;
@@ -1383,10 +1374,10 @@ fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     let Insn::ArithKL { op: ArithOp::Mul, dst: rc, k: k2i, b: i } = at(1)? else { return None };
     if const_int(f, k2i)? != 2 { return None; }
     // pc+2: rd = x[rc]
-    let Insn::IndexF { dst: rd, arr: x, idx } = at(2)? else { return None };
+    let (rd, x, idx) = at(2).and_then(as_index)?;
     if idx != rc { return None; }
     // pc+3..5: x1 = 2.0 * x[2i] - 1.0
-    let Insn::ArithFF { op: ArithOp::Mul, dst: re, a, b } = at(3)? else { return None };
+    let Some((ArithOp::Mul, re, a, b)) = at(3).and_then(as_arith) else { return None };
     if a != ra || b != rd { return None; }
     let Insn::ArithK { op: ArithOp::Sub, dst: rg, a, k: k1f } = at(4)? else { return None };
     if a != re || !const_float_is(f, k1f, 1.0) { return None; }
@@ -1397,41 +1388,41 @@ fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     if !const_float_is(f, k, 2.0) { return None; }
     let Insn::IndexOff { dst, arr, idx, off: 1 } = at(7)? else { return None };
     if dst != rg || arr != x || idx != rc { return None; }
-    let Insn::ArithFF { op: ArithOp::Mul, dst: rh, a, b } = at(8)? else { return None };
+    let Some((ArithOp::Mul, rh, a, b)) = at(8).and_then(as_arith) else { return None };
     if a != rb || b != rg { return None; }
     let Insn::ArithK { op: ArithOp::Sub, dst: rj, a, k } = at(9)? else { return None };
     if a != rh || !const_float_is(f, k, 1.0) { return None; }
     let Insn::Move { dst, src } = at(10)? else { return None };
     if dst != rb || src != rj { return None; }
     // pc+11..14: tt = x1*x1 + x2*x2
-    let Insn::ArithFF { op: ArithOp::Mul, dst, a, b } = at(11)? else { return None };
+    let Some((ArithOp::Mul, dst, a, b)) = at(11).and_then(as_arith) else { return None };
     if dst != rc || a != ra || b != ra { return None; }
-    let Insn::ArithFF { op: ArithOp::Mul, dst, a, b } = at(12)? else { return None };
+    let Some((ArithOp::Mul, dst, a, b)) = at(12).and_then(as_arith) else { return None };
     if dst != rd || a != rj || b != rj { return None; }
-    let Insn::ArithFF { op: ArithOp::Add, dst, a, b } = at(13)? else { return None };
+    let Some((ArithOp::Add, dst, a, b)) = at(13).and_then(as_arith) else { return None };
     if dst != re || a != rc || b != rd { return None; }
     let Insn::Move { dst, src } = at(14)? else { return None };
     if dst != rc || src != re { return None; }
     // pc+15..16: if !(tt <= 1.0) skip the transform
     let Insn::Const { dst, k } = at(15)? else { return None };
     if dst != rd || !const_float_is(f, k, 1.0) { return None; }
-    let Insn::CmpJumpFalseFF { op: CmpOp::Le, a, b, to } = at(16)? else { return None };
+    let Some((CmpOp::Le, a, b, to)) = at(16).and_then(as_cmp_jf) else { return None };
     if a != re || b != rd || to as usize != pc + 31 { return None; }
     // pc+17..21: t2 = sqrt(-2.0 * ln(tt) / tt)
     let Insn::Const { dst: rf, k } = at(17)? else { return None };
     if !const_float_is(f, k, -2.0) { return None; }
     let Insn::Builtin { dst, op: BuiltinOp::Log, base, n: 1, .. } = at(18)? else { return None };
     if dst != rh || base != rc { return None; }
-    let Insn::ArithFF { op: ArithOp::Mul, dst: ri, a, b } = at(19)? else { return None };
+    let Some((ArithOp::Mul, ri, a, b)) = at(19).and_then(as_arith) else { return None };
     if a != rf || b != rh { return None; }
-    let Insn::ArithFF { op: ArithOp::Div, dst, a, b } = at(20)? else { return None };
+    let Some((ArithOp::Div, dst, a, b)) = at(20).and_then(as_arith) else { return None };
     if dst != rd || a != ri || b != rc { return None; }
     let Insn::Builtin { dst, op: BuiltinOp::Sqrt, base, n: 1, .. } = at(21)? else { return None };
     if dst != rj || base != rd { return None; }
     // pc+22..23: t3 = x1 * t2; t4 = x2 * t2
-    let Insn::ArithFF { op: ArithOp::Mul, dst, a, b } = at(22)? else { return None };
+    let Some((ArithOp::Mul, dst, a, b)) = at(22).and_then(as_arith) else { return None };
     if dst != re || a != ra || b != rj { return None; }
-    let Insn::ArithFF { op: ArithOp::Mul, dst, a, b } = at(23)? else { return None };
+    let Some((ArithOp::Mul, dst, a, b)) = at(23).and_then(as_arith) else { return None };
     if dst != rf || a != rb || b != rj { return None; }
     // pc+24..27: l = floatToInt(max(|t3|, |t4|))
     let Insn::Builtin { dst, op: BuiltinOp::Abs, base, n: 1, .. } = at(24)? else { return None };
@@ -1446,9 +1437,9 @@ fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     let Insn::IncElemK { op: ArithOp::Add, arr: q, idx, k } = at(28)? else { return None };
     if idx != rl || !const_float_is(f, k, 1.0) { return None; }
     // pc+29..30: sx += t3; sy += t4
-    let Insn::ArithFF { op: ArithOp::Add, dst: sx, a, b } = at(29)? else { return None };
+    let Some((ArithOp::Add, sx, a, b)) = at(29).and_then(as_arith) else { return None };
     if a != sx || b != re { return None; }
-    let Insn::ArithFF { op: ArithOp::Add, dst: sy, a, b } = at(30)? else { return None };
+    let Some((ArithOp::Add, sy, a, b)) = at(30).and_then(as_arith) else { return None };
     if a != sy || b != rf { return None; }
     // pc+31: i += 1; while (i < nk)
     let Insn::IncCmpJump { var, step: 1, limit: nk, op: CmpOp::Lt, to } = at(31)? else { return None };
@@ -2647,7 +2638,7 @@ fn run_ep_pairs(kind: &KernelKind, regs: &mut [Value]) -> Result<(), Bail> {
             rh: 2.0 * e1,
             rj: x2,
         };
-        // NaN fails `<=` exactly like the interpreter's CmpJumpFalseFF.
+        // NaN fails `<=` exactly like the interpreter's CmpJumpFalse.
         if tt <= 1.0 {
             let ratio = (-2.0 * tt.ln()) / tt;
             let t2 = ratio.sqrt();

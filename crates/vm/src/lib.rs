@@ -13,9 +13,8 @@
 //! compile-time slot resolution and fused loop opcodes, with small leaf
 //! callees inlined into their callers
 //! ([`inline`]), post-processed by the [`optimize`] pipeline (constant
-//! folding, dead-store elimination, superinstruction fusion),
-//! statically type-specialised from the block-structured [`ir`] by
-//! [`typeck`], and executed from a pooled call-frame arena — or the
+//! folding, dead-store elimination, superinstruction fusion), and
+//! executed from a pooled call-frame arena — or the
 //! original tree-walking interpreter, kept as the differential-testing
 //! oracle (`--backend=ast` on the `zag` CLI). All of that is `--opt=3`,
 //! the default; `--opt=0` executes the stream as lowered and is the
@@ -24,7 +23,7 @@
 //! strip-mined typed templates ([`templates`]) over the raw `f64`/`i64`
 //! array storage, dispatched through the same work-sharing runtime.
 //! One pipeline, [`compile::compile_image_opt`], runs those passes in
-//! the order of [`compile::PASSES`] (inline, optimize, typeck, install),
+//! the order of [`compile::PASSES`] (inline, optimize, install),
 //! verifies the image after lowering and after each pass, and keeps what
 //! each pass recorded for `zag --remarks` ([`remarks`]).
 //!

@@ -75,8 +75,7 @@ pub enum OptLevel {
     O0,
     /// The whole pipeline (default): inlining ([`crate::inline`]), constant
     /// folding, copy propagation, dead-store elimination, superinstruction
-    /// fusion, static type specialization from the typed IR
-    /// ([`crate::typeck`]), then the native tiers — fixed bulk kernels
+    /// fusion, then the native tiers — fixed bulk kernels
     /// ([`crate::kernels`]) and strip-mined templates
     /// ([`crate::templates`]).
     #[default]
@@ -151,8 +150,6 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
         }
         Insn::ElemAddr { arr, idx, .. }
         | Insn::Index { arr, idx, .. }
-        | Insn::IndexF { arr, idx, .. }
-        | Insn::IndexI { arr, idx, .. }
         | Insn::IndexOff { arr, idx, .. }
         | Insn::IncElemK { arr, idx, .. } => {
             f(arr);
@@ -180,22 +177,12 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
             f(icell);
             f(idx);
         }
-        Insn::IndexSet { arr, idx, src }
-        | Insn::IndexSetF { arr, idx, src }
-        | Insn::IndexSetI { arr, idx, src } => {
+        Insn::IndexSet { arr, idx, src } => {
             f(arr);
             f(idx);
             f(src);
         }
-        Insn::Arith { a, b, .. }
-        | Insn::ArithII { a, b, .. }
-        | Insn::ArithFF { a, b, .. }
-        | Insn::Cmp { a, b, .. }
-        | Insn::CmpII { a, b, .. }
-        | Insn::CmpFF { a, b, .. }
-        | Insn::CmpJumpFalse { a, b, .. }
-        | Insn::CmpJumpFalseII { a, b, .. }
-        | Insn::CmpJumpFalseFF { a, b, .. } => {
+        Insn::Arith { a, b, .. } | Insn::Cmp { a, b, .. } | Insn::CmpJumpFalse { a, b, .. } => {
             f(a);
             f(b);
         }
@@ -242,7 +229,7 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
 /// Visit every register an instruction *writes*. Call argument blocks
 /// count as defs: `call_fn` moves them out and leaves `Undefined` behind
 /// (`OmpCall` only borrows them; nothing reads a spent argument temporary,
-/// so one rule serves both, and `typeck::transfer` follows it).
+/// so one rule serves both, and `typeck`'s transfer function follows it).
 pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
     match *insn {
         Insn::Const { dst, .. }
@@ -253,21 +240,15 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         | Insn::ElemAddr { dst, .. }
         | Insn::AddrDeref { dst, .. }
         | Insn::Index { dst, .. }
-        | Insn::IndexF { dst, .. }
-        | Insn::IndexI { dst, .. }
         | Insn::IndexOff { dst, .. }
         | Insn::DerefIndex { dst, .. }
         | Insn::DerefIndexOff { dst, .. }
         | Insn::FmaGather { dst, .. }
         | Insn::Arith { dst, .. }
-        | Insn::ArithII { dst, .. }
-        | Insn::ArithFF { dst, .. }
         | Insn::ArithK { dst, .. }
         | Insn::ArithKL { dst, .. }
         | Insn::FmaIdx { dst, .. }
         | Insn::Cmp { dst, .. }
-        | Insn::CmpII { dst, .. }
-        | Insn::CmpFF { dst, .. }
         | Insn::Neg { dst, .. }
         | Insn::Not { dst, .. }
         | Insn::Truthy { dst, .. } => f(dst),
@@ -292,16 +273,12 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         Insn::CellSet { .. }
         | Insn::StorePtr { .. }
         | Insn::IndexSet { .. }
-        | Insn::IndexSetF { .. }
-        | Insn::IndexSetI { .. }
         | Insn::IncElemK { .. }
         | Insn::DerefIndexSet { .. }
         | Insn::Jump { .. }
         | Insn::JumpIfFalse { .. }
         | Insn::JumpIfTrue { .. }
         | Insn::CmpJumpFalse { .. }
-        | Insn::CmpJumpFalseII { .. }
-        | Insn::CmpJumpFalseFF { .. }
         | Insn::Print { .. }
         | Insn::Trap { .. }
         | Insn::BulkLoop { .. }
@@ -317,8 +294,6 @@ pub(crate) fn jump_target(insn: &Insn) -> Option<u32> {
         | Insn::JumpIfFalse { to, .. }
         | Insn::JumpIfTrue { to, .. }
         | Insn::CmpJumpFalse { to, .. }
-        | Insn::CmpJumpFalseII { to, .. }
-        | Insn::CmpJumpFalseFF { to, .. }
         | Insn::IncCmpJump { to, .. }
         | Insn::IncJump { to, .. }
         | Insn::WsNext { exit: to, .. } => Some(to),
@@ -333,8 +308,6 @@ pub(crate) fn retarget(insn: &mut Insn, map: &[u32]) {
         | Insn::JumpIfFalse { to, .. }
         | Insn::JumpIfTrue { to, .. }
         | Insn::CmpJumpFalse { to, .. }
-        | Insn::CmpJumpFalseII { to, .. }
-        | Insn::CmpJumpFalseFF { to, .. }
         | Insn::IncCmpJump { to, .. }
         | Insn::IncJump { to, .. }
         | Insn::WsNext { exit: to, .. } => *to = map[*to as usize],
@@ -1282,7 +1255,7 @@ mod tests {
     use crate::bytecode::Image;
 
     /// Lower `src` and, at `O3`, run this module's passes alone (no
-    /// inlining, typeck or kernel install), so the tests read what the
+    /// inlining or kernel install), so the tests read what the
     /// fuser emitted.
     fn image(src: &str, opt: OptLevel) -> Image {
         let mut img = lowered(src);
@@ -1478,6 +1451,26 @@ mod tests {
             "1/0 must stay a runtime op:\n{}",
             crate::bytecode::disasm_fn(f)
         );
+    }
+
+    /// `i64::MIN / -1` and `% -1` fold to their wrapped values, as the
+    /// interpreter computes them, instead of crashing the compiler.
+    #[test]
+    fn int_min_div_by_minus_one_folds_to_the_wrapped_value() {
+        let src = "fn main() void { var q: i64 = (-9223372036854775807 - 1) / -1; \
+                   var r: i64 = (-9223372036854775807 - 1) % -1; print(q, r); }";
+        let img = image(src, OptLevel::O3);
+        let f = img.get("main").unwrap();
+        assert!(
+            !f.code.iter().any(|i| matches!(
+                i,
+                Insn::Arith { .. } | Insn::ArithK { .. } | Insn::ArithKL { .. }
+            )),
+            "MIN / -1 and MIN % -1 should fold:\n{}",
+            crate::bytecode::disasm_fn(f)
+        );
+        assert!(f.consts.iter().any(|c| value_eq(c, &Value::Int(i64::MIN))));
+        assert!(f.consts.iter().any(|c| value_eq(c, &Value::Int(0))));
     }
 
     #[test]

@@ -15,16 +15,12 @@
 //!   `has-loop`, `calls`, `omp-call`, `recursive`, `arity`, `indirect`,
 //!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`] — and a
 //!   runtime entry point or builtin says `runtime` / `builtin`),
-//!   `unsupported-op`, `dynamic-type`, or `shape`. The remarks render
+//!   `unsupported-op`, or `shape`. The remarks render
 //!   the rows [`kernel_misses`] exports structurally, so bench
 //!   artifacts (`BENCH_tiers.json`) can embed them per loop.
 //! - **`inlined`** — a direct call replaced by its callee's body
 //!   (`--opt=3`, [`crate::inline`]), by its pc in the `[pre-opt]`
 //!   listing of `--dump-bytecode`.
-//! - **`typeck-summary` / `typeck-dynamic`** — per-function static
-//!   specialization outcome (`--opt=3`): how many sites inference
-//!   proved Int/Float, and for each site left generic, the operand
-//!   types that blocked it.
 //! - **`opt-pipeline`** — per-function fold/copy-propagation, local
 //!   CSE, dead-store-elimination and fusion counts (`--opt=3`).
 //!
@@ -42,7 +38,6 @@ use crate::compile::{compile_source, PassData};
 use crate::inline::{InlineData, Kept};
 use crate::kernels::KernelKind;
 use crate::optimize::{jump_target, OptLevel};
-use crate::typeck::SiteOutcome;
 use crate::value::Value;
 
 /// Compile `source` at `opt` and return the optimization remarks. `unit`
@@ -70,9 +65,6 @@ fn assemble(source: &str, image: &Image, data: &PassData) -> Vec<Diag> {
                     f.name, image.funcs[site.callee].name, site.insns, site.pc
                 ),
             ));
-        }
-        if let Some(sites) = data.sites.get(fi) {
-            typeck_remarks(f, sites, &mut out);
         }
         if let Some(stats) = data.opt_stats.get(fi) {
             if stats.any() {
@@ -239,8 +231,7 @@ fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
 /// reason first: a call boundary beats everything (the note says why
 /// each callee was not inlined, which is what would have to change),
 /// then an opcode no shape
-/// covers, then operand types the specializer could not prove, and
-/// finally a plain shape mismatch. Returns `(slug, note)`; the slug is
+/// covers, and finally a plain shape mismatch. Returns `(slug, note)`; the slug is
 /// the stable machine-readable vocabulary promised in the module docs
 /// ([`MissRow::reason`]). Instructions inside an `installed`
 /// kernel span are skipped: they were subsumed by a `BulkLoop` and no
@@ -261,7 +252,6 @@ fn classify_miss(
             callees.push(c);
         }
     };
-    let mut dynamic: Option<&'static str> = None;
     let mut unsupported: Option<&'static str> = None;
     for pc in head..=tail.min(f.code.len().saturating_sub(1)) {
         if installed.iter().any(|&(s, e)| pc >= s && pc < e) {
@@ -284,11 +274,6 @@ fn classify_miss(
                 };
                 push(format!("`{name}` [builtin]"));
             }
-            Insn::Arith { .. } => dynamic = dynamic.or(Some("arith")),
-            Insn::Cmp { .. } => dynamic = dynamic.or(Some("cmp")),
-            Insn::CmpJumpFalse { .. } => dynamic = dynamic.or(Some("cmp_jf")),
-            Insn::Index { .. } => dynamic = dynamic.or(Some("index")),
-            Insn::IndexSet { .. } => dynamic = dynamic.or(Some("index_set")),
             Insn::Print { .. } => unsupported = unsupported.or(Some("print")),
             Insn::NewCell { .. } => unsupported = unsupported.or(Some("newcell")),
             Insn::CellGet { .. } => unsupported = unsupported.or(Some("cellget")),
@@ -308,11 +293,6 @@ fn classify_miss(
         (
             "unsupported-op",
             format!("`{op}` has no bulk-kernel lowering"),
-        )
-    } else if let Some(op) = dynamic {
-        (
-            "dynamic-type",
-            format!("`{op}` operands were not statically proven Int/Float"),
         )
     } else {
         (
@@ -340,8 +320,8 @@ pub struct MissRow {
     pub head: usize,
     /// The loop's furthest back-edge pc.
     pub tail: usize,
-    /// Stable reason slug: `call-boundary`, `unsupported-op`,
-    /// `dynamic-type`, or `shape`.
+    /// Stable reason slug: `call-boundary`, `unsupported-op`, or
+    /// `shape`.
     pub reason: &'static str,
     /// Human-readable detail (callee names, blocking opcode, ...).
     pub note: String,
@@ -353,7 +333,6 @@ impl MissRow {
         let reason = match self.reason {
             "call-boundary" => "call boundary",
             "unsupported-op" => "unsupported opcode",
-            "dynamic-type" => "dynamic operand types",
             _ => "shape mismatch",
         };
         format!(
@@ -371,37 +350,6 @@ pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
     Ok((0..image.funcs.len())
         .flat_map(|fi| misses(&image, fi, &data.inline))
         .collect())
-}
-
-fn typeck_remarks(f: &CompiledFn, sites: &[SiteOutcome], out: &mut Vec<Diag>) {
-    if sites.is_empty() {
-        return;
-    }
-    let spec = sites.iter().filter(|s| s.specialized.is_some()).count();
-    out.push(Diag::remark(
-        "typeck-summary",
-        0,
-        format!(
-            "fn `{}`: {spec} of {} specializable sites statically typed Int/Float, {} left generic",
-            f.name,
-            sites.len(),
-            sites.len() - spec
-        ),
-    ));
-    for s in sites.iter().filter(|s| s.specialized.is_none()) {
-        let tys: Vec<&str> = s.operands.iter().map(|t| t.name()).collect();
-        out.push(Diag::remark(
-            "typeck-dynamic",
-            0,
-            format!(
-                "fn `{}`: `{}` at pc {} stayed dynamic (operands {})",
-                f.name,
-                s.insn,
-                s.pc,
-                tys.join(", ")
-            ),
-        ));
-    }
 }
 
 /// Whether the loop `head..=tail` claims chunks: the `while (ws_next(ws))`
@@ -493,10 +441,11 @@ mod tests {
 "#;
 
     #[test]
-    fn collect_reports_opt_and_typeck_remarks() {
+    fn collect_reports_opt_remarks() {
         let diags = collect(LOOPY, "demo.zag", OptLevel::O3).expect("collect");
+        assert!(diags.iter().any(|d| d.code == "opt-pipeline"), "{diags:?}");
         assert!(
-            diags.iter().any(|d| d.code == "typeck-summary"),
+            !diags.iter().any(|d| d.code.starts_with("typeck")),
             "{diags:?}"
         );
     }

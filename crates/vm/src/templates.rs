@@ -33,11 +33,11 @@
 //!   [`Insn::IncJump`] back to the head.
 //!
 //! Types are inferred per loop by union-find over scalar registers
-//! and array element kinds, seeded by the specialized instruction
-//! forms (`ArithII`, `IndexF`, typed pool constants, ...). A loop
-//! whose types cannot be pinned statically (all-generic bodies such
-//! as a plain `a[i] = b[i]` copy) is installed with *both* an
-//! all-`i64` and an all-`f64` variant; the runtime bind picks the
+//! and array element kinds, seeded by typed pool constants and by
+//! index operands (always `i64`). A loop whose kinds cannot all be
+//! pinned that way (a plain `a[i] = b[i]` copy, a `s = s + a[i]`
+//! sum) is installed with *both* an all-`i64` and an all-`f64`
+//! variant for its unpinned kind groups; the runtime bind picks the
 //! first whose type prechecks hold.
 //!
 //! Correctness contract (identical to the fixed kernels):
@@ -1431,19 +1431,12 @@ impl<'f> Bld<'f> {
                 c!(self.uni(d, s));
                 self.protos.push(P::Mov { d, s });
             }
-            Insn::Arith { op, dst, a, b }
-            | Insn::ArithII { op, dst, a, b }
-            | Insn::ArithFF { op, dst, a, b } => {
+            Insn::Arith { op, dst, a, b } => {
                 let d = t!(self.sv(dst));
                 let ra = t!(self.sv(a));
                 let rb = t!(self.sv(b));
                 c!(self.uni(d, ra));
                 c!(self.uni(d, rb));
-                match insn {
-                    Insn::ArithII { .. } => c!(self.setk(d, K::Int)),
-                    Insn::ArithFF { .. } => c!(self.setk(d, K::Flt)),
-                    _ => {}
-                }
                 self.protos.push(P::Bin {
                     op,
                     d,
@@ -1479,19 +1472,12 @@ impl<'f> Bld<'f> {
                     left: true,
                 });
             }
-            Insn::Index { dst, arr, idx }
-            | Insn::IndexF { dst, arr, idx }
-            | Insn::IndexI { dst, arr, idx } => {
+            Insn::Index { dst, arr, idx } => {
                 let elem = t!(self.av(arr, false));
                 let d = t!(self.sv(dst));
                 let i = t!(self.sv(idx));
                 c!(self.setk(i, K::Int));
                 c!(self.uni_v(d, elem));
-                match insn {
-                    Insn::IndexF { .. } => c!(self.setk(d, K::Flt)),
-                    Insn::IndexI { .. } => c!(self.setk(d, K::Int)),
-                    _ => {}
-                }
                 self.protos.push(P::Ld {
                     d,
                     arr,
@@ -1543,19 +1529,12 @@ impl<'f> Bld<'f> {
                     off,
                 });
             }
-            Insn::IndexSet { arr, idx, src }
-            | Insn::IndexSetF { arr, idx, src }
-            | Insn::IndexSetI { arr, idx, src } => {
+            Insn::IndexSet { arr, idx, src } => {
                 let elem = t!(self.av(arr, false));
                 let i = t!(self.sv(idx));
                 let s = t!(self.sv(src));
                 c!(self.setk(i, K::Int));
                 c!(self.uni_v(s, elem));
-                match insn {
-                    Insn::IndexSetF { .. } => c!(self.setk(s, K::Flt)),
-                    Insn::IndexSetI { .. } => c!(self.setk(s, K::Int)),
-                    _ => {}
-                }
                 self.arrs.get_mut(&arr).unwrap().written = true;
                 self.protos.push(P::St { arr, idx: i, s });
             }
@@ -1746,28 +1725,6 @@ fn match_form_b(f: &CompiledFn, pc: usize) -> Option<(TProg, u32)> {
         }
         match f.code[j] {
             Insn::CmpJumpFalse { op, a, b: rb, to } => break (a, rb, op, to),
-            Insn::CmpJumpFalseII { op, a, b: rb, to } => {
-                let ka = b.sv(a)?;
-                if !b.setk(ka, K::Int) {
-                    return None;
-                }
-                let kb = b.sv(rb)?;
-                if !b.setk(kb, K::Int) {
-                    return None;
-                }
-                break (a, rb, op, to);
-            }
-            Insn::CmpJumpFalseFF { op, a, b: rb, to } => {
-                let ka = b.sv(a)?;
-                if !b.setk(ka, K::Flt) {
-                    return None;
-                }
-                let kb = b.sv(rb)?;
-                if !b.setk(kb, K::Flt) {
-                    return None;
-                }
-                break (a, rb, op, to);
-            }
             ref insn => {
                 if !b.decode(insn) {
                     return None;
@@ -2715,7 +2672,7 @@ mod tests {
     fn bail_restores_iteration_state() {
         let f = mk(
             vec![
-                Insn::IndexI {
+                Insn::Index {
                     dst: 3,
                     arr: 1,
                     idx: 2,
@@ -2767,7 +2724,7 @@ mod tests {
     fn form_b_zero_iterations_leaves_body_defs_alone() {
         let f = mk(
             vec![
-                Insn::CmpJumpFalseII {
+                Insn::CmpJumpFalse {
                     op: CmpOp::Lt,
                     a: 0,
                     b: 1,
@@ -2828,7 +2785,7 @@ mod tests {
             idx: 8,
             off,
         };
-        let ff = |op, dst, a, b| Insn::ArithFF { op, dst, a, b };
+        let ff = |op, dst, a, b| Insn::Arith { op, dst, a, b };
         mk(
             vec![
                 Insn::Const { dst: 11, k: 0 },
@@ -2958,12 +2915,12 @@ mod tests {
     fn float_accumulator_rounds_in_iteration_order() {
         let f = mk(
             vec![
-                Insn::IndexF {
+                Insn::Index {
                     dst: 3,
                     arr: 1,
                     idx: 2,
                 },
-                Insn::ArithFF {
+                Insn::Arith {
                     op: ArithOp::Add,
                     dst: 4,
                     a: 4,
@@ -3059,7 +3016,7 @@ mod tests {
         assert_eq!(
             verdict(
                 vec![
-                    Insn::IndexI {
+                    Insn::Index {
                         dst: 3,
                         arr: 1,
                         idx: 2
@@ -3103,12 +3060,12 @@ mod tests {
         );
         // `r3 = a[i]`, then 16 x `r3 = r3 + r(5+n)`: 17 float definitions
         // and 16 broadcast invariants.
-        let mut code = vec![Insn::IndexF {
+        let mut code = vec![Insn::Index {
             dst: 3,
             arr: 1,
             idx: 2,
         }];
-        code.extend((5..21).map(|b| Insn::ArithFF {
+        code.extend((5..21).map(|b| Insn::Arith {
             op: ArithOp::Add,
             dst: 3,
             a: 3,

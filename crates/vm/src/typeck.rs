@@ -1,17 +1,11 @@
-//! Static type inference over the block-structured IR and the
-//! Int/Float specialization pass driven by it (`--opt=3`).
+//! Static type inference over the block-structured IR.
 //!
-//! A generic [`Insn::Arith`] inspects its operand types on every
-//! execution. This pass computes those types *statically*: a forward
-//! dataflow over [`crate::ir`] basic blocks assigns every register a
-//! lattice type per block entry, and every Arith/Cmp/Index/IndexSet
-//! site whose operands are provably Int/Float gets its specialized
-//! opcode ([`Insn::ArithII`] / [`Insn::ArithFF`], …) emitted directly,
-//! which is also the shape the native tier ([`crate::kernels`])
-//! pattern-matches. Sites inference leaves [`Ty::Dynamic`] stay
-//! generic. The specialized opcodes keep their runtime type check, so
-//! a mis-specialized site runs the generic instruction in place
-//! instead of misbehaving.
+//! A forward dataflow over [`crate::ir`] basic blocks assigns every
+//! register a lattice type per block entry. The result is an analysis
+//! only: `zag --dump-ir` prints it ([`crate::ir::dump`]), and no pass of
+//! the `--opt=3` pipeline reads it. Every instruction checks its operand
+//! types when it runs, and the native tiers ([`crate::kernels`],
+//! [`crate::templates`]) check theirs at loop entry.
 //!
 //! The lattice is deliberately flat: `Bottom < {Int, Float, Bool, …}
 //! < Dynamic`. Joining two different concrete types goes straight to
@@ -28,10 +22,8 @@
 //! Annotation-seeded and cell-content types (`*f64` params, `NewCell`
 //! of a known scalar) are *speculative*: Zag does not enforce
 //! annotations at call boundaries, and an aliased `CellSet` can
-//! change a cell's pointee type at any time. That is safe because
-//! every consumer of these facts — the specialized opcodes and the
-//! native kernels — re-checks types at runtime and deopts to the
-//! generic path, so a wrong guess costs speed, never behavior.
+//! change a cell's pointee type at any time. The printed types are
+//! what inference assumed, not what the program is guaranteed to hold.
 
 use crate::bytecode::{BuiltinOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::ir;
@@ -39,7 +31,7 @@ use crate::optimize::visit_defs;
 use crate::value::Value;
 
 /// Static type of a register slot. One variant per runtime
-/// [`Value`] shape the specializer cares about, plus the two lattice
+/// [`Value`] shape inference tells apart, plus the two lattice
 /// extremes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ty {
@@ -219,7 +211,7 @@ pub fn infer_image(image: &Image) -> ImageTypes {
         }
     }
     // Source annotations pin a parameter's type outright (speculative,
-    // deopt-guarded — see module docs); everything else accumulates
+    // see module docs); everything else accumulates
     // call-site evidence starting from ⊥.
     let pins: Vec<Vec<Option<Ty>>> = image
         .funcs
@@ -508,8 +500,7 @@ fn omp_ret_ty(func: OmpFn, env: &[Ty], base: Reg) -> Ty {
 }
 
 /// Apply one instruction's effect to the environment. Must
-/// over-approximate the interpreter (including every specialized
-/// variant, which share the generic semantics).
+/// over-approximate the interpreter.
 fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
     let get = |env: &[Ty], r: Reg| env[r as usize];
     let set = |env: &mut [Ty], r: Reg, t: Ty| env[r as usize] = t;
@@ -525,7 +516,7 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
         Insn::NewCell { dst, src } => {
             // The cell's pointee type is the boxed value's type at
             // creation — speculative past any aliased CellSet (module
-            // docs), which the deopt arms absorb.
+            // docs).
             let t = match get(env, src) {
                 Ty::Float => Ty::PtrF,
                 Ty::Int => Ty::PtrI,
@@ -581,12 +572,8 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             let t = elem_ty(get(env, arr));
             set(env, dst, t);
         }
-        Insn::IndexF { dst, .. } => set(env, dst, Ty::Float),
-        Insn::IndexI { dst, .. } => set(env, dst, Ty::Int),
-        Insn::IndexSet { .. } | Insn::IndexSetF { .. } | Insn::IndexSetI { .. } => {}
-        Insn::Arith { op: _, dst, a, b }
-        | Insn::ArithII { op: _, dst, a, b }
-        | Insn::ArithFF { op: _, dst, a, b } => {
+        Insn::IndexSet { .. } => {}
+        Insn::Arith { op: _, dst, a, b } => {
             let t = arith_ty(get(env, a), get(env, b));
             set(env, dst, t);
         }
@@ -619,9 +606,7 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             set(env, dst, t);
         }
         Insn::DerefIndexSet { .. } => {}
-        Insn::Cmp { dst, .. } | Insn::CmpII { dst, .. } | Insn::CmpFF { dst, .. } => {
-            set(env, dst, Ty::Bool)
-        }
+        Insn::Cmp { dst, .. } => set(env, dst, Ty::Bool),
         Insn::Neg { dst, src } => {
             let t = match get(env, src) {
                 t @ (Ty::Int | Ty::Float) => t,
@@ -633,9 +618,7 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
         Insn::Jump { .. }
         | Insn::JumpIfFalse { .. }
         | Insn::JumpIfTrue { .. }
-        | Insn::CmpJumpFalse { .. }
-        | Insn::CmpJumpFalseII { .. }
-        | Insn::CmpJumpFalseFF { .. } => {}
+        | Insn::CmpJumpFalse { .. } => {}
         // The increment only succeeds when the counter was Int, so on
         // every path out of this instruction the register is Int.
         Insn::IncCmpJump { var, .. } | Insn::IncJump { var, .. } => set(env, var, Ty::Int),
@@ -657,8 +640,8 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
         }
         // A claimed chunk's bounds are `Int`. The exit edge leaves both
         // registers as they were, but one transfer serves both edges:
-        // typing is speculative (every specialised consumer re-checks),
-        // and the loop body is the only reader that matters.
+        // typing is speculative, and the loop body is the only reader
+        // that matters.
         Insn::WsNext { lb, ub, .. } => {
             set(env, lb, Ty::Int);
             set(env, ub, Ty::Int);
@@ -692,127 +675,13 @@ fn transfer(insn: &Insn, env: &mut [Ty], f: &CompiledFn, rets: &[Ty]) {
             set(env, dst, t);
         }
         Insn::Print { .. } => {}
-        // Installed after inference/specialization; nothing to model.
+        // Installed by the last pass; nothing to model.
         Insn::BulkLoop { .. } | Insn::TemplateLoop { .. } => {}
         Insn::Trap { .. } | Insn::Ret { .. } | Insn::RetVoid => {}
     }
 }
 
-/// Rewrite of one site permitted by the environment, if any.
-fn specialize_insn(insn: &Insn, env: &[Ty]) -> Option<Insn> {
-    let t = |r: Reg| env[r as usize];
-    match *insn {
-        Insn::Arith { op, dst, a, b } => match (t(a), t(b)) {
-            (Ty::Int, Ty::Int) => Some(Insn::ArithII { op, dst, a, b }),
-            (Ty::Float, Ty::Float) => Some(Insn::ArithFF { op, dst, a, b }),
-            _ => None,
-        },
-        Insn::Cmp { op, dst, a, b } => match (t(a), t(b)) {
-            (Ty::Int, Ty::Int) => Some(Insn::CmpII { op, dst, a, b }),
-            (Ty::Float, Ty::Float) => Some(Insn::CmpFF { op, dst, a, b }),
-            _ => None,
-        },
-        Insn::CmpJumpFalse { op, a, b, to } => match (t(a), t(b)) {
-            (Ty::Int, Ty::Int) => Some(Insn::CmpJumpFalseII { op, a, b, to }),
-            (Ty::Float, Ty::Float) => Some(Insn::CmpJumpFalseFF { op, a, b, to }),
-            _ => None,
-        },
-        Insn::Index { dst, arr, idx } => match (t(arr), t(idx)) {
-            (Ty::ArrF, Ty::Int) => Some(Insn::IndexF { dst, arr, idx }),
-            (Ty::ArrI, Ty::Int) => Some(Insn::IndexI { dst, arr, idx }),
-            _ => None,
-        },
-        Insn::IndexSet { arr, idx, src } => match (t(arr), t(idx), t(src)) {
-            (Ty::ArrF, Ty::Int, Ty::Float) => Some(Insn::IndexSetF { arr, idx, src }),
-            (Ty::ArrI, Ty::Int, Ty::Int) => Some(Insn::IndexSetI { arr, idx, src }),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Statically specialize every function in the image in place
-/// (`--opt=3`). Sites whose operands inference can prove Int/Float
-/// get their specialized opcode emitted directly; everything else
-/// stays generic. Returns every specializable site's outcome per
-/// function — the data source for `--remarks`.
-pub fn specialize_image(image: &mut Image) -> Vec<Vec<SiteOutcome>> {
-    let types = infer_image(image);
-    (image.funcs.iter_mut().enumerate())
-        .map(|(fi, f)| specialize_fn(f, &types.fns[fi], &types.rets))
-        .collect()
-}
-
-/// Outcome of one statically-specializable site, reported through
-/// `zag --remarks`: did inference prove the operand types, and if
-/// not, what it saw instead (the "why it stayed dynamic").
-#[derive(Debug, Clone)]
-pub struct SiteOutcome {
-    pub pc: u32,
-    /// Generic opcode at the site (`arith`, `index`, ...).
-    pub insn: &'static str,
-    /// `Some(specialized opcode)` when the rewrite fired; `None` when
-    /// the site is left generic.
-    pub specialized: Option<&'static str>,
-    /// The operand types inference had at the site.
-    pub operands: Vec<Ty>,
-}
-
-/// The generic opcode name and operand types (under `env`) of a
-/// specializable site, or `None` for every other instruction.
-fn site_shape(insn: &Insn, env: &[Ty]) -> Option<(&'static str, Vec<Ty>)> {
-    let t = |r: Reg| env[r as usize];
-    match *insn {
-        Insn::Arith { a, b, .. } => Some(("arith", vec![t(a), t(b)])),
-        Insn::Cmp { a, b, .. } => Some(("cmp", vec![t(a), t(b)])),
-        Insn::CmpJumpFalse { a, b, .. } => Some(("cmp_jf", vec![t(a), t(b)])),
-        Insn::Index { arr, idx, .. } => Some(("index", vec![t(arr), t(idx)])),
-        Insn::IndexSet { arr, idx, src } => Some(("index_set", vec![t(arr), t(idx), t(src)])),
-        _ => None,
-    }
-}
-
-/// Name of the specialized opcode a rewrite produced.
-fn spec_name(insn: &Insn) -> &'static str {
-    match insn {
-        Insn::ArithII { .. } => "arith.ii",
-        Insn::ArithFF { .. } => "arith.ff",
-        Insn::CmpII { .. } => "cmp.ii",
-        Insn::CmpFF { .. } => "cmp.ff",
-        Insn::CmpJumpFalseII { .. } => "cmp_jf.ii",
-        Insn::CmpJumpFalseFF { .. } => "cmp_jf.ff",
-        Insn::IndexF { .. } => "index.f",
-        Insn::IndexI { .. } => "index.i",
-        Insn::IndexSetF { .. } => "index_set.f",
-        Insn::IndexSetI { .. } => "index_set.i",
-        _ => "specialized",
-    }
-}
-
-fn specialize_fn(f: &mut CompiledFn, types: &FnTypes, rets: &[Ty]) -> Vec<SiteOutcome> {
-    let fir = ir::lift(f);
-    let mut sites = Vec::new();
-    for (b, blk) in fir.blocks.iter().enumerate() {
-        let Some(entry) = &types.entry[b] else {
-            continue;
-        };
-        let mut env = entry.clone();
-        for pc in blk.start..=blk.end {
-            let insn = f.code[pc];
-            let spec = specialize_insn(&insn, &env);
-            if let Some((name, operands)) = site_shape(&insn, &env) {
-                sites.push(SiteOutcome {
-                    pc: pc as u32,
-                    insn: name,
-                    specialized: spec.as_ref().map(spec_name),
-                    operands,
-                });
-            }
-            if let Some(spec) = spec {
-                f.code[pc] = spec;
-            }
-            transfer(&insn, &mut env, f, rets);
-        }
-    }
-    sites
-}
+/// Does nothing. Kept only because the benchmark's `vm.typeck` stage
+/// still calls it (ROADMAP item 1(b)): no pass rewrites a site from the
+/// inferred types. [`infer_image`] is the analysis.
+pub fn specialize_image(_image: &mut Image) {}

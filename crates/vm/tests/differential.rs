@@ -19,8 +19,8 @@ use zomp_vm::{Backend, OptLevel, Value, Vm};
 /// Every optimization level the bytecode backend must stay faithful at:
 /// `O0` is the raw stream (with the tree-walker, one of the two oracles),
 /// `O3` the whole pipeline — inlining, folding/copy-prop/DSE,
-/// superinstruction fusion, static type specialization, then bulk
-/// kernels and templates for hot loops.
+/// superinstruction fusion, then bulk kernels and templates for hot
+/// loops.
 const OPT_LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O3];
 
 /// The opt levels this process actually exercises: all of [`OPT_LEVELS`]
@@ -290,8 +290,8 @@ fn main() void { f(1, 2); }"#,
 }
 
 /// Error corners aimed at the optimizer itself: each program's hot shape
-/// gets fused or specialized at `--opt=3`, and the fused/specialized
-/// arm's slow path must reproduce the walker's error text and ordering.
+/// gets fused at `--opt=3`, and the fused arm's slow path must reproduce
+/// the walker's error text and ordering.
 #[test]
 fn fused_and_specialized_errors_match_exactly() {
     for (name, src) in [
@@ -378,12 +378,84 @@ fn fused_and_specialized_errors_match_exactly() {
     }
 }
 
+/// `i64::MIN / -1` and `i64::MIN % -1` wrap to `MIN` and 0, as `+ - *`
+/// wrap: on variables, on constants `--opt=3` folds, through `/=` and
+/// `atomic /=`, and in work-shared loops whose templates deopt on the
+/// overflow and leave it to the interpreter. Teams of 1 and 2.
+#[test]
+fn int_min_div_and_rem_wrap() {
+    const MIN: &str = "-9223372036854775808";
+    for threads in [1, 2] {
+        let src = format!(
+            r#"fn main() void {{
+    var m: i64 = -9223372036854775807 - 1;
+    var d: i64 = -1;
+    print(m / d, m % d);
+    print((-9223372036854775807 - 1) / -1, (-9223372036854775807 - 1) % -1);
+    var x: i64 = m;
+    x /= d;
+    var y: i64 = m;
+    y = y % d;
+    print(x, y);
+    var a: i64 = m;
+    var num: []i64 = @allocI(300);
+    var den: []i64 = @allocI(300);
+    var q: []i64 = @allocI(300);
+    var r: []i64 = @allocI(300);
+    var i: i64 = 0;
+    while (i < 300) : (i += 1) {{
+        num[i] = i * 7 - 1000;
+        den[i] = i % 5 + 1;
+    }}
+    num[77] = m;
+    den[77] = -1;
+    num[211] = m;
+    den[211] = -1;
+    //$omp parallel num_threads({threads}) shared(a, num, den, q, r) firstprivate(d)
+    {{
+        //$omp atomic
+        a /= d;
+        var k: i64 = 0;
+        //$omp while schedule(static)
+        while (k < 300) : (k += 1) {{
+            q[k] = num[k] / den[k];
+        }}
+        var j: i64 = 0;
+        //$omp while schedule(dynamic, 16)
+        while (j < 300) : (j += 1) {{
+            r[j] = num[j] % den[j];
+        }}
+    }}
+    var s: i64 = 0;
+    i = 0;
+    while (i < 300) : (i += 1) {{
+        s = s + q[i] + r[i];
+    }}
+    print(a, q[77], r[77], q[211], r[211], s);
+}}"#
+        );
+        let name = format!("int_min_div_{threads}");
+        assert_backends_agree(&name, &src);
+        let want = [format!("{MIN} 0"), format!("{MIN} 0"), format!("{MIN} 0")];
+        let got = run_on(&src, Backend::Ast, OptLevel::O0).expect("the walker runs it");
+        assert_eq!(got[..3], want, "{name}");
+        assert!(
+            got[3].starts_with(&format!("{MIN} {MIN} 0 {MIN} 0 ")),
+            "{name}: {got:?}"
+        );
+        let vm = Vm::build(&src, None, Backend::Bytecode, OptLevel::O3).expect("compile");
+        let templates: usize = (vm.program.code.funcs.iter())
+            .map(|f| f.templates.len())
+            .sum();
+        assert_eq!(templates, 2, "{name}: both division loops run as templates");
+    }
+}
+
 /// One case per interpreter arm that only the deleted `--opt=2` rung used
 /// to execute in this suite: `AddrDeref` (`&p.*`, on a cell pointer, on an
-/// element pointer, and on a non-pointer for its error text) and `CmpFF`
-/// (a float comparison materialised into a `bool` inside a loop whose
-/// operands inference proves `f64`, with a mid-loop type flip so the
-/// specialised arm also takes its generic fallback).
+/// element pointer, and on a non-pointer for its error text) and `Cmp`
+/// on floats (a float comparison materialised into a `bool` inside a
+/// loop, with a mid-loop flip of the operands to `i64`).
 #[test]
 fn addr_deref_and_float_compare_arms_agree() {
     for (name, src) in [
@@ -553,9 +625,8 @@ fn main() void {}"#;
     }
 }
 
-/// These programs flip a slot's type mid-loop, so any instruction
-/// specialized on it must fall back to the generic form and keep
-/// producing oracle output.
+/// These programs flip a slot's type mid-loop; every instruction on it
+/// must keep producing oracle output.
 #[test]
 fn type_flip_deopt_agrees() {
     for (name, src) in [

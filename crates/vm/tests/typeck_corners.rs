@@ -1,33 +1,18 @@
-//! Corner cases of the static type-inference pass ([`zomp_vm::typeck`])
-//! and the native bulk-kernel tier ([`zomp_vm::kernels`]).
+//! Corner cases of static type inference ([`zomp_vm::typeck`], the
+//! analysis `zag --dump-ir` prints) and of the native bulk-kernel tier
+//! ([`zomp_vm::kernels`]).
 //!
 //! The differential suite proves whole-program agreement; these tests pin
-//! the *mechanism*: which instructions the specializer rewrites statically,
-//! which slots it must leave `Dynamic` (so their sites stay generic),
-//! and that a bulk kernel's mid-loop bail reproduces the interpreter's
-//! exact error.
+//! the *mechanism*: which types inference assigns, which slots it must
+//! leave `Dynamic`, and that a bulk kernel's mid-loop bail reproduces the
+//! interpreter's exact error.
 
 use zomp_vm::bytecode::disasm_fn;
-use zomp_vm::compile::{compile_image, PassData, PASSES};
 use zomp_vm::typeck::{infer_image, Ty};
 use zomp_vm::{Backend, OptLevel, Vm};
 
 fn build(src: &str, opt: OptLevel) -> Vm {
     Vm::build(src, None, Backend::Bytecode, opt).unwrap_or_else(|e| panic!("{}", e.render(src)))
-}
-
-/// The image as the specializer leaves it — lowered, then run through
-/// [`PASSES`] up to and including `typeck` — before the kernel tier
-/// replaces loop heads with `bulkloop` / `templateloop`.
-fn specialized(src: &str) -> zomp_vm::bytecode::Image {
-    let pre = zomp_front::preprocess(src).expect("preprocess");
-    let mut image = compile_image(&zomp_front::parse(&pre).expect("parse"));
-    let mut data = PassData::default();
-    let typeck = PASSES.iter().position(|p| p.name == "typeck").unwrap();
-    for pass in &PASSES[..=typeck] {
-        (pass.run)(&mut image, &mut data);
-    }
-    image
 }
 
 fn run(src: &str, backend: Backend, opt: OptLevel) -> Result<Vec<String>, String> {
@@ -38,27 +23,9 @@ fn run(src: &str, backend: Backend, opt: OptLevel) -> Result<Vec<String>, String
     }
 }
 
-/// A monomorphic integer loop specializes *statically*: the compiled
-/// image already holds `cjfii`/`addii` before the first instruction runs.
-#[test]
-fn int_loop_specializes_before_execution() {
-    let src = r#"fn main() void {
-    var s: i64 = 0;
-    var i: i64 = 0;
-    while (i < 10) : (i += 1) { s = s + i; }
-    print(s);
-}"#;
-    let dis = disasm_fn(specialized(src).get("main").unwrap());
-    assert!(
-        dis.contains("cjfii"),
-        "loop compare not specialized:\n{dis}"
-    );
-    assert!(dis.contains("addii"), "int add not specialized:\n{dis}");
-}
-
-/// A slot reassigned from Int to Float joins to `Dynamic`: the add on it
-/// must stay generic, and the program must keep matching the oracle
-/// through the type flip.
+/// A slot reassigned from Int to Float: the add on it stays a plain
+/// `add`, and the program keeps matching the oracle through the type
+/// flip.
 #[test]
 fn mixed_reassignment_stays_dynamic_and_deopts() {
     let src = r#"fn main() void {
@@ -75,11 +42,7 @@ fn mixed_reassignment_stays_dynamic_and_deopts() {
     let dis = disasm_fn(vm.program.code.get("main").unwrap());
     assert!(
         dis.contains("add        r"),
-        "the Int/Float-flipping add must stay generic:\n{dis}"
-    );
-    assert!(
-        !dis.contains("addii") && !dis.contains("addff"),
-        "a Dynamic slot must not be statically specialized:\n{dis}"
+        "the Int/Float-flipping add must stay an add:\n{dis}"
     );
     let ast = run(src, Backend::Ast, OptLevel::O0);
     assert_eq!(
@@ -126,8 +89,9 @@ fn address_taken_local_is_ptr() {
 }
 
 /// An array allocated inside a `parallel` body keeps a stable element
-/// type across the whole outlined function: its index/index-set sites
-/// specialize statically to the `F` forms inside `__omp_outlined_0`.
+/// type across the whole outlined function: inference types its register
+/// `[]f64` at every block entry of `__omp_outlined_0` after the
+/// allocation, never anything wider.
 #[test]
 fn private_array_elem_type_stable_across_parallel_body() {
     let src = r#"fn main() void {
@@ -144,15 +108,21 @@ fn private_array_elem_type_stable_across_parallel_body() {
     }
     print(t);
 }"#;
-    let dis = disasm_fn(specialized(src).get("__omp_outlined_0").unwrap());
+    let vm = build(src, OptLevel::O3);
+    let image = &vm.program.code;
+    let idx = image.by_name["__omp_outlined_0"];
+    let &(areg, _, _) = (image.funcs[idx].locals.iter())
+        .find(|(_, name, _)| name == "a")
+        .expect("local a");
+    let types = infer_image(image);
+    let at_entries: Vec<Ty> = (types.fns[idx].entry.iter().flatten())
+        .map(|env| env[areg as usize])
+        .collect();
     assert!(
-        dis.contains("indexsetf"),
-        "array store not specialized in outlined fn:\n{dis}"
+        at_entries.iter().all(|t| matches!(t, Ty::Undef | Ty::ArrF)),
+        "{at_entries:?}"
     );
-    assert!(
-        dis.contains("indexf"),
-        "array load not specialized in outlined fn:\n{dis}"
-    );
+    assert!(at_entries.contains(&Ty::ArrF), "{at_entries:?}");
     assert_eq!(
         run(src, Backend::Bytecode, OptLevel::O3),
         Ok(vec!["24".to_string()])

@@ -279,6 +279,35 @@ fn a_thread_failing_inside_critical_fails_the_request_at_once() {
     }
 }
 
+/// `i64::MIN / -1` is an ordinary request: the wrapped value comes back
+/// with 200, and no worker panics doing it.
+#[test]
+fn int_min_div_is_a_value_not_a_panic() {
+    const INT_MIN_DIV: &str = include_str!("../../integration/fixtures/faults/int_min_div.zag");
+    let addr = start(1, 8);
+    for threads in [1, 2] {
+        let b = format!(
+            r#"{{"source": {}, "threads": {threads}}}"#,
+            Json::Str(INT_MIN_DIV.to_string()).render()
+        );
+        let j = post_ok(addr, &b);
+        let out = j.get("output").and_then(Json::as_arr).expect("output");
+        let lines: Vec<&str> = out.iter().filter_map(Json::as_str).collect();
+        let min = "-9223372036854775808";
+        assert_eq!(
+            lines,
+            [
+                format!("{min} 0"),
+                format!("{min} 0"),
+                format!("{min} {min}"),
+                format!("{min} 0 -12"),
+            ],
+            "team of {threads}"
+        );
+    }
+    assert_eq!(stat(&stats(addr), "panics"), 0);
+}
+
 #[test]
 fn per_request_icvs_do_not_bleed_between_concurrent_requests() {
     let addr = start(4, 16);
