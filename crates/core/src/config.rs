@@ -266,9 +266,9 @@ mod tests {
 
     #[test]
     fn leaves_foreign_flags_alone() {
-        let (cfg, rest) = parse_all(&["--dump-ir", "--opt=0", "--safety", "x.zag"]).unwrap();
+        let (cfg, rest) = parse_all(&["--dump-bytecode", "--opt=0", "--safety", "x.zag"]).unwrap();
         assert_eq!(cfg.opt, Some(0));
-        assert_eq!(rest, vec!["--dump-ir", "--safety", "x.zag"]);
+        assert_eq!(rest, vec!["--dump-bytecode", "--safety", "x.zag"]);
     }
 
     #[test]

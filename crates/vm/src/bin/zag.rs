@@ -13,7 +13,6 @@
 //! zag --backend native p.zag      # alias of `--backend bytecode --opt 3`
 //! zag --opt 0 p.zag               # the unoptimized oracle stream (0|3; default 3)
 //! zag --dump-bytecode p.zag       # print pre- and post-opt streams
-//! zag --dump-ir p.zag             # print the typed block-structured IR
 //! zag --remarks p.zag             # optimization remarks, no execution
 //! zag --remarks=json p.zag        # same, as a JSON array
 //! zag --time-passes p.zag         # wall time and insns per compile pass, no execution
@@ -34,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: zag [--check[=deny]] [--remarks[=json]] [--time-passes[=json]] \
          [--emit-preprocessed] [--trace-passes] \
-         [--dump-ast] [--dump-bytecode] [--dump-ir] [--backend ast|bytecode|native] \
+         [--dump-ast] [--dump-bytecode] [--backend ast|bytecode|native] \
          [--opt 0|3] [--threads N] [--schedule kind[,chunk]] \
          [--profile[=json]] \
          [--trace FILE] [--metrics FILE] <program.zag>"
@@ -58,7 +57,6 @@ fn main() {
     let mut trace = false;
     let mut dump_ast = false;
     let mut dump_bytecode = false;
-    let mut dump_ir = false;
     let mut profile = false;
     let mut profile_json = false;
     // `--remarks`: None = off, Some(true) = JSON output.
@@ -82,7 +80,6 @@ fn main() {
             "--trace-passes" => trace = true,
             "--dump-ast" => dump_ast = true,
             "--dump-bytecode" => dump_bytecode = true,
-            "--dump-ir" => dump_ir = true,
             "--remarks" => remarks = Some(false),
             "--remarks=json" => remarks = Some(true),
             "--time-passes" => time_passes = Some(false),
@@ -212,10 +209,6 @@ fn main() {
             "{}",
             zomp_vm::bytecode::disasm_stages(&lowered, &vm.program.code)
         );
-        return;
-    }
-    if dump_ir {
-        print!("{}", zomp_vm::ir::dump(&vm.program.code));
         return;
     }
     // The main thread's stack is whatever the shell's `ulimit -s` says;

@@ -42,8 +42,8 @@ pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
         ("@max", [Value::Int(a), Value::Int(b)]) => Ok(Value::Int(*a.max(b))),
         ("@min", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.min(*b))),
         ("@min", [Value::Int(a), Value::Int(b)]) => Ok(Value::Int(*a.min(b))),
-        ("@allocF", [Value::Int(n)]) => Ok(Value::ArrF(Arc::new(ArrF::new(*n as usize)))),
-        ("@allocI", [Value::Int(n)]) => Ok(Value::ArrI(Arc::new(ArrI::new(*n as usize)))),
+        ("@allocF", [Value::Int(n)]) => Ok(Value::ArrF(Arc::new(alloc(name, *n, ArrF::try_new)?))),
+        ("@allocI", [Value::Int(n)]) => Ok(Value::ArrI(Arc::new(alloc(name, *n, ArrI::try_new)?))),
         ("@len", [Value::ArrF(a)]) => Ok(Value::Int(a.len() as i64)),
         ("@len", [Value::ArrI(a)]) => Ok(Value::Int(a.len() as i64)),
         (other, args) => err(format!(
@@ -53,6 +53,18 @@ pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
                 .collect::<Vec<_>>()
                 .join(", ")
         )),
+    }
+}
+
+/// `@allocF(n)` / `@allocI(n)`: a negative `n`, or one the allocator
+/// refuses, is a runtime error with the same text on every backend.
+fn alloc<A>(name: &str, n: i64, try_new: fn(usize) -> Option<A>) -> VmResult<A> {
+    if n < 0 {
+        return err(format!("{name} length {n} is negative"));
+    }
+    match try_new(n as usize) {
+        Some(a) => Ok(a),
+        None => err(format!("{name} cannot allocate {n} elements")),
     }
 }
 

@@ -519,11 +519,6 @@ pub enum Insn {
 pub struct CompiledFn {
     pub name: String,
     pub nparams: usize,
-    /// Source-level parameter type annotations, verbatim (`"i64"`,
-    /// `"[]f64"`, `"*f64"`, `"any"`, ...), one per parameter. Zag does
-    /// not enforce these at call boundaries; type inference reads them
-    /// as speculative seeds (see [`crate::typeck`]).
-    pub param_tys: Vec<String>,
     /// Register-file size: params, locals, then temporaries.
     pub nregs: usize,
     pub code: Vec<Insn>,
@@ -615,9 +610,9 @@ fn disasm_tagged(f: &CompiledFn, tag: &str) -> String {
     out
 }
 
-/// Render one instruction as the stable mnemonic text shared by
-/// `--dump-bytecode` and the typed-IR dump (`--dump-ir`).
-pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
+/// Render one instruction as the stable mnemonic text of
+/// `--dump-bytecode`.
+fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
     match insn {
         Insn::Const { dst, k } => format!("const      r{dst}, k{k}"),
         Insn::Move { dst, src } => format!("move       r{dst}, r{src}"),

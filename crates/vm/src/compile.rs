@@ -196,7 +196,7 @@ pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
 
 /// Parse and preprocess `source`, then run the pipeline at `opt`, keeping
 /// what the passes recorded (`zag --remarks`, `zag --time-passes`). `unit`
-/// labels pragma loops `unit:line`, as in `compile_named`.
+/// labels pragma loops `unit:line`, as in [`crate::compile_opt`].
 pub fn compile_source(source: &str, unit: &str, opt: OptLevel) -> Result<(Image, PassData), Diag> {
     let pre = zomp_front::preprocess::preprocess_parsed(zomp_front::parse(source)?, Some(unit))?;
     Ok(compile_image_opt(&pre, opt))
@@ -294,21 +294,8 @@ impl<'a> FnCx<'a> {
         let (params, body) = self.ast.fn_parts(&node);
         let params = params.to_vec();
         collect_boxed(self.ast, body, &mut self.boxed_names);
-        let mut param_tys = Vec::with_capacity(params.len());
         for &p in &params {
-            let pnode = *self.ast.node(p);
-            let pname = self.ast.token_text(pnode.main_token).to_string();
-            // The parser records the *last* token of a type (`f64` in
-            // `[]f64` / `*f64`); the token before it disambiguates the
-            // slice/pointer constructors.
-            let ty_tok = pnode.lhs;
-            let base = self.ast.token_text(ty_tok);
-            let decl = match self.ast.tokens[ty_tok as usize - 1].tag {
-                T::Star => format!("*{base}"),
-                T::RBracket => format!("[]{base}"),
-                _ => base.to_string(),
-            };
-            param_tys.push(decl);
+            let pname = self.ast.token_text(self.ast.node(p).main_token).to_string();
             let boxed = self.boxed_names.contains(&pname);
             let reg = self.alloc_local(&pname, boxed);
             if boxed {
@@ -321,7 +308,6 @@ impl<'a> FnCx<'a> {
         CompiledFn {
             name,
             nparams: params.len(),
-            param_tys,
             nregs: self.nregs as usize,
             code: self.code,
             consts: self.consts,

@@ -136,14 +136,10 @@ pub fn compile(source: &str) -> Result<Program, zomp_front::Diag> {
     compile_inner(source, None, OptLevel::default())
 }
 
-/// [`compile`] with a compilation-unit name (normally the source path):
-/// parallel regions are labelled `unit:line` of their pragma, so runtime
-/// traces and profiles point back at the directive.
-pub fn compile_named(source: &str, unit: &str) -> Result<Program, zomp_front::Diag> {
-    compile_inner(source, Some(unit), OptLevel::default())
-}
-
-/// [`compile`] at an explicit optimization level (`zag --opt=N`).
+/// [`compile`] at an explicit optimization level (`zag --opt=N`). `unit`
+/// (normally the source path) labels parallel regions `unit:line` of
+/// their pragma, so runtime traces and profiles point back at the
+/// directive.
 pub fn compile_opt(
     source: &str,
     unit: Option<&str>,
@@ -253,16 +249,6 @@ impl Vm {
     pub fn new(source: &str) -> Result<Vm, zomp_front::Diag> {
         Ok(Vm::from_program(
             Arc::new(compile(source)?),
-            Backend::default(),
-            Arc::clone(zomp::Runtime::global()),
-        ))
-    }
-
-    /// [`Vm::new`] with a compilation-unit name: region trace/profile
-    /// labels become the pragma's `unit:line`.
-    pub fn with_unit(source: &str, unit: &str) -> Result<Vm, zomp_front::Diag> {
-        Ok(Vm::from_program(
-            Arc::new(compile_named(source, unit)?),
             Backend::default(),
             Arc::clone(zomp::Runtime::global()),
         ))

@@ -50,7 +50,6 @@ pub mod bytecode;
 pub mod compile;
 pub mod inline;
 pub mod interp;
-pub mod ir;
 pub mod kernels;
 pub mod optimize;
 pub mod remarks;
@@ -58,6 +57,6 @@ pub mod templates;
 pub mod typeck;
 pub mod value;
 
-pub use interp::{compile, compile_named, compile_opt, Backend, Program, Vm};
+pub use interp::{compile, compile_opt, Backend, Program, Vm};
 pub use optimize::OptLevel;
 pub use value::{Value, VmError};

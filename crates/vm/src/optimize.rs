@@ -229,7 +229,7 @@ pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
 /// Visit every register an instruction *writes*. Call argument blocks
 /// count as defs: `call_fn` moves them out and leaves `Undefined` behind
 /// (`OmpCall` only borrows them; nothing reads a spent argument temporary,
-/// so one rule serves both, and `typeck`'s transfer function follows it).
+/// so one rule serves both).
 pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
     match *insn {
         Insn::Const { dst, .. }
@@ -1509,7 +1509,6 @@ mod tests {
         let mut f = CompiledFn {
             name: "wide".to_string(),
             nparams: 0,
-            param_tys: Vec::new(),
             nregs: 80,
             code: vec![
                 Insn::Const { dst: 65, k: 0 },

@@ -42,7 +42,7 @@ use crate::value::Value;
 
 /// Compile `source` at `opt` and return the optimization remarks. `unit`
 /// labels pragma loops `unit:line` (normally the source path, as in
-/// `compile_named`).
+/// [`crate::compile_opt`]).
 pub fn collect(source: &str, unit: &str, opt: OptLevel) -> Result<Vec<Diag>, Diag> {
     let (image, data) = compile_source(source, unit, opt)?;
     if opt == OptLevel::O0 {

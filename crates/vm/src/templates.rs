@@ -2567,7 +2567,6 @@ mod tests {
         CompiledFn {
             name: "t".to_string(),
             nparams: 0,
-            param_tys: Vec::new(),
             nregs,
             code,
             consts,

@@ -77,6 +77,18 @@ macro_rules! shared_array {
                 }
             }
 
+            /// [`Self::new`], or `None` when the allocator refuses `n`
+            /// elements (`@allocF`/`@allocI` report that as a runtime
+            /// error instead of aborting the process). The reservation
+            /// is a probe, released at once, so that `new` stays the
+            /// small constructor host code inlines: building it on a
+            /// reserve-and-fill made the benchmark's `npb_native` set-up
+            /// 5 % slower.
+            pub fn try_new(n: usize) -> Option<Self> {
+                Vec::<$elem>::new().try_reserve_exact(n).ok()?;
+                Some(Self::new(n))
+            }
+
             pub fn len(&self) -> usize {
                 self.data.len()
             }

@@ -451,6 +451,50 @@ fn int_min_div_and_rem_wrap() {
     }
 }
 
+/// `@allocF`/`@allocI` of a negative length, or of 2^50 elements (8 PiB,
+/// more than any allocator grants), is a runtime error with one text on
+/// every backend, inside a region at teams of 1 and 2: never a panic or
+/// an abort.
+#[test]
+fn bad_alloc_is_a_runtime_error() {
+    for (builtin, n, want) in [
+        ("@allocI", -5i64, "@allocI length -5 is negative"),
+        ("@allocF", -5, "@allocF length -5 is negative"),
+        (
+            "@allocF",
+            1 << 50,
+            "@allocF cannot allocate 1125899906842624 elements",
+        ),
+        (
+            "@allocI",
+            1 << 50,
+            "@allocI cannot allocate 1125899906842624 elements",
+        ),
+    ] {
+        for threads in [1, 2] {
+            let src = format!(
+                r#"fn main() void {{
+    var n: i64 = {n};
+    var t: i64 = 0;
+    //$omp parallel num_threads({threads}) firstprivate(n) reduction(+: t)
+    {{
+        var a: any = {builtin}(n);
+        t += @len(a);
+    }}
+    print(t);
+}}"#
+            );
+            let name = format!("{builtin}({n})_{threads}");
+            assert_backends_agree(&name, &src);
+            assert_eq!(
+                run_on(&src, Backend::Ast, OptLevel::O0),
+                Err(format!("runtime error: {want}")),
+                "{name}"
+            );
+        }
+    }
+}
+
 /// One case per interpreter arm that only the deleted `--opt=2` rung used
 /// to execute in this suite: `AddrDeref` (`&p.*`, on a cell pointer, on an
 /// element pointer, and on a non-pointer for its error text) and `Cmp`

@@ -6,8 +6,6 @@
 //! `tests/golden/loop.disasm` (the raw `--opt=0` stream),
 //! `tests/golden/loop.opt3.disasm` (the `--dump-bytecode` pre/post
 //! view, so fusion regressions are visible as instruction-level diffs),
-//! `tests/golden/loop.ir` (the `--dump-ir` typed block view, so
-//! inference regressions show up as type-annotation diffs),
 //! `tests/golden/chunk_heads.disasm` (the fused chunk-claim head of both
 //! worksharing loop shapes), and `tests/golden/inline_{step,weigh}.disasm`
 //! (a worksharing loop before and after its helper is inlined).
@@ -78,14 +76,6 @@ fn loop_program_disassembly_matches_golden() {
 #[test]
 fn loop_program_opt3_disassembly_matches_golden() {
     check(OptLevel::O3, "loop.opt3.disasm");
-}
-
-/// The `--dump-ir` surface: blocks, predecessors/successors, and the
-/// inferred per-block entry types for the same loop program at `--opt=3`.
-#[test]
-fn loop_program_ir_dump_matches_golden() {
-    let program = zomp_vm::compile_opt(PROGRAM, Some("golden.zag"), OptLevel::O3).expect("compile");
-    assert_golden(&zomp_vm::ir::dump(&program.code), "loop.ir");
 }
 
 /// Both chunk-pull loops the preprocessor emits: the plain form assigns

@@ -308,6 +308,39 @@ fn int_min_div_is_a_value_not_a_panic() {
     assert_eq!(stat(&stats(addr), "panics"), 0);
 }
 
+/// An array length the allocator refuses, or a negative one, is that
+/// request's runtime error: a 500 with the error text, no panic, and the
+/// one worker serves the next request.
+#[test]
+fn bad_alloc_fails_the_request_not_the_server() {
+    const BAD_ALLOC: &str = include_str!("../../integration/fixtures/faults/bad_alloc.zag");
+    const NEGATIVE: &str = "fn main() void {\n    var a: []i64 = @allocI(-5);\n}\n";
+    let addr = start(1, 8);
+    for (source, want) in [
+        (
+            BAD_ALLOC,
+            "@allocF cannot allocate 1125899906842624 elements",
+        ),
+        (NEGATIVE, "@allocI length -5 is negative"),
+    ] {
+        for threads in [1, 2] {
+            let b = format!(
+                r#"{{"source": {}, "threads": {threads}}}"#,
+                Json::Str(source.to_string()).render()
+            );
+            let resp = client::post(addr, "/run", &b).unwrap();
+            assert_eq!(resp.status, 500, "team of {threads}: {}", resp.body);
+            let j = Json::parse(&resp.body).unwrap();
+            assert_eq!(j.get("ok"), Some(&Json::Bool(false)));
+            let error = j.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.contains(want), "team of {threads}: {}", resp.body);
+            let good = body(&demo::ep(), "ep_demo", "[10, 8, 2]", threads);
+            assert_eq!(post_ok(addr, &good).get("ok"), Some(&Json::Bool(true)));
+        }
+    }
+    assert_eq!(stat(&stats(addr), "panics"), 0);
+}
+
 #[test]
 fn per_request_icvs_do_not_bleed_between_concurrent_requests() {
     let addr = start(4, 16);
