@@ -432,7 +432,7 @@ fn traced_dynamic1_loop_closes_one_chunk_span_per_claim() {
 
 /// The benchmark's `vm_generic` stencil kind (a 3-point float stencil
 /// and an int sum of squares, both template loops) plus a serial
-/// histogram no fixed kernel takes.
+/// histogram and a serial doubling that carries a value through memory.
 const STENCIL_AND_HIST: &str = r#"
 fn stencil(u: []f64, v: []f64, x: []i64, n: i64, reps: i64, nthreads: i64) i64 {
     var acc: i64 = 0;
@@ -460,12 +460,19 @@ fn hist(key: []i64, h: []i64, n: i64) void {
         h[key[i]] += 1;
     }
 }
+fn double(p: []i64, n: i64) void {
+    var k: i64 = 0;
+    while (k < n) : (k += 1) {
+        p[k + 1] = p[k] * 2;
+    }
+}
 "#;
 
 /// Every `template-installed` remark says how the loop runs: the two
-/// benchmark loops are distributable and report `strip`, the histogram
-/// stores through a gathered index and reports the rule that keeps it
-/// scalar — in the text remark and in `--remarks=json` alike.
+/// benchmark loops are distributable and report `strip`, and so does the
+/// histogram, whose gathered update runs in iteration order; the
+/// doubling stores past the induction variable and reports the rule that
+/// keeps it scalar — in the text remark and in `--remarks=json` alike.
 #[test]
 fn template_remarks_carry_the_strip_verdict() {
     let diags = zomp_vm::remarks::collect(STENCIL_AND_HIST, "stencil.zag", OptLevel::O3)
@@ -484,9 +491,11 @@ fn template_remarks_carry_the_strip_verdict() {
     };
     assert_eq!(verdict_of("__omp_outlined_0", "13 insns"), "strip");
     assert_eq!(verdict_of("__omp_outlined_0", "5 insns"), "strip");
-    assert_eq!(verdict_of("`hist`", "6 insns"), "scalar: non-affine-store");
+    assert_eq!(verdict_of("`hist`", "6 insns"), "strip");
+    assert_eq!(verdict_of("`double`", "insns"), "scalar: non-affine-store");
     let json = zomp_vm::remarks::render_json(&diags, STENCIL_AND_HIST);
-    assert!(json.contains("(pc 2), scalar: non-affine-store"), "{json}");
+    assert!(json.contains("(pc 2), strip"), "{json}");
+    assert!(json.contains(", scalar: non-affine-store"), "{json}");
 }
 
 /// The two miss surfaces agree: over the CG/EP/IS ports and every

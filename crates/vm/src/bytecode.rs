@@ -612,7 +612,7 @@ fn disasm_tagged(f: &CompiledFn, tag: &str) -> String {
 
 /// Render one instruction as the stable mnemonic text of
 /// `--dump-bytecode`.
-fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
+pub(crate) fn insn_text(f: &CompiledFn, insn: &Insn) -> String {
     match insn {
         Insn::Const { dst, k } => format!("const      r{dst}, k{k}"),
         Insn::Move { dst, src } => format!("move       r{dst}, r{src}"),

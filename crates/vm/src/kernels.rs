@@ -80,35 +80,6 @@ pub enum KernelKind {
         /// const-pool index of the accumulator seed (Float).
         sk: u16,
     },
-    /// IS bucket-count loop:
-    /// `do { b = keys[i] / sd; local[b] += c; i += 1 } while (i < ub)`.
-    Histogram {
-        keys: Reg,
-        i: Reg,
-        t: Reg,
-        b: Reg,
-        sd: Reg,
-        local: Reg,
-        ub: Reg,
-        /// const-pool index of the increment (Int).
-        k: u16,
-    },
-    /// IS permutation scatter:
-    /// `do { t = keys[i]; d = t/sd; out[cur[d]] = t; cur[d] += c; i += 1 }
-    ///  while (i < lim)`.
-    Scatter {
-        keys: Reg,
-        i: Reg,
-        t: Reg,
-        t2: Reg,
-        sd: Reg,
-        bcell: Reg,
-        b2: Reg,
-        cur: Reg,
-        c: Reg,
-        lim: Reg,
-        k: u16,
-    },
     /// IS fused rank pipeline — one bucket-partitioned outer loop whose
     /// body chains the three rank phases over the bucket's key range:
     /// ```text
@@ -227,9 +198,7 @@ impl KernelKind {
     pub fn induction(&self) -> Reg {
         match *self {
             KernelKind::MatvecRows { j, .. } => j,
-            KernelKind::Histogram { i, .. } => i,
             KernelKind::RankPipeline { b4, .. } => b4,
-            KernelKind::Scatter { i, .. } => i,
             KernelKind::LcgFill { j, .. } => j,
             KernelKind::EpPairs { i, .. } => i,
         }
@@ -239,22 +208,13 @@ impl KernelKind {
     /// one kernel census: remarks build their "matches none of the N
     /// kernel shapes" note from it, and `every_installed_kernel_is_entered`
     /// requires the NPB ports to install and enter exactly these.
-    pub const NAMES: [&'static str; 6] = [
-        "matvec-rows",
-        "histogram",
-        "rank-pipeline",
-        "scatter",
-        "lcg-fill",
-        "ep-pairs",
-    ];
+    pub const NAMES: [&'static str; 4] = ["matvec-rows", "rank-pipeline", "lcg-fill", "ep-pairs"];
 
     /// Short stable name for disassembly (`bulkloop kernel0 (matvec-rows)`).
     pub fn name(&self) -> &'static str {
         match self {
             KernelKind::MatvecRows { .. } => "matvec-rows",
-            KernelKind::Histogram { .. } => "histogram",
             KernelKind::RankPipeline { .. } => "rank-pipeline",
-            KernelKind::Scatter { .. } => "scatter",
             KernelKind::LcgFill { .. } => "lcg-fill",
             KernelKind::EpPairs { .. } => "ep-pairs",
         }
@@ -275,8 +235,8 @@ impl KernelKind {
 
 impl KernelDesc {
     /// Report every register the kernel touches (for `verify_fn`).
-    pub fn visit_regs(&self, mut f: impl FnMut(Reg)) {
-        match self.kind {
+    pub fn visit_regs(&self, f: impl FnMut(Reg)) {
+        let regs: &[Reg] = match self.kind {
             KernelKind::MatvecRows {
                 rowcell,
                 j,
@@ -289,25 +249,7 @@ impl KernelDesc {
                 qcell,
                 ub,
                 sk: _,
-            } => {
-                for r in [rowcell, j, k, bound, acc, xcell, acell, icell, qcell, ub] {
-                    f(r);
-                }
-            }
-            KernelKind::Histogram {
-                keys,
-                i,
-                t,
-                b,
-                sd,
-                local,
-                ub,
-                k: _,
-            } => {
-                for r in [keys, i, t, b, sd, local, ub] {
-                    f(r);
-                }
-            }
+            } => &[rowcell, j, k, bound, acc, xcell, acell, icell, qcell, ub],
             KernelKind::RankPipeline {
                 scell,
                 rcell,
@@ -335,32 +277,13 @@ impl KernelDesc {
                 acc,
                 k2,
                 t3,
-                ..
-            } => {
-                for r in [
-                    scell, rcell, bcell, b4, sd, ub, keylo, th, kh0, keyhi, st0, st, en0, en, kf,
-                    fc, p, ra, v, x, y, rb, v2, acc, k2, t3,
-                ] {
-                    f(r);
-                }
-            }
-            KernelKind::Scatter {
-                keys,
-                i,
-                t,
-                t2,
-                sd,
-                bcell,
-                b2,
-                cur,
-                c,
-                lim,
-                k: _,
-            } => {
-                for r in [keys, i, t, t2, sd, bcell, b2, cur, c, lim] {
-                    f(r);
-                }
-            }
+                kone: _,
+                kfill: _,
+                kinc: _,
+            } => &[
+                scell, rcell, bcell, b4, sd, ub, keylo, th, kh0, keyhi, st0, st, en0, en, kf, fc,
+                p, ra, v, x, y, rb, v2, acc, k2, t3,
+            ],
             KernelKind::LcgFill {
                 tcell,
                 targ,
@@ -372,11 +295,7 @@ impl KernelDesc {
                 lim,
                 nk,
                 k: _,
-            } => {
-                for r in [tcell, targ, aarg, areg, res, arr, j, lim, nk] {
-                    f(r);
-                }
-            }
+            } => &[tcell, targ, aarg, areg, res, arr, j, lim, nk],
             KernelKind::EpPairs {
                 i,
                 nk,
@@ -395,14 +314,11 @@ impl KernelDesc {
                 ri,
                 rj,
                 rl,
-            } => {
-                for r in [
-                    i, nk, x, q, sx, sy, ra, rb, rc, rd, re, rf, rg, rh, ri, rj, rl,
-                ] {
-                    f(r);
-                }
-            }
-        }
+            } => &[
+                i, nk, x, q, sx, sy, ra, rb, rc, rd, re, rf, rg, rh, ri, rj, rl,
+            ],
+        };
+        regs.iter().copied().for_each(f);
     }
 }
 
@@ -727,8 +643,8 @@ fn disciplined(writes: &[Reg], invariant: &[Reg]) -> bool {
     all_distinct(writes) && invariant.iter().all(|r| !writes.contains(r))
 }
 
-fn const_int(f: &CompiledFn, k: u16) -> Option<i64> {
-    match f.consts.get(k as usize)? {
+fn const_int(consts: &[Value], k: u16) -> Option<i64> {
+    match consts.get(k as usize)? {
         Value::Int(v) => Some(*v),
         _ => None,
     }
@@ -770,9 +686,7 @@ fn as_cmp_jf(insn: Insn) -> Option<(CmpOp, Reg, Reg, u32)> {
 
 fn match_at(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind, u32)> {
     match_matvec_rows(f, pc)
-        .or_else(|| match_histogram(f, pc))
         .or_else(|| match_rank_pipeline(f, pc))
-        .or_else(|| match_scatter(f, pc))
         .or_else(|| match_lcg_fill(f, pc, lcg))
         .or_else(|| match_ep_pairs(f, pc))
 }
@@ -858,125 +772,6 @@ fn match_matvec_rows(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     ))
 }
 
-fn match_histogram(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
-    let code = &f.code;
-    let (t, keys, i) = match *code.get(pc)? {
-        Insn::DerefIndex { dst, cell, idx } => (dst, cell, idx),
-        _ => return None,
-    };
-    let (b, sd) = match as_arith(*code.get(pc + 1)?)? {
-        (ArithOp::Div, dst, a, b) if a == t => (dst, b),
-        _ => return None,
-    };
-    let (local, kidx) = match *code.get(pc + 2)? {
-        Insn::IncElemK {
-            op: ArithOp::Add,
-            arr,
-            idx,
-            k,
-        } if idx == b => {
-            const_int(f, k)?;
-            (arr, k)
-        }
-        _ => return None,
-    };
-    let (ub, exit) = match *code.get(pc + 3)? {
-        Insn::IncCmpJump {
-            var,
-            step: 1,
-            limit,
-            op: CmpOp::Lt,
-            to,
-        } if var == i && to as usize == pc => (limit, pc as u32 + 4),
-        _ => return None,
-    };
-    if !disciplined(&[t, b, i], &[keys, sd, local, ub]) {
-        return None;
-    }
-    Some((
-        KernelKind::Histogram {
-            keys,
-            i,
-            t,
-            b,
-            sd,
-            local,
-            ub,
-            k: kidx,
-        },
-        exit,
-    ))
-}
-
-fn match_scatter(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
-    let code = &f.code;
-    let (t, keys, i) = match *code.get(pc)? {
-        Insn::DerefIndex { dst, cell, idx } => (dst, cell, idx),
-        _ => return None,
-    };
-    let t2 = match *code.get(pc + 1)? {
-        Insn::Move { dst, src } if src == t => dst,
-        _ => return None,
-    };
-    let sd = match as_arith(*code.get(pc + 2)?)? {
-        (ArithOp::Div, dst, a, b) if dst == t && a == t => b,
-        _ => return None,
-    };
-    let (b2, bcell) = match *code.get(pc + 3)? {
-        Insn::Deref { dst, ptr } => (dst, ptr),
-        _ => return None,
-    };
-    let (c, cur) = match as_index(*code.get(pc + 4)?)? {
-        (dst, arr, idx) if idx == t => (dst, arr),
-        _ => return None,
-    };
-    match as_index_set(*code.get(pc + 5)?)? {
-        (arr, idx, src) if arr == b2 && idx == c && src == t2 => {}
-        _ => return None,
-    }
-    let k = match *code.get(pc + 6)? {
-        Insn::IncElemK {
-            op: ArithOp::Add,
-            arr,
-            idx,
-            k,
-        } if arr == cur && idx == t => {
-            const_int(f, k)?;
-            k
-        }
-        _ => return None,
-    };
-    let (lim, exit) = match *code.get(pc + 7)? {
-        Insn::IncCmpJump {
-            var,
-            step: 1,
-            limit,
-            op: CmpOp::Lt,
-            to,
-        } if var == i && to as usize == pc => (limit, pc as u32 + 8),
-        _ => return None,
-    };
-    if !disciplined(&[t, t2, b2, c, i], &[keys, sd, bcell, cur, lim]) {
-        return None;
-    }
-    Some((
-        KernelKind::Scatter {
-            keys,
-            i,
-            t,
-            t2,
-            sd,
-            bcell,
-            b2,
-            cur,
-            c,
-            lim,
-            k,
-        },
-        exit,
-    ))
-}
-
 /// The IS phase-4 bucket loop, fused across the adjacent
 /// fill → rank-inc → prefix-sum triple (31 instructions; see
 /// [`KernelKind::RankPipeline`]). The shape is the optimizer's
@@ -1015,7 +810,7 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
             a,
             k,
         } if a == b4 => {
-            const_int(f, k)?;
+            const_int(&f.consts, k)?;
             (dst, k)
         }
         _ => return None,
@@ -1059,7 +854,7 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     }
     let (fc, kfill) = match *code.get(pc + 10)? {
         Insn::Const { dst, k } => {
-            const_int(f, k)?;
+            const_int(&f.consts, k)?;
             (dst, k)
         }
         _ => return None,
@@ -1105,7 +900,7 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
             a,
             k,
         } if a == x => {
-            const_int(f, k)?;
+            const_int(&f.consts, k)?;
             (dst, k)
         }
         _ => return None,
@@ -1270,7 +1065,7 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
     else {
         return None;
     };
-    const_int(f, k)?;
+    const_int(&f.consts, k)?;
     let (CmpOp::Lt, j, lim2, to) = as_cmp_jf(*code.get(pc + 1)?)? else {
         return None;
     };
@@ -1372,7 +1167,7 @@ fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     if !const_float_is(f, k2f, 2.0) { return None; }
     // pc+1: rc = 2 * i
     let Insn::ArithKL { op: ArithOp::Mul, dst: rc, k: k2i, b: i } = at(1)? else { return None };
-    if const_int(f, k2i)? != 2 { return None; }
+    if const_int(&f.consts, k2i)? != 2 { return None; }
     // pc+2: rd = x[rc]
     let (rd, x, idx) = at(2).and_then(as_index)?;
     if idx != rc { return None; }
@@ -1502,78 +1297,20 @@ fn kernel_span_label(desc: &KernelDesc) -> &'static str {
 
 /// Machine-readable bail reasons (also the `KernelBail` event labels).
 /// `type`: a bound register or constant did not hold the matched
-/// Int/Float/array shape. `bounds`: an index left its array. `div`:
-/// division by zero or `i64::MIN / -1`. `overflow`: induction
-/// arithmetic overflowed.
+/// Int/Float/array shape. `bounds`: an index left its array.
+/// `overflow`: induction arithmetic overflowed.
 type Bail = &'static str;
 const BAIL_TYPE: Bail = "type";
 const BAIL_BOUNDS: Bail = "bounds";
-const BAIL_DIV: Bail = "div";
 const BAIL_OVERFLOW: Bail = "overflow";
 
-/// An array a kernel is about to write through raw [`ArrF::cells`] /
-/// [`ArrI::cells`] storage, held open for a seqlock write fence so
-/// concurrent [`ArrI::range_hint`] scans can't cache a range the
-/// kernel's stores invalidate.
-enum FencedArr {
-    F(Arc<ArrF>, bool),
-    I(Arc<ArrI>, bool),
-}
-
-impl FencedArr {
-    fn begin_f(a: Option<Arc<ArrF>>) -> Option<FencedArr> {
-        a.map(|a| {
-            let b = a.write_fence_begin();
-            FencedArr::F(a, b)
-        })
-    }
-    fn begin_i(a: Option<Arc<ArrI>>) -> Option<FencedArr> {
-        a.map(|a| {
-            let b = a.write_fence_begin();
-            FencedArr::I(a, b)
-        })
-    }
-    fn end(self) {
-        match self {
-            FencedArr::F(a, b) => a.write_fence_end(b),
-            FencedArr::I(a, b) => a.write_fence_end(b),
-        }
-    }
-}
-
-/// Open write fences on every array the kernel stores into (resolved
-/// best-effort: an unresolvable register means the kernel is about to
-/// bail on its own type precheck without writing anything).
-fn begin_fences(kind: &KernelKind, regs: &[Value]) -> [Option<FencedArr>; 2] {
-    match *kind {
-        KernelKind::MatvecRows { qcell, .. } => [FencedArr::begin_f(cell_arrf(regs, qcell)), None],
-        KernelKind::Histogram { local, .. } => [FencedArr::begin_i(reg_arri(regs, local)), None],
-        KernelKind::RankPipeline { rcell, .. } => {
-            [FencedArr::begin_i(cell_arri(regs, rcell)), None]
-        }
-        KernelKind::Scatter { bcell, cur, .. } => [
-            FencedArr::begin_i(cell_arri(regs, bcell)),
-            FencedArr::begin_i(reg_arri(regs, cur)),
-        ],
-        KernelKind::LcgFill { arr, .. } => [FencedArr::begin_f(reg_arrf(regs, arr)), None],
-        KernelKind::EpPairs { q, .. } => [FencedArr::begin_f(reg_arrf(regs, q)), None],
-    }
-}
-
 fn run_inner(desc: &KernelDesc, pc: u32, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
-    let fences = begin_fences(&desc.kind, regs);
-    let r = match desc.kind {
+    match desc.kind {
         KernelKind::MatvecRows { .. } => run_matvec_rows(&desc.kind, regs, consts),
-        KernelKind::Histogram { .. } => run_histogram(&desc.kind, regs, consts),
         KernelKind::RankPipeline { .. } => run_rank_pipeline(&desc.kind, regs, consts),
-        KernelKind::Scatter { .. } => run_scatter(&desc.kind, regs, consts),
         KernelKind::LcgFill { .. } => run_lcg_fill(&desc.kind, pc, regs, consts),
         KernelKind::EpPairs { .. } => run_ep_pairs(&desc.kind, regs),
-    };
-    for f in fences.into_iter().flatten() {
-        f.end();
     }
-    r
 }
 
 fn cell_arrf(regs: &[Value], r: Reg) -> Option<Arc<ArrF>> {
@@ -1596,13 +1333,6 @@ fn cell_arri(regs: &[Value], r: Reg) -> Option<Arc<ArrI>> {
     }
 }
 
-fn reg_arri(regs: &[Value], r: Reg) -> Option<Arc<ArrI>> {
-    match &regs[r as usize] {
-        Value::ArrI(a) => Some(a.clone()),
-        _ => None,
-    }
-}
-
 fn reg_int(regs: &[Value], r: Reg) -> Option<i64> {
     match regs[r as usize] {
         Value::Int(v) => Some(v),
@@ -1615,12 +1345,6 @@ fn reg_float(regs: &[Value], r: Reg) -> Option<f64> {
         Value::Float(v) => Some(v),
         _ => None,
     }
-}
-
-/// A zero divisor is an error and `i64::MIN / -1` wraps in the
-/// interpreter; treat both as a deopt so the interpreter owns them.
-fn div_ok(x: i64, y: i64) -> bool {
-    y != 0 && !(y == -1 && x == i64::MIN)
 }
 
 fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
@@ -1649,6 +1373,7 @@ fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> R
     ) else {
         return Err(BAIL_TYPE);
     };
+    let _fence = qv.write_fence();
     let (Some(mut jv), Some(ubv)) = (reg_int(regs, j), reg_int(regs, ub)) else {
         return Err(BAIL_TYPE);
     };
@@ -1761,157 +1486,6 @@ fn run_matvec_rows(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> R
     }
 }
 
-fn run_histogram(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
-    let KernelKind::Histogram {
-        keys,
-        i,
-        t,
-        b,
-        sd,
-        local,
-        ub,
-        k,
-    } = *kind
-    else {
-        return Err(BAIL_TYPE);
-    };
-    let (Some(ka), Some(la)) = (cell_arri(regs, keys), reg_arri(regs, local)) else {
-        return Err(BAIL_TYPE);
-    };
-    let (Some(mut iv), Some(sdv), Some(ubv)) =
-        (reg_int(regs, i), reg_int(regs, sd), reg_int(regs, ub))
-    else {
-        return Err(BAIL_TYPE);
-    };
-    let Some(Value::Int(c)) = consts.get(k as usize) else {
-        return Err(BAIL_TYPE);
-    };
-    let c = *c;
-    let kc = ka.cells();
-    let lc = la.cells();
-    let kn = kc.len() as i64;
-    let ln = lc.len() as i64;
-    // Key-range bounds check hoisted to kernel entry, mirroring the CG
-    // gather hoist: the cached min/max of the key array proves every
-    // bucket index `key / sd` lands inside `local` (division by a
-    // positive divisor is monotone, so the quotient range is
-    // `[lo/sd, hi/sd]`), and the whole induction range is validated
-    // up front — the hot loop then runs with zero per-element checks.
-    // A power-of-two divisor further strength-reduces the division to
-    // a shift, exact because the hint proves the keys nonnegative
-    // (truncating and flooring division agree there).
-    let end = if ubv > iv { ubv } else { iv.wrapping_add(1) };
-    if iv >= 0
-        && iv < end
-        && end <= kn
-        && sdv > 0
-        && ka
-            .range_hint()
-            .is_some_and(|(lo, hi)| lo >= 0 && hi / sdv < ln)
-    {
-        let (mut tv, mut bv) = (0i64, 0i64);
-        // A fresh local count buffer breaks the `UnsafeCell` aliasing
-        // chain: without it LLVM must assume every count increment may
-        // clobber the key array and re-load it each iteration. Copied
-        // in and flushed out around the loop, so it pays off when the
-        // buffer is small next to the claim; an aliased key/count pair
-        // must observe its own stores, which only the direct loops
-        // below reproduce.
-        if ln <= end - iv && ln <= (1 << 16) && !Arc::ptr_eq(&ka, &la) {
-            let mut buf: Vec<i64> = (0..ln as usize)
-                .map(|j| unsafe { *lc.get_unchecked(j).get() })
-                .collect();
-            if sdv & (sdv - 1) == 0 {
-                let s = sdv.trailing_zeros();
-                for idx in iv..end {
-                    // SAFETY: idx < end <= kn; the range hint proved
-                    // 0 <= key >> s < ln. OpenMP no-data-race contract
-                    // for the elements themselves.
-                    tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                    bv = tv >> s;
-                    // SAFETY: bucket index proven by the hint.
-                    unsafe {
-                        let p = buf.get_unchecked_mut(bv as usize);
-                        *p = p.wrapping_add(c);
-                    }
-                }
-            } else {
-                for idx in iv..end {
-                    // SAFETY: as above, with the exact division.
-                    tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                    bv = tv / sdv;
-                    // SAFETY: bucket index proven by the hint.
-                    unsafe {
-                        let p = buf.get_unchecked_mut(bv as usize);
-                        *p = p.wrapping_add(c);
-                    }
-                }
-            }
-            for (j, v) in buf.iter().enumerate() {
-                // SAFETY: j < ln by construction.
-                unsafe { *lc.get_unchecked(j).get() = *v };
-            }
-        } else if sdv & (sdv - 1) == 0 {
-            let s = sdv.trailing_zeros();
-            for idx in iv..end {
-                // SAFETY: idx < end <= kn; the range hint proved
-                // 0 <= key >> s < ln. OpenMP no-data-race contract for
-                // the elements themselves.
-                tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                bv = tv >> s;
-                unsafe {
-                    let p = lc.get_unchecked(bv as usize).get();
-                    *p = (*p).wrapping_add(c);
-                }
-            }
-        } else {
-            for idx in iv..end {
-                // SAFETY: as above, with the exact division.
-                tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                bv = tv / sdv;
-                unsafe {
-                    let p = lc.get_unchecked(bv as usize).get();
-                    *p = (*p).wrapping_add(c);
-                }
-            }
-        }
-        regs[i as usize] = Value::Int(end);
-        regs[t as usize] = Value::Int(tv);
-        regs[b as usize] = Value::Int(bv);
-        return Ok(());
-    }
-    // do-while: the body always runs at least once.
-    loop {
-        if iv < 0 || iv >= kn {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_BOUNDS);
-        }
-        // SAFETY: iv bounds-checked just above.
-        let tv = unsafe { *kc.get_unchecked(iv as usize).get() };
-        if !div_ok(tv, sdv) {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_DIV);
-        }
-        let bv = tv / sdv;
-        if bv < 0 || bv >= ln {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_BOUNDS);
-        }
-        // SAFETY: bv bounds-checked just above.
-        unsafe {
-            let p = lc.get_unchecked(bv as usize).get();
-            *p = (*p).wrapping_add(c);
-        }
-        iv = iv.wrapping_add(1);
-        if iv >= ubv {
-            regs[i as usize] = Value::Int(iv);
-            regs[t as usize] = Value::Int(tv);
-            regs[b as usize] = Value::Int(bv);
-            return Ok(());
-        }
-    }
-}
-
 /// The fused IS phase-4 pipeline. Every fallible condition of a bucket
 /// — the `starts[b4]`/`starts[b4+1]` loads, the fill/prefix key range,
 /// the rank-inc scan range, and (when the `buff2` range hint can't
@@ -1971,15 +1545,16 @@ fn run_rank_pipeline(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) ->
     if Arc::ptr_eq(&bu, &rk) || Arc::ptr_eq(&sa, &rk) {
         return Err(BAIL_TYPE);
     }
+    let _fence = rk.write_fence();
     let (Some(mut b4v), Some(sdv), Some(ubv)) =
         (reg_int(regs, b4), reg_int(regs, sd), reg_int(regs, ub))
     else {
         return Err(BAIL_TYPE);
     };
     let (Some(onev), Some(fcv), Some(cv)) = (
-        const_int_v(consts, kone),
-        const_int_v(consts, kfill),
-        const_int_v(consts, kinc),
+        const_int(consts, kone),
+        const_int(consts, kfill),
+        const_int(consts, kinc),
     ) else {
         return Err(BAIL_TYPE);
     };
@@ -2169,189 +1744,6 @@ fn run_rank_pipeline(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) ->
     }
 }
 
-fn const_int_v(consts: &[Value], k: u16) -> Option<i64> {
-    match consts.get(k as usize)? {
-        Value::Int(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn run_scatter(kind: &KernelKind, regs: &mut [Value], consts: &[Value]) -> Result<(), Bail> {
-    let KernelKind::Scatter {
-        keys,
-        i,
-        t,
-        t2,
-        sd,
-        bcell,
-        b2,
-        cur,
-        c,
-        lim,
-        k,
-    } = *kind
-    else {
-        return Err(BAIL_TYPE);
-    };
-    let (Some(ka), Some(ba), Some(ca)) = (
-        cell_arri(regs, keys),
-        cell_arri(regs, bcell),
-        reg_arri(regs, cur),
-    ) else {
-        return Err(BAIL_TYPE);
-    };
-    let (Some(mut iv), Some(sdv), Some(limv)) =
-        (reg_int(regs, i), reg_int(regs, sd), reg_int(regs, lim))
-    else {
-        return Err(BAIL_TYPE);
-    };
-    let Some(Value::Int(inc)) = consts.get(k as usize) else {
-        return Err(BAIL_TYPE);
-    };
-    let inc = *inc;
-    let kc = ka.cells();
-    let bc = ba.cells();
-    let cc = ca.cells();
-    let kn = kc.len() as i64;
-    let bn = bc.len() as i64;
-    let cn = cc.len() as i64;
-    // Same hoist as `run_histogram`: the key-range hint proves every
-    // cursor index `key / sd` lands inside `cur`, the induction range
-    // is validated up front, and a power-of-two divisor becomes a
-    // shift. Only the data-dependent cursor *value* still needs its
-    // per-element check (the kernel itself advances it).
-    let end = if limv > iv { limv } else { iv.wrapping_add(1) };
-    if iv >= 0
-        && iv < end
-        && end <= kn
-        && sdv > 0
-        && ka
-            .range_hint()
-            .is_some_and(|(lo, hi)| lo >= 0 && hi / sdv < cn)
-    {
-        let shift = (sdv & (sdv - 1) == 0).then(|| sdv.trailing_zeros());
-        let (mut tv, mut dv, mut cv) = (0i64, 0i64, 0i64);
-        // Same trick as `run_histogram`: a fresh local cursor buffer
-        // lets LLVM keep the cursor loads out of the way of the
-        // scattered stores (through `UnsafeCell` it must otherwise
-        // assume every `buff2` store clobbers a cursor). Legal only
-        // when the cursor array genuinely is a distinct allocation —
-        // an aliased cursor must see the key loads and scatter stores
-        // punch through, which only the direct loop reproduces.
-        if cn <= end - iv && cn <= (1 << 16) && !Arc::ptr_eq(&ba, &ca) && !Arc::ptr_eq(&ka, &ca) {
-            let mut buf: Vec<i64> = (0..cn as usize)
-                .map(|j| unsafe { *cc.get_unchecked(j).get() })
-                .collect();
-            let flush = |buf: &[i64]| {
-                for (j, v) in buf.iter().enumerate() {
-                    // SAFETY: j < cn by construction.
-                    unsafe { *cc.get_unchecked(j).get() = *v };
-                }
-            };
-            for idx in iv..end {
-                // SAFETY: idx < end <= kn; the range hint proved
-                // 0 <= key / sd < cn. OpenMP no-data-race contract for
-                // the elements themselves.
-                tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                dv = match shift {
-                    Some(s) => tv >> s,
-                    None => tv / sdv,
-                };
-                // SAFETY: dv proven by the hint.
-                cv = unsafe { *buf.get_unchecked(dv as usize) };
-                if cv < 0 || cv >= bn {
-                    // Flush the completed iterations' cursor state so
-                    // the interpreted replay sees exactly the memory
-                    // the element loop would have left, and errors on
-                    // this same element.
-                    flush(&buf);
-                    regs[i as usize] = Value::Int(idx);
-                    return Err(BAIL_BOUNDS);
-                }
-                // SAFETY: cv bounds-checked just above; dv as before.
-                unsafe {
-                    *bc.get_unchecked(cv as usize).get() = tv;
-                    *buf.get_unchecked_mut(dv as usize) = cv.wrapping_add(inc);
-                }
-            }
-            flush(&buf);
-        } else {
-            for idx in iv..end {
-                // SAFETY: idx < end <= kn; the range hint proved
-                // 0 <= key / sd < cn. OpenMP no-data-race contract for the
-                // elements themselves.
-                tv = unsafe { *kc.get_unchecked(idx as usize).get() };
-                dv = match shift {
-                    Some(s) => tv >> s,
-                    None => tv / sdv,
-                };
-                // SAFETY: dv proven by the hint.
-                cv = unsafe { *cc.get_unchecked(dv as usize).get() };
-                if cv < 0 || cv >= bn {
-                    regs[i as usize] = Value::Int(idx);
-                    return Err(BAIL_BOUNDS);
-                }
-                // SAFETY: cv bounds-checked just above; dv as before. The
-                // interpreter re-loads cur[dv] after the store, reproduced
-                // by incrementing through the pointer after `bc` is written
-                // (exact under aliasing).
-                unsafe {
-                    *bc.get_unchecked(cv as usize).get() = tv;
-                    let p = cc.get_unchecked(dv as usize).get();
-                    *p = (*p).wrapping_add(inc);
-                }
-            }
-        }
-        regs[i as usize] = Value::Int(end);
-        regs[t as usize] = Value::Int(dv);
-        regs[t2 as usize] = Value::Int(tv);
-        regs[b2 as usize] = Value::ArrI(ba.clone());
-        regs[c as usize] = Value::Int(cv);
-        return Ok(());
-    }
-    loop {
-        if iv < 0 || iv >= kn {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_BOUNDS);
-        }
-        // SAFETY: iv bounds-checked just above.
-        let tv = unsafe { *kc.get_unchecked(iv as usize).get() };
-        if !div_ok(tv, sdv) {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_DIV);
-        }
-        let dv = tv / sdv;
-        if dv < 0 || dv >= cn {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_BOUNDS);
-        }
-        // SAFETY: dv bounds-checked just above.
-        let cv = unsafe { *cc.get_unchecked(dv as usize).get() };
-        if cv < 0 || cv >= bn {
-            regs[i as usize] = Value::Int(iv);
-            return Err(BAIL_BOUNDS);
-        }
-        // SAFETY: cv bounds-checked just above.
-        unsafe { *bc.get_unchecked(cv as usize).get() = tv };
-        // Interpreter order: the cursor increment re-loads cur[dv]
-        // after the store above (exact under aliasing).
-        // SAFETY: dv bounds-checked above.
-        unsafe {
-            let p = cc.get_unchecked(dv as usize).get();
-            *p = (*p).wrapping_add(inc);
-        }
-        iv = iv.wrapping_add(1);
-        if iv >= limv {
-            regs[i as usize] = Value::Int(iv);
-            regs[t as usize] = Value::Int(dv);
-            regs[t2 as usize] = Value::Int(tv);
-            regs[b2 as usize] = Value::ArrI(ba.clone());
-            regs[c as usize] = Value::Int(cv);
-            return Ok(());
-        }
-    }
-}
-
 fn reg_arrf(regs: &[Value], r: Reg) -> Option<Arc<ArrF>> {
     match &regs[r as usize] {
         Value::ArrF(a) => Some(a.clone()),
@@ -2445,6 +1837,7 @@ fn run_lcg_fill(
     ) else {
         return Err(BAIL_TYPE);
     };
+    let _fence = xv.write_fence();
     let Some(Value::Int(c)) = consts.get(k as usize) else {
         return Err(BAIL_TYPE);
     };
@@ -2598,6 +1991,7 @@ fn run_ep_pairs(kind: &KernelKind, regs: &mut [Value]) -> Result<(), Bail> {
     ) else {
         return Err(BAIL_TYPE);
     };
+    let _fence = qv.write_fence();
     let xc = xv.cells();
     let qc = qv.cells();
     let xn = xc.len() as i64;

@@ -31,11 +31,11 @@
 //! |-------------------------------------------------|---------------------|---------|
 //! | `const t,k; arith d,a,t`                        | `ArithK d,a,k`      | `kernels::lcg_callee` (the LCG lifter), `match_rank_pipeline`, `match_ep_pairs`, template decoder; hot in `dyn` and `fork_small` |
 //! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, `match_lcg_fill`, `match_ep_pairs`, template decoder |
-//! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | `match_histogram`, `match_scatter`, `match_ep_pairs`, template decoder |
+//! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | `match_ep_pairs`, template decoder |
 //! | `index t,A[i]; mul u,x,t; add s,s,u`            | `FmaIdx s,x,A[i]`   | template decoder (`fma_tail`); the tail of `FmaGather` |
 //! | `arithk t,j,±k; index d,A[t]`                   | `IndexOff d,A[j±k]` | `match_ep_pairs`, template decoder |
 //! | `arithk v,v,±k; jump`                           | `IncJump v,±k`      | `match_matvec_rows`, `match_lcg_fill`, template form B |
-//! | `deref t,C; index d,t[i]`                       | `DerefIndex d,(C)[i]` | `match_matvec_rows`, `match_histogram`, `match_scatter`, `match_rank_pipeline`, template decoder |
+//! | `deref t,C; index d,t[i]`                       | `DerefIndex d,(C)[i]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
 //! | `deref t,C; indexoff d,t[j±k]`                  | `DerefIndexOff d,(C)[j±k]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder (the stencil) |
 //! | `deref t,C; indexset t[i],s`                    | `DerefIndexSet (C)[i],s` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
 //! | `dindex t,(X)[i]; deref a,A; dindex c,(C)[i]; fmaidx d,t,a[c]` | `FmaGather d,(X),(A),(C),i` | `match_matvec_rows` |

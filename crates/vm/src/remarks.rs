@@ -231,7 +231,8 @@ fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
 /// reason first: a call boundary beats everything (the note says why
 /// each callee was not inlined, which is what would have to change),
 /// then an opcode no shape
-/// covers, and finally a plain shape mismatch. Returns `(slug, note)`; the slug is
+/// covers, and finally a plain shape mismatch, whose note also names the
+/// template tier's refusal. Returns `(slug, note)`; the slug is
 /// the stable machine-readable vocabulary promised in the module docs
 /// ([`MissRow::reason`]). Instructions inside an `installed`
 /// kernel span are skipped: they were subsumed by a `BulkLoop` and no
@@ -295,10 +296,16 @@ fn classify_miss(
             format!("`{op}` has no bulk-kernel lowering"),
         )
     } else {
+        // What the template tier refused it for: `shape` for a nested or
+        // branching loop, else the rule (see `templates::match_at`).
+        let template = match crate::templates::match_at(f, head) {
+            Err(why) => why,
+            Ok(_) => "installs".to_string(),
+        };
         (
             "shape",
             format!(
-                "loop bounds/indexing structure matches none of the {} kernel shapes: {}",
+                "loop bounds/indexing structure matches none of the {} kernel shapes: {}; template: {template}",
                 KernelKind::NAMES.len(),
                 KernelKind::NAMES.join(", ")
             ),
@@ -514,6 +521,36 @@ fn main() void {
         let json = render_json(&diags, src);
         assert!(json.contains("`drain` [has-loop]"), "{json}");
         assert!(json.contains("\"code\":\"inlined\""), "{json}");
+    }
+
+    /// A loop neither tier takes says why in the note: here the kernels'
+    /// shape list and the template tier's replay rule.
+    #[test]
+    fn shape_miss_names_the_template_refusal() {
+        let src = r#"fn main() void {
+    var n: i64 = 8;
+    var key: []i64 = @allocI(n);
+    var y: []i64 = @allocI(n);
+    var h: []i64 = @allocI(n);
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        y[i] = 1;
+        h[key[i]] += 1;
+    }
+    print(h[0]);
+}
+"#;
+        let diags = collect(src, "t.zag", OptLevel::O3).expect("collect");
+        let notes: Vec<_> = (diags.iter())
+            .filter(|d| d.code == "kernel-missed")
+            .filter_map(|d| d.note.as_deref())
+            .collect();
+        assert!(
+            notes
+                .iter()
+                .any(|n| n.ends_with("; template: fallible-after-store")),
+            "{diags:?}"
+        );
     }
 
     #[test]

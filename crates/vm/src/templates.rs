@@ -21,7 +21,11 @@
 //! before the next op starts, every per-iteration scalar expanded to a
 //! column, so the indirect call is paid once per op per strip, not once
 //! per op per iteration. The installer decides which of the two walks a
-//! variant gets; the `template-installed` remark reports the verdict.
+//! variant gets; the `template-installed` remark reports the verdict. A
+//! loop whose only stores are a gathered update (`h[g] ⊕= v`, or the
+//! counting-sort scatter `out[cur[g]] = v; cur[g] += k`) runs strip-mined
+//! too: the rest of the iteration over the strip, then the update lane by
+//! lane in iteration order (see [`Tail`]).
 //!
 //! Two loop forms are recognised, matching what the compiler emits
 //! for `while` loops after optimization:
@@ -52,7 +56,9 @@
 //!   error the bytecode would. To make that replay sound, a template
 //!   is only installed when no fallible op executes after the first
 //!   array store of an iteration (otherwise the replay could re-read
-//!   locations the partial iteration already wrote).
+//!   locations the partial iteration already wrote); a second check of
+//!   an element the iteration already checked (same array, same
+//!   unchanged index register) cannot fail and does not count.
 //! - Float expression shapes are preserved exactly (separate
 //!   mul-then-add for the fma-fused forms), so results stay
 //!   bit-identical to interpretation.
@@ -64,7 +70,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bytecode::{ArithOp, CmpOp, CompiledFn, Insn, Reg};
-use crate::value::{ArrF, ArrI, Value};
+use crate::value::{ArrF, ArrI, Value, WriteFence};
 
 /// Scalar slots per kind in a template frame.
 pub const NSLOT: usize = 32;
@@ -76,6 +82,10 @@ const MAX_INSNS: usize = 24;
 /// Iterations a strip-mined variant runs per op. Per-element cost is
 /// flat from 64 to 512; 128 keeps a ten-column loop inside 10 KB of L1.
 const STRIP: usize = 128;
+/// Iterations per call of a [`Tail`] that reads no column: its lane
+/// values stay within 16 KB of L1, and its per-call checks (the
+/// index proof, the write-backs) are paid once per 2048 lanes.
+const WIDE: usize = 2048;
 /// Most columns per kind a strip plan may use (bounds the per-thread
 /// scratch at `2 * MAX_COLS * STRIP * 8` bytes).
 const MAX_COLS: usize = 32;
@@ -160,11 +170,15 @@ pub enum Bind {
     CellF { reg: Reg, slot: u16 },
 }
 
-/// Exit write-back: box a frame slot back into a register.
+/// Exit write-back: box a frame slot back into a register. `ArrI` /
+/// `ArrF` put a bound array back into the register a `Deref` of its
+/// cell defined.
 #[derive(Clone, Copy)]
 pub enum Out {
     Int { reg: Reg, slot: u16 },
     Flt { reg: Reg, slot: u16 },
+    ArrI { reg: Reg, slot: u16 },
+    ArrF { reg: Reg, slot: u16 },
 }
 
 /// One monomorphized template variant.
@@ -193,7 +207,7 @@ pub struct TVariant {
     pub snap: Vec<(bool, u16)>,
     pub fallible: bool,
     /// `ai`/`af` frame slots the variant stores into (seqlock write
-    /// fences open for the whole run, as the kernels do).
+    /// fences open for the whole run, as in the kernels).
     pub wf_i: Vec<u16>,
     pub wf_f: Vec<u16>,
     /// How to run the loop strip-mined, or why it must run one
@@ -206,7 +220,8 @@ pub struct TVariant {
 /// per-iteration scalar to a column. Legal because the installer
 /// proved (`plan_strip`) that nothing but single-op accumulators is
 /// carried between iterations and no stored array is read or written
-/// at a second index.
+/// at a second index — or, with a [`Tail`], that every store is a
+/// gathered update the strip still performs in iteration order.
 pub struct StripPlan {
     /// The variant's protos lowered one by one (unfused) with column
     /// operands: every definition gets a fresh column, so a
@@ -224,6 +239,47 @@ pub struct StripPlan {
     /// Written slots and the column of their last definition, copied
     /// back from the final lane on normal exit.
     last: Vec<(bool, u16, u16)>,
+    /// The gathered-update suffix of the iteration, run lane by lane
+    /// after `ops` (the head) has filled its columns.
+    tail: Option<Tail>,
+}
+
+/// A gathered update: the suffix of an iteration that stores into an
+/// array at an index `g` the head computed, in one of two forms. A lane
+/// reads its value `x` from `src`; `g` is `x`, or `x / d` when the head's
+/// division by an invariant `d` moved into the tail (`div`: the slots of
+/// `d` and `g`). After a strip the frame holds the last lane's values:
+/// `x` in `keys` (registers a fused load defined), `g`, the loaded
+/// element in `loaded` and the stored one in `stored`.
+struct Tail {
+    src: Src,
+    div: Option<(u16, u16)>,
+    keys: Vec<u16>,
+    loaded: Vec<u16>,
+    stored: u16,
+    /// The updated array holds floats.
+    flt: bool,
+    form: TailForm,
+}
+
+/// Where a tail reads a lane's value.
+#[derive(Clone, Copy, PartialEq)]
+enum Src {
+    /// A column the head filled.
+    Col(u16),
+    /// The head's load `ai[arr][ind + off]` (step 1), done by the tail in
+    /// the same pass when the head is nothing else (with copies of the
+    /// key and the division `div`).
+    Load { arr: u16, off: i64 },
+}
+
+#[derive(Clone, Copy)]
+enum TailForm {
+    /// `h[g] += v`, `v` a column or an immediate (an array reduction).
+    Update { h: u16, v: Result<u16, KVal> },
+    /// `out[cur[g]] = v; cur[g] += k` (a memory-carried cursor: the
+    /// scatter of a counting sort).
+    Cursor { cur: u16, out: u16, v: Src, k: i64 },
 }
 
 /// One template op: a monomorphized function over the frame plus its
@@ -369,7 +425,7 @@ impl TProg {
     /// How the loop runs, for the install remark: `strip`, or
     /// `scalar: <the rule that keeps it one iteration at a time>`
     /// (the variants differ only in kinds, never in the verdict).
-    pub(crate) fn verdict(&self) -> String {
+    pub fn verdict(&self) -> String {
         match &self.variants[0].strip {
             Ok(_) => "strip".to_string(),
             Err(why) => format!("scalar: {why}"),
@@ -395,7 +451,10 @@ impl TemplateDesc {
             }
             for o in v.outs.iter().chain(&v.outs_body).chain(&v.bail_outs) {
                 match *o {
-                    Out::Int { reg, .. } | Out::Flt { reg, .. } => f(reg),
+                    Out::Int { reg, .. }
+                    | Out::Flt { reg, .. }
+                    | Out::ArrI { reg, .. }
+                    | Out::ArrF { reg, .. } => f(reg),
                 }
             }
         }
@@ -527,39 +586,6 @@ op_fk!(subkl_f, |x, k| k - x);
 op_fk!(mulkl_f, |x, k| k * x);
 op_fk!(divkl_f, |x, k| k / x);
 op_fk!(remkl_f, |x, k| k % x);
-
-// Fused multiply-add pairs (see `fuse`): one dispatch for a multiply
-// whose product feeds the directly following add. The product slot
-// (`off`) is still written, so the pair's architectural effects — and
-// therefore the bind/write-back/bail analyses done over the unfused
-// protos — are preserved exactly; floats round in two steps, exactly
-// as the separate ops would (never a hardware FMA). For `fma_*` the
-// `ki` field carries the second multiplicand's *slot*, not an
-// immediate; `fmak_*` carry the immediate in `ki`/`kf` as usual.
-fn fma_ii(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let m = fr.ints[op.c as usize].wrapping_mul(fr.ints[op.ki as usize]);
-    fr.ints[op.off as usize] = m;
-    fr.ints[op.a as usize] = fr.ints[op.b as usize].wrapping_add(m);
-    Ok(())
-}
-fn fma_ff(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let m = fr.flts[op.c as usize] * fr.flts[op.ki as usize];
-    fr.flts[op.off as usize] = m;
-    fr.flts[op.a as usize] = fr.flts[op.b as usize] + m;
-    Ok(())
-}
-fn fmak_i(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let m = fr.ints[op.c as usize].wrapping_mul(op.ki);
-    fr.ints[op.off as usize] = m;
-    fr.ints[op.a as usize] = fr.ints[op.b as usize].wrapping_add(m);
-    Ok(())
-}
-fn fmak_f(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-    let m = fr.flts[op.c as usize] * op.kf;
-    fr.flts[op.off as usize] = m;
-    fr.flts[op.a as usize] = fr.flts[op.b as usize] + m;
-    Ok(())
-}
 
 /// `a = b` and `a = immediate` for one kind.
 macro_rules! ops_mov {
@@ -855,72 +881,79 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
     }
     // Seqlock write fences on every array the template stores into,
     // held open for the whole run (see `ArrI::range_hint`).
-    let mut bump_i = [false; NARR];
-    let mut bump_f = [false; NARR];
-    for &s in &v.wf_i {
-        bump_i[s as usize] = arci[s as usize].as_ref().unwrap().write_fence_begin();
-    }
-    for &s in &v.wf_f {
-        bump_f[s as usize] = arcf[s as usize].as_ref().unwrap().write_fence_begin();
-    }
+    let _fences_i: [Option<WriteFence>; NARR] = std::array::from_fn(|s| {
+        (v.wf_i.contains(&(s as u16))).then(|| arci[s].as_ref().unwrap().write_fence())
+    });
+    let _fences_f: [Option<WriteFence>; NARR] = std::array::from_fn(|s| {
+        (v.wf_f.contains(&(s as u16))).then(|| arcf[s].as_ref().unwrap().write_fence())
+    });
     // Strip order moves an iteration's store past later iterations'
     // loads, which is only invisible while no other bound array is the
-    // stored one under another name.
+    // stored one under another name; a gathered-update tail also moves
+    // its reads past later iterations' head, so no two bound arrays
+    // may be one.
     let r = match &v.strip {
-        Ok(plan) if !stored_alias(&arci, &v.wf_i) && !stored_alias(&arcf, &v.wf_f) => {
-            exec_strip(v, plan, &mut fr)
+        Ok(plan) if !aliased(plan, v, &arci, &arcf) => {
+            // A fused key load's array may carry a cached range that
+            // proves every index at once (see `Shift::proves`).
+            let hint = match plan.tail.as_ref().map(|t| t.src) {
+                Some(Src::Load { arr, .. }) => {
+                    arci[arr as usize].as_ref().and_then(|a| a.range_hint())
+                }
+                _ => None,
+            };
+            exec_strip(v, plan, &mut fr, hint)
         }
         _ => exec(v, &mut fr),
     };
-    for &s in &v.wf_i {
-        arci[s as usize]
-            .as_ref()
-            .unwrap()
-            .write_fence_end(bump_i[s as usize]);
-    }
-    for &s in &v.wf_f {
-        arcf[s as usize]
-            .as_ref()
-            .unwrap()
-            .write_fence_end(bump_f[s as usize]);
-    }
+    let out = |o: &Out, regs: &mut [Value]| match *o {
+        Out::Int { reg, slot } => regs[reg as usize] = Value::Int(fr.ints[slot as usize]),
+        Out::Flt { reg, slot } => regs[reg as usize] = Value::Float(fr.flts[slot as usize]),
+        Out::ArrI { reg, slot } => {
+            regs[reg as usize] = Value::ArrI(arci[slot as usize].clone().unwrap())
+        }
+        Out::ArrF { reg, slot } => {
+            regs[reg as usize] = Value::ArrF(arcf[slot as usize].clone().unwrap())
+        }
+    };
     match r {
         Ok(ran_body) => {
-            for o in &v.outs {
-                box_out(o, &fr, regs);
-            }
-            if ran_body {
-                for o in &v.outs_body {
-                    box_out(o, &fr, regs);
-                }
+            let body = if ran_body { &v.outs_body[..] } else { &[] };
+            for o in v.outs.iter().chain(body) {
+                out(o, regs);
             }
             VOut::Done
         }
         Err(b) => {
             for o in &v.bail_outs {
-                box_out(o, &fr, regs);
+                out(o, regs);
             }
             VOut::Bail(b)
         }
     }
 }
 
-fn box_out(o: &Out, fr: &TFrame, regs: &mut [Value]) {
-    match *o {
-        Out::Int { reg, slot } => regs[reg as usize] = Value::Int(fr.ints[slot as usize]),
-        Out::Flt { reg, slot } => regs[reg as usize] = Value::Float(fr.flts[slot as usize]),
+/// Whether the bound arrays break the strip plan's no-alias premise: a
+/// stored array also bound in another slot, or — with a tail — any two
+/// slots holding one array.
+fn aliased(
+    plan: &StripPlan,
+    v: &TVariant,
+    arci: &[Option<Arc<ArrI>>; NARR],
+    arcf: &[Option<Arc<ArrF>>; NARR],
+) -> bool {
+    fn twice<T>(arcs: &[Option<Arc<T>>; NARR], mut stored: impl FnMut(usize) -> bool) -> bool {
+        (0..NARR).any(|s| {
+            arcs[s].as_ref().is_some_and(|target| {
+                stored(s)
+                    && (arcs.iter().enumerate())
+                        .any(|(k, a)| k != s && a.as_ref().is_some_and(|a| Arc::ptr_eq(a, target)))
+            })
+        })
     }
-}
-
-/// Whether an array the variant stores into is also bound in another
-/// slot of its kind.
-fn stored_alias<T>(arcs: &[Option<Arc<T>>; NARR], stored: &[u16]) -> bool {
-    stored.iter().any(|&s| {
-        let target = arcs[s as usize].as_ref().unwrap();
-        arcs.iter()
-            .enumerate()
-            .any(|(k, a)| k != s as usize && a.as_ref().is_some_and(|a| Arc::ptr_eq(a, target)))
-    })
+    let all = plan.tail.is_some();
+    twice(arci, |s| all || v.wf_i.contains(&(s as u16)))
+        || twice(arcf, |s| all || v.wf_f.contains(&(s as u16)))
 }
 
 /// Iterations the loop runs from `i0`, or `None` when the induction
@@ -951,8 +984,14 @@ fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp, first: bool) -> Option<u
 /// strip is in memory yet, and the scalar chain replays it from the
 /// strip-start state — storing the iterations that are in bounds,
 /// stopping at the one that is not, and bailing exactly as it always
-/// has.
-fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, Bail> {
+/// has. A [`Tail`] then runs lane by lane and hands over at its failing
+/// lane instead.
+fn exec_strip(
+    v: &TVariant,
+    plan: &StripPlan,
+    fr: &mut TFrame,
+    hint: Option<(i64, i64)>,
+) -> Result<bool, Bail> {
     let (ind, step, lim, cmp, first) = match v.shape {
         Shape::DoWhile {
             ind,
@@ -967,6 +1006,10 @@ fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, B
     let Some(trip) = trip_count(fr.ints[ind], fr.ints[lim as usize], step, cmp, first) else {
         return exec(v, fr);
     };
+    let shift = plan.tail.as_ref().map(|t| t.shift(&fr.ints, hint));
+    if matches!(shift, Some(None)) {
+        return exec(v, fr);
+    }
     COLS.with(|cols| {
         let (ci, cf) = &mut *cols.borrow_mut();
         if ci.len() < plan.ni {
@@ -991,9 +1034,15 @@ fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, B
             i0: 0,
             step,
         };
+        // A tail that reads no column runs over wide strips: there is no
+        // scratch to bound them, and its per-strip work amortises.
+        let width = match &plan.tail {
+            Some(t) if plan.ops.is_empty() && t.columnless() => WIDE,
+            _ => STRIP,
+        };
         let mut left = trip;
         while left > 0 {
-            sf.n = left.min(STRIP as u64) as usize;
+            sf.n = left.min(width as u64) as usize;
             sf.i0 = sf.fr.ints[ind];
             if plan.iota {
                 for (k, x) in sf.ci[IOTA as usize][..sf.n].iter_mut().enumerate() {
@@ -1007,6 +1056,16 @@ fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, B
                 if f(&mut sf, op).is_err() {
                     (sf.fr.ints, sf.fr.flts) = start;
                     return exec(v, sf.fr).map(|ran| ran || left < trip);
+                }
+            }
+            // The tail checks each lane before storing it: a failure at
+            // lane k leaves lanes 0..k complete and lane k untouched
+            // (the head stores nothing and carries nothing), so the
+            // scalar chain resumes at lane k.
+            if let (Some(tail), Some(Some(sh))) = (&plan.tail, shift) {
+                if let Err(k) = tail.run(&mut sf, sh) {
+                    sf.fr.ints[ind] = sf.i0 + k as i64 * step;
+                    return exec(v, sf.fr).map(|ran| ran || k > 0 || left < trip);
                 }
             }
             sf.fr.ints[ind] = sf.i0 + sf.n as i64 * step;
@@ -1023,6 +1082,232 @@ fn exec_strip(v: &TVariant, plan: &StripPlan, fr: &mut TFrame) -> Result<bool, B
         }
         Ok(trip > 0)
     })
+}
+
+impl Tail {
+    /// How this run maps a lane's value to its index, or `None` when the
+    /// divisor is not a positive power of two (the run then takes the
+    /// scalar chain). `range` is the fused load array's cached range.
+    fn shift(&self, ints: &[i64; NSLOT], range: Option<(i64, i64)>) -> Option<Shift> {
+        let d = self.div.map_or(1, |(d, _)| ints[d as usize]);
+        (d > 0 && d & (d - 1) == 0).then(|| Shift {
+            m: d - 1,
+            s: d.trailing_zeros(),
+            range,
+        })
+    }
+
+    /// Whether the tail reads no column (its strips may then be wide).
+    fn columnless(&self) -> bool {
+        matches!(self.src, Src::Load { .. })
+            && match self.form {
+                TailForm::Update { v, .. } => v.is_err(),
+                TailForm::Cursor { v, .. } => v == self.src,
+            }
+    }
+
+    /// Run the tail over the strip's lanes in iteration order, each form
+    /// as one monomorphised loop. `Err(k)`: lane `k` failed a check
+    /// before its first store, and the lanes before it are complete.
+    fn run(&self, sf: &mut Strip, sh: Shift) -> Result<(), usize> {
+        let Strip {
+            fr, ci, cf, n, i0, ..
+        } = sf;
+        let n = *n;
+        let xs = values(self.src, &fr.ai, (*i0, n), ci)?;
+        let g = match (self.form, self.flt) {
+            (TailForm::Update { h, v }, true) => {
+                let (l, s, g) = match v {
+                    Ok(c) => update(fr.af[h as usize], xs, sh, |k| cf[c as usize][k])?,
+                    Err(k) => update(fr.af[h as usize], xs, sh, |_| k.f())?,
+                };
+                self.put(&mut fr.flts, l, s);
+                g
+            }
+            (TailForm::Update { h, v }, false) => {
+                let (l, s, g) = match v {
+                    Ok(c) => update(fr.ai[h as usize], xs, sh, |k| ci[c as usize][k])?,
+                    Err(k) => update(fr.ai[h as usize], xs, sh, |_| k.i())?,
+                };
+                self.put(&mut fr.ints, l, s);
+                g
+            }
+            (TailForm::Cursor { cur, out, v, k }, flt) => {
+                let cur = fr.ai[cur as usize];
+                let (c, g) = match v {
+                    // The key itself, as a counting sort stores it.
+                    v if v == self.src => scatter(cur, fr.ai[out as usize], xs, sh, k, |x, _| x)?,
+                    Src::Col(v) if flt => scatter(cur, fr.af[out as usize], xs, sh, k, |_, l| {
+                        cf[v as usize][l]
+                    })?,
+                    v => {
+                        let vs = values(v, &fr.ai, (*i0, n), ci)?;
+                        scatter(cur, fr.ai[out as usize], xs, sh, k, |_, l| vs[l])?
+                    }
+                };
+                // With `out` a distinct array the re-load reads `c` back.
+                self.put(&mut fr.ints, c, c.wrapping_add(k));
+                g
+            }
+        };
+        for &key in &self.keys {
+            fr.ints[key as usize] = xs[n - 1];
+        }
+        if let Some((_, gs)) = self.div {
+            fr.ints[gs as usize] = g;
+        }
+        Ok(())
+    }
+
+    /// The last lane's loaded and stored elements into their slots.
+    fn put<T: Copy>(&self, file: &mut [T; NSLOT], l: T, s: T) {
+        for &x in &self.loaded {
+            file[x as usize] = l;
+        }
+        file[self.stored as usize] = s;
+    }
+}
+
+/// Lanes `i0..i0 + n` of `src`: its column, or — a fused load — the
+/// loaded array's elements, `Err(0)` when they leave the array (the
+/// scalar chain then raises the error at its lane).
+fn values<'r>(
+    src: Src,
+    ai: &[&'r [UnsafeCell<i64>]],
+    (i0, n): (i64, usize),
+    ci: &'r [[i64; STRIP]],
+) -> Result<&'r [i64], usize> {
+    match src {
+        Src::Col(c) => Ok(&ci[c as usize][..n]),
+        Src::Load { arr, off } => {
+            let a = ai[arr as usize];
+            let first = affine(a.len(), n, i0, 1, off).map_err(|_| 0usize)? as usize;
+            let cells = &a[first..first + n];
+            // SAFETY: `UnsafeCell<i64>` has the layout of `i64`, and no
+            // store of the loop reaches this array (it is not a tail
+            // array, the head stores nothing, and no other bound array
+            // is it), so its elements stay put while the slice lives —
+            // OpenMP's no-race contract covers other threads.
+            Ok(unsafe { &*(cells as *const [UnsafeCell<i64>] as *const [i64]) })
+        }
+    }
+}
+
+/// How a lane's value `x` becomes its gathered index: `(x + ((x >> 63) &
+/// m)) >> s`, which is `x / 2^s` rounded toward zero, as `/` rounds.
+#[derive(Clone, Copy)]
+struct Shift {
+    m: i64,
+    s: u32,
+    /// The `(min, max)` of every lane value, when a range hint knows it.
+    range: Option<(i64, i64)>,
+}
+
+impl Shift {
+    /// The index of lane value `x`, if it lies in `0..len`.
+    #[inline(always)]
+    fn index(self, x: i64, len: usize) -> Option<usize> {
+        let g = (x + ((x >> 63) & self.m)) >> self.s;
+        ((g as u64) < len as u64).then_some(g as usize)
+    }
+}
+
+/// Run `lane(k, g)` over lanes `0..xs.len()` in order, `g` the lane's
+/// index, checked against `0..len` unless one non-negative upper bound
+/// of the lanes — the range hint, or an OR over them — proves them all
+/// (which also makes the shift a plain one); `Err(k)` at the first lane
+/// that fails. Lanes return nothing, so an update compiles to one
+/// read-modify-write.
+#[inline(always)]
+fn each_lane(
+    xs: &[i64],
+    sh: Shift,
+    len: usize,
+    lane: impl Fn(usize, usize) -> Option<()>,
+) -> Result<(), usize> {
+    let (lo, hi) = sh.range.unwrap_or_else(|| {
+        let or = xs.iter().fold(0, |a, &x| a | x);
+        (or, or)
+    });
+    if lo >= 0 && ((hi >> sh.s) as u64) < len as u64 {
+        for (k, &x) in xs.iter().enumerate() {
+            lane(k, (x >> sh.s) as usize).ok_or(k)?;
+        }
+    } else {
+        for (k, &x) in xs.iter().enumerate() {
+            lane(k, sh.index(x, len).ok_or(k)?).ok_or(k)?;
+        }
+    }
+    Ok(())
+}
+
+/// An element kind a tail update adds (wrapping for `i64`, as the
+/// interpreter's `+`).
+trait Add: Copy {
+    fn add(self, v: Self) -> Self;
+}
+impl Add for i64 {
+    fn add(self, v: i64) -> i64 {
+        self.wrapping_add(v)
+    }
+}
+impl Add for f64 {
+    fn add(self, v: f64) -> f64 {
+        self + v
+    }
+}
+
+/// `h[g] += v(k)` for every lane `k`; the last lane's loaded and stored
+/// elements and index.
+#[inline(never)]
+fn update<T: Add>(
+    h: &[UnsafeCell<T>],
+    xs: &[i64],
+    sh: Shift,
+    v: impl Fn(usize) -> T,
+) -> Result<(T, T, i64), usize> {
+    let n = xs.len();
+    each_lane(&xs[..n - 1], sh, h.len(), |k, g| {
+        // SAFETY: `each_lane` checked `g` against the array, or proved
+        // it for the whole strip; a plain read-modify-write through the
+        // cell, as the scalar chain's load and store do.
+        unsafe { *h.get_unchecked(g).get() = (*h.get_unchecked(g).get()).add(v(k)) };
+        Some(())
+    })?;
+    let g = sh.index(xs[n - 1], h.len()).ok_or(n - 1)?;
+    // SAFETY: `g` checked on the line above.
+    let cell = unsafe { h.get_unchecked(g).get() };
+    let l = unsafe { *cell };
+    let s = l.add(v(n - 1));
+    unsafe { *cell = s };
+    Ok((l, s, g as i64))
+}
+
+/// `out[cur[g]] = v(x, k); cur[g] += inc` for every lane `k` (`x` its
+/// value); the last lane's cursor before its advance, and index.
+#[inline(never)]
+fn scatter<T: Copy>(
+    cur: &[UnsafeCell<i64>],
+    out: &[UnsafeCell<T>],
+    xs: &[i64],
+    sh: Shift,
+    inc: i64,
+    v: impl Fn(i64, usize) -> T,
+) -> Result<(i64, i64), usize> {
+    // SAFETY: `g` as in `update`; the cursor is checked against `out`
+    // before either store, and both are plain element accesses through
+    // the cells, as the scalar chain's.
+    let lane = |k: usize, g: usize| unsafe {
+        let slot = cur.get_unchecked(g).get();
+        let c = *slot;
+        *out.get(c as usize)?.get() = v(xs[k], k);
+        *slot = c.wrapping_add(inc);
+        Some(c)
+    };
+    let n = xs.len();
+    each_lane(&xs[..n - 1], sh, cur.len(), |k, g| lane(k, g).map(drop))?;
+    let g = sh.index(xs[n - 1], cur.len()).ok_or(n - 1)?;
+    Ok((lane(n - 1, g).ok_or(n - 1)?, g as i64))
 }
 
 /// Execute the variant's loop. `Ok(ran_body)` on normal exit (whether
@@ -1199,6 +1484,19 @@ impl KVal {
             KVal::F(_) => K::Flt,
         }
     }
+    /// The immediate of an operand the kinds pinned to `i64` / `f64`.
+    fn i(self) -> i64 {
+        match self {
+            KVal::I(v) => v,
+            KVal::F(_) => unreachable!("an int operand"),
+        }
+    }
+    fn f(self) -> f64 {
+        match self {
+            KVal::F(v) => v,
+            KVal::I(_) => unreachable!("a float operand"),
+        }
+    }
 }
 
 /// Scalar operand key: real registers are their register number,
@@ -1284,6 +1582,14 @@ impl P {
             P::St { .. } => None,
         }
     }
+    /// The element a load or store touches: `(array, index, offset)`.
+    fn access(&self) -> Option<(Reg, u32, i32)> {
+        match *self {
+            P::Ld { arr, idx, off, .. } => Some((arr, idx, off)),
+            P::St { arr, idx, .. } => Some((arr, idx, 0)),
+            _ => None,
+        }
+    }
 }
 
 /// Array operand info: cell-ness (bound through a `Ptr` slot or held
@@ -1304,6 +1610,14 @@ struct Bld<'f> {
     scalar_regs: HashSet<Reg>,
     arrs: HashMap<Reg, AInfo>,
     aorder: Vec<Reg>,
+    /// `Deref` destinations and the cell each reads: an array use of
+    /// the destination binds the cell instead.
+    alias: HashMap<Reg, Reg>,
+    /// `(destination, cell, in a form B body)` per `Deref`, for the exit
+    /// write-back.
+    derefs: Vec<(Reg, Reg, bool)>,
+    /// Decoding past a form B guard.
+    in_body: bool,
     protos: Vec<P>,
     nscratch: u32,
 }
@@ -1318,6 +1632,9 @@ impl<'f> Bld<'f> {
             scalar_regs: HashSet::new(),
             arrs: HashMap::new(),
             aorder: Vec::new(),
+            alias: HashMap::new(),
+            derefs: Vec::new(),
+            in_body: false,
             protos: Vec::new(),
             nscratch: 0,
         }
@@ -1327,7 +1644,7 @@ impl<'f> Bld<'f> {
     /// used as an array operand (a register serving both roles is a
     /// shape the template cannot bind).
     fn sv(&mut self, r: Reg) -> Option<u32> {
-        if self.arrs.contains_key(&r) {
+        if self.arrs.contains_key(&r) || self.alias.contains_key(&r) {
             return None;
         }
         self.scalar_regs.insert(r);
@@ -1350,8 +1667,15 @@ impl<'f> Bld<'f> {
     }
 
     /// Register `r` as an array operand with the given cell-ness;
-    /// returns its element kind variable.
-    fn av(&mut self, r: Reg, cell: bool) -> Option<u32> {
+    /// returns the register to bind (the cell, for a `Deref`
+    /// destination) and its element kind variable.
+    fn av(&mut self, mut r: Reg, mut cell: bool) -> Option<(Reg, u32)> {
+        if let Some(&c) = self.alias.get(&r) {
+            if cell {
+                return None;
+            }
+            (r, cell) = (c, true);
+        }
         if self.scalar_regs.contains(&r) {
             return None;
         }
@@ -1359,7 +1683,7 @@ impl<'f> Bld<'f> {
             if info.cell != cell {
                 return None;
             }
-            return Some(info.elem);
+            return Some((r, info.elem));
         }
         let elem = self.uf.fresh();
         self.arrs.insert(
@@ -1371,7 +1695,7 @@ impl<'f> Bld<'f> {
             },
         );
         self.aorder.push(r);
-        Some(elem)
+        Some((r, elem))
     }
 
     fn var(&self, key: u32) -> u32 {
@@ -1400,21 +1724,21 @@ impl<'f> Bld<'f> {
     }
 
     /// Decode one body instruction into proto-ops with constraints.
-    /// `false` = unsupported instruction or type conflict: the loop
-    /// stays interpreted.
-    fn decode(&mut self, insn: &Insn) -> bool {
+    /// `Err` names why the loop stays interpreted: `shape` (control
+    /// flow inside the body), `types` (a kind conflict, or a register
+    /// used both as a scalar and as an array), or the opcode no template
+    /// op covers.
+    fn decode(&mut self, insn: &Insn) -> Result<(), String> {
+        // Every constraint failure is a type conflict.
         macro_rules! t {
             ($e:expr) => {
-                match $e {
-                    Some(v) => v,
-                    None => return false,
-                }
+                $e.ok_or("types")?
             };
         }
         macro_rules! c {
             ($e:expr) => {
                 if !$e {
-                    return false;
+                    return Err("types".into());
                 }
             };
         }
@@ -1472,89 +1796,32 @@ impl<'f> Bld<'f> {
                     left: true,
                 });
             }
-            Insn::Index { dst, arr, idx } => {
-                let elem = t!(self.av(arr, false));
-                let d = t!(self.sv(dst));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(d, elem));
-                self.protos.push(P::Ld {
-                    d,
-                    arr,
-                    idx: i,
-                    off: 0,
-                });
+            // A loop-invariant cell read into a register used only as an
+            // array from here on: bind the cell, write the array back on
+            // exit (after any scalar the register held earlier).
+            Insn::Deref { dst, ptr } => {
+                c!(dst != ptr
+                    && !self.arrs.contains_key(&dst)
+                    && self.alias.get(&dst).is_none_or(|&c| c == ptr));
+                t!(self.av(ptr, true));
+                self.alias.insert(dst, ptr);
+                self.derefs.push((dst, ptr, self.in_body));
             }
-            Insn::IndexOff { dst, arr, idx, off } => {
-                let elem = t!(self.av(arr, false));
-                let d = t!(self.sv(dst));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(d, elem));
-                self.protos.push(P::Ld {
-                    d,
-                    arr,
-                    idx: i,
-                    off,
-                });
-            }
-            Insn::DerefIndex { dst, cell, idx } => {
-                let elem = t!(self.av(cell, true));
-                let d = t!(self.sv(dst));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(d, elem));
-                self.protos.push(P::Ld {
-                    d,
-                    arr: cell,
-                    idx: i,
-                    off: 0,
-                });
-            }
+            Insn::Index { dst, arr, idx } => self.load(dst, arr, false, idx, 0)?,
+            Insn::IndexOff { dst, arr, idx, off } => self.load(dst, arr, false, idx, off)?,
+            Insn::DerefIndex { dst, cell, idx } => self.load(dst, cell, true, idx, 0)?,
             Insn::DerefIndexOff {
                 dst,
                 cell,
                 idx,
                 off,
-            } => {
-                let elem = t!(self.av(cell, true));
-                let d = t!(self.sv(dst));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(d, elem));
-                self.protos.push(P::Ld {
-                    d,
-                    arr: cell,
-                    idx: i,
-                    off,
-                });
-            }
-            Insn::IndexSet { arr, idx, src } => {
-                let elem = t!(self.av(arr, false));
-                let i = t!(self.sv(idx));
-                let s = t!(self.sv(src));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(s, elem));
-                self.arrs.get_mut(&arr).unwrap().written = true;
-                self.protos.push(P::St { arr, idx: i, s });
-            }
-            Insn::DerefIndexSet { cell, idx, src } => {
-                let elem = t!(self.av(cell, true));
-                let i = t!(self.sv(idx));
-                let s = t!(self.sv(src));
-                c!(self.setk(i, K::Int));
-                c!(self.uni_v(s, elem));
-                self.arrs.get_mut(&cell).unwrap().written = true;
-                self.protos.push(P::St {
-                    arr: cell,
-                    idx: i,
-                    s,
-                });
-            }
+            } => self.load(dst, cell, true, idx, off)?,
+            Insn::IndexSet { arr, idx, src } => self.store(arr, false, idx, src)?,
+            Insn::DerefIndexSet { cell, idx, src } => self.store(cell, true, idx, src)?,
             Insn::IncElemK { op, arr, idx, k } => {
                 // arr[idx] = arr[idx] op k, load → arith → store.
                 let v = t!(self.kc(k));
-                let elem = t!(self.av(arr, false));
+                let (arr, elem) = t!(self.av(arr, false));
                 let i = t!(self.sv(idx));
                 c!(self.setk(i, K::Int));
                 let tmp = self.scratch();
@@ -1583,12 +1850,57 @@ impl<'f> Bld<'f> {
             Insn::FmaIdx { dst, x, arr, idx } => {
                 // dst = dst + x * arr[idx]; separate mul-then-add
                 // keeps results bit-identical to the unfused pair.
-                let elem = t!(self.av(arr, false));
+                let (arr, elem) = t!(self.av(arr, false));
                 c!(self.fma_tail(dst, x, elem, arr, idx));
             }
-            _ => return false,
+            Insn::BulkLoop { .. } | Insn::TemplateLoop { .. } => return Err("shape".into()),
+            ref other if crate::optimize::jump_target(other).is_some() => {
+                return Err("shape".into())
+            }
+            ref other => {
+                let text = crate::bytecode::insn_text(self.f, other);
+                let op = text.split_whitespace().next().unwrap_or_default();
+                return Err(format!("op `{op}`"));
+            }
         }
-        true
+        Ok(())
+    }
+
+    /// `dst = arr[idx + off]`, with `arr` a cell when `cell`.
+    fn load(
+        &mut self,
+        dst: Reg,
+        arr: Reg,
+        cell: bool,
+        idx: Reg,
+        off: i32,
+    ) -> Result<(), &'static str> {
+        let (arr, elem) = self.av(arr, cell).ok_or("types")?;
+        let d = self.sv(dst).ok_or("types")?;
+        let i = self.sv(idx).ok_or("types")?;
+        if !self.setk(i, K::Int) || !self.uni_v(d, elem) {
+            return Err("types");
+        }
+        self.protos.push(P::Ld {
+            d,
+            arr,
+            idx: i,
+            off,
+        });
+        Ok(())
+    }
+
+    /// `arr[idx] = src`, with `arr` a cell when `cell`.
+    fn store(&mut self, arr: Reg, cell: bool, idx: Reg, src: Reg) -> Result<(), &'static str> {
+        let (arr, elem) = self.av(arr, cell).ok_or("types")?;
+        let i = self.sv(idx).ok_or("types")?;
+        let s = self.sv(src).ok_or("types")?;
+        if !self.setk(i, K::Int) || !self.uni_v(s, elem) {
+            return Err("types");
+        }
+        self.arrs.get_mut(&arr).unwrap().written = true;
+        self.protos.push(P::St { arr, idx: i, s });
+        Ok(())
     }
 
     /// The `FmaIdx` body: `tmp = arr[idx]; tmp2 = x * tmp; dst = dst +
@@ -1654,135 +1966,122 @@ struct MatchOut {
     ninsns: usize,
 }
 
-/// Match a template loop headed at `pc`; `None` leaves the loop alone.
-/// Only a back-edge target can match (see [`loop_heads`]).
-pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Option<(TProg, u32)> {
-    if let Some(r) = match_form_a(f, pc) {
-        return Some(r);
-    }
-    match_form_b(f, pc)
-}
-
-/// Form A: `pc: body...; IncCmpJump -> pc`.
-fn match_form_a(f: &CompiledFn, pc: usize) -> Option<(TProg, u32)> {
-    let n = f.code.len();
-    let mut b = Bld::new(f);
-    let mut j = pc;
-    loop {
-        if j >= n || j - pc >= MAX_INSNS {
-            return None;
-        }
-        if let Insn::IncCmpJump {
-            var,
-            step,
-            limit,
-            op,
-            to,
-        } = f.code[j]
-        {
-            if to as usize != pc {
-                return None;
-            }
-            let exit = j + 1;
-            if exit >= n {
-                return None;
-            }
-            let kv = b.sv(var)?;
-            if !b.setk(kv, K::Int) {
-                return None;
-            }
-            let kl = b.sv(limit)?;
-            if !b.setk(kl, K::Int) {
-                return None;
-            }
-            let m = MatchOut {
-                form: FormMeta::A {
-                    var,
-                    step: step as i64,
-                    lim: limit,
-                    cmp: op,
-                },
-                ninsns: j + 1 - pc,
-            };
-            let prog = emit(b, m)?;
-            return Some((prog, exit as u32));
-        }
-        if !b.decode(&f.code[j]) {
-            return None;
-        }
-        j += 1;
+/// Match a template loop headed at `pc`, or say why it stays
+/// interpreted (`Err`, the `kernel-missed` note's template half): the
+/// decoder's refusal, [`emit_one`]'s, `shape` when no back-edge closes a
+/// single block at `pc`, or `length` past [`MAX_INSNS`]. Only a
+/// back-edge target can match (see [`loop_heads`]).
+pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String> {
+    // The first back-edge to `pc` closes the loop and names its form.
+    let close = (pc..f.code.len()).find(|&j| {
+        matches!(f.code[j], Insn::IncCmpJump { to, .. } | Insn::IncJump { to, .. } if to as usize == pc)
+    });
+    match close {
+        Some(j) if j - pc >= MAX_INSNS => Err("length".into()),
+        Some(j) if matches!(f.code[j], Insn::IncCmpJump { .. }) => match_form_a(f, pc, j),
+        Some(j) => match_form_b(f, pc, j),
+        None => Err("shape".into()),
     }
 }
 
-/// Form B: `pc: head...; CmpJumpFalse -> exit; body...; IncJump -> pc`.
-fn match_form_b(f: &CompiledFn, pc: usize) -> Option<(TProg, u32)> {
-    let n = f.code.len();
-    let mut b = Bld::new(f);
-    let mut j = pc;
-    let (ga, gb, gcmp, exit) = loop {
-        if j >= n || j - pc >= MAX_INSNS {
-            return None;
-        }
-        match f.code[j] {
-            Insn::CmpJumpFalse { op, a, b: rb, to } => break (a, rb, op, to),
-            ref insn => {
-                if !b.decode(insn) {
-                    return None;
-                }
-                j += 1;
-            }
-        }
+/// Form A: `pc: body...; IncCmpJump -> pc` at `j`.
+fn match_form_a(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), String> {
+    let Insn::IncCmpJump {
+        var,
+        step,
+        limit,
+        op,
+        ..
+    } = f.code[j]
+    else {
+        unreachable!("the caller found the back-edge")
     };
-    let ka = b.sv(ga)?;
-    let kb = b.sv(gb)?;
+    let exit = j + 1;
+    if exit >= f.code.len() {
+        return Err("shape".into());
+    }
+    let mut b = Bld::new(f);
+    for insn in &f.code[pc..j] {
+        b.decode(insn)?;
+    }
+    let kv = b.sv(var).ok_or("types")?;
+    let kl = b.sv(limit).ok_or("types")?;
+    if !b.setk(kv, K::Int) || !b.setk(kl, K::Int) {
+        return Err("types".into());
+    }
+    let m = MatchOut {
+        form: FormMeta::A {
+            var,
+            step: step as i64,
+            lim: limit,
+            cmp: op,
+        },
+        ninsns: j + 1 - pc,
+    };
+    Ok((emit(b, m)?, exit as u32))
+}
+
+/// Form B: `pc: head...; CmpJumpFalse -> exit; body...; IncJump -> pc`
+/// at `j`.
+fn match_form_b(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), String> {
+    let Insn::IncJump { var, step, .. } = f.code[j] else {
+        unreachable!("the caller found the back-edge")
+    };
+    let guard = (pc..j).find(|&g| matches!(f.code[g], Insn::CmpJumpFalse { .. }));
+    let Some((
+        g,
+        Insn::CmpJumpFalse {
+            op,
+            a: ga,
+            b: gb,
+            to: exit,
+        },
+    )) = guard.map(|g| (g, f.code[g]))
+    else {
+        return Err("shape".into());
+    };
+    // The guard must jump forward past the back-edge (the loop exit);
+    // anything else is not a single-block loop.
+    if exit as usize <= j || exit as usize >= f.code.len() {
+        return Err("shape".into());
+    }
+    let mut b = Bld::new(f);
+    for insn in &f.code[pc..g] {
+        b.decode(insn)?;
+    }
+    let ka = b.sv(ga).ok_or("types")?;
+    let kb = b.sv(gb).ok_or("types")?;
     if !b.uni(ka, kb) {
-        return None;
+        return Err("types".into());
     }
     let nhead = b.protos.len();
-    j += 1;
-    loop {
-        if j >= n || j - pc >= MAX_INSNS {
-            return None;
-        }
-        if let Insn::IncJump { var, step, to } = f.code[j] {
-            if to as usize != pc {
-                return None;
-            }
-            // The guard must jump forward past the back-edge (the
-            // loop exit); anything else is not a single-block loop.
-            if exit as usize <= j || exit as usize >= n {
-                return None;
-            }
-            let kv = b.sv(var)?;
-            if !b.setk(kv, K::Int) {
-                return None;
-            }
-            let m = MatchOut {
-                form: FormMeta::B {
-                    var,
-                    step: step as i64,
-                    nhead,
-                    ga,
-                    gb,
-                    cmp: gcmp,
-                },
-                ninsns: j + 1 - pc,
-            };
-            let prog = emit(b, m)?;
-            return Some((prog, exit));
-        }
-        if !b.decode(&f.code[j]) {
-            return None;
-        }
-        j += 1;
+    b.in_body = true;
+    for insn in &f.code[g + 1..j] {
+        b.decode(insn)?;
     }
+    let kv = b.sv(var).ok_or("types")?;
+    if !b.setk(kv, K::Int) {
+        return Err("types".into());
+    }
+    let m = MatchOut {
+        form: FormMeta::B {
+            var,
+            step: step as i64,
+            nhead,
+            ga,
+            gb,
+            cmp: op,
+        },
+        ninsns: j + 1 - pc,
+    };
+    Ok((emit(b, m)?, exit))
 }
 
 // ---------------------------------------------------------------------------
 // Emission: kinds → slots → ops
 // ---------------------------------------------------------------------------
 
-fn emit(mut b: Bld, m: MatchOut) -> Option<TProg> {
+fn emit(mut b: Bld, m: MatchOut) -> Result<TProg, String> {
     // Any unresolved kind group? Then emit both an all-Int and an
     // all-Flt resolution and let the runtime bind pick (a loop mixing
     // two *different* unknown groups fails both binds and stays
@@ -1806,25 +2105,32 @@ fn emit(mut b: Bld, m: MatchOut) -> Option<TProg> {
         &[K::Int]
     };
     let mut variants = Vec::new();
+    let mut refusal = "";
     for &unk in resolutions {
-        if let Some(v) = emit_one(&mut b, &m, unk) {
-            variants.push(v);
+        match emit_one(&mut b, &m, unk) {
+            Ok(v) => variants.push(v),
+            Err(why) if refusal.is_empty() => refusal = why,
+            Err(_) => {}
         }
     }
     if variants.is_empty() {
-        return None;
+        return Err(refusal.into());
     }
     let ind = match m.form {
         FormMeta::A { var, .. } | FormMeta::B { var, .. } => var,
     };
-    Some(TProg {
+    Ok(TProg {
         variants,
         ind,
         ninsns: m.ninsns,
     })
 }
 
-fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
+/// One variant under the kind resolution `unk`, or why there is none:
+/// `slots` / `arrays` (more scalars or arrays of a kind than a frame
+/// holds), `fallible-after-store` (a check that could fail after the
+/// iteration's first store, which the replay could not undo).
+fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str> {
     // Kind per scalar key / array under this resolution.
     let mut skind: HashMap<u32, K> = HashMap::new();
     for &key in &b.sorder.clone() {
@@ -1861,7 +2167,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         slot.insert(key, s);
     }
     if ni as usize > NSLOT || nf as usize > NSLOT {
-        return None;
+        return Err("slots");
     }
     let mut aslot: HashMap<Reg, u16> = HashMap::new();
     let (mut nai, mut naf) = (0u16, 0u16);
@@ -1879,7 +2185,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         aslot.insert(r, s);
     }
     if nai as usize > NARR || naf as usize > NARR {
-        return None;
+        return Err("arrays");
     }
     // First-iteration read-before-write analysis over the execution
     // order decides which registers must be bound at entry.
@@ -1963,33 +2269,23 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
     let mut ops = Vec::with_capacity(b.protos.len());
     let mut prelude = Vec::new();
     let mut nhead_hoisted = 0usize;
-    let mut nhead_fused = 0usize;
     let mut fallible = false;
     let mut seen_store = false;
-    let mut skip = false;
+    // Elements this iteration has already bounds-checked, as `(array,
+    // index, offset)`, until the index register is redefined: arrays
+    // never change length, so checking one again cannot fail.
+    let mut checked: Vec<(Reg, u32, i32)> = Vec::new();
     for (i, p) in b.protos.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        // Multiply + dependent add fuse into one dispatch — but never
-        // across the Form B head/guard boundary, where the guard
-        // evaluation runs between the two halves.
-        if i + 1 != nhead_protos {
-            if let Some(fop) = b
-                .protos
-                .get(i + 1)
-                .and_then(|next| fuse(p, next, &skind, &slot))
-            {
-                ops.push(fop);
-                skip = true;
-                if i + 1 < nhead_protos {
-                    nhead_fused += 1;
-                }
-                continue;
-            }
+        let repeat = p.access().is_some_and(|a| {
+            let seen = checked.contains(&a);
+            checked.push(a);
+            seen
+        });
+        if let Some(d) = p.write() {
+            checked.retain(|&(_, idx, _)| idx != d);
         }
         let (op, _, op_fallible, is_store) = lower(p, &skind, &akind, &slot, &aslot);
+        let op_fallible = op_fallible && !repeat;
         if hoisted[i] {
             prelude.push(op);
             if i < nhead_protos {
@@ -2002,7 +2298,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         // own bounds check fires before it writes, so the first
         // store itself is fine.
         if seen_store && op_fallible {
-            return None;
+            return Err("fallible-after-store");
         }
         seen_store |= is_store;
         fallible |= op_fallible;
@@ -2058,6 +2354,18 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
             snap.push((flt, s));
         }
     }
+    for &(reg, cell, in_body) in &b.derefs {
+        let slot = aslot[&cell];
+        let out = match akind[&cell] {
+            K::Int => Out::ArrI { reg, slot },
+            _ => Out::ArrF { reg, slot },
+        };
+        if in_body {
+            outs_body.push(out);
+        } else {
+            outs.push(out);
+        }
+    }
     // Write fences per stored-into array slot.
     let mut wf_i = Vec::new();
     let mut wf_f = Vec::new();
@@ -2093,12 +2401,11 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         } => {
             // nhead counts protos, which map 1:1 onto emitted ops in
             // order (lower() emits exactly one op per proto), minus
-            // the head constants hoisted into the prelude and one per
-            // mul+add pair fused into a single op.
+            // the head constants hoisted into the prelude.
             Shape::HeadGuard {
                 ind: slot[&(var as u32)],
                 step,
-                nhead: (nhead - nhead_hoisted - nhead_fused) as u16,
+                nhead: (nhead - nhead_hoisted) as u16,
                 ga: slot[&(ga as u32)],
                 gb: slot[&(gb as u32)],
                 gflt: skind[&(ga as u32)] != K::Int,
@@ -2119,7 +2426,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Option<TVariant> {
         &write_count,
         &hoisted,
     );
-    Some(TVariant {
+    Ok(TVariant {
         strip,
         binds,
         prelude,
@@ -2148,6 +2455,58 @@ struct Kinds<'m> {
 /// over columns (a key no register or scratch temporary can have).
 const DEF: u32 = u32::MAX;
 
+/// A gathered-update tail over keys, before columns and slots exist
+/// (see [`Tail`]): the index `g`, the value `v` (a key, or an update's
+/// immediate), and the keys the tail defines.
+struct TailP {
+    g: u32,
+    v: Result<u32, KVal>,
+    loaded: Vec<u32>,
+    stored: u32,
+    form: FormP,
+}
+
+enum FormP {
+    Update { h: Reg },
+    Cursor { cur: Reg, out: Reg, k: i64 },
+}
+
+impl TailP {
+    /// Recognise `t` (the iteration's suffix) as `h[g] += v` or
+    /// `out[cur[g]] = v; cur[g] += k`, with `g` and `v` from the head.
+    #[rustfmt::skip]
+    fn decode(t: &[P]) -> Option<TailP> {
+        use P::{BinK, Ld, St};
+        let tail = match *t {
+            [Ld { d: x, arr: h, idx: g, off: 0 }, add, St { arr, idx, s: y }] if (arr, idx) == (h, g) => {
+                let v = match add {
+                    P::Bin { op: ArithOp::Add, d, a, b } if (d, a) == (y, x) => Ok(b),
+                    BinK { op: ArithOp::Add, d, a, v, left: false } if (d, a) == (y, x) => Err(v),
+                    _ => return None,
+                };
+                TailP { g, v, loaded: vec![x], stored: y, form: FormP::Update { h } }
+            }
+            [Ld { d: c, arr: cur, idx: g, off: 0 }, St { arr: out, idx, s: v },
+             Ld { d: x, arr: cur2, idx: g2, off: 0 },
+             BinK { op: ArithOp::Add, d: y, a, v: KVal::I(k), left: false }, St { arr: cur3, idx: g3, s }]
+                if (idx, cur2, cur3, g2, g3, a, s) == (c, cur, cur, g, g, x, y) && out != cur =>
+            {
+                TailP { g, v: Ok(v), loaded: vec![c, x], stored: y, form: FormP::Cursor { cur, out, k } }
+            }
+            _ => return None,
+        };
+        // `g` is read throughout, `v` before anything but the first load.
+        let early = tail.v.is_ok_and(|v| v == tail.loaded[0]);
+        (!tail.defs().contains(&tail.g) && !early).then_some(tail)
+    }
+
+    fn defs(&self) -> Vec<u32> {
+        let mut defs = self.loaded.clone();
+        defs.push(self.stored);
+        defs
+    }
+}
+
 /// Decide whether the loop may run strip-mined, and if so re-lower it
 /// over columns. The strip walk distributes the loop over its ops, so
 /// it is legal only when no value flows from one iteration to a later
@@ -2159,8 +2518,25 @@ const DEF: u32 = u32::MAX;
 ///   must be a single-op accumulator (`a = a ⊕ t`) nothing else reads.
 /// - `non-affine-store` / `memory-dependence`: an array the loop
 ///   stores into is accessed only at the induction variable itself, so
-///   each iteration owns one element of it.
+///   each iteration owns one element of it — or only by a gathered
+///   update, below.
 /// - `columns`: the expanded scalars must fit the per-thread scratch.
+///
+/// *Gathered-update tail.* The suffix of the iteration from the first
+/// op that touches an array stored at an index `g` other than the
+/// induction variable may be `h[g] = h[g] ⊕ v` (an array reduction) or
+/// `out[cur[g]] = v; cur[g] += k` (a memory-carried cursor), with `g`
+/// and `v` computed by the rest of the iteration, the head (or loop
+/// invariant). In the terms of Kruse and Finkel's loop-transformation
+/// pragmas, the strip loop is then distributed into the head, whose
+/// iterations are independent, and the tail, which keeps its original
+/// iteration order; the only reordering is that lane k+1's head runs
+/// before lane k's tail. That is legal when the head carries no scalar
+/// (`carried-scalar`), touches no array of the tail
+/// (`memory-dependence`) and stores nothing (the tail begins with a
+/// checked load, which no template puts after a store), and — checked
+/// at bind — no two bound arrays are one. Any other suffix stays
+/// `non-affine-store`.
 ///
 /// `Err` carries the first rule broken; that variant keeps the scalar
 /// chain.
@@ -2220,12 +2596,40 @@ fn plan_strip(
         }
         cur.insert(key, ACC | kinds.slot[&key]);
     }
-    for p in &b.protos {
-        if matches!(*p, P::St { idx, .. } if idx != var) {
-            return Err("non-affine-store");
+    let body: Vec<P> = (b.protos.iter().zip(hoisted))
+        .filter(|(_, &h)| !h)
+        .map(|(p, _)| *p)
+        .collect();
+    let gathered: Vec<Reg> = (body.iter())
+        .filter_map(|p| match *p {
+            P::St { arr, idx, .. } if idx != var => Some(arr),
+            _ => None,
+        })
+        .collect();
+    let split = (body.iter())
+        .position(|p| p.access().is_some_and(|(arr, ..)| gathered.contains(&arr)))
+        .unwrap_or(body.len());
+    let (head, tail) = body.split_at(split);
+    let tail = match tail {
+        [] => None,
+        t => Some(TailP::decode(t).ok_or("non-affine-store")?),
+    };
+    if let Some(t) = &tail {
+        if cur.values().any(|c| c & ACC != 0) {
+            return Err("carried-scalar");
+        }
+        // `emit_one` refuses a check after a store, and the tail begins
+        // with one.
+        debug_assert!(!head.iter().any(|p| matches!(p, P::St { .. })));
+        let arrays = match t.form {
+            FormP::Update { h } => vec![h],
+            FormP::Cursor { cur, out, .. } => vec![cur, out],
+        };
+        if (head.iter()).any(|p| p.access().is_some_and(|(arr, ..)| arrays.contains(&arr))) {
+            return Err("memory-dependence");
         }
     }
-    for p in &b.protos {
+    for p in head {
         if matches!(*p, P::Ld { arr, idx, off, .. } if b.arrs[&arr].written && (idx != var || off != 0))
         {
             return Err("memory-dependence");
@@ -2233,7 +2637,7 @@ fn plan_strip(
     }
     let mut skind = kinds.skind.clone();
     let mut ncols = [1usize, 0];
-    let mut fresh = |flt: bool| {
+    let fresh = |ncols: &mut [usize; 2], flt: bool| {
         let n = &mut ncols[flt as usize];
         *n += 1;
         (*n <= MAX_COLS).then_some(*n as u16 - 1).ok_or("columns")
@@ -2245,22 +2649,68 @@ fn plan_strip(
         bcast: Vec::new(),
         iota: false,
         last: Vec::new(),
+        tail: None,
     };
-    let mut defined: HashSet<u32> = HashSet::new();
-    for (p, _) in b.protos.iter().zip(hoisted).filter(|(_, &h)| !h) {
-        // A key with no column yet was not defined earlier in the
-        // iteration and is not carried, so it is loop-invariant.
-        let mut invariant = Vec::new();
-        p.reads(|r| {
-            if !cur.contains_key(&r) && !invariant.contains(&r) {
-                invariant.push(r);
+    // The column of `key` as read here: a key with no column yet was
+    // not defined earlier in the iteration and is not carried, so it is
+    // loop-invariant and gets a broadcast one.
+    let col = |key: u32, cur: &mut HashMap<u32, u16>, plan: &mut StripPlan, ncols: &mut _| {
+        if let Some(&c) = cur.get(&key) {
+            return Ok(c);
+        }
+        let flt = kinds.skind[&key] != K::Int;
+        let c = fresh(ncols, flt)?;
+        cur.insert(key, c);
+        plan.bcast.push((flt, kinds.slot[&key], c));
+        Ok::<u16, &'static str>(c)
+    };
+    // A head that is nothing but a key load `x = a[i]` (step 1), copies
+    // of the key and at most one division of it by an invariant for the
+    // index: the tail does all of that itself, lane by lane, in one pass.
+    // The chain is the registers that hold the key.
+    let keyload = tail.as_ref().filter(|_| step == 1).and_then(|t| {
+        let P::Ld { d, arr, idx, off } = *head.first()? else {
+            return None;
+        };
+        let (mut chain, mut div) = (vec![d], None);
+        for p in &head[1..] {
+            match *p {
+                P::Mov { d, s } if div.is_none() && chain.contains(&s) => chain.push(d),
+                P::Bin {
+                    op: ArithOp::Div,
+                    d,
+                    a,
+                    b,
+                } if div.is_none()
+                    && d == t.g
+                    && chain.contains(&a)
+                    && !write_count.contains_key(&b) =>
+                {
+                    div = Some(b)
+                }
+                _ => return None,
             }
-        });
-        for r in invariant {
-            let flt = skind[&r] != K::Int;
-            let c = fresh(flt)?;
-            cur.insert(r, c);
-            plan.bcast.push((flt, kinds.slot[&r], c));
+        }
+        // An update reads its value from a column, which this head
+        // no longer fills.
+        let value_ok =
+            matches!(t.form, FormP::Cursor { .. }) || t.v.map_or(true, |v| !chain.contains(&v));
+        let src = Src::Load {
+            arr: kinds.aslot[&arr],
+            off: off as i64,
+        };
+        (idx == var
+            && kinds.akind[&arr] == K::Int
+            && (div.is_some() || chain.contains(&t.g))
+            && value_ok)
+            .then_some((src, chain, div))
+    });
+    let mut defined: HashSet<u32> = HashSet::new();
+    for p in head.iter().filter(|_| keyload.is_none()) {
+        let mut reads = Vec::new();
+        p.reads(|r| reads.push(r));
+        for r in reads {
+            col(r, &mut cur, &mut plan, &mut ncols)?;
         }
         plan.iota |= match *p {
             P::Ld { .. } => false,
@@ -2280,7 +2730,7 @@ fn plan_strip(
             Some(d) => {
                 let kind = skind[&d];
                 skind.insert(DEF, kind);
-                cur.insert(DEF, fresh(kind != K::Int)?);
+                cur.insert(DEF, fresh(&mut ncols, kind != K::Int)?);
                 p.retarget(DEF)
             }
             None => *p,
@@ -2292,92 +2742,79 @@ fn plan_strip(
             defined.insert(d);
         }
     }
+    let mut tail_defs = Vec::new();
+    if let Some(t) = tail {
+        tail_defs = t.defs();
+        let slot = |key: u32| kinds.slot[&key];
+        plan.iota |= t.v.ok() == Some(var);
+        let (src, chain, div) = match keyload {
+            Some(fused) => fused,
+            None => (
+                Src::Col(col(t.g, &mut cur, &mut plan, &mut ncols)?),
+                Vec::new(),
+                None,
+            ),
+        };
+        let (form, flt) = match (t.form, t.v) {
+            (FormP::Update { h }, v) => {
+                let v = match v {
+                    Ok(key) => Ok(col(key, &mut cur, &mut plan, &mut ncols)?),
+                    Err(k) => Err(k),
+                };
+                let h_slot = kinds.aslot[&h];
+                (TailForm::Update { h: h_slot, v }, kinds.akind[&h] != K::Int)
+            }
+            (FormP::Cursor { cur: c, out, k }, v) => {
+                let v = match v {
+                    Ok(v) if chain.contains(&v) => src,
+                    Ok(v) => Src::Col(col(v, &mut cur, &mut plan, &mut ncols)?),
+                    Err(_) => unreachable!("a scatter stores a register"),
+                };
+                let (cur, out_slot) = (kinds.aslot[&c], kinds.aslot[&out]);
+                (
+                    TailForm::Cursor {
+                        cur,
+                        out: out_slot,
+                        v,
+                        k,
+                    },
+                    kinds.akind[&out] != K::Int,
+                )
+            }
+        };
+        let div = div.map(|d| (slot(d), slot(t.g)));
+        if div.is_some() {
+            tail_defs.push(t.g);
+        }
+        // The chain's registers the tail does not redefine end holding
+        // the last key.
+        let mut keys = Vec::new();
+        for k in chain {
+            if !tail_defs.contains(&k) {
+                keys.push(slot(k));
+                tail_defs.push(k);
+            }
+        }
+        plan.tail = Some(Tail {
+            src,
+            div,
+            keys,
+            loaded: t.loaded.iter().map(|&k| slot(k)).collect(),
+            stored: slot(t.stored),
+            flt,
+            form,
+        });
+    }
     for &key in b
         .sorder
         .iter()
-        .filter(|k| **k < SCRATCH0 && defined.contains(k))
+        .filter(|k| **k < SCRATCH0 && defined.contains(k) && !tail_defs.contains(k))
     {
         plan.last
             .push((skind[&key] != K::Int, kinds.slot[&key], cur[&key]));
     }
     [plan.ni, plan.nf] = ncols;
     Ok(plan)
-}
-
-/// Peephole fusion: a multiply immediately followed by the add that
-/// consumes its product collapses into one fused dispatch. The fused
-/// op still writes the product slot, so the read-before-write
-/// analysis, binds, and write-backs computed over the unfused protos
-/// stay exact — only the per-iteration dispatch disappears. Both
-/// halves are infallible (int mul/add wrap, they cannot bail), so the
-/// replay contract is untouched, and floats round in two separate
-/// steps, bit-identical to the unfused pair.
-fn fuse(p1: &P, p2: &P, skind: &HashMap<u32, K>, slot: &HashMap<u32, u16>) -> Option<TOp> {
-    let t = p1.write()?;
-    let (d2, x, y) = match *p2 {
-        P::Bin {
-            op: ArithOp::Add,
-            d,
-            a,
-            b,
-        } => (d, a, b),
-        _ => return None,
-    };
-    let other = if x == t {
-        y
-    } else if y == t {
-        x
-    } else {
-        return None;
-    };
-    let int = skind[&t] == K::Int;
-    if skind[&other] != skind[&t] || skind[&d2] != skind[&t] {
-        return None;
-    }
-    let mut op = TOp {
-        f: mov_i.one,
-        a: slot[&d2],
-        b: slot[&other],
-        c: 0,
-        off: slot[&t] as i64,
-        ki: 0,
-        kf: 0.0,
-    };
-    match *p1 {
-        P::Bin {
-            op: ArithOp::Mul,
-            a,
-            b,
-            ..
-        } => {
-            op.c = slot[&a];
-            op.ki = slot[&b] as i64;
-            op.f = if int { fma_ii } else { fma_ff };
-        }
-        P::BinK {
-            op: ArithOp::Mul,
-            a,
-            v,
-            ..
-        } => {
-            if int != matches!(v, KVal::I(_)) {
-                return None;
-            }
-            op.c = slot[&a];
-            match v {
-                KVal::I(k) => {
-                    op.ki = k;
-                    op.f = fmak_i;
-                }
-                KVal::F(k) => {
-                    op.kf = k;
-                    op.f = fmak_f;
-                }
-            }
-        }
-        _ => return None,
-    }
-    Some(op)
 }
 
 /// Lower one proto-op under a kind resolution. Returns the op, its
@@ -2545,7 +2982,7 @@ pub(crate) fn install_fn(f: &mut CompiledFn) {
         if !head || covered(pc) {
             continue;
         }
-        let Some((prog, exit)) = match_at(f, pc) else {
+        let Ok((prog, exit)) = match_at(f, pc) else {
             continue;
         };
         let tidx = f.templates.len() as u16;
@@ -3011,20 +3448,55 @@ mod tests {
             ),
             "scalar: carried-scalar"
         );
-        // `h[key[i]] += 1`: the histogram.
+        // `h[key[i]] += 1`: the histogram, a gathered update.
+        let key = Insn::Index {
+            dst: 3,
+            arr: 1,
+            idx: 2,
+        };
+        let bump = Insn::IncElemK {
+            op: ArithOp::Add,
+            arr: 4,
+            idx: 3,
+            k: 0,
+        };
+        assert_eq!(
+            verdict(
+                vec![key, bump, back_edge(2, 0, 0), Insn::RetVoid],
+                vec![Value::Int(1)],
+                5
+            ),
+            "strip"
+        );
+        // `y[i] = 1; h[key[i]] += 1`: the update's load could fail after
+        // the store, so no template takes the loop at all.
+        let one = Insn::Const { dst: 5, k: 0 };
+        let fill = Insn::IndexSet {
+            arr: 6,
+            idx: 2,
+            src: 5,
+        };
+        let code = vec![one, fill, key, bump, back_edge(2, 0, 0), Insn::RetVoid];
+        let f = mk(code, vec![Value::Int(1)], 7);
+        assert_eq!(
+            match_at(&f, 0).err().as_deref(),
+            Some("fallible-after-store")
+        );
+        // `a[i + 1] = a[i]`: a store past the induction variable.
         assert_eq!(
             verdict(
                 vec![
-                    Insn::Index {
-                        dst: 3,
-                        arr: 1,
-                        idx: 2
-                    },
-                    Insn::IncElemK {
+                    key,
+                    Insn::ArithK {
                         op: ArithOp::Add,
-                        arr: 4,
-                        idx: 3,
+                        dst: 4,
+                        a: 2,
                         k: 0
+                    },
+                    Insn::IndexSet {
+                        arr: 1,
+                        idx: 4,
+                        src: 3
                     },
                     back_edge(2, 0, 0),
                     Insn::RetVoid
@@ -3160,7 +3632,7 @@ mod tests {
             for f in &image.funcs {
                 let heads = loop_heads(&f.code);
                 for (pc, head) in heads.into_iter().enumerate() {
-                    if match_at(f, pc).is_none() {
+                    if match_at(f, pc).is_err() {
                         continue;
                     }
                     assert!(head, "{path}: fn `{}` matched at pc {pc}", f.name);

@@ -132,23 +132,18 @@ macro_rules! shared_array {
                 Ok(())
             }
 
-            /// Bracket a raw bulk write (a kernel storing through
-            /// [`Self::cells`]) so concurrent/later [`Self::range_hint`]
-            /// scans can't cache a stale range. Returns whether the
-            /// stamp was bumped; pass that to [`Self::write_fence_end`]
-            /// (tracking may activate mid-kernel, and the end bump must
-            /// pair with the begin bump to keep the stamp even).
-            pub(crate) fn write_fence_begin(&self) -> bool {
+            /// Bracket a raw bulk write (a kernel or template storing
+            /// through [`Self::cells`]) so concurrent/later
+            /// [`Self::range_hint`] scans can't cache a stale range. The
+            /// fence stays open while the guard lives and closes when it
+            /// drops, on unwinding too.
+            pub(crate) fn write_fence(&self) -> WriteFence<'_> {
                 let tracked = self.stamp.load(Ordering::Relaxed) != 0;
                 if tracked {
                     self.stamp.fetch_add(1, Ordering::Release);
                 }
-                tracked
-            }
-
-            pub(crate) fn write_fence_end(&self, bumped: bool) {
-                if bumped {
-                    self.stamp.fetch_add(1, Ordering::Release);
+                WriteFence {
+                    bumped: tracked.then_some(&self.stamp),
                 }
             }
 
@@ -226,6 +221,25 @@ macro_rules! shared_array {
             }
         }
     };
+}
+
+/// An open write fence on one array ([`ArrI::write_fence`],
+/// [`ArrF::write_fence`]): the array's write seqlock stays odd, so no
+/// range hint is taken or trusted while raw stores are in flight, until
+/// the guard drops.
+pub(crate) struct WriteFence<'a> {
+    /// The stamp bumped on open, or `None` when tracking was inactive
+    /// (tracking may activate while the fence is open; the closing bump
+    /// must pair with an opening one to keep the stamp even).
+    bumped: Option<&'a AtomicU64>,
+}
+
+impl Drop for WriteFence<'_> {
+    fn drop(&mut self) {
+        if let Some(stamp) = self.bumped {
+            stamp.fetch_add(1, Ordering::Release);
+        }
+    }
 }
 
 shared_array!(ArrF, f64, 0.0);
@@ -566,15 +580,30 @@ mod tests {
             "tracking active and quiescent"
         );
         // Bulk-write fence held open: the hint must refuse to scan.
-        let bumped = a.write_fence_begin();
-        assert!(bumped);
+        let fence = a.write_fence();
         assert_eq!(a.range_hint(), None, "in-flight write must hide the hint");
-        a.write_fence_end(bumped);
+        drop(fence);
         assert_eq!(a.range_hint(), Some((0, 7)));
         // Tracked set() leaves the stamp even and the hint fresh.
         a.set(1, -3).unwrap();
         assert_eq!(a.stamp.load(Ordering::Relaxed) % 2, 0);
         assert_eq!(a.range_hint(), Some((-3, 7)));
+    }
+
+    /// A panic while a fence is open (a kernel or template unwinding out
+    /// of `Vm::dispatch`) still closes it: the hint comes back.
+    #[test]
+    fn write_fence_closes_on_unwind() {
+        let a = ArrI::new(4);
+        a.set(2, 9).unwrap();
+        assert_eq!(a.range_hint(), Some((0, 9)));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _fence = a.write_fence();
+            panic!("unwinding with a write fence open");
+        }));
+        assert!(r.is_err());
+        assert_eq!(a.stamp.load(Ordering::Relaxed) % 2, 0);
+        assert_eq!(a.range_hint(), Some((0, 9)));
     }
 
     /// A concurrent writer never lets a reader cache a range that

@@ -1444,14 +1444,26 @@ fn template_verdicts(src: &str) -> Vec<String> {
         .collect()
 }
 
-/// Four worksharing loops the template tier runs strip-mined — a float
+/// Five worksharing loops the template tier runs strip-mined — a float
 /// stencil, a descending loop and a stride-3 loop that use the induction
-/// variable as a value, and a wrapping `i64` reduction — then serial
-/// checksums, one a float sum whose value depends on the order of its
-/// additions.
+/// variable as a value, a wrapping `i64` reduction and a histogram into
+/// private counts — then, under `single`, gathered updates into shared
+/// arrays (an int and a float histogram and a counting-sort scatter
+/// through a shared cursor), a private float histogram, and serial
+/// checksums, the float ones depending on the order of their additions.
+/// The histogram keys `w[k]` lie in `-15..65`, so `w[k] / 16` must
+/// truncate toward zero to stay in bounds.
 fn strip_program(n: i64, threads: i64, sched: &str) -> String {
     format!(
-        "fn fsum(v: []f64, u: []f64, n: i64) f64 {{
+        "fn fhist(w: []i64, u: []f64, n: i64) f64 {{
+    var lf: []f64 = @allocF(5);
+    var m: i64 = 0;
+    while (m < n) : (m += 1) {{
+        lf[w[m] / 16] += u[m];
+    }}
+    return lf[0] + lf[1] * 3.0 + lf[2] * 5.0 + lf[3] * 7.0 + lf[4] * 11.0;
+}}
+fn fsum(v: []f64, u: []f64, n: i64) f64 {{
     var s: f64 = 0.0;
     var m: i64 = 0;
     while (m < n) : (m += 1) {{
@@ -1478,13 +1490,23 @@ fn main() void {{
     var x: []i64 = @allocI(n + 2);
     var y: []i64 = @allocI(n + 2);
     var z: []i64 = @allocI(n + 2);
+    var w: []i64 = @allocI(n + 2);
+    var hs: []i64 = @allocI(5);
+    var hf: []f64 = @allocF(5);
+    var cur: []i64 = @allocI(5);
+    var buff: []i64 = @allocI(5 * (n + 2));
     var k: i64 = 0;
     while (k < n + 2) : (k += 1) {{
         u[k] = @intToFloat(k * 37 % 101) * 0.173 + 0.01;
         x[k] = (k % 31 - 15) * 1000003;
+        w[k] = k * 7 % 80 - 15;
+    }}
+    k = 0;
+    while (k < 5) : (k += 1) {{
+        cur[k] = k * (n + 2);
     }}
     var acc: i64 = 0;
-    //$omp parallel num_threads({threads}) shared(u, v, x, y, z) firstprivate(n) reduction(+: acc)
+    //$omp parallel num_threads({threads}) shared(u, v, x, y, z, w, hs, hf, cur, buff) firstprivate(n) reduction(+: acc)
     {{
         var i: i64 = 1;
         //$omp while {sched} nowait
@@ -1502,12 +1524,39 @@ fn main() void {{
             z[s] = x[s] * s;
         }}
         var j: i64 = 0;
-        //$omp while {sched}
+        //$omp while {sched} nowait
         while (j < n) : (j += 1) {{
             acc = acc + x[j] * x[j] * 4611686018427;
         }}
+        var lh: []i64 = @allocI(5);
+        var j2: i64 = 0;
+        //$omp while {sched}
+        while (j2 < n) : (j2 += 1) {{
+            lh[w[j2] / 16] += 1;
+        }}
+        acc = acc + lh[0] + lh[1] * 3 + lh[2] * 5 + lh[3] * 7 + lh[4] * 11;
+        //$omp single
+        {{
+            var j3: i64 = 0;
+            while (j3 < n) : (j3 += 1) {{
+                hs[w[j3] / 16] += 1;
+            }}
+            j3 = 0;
+            while (j3 < n) : (j3 += 1) {{
+                hf[w[j3] / 16] += u[j3];
+            }}
+            j3 = 0;
+            while (j3 < n) : (j3 += 1) {{
+                var key: i64 = w[j3] + 15;
+                var b: i64 = key / 16;
+                buff[cur[b]] = key;
+                cur[b] = cur[b] + 1;
+            }}
+        }}
     }}
     print(acc, fsum(v, u, n), isum(y, n), isum(z, n), v[n], y[0]);
+    print(isum(hs, 5), hf[0], hf[1], hf[2], hf[3], hf[4], fhist(w, u, n));
+    print(isum(cur, 5), isum(buff, 5 * (n + 2)));
 }}"
     )
 }
@@ -1520,8 +1569,10 @@ fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
     let verdicts = template_verdicts(&strip_program(5, 2, "schedule(static)"));
     assert_eq!(
         verdicts.iter().filter(|v| *v == "strip").count(),
-        7,
-        "four worksharing loops and three serial sums should be strip-mined: {verdicts:?}"
+        12,
+        "five worksharing loops, the three gathered updates under `single`, \
+         the private float histogram and three serial sums should be \
+         strip-mined: {verdicts:?}"
     );
     for n in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
         for threads in [1, 2, 4] {
@@ -1538,9 +1589,12 @@ fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
 }
 
 /// Loops the classifier must leave on the scalar chain, or that reach it
-/// at run time: the same array passed as source and destination, a value
-/// carried through memory, two stores per iteration, and a head-guarded
-/// loop that runs zero times.
+/// at run time: the same array passed as source and destination (a
+/// stencil, and a histogram whose counts are its keys), a value carried
+/// through memory, two stores per iteration, and a head-guarded loop
+/// that runs zero times. Then gathered updates whose index leaves the
+/// counts in the third strip: the error and every count stored before
+/// it are the tree-walker's.
 #[test]
 fn strip_rejected_loops_agree() {
     let src = format!(
@@ -1548,6 +1602,12 @@ fn strip_rejected_loops_agree() {
     var i: i64 = 1;
     while (i < n) : (i += 1) {{
         v[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1];
+    }}
+}}
+fn hist(key: []i64, h: []i64, n: i64) void {{
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        h[key[i]] += 1;
     }}
 }}
 fn main() void {{
@@ -1572,6 +1632,13 @@ fn main() void {{
         q[k] = p[k] + 1;
         p[k] = q[k] * 3;
     }}
+    var hk: []i64 = @allocI(n + 1);
+    k = 0;
+    while (k < n + 1) : (k += 1) {{
+        hk[k] = k % 5;
+    }}
+    hist(hk, hk, n);
+    print(hk[0], hk[1], hk[2], hk[3], hk[4], hk[n]);
     var zero: i64 = 0;
     var fsum: f64 = 0.0;
     k = 0;
@@ -1593,6 +1660,72 @@ fn main() void {{
         "`p[k + 1] = p[k] * 2` must stay scalar: {verdicts:?}"
     );
     assert_backends_agree("stay_scalar", &src);
+
+    // An int histogram (its key load and index fused into the update)
+    // and a float one (its value a column), each with key 1000 at
+    // iteration 2 * STRIP + 50 of 3 * STRIP + 7.
+    let src = "fn ihist(key: []i64, h: []i64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        h[key[i]] += 1;
+    }
+}
+fn fhist(key: []i64, w: []f64, h: []f64, n: i64) void {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        h[key[i]] += w[i];
+    }
+}
+fn main() void {}";
+    assert_eq!(template_verdicts(src), ["strip", "strip"]);
+    let n = 3 * STRIP + 7;
+    let bad = 2 * STRIP + 50;
+    let run = |backend: Backend, opt: OptLevel| {
+        let key = std::sync::Arc::new(zomp_vm::value::ArrI::new(n as usize));
+        let w = std::sync::Arc::new(zomp_vm::value::ArrF::new(n as usize));
+        for i in 0..n {
+            key.set(i, if i == bad { 1000 } else { i * 7 % 13 })
+                .unwrap();
+            w.set(i, 0.1 * i as f64 + 0.03).unwrap();
+        }
+        let (hi, hf) = (
+            std::sync::Arc::new(zomp_vm::value::ArrI::new(13)),
+            std::sync::Arc::new(zomp_vm::value::ArrF::new(13)),
+        );
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let show = |r: Result<Value, zomp_vm::value::VmError>| {
+            r.map(|v| v.render()).map_err(|e| e.to_string())
+        };
+        let ri = show(vm.call_function(
+            "ihist",
+            vec![
+                Value::ArrI(key.clone()),
+                Value::ArrI(hi.clone()),
+                Value::Int(n),
+            ],
+        ));
+        let rf = show(vm.call_function(
+            "fhist",
+            vec![
+                Value::ArrI(key),
+                Value::ArrF(w),
+                Value::ArrF(hf.clone()),
+                Value::Int(n),
+            ],
+        ));
+        let bits: Vec<u64> = hf.to_vec().iter().map(|x| x.to_bits()).collect();
+        (ri, rf, hi.to_vec(), bits)
+    };
+    let oracle = run(Backend::Ast, OptLevel::O0);
+    assert!(oracle.0.is_err() && oracle.1.is_err(), "{oracle:?}");
+    assert_eq!(
+        oracle.2.iter().sum::<i64>(),
+        bad,
+        "every count before the bad key"
+    );
+    for opt in opt_levels() {
+        assert_eq!(run(Backend::Bytecode, opt), oracle, "--opt={opt}");
+    }
 }
 
 /// An out-of-bounds load in the middle of the third strip: the error

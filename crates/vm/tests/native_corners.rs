@@ -1,5 +1,5 @@
-//! Corner cases of the native bulk-kernel tier ([`zomp_vm::kernels`])
-//! and of the register slots it runs beside.
+//! Corner cases of the native tiers ([`zomp_vm::kernels`] and the
+//! template tier) and of the register slots they run beside.
 //!
 //! The differential suite proves whole-program agreement; these tests pin
 //! the *mechanism*: which locals are boxed, which adds stay generic, and
@@ -154,12 +154,30 @@ fn bulk_kernel_fill_agrees_in_bounds() {
     assert_eq!(run(src, Backend::Bytecode, OptLevel::O3), ast);
 }
 
-/// A fixed kernel's mid-loop bail, pinned on a non-LCG shape: the IS
-/// bucket-count loop installs `histogram`; with every key in range it
-/// agrees with the oracle, and with one key past the last bucket it
-/// bails at that element and replays to the oracle's exact error.
+/// The strip/scalar verdict of every template `src` installs at
+/// `--opt=3`, in remark order.
+fn template_verdicts(src: &str) -> Vec<String> {
+    zomp_vm::remarks::collect(src, "t.zag", OptLevel::O3)
+        .unwrap_or_else(|e| panic!("{}", e.render(src)))
+        .iter()
+        .filter(|d| d.code == "template-installed")
+        .map(|d| {
+            d.message
+                .rsplit_once("), ")
+                .expect("verdict suffix")
+                .1
+                .to_string()
+        })
+        .collect()
+}
+
+/// A gathered-update tail's mid-strip bail, pinned on the IS bucket
+/// count: the loop runs strip-mined; with every key in range it agrees
+/// with the oracle, and with key 1000 at element 9 (past the last
+/// bucket) it hands over at that lane and replays to the oracle's exact
+/// error.
 #[test]
-fn histogram_kernel_bails_on_out_of_range_key() {
+fn histogram_template_bails_on_out_of_range_key() {
     const HIST: &str = r#"fn main() void {
     var keys: i64 = @allocI(16);
     var k: i64 = 0;
@@ -182,18 +200,61 @@ fn histogram_kernel_bails_on_out_of_range_key() {
 }"#;
     for (key9, in_range) in [("9", true), ("1000", false)] {
         let src = HIST.replace("KEY9", key9);
-        let vm = build(&src, OptLevel::O3);
         assert!(
-            vm.program
-                .code
-                .funcs
-                .iter()
-                .flat_map(|f| &f.kernels)
-                .any(|k| k.kind.name() == "histogram"),
-            "expected the histogram kernel to install"
+            template_verdicts(&src).contains(&"strip".to_string()),
+            "expected the bucket count to run strip-mined: {:?}",
+            template_verdicts(&src)
         );
         let ast = run(&src, Backend::Ast, OptLevel::O0);
         assert_eq!(ast.is_ok(), in_range, "{ast:?}");
+        assert_eq!(run(&src, Backend::Bytecode, OptLevel::O3), ast);
+        assert_eq!(run(&src, Backend::Bytecode, OptLevel::O0), ast);
+    }
+}
+
+/// The scatter's twin: the cursor of one bucket runs past `buff2` in the
+/// middle of a strip, so the tail hands over there and the replay raises
+/// the oracle's error; with room for every key it agrees with the
+/// oracle element for element.
+#[test]
+fn scatter_template_bails_when_a_cursor_leaves_its_array() {
+    const SCATTER: &str = r#"fn main() void {
+    var n: i64 = 200;
+    var keys: i64 = @allocI(n);
+    var buff2: i64 = @allocI(ROOM);
+    var k: i64 = 0;
+    while (k < n) : (k += 1) { keys[k] = (k * 37) % 64; }
+    var sd: i64 = 16;
+    //$omp parallel num_threads(1) shared(keys, buff2) firstprivate(n, sd)
+    {
+        var cursor: i64 = @allocI(4);
+        var c: i64 = 0;
+        while (c < 4) : (c += 1) { cursor[c] = c * 50; }
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < n) : (i += 1) {
+            var key: i64 = keys[i];
+            var b: i64 = key / sd;
+            buff2[cursor[b]] = key;
+            cursor[b] = cursor[b] + 1;
+        }
+    }
+    var s: i64 = 0;
+    k = 0;
+    while (k < 200) : (k += 1) { s = s * 31 + buff2[k]; }
+    print(s, buff2[0], buff2[199]);
+}"#;
+    // Bucket 3's keys land from 150 on: room for 170 elements stops the
+    // scatter at its 21st key, with lanes of the strip on either side.
+    for (room, fits) in [("200", true), ("170", false)] {
+        let src = SCATTER.replace("ROOM", room);
+        assert!(
+            template_verdicts(&src).contains(&"strip".to_string()),
+            "expected the scatter to run strip-mined: {:?}",
+            template_verdicts(&src)
+        );
+        let ast = run(&src, Backend::Ast, OptLevel::O0);
+        assert_eq!(ast.is_ok(), fits, "{ast:?}");
         assert_eq!(run(&src, Backend::Bytecode, OptLevel::O3), ast);
         assert_eq!(run(&src, Backend::Bytecode, OptLevel::O0), ast);
     }

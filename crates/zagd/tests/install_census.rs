@@ -2,10 +2,12 @@
 //!
 //! Each program compiles at `--opt=3`; for each function the census lists
 //! every installed kernel as `(pc, kind)` and every template as `(pc,
-//! instruction count)`. Variant counts are left out on purpose: how many
+//! instruction count, verdict)`, the verdict being `strip` or `scalar:
+//! <rule>`. Variant counts are left out on purpose: how many
 //! monomorphisations a template carries may change, where it installs
-//! may not. A compiler change that loses or moves an install shows up as
-//! a diff against `tests/golden/install_census.txt`.
+//! and how it runs may not. A compiler change that loses or moves an
+//! install, or drops a loop from the strip walk to the scalar chain,
+//! shows up as a diff against `tests/golden/install_census.txt`.
 //!
 //! The programs: `examples/zag/*.zag`, `crates/integration/fixtures/*/*.zag`,
 //! the NPB ports of `zomp_bench::ports` and the `zagd::demo` sources.
@@ -88,8 +90,9 @@ fn census(label: &str, src: &str) -> String {
                     installs.push(format!("{pc}:kernel({kind})"));
                 }
                 Insn::TemplateLoop { tidx } => {
-                    let n = f.templates[tidx as usize].prog.ninsns;
-                    installs.push(format!("{pc}:template({n} insns)"));
+                    let prog = &f.templates[tidx as usize].prog;
+                    let (n, verdict) = (prog.ninsns, prog.verdict());
+                    installs.push(format!("{pc}:template({n} insns, {verdict})"));
                 }
                 _ => {}
             }
