@@ -1452,7 +1452,10 @@ fn template_verdicts(src: &str) -> Vec<String> {
 /// through a shared cursor), a private float histogram, and serial
 /// checksums, the float ones depending on the order of their additions.
 /// The histogram keys `w[k]` lie in `-15..65`, so `w[k] / 16` must
-/// truncate toward zero to stay in bounds.
+/// truncate toward zero to stay in bounds. `gsum` adds and stores the
+/// divided index itself (`h[b] += b`, `out[cur[b]] = b`, the second with
+/// the quotient written back over the key) and divides by the induction
+/// variable: none may read the undivided key or one lane's divisor.
 fn strip_program(n: i64, threads: i64, sched: &str) -> String {
     format!(
         "fn fhist(w: []i64, u: []f64, n: i64) f64 {{
@@ -1474,6 +1477,40 @@ fn fsum(v: []f64, u: []f64, n: i64) f64 {{
         s = s + u[m];
     }}
     return s;
+}}
+fn gsum(w: []i64, n: i64, sd: i64) i64 {{
+    var hb: []i64 = @allocI(5);
+    var cb: []i64 = @allocI(5);
+    var ob: []i64 = @allocI(10 * (n + 1));
+    var m: i64 = 0;
+    while (m < 5) : (m += 1) {{
+        cb[m] = m * 2 * (n + 1);
+    }}
+    m = 0;
+    while (m < n) : (m += 1) {{
+        var x: i64 = w[m];
+        var b: i64 = x / sd;
+        hb[b] += b;
+    }}
+    m = 0;
+    while (m < n) : (m += 1) {{
+        var x: i64 = w[m];
+        var b: i64 = x / sd;
+        ob[cb[b]] = b;
+        cb[b] = cb[b] + 1;
+    }}
+    m = 0;
+    while (m < n) : (m += 1) {{
+        var x: i64 = w[m];
+        x = x / sd;
+        ob[cb[x]] = x;
+        cb[x] = cb[x] + 1;
+    }}
+    m = 16;
+    while (m < n) : (m += 1) {{
+        hb[w[m] / m] += 1;
+    }}
+    return isum(hb, 5) + isum(cb, 5) * 7 + isum(ob, 10 * (n + 1)) * 11;
 }}
 fn isum(y: []i64, n: i64) i64 {{
     var s: i64 = 0;
@@ -1556,7 +1593,7 @@ fn main() void {{
     }}
     print(acc, fsum(v, u, n), isum(y, n), isum(z, n), v[n], y[0]);
     print(isum(hs, 5), hf[0], hf[1], hf[2], hf[3], hf[4], fhist(w, u, n));
-    print(isum(cur, 5), isum(buff, 5 * (n + 2)));
+    print(isum(cur, 5), isum(buff, 5 * (n + 2)), gsum(w, n, 16));
 }}"
     )
 }
@@ -1569,10 +1606,11 @@ fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
     let verdicts = template_verdicts(&strip_program(5, 2, "schedule(static)"));
     assert_eq!(
         verdicts.iter().filter(|v| *v == "strip").count(),
-        12,
+        17,
         "five worksharing loops, the three gathered updates under `single`, \
-         the private float histogram and three serial sums should be \
-         strip-mined: {verdicts:?}"
+         the private float histogram, the cursor fill and four gathered \
+         updates in `gsum`, and three serial sums should be strip-mined: \
+         {verdicts:?}"
     );
     for n in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
         for threads in [1, 2, 4] {
