@@ -1140,12 +1140,14 @@ impl Tail {
             }
             (TailForm::Cursor { cur, out, v, k }, flt) => {
                 let cur = fr.ai[cur as usize];
+                // Float and int columns are numbered apart: a float value
+                // is never the key, whatever its column number.
                 let (c, g) = match v {
-                    // The key itself, as a counting sort stores it.
-                    v if v == self.src => scatter(cur, fr.ai[out as usize], xs, sh, k, |x, _| x)?,
                     Src::Col(v) if flt => scatter(cur, fr.af[out as usize], xs, sh, k, |_, l| {
                         cf[v as usize][l]
                     })?,
+                    // The key itself, as a counting sort stores it.
+                    v if v == self.src => scatter(cur, fr.ai[out as usize], xs, sh, k, |x, _| x)?,
                     v => {
                         let vs = values(v, &fr.ai, (*i0, n), ci)?;
                         scatter(cur, fr.ai[out as usize], xs, sh, k, |_, l| vs[l])?

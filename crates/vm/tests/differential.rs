@@ -1456,6 +1456,8 @@ fn template_verdicts(src: &str) -> Vec<String> {
 /// divided index itself (`h[b] += b`, `out[cur[b]] = b`, the second with
 /// the quotient written back over the key) and divides by the induction
 /// variable: none may read the undivided key or one lane's divisor.
+/// `fscat` scatters a float value whose float column has the number of
+/// the index's int column: the value is still not the key.
 fn strip_program(n: i64, threads: i64, sched: &str) -> String {
     format!(
         "fn fhist(w: []i64, u: []f64, n: i64) f64 {{
@@ -1511,6 +1513,28 @@ fn gsum(w: []i64, n: i64, sd: i64) i64 {{
         hb[w[m] / m] += 1;
     }}
     return isum(hb, 5) + isum(cb, 5) * 7 + isum(ob, 10 * (n + 1)) * 11;
+}}
+fn fscat(w: []i64, u: []f64, n: i64) f64 {{
+    var kk: []i64 = @allocI(n + 1);
+    var fc: []i64 = @allocI(5);
+    var fo: []f64 = @allocF(5 * (n + 1));
+    var m: i64 = 0;
+    while (m < n) : (m += 1) {{
+        kk[m] = w[m] / 16;
+    }}
+    m = 0;
+    while (m < n) : (m += 1) {{
+        var b: i64 = kk[m];
+        var val: f64 = u[m] * 2.0;
+        fo[fc[b]] = val;
+        fc[b] = fc[b] + 1;
+    }}
+    var s: f64 = 0.0;
+    m = 0;
+    while (m < 5 * (n + 1)) : (m += 1) {{
+        s = s + fo[m] * @intToFloat(m + 1);
+    }}
+    return s + @intToFloat(isum(fc, 5));
 }}
 fn isum(y: []i64, n: i64) i64 {{
     var s: i64 = 0;
@@ -1593,7 +1617,7 @@ fn main() void {{
     }}
     print(acc, fsum(v, u, n), isum(y, n), isum(z, n), v[n], y[0]);
     print(isum(hs, 5), hf[0], hf[1], hf[2], hf[3], hf[4], fhist(w, u, n));
-    print(isum(cur, 5), isum(buff, 5 * (n + 2)), gsum(w, n, 16));
+    print(isum(cur, 5), isum(buff, 5 * (n + 2)), gsum(w, n, 16), fscat(w, u, n));
 }}"
     )
 }
@@ -1606,11 +1630,11 @@ fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
     let verdicts = template_verdicts(&strip_program(5, 2, "schedule(static)"));
     assert_eq!(
         verdicts.iter().filter(|v| *v == "strip").count(),
-        17,
+        19,
         "five worksharing loops, the three gathered updates under `single`, \
          the private float histogram, the cursor fill and four gathered \
-         updates in `gsum`, and three serial sums should be strip-mined: \
-         {verdicts:?}"
+         updates in `gsum`, the key fill and float scatter in `fscat`, and \
+         three serial sums should be strip-mined: {verdicts:?}"
     );
     for n in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
         for threads in [1, 2, 4] {
