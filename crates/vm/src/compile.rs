@@ -28,9 +28,14 @@
 //!   the declaration, matching the tree-walker's per-iteration `declare`).
 //!   Everything else is an unboxed register — the common case for loop
 //!   indices and `f64` accumulators.
-//! * **Loop fusion** — `while (v cmp limit) : (v ±= k)` with an unboxed
-//!   induction variable compiles to a [`Insn::CmpJumpFalse`] guard plus a
-//!   single [`Insn::IncCmpJump`] back-edge.
+//! * **Loop fusion** — a canonical counted loop, `while (v cmp limit)`
+//!   with an unboxed induction variable stepped by a literal, either as
+//!   `: (v ±= k)` or as the body's trailing `v ±= k;`, and a limit that is
+//!   a local or a pure expression the loop never changes, compiles to a
+//!   [`Insn::CmpJumpFalse`] guard plus a single [`Insn::IncCmpJump`]
+//!   back-edge (`FnCx::fusable_loop`). It is the one loop shape the
+//!   template tier takes; every other loop keeps the general path
+//!   (condition, body, continue, `Jump` back).
 //! * **Call shapes** — user functions resolve to direct indices, `omp.*`
 //!   paths to an [`OmpFn`] (an unknown path lowers to a [`Insn::Trap`]
 //!   after its arguments), `@builtins` to compile-time [`BuiltinOp`]s.
@@ -45,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use zomp::json::{obj, Json};
 use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
+use zomp_front::dump::children_of;
 use zomp_front::token::Tag as T;
 use zomp_front::Diag;
 
@@ -417,11 +423,17 @@ impl<'a> FnCx<'a> {
     // -- statements ---------------------------------------------------------
 
     fn compile_block(&mut self, block: NodeId) {
-        let node = *self.ast.node(block);
+        let ast = self.ast;
+        let node = ast.node(block);
         debug_assert_eq!(node.tag, N::Block);
+        self.compile_stmts(ast.range(node));
+    }
+
+    /// Compile statements in a scope of their own.
+    fn compile_stmts(&mut self, stmts: &[NodeId]) {
         self.scopes.push(Vec::new());
         let saved_top = self.locals_top;
-        for &stmt in self.ast.range(&node).to_vec().iter() {
+        for &stmt in stmts {
             self.tmp = self.locals_top;
             self.compile_stmt(stmt);
         }
@@ -641,70 +653,108 @@ impl<'a> FnCx<'a> {
         }
     }
 
-    /// The `while (v cmp limit) : (v ±= k)` fusion probe: the induction
-    /// variable and limit must be unboxed registers (or a literal limit,
-    /// pinned), the step a positive integer literal.
+    /// The canonical counted loop probe: `while (v cmp limit) : (v ±= k)`,
+    /// or `while (v cmp limit) { ...; v ±= k; }` with the step as the
+    /// body block's last statement, `v` an unboxed local and `k` an
+    /// integer literal. Returns `v`, the limit register, the test, the
+    /// step and whether the step is the body's trailing statement, having
+    /// emitted the limit's evaluation when it needs one. The limit is
+    ///
+    /// - an unboxed local, re-read each iteration from its live register
+    ///   just as the walker re-evaluates the condition;
+    /// - or a pure expression ([`FnCx::pure_limit`]) of names the loop
+    ///   never assigns, evaluated once into a loop-pinned register where
+    ///   the guard first evaluates it: every later evaluation would yield
+    ///   the same value, and a `/` or `%` that fails, fails there.
+    ///
+    /// A trailing step is taken only when no `continue` of this loop could
+    /// skip it and the block declares no second `v` it could name.
     fn fusable_loop(
         &mut self,
         cond: NodeId,
+        body: NodeId,
         cont: Option<NodeId>,
-    ) -> Option<(Reg, Reg, CmpOp, i32)> {
-        let cond_node = *self.ast.node(cond);
+    ) -> Option<(Reg, Reg, CmpOp, i32, bool)> {
+        let ast = self.ast;
+        let cond_node = ast.node(cond);
         if cond_node.tag != N::BinOp {
             return None;
         }
-        let op = cmp_from_token(self.ast.tokens[cond_node.main_token as usize].tag)?;
-        let var_node = self.ast.node(cond_node.lhs);
+        let op = cmp_from_token(ast.tokens[cond_node.main_token as usize].tag)?;
+        let var_node = ast.node(cond_node.lhs);
         if var_node.tag != N::Ident {
             return None;
         }
-        let var_name = self.ast.token_text(var_node.main_token).to_string();
-        let (var, var_boxed) = self.lookup(&var_name)?;
-        if var_boxed {
+        let var_name = ast.token_text(var_node.main_token);
+        let (var, false) = self.lookup(var_name)? else {
             return None;
-        }
-        // Continue part: `v += k` / `v -= k` on the same variable.
-        let cont_node = *self.ast.node(cont?);
-        if cont_node.tag != N::CompoundAssign {
-            return None;
-        }
-        let step_sign = match self.ast.tokens[cont_node.main_token as usize].tag {
-            T::PlusEq => 1i64,
-            T::MinusEq => -1i64,
-            _ => return None,
         };
-        let cont_target = self.ast.node(cont_node.lhs);
-        if cont_target.tag != N::Ident || self.ast.token_text(cont_target.main_token) != var_name {
-            return None;
-        }
-        let step_node = self.ast.node(cont_node.rhs);
-        if step_node.tag != N::IntLit {
-            return None;
-        }
-        let k: i64 = self.ast.token_text(step_node.main_token).parse().ok()?;
-        let step = i32::try_from(step_sign * k).ok()?;
-        // Limit: an unboxed local (re-read each iteration from its live
-        // register, same as the walker re-evaluating the condition) or a
-        // literal pinned in a loop-lifetime register.
-        let limit_node = *self.ast.node(cond_node.rhs);
-        let limit = match limit_node.tag {
-            N::Ident => {
-                let name = self.ast.token_text(limit_node.main_token);
-                match self.lookup(name) {
-                    Some((reg, false)) => reg,
-                    _ => return None,
+        let body_node = ast.node(body);
+        let (step, trailing) = match cont {
+            Some(cont) => (step_of(ast, cont, var_name)?, false),
+            None if body_node.tag == N::Block => {
+                let stmts = ast.range(body_node);
+                let redeclared = stmts.iter().any(|&s| {
+                    let s = ast.node(s);
+                    matches!(s.tag, N::VarDecl | N::ConstDecl)
+                        && ast.token_text(s.main_token) == var_name
+                });
+                if redeclared || any_node(ast, body, true, &|n| n.tag == N::Continue) {
+                    return None;
                 }
+                (step_of(ast, *stmts.last()?, var_name)?, true)
             }
-            N::IntLit => {
-                let v: i64 = self.ast.token_text(limit_node.main_token).parse().ok()?;
-                let k = self.kconst(Value::Int(v));
-                let pin = self.alloc_pinned();
-                self.code.push(Insn::Const { dst: pin, k });
-                pin
-            }
-            _ => return None,
+            None => return None,
         };
-        Some((var, limit, op, step))
+        let limit_node = ast.node(cond_node.rhs);
+        if limit_node.tag == N::Ident {
+            let (reg, false) = self.lookup(ast.token_text(limit_node.main_token))? else {
+                return None;
+            };
+            return Some((var, reg, op, step, trailing));
+        }
+        let mut names = Vec::new();
+        if !self.pure_limit(cond_node.rhs, var_name, &mut names) {
+            return None;
+        }
+        let assigns = |n: &Node| {
+            matches!(n.tag, N::Assign | N::CompoundAssign) && {
+                let target = ast.node(n.lhs);
+                target.tag == N::Ident && names.contains(&ast.token_text(target.main_token))
+            }
+        };
+        let mut scope = cont.into_iter().chain([body]);
+        if scope.any(|id| any_node(ast, id, false, &assigns)) {
+            return None;
+        }
+        let pin = self.alloc_pinned();
+        self.compile_expr(cond_node.rhs, Some(pin));
+        Some((var, pin, op, step, trailing))
+    }
+
+    /// Whether the loop limit `id` is pure: literals, unboxed locals other
+    /// than the induction variable `var`, and arithmetic or unary `-`/`!`
+    /// over them — no call, index, dereference or builtin. Collects the
+    /// names it reads into `names`.
+    fn pure_limit(&self, id: NodeId, var: &str, names: &mut Vec<&'a str>) -> bool {
+        let ast = self.ast;
+        let node = ast.node(id);
+        let tok = ast.tokens[node.main_token as usize].tag;
+        match node.tag {
+            N::IntLit | N::FloatLit => true,
+            N::Ident => {
+                let name = ast.token_text(node.main_token);
+                names.push(name);
+                name != var && matches!(self.lookup(name), Some((_, false)))
+            }
+            N::BinOp => {
+                arith_from_token(tok).is_some()
+                    && self.pure_limit(node.lhs, var, names)
+                    && self.pure_limit(node.rhs, var, names)
+            }
+            N::UnOp => matches!(tok, T::Minus | T::Bang) && self.pure_limit(node.lhs, var, names),
+            _ => false,
+        }
     }
 
     /// The `w` of a call `omp.<func>(w)` whose one argument is an identifier.
@@ -825,7 +875,7 @@ impl<'a> FnCx<'a> {
         self.tmp = self.locals_top;
         if let Some((ws, stmts)) = self.ws_chunk_loop(cond, body, cont) {
             self.compile_ws_loop(ws, &stmts);
-        } else if let Some((var, limit, op, step)) = self.fusable_loop(cond, cont) {
+        } else if let Some((var, limit, op, step, trailing)) = self.fusable_loop(cond, body, cont) {
             let guard = self.code.len();
             self.code.push(Insn::CmpJumpFalse {
                 op,
@@ -838,7 +888,14 @@ impl<'a> FnCx<'a> {
                 breaks: vec![guard],
                 continues: Vec::new(),
             });
-            self.compile_stmt(body);
+            if trailing {
+                // The body block but its last statement, the step.
+                let ast = self.ast;
+                let stmts = ast.range(ast.node(body));
+                self.compile_stmts(&stmts[..stmts.len() - 1]);
+            } else {
+                self.compile_stmt(body);
+            }
             let lc = self.loops.pop().unwrap();
             let at_cont = self.here();
             self.patch(&lc.continues, at_cont);
@@ -1211,83 +1268,55 @@ fn compound_arith(tok: T) -> Option<ArithOp> {
 }
 
 // ---------------------------------------------------------------------------
-// Boxing pre-pass
+// Tree scans
 // ---------------------------------------------------------------------------
 
 /// Record every name whose address is taken (`&name`) anywhere in the
 /// function body. Conservative: shadowed declarations of the same name are
 /// all boxed.
 fn collect_boxed(ast: &Ast, id: NodeId, out: &mut HashSet<String>) {
-    let node = *ast.node(id);
-    match node.tag {
-        N::Root | N::Block => {
-            for &c in ast.range(&node).to_vec().iter() {
-                collect_boxed(ast, c, out);
-            }
+    let node = ast.node(id);
+    if node.tag == N::UnOp && ast.tokens[node.main_token as usize].tag == T::Amp {
+        let target = ast.node(node.lhs);
+        if target.tag == N::Ident {
+            out.insert(ast.token_text(target.main_token).to_string());
         }
-        N::FnDecl => {
-            let (_, body) = ast.fn_parts(&node);
-            collect_boxed(ast, body, out);
-        }
-        N::VarDecl | N::ConstDecl if node.rhs > 0 => {
-            collect_boxed(ast, node.rhs - 1, out);
-        }
-        N::Assign | N::CompoundAssign | N::BinOp | N::Index => {
-            collect_boxed(ast, node.lhs, out);
-            collect_boxed(ast, node.rhs, out);
-        }
-        N::While => {
-            let (cond, body, cont) = ast.while_parts(&node);
-            collect_boxed(ast, cond, out);
-            collect_boxed(ast, body, out);
-            if let Some(c) = cont {
-                collect_boxed(ast, c, out);
-            }
-        }
-        N::If => {
-            let (cond, then, els) = ast.if_parts(&node);
-            collect_boxed(ast, cond, out);
-            collect_boxed(ast, then, out);
-            if let Some(e) = els {
-                collect_boxed(ast, e, out);
-            }
-        }
-        N::Return if node.lhs > 0 => {
-            collect_boxed(ast, node.lhs - 1, out);
-        }
-        N::Discard | N::ExprStmt | N::Member | N::Deref => collect_boxed(ast, node.lhs, out),
-        N::UnOp => {
-            if ast.tokens[node.main_token as usize].tag == T::Amp {
-                let target = ast.node(node.lhs);
-                if target.tag == N::Ident {
-                    out.insert(ast.token_text(target.main_token).to_string());
-                }
-            }
-            collect_boxed(ast, node.lhs, out);
-        }
-        N::Call => {
-            collect_boxed(ast, node.lhs, out);
-            for &a in ast.call_args(&node).to_vec().iter() {
-                collect_boxed(ast, a, out);
-            }
-        }
-        N::BuiltinCall => {
-            for &a in ast.extra(node.lhs, node.rhs).to_vec().iter() {
-                collect_boxed(ast, a, out);
-            }
-        }
-        N::Param
-        | N::Ident
-        | N::IntLit
-        | N::FloatLit
-        | N::StrLit
-        | N::BoolLit
-        | N::UndefinedLit
-        | N::Break
-        | N::Continue => {}
-        // OpenMP nodes never survive preprocessing; nothing to scan.
-        _ => {}
     }
+    for c in children_of(ast, id) {
+        collect_boxed(ast, c, out);
+    }
+}
+
+/// Whether `pred` holds at `id` or anywhere below it. With `own_loop` the
+/// scan does not enter nested `while`s (a `continue` there is theirs).
+fn any_node(ast: &Ast, id: NodeId, own_loop: bool, pred: &impl Fn(&Node) -> bool) -> bool {
+    let node = ast.node(id);
+    pred(node)
+        || !(own_loop && node.tag == N::While)
+            && children_of(ast, id)
+                .into_iter()
+                .any(|c| any_node(ast, c, own_loop, pred))
+}
+
+/// The step of `var += k` / `var -= k`, `k` an integer literal. `var -= 0`
+/// is refused: a zero step replays `var + 0`, whose error on a non-integer
+/// `var` names `+` where the walker's names `-`.
+fn step_of(ast: &Ast, stmt: NodeId, var: &str) -> Option<i32> {
+    let node = ast.node(stmt);
+    if node.tag != N::CompoundAssign {
+        return None;
+    }
+    let (target, k) = (ast.node(node.lhs), ast.node(node.rhs));
+    if target.tag != N::Ident || ast.token_text(target.main_token) != var || k.tag != N::IntLit {
+        return None;
+    }
+    let k: i64 = ast.token_text(k.main_token).parse().ok()?;
+    let step = match ast.tokens[node.main_token as usize].tag {
+        T::PlusEq => k,
+        T::MinusEq if k > 0 => -k,
+        _ => return None,
+    };
+    i32::try_from(step).ok()
 }
 
 #[cfg(test)]
@@ -1325,6 +1354,52 @@ fn main() void {
         // No name lookups anywhere: locals resolved to registers.
         assert!(f.locals.iter().any(|(_, n, _)| n == "s"));
         assert!(f.locals.iter().any(|(_, n, _)| n == "i"));
+    }
+
+    /// Rule (a), a pure limit evaluated once, and rule (b), a trailing
+    /// step, lower to a guard plus an `IncCmpJump`; a limit the body
+    /// assigns, a trailing step a `continue` could skip, a limit that
+    /// reads memory and `-= 0` keep the general path's backward `Jump`.
+    #[test]
+    fn canonical_counted_loops_fuse() {
+        let back_edges = |body: &str| {
+            let src = format!(
+                "fn f(a: []f64, n: i64, d: i64) void {{\n var x: f64 = 0.5;\n var i: i64 = 0;\n {body}\n}}"
+            );
+            let image = image_for(&src);
+            let f = image.get("f").unwrap();
+            let fused = (f.code.iter())
+                .filter(|i| matches!(i, Insn::IncCmpJump { .. }))
+                .count();
+            let general = (f.code.iter().enumerate())
+                .filter(|&(pc, i)| matches!(*i, Insn::Jump { to } if to as usize <= pc))
+                .count();
+            (fused, general, disasm_fn(f))
+        };
+        for fused in [
+            "while (i < n - 1) : (i += 1) { a[i] = 1.0; }",
+            "while (i < 2 * n + d % 3) : (i += 2) { a[i] = 1.0; }",
+            "while (i > -n) : (i -= 1) { a[0] = 1.0; }",
+            "while (i < n / d) { a[i] = 1.0; i += 1; }",
+            "while (i >= 0) { if (i == 3) { break; } i -= 2; }",
+            "while (x < 10.0) { a[0] = x; x += 1; }",
+            "while (i < n) { while (i < d) : (i += 1) { continue; } i += 1; }",
+        ] {
+            let (n, general, code) = back_edges(fused);
+            assert!(n >= 1 && general == 0, "{fused}\n{code}");
+        }
+        for general in [
+            "while (i < n - 1) : (i += 1) { n = n - 1; }",
+            "while (i < n + d) : (i += 1) { d += 1; }",
+            "while (i < n - i) : (i += 1) { a[i] = 1.0; }",
+            "while (i < n) { if (i == 2) { i += 3; continue; } i += 1; }",
+            "while (i < n) { var i: i64 = 0; i += 1; }",
+            "while (i < @floatToInt(a[0])) : (i += 1) { a[i] = 1.0; }",
+            "while (x > 0.0) { x -= 0; }",
+        ] {
+            let (n, general, code) = back_edges(general);
+            assert!(n == 0 && general == 1, "{general}\n{code}");
+        }
     }
 
     #[test]

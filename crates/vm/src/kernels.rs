@@ -136,7 +136,7 @@ pub enum KernelKind {
         kinc: u16,
     },
     /// EP batched deviate fill — the first cross-call kernel:
-    /// `while (j < c * nk) { x[j] = randlc(&t, a); j += 1 }` where the
+    /// `do { x[j] = randlc(&t, a); j += 1 } while (j < lim)` where the
     /// called function was verified *symbolically* (see [`lcg_callee`])
     /// to compute exactly the NPB 46-bit LCG step, so the kernel runs a
     /// `vranlc`-style batch against a local copy of the seed cell.
@@ -156,11 +156,8 @@ pub enum KernelKind {
         /// Output array (`ArrF`, plain register).
         arr: Reg,
         j: Reg,
-        /// Trip-limit register, recomputed `c * nk` at the loop head.
+        /// Loop-invariant trip limit (the pinned `2 * nk`).
         lim: Reg,
-        nk: Reg,
-        /// Const-pool index of the Int factor `c`.
-        k: u16,
     },
     /// EP acceptance tail over Gaussian pair candidates:
     /// `do { x1 = 2x[2i]-1; x2 = 2x[2i+1]-1; tt = x1²+x2²;
@@ -293,9 +290,7 @@ impl KernelDesc {
                 arr,
                 j,
                 lim,
-                nk,
-                k: _,
-            } => &[tcell, targ, aarg, areg, res, arr, j, lim, nk],
+            } => &[tcell, targ, aarg, areg, res, arr, j, lim],
             KernelKind::EpPairs {
                 i,
                 nk,
@@ -1037,52 +1032,35 @@ fn match_rank_pipeline(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
     ))
 }
 
-/// EP deviate fill, matched *through* the call boundary:
+/// EP deviate fill, matched *through* the call boundary at the body
+/// head of its counted loop (the compiler evaluated the limit `2 * nk`
+/// once, into `lim`, ahead of the guard):
 /// ```text
-/// pc+0  kmul   lim, k, nk          ; lim = c * nk (head, re-executed)
-/// pc+1  cjfalse j < lim -> pc+7    ; while-loop guard
-/// pc+2  move   targ, tcell         ; arg 0: the seed cell (&t)
-/// pc+3  move   aarg, areg          ; arg 1: the multiplier
-/// pc+4  call   res, f, targ..2     ; f verified LCG-shaped
-/// pc+5  indexset arr[j], res
-/// pc+6  incjump j += 1 -> pc+0
+/// pc+0  move   targ, tcell     ; arg 0: the seed cell (&t)
+/// pc+1  move   aarg, areg      ; arg 1: the multiplier
+/// pc+2  call   res, f, targ..2 ; f verified LCG-shaped
+/// pc+3  indexset arr[j], res
+/// pc+4  inccmpj j += 1; j < lim -> pc+0
 /// ```
 /// Only installs when `lcg[f]` held for the callee, i.e. the call is
 /// *provably* the NPB 46-bit LCG step; the kernel then runs the whole
 /// batch against a local copy of the seed without frame setup per
 /// element. The shape says nothing about types: [`run_lcg_fill`] bails
-/// unless `arr` is a `[]f64`, `j` and `nk` are `Int`, the multiplier is
-/// a `Float`, the seed cell holds a `Float` and `k` is an `Int`
-/// constant.
+/// unless `arr` is a `[]f64`, `j` and `lim` are `Int`, the multiplier
+/// is a `Float` and the seed cell holds a `Float`.
 fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind, u32)> {
     let code = &f.code;
-    let Insn::ArithKL {
-        op: ArithOp::Mul,
-        dst: lim,
-        k,
-        b: nk,
-    } = *code.get(pc)?
-    else {
-        return None;
-    };
-    const_int(&f.consts, k)?;
-    let (CmpOp::Lt, j, lim2, to) = as_cmp_jf(*code.get(pc + 1)?)? else {
-        return None;
-    };
-    if lim2 != lim || to as usize != pc + 7 {
-        return None;
-    }
     let Insn::Move {
         dst: targ,
         src: tcell,
-    } = *code.get(pc + 2)?
+    } = *code.get(pc)?
     else {
         return None;
     };
     let Insn::Move {
         dst: aarg,
         src: areg,
-    } = *code.get(pc + 3)?
+    } = *code.get(pc + 1)?
     else {
         return None;
     };
@@ -1094,36 +1072,32 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
         func,
         base,
         n: 2,
-    } = *code.get(pc + 4)?
+    } = *code.get(pc + 2)?
     else {
         return None;
     };
     if base != targ || !lcg.get(func as usize).copied().unwrap_or(false) {
         return None;
     }
-    let (arr, idx, src) = as_index_set(*code.get(pc + 5)?)?;
-    if idx != j || src != res {
-        return None;
-    }
-    let Insn::IncJump {
-        var,
+    let (arr, idx, src) = as_index_set(*code.get(pc + 3)?)?;
+    let Insn::IncCmpJump {
+        var: j,
         step: 1,
-        to: to2,
-    } = *code.get(pc + 6)?
+        limit: lim,
+        op: CmpOp::Lt,
+        to,
+    } = *code.get(pc + 4)?
     else {
         return None;
     };
-    if var != j || to2 as usize != pc {
+    if idx != j || src != res || to as usize != pc {
         return None;
     }
-    // `lim` may alias `targ`/`aarg`/`res` (the head recomputes it before
-    // the guard reads it), but the induction variable and the
-    // loop-invariant operands must be untouched by every write.
-    let writes = [lim, targ, aarg, res, j];
-    if !all_distinct(&[j, lim]) || [targ, aarg, res].contains(&j) {
-        return None;
-    }
-    if [nk, tcell, areg, arr].iter().any(|r| writes.contains(r)) {
+    // The induction variable and the loop-invariant operands must be
+    // untouched by every write.
+    let writes = [targ, aarg, res, j];
+    if [targ, aarg, res].contains(&j) || [lim, tcell, areg, arr].iter().any(|r| writes.contains(r))
+    {
         return None;
     }
     Some((
@@ -1136,10 +1110,8 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
             arr,
             j,
             lim,
-            nk,
-            k,
         },
-        (pc + 7) as u32,
+        pc as u32 + 5,
     ))
 }
 
@@ -1308,7 +1280,7 @@ fn run_inner(desc: &KernelDesc, pc: u32, regs: &mut [Value], consts: &[Value]) -
     match desc.kind {
         KernelKind::MatvecRows { .. } => run_matvec_rows(&desc.kind, regs, consts),
         KernelKind::RankPipeline { .. } => run_rank_pipeline(&desc.kind, regs, consts),
-        KernelKind::LcgFill { .. } => run_lcg_fill(&desc.kind, pc, regs, consts),
+        KernelKind::LcgFill { .. } => run_lcg_fill(&desc.kind, pc, regs),
         KernelKind::EpPairs { .. } => run_ep_pairs(&desc.kind, regs),
     }
 }
@@ -1808,12 +1780,7 @@ fn lcg_exact(v: f64) -> bool {
     (0.0..T46).contains(&v) && npb_trunc(v) == v
 }
 
-fn run_lcg_fill(
-    kind: &KernelKind,
-    pc: u32,
-    regs: &mut [Value],
-    consts: &[Value],
-) -> Result<(), Bail> {
+fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Bail> {
     let KernelKind::LcgFill {
         tcell,
         targ,
@@ -1823,27 +1790,19 @@ fn run_lcg_fill(
         arr,
         j,
         lim,
-        nk,
-        k,
     } = *kind
     else {
         return Err(BAIL_TYPE);
     };
-    let (Some(xv), Some(mut jv), Some(nkv), Some(av)) = (
+    let (Some(xv), Some(mut jv), Some(limv), Some(av)) = (
         reg_arrf(regs, arr),
         reg_int(regs, j),
-        reg_int(regs, nk),
+        reg_int(regs, lim),
         reg_float(regs, areg),
     ) else {
         return Err(BAIL_TYPE);
     };
     let _fence = xv.write_fence();
-    let Some(Value::Int(c)) = consts.get(k as usize) else {
-        return Err(BAIL_TYPE);
-    };
-    // The head recomputes `lim = c * nk` every iteration with the
-    // interpreter's wrapping semantics; it is constant across the batch.
-    let limv = c.wrapping_mul(nkv);
     let Value::Ptr(slot) = &regs[tcell as usize] else {
         return Err(BAIL_TYPE);
     };
@@ -1904,7 +1863,9 @@ fn run_lcg_fill(
             zomp::trace::deopt("lcg-fill:sequential", pc);
         }
     }
-    while jv < limv {
+    // A do-while: entered at the body head, the loop runs its first
+    // iteration before any test (the batch above counts as one).
+    while last.is_none() || jv < limv {
         if jv < 0 || jv >= xn {
             // Bail *before* this iteration's call: the replay performs
             // the seed advance itself and then raises the store's
@@ -1913,7 +1874,6 @@ fn run_lcg_fill(
             // the arg window and `res` are rewritten by the replay
             // before anything reads them.
             regs[j as usize] = Value::Int(jv);
-            regs[lim as usize] = Value::Int(limv);
             *slot.lock() = Value::Float(t);
             return Err(BAIL_BOUNDS);
         }
@@ -1924,16 +1884,11 @@ fn run_lcg_fill(
         last = Some(d);
         jv = jv.wrapping_add(1);
     }
-    // Normal exit. Interpreter frame state after the final guard: the
-    // call consumed the arg window (`Undefined`), the head re-ran
-    // `kmul` (so `lim` holds the Int limit even when it aliases
-    // `aarg`), and `res` holds the last deviate. Zero-trip entries
-    // only executed the head and the guard.
-    if last.is_some() {
-        regs[targ as usize] = Value::Undefined;
-        regs[aarg as usize] = Value::Undefined;
-    }
-    regs[lim as usize] = Value::Int(limv);
+    // Normal exit. Interpreter frame state after the final test: the
+    // call consumed the arg window (`Undefined`) and `res` holds the
+    // last deviate.
+    regs[targ as usize] = Value::Undefined;
+    regs[aarg as usize] = Value::Undefined;
     regs[j as usize] = Value::Int(jv);
     if let Some(d) = last {
         regs[res as usize] = Value::Float(d);

@@ -30,11 +30,11 @@
 //! | pattern (after pass 1/2)                        | fused               | kept by |
 //! |-------------------------------------------------|---------------------|---------|
 //! | `const t,k; arith d,a,t`                        | `ArithK d,a,k`      | `kernels::lcg_callee` (the LCG lifter), `match_rank_pipeline`, `match_ep_pairs`, template decoder; hot in `dyn` and `fork_small` |
-//! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, `match_lcg_fill`, `match_ep_pairs`, template decoder |
+//! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, `match_ep_pairs`, template decoder |
 //! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | `match_ep_pairs`, template decoder |
 //! | `index t,A[i]; mul u,x,t; add s,s,u`            | `FmaIdx s,x,A[i]`   | template decoder (`fma_tail`); the tail of `FmaGather` |
 //! | `arithk t,j,±k; index d,A[t]`                   | `IndexOff d,A[j±k]` | `match_ep_pairs`, template decoder |
-//! | `arithk v,v,±k; jump`                           | `IncJump v,±k`      | `match_matvec_rows`, `match_lcg_fill`, template form B |
+//! | `arithk v,v,±k; jump`                           | `IncJump v,±k`      | `match_matvec_rows`; otherwise only the interpreter (general-path loops) |
 //! | `deref t,C; index d,t[i]`                       | `DerefIndex d,(C)[i]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
 //! | `deref t,C; indexoff d,t[j±k]`                  | `DerefIndexOff d,(C)[j±k]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder (the stencil) |
 //! | `deref t,C; indexset t[i],s`                    | `DerefIndexSet (C)[i],s` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
@@ -934,12 +934,15 @@ fn no_leader(lead: &[bool], i: usize, len: usize) -> bool {
     (1..len).all(|d| !lead[i + d])
 }
 
-/// Extract a small non-negative integer constant (for `IndexOff` /
-/// `IncJump` immediates). Negative constants are rejected so the slow
-/// path can reconstruct the exact `+ k` / `- k` source operator.
-fn small_int_const(consts: &[Value], k: u16) -> Option<i32> {
-    match consts.get(k as usize) {
-        Some(Value::Int(v)) if (0..=i32::MAX as i64).contains(v) => Some(*v as i32),
+/// The signed immediate of `+ k` / `- k` (`op` `Add` or `Sub`) for
+/// `IndexOff` / `IncJump`: `k` a small non-negative integer constant,
+/// negated for `-`. The slow path rebuilds the source operator from the
+/// sign, so a negative constant and `- 0` (which would replay as `+ 0`
+/// and name `+` in a type error) are refused.
+fn signed_imm(consts: &[Value], op: ArithOp, k: u16) -> Option<i32> {
+    match (consts.get(k as usize)?, op) {
+        (&Value::Int(v), ArithOp::Add) if (0..=i32::MAX as i64).contains(&v) => Some(v as i32),
+        (&Value::Int(v), _) if (1..=i32::MAX as i64).contains(&v) => Some(-v as i32),
         _ => None,
     }
 }
@@ -1103,8 +1106,7 @@ fn try_fuse_at(
     {
         if idx == t && j != t && t != arr && no_leader(lead, i, 2) && consumed(t, dst, live, i + 1)
         {
-            if let Some(v) = small_int_const(consts, k) {
-                let off = if op == ArithOp::Add { v } else { -v };
+            if let Some(off) = signed_imm(consts, op, k) {
                 return Some((
                     Insn::IndexOff {
                         dst,
@@ -1126,8 +1128,7 @@ fn try_fuse_at(
     }, Insn::Jump { to }, ..] = *w
     {
         if a == v && no_leader(lead, i, 2) {
-            if let Some(c) = small_int_const(consts, k) {
-                let step = if op == ArithOp::Add { c } else { -c };
+            if let Some(step) = signed_imm(consts, op, k) {
                 return Some((Insn::IncJump { var: v, step, to }, 2));
             }
         }

@@ -27,14 +27,15 @@
 //! too: the rest of the iteration over the strip, then the update lane by
 //! lane in iteration order (see [`Tail`]).
 //!
-//! Two loop forms are recognised, matching what the compiler emits
-//! for `while` loops after optimization:
-//!
-//! * Form A (do-while): straight-line body ending in an
-//!   [`Insn::IncCmpJump`] whose target is the loop head.
-//! * Form B (head-guarded): optional straight-line head,
-//!   [`Insn::CmpJumpFalse`] to the loop exit, straight-line body,
-//!   [`Insn::IncJump`] back to the head.
+//! One loop form is recognised: a straight-line body ending in an
+//! [`Insn::IncCmpJump`] whose target is the body's first instruction (a
+//! do-while; the compiler's guard in front of it is not part of the
+//! template). The compiler lowers every canonical counted loop to that
+//! form — a limit that is a local, a literal or a pure expression of
+//! locals the loop never assigns (evaluated once, before the guard), and
+//! a step written as the continue expression or as the body's last
+//! statement — so a loop the compiler leaves on the general path (a
+//! limit that reads memory, a compound condition) runs interpreted.
 //!
 //! Types are inferred per loop by union-find over scalar registers
 //! and array element kinds, seeded by typed pool constants and by
@@ -136,29 +137,15 @@ pub struct TProg {
     pub ninsns: usize,
 }
 
-/// The loop control shape of a variant. Fields index frame slots,
-/// not registers.
+/// The loop control of a variant (body then `IncCmpJump`: run ops,
+/// bump the induction variable, test it against the limit). `ind` and
+/// `lim` index int frame slots, not registers.
 #[derive(Clone, Copy)]
-pub enum Shape {
-    /// Body then `IncCmpJump`: run ops, bump induction, test.
-    DoWhile {
-        ind: u16,
-        step: i64,
-        lim: u16,
-        cmp: CmpOp,
-    },
-    /// Head ops, guard test, body ops, `IncJump`: `nhead` splits
-    /// `ops`; the guard compares slots `ga`/`gb` (`gflt` selects the
-    /// float file).
-    HeadGuard {
-        ind: u16,
-        step: i64,
-        nhead: u16,
-        ga: u16,
-        gb: u16,
-        gflt: bool,
-        cmp: CmpOp,
-    },
+pub struct Shape {
+    ind: u16,
+    step: i64,
+    lim: u16,
+    cmp: CmpOp,
 }
 
 /// Entry bind: type-check a register and load it into the frame.
@@ -194,13 +181,8 @@ pub struct TVariant {
     pub prelude: Vec<TOp>,
     pub ops: Vec<TOp>,
     pub shape: Shape,
-    /// Written registers boxed back on every normal exit.
+    /// Written registers boxed back on a normal exit.
     pub outs: Vec<Out>,
-    /// Written registers boxed back only when at least one full body
-    /// execution happened (Form B regs defined only inside the
-    /// guarded body: after zero iterations their slots hold garbage
-    /// and the interpreter would not have touched them either).
-    pub outs_body: Vec<Out>,
     /// Bound-and-written registers boxed back on a bail, after
     /// restoring their start-of-iteration snapshot, so the
     /// interpreter replays the failing iteration from exact state.
@@ -452,7 +434,7 @@ impl TemplateDesc {
                     | Bind::CellF { reg, .. } => f(reg),
                 }
             }
-            for o in v.outs.iter().chain(&v.outs_body).chain(&v.bail_outs) {
+            for o in v.outs.iter().chain(&v.bail_outs) {
                 match *o {
                     Out::Int { reg, .. }
                     | Out::Flt { reg, .. }
@@ -754,16 +736,6 @@ fn cmp_i(op: CmpOp, a: i64, b: i64) -> bool {
         CmpOp::Ne => a != b,
     }
 }
-fn cmp_f(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Runtime
@@ -921,9 +893,8 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
         }
     };
     match r {
-        Ok(ran_body) => {
-            let body = if ran_body { &v.outs_body[..] } else { &[] };
-            for o in v.outs.iter().chain(body) {
+        Ok(()) => {
+            for o in &v.outs {
                 out(o, regs);
             }
             VOut::Done
@@ -962,12 +933,12 @@ fn aliased(
     }
 }
 
-/// Iterations the loop runs from `i0`, or `None` when the induction
-/// variable would wrap on the way (the scalar chain owns wrapping
-/// loops). `first`: a do-while, whose first body runs before any test.
-/// The plan guarantees `cmp` and the sign of `step` agree.
-fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp, first: bool) -> Option<u64> {
-    let start = i0 as i128 + if first { step as i128 } else { 0 };
+/// Iterations the do-while runs from `i0` (its first body runs before
+/// any test), or `None` when the induction variable would wrap on the
+/// way (the scalar chain owns wrapping loops). The plan guarantees
+/// `cmp` and the sign of `step` agree.
+fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp) -> Option<u64> {
+    let start = i0 as i128 + step as i128;
     // Distance left to cover in the direction of travel.
     let dist = match cmp {
         CmpOp::Lt => lim as i128 - start,
@@ -977,7 +948,7 @@ fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp, first: bool) -> Option<u
         CmpOp::Eq | CmpOp::Ne => return None,
     };
     let stride = step.unsigned_abs() as i128;
-    let trip = first as i128 + (dist.max(0) + stride - 1) / stride;
+    let trip = 1 + (dist.max(0) + stride - 1) / stride;
     i64::try_from(i0 as i128 + trip * step as i128)
         .is_ok()
         .then_some(trip as u64)
@@ -997,19 +968,15 @@ fn exec_strip(
     plan: &StripPlan,
     fr: &mut TFrame,
     hint: Option<(i64, i64)>,
-) -> Result<bool, Bail> {
-    let (ind, step, lim, cmp, first) = match v.shape {
-        Shape::DoWhile {
-            ind,
-            step,
-            lim,
-            cmp,
-        } => (ind as usize, step, lim, cmp, true),
-        Shape::HeadGuard {
-            ind, step, gb, cmp, ..
-        } => (ind as usize, step, gb, cmp, false),
-    };
-    let Some(trip) = trip_count(fr.ints[ind], fr.ints[lim as usize], step, cmp, first) else {
+) -> Result<(), Bail> {
+    let Shape {
+        ind,
+        step,
+        lim,
+        cmp,
+    } = v.shape;
+    let ind = ind as usize;
+    let Some(trip) = trip_count(fr.ints[ind], fr.ints[lim as usize], step, cmp) else {
         return exec(v, fr);
     };
     let shift = plan.tail.as_ref().map(|t| t.shift(&fr.ints, hint));
@@ -1061,7 +1028,7 @@ fn exec_strip(
             for (f, op) in &plan.ops {
                 if f(&mut sf, op).is_err() {
                     (sf.fr.ints, sf.fr.flts) = start;
-                    return exec(v, sf.fr).map(|ran| ran || left < trip);
+                    return exec(v, sf.fr);
                 }
             }
             // The tail checks each lane before storing it: a failure at
@@ -1071,22 +1038,20 @@ fn exec_strip(
             if let (Some(tail), Some(Some(sh))) = (&plan.tail, shift) {
                 if let Err(k) = tail.run(&mut sf, sh) {
                     sf.fr.ints[ind] = sf.i0 + k as i64 * step;
-                    return exec(v, sf.fr).map(|ran| ran || k > 0 || left < trip);
+                    return exec(v, sf.fr);
                 }
             }
             sf.fr.ints[ind] = sf.i0 + sf.n as i64 * step;
             left -= sf.n as u64;
         }
-        if trip > 0 {
-            for &(flt, s, c) in &plan.last {
-                if flt {
-                    sf.fr.flts[s as usize] = sf.cf[c as usize][sf.n - 1];
-                } else {
-                    sf.fr.ints[s as usize] = sf.ci[c as usize][sf.n - 1];
-                }
+        for &(flt, s, c) in &plan.last {
+            if flt {
+                sf.fr.flts[s as usize] = sf.cf[c as usize][sf.n - 1];
+            } else {
+                sf.fr.ints[s as usize] = sf.ci[c as usize][sf.n - 1];
             }
         }
-        Ok(trip > 0)
+        Ok(())
     })
 }
 
@@ -1342,10 +1307,9 @@ fn scatter<T: Copy>(
     Ok((lane(n - 1, g).ok_or(n - 1)?, g as i64))
 }
 
-/// Execute the variant's loop. `Ok(ran_body)` on normal exit (whether
-/// at least one full guarded-body execution happened); `Err` after
+/// Execute the variant's loop one iteration at a time; `Err` after
 /// restoring the iteration snapshot on a mid-iteration failure.
-fn exec(v: &TVariant, fr: &mut TFrame) -> Result<bool, Bail> {
+fn exec(v: &TVariant, fr: &mut TFrame) -> Result<(), Bail> {
     let mut si = [0i64; NSLOT];
     let mut sf = [0f64; NSLOT];
     let snap = |fr: &TFrame, si: &mut [i64; NSLOT], sf: &mut [f64; NSLOT]| {
@@ -1366,70 +1330,27 @@ fn exec(v: &TVariant, fr: &mut TFrame) -> Result<bool, Bail> {
             }
         }
     };
-    match v.shape {
-        Shape::DoWhile {
-            ind,
-            step,
-            lim,
-            cmp,
-        } => {
-            let (ind, lim) = (ind as usize, lim as usize);
-            loop {
-                if v.fallible {
-                    snap(fr, &mut si, &mut sf);
-                }
-                for op in &v.ops {
-                    if let Err(b) = (op.f)(fr, op) {
-                        restore(fr, &si, &sf);
-                        return Err(b);
-                    }
-                }
-                let next = fr.ints[ind].wrapping_add(step);
-                fr.ints[ind] = next;
-                if !cmp_i(cmp, next, fr.ints[lim]) {
-                    return Ok(true);
-                }
+    let Shape {
+        ind,
+        step,
+        lim,
+        cmp,
+    } = v.shape;
+    let (ind, lim) = (ind as usize, lim as usize);
+    loop {
+        if v.fallible {
+            snap(fr, &mut si, &mut sf);
+        }
+        for op in &v.ops {
+            if let Err(b) = (op.f)(fr, op) {
+                restore(fr, &si, &sf);
+                return Err(b);
             }
         }
-        Shape::HeadGuard {
-            ind,
-            step,
-            nhead,
-            ga,
-            gb,
-            gflt,
-            cmp,
-        } => {
-            let (ind, nhead) = (ind as usize, nhead as usize);
-            let (ga, gb) = (ga as usize, gb as usize);
-            let mut ran_body = false;
-            loop {
-                if v.fallible {
-                    snap(fr, &mut si, &mut sf);
-                }
-                for op in &v.ops[..nhead] {
-                    if let Err(b) = (op.f)(fr, op) {
-                        restore(fr, &si, &sf);
-                        return Err(b);
-                    }
-                }
-                let taken = if gflt {
-                    cmp_f(cmp, fr.flts[ga], fr.flts[gb])
-                } else {
-                    cmp_i(cmp, fr.ints[ga], fr.ints[gb])
-                };
-                if !taken {
-                    return Ok(ran_body);
-                }
-                for op in &v.ops[nhead..] {
-                    if let Err(b) = (op.f)(fr, op) {
-                        restore(fr, &si, &sf);
-                        return Err(b);
-                    }
-                }
-                fr.ints[ind] = fr.ints[ind].wrapping_add(step);
-                ran_body = true;
-            }
+        let next = fr.ints[ind].wrapping_add(step);
+        fr.ints[ind] = next;
+        if !cmp_i(cmp, next, fr.ints[lim]) {
+            return Ok(());
         }
     }
 }
@@ -1645,11 +1566,8 @@ struct Bld<'f> {
     /// `Deref` destinations and the cell each reads: an array use of
     /// the destination binds the cell instead.
     alias: HashMap<Reg, Reg>,
-    /// `(destination, cell, in a form B body)` per `Deref`, for the exit
-    /// write-back.
-    derefs: Vec<(Reg, Reg, bool)>,
-    /// Decoding past a form B guard.
-    in_body: bool,
+    /// `(destination, cell)` per `Deref`, for the exit write-back.
+    derefs: Vec<(Reg, Reg)>,
     protos: Vec<P>,
     nscratch: u32,
 }
@@ -1666,7 +1584,6 @@ impl<'f> Bld<'f> {
             aorder: Vec::new(),
             alias: HashMap::new(),
             derefs: Vec::new(),
-            in_body: false,
             protos: Vec::new(),
             nscratch: 0,
         }
@@ -1837,7 +1754,7 @@ impl<'f> Bld<'f> {
                     && self.alias.get(&dst).is_none_or(|&c| c == ptr));
                 t!(self.av(ptr, true));
                 self.alias.insert(dst, ptr);
-                self.derefs.push((dst, ptr, self.in_body));
+                self.derefs.push((dst, ptr));
             }
             Insn::Index { dst, arr, idx } => self.load(dst, arr, false, idx, 0)?,
             Insn::IndexOff { dst, arr, idx, off } => self.load(dst, arr, false, idx, off)?,
@@ -1975,49 +1892,30 @@ impl<'f> Bld<'f> {
     }
 }
 
-/// Loop control metadata from the structural match, pre-slot-assignment.
-enum FormMeta {
-    A {
-        var: Reg,
-        step: i64,
-        lim: Reg,
-        cmp: CmpOp,
-    },
-    B {
-        var: Reg,
-        step: i64,
-        nhead: usize,
-        ga: Reg,
-        gb: Reg,
-        cmp: CmpOp,
-    },
-}
-
+/// Loop control from the structural match, before slot assignment.
 struct MatchOut {
-    form: FormMeta,
+    var: Reg,
+    step: i64,
+    lim: Reg,
+    cmp: CmpOp,
     ninsns: usize,
 }
 
-/// Match a template loop headed at `pc`, or say why it stays
-/// interpreted (`Err`, the `kernel-missed` note's template half): the
-/// decoder's refusal, [`emit_one`]'s, `shape` when no back-edge closes a
-/// single block at `pc`, or `length` past [`MAX_INSNS`]. Only a
+/// Match a template loop `pc: body...; IncCmpJump -> pc`, or say why it
+/// stays interpreted (`Err`, the `kernel-missed` note's template half):
+/// the decoder's refusal, [`emit_one`]'s, `shape` when no back-edge
+/// closes a single block at `pc`, or `length` past [`MAX_INSNS`]. Only a
 /// back-edge target can match (see [`loop_heads`]).
 pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String> {
-    // The first back-edge to `pc` closes the loop and names its form.
-    let close = (pc..f.code.len()).find(|&j| {
-        matches!(f.code[j], Insn::IncCmpJump { to, .. } | Insn::IncJump { to, .. } if to as usize == pc)
-    });
-    match close {
-        Some(j) if j - pc >= MAX_INSNS => Err("length".into()),
-        Some(j) if matches!(f.code[j], Insn::IncCmpJump { .. }) => match_form_a(f, pc, j),
-        Some(j) => match_form_b(f, pc, j),
-        None => Err("shape".into()),
+    // The first back-edge to `pc` closes the loop.
+    let close = (pc..f.code.len())
+        .find(|&j| matches!(f.code[j], Insn::IncCmpJump { to, .. } if to as usize == pc));
+    let Some(j) = close else {
+        return Err("shape".into());
+    };
+    if j - pc >= MAX_INSNS {
+        return Err("length".into());
     }
-}
-
-/// Form A: `pc: body...; IncCmpJump -> pc` at `j`.
-fn match_form_a(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), String> {
     let Insn::IncCmpJump {
         var,
         step,
@@ -2026,7 +1924,7 @@ fn match_form_a(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), Str
         ..
     } = f.code[j]
     else {
-        unreachable!("the caller found the back-edge")
+        unreachable!("`close` found the back-edge")
     };
     let exit = j + 1;
     if exit >= f.code.len() {
@@ -2042,71 +1940,13 @@ fn match_form_a(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), Str
         return Err("types".into());
     }
     let m = MatchOut {
-        form: FormMeta::A {
-            var,
-            step: step as i64,
-            lim: limit,
-            cmp: op,
-        },
+        var,
+        step: step as i64,
+        lim: limit,
+        cmp: op,
         ninsns: j + 1 - pc,
     };
     Ok((emit(b, m)?, exit as u32))
-}
-
-/// Form B: `pc: head...; CmpJumpFalse -> exit; body...; IncJump -> pc`
-/// at `j`.
-fn match_form_b(f: &CompiledFn, pc: usize, j: usize) -> Result<(TProg, u32), String> {
-    let Insn::IncJump { var, step, .. } = f.code[j] else {
-        unreachable!("the caller found the back-edge")
-    };
-    let guard = (pc..j).find(|&g| matches!(f.code[g], Insn::CmpJumpFalse { .. }));
-    let Some((
-        g,
-        Insn::CmpJumpFalse {
-            op,
-            a: ga,
-            b: gb,
-            to: exit,
-        },
-    )) = guard.map(|g| (g, f.code[g]))
-    else {
-        return Err("shape".into());
-    };
-    // The guard must jump forward past the back-edge (the loop exit);
-    // anything else is not a single-block loop.
-    if exit as usize <= j || exit as usize >= f.code.len() {
-        return Err("shape".into());
-    }
-    let mut b = Bld::new(f);
-    for insn in &f.code[pc..g] {
-        b.decode(insn)?;
-    }
-    let ka = b.sv(ga).ok_or("types")?;
-    let kb = b.sv(gb).ok_or("types")?;
-    if !b.uni(ka, kb) {
-        return Err("types".into());
-    }
-    let nhead = b.protos.len();
-    b.in_body = true;
-    for insn in &f.code[g + 1..j] {
-        b.decode(insn)?;
-    }
-    let kv = b.sv(var).ok_or("types")?;
-    if !b.setk(kv, K::Int) {
-        return Err("types".into());
-    }
-    let m = MatchOut {
-        form: FormMeta::B {
-            var,
-            step: step as i64,
-            nhead,
-            ga,
-            gb,
-            cmp: op,
-        },
-        ninsns: j + 1 - pc,
-    };
-    Ok((emit(b, m)?, exit))
 }
 
 // ---------------------------------------------------------------------------
@@ -2148,12 +1988,9 @@ fn emit(mut b: Bld, m: MatchOut) -> Result<TProg, String> {
     if variants.is_empty() {
         return Err(refusal.into());
     }
-    let ind = match m.form {
-        FormMeta::A { var, .. } | FormMeta::B { var, .. } => var,
-    };
     Ok(TProg {
         variants,
-        ind,
+        ind: m.var,
         ninsns: m.ninsns,
     })
 }
@@ -2223,56 +2060,22 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // order decides which registers must be bound at entry.
     let mut written: HashSet<u32> = HashSet::new();
     let mut bound: HashSet<u32> = HashSet::new();
-    let mut head_written: HashSet<u32> = HashSet::new();
     {
-        let read = |key: u32, written: &HashSet<u32>, bound: &mut HashSet<u32>| {
+        let mut read = |key: u32, written: &HashSet<u32>| {
             if key < SCRATCH0 && !written.contains(&key) {
                 bound.insert(key);
             }
         };
-        let (nhead, tail_reads): (usize, Vec<u32>) = match m.form {
-            FormMeta::A { var, lim, .. } => (b.protos.len(), vec![var as u32, lim as u32]),
-            FormMeta::B {
-                var, nhead, ga, gb, ..
-            } => {
-                // Guard reads run between head and body.
-                let _ = (ga, gb);
-                (nhead, vec![var as u32])
-            }
-        };
-        for (i, p) in b.protos.iter().enumerate() {
-            if i == nhead {
-                if let FormMeta::B { ga, gb, .. } = m.form {
-                    read(ga as u32, &written, &mut bound);
-                    read(gb as u32, &written, &mut bound);
-                }
-            }
-            p.reads(|r| read(r, &written, &mut bound));
+        for p in &b.protos {
+            p.reads(|r| read(r, &written));
             if let Some(d) = p.write() {
                 written.insert(d);
-                if i < nhead {
-                    head_written.insert(d);
-                }
             }
         }
-        if b.protos.len() == nhead {
-            if let FormMeta::B { ga, gb, .. } = m.form {
-                read(ga as u32, &written, &mut bound);
-                read(gb as u32, &written, &mut bound);
-            }
-        }
-        for r in tail_reads {
-            read(r, &written, &mut bound);
-        }
-        let var = match m.form {
-            FormMeta::A { var, .. } | FormMeta::B { var, .. } => var,
-        };
-        written.insert(var as u32);
-        if matches!(m.form, FormMeta::A { .. }) {
-            // A do-while always completes at least one full body
-            // execution before a normal exit.
-            head_written = written.iter().copied().collect();
-        }
+        // The back-edge reads the induction variable and the limit.
+        read(m.var as u32, &written);
+        read(m.lim as u32, &written);
+        written.insert(m.var as u32);
     }
     // Ops. Loop-invariant constants — a `Const` whose slot no other op
     // writes and whose pre-loop value is never read (it is not in
@@ -2285,10 +2088,6 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             *write_count.entry(d).or_default() += 1;
         }
     }
-    let nhead_protos = match m.form {
-        FormMeta::B { nhead, .. } => nhead,
-        FormMeta::A { .. } => b.protos.len(),
-    };
     let hoisted: Vec<bool> = b
         .protos
         .iter()
@@ -2300,7 +2099,6 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         .collect();
     let mut ops = Vec::with_capacity(b.protos.len());
     let mut prelude = Vec::new();
-    let mut nhead_hoisted = 0usize;
     let mut fallible = false;
     let mut seen_store = false;
     // Elements this iteration has already bounds-checked, as `(array,
@@ -2320,9 +2118,6 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         let op_fallible = op_fallible && !repeat;
         if hoisted[i] {
             prelude.push(op);
-            if i < nhead_protos {
-                nhead_hoisted += 1;
-            }
             continue;
         }
         // Replay soundness: no fallible op may execute after the
@@ -2359,9 +2154,9 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             (_, true) => Bind::CellF { reg: r, slot: s },
         });
     }
-    // Write-backs.
+    // Write-backs. A do-while completes at least one full body before a
+    // normal exit, so every written register is defined by then.
     let mut outs = Vec::new();
-    let mut outs_body = Vec::new();
     let mut bail_outs = Vec::new();
     let mut snap = Vec::new();
     for &key in &b.sorder {
@@ -2376,27 +2171,18 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         } else {
             Out::Int { reg, slot: s }
         };
-        if bound.contains(&key) || head_written.contains(&key) {
-            outs.push(out);
-        } else {
-            outs_body.push(out);
-        }
+        outs.push(out);
         if bound.contains(&key) {
             bail_outs.push(out);
             snap.push((flt, s));
         }
     }
-    for &(reg, cell, in_body) in &b.derefs {
+    for &(reg, cell) in &b.derefs {
         let slot = aslot[&cell];
-        let out = match akind[&cell] {
+        outs.push(match akind[&cell] {
             K::Int => Out::ArrI { reg, slot },
             _ => Out::ArrF { reg, slot },
-        };
-        if in_body {
-            outs_body.push(out);
-        } else {
-            outs.push(out);
-        }
+        });
     }
     // Write fences per stored-into array slot.
     let mut wf_i = Vec::new();
@@ -2410,40 +2196,12 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             _ => wf_f.push(aslot[&r]),
         }
     }
-    // Shape, with control operands resolved to slots.
-    let shape = match m.form {
-        FormMeta::A {
-            var,
-            step,
-            lim,
-            cmp,
-        } => Shape::DoWhile {
-            ind: slot[&(var as u32)],
-            step,
-            lim: slot[&(lim as u32)],
-            cmp,
-        },
-        FormMeta::B {
-            var,
-            step,
-            nhead,
-            ga,
-            gb,
-            cmp,
-        } => {
-            // nhead counts protos, which map 1:1 onto emitted ops in
-            // order (lower() emits exactly one op per proto), minus
-            // the head constants hoisted into the prelude.
-            Shape::HeadGuard {
-                ind: slot[&(var as u32)],
-                step,
-                nhead: (nhead - nhead_hoisted) as u16,
-                ga: slot[&(ga as u32)],
-                gb: slot[&(gb as u32)],
-                gflt: skind[&(ga as u32)] != K::Int,
-                cmp,
-            }
-        }
+    // Control operands resolved to slots.
+    let shape = Shape {
+        ind: slot[&(m.var as u32)],
+        step: m.step,
+        lim: slot[&(m.lim as u32)],
+        cmp: m.cmp,
     };
     let strip = plan_strip(
         b,
@@ -2465,7 +2223,6 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         ops,
         shape,
         outs,
-        outs_body,
         bail_outs,
         snap,
         fallible,
@@ -2545,7 +2302,7 @@ impl TailP {
 /// one except through a reduction the strip can fold in order:
 ///
 /// - `guard`: the trip count must be computable on entry — a monotone
-///   induction test against an unwritten limit, nothing in the head.
+///   induction test against a limit the loop does not write.
 /// - `carried-scalar`: a slot read before it is written, and written,
 ///   must be a single-op accumulator (`a = a ⊕ t`) nothing else reads.
 /// - `non-affine-store` / `memory-dependence`: an array the loop
@@ -2580,23 +2337,7 @@ fn plan_strip(
     write_count: &HashMap<u32, usize>,
     hoisted: &[bool],
 ) -> Result<StripPlan, &'static str> {
-    let (var, step, lim, cmp) = match m.form {
-        FormMeta::A {
-            var,
-            step,
-            lim,
-            cmp,
-        } => (var as u32, step, lim as u32, cmp),
-        FormMeta::B {
-            var,
-            step,
-            nhead: 0,
-            ga,
-            gb,
-            cmp,
-        } if ga == var => (var as u32, step, gb as u32, cmp),
-        FormMeta::B { .. } => return Err("guard"),
-    };
+    let (var, step, lim, cmp) = (m.var as u32, m.step, m.lim as u32, m.cmp);
     let monotone = match cmp {
         CmpOp::Lt | CmpOp::Le => step > 0,
         CmpOp::Gt | CmpOp::Ge => step < 0,
@@ -2981,15 +2722,14 @@ fn lower(
 // ---------------------------------------------------------------------------
 
 /// The pcs a template loop can be headed at: the targets of every
-/// `IncCmpJump`/`IncJump`. Form A matches only when the `IncCmpJump`
-/// closing its body jumps to `pc`, form B only when the `IncJump` does,
-/// and both back-edges sit at some `j >= pc`. [`install_fn`] rewrites
-/// only pcs it has already passed, so the back-edge of any loop it can
-/// still match is in `f.code` when this scan runs.
+/// `IncCmpJump`. A loop matches only when the `IncCmpJump` closing its
+/// body jumps to `pc` from some `j >= pc`. [`install_fn`] rewrites only
+/// pcs it has already passed, so the back-edge of any loop it can still
+/// match is in `f.code` when this scan runs.
 fn loop_heads(code: &[Insn]) -> Vec<bool> {
     let mut head = vec![false; code.len()];
     for insn in code {
-        if let Insn::IncCmpJump { to, .. } | Insn::IncJump { to, .. } = *insn {
+        if let Insn::IncCmpJump { to, .. } = *insn {
             head[to as usize] = true;
         }
     }
@@ -3079,7 +2819,6 @@ mod tests {
         assert_eq!(prog.variants.len(), 1);
         let v = &prog.variants[0];
         assert!(!v.fallible);
-        assert!(v.outs_body.is_empty());
         let mut regs = vec![Value::Int(5), Value::Int(1), Value::Int(0)];
         assert!(run_inner(&prog, &mut regs).is_ok());
         assert!(matches!(regs[1], Value::Int(243)));
@@ -3188,42 +2927,6 @@ mod tests {
         // r3 (defined before use every iteration) is untouched: the
         // interpreter replay re-defines it before reading.
         assert!(matches!(regs[3], Value::Undefined));
-    }
-
-    /// Form B with a guarded body that never runs: body-only
-    /// registers must not be clobbered by the write-back.
-    #[test]
-    fn form_b_zero_iterations_leaves_body_defs_alone() {
-        let f = mk(
-            vec![
-                Insn::CmpJumpFalse {
-                    op: CmpOp::Lt,
-                    a: 0,
-                    b: 1,
-                    to: 4,
-                },
-                Insn::Const { dst: 2, k: 0 },
-                Insn::IncJump {
-                    var: 0,
-                    step: 1,
-                    to: 0,
-                },
-                Insn::RetVoid,
-                Insn::RetVoid,
-            ],
-            vec![Value::Int(7)],
-            3,
-        );
-        let (prog, exit) = match_at(&f, 0).expect("should match");
-        assert_eq!(exit, 4);
-        let mut regs = vec![Value::Int(5), Value::Int(5), Value::Str(Arc::from("x"))];
-        assert!(run_inner(&prog, &mut regs).is_ok());
-        assert!(matches!(regs[2], Value::Str(_)));
-        // And with iterations, the const lands.
-        let mut regs = vec![Value::Int(0), Value::Int(5), Value::Undefined];
-        assert!(run_inner(&prog, &mut regs).is_ok());
-        assert!(matches!(regs[0], Value::Int(5)));
-        assert!(matches!(regs[2], Value::Int(7)));
     }
 
     // -- strip execution ----------------------------------------------------
@@ -3604,15 +3307,14 @@ mod tests {
     #[test]
     fn trip_count_matches_the_loop_semantics() {
         use CmpOp::*;
-        assert_eq!(trip_count(0, 10, 1, Lt, true), Some(10));
-        assert_eq!(trip_count(0, 10, 3, Lt, true), Some(4));
-        assert_eq!(trip_count(0, 9, 3, Le, true), Some(4));
-        assert_eq!(trip_count(10, 10, 1, Lt, true), Some(1));
-        assert_eq!(trip_count(10, 10, 1, Lt, false), Some(0));
-        assert_eq!(trip_count(96, -1, -1, Gt, false), Some(97));
-        assert_eq!(trip_count(96, 0, -2, Ge, false), Some(49));
-        assert_eq!(trip_count(i64::MAX - 1, i64::MAX, 2, Le, true), None);
-        assert_eq!(trip_count(i64::MIN, i64::MAX, 1, Lt, false), Some(u64::MAX));
+        assert_eq!(trip_count(0, 10, 1, Lt), Some(10));
+        assert_eq!(trip_count(0, 10, 3, Lt), Some(4));
+        assert_eq!(trip_count(0, 9, 3, Le), Some(4));
+        assert_eq!(trip_count(10, 10, 1, Lt), Some(1));
+        assert_eq!(trip_count(96, -1, -1, Gt), Some(97));
+        assert_eq!(trip_count(96, 0, -2, Ge), Some(49));
+        assert_eq!(trip_count(i64::MAX - 1, i64::MAX, 2, Le), None);
+        assert_eq!(trip_count(i64::MIN, i64::MAX, 1, Lt), Some(u64::MAX));
     }
 
     /// Every program the repository ships: `examples/zag/` and the
@@ -3636,19 +3338,19 @@ mod tests {
     }
 
     /// The exactness argument of [`loop_heads`], on every shipped program
-    /// and a form-B loop (no shipped program has one): on the image as
+    /// and a loop the compiler leaves on the general path (its limit
+    /// reads memory, so its back-edge is an `IncJump`): on the image as
     /// [`install_fn`] sees it (the fixed kernels already in), no pc that
-    /// no back-edge targets matches a template, and both forms match
-    /// somewhere.
+    /// no `IncCmpJump` targets matches a template, no `IncJump` target is
+    /// a loop head, some loop matches, and the general-path one does not.
     #[test]
     fn templates_match_only_at_loop_heads() {
-        let form_b = "fn bump(a: []f64, n: i64) void {\n\
-                      var i: i64 = 0;\n\
-                      while (i < n - 1) : (i += 1) { a[i] = a[i] + 1.0; }\n}\n";
+        let general = "fn bump(a: []f64, n: []i64) void {\n\
+                       var i: i64 = 0;\n\
+                       while (i < n[0]) : (i += 1) { a[i] = a[i] + 1.0; }\n}\n";
         let mut programs = shipped_programs();
-        programs.push(("form B".to_string(), form_b.to_string()));
-        // Matches closed by an `IncCmpJump` (form A) and an `IncJump` (B).
-        let mut matched = [0, 0];
+        programs.push(("general path".to_string(), general.to_string()));
+        let (mut matched, mut inc_jumps) = (0, 0);
         for (path, src) in programs {
             // Programs the front end refuses (the deep-nesting fault)
             // never reach the installer.
@@ -3667,20 +3369,25 @@ mod tests {
             crate::kernels::install_kernels(&mut image);
             for f in &image.funcs {
                 let heads = loop_heads(&f.code);
+                for insn in &f.code {
+                    if let Insn::IncJump { to, .. } = *insn {
+                        assert!(!heads[to as usize], "{path}: fn `{}`: pc {to}", f.name);
+                        inc_jumps += (f.name == "bump") as usize;
+                    }
+                }
                 for (pc, head) in heads.into_iter().enumerate() {
                     if match_at(f, pc).is_err() {
                         continue;
                     }
                     assert!(head, "{path}: fn `{}` matched at pc {pc}", f.name);
-                    let by_inc_jump = (f.code.iter())
-                        .any(|i| matches!(*i, Insn::IncJump { to, .. } if to as usize == pc));
-                    matched[by_inc_jump as usize] += 1;
+                    assert_ne!(f.name, "bump", "the general-path loop matched");
+                    matched += 1;
                 }
             }
         }
         assert!(
-            matched.iter().all(|&n| n > 0),
-            "matches per form: {matched:?}"
+            matched > 0 && inc_jumps == 1,
+            "{matched} matches, {inc_jumps} IncJump"
         );
     }
 }

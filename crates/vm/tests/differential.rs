@@ -322,6 +322,29 @@ fn fused_and_specialized_errors_match_exactly() {
 }"#,
         ),
         (
+            // `x -= 0; jump` stays unfused: an `IncJump` step of 0 would
+            // replay the float's type error as `+`, where the walker's
+            // names `-`.
+            "incjump_minus_zero_type_mismatch",
+            r#"fn main() void {
+    var x: f64 = 1.0;
+    var i: i64 = 0;
+    while (i < 1) : (x -= 0) {
+        i = 1;
+    }
+    print(x);
+}"#,
+        ),
+        (
+            // The same for `a[x - 0]` and `IndexOff`.
+            "indexoff_minus_zero_type_mismatch",
+            r#"fn main() void {
+    var a: f64 = @allocF(4);
+    var x: f64 = 1.0;
+    print(a[x - 0]);
+}"#,
+        ),
+        (
             // `rowstr[j + 1]` fuses to IndexOff; out-of-bounds offset.
             "indexoff_out_of_bounds",
             r#"fn main() void {
@@ -1787,6 +1810,139 @@ fn main() void {}";
     );
     for opt in opt_levels() {
         assert_eq!(run(Backend::Bytecode, opt), oracle, "--opt={opt}");
+    }
+}
+
+/// Counted loops in the shapes the compiler lowers to a guard and an
+/// `IncCmpJump` — a pure limit evaluated once (`n - 1`, `2 * nk`, `n /
+/// d`) and a trailing step (descending by 2, zero trips, a `break`
+/// mid-loop, a float induction variable) — next to loops that must keep
+/// the general path (a limit whose operand the body assigns, a trailing
+/// step behind a `continue`), run by every thread of a team. `extra`
+/// adds one more call to each thread's total: `divlim(a, n, 0)` faults
+/// where the walker's first test of `n / d` does, `fstep`'s float `x +=
+/// 1` where the walker's first step does, and `fsub`'s `x -= 0` with the
+/// walker's `-` (a zero step would replay it as `+`, so it stays general).
+fn canonical_loops_program(threads: i64, extra: &str) -> String {
+    format!(
+        "fn canon(a: []f64, b: []f64, n: i64, nk: i64) f64 {{
+    var i: i64 = 1;
+    while (i < n - 1) : (i += 1) {{
+        a[i] = b[i] * 2.0 + b[i - 1];
+    }}
+    var j: i64 = 0;
+    while (j < 2 * nk) : (j += 1) {{
+        b[j] = a[j] + 0.5;
+    }}
+    var k: i64 = n - 1;
+    while (k >= 0) {{
+        a[k] = a[k] * 0.5 + b[k];
+        k -= 2;
+    }}
+    var z: i64 = n;
+    while (z < n) {{
+        a[z] = a[z] + 99.0;
+        z += 1;
+    }}
+    var m: i64 = 0;
+    var s: f64 = 0.0;
+    while (m < n) {{
+        if (m == n / 3) {{
+            break;
+        }}
+        s = s + a[m];
+        m += 1;
+    }}
+    var lim: i64 = n;
+    var g: i64 = 0;
+    var gs: f64 = 0.0;
+    while (g < lim - 1) : (g += 1) {{
+        gs = gs + b[g];
+        lim = lim - 1;
+    }}
+    var c: i64 = 0;
+    var cs: f64 = 0.0;
+    while (c < n) {{
+        if (c % 3 == 0) {{
+            c += 2;
+            continue;
+        }}
+        cs = cs + a[c];
+        c += 1;
+    }}
+    print(i, j, k, z, m, g, c);
+    return s + gs + cs + a[0] + a[n - 1] + b[n / 2];
+}}
+fn divlim(a: []f64, n: i64, d: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n / d) : (i += 1) {{
+        s = s + a[i];
+    }}
+    return s;
+}}
+fn fstep(x0: f64) f64 {{
+    var x: f64 = x0;
+    var fs: f64 = 0.0;
+    while (x < 10.0) {{
+        fs = fs + x * 2.0;
+        x += 1;
+    }}
+    return fs;
+}}
+fn fsub(x0: f64) f64 {{
+    var x: f64 = x0;
+    while (x > 0.0) {{
+        x -= 0;
+    }}
+    return x;
+}}
+fn main() void {{
+    var n: i64 = {n};
+    var total: f64 = 0.0;
+    //$omp parallel num_threads({threads}) firstprivate(n) reduction(+: total)
+    {{
+        var a: []f64 = @allocF(n + 1);
+        var b: []f64 = @allocF(n + 1);
+        var k: i64 = 0;
+        while (k < n + 1) : (k += 1) {{
+            a[k] = @intToFloat(k * 37 % 101) * 0.173;
+            b[k] = @intToFloat(k % 13) * 0.5;
+        }}
+        total = total + canon(a, b, n, n / 2) + {extra};
+    }}
+    print(total);
+}}",
+        n = 2 * STRIP + 40
+    )
+}
+
+#[test]
+fn canonical_loops_agree() {
+    // Both pure-limit loops, the descending and the zero-trip loop, and
+    // `n / d` run strip-mined; the rest run interpreted.
+    assert_eq!(
+        template_verdicts(&canonical_loops_program(1, "0.0")),
+        ["strip", "strip", "strip", "strip", "strip"]
+    );
+    for threads in [1, 2] {
+        for (extra, fault) in [
+            ("divlim(a, n, 2)", None),
+            ("divlim(a, n, 0)", Some("division by zero")),
+            ("fstep(0.5)", Some("type mismatch: f64 Plus i64")),
+            ("fsub(0.5)", Some("type mismatch: f64 Minus i64")),
+        ] {
+            let src = canonical_loops_program(threads, extra);
+            let oracle = run_on(&src, Backend::Ast, OptLevel::O0);
+            match fault {
+                Some(msg) => assert!(
+                    oracle.as_ref().is_err_and(|e| e.contains(msg)),
+                    "{oracle:?}"
+                ),
+                None => assert!(oracle.is_ok(), "{oracle:?}"),
+            }
+            assert_backends_agree(&format!("canonical/t{threads}/{extra}"), &src);
+        }
     }
 }
 
