@@ -4,9 +4,9 @@
 //! interpreter, with kernel-bail / deopt counts, plus the
 //! machine-readable `kernel-missed` reasons for every compute loop the
 //! matcher left interpreted, so a 0%-native loop self-explains in the
-//! artefact. Since cross-call matching landed, EP's `randlc` fill and
-//! pairs loops are native too (`lcg-fill` / `ep-pairs`); the residual
-//! missed loops are serial setup code.
+//! artefact. EP's `randlc` fill is native through cross-call matching
+//! (`lcg-fill`) and its pairs loop through a strip template; the
+//! residual missed loops are serial setup code.
 //!
 //! Usage: `cargo run --release -p zomp-bench --bin tier-bench [-- OUT]`
 //! (default output path `BENCH_tiers.json`), or `-- --smoke` for the CI

@@ -1,4 +1,5 @@
-//! Properties of the cross-call `lcg-fill` / `ep-pairs` bulk kernels.
+//! Properties of the cross-call `lcg-fill` bulk kernel and of EP's
+//! acceptance tail, which runs as a strip template after it.
 //!
 //! The differential EP test (`zag_ep.rs`) proves whole-program
 //! agreement at one size; these tests pin the *kernel contract*
@@ -17,7 +18,7 @@
 //! 2. **Bail identity.** When a kernel batch runs out of bounds
 //!    mid-flight, the bail/replay path must surface the *exact*
 //!    error the AST oracle produces — same message, same index —
-//!    for both the fill and the pairs kernel.
+//!    for both the fill kernel and the pairs template.
 //! 3. **Leapfrog exactness.** On integer seeds and multipliers in
 //!    `[0, 2^46)` the fill kernel runs `LCG_STREAMS` jump-ahead streams
 //!    instead of one; DESIGN argues that every intermediate is then an
@@ -194,15 +195,14 @@ fn lcg_fill_kernel_reproduces_vranlc_stream_bitwise() {
 /// Undersizing either forces a mid-batch out-of-bounds in the
 /// corresponding kernel.
 const EP_BAIL: &str = r#"
-fn ep(nk: i64, batches: i64, xlen: i64, qlen: i64, q: []f64) f64 {
+fn ep(nk: i64, batches: i64, xlen: i64, qlen: i64, qq: []f64, q: []f64) f64 {
     var a: f64 = 1220703125.0;
     var s: f64 = 271828183.0;
     var sx: f64 = 0.0;
     var sy: f64 = 0.0;
-    //$omp parallel num_threads(1) shared(q) firstprivate(a, s, nk, batches, xlen, qlen) reduction(+: sx, sy)
+    //$omp parallel num_threads(1) shared(q) firstprivate(a, s, nk, batches, xlen, qlen, qq) reduction(+: sx, sy)
     {
         var x: []f64 = @allocF(xlen);
-        var qq: []f64 = @allocF(qlen);
         var k: i64 = 0;
         //$omp while schedule(static)
         while (k < batches) : (k += 1) {
@@ -237,7 +237,15 @@ fn ep(nk: i64, batches: i64, xlen: i64, qlen: i64, q: []f64) f64 {
 }
 "#;
 
-fn run_ep_bail(backend: Backend, opt: OptLevel, xlen: i64, qlen: i64) -> Result<f64, String> {
+/// The result, and the annulus counts `qq` (of length `qlen`, from the
+/// host) as the run left them — after an error, the counts of every
+/// iteration before the failing one.
+fn run_ep_bail(
+    backend: Backend,
+    opt: OptLevel,
+    xlen: i64,
+    qlen: i64,
+) -> (Result<f64, String>, Vec<f64>) {
     let src = format!("{RANDLC}{EP_BAIL}");
     let vm = Vm::build(&src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(&src)));
     if backend == Backend::Native && opt == OptLevel::O3 {
@@ -246,19 +254,22 @@ fn run_ep_bail(backend: Backend, opt: OptLevel, xlen: i64, qlen: i64) -> Result<
             "expected bulk kernels to install for the bail program"
         );
     }
-    let q = Arc::new(ArrF::new(10));
-    vm.call_function(
-        "ep",
-        vec![
-            Value::Int(64),
-            Value::Int(4),
-            Value::Int(xlen),
-            Value::Int(qlen),
-            Value::ArrF(q),
-        ],
-    )
-    .map(|v| v.as_float().unwrap())
-    .map_err(|e| e.to_string())
+    let (q, qq) = (Arc::new(ArrF::new(10)), Arc::new(ArrF::new(qlen as usize)));
+    let r = vm
+        .call_function(
+            "ep",
+            vec![
+                Value::Int(64),
+                Value::Int(4),
+                Value::Int(xlen),
+                Value::Int(qlen),
+                Value::ArrF(qq.clone()),
+                Value::ArrF(q),
+            ],
+        )
+        .map(|v| v.as_float().unwrap())
+        .map_err(|e| e.to_string());
+    (r, qq.to_vec())
 }
 
 /// In bounds, every tier agrees on the sums; the O3 build really holds
@@ -266,7 +277,7 @@ fn run_ep_bail(backend: Backend, opt: OptLevel, xlen: i64, qlen: i64) -> Result<
 #[test]
 fn ep_bail_program_agrees_in_bounds() {
     let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 128, 10);
-    assert!(oracle.is_ok(), "{oracle:?}");
+    assert!(oracle.0.is_ok(), "{oracle:?}");
     for (backend, opt) in [
         (Backend::Bytecode, OptLevel::O0),
         (Backend::Native, OptLevel::O3),
@@ -285,7 +296,7 @@ fn ep_bail_program_agrees_in_bounds() {
 #[test]
 fn lcg_fill_bail_reproduces_oracle_error() {
     let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 127, 10);
-    let err = oracle.clone().expect_err("fill must go out of bounds");
+    let err = oracle.0.clone().expect_err("fill must go out of bounds");
     assert!(err.contains("bounds") || err.contains("index"), "{err}");
     for (backend, opt) in [
         (Backend::Bytecode, OptLevel::O0),
@@ -300,26 +311,45 @@ fn lcg_fill_bail_reproduces_oracle_error() {
     }
 }
 
-/// An undersized annulus array makes the `ep-pairs` scatter go out of
-/// bounds partway through a batch (annulus 0 is by far the most
-/// common, so earlier iterations succeed first): same error identity.
+/// An undersized annulus array makes the pairs loop's update, in its
+/// `if` arm, go out of bounds partway through a batch. The loop
+/// is a strip template whose update skips the lanes whose test failed:
+/// it faults at the walker's iteration — the counts stored before the
+/// fault are the walker's — with the walker's error.
 #[test]
 fn ep_pairs_bail_reproduces_oracle_error() {
-    let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 128, 1);
-    let err = oracle
-        .clone()
-        .expect_err("pairs scatter must go out of bounds");
-    assert!(err.contains("bounds") || err.contains("index"), "{err}");
-    for (backend, opt) in [
-        (Backend::Bytecode, OptLevel::O0),
-        (Backend::Bytecode, OptLevel::O3),
-        (Backend::Native, OptLevel::O3),
-    ] {
-        assert_eq!(
-            run_ep_bail(backend, opt, 128, 1),
-            oracle,
-            "{backend:?} {opt:?}"
+    let src = format!("{RANDLC}{EP_BAIL}");
+    let remarks = zomp_vm::remarks::collect(&src, "ep.zag", OptLevel::O3).unwrap();
+    assert!(
+        remarks.iter().any(|d| d.code == "template-installed"
+            && d.message.contains("32 insns")
+            && d.message.contains("), strip")),
+        "the pairs loop should be a strip template: {remarks:#?}"
+    );
+    // One annulus faults at the first pair it takes; two take pairs
+    // first, so their counts show where the fault happened.
+    for qlen in [1, 2] {
+        let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 128, qlen);
+        let err = oracle
+            .0
+            .clone()
+            .expect_err("pairs scatter must go out of bounds");
+        assert!(err.contains("bounds") || err.contains("index"), "{err}");
+        assert!(
+            qlen == 1 || oracle.1.iter().sum::<f64>() > 0.0,
+            "{oracle:?}"
         );
+        for (backend, opt) in [
+            (Backend::Bytecode, OptLevel::O0),
+            (Backend::Bytecode, OptLevel::O3),
+            (Backend::Native, OptLevel::O3),
+        ] {
+            assert_eq!(
+                run_ep_bail(backend, opt, 128, qlen),
+                oracle,
+                "{backend:?} {opt:?}"
+            );
+        }
     }
 }
 
@@ -327,9 +357,10 @@ fn ep_pairs_bail_reproduces_oracle_error() {
 // Type surprises
 // ---------------------------------------------------------------------------
 
-/// EP's batch loop with the type of three inputs chosen by the host: the
-/// deviate buffer `x` (`[]i64` when `xint == 1`), the seed `s` the fill's
-/// seed cell starts from, and the `sx` accumulator's start `sx0`. The
+/// EP's batch loop with the type of four inputs chosen by the host: the
+/// deviate buffer `x` (`[]i64` when `xint == 1`), the annulus counts `qq`
+/// (likewise `qint`), the seed `s` the fill's seed cell starts from, and
+/// the `sx` accumulator's start `sx0`. The
 /// annotations name the types the kernels expect; Zag does not enforce
 /// them, so nothing but the kernels' entry checks stands between a
 /// wrong-typed input and a wrong result.
@@ -341,14 +372,14 @@ fn buf(int: i64, n: i64) any {
     return @allocF(n);
 }
 
-fn ep(nk: i64, batches: i64, s: f64, sx0: f64, xint: i64, nthreads: i64) f64 {
+fn ep(nk: i64, batches: i64, s: f64, sx0: f64, xint: i64, qint: i64, nthreads: i64) f64 {
     var a: f64 = 1220703125.0;
     var sx: f64 = sx0;
     var sy: f64 = 0.0;
-    //$omp parallel num_threads(nthreads) firstprivate(a, s, nk, batches, xint) reduction(+: sx, sy)
+    //$omp parallel num_threads(nthreads) firstprivate(a, s, nk, batches, xint, qint) reduction(+: sx, sy)
     {
         var x: []f64 = buf(xint, 2 * nk);
-        var qq: []f64 = @allocF(10);
+        var qq: []f64 = buf(qint, 10);
         var k: i64 = 0;
         //$omp while schedule(static)
         while (k < batches) : (k += 1) {
@@ -378,11 +409,14 @@ fn ep(nk: i64, batches: i64, s: f64, sx0: f64, xint: i64, nthreads: i64) f64 {
 }
 "#;
 
-/// Both EP kernels install on the generic instruction forms, and each
-/// wrong-typed input makes a kernel bail at entry: `x` as `[]i64` and an
-/// `Int` seed cell (`lcg-fill`), an `Int` `sx` accumulator (`ep-pairs`).
-/// The interpreter then replays the loop to the walker's error text, at
-/// teams of 1 and 2. With every input as annotated, nothing bails.
+/// The fill kernel installs on the generic instruction forms and the
+/// pairs loop is a strip template, and each wrong-typed input makes one
+/// of them bail at entry: `x` as `[]i64` and an `Int` seed cell
+/// (`lcg-fill`); an `Int` `sx` accumulator and a `[]i64` `qq` (the
+/// template, whose variant bind falls through to the interpreter). The
+/// interpreter then replays the loop to the walker's result or error
+/// text, at teams of 1 and 2. With every input as annotated, nothing
+/// bails.
 #[test]
 fn ep_kernels_bail_on_each_wrong_typed_input() {
     let src = format!("{RANDLC}{EP_TYPES}");
@@ -394,20 +428,39 @@ fn ep_kernels_bail_on_each_wrong_typed_input() {
     let installed: Vec<&str> = (vm.program.code.funcs.iter())
         .flat_map(|f| f.kernels.iter().map(|k| k.kind.name()))
         .collect();
-    assert_eq!(installed, ["lcg-fill", "ep-pairs"]);
+    assert_eq!(installed, ["lcg-fill"]);
+    let templates: Vec<String> = (vm.program.code.funcs.iter())
+        .flat_map(|f| {
+            f.templates
+                .iter()
+                .map(|t| (t.prog.ninsns, t.prog.verdict()))
+        })
+        .filter(|(n, _)| *n == 32)
+        .map(|(_, v)| v)
+        .collect();
+    assert_eq!(templates, ["strip"]);
     let (seed, f0) = (Value::Float(271_828_183.0), Value::Float(0.0));
     let cases = [
-        ("as annotated", seed.clone(), f0.clone(), 0),
-        ("x: []i64", seed.clone(), f0.clone(), 1),
-        ("Int seed cell", Value::Int(271_828_183), f0.clone(), 0),
-        ("Int sx", seed, Value::Int(0), 0),
+        ("as annotated", seed.clone(), f0.clone(), 0, 0),
+        ("x: []i64", seed.clone(), f0.clone(), 1, 0),
+        ("Int seed cell", Value::Int(271_828_183), f0.clone(), 0, 0),
+        ("Int sx", seed.clone(), Value::Int(0), 0, 0),
+        ("qq: []i64", seed, f0, 0, 1),
     ];
-    for (what, s, sx0, xint) in cases {
+    for (what, s, sx0, xint, qint) in cases {
         for threads in [1i64, 2] {
             let args = || {
                 let (nk, batches) = (Value::Int(64), Value::Int(4));
-                let (xint, threads) = (Value::Int(xint), Value::Int(threads));
-                vec![nk, batches, s.clone(), sx0.clone(), xint, threads]
+                let (xint, qint) = (Value::Int(xint), Value::Int(qint));
+                vec![
+                    nk,
+                    batches,
+                    s.clone(),
+                    sx0.clone(),
+                    xint,
+                    qint,
+                    Value::Int(threads),
+                ]
             };
             let run = |vm: &Vm| {
                 (vm.call_function("ep", args()))
@@ -422,7 +475,7 @@ fn ep_kernels_bail_on_each_wrong_typed_input() {
             let m = zomp::trace::metrics();
             zomp::trace::reset();
             assert_eq!(got, want, "{what}, {threads} threads");
-            if xint == 0 && matches!((&s, &sx0), (Value::Float(_), Value::Float(_))) {
+            if xint == 0 && qint == 0 && matches!((&s, &sx0), (Value::Float(_), Value::Float(_))) {
                 assert!(want.is_ok(), "{want:?}");
                 assert_eq!(m.kernel_bails, 0, "{what}, {threads} threads");
                 assert!(m.kernel_iters > 0, "{what}, {threads} threads");

@@ -186,9 +186,9 @@ fn zag_ep_matches_rust_ep() {
     // levels, and at several team sizes.
     for (backend, opt) in [
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O0),
-        // The full native tier: the fill and pairs loops run inside the
-        // cross-call `lcg-fill` / `ep-pairs` bulk kernels here, under
-        // either spelling of it.
+        // The full native tier: the fill loop runs inside the cross-call
+        // `lcg-fill` bulk kernel here and the pairs loop as a strip
+        // template, under either spelling of it.
         (zomp_vm::Backend::Bytecode, zomp_vm::OptLevel::O3),
         (zomp_vm::Backend::Native, zomp_vm::OptLevel::O3),
         (zomp_vm::Backend::Ast, zomp_vm::OptLevel::O0),
@@ -256,22 +256,26 @@ fn ep_port_remarks_match_golden() {
 
 /// ROADMAP item 1, closed: EP's hot loops used to miss at the `randlc`
 /// call boundary; the matcher now verifies the callee as the 46-bit LCG
-/// and installs the batched `lcg-fill` kernel for the deviate fill loop
-/// and `ep-pairs` for the sqrt/log acceptance tail — and the remarks
-/// must say so, because CI keys the EP-majority-native guard on this
-/// behaviour staying observable.
+/// and installs the batched `lcg-fill` kernel for the deviate fill loop,
+/// and the sqrt/log acceptance tail (pure builtins, one `if` arm) is a
+/// strip template — and the remarks must say so, because CI keys the
+/// EP-majority-native guard on this behaviour staying observable.
 #[test]
 fn ep_remarks_report_cross_call_kernels_installed() {
     let diags = zomp_vm::remarks::collect(ZAG_EP, "ep.zag", zomp_vm::OptLevel::O3)
         .expect("collect remarks");
-    for kernel in ["lcg-fill", "ep-pairs"] {
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == "kernel-installed" && d.message.contains(kernel)),
-            "no kernel-installed remark for {kernel}: {diags:#?}"
-        );
-    }
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == "kernel-installed" && d.message.contains("lcg-fill")),
+        "no kernel-installed remark for lcg-fill: {diags:#?}"
+    );
+    assert!(
+        diags.iter().any(|d| d.code == "template-installed"
+            && d.message.contains("__omp_outlined")
+            && d.message.contains("(pc 39), strip")),
+        "the acceptance tail is no strip template: {diags:#?}"
+    );
     // And no worksharing loop misses at the randlc boundary: the only
     // loops allowed to stay interpreted around it are the serial
     // helpers (`compute_an`, `batch_seed`). Every miss carries a label

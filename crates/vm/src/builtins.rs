@@ -16,32 +16,78 @@ use zomp::schedule::{LoopBounds, LoopCmp, Schedule, ScheduleKind};
 use zomp::sync::OmpLock;
 use zomp::team::{Parallel, SingleToken, ThreadCtx};
 
-use crate::bytecode::OmpFn;
+use crate::bytecode::{BuiltinOp, OmpFn};
 use crate::interp::Vm;
 use crate::value::{
     err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmError, VmResult, WsIter, WsState,
 };
 
-/// The `@builtin` math/alloc table, shared by both backends so a mismatch
+/// One pure builtin's arithmetic for one set of argument kinds (`F` an
+/// `f64`, `I` an `i64`; `IF` takes an `i64` and returns an `f64`).
+#[derive(Clone, Copy)]
+pub(crate) enum Pure {
+    F(fn(f64) -> f64),
+    I(fn(i64) -> i64),
+    FF(fn(f64, f64) -> f64),
+    II(fn(i64, i64) -> i64),
+    IF(fn(i64) -> f64),
+    FI(fn(f64) -> i64),
+}
+
+/// The pure, infallible builtins, one row per argument kinds: the walker,
+/// the bytecode dispatch and the template ops all compute through these
+/// rows, so every backend returns the same bits (no vector math library).
+/// `@floatToInt` saturates, and NaN becomes 0.
+pub(crate) const PURE: [(BuiltinOp, Pure); 14] = [
+    (BuiltinOp::IntToFloat, Pure::IF(|v| v as f64)),
+    (BuiltinOp::FloatToInt, Pure::FI(|v| v as i64)),
+    (BuiltinOp::Sqrt, Pure::F(f64::sqrt)),
+    (BuiltinOp::Log, Pure::F(f64::ln)),
+    (BuiltinOp::Exp, Pure::F(f64::exp)),
+    (BuiltinOp::Sin, Pure::F(f64::sin)),
+    (BuiltinOp::Cos, Pure::F(f64::cos)),
+    (BuiltinOp::Pow, Pure::FF(f64::powf)),
+    (BuiltinOp::Abs, Pure::F(f64::abs)),
+    (BuiltinOp::Abs, Pure::I(i64::wrapping_abs)),
+    (BuiltinOp::Max, Pure::FF(f64::max)),
+    (BuiltinOp::Max, Pure::II(|a, b| a.max(b))),
+    (BuiltinOp::Min, Pure::FF(f64::min)),
+    (BuiltinOp::Min, Pure::II(|a, b| a.min(b))),
+];
+
+impl Pure {
+    /// This row applied to `args`, if their kinds are the row's.
+    #[inline(always)]
+    fn apply(self, args: &[Value]) -> Option<Value> {
+        Some(match (self, args) {
+            (Pure::F(f), [Value::Float(x)]) => Value::Float(f(*x)),
+            (Pure::I(f), [Value::Int(x)]) => Value::Int(f(*x)),
+            (Pure::FF(f), [Value::Float(x), Value::Float(y)]) => Value::Float(f(*x, *y)),
+            (Pure::II(f), [Value::Int(x), Value::Int(y)]) => Value::Int(f(*x, *y)),
+            (Pure::IF(f), [Value::Int(x)]) => Value::Float(f(*x)),
+            (Pure::FI(f), [Value::Float(x)]) => Value::Int(f(*x)),
+            _ => return None,
+        })
+    }
+}
+
+/// `op` applied to `args` through its [`PURE`] row, if one takes them.
+#[inline]
+pub(crate) fn pure(op: BuiltinOp, args: &[Value]) -> Option<Value> {
+    PURE.iter()
+        .filter(|(o, _)| *o == op)
+        .find_map(|(_, row)| row.apply(args))
+}
+
+/// Every `@builtin` by name, shared by both backends so a mismatch
 /// produces the identical `unknown builtin ...` message. The bytecode
-/// executor short-circuits the common typed shapes and only lands here for
-/// unusual argument types (or builtins with no dedicated opcode).
+/// executor tries [`pure`] first and only lands here for the allocating
+/// builtins and for arguments no row takes.
 pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
+    if let Some(v) = pure(BuiltinOp::from_name(name), args) {
+        return Ok(v);
+    }
     match (name, args) {
-        ("@intToFloat", [Value::Int(v)]) => Ok(Value::Float(*v as f64)),
-        ("@floatToInt", [Value::Float(v)]) => Ok(Value::Int(*v as i64)),
-        ("@sqrt", [Value::Float(v)]) => Ok(Value::Float(v.sqrt())),
-        ("@log", [Value::Float(v)]) => Ok(Value::Float(v.ln())),
-        ("@exp", [Value::Float(v)]) => Ok(Value::Float(v.exp())),
-        ("@sin", [Value::Float(v)]) => Ok(Value::Float(v.sin())),
-        ("@cos", [Value::Float(v)]) => Ok(Value::Float(v.cos())),
-        ("@pow", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.powf(*b))),
-        ("@abs", [Value::Float(v)]) => Ok(Value::Float(v.abs())),
-        ("@abs", [Value::Int(v)]) => Ok(Value::Int(v.wrapping_abs())),
-        ("@max", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.max(*b))),
-        ("@max", [Value::Int(a), Value::Int(b)]) => Ok(Value::Int(*a.max(b))),
-        ("@min", [Value::Float(a), Value::Float(b)]) => Ok(Value::Float(a.min(*b))),
-        ("@min", [Value::Int(a), Value::Int(b)]) => Ok(Value::Int(*a.min(b))),
         ("@allocF", [Value::Int(n)]) => Ok(Value::ArrF(Arc::new(alloc(name, *n, ArrF::try_new)?))),
         ("@allocI", [Value::Int(n)]) => Ok(Value::ArrI(Arc::new(alloc(name, *n, ArrI::try_new)?))),
         ("@len", [Value::ArrF(a)]) => Ok(Value::Int(a.len() as i64)),

@@ -68,6 +68,22 @@ pub enum CmpOp {
     Ne,
 }
 
+impl CmpOp {
+    /// `a op b`. On floats an ordering against NaN is false and `!=` true,
+    /// the walker's `partial_cmp` behaviour.
+    #[inline(always)]
+    pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+        }
+    }
+}
+
 /// Builtin operations resolved at compile time. `Dyn` keeps the
 /// tree-walker's behaviour for names unknown at compile time: the error
 /// surfaces only if the call executes.

@@ -23,7 +23,7 @@ use zomp_front::ast::{Ast, Node, NodeId, Tag as N};
 use zomp_front::token::Tag as T;
 
 use crate::builtins;
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, Image, Insn, OmpFn, Reg};
+use crate::bytecode::{ArithOp, CmpOp, Image, Insn, OmpFn, Reg};
 use crate::optimize::OptLevel;
 use crate::value::{err, ArrF, ArrI, Slot, Value, VmError, VmResult};
 
@@ -1053,8 +1053,8 @@ impl Vm {
                 }
                 Insn::Cmp { op, dst, a, b } => {
                     let v = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Int(x), Value::Int(y)) => Value::Bool(cmp_int(op, *x, *y)),
-                        (Value::Float(x), Value::Float(y)) => Value::Bool(cmp_float(op, *x, *y)),
+                        (Value::Int(x), Value::Int(y)) => Value::Bool(op.eval(*x, *y)),
+                        (Value::Float(x), Value::Float(y)) => Value::Bool(op.eval(*x, *y)),
                         (x, y) => binop(cmp_token(op), x, y)?,
                     };
                     set(regs, dst, v);
@@ -1088,8 +1088,8 @@ impl Vm {
                 }
                 Insn::CmpJumpFalse { op, a, b, to } => {
                     let taken = match (rg(regs, a), rg(regs, b)) {
-                        (Value::Int(x), Value::Int(y)) => cmp_int(op, *x, *y),
-                        (Value::Float(x), Value::Float(y)) => cmp_float(op, *x, *y),
+                        (Value::Int(x), Value::Int(y)) => op.eval(*x, *y),
+                        (Value::Float(x), Value::Float(y)) => op.eval(*x, *y),
                         (x, y) => binop(cmp_token(op), x, y)?.truthy()?,
                     };
                     if !taken {
@@ -1107,7 +1107,7 @@ impl Vm {
                         let next = v.wrapping_add(step as i64);
                         let l = *l;
                         set(regs, var, Value::Int(next));
-                        if cmp_int(op, next, l) {
+                        if op.eval(next, l) {
                             pc = to as usize;
                         }
                     }
@@ -1185,41 +1185,13 @@ impl Vm {
                     base,
                     n,
                 } => {
-                    let v = {
-                        let bargs = &regs[base as usize..(base + n) as usize];
-                        match (op, bargs) {
-                            (BuiltinOp::IntToFloat, [Value::Int(v)]) => Value::Float(*v as f64),
-                            (BuiltinOp::FloatToInt, [Value::Float(v)]) => Value::Int(*v as i64),
-                            (BuiltinOp::Sqrt, [Value::Float(v)]) => Value::Float(v.sqrt()),
-                            (BuiltinOp::Log, [Value::Float(v)]) => Value::Float(v.ln()),
-                            (BuiltinOp::Exp, [Value::Float(v)]) => Value::Float(v.exp()),
-                            (BuiltinOp::Sin, [Value::Float(v)]) => Value::Float(v.sin()),
-                            (BuiltinOp::Cos, [Value::Float(v)]) => Value::Float(v.cos()),
-                            (BuiltinOp::Pow, [Value::Float(a), Value::Float(b)]) => {
-                                Value::Float(a.powf(*b))
-                            }
-                            (BuiltinOp::Abs, [Value::Float(v)]) => Value::Float(v.abs()),
-                            (BuiltinOp::Abs, [Value::Int(v)]) => Value::Int(v.wrapping_abs()),
-                            (BuiltinOp::Max, [Value::Float(a), Value::Float(b)]) => {
-                                Value::Float(a.max(*b))
-                            }
-                            (BuiltinOp::Max, [Value::Int(a), Value::Int(b)]) => {
-                                Value::Int(*a.max(b))
-                            }
-                            (BuiltinOp::Min, [Value::Float(a), Value::Float(b)]) => {
-                                Value::Float(a.min(*b))
-                            }
-                            (BuiltinOp::Min, [Value::Int(a), Value::Int(b)]) => {
-                                Value::Int(*a.min(b))
-                            }
-                            _ => {
-                                let name = match kc(consts, name_k) {
-                                    Value::Str(s) => s.clone(),
-                                    _ => unreachable!("builtin name constant is not a string"),
-                                };
-                                builtins::math_builtin(&name, bargs)?
-                            }
-                        }
+                    let bargs = &regs[base as usize..(base + n) as usize];
+                    let v = match builtins::pure(op, bargs) {
+                        Some(v) => v,
+                        None => match kc(consts, name_k) {
+                            Value::Str(name) => builtins::math_builtin(name, bargs)?,
+                            _ => unreachable!("builtin name constant is not a string"),
+                        },
                     };
                     set(regs, dst, v);
                 }
@@ -1435,30 +1407,6 @@ fn float_arith(op: ArithOp, x: f64, y: f64) -> f64 {
         ArithOp::Mul => x * y,
         ArithOp::Div => x / y,
         ArithOp::Rem => x % y,
-    }
-}
-
-fn cmp_int(op: CmpOp, a: i64, b: i64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-/// Float comparison with the walker's NaN behaviour: ordering operators on
-/// NaN are false (`partial_cmp` → `None`), `!=` on NaN is true.
-fn cmp_float(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
     }
 }
 

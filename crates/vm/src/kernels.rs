@@ -159,32 +159,6 @@ pub enum KernelKind {
         /// Loop-invariant trip limit (the pinned `2 * nk`).
         lim: Reg,
     },
-    /// EP acceptance tail over Gaussian pair candidates:
-    /// `do { x1 = 2x[2i]-1; x2 = 2x[2i+1]-1; tt = x1²+x2²;
-    /// if (tt <= 1) { t2 = sqrt(-2 ln tt / tt); q[max(|x1 t2|,|x2 t2|)] += 1;
-    /// sx += x1 t2; sy += x2 t2 } i += 1 } while (i < nk)`.
-    /// The eleven temporaries (`ra..rl`) are tracked so every register
-    /// the body defines is written back with its exact final-iteration
-    /// value (reject- and accept-path values differ; see the runner).
-    EpPairs {
-        i: Reg,
-        nk: Reg,
-        x: Reg,
-        q: Reg,
-        sx: Reg,
-        sy: Reg,
-        ra: Reg,
-        rb: Reg,
-        rc: Reg,
-        rd: Reg,
-        re: Reg,
-        rf: Reg,
-        rg: Reg,
-        rh: Reg,
-        ri: Reg,
-        rj: Reg,
-        rl: Reg,
-    },
 }
 
 impl KernelKind {
@@ -197,7 +171,6 @@ impl KernelKind {
             KernelKind::MatvecRows { j, .. } => j,
             KernelKind::RankPipeline { b4, .. } => b4,
             KernelKind::LcgFill { j, .. } => j,
-            KernelKind::EpPairs { i, .. } => i,
         }
     }
 
@@ -205,7 +178,7 @@ impl KernelKind {
     /// one kernel census: remarks build their "matches none of the N
     /// kernel shapes" note from it, and `every_installed_kernel_is_entered`
     /// requires the NPB ports to install and enter exactly these.
-    pub const NAMES: [&'static str; 4] = ["matvec-rows", "rank-pipeline", "lcg-fill", "ep-pairs"];
+    pub const NAMES: [&'static str; 3] = ["matvec-rows", "rank-pipeline", "lcg-fill"];
 
     /// Short stable name for disassembly (`bulkloop kernel0 (matvec-rows)`).
     pub fn name(&self) -> &'static str {
@@ -213,7 +186,6 @@ impl KernelKind {
             KernelKind::MatvecRows { .. } => "matvec-rows",
             KernelKind::RankPipeline { .. } => "rank-pipeline",
             KernelKind::LcgFill { .. } => "lcg-fill",
-            KernelKind::EpPairs { .. } => "ep-pairs",
         }
     }
 
@@ -291,27 +263,6 @@ impl KernelDesc {
                 j,
                 lim,
             } => &[tcell, targ, aarg, areg, res, arr, j, lim],
-            KernelKind::EpPairs {
-                i,
-                nk,
-                x,
-                q,
-                sx,
-                sy,
-                ra,
-                rb,
-                rc,
-                rd,
-                re,
-                rf,
-                rg,
-                rh,
-                ri,
-                rj,
-                rl,
-            } => &[
-                i, nk, x, q, sx, sy, ra, rb, rc, rd, re, rf, rg, rh, ri, rj, rl,
-            ],
         };
         regs.iter().copied().for_each(f);
     }
@@ -683,7 +634,6 @@ fn match_at(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind, u32)
     match_matvec_rows(f, pc)
         .or_else(|| match_rank_pipeline(f, pc))
         .or_else(|| match_lcg_fill(f, pc, lcg))
-        .or_else(|| match_ep_pairs(f, pc))
 }
 
 fn match_matvec_rows(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
@@ -770,8 +720,7 @@ fn match_matvec_rows(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
 /// The IS phase-4 bucket loop, fused across the adjacent
 /// fill → rank-inc → prefix-sum triple (31 instructions; see
 /// [`KernelKind::RankPipeline`]). The shape is the optimizer's
-/// canonical output for the source idiom, the same bet
-/// [`match_ep_pairs`] makes on its 32-instruction body:
+/// canonical output for the source idiom:
 /// ```text
 /// pc+0   keylo = b4 * sd               pc+13  p = st
 /// pc+1   th = b4 + 1                   pc+14  if !(st < en) -> +23
@@ -1115,114 +1064,6 @@ fn match_lcg_fill(f: &CompiledFn, pc: usize, lcg: &[bool]) -> Option<(KernelKind
     ))
 }
 
-fn const_float_is(f: &CompiledFn, k: u16, want: f64) -> bool {
-    matches!(f.consts.get(k as usize), Some(Value::Float(v)) if v.to_bits() == want.to_bits())
-}
-
-/// EP Gaussian-acceptance tail (do-while body at `pc..pc+31`,
-/// back-edge at `pc+31`, exit `pc+32`): candidate pair from `x[2i]`,
-/// `x[2i+1]`, radius test `tt <= 1.0`, Box–Muller transform,
-/// histogram bump `q[l] += 1.0` and the two reduction accumulators.
-/// The shape says nothing about types: [`run_ep_pairs`] bails unless
-/// `x` and `q` are `[]f64`, `i` and `nk` are `Int` and `sx`/`sy` are
-/// `Float`, and the matcher pins the pool constants' values and types.
-/// Past that check all arithmetic in the body is total under the
-/// interpreter (wrapping int ops, IEEE float ops, saturating
-/// `@floatToInt`), so the only other bail sources are the three array
-/// accesses.
-#[rustfmt::skip]
-fn match_ep_pairs(f: &CompiledFn, pc: usize) -> Option<(KernelKind, u32)> {
-    let code = &f.code;
-    let at = |o: usize| code.get(pc + o).copied();
-    // pc+0: x1' = 2.0 (candidate scale)
-    let Insn::Const { dst: ra, k: k2f } = at(0)? else { return None };
-    if !const_float_is(f, k2f, 2.0) { return None; }
-    // pc+1: rc = 2 * i
-    let Insn::ArithKL { op: ArithOp::Mul, dst: rc, k: k2i, b: i } = at(1)? else { return None };
-    if const_int(&f.consts, k2i)? != 2 { return None; }
-    // pc+2: rd = x[rc]
-    let (rd, x, idx) = at(2).and_then(as_index)?;
-    if idx != rc { return None; }
-    // pc+3..5: x1 = 2.0 * x[2i] - 1.0
-    let Some((ArithOp::Mul, re, a, b)) = at(3).and_then(as_arith) else { return None };
-    if a != ra || b != rd { return None; }
-    let Insn::ArithK { op: ArithOp::Sub, dst: rg, a, k: k1f } = at(4)? else { return None };
-    if a != re || !const_float_is(f, k1f, 1.0) { return None; }
-    let Insn::Move { dst, src } = at(5)? else { return None };
-    if dst != ra || src != rg { return None; }
-    // pc+6..10: x2 = 2.0 * x[2i+1] - 1.0
-    let Insn::Const { dst: rb, k } = at(6)? else { return None };
-    if !const_float_is(f, k, 2.0) { return None; }
-    let Insn::IndexOff { dst, arr, idx, off: 1 } = at(7)? else { return None };
-    if dst != rg || arr != x || idx != rc { return None; }
-    let Some((ArithOp::Mul, rh, a, b)) = at(8).and_then(as_arith) else { return None };
-    if a != rb || b != rg { return None; }
-    let Insn::ArithK { op: ArithOp::Sub, dst: rj, a, k } = at(9)? else { return None };
-    if a != rh || !const_float_is(f, k, 1.0) { return None; }
-    let Insn::Move { dst, src } = at(10)? else { return None };
-    if dst != rb || src != rj { return None; }
-    // pc+11..14: tt = x1*x1 + x2*x2
-    let Some((ArithOp::Mul, dst, a, b)) = at(11).and_then(as_arith) else { return None };
-    if dst != rc || a != ra || b != ra { return None; }
-    let Some((ArithOp::Mul, dst, a, b)) = at(12).and_then(as_arith) else { return None };
-    if dst != rd || a != rj || b != rj { return None; }
-    let Some((ArithOp::Add, dst, a, b)) = at(13).and_then(as_arith) else { return None };
-    if dst != re || a != rc || b != rd { return None; }
-    let Insn::Move { dst, src } = at(14)? else { return None };
-    if dst != rc || src != re { return None; }
-    // pc+15..16: if !(tt <= 1.0) skip the transform
-    let Insn::Const { dst, k } = at(15)? else { return None };
-    if dst != rd || !const_float_is(f, k, 1.0) { return None; }
-    let Some((CmpOp::Le, a, b, to)) = at(16).and_then(as_cmp_jf) else { return None };
-    if a != re || b != rd || to as usize != pc + 31 { return None; }
-    // pc+17..21: t2 = sqrt(-2.0 * ln(tt) / tt)
-    let Insn::Const { dst: rf, k } = at(17)? else { return None };
-    if !const_float_is(f, k, -2.0) { return None; }
-    let Insn::Builtin { dst, op: BuiltinOp::Log, base, n: 1, .. } = at(18)? else { return None };
-    if dst != rh || base != rc { return None; }
-    let Some((ArithOp::Mul, ri, a, b)) = at(19).and_then(as_arith) else { return None };
-    if a != rf || b != rh { return None; }
-    let Some((ArithOp::Div, dst, a, b)) = at(20).and_then(as_arith) else { return None };
-    if dst != rd || a != ri || b != rc { return None; }
-    let Insn::Builtin { dst, op: BuiltinOp::Sqrt, base, n: 1, .. } = at(21)? else { return None };
-    if dst != rj || base != rd { return None; }
-    // pc+22..23: t3 = x1 * t2; t4 = x2 * t2
-    let Some((ArithOp::Mul, dst, a, b)) = at(22).and_then(as_arith) else { return None };
-    if dst != re || a != ra || b != rj { return None; }
-    let Some((ArithOp::Mul, dst, a, b)) = at(23).and_then(as_arith) else { return None };
-    if dst != rf || a != rb || b != rj { return None; }
-    // pc+24..27: l = floatToInt(max(|t3|, |t4|))
-    let Insn::Builtin { dst, op: BuiltinOp::Abs, base, n: 1, .. } = at(24)? else { return None };
-    if dst != rh || base != re { return None; }
-    let Insn::Builtin { dst, op: BuiltinOp::Abs, base, n: 1, .. } = at(25)? else { return None };
-    if dst != ri || base != rf { return None; }
-    let Insn::Builtin { dst: rg2, op: BuiltinOp::Max, base, n: 2, .. } = at(26)? else { return None };
-    if rg2 != rg || base != rh || ri != rh + 1 { return None; }
-    let Insn::Builtin { dst: rl, op: BuiltinOp::FloatToInt, base, n: 1, .. } = at(27)? else { return None };
-    if base != rg { return None; }
-    // pc+28: q[l] += 1.0
-    let Insn::IncElemK { op: ArithOp::Add, arr: q, idx, k } = at(28)? else { return None };
-    if idx != rl || !const_float_is(f, k, 1.0) { return None; }
-    // pc+29..30: sx += t3; sy += t4
-    let Some((ArithOp::Add, sx, a, b)) = at(29).and_then(as_arith) else { return None };
-    if a != sx || b != re { return None; }
-    let Some((ArithOp::Add, sy, a, b)) = at(30).and_then(as_arith) else { return None };
-    if a != sy || b != rf { return None; }
-    // pc+31: i += 1; while (i < nk)
-    let Insn::IncCmpJump { var, step: 1, limit: nk, op: CmpOp::Lt, to } = at(31)? else { return None };
-    if var != i || to as usize != pc { return None; }
-    let writes = [i, sx, sy, ra, rb, rc, rd, re, rf, rg, rh, ri, rj, rl];
-    if !disciplined(&writes, &[nk, x, q]) {
-        return None;
-    }
-    Some((
-        KernelKind::EpPairs {
-            i, nk, x, q, sx, sy, ra, rb, rc, rd, re, rf, rg, rh, ri, rj, rl,
-        },
-        (pc + 32) as u32,
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
@@ -1281,7 +1122,6 @@ fn run_inner(desc: &KernelDesc, pc: u32, regs: &mut [Value], consts: &[Value]) -
         KernelKind::MatvecRows { .. } => run_matvec_rows(&desc.kind, regs, consts),
         KernelKind::RankPipeline { .. } => run_rank_pipeline(&desc.kind, regs, consts),
         KernelKind::LcgFill { .. } => run_lcg_fill(&desc.kind, pc, regs),
-        KernelKind::EpPairs { .. } => run_ep_pairs(&desc.kind, regs),
     }
 }
 
@@ -1764,7 +1604,8 @@ fn lcg_split(a: f64) -> (f64, f64) {
 
 /// Independent jump-ahead streams [`run_lcg_fill`] advances per trip on
 /// exact inputs. Chosen by measurement, the benchmark's `ep` op (2^18
-/// deviates in claims of 2^15, `ep-pairs` included): 1 stream 10.1 ms,
+/// deviates in claims of 2^15, the acceptance tail included, when a
+/// kernel ran it): 1 stream 10.1 ms,
 /// 4 streams 4.3 ms, 8 streams 3.9 ms, 16 streams 4.0 ms.
 pub const LCG_STREAMS: usize = 8;
 
@@ -1894,150 +1735,5 @@ fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Ba
         regs[res as usize] = Value::Float(d);
     }
     *slot.lock() = Value::Float(t);
-    Ok(())
-}
-
-/// Final-iteration temporary values for [`run_ep_pairs`] writeback.
-/// `any` is refreshed every iteration (both paths); `acc` only by
-/// iterations that pass the radius test, matching which registers the
-/// accept-path instructions define.
-#[derive(Clone, Copy)]
-struct EpLast {
-    x1: f64,
-    x2: f64,
-    tt: f64,
-    rd: f64,
-    re: f64,
-    rg: f64,
-    rh: f64,
-    rj: f64,
-}
-
-fn run_ep_pairs(kind: &KernelKind, regs: &mut [Value]) -> Result<(), Bail> {
-    let KernelKind::EpPairs {
-        i,
-        nk,
-        x,
-        q,
-        sx,
-        sy,
-        ra,
-        rb,
-        rc,
-        rd,
-        re,
-        rf,
-        rg,
-        rh,
-        ri,
-        rj,
-        rl,
-    } = *kind
-    else {
-        return Err(BAIL_TYPE);
-    };
-    let (Some(xv), Some(qv), Some(mut iv), Some(nkv), Some(mut sxv), Some(mut syv)) = (
-        reg_arrf(regs, x),
-        reg_arrf(regs, q),
-        reg_int(regs, i),
-        reg_int(regs, nk),
-        reg_float(regs, sx),
-        reg_float(regs, sy),
-    ) else {
-        return Err(BAIL_TYPE);
-    };
-    let _fence = qv.write_fence();
-    let xc = xv.cells();
-    let qc = qv.cells();
-    let xn = xc.len() as i64;
-    let qn = qc.len() as i64;
-    let bail = |regs: &mut [Value], iv: i64, sxv: f64, syv: f64, why: Bail| {
-        // Pre-iteration state only: every bail fires before the failing
-        // iteration's first side effect, and the replay recomputes the
-        // (deterministic) dataflow up to the identical error point.
-        regs[i as usize] = Value::Int(iv);
-        regs[sx as usize] = Value::Float(sxv);
-        regs[sy as usize] = Value::Float(syv);
-        Err(why)
-    };
-    let mut any;
-    let mut acc: Option<(f64, f64, i64)> = None;
-    // do-while: the loop head is the body's first instruction, so every
-    // dispatch runs at least one iteration (the guard sits before the
-    // BulkLoop and after the back-edge).
-    loop {
-        let ti = 2i64.wrapping_mul(iv);
-        let ti1 = ti.wrapping_add(1);
-        if ti < 0 || ti >= xn || ti1 < 0 || ti1 >= xn {
-            return bail(regs, iv, sxv, syv, BAIL_BOUNDS);
-        }
-        // SAFETY: ti and ti1 bounds-checked just above.
-        let e0 = unsafe { *xc.get_unchecked(ti as usize).get() };
-        let e1 = unsafe { *xc.get_unchecked(ti1 as usize).get() };
-        let x1 = 2.0 * e0 - 1.0;
-        let x2 = 2.0 * e1 - 1.0;
-        let tt = x1 * x1 + x2 * x2;
-        any = EpLast {
-            x1,
-            x2,
-            tt,
-            rd: 1.0,
-            re: tt,
-            rg: e1,
-            rh: 2.0 * e1,
-            rj: x2,
-        };
-        // NaN fails `<=` exactly like the interpreter's CmpJumpFalse.
-        if tt <= 1.0 {
-            let ratio = (-2.0 * tt.ln()) / tt;
-            let t2 = ratio.sqrt();
-            let t3 = x1 * t2;
-            let t4 = x2 * t2;
-            let a3 = t3.abs();
-            let a4 = t4.abs();
-            // f64::max, matching the interpreter's Max builtin.
-            let lv = a3.max(a4) as i64;
-            if lv < 0 || lv >= qn {
-                return bail(regs, iv, sxv, syv, BAIL_BOUNDS);
-            }
-            // SAFETY: lv bounds-checked just above.
-            unsafe {
-                let p = qc.get_unchecked(lv as usize).get();
-                *p += 1.0;
-            }
-            sxv += t3;
-            syv += t4;
-            any.rd = ratio;
-            any.re = t3;
-            any.rg = a3.max(a4);
-            any.rh = a3;
-            any.rj = t2;
-            acc = Some((t4, a4, lv));
-        }
-        iv = iv.wrapping_add(1);
-        if iv >= nkv {
-            break;
-        }
-    }
-    // Normal exit: write back the accumulators and every temporary with
-    // its exact final-iteration value. `rf`/`ri`/`rl` are only defined
-    // by accept-path instructions, so they keep their pre-loop values
-    // when every iteration of this run was rejected.
-    regs[i as usize] = Value::Int(iv);
-    regs[sx as usize] = Value::Float(sxv);
-    regs[sy as usize] = Value::Float(syv);
-    regs[ra as usize] = Value::Float(any.x1);
-    regs[rb as usize] = Value::Float(any.x2);
-    regs[rc as usize] = Value::Float(any.tt);
-    regs[rd as usize] = Value::Float(any.rd);
-    regs[re as usize] = Value::Float(any.re);
-    regs[rg as usize] = Value::Float(any.rg);
-    regs[rh as usize] = Value::Float(any.rh);
-    regs[rj as usize] = Value::Float(any.rj);
-    if let Some((t4, a4, lv)) = acc {
-        regs[rf as usize] = Value::Float(t4);
-        regs[ri as usize] = Value::Float(a4);
-        regs[rl as usize] = Value::Int(lv);
-    }
     Ok(())
 }

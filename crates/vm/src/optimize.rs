@@ -29,11 +29,11 @@
 //!
 //! | pattern (after pass 1/2)                        | fused               | kept by |
 //! |-------------------------------------------------|---------------------|---------|
-//! | `const t,k; arith d,a,t`                        | `ArithK d,a,k`      | `kernels::lcg_callee` (the LCG lifter), `match_rank_pipeline`, `match_ep_pairs`, template decoder; hot in `dyn` and `fork_small` |
-//! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, `match_ep_pairs`, template decoder |
-//! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | `match_ep_pairs`, template decoder |
+//! | `const t,k; arith d,a,t`                        | `ArithK d,a,k`      | `kernels::lcg_callee` (the LCG lifter), `match_rank_pipeline`, template decoder; hot in `dyn` and `fork_small` |
+//! | `const t,k; arith d,t,b`                        | `ArithKL d,k,b`     | `kernels::lcg_callee`, template decoder |
+//! | `index t,A[i]; arithk u,t,k; indexset A[i],u`   | `IncElemK A[i],k`   | template decoder |
 //! | `index t,A[i]; mul u,x,t; add s,s,u`            | `FmaIdx s,x,A[i]`   | template decoder (`fma_tail`); the tail of `FmaGather` |
-//! | `arithk t,j,±k; index d,A[t]`                   | `IndexOff d,A[j±k]` | `match_ep_pairs`, template decoder |
+//! | `arithk t,j,±k; index d,A[t]`                   | `IndexOff d,A[j±k]` | template decoder |
 //! | `arithk v,v,±k; jump`                           | `IncJump v,±k`      | `match_matvec_rows`; otherwise only the interpreter (general-path loops) |
 //! | `deref t,C; index d,t[i]`                       | `DerefIndex d,(C)[i]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder |
 //! | `deref t,C; indexoff d,t[j±k]`                  | `DerefIndexOff d,(C)[j±k]` | `match_matvec_rows`, `match_rank_pipeline`, template decoder (the stencil) |

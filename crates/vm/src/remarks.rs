@@ -268,6 +268,8 @@ fn classify_miss(
             }
             Insn::CallValue { .. } => push(format!("a function value [{}]", Kept::Indirect)),
             Insn::OmpCall { func, .. } => push(format!("`omp.{}` [runtime]", func.path())),
+            // A pure builtin is a template op, not a call.
+            Insn::Builtin { op, .. } if crate::builtins::PURE.iter().any(|&(o, _)| o == op) => {}
             Insn::Builtin { name_k, .. } => {
                 let name: &str = match f.consts.get(name_k as usize) {
                     Some(Value::Str(s)) => s,

@@ -27,11 +27,16 @@
 //! too: the rest of the iteration over the strip, then the update lane by
 //! lane in iteration order (see [`Tail`]).
 //!
-//! One loop form is recognised: a straight-line body ending in an
-//! [`Insn::IncCmpJump`] whose target is the body's first instruction (a
-//! do-while; the compiler's guard in front of it is not part of the
-//! template). The compiler lowers every canonical counted loop to that
-//! form — a limit that is a local, a literal or a pure expression of
+//! One loop form is recognised: a body ending in an [`Insn::IncCmpJump`]
+//! whose target is the body's first instruction (a do-while; the
+//! compiler's guard in front of it is not part of the template), with no
+//! control flow inside but `if` statements without `else` — a forward
+//! [`Insn::CmpJumpFalse`] whose arm holds no other branch. The scalar
+//! chain skips an arm whose test fails; the strip walk if-converts it
+//! (see `plan_strip`). The body may call the pure builtins
+//! (`builtins::PURE`). The compiler lowers every canonical
+//! counted loop to that form — a limit that is a local, a literal or a
+//! pure expression of
 //! locals the loop never assigns (evaluated once, before the guard), and
 //! a step written as the continue expression or as the body's last
 //! statement — so a loop the compiler leaves on the general path (a
@@ -70,7 +75,8 @@ use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::bytecode::{ArithOp, CmpOp, CompiledFn, Insn, Reg};
+use crate::builtins::{Pure, PURE};
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Insn, Reg};
 use crate::value::{ArrF, ArrI, Value, WriteFence};
 
 /// Scalar slots per kind in a template frame.
@@ -79,7 +85,7 @@ pub const NSLOT: usize = 32;
 pub const NARR: usize = 6;
 /// Longest loop (source instructions, head through back-edge) the
 /// matcher will decode.
-const MAX_INSNS: usize = 24;
+const MAX_INSNS: usize = 32;
 /// Iterations a strip-mined variant runs per op. Per-element cost is
 /// flat from 64 to 512; 128 keeps a ten-column loop inside 10 KB of L1.
 const STRIP: usize = 128;
@@ -98,11 +104,15 @@ const IOTA: u16 = 0;
 /// Strip operand tag: not a column but the loop-carried accumulator in
 /// scalar frame slot `operand & !ACC`.
 const ACC: u16 = 0x8000;
+/// Most `if` arms per loop: the bits of [`TFrame::taken`].
+const ARMS: usize = 32;
 
 type Bail = &'static str;
 const BAIL_TYPE: Bail = "type";
 const BAIL_BOUNDS: Bail = "bounds";
 const BAIL_DIV: Bail = "div";
+/// Not a bail: an arm's test failed, skip the arm's `off` ops.
+const SKIP: Bail = "skip";
 
 // ---------------------------------------------------------------------------
 // Descriptors
@@ -148,27 +158,29 @@ pub struct Shape {
     cmp: CmpOp,
 }
 
-/// Entry bind: type-check a register and load it into the frame.
-/// Any mismatch rejects the variant before any side effect.
+/// An entry bind — type-check register `reg` and load it into frame
+/// slot `slot`; any mismatch rejects the variant before any side
+/// effect — or an exit write-back, the slot boxed back into the
+/// register (`ArrI`/`ArrF`: a bound array into the register a `Deref` of
+/// its cell defined).
 #[derive(Clone, Copy)]
-pub enum Bind {
-    Int { reg: Reg, slot: u16 },
-    Flt { reg: Reg, slot: u16 },
-    ArrI { reg: Reg, slot: u16 },
-    ArrF { reg: Reg, slot: u16 },
-    CellI { reg: Reg, slot: u16 },
-    CellF { reg: Reg, slot: u16 },
+pub struct Bind {
+    pub kind: BindKind,
+    pub reg: Reg,
+    pub slot: u16,
 }
+pub type Out = Bind;
 
-/// Exit write-back: box a frame slot back into a register. `ArrI` /
-/// `ArrF` put a bound array back into the register a `Deref` of its
-/// cell defined.
+/// What a [`Bind`] holds: a scalar, an array, or (binds only) the array
+/// a cell holds.
 #[derive(Clone, Copy)]
-pub enum Out {
-    Int { reg: Reg, slot: u16 },
-    Flt { reg: Reg, slot: u16 },
-    ArrI { reg: Reg, slot: u16 },
-    ArrF { reg: Reg, slot: u16 },
+pub enum BindKind {
+    Int,
+    Flt,
+    ArrI,
+    ArrF,
+    CellI,
+    CellF,
 }
 
 /// One monomorphized template variant.
@@ -187,6 +199,13 @@ pub struct TVariant {
     /// restoring their start-of-iteration snapshot, so the
     /// interpreter replays the failing iteration from exact state.
     pub bail_outs: Vec<Out>,
+    /// Registers only `if` arms write and nothing reads first, boxed back
+    /// on exit and on a bail when one of the arms in the mask ran
+    /// ([`TFrame::taken`]): else they keep their value from before the loop.
+    pub cond_outs: Vec<(u32, Out)>,
+    /// Registers an arm gave another kind, boxed back on exit after the
+    /// rest when the arm ran in the last iteration ([`TFrame::now`]).
+    pub now_outs: Vec<(u16, Out)>,
     /// Slots snapshotted at the top of each iteration when any op is
     /// fallible: `(float?, slot)`.
     pub snap: Vec<(bool, u16)>,
@@ -207,23 +226,34 @@ pub struct TVariant {
 /// carried between iterations and no stored array is read or written
 /// at a second index — or, with a [`Tail`], that every store is a
 /// gathered update the strip still performs in iteration order.
+#[derive(Default)]
 pub struct StripPlan {
     /// The variant's protos lowered one by one (unfused) with column
-    /// operands: every definition gets a fresh column, so a
-    /// destination is always numbered above its sources.
+    /// operands: every op's definition gets a fresh column (a copy names
+    /// its source's), so a destination is numbered above its sources.
     ops: Vec<(StripFn, TOp)>,
     /// Columns used per kind.
     ni: usize,
     nf: usize,
     /// Loop-invariant scalars broadcast into columns on entry:
-    /// `(float?, slot, column)`.
+    /// `(float?, slot, column)`; likewise the constants of the body.
     bcast: Vec<(bool, u16, u16)>,
+    konst: Vec<(u16, KVal)>,
     /// Some op reads the induction variable as a value (affine
     /// loads/stores do not): fill [`IOTA`] every strip.
     iota: bool,
+    /// The ops that fold into accumulators, run after the tail over the
+    /// lanes it completed.
+    folds: Vec<(StripFn, TOp)>,
     /// Written slots and the column of their last definition, copied
-    /// back from the final lane on normal exit.
-    last: Vec<(bool, u16, u16)>,
+    /// back from the final lane on normal exit — from the column `base`
+    /// instead when the last definition is in an arm whose test failed
+    /// there: `(float?, slot, column, Some((arm, base)))`.
+    last: Vec<Last>,
+    /// Slots only an arm defines, `(float?, slot, column, arm)`: after
+    /// each strip they take the column's value at the last lane whose
+    /// test held, if any.
+    held: Vec<(bool, u16, u16, u16)>,
     /// The gathered-update suffix of the iteration, run lane by lane
     /// after `ops` (the head) has filled its columns.
     tail: Option<Tail>,
@@ -245,7 +275,12 @@ struct Tail {
     /// The updated array holds floats.
     flt: bool,
     form: TailForm,
+    /// The arm the update is in: it skips the lanes whose test failed.
+    arm: Option<u16>,
 }
+
+/// A written slot's exit value (see [`StripPlan::last`]).
+type Last = (bool, u16, u16, Option<(u16, u16)>);
 
 /// Where a tail reads a lane's value.
 #[derive(Clone, Copy, PartialEq)]
@@ -272,6 +307,7 @@ enum TailForm {
 /// slot for stores), `b`/`c` are sources, `off` the index offset,
 /// `ki`/`kf` an immediate resolved from the constant pool at install
 /// time (the pool is frozen after installation).
+#[derive(Clone, Copy)]
 pub struct TOp {
     pub f: OpFn,
     pub a: u16,
@@ -280,9 +316,27 @@ pub struct TOp {
     pub off: i64,
     pub ki: i64,
     pub kf: f64,
+    /// An arm test's comparison.
+    pub cmp: CmpOp,
+    /// The arm an `if` test opens; in a strip plan, the arm whose lanes
+    /// a fold or a libm call runs over.
+    pub arm: Option<u16>,
 }
 
 pub type OpFn = fn(&mut TFrame<'_>, &TOp) -> Result<(), Bail>;
+
+/// An op with no operands, to fill in.
+const NOP: TOp = TOp {
+    f: mov_i.one,
+    a: 0,
+    b: 0,
+    c: 0,
+    off: 0,
+    ki: 0,
+    kf: 0.0,
+    cmp: CmpOp::Eq,
+    arm: None,
+};
 
 /// The strip form of an op: the same [`TOp`] operand layout, but `a`,
 /// `b`, `c` name columns (or carry the [`ACC`] tag) instead of slots.
@@ -304,6 +358,9 @@ pub struct TFrame<'a> {
     pub flts: [f64; NSLOT],
     pub ai: [&'a [UnsafeCell<i64>]; NARR],
     pub af: [&'a [UnsafeCell<f64>]; NARR],
+    /// Bit `a`: arm `a` ran in some iteration of this run; in the last.
+    pub taken: u32,
+    pub now: u32,
 }
 
 /// The strip execution state: the scalar frame (invariants, the
@@ -315,6 +372,7 @@ struct Strip<'s, 'a> {
     cf: &'s mut [[f64; STRIP]],
     /// Iterations in this strip (`1..=STRIP`).
     n: usize,
+    arms: Arms,
     /// The induction variable at lane 0, and its step per lane.
     i0: i64,
     step: i64,
@@ -331,18 +389,33 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// An element kind's two files: scalar slots and columns.
-trait Lane: Copy {
-    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [Self; NSLOT], &'s mut [[Self; STRIP]]);
+/// Per arm, the lanes of the strip its test held at, in order.
+struct Arms {
+    lanes: [[u8; STRIP]; ARMS],
+    held: [usize; ARMS],
 }
+
+impl Arms {
+    /// The lanes an op of arm `arm` runs over (`None`: not in an arm, all).
+    fn of(&self, arm: Option<u16>) -> Option<&[u8]> {
+        arm.map(|a| &self.lanes[a as usize][..self.held[a as usize]])
+    }
+}
+
+/// An element kind's two files, scalar slots and columns, and the arms'
+/// lanes.
+trait Lane: Copy {
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> Files<'s, Self>;
+}
+type Files<'s, T> = (&'s mut [T; NSLOT], &'s mut [[T; STRIP]], &'s Arms);
 impl Lane for i64 {
-    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [i64; NSLOT], &'s mut [[i64; STRIP]]) {
-        (&mut sf.fr.ints, sf.ci)
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> Files<'s, i64> {
+        (&mut sf.fr.ints, sf.ci, &sf.arms)
     }
 }
 impl Lane for f64 {
-    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> (&'s mut [f64; NSLOT], &'s mut [[f64; STRIP]]) {
-        (&mut sf.fr.flts, sf.cf)
+    fn files<'s>(sf: &'s mut Strip<'_, '_>) -> Files<'s, f64> {
+        (&mut sf.fr.flts, sf.cf, &sf.arms)
     }
 }
 
@@ -351,6 +424,20 @@ impl Lane for f64 {
 fn split<T>(cols: &mut [[T; STRIP]], d: u16, n: usize) -> (&[[T; STRIP]], &mut [T]) {
     let (lo, hi) = cols.split_at_mut(d as usize);
     (lo, &mut hi[0][..n])
+}
+
+/// `d[k] = f(k)` over the lanes `0..d.len()` — for an op inside an arm,
+/// over the lanes `ks` its test held at.
+#[inline(always)]
+fn fill<T>(
+    d: &mut [T],
+    ks: Option<&[u8]>,
+    f: impl Fn(usize) -> Result<T, Bail>,
+) -> Result<(), Bail> {
+    match ks {
+        None => (0..d.len()).try_for_each(|k| f(k).map(|x| d[k] = x)),
+        Some(ks) => (ks.iter()).try_for_each(|&k| f(k as usize).map(|x| d[k as usize] = x)),
+    }
 }
 
 /// Strip form of `a = b op c`. With `a` an accumulator the strip folds
@@ -362,17 +449,28 @@ fn strip2<T: Lane>(
     e: impl Fn(T, T) -> Result<T, Bail>,
 ) -> Result<(), Bail> {
     let n = sf.n;
-    let (file, cols) = T::files(sf);
+    let (file, cols, arms) = T::files(sf);
+    let ks = arms.of(op.arm);
     if op.a & ACC != 0 {
         let s = (op.a & !ACC) as usize;
         let mut acc = file[s];
-        if op.b == op.a {
-            for &y in &cols[op.c as usize][..n] {
-                acc = e(acc, y)?;
+        let left = op.b == op.a;
+        let ys = &cols[if left { op.c } else { op.b } as usize][..n];
+        match (ks, left) {
+            (None, true) => {
+                for &y in ys {
+                    acc = e(acc, y)?;
+                }
             }
-        } else {
-            for &x in &cols[op.b as usize][..n] {
-                acc = e(x, acc)?;
+            (None, false) => {
+                for &x in ys {
+                    acc = e(x, acc)?;
+                }
+            }
+            (Some(ks), _) => {
+                for k in ks.iter().map(|&k| k as usize) {
+                    acc = if left { e(acc, ys[k]) } else { e(ys[k], acc) }?;
+                }
             }
         }
         file[s] = acc;
@@ -380,6 +478,9 @@ fn strip2<T: Lane>(
     }
     let (lo, d) = split(cols, op.a, n);
     let (xs, ys) = (&lo[op.b as usize][..n], &lo[op.c as usize][..n]);
+    if ks.is_some() {
+        return fill(d, ks, |k| e(xs[k], ys[k]));
+    }
     for k in 0..n {
         d[k] = e(xs[k], ys[k])?;
     }
@@ -389,18 +490,24 @@ fn strip2<T: Lane>(
 /// Strip form of `a = b op immediate` (either operand order).
 fn strip1<T: Lane>(sf: &mut Strip, op: &TOp, e: impl Fn(T) -> Result<T, Bail>) -> Result<(), Bail> {
     let n = sf.n;
-    let (file, cols) = T::files(sf);
+    let (file, cols, arms) = T::files(sf);
+    let ks = arms.of(op.arm);
     if op.a & ACC != 0 {
         let s = (op.a & !ACC) as usize;
         let mut acc = file[s];
-        for _ in 0..n {
+        // The lanes an immediate folds in are only counted.
+        for _ in 0..ks.map_or(n, |ks| ks.len()) {
             acc = e(acc)?;
         }
         file[s] = acc;
         return Ok(());
     }
     let (lo, d) = split(cols, op.a, n);
-    for (d, &x) in d.iter_mut().zip(&lo[op.b as usize][..n]) {
+    let xs = &lo[op.b as usize][..n];
+    if ks.is_some() {
+        return fill(d, ks, |k| e(xs[k]));
+    }
+    for (d, &x) in d.iter_mut().zip(xs) {
         *d = e(x)?;
     }
     Ok(())
@@ -424,24 +531,10 @@ impl TemplateDesc {
     pub fn visit_regs(&self, mut f: impl FnMut(Reg)) {
         f(self.prog.ind);
         for v in &self.prog.variants {
-            for b in &v.binds {
-                match *b {
-                    Bind::Int { reg, .. }
-                    | Bind::Flt { reg, .. }
-                    | Bind::ArrI { reg, .. }
-                    | Bind::ArrF { reg, .. }
-                    | Bind::CellI { reg, .. }
-                    | Bind::CellF { reg, .. } => f(reg),
-                }
-            }
-            for o in v.outs.iter().chain(&v.bail_outs) {
-                match *o {
-                    Out::Int { reg, .. }
-                    | Out::Flt { reg, .. }
-                    | Out::ArrI { reg, .. }
-                    | Out::ArrF { reg, .. } => f(reg),
-                }
-            }
+            let cond = v.cond_outs.iter().map(|(_, o)| o);
+            let now = v.now_outs.iter().map(|(_, o)| o);
+            let all = v.binds.iter().chain(&v.outs).chain(&v.bail_outs);
+            all.chain(cond).chain(now).for_each(|b| f(b.reg));
         }
     }
 }
@@ -572,40 +665,43 @@ op_fk!(mulkl_f, |x, k| k * x);
 op_fk!(divkl_f, |x, k| k / x);
 op_fk!(remkl_f, |x, k| k % x);
 
-/// `a = b` and `a = immediate` for one kind.
+/// The arithmetic ops by kind (int, float) and [`ArithOp`]; with an
+/// immediate, by kind and the immediate's side (right, left).
+const BIN: [[Ops; 5]; 2] = [
+    [add_ii, sub_ii, mul_ii, div_ii, rem_ii],
+    [add_ff, sub_ff, mul_ff, div_ff, rem_ff],
+];
+const BINK: [[Ops; 5]; 4] = [
+    [addk_i, subk_i, mulk_i, divk_i, remk_i],
+    [addkl_i, subkl_i, mulkl_i, divkl_i, remkl_i],
+    [addk_f, subk_f, mulk_f, divk_f, remk_f],
+    [addkl_f, subkl_f, mulkl_f, divkl_f, remkl_f],
+];
+
+/// `a = b` and `a = immediate` for one kind. No strip plan runs them: a
+/// copy names its source's column, a constant a column filled once.
 macro_rules! ops_mov {
-    ($mov:ident, $konst:ident, $t:ty, $file:ident, $imm:ident) => {
+    ($mov:ident, $konst:ident, $file:ident, $imm:ident) => {
         #[allow(non_upper_case_globals)]
-        const $mov: Ops = {
-            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+        const $mov: Ops = Ops {
+            one: |fr, op| {
                 fr.$file[op.a as usize] = fr.$file[op.b as usize];
                 Ok(())
-            }
-            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
-                let n = sf.n;
-                let (lo, d) = split(<$t>::files(sf).1, op.a, n);
-                d.copy_from_slice(&lo[op.b as usize][..n]);
-                Ok(())
-            }
-            Ops { one, strip }
+            },
+            strip: |_, _| unreachable!("a copy is a named column"),
         };
         #[allow(non_upper_case_globals)]
-        const $konst: Ops = {
-            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+        const $konst: Ops = Ops {
+            one: |fr, op| {
                 fr.$file[op.a as usize] = op.$imm;
                 Ok(())
-            }
-            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
-                let n = sf.n;
-                split(<$t>::files(sf).1, op.a, n).1.fill(op.$imm);
-                Ok(())
-            }
-            Ops { one, strip }
+            },
+            strip: |_, _| unreachable!("a constant is a named column"),
         };
     };
 }
-ops_mov!(mov_i, const_i, i64, ints, ki);
-ops_mov!(mov_f, const_f, f64, flts, kf);
+ops_mov!(mov_i, const_i, ints, ki);
+ops_mov!(mov_f, const_f, flts, kf);
 
 /// First element index of an affine access `ind + off` over a strip of
 /// `n` lanes, after checking the first and last lane against `len` —
@@ -624,7 +720,8 @@ fn affine(len: usize, n: usize, i0: i64, step: i64, off: i64) -> Result<i64, Bai
 }
 
 /// Fill `d` from `arr`: a gather through the index column, or — `idx`
-/// `None`, the index is the induction variable — a (strided) slice copy.
+/// `None`, the index is affine in the induction variable — a (strided)
+/// slice copy.
 fn load_lanes<T: Copy>(
     arr: &[UnsafeCell<T>],
     d: &mut [T],
@@ -690,12 +787,18 @@ macro_rules! ops_mem {
                 fr.$file[op.a as usize] = unsafe { *arr.get_unchecked(i as usize).get() };
                 Ok(())
             }
+            /// `ki`: the index is the induction variable times `ki`, else
+            /// (0) a column.
             fn strip($sf: &mut Strip, $op: &TOp) -> Result<(), Bail> {
                 let arr = $sf.fr.$arrs[$op.c as usize];
-                let at = ($sf.i0, $sf.step, $op.off);
+                let (Some(i0), Some(step)) =
+                    ($sf.i0.checked_mul($op.ki), $sf.step.checked_mul($op.ki))
+                else {
+                    return Err(BAIL_BOUNDS);
+                };
                 let (ci, d) = $dst;
-                let idx = ($op.b != IOTA).then(|| &ci[$op.b as usize][..d.len()]);
-                load_lanes(arr, d, idx, at)
+                let idx = ($op.ki == 0).then(|| &ci[$op.b as usize][..d.len()]);
+                load_lanes(arr, d, idx, (i0, step, $op.off))
             }
             Ops { one, strip }
         };
@@ -726,15 +829,117 @@ ops_mem!(ld_f, st_f, flts, af, cf, |sf, op| (
     &mut sf.cf[op.a as usize][..sf.n]
 ));
 
-fn cmp_i(op: CmpOp, a: i64, b: i64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
+/// Row `R` of [`PURE`], one op per row: the row's function is a constant
+/// of each instantiation, so both walks call it directly, lane by lane.
+fn pure_one<const R: usize>(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+    let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
+    match const { PURE[R].1 } {
+        Pure::F(f) => fr.flts[a] = f(fr.flts[b]),
+        Pure::I(f) => fr.ints[a] = f(fr.ints[b]),
+        Pure::FF(f) => fr.flts[a] = f(fr.flts[b], fr.flts[c]),
+        Pure::II(f) => fr.ints[a] = f(fr.ints[b], fr.ints[c]),
+        Pure::IF(f) => fr.flts[a] = f(fr.ints[b]),
+        Pure::FI(f) => fr.ints[a] = f(fr.flts[b]),
     }
+    Ok(())
+}
+fn pure_strip<const R: usize>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+    let n = sf.n;
+    let (a, b) = (op.a as usize, op.b as usize);
+    match const { PURE[R].1 } {
+        Pure::F(f) => strip1::<f64>(sf, op, |x| Ok(f(x))),
+        Pure::I(f) => strip1::<i64>(sf, op, |x| Ok(f(x))),
+        Pure::FF(f) => strip2::<f64>(sf, op, |x, y| Ok(f(x, y))),
+        Pure::II(f) => strip2::<i64>(sf, op, |x, y| Ok(f(x, y))),
+        Pure::IF(f) => fill(&mut sf.cf[a][..n], sf.arms.of(op.arm), |k| {
+            Ok(f(sf.ci[b][k]))
+        }),
+        Pure::FI(f) => fill(&mut sf.ci[a][..n], sf.arms.of(op.arm), |k| {
+            Ok(f(sf.cf[b][k]))
+        }),
+    }
+}
+macro_rules! pure_ops {
+    ($($r:literal)*) => { [$(Ops { one: pure_one::<$r>, strip: pure_strip::<$r> }),*] };
+}
+/// [`PURE`]'s rows as template ops (an added row fails to compile here).
+const PURE_OPS: [Ops; PURE.len()] = pure_ops!(0 1 2 3 4 5 6 7 8 9 10 11 12 13);
+
+/// The argument and result kinds of a pure row.
+fn sig(row: Pure) -> (&'static [K], K) {
+    match row {
+        Pure::F(_) => (&[K::Flt], K::Flt),
+        Pure::I(_) => (&[K::Int], K::Int),
+        Pure::FF(_) => (&[K::Flt, K::Flt], K::Flt),
+        Pure::II(_) => (&[K::Int, K::Int], K::Int),
+        Pure::IF(_) => (&[K::Int], K::Flt),
+        Pure::FI(_) => (&[K::Flt], K::Int),
+    }
+}
+
+/// An `if` test `b cmp c` opening arm `arm`. The scalar chain skips the
+/// arm's `off` ops when it fails and notes the arm taken when it holds;
+/// the strip form lists the lanes it holds at.
+macro_rules! ops_br {
+    ($n:ident, $file:ident, $cols:ident) => {
+        #[allow(non_upper_case_globals)]
+        const $n: Ops = {
+            fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
+                let bit = 1 << op.arm.unwrap_or_default();
+                let (x, y) = (fr.$file[op.b as usize], fr.$file[op.c as usize]);
+                if !op.cmp.eval(x, y) {
+                    fr.now &= !bit;
+                    return Err(SKIP);
+                }
+                (fr.taken, fr.now) = (fr.taken | bit, fr.now | bit);
+                Ok(())
+            }
+            fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+                let n = sf.n;
+                let (xs, ys) = (&sf.$cols[op.b as usize][..n], &sf.$cols[op.c as usize][..n]);
+                let a = op.arm.unwrap_or_default() as usize;
+                sf.arms.held[a] = test(&mut sf.arms.lanes[a], xs, ys, op.cmp);
+                Ok(())
+            }
+            Ops { one, strip }
+        };
+    };
+}
+ops_br!(br_i, ints, ci);
+ops_br!(br_f, flts, cf);
+
+/// The lanes `k` where `xs[k] cmp ys[k]`, in order, into `ks`; how many.
+/// One loop per comparison, with no branch on its outcome.
+fn test<T: Copy + PartialOrd>(ks: &mut [u8; STRIP], xs: &[T], ys: &[T], cmp: CmpOp) -> usize {
+    fn go<T: Copy>(ks: &mut [u8; STRIP], xs: &[T], ys: &[T], f: impl Fn(T, T) -> bool) -> usize {
+        let mut held = 0;
+        for (k, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+            ks[held] = k as u8;
+            held += f(x, y) as usize;
+        }
+        held
+    }
+    match cmp {
+        CmpOp::Lt => go(ks, xs, ys, |x, y| x < y),
+        CmpOp::Le => go(ks, xs, ys, |x, y| x <= y),
+        CmpOp::Gt => go(ks, xs, ys, |x, y| x > y),
+        CmpOp::Ge => go(ks, xs, ys, |x, y| x >= y),
+        CmpOp::Eq => go(ks, xs, ys, |x, y| x == y),
+        CmpOp::Ne => go(ks, xs, ys, |x, y| x != y),
+    }
+}
+
+/// `a = arm held ? b : c`, lane by lane: the value after an arm of a
+/// register both the arm and the code before it define.
+fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
+    let n = sf.n;
+    let (_, cols, arms) = T::files(sf);
+    let (lo, d) = split(cols, op.a, n);
+    d.copy_from_slice(&lo[op.c as usize][..n]);
+    for &k in arms.of(op.arm).unwrap_or_default() {
+        d[k as usize] = lo[op.b as usize][k as usize];
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -799,38 +1004,19 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
     let mut flts = [0f64; NSLOT];
     let mut arci: [Option<Arc<ArrI>>; NARR] = Default::default();
     let mut arcf: [Option<Arc<ArrF>>; NARR] = Default::default();
-    for b in &v.binds {
-        match *b {
-            Bind::Int { reg, slot } => match regs[reg as usize] {
-                Value::Int(x) => ints[slot as usize] = x,
+    for &Bind { kind, reg, slot } in &v.binds {
+        let s = slot as usize;
+        match (kind, &regs[reg as usize]) {
+            (BindKind::Int, &Value::Int(x)) => ints[s] = x,
+            (BindKind::Flt, &Value::Float(x)) => flts[s] = x,
+            (BindKind::ArrI, Value::ArrI(a)) => arci[s] = Some(a.clone()),
+            (BindKind::ArrF, Value::ArrF(a)) => arcf[s] = Some(a.clone()),
+            (BindKind::CellI | BindKind::CellF, Value::Ptr(p)) => match (kind, &*p.lock()) {
+                (BindKind::CellI, Value::ArrI(a)) => arci[s] = Some(a.clone()),
+                (BindKind::CellF, Value::ArrF(a)) => arcf[s] = Some(a.clone()),
                 _ => return VOut::Skip,
             },
-            Bind::Flt { reg, slot } => match regs[reg as usize] {
-                Value::Float(x) => flts[slot as usize] = x,
-                _ => return VOut::Skip,
-            },
-            Bind::ArrI { reg, slot } => match &regs[reg as usize] {
-                Value::ArrI(a) => arci[slot as usize] = Some(a.clone()),
-                _ => return VOut::Skip,
-            },
-            Bind::ArrF { reg, slot } => match &regs[reg as usize] {
-                Value::ArrF(a) => arcf[slot as usize] = Some(a.clone()),
-                _ => return VOut::Skip,
-            },
-            Bind::CellI { reg, slot } => match &regs[reg as usize] {
-                Value::Ptr(p) => match &*p.lock() {
-                    Value::ArrI(a) => arci[slot as usize] = Some(a.clone()),
-                    _ => return VOut::Skip,
-                },
-                _ => return VOut::Skip,
-            },
-            Bind::CellF { reg, slot } => match &regs[reg as usize] {
-                Value::Ptr(p) => match &*p.lock() {
-                    Value::ArrF(a) => arcf[slot as usize] = Some(a.clone()),
-                    _ => return VOut::Skip,
-                },
-                _ => return VOut::Skip,
-            },
+            _ => return VOut::Skip,
         }
     }
     let mut fr = TFrame {
@@ -838,6 +1024,8 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
         flts,
         ai: [&[]; NARR],
         af: [&[]; NARR],
+        taken: 0,
+        now: 0,
     };
     for (k, a) in arci.iter().enumerate() {
         if let Some(a) = a {
@@ -882,19 +1070,22 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
         }
         _ => exec(v, &mut fr),
     };
-    let out = |o: &Out, regs: &mut [Value]| match *o {
-        Out::Int { reg, slot } => regs[reg as usize] = Value::Int(fr.ints[slot as usize]),
-        Out::Flt { reg, slot } => regs[reg as usize] = Value::Float(fr.flts[slot as usize]),
-        Out::ArrI { reg, slot } => {
-            regs[reg as usize] = Value::ArrI(arci[slot as usize].clone().unwrap())
-        }
-        Out::ArrF { reg, slot } => {
-            regs[reg as usize] = Value::ArrF(arcf[slot as usize].clone().unwrap())
+    let out = |&Bind { kind, reg, slot }: &Out, regs: &mut [Value]| {
+        let s = slot as usize;
+        regs[reg as usize] = match kind {
+            BindKind::Int => Value::Int(fr.ints[s]),
+            BindKind::Flt => Value::Float(fr.flts[s]),
+            BindKind::ArrI => Value::ArrI(arci[s].clone().unwrap()),
+            _ => Value::ArrF(arcf[s].clone().unwrap()),
         }
     };
+    for (_, o) in v.cond_outs.iter().filter(|(m, _)| fr.taken & m != 0) {
+        out(o, regs);
+    }
     match r {
         Ok(()) => {
-            for o in &v.outs {
+            let now = (v.now_outs.iter()).filter(|(a, _)| fr.now >> a & 1 != 0);
+            for o in v.outs.iter().chain(now.map(|(_, o)| o)) {
                 out(o, regs);
             }
             VOut::Done
@@ -962,7 +1153,8 @@ fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp) -> Option<u64> {
 /// strip-start state — storing the iterations that are in bounds,
 /// stopping at the one that is not, and bailing exactly as it always
 /// has. A [`Tail`] then runs lane by lane and hands over at its failing
-/// lane instead.
+/// lane instead. Only the folds and the arm-held values change the frame,
+/// after the tail, over the lanes it completed.
 fn exec_strip(
     v: &TVariant,
     plan: &StripPlan,
@@ -999,11 +1191,21 @@ fn exec_strip(
                 ci[c as usize][..widest].fill(fr.ints[s as usize]);
             }
         }
+        for &(c, v) in &plan.konst {
+            match v {
+                KVal::I(x) => ci[c as usize][..widest].fill(x),
+                KVal::F(x) => cf[c as usize][..widest].fill(x),
+            }
+        }
         let mut sf = Strip {
             fr,
             ci,
             cf,
             n: 0,
+            arms: Arms {
+                lanes: [[0; STRIP]; ARMS],
+                held: [0; ARMS],
+            },
             i0: 0,
             step,
         };
@@ -1022,37 +1224,64 @@ fn exec_strip(
                     *x = sf.i0 + k as i64 * step;
                 }
             }
-            // Accumulators fold into their scalar slots as the strip
-            // runs; a later op's failed check needs them back.
-            let start = (sf.fr.ints, sf.fr.flts);
-            for (f, op) in &plan.ops {
-                if f(&mut sf, op).is_err() {
-                    (sf.fr.ints, sf.fr.flts) = start;
-                    return exec(v, sf.fr);
-                }
+            if plan.ops.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
+                return exec(v, sf.fr);
             }
             // The tail checks each lane before storing it: a failure at
-            // lane k leaves lanes 0..k complete and lane k untouched
-            // (the head stores nothing and carries nothing), so the
-            // scalar chain resumes at lane k.
+            // lane k leaves lanes 0..k complete and lane k untouched (the
+            // head stores nothing), so the scalar chain resumes at lane k
+            // once the folds and held values cover lanes 0..k.
+            let mut failed = None;
             if let (Some(tail), Some(Some(sh))) = (&plan.tail, shift) {
                 if let Err(k) = tail.run(&mut sf, sh) {
-                    sf.fr.ints[ind] = sf.i0 + k as i64 * step;
-                    return exec(v, sf.fr);
+                    (failed, sf.n) = (Some(k), k);
+                    for (ks, held) in sf.arms.lanes.iter().zip(&mut sf.arms.held) {
+                        *held = ks[..*held].partition_point(|&x| (x as usize) < k);
+                    }
+                }
+            }
+            // Only a loop without a tail may fold fallibly (`plan_strip`).
+            let start = (sf.fr.ints, sf.fr.flts);
+            if plan.folds.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
+                (sf.fr.ints, sf.fr.flts) = start;
+                return exec(v, sf.fr);
+            }
+            for &(flt, s, c, arm) in &plan.held {
+                if let Some(&k) = sf.arms.of(Some(arm)).and_then(|ks| ks.last()) {
+                    sf.fr.taken |= 1 << arm;
+                    sf.put(flt, s, c, k as usize);
                 }
             }
             sf.fr.ints[ind] = sf.i0 + sf.n as i64 * step;
+            if failed.is_some() {
+                return exec(v, sf.fr);
+            }
             left -= sf.n as u64;
         }
-        for &(flt, s, c) in &plan.last {
-            if flt {
-                sf.fr.flts[s as usize] = sf.cf[c as usize][sf.n - 1];
-            } else {
-                sf.fr.ints[s as usize] = sf.ci[c as usize][sf.n - 1];
-            }
+        // Which arms ran in the last iteration: their last lane is it.
+        let k = sf.n - 1;
+        sf.fr.now = (0..ARMS as u16)
+            .filter(|&a| sf.arms.of(Some(a)).unwrap_or_default().last() == Some(&(k as u8)))
+            .fold(0, |now, a| now | 1 << a);
+        for &(flt, s, c, sel) in &plan.last {
+            let c = sel
+                .filter(|(a, _)| sf.fr.now >> a & 1 == 0)
+                .map_or(c, |(_, base)| base);
+            sf.put(flt, s, c, k);
         }
         Ok(())
     })
+}
+
+impl Strip<'_, '_> {
+    /// Lane `k` of a column into a frame slot.
+    fn put(&mut self, flt: bool, slot: u16, col: u16, k: usize) {
+        if flt {
+            self.fr.flts[slot as usize] = self.cf[col as usize][k];
+        } else {
+            self.fr.ints[slot as usize] = self.ci[col as usize][k];
+        }
+    }
 }
 
 impl Tail {
@@ -1082,23 +1311,36 @@ impl Tail {
     /// before its first store, and the lanes before it are complete.
     fn run(&self, sf: &mut Strip, sh: Shift) -> Result<(), usize> {
         let Strip {
-            fr, ci, cf, n, i0, ..
+            fr,
+            ci,
+            cf,
+            n,
+            i0,
+            arms,
+            ..
         } = sf;
         let n = *n;
+        // The lanes to run: the last, and those before it (none: all).
+        let (t, ks) = match arms.of(self.arm) {
+            None => (n - 1, None),
+            Some([ks @ .., t]) => (*t as usize, Some(ks)),
+            Some([]) => return Ok(()),
+        };
+        let lanes = (ks, t);
         let xs = values(self.src, &fr.ai, (*i0, n), ci)?;
         let g = match (self.form, self.flt) {
             (TailForm::Update { h, v }, true) => {
                 let (l, s, g) = match v {
-                    Ok(c) => update(fr.af[h as usize], xs, sh, |k| cf[c as usize][k])?,
-                    Err(k) => update(fr.af[h as usize], xs, sh, |_| k.f())?,
+                    Ok(c) => update(fr.af[h as usize], xs, sh, lanes, |k| cf[c as usize][k])?,
+                    Err(k) => update(fr.af[h as usize], xs, sh, lanes, |_| k.f())?,
                 };
                 self.put(&mut fr.flts, l, s);
                 g
             }
             (TailForm::Update { h, v }, false) => {
                 let (l, s, g) = match v {
-                    Ok(c) => update(fr.ai[h as usize], xs, sh, |k| ci[c as usize][k])?,
-                    Err(k) => update(fr.ai[h as usize], xs, sh, |_| k.i())?,
+                    Ok(c) => update(fr.ai[h as usize], xs, sh, lanes, |k| ci[c as usize][k])?,
+                    Err(k) => update(fr.ai[h as usize], xs, sh, lanes, |_| k.i())?,
                 };
                 self.put(&mut fr.ints, l, s);
                 g
@@ -1108,14 +1350,18 @@ impl Tail {
                 // Float and int columns are numbered apart: a float value
                 // is never the key, whatever its column number.
                 let (c, g) = match v {
-                    Src::Col(v) if flt => scatter(cur, fr.af[out as usize], xs, sh, k, |_, l| {
-                        cf[v as usize][l]
-                    })?,
+                    Src::Col(v) if flt => {
+                        scatter(cur, fr.af[out as usize], xs, sh, lanes, k, |_, l| {
+                            cf[v as usize][l]
+                        })?
+                    }
                     // The key itself, as a counting sort stores it.
-                    v if v == self.src => scatter(cur, fr.ai[out as usize], xs, sh, k, |x, _| x)?,
+                    v if v == self.src => {
+                        scatter(cur, fr.ai[out as usize], xs, sh, lanes, k, |x, _| x)?
+                    }
                     v => {
                         let vs = values(v, &fr.ai, (*i0, n), ci)?;
-                        scatter(cur, fr.ai[out as usize], xs, sh, k, |_, l| vs[l])?
+                        scatter(cur, fr.ai[out as usize], xs, sh, lanes, k, |_, l| vs[l])?
                     }
                 };
                 // With `out` a distinct array the re-load reads `c` back.
@@ -1128,6 +1374,9 @@ impl Tail {
         }
         if let Some((_, gs)) = self.div {
             fr.ints[gs as usize] = g;
+        }
+        if let Some(a) = self.arm {
+            fr.taken |= 1 << a;
         }
         Ok(())
     }
@@ -1185,7 +1434,12 @@ impl Shift {
     }
 }
 
-/// Run `lane(k, g)` over lanes `0..xs.len()` in order, `g` the lane's
+/// The lanes a tail runs: the last, `t`, after all before it — or, in an
+/// arm, after those its test held at, `ks`.
+type Lanes<'k> = (Option<&'k [u8]>, usize);
+
+/// Run `lane(k, g)` over lanes `0..xs.len()` in order (those of `ks`
+/// only, if given), `g` the lane's
 /// index, checked against `0..len` unless one non-negative upper bound
 /// of the lanes — the range hint, or an OR over them — proves them all
 /// (which also makes the shift a plain one); `Err(k)` at the first lane
@@ -1196,8 +1450,15 @@ fn each_lane(
     xs: &[i64],
     sh: Shift,
     len: usize,
+    ks: Option<&[u8]>,
     lane: impl Fn(usize, usize) -> Option<()>,
 ) -> Result<(), usize> {
+    if let Some(ks) = ks {
+        for k in ks.iter().map(|&k| k as usize) {
+            lane(k, sh.index(xs[k], len).ok_or(k)?).ok_or(k)?;
+        }
+        return Ok(());
+    }
     let (lo, hi) = sh.range.unwrap_or_else(|| {
         let or = xs.iter().fold(0, |a, &x| a | x);
         (or, or)
@@ -1230,28 +1491,28 @@ impl Add for f64 {
     }
 }
 
-/// `h[g] += v(k)` for every lane `k`; the last lane's loaded and stored
-/// elements and index.
+/// `h[g] += v(k)` for every lane `k` to run; the last one's loaded and
+/// stored elements and index.
 #[inline(never)]
 fn update<T: Add>(
     h: &[UnsafeCell<T>],
     xs: &[i64],
     sh: Shift,
+    (ks, t): Lanes,
     v: impl Fn(usize) -> T,
 ) -> Result<(T, T, i64), usize> {
-    let n = xs.len();
-    each_lane(&xs[..n - 1], sh, h.len(), |k, g| {
+    each_lane(&xs[..t], sh, h.len(), ks, |k, g| {
         // SAFETY: `each_lane` checked `g` against the array, or proved
         // it for the whole strip; a plain read-modify-write through the
         // cell, as the scalar chain's load and store do.
         unsafe { *h.get_unchecked(g).get() = (*h.get_unchecked(g).get()).add(v(k)) };
         Some(())
     })?;
-    let g = sh.index(xs[n - 1], h.len()).ok_or(n - 1)?;
+    let g = sh.index(xs[t], h.len()).ok_or(t)?;
     // SAFETY: `g` checked on the line above.
     let cell = unsafe { h.get_unchecked(g).get() };
     let l = unsafe { *cell };
-    let s = l.add(v(n - 1));
+    let s = l.add(v(t));
     unsafe { *cell = s };
     Ok((l, s, g as i64))
 }
@@ -1278,8 +1539,8 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// `out[cur[g]] = v(x, k); cur[g] += inc` for every lane `k` (`x` its
-/// value); the last lane's cursor before its advance, and index. Each
+/// `out[cur[g]] = v(x, k); cur[g] += inc` for every lane `k` to run (`x`
+/// its value); the last one's cursor before its advance, and index. Each
 /// store prefetches the line its stream reaches [`AHEAD`] elements on.
 #[inline(never)]
 fn scatter<T: Copy>(
@@ -1287,6 +1548,7 @@ fn scatter<T: Copy>(
     out: &[UnsafeCell<T>],
     xs: &[i64],
     sh: Shift,
+    (ks, t): Lanes,
     inc: i64,
     v: impl Fn(i64, usize) -> T,
 ) -> Result<(i64, i64), usize> {
@@ -1301,10 +1563,9 @@ fn scatter<T: Copy>(
         prefetch(out.as_ptr().wrapping_add(c as usize + AHEAD));
         Some(c)
     };
-    let n = xs.len();
-    each_lane(&xs[..n - 1], sh, cur.len(), |k, g| lane(k, g).map(drop))?;
-    let g = sh.index(xs[n - 1], cur.len()).ok_or(n - 1)?;
-    Ok((lane(n - 1, g).ok_or(n - 1)?, g as i64))
+    each_lane(&xs[..t], sh, cur.len(), ks, |k, g| lane(k, g).map(drop))?;
+    let g = sh.index(xs[t], cur.len()).ok_or(t)?;
+    Ok((lane(t, g).ok_or(t)?, g as i64))
 }
 
 /// Execute the variant's loop one iteration at a time; `Err` after
@@ -1341,15 +1602,21 @@ fn exec(v: &TVariant, fr: &mut TFrame) -> Result<(), Bail> {
         if v.fallible {
             snap(fr, &mut si, &mut sf);
         }
-        for op in &v.ops {
-            if let Err(b) = (op.f)(fr, op) {
-                restore(fr, &si, &sf);
-                return Err(b);
+        let mut k = 0;
+        while let Some(op) = v.ops.get(k) {
+            k += 1;
+            match (op.f)(fr, op) {
+                Ok(()) => {}
+                Err(SKIP) => k += op.off as usize,
+                Err(b) => {
+                    restore(fr, &si, &sf);
+                    return Err(b);
+                }
             }
         }
         let next = fr.ints[ind].wrapping_add(step);
         fr.ints[ind] = next;
-        if !cmp_i(cmp, next, fr.ints[lim]) {
+        if !cmp.eval(next, fr.ints[lim]) {
             return Ok(());
         }
     }
@@ -1359,7 +1626,7 @@ fn exec(v: &TVariant, fr: &mut TFrame) -> Result<(), Bail> {
 // Matching: decode + type inference
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum K {
     Unk,
     Int,
@@ -1367,18 +1634,13 @@ enum K {
 }
 
 /// Union-find over type variables with a kind per class.
+#[derive(Default)]
 struct Uf {
     parent: Vec<u32>,
     kind: Vec<K>,
 }
 
 impl Uf {
-    fn new() -> Uf {
-        Uf {
-            parent: Vec::new(),
-            kind: Vec::new(),
-        }
-    }
     fn fresh(&mut self) -> u32 {
         let v = self.parent.len() as u32;
         self.parent.push(v);
@@ -1494,6 +1756,20 @@ enum P {
         idx: u32,
         s: u32,
     },
+    /// A pure builtin of one or two arguments.
+    Call {
+        op: BuiltinOp,
+        d: u32,
+        a: u32,
+        b: Option<u32>,
+    },
+    /// `if (a cmp b)`, opening arm `arm`: the protos [`Bld::guards`] marks.
+    Br {
+        op: CmpOp,
+        a: u32,
+        b: u32,
+        arm: u16,
+    },
 }
 
 impl P {
@@ -1501,9 +1777,13 @@ impl P {
         match *self {
             P::Mov { s, .. } => f(s),
             P::Const { .. } => {}
-            P::Bin { a, b, .. } => {
+            P::Bin { a, b, .. } | P::Br { a, b, .. } => {
                 f(a);
                 f(b);
+            }
+            P::Call { a, b, .. } => {
+                f(a);
+                b.map(f);
             }
             P::BinK { a, .. } => f(a),
             P::Ld { idx, .. } => f(idx),
@@ -1520,8 +1800,9 @@ impl P {
             | P::Const { d, .. }
             | P::Bin { d, .. }
             | P::BinK { d, .. }
-            | P::Ld { d, .. } => *d = key,
-            P::St { .. } => {}
+            | P::Ld { d, .. }
+            | P::Call { d, .. } => *d = key,
+            P::St { .. } | P::Br { .. } => {}
         }
         self
     }
@@ -1531,8 +1812,9 @@ impl P {
             | P::Const { d, .. }
             | P::Bin { d, .. }
             | P::BinK { d, .. }
-            | P::Ld { d, .. } => Some(d),
-            P::St { .. } => None,
+            | P::Ld { d, .. }
+            | P::Call { d, .. } => Some(d),
+            P::St { .. } | P::Br { .. } => None,
         }
     }
     /// The element a load or store touches: `(array, index, offset)`.
@@ -1555,8 +1837,9 @@ struct AInfo {
 }
 
 /// The in-progress decode of one loop.
+#[derive(Default)]
 struct Bld<'f> {
-    f: &'f CompiledFn,
+    consts: &'f [Value],
     uf: Uf,
     svar: HashMap<u32, u32>,
     sorder: Vec<u32>,
@@ -1569,24 +1852,110 @@ struct Bld<'f> {
     /// `(destination, cell)` per `Deref`, for the exit write-back.
     derefs: Vec<(Reg, Reg)>,
     protos: Vec<P>,
+    /// Per proto, the arm it is in.
+    guards: Vec<Option<u16>>,
+    /// The open arm and the pc it ends at; the arms opened so far.
+    arm: Option<(u16, usize)>,
+    narms: u16,
+    /// Per register, the key its last definition so far defined (see
+    /// [`Bld::wr`]); the registers defined outside arms, and in the open
+    /// arm; and those read before a definition, whose value a previous
+    /// iteration may have left.
+    cur: HashMap<Reg, u32>,
+    defined: HashSet<Reg>,
+    in_arm: HashSet<Reg>,
+    carried: HashSet<Reg>,
+    /// The register of each key [`Bld::wr`] added.
+    version: HashMap<u32, Reg>,
+    /// Registers the open arm gave a new key, and their key before it;
+    /// per closed arm, `(arm, key before, key in the arm)`.
+    pending: Vec<(Reg, u32)>,
+    merges: Vec<(u16, u32, u32)>,
     nscratch: u32,
 }
 
-impl<'f> Bld<'f> {
-    fn new(f: &'f CompiledFn) -> Bld<'f> {
-        Bld {
-            f,
-            uf: Uf::new(),
-            svar: HashMap::new(),
-            sorder: Vec::new(),
-            scalar_regs: HashSet::new(),
-            arrs: HashMap::new(),
-            aorder: Vec::new(),
-            alias: HashMap::new(),
-            derefs: Vec::new(),
-            protos: Vec::new(),
-            nscratch: 0,
+impl Bld<'_> {
+    /// The key a read of register `r` reads: after an arm that gave it a
+    /// new key, one value of one kind.
+    fn rd(&mut self, r: Reg) -> Option<u32> {
+        if !self.defined.contains(&r) && !self.in_arm.contains(&r) {
+            self.carried.insert(r);
         }
+        let Some(&k) = self.cur.get(&r) else {
+            return self.sv(r);
+        };
+        for (_, _, k1) in self.merges.clone().into_iter().filter(|m| m.1 == k) {
+            self.uni(k, k1).then_some(())?;
+        }
+        Some(k)
+    }
+
+    /// The key a definition of register `r` defines. A register the
+    /// iteration redefines, with no value carried in, gets a fresh key per
+    /// such definition (in an arm, the arm's first), so a temporary the
+    /// compiler reuses for another kind (EP's `2 * i`, then `x1 * x1`) is
+    /// two values; the last key is the register's on exit. Past the arm
+    /// the register is its key before the arm again, merged at a read
+    /// ([`Bld::rd`]) or on exit.
+    fn wr(&mut self, r: Reg) -> Option<u32> {
+        let fresh = match self.arm {
+            None => true,
+            Some(_) => self.defined.contains(&r) && !self.in_arm.contains(&r),
+        };
+        let key = match self.cur.get(&r) {
+            Some(&k) if fresh && !self.carried.contains(&r) => {
+                if self.arm.is_some() {
+                    self.pending.push((r, k));
+                }
+                let key = self.scratch();
+                self.version.insert(key, r);
+                key
+            }
+            Some(&k) => k,
+            None => self.sv(r)?,
+        };
+        self.cur.insert(r, key);
+        if self.arm.is_some() {
+            self.in_arm.insert(r);
+        } else {
+            self.defined.insert(r);
+        }
+        Some(key)
+    }
+
+    /// Leave the open arm, if any.
+    fn close(&mut self) {
+        let Some((arm, _)) = self.arm.take() else {
+            return;
+        };
+        for (r, k0) in std::mem::take(&mut self.pending) {
+            self.merges
+                .push((arm, k0, self.cur.insert(r, k0).unwrap_or(k0)));
+        }
+        self.in_arm.clear();
+    }
+
+    fn push(&mut self, p: P) {
+        self.protos.push(p);
+        self.guards.push(self.arm.map(|(a, _)| a));
+    }
+
+    /// `if (a op b)` whose arm ends at `to`.
+    fn branch(&mut self, op: CmpOp, a: Reg, b: Reg, to: usize) -> Result<(), &'static str> {
+        let ra = self.rd(a).ok_or("types")?;
+        let rb = self.rd(b).ok_or("types")?;
+        if !self.uni(ra, rb) {
+            return Err("types");
+        }
+        let arm = self.narms;
+        self.push(P::Br {
+            op,
+            a: ra,
+            b: rb,
+            arm,
+        });
+        (self.arm, self.narms) = (Some((arm, to)), arm + 1);
+        Ok(())
     }
 
     /// Register `r` as a scalar operand; `None` if it was already
@@ -1665,7 +2034,7 @@ impl<'f> Bld<'f> {
     }
 
     fn kc(&self, k: u16) -> Option<KVal> {
-        match self.f.consts.get(k as usize)? {
+        match self.consts.get(k as usize)? {
             Value::Int(v) => Some(KVal::I(*v)),
             Value::Float(v) => Some(KVal::F(*v)),
             _ => None,
@@ -1677,7 +2046,7 @@ impl<'f> Bld<'f> {
     /// flow inside the body), `types` (a kind conflict, or a register
     /// used both as a scalar and as an array), or the opcode no template
     /// op covers.
-    fn decode(&mut self, insn: &Insn) -> Result<(), String> {
+    fn decode(&mut self, f: &CompiledFn, insn: &Insn) -> Result<(), String> {
         // Every constraint failure is a type conflict.
         macro_rules! t {
             ($e:expr) => {
@@ -1694,56 +2063,28 @@ impl<'f> Bld<'f> {
         match *insn {
             Insn::Const { dst, k } => {
                 let v = t!(self.kc(k));
-                let d = t!(self.sv(dst));
+                let d = t!(self.wr(dst));
                 c!(self.setk(d, v.k()));
-                self.protos.push(P::Const { d, v });
+                self.push(P::Const { d, v });
             }
             Insn::Move { dst, src } => {
-                let d = t!(self.sv(dst));
-                let s = t!(self.sv(src));
+                let s = t!(self.rd(src));
+                let d = t!(self.wr(dst));
                 c!(self.uni(d, s));
-                self.protos.push(P::Mov { d, s });
+                self.push(P::Mov { d, s });
             }
             Insn::Arith { op, dst, a, b } => {
-                let d = t!(self.sv(dst));
-                let ra = t!(self.sv(a));
-                let rb = t!(self.sv(b));
-                c!(self.uni(d, ra));
-                c!(self.uni(d, rb));
-                self.protos.push(P::Bin {
-                    op,
-                    d,
-                    a: ra,
-                    b: rb,
-                });
+                let (a, b) = (t!(self.rd(a)), t!(self.rd(b)));
+                let d = t!(self.wr(dst));
+                c!(self.uni(d, a) && self.uni(d, b));
+                self.push(P::Bin { op, d, a, b });
             }
-            Insn::ArithK { op, dst, a, k } => {
-                let v = t!(self.kc(k));
-                let d = t!(self.sv(dst));
-                let ra = t!(self.sv(a));
-                c!(self.uni(d, ra));
-                c!(self.setk(d, v.k()));
-                self.protos.push(P::BinK {
-                    op,
-                    d,
-                    a: ra,
-                    v,
-                    left: false,
-                });
-            }
-            Insn::ArithKL { op, dst, k, b } => {
-                let v = t!(self.kc(k));
-                let d = t!(self.sv(dst));
-                let rb = t!(self.sv(b));
-                c!(self.uni(d, rb));
-                c!(self.setk(d, v.k()));
-                self.protos.push(P::BinK {
-                    op,
-                    d,
-                    a: rb,
-                    v,
-                    left: true,
-                });
+            Insn::ArithK { op, dst, a, k } | Insn::ArithKL { op, dst, k, b: a } => {
+                let left = matches!(insn, Insn::ArithKL { .. });
+                let (v, a) = (t!(self.kc(k)), t!(self.rd(a)));
+                let d = t!(self.wr(dst));
+                c!(self.uni(d, a) && self.setk(d, v.k()));
+                self.push(P::BinK { op, d, a, v, left });
             }
             // A loop-invariant cell read into a register used only as an
             // array from here on: bind the cell, write the array back on
@@ -1771,43 +2112,54 @@ impl<'f> Bld<'f> {
                 // arr[idx] = arr[idx] op k, load → arith → store.
                 let v = t!(self.kc(k));
                 let (arr, elem) = t!(self.av(arr, false));
-                let i = t!(self.sv(idx));
-                c!(self.setk(i, K::Int));
-                let tmp = self.scratch();
-                c!(self.uni_v(tmp, elem));
-                c!(self.setk(tmp, v.k()));
-                self.protos.push(P::Ld {
-                    d: tmp,
-                    arr,
-                    idx: i,
-                    off: 0,
-                });
-                self.protos.push(P::BinK {
+                let idx = t!(self.rd(idx));
+                let (d, off, left) = (self.scratch(), 0, false);
+                c!(self.setk(idx, K::Int) && self.uni_v(d, elem) && self.setk(d, v.k()));
+                self.push(P::Ld { d, arr, idx, off });
+                self.push(P::BinK {
                     op,
-                    d: tmp,
-                    a: tmp,
+                    d,
+                    a: d,
                     v,
-                    left: false,
+                    left,
                 });
                 self.arrs.get_mut(&arr).unwrap().written = true;
-                self.protos.push(P::St {
-                    arr,
-                    idx: i,
-                    s: tmp,
-                });
+                self.push(P::St { arr, idx, s: d });
             }
             Insn::FmaIdx { dst, x, arr, idx } => {
                 // dst = dst + x * arr[idx]; separate mul-then-add
                 // keeps results bit-identical to the unfused pair.
                 let (arr, elem) = t!(self.av(arr, false));
-                c!(self.fma_tail(dst, x, elem, arr, idx));
+                t!(self.fma_tail(dst, x, elem, arr, idx));
+            }
+            // A pure builtin whose [`PURE`] rows take its argument count.
+            Insn::Builtin {
+                dst, op, base, n, ..
+            } if PURE.iter().any(|&(o, _)| o == op) => {
+                let args: Vec<u32> =
+                    t!((base..base + n).map(|r| self.rd(r)).collect::<Option<_>>());
+                let d = t!(self.wr(dst));
+                // One row pins the kinds; `@abs`, `@max`, `@min` have one
+                // per kind.
+                let mut rows =
+                    (PURE.iter()).filter(|&&(o, row)| o == op && sig(row).0.len() == args.len());
+                match (rows.next(), rows.next()) {
+                    (None, _) => return Err("types".into()),
+                    (Some(&(_, row)), None) => {
+                        let (ak, rk) = sig(row);
+                        c!(args.iter().zip(ak).all(|(&a, &k)| self.setk(a, k)) && self.setk(d, rk));
+                    }
+                    _ => c!(args.iter().all(|&a| self.uni(d, a))),
+                }
+                let (a, b) = (args[0], args.get(1).copied());
+                self.push(P::Call { op, d, a, b });
             }
             Insn::BulkLoop { .. } | Insn::TemplateLoop { .. } => return Err("shape".into()),
             ref other if crate::optimize::jump_target(other).is_some() => {
                 return Err("shape".into())
             }
             ref other => {
-                let text = crate::bytecode::insn_text(self.f, other);
+                let text = crate::bytecode::insn_text(f, other);
                 let op = text.split_whitespace().next().unwrap_or_default();
                 return Err(format!("op `{op}`"));
             }
@@ -1825,70 +2177,46 @@ impl<'f> Bld<'f> {
         off: i32,
     ) -> Result<(), &'static str> {
         let (arr, elem) = self.av(arr, cell).ok_or("types")?;
-        let d = self.sv(dst).ok_or("types")?;
-        let i = self.sv(idx).ok_or("types")?;
-        if !self.setk(i, K::Int) || !self.uni_v(d, elem) {
+        let idx = self.rd(idx).ok_or("types")?;
+        let d = self.wr(dst).ok_or("types")?;
+        if !self.setk(idx, K::Int) || !self.uni_v(d, elem) {
             return Err("types");
         }
-        self.protos.push(P::Ld {
-            d,
-            arr,
-            idx: i,
-            off,
-        });
+        self.push(P::Ld { d, arr, idx, off });
         Ok(())
     }
 
     /// `arr[idx] = src`, with `arr` a cell when `cell`.
     fn store(&mut self, arr: Reg, cell: bool, idx: Reg, src: Reg) -> Result<(), &'static str> {
         let (arr, elem) = self.av(arr, cell).ok_or("types")?;
-        let i = self.sv(idx).ok_or("types")?;
-        let s = self.sv(src).ok_or("types")?;
-        if !self.setk(i, K::Int) || !self.uni_v(s, elem) {
+        let idx = self.rd(idx).ok_or("types")?;
+        let s = self.rd(src).ok_or("types")?;
+        if !self.setk(idx, K::Int) || !self.uni_v(s, elem) {
             return Err("types");
         }
         self.arrs.get_mut(&arr).unwrap().written = true;
-        self.protos.push(P::St { arr, idx: i, s });
+        self.push(P::St { arr, idx, s });
         Ok(())
     }
 
-    /// The `FmaIdx` body: `tmp = arr[idx]; tmp2 = x * tmp; dst = dst +
-    /// tmp2`.
-    fn fma_tail(&mut self, dst: Reg, x: Reg, elem: u32, arr: Reg, idx: Reg) -> bool {
-        let Some(d) = self.sv(dst) else { return false };
-        let Some(rx) = self.sv(x) else { return false };
-        let Some(i) = self.sv(idx) else { return false };
-        if !self.setk(i, K::Int) {
-            return false;
-        }
-        let tmp = self.scratch();
-        let tmp2 = self.scratch();
-        if !self.uni_v(tmp, elem)
-            || !self.uni(tmp2, rx)
-            || !self.uni(tmp2, tmp)
-            || !self.uni(d, tmp2)
-        {
-            return false;
-        }
-        self.protos.push(P::Ld {
-            d: tmp,
+    /// The `FmaIdx` body `t = arr[idx]; u = x * t; dst = dst + u`, mul
+    /// then add as the interpreter computes it.
+    fn fma_tail(&mut self, dst: Reg, x: Reg, elem: u32, arr: Reg, idx: Reg) -> Option<()> {
+        let (a, idx, s) = (self.rd(x)?, self.rd(idx)?, self.rd(dst)?);
+        let (d, t, u, off) = (self.wr(dst)?, self.scratch(), self.scratch(), 0);
+        (self.setk(idx, K::Int) && self.uni_v(t, elem) && self.uni(u, a)).then_some(())?;
+        (self.uni(u, t) && self.uni(d, u) && self.uni(d, s)).then_some(())?;
+        self.push(P::Ld {
+            d: t,
             arr,
-            idx: i,
-            off: 0,
+            idx,
+            off,
         });
-        self.protos.push(P::Bin {
-            op: ArithOp::Mul,
-            d: tmp2,
-            a: rx,
-            b: tmp,
-        });
-        self.protos.push(P::Bin {
-            op: ArithOp::Add,
-            d,
-            a: d,
-            b: tmp2,
-        });
-        true
+        let (op, b) = (ArithOp::Mul, t);
+        self.push(P::Bin { op, d: u, a, b });
+        let (op, a, b) = (ArithOp::Add, s, u);
+        self.push(P::Bin { op, d, a, b });
+        Some(())
     }
 }
 
@@ -1930,12 +2258,33 @@ pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String
     if exit >= f.code.len() {
         return Err("shape".into());
     }
-    let mut b = Bld::new(f);
-    for insn in &f.code[pc..j] {
-        b.decode(insn)?;
+    let mut b = Bld {
+        consts: &f.consts,
+        ..Bld::default()
+    };
+    // The back-edge reads both, so a redefinition never starts a new key.
+    b.carried.extend([var, limit]);
+    for (at, insn) in (pc..j).zip(&f.code[pc..j]) {
+        if b.arm.is_some_and(|(_, to)| to == at) {
+            b.close();
+        }
+        match *insn {
+            // An `if` without `else`: no branch inside its arm, which ends
+            // in the body (or at the back-edge).
+            Insn::CmpJumpFalse { op, a, b: rb, to }
+                if b.arm.is_none() && (at + 1..=j).contains(&(to as usize)) =>
+            {
+                if b.narms as usize == ARMS {
+                    return Err("length".into());
+                }
+                b.branch(op, a, rb, to as usize)?;
+            }
+            _ => b.decode(f, insn)?,
+        }
     }
-    let kv = b.sv(var).ok_or("types")?;
-    let kl = b.sv(limit).ok_or("types")?;
+    b.close();
+    let kv = b.rd(var).ok_or("types")?;
+    let kl = b.rd(limit).ok_or("types")?;
     if !b.setk(kv, K::Int) || !b.setk(kl, K::Int) {
         return Err("types".into());
     }
@@ -2000,64 +2349,31 @@ fn emit(mut b: Bld, m: MatchOut) -> Result<TProg, String> {
 /// holds), `fallible-after-store` (a check that could fail after the
 /// iteration's first store, which the replay could not undo).
 fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str> {
-    // Kind per scalar key / array under this resolution.
-    let mut skind: HashMap<u32, K> = HashMap::new();
-    for &key in &b.sorder.clone() {
-        let v = b.svar[&key];
-        let k = match b.uf.kind(v) {
-            K::Unk => unk,
-            k => k,
-        };
-        skind.insert(key, k);
-    }
-    let mut akind: HashMap<Reg, K> = HashMap::new();
-    for r in b.aorder.clone() {
-        let v = b.arrs[&r].elem;
-        let k = match b.uf.kind(v) {
-            K::Unk => unk,
-            k => k,
-        };
-        akind.insert(r, k);
-    }
-    // Slot assignment, in first-use order.
-    let mut slot: HashMap<u32, u16> = HashMap::new();
-    let (mut ni, mut nf) = (0u16, 0u16);
-    for &key in &b.sorder {
-        let s = match skind[&key] {
-            K::Int => {
-                ni += 1;
-                ni - 1
-            }
-            _ => {
-                nf += 1;
-                nf - 1
-            }
-        };
-        slot.insert(key, s);
-    }
-    if ni as usize > NSLOT || nf as usize > NSLOT {
-        return Err("slots");
-    }
-    let mut aslot: HashMap<Reg, u16> = HashMap::new();
-    let (mut nai, mut naf) = (0u16, 0u16);
-    for &r in &b.aorder {
-        let s = match akind[&r] {
-            K::Int => {
-                nai += 1;
-                nai - 1
-            }
-            _ => {
-                naf += 1;
-                naf - 1
-            }
-        };
-        aslot.insert(r, s);
-    }
-    if nai as usize > NARR || naf as usize > NARR {
+    // Kind per scalar key / array under this resolution, and array slots.
+    let mut resolve = |v| match b.uf.kind(v) {
+        K::Unk => unk,
+        k => k,
+    };
+    let skind: HashMap<u32, K> = (b.sorder.iter())
+        .map(|&k| (k, resolve(b.svar[&k])))
+        .collect();
+    let akind: HashMap<Reg, K> = (b.aorder.iter())
+        .map(|&r| (r, resolve(b.arrs[&r].elem)))
+        .collect();
+    let mut narr = [0u16; 2];
+    let aslot: HashMap<Reg, u16> = (b.aorder.iter())
+        .map(|&r| {
+            let n = &mut narr[(akind[&r] != K::Int) as usize];
+            *n += 1;
+            (r, *n - 1)
+        })
+        .collect();
+    if narr.iter().any(|&n| n as usize > NARR) {
         return Err("arrays");
     }
     // First-iteration read-before-write analysis over the execution
-    // order decides which registers must be bound at entry.
+    // order decides which registers must be bound at entry. A write in an
+    // arm counts only inside the arm: past it the test may have failed.
     let mut written: HashSet<u32> = HashSet::new();
     let mut bound: HashSet<u32> = HashSet::new();
     {
@@ -2066,10 +2382,17 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
                 bound.insert(key);
             }
         };
-        for p in &b.protos {
-            p.reads(|r| read(r, &written));
+        let mut in_arm = written.clone();
+        for (p, g) in b.protos.iter().zip(&b.guards) {
+            if g.is_none() {
+                in_arm.clone_from(&written);
+            }
+            p.reads(|r| read(r, &in_arm));
             if let Some(d) = p.write() {
-                written.insert(d);
+                in_arm.insert(d);
+                if g.is_none() {
+                    written.insert(d);
+                }
             }
         }
         // The back-edge reads the induction variable and the limit.
@@ -2091,13 +2414,42 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     let hoisted: Vec<bool> = b
         .protos
         .iter()
-        .map(|p| {
+        .zip(&b.guards)
+        .map(|(p, g)| {
             matches!(p, P::Const { .. })
+                && g.is_none()
                 && p.write()
                     .is_some_and(|d| write_count[&d] == 1 && !bound.contains(&d))
         })
         .collect();
-    let mut ops = Vec::with_capacity(b.protos.len());
+    // Slot assignment, in first-use order. The keys of one register's
+    // values of one kind share its slot (each is dead when the next is
+    // defined), unless one is a hoisted constant.
+    let mut slot: HashMap<u32, u16> = HashMap::new();
+    let mut shared: HashMap<(Reg, K), u16> = HashMap::new();
+    let mut nslots = [0u16; 2];
+    let hoist_keys: HashSet<u32> = (b.protos.iter().zip(&hoisted))
+        .filter_map(|(p, &h)| p.write().filter(|_| h))
+        .collect();
+    for &key in &b.sorder {
+        let k = skind[&key];
+        let next = &mut nslots[(k != K::Int) as usize];
+        let reg = (b.version.get(&key).copied())
+            .or((key < SCRATCH0).then_some(key as Reg))
+            .filter(|_| !hoist_keys.contains(&key));
+        let s = match reg {
+            Some(r) => *shared.entry((r, k)).or_insert(*next),
+            None => *next,
+        };
+        if s == *next {
+            *next += 1;
+        }
+        slot.insert(key, s);
+    }
+    if nslots.iter().any(|&n| n as usize > NSLOT) {
+        return Err("slots");
+    }
+    let mut ops: Vec<TOp> = Vec::with_capacity(b.protos.len());
     let mut prelude = Vec::new();
     let mut fallible = false;
     let mut seen_store = false;
@@ -2129,48 +2481,69 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         }
         seen_store |= is_store;
         fallible |= op_fallible;
+        // An arm's test skips the ops lowered from the arm's protos.
+        let arm = b.guards[i];
+        if let Some(br) = ops
+            .iter_mut()
+            .rev()
+            .find(|o| o.arm.is_some() && o.arm == arm)
+        {
+            br.off += 1;
+        }
         ops.push(op);
     }
     // Binds: bound scalars plus every array.
-    let mut binds = Vec::new();
-    for &key in &b.sorder {
-        if key >= SCRATCH0 || !bound.contains(&key) {
-            continue;
-        }
-        let reg = key as Reg;
-        let s = slot[&key];
-        binds.push(match skind[&key] {
-            K::Int => Bind::Int { reg, slot: s },
-            _ => Bind::Flt { reg, slot: s },
-        });
-    }
-    for &r in &b.aorder {
-        let s = aslot[&r];
-        let cell = b.arrs[&r].cell;
-        binds.push(match (akind[&r], cell) {
-            (K::Int, false) => Bind::ArrI { reg: r, slot: s },
-            (K::Int, true) => Bind::CellI { reg: r, slot: s },
-            (_, false) => Bind::ArrF { reg: r, slot: s },
-            (_, true) => Bind::CellF { reg: r, slot: s },
+    let out_of = |key: u32, reg: Reg| Bind {
+        kind: [BindKind::Int, BindKind::Flt][(skind[&key] != K::Int) as usize],
+        reg,
+        slot: slot[&key],
+    };
+    let mut binds: Vec<Bind> = (b.sorder.iter())
+        .filter(|&&key| key < SCRATCH0 && bound.contains(&key))
+        .map(|&key| out_of(key, key as Reg))
+        .collect();
+    for &reg in &b.aorder {
+        let kinds = [
+            BindKind::ArrI,
+            BindKind::ArrF,
+            BindKind::CellI,
+            BindKind::CellF,
+        ];
+        let i = (akind[&reg] != K::Int) as usize + 2 * b.arrs[&reg].cell as usize;
+        binds.push(Bind {
+            kind: kinds[i],
+            reg,
+            slot: aslot[&reg],
         });
     }
     // Write-backs. A do-while completes at least one full body before a
-    // normal exit, so every written register is defined by then.
+    // normal exit, so every register written outside an arm is defined by
+    // then; one only arms write is, if one of them ran.
     let mut outs = Vec::new();
     let mut bail_outs = Vec::new();
+    let mut cond_outs = Vec::new();
     let mut snap = Vec::new();
+    // A register exits with the value of its last key.
+    let last: HashMap<u32, Reg> = (b.cur.iter().map(|(&r, &k)| (k, r)))
+        .chain([(m.var as u32, m.var)])
+        .collect();
+    // An arm's key of another kind than the register's before the arm.
+    let now_outs = (b.merges.iter())
+        .filter(|&&(_, k0, k1)| skind[&k0] != skind[&k1])
+        .filter_map(|&(a, k0, k1)| last.get(&k0).map(|&reg| (a, out_of(k1, reg))))
+        .collect();
     for &key in &b.sorder {
-        if key >= SCRATCH0 || !written.contains(&key) {
+        let Some(&reg) = last.get(&key) else {
+            continue;
+        };
+        let (s, flt, out) = (slot[&key], skind[&key] != K::Int, out_of(key, reg));
+        if !written.contains(&key) && !bound.contains(&key) {
+            let arms = (b.protos.iter().zip(&b.guards))
+                .filter(|(p, _)| p.write() == Some(key))
+                .fold(0, |m, (_, g)| m | g.map_or(0, |a| 1 << a));
+            cond_outs.push((arms, out));
             continue;
         }
-        let reg = key as Reg;
-        let s = slot[&key];
-        let flt = skind[&key] != K::Int;
-        let out = if flt {
-            Out::Flt { reg, slot: s }
-        } else {
-            Out::Int { reg, slot: s }
-        };
         outs.push(out);
         if bound.contains(&key) {
             bail_outs.push(out);
@@ -2178,11 +2551,9 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         }
     }
     for &(reg, cell) in &b.derefs {
+        let kind = [BindKind::ArrI, BindKind::ArrF][(akind[&cell] != K::Int) as usize];
         let slot = aslot[&cell];
-        outs.push(match akind[&cell] {
-            K::Int => Out::ArrI { reg, slot },
-            _ => Out::ArrF { reg, slot },
-        });
+        outs.push(Bind { kind, reg, slot });
     }
     // Write fences per stored-into array slot.
     let mut wf_i = Vec::new();
@@ -2224,6 +2595,8 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         shape,
         outs,
         bail_outs,
+        cond_outs,
+        now_outs,
         snap,
         fallible,
         wf_i,
@@ -2255,19 +2628,20 @@ struct TailP {
     form: FormP,
 }
 
+#[derive(Clone, Copy)]
 enum FormP {
     Update { h: Reg },
     Cursor { cur: Reg, out: Reg, k: i64 },
 }
 
 impl TailP {
-    /// Recognise `t` (the iteration's suffix) as `h[g] += v` or
-    /// `out[cur[g]] = v; cur[g] += k`, with `g` and `v` from the head.
+    /// Recognise the start of `t` as `h[g] += v` or `out[cur[g]] = v;
+    /// cur[g] += k`, with `g` and `v` from the head; and its length.
     #[rustfmt::skip]
-    fn decode(t: &[P]) -> Option<TailP> {
+    fn decode(t: &[P]) -> Option<(TailP, usize)> {
         use P::{BinK, Ld, St};
         let tail = match *t {
-            [Ld { d: x, arr: h, idx: g, off: 0 }, add, St { arr, idx, s: y }] if (arr, idx) == (h, g) => {
+            [Ld { d: x, arr: h, idx: g, off: 0 }, add, St { arr, idx, s: y }, ..] if (arr, idx) == (h, g) => {
                 let v = match add {
                     P::Bin { op: ArithOp::Add, d, a, b } if (d, a) == (y, x) => Ok(b),
                     BinK { op: ArithOp::Add, d, a, v, left: false } if (d, a) == (y, x) => Err(v),
@@ -2277,7 +2651,7 @@ impl TailP {
             }
             [Ld { d: c, arr: cur, idx: g, off: 0 }, St { arr: out, idx, s: v },
              Ld { d: x, arr: cur2, idx: g2, off: 0 },
-             BinK { op: ArithOp::Add, d: y, a, v: KVal::I(k), left: false }, St { arr: cur3, idx: g3, s }]
+             BinK { op: ArithOp::Add, d: y, a, v: KVal::I(k), left: false }, St { arr: cur3, idx: g3, s }, ..]
                 if (idx, cur2, cur3, g2, g3, a, s) == (c, cur, cur, g, g, x, y) && out != cur =>
             {
                 TailP { g, v: Ok(v), loaded: vec![c, x], stored: y, form: FormP::Cursor { cur, out, k } }
@@ -2286,7 +2660,8 @@ impl TailP {
         };
         // `g` is read throughout, `v` before anything but the first load.
         let early = tail.v.is_ok_and(|v| v == tail.loaded[0]);
-        (!tail.defs().contains(&tail.g) && !early).then_some(tail)
+        let len = 2 * tail.loaded.len() + 1;
+        (!tail.defs().contains(&tail.g) && !early).then_some((tail, len))
     }
 
     fn defs(&self) -> Vec<u32> {
@@ -2297,38 +2672,30 @@ impl TailP {
 }
 
 /// Decide whether the loop may run strip-mined, and if so re-lower it
-/// over columns. The strip walk distributes the loop over its ops, so
-/// it is legal only when no value flows from one iteration to a later
-/// one except through a reduction the strip can fold in order:
+/// over columns. Distributing the loop over its ops is legal only when
+/// no value flows from one iteration to a later one except through a
+/// reduction folded in order (DESIGN "Typed-template tier" has the
+/// argument). `Err` names the first rule broken; that variant keeps the
+/// scalar chain:
 ///
-/// - `guard`: the trip count must be computable on entry — a monotone
-///   induction test against a limit the loop does not write.
-/// - `carried-scalar`: a slot read before it is written, and written,
-///   must be a single-op accumulator (`a = a ⊕ t`) nothing else reads.
-/// - `non-affine-store` / `memory-dependence`: an array the loop
-///   stores into is accessed only at the induction variable itself, so
-///   each iteration owns one element of it — or only by a gathered
-///   update, below.
-/// - `columns`: the expanded scalars must fit the per-thread scratch.
+/// - `guard`: a monotone induction test against a limit the loop does
+///   not write, so the trip count is known on entry.
+/// - `carried-scalar`: a slot read before it is written, and written, is
+///   a single-op accumulator (`a = a ⊕ t`) nothing else reads; a
+///   register only an arm defines is not read past the arm.
+/// - `non-affine-store` / `memory-dependence`: an array the loop stores
+///   into is accessed only at the induction variable itself, or only by
+///   a gathered update ([`Tail`]) the head does not touch.
+/// - `fallible-in-arm`: an `if` arm holds no load, store or integer
+///   division but a gathered update.
+/// - `columns`: the expanded scalars fit the per-thread scratch.
 ///
-/// *Gathered-update tail.* The suffix of the iteration from the first
-/// op that touches an array stored at an index `g` other than the
-/// induction variable may be `h[g] = h[g] + v` (an array reduction, `+`
-/// only, wrapping for `i64`) or `out[cur[g]] = v; cur[g] += k` (a
-/// memory-carried cursor), with `g` and `v` computed by the rest of the
-/// iteration, the head (or loop invariant). In the terms of Kruse and
-/// Finkel's loop-transformation pragmas, the strip loop is then
-/// distributed into the head, whose iterations are independent, and the
-/// tail, which keeps its original iteration order; the only reordering
-/// is that lane k+1's head runs before lane k's tail. That is legal when
-/// the head carries no scalar (`carried-scalar`), touches no array of
-/// the tail (`memory-dependence`) and stores nothing (the tail begins
-/// with a checked load, which no template puts after a store), and —
-/// checked at bind — no two bound arrays are one. Any other suffix
-/// stays `non-affine-store`.
-///
-/// `Err` carries the first rule broken; that variant keeps the scalar
-/// chain.
+/// An `if` arm is if-converted: its arithmetic runs on every lane, its
+/// libm calls, folds and update on the lanes its test held at (a fold
+/// never adds `+ 0.0` for another lane: `-0.0 + 0.0` is `+0.0`), and a
+/// register the arm and the code before it define is read past the arm
+/// through a per-lane select. Ops after the update join the head; the
+/// folds run after the update, over the lanes it completed.
 fn plan_strip(
     b: &Bld,
     m: &MatchOut,
@@ -2369,10 +2736,11 @@ fn plan_strip(
         }
         cur.insert(key, ACC | kinds.slot[&key]);
     }
-    let body: Vec<P> = (b.protos.iter().zip(hoisted))
+    let (body, guard): (Vec<P>, Vec<Option<u16>>) = (b.protos.iter().zip(&b.guards))
+        .zip(hoisted)
         .filter(|(_, &h)| !h)
-        .map(|(p, _)| *p)
-        .collect();
+        .map(|(pg, _)| pg)
+        .unzip();
     let gathered: Vec<Reg> = (body.iter())
         .filter_map(|p| match *p {
             P::St { arr, idx, .. } if idx != var => Some(arr),
@@ -2382,14 +2750,30 @@ fn plan_strip(
     let split = (body.iter())
         .position(|p| p.access().is_some_and(|(arr, ..)| gathered.contains(&arr)))
         .unwrap_or(body.len());
-    let (head, tail) = body.split_at(split);
-    let tail = match tail {
-        [] => None,
-        t => Some(TailP::decode(t).ok_or("non-affine-store")?),
+    let (tail, tlen) = match &body[split..] {
+        [] => (None, 0),
+        t => TailP::decode(t)
+            .map(|(t, n)| (Some(t), n))
+            .ok_or("non-affine-store")?,
     };
+    let tail_at = split..split + tlen;
+    // The head: the ops before the tail and after it.
+    let head: Vec<P> = (body.iter().enumerate())
+        .filter(|(i, _)| !tail_at.contains(i))
+        .map(|(_, p)| *p)
+        .collect();
+    let tail_arm = guard.get(split).copied().flatten();
     if let Some(t) = &tail {
-        if cur.values().any(|c| c & ACC != 0) {
-            return Err("carried-scalar");
+        let defs = t.defs();
+        let touches = |p: &P| {
+            let mut hit = p.access().is_some() || p.write().is_some_and(|d| defs.contains(&d));
+            p.reads(|r| hit |= defs.contains(&r));
+            hit
+        };
+        if guard[tail_at.clone()].iter().any(|&g| g != tail_arm)
+            || body[tail_at.end..].iter().any(touches)
+        {
+            return Err("non-affine-store");
         }
         // `emit_one` refuses a check after a store, and the tail begins
         // with one.
@@ -2402,40 +2786,20 @@ fn plan_strip(
             return Err("memory-dependence");
         }
     }
-    for p in head {
+    for p in &head {
         if matches!(*p, P::Ld { arr, idx, off, .. } if b.arrs[&arr].written && (idx != var || off != 0))
         {
             return Err("memory-dependence");
         }
     }
     let mut skind = kinds.skind.clone();
-    let mut ncols = [1usize, 0];
-    let fresh = |ncols: &mut [usize; 2], flt: bool| {
-        let n = &mut ncols[flt as usize];
-        *n += 1;
-        (*n <= MAX_COLS).then_some(*n as u16 - 1).ok_or("columns")
-    };
-    let mut plan = StripPlan {
-        ops: Vec::new(),
-        ni: 0,
-        nf: 0,
-        bcast: Vec::new(),
-        iota: false,
-        last: Vec::new(),
-        tail: None,
-    };
-    // The column of `key` as read here: a key with no column yet was
-    // not defined earlier in the iteration and is not carried, so it is
-    // loop-invariant and gets a broadcast one.
-    let col = |key: u32, cur: &mut HashMap<u32, u16>, plan: &mut StripPlan, ncols: &mut _| {
-        if let Some(&c) = cur.get(&key) {
-            return Ok(c);
-        }
-        let flt = kinds.skind[&key] != K::Int;
-        let c = fresh(ncols, flt)?;
-        cur.insert(key, c);
-        plan.bcast.push((flt, kinds.slot[&key], c));
-        Ok::<u16, &'static str>(c)
+    let mut w = Walk {
+        kinds,
+        cur,
+        cond: HashMap::new(),
+        merges: &b.merges,
+        ncols: [1, 0],
+        plan: StripPlan::default(),
     };
     // A head that is nothing but a key load `x = a[i]` (step 1), copies
     // of the key and at most one division of it by an invariant for the
@@ -2483,13 +2847,28 @@ fn plan_strip(
             .then_some((src, chain, div))
     });
     let mut defined: HashSet<u32> = HashSet::new();
-    for p in head.iter().filter(|_| keyload.is_none()) {
+    // Keys that hold the induction variable times a constant: a load they
+    // index is a strided slice, one bounds check per strip.
+    let mut affine: HashMap<u32, i64> = HashMap::from([(var, 1)]);
+    // The open arm, and the column each register it defines had before.
+    let mut open: Option<(u16, HashMap<u32, Option<u16>>)> = None;
+    let mut tail_defs = Vec::new();
+    for (i, (p, &g)) in body.iter().zip(&guard).enumerate() {
+        if open.as_ref().is_some_and(|(a, _)| g != Some(*a)) {
+            w.close(open.take());
+        }
+        if let Some(t) = tail.as_ref().filter(|_| i == split) {
+            tail_defs = w.tail(t, tail_arm, var, keyload.clone())?;
+        }
+        if tail_at.contains(&i) || keyload.is_some() {
+            continue;
+        }
         let mut reads = Vec::new();
         p.reads(|r| reads.push(r));
         for r in reads {
-            col(r, &mut cur, &mut plan, &mut ncols)?;
+            w.col(r)?;
         }
-        plan.iota |= match *p {
+        w.plan.iota |= match *p {
             P::Ld { .. } => false,
             P::St { s, .. } => s == var,
             _ => {
@@ -2502,61 +2881,230 @@ fn plan_strip(
         // every other definition gets the next column.
         let def = p
             .write()
-            .filter(|d| cur.get(d).is_none_or(|c| c & ACC == 0));
+            .filter(|d| w.cur.get(d).is_none_or(|c| c & ACC == 0));
         let p = match def {
             Some(d) => {
+                // A register an earlier arm left to its test.
+                if w.cond.remove(&d).is_some() && g.is_some() {
+                    return Err("carried-scalar");
+                }
+                if let Some((_, pre)) = &mut open {
+                    pre.entry(d).or_insert(w.cur.get(&d).copied());
+                }
+                let scale = match (*p, g) {
+                    (P::Mov { s, .. }, None) => affine.get(&s).copied(),
+                    (
+                        P::BinK {
+                            op: ArithOp::Mul,
+                            a,
+                            v: KVal::I(k),
+                            ..
+                        },
+                        None,
+                    ) => affine.get(&a).and_then(|s| s.checked_mul(k)),
+                    _ => None,
+                };
+                match scale {
+                    Some(k) => affine.insert(d, k),
+                    None => affine.remove(&d),
+                };
+                // A copy names its source's column, and a constant gets a
+                // column filled once per run: neither is an op.
+                let named = match *p {
+                    P::Mov { s, .. } => Some(w.cur[&s]),
+                    P::Const { v, .. } => {
+                        let c = w.fresh(skind[&d] != K::Int)?;
+                        w.plan.konst.push((c, v));
+                        Some(c)
+                    }
+                    _ => None,
+                };
+                if let Some(c) = named {
+                    w.cur.insert(d, c);
+                    defined.insert(d);
+                    continue;
+                }
                 let kind = skind[&d];
                 skind.insert(DEF, kind);
-                cur.insert(DEF, fresh(&mut ncols, kind != K::Int)?);
+                let c = w.fresh(kind != K::Int)?;
+                w.cur.insert(DEF, c);
                 p.retarget(DEF)
             }
             None => *p,
         };
-        let (op, f, ..) = lower(&p, &skind, kinds.akind, &cur, kinds.aslot);
-        plan.ops.push((f, op));
+        let (mut op, f, fallible, _) = lower(&p, &skind, kinds.akind, &w.cur, kinds.aslot);
+        match p {
+            // A call into libm in an arm runs over the lanes its test held
+            // at; a cheaper op runs over all, vectorised.
+            P::Call { op: bop, .. } => {
+                use BuiltinOp::{Cos, Exp, Log, Pow, Sin};
+                op.arm = g.filter(|_| matches!(bop, Log | Exp | Sin | Cos | Pow));
+            }
+            P::Ld { idx, .. } => op.ki = affine.get(&idx).copied().unwrap_or(0),
+            _ => {}
+        }
+        if op.a & ACC != 0 && p.write().is_some() {
+            // A fold after the tail's stores cannot fail and replay.
+            if fallible && tail.is_some() {
+                return Err("carried-scalar");
+            }
+            op.arm = g;
+            w.plan.folds.push((f, op));
+        } else {
+            if fallible && g.is_some() {
+                return Err("fallible-in-arm");
+            }
+            w.plan.ops.push((f, op));
+        }
+        if let P::Br { arm, .. } = p {
+            open = Some((arm, HashMap::new()));
+        }
         if let Some(d) = def {
-            cur.insert(d, cur[&DEF]);
+            let c = w.cur[&DEF];
+            w.cur.insert(d, c);
             defined.insert(d);
         }
     }
-    let mut tail_defs = Vec::new();
-    if let Some(t) = tail {
-        tail_defs = t.defs();
+    w.close(open);
+    if b.merges.iter().any(|m| tail_defs.contains(&m.2)) {
+        return Err("non-affine-store");
+    }
+    let last: HashSet<u32> = (b.cur.values().copied())
+        .chain(b.merges.iter().map(|m| m.2))
+        .collect();
+    for &key in (b.sorder.iter())
+        .filter(|k| last.contains(k) && defined.contains(k) && !tail_defs.contains(k))
+    {
+        let (flt, slot) = (skind[&key] != K::Int, kinds.slot[&key]);
+        match w.cond.get(&key) {
+            Some(&(arm, c, Some(base))) => w.plan.last.push((flt, slot, c, Some((arm, base)))),
+            Some(&(arm, c, None)) => w.plan.held.push((flt, slot, c, arm)),
+            None => w.plan.last.push((flt, slot, w.cur[&key], None)),
+        }
+    }
+    [w.plan.ni, w.plan.nf] = w.ncols;
+    Ok(w.plan)
+}
+
+/// The strip planner's state as it walks the head in iteration order.
+struct Walk<'k> {
+    kinds: &'k Kinds<'k>,
+    /// Scalar key -> the column holding its current definition.
+    cur: HashMap<u32, u16>,
+    /// Registers a closed arm defined: `(arm, column, column before the
+    /// arm)`, the one to use at a lane whose test failed (`None`: the
+    /// value is an earlier iteration's).
+    cond: HashMap<u32, (u16, u16, Option<u16>)>,
+    /// [`Bld::merges`]: an arm's key for a register, and its key before.
+    merges: &'k [(u16, u32, u32)],
+    ncols: [usize; 2],
+    plan: StripPlan,
+}
+
+impl Walk<'_> {
+    fn fresh(&mut self, flt: bool) -> Result<u16, &'static str> {
+        let n = &mut self.ncols[flt as usize];
+        *n += 1;
+        (*n <= MAX_COLS).then_some(*n as u16 - 1).ok_or("columns")
+    }
+
+    /// The column of `key` as read here: a key with no column yet was
+    /// not defined earlier in the iteration and is not carried, so it is
+    /// loop-invariant and gets a broadcast one; one an arm defined is
+    /// selected per lane.
+    fn col(&mut self, key: u32) -> Result<u16, &'static str> {
+        let flt = self.kinds.skind[&key] != K::Int;
+        if let Some((arm, b, base)) = self.cond.remove(&key) {
+            let (a, c, arm) = (self.fresh(flt)?, base.ok_or("carried-scalar")?, Some(arm));
+            let f = [sel::<i64>, sel::<f64>][flt as usize];
+            self.plan.ops.push((
+                f,
+                TOp {
+                    a,
+                    b,
+                    c,
+                    arm,
+                    ..NOP
+                },
+            ));
+            self.cur.insert(key, a);
+        }
+        if let Some(&c) = self.cur.get(&key) {
+            return Ok(c);
+        }
+        let c = self.fresh(flt)?;
+        self.cur.insert(key, c);
+        self.plan.bcast.push((flt, self.kinds.slot[&key], c));
+        Ok(c)
+    }
+
+    /// Close an arm: what it defined becomes conditional on its test.
+    fn close(&mut self, open: Option<(u16, HashMap<u32, Option<u16>>)>) {
+        let Some((arm, pre)) = open else { return };
+        for (key, before) in pre {
+            let c = match before {
+                Some(b) => self.cur.insert(key, b),
+                None => self.cur.remove(&key),
+            };
+            self.cond
+                .insert(key, (arm, c.expect("the arm defined it"), before));
+        }
+        // The register's key before the arm, past it: the arm's where its
+        // test held (one kind: else no read merged them, and the exit
+        // write-back picks).
+        for &(_, k0, k1) in self.merges.iter().filter(|m| m.0 == arm) {
+            if let Some(&(_, c1, _)) = self.cond.get(&k1) {
+                if self.kinds.skind[&k0] == self.kinds.skind[&k1] {
+                    self.cond.insert(k0, (arm, c1, self.cur.get(&k0).copied()));
+                }
+            }
+        }
+    }
+
+    /// Plan the tail `t` over the columns the head has filled so far, in
+    /// arm `arm` or none; the keys it defines.
+    fn tail(
+        &mut self,
+        t: &TailP,
+        arm: Option<u16>,
+        var: u32,
+        keyload: Option<(Src, Vec<u32>, Option<u32>)>,
+    ) -> Result<Vec<u32>, &'static str> {
+        let kinds = self.kinds;
+        let mut tail_defs = t.defs();
         let slot = |key: u32| kinds.slot[&key];
-        plan.iota |= t.v.ok() == Some(var);
+        self.plan.iota |= t.v.ok() == Some(var);
         let (src, chain, div) = match keyload {
             Some(fused) => fused,
-            None => (
-                Src::Col(col(t.g, &mut cur, &mut plan, &mut ncols)?),
-                Vec::new(),
-                None,
-            ),
+            None => (Src::Col(self.col(t.g)?), Vec::new(), None),
         };
         let (form, flt) = match (t.form, t.v) {
             (FormP::Update { h }, v) => {
                 let v = match v {
-                    Ok(key) => Ok(col(key, &mut cur, &mut plan, &mut ncols)?),
+                    Ok(key) => Ok(self.col(key)?),
                     Err(k) => Err(k),
                 };
-                let h_slot = kinds.aslot[&h];
-                (TailForm::Update { h: h_slot, v }, kinds.akind[&h] != K::Int)
+                let flt = kinds.akind[&h] != K::Int;
+                (
+                    TailForm::Update {
+                        h: kinds.aslot[&h],
+                        v,
+                    },
+                    flt,
+                )
             }
-            (FormP::Cursor { cur: c, out, k }, v) => {
+            (FormP::Cursor { cur, out, k }, v) => {
                 let v = match v {
                     Ok(v) if chain.contains(&v) => src,
-                    Ok(v) => Src::Col(col(v, &mut cur, &mut plan, &mut ncols)?),
+                    Ok(v) => Src::Col(self.col(v)?),
                     Err(_) => unreachable!("a scatter stores a register"),
                 };
-                let (cur, out_slot) = (kinds.aslot[&c], kinds.aslot[&out]);
-                (
-                    TailForm::Cursor {
-                        cur,
-                        out: out_slot,
-                        v,
-                        k,
-                    },
+                let (flt, cur, out) = (
                     kinds.akind[&out] != K::Int,
-                )
+                    kinds.aslot[&cur],
+                    kinds.aslot[&out],
+                );
+                (TailForm::Cursor { cur, out, v, k }, flt)
             }
         };
         let div = div.map(|d| (slot(d), slot(t.g)));
@@ -2572,7 +3120,7 @@ fn plan_strip(
                 tail_defs.push(k);
             }
         }
-        plan.tail = Some(Tail {
+        self.plan.tail = Some(Tail {
             src,
             div,
             keys,
@@ -2580,18 +3128,10 @@ fn plan_strip(
             stored: slot(t.stored),
             flt,
             form,
+            arm,
         });
+        Ok(tail_defs)
     }
-    for &key in b
-        .sorder
-        .iter()
-        .filter(|k| **k < SCRATCH0 && defined.contains(k) && !tail_defs.contains(k))
-    {
-        plan.last
-            .push((skind[&key] != K::Int, kinds.slot[&key], cur[&key]));
-    }
-    [plan.ni, plan.nf] = ncols;
-    Ok(plan)
 }
 
 /// Lower one proto-op under a kind resolution. Returns the op, its
@@ -2604,15 +3144,7 @@ fn lower(
     slot: &HashMap<u32, u16>,
     aslot: &HashMap<Reg, u16>,
 ) -> (TOp, StripFn, bool, bool) {
-    let mut op = TOp {
-        f: mov_i.one,
-        a: 0,
-        b: 0,
-        c: 0,
-        off: 0,
-        ki: 0,
-        kf: 0.0,
-    };
+    let mut op = NOP;
     let ops: Ops;
     let (fallible, store) = match *p {
         P::Mov { d, s } => {
@@ -2640,18 +3172,7 @@ fn lower(
             op.b = slot[&a];
             op.c = slot[&b];
             let int = skind[&d] == K::Int;
-            ops = match (ao, int) {
-                (ArithOp::Add, true) => add_ii,
-                (ArithOp::Sub, true) => sub_ii,
-                (ArithOp::Mul, true) => mul_ii,
-                (ArithOp::Div, true) => div_ii,
-                (ArithOp::Rem, true) => rem_ii,
-                (ArithOp::Add, false) => add_ff,
-                (ArithOp::Sub, false) => sub_ff,
-                (ArithOp::Mul, false) => mul_ff,
-                (ArithOp::Div, false) => div_ff,
-                (ArithOp::Rem, false) => rem_ff,
-            };
+            ops = BIN[!int as usize][ao as usize];
             (int && matches!(ao, ArithOp::Div | ArithOp::Rem), false)
         }
         P::BinK {
@@ -2673,28 +3194,7 @@ fn lower(
                     false
                 }
             };
-            ops = match (ao, int, left) {
-                (ArithOp::Add, true, false) => addk_i,
-                (ArithOp::Sub, true, false) => subk_i,
-                (ArithOp::Mul, true, false) => mulk_i,
-                (ArithOp::Div, true, false) => divk_i,
-                (ArithOp::Rem, true, false) => remk_i,
-                (ArithOp::Add, true, true) => addkl_i,
-                (ArithOp::Sub, true, true) => subkl_i,
-                (ArithOp::Mul, true, true) => mulkl_i,
-                (ArithOp::Div, true, true) => divkl_i,
-                (ArithOp::Rem, true, true) => remkl_i,
-                (ArithOp::Add, false, false) => addk_f,
-                (ArithOp::Sub, false, false) => subk_f,
-                (ArithOp::Mul, false, false) => mulk_f,
-                (ArithOp::Div, false, false) => divk_f,
-                (ArithOp::Rem, false, false) => remk_f,
-                (ArithOp::Add, false, true) => addkl_f,
-                (ArithOp::Sub, false, true) => subkl_f,
-                (ArithOp::Mul, false, true) => mulkl_f,
-                (ArithOp::Div, false, true) => divkl_f,
-                (ArithOp::Rem, false, true) => remkl_f,
-            };
+            ops = BINK[2 * !int as usize + left as usize][ao as usize];
             (int && matches!(ao, ArithOp::Div | ArithOp::Rem), false)
         }
         P::Ld { d, arr, idx, off } => {
@@ -2711,6 +3211,25 @@ fn lower(
             op.c = slot[&s];
             ops = if akind[&arr] == K::Int { st_i } else { st_f };
             (true, true)
+        }
+        P::Call { op: bop, d, a, b } => {
+            op.a = slot[&d];
+            op.b = slot[&a];
+            op.c = b.map_or(0, |b| slot[&b]);
+            // The row whose kinds the resolution gave the operands.
+            let kinds: Vec<K> = [a].into_iter().chain(b).map(|k| skind[&k]).collect();
+            let row = (PURE.iter())
+                .position(|&(o, row)| o == bop && sig(row) == (&kinds[..], skind[&d]))
+                .expect("the decoder pinned a row's kinds");
+            ops = PURE_OPS[row];
+            (false, false)
+        }
+        P::Br { op: cmp, a, b, arm } => {
+            op.b = slot[&a];
+            op.c = slot[&b];
+            (op.cmp, op.arm) = (cmp, Some(arm));
+            ops = if skind[&a] == K::Int { br_i } else { br_f };
+            (false, false)
         }
     };
     op.f = ops.one;

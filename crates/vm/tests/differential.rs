@@ -1653,11 +1653,11 @@ fn strip_corpus_agrees_across_trip_counts_threads_and_schedules() {
     let verdicts = template_verdicts(&strip_program(5, 2, "schedule(static)"));
     assert_eq!(
         verdicts.iter().filter(|v| *v == "strip").count(),
-        19,
+        20,
         "five worksharing loops, the three gathered updates under `single`, \
          the private float histogram, the cursor fill and four gathered \
-         updates in `gsum`, the key fill and float scatter in `fscat`, and \
-         three serial sums should be strip-mined: {verdicts:?}"
+         updates in `gsum`, the key fill, float scatter and weighted sum in \
+         `fscat`, and three serial sums should be strip-mined: {verdicts:?}"
     );
     for n in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 7] {
         for threads in [1, 2, 4] {
@@ -1980,6 +1980,176 @@ fn main() void {}";
     let oracle = run(Backend::Ast, OptLevel::O0);
     assert!(oracle.0.is_err(), "{:?}", oracle.0);
     assert_eq!(oracle.1.iter().filter(|&&b| b != 0).count(), short);
+    for opt in opt_levels() {
+        assert_eq!(run(Backend::Bytecode, opt), oracle, "--opt={opt}");
+    }
+}
+
+// -- if-converted arms and pure builtins vs the oracle -----------------------
+
+/// One loop per if-conversion rule of the template tier, at trip count
+/// `n` and a team of `threads`: a worksharing loop whose test alternates
+/// (a fold in the arm); sums whose test holds on every lane, on none
+/// (the `-0.0` seed must survive: `1.0 / s` shows its sign) and on
+/// some; `@sqrt`/`@log` of negative values and an index out of range
+/// at the lanes whose test fails; a variable the arm and the code before
+/// it assign, read after the arm; one only the arm assigns, read after
+/// the loop; and `@intToFloat`, `@abs`/`@max` on integers and
+/// `@floatToInt` of ±inf and NaN.
+fn guarded_program(n: i64, threads: i64) -> String {
+    format!(
+        "fn arm_sum(x: []f64, n: i64, lim: f64) f64 {{
+    var s: f64 = -0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        var v: f64 = x[i];
+        if (v > lim) {{
+            s = s + v;
+        }}
+    }}
+    return s;
+}}
+fn arm_logs(x: []f64, h: []f64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        var v: f64 = x[i] - 0.5;
+        var k: i64 = @floatToInt(v * 7.0);
+        if (v > 0.0) {{
+            s = s + @sqrt(v) * @log(v);
+            h[k] = h[k] + 1.0;
+        }}
+    }}
+    return s;
+}}
+fn arm_fold_back(x: []f64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        var v: f64 = x[i] - 0.5;
+        if (v < 0.0) {{
+            v = 0.0 - v;
+        }}
+        s = s + v;
+    }}
+    return s;
+}}
+fn arm_last(x: []f64, n: i64, lim: f64) f64 {{
+    var last: f64 = -1.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        var v: f64 = x[i];
+        if (v > lim) {{
+            last = v * 2.0 + @intToFloat(i);
+        }}
+    }}
+    return last;
+}}
+fn builtins(x: []f64, b: []i64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {{
+        b[i] = @max(@abs(@floatToInt(x[i] * 1000.0) - 500), 3);
+        s = s + @intToFloat(i) * 0.25;
+    }}
+    return s;
+}}
+fn main() void {{
+    var n: i64 = {n};
+    var x: []f64 = @allocF(n + 3);
+    var b: []i64 = @allocI(n + 3);
+    var h: []f64 = @allocF(4);
+    var k: i64 = 0;
+    while (k < n) : (k += 1) {{
+        x[k] = @intToFloat(k * 37 % 101) * 0.01;
+    }}
+    x[n] = 1.0 / 0.0;
+    x[n + 1] = 0.0 - 1.0 / 0.0;
+    x[n + 2] = 0.0 / 0.0;
+    var alt: f64 = 0.0;
+    //$omp parallel num_threads({threads}) firstprivate(n) reduction(+: alt)
+    {{
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < n) : (i += 1) {{
+            var w: f64 = @intToFloat(i % 2);
+            if (w > 0.5) {{
+                alt = alt + 0.25;
+            }}
+        }}
+    }}
+    var none: f64 = arm_sum(x, n, 2.0);
+    print(alt, arm_sum(x, n, 0.0 - 1.0), none, 1.0 / none, arm_sum(x, n, 0.5));
+    print(arm_logs(x, h, n), h[0], h[1], h[2], h[3], arm_fold_back(x, n));
+    print(arm_last(x, n, 0.9), arm_last(x, n, 2.0), builtins(x, b, n + 3), b[n], b[n + 1], b[n + 2]);
+}}"
+    )
+}
+
+/// If-converted arms and pure builtins against the tree-walker at trip
+/// counts around a strip and around 2 048 lanes, at teams of 1 and 2:
+/// every loop runs strip-mined (a fall to the scalar chain fails the
+/// verdicts), and every result is the walker's, bit for bit.
+#[test]
+fn guarded_arms_agree_across_trip_counts_and_teams() {
+    let verdicts = template_verdicts(&guarded_program(5, 2));
+    assert_eq!(
+        verdicts,
+        vec!["strip"; 7],
+        "the fill, the worksharing loop and the five functions' loops \
+         should be strip-mined"
+    );
+    for n in [0, 1, 127, 128, 129, 2047, 2048, 2049] {
+        for threads in [1, 2] {
+            let name = format!("guarded/n{n}/t{threads}");
+            assert_backends_agree(&name, &guarded_program(n, threads));
+        }
+    }
+}
+
+/// A gathered update in an arm whose index leaves the counts at a lane
+/// whose test held, in the second strip: the error and every count
+/// stored before it are the tree-walker's.
+#[test]
+fn guarded_update_out_of_bounds_matches_the_walker() {
+    let src = "fn hist(x: []f64, h: []f64, n: i64) f64 {
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        var v: f64 = x[i];
+        var k: i64 = @floatToInt(v);
+        if (v > 0.0) {
+            h[k] = h[k] + 1.0;
+            s = s + v;
+        }
+    }
+    return s;
+}
+fn main() void {}";
+    assert_eq!(template_verdicts(src), ["strip"]);
+    let n = 2 * STRIP + 7;
+    let run = |backend: Backend, opt: OptLevel| {
+        let x = std::sync::Arc::new(zomp_vm::value::ArrF::new(n as usize));
+        for i in 0..n {
+            // Out of range only at a lane whose test holds (i = 150);
+            // the negative values are out of range too, untaken.
+            let v = if i == STRIP + 22 {
+                9.5
+            } else {
+                (i % 7) as f64 - 3.0
+            };
+            x.set(i, v).unwrap();
+        }
+        let h = std::sync::Arc::new(zomp_vm::value::ArrF::new(4));
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let r = vm.call_function(
+            "hist",
+            vec![Value::ArrF(x), Value::ArrF(h.clone()), Value::Int(n)],
+        );
+        (r.map(|v| v.render()).map_err(|e| e.to_string()), h.to_vec())
+    };
+    let oracle = run(Backend::Ast, OptLevel::O0);
+    assert!(oracle.0.is_err(), "{:?}", oracle.0);
     for opt in opt_levels() {
         assert_eq!(run(Backend::Bytecode, opt), oracle, "--opt={opt}");
     }
