@@ -372,7 +372,7 @@ struct Strip<'s, 'a> {
     cf: &'s mut [[f64; STRIP]],
     /// Iterations in this strip (`1..=STRIP`).
     n: usize,
-    arms: Arms,
+    arms: &'s mut Arms,
     /// The induction variable at lane 0, and its step per lane.
     i0: i64,
     step: i64,
@@ -384,9 +384,11 @@ type Cols<T> = Vec<[T; STRIP]>;
 thread_local! {
     /// Column scratch, grown to the widest plan this thread has run and
     /// never shrunk or re-zeroed: every column is written (broadcast,
-    /// iota or an op's destination) before a strip reads it.
-    static COLS: RefCell<(Cols<i64>, Cols<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// iota or an op's destination) before a strip reads it; likewise
+    /// an arm's lanes, by its test.
+    static COLS: RefCell<(Cols<i64>, Cols<f64>, Arms)> = const {
+        RefCell::new((Vec::new(), Vec::new(), Arms { lanes: [[0; STRIP]; ARMS], held: [0; ARMS] }))
+    };
 }
 
 /// Per arm, the lanes of the strip its test held at, in order.
@@ -410,12 +412,12 @@ trait Lane: Copy {
 type Files<'s, T> = (&'s mut [T; NSLOT], &'s mut [[T; STRIP]], &'s Arms);
 impl Lane for i64 {
     fn files<'s>(sf: &'s mut Strip<'_, '_>) -> Files<'s, i64> {
-        (&mut sf.fr.ints, sf.ci, &sf.arms)
+        (&mut sf.fr.ints, sf.ci, sf.arms)
     }
 }
 impl Lane for f64 {
     fn files<'s>(sf: &'s mut Strip<'_, '_>) -> Files<'s, f64> {
-        (&mut sf.fr.flts, sf.cf, &sf.arms)
+        (&mut sf.fr.flts, sf.cf, sf.arms)
     }
 }
 
@@ -1176,7 +1178,8 @@ fn exec_strip(
         return exec(v, fr);
     }
     COLS.with(|cols| {
-        let (ci, cf) = &mut *cols.borrow_mut();
+        let (ci, cf, arms) = &mut *cols.borrow_mut();
+        arms.held = [0; ARMS];
         if ci.len() < plan.ni {
             ci.resize(plan.ni, [0; STRIP]);
         }
@@ -1202,10 +1205,7 @@ fn exec_strip(
             ci,
             cf,
             n: 0,
-            arms: Arms {
-                lanes: [[0; STRIP]; ARMS],
-                held: [0; ARMS],
-            },
+            arms,
             i0: 0,
             step,
         };
