@@ -257,6 +257,8 @@ pub struct StripPlan {
     /// The gathered-update suffix of the iteration, run lane by lane
     /// after `ops` (the head) has filled its columns.
     tail: Option<Tail>,
+    /// The loop's `if` arms (each test lists its lanes before a reader).
+    arms: usize,
 }
 
 /// A gathered update: the suffix of an iteration that stores into an
@@ -1179,7 +1181,6 @@ fn exec_strip(
     }
     COLS.with(|cols| {
         let (ci, cf, arms) = &mut *cols.borrow_mut();
-        arms.held = [0; ARMS];
         if ci.len() < plan.ni {
             ci.resize(plan.ni, [0; STRIP]);
         }
@@ -1235,7 +1236,8 @@ fn exec_strip(
             if let (Some(tail), Some(Some(sh))) = (&plan.tail, shift) {
                 if let Err(k) = tail.run(&mut sf, sh) {
                     (failed, sf.n) = (Some(k), k);
-                    for (ks, held) in sf.arms.lanes.iter().zip(&mut sf.arms.held) {
+                    let arms = sf.arms.lanes.iter().zip(&mut sf.arms.held).take(plan.arms);
+                    for (ks, held) in arms {
                         *held = ks[..*held].partition_point(|&x| (x as usize) < k);
                     }
                 }
@@ -1260,7 +1262,7 @@ fn exec_strip(
         }
         // Which arms ran in the last iteration: their last lane is it.
         let k = sf.n - 1;
-        sf.fr.now = (0..ARMS as u16)
+        sf.fr.now = (0..plan.arms as u16)
             .filter(|&a| sf.arms.of(Some(a)).unwrap_or_default().last() == Some(&(k as u8)))
             .fold(0, |now, a| now | 1 << a);
         for &(flt, s, c, sel) in &plan.last {
@@ -2983,6 +2985,7 @@ fn plan_strip(
         }
     }
     [w.plan.ni, w.plan.nf] = w.ncols;
+    w.plan.arms = b.narms as usize;
     Ok(w.plan)
 }
 
