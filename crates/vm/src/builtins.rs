@@ -79,14 +79,19 @@ pub(crate) fn pure(op: BuiltinOp, args: &[Value]) -> Option<Value> {
         .find_map(|(_, row)| row.apply(args))
 }
 
-/// Every `@builtin` by name, shared by both backends so a mismatch
-/// produces the identical `unknown builtin ...` message. The bytecode
-/// executor tries [`pure`] first and only lands here for the allocating
-/// builtins and for arguments no row takes.
+/// Every `@builtin` by name (the walker's entry).
 pub(crate) fn math_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
-    if let Some(v) = pure(BuiltinOp::from_name(name), args) {
-        return Ok(v);
+    match pure(BuiltinOp::from_name(name), args) {
+        Some(v) => Ok(v),
+        None => impure_builtin(name, args),
     }
+}
+
+/// The builtins no [`PURE`] row takes: the allocating ones and `@len`.
+/// Shared by both backends (the bytecode executor lands here after its
+/// own [`pure`] call misses), so a mismatch produces the identical
+/// `unknown builtin ...` message.
+pub(crate) fn impure_builtin(name: &str, args: &[Value]) -> VmResult<Value> {
     match (name, args) {
         ("@allocF", [Value::Int(n)]) => Ok(Value::ArrF(Arc::new(alloc(name, *n, ArrF::try_new)?))),
         ("@allocI", [Value::Int(n)]) => Ok(Value::ArrI(Arc::new(alloc(name, *n, ArrI::try_new)?))),

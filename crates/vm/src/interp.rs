@@ -1189,7 +1189,7 @@ impl Vm {
                     let v = match builtins::pure(op, bargs) {
                         Some(v) => v,
                         None => match kc(consts, name_k) {
-                            Value::Str(name) => builtins::math_builtin(name, bargs)?,
+                            Value::Str(name) => builtins::impure_builtin(name, bargs)?,
                             _ => unreachable!("builtin name constant is not a string"),
                         },
                     };

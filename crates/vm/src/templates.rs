@@ -64,7 +64,8 @@
 //!   array store of an iteration (otherwise the replay could re-read
 //!   locations the partial iteration already wrote); a second check of
 //!   an element the iteration already checked (same array, same
-//!   unchanged index register) cannot fail and does not count.
+//!   unchanged index register, not past the arm of the first) cannot
+//!   fail and does not count.
 //! - Float expression shapes are preserved exactly (separate
 //!   mul-then-add for the fma-fused forms), so results stay
 //!   bit-identical to interpretation.
@@ -111,8 +112,6 @@ type Bail = &'static str;
 const BAIL_TYPE: Bail = "type";
 const BAIL_BOUNDS: Bail = "bounds";
 const BAIL_DIV: Bail = "div";
-/// Not a bail: an arm's test failed, skip the arm's `off` ops.
-const SKIP: Bail = "skip";
 
 // ---------------------------------------------------------------------------
 // Descriptors
@@ -363,6 +362,8 @@ pub struct TFrame<'a> {
     /// Bit `a`: arm `a` ran in some iteration of this run; in the last.
     pub taken: u32,
     pub now: u32,
+    /// The outcome of the last `if` test the scalar chain ran.
+    pub held: bool,
 }
 
 /// The strip execution state: the scalar frame (invariants, the
@@ -881,21 +882,16 @@ fn sig(row: Pure) -> (&'static [K], K) {
     }
 }
 
-/// An `if` test `b cmp c` opening arm `arm`. The scalar chain skips the
-/// arm's `off` ops when it fails and notes the arm taken when it holds;
-/// the strip form lists the lanes it holds at.
+/// An `if` test `b cmp c` opening arm `arm`. The scalar form records
+/// the outcome in [`TFrame::held`], for `exec` to skip the arm's `off`
+/// ops by; the strip form lists the lanes it holds at.
 macro_rules! ops_br {
     ($n:ident, $file:ident, $cols:ident) => {
         #[allow(non_upper_case_globals)]
         const $n: Ops = {
             fn one(fr: &mut TFrame, op: &TOp) -> Result<(), Bail> {
-                let bit = 1 << op.arm.unwrap_or_default();
                 let (x, y) = (fr.$file[op.b as usize], fr.$file[op.c as usize]);
-                if !op.cmp.eval(x, y) {
-                    fr.now &= !bit;
-                    return Err(SKIP);
-                }
-                (fr.taken, fr.now) = (fr.taken | bit, fr.now | bit);
+                fr.held = op.cmp.eval(x, y);
                 Ok(())
             }
             fn strip(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
@@ -1030,6 +1026,7 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
         af: [&[]; NARR],
         taken: 0,
         now: 0,
+        held: false,
     };
     for (k, a) in arci.iter().enumerate() {
         if let Some(a) = a {
@@ -1080,16 +1077,21 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
             BindKind::Int => Value::Int(fr.ints[s]),
             BindKind::Flt => Value::Float(fr.flts[s]),
             BindKind::ArrI => Value::ArrI(arci[s].clone().unwrap()),
-            _ => Value::ArrF(arcf[s].clone().unwrap()),
+            BindKind::ArrF => Value::ArrF(arcf[s].clone().unwrap()),
+            BindKind::CellI | BindKind::CellF => unreachable!("a cell is never written back"),
         }
     };
-    for (_, o) in v.cond_outs.iter().filter(|(m, _)| fr.taken & m != 0) {
-        out(o, regs);
+    if fr.taken != 0 {
+        for (_, o) in v.cond_outs.iter().filter(|(m, _)| fr.taken & m != 0) {
+            out(o, regs);
+        }
     }
     match r {
         Ok(()) => {
-            let now = (v.now_outs.iter()).filter(|(a, _)| fr.now >> a & 1 != 0);
-            for o in v.outs.iter().chain(now.map(|(_, o)| o)) {
+            for o in &v.outs {
+                out(o, regs);
+            }
+            for (_, o) in v.now_outs.iter().filter(|(a, _)| fr.now >> a & 1 != 0) {
                 out(o, regs);
             }
             VOut::Done
@@ -1607,12 +1609,15 @@ fn exec(v: &TVariant, fr: &mut TFrame) -> Result<(), Bail> {
         let mut k = 0;
         while let Some(op) = v.ops.get(k) {
             k += 1;
-            match (op.f)(fr, op) {
-                Ok(()) => {}
-                Err(SKIP) => k += op.off as usize,
-                Err(b) => {
-                    restore(fr, &si, &sf);
-                    return Err(b);
+            if let Err(b) = (op.f)(fr, op) {
+                restore(fr, &si, &sf);
+                return Err(b);
+            }
+            if let Some(a) = op.arm {
+                if fr.held {
+                    (fr.taken, fr.now) = (fr.taken | 1 << a, fr.now | 1 << a);
+                } else {
+                    (k, fr.now) = (k + op.off as usize, fr.now & !(1 << a));
                 }
             }
         }
@@ -1898,7 +1903,10 @@ impl Bld<'_> {
     /// compiler reuses for another kind (EP's `2 * i`, then `x1 * x1`) is
     /// two values; the last key is the register's on exit. Past the arm
     /// the register is its key before the arm again, merged at a read
-    /// ([`Bld::rd`]) or on exit.
+    /// ([`Bld::rd`]) or on exit. One nothing reads past the arm may change
+    /// kind in it (a `var w: any` the arm sets to a float; a temporary the
+    /// compiler reuses, `@floatToInt` before an arm and `@sqrt` in it), and
+    /// exits by [`TVariant::now_outs`].
     fn wr(&mut self, r: Reg) -> Option<u32> {
         let fresh = match self.arm {
             None => true,
@@ -2456,17 +2464,23 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     let mut fallible = false;
     let mut seen_store = false;
     // Elements this iteration has already bounds-checked, as `(array,
-    // index, offset)`, until the index register is redefined: arrays
-    // never change length, so checking one again cannot fail.
-    let mut checked: Vec<(Reg, u32, i32)> = Vec::new();
+    // index, offset)` and the arm the check ran in, until the index
+    // register is redefined (under any key: past an arm that redefines
+    // it, its key before the arm holds the arm's value): arrays never
+    // change length, so checking one again cannot fail. A check in an arm
+    // counts only inside the arm: past it the test may have failed.
+    let reg_of = |key: u32| b.version.get(&key).map_or(key, |&r| r as u32);
+    let mut checked: Vec<((Reg, u32, i32), Option<u16>)> = Vec::new();
     for (i, p) in b.protos.iter().enumerate() {
+        let arm = b.guards[i];
+        checked.retain(|&(_, a)| a.is_none() || a == arm);
         let repeat = p.access().is_some_and(|a| {
-            let seen = checked.contains(&a);
-            checked.push(a);
+            let seen = checked.iter().any(|&(c, _)| c == a);
+            checked.push((a, arm));
             seen
         });
         if let Some(d) = p.write() {
-            checked.retain(|&(_, idx, _)| idx != d);
+            checked.retain(|&((_, idx, _), _)| reg_of(idx) != reg_of(d));
         }
         let (op, _, op_fallible, is_store) = lower(p, &skind, &akind, &slot, &aslot);
         let op_fallible = op_fallible && !repeat;
@@ -2484,7 +2498,6 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         seen_store |= is_store;
         fallible |= op_fallible;
         // An arm's test skips the ops lowered from the arm's protos.
-        let arm = b.guards[i];
         if let Some(br) = ops
             .iter_mut()
             .rev()

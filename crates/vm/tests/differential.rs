@@ -2155,6 +2155,118 @@ fn main() void {}";
     }
 }
 
+/// A variable an arm gives another kind (`w = 1`, then `w = 0.5` in the
+/// arm) exits with the arm's value exactly when the arm ran in the last
+/// iteration — on the strip walk, and on the scalar chain (`h` carries a
+/// recurrence) — at trips that end on a lane whose test held and on one
+/// whose test failed, in the first strip and in the second.
+#[test]
+fn arm_kind_change_exits_by_the_last_iteration() {
+    let src = "fn flip(x: []f64, n: i64) void {
+    var w: any = undefined;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        w = 1;
+        if (x[i] > 0.5) {
+            w = 0.5;
+        }
+    }
+    print(w);
+}
+fn flip_chain(x: []f64, n: i64) void {
+    var w: any = undefined;
+    var h: i64 = 7;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        w = 1;
+        h = h * 3 + 1;
+        if (x[i] > 0.5) {
+            w = 0.5;
+        }
+    }
+    print(w, h);
+}
+fn main() void {
+    var x: []f64 = @allocF(300);
+    x[3] = 1.0;
+    x[200] = 1.0;
+    var n: i64 = 0;
+    while (n < 8) : (n += 1) {
+        var m: i64 = n + 1;
+        if (n > 4) { m = 195 + n; }
+        flip(x, m);
+        flip_chain(x, m);
+    }
+}";
+    assert_eq!(template_verdicts(src), ["strip", "scalar: carried-scalar"]);
+    assert_backends_agree("arm-kind-change", src);
+}
+
+/// A bounds check in an `if` arm vouches for its element only inside the
+/// arm, where the test held; one made before an arm that redefines the
+/// index vouches for nothing past it. In both loops the last `a[j]` is
+/// then the iteration's first check of its element, after a store, so no
+/// template takes the loop, and the error and the counts stored before
+/// it are the tree-walker's (a replayed iteration would count twice).
+#[test]
+fn checks_in_or_across_arms_are_not_repeats() {
+    let src = "fn inside(c: []i64, a: []f64, h: []i64, n: i64, k: i64) f64 {
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        var j: i64 = k;
+        if (c[i] > 0) {
+            s = s + a[j];
+        }
+        h[i] = h[i] + 1;
+        s = s + a[j];
+    }
+    return s;
+}
+fn across(c: []i64, a: []f64, h: []i64, n: i64, k: i64) f64 {
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        var j: i64 = k - 100;
+        var t: i64 = c[i];
+        s = s + a[j];
+        if (t > 0) {
+            j = k;
+        }
+        h[i] = h[i] + 1;
+        s = s + a[j];
+    }
+    return s;
+}
+fn main() void {}";
+    assert_eq!(template_verdicts(src), Vec::<String>::new());
+    let n = 8;
+    let run = |func: &str, backend: Backend, opt: OptLevel| {
+        let c = std::sync::Arc::new(zomp_vm::value::ArrI::new(n));
+        c.set(3, 1).unwrap();
+        let a = std::sync::Arc::new(zomp_vm::value::ArrF::new(n));
+        let h = std::sync::Arc::new(zomp_vm::value::ArrI::new(n));
+        let vm = Vm::build(src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let args = vec![
+            Value::ArrI(c),
+            Value::ArrF(a),
+            Value::ArrI(h.clone()),
+            Value::Int(n as i64),
+            Value::Int(105),
+        ];
+        let r = vm.call_function(func, args);
+        (r.map(|v| v.render()).map_err(|e| e.to_string()), h.to_vec())
+    };
+    for func in ["inside", "across"] {
+        let oracle = run(func, Backend::Ast, OptLevel::O0);
+        assert!(oracle.0.is_err(), "{func}: {:?}", oracle.0);
+        for opt in opt_levels() {
+            let bc = run(func, Backend::Bytecode, opt);
+            assert_eq!(bc, oracle, "{func} --opt={opt}");
+        }
+    }
+}
+
 // -- inlining vs the oracle --------------------------------------------------
 
 /// What the inliner did with `src` at `--opt=3`: the callee of every
