@@ -2,6 +2,12 @@
 //! to: region fork/join, barriers, the worksharing schedules, and the
 //! reduction paths (native atomic RMW vs the Listing 6 CAS loop).
 //!
+//! The `vm_region` group is the VM's per-region budget at a team of one:
+//! each row adds one piece of a `parallel` region to the row before it,
+//! so the differences are the terms (fork/join, region reduction,
+//! worksharing protocol, template entry) and `fork_small` is
+//! `runtime_fine`'s program of the same name.
+//!
 //! These are host-machine measurements (the class C tables come from the
 //! `paper-figures` model harness); sample sizes are kept small so the suite
 //! stays quick on small hosts.
@@ -262,6 +268,139 @@ fn bench_worksharing_nowait(c: &mut Criterion) {
     g.finish();
 }
 
+/// Regions per timed call in [`bench_vm_region`]: the call's own cost
+/// is spread over them, and a call's median in µs reads as ns per region.
+const VM_REGIONS: i64 = 1000;
+
+/// One Zag function per `vm_region` row, all `probe(x, regions, n)`:
+/// `regions` back-to-back regions at a team of one, each adding one piece
+/// to the row above. The `if`/`else` keeps `ws_interp`'s loop body out of
+/// the template tier; `template`'s body is the one `fork_small` runs.
+const VM_REGION_PROBES: [(&str, &str); 5] = [
+    (
+        "empty",
+        "var s: i64 = 0;
+        //$omp parallel num_threads(1) firstprivate(n)
+        {
+            var z: i64 = n;
+        }",
+    ),
+    (
+        "reduction",
+        "var s: i64 = 0;
+        //$omp parallel num_threads(1) firstprivate(n) reduction(+: s)
+        {
+            s = s + n;
+        }",
+    ),
+    (
+        "ws_interp",
+        "var s: i64 = 0;
+        //$omp parallel num_threads(1) shared(x) firstprivate(n) reduction(+: s)
+        {
+            var i: i64 = 0;
+            //$omp while schedule(static)
+            while (i < n) : (i += 1) {
+                if (x[i] > 500) {
+                    s = s + 1;
+                } else {
+                    s = s + 2;
+                }
+            }
+        }",
+    ),
+    (
+        "template",
+        "var s: i64 = 0;
+        //$omp parallel num_threads(1) shared(x) firstprivate(r, n) reduction(+: s)
+        {
+            var i: i64 = 0;
+            //$omp while schedule(static)
+            while (i < n) : (i += 1) {
+                s = s + x[i] * (r % 7 + 1);
+            }
+        }",
+    ),
+    ("fork_small", ""),
+];
+
+/// `runtime_fine`'s `fork_small` (`benchmark/src/programs.rs`).
+const FORK_SMALL: &str = "
+fn probe(x: []i64, regions: i64, nthreads: i64) i64 {
+    var total: i64 = 0;
+    var r: i64 = 0;
+    while (r < regions) : (r += 1) {
+        var s: i64 = 0;
+        //$omp parallel num_threads(nthreads) shared(x) firstprivate(r) reduction(+: s)
+        {
+            var i: i64 = 0;
+            //$omp while schedule(static)
+            while (i < 64) : (i += 1) {
+                s = s + x[i] * (r % 7 + 1);
+            }
+        }
+        total = total + s;
+    }
+    return total;
+}
+";
+
+/// The VM's per-region cost at a team of one, term by term (ns per
+/// region). `ws_interp` and `template` run at trips 0, 1 and 64; at
+/// trip 0 neither body runs, so the two rows differ only in noise.
+fn bench_vm_region(c: &mut Criterion) {
+    use std::sync::Arc;
+    use zomp_vm::value::ArrI;
+    use zomp_vm::{Backend, OptLevel, Value, Vm};
+    let x = Arc::new(ArrI::new(64));
+    for i in 0..64 {
+        x.set(i, i * 37 % 1000).expect("in bounds");
+    }
+    let mut g = c.benchmark_group("vm_region");
+    g.sample_size(30).measurement_time(Duration::from_secs(1));
+    for (name, body) in VM_REGION_PROBES {
+        let source = if body.is_empty() {
+            FORK_SMALL.to_string()
+        } else {
+            format!(
+                "fn probe(x: []i64, regions: i64, n: i64) i64 {{
+    var total: i64 = 0;
+    var r: i64 = 0;
+    while (r < regions) : (r += 1) {{
+        {body}
+        total = total + s;
+    }}
+    return total;
+}}"
+            )
+        };
+        let vm = Vm::build(&source, Some("probe.zag"), Backend::Native, OptLevel::O3)
+            .unwrap_or_else(|e| panic!("probe `{name}`: {}", e.render(&source)));
+        let trips: &[i64] = match name {
+            "ws_interp" | "template" => &[0, 1, 64],
+            // `fork_small`'s third argument is the team size.
+            _ => &[1],
+        };
+        for &n in trips {
+            let args = || {
+                vec![
+                    Value::ArrI(Arc::clone(&x)),
+                    Value::Int(VM_REGIONS),
+                    Value::Int(n),
+                ]
+            };
+            let id = match name {
+                "ws_interp" | "template" => format!("{name}_{n}"),
+                _ => name.to_string(),
+            };
+            g.bench_function(BenchmarkId::new(id, "x1000"), |b| {
+                b.iter(|| black_box(vm.call_function("probe", args()).expect("probe runs")))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_fork,
@@ -271,6 +410,7 @@ criterion_group!(
     bench_dispatch_impls,
     bench_barrier_impls,
     bench_reduction_impls,
-    bench_worksharing_nowait
+    bench_worksharing_nowait,
+    bench_vm_region
 );
 criterion_main!(benches);

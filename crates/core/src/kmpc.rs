@@ -170,7 +170,9 @@ impl WsLoop {
         let t0 = trace::dispatch_begin_ts(dynamic);
         let claims = match ctx {
             Some(ctx) if dynamic && ctx.num_threads() > 1 && trip <= STEAL_MAX_TRIP => {
-                let (slot, construct) = ctx.enter_construct();
+                let (Some(slot), construct) = ctx.enter_construct() else {
+                    unreachable!("a team of 2+ has a construct ring")
+                };
                 let nth = ctx.num_threads();
                 let dispatcher = ctx.slot_dispatcher(slot, || match sched.kind {
                     ScheduleKind::Guided => {

@@ -203,6 +203,11 @@ impl Runtime {
         }
     }
 
+    /// Is this runtime [`Runtime::current`] on the calling thread already?
+    pub(crate) fn is_current(self: &Arc<Self>) -> bool {
+        CURRENT.with(|s| s.borrow().last().is_some_and(|c| Arc::ptr_eq(c, self)))
+    }
+
     /// This runtime's ICV block.
     pub fn icvs(&self) -> &Icvs {
         &self.icvs

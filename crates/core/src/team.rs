@@ -28,9 +28,10 @@ use crate::runtime::Runtime;
 use crate::schedule::Schedule;
 use crate::trace;
 
-/// Number of in-flight worksharing-construct buffers per team. Threads may
-/// drift up to this many `nowait` constructs apart without blocking; libomp
-/// uses 7 dispatch buffers for the same purpose.
+/// Number of in-flight worksharing-construct buffers per team of 2+.
+/// Threads may drift up to this many `nowait` constructs apart without
+/// blocking; libomp uses 7 dispatch buffers for the same purpose. A team
+/// of one has no ring at all (see [`TeamShared::new`]).
 pub(crate) const NUM_CONSTRUCT_SLOTS: usize = 16;
 
 #[derive(Default)]
@@ -71,6 +72,8 @@ pub(crate) struct ConstructSlot {
 pub struct TeamShared {
     nthreads: usize,
     barrier: Barrier,
+    /// The construct ring: [`NUM_CONSTRUCT_SLOTS`] slots, or none for a
+    /// team of one.
     slots: Box<[ConstructSlot]>,
     /// Region label (pragma `file:line` or `.label()`), carried so worker
     /// threads can tag their implicit-task trace spans.
@@ -85,8 +88,20 @@ pub struct TeamShared {
 }
 
 impl TeamShared {
+    /// The ring is sized by the team. A lone thread has no teammate to
+    /// share a construct with: its `single` is always chosen, its
+    /// construct payload is always the one it makes, and its worksharing
+    /// loops take no dispatcher, so it gets no slot — an empty slice,
+    /// which allocates nothing. Not a ring of one: a lone thread can hold
+    /// two constructs at once (a loop with two reduction variables), and
+    /// with one slot the second would wait for the first forever.
     fn new(nthreads: usize, label: &'static str, runtime: Arc<Runtime>) -> Self {
-        let slots = (0..NUM_CONSTRUCT_SLOTS)
+        let ring = if nthreads == 1 {
+            0
+        } else {
+            NUM_CONSTRUCT_SLOTS
+        };
+        let slots = (0..ring)
             .map(|k| ConstructSlot {
                 gen: AtomicU64::new(k as u64),
                 state: Mutex::new(SlotState::default()),
@@ -112,8 +127,12 @@ impl TeamShared {
         &self.runtime
     }
 
-    /// Wait until the ring slot for construct `c` is available and return it.
-    fn acquire_slot(&self, c: u64) -> &ConstructSlot {
+    /// Wait until the ring slot for construct `c` is available and return
+    /// it; `None` for a team of one, which has no ring.
+    fn acquire_slot(&self, c: u64) -> Option<&ConstructSlot> {
+        if self.slots.is_empty() {
+            return None;
+        }
         let slot = &self.slots[(c as usize) % NUM_CONSTRUCT_SLOTS];
         // Acquire: pairs with the Release `gen` bump in `release_slot` so the
         // recycled slot's cleared state is visible before we reuse it.
@@ -128,7 +147,7 @@ impl TeamShared {
             std::hint::spin_loop();
             std::thread::yield_now();
         }
-        slot
+        Some(slot)
     }
 
     /// Mark the calling thread done with `slot`; the last finisher recycles
@@ -150,9 +169,12 @@ impl TeamShared {
         }
     }
 
-    /// The calling thread is done with construct `c`.
+    /// The calling thread is done with construct `c` (nothing to do for a
+    /// team of one).
     pub(crate) fn release_construct(&self, c: u64) {
-        self.release_slot(&self.slots[(c as usize) % NUM_CONSTRUCT_SLOTS]);
+        if let Some(slot) = self.slots.get((c as usize) % NUM_CONSTRUCT_SLOTS) {
+            self.release_slot(slot);
+        }
     }
 
     /// A team thread panicked: keep the first payload for the master to
@@ -248,18 +270,9 @@ impl<'a> ThreadCtx<'a> {
     /// `omp single [nowait]`: exactly one thread (the first to arrive) runs
     /// `f`. Unless `nowait`, all threads synchronise afterwards.
     pub fn single<R>(&self, nowait: bool, f: impl FnOnce() -> R) -> Option<R> {
-        let (slot, _c) = self.enter_construct();
-        let claimed = {
-            let mut st = slot.state.lock();
-            if st.claimed {
-                false
-            } else {
-                st.claimed = true;
-                true
-            }
-        };
-        let out = claimed.then(f);
-        self.team.release_slot(slot);
+        let token = self.single_begin();
+        let out = token.chosen.then(f);
+        self.release_construct(token.construct);
         if !nowait {
             self.barrier();
         }
@@ -288,8 +301,8 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Internal: advance this thread's construct counter and acquire the
-    /// matching team slot.
-    pub(crate) fn enter_construct(&self) -> (&'a ConstructSlot, u64) {
+    /// matching team slot (`None` for a team of one).
+    pub(crate) fn enter_construct(&self) -> (Option<&'a ConstructSlot>, u64) {
         let c = self.construct_counter.get();
         self.construct_counter.set(c + 1);
         (self.team.acquire_slot(c), c)
@@ -325,26 +338,24 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// A construct-scoped shared value: the first thread to arrive creates
-    /// it, every thread receives the same `Arc`. Pass the returned token to
-    /// [`ThreadCtx::construct_done`] when finished with the construct.
+    /// it, every thread receives the same `Arc`, and a team of one always
+    /// gets the one it makes. The construct is over for the calling thread
+    /// when this returns: the `Arc` keeps the payload alive, and the slot
+    /// is recycled only after every teammate has taken its copy.
     pub fn construct_shared(
         &self,
         make: impl FnOnce() -> Arc<dyn std::any::Any + Send + Sync>,
-    ) -> (Arc<dyn std::any::Any + Send + Sync>, ConstructToken) {
+    ) -> Arc<dyn std::any::Any + Send + Sync> {
         let (slot, c) = self.enter_construct();
+        let Some(slot) = slot else {
+            return make();
+        };
         let payload = {
             let mut st = slot.state.lock();
-            if st.shared_payload.is_none() {
-                st.shared_payload = Some(make());
-            }
-            Arc::clone(st.shared_payload.as_ref().unwrap())
+            Arc::clone(st.shared_payload.get_or_insert_with(make))
         };
-        (payload, ConstructToken { construct: c })
-    }
-
-    /// Finish a construct entered via [`ThreadCtx::construct_shared`].
-    pub fn construct_done(&self, token: ConstructToken) {
-        self.release_construct(token.construct);
+        self.release_construct(c);
+        payload
     }
 
     // The closure-based `single` cannot serve a lowering target whose
@@ -356,15 +367,10 @@ impl<'a> ThreadCtx<'a> {
     /// the body. Pass the token to [`ThreadCtx::single_end`] after the body.
     pub fn single_begin(&self) -> SingleToken {
         let (slot, c) = self.enter_construct();
-        let chosen = {
+        let chosen = slot.is_none_or(|slot| {
             let mut st = slot.state.lock();
-            if st.claimed {
-                false
-            } else {
-                st.claimed = true;
-                true
-            }
-        };
+            !std::mem::replace(&mut st.claimed, true)
+        });
         SingleToken {
             construct: c,
             chosen,
@@ -387,12 +393,6 @@ pub struct SingleToken {
     construct: u64,
     /// Did this thread win the `single` body?
     pub chosen: bool,
-}
-
-/// Token of a construct entered via [`ThreadCtx::construct_shared`].
-#[derive(Debug, Clone, Copy)]
-pub struct ConstructToken {
-    construct: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -685,10 +685,12 @@ where
         t0: trace::stamp(),
     };
 
+    // The forking thread enters `rt` unless it is current there already
+    // (a `zomp_vm::Vm` call has entered its runtime).
+    let _rt = (!rt.is_current()).then(|| rt.enter());
     if n == 1 {
         let team = TeamShared::new(1, label, Arc::clone(rt));
         let ctx = ThreadCtx::new(0, &team, None);
-        let _rt = rt.enter();
         with_region_state(0, 1, || f(&ctx));
         return;
     }
@@ -717,7 +719,6 @@ where
 
     let master_result = panic::catch_unwind(AssertUnwindSafe(|| {
         let ctx = ThreadCtx::new(0, &team, Some(&team));
-        let _rt = rt.enter();
         with_region_state(0, n, || f(&ctx));
     }));
     // Before the join: workers parked at a barrier the master will not
@@ -965,6 +966,37 @@ mod split_phase_tests {
             }
         });
         assert_eq!(wins.load(Ordering::SeqCst), 10);
+    }
+
+    /// A team of one has no construct ring. Three times as many
+    /// back-to-back constructs as a team of 2+ has slots never wait:
+    /// every `single` is chosen, a dynamic loop is claimed whole, and
+    /// every construct payload is the one its caller made, even with two
+    /// constructs open at once.
+    #[test]
+    fn team_of_one_constructs_take_no_slot() {
+        fork_call(Parallel::new().num_threads(1), |ctx| {
+            for k in 0..3 * NUM_CONSTRUCT_SLOTS {
+                let tok = ctx.single_begin();
+                assert!(tok.chosen, "split single {k}");
+                assert!(ctx.single_end(tok, false));
+                assert_eq!(ctx.single(true, || k), Some(k), "single {k}");
+                let mut ws = WsLoop::begin(Some(ctx), Schedule::dynamic(Some(1)), 5, None)
+                    .expect("valid schedule");
+                assert_eq!(ws.next(), Some(0..5), "loop {k}");
+                assert_eq!(ws.next(), None, "loop {k}");
+                ws.end();
+                let outer = ctx.construct_shared(|| Arc::new(2 * k));
+                let inner = ctx.construct_shared(|| Arc::new(2 * k + 1));
+                assert_eq!(outer.downcast_ref::<usize>(), Some(&(2 * k)), "payload {k}");
+                assert_eq!(
+                    inner.downcast_ref::<usize>(),
+                    Some(&(2 * k + 1)),
+                    "payload {k}"
+                );
+            }
+            assert_eq!(ctx.constructs_entered(), 3 * NUM_CONSTRUCT_SLOTS as u64 * 4);
+        });
     }
 
     /// `end` before exhaustion releases the slot, a second `end` and the

@@ -74,13 +74,11 @@ pub fn for_reduce<B, T, F>(
         cell.combine(local);
     } else {
         let op = cell.op();
-        let (payload, token) =
-            ctx.construct_shared(|| std::sync::Arc::new(ReduceTree::<T>::new(op, nth)));
-        let tree = payload
+        let tree = ctx
+            .construct_shared(|| std::sync::Arc::new(ReduceTree::<T>::new(op, nth)))
             .downcast::<ReduceTree<T>>()
             .expect("construct payload is this loop's reduction tree");
         tree.merge(ctx.thread_num(), local, cell);
-        ctx.construct_done(token);
     }
     if !nowait {
         ctx.barrier();

@@ -18,9 +18,7 @@ use zomp::team::{Parallel, SingleToken, ThreadCtx};
 
 use crate::bytecode::{BuiltinOp, OmpFn};
 use crate::interp::Vm;
-use crate::value::{
-    err, ArrF, ArrI, RedCellAny, RedHandle, Value, VmError, VmResult, WsIter, WsState,
-};
+use crate::value::{err, ArrF, ArrI, RedCellAny, Value, VmError, VmResult, WsIter, WsState};
 
 /// One pure builtin's arithmetic for one set of argument kinds (`F` an
 /// `f64`, `I` an `i64`; `IF` takes an `i64` and returns an `f64`).
@@ -191,6 +189,14 @@ fn with_ctx<R>(f: impl FnOnce(Option<&ThreadCtx<'_>>) -> R) -> R {
     }
 }
 
+/// The cell of a reduction handle `v`, for the builtin `what`.
+fn red_cell<'v>(v: &'v Value, what: &str) -> VmResult<&'v RedCellAny> {
+    match v {
+        Value::Red(cell) => Ok(cell),
+        other => err(format!("{what} on {}", other.type_name())),
+    }
+}
+
 fn red_op_from_code(code: i64) -> VmResult<RedOp> {
     Ok(match code {
         0 => RedOp::Add,
@@ -303,64 +309,36 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
         // -- reductions ------------------------------------------------------
         OmpFn::RedCell => {
             let op = red_op_from_code(args[0].as_int()?)?;
-            RedHandle::new_local(op, &args[1]).map(Value::Red)
+            Ok(Value::Red(Arc::new(RedCellAny::new(op, &args[1])?)))
         }
-        OmpFn::RedIdentity => match &args[0] {
-            Value::Red(h) => Ok(h.identity()),
-            other => err(format!("red_identity on {}", other.type_name())),
-        },
-        OmpFn::RedCombine => match &args[0] {
-            Value::Red(h) => {
-                h.combine(&args[1])?;
-                Ok(Value::Void)
-            }
-            other => err(format!("red_combine on {}", other.type_name())),
-        },
-        OmpFn::RedGet => match &args[0] {
-            Value::Red(h) => Ok(h.get()),
-            other => err(format!("red_get on {}", other.type_name())),
-        },
+        OmpFn::RedIdentity => Ok(red_cell(&args[0], "red_identity")?.identity()),
+        OmpFn::RedCombine => {
+            red_cell(&args[0], "red_combine")?.combine(&args[1])?;
+            Ok(Value::Void)
+        }
+        OmpFn::RedGet => Ok(red_cell(&args[0], "red_get")?.get()),
         OmpFn::RedLoopBegin => {
             let op = red_op_from_code(args[0].as_int()?)?;
-            let seed = &args[1];
+            // Checked before the construct, so a bad seed takes no slot
+            // and makes no cell.
+            let cell = RedCellAny::new(op, &args[1])?;
             with_ctx(|ctx| match ctx {
-                Some(ctx) => {
-                    let mut make_err = None;
-                    let (payload, token) =
-                        ctx.construct_shared(|| match RedCellAny::new(op, seed) {
-                            Ok(cell) => Arc::new(cell),
-                            Err(e) => {
-                                make_err = Some(e);
-                                Arc::new(RedCellAny::I(zomp::reduction::RedCell::new(op, 0)))
-                            }
-                        });
-                    if let Some(e) = make_err {
-                        return Err(e);
-                    }
-                    let cell = payload
-                        .downcast::<RedCellAny>()
-                        .map_err(|_| VmError("reduction slot type confusion".into()))?;
-                    Ok(Value::Red(Arc::new(RedHandle {
-                        cell,
-                        token: Mutex::new(Some(token)),
-                    })))
-                }
-                None => RedHandle::new_local(op, seed).map(Value::Red),
+                Some(ctx) => ctx
+                    .construct_shared(|| Arc::new(cell))
+                    .downcast::<RedCellAny>()
+                    .map(Value::Red)
+                    .map_err(|_| VmError("reduction slot type confusion".into())),
+                None => Ok(Value::Red(Arc::new(cell))),
             })
         }
         OmpFn::RedLoopEnd => {
-            let Value::Red(h) = &args[0] else {
+            let Value::Red(cell) = &args[0] else {
                 return err("red_loop_end expects a reduction cell");
             };
-            h.combine(&args[1])?;
-            with_ctx(|ctx| {
-                if let (Some(ctx), Some(tok)) = (ctx, h.token.lock().take()) {
-                    ctx.construct_done(tok);
-                }
-            });
+            cell.combine(&args[1])?;
             // The combined value is only complete after the barrier.
             team_barrier()?;
-            Ok(h.get())
+            Ok(cell.get())
         }
 
         // -- worksharing loops -------------------------------------------------
@@ -396,7 +374,7 @@ fn fork_call(vm: &Vm, args: &[Value]) -> VmResult<Value> {
     // explicitly — even when empty — so the runtime's `#[track_caller]`
     // fallback never points at this VM-internal call site.
     let (label, base) = match args.first() {
-        Some(Value::Str(s)) => (zomp::trace::intern(s), 1usize),
+        Some(&Value::Label(s)) => (s, 1usize),
         _ => ("", 0usize),
     };
     if args.len() < base + 2 {
@@ -528,7 +506,7 @@ fn ws_begin(args: &[Value]) -> VmResult<Value> {
     // An optional leading string is the worksharing pragma's `unit:line`
     // label (named translation units only), mirroring `fork_call`.
     let (label, base) = match args.first() {
-        Some(Value::Str(s)) => (Some(zomp::trace::intern(s)), 1usize),
+        Some(&Value::Label(s)) => (Some(s), 1usize),
         _ => (None, 0usize),
     };
     let kind_code = args[base].as_int()?;

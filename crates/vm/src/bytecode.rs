@@ -569,6 +569,7 @@ impl Image {
 fn const_text(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("{s:?}"),
+        Value::Label(s) => format!("{s:?}"),
         Value::Fn(name) => format!("fn {name}"),
         other => other.render(),
     }

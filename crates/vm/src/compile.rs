@@ -56,7 +56,7 @@ use zomp_front::Diag;
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::inline::InlineData;
-use crate::interp::callee_path;
+use crate::interp::{call_label, callee_path, str_lit};
 use crate::optimize::{verify_fn, OptLevel, OptStats};
 use crate::value::Value;
 
@@ -227,6 +227,7 @@ pub(crate) enum CKey {
     F(u64),
     B(bool),
     S(String),
+    L(&'static str),
     Fn(String),
 }
 
@@ -239,6 +240,7 @@ impl CKey {
             Value::Float(f) => CKey::F(f.to_bits()),
             Value::Bool(b) => CKey::B(*b),
             Value::Str(s) => CKey::S(s.to_string()),
+            Value::Label(s) => CKey::L(s),
             Value::Fn(n) => CKey::Fn(n.to_string()),
             // Non-literal values never enter the pool.
             _ => unreachable!("non-constant value in const pool"),
@@ -985,12 +987,7 @@ impl<'a> FnCx<'a> {
                 let v = self.ast.tokens[node.main_token as usize].tag == T::KwTrue;
                 self.emit_const(Value::Bool(v), hint)
             }
-            N::StrLit => {
-                let raw = self.ast.token_text(node.main_token);
-                let inner = &raw[1..raw.len() - 1];
-                let s = inner.replace("\\\"", "\"").replace("\\n", "\n");
-                self.emit_const(Value::Str(Arc::from(s)), hint)
-            }
+            N::StrLit => self.emit_const(Value::Str(Arc::from(str_lit(self.ast, &node))), hint),
             N::UndefinedLit => self.emit_const(Value::Undefined, hint),
             N::Ident => {
                 let name = self.ast.token_text(node.main_token).to_string();
@@ -1055,7 +1052,7 @@ impl<'a> FnCx<'a> {
             N::BuiltinCall => {
                 let name = self.ast.token_text(node.main_token).to_string();
                 let ids = self.ast.extra(node.lhs, node.rhs).to_vec();
-                let (base, n) = self.compile_args(&ids);
+                let (base, n) = self.compile_args(&ids, None);
                 let op = BuiltinOp::from_name(&name);
                 let name_k = self.kconst(Value::Str(Arc::from(name)));
                 let d = self.dst_reg(hint);
@@ -1159,14 +1156,22 @@ impl<'a> FnCx<'a> {
     /// Evaluate call arguments into a fresh contiguous register block.
     /// All slots are reserved up front so temporaries of one argument
     /// (e.g. a nested call) cannot interleave with later slots.
-    fn compile_args(&mut self, ids: &[u32]) -> (Reg, u16) {
+    /// A call of `omp.<func>` resolves its pragma label here, once
+    /// ([`call_label`]).
+    fn compile_args(&mut self, ids: &[u32], func: Option<OmpFn>) -> (Reg, u16) {
         let base = self.tmp;
         for _ in ids {
             self.alloc_tmp();
         }
         for (i, &a) in ids.iter().enumerate() {
             let slot = base + i as Reg;
-            let r = self.compile_expr(a, Some(slot));
+            let label = func
+                .filter(|_| i == 0)
+                .and_then(|f| call_label(self.ast, f, a));
+            let r = match label {
+                Some(l) => self.emit_const(Value::Label(l), Some(slot)),
+                None => self.compile_expr(a, Some(slot)),
+            };
             debug_assert_eq!(r, slot);
         }
         (base, ids.len() as u16)
@@ -1174,14 +1179,18 @@ impl<'a> FnCx<'a> {
 
     fn compile_call(&mut self, node: &Node, hint: Option<Reg>) -> Reg {
         let ids = self.ast.call_args(node).to_vec();
-        let (base, n) = self.compile_args(&ids);
         let path = callee_path(self.ast, node.lhs);
+        let func = match path.as_deref() {
+            Some(["omp", rest @ ..]) => OmpFn::resolve(rest),
+            _ => None,
+        };
+        let (base, n) = self.compile_args(&ids, func);
         match path.as_deref() {
             Some(["print"]) => {
                 self.code.push(Insn::Print { base, n });
                 self.emit_const(Value::Void, hint)
             }
-            Some(["omp", rest @ ..]) if !rest.is_empty() => match OmpFn::resolve(rest) {
+            Some(["omp", rest @ ..]) if !rest.is_empty() => match func {
                 Some(func) => {
                     let d = self.dst_reg(hint);
                     self.code.push(Insn::OmpCall {

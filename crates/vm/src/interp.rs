@@ -25,6 +25,7 @@ use zomp_front::token::Tag as T;
 use crate::builtins;
 use crate::bytecode::{ArithOp, CmpOp, Image, Insn, OmpFn, Reg};
 use crate::optimize::OptLevel;
+use crate::templates::Ran;
 use crate::value::{err, ArrF, ArrI, Slot, Value, VmError, VmResult};
 
 thread_local! {
@@ -492,13 +493,7 @@ impl Vm {
             N::BoolLit => Ok(Value::Bool(
                 ast.tokens[node.main_token as usize].tag == T::KwTrue,
             )),
-            N::StrLit => {
-                let raw = ast.token_text(node.main_token);
-                let inner = &raw[1..raw.len() - 1];
-                Ok(Value::Str(Arc::from(
-                    inner.replace("\\\"", "\"").replace("\\n", "\n"),
-                )))
-            }
+            N::StrLit => Ok(Value::Str(Arc::from(str_lit(ast, &node)))),
             N::UndefinedLit => Ok(Value::Undefined),
             N::Ident => {
                 let name = ast.token_text(node.main_token);
@@ -637,9 +632,17 @@ impl Vm {
         // Resolve the callee as a dotted path of identifiers if possible.
         let path = callee_path(ast, node.lhs);
         let arg_ids = ast.call_args(node).to_vec();
+        let func = match path.as_deref() {
+            Some(["omp", rest @ ..]) => OmpFn::resolve(rest),
+            _ => None,
+        };
         let mut args = Vec::with_capacity(arg_ids.len());
-        for a in arg_ids {
-            args.push(self.eval(frame, a)?);
+        for (i, a) in arg_ids.into_iter().enumerate() {
+            let label = func.filter(|_| i == 0).and_then(|f| call_label(ast, f, a));
+            args.push(match label {
+                Some(l) => Value::Label(l),
+                None => self.eval(frame, a)?,
+            });
         }
         match path.as_deref() {
             Some(["print"]) => {
@@ -654,7 +657,7 @@ impl Vm {
                 self.output.lock().push(line);
                 Ok(Value::Void)
             }
-            Some(["omp", rest @ ..]) if !rest.is_empty() => match OmpFn::resolve(rest) {
+            Some(["omp", rest @ ..]) if !rest.is_empty() => match func {
                 Some(func) => builtins::call(self, func, &args),
                 None => err(OmpFn::unknown(rest)),
             },
@@ -1232,11 +1235,20 @@ impl Vm {
                     // whole loop as a chain of monomorphized template
                     // ops over an unboxed frame. Deopt contract is
                     // identical to `BulkLoop` above.
+                    // A loop too short to enter runs interpreted this
+                    // time only.
                     let desc = &f.templates[tidx as usize];
-                    if pc - 1 != bailed && crate::templates::run(desc, (pc - 1) as u32, regs) {
+                    let ran = if pc - 1 == bailed {
+                        Ran::Bailed
+                    } else {
+                        crate::templates::run(desc, (pc - 1) as u32, regs)
+                    };
+                    if ran == Ran::Done {
                         pc = desc.exit as usize;
                     } else {
-                        bailed = pc - 1;
+                        if ran == Ran::Bailed {
+                            bailed = pc - 1;
+                        }
                         insn = desc.orig;
                         continue 'redo;
                     }
@@ -1429,6 +1441,24 @@ pub(crate) fn cmp_token(op: CmpOp) -> T {
         CmpOp::Eq => T::EqEq,
         CmpOp::Ne => T::BangEq,
     }
+}
+
+/// The text of string literal `node`, escapes resolved.
+pub(crate) fn str_lit(ast: &Ast, node: &Node) -> String {
+    let raw = ast.token_text(node.main_token);
+    raw[1..raw.len() - 1]
+        .replace("\\\"", "\"")
+        .replace("\\n", "\n")
+}
+
+/// The pragma label a call of `func` passes as its first argument `arg`:
+/// `fork_call` and `ws_begin` take a `unit:line` string literal there
+/// (`preprocess_named`), which becomes a [`Value::Label`], interned here.
+/// `None` for any other callee or argument, which evaluates as usual.
+pub(crate) fn call_label(ast: &Ast, func: OmpFn, arg: NodeId) -> Option<&'static str> {
+    let node = ast.node(arg);
+    (matches!(func, OmpFn::ForkCall | OmpFn::WsBegin) && node.tag == N::StrLit)
+        .then(|| zomp::trace::intern(&str_lit(ast, node)))
 }
 
 /// Extract a dotted identifier path from a callee expression

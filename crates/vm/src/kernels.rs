@@ -543,7 +543,7 @@ fn install_fn(f: &mut CompiledFn, lcg: &[bool]) {
 
 /// Resolve the pragma label of the worksharing loop enclosing the
 /// kernel at `pc`: the nearest preceding `omp.internal.ws_begin` call
-/// whose first argument is a string constant (the preprocessor only
+/// whose first argument is a label constant (the preprocessor only
 /// emits that argument for named units). `""` when absent.
 pub(crate) fn loop_label(f: &CompiledFn, pc: usize) -> &'static str {
     for i in (0..pc).rev() {
@@ -564,8 +564,8 @@ pub(crate) fn loop_label(f: &CompiledFn, pc: usize) -> &'static str {
             if dst != base {
                 continue;
             }
-            if let Some(Value::Str(s)) = f.consts.get(k as usize) {
-                return zomp::trace::intern(s);
+            if let Some(&Value::Label(s)) = f.consts.get(k as usize) {
+                return s;
             }
             break;
         }

@@ -141,6 +141,11 @@ pub struct TProg {
     /// Induction register (for trace spans: native iterations are the
     /// before/after delta of this register).
     pub ind: Reg,
+    /// The back-edge's limit register, step and test: the trip count
+    /// at entry, read from the registers before anything is bound.
+    lim: Reg,
+    step: i64,
+    cmp: CmpOp,
     /// Source instructions covered (head through back-edge), for
     /// remarks and disassembly.
     pub ninsns: usize,
@@ -946,23 +951,54 @@ fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// Run one template against the current frame. `true` = the loop
-/// completed and the written registers were boxed back (jump to
-/// `desc.exit`); `false` = deopt (replay `desc.orig` interpreted).
-/// Telemetry mirrors the kernel tier: a span per dispatch, native
-/// iterations from the induction register's before/after delta, and
-/// the machine-readable bail reason on deopt.
-pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> bool {
+/// The shortest trip a template is entered for. Entering one binds the
+/// registers, builds the frame and sets up the strips, ~200 ns before
+/// the first iteration; below this trip that costs more than
+/// interpreting the iterations, so the loop runs interpreted instead.
+/// `fork_small`'s body (`s = s + x[i] * (r % 7 + 1)`, `x` shared) on a
+/// 2-vCPU x86-64 host, ns per loop, interpreted / entered: 80 / 270 at
+/// trip 1, 215 / 277 at 4, 430 / 285 at 8.
+const MIN_TRIP: u64 = 4;
+
+/// What [`run`] did with the loop.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Ran {
+    /// It ran to its exit and the written registers were boxed back
+    /// (jump to `desc.exit`).
+    Done,
+    /// It bailed: replay `desc.orig` interpreted from the state the
+    /// template left, for the rest of the activation.
+    Bailed,
+    /// Nothing: the loop has fewer than [`MIN_TRIP`] iterations left, so
+    /// this entry runs `desc.orig` interpreted (the next entry decides
+    /// again).
+    Short,
+}
+
+/// Run one template against the current frame. Telemetry mirrors the
+/// kernel tier: a span per dispatch, native iterations from the
+/// induction register's before/after delta, and the machine-readable
+/// bail reason on deopt. A [`Ran::Short`] loop records nothing.
+pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> Ran {
+    let prog = &desc.prog;
+    if let (&Value::Int(i0), &Value::Int(lim)) =
+        (&regs[prog.ind as usize], &regs[prog.lim as usize])
+    {
+        if trip_count(i0, lim, prog.step, prog.cmp).is_some_and(|t| t < MIN_TRIP) {
+            return Ran::Short;
+        }
+    }
+    let ran = |r: Result<(), Bail>| if r.is_ok() { Ran::Done } else { Ran::Bailed };
     if !zomp::trace::active() {
-        return run_inner(&desc.prog, regs).is_ok();
+        return ran(run_inner(prog, regs));
     }
     let t0 = zomp::trace::kernel_begin_ts();
-    let ind = desc.prog.ind as usize;
+    let ind = prog.ind as usize;
     let before = match regs[ind] {
         Value::Int(v) => v,
         _ => 0,
     };
-    let r = run_inner(&desc.prog, regs);
+    let r = run_inner(prog, regs);
     let after = match regs[ind] {
         Value::Int(v) => v,
         _ => before,
@@ -974,7 +1010,7 @@ pub(crate) fn run(desc: &TemplateDesc, pc: u32, regs: &mut [Value]) -> bool {
         desc.label
     };
     zomp::trace::kernel_end(label, pc, iters, r.err(), t0);
-    r.is_ok()
+    ran(r)
 }
 
 fn run_inner(prog: &TProg, regs: &mut [Value]) -> Result<(), Bail> {
@@ -997,18 +1033,26 @@ enum VOut {
 }
 
 fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
-    // Resolve binds first: scalars into local slot files, arrays into
-    // owning Arcs (cells lock once, exactly like the kernels — a racy
-    // concurrent rebind of the cell itself is unspecified either way).
-    let mut ints = [0i64; NSLOT];
-    let mut flts = [0f64; NSLOT];
+    // Resolve binds first: scalars straight into the frame's slot files,
+    // arrays into owning Arcs (cells lock once, exactly like the kernels —
+    // a racy concurrent rebind of the cell itself is unspecified either
+    // way). Only the variant's own binds are visited, here and below.
     let mut arci: [Option<Arc<ArrI>>; NARR] = Default::default();
     let mut arcf: [Option<Arc<ArrF>>; NARR] = Default::default();
+    let mut fr = TFrame {
+        ints: [0; NSLOT],
+        flts: [0.0; NSLOT],
+        ai: [&[]; NARR],
+        af: [&[]; NARR],
+        taken: 0,
+        now: 0,
+        held: false,
+    };
     for &Bind { kind, reg, slot } in &v.binds {
         let s = slot as usize;
         match (kind, &regs[reg as usize]) {
-            (BindKind::Int, &Value::Int(x)) => ints[s] = x,
-            (BindKind::Flt, &Value::Float(x)) => flts[s] = x,
+            (BindKind::Int, &Value::Int(x)) => fr.ints[s] = x,
+            (BindKind::Flt, &Value::Float(x)) => fr.flts[s] = x,
             (BindKind::ArrI, Value::ArrI(a)) => arci[s] = Some(a.clone()),
             (BindKind::ArrF, Value::ArrF(a)) => arcf[s] = Some(a.clone()),
             (BindKind::CellI | BindKind::CellF, Value::Ptr(p)) => match (kind, &*p.lock()) {
@@ -1019,23 +1063,16 @@ fn run_variant(v: &TVariant, regs: &mut [Value]) -> VOut {
             _ => return VOut::Skip,
         }
     }
-    let mut fr = TFrame {
-        ints,
-        flts,
-        ai: [&[]; NARR],
-        af: [&[]; NARR],
-        taken: 0,
-        now: 0,
-        held: false,
-    };
-    for (k, a) in arci.iter().enumerate() {
-        if let Some(a) = a {
-            fr.ai[k] = a.cells();
-        }
-    }
-    for (k, a) in arcf.iter().enumerate() {
-        if let Some(a) = a {
-            fr.af[k] = a.cells();
+    for &Bind { kind, slot, .. } in &v.binds {
+        let s = slot as usize;
+        match kind {
+            BindKind::ArrI | BindKind::CellI => {
+                fr.ai[s] = arci[s].as_deref().map_or(&[], ArrI::cells)
+            }
+            BindKind::ArrF | BindKind::CellF => {
+                fr.af[s] = arcf[s].as_deref().map_or(&[], ArrF::cells)
+            }
+            BindKind::Int | BindKind::Flt => {}
         }
     }
     // Hoisted loop-invariant constant loads (infallible by
@@ -1245,10 +1282,12 @@ fn exec_strip(
                 }
             }
             // Only a loop without a tail may fold fallibly (`plan_strip`).
-            let start = (sf.fr.ints, sf.fr.flts);
-            if plan.folds.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
-                (sf.fr.ints, sf.fr.flts) = start;
-                return exec(v, sf.fr);
+            if !plan.folds.is_empty() {
+                let start = (sf.fr.ints, sf.fr.flts);
+                if plan.folds.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
+                    (sf.fr.ints, sf.fr.flts) = start;
+                    return exec(v, sf.fr);
+                }
             }
             for &(flt, s, c, arm) in &plan.held {
                 if let Some(&k) = sf.arms.of(Some(arm)).and_then(|ks| ks.last()) {
@@ -2350,6 +2389,9 @@ fn emit(mut b: Bld, m: MatchOut) -> Result<TProg, String> {
     Ok(TProg {
         variants,
         ind: m.var,
+        lim: m.lim,
+        step: m.step,
+        cmp: m.cmp,
         ninsns: m.ninsns,
     })
 }

@@ -20,7 +20,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use zomp::kmpc::WsLoop;
 use zomp::reduction::{RedCell, RedOp};
-use zomp::team::ConstructToken;
 
 /// A variable slot: scalar variables, shareable across threads through
 /// [`Value::Ptr`].
@@ -246,8 +245,10 @@ shared_array!(ArrF, f64, 0.0);
 shared_array!(ArrI, i64, 0);
 
 /// Type-erased reduction cell (the runtime meeting point of the paper's
-/// `?*anyopaque` reduction group). Shared across a team via
-/// `ThreadCtx::construct_shared` for loop reductions.
+/// `?*anyopaque` reduction group), the one allocation a reduction makes:
+/// a region reduction's cell is made at the fork site, a loop
+/// reduction's is shared across the team via
+/// `ThreadCtx::construct_shared`.
 pub enum RedCellAny {
     I(RedCell<i64>),
     F(RedCell<f64>),
@@ -255,7 +256,20 @@ pub enum RedCellAny {
 }
 
 impl RedCellAny {
+    /// A cell for `op` seeded with `seed`, or a runtime error when `op`
+    /// is not defined for the seed's type (`&` on a float, `+` on a bool).
     pub fn new(op: RedOp, seed: &Value) -> VmResult<RedCellAny> {
+        let defined = match seed {
+            Value::Float(_) => matches!(op, RedOp::Add | RedOp::Mul | RedOp::Min | RedOp::Max),
+            Value::Bool(_) => !matches!(op, RedOp::Add | RedOp::Mul | RedOp::Min | RedOp::Max),
+            _ => true,
+        };
+        if !defined {
+            return err(format!(
+                "reduction op {op:?} is not defined for {}",
+                seed.type_name()
+            ));
+        }
         Ok(match seed {
             Value::Int(v) => RedCellAny::I(RedCell::new(op, *v)),
             Value::Float(v) => RedCellAny::F(RedCell::new(op, *v)),
@@ -296,38 +310,13 @@ impl RedCellAny {
     }
 }
 
-/// A per-thread reduction handle: the (team-shared) cell plus, for
-/// worksharing-loop reductions, this thread's construct token to release at
-/// `red_loop_end`.
-pub struct RedHandle {
-    pub cell: Arc<RedCellAny>,
-    pub token: Mutex<Option<ConstructToken>>,
-}
-
-impl RedHandle {
-    /// A region-level (fork-site) reduction cell: no construct token.
-    pub fn new_local(op: RedOp, seed: &Value) -> VmResult<Arc<RedHandle>> {
-        Ok(Arc::new(RedHandle {
-            cell: Arc::new(RedCellAny::new(op, seed)?),
-            token: Mutex::new(None),
-        }))
-    }
-
-    pub fn identity(&self) -> Value {
-        self.cell.identity()
-    }
-
-    pub fn combine(&self, v: &Value) -> VmResult<()> {
-        self.cell.combine(v)
-    }
-
-    pub fn get(&self) -> Value {
-        self.cell.get()
-    }
-}
-
 /// Worksharing-loop iterator (the VM object behind the
-/// `omp.internal.ws_*` generic wrapper family).
+/// `omp.internal.ws_*` generic wrapper family). The lock stays although
+/// lowered code never contends for it (each thread begins, claims and
+/// ends its own iterator): a `Value::Ws` is a value, which `firstprivate`
+/// can hand to a whole team and a shared variable can carry past its
+/// region, so the state it points at must be safe to reach from any
+/// thread. Uncontended, it is one atomic swap per claim.
 pub type WsIter = Mutex<WsState>;
 
 pub struct WsState {
@@ -359,7 +348,12 @@ pub enum Value {
     ElemPtrI(Arc<ArrI>, i64),
     /// A function reference by name.
     Fn(Arc<str>),
-    Red(Arc<RedHandle>),
+    /// A pragma's `unit:line` label, the first argument of `fork_call`
+    /// and `ws_begin`: a string literal there is interned once, when the
+    /// function is compiled (the walker: when the call is evaluated), so
+    /// the runtime's trace spans take it without a lookup.
+    Label(&'static str),
+    Red(Arc<RedCellAny>),
     Ws(Arc<WsIter>),
 }
 
@@ -407,6 +401,7 @@ impl Value {
             Value::ElemPtrF(..) => "*f64",
             Value::ElemPtrI(..) => "*i64",
             Value::Fn(_) => "fn",
+            Value::Label(_) => "str",
             Value::Red(_) => "reduction cell",
             Value::Ws(_) => "worksharing iterator",
         }
@@ -456,6 +451,7 @@ impl Value {
             }
             Value::Bool(v) => v.to_string(),
             Value::Str(s) => s.to_string(),
+            Value::Label(s) => s.to_string(),
             Value::ArrF(a) => format!("[]f64(len {})", a.len()),
             Value::ArrI(a) => format!("[]i64(len {})", a.len()),
             Value::Ptr(p) => format!("*({})", p.lock().render()),
@@ -506,7 +502,7 @@ mod tests {
 
     #[test]
     fn red_handle_int_add() {
-        let h = RedHandle::new_local(RedOp::Add, &Value::Int(5)).unwrap();
+        let h = RedCellAny::new(RedOp::Add, &Value::Int(5)).unwrap();
         assert_eq!(h.identity().as_int().unwrap(), 0);
         h.combine(&Value::Int(3)).unwrap();
         h.combine(&Value::Int(4)).unwrap();
@@ -515,7 +511,7 @@ mod tests {
 
     #[test]
     fn red_handle_rejects_mismatched_partial() {
-        let h = RedHandle::new_local(RedOp::Add, &Value::Float(0.0)).unwrap();
+        let h = RedCellAny::new(RedOp::Add, &Value::Float(0.0)).unwrap();
         assert!(h.combine(&Value::Int(1)).is_err());
     }
 

@@ -828,6 +828,336 @@ fn parallel_aggregates_agree() {
     }
 }
 
+/// A team of one takes no construct slot: a `num_threads(1)` region,
+/// and a region nested (so serialized) inside a team of 2, each run 40
+/// rounds of `single`, a loop reduction over two variables (two
+/// constructs open at once) and `critical`, with the same results and the
+/// same error text on every backend.
+#[test]
+fn team_of_one_constructs_agree() {
+    const ROUNDS: &str = "var r: i64 = 0;
+        while (r < 40) : (r += 1) {
+            //$omp single
+            {
+                singles = singles + 1;
+                OOB
+            }
+            var i: i64 = 0;
+            //$omp while schedule(dynamic, 2) reduction(+: total) reduction(+: count)
+            while (i < r) : (i += 1) {
+                total = total + i;
+                count = count + 1;
+            }
+            //$omp critical
+            {
+                ticket = ticket + 1;
+            }
+        }";
+    // `rounds` opens the region; called from inside a team, it is nested.
+    let program = |main: &str| {
+        "fn rounds(out: []i64) void {
+    var singles: i64 = 0;
+    var total: i64 = 0;
+    var count: i64 = 0;
+    var ticket: i64 = 0;
+    var a: []i64 = @allocI(39);
+    //$omp parallel num_threads(1) shared(singles, total, count, ticket, a)
+    {
+        ROUNDS
+    }
+    //$omp critical
+    {
+        out[0] = out[0] + singles;
+        out[1] = out[1] + total;
+        out[2] = out[2] + count;
+        out[3] = out[3] + ticket;
+    }
+}
+fn main() void {
+    var out: []i64 = @allocI(4);
+    MAIN
+    print(out[0], out[1], out[2], out[3]);
+}"
+        .replace("ROUNDS", ROUNDS)
+        .replace("MAIN", main)
+    };
+    let alone = program("rounds(out);");
+    let nested = program(
+        "//$omp parallel num_threads(2) shared(out)
+    {
+        rounds(out);
+    }",
+    );
+    // Sum over rounds r of 0 + 1 + ... + (r - 1), and of r.
+    let (total, count) = (0..40).fold((0, 0), |(t, c), r| (t + r * (r - 1) / 2, c + r));
+    for (name, src, teams) in [("alone", &alone, 1), ("nested", &nested, 2)] {
+        let ok = src.replace("OOB", "");
+        let want = format!(
+            "{} {} {} {}",
+            40 * teams,
+            total * teams,
+            count * teams,
+            40 * teams
+        );
+        assert_eq!(
+            run_on(&ok, Backend::Ast, OptLevel::O0),
+            Ok(vec![want]),
+            "{name}"
+        );
+        assert_backends_agree(name, &ok);
+        // The last round's `single` indexes past the array.
+        let oob = src.replace("OOB", "a[r] = r;");
+        let ast = run_on(&oob, Backend::Ast, OptLevel::O0);
+        assert!(
+            ast.as_ref().is_err_and(|e| e.contains("out of bounds")),
+            "{name}: {ast:?}"
+        );
+        assert_backends_agree(&format!("{name}_oob"), &oob);
+    }
+}
+
+/// One legal (operator, type) pair of the reduction matrix: the clause
+/// operator, the seed, how an iteration `i` folds its value into `acc`,
+/// and the fold in Rust over `seed` and `0..n`.
+struct RedCase {
+    op: &'static str,
+    seed: &'static str,
+    step: &'static str,
+    want: fn(i64) -> String,
+}
+
+fn red_cases() -> Vec<RedCase> {
+    fn ints(n: i64) -> impl Iterator<Item = i64> {
+        0..n
+    }
+    vec![
+        RedCase {
+            op: "+",
+            seed: "5",
+            step: "acc = acc + (i % 7 + 1);",
+            want: |n| (5 + ints(n).map(|i| i % 7 + 1).sum::<i64>()).to_string(),
+        },
+        RedCase {
+            op: "*",
+            seed: "3",
+            step: "acc = acc * (i % 2 + 1);",
+            want: |n| (3 * ints(n).map(|i| i % 2 + 1).product::<i64>()).to_string(),
+        },
+        RedCase {
+            op: "min",
+            seed: "50",
+            step: "acc = @min(acc, i * 37 % 101);",
+            want: |n| ints(n).map(|i| i * 37 % 101).fold(50, i64::min).to_string(),
+        },
+        RedCase {
+            op: "max",
+            seed: "50",
+            step: "acc = @max(acc, i * 37 % 101);",
+            want: |n| ints(n).map(|i| i * 37 % 101).fold(50, i64::max).to_string(),
+        },
+        // Zag has no binary `&`: a partial starts at the identity and
+        // takes 1019 once an iteration with `i % 5 == 3` ran.
+        RedCase {
+            op: "&",
+            seed: "1023",
+            step: "if (i % 5 == 3) { acc = 1019; }",
+            want: |n| {
+                (if ints(n).any(|i| i % 5 == 3) {
+                    1023 & 1019
+                } else {
+                    1023
+                })
+                .to_string()
+            },
+        },
+        RedCase {
+            op: "+",
+            seed: "0.5",
+            step: "acc = acc + @intToFloat(i % 7 + 1);",
+            want: |n| {
+                format!(
+                    "{:.1}",
+                    0.5 + ints(n).map(|i| (i % 7 + 1) as f64).sum::<f64>()
+                )
+            },
+        },
+        RedCase {
+            op: "*",
+            seed: "1.5",
+            step: "acc = acc * @intToFloat(i % 2 + 1);",
+            want: |n| {
+                let p = ints(n).map(|i| (i % 2 + 1) as f64).product::<f64>();
+                format!("{:.1}", 1.5 * p)
+            },
+        },
+        RedCase {
+            op: "min",
+            seed: "50.0",
+            step: "acc = @min(acc, @intToFloat(i * 37 % 101));",
+            want: |n| {
+                format!(
+                    "{:.1}",
+                    ints(n).map(|i| (i * 37 % 101) as f64).fold(50.0, f64::min)
+                )
+            },
+        },
+        RedCase {
+            op: "max",
+            seed: "50.0",
+            step: "acc = @max(acc, @intToFloat(i * 37 % 101));",
+            want: |n| {
+                format!(
+                    "{:.1}",
+                    ints(n).map(|i| (i * 37 % 101) as f64).fold(50.0, f64::max)
+                )
+            },
+        },
+        RedCase {
+            op: "and",
+            seed: "true",
+            step: "acc = acc and (i % 9 != 8);",
+            want: |n| ints(n).all(|i| i % 9 != 8).to_string(),
+        },
+        RedCase {
+            op: "or",
+            seed: "false",
+            step: "acc = acc or (i % 9 == 8);",
+            want: |n| ints(n).any(|i| i % 9 == 8).to_string(),
+        },
+    ]
+}
+
+/// Every reduction operator the preprocessor emits, on every type it is
+/// defined for, at region level and at worksharing-loop level, at teams
+/// of 1, 2 and 4: the walker, `--opt=0` and `--opt=3` print the Rust
+/// fold. The runtime's `|` and `^`, which no clause spells, run through
+/// hand-written `red_cell` calls; a partial of the wrong type and an
+/// operator undefined for the seed's type fail with the same text
+/// everywhere.
+#[test]
+fn reduction_matrix_agrees() {
+    for case in red_cases() {
+        for threads in [1, 2, 4] {
+            // Region level: each thread folds its own id range.
+            let region = format!(
+                "fn main() void {{
+    var acc = {seed};
+    //$omp parallel num_threads({threads}) reduction({op}: acc)
+    {{
+        var i: i64 = omp.get_thread_num() * 10;
+        var hi: i64 = i + 10;
+        while (i < hi) : (i += 1) {{
+            {step}
+        }}
+    }}
+    print(acc);
+}}",
+                seed = case.seed,
+                op = case.op,
+                step = case.step,
+            );
+            let looped = format!(
+                "fn main() void {{
+    var acc = {seed};
+    //$omp parallel num_threads({threads}) shared(acc)
+    {{
+        var i: i64 = 0;
+        //$omp while schedule(dynamic, 3) reduction({op}: acc)
+        while (i < 50) : (i += 1) {{
+            {step}
+        }}
+    }}
+    print(acc);
+}}",
+                seed = case.seed,
+                op = case.op,
+                step = case.step,
+            );
+            for (level, src, n) in [("region", region, 10 * threads), ("loop", looped, 50)] {
+                let name = format!("{} {} {level} t{threads}", case.op, case.seed);
+                let want = (case.want)(n);
+                assert_eq!(
+                    run_on(&src, Backend::Ast, OptLevel::O0),
+                    Ok(vec![want]),
+                    "{name}"
+                );
+                assert_backends_agree(&name, &src);
+            }
+        }
+    }
+    // `|` (5) and `^` (6) on i64 and bool, through the lowering targets.
+    for (code, seed, parts, want) in [
+        (5, "8", "omp.get_thread_num() + 1", "15"),
+        (6, "8", "omp.get_thread_num() + 1", "12"),
+        (5, "false", "omp.get_thread_num() == 2", "true"),
+        (6, "true", "omp.get_thread_num() > 0", "false"),
+    ] {
+        let src = format!(
+            "fn body(c: any) void {{
+    var acc = omp.internal.red_identity(c);
+    acc = {parts};
+    omp.internal.red_combine(c, acc);
+}}
+fn main() void {{
+    const c = omp.internal.red_cell({code}, {seed});
+    omp.internal.fork_call(4, body, c);
+    print(omp.internal.red_get(c));
+}}"
+        );
+        let name = format!("code {code} on {seed}");
+        assert_eq!(
+            run_on(&src, Backend::Ast, OptLevel::O0),
+            Ok(vec![want.to_string()]),
+            "{name}"
+        );
+        assert_backends_agree(&name, &src);
+    }
+    for (name, src, text) in [
+        (
+            "partial_type_mismatch",
+            "fn main() void {
+    var acc: i64 = 0;
+    //$omp parallel num_threads(2) shared(acc)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(static) reduction(+: acc)
+        while (i < 4) : (i += 1) { acc = 1.5; }
+    }
+    print(acc);
+}",
+            "reduction partial of type f64 does not match the cell",
+        ),
+        (
+            "region_partial_type_mismatch",
+            "fn main() void {
+    var acc: f64 = 0.0;
+    //$omp parallel num_threads(1) reduction(+: acc)
+    {
+        acc = true;
+    }
+    print(acc);
+}",
+            "reduction partial of type bool does not match the cell",
+        ),
+        (
+            "op_undefined_for_type",
+            "fn main() void {
+    var acc: f64 = 1.0;
+    //$omp parallel num_threads(2) reduction(&: acc)
+    {
+        acc = 2.0;
+    }
+    print(acc);
+}",
+            "reduction op BitAnd is not defined for f64",
+        ),
+    ] {
+        let ast = run_on(src, Backend::Ast, OptLevel::O0);
+        assert_eq!(ast, Err(format!("runtime error: {text}")), "{name}");
+        assert_backends_agree(name, src);
+    }
+}
+
 /// One loop shape of the chunk-protocol matrix: the worksharing loop(s)
 /// as source, with `SCHED` standing for the schedule clause and `BODY` for
 /// the per-iteration statements over the index `e`; the same loops as
