@@ -276,7 +276,7 @@ const VM_REGIONS: i64 = 1000;
 /// `regions` back-to-back regions at a team of one, each adding one piece
 /// to the row above. The `if`/`else` keeps `ws_interp`'s loop body out of
 /// the template tier; `template`'s body is the one `fork_small` runs.
-const VM_REGION_PROBES: [(&str, &str); 5] = [
+const VM_REGION_PROBES: [(&str, &str); 4] = [
     (
         "empty",
         "var s: i64 = 0;
@@ -321,29 +321,22 @@ const VM_REGION_PROBES: [(&str, &str); 5] = [
             }
         }",
     ),
-    ("fork_small", ""),
 ];
 
-/// `runtime_fine`'s `fork_small` (`benchmark/src/programs.rs`).
-const FORK_SMALL: &str = "
-fn probe(x: []i64, regions: i64, nthreads: i64) i64 {
-    var total: i64 = 0;
-    var r: i64 = 0;
-    while (r < regions) : (r += 1) {
-        var s: i64 = 0;
-        //$omp parallel num_threads(nthreads) shared(x) firstprivate(r) reduction(+: s)
-        {
-            var i: i64 = 0;
-            //$omp while schedule(static)
-            while (i < 64) : (i += 1) {
-                s = s + x[i] * (r % 7 + 1);
-            }
-        }
-        total = total + s;
-    }
-    return total;
+/// `runtime_fine`'s `fork_small(x, regions, nthreads)`, read from the
+/// benchmark's own program text so the row cannot drift from it.
+fn fork_small_source() -> String {
+    const PROGRAMS: &str = include_str!("../../../benchmark/src/programs.rs");
+    const HEAD: &str = "pub const FORK_SMALL: &str = r#\"";
+    let start = PROGRAMS
+        .find(HEAD)
+        .expect("benchmark/src/programs.rs defines FORK_SMALL")
+        + HEAD.len();
+    let len = PROGRAMS[start..]
+        .find("\"#;")
+        .expect("FORK_SMALL is a raw string");
+    PROGRAMS[start..start + len].to_string()
 }
-";
 
 /// The VM's per-region cost at a team of one, term by term (ns per
 /// region). `ws_interp` and `template` run at trips 0, 1 and 64; at
@@ -358,12 +351,9 @@ fn bench_vm_region(c: &mut Criterion) {
     }
     let mut g = c.benchmark_group("vm_region");
     g.sample_size(30).measurement_time(Duration::from_secs(1));
-    for (name, body) in VM_REGION_PROBES {
-        let source = if body.is_empty() {
-            FORK_SMALL.to_string()
-        } else {
-            format!(
-                "fn probe(x: []i64, regions: i64, n: i64) i64 {{
+    let rows = VM_REGION_PROBES.iter().map(|&(name, body)| {
+        let source = format!(
+            "fn probe(x: []i64, regions: i64, n: i64) i64 {{
     var total: i64 = 0;
     var r: i64 = 0;
     while (r < regions) : (r += 1) {{
@@ -372,15 +362,18 @@ fn bench_vm_region(c: &mut Criterion) {
     }}
     return total;
 }}"
-            )
-        };
-        let vm = Vm::build(&source, Some("probe.zag"), Backend::Native, OptLevel::O3)
-            .unwrap_or_else(|e| panic!("probe `{name}`: {}", e.render(&source)));
+        );
         let trips: &[i64] = match name {
             "ws_interp" | "template" => &[0, 1, 64],
-            // `fork_small`'s third argument is the team size.
             _ => &[1],
         };
+        (name, "probe", source, trips)
+    });
+    // `fork_small`'s third argument is the team size.
+    let fork_small = ("fork_small", "fork_small", fork_small_source(), &[1][..]);
+    for (name, func, source, trips) in rows.chain([fork_small]) {
+        let vm = Vm::build(&source, Some("probe.zag"), Backend::Native, OptLevel::O3)
+            .unwrap_or_else(|e| panic!("probe `{name}`: {}", e.render(&source)));
         for &n in trips {
             let args = || {
                 vec![
@@ -389,12 +382,12 @@ fn bench_vm_region(c: &mut Criterion) {
                     Value::Int(n),
                 ]
             };
-            let id = match name {
-                "ws_interp" | "template" => format!("{name}_{n}"),
-                _ => name.to_string(),
+            let id = match trips.len() {
+                1 => name.to_string(),
+                _ => format!("{name}_{n}"),
             };
             g.bench_function(BenchmarkId::new(id, "x1000"), |b| {
-                b.iter(|| black_box(vm.call_function("probe", args()).expect("probe runs")))
+                b.iter(|| black_box(vm.call_function(func, args()).expect("probe runs")))
             });
         }
     }

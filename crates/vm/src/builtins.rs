@@ -372,9 +372,12 @@ fn fork_call(vm: &Vm, args: &[Value]) -> VmResult<Value> {
     // An optional leading string is the region label (`unit:line` of the
     // pragma, emitted by `preprocess_named`). The label is always set
     // explicitly — even when empty — so the runtime's `#[track_caller]`
-    // fallback never points at this VM-internal call site.
+    // fallback never points at this VM-internal call site. A literal
+    // label was interned when the image was built; a string that arrives
+    // another way (a `const`, a parameter) is interned here.
     let (label, base) = match args.first() {
         Some(&Value::Label(s)) => (s, 1usize),
+        Some(Value::Str(s)) => (zomp::trace::intern(s), 1usize),
         _ => ("", 0usize),
     };
     if args.len() < base + 2 {
@@ -507,6 +510,7 @@ fn ws_begin(args: &[Value]) -> VmResult<Value> {
     // label (named translation units only), mirroring `fork_call`.
     let (label, base) = match args.first() {
         Some(&Value::Label(s)) => (Some(s), 1usize),
+        Some(Value::Str(s)) => (Some(zomp::trace::intern(s)), 1usize),
         _ => (None, 0usize),
     };
     let kind_code = args[base].as_int()?;

@@ -952,12 +952,16 @@ fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
 // ---------------------------------------------------------------------------
 
 /// The shortest trip a template is entered for. Entering one binds the
-/// registers, builds the frame and sets up the strips, ~200 ns before
-/// the first iteration; below this trip that costs more than
-/// interpreting the iterations, so the loop runs interpreted instead.
-/// `fork_small`'s body (`s = s + x[i] * (r % 7 + 1)`, `x` shared) on a
-/// 2-vCPU x86-64 host, ns per loop, interpreted / entered: 80 / 270 at
-/// trip 1, 215 / 277 at 4, 430 / 285 at 8.
+/// registers, builds the frame and sets up the strips before the first
+/// iteration, so a loop of one to three iterations runs interpreted
+/// instead. Measured on one body only, `fork_small`'s (`s = s + x[i] *
+/// (r % 7 + 1)`, `x` shared), in a 1000-region `vm_region` row at a team
+/// of one: the minimum of 16 interleaved rounds, ns per region,
+/// interpreted / entered, on a 2-vCPU x86-64 host, is 769 / 905 at trip
+/// 1, 853 / 949 at 3, 891 / 921 at 4, 926 / 923 at 5, 990 / 913 at 6,
+/// 1252 / 924 at 8. Entering breaks even at 5 to 6 iterations; 4 is the
+/// conservative side of that, entering a 4-iteration loop for ~30 ns,
+/// which is inside the rows' noise.
 const MIN_TRIP: u64 = 4;
 
 /// What [`run`] did with the loop.
@@ -1168,18 +1172,19 @@ fn aliased(
 }
 
 /// Iterations the do-while runs from `i0` (its first body runs before
-/// any test), or `None` when the induction variable would wrap on the
-/// way (the scalar chain owns wrapping loops). The plan guarantees
-/// `cmp` and the sign of `step` agree.
+/// any test), or `None` when the count is unknown: the induction
+/// variable would wrap on the way (the scalar chain owns wrapping
+/// loops), or `step` does not move it towards `lim` (a zero step, a
+/// sign that disagrees with `cmp`, an `==`/`!=` test).
 fn trip_count(i0: i64, lim: i64, step: i64, cmp: CmpOp) -> Option<u64> {
     let start = i0 as i128 + step as i128;
     // Distance left to cover in the direction of travel.
     let dist = match cmp {
-        CmpOp::Lt => lim as i128 - start,
-        CmpOp::Le => lim as i128 - start + 1,
-        CmpOp::Gt => start - lim as i128,
-        CmpOp::Ge => start - lim as i128 + 1,
-        CmpOp::Eq | CmpOp::Ne => return None,
+        CmpOp::Lt if step > 0 => lim as i128 - start,
+        CmpOp::Le if step > 0 => lim as i128 - start + 1,
+        CmpOp::Gt if step < 0 => start - lim as i128,
+        CmpOp::Ge if step < 0 => start - lim as i128 + 1,
+        _ => return None,
     };
     let stride = step.unsigned_abs() as i128;
     let trip = 1 + (dist.max(0) + stride - 1) / stride;
@@ -3892,6 +3897,12 @@ mod tests {
         assert_eq!(trip_count(96, 0, -2, Ge), Some(49));
         assert_eq!(trip_count(i64::MAX - 1, i64::MAX, 2, Le), None);
         assert_eq!(trip_count(i64::MIN, i64::MAX, 1, Lt), Some(u64::MAX));
+        // A step that does not head for the limit has no count.
+        assert_eq!(trip_count(0, 10, 0, Lt), None);
+        assert_eq!(trip_count(10, 0, 0, Ge), None);
+        assert_eq!(trip_count(0, 10, -1, Lt), None);
+        assert_eq!(trip_count(10, 0, 1, Gt), None);
+        assert_eq!(trip_count(0, 10, 1, Ne), None);
     }
 
     /// Every program the repository ships: `examples/zag/` and the

@@ -1621,6 +1621,33 @@ fn handwritten_chunk_drivers_and_errors_agree() {
         "huge_static_chunk"
     );
     assert_backends_agree("huge_static_chunk", huge_static_chunk);
+    // A label that is not a literal at the call: a `const` string for
+    // `fork_call`, a parameter for `ws_begin`. Both still take it as the
+    // label, not as the team size or the schedule.
+    let label_not_literal = "fn body(l: []u8, s: *i64) void {
+    const w = omp.internal.ws_begin(l, 1, 2, 0, 10, 1, 0);
+    while (omp.internal.ws_next(w)) {
+        var i: i64 = omp.internal.ws_lb(w);
+        const ub = omp.internal.ws_ub(w);
+        while (i < ub) : (i += 1) {
+            //$omp critical
+            { s.* = s.* + i; }
+        }
+    }
+    omp.internal.ws_fini(w, 1);
+}
+fn main() void {
+    var s: i64 = 0;
+    const l = \"mine.zag:7\";
+    omp.internal.fork_call(l, 2, body, l, &s);
+    print(s);
+}";
+    assert_eq!(
+        run_on(label_not_literal, Backend::Ast, OptLevel::O0),
+        Ok(vec!["45".to_string()]),
+        "label_not_literal"
+    );
+    assert_backends_agree("label_not_literal", label_not_literal);
     for (name, src, text) in [
         (
             "unknown_omp_function",
@@ -2274,6 +2301,63 @@ fn canonical_loops_agree() {
             assert_backends_agree(&format!("canonical/t{threads}/{extra}"), &src);
         }
     }
+}
+
+/// Loops whose step does not head for the limit — `+= 0`, or a sign
+/// against the test — with the body moving the induction variable: they
+/// match as scalar-chain templates, and the entry's trip count must not
+/// divide by the zero stride or trust the wrong-signed one. Each runs to
+/// its result, or to the walker's out-of-bounds error when the array is
+/// one short.
+#[test]
+fn loops_with_a_step_that_does_not_advance_agree() {
+    let src = |len: i64| {
+        format!(
+            "fn zero(a: []f64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i += 0) {{
+        s = s + a[i];
+        i = i + 1;
+    }}
+    return s;
+}}
+fn back(a: []f64, n: i64) f64 {{
+    var s: f64 = 0.0;
+    var i: i64 = 0;
+    while (i < n) : (i -= 1) {{
+        s = s + a[i] * 2.0;
+        i = i + 2;
+    }}
+    return s;
+}}
+fn main() void {{
+    var a: []f64 = @allocF({len});
+    var k: i64 = 0;
+    while (k < {len}) : (k += 1) {{ a[k] = 0.5 * @intToFloat(k); }}
+    var t: i64 = 0;
+    while (t < 12) : (t += 1) {{
+        print(t, zero(a, t), back(a, t));
+    }}
+}}"
+        )
+    };
+    let verdicts = template_verdicts(&src(12));
+    assert_eq!(
+        verdicts.iter().filter(|v| v.starts_with("scalar")).count(),
+        2,
+        "{verdicts:?}"
+    );
+    assert_backends_agree("non-advancing step", &src(12));
+    let fault = src(10);
+    let oracle = run_on(&fault, Backend::Ast, OptLevel::O0);
+    assert!(
+        oracle
+            .as_ref()
+            .is_err_and(|e| e.contains("index 10 out of bounds")),
+        "{oracle:?}"
+    );
+    assert_backends_agree("non-advancing step, faulting", &fault);
 }
 
 /// An out-of-bounds load in the middle of the third strip: the error
