@@ -292,20 +292,37 @@ fn replace_parallel(
     let mut pre_call = String::new();
     let mut post_call = String::new();
 
+    // An enclosing region's shared variable (`__shr_x.*`) named by a
+    // clause that makes it a local of this region: the body's accesses
+    // lose their dereference.
+    let localize = |body: &mut String, p: &Place| {
+        if p.deref {
+            *body = rewrite_ident(body, &p.ident, &p.ident, true);
+        }
+    };
     for &tok in &clauses.firstprivate {
         let p = place_of(ast, tok);
         let local = p.ident.clone();
         params.push(format!("{local}: any"));
         args.push(p.access());
+        localize(&mut body, &p);
     }
     for &tok in &clauses.shared {
         let p = place_of(ast, tok);
         let renamed = format!("__shr_{}", p.ident);
         params.push(format!("{renamed}: any"));
-        args.push(format!("&{}", p.access()));
-        // Every use in the body — including in nested pragma clause
-        // lists — becomes a pointer access.
-        body = rewrite_ident(&body, &p.ident, &format!("{renamed}.*"), false);
+        if p.deref {
+            // An enclosing region's shared variable: its pointer passes
+            // through, and the body's `__shr_x.*` accesses keep their one
+            // dereference under the new name.
+            args.push(p.ident.clone());
+            body = rewrite_ident(&body, &p.ident, &renamed, false);
+        } else {
+            args.push(format!("&{}", p.access()));
+            // Every use in the body — including in nested pragma clause
+            // lists — becomes a pointer access.
+            body = rewrite_ident(&body, &p.ident, &format!("{renamed}.*"), false);
+        }
     }
     for &(op, tok) in &clauses.reduction {
         let p = place_of(ast, tok);
@@ -323,10 +340,12 @@ fn replace_parallel(
         ));
         epilogue.push_str(&format!("omp.internal.red_combine({cell}, {});\n", p.ident));
         post_call.push_str(&format!("{} = omp.internal.red_get({cell});\n", p.access()));
+        localize(&mut body, &p);
     }
     for &tok in &clauses.private {
         let p = place_of(ast, tok);
         prologue.push_str(&format!("var {} : any = undefined;\n", p.ident));
+        localize(&mut body, &p);
     }
 
     // num_threads / if clauses decide the requested team size.

@@ -2,7 +2,9 @@
 //!
 //! **Pipeline.** [`compile_image_opt`] lowers the program, then at
 //! `--opt=3` runs the passes of [`PASSES`] in order: inline, optimize,
-//! install. It owns what the passes share. It verifies every
+//! install, coalesce (last, because the kernel matchers and the template
+//! decoder read the exact shapes `optimize` leaves; it rewrites only what
+//! the interpreter runs). It owns what the passes share. It verifies every
 //! function with [`verify_fn`] after lowering and after each pass, and
 //! each pass records what it did in its field of [`PassData`], which
 //! `zag --remarks` renders. No pass verifies or snapshots code itself;
@@ -164,7 +166,7 @@ pub struct Pass {
 }
 
 /// The `--opt=3` passes, in the order [`compile_image_opt`] runs them.
-pub const PASSES: [Pass; 3] = [
+pub const PASSES: [Pass; 4] = [
     Pass {
         name: "inline",
         run: |image, data| data.inline = crate::inline::inline_image(image),
@@ -181,6 +183,10 @@ pub const PASSES: [Pass; 3] = [
     Pass {
         name: "install",
         run: |image, _| crate::kernels::install_image(image),
+    },
+    Pass {
+        name: "coalesce",
+        run: |image, _| crate::coalesce::coalesce_image(image),
     },
 ];
 

@@ -49,7 +49,7 @@ use std::fmt;
 
 use crate::bytecode::{CompiledFn, Image, Insn, Reg};
 use crate::compile::CKey;
-use crate::optimize::{falls_through, jump_target, retarget, visit_defs, visit_uses};
+use crate::optimize::{falls_through, jump_target, map_regs, retarget, visit_defs, visit_uses};
 use crate::value::Value;
 
 /// Longest callee, in instructions before optimization, that is inlined.
@@ -329,110 +329,39 @@ fn reachable(code: &[Insn]) -> Vec<bool> {
 /// `insn` with every register moved up by `off` and every constant index
 /// sent through `kmap`, for the straight-line forms lowering emits; `None`
 /// for calls and loop forms, which [`refusal`] rejects. Jump targets are
-/// left for the caller to retarget, and `ret`s pass through unchanged for
-/// the splice to rewrite.
+/// left for the caller to retarget; the splice rewrites `ret`s itself.
 fn renumber(insn: Insn, off: Reg, kmap: &[u16]) -> Option<Insn> {
-    let r = |x: Reg| x + off;
-    let k = |x: u16| kmap[x as usize];
-    Some(match insn {
-        Insn::Const { dst, k: c } => Insn::Const {
-            dst: r(dst),
-            k: k(c),
-        },
-        Insn::Move { dst, src } => Insn::Move {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::NewCell { dst, src } => Insn::NewCell {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::CellGet { dst, cell } => Insn::CellGet {
-            dst: r(dst),
-            cell: r(cell),
-        },
-        Insn::CellSet { cell, src } => Insn::CellSet {
-            cell: r(cell),
-            src: r(src),
-        },
-        Insn::Deref { dst, ptr } => Insn::Deref {
-            dst: r(dst),
-            ptr: r(ptr),
-        },
-        Insn::StorePtr { ptr, src } => Insn::StorePtr {
-            ptr: r(ptr),
-            src: r(src),
-        },
-        Insn::ElemAddr { dst, arr, idx } => Insn::ElemAddr {
-            dst: r(dst),
-            arr: r(arr),
-            idx: r(idx),
-        },
-        Insn::AddrDeref { dst, src } => Insn::AddrDeref {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::Index { dst, arr, idx } => Insn::Index {
-            dst: r(dst),
-            arr: r(arr),
-            idx: r(idx),
-        },
-        Insn::IndexSet { arr, idx, src } => Insn::IndexSet {
-            arr: r(arr),
-            idx: r(idx),
-            src: r(src),
-        },
-        Insn::Arith { op, dst, a, b } => Insn::Arith {
-            op,
-            dst: r(dst),
-            a: r(a),
-            b: r(b),
-        },
-        Insn::Cmp { op, dst, a, b } => Insn::Cmp {
-            op,
-            dst: r(dst),
-            a: r(a),
-            b: r(b),
-        },
-        Insn::Neg { dst, src } => Insn::Neg {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::Not { dst, src } => Insn::Not {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::Truthy { dst, src } => Insn::Truthy {
-            dst: r(dst),
-            src: r(src),
-        },
-        Insn::Jump { to } => Insn::Jump { to },
-        Insn::JumpIfFalse { cond, to } => Insn::JumpIfFalse { cond: r(cond), to },
-        Insn::JumpIfTrue { cond, to } => Insn::JumpIfTrue { cond: r(cond), to },
-        Insn::CmpJumpFalse { op, a, b, to } => Insn::CmpJumpFalse {
-            op,
-            a: r(a),
-            b: r(b),
-            to,
-        },
-        Insn::Builtin {
-            dst,
-            op,
-            name_k,
-            base,
-            n,
-        } => Insn::Builtin {
-            dst: r(dst),
-            op,
-            name_k: k(name_k),
-            base: r(base),
-            n,
-        },
-        Insn::Print { base, n } => Insn::Print { base: r(base), n },
-        Insn::Trap { msg } => Insn::Trap { msg: k(msg) },
-        Insn::Ret { .. } | Insn::RetVoid => insn,
+    let mut out = insn;
+    match &mut out {
+        Insn::Const { k, .. } | Insn::Builtin { name_k: k, .. } | Insn::Trap { msg: k } => {
+            *k = kmap[*k as usize]
+        }
+        Insn::Move { .. }
+        | Insn::NewCell { .. }
+        | Insn::CellGet { .. }
+        | Insn::CellSet { .. }
+        | Insn::Deref { .. }
+        | Insn::StorePtr { .. }
+        | Insn::ElemAddr { .. }
+        | Insn::AddrDeref { .. }
+        | Insn::Index { .. }
+        | Insn::IndexSet { .. }
+        | Insn::Arith { .. }
+        | Insn::Cmp { .. }
+        | Insn::Neg { .. }
+        | Insn::Not { .. }
+        | Insn::Truthy { .. }
+        | Insn::Jump { .. }
+        | Insn::JumpIfFalse { .. }
+        | Insn::JumpIfTrue { .. }
+        | Insn::CmpJumpFalse { .. }
+        | Insn::Print { .. }
+        | Insn::Ret { .. }
+        | Insn::RetVoid => {}
         _ => return None,
-    })
+    }
+    map_regs(&mut out, |r| r + off);
+    Some(out)
 }
 
 /// The caller's stream, pool and frame size after inlining.

@@ -23,7 +23,7 @@
 //! strip-mined typed templates ([`templates`]) over the raw `f64`/`i64`
 //! array storage, dispatched through the same work-sharing runtime.
 //! One pipeline, [`compile::compile_image_opt`], runs those passes in
-//! the order of [`compile::PASSES`] (inline, optimize, install),
+//! the order of [`compile::PASSES`] (inline, optimize, install, coalesce),
 //! verifies the image after lowering and after each pass, and keeps what
 //! each pass recorded for `zag --remarks` ([`remarks`]).
 //!
@@ -47,6 +47,7 @@
 
 pub mod builtins;
 pub mod bytecode;
+pub mod coalesce;
 pub mod compile;
 pub mod inline;
 pub mod interp;

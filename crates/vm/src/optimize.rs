@@ -3,7 +3,11 @@
 //! Sits between [`crate::compile`](mod@crate::compile) and
 //! [`crate::interp`]: `compile` produces the naive stream (exactly the
 //! `--opt=0` behaviour), and this module rewrites each [`CompiledFn`] in
-//! place at `--opt=3`. Pass ordering, repeated to a fixpoint:
+//! place at `--opt=3`. In the image pipeline ([`crate::compile::PASSES`])
+//! it runs after [`crate::inline`] and before the native tiers install;
+//! [`crate::coalesce`] runs last and reuses its liveness, block leaders,
+//! successors, retargeting and dead-store elimination, which know an
+//! installed loop head. Pass ordering, repeated to a fixpoint:
 //!
 //! 1. **Constant folding + copy propagation** — block-local
 //!    forward walk: reads of registers holding a copy are redirected to
@@ -120,9 +124,9 @@ impl fmt::Display for OptLevel {
 /// `IncCmpJump`/`IncJump` read the induction register they update.
 /// `WsNext` counts its out-registers as read: its exit edge leaves them
 /// untouched, so whatever they held before stays observable.
-/// `BulkLoop` reports nothing: kernels are installed after every
-/// rewriting pass has run, and their registers are range-checked through
-/// the kernel descriptor in [`verify_fn`].
+/// `BulkLoop` and `TemplateLoop` report nothing: their registers live in
+/// their descriptors, range-checked in [`verify_fn`] and read by liveness
+/// through [`visit_live`].
 pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
     match *insn {
         Insn::Const { .. }
@@ -285,6 +289,133 @@ pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
         | Insn::TemplateLoop { .. }
         | Insn::Ret { .. }
         | Insn::RetVoid => {}
+    }
+}
+
+/// Send every register operand of `insn`, read or written, through `f`.
+/// An argument block is renamed by its base alone, so a caller renames
+/// none of its registers but keeps the whole block in place.
+pub(crate) fn map_regs(insn: &mut Insn, mut f: impl FnMut(Reg) -> Reg) {
+    let mut m = |r: &mut Reg| *r = f(*r);
+    match insn {
+        Insn::Jump { .. }
+        | Insn::Trap { .. }
+        | Insn::BulkLoop { .. }
+        | Insn::TemplateLoop { .. }
+        | Insn::RetVoid => {}
+        Insn::Const { dst: x, .. }
+        | Insn::Ret { src: x }
+        | Insn::Print { base: x, .. }
+        | Insn::IncJump { var: x, .. }
+        | Insn::JumpIfFalse { cond: x, .. }
+        | Insn::JumpIfTrue { cond: x, .. } => m(x),
+        Insn::Move { dst: x, src: y }
+        | Insn::NewCell { dst: x, src: y }
+        | Insn::CellGet { dst: x, cell: y }
+        | Insn::CellSet { cell: x, src: y }
+        | Insn::Deref { dst: x, ptr: y }
+        | Insn::StorePtr { ptr: x, src: y }
+        | Insn::AddrDeref { dst: x, src: y }
+        | Insn::Neg { dst: x, src: y }
+        | Insn::Not { dst: x, src: y }
+        | Insn::Truthy { dst: x, src: y }
+        | Insn::CmpJumpFalse { a: x, b: y, .. }
+        | Insn::IncCmpJump {
+            var: x, limit: y, ..
+        }
+        | Insn::ArithK { dst: x, a: y, .. }
+        | Insn::ArithKL { dst: x, b: y, .. }
+        | Insn::IncElemK { arr: x, idx: y, .. }
+        | Insn::Call {
+            dst: x, base: y, ..
+        }
+        | Insn::OmpCall {
+            dst: x, base: y, ..
+        }
+        | Insn::Builtin {
+            dst: x, base: y, ..
+        } => {
+            m(x);
+            m(y);
+        }
+        Insn::ElemAddr {
+            dst: x,
+            arr: y,
+            idx: z,
+        }
+        | Insn::Index {
+            dst: x,
+            arr: y,
+            idx: z,
+        }
+        | Insn::IndexOff {
+            dst: x,
+            arr: y,
+            idx: z,
+            ..
+        }
+        | Insn::IndexSet {
+            arr: x,
+            idx: y,
+            src: z,
+        }
+        | Insn::Arith {
+            dst: x, a: y, b: z, ..
+        }
+        | Insn::Cmp {
+            dst: x, a: y, b: z, ..
+        }
+        | Insn::DerefIndex {
+            dst: x,
+            cell: y,
+            idx: z,
+        }
+        | Insn::DerefIndexOff {
+            dst: x,
+            cell: y,
+            idx: z,
+            ..
+        }
+        | Insn::DerefIndexSet {
+            cell: x,
+            idx: y,
+            src: z,
+        }
+        | Insn::WsNext {
+            ws: x,
+            lb: y,
+            ub: z,
+            ..
+        }
+        | Insn::CallValue {
+            dst: x,
+            callee: y,
+            base: z,
+            ..
+        } => {
+            m(x);
+            m(y);
+            m(z);
+        }
+        Insn::FmaIdx { dst, x, arr, idx } => {
+            m(dst);
+            m(x);
+            m(arr);
+            m(idx);
+        }
+        Insn::FmaGather {
+            dst,
+            xcell,
+            acell,
+            icell,
+            idx,
+        } => {
+            m(dst);
+            m(xcell);
+            m(acell);
+            m(icell);
+            m(idx);
+        }
     }
 }
 
@@ -468,41 +599,117 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
 // Liveness
 // ---------------------------------------------------------------------------
 
+/// The head instruction an installed loop replaced and the pc it resumes
+/// at after a normal exit, when `insn` is a [`Insn::BulkLoop`] or
+/// [`Insn::TemplateLoop`] of `f`.
+pub(crate) fn installed(f: &CompiledFn, insn: &Insn) -> Option<(Insn, u32)> {
+    match *insn {
+        Insn::BulkLoop { kidx } => f.kernels.get(kidx as usize).map(|d| (d.orig, d.exit)),
+        Insn::TemplateLoop { tidx } => f.templates.get(tidx as usize).map(|d| (d.orig, d.exit)),
+        _ => None,
+    }
+}
+
+/// The pcs of `f` an installed loop covers, head through back-edge: the
+/// stream its matcher and its replay contract were proved on.
+pub(crate) fn installed_spans(f: &CompiledFn) -> Vec<bool> {
+    let mut span = vec![false; f.code.len()];
+    for (pc, insn) in f.code.iter().enumerate() {
+        if let Some((_, exit)) = installed(f, insn) {
+            span[pc..(exit as usize).max(pc + 1)].fill(true);
+        }
+    }
+    span
+}
+
 /// Successor instruction indices of the block-ending instruction at `end`.
-pub(crate) fn succs(code: &[Insn], end: usize, out: &mut Vec<usize>) {
+/// An installed loop head goes to its exit, or runs the head it replaced
+/// and goes on through the body (a bail replays it).
+pub(crate) fn succs(f: &CompiledFn, end: usize, out: &mut Vec<usize>) {
     out.clear();
-    if let Some(t) = jump_target(&code[end]) {
+    let mut insn = f.code[end];
+    if let Some((orig, exit)) = installed(f, &insn) {
+        out.push(exit as usize);
+        insn = orig;
+    }
+    if let Some(t) = jump_target(&insn) {
         out.push(t as usize);
     }
-    if falls_through(&code[end]) && end + 1 < code.len() {
+    if falls_through(&insn) && end + 1 < f.code.len() {
         out.push(end + 1);
     }
 }
 
-/// Backward liveness as one flat bit matrix: row `i` holds the registers
-/// whose value after instruction `i` may still be read.
-struct Live {
+/// Backward liveness as flat bit matrices, one row of `stride` words per
+/// instruction.
+pub(crate) struct Live {
     /// Words per row: `nregs.div_ceil(64)`.
     stride: usize,
+    /// Row `i`: the registers whose value after instruction `i` may still
+    /// be read.
     bits: Vec<u64>,
+    /// Row `i`: what instruction `i` reads and writes ([`visit_live`]).
+    reads: Vec<u64>,
+    writes: Vec<u64>,
 }
 
 impl Live {
-    fn has(&self, at: usize, r: Reg) -> bool {
-        self.bits[at * self.stride + r as usize / 64] & (1u64 << (r % 64)) != 0
+    pub(crate) fn has(&self, at: usize, r: Reg) -> bool {
+        bit(&self.bits[at * self.stride..], r)
+    }
+
+    /// Whether `r` is live on entry to instruction `at`.
+    pub(crate) fn has_in(&self, at: usize, r: Reg) -> bool {
+        let row = at * self.stride..;
+        bit(&self.reads[row.clone()], r)
+            || (bit(&self.bits[row.clone()], r) && !bit(&self.writes[row], r))
+    }
+
+    /// The rows of instruction `at`: what is live after it, what it reads
+    /// and what it writes, one bit per register.
+    pub(crate) fn rows(&self, at: usize) -> [&[u64]; 3] {
+        let row = at * self.stride..(at + 1) * self.stride;
+        [
+            &self.bits[row.clone()],
+            &self.reads[row.clone()],
+            &self.writes[row],
+        ]
     }
 }
 
-/// Apply instruction `insn` backwards to the live set `row`.
-fn transfer(insn: &Insn, row: &mut [u64]) {
-    visit_defs(insn, |d| row[d as usize / 64] &= !(1u64 << (d % 64)));
-    visit_uses(insn, |u| row[u as usize / 64] |= 1u64 << (u % 64));
+/// Bit `r` of a liveness row.
+fn bit(row: &[u64], r: Reg) -> bool {
+    row[r as usize / 64] & (1u64 << (r % 64)) != 0
+}
+
+/// Visit the registers instruction `insn` of `f` reads (`reads`) or
+/// writes (`!reads`), as liveness sees them. An installed loop head reads
+/// what it binds plus what the head it replaced reads. It writes nothing:
+/// it writes back only registers its body writes, and the body stays in
+/// the stream, reachable through replay, so the body's own definitions
+/// stand for the head's.
+pub(crate) fn visit_live(f: &CompiledFn, insn: &Insn, reads: bool, mut v: impl FnMut(Reg)) {
+    match (*insn, reads) {
+        (Insn::BulkLoop { kidx }, true) => {
+            let d = &f.kernels[kidx as usize];
+            visit_uses(&d.orig, &mut v);
+            d.visit_regs(v);
+        }
+        (Insn::TemplateLoop { tidx }, true) => {
+            let d = &f.templates[tidx as usize];
+            visit_uses(&d.orig, &mut v);
+            d.visit_reads(v);
+        }
+        (Insn::BulkLoop { .. } | Insn::TemplateLoop { .. }, false) => {}
+        (_, true) => visit_uses(insn, v),
+        (_, false) => visit_defs(insn, v),
+    }
 }
 
 /// Union of the live-in rows of the successors of the block ending at
 /// `end`, into `out`.
 fn live_out(
-    code: &[Insn],
+    f: &CompiledFn,
     end: usize,
     block_of: &[usize],
     live_in: &[u64],
@@ -511,7 +718,7 @@ fn live_out(
 ) {
     let w = out.len();
     out.fill(0);
-    succs(code, end, sbuf);
+    succs(f, end, sbuf);
     for &s in sbuf.iter() {
         let b = block_of[s];
         for (o, i) in out.iter_mut().zip(&live_in[b * w..(b + 1) * w]) {
@@ -520,13 +727,28 @@ fn live_out(
     }
 }
 
+/// Block leaders of `f` for dataflow: [`leaders`] plus, for each installed
+/// loop head, its exit, the next pc and the replaced head's target.
+pub(crate) fn block_leaders(f: &CompiledFn) -> Vec<bool> {
+    let mut lead = leaders(&f.code);
+    for (pc, insn) in f.code.iter().enumerate() {
+        if let Some((orig, exit)) = installed(f, insn) {
+            let next = Some(pc as u32 + 1).filter(|&p| (p as usize) < lead.len());
+            for t in [Some(exit), jump_target(&orig), next].into_iter().flatten() {
+                lead[t as usize] = true;
+            }
+        }
+    }
+    lead
+}
+
 /// Backward liveness of every instruction of `f`: a fixpoint over the
 /// blocks' live-in rows, then one walk that fills each instruction's row.
-fn liveness(f: &CompiledFn) -> Live {
+pub(crate) fn liveness(f: &CompiledFn) -> Live {
     let code = &f.code;
     let n = code.len();
     let w = f.nregs.div_ceil(64);
-    let lead = leaders(code);
+    let lead = block_leaders(f);
     let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
     let nb = starts.len();
     let mut block_of = vec![0usize; n];
@@ -542,19 +764,45 @@ fn liveness(f: &CompiledFn) -> Live {
     let ends: Vec<usize> = (0..nb)
         .map(|b| if b + 1 < nb { starts[b + 1] - 1 } else { n - 1 })
         .collect();
+    // What each instruction reads and writes, then each block's summary:
+    // what it reads before writing (`gen`) and what it writes (`kill`).
+    let mut reads = vec![0u64; n * w];
+    let mut writes = vec![0u64; n * w];
+    for (i, insn) in code.iter().enumerate() {
+        let row = &mut reads[i * w..(i + 1) * w];
+        visit_live(f, insn, true, |u| row[u as usize / 64] |= 1u64 << (u % 64));
+        let row = &mut writes[i * w..(i + 1) * w];
+        visit_live(f, insn, false, |d| row[d as usize / 64] |= 1u64 << (d % 64));
+    }
+    // Backwards over instruction `i`: `row` = `row` minus its writes plus
+    // its reads.
+    let step = |i: usize, row: &mut [u64]| {
+        for (x, word) in row.iter_mut().enumerate() {
+            *word = (*word & !writes[i * w + x]) | reads[i * w + x];
+        }
+    };
+    let mut gen = vec![0u64; nb * w];
+    let mut kill = vec![0u64; nb * w];
+    for b in 0..nb {
+        for i in (starts[b]..=ends[b]).rev() {
+            step(i, &mut gen[b * w..(b + 1) * w]);
+            for (k, d) in kill[b * w..(b + 1) * w].iter_mut().zip(&writes[i * w..]) {
+                *k |= d;
+            }
+        }
+    }
     let mut live_in = vec![0u64; nb * w];
     let mut cur = vec![0u64; w];
     let mut sbuf = Vec::new();
     loop {
         let mut changed = false;
         for b in (0..nb).rev() {
-            live_out(code, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
-            for i in (starts[b]..=ends[b]).rev() {
-                transfer(&code[i], &mut cur);
-            }
-            for (a, c) in live_in[b * w..(b + 1) * w].iter_mut().zip(&cur) {
-                changed |= *a | c != *a;
-                *a |= c;
+            live_out(f, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
+            let (g, k) = (&gen[b * w..(b + 1) * w], &kill[b * w..(b + 1) * w]);
+            for (x, a) in live_in[b * w..(b + 1) * w].iter_mut().enumerate() {
+                let v = g[x] | (cur[x] & !k[x]);
+                changed |= *a | v != *a;
+                *a |= v;
             }
         }
         if !changed {
@@ -563,13 +811,18 @@ fn liveness(f: &CompiledFn) -> Live {
     }
     let mut bits = vec![0u64; n * w];
     for b in 0..nb {
-        live_out(code, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
+        live_out(f, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
         for i in (starts[b]..=ends[b]).rev() {
             bits[i * w..(i + 1) * w].copy_from_slice(&cur);
-            transfer(&code[i], &mut cur);
+            step(i, &mut cur);
         }
     }
-    Live { stride: w, bits }
+    Live {
+        stride: w,
+        bits,
+        reads,
+        writes,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -876,23 +1129,41 @@ fn fold_and_copyprop(f: &mut CompiledFn, stats: &mut OptStats) -> bool {
 // Pass 2: dead-store elimination
 // ---------------------------------------------------------------------------
 
-/// Remove side-effect-free stores (`Const`, `Move`) whose destination is
-/// dead, plus self-moves, then compact jump targets.
+/// Remove self-moves and, given a liveness, side-effect-free stores
+/// (`Const`, `Move`) whose destination is dead, then compact jump targets.
+/// With `jumps`, also
+/// remove a `jump` to the next kept instruction. An installed loop's span
+/// is never touched, and each descriptor's exit and replaced head are
+/// compacted with the code ([`remap`]).
 // Index loops: `keep`/`map`/`f.code` are parallel positional tables.
 #[allow(clippy::needless_range_loop)]
-fn dse(f: &mut CompiledFn, live: &Live) -> bool {
+pub(crate) fn dse(f: &mut CompiledFn, live: Option<&Live>, jumps: bool) -> bool {
     let n = f.code.len();
+    let span = installed_spans(f);
     let mut keep = vec![true; n];
     let mut changed = false;
     for i in 0..n {
-        let dead = match f.code[i] {
-            Insn::Move { dst, src } => dst == src || !live.has(i, dst),
-            Insn::Const { dst, .. } => !live.has(i, dst),
-            _ => false,
-        };
+        let dead = !span[i]
+            && match f.code[i] {
+                Insn::Move { dst, src } => dst == src || live.is_some_and(|l| !l.has(i, dst)),
+                Insn::Const { dst, .. } => live.is_some_and(|l| !l.has(i, dst)),
+                _ => false,
+            };
         if dead {
             keep[i] = false;
             changed = true;
+        }
+    }
+    if jumps {
+        // Backwards, so a jump over a run that ends in a dropped jump goes
+        // too.
+        for i in (0..n).rev() {
+            if let Insn::Jump { to } = f.code[i] {
+                if !span[i] && to as usize > i && (i + 1..to as usize).all(|j| !keep[j]) {
+                    keep[i] = false;
+                    changed = true;
+                }
+            }
         }
     }
     if !changed {
@@ -910,13 +1181,28 @@ fn dse(f: &mut CompiledFn, live: &Live) -> bool {
     let mut out = Vec::with_capacity(kept as usize);
     for i in 0..n {
         if keep[i] {
-            let mut insn = f.code[i];
-            retarget(&mut insn, &map);
-            out.push(insn);
+            out.push(f.code[i]);
         }
     }
     f.code = out;
+    remap(f, &map);
     true
+}
+
+/// Send every jump target of `f`, and each installed loop's exit and
+/// replaced head, through an old→new pc map.
+pub(crate) fn remap(f: &mut CompiledFn, map: &[u32]) {
+    for insn in &mut f.code {
+        retarget(insn, map);
+    }
+    for d in &mut f.kernels {
+        d.exit = map[d.exit as usize];
+        retarget(&mut d.orig, map);
+    }
+    for d in &mut f.templates {
+        d.exit = map[d.exit as usize];
+        retarget(&mut d.orig, map);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1231,7 +1517,7 @@ pub fn optimize_fn(f: &mut CompiledFn, opt: OptLevel, _nfuncs: usize) -> OptStat
         let mut changed = fold_and_copyprop(f, &mut stats);
         let pre_dse = f.code.len();
         let mut live = liveness(f);
-        if dse(f, &live) {
+        if dse(f, Some(&live), false) {
             changed = true;
             live = liveness(f);
         }

@@ -547,6 +547,36 @@ impl TemplateDesc {
             all.chain(cond).chain(now).for_each(|b| f(b.reg));
         }
     }
+
+    /// Report every register the template reads on entry: the induction
+    /// and limit registers of the trip-count test, and every variant's
+    /// binds (the liveness of an installed head).
+    pub fn visit_reads(&self, mut f: impl FnMut(Reg)) {
+        f(self.prog.ind);
+        f(self.prog.lim);
+        for v in &self.prog.variants {
+            v.binds.iter().for_each(|b| f(b.reg));
+        }
+    }
+
+    /// Drop the normal-exit write-backs of the registers `live` says
+    /// nothing reads after `exit`. The induction register stays (trace
+    /// spans read it), and so do the bail write-backs: a replay needs
+    /// exact state. An arm-only register is written back on a bail too,
+    /// but nothing reads it before the loop's exit, so dropping it there
+    /// is unobservable as well.
+    pub(crate) fn prune_outs(&mut self, live: impl Fn(Reg) -> bool) {
+        let Some(prog) = Arc::get_mut(&mut self.prog) else {
+            return;
+        };
+        let ind = prog.ind;
+        let keep = |o: &Out| o.reg == ind || live(o.reg);
+        for v in &mut prog.variants {
+            v.outs.retain(keep);
+            v.cond_outs.retain(|(_, o)| keep(o));
+            v.now_outs.retain(|(_, o)| keep(o));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

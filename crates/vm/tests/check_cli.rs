@@ -174,14 +174,17 @@ fn json_outputs_parse_end_to_end() {
     let remarks = last_line(zag(&["--remarks=json", &tour]));
     assert!(remarks.as_arr().is_some(), "{remarks:?}");
 
-    // One row per step: lowering, then the three passes, each with the
+    // One row per step: lowering, then the four passes, each with the
     // image's instruction count after it.
     let times = last_line(zag(&["--time-passes=json", &tour]));
     let passes = times.get("passes").and_then(Json::as_arr).expect("passes");
     let names: Vec<&str> = (passes.iter())
         .map(|p| p.get("name").and_then(Json::as_str).unwrap_or_default())
         .collect();
-    assert_eq!(names, ["lowering", "inline", "optimize", "install"]);
+    assert_eq!(
+        names,
+        ["lowering", "inline", "optimize", "install", "coalesce"]
+    );
     assert!(passes.iter().all(
         |p| p.get("insns").and_then(Json::as_i64).is_some_and(|n| n > 0)
             && p.get("wall_us").and_then(Json::as_f64).is_some()

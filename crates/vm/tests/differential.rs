@@ -3048,3 +3048,259 @@ fn main() void {{ print(down({})); }}",
         }
     });
 }
+
+/// Programs whose interpreted loops the last `--opt=3` pass rewrites —
+/// literals moved to constant registers, copies coalesced away — at
+/// teams of 1 and 2 (`TEAM`): results and error text must match the
+/// walker and `--opt=0`.
+#[test]
+fn coalesced_loops_agree() {
+    let dyn_loop = |tail: &str| {
+        format!(
+            "fn step(k: i64, lim: i64) i64 {{
+    if (k % 3 == 0) {{ return k / 3 + lim; }}
+    if (k % 5 == 0) {{ return k * 2 - lim; }}
+    return k + 1;
+}}
+fn main() void {{
+    var x: []i64 = @allocI(40);
+    var j: i64 = 0;
+    while (j < 40) : (j += 1) {{ x[j] = j * 7 % 23; }}
+    var total: f64 = 0.0;
+    //$omp parallel num_threads(TEAM) shared(x) reduction(+: total)
+    {{
+        var w: any = undefined;
+        w = 1;
+        var wf: i64 = 0;
+        var isum: i64 = 0;
+        var fsum: f64 = 0.0;
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < 40) : (i += 1) {{
+            var k: i64 = step(x[i], 7);
+            if (k % 2 == 0) {{
+                var d: any = w + w;
+                w = d - w;
+            }}
+            if (k % 4 == 0) {{
+                if (wf == 0) {{ w = 0.25; wf = 1; }} else {{ w = 3; wf = 0; }}
+            }}
+            {tail}
+            if (wf == 0) {{ isum = isum + w; }} else {{ fsum = fsum + w; }}
+        }}
+        total = total + @intToFloat(isum) + fsum;
+    }}
+    print(total);
+}}"
+        )
+    };
+    let cases = [
+        ("dyn_type_flip", dyn_loop("")),
+        // Iteration 17 makes `w` a bool; the next `-` names its operator.
+        (
+            "dyn_mid_loop_type_error",
+            dyn_loop("if (i == 17) { w = true; var e: any = w - 1; }"),
+        ),
+        (
+            "multi_return_helper_twice_and_aliased_args",
+            "fn pick(a: i64, b: i64) i64 {
+    if (a > b) { return a - b; }
+    if (a == b) { return 0; }
+    return b * 2;
+}
+fn main() void {
+    var s: i64 = 0;
+    //$omp parallel num_threads(TEAM) reduction(+: s)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(dynamic, 3)
+        while (i < 50) : (i += 1) {
+            var u: i64 = pick(i % 7, 3);
+            var v: i64 = pick(u, i % 5);
+            if (v % 2 == 0) { s = s + pick(v, v) + u; } else { s = s + v; }
+        }
+    }
+    print(s);
+}"
+            .to_string(),
+        ),
+        (
+            "loop_head_at_pc_0_and_return_literal_in_loop",
+            "fn drain(n: i64) i64 {
+    while (n > 0) {
+        if (n % 3 == 0) { n = n - 2; } else { n = n - 1; }
+        if (n == 7) { return 70; }
+    }
+    return n;
+}
+fn find(a: []i64, n: i64, v: i64) i64 {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        if (a[i] == v) { return 1; } else { if (a[i] > v) { return 2; } }
+    }
+    return 0;
+}
+fn main() void {
+    var a: []i64 = @allocI(8);
+    var j: i64 = 0;
+    while (j < 8) : (j += 1) { a[j] = j * 2; }
+    var s: i64 = 0;
+    //$omp parallel num_threads(TEAM) shared(a) reduction(+: s)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < 12) : (i += 1) {
+            s = s + drain(i + 5) + find(a, 8, i) * 10 + find(a, 8, 100);
+        }
+    }
+    print(s, drain(9), drain(2));
+}"
+            .to_string(),
+        ),
+        // The inner loop is a template; `MIN / -1` bails it mid-loop and
+        // the interpreter replays the iteration, inside an outer loop the
+        // `if`/`else` keeps interpreted.
+        (
+            "outer_loop_around_a_bailing_template",
+            "fn main() void {
+    var x: []i64 = @allocI(64);
+    var d: []i64 = @allocI(64);
+    var j: i64 = 0;
+    while (j < 64) : (j += 1) { x[j] = j * 3 + 1; d[j] = j % 5 + 1; }
+    x[37] = -9223372036854775807 - 1;
+    d[37] = -1;
+    var s: i64 = 0;
+    //$omp parallel num_threads(TEAM) shared(x, d) reduction(+: s)
+    {
+        var r: i64 = 0;
+        //$omp while schedule(static)
+        while (r < 6) : (r += 1) {
+            var q: i64 = 0;
+            var i: i64 = 0;
+            while (i < 64) : (i += 1) {
+                q = q + x[i] / d[i];
+            }
+            if (r % 2 == 0) { s = s + q % 1000; } else { s = s - 1; }
+        }
+    }
+    print(s);
+}"
+            .to_string(),
+        ),
+        (
+            "template_division_by_zero_mid_loop",
+            "fn main() void {
+    var x: []i64 = @allocI(64);
+    var d: []i64 = @allocI(64);
+    var j: i64 = 0;
+    while (j < 64) : (j += 1) { x[j] = j; d[j] = 1; }
+    d[41] = 0;
+    var s: i64 = 0;
+    var r: i64 = 0;
+    while (r < 3) : (r += 1) {
+        var i: i64 = 0;
+        while (i < 64) : (i += 1) {
+            s = s + x[i] / d[i];
+        }
+        if (r == 0) { s = s + 1; } else { s = s + 2; }
+    }
+    print(s);
+}"
+            .to_string(),
+        ),
+        // A thread whose claim is empty leaves `i` as it was: its initial
+        // value joins the sum.
+        (
+            "wsnext_exit_keeps_its_out_registers",
+            "fn main() void {
+    var s: i64 = 0;
+    //$omp parallel num_threads(TEAM) reduction(+: s)
+    {
+        var i: i64 = 0;
+        //$omp while schedule(static)
+        while (i < 1) : (i += 1) {
+            if (i % 2 == 0) { s = s + 10; } else { s = s + 20; }
+        }
+        s = s + i * 100 + 1;
+    }
+    print(s);
+}"
+            .to_string(),
+        ),
+    ];
+    for team in [1, 2] {
+        for (name, src) in &cases {
+            let src = src.replace("TEAM", &team.to_string());
+            assert_backends_agree(&format!("{name} (team {team})"), &src);
+        }
+    }
+    // The error case fails, naming the operator, and the others run.
+    let src = cases[1].1.replace("TEAM", "2");
+    let e = run_on(&src, Backend::Ast, OptLevel::O0).expect_err("bool - int");
+    assert!(e.contains("Minus"), "{e}");
+    let e = run_on(&cases[5].1, Backend::Ast, OptLevel::O0).expect_err("division by zero");
+    assert!(e.contains("zero"), "{e}");
+}
+
+/// A `parallel` nested in another names the outer region's shared
+/// variable: shared, the inner region reaches it through the outer
+/// region's pointer; firstprivate, private or a reduction, it becomes the
+/// inner region's local. The walker runs the same preprocessed text and
+/// cannot be the oracle for the preprocessor, so the counts are by hand:
+/// each thread of an outer team of 2 runs inner teams of 1.
+#[test]
+fn nested_parallel_names_an_outer_shared_variable() {
+    let shared = "fn main() void {
+    var t: i64 = 0;
+    var u: i64 = 0;
+    //$omp parallel num_threads(2) shared(t, u)
+    {
+        //$omp parallel num_threads(1) shared(t)
+        {
+            //$omp atomic
+            t += 1;
+        }
+        //$omp atomic
+        u += 10;
+    }
+    print(t, u);
+}";
+    // Each outer thread adds 5 + 1 and then 100; `t` keeps its 5. The
+    // reduction runs under an outer team of one, so its write-back to the
+    // shared `v` does not race.
+    let local = "fn main() void {
+    var t: i64 = 5;
+    var u: i64 = 0;
+    //$omp parallel num_threads(2) shared(t, u)
+    {
+        //$omp parallel num_threads(1) firstprivate(t) shared(u)
+        {
+            t = t + 1;
+            //$omp atomic
+            u += t;
+        }
+        //$omp parallel num_threads(1) private(t) shared(u)
+        {
+            t = 100;
+            //$omp atomic
+            u += t;
+        }
+    }
+    var v: i64 = 1;
+    //$omp parallel num_threads(1) shared(v)
+    {
+        //$omp parallel num_threads(1) reduction(+: v)
+        {
+            v = v + 3;
+        }
+    }
+    print(t, u, v);
+}";
+    for (src, want) in [(shared, "2 20"), (local, "5 212 4")] {
+        let want = Ok(vec![want.to_string()]);
+        assert_eq!(run_on(src, Backend::Ast, OptLevel::O0), want, "{src}");
+        for opt in opt_levels() {
+            assert_eq!(run_on(src, Backend::Bytecode, opt), want, "--opt={opt}");
+        }
+    }
+}

@@ -203,8 +203,30 @@ fn has_call(listing: &str) -> bool {
         .any(|l| l.split_whitespace().nth(1) == Some("call"))
 }
 
+/// The opcodes of a listing's loop body, from the target of its first
+/// `inccmpj` through that back-edge.
+fn loop_body(listing: &str) -> Vec<String> {
+    let rows: Vec<Vec<&str>> = (listing.lines())
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|w| w.len() > 1 && w[0].parse::<usize>().is_ok())
+        .collect();
+    let back = (rows.iter())
+        .find(|w| w[1] == "inccmpj")
+        .expect("an inccmpj");
+    let (head, tail): (usize, usize) = (
+        back.last().unwrap().parse().unwrap(),
+        back[0].parse().unwrap(),
+    );
+    (rows.iter())
+        .filter(|w| (head..=tail).contains(&w[0].parse().unwrap()))
+        .map(|w| w[1].to_string())
+        .collect()
+}
+
 /// `step` leaves no `call` in the loop, and the `[pre-opt]` listing still
-/// shows the one that was there.
+/// shows the one that was there. The loop stays interpreted, and neither
+/// reloads a literal nor copies a register: the helper's literals live in
+/// constant registers and its argument and `return` copies are coalesced.
 #[test]
 fn inlined_step_loop_matches_golden() {
     let (golden, optimized) = outlined_stages(STEP_PROGRAM);
@@ -213,6 +235,11 @@ fn inlined_step_loop_matches_golden() {
     assert!(
         !optimized.contains("templateloop"),
         "branches stay: {optimized}"
+    );
+    let body = loop_body(&optimized);
+    assert!(
+        !body.iter().any(|op| op == "const" || op == "move"),
+        "{body:?} in {optimized}"
     );
     assert_golden(&golden, "inline_step.disasm");
 }
