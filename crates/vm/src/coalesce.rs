@@ -32,10 +32,10 @@
 //!    after an instruction that writes the other, a copy between them
 //!    excepted. The copy becomes a self-move.
 //!
-//! [`dse`] then drops the self-moves, the stores that became dead and each
-//! `jump` left pointing at the next instruction, and compacts the jump
-//! targets, each kernel and template exit and each replaced head with
-//! them ([`crate::optimize::remap`]). Each template's normal-exit
+//! [`dse`] then drops the self-moves and each `jump` left pointing at the
+//! next instruction (not dead stores: the liveness is stale once registers
+//! are renamed), and compacts the jump targets, each kernel and template
+//! exit and each replaced head with them ([`crate::optimize::remap`]). Each template's normal-exit
 //! write-backs are pruned to the registers live at its exit
 //! ([`crate::templates::TemplateDesc::prune_outs`]).
 //!
@@ -50,15 +50,19 @@ use std::collections::HashMap;
 
 use crate::bytecode::{CompiledFn, Image, Insn, Reg};
 use crate::compile::CKey;
-use crate::optimize::{dse, installed_spans, jump_target, liveness, map_regs, remap, succs, Live};
+use crate::optimize::{
+    bit, block_leaders, dse, installed_spans, jump_target, liveness_of, map_regs, remap, succs,
+    Effects, Live,
+};
 use crate::value::Value;
 
 /// Largest `instructions × candidate registers` a function may have for
-/// the pass to rewrite it: the web table holds one `u32` per pair (16 MB
-/// here), and the interference matrix one bit per pair of webs.
-const MAX_CELLS: usize = 1 << 22;
+/// the pass to rewrite it, and a 32nd of the largest `webs × webs`: the
+/// web table and the provisional web ids hold one `u32` per cell and the
+/// two web matrices one bit per pair of webs, 4 MB each at most.
+const MAX_CELLS: usize = 1 << 20;
 
-/// Untracked register, or no definition reaches (unreachable code).
+/// Untracked register.
 const NONE: u32 = u32::MAX;
 
 /// Run the pass on every function of the image.
@@ -120,26 +124,19 @@ impl Webs {
         }
     }
 
-    /// Find the webs of the registers in `regs`: from each register's
-    /// entry value and from each of its definitions, flood forward through
-    /// the points where the register is live, stopping at the next
-    /// definition; two floods that meet are one web.
-    /// The tracked registers set in `row`.
-    fn regs_in<'a>(&'a self, row: &'a [u64]) -> impl Iterator<Item = Reg> + 'a {
-        row.iter()
-            .zip(&self.mask)
-            .enumerate()
-            .flat_map(|(k, (&a, &m))| {
-                let mut rest = a & m;
-                std::iter::from_fn(move || {
-                    let i = rest.trailing_zeros();
-                    rest &= rest.wrapping_sub(1);
-                    (i < 64).then_some((64 * k) as Reg + i as Reg)
-                })
-            })
+    /// Call `f` with each tracked register set in `row`.
+    fn each_in(&self, row: &[u64], f: impl FnMut(Reg)) {
+        each_one(row, &self.mask, f)
     }
 
-    fn build(f: &CompiledFn, live: &Live, regs: Vec<Reg>) -> Webs {
+    /// Find the webs of the registers in `regs` in one forward walk per
+    /// block. Each definition starts a web, and each block entry a
+    /// provisional one per live-in register, joined with what each
+    /// predecessor's end holds there; an instruction that reads and writes
+    /// a register joins the two. The entry values flow into pc 0, and into
+    /// every block no path from pc 0 reaches, so what such code reads
+    /// stays pinned.
+    fn build(f: &CompiledFn, live: &Live, eff: &Effects, regs: Vec<Reg>) -> Webs {
         let (n, t) = (f.code.len(), regs.len());
         let mut index = vec![NONE; f.nregs];
         let mut mask = vec![0u64; f.nregs.div_ceil(64)];
@@ -153,52 +150,77 @@ impl Webs {
             index,
             mask,
             defs: Vec::new(),
-            at: vec![NONE; n * t],
+            at: vec![0; n * t],
         };
-        let mut def_at = vec![NONE; n * t];
-        let (mut succ, mut first_succ, mut buf) = (Vec::new(), vec![0u32], Vec::new());
-        for pc in 0..n {
-            let found: Vec<Reg> = webs.regs_in(live.rows(pc)[2]).collect();
-            for r in found {
-                def_at[pc * t + webs.index[r as usize] as usize] = (t + webs.defs.len()) as u32;
-                webs.defs.push((pc as u32, r));
-            }
-            succs(f, pc, &mut buf);
-            succ.extend(buf.iter().map(|&s| s as u32));
-            first_succ.push(succ.len() as u32);
+        let mask = webs.mask.clone();
+        let ndefs: u32 = (0..n)
+            .flat_map(|pc| eff.writes(pc).iter().zip(&mask))
+            .map(|(a, m)| (a & m).count_ones())
+            .sum();
+        let lead = block_leaders(f);
+        let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
+        let nb = starts.len();
+        let mut block_of = vec![0u32; n];
+        for (b, &s) in starts.iter().enumerate() {
+            let end = starts.get(b + 1).copied().unwrap_or(n);
+            block_of[s..end].fill(b as u32);
         }
-        webs.root = (0..(t + webs.defs.len()) as u32).collect();
-        let next = |q: usize| &succ[first_succ[q] as usize..first_succ[q + 1] as usize];
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 0..t {
-            let r = webs.regs[i];
-            let sources = std::iter::once((i as u32, None)).chain(
-                (0..webs.defs.len())
-                    .filter(|&j| webs.defs[j].1 == r)
-                    .map(|j| ((t + j) as u32, Some(webs.defs[j].0 as usize))),
-            );
-            for (id, from) in sources.collect::<Vec<_>>() {
-                match from {
-                    None => stack.push(0),
-                    Some(pc) => stack.extend(next(pc)),
+        // Block `b`'s successors: `succ[first[b]..first[b + 1]]`.
+        let (mut succ, mut first, mut buf) = (Vec::new(), vec![0], Vec::new());
+        for b in 0..nb {
+            succs(f, starts.get(b + 1).copied().unwrap_or(n) - 1, &mut buf);
+            succ.extend_from_slice(&buf);
+            first.push(succ.len());
+        }
+        let mut reached = vec![false; nb];
+        let mut stack = vec![0usize];
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut reached[b], true) {
+                stack.extend(
+                    succ[first[b]..first[b + 1]]
+                        .iter()
+                        .map(|&s| block_of[s] as usize),
+                );
+            }
+        }
+        // Ids: entry values, definitions, then block `b`'s provisional
+        // web of tracked register `i` at `t + defs + b * t + i`.
+        let phi = t + ndefs as usize;
+        webs.root = (0..(phi + nb * t) as u32).collect();
+        webs.defs.reserve(ndefs as usize);
+        let mut cur = vec![0u32; t];
+        for b in 0..nb {
+            let start = starts[b];
+            for (i, c) in cur.iter_mut().enumerate() {
+                *c = i as u32;
+                if eff.live_in(live, start, webs.regs[i]) {
+                    *c = (phi + b * t + i) as u32;
+                    if b == 0 || !reached[b] {
+                        webs.union(*c, i as u32);
+                    }
                 }
-                while let Some(q) = stack.pop() {
-                    let (q, slot) = (q as usize, q as usize * t + i);
-                    if !live.has_in(q, r) {
-                        continue;
+            }
+            let end = starts.get(b + 1).copied().unwrap_or(n);
+            for pc in start..end {
+                each_one(eff.writes(pc), &mask, |r| {
+                    let (i, def) = (
+                        webs.index[r as usize] as usize,
+                        (t + webs.defs.len()) as u32,
+                    );
+                    webs.defs.push((pc as u32, r));
+                    if bit(eff.reads(pc), r) {
+                        webs.union(cur[i], def);
                     }
-                    if webs.at[slot] != NONE {
-                        webs.union(webs.at[slot], id);
-                        continue;
+                    cur[i] = def;
+                });
+                webs.at[pc * t..(pc + 1) * t].copy_from_slice(&cur);
+            }
+            for &s in &succ[first[b]..first[b + 1]] {
+                let sb = block_of[s] as usize;
+                for (i, &c) in cur.iter().enumerate() {
+                    if eff.live_in(live, s, webs.regs[i]) {
+                        webs.union(c, (phi + sb * t + i) as u32);
                     }
-                    webs.at[slot] = id;
-                    // Live on entry to a definition: it reads the register
-                    // too, so both are one web.
-                    if def_at[slot] != NONE {
-                        webs.union(id, def_at[slot]);
-                        continue;
-                    }
-                    stack.extend(next(q));
                 }
             }
         }
@@ -206,14 +228,24 @@ impl Webs {
             let r = webs.find(x);
             webs.root[x as usize] = r;
         }
-        for (slot, at) in webs.at.iter_mut().enumerate() {
-            let id = match (def_at[slot], *at) {
-                (NONE, NONE) => (slot % t) as u32,
-                (NONE, v) | (v, _) => v,
-            };
-            *at = webs.root[id as usize];
+        for at in &mut webs.at {
+            *at = webs.root[*at as usize];
         }
+        // Every provisional web holds an entry value or a definition,
+        // whose ids are smaller and so its root.
+        webs.root.truncate(phi);
         webs
+    }
+}
+
+/// Call `f` with each register set in both `row` and `mask`.
+fn each_one(row: &[u64], mask: &[u64], mut f: impl FnMut(Reg)) {
+    for (k, (&a, &m)) in row.iter().zip(mask).enumerate() {
+        let mut rest = a & m;
+        while rest != 0 {
+            f((64 * k) as Reg + rest.trailing_zeros() as Reg);
+            rest &= rest - 1;
+        }
     }
 }
 
@@ -287,10 +319,11 @@ pub(crate) fn coalesce_fn(f: &mut CompiledFn) {
     if !any && f.templates.is_empty() {
         return;
     }
-    let live = liveness(f);
+    let eff = Effects::of(f);
+    let live = liveness_of(f, &eff);
     for t in 0..f.templates.len() {
         let exit = f.templates[t].exit as usize;
-        f.templates[t].prune_outs(|r| live.has_in(exit, r));
+        f.templates[t].prune_outs(|r| eff.live_in(&live, exit, r));
     }
     let regs: Vec<Reg> = (0..f.nregs as Reg)
         .filter(|&r| tracked[r as usize])
@@ -298,9 +331,9 @@ pub(crate) fn coalesce_fn(f: &mut CompiledFn) {
     if !any || n.saturating_mul(regs.len()) > MAX_CELLS {
         return;
     }
-    let webs = Webs::build(f, &live, regs);
-    if webs.root.len().pow(2) <= MAX_CELLS * 32 && rewrite(f, &webs, &live, &span, &depth) {
-        dse(f, None, true);
+    let webs = Webs::build(f, &live, &eff, regs);
+    if webs.root.len().pow(2) <= MAX_CELLS * 32 && rewrite(f, &webs, &live, &eff, &span, &depth) {
+        dse(f, None);
     }
 }
 
@@ -311,7 +344,14 @@ fn is_scalar(v: &Value) -> bool {
 /// Steps 1–3 on the webs of `f`: rename every operand to its class's
 /// register, turn the constant webs' definitions into self-moves and add
 /// the prologue. Returns whether the code changed.
-fn rewrite(f: &mut CompiledFn, webs: &Webs, live: &Live, span: &[bool], depth: &[u32]) -> bool {
+fn rewrite(
+    f: &mut CompiledFn,
+    webs: &Webs,
+    live: &Live,
+    eff: &Effects,
+    span: &[bool],
+    depth: &[u32],
+) -> bool {
     let (n, t) = (f.code.len(), webs.regs.len());
     let nweb = webs.root.len();
     let roots = || (0..nweb as u32).filter(|&x| webs.root[x as usize] == x);
@@ -333,9 +373,8 @@ fn rewrite(f: &mut CompiledFn, webs: &Webs, live: &Live, span: &[bool], depth: &
     }
     for (pc, insn) in f.code.iter().enumerate() {
         if span[pc] {
-            let [_, reads, writes] = live.rows(pc);
-            for r in webs.regs_in(reads).chain(webs.regs_in(writes)) {
-                pinned[webs.at(pc, r).unwrap() as usize] = true;
+            for row in [eff.reads(pc), eff.writes(pc)] {
+                webs.each_in(row, |r| pinned[webs.at(pc, r).unwrap() as usize] = true);
             }
         }
         if let Insn::Call { base, n, .. }
@@ -401,17 +440,16 @@ fn rewrite(f: &mut CompiledFn, webs: &Webs, live: &Live, span: &[bool], depth: &
             Insn::Move { src, .. } => webs.at(pc, src),
             _ => None,
         };
-        let [out, _, writes] = live.rows(pc);
-        for r in webs.regs_in(writes) {
+        webs.each_in(eff.writes(pc), |r| {
             let d = webs.at(pc, r).unwrap();
-            for s in webs.regs_in(out) {
+            webs.each_in(live.row(pc), |s| {
                 let y = webs.at(pc, s).unwrap();
                 if y != d && Some(y) != copied {
                     adj.set(d, y);
                     adj.set(y, d);
                 }
-            }
-        }
+            });
+        });
     }
 
     // Copy coalescing over classes of webs, innermost loops first.
@@ -452,11 +490,10 @@ fn rewrite(f: &mut CompiledFn, webs: &Webs, live: &Live, span: &[bool], depth: &
             on_reg[reg_of[from as usize] as usize].retain(|&c| c != from);
             adj.merge(to, from);
             members.merge(to, from);
-            for x in 0..nweb {
-                if class[x] == from {
-                    class[x] = to;
-                }
-            }
+            class
+                .iter_mut()
+                .filter(|c| **c == from)
+                .for_each(|c| *c = to);
             break;
         }
     }
@@ -486,4 +523,46 @@ fn rewrite(f: &mut CompiledFn, webs: &Webs, live: &Live, span: &[bool], depth: &
         changed = true;
     }
     changed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A loop of `k` copies `move r(2i+1), r(2i)` whose results nothing
+    /// reads.
+    fn copies(k: usize) -> CompiledFn {
+        let mut code: Vec<Insn> = (0..k)
+            .map(|i| Insn::Move {
+                dst: (2 * i + 1) as Reg,
+                src: (2 * i) as Reg,
+            })
+            .collect();
+        code.push(Insn::Jump { to: 0 });
+        CompiledFn {
+            name: "copies".to_string(),
+            nparams: 0,
+            nregs: 2 * k,
+            code,
+            consts: Vec::new(),
+            locals: Vec::new(),
+            kernels: Vec::new(),
+            templates: Vec::new(),
+        }
+    }
+
+    /// Below the size limit every copy coalesces away; above it the
+    /// function is left as it is.
+    #[test]
+    fn a_function_over_the_size_limit_is_left_as_it_is() {
+        let mut small = copies(4);
+        coalesce_fn(&mut small);
+        assert_eq!(small.code, [Insn::Jump { to: 0 }]);
+        let k = 1024;
+        assert!((k + 1) * 2 * k > MAX_CELLS);
+        let mut big = copies(k);
+        let before = big.code.clone();
+        coalesce_fn(&mut big);
+        assert_eq!(big.code, before);
+    }
 }

@@ -17,8 +17,8 @@
 //!    and its text are preserved).
 //! 2. **Dead-store elimination** — a backward liveness
 //!    dataflow over basic blocks; only side-effect-free `Const`/`Move`
-//!    whose destination is dead are removed, then jump targets are
-//!    compacted.
+//!    whose destination is dead are removed, with each `jump` left
+//!    pointing at the next instruction, then jump targets are compacted.
 //! 3. **Superinstruction fusion** — a peephole scan over the
 //!    shapes that dominate the NPB inner loops; see the catalogue below.
 //!
@@ -640,17 +640,12 @@ pub(crate) fn succs(f: &CompiledFn, end: usize, out: &mut Vec<usize>) {
     }
 }
 
-/// Backward liveness as flat bit matrices, one row of `stride` words per
-/// instruction.
+/// Backward liveness as one flat bit matrix: row `i` holds the registers
+/// whose value after instruction `i` may still be read.
 pub(crate) struct Live {
     /// Words per row: `nregs.div_ceil(64)`.
     stride: usize,
-    /// Row `i`: the registers whose value after instruction `i` may still
-    /// be read.
     bits: Vec<u64>,
-    /// Row `i`: what instruction `i` reads and writes ([`visit_live`]).
-    reads: Vec<u64>,
-    writes: Vec<u64>,
 }
 
 impl Live {
@@ -658,27 +653,57 @@ impl Live {
         bit(&self.bits[at * self.stride..], r)
     }
 
-    /// Whether `r` is live on entry to instruction `at`.
-    pub(crate) fn has_in(&self, at: usize, r: Reg) -> bool {
-        let row = at * self.stride..;
-        bit(&self.reads[row.clone()], r)
-            || (bit(&self.bits[row.clone()], r) && !bit(&self.writes[row], r))
+    /// The registers live after instruction `at`, one bit each.
+    pub(crate) fn row(&self, at: usize) -> &[u64] {
+        &self.bits[at * self.stride..(at + 1) * self.stride]
+    }
+}
+
+/// What each instruction of `f` reads and writes as liveness sees it
+/// ([`visit_live`]), one row of `nregs.div_ceil(64)` words per instruction
+/// each. [`liveness`] builds them and drops them; a pass that reads them
+/// per instruction keeps them ([`liveness_of`]).
+pub(crate) struct Effects {
+    stride: usize,
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+}
+
+impl Effects {
+    pub(crate) fn of(f: &CompiledFn) -> Effects {
+        let (n, w) = (f.code.len(), f.nregs.div_ceil(64));
+        let mut reads = vec![0u64; n * w];
+        let mut writes = vec![0u64; n * w];
+        for (i, insn) in f.code.iter().enumerate() {
+            let row = &mut reads[i * w..(i + 1) * w];
+            visit_live(f, insn, true, |u| row[u as usize / 64] |= 1u64 << (u % 64));
+            let row = &mut writes[i * w..(i + 1) * w];
+            visit_live(f, insn, false, |d| row[d as usize / 64] |= 1u64 << (d % 64));
+        }
+        Effects {
+            stride: w,
+            reads,
+            writes,
+        }
     }
 
-    /// The rows of instruction `at`: what is live after it, what it reads
-    /// and what it writes, one bit per register.
-    pub(crate) fn rows(&self, at: usize) -> [&[u64]; 3] {
-        let row = at * self.stride..(at + 1) * self.stride;
-        [
-            &self.bits[row.clone()],
-            &self.reads[row.clone()],
-            &self.writes[row],
-        ]
+    pub(crate) fn reads(&self, at: usize) -> &[u64] {
+        &self.reads[at * self.stride..(at + 1) * self.stride]
+    }
+
+    pub(crate) fn writes(&self, at: usize) -> &[u64] {
+        &self.writes[at * self.stride..(at + 1) * self.stride]
+    }
+
+    /// Whether `r` is live on entry to instruction `at`, after which
+    /// `live` holds.
+    pub(crate) fn live_in(&self, live: &Live, at: usize, r: Reg) -> bool {
+        bit(self.reads(at), r) || (live.has(at, r) && !bit(self.writes(at), r))
     }
 }
 
 /// Bit `r` of a liveness row.
-fn bit(row: &[u64], r: Reg) -> bool {
+pub(crate) fn bit(row: &[u64], r: Reg) -> bool {
     row[r as usize / 64] & (1u64 << (r % 64)) != 0
 }
 
@@ -745,9 +770,14 @@ pub(crate) fn block_leaders(f: &CompiledFn) -> Vec<bool> {
 /// Backward liveness of every instruction of `f`: a fixpoint over the
 /// blocks' live-in rows, then one walk that fills each instruction's row.
 pub(crate) fn liveness(f: &CompiledFn) -> Live {
-    let code = &f.code;
-    let n = code.len();
-    let w = f.nregs.div_ceil(64);
+    liveness_of(f, &Effects::of(f))
+}
+
+/// [`liveness`] over the effects of `f` already built.
+pub(crate) fn liveness_of(f: &CompiledFn, eff: &Effects) -> Live {
+    let n = f.code.len();
+    let w = eff.stride;
+    let (reads, writes) = (&eff.reads, &eff.writes);
     let lead = block_leaders(f);
     let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
     let nb = starts.len();
@@ -764,16 +794,6 @@ pub(crate) fn liveness(f: &CompiledFn) -> Live {
     let ends: Vec<usize> = (0..nb)
         .map(|b| if b + 1 < nb { starts[b + 1] - 1 } else { n - 1 })
         .collect();
-    // What each instruction reads and writes, then each block's summary:
-    // what it reads before writing (`gen`) and what it writes (`kill`).
-    let mut reads = vec![0u64; n * w];
-    let mut writes = vec![0u64; n * w];
-    for (i, insn) in code.iter().enumerate() {
-        let row = &mut reads[i * w..(i + 1) * w];
-        visit_live(f, insn, true, |u| row[u as usize / 64] |= 1u64 << (u % 64));
-        let row = &mut writes[i * w..(i + 1) * w];
-        visit_live(f, insn, false, |d| row[d as usize / 64] |= 1u64 << (d % 64));
-    }
     // Backwards over instruction `i`: `row` = `row` minus its writes plus
     // its reads.
     let step = |i: usize, row: &mut [u64]| {
@@ -781,6 +801,8 @@ pub(crate) fn liveness(f: &CompiledFn) -> Live {
             *word = (*word & !writes[i * w + x]) | reads[i * w + x];
         }
     };
+    // Each block's summary: what it reads before writing (`gen`) and what
+    // it writes (`kill`).
     let mut gen = vec![0u64; nb * w];
     let mut kill = vec![0u64; nb * w];
     for b in 0..nb {
@@ -817,12 +839,7 @@ pub(crate) fn liveness(f: &CompiledFn) -> Live {
             step(i, &mut cur);
         }
     }
-    Live {
-        stride: w,
-        bits,
-        reads,
-        writes,
-    }
+    Live { stride: w, bits }
 }
 
 // ---------------------------------------------------------------------------
@@ -1129,15 +1146,14 @@ fn fold_and_copyprop(f: &mut CompiledFn, stats: &mut OptStats) -> bool {
 // Pass 2: dead-store elimination
 // ---------------------------------------------------------------------------
 
-/// Remove self-moves and, given a liveness, side-effect-free stores
-/// (`Const`, `Move`) whose destination is dead, then compact jump targets.
-/// With `jumps`, also
-/// remove a `jump` to the next kept instruction. An installed loop's span
-/// is never touched, and each descriptor's exit and replaced head are
-/// compacted with the code ([`remap`]).
+/// Remove self-moves, each `jump` to the next kept instruction and, given
+/// a liveness, side-effect-free stores (`Const`, `Move`) whose destination
+/// is dead, then compact jump targets. An installed loop's span is never
+/// touched, and each descriptor's exit and replaced head are compacted
+/// with the code ([`remap`]).
 // Index loops: `keep`/`map`/`f.code` are parallel positional tables.
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn dse(f: &mut CompiledFn, live: Option<&Live>, jumps: bool) -> bool {
+pub(crate) fn dse(f: &mut CompiledFn, live: Option<&Live>) -> bool {
     let n = f.code.len();
     let span = installed_spans(f);
     let mut keep = vec![true; n];
@@ -1154,15 +1170,12 @@ pub(crate) fn dse(f: &mut CompiledFn, live: Option<&Live>, jumps: bool) -> bool 
             changed = true;
         }
     }
-    if jumps {
-        // Backwards, so a jump over a run that ends in a dropped jump goes
-        // too.
-        for i in (0..n).rev() {
-            if let Insn::Jump { to } = f.code[i] {
-                if !span[i] && to as usize > i && (i + 1..to as usize).all(|j| !keep[j]) {
-                    keep[i] = false;
-                    changed = true;
-                }
+    // Backwards, so a jump over a run that ends in a dropped jump goes too.
+    for i in (0..n).rev() {
+        if let Insn::Jump { to } = f.code[i] {
+            if !span[i] && to as usize > i && (i + 1..to as usize).all(|j| !keep[j]) {
+                keep[i] = false;
+                changed = true;
             }
         }
     }
@@ -1517,7 +1530,7 @@ pub fn optimize_fn(f: &mut CompiledFn, opt: OptLevel, _nfuncs: usize) -> OptStat
         let mut changed = fold_and_copyprop(f, &mut stats);
         let pre_dse = f.code.len();
         let mut live = liveness(f);
-        if dse(f, Some(&live), false) {
+        if dse(f, Some(&live)) {
             changed = true;
             live = liveness(f);
         }
@@ -1811,14 +1824,12 @@ mod tests {
         let live = liveness(&f);
         assert!(live.has(1, 65) && !live.has(0, 70) && !live.has(1, 70));
         let stats = optimize_fn(&mut f, OptLevel::O3, 1);
-        assert_eq!(stats.dse, 1);
+        // The dead `const r70` goes, then the jump left pointing at the
+        // next instruction.
+        assert_eq!(stats.dse, 2);
         assert_eq!(
             f.code,
-            [
-                Insn::Const { dst: 65, k: 0 },
-                Insn::Jump { to: 2 },
-                Insn::Ret { src: 65 },
-            ]
+            [Insn::Const { dst: 65, k: 0 }, Insn::Ret { src: 65 }]
         );
     }
 }

@@ -3980,7 +3980,7 @@ mod tests {
             let mut data = crate::compile::PassData::default();
             for pass in crate::compile::PASSES
                 .iter()
-                .filter(|p| p.name != "install")
+                .take_while(|p| p.name != "install")
             {
                 (pass.run)(&mut image, &mut data);
             }
