@@ -133,6 +133,8 @@ pub struct TemplateDesc {
 }
 
 /// One compiled template program: the typed variants plus metadata.
+/// `{:?}` prints op functions as addresses; [`op_names`] names them.
+#[derive(Debug)]
 pub struct TProg {
     /// Candidate monomorphizations, tried in order at entry. More
     /// than one only when the loop's types could not be pinned
@@ -154,7 +156,7 @@ pub struct TProg {
 /// The loop control of a variant (body then `IncCmpJump`: run ops,
 /// bump the induction variable, test it against the limit). `ind` and
 /// `lim` index int frame slots, not registers.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub struct Shape {
     ind: u16,
     step: i64,
@@ -167,7 +169,7 @@ pub struct Shape {
 /// effect — or an exit write-back, the slot boxed back into the
 /// register (`ArrI`/`ArrF`: a bound array into the register a `Deref` of
 /// its cell defined).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub struct Bind {
     pub kind: BindKind,
     pub reg: Reg,
@@ -177,7 +179,7 @@ pub type Out = Bind;
 
 /// What a [`Bind`] holds: a scalar, an array, or (binds only) the array
 /// a cell holds.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub enum BindKind {
     Int,
     Flt,
@@ -188,6 +190,7 @@ pub enum BindKind {
 }
 
 /// One monomorphized template variant.
+#[derive(Debug)]
 pub struct TVariant {
     pub binds: Vec<Bind>,
     /// Loop-invariant constant loads, run once after a successful
@@ -230,7 +233,7 @@ pub struct TVariant {
 /// carried between iterations and no stored array is read or written
 /// at a second index — or, with a [`Tail`], that every store is a
 /// gathered update the strip still performs in iteration order.
-#[derive(Default)]
+#[derive(Default, Debug)]
 pub struct StripPlan {
     /// The variant's protos lowered one by one (unfused) with column
     /// operands: every op's definition gets a fresh column (a copy names
@@ -272,6 +275,7 @@ pub struct StripPlan {
 /// `d` and `g`). After a strip the frame holds the last lane's values:
 /// `x` in `keys` (registers a fused load defined), `g`, the loaded
 /// element in `loaded` and the stored one in `stored`.
+#[derive(Debug)]
 struct Tail {
     src: Src,
     div: Option<(u16, u16)>,
@@ -289,7 +293,7 @@ struct Tail {
 type Last = (bool, u16, u16, Option<(u16, u16)>);
 
 /// Where a tail reads a lane's value.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum Src {
     /// A column the head filled.
     Col(u16),
@@ -299,7 +303,7 @@ enum Src {
     Load { arr: u16, off: i64 },
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum TailForm {
     /// `h[g] += v`, `v` a column or an immediate (an array reduction).
     Update { h: u16, v: Result<u16, KVal> },
@@ -313,7 +317,7 @@ enum TailForm {
 /// slot for stores), `b`/`c` are sources, `off` the index offset,
 /// `ki`/`kf` an immediate resolved from the constant pool at install
 /// time (the pool is frozen after installation).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub struct TOp {
     pub f: OpFn,
     pub a: u16,
@@ -975,6 +979,27 @@ fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
         d[k as usize] = lo[op.b as usize][k as usize];
     }
     Ok(())
+}
+
+/// Every op function by address, for reading a [`TProg`]'s `{:?}`:
+/// `(address, name)`, the strip walk's name ending in `.strip`.
+pub fn op_names() -> Vec<(usize, String)> {
+    let arith = |o: usize| ["add", "sub", "mul", "div", "rem"][o];
+    let mut named: Vec<(String, Ops)> = Vec::new();
+    for (k, row) in ["ii", "ff", "k_i", "kl_i", "k_f", "kl_f"].iter().enumerate() {
+        let ops = if k < 2 { &BIN[k] } else { &BINK[k - 2] };
+        named.extend((0..5).map(|o| (format!("{}{row}", arith(o)), ops[o])));
+    }
+    named.extend((0..PURE.len()).map(|r| (format!("pure{r}_{:?}", PURE[r].0), PURE_OPS[r])));
+    let fixed = [mov_i, mov_f, const_i, const_f, ld_i, ld_f, st_i, st_f, br_i, br_f];
+    let names = ["mov_i", "mov_f", "const_i", "const_f", "ld_i", "ld_f", "st_i", "st_f", "br_i", "br_f"];
+    named.extend(names.iter().map(|n| n.to_string()).zip(fixed));
+    let mut out: Vec<(usize, String)> = (named.into_iter())
+        .flat_map(|(n, o)| [(o.one as usize, n.clone()), (o.strip as usize, n + ".strip")])
+        .collect();
+    out.push((sel::<i64> as StripFn as usize, "sel_i.strip".into()));
+    out.push((sel::<f64> as StripFn as usize, "sel_f.strip".into()));
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1767,7 +1792,7 @@ impl Uf {
 }
 
 /// Typed pool immediates.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum KVal {
     I(i64),
     F(f64),

@@ -16,7 +16,15 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p zagd --test install_census
 //! ```
+//!
+//! The second golden, `crates/vm/tests/golden/templates.txt`, prints every
+//! installed template of the same programs and the `benchmark` crate's
+//! (`benchmark/src/programs.rs`) in full: its variants' binds, ops,
+//! write-backs and strip plan, each op function by name. It pins the
+//! template decoder's output, not only its verdict; the same
+//! `UPDATE_GOLDEN=1` re-blesses it.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -104,6 +112,105 @@ fn census(label: &str, src: &str) -> String {
     out
 }
 
+/// The `benchmark` crate's programs: each `pub const NAME: &str = r#"...";`
+/// of `benchmark/src/programs.rs`, read as text (the crate is not a
+/// workspace member).
+fn benchmark_programs() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("benchmark/src/programs.rs")).expect("read");
+    let mut out = Vec::new();
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find("pub const ") {
+        rest = &rest[at + "pub const ".len()..];
+        let name = &rest[..rest.find(':').expect("a typed const")];
+        let (open, close) = (rest.find("r#\"").expect("a raw string"), "\"#;");
+        let body = &rest[open + 3..];
+        let end = body.find(close).expect("a closed raw string");
+        out.push((format!("benchmark::{name}"), body[..end].to_string()));
+        rest = &body[end..];
+    }
+    out
+}
+
+/// Every installed template of one program, in pc order: a header line
+/// per template, then its `{:#?}` with each op function's address
+/// replaced by its name.
+fn plans(label: &str, src: &str, names: &HashMap<usize, String>) -> String {
+    let mut out = format!("{label}\n");
+    let Ok((image, _)) = compile_source(src, label, OptLevel::O3) else {
+        return out;
+    };
+    for f in &image.funcs {
+        for (pc, insn) in f.code.iter().enumerate() {
+            let Insn::TemplateLoop { tidx } = *insn else {
+                continue;
+            };
+            let desc = &f.templates[tidx as usize];
+            let _ = writeln!(out, "  fn {} pc {pc} exit {}:", f.name, desc.exit);
+            let text = fold_leaves(&format!("{:#?}", desc.prog));
+            let mut parts = text.split("0x");
+            out.push_str("    ");
+            out.push_str(&parts.next().unwrap_or_default().replace('\n', "\n    "));
+            for part in parts {
+                let hex = part
+                    .find(|c: char| !c.is_ascii_hexdigit())
+                    .unwrap_or(part.len());
+                let addr = usize::from_str_radix(&part[..hex], 16).expect("an address");
+                out.push_str(names.get(&addr).expect("every op function is named"));
+                out.push_str(&part[hex..].replace('\n', "\n    "));
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// `{:#?}` output with each innermost block, one that holds no other, on
+/// one line: `TOp { f: add_ff, a: 2, .. },` instead of eleven.
+fn fold_leaves(text: &str) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let (opens, closes) = (['{', '(', '['], ['}', ')', ']']);
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        let leaf = |l: &str| {
+            l.ends_with(',') && !l.ends_with(opens) && !l.trim_start().starts_with(closes)
+        };
+        let end = (line.ends_with(opens))
+            .then(|| (i + 1..lines.len()).find(|&j| !leaf(lines[j])))
+            .flatten()
+            .filter(|&j| lines[j].trim_start().starts_with(closes) && !lines[j].ends_with(opens));
+        match end {
+            Some(j) => {
+                let inner: Vec<&str> = lines[i + 1..=j].iter().map(|l| l.trim()).collect();
+                out.push(format!("{line} {}", inner.join(" ")));
+                i = j + 1;
+            }
+            None => {
+                out.push(line.to_string());
+                i += 1;
+            }
+        }
+    }
+    out.join("\n")
+}
+
+/// Compare `got` with the golden at `path`, or write it under `UPDATE_GOLDEN`.
+fn check_golden(path: &str, got: &str) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(Path::new(&path).parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+    assert_eq!(
+        got, want,
+        "{path} drifted; review the diff and re-bless with UPDATE_GOLDEN=1 if intended"
+    );
+}
+
 #[test]
 fn install_sites_match_golden() {
     let got: String = programs().iter().map(|(l, s)| census(l, s)).collect();
@@ -111,16 +218,57 @@ fn install_sites_match_golden() {
         "{}/tests/golden/install_census.txt",
         env!("CARGO_MANIFEST_DIR")
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(Path::new(&path).parent().unwrap()).expect("golden dir");
-        std::fs::write(&path, &got).expect("write golden");
+    check_golden(&path, &got);
+}
+
+/// `text` with every op name `alias` holds replaced by its value, name by
+/// name (a name is a run of letters, digits, `_` and `.`).
+fn rename(text: &str, alias: &HashMap<String, String>) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut word = String::new();
+    for c in text.chars().chain(['\n']) {
+        if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
+            word.push(c);
+            continue;
+        }
+        out.push_str(alias.get(&word).unwrap_or(&word));
+        word.clear();
+        out.push(c);
+    }
+    out.pop();
+    out
+}
+
+#[test]
+fn template_plans_match_golden() {
+    // An optimised build may fold two op functions whose machine code is
+    // identical (`k + x` and `x + k`) into one address; the golden, written
+    // by a build that did not, is then read with each such name as the one
+    // the rendering prints for that address.
+    let mut names: HashMap<usize, String> = HashMap::new();
+    let mut alias = HashMap::new();
+    for (addr, name) in zomp_vm::templates::op_names() {
+        if let Some(kept) = names.get(&addr) {
+            alias.insert(name, kept.clone());
+        } else {
+            names.insert(addr, name);
+        }
+    }
+    let mut all = programs();
+    all.extend(benchmark_programs());
+    let got: String = all.iter().map(|(l, s)| plans(l, s, &names)).collect();
+    let path = format!(
+        "{}/../vm/tests/golden/templates.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    if alias.is_empty() {
+        check_golden(&path, &got);
         return;
     }
-    let want = std::fs::read_to_string(&path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "install sites drifted from tests/golden/install_census.txt; \
-         review the diff and re-bless with UPDATE_GOLDEN=1 if intended"
+    assert!(
+        std::env::var_os("UPDATE_GOLDEN").is_none(),
+        "this build folds op functions; re-bless {path} from a debug build"
     );
+    let want = std::fs::read_to_string(&path).expect("golden file missing");
+    assert_eq!(got, rename(&want, &alias), "{path} drifted");
 }
