@@ -11,6 +11,7 @@
 //! (`set_num_threads`, `set_schedule`, ...).
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::schedule::{Schedule, ScheduleKind};
 
@@ -119,15 +120,17 @@ impl Icvs {
     /// the OpenMP defaults (team size = detected hardware concurrency,
     /// `dyn-var` = false, `run-sched-var` = static). Environment handling
     /// lives in [`crate::runtime::RuntimeConfig::from_env`] so nothing here
-    /// is latched per process.
+    /// is latched per process but the hardware concurrency: asking the OS
+    /// reads the affinity mask and the cgroup files (tens of µs), which
+    /// every `zagd` request's runtime would pay again.
     pub fn with_overrides(
         nthreads: Option<usize>,
         dynamic: Option<bool>,
         run_schedule: Option<Schedule>,
     ) -> Self {
-        let num_procs = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        static NUM_PROCS: OnceLock<usize> = OnceLock::new();
+        let num_procs =
+            *NUM_PROCS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let nthreads = nthreads
             .filter(|&n| n >= 1)
             .unwrap_or(num_procs)

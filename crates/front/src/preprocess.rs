@@ -209,12 +209,32 @@ fn place_of(ast: &Ast, tok: TokenId) -> Place {
     }
 }
 
-/// Token-wise identifier rewriting over a snippet of source (§III-B3): each
-/// identifier token equal to `from` and *not preceded by a period* is
-/// replaced by `to`; when `strip_deref`, a directly following `.*` is
-/// swallowed (used when a dereferenced shared place becomes a plain local
-/// accumulator).
-fn rewrite_ident(snippet: &str, from: &str, to: &str, strip_deref: bool) -> String {
+/// One token-wise identifier rewrite (§III-B3): each identifier token
+/// equal to `from` and *not preceded by a period* is replaced by `to`; when
+/// `strip_deref`, a directly following `.*` is swallowed (used when a
+/// dereferenced shared place becomes a plain local accumulator).
+struct Rename {
+    from: String,
+    to: String,
+    strip_deref: bool,
+}
+
+impl Rename {
+    fn new(from: &str, to: String, strip_deref: bool) -> Rename {
+        let from = from.to_string();
+        Rename {
+            from,
+            to,
+            strip_deref,
+        }
+    }
+}
+
+/// Apply `renames` to `snippet` in order, as if each rewrote the previous
+/// one's output, in one walk over one tokenization: each identifier runs
+/// through the list, carrying the `.*`s the renames put after it (a later
+/// strip swallows those first) ahead of those that followed it.
+fn rewrite_idents(snippet: &str, renames: &[Rename]) -> String {
     let Ok(tokens) = crate::token::tokenize(snippet) else {
         return snippet.to_string();
     };
@@ -223,17 +243,35 @@ fn rewrite_ident(snippet: &str, from: &str, to: &str, strip_deref: bool) -> Stri
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.tag == T::Ident && t.text(snippet) == from {
-            let preceded_by_dot = i > 0 && tokens[i - 1].tag == T::Dot;
-            if !preceded_by_dot {
-                out.push_str(&snippet[cursor..t.start as usize]);
-                out.push_str(to);
-                cursor = t.end as usize;
-                if strip_deref && tokens.get(i + 1).is_some_and(|n| n.tag == T::DotStar) {
-                    cursor = tokens[i + 1].end as usize;
-                    i += 1;
-                }
+        if t.tag != T::Ident || (i > 0 && tokens[i - 1].tag == T::Dot) {
+            i += 1;
+            continue;
+        }
+        // The `.*`s after it: those the renames added, then the source's.
+        let (mut name, mut added) = (t.text(snippet), 0usize);
+        let derefs = (tokens[i + 1..].iter())
+            .take_while(|n| n.tag == T::DotStar)
+            .count();
+        let (mut stripped, mut renamed) = (0, false);
+        for r in renames {
+            if r.from != name {
+                continue;
             }
+            renamed = true;
+            if r.strip_deref && added > 0 {
+                added -= 1;
+            } else if r.strip_deref && stripped < derefs {
+                stripped += 1;
+            }
+            name = r.to.strip_suffix(".*").unwrap_or(&r.to);
+            added += (name.len() < r.to.len()) as usize;
+        }
+        if renamed {
+            out.push_str(&snippet[cursor..t.start as usize]);
+            out.push_str(name);
+            out.push_str(&".*".repeat(added));
+            cursor = tokens[i + stripped].end as usize;
+            i += stripped;
         }
         i += 1;
     }
@@ -280,7 +318,8 @@ fn replace_parallel(
         format!("\"{u}:{line}\", ")
     });
 
-    let mut body = block_inner(ast, node.rhs)?.to_string();
+    let body = block_inner(ast, node.rhs)?;
+    let mut renames = Vec::new();
 
     // Argument groups of the variadic fork_call: firstprivate by value,
     // shared by pointer, reduction by cell (§III-B1's three ?*anyopaque
@@ -295,9 +334,9 @@ fn replace_parallel(
     // An enclosing region's shared variable (`__shr_x.*`) named by a
     // clause that makes it a local of this region: the body's accesses
     // lose their dereference.
-    let localize = |body: &mut String, p: &Place| {
+    let localize = |renames: &mut Vec<Rename>, p: &Place| {
         if p.deref {
-            *body = rewrite_ident(body, &p.ident, &p.ident, true);
+            renames.push(Rename::new(&p.ident, p.ident.clone(), true));
         }
     };
     for &tok in &clauses.firstprivate {
@@ -305,7 +344,7 @@ fn replace_parallel(
         let local = p.ident.clone();
         params.push(format!("{local}: any"));
         args.push(p.access());
-        localize(&mut body, &p);
+        localize(&mut renames, &p);
     }
     for &tok in &clauses.shared {
         let p = place_of(ast, tok);
@@ -316,22 +355,38 @@ fn replace_parallel(
             // through, and the body's `__shr_x.*` accesses keep their one
             // dereference under the new name.
             args.push(p.ident.clone());
-            body = rewrite_ident(&body, &p.ident, &renamed, false);
+            renames.push(Rename::new(&p.ident, renamed, false));
         } else {
             args.push(format!("&{}", p.access()));
             // Every use in the body — including in nested pragma clause
             // lists — becomes a pointer access.
-            body = rewrite_ident(&body, &p.ident, &format!("{renamed}.*"), false);
+            renames.push(Rename::new(&p.ident, format!("{renamed}.*"), false));
         }
     }
     for &(op, tok) in &clauses.reduction {
         let p = place_of(ast, tok);
         let cell = format!("__red_{}_{region}", p.ident);
-        pre_call.push_str(&format!(
-            "const {cell} = omp.internal.red_cell({}, {});\n",
-            red_op_code(op),
-            p.access()
-        ));
+        let (code, place) = (red_op_code(op), p.access());
+        if p.deref {
+            // An enclosing region's shared variable, which the other
+            // threads of that region may reduce into at the same time: the
+            // cell starts from the operator's identity (of the original's
+            // type), and after the join combines into the original under
+            // the unnamed critical, as libomp's lock-based combine does.
+            pre_call.push_str(&format!(
+                "const {cell} = omp.internal.red_cell({code}, \
+                 omp.internal.red_identity(omp.internal.red_cell({code}, {place})));\n"
+            ));
+            post_call.push_str(&format!(
+                "omp.internal.critical_enter(\"\");\nomp.internal.red_combine({cell}, {place});\n\
+                 {place} = omp.internal.red_get({cell});\nomp.internal.critical_exit(\"\");\n"
+            ));
+        } else {
+            pre_call.push_str(&format!(
+                "const {cell} = omp.internal.red_cell({code}, {place});\n"
+            ));
+            post_call.push_str(&format!("{place} = omp.internal.red_get({cell});\n"));
+        }
         params.push(format!("{cell}: any"));
         args.push(cell.clone());
         prologue.push_str(&format!(
@@ -339,14 +394,14 @@ fn replace_parallel(
             p.ident
         ));
         epilogue.push_str(&format!("omp.internal.red_combine({cell}, {});\n", p.ident));
-        post_call.push_str(&format!("{} = omp.internal.red_get({cell});\n", p.access()));
-        localize(&mut body, &p);
+        localize(&mut renames, &p);
     }
     for &tok in &clauses.private {
         let p = place_of(ast, tok);
         prologue.push_str(&format!("var {} : any = undefined;\n", p.ident));
-        localize(&mut body, &p);
+        localize(&mut renames, &p);
     }
+    let body = rewrite_idents(body, &renames);
 
     // num_threads / if clauses decide the requested team size.
     let nt = match (clauses.num_threads, clauses.if_expr) {
@@ -508,7 +563,8 @@ fn replace_while(
     }
 
     let shape = loop_shape(ast, node.rhs)?;
-    let mut body = block_inner(ast, shape.body)?.to_string();
+    let body = block_inner(ast, shape.body)?;
+    let mut renames = Vec::new();
 
     // Schedule kind codes for ws_begin: 0 static, 1 dynamic, 2 guided,
     // 3 runtime (auto maps to static).
@@ -533,13 +589,13 @@ fn replace_while(
         let p = place_of(ast, tok);
         let fresh = format!("__prv_{}_{k}", p.ident);
         pre.push_str(&format!("var {fresh}: any = undefined;\n"));
-        body = rewrite_ident(&body, &p.ident, &fresh, false);
+        renames.push(Rename::new(&p.ident, fresh, false));
     }
     for &tok in &clauses.firstprivate {
         let p = place_of(ast, tok);
         let fresh = format!("__prv_{}_{k}", p.ident);
         pre.push_str(&format!("var {fresh}: any = {};\n", p.access()));
-        body = rewrite_ident(&body, &p.ident, &fresh, false);
+        renames.push(Rename::new(&p.ident, fresh, false));
     }
 
     // Loop reductions: a team-shared cell per variable, a private
@@ -560,12 +616,13 @@ fn replace_while(
         pre.push_str(&format!(
             "var {acc}: any = omp.internal.red_identity({cell});\n"
         ));
-        body = rewrite_ident(&body, &p.ident, &acc, p.deref);
         post.push_str(&format!(
             "{} = omp.internal.red_loop_end({cell}, {acc});\n",
             p.access()
         ));
+        renames.push(Rename::new(&p.ident, acc, p.deref));
     }
+    let body = rewrite_idents(body, &renames);
 
     // The loop itself: the generic wrapper over __kmpc_for_static_* /
     // __kmpc_dispatch_* (§III-C). Bounds are evaluated once at entry.
@@ -661,7 +718,8 @@ fn replace_while_collapse2(
             "the declared counter must drive the inner loop",
         ));
     }
-    let mut body = block_inner(ast, inner.body)?.to_string();
+    let body = block_inner(ast, inner.body)?;
+    let mut renames = Vec::new();
 
     let (kind_code, chunk) = match clauses.schedule {
         None => (0u32, 0u32),
@@ -682,13 +740,13 @@ fn replace_while_collapse2(
         let p = place_of(ast, tok);
         let fresh = format!("__prv_{}_{k}", p.ident);
         pre.push_str(&format!("var {fresh}: any = undefined;\n"));
-        body = rewrite_ident(&body, &p.ident, &fresh, false);
+        renames.push(Rename::new(&p.ident, fresh, false));
     }
     for &tok in &clauses.firstprivate {
         let p = place_of(ast, tok);
         let fresh = format!("__prv_{}_{k}", p.ident);
         pre.push_str(&format!("var {fresh}: any = {};\n", p.access()));
-        body = rewrite_ident(&body, &p.ident, &fresh, false);
+        renames.push(Rename::new(&p.ident, fresh, false));
     }
     let mut has_reduction = false;
     for &(op, tok) in &clauses.reduction {
@@ -704,12 +762,13 @@ fn replace_while_collapse2(
         pre.push_str(&format!(
             "var {acc}: any = omp.internal.red_identity({cell});\n"
         ));
-        body = rewrite_ident(&body, &p.ident, &acc, p.deref);
         post.push_str(&format!(
             "{} = omp.internal.red_loop_end({cell}, {acc});\n",
             p.access()
         ));
+        renames.push(Rename::new(&p.ident, acc, p.deref));
     }
+    let body = rewrite_idents(body, &renames);
 
     let ws = format!("__ws_{k}");
     let (ta, tb) = (format!("__tripa_{k}"), format!("__tripb_{k}"));
@@ -1028,13 +1087,52 @@ mod tests {
         // `foo.s` must not be rewritten when `s` is shared — "two
         // identifiers refer to the same entity as long as neither is
         // preceded by a period".
-        let r = rewrite_ident("s = foo.s + s;", "s", "__shr_s.*", false);
+        let r = rewrite_idents(
+            "s = foo.s + s;",
+            &[Rename::new("s", "__shr_s.*".into(), false)],
+        );
         assert_eq!(r, "__shr_s.* = foo.s + __shr_s.*;");
+    }
+
+    /// One walk over the renames gives the text their one-by-one
+    /// application gives, also where a rename renames what an earlier one
+    /// wrote, or strips a `.*` an earlier one added.
+    #[test]
+    fn one_rename_walk_equals_renaming_one_by_one() {
+        let body = "x = x.* + y; foo.x = __shr_x.* + __shr_x; y.*.* = x + acc.*; acc = x.y;";
+        let r = |from: &str, to: &str, strip| Rename::new(from, to.into(), strip);
+        let lists = [
+            vec![r("x", "__shr_x.*", false), r("__shr_x", "__shr_x", true)],
+            vec![
+                r("__shr_x", "__shr___shr_x", false),
+                r("x", "__shr_x.*", false),
+            ],
+            vec![
+                r("x", "__shr_x.*", false),
+                r("__shr_x", "__shr___shr_x.*", false),
+            ],
+            vec![
+                r("y", "acc.*", false),
+                r("acc", "acc", true),
+                r("acc", "z", true),
+            ],
+            vec![r("y", "y", true), r("y", "y", true), r("x", "acc", true)],
+        ];
+        for renames in lists {
+            let mut one_by_one = body.to_string();
+            for rename in &renames {
+                one_by_one = rewrite_idents(&one_by_one, std::slice::from_ref(rename));
+            }
+            assert_eq!(rewrite_idents(body, &renames), one_by_one);
+        }
     }
 
     #[test]
     fn rewrite_strips_deref_for_accumulators() {
-        let r = rewrite_ident("x.* = x.* + a[x.*];", "x", "acc", true);
+        let r = rewrite_idents(
+            "x.* = x.* + a[x.*];",
+            &[Rename::new("x", "acc".into(), true)],
+        );
         assert_eq!(r, "acc = acc + a[acc];");
     }
 

@@ -737,3 +737,61 @@ fn out_of_bounds_claims_fail_like_the_oracles() {
         assert!(err.contains("out of bounds"), "{what}: {err}");
     }
 }
+
+/// Whether the verifier takes `randlc` as the LCG step: the fill of
+/// [`LCG_FILL`] becomes the `lcg-fill` kernel exactly when it does.
+fn verified(randlc: &str) -> bool {
+    let src = format!(
+        "{randlc}{}",
+        LCG_FILL.replace("SCHEDULE", "schedule(static)")
+    );
+    let diags = zomp_vm::remarks::collect(&src, "verify.zag", OptLevel::O3).expect("remarks");
+    (diags.iter()).any(|d| d.code == "kernel-installed" && d.message.contains("lcg-fill"))
+}
+
+/// The callee verifier compares dataflow, commutative in `+` and `*` and
+/// exact in everything else: a `randlc` with the operands of every `+` and
+/// `*` swapped is the step; a constant one ulp off, one more `+`, or a body
+/// that returns the same value by another computation is not.
+#[test]
+fn callee_verifier_accepts_commuted_operands_and_nothing_else() {
+    assert!(verified(RANDLC));
+    let commuted = RANDLC
+        .replace("r23 * a;", "a * r23;")
+        .replace("a - t23 * a1", "a - a1 * t23")
+        .replace("r23 * x.*", "x.* * r23")
+        .replace("x.* - t23 * x1", "x.* - x1 * t23")
+        .replace("a1 * x2 + a2 * x1", "x1 * a2 + x2 * a1")
+        .replace("r23 * t1))", "t1 * r23))")
+        .replace("t1 - t23 * t2", "t1 - t2 * t23")
+        .replace("t23 * zz + a2 * x2", "x2 * a2 + zz * t23")
+        .replace("r46 * t3", "t3 * r46")
+        .replace("t3 - t46 * t4", "t3 - t4 * t46")
+        .replace("return r46 * x.*", "return x.* * r46");
+    assert_eq!(commuted.matches("a * r23").count(), 1, "the edit applied");
+    assert!(verified(&commuted), "commuted operands");
+    let rejected = [
+        ("a constant one ulp off", "8388608.0;", "8388608.000000002;"),
+        (
+            "one more `+`",
+            "t1 = a1 * x2 + a2 * x1;",
+            "t1 = a1 * x2 + a2 * x1 + 0.0;",
+        ),
+        (
+            "the same value, computed otherwise",
+            "t23 * zz + a2 * x2;",
+            "(t23 * zz + a2 * x2) * 1.0;",
+        ),
+    ];
+    for (what, from, to) in rejected {
+        assert_eq!(
+            RANDLC.matches(from).count(),
+            1,
+            "{what}: the edit applies once"
+        );
+        assert!(
+            !verified(&RANDLC.replace(from, to)),
+            "{what} was taken as the step"
+        );
+    }
+}

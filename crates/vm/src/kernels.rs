@@ -38,7 +38,8 @@
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::value::{ArrF, ArrI, Value};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Descriptor for one installed kernel, stored in
 /// [`CompiledFn::kernels`] and referenced by [`Insn::BulkLoop`].
@@ -272,11 +273,12 @@ impl KernelDesc {
 // Cross-call matching: symbolic verification of small pure callees
 // ---------------------------------------------------------------------------
 
-/// Symbolic value over a two-parameter `(ptr, scalar)` callee. `Trunc`
-/// is the NPB truncation idiom `@intToFloat(@floatToInt(v))`; `FtoI`
-/// is its half-finished intermediate (an `i64`-typed node that is only
-/// legal as the immediate operand of `IntToFloat`).
-#[derive(Clone)]
+/// Symbolic value over a two-parameter `(ptr, scalar)` callee, its
+/// operands ids in a [`Dag`]. `Trunc` is the NPB truncation idiom
+/// `@intToFloat(@floatToInt(v))`; `FtoI` is its half-finished
+/// intermediate (an `i64`-typed node that is only legal as the immediate
+/// operand of `IntToFloat`).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Sym {
     /// The pointer parameter itself (only dereferenced/stored through).
     Ptr,
@@ -286,159 +288,151 @@ enum Sym {
     X,
     /// A float constant, by exact bit pattern.
     C(u64),
-    FtoI(std::rc::Rc<Sym>),
-    Trunc(std::rc::Rc<Sym>),
-    Add(std::rc::Rc<Sym>, std::rc::Rc<Sym>),
-    Sub(std::rc::Rc<Sym>, std::rc::Rc<Sym>),
-    Mul(std::rc::Rc<Sym>, std::rc::Rc<Sym>),
+    FtoI(u32),
+    Trunc(u32),
+    Add(u32, u32),
+    Sub(u32, u32),
+    Mul(u32, u32),
 }
 
-/// Canonical key: a string rendering with the operands of the
-/// commutative nodes (`Add`, `Mul`) sorted, so two trees are
-/// semantically identical LCG dataflow iff their keys match. Trees are
-/// a few hundred expanded nodes at most, so the quadratic string
-/// building is irrelevant.
-fn sym_key(s: &Sym, out: &mut String) {
-    match s {
-        Sym::Ptr => out.push('p'),
-        Sym::A => out.push('a'),
-        Sym::X => out.push('x'),
-        Sym::C(bits) => {
-            out.push('c');
-            out.push_str(&bits.to_string());
+/// Hash-consed [`Sym`] nodes: one id per distinct node, the operands of
+/// the commutative ones (`Add`, `Mul`) sorted, so two values are the same
+/// LCG dataflow iff their ids are equal. A node costs one lookup, so
+/// comparing two DAGs is linear in their size however much they share.
+/// `base` is a finished DAG looked up first: ids below `base.ids.len()`
+/// are its nodes.
+#[derive(Default)]
+struct Dag<'b> {
+    base: Option<&'b Dag<'b>>,
+    ids: HashMap<Sym, u32>,
+    nodes: Vec<Sym>,
+}
+
+impl Dag<'_> {
+    fn id(&mut self, s: Sym) -> u32 {
+        let s = match s {
+            Sym::Add(l, r) => Sym::Add(l.min(r), l.max(r)),
+            Sym::Mul(l, r) => Sym::Mul(l.min(r), l.max(r)),
+            s => s,
+        };
+        if let Some(&id) = self.base.and_then(|b| b.ids.get(&s)) {
+            return id;
         }
-        Sym::FtoI(v) => {
-            out.push_str("i(");
-            sym_key(v, out);
-            out.push(')');
-        }
-        Sym::Trunc(v) => {
-            out.push_str("t(");
-            sym_key(v, out);
-            out.push(')');
-        }
-        Sym::Sub(l, r) => {
-            out.push_str("-(");
-            sym_key(l, out);
-            out.push(',');
-            sym_key(r, out);
-            out.push(')');
-        }
-        Sym::Add(l, r) | Sym::Mul(l, r) => {
-            out.push(if matches!(s, Sym::Add(..)) { '+' } else { '*' });
-            let (mut a, mut b) = (String::new(), String::new());
-            sym_key(l, &mut a);
-            sym_key(r, &mut b);
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            out.push('(');
-            out.push_str(&a);
-            out.push(',');
-            out.push_str(&b);
-            out.push(')');
+        let first = self.base.map_or(0, |b| b.nodes.len() as u32);
+        let next = first + self.nodes.len() as u32;
+        *self.ids.entry(s).or_insert_with(|| {
+            self.nodes.push(s);
+            next
+        })
+    }
+
+    fn node(&self, id: u32) -> Sym {
+        match self.base {
+            Some(b) if (id as usize) < b.nodes.len() => b.nodes[id as usize],
+            Some(b) => self.nodes[id as usize - b.nodes.len()],
+            None => self.nodes[id as usize],
         }
     }
 }
 
 /// The NPB 46-bit LCG step (`randlc`), as the canonical symbolic pair
-/// `(return value, final pointee)`. Exact constants: the kernel is only
-/// bit-identical to the callee when the callee uses these very values.
-fn lcg_canonical() -> (String, String) {
-    use std::rc::Rc;
-    const R23: f64 = 0.000_000_119_209_289_550_781_25;
-    const T23: f64 = 8_388_608.0;
-    const R46: f64 = R23 * R23;
-    const T46: f64 = T23 * T23;
-    let c = |v: f64| Rc::new(Sym::C(v.to_bits()));
-    let mul = |l: &Rc<Sym>, r: &Rc<Sym>| Rc::new(Sym::Mul(l.clone(), r.clone()));
-    let add = |l: &Rc<Sym>, r: &Rc<Sym>| Rc::new(Sym::Add(l.clone(), r.clone()));
-    let sub = |l: &Rc<Sym>, r: &Rc<Sym>| Rc::new(Sym::Sub(l.clone(), r.clone()));
-    let trunc = |v: &Rc<Sym>| Rc::new(Sym::Trunc(v.clone()));
-    let (r23, t23, r46, t46) = (c(R23), c(T23), c(R46), c(T46));
-    let (a, x) = (Rc::new(Sym::A), Rc::new(Sym::X));
-    let a1 = trunc(&mul(&r23, &a));
-    let a2 = sub(&a, &mul(&t23, &a1));
-    let x1 = trunc(&mul(&r23, &x));
-    let x2 = sub(&x, &mul(&t23, &x1));
-    let t1 = add(&mul(&a1, &x2), &mul(&a2, &x1));
-    let t2 = trunc(&mul(&r23, &t1));
-    let z = sub(&t1, &mul(&t23, &t2));
-    let t3 = add(&mul(&t23, &z), &mul(&a2, &x2));
-    let t4 = trunc(&mul(&r46, &t3));
-    let xp = sub(&t3, &mul(&t46, &t4));
-    let ret = mul(&r46, &xp);
-    let (mut rk, mut mk) = (String::new(), String::new());
-    sym_key(&ret, &mut rk);
-    sym_key(&xp, &mut mk);
-    (rk, mk)
+/// `(return value, final pointee)` and the DAG holding it, built once.
+/// Exact constants: the kernel is only bit-identical to the callee when
+/// the callee uses these very values.
+fn lcg_canonical() -> &'static (Dag<'static>, u32, u32) {
+    static CANON: OnceLock<(Dag<'static>, u32, u32)> = OnceLock::new();
+    CANON.get_or_init(|| {
+        const R23: f64 = 0.000_000_119_209_289_550_781_25;
+        const T23: f64 = 8_388_608.0;
+        const R46: f64 = R23 * R23;
+        const T46: f64 = T23 * T23;
+        let mut d = Dag::default();
+        let [r23, t23, r46, t46] = [R23, T23, R46, T46].map(|v| d.id(Sym::C(v.to_bits())));
+        let (a, x) = (d.id(Sym::A), d.id(Sym::X));
+        let mul = |d: &mut Dag, l, r| d.id(Sym::Mul(l, r));
+        let trunc = |d: &mut Dag, v| d.id(Sym::Trunc(v));
+        let t = mul(&mut d, r23, a);
+        let a1 = trunc(&mut d, t);
+        let t = mul(&mut d, t23, a1);
+        let a2 = d.id(Sym::Sub(a, t));
+        let t = mul(&mut d, r23, x);
+        let x1 = trunc(&mut d, t);
+        let t = mul(&mut d, t23, x1);
+        let x2 = d.id(Sym::Sub(x, t));
+        let (l, r) = (mul(&mut d, a1, x2), mul(&mut d, a2, x1));
+        let t1 = d.id(Sym::Add(l, r));
+        let t = mul(&mut d, r23, t1);
+        let t2 = trunc(&mut d, t);
+        let t = mul(&mut d, t23, t2);
+        let z = d.id(Sym::Sub(t1, t));
+        let (l, r) = (mul(&mut d, t23, z), mul(&mut d, a2, x2));
+        let t3 = d.id(Sym::Add(l, r));
+        let t = mul(&mut d, r46, t3);
+        let t4 = trunc(&mut d, t);
+        let t = mul(&mut d, t46, t4);
+        let xp = d.id(Sym::Sub(t3, t));
+        let ret = mul(&mut d, r46, xp);
+        (d, ret, xp)
+    })
 }
 
 /// `true` iff `f` is a two-parameter `(ptr, f64)` function whose body
 /// is straight-line float dataflow computing *exactly* the NPB 46-bit
 /// LCG step: return value `r46 * x'`, pointee updated to `x'`. The
-/// whole body is abstractly interpreted over [`Sym`]; any instruction
-/// outside the tiny pure-dataflow subset (a jump, a call, an index)
-/// rejects. Tree equality (commutative in `Add`/`Mul`, exact in
-/// constants) implies the kernel's hardcoded step reproduces the
-/// callee bit-for-bit — float addition and multiplication are
-/// deterministic, so equal dataflow means equal bits.
+/// whole body is abstractly interpreted over [`Sym`], in a [`Dag`] on top
+/// of [`lcg_canonical`]'s; any instruction outside the tiny pure-dataflow
+/// subset (a jump, a call, an index) rejects. Equal ids (commutative in
+/// `Add`/`Mul`, exact in constants) imply the kernel's hardcoded step
+/// reproduces the callee bit-for-bit — float addition and multiplication
+/// are deterministic, so equal dataflow means equal bits.
 fn lcg_callee(f: &CompiledFn) -> bool {
-    use std::rc::Rc;
     if f.nparams != 2 {
         return false;
     }
-    let mut env: Vec<Option<Rc<Sym>>> = vec![None; f.nregs.max(2)];
-    env[0] = Some(Rc::new(Sym::Ptr));
-    env[1] = Some(Rc::new(Sym::A));
-    let mut mem: Rc<Sym> = Rc::new(Sym::X);
-    let get = |env: &[Option<Rc<Sym>>], r: Reg| env.get(r as usize).cloned().flatten();
-    let is_ptr = |env: &[Option<Rc<Sym>>], r: Reg| matches!(get(env, r).as_deref(), Some(Sym::Ptr));
+    let (canon, cret, cmem) = lcg_canonical();
+    let mut d = Dag {
+        base: Some(canon),
+        ..Dag::default()
+    };
+    let mut env: Vec<Option<u32>> = vec![None; f.nregs.max(2)];
+    env[0] = Some(d.id(Sym::Ptr));
+    env[1] = Some(d.id(Sym::A));
+    let mut mem = d.id(Sym::X);
+    let get = |env: &[Option<u32>], r: Reg| env.get(r as usize).copied().flatten();
+    let float = |k: u16| match f.consts.get(k as usize) {
+        Some(Value::Float(v)) => Some(Sym::C(v.to_bits())),
+        _ => None,
+    };
+    let arith = |op: ArithOp, l: u32, r: u32| match op {
+        ArithOp::Add => Some(Sym::Add(l, r)),
+        ArithOp::Sub => Some(Sym::Sub(l, r)),
+        ArithOp::Mul => Some(Sym::Mul(l, r)),
+        _ => None,
+    };
     for insn in &f.code {
-        match *insn {
-            Insn::Const { dst, k } => {
-                env[dst as usize] = match f.consts.get(k as usize) {
-                    Some(Value::Float(v)) => Some(Rc::new(Sym::C(v.to_bits()))),
-                    _ => None,
-                };
+        let (dst, sym): (Reg, Option<Sym>) = match *insn {
+            Insn::Const { dst, k } => (dst, float(k)),
+            Insn::Move { dst, src } => {
+                env[dst as usize] = get(&env, src);
+                continue;
             }
-            Insn::Move { dst, src } => env[dst as usize] = get(&env, src),
             Insn::Arith { op, dst, a, b } => {
                 let (Some(l), Some(r)) = (get(&env, a), get(&env, b)) else {
                     return false;
                 };
-                env[dst as usize] = Some(Rc::new(match op {
-                    ArithOp::Add => Sym::Add(l, r),
-                    ArithOp::Sub => Sym::Sub(l, r),
-                    ArithOp::Mul => Sym::Mul(l, r),
-                    _ => return false,
-                }));
+                (dst, arith(op, l, r))
             }
             Insn::ArithK { op, dst, a, k } => {
-                let (Some(l), Some(Value::Float(v))) = (get(&env, a), f.consts.get(k as usize))
-                else {
+                let (Some(l), Some(c)) = (get(&env, a), float(k)) else {
                     return false;
                 };
-                let r = Rc::new(Sym::C(v.to_bits()));
-                env[dst as usize] = Some(Rc::new(match op {
-                    ArithOp::Add => Sym::Add(l, r),
-                    ArithOp::Sub => Sym::Sub(l, r),
-                    ArithOp::Mul => Sym::Mul(l, r),
-                    _ => return false,
-                }));
+                (dst, arith(op, l, d.id(c)))
             }
             Insn::ArithKL { op, dst, k, b } => {
-                let (Some(Value::Float(v)), Some(r)) = (f.consts.get(k as usize), get(&env, b))
-                else {
+                let (Some(c), Some(r)) = (float(k), get(&env, b)) else {
                     return false;
                 };
-                let l = Rc::new(Sym::C(v.to_bits()));
-                env[dst as usize] = Some(Rc::new(match op {
-                    ArithOp::Add => Sym::Add(l, r),
-                    ArithOp::Sub => Sym::Sub(l, r),
-                    ArithOp::Mul => Sym::Mul(l, r),
-                    _ => return false,
-                }));
+                (dst, arith(op, d.id(c), r))
             }
             Insn::Builtin {
                 dst,
@@ -446,52 +440,39 @@ fn lcg_callee(f: &CompiledFn) -> bool {
                 base,
                 n: 1,
                 ..
-            } => {
-                let Some(v) = get(&env, base) else {
-                    return false;
-                };
-                env[dst as usize] = Some(Rc::new(Sym::FtoI(v)));
-            }
+            } => match get(&env, base) {
+                Some(v) => (dst, Some(Sym::FtoI(v))),
+                None => return false,
+            },
             Insn::Builtin {
                 dst,
                 op: BuiltinOp::IntToFloat,
                 base,
                 n: 1,
                 ..
-            } => {
-                let Some(v) = get(&env, base) else {
-                    return false;
-                };
-                let Sym::FtoI(inner) = &*v else { return false };
-                env[dst as usize] = Some(Rc::new(Sym::Trunc(inner.clone())));
+            } => match get(&env, base).map(|v| d.node(v)) {
+                Some(Sym::FtoI(inner)) => (dst, Some(Sym::Trunc(inner))),
+                _ => return false,
+            },
+            Insn::Deref { dst, ptr } if get(&env, ptr).map(|p| d.node(p)) == Some(Sym::Ptr) => {
+                env[dst as usize] = Some(mem);
+                continue;
             }
-            Insn::Deref { dst, ptr } => {
-                if !is_ptr(&env, ptr) {
-                    return false;
-                }
-                env[dst as usize] = Some(mem.clone());
-            }
-            Insn::StorePtr { ptr, src } => {
-                if !is_ptr(&env, ptr) {
-                    return false;
-                }
+            Insn::StorePtr { ptr, src } if get(&env, ptr).map(|p| d.node(p)) == Some(Sym::Ptr) => {
                 let Some(v) = get(&env, src) else {
                     return false;
                 };
                 mem = v;
+                continue;
             }
-            Insn::Ret { src } => {
-                let Some(ret) = get(&env, src) else {
-                    return false;
-                };
-                let (mut rk, mut mk) = (String::new(), String::new());
-                sym_key(&ret, &mut rk);
-                sym_key(&mem, &mut mk);
-                let (crk, cmk) = lcg_canonical();
-                return rk == crk && mk == cmk;
-            }
+            Insn::Ret { src } => return get(&env, src) == Some(*cret) && mem == *cmem,
             _ => return false,
+        };
+        if sym.is_none() && !matches!(insn, Insn::Const { .. }) {
+            // An arithmetic op the step does not use.
+            return false;
         }
+        env[dst as usize] = sym.map(|s| d.id(s));
     }
     false
 }

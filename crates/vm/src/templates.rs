@@ -986,16 +986,28 @@ fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
 pub fn op_names() -> Vec<(usize, String)> {
     let arith = |o: usize| ["add", "sub", "mul", "div", "rem"][o];
     let mut named: Vec<(String, Ops)> = Vec::new();
-    for (k, row) in ["ii", "ff", "k_i", "kl_i", "k_f", "kl_f"].iter().enumerate() {
+    for (k, row) in ["ii", "ff", "k_i", "kl_i", "k_f", "kl_f"]
+        .iter()
+        .enumerate()
+    {
         let ops = if k < 2 { &BIN[k] } else { &BINK[k - 2] };
         named.extend((0..5).map(|o| (format!("{}{row}", arith(o)), ops[o])));
     }
     named.extend((0..PURE.len()).map(|r| (format!("pure{r}_{:?}", PURE[r].0), PURE_OPS[r])));
-    let fixed = [mov_i, mov_f, const_i, const_f, ld_i, ld_f, st_i, st_f, br_i, br_f];
-    let names = ["mov_i", "mov_f", "const_i", "const_f", "ld_i", "ld_f", "st_i", "st_f", "br_i", "br_f"];
+    let fixed = [
+        mov_i, mov_f, const_i, const_f, ld_i, ld_f, st_i, st_f, br_i, br_f,
+    ];
+    let names = [
+        "mov_i", "mov_f", "const_i", "const_f", "ld_i", "ld_f", "st_i", "st_f", "br_i", "br_f",
+    ];
     named.extend(names.iter().map(|n| n.to_string()).zip(fixed));
     let mut out: Vec<(usize, String)> = (named.into_iter())
-        .flat_map(|(n, o)| [(o.one as usize, n.clone()), (o.strip as usize, n + ".strip")])
+        .flat_map(|(n, o)| {
+            [
+                (o.one as usize, n.clone()),
+                (o.strip as usize, n + ".strip"),
+            ]
+        })
         .collect();
     out.push((sel::<i64> as StripFn as usize, "sel_i.strip".into()));
     out.push((sel::<f64> as StripFn as usize, "sel_f.strip".into()));

@@ -3265,9 +3265,8 @@ fn nested_parallel_names_an_outer_shared_variable() {
     }
     print(t, u);
 }";
-    // Each outer thread adds 5 + 1 and then 100; `t` keeps its 5. The
-    // reduction runs under an outer team of one, so its write-back to the
-    // shared `v` does not race.
+    // Each outer thread adds 5 + 1 and then 100; `t` keeps its 5. Each of
+    // the two outer threads reduces 3 into the shared `v`.
     let local = "fn main() void {
     var t: i64 = 5;
     var u: i64 = 0;
@@ -3287,7 +3286,7 @@ fn nested_parallel_names_an_outer_shared_variable() {
         }
     }
     var v: i64 = 1;
-    //$omp parallel num_threads(1) shared(v)
+    //$omp parallel num_threads(2) shared(v)
     {
         //$omp parallel num_threads(1) reduction(+: v)
         {
@@ -3296,11 +3295,43 @@ fn nested_parallel_names_an_outer_shared_variable() {
     }
     print(t, u, v);
 }";
-    for (src, want) in [(shared, "2 20"), (local, "5 212 4")] {
+    for (src, want) in [(shared, "2 20"), (local, "5 212 7")] {
         let want = Ok(vec![want.to_string()]);
         assert_eq!(run_on(src, Backend::Ast, OptLevel::O0), want, "{src}");
         for opt in opt_levels() {
             assert_eq!(run_on(src, Backend::Bytecode, opt), want, "--opt={opt}");
+        }
+    }
+}
+
+/// A `reduction` on an enclosing region's shared variable combines into it
+/// after the join, so outer threads running such regions at the same time
+/// lose no update: each of 4 outer threads runs 2000 inner regions that add
+/// one to `v`, at inner teams of 1, 2 and 4 (nested regions run on a team
+/// of one), on every backend.
+#[test]
+fn nested_reductions_into_a_shared_variable_lose_no_update() {
+    let src = "fn main() void {
+    var v: i64 = 0;
+    //$omp parallel num_threads(4) shared(v)
+    {
+        var k: i64 = 0;
+        while (k < 2000) : (k += 1) {
+            //$omp parallel num_threads(TEAM) reduction(+: v)
+            {
+                v = v + 1;
+            }
+        }
+    }
+    print(v);
+}";
+    for team in [1, 2, 4] {
+        let src = src.replace("TEAM", &team.to_string());
+        let want = Ok(vec!["8000".to_string()]);
+        assert_eq!(run_on(&src, Backend::Ast, OptLevel::O0), want, "team {team}");
+        for opt in opt_levels() {
+            let got = run_on(&src, Backend::Bytecode, opt);
+            assert_eq!(got, want, "team {team}, --opt={opt}");
         }
     }
 }
