@@ -8,6 +8,9 @@
 //! worksharing protocol, template entry) and `fork_small` is
 //! `runtime_fine`'s program of the same name.
 //!
+//! The `compile` group is what a `zagd` cache miss pays before its program
+//! runs: `compile_opt` on the NPB ports and one `Runtime` construction.
+//!
 //! These are host-machine measurements (the class C tables come from the
 //! `paper-figures` model harness); sample sizes are kept small so the suite
 //! stays quick on small hosts.
@@ -394,6 +397,26 @@ fn bench_vm_region(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a never-seen `zagd` source pays before it runs: `compile_opt` at
+/// `--opt=3` on the three NPB ports, and building the `Runtime` every
+/// request executes against (µs per row; `zag --time-passes` splits a
+/// compile by stage).
+fn bench_compile(c: &mut Criterion) {
+    use zomp_bench::ports::{ZAG_EP, ZAG_MATVEC, ZAG_RANK};
+    use zomp_vm::OptLevel;
+    let mut g = c.benchmark_group("compile");
+    g.sample_size(30).measurement_time(Duration::from_secs(2));
+    for (name, source) in [("cg", ZAG_MATVEC), ("ep", ZAG_EP), ("is", ZAG_RANK)] {
+        g.bench_function(BenchmarkId::new("compile_opt", name), |b| {
+            b.iter(|| zomp_vm::compile_opt(black_box(source), Some("port.zag"), OptLevel::O3))
+        });
+    }
+    g.bench_function("runtime", |b| {
+        b.iter(|| zomp::Runtime::with_config(&zomp::RuntimeConfig::default()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_fork,
@@ -404,6 +427,7 @@ criterion_group!(
     bench_barrier_impls,
     bench_reduction_impls,
     bench_worksharing_nowait,
-    bench_vm_region
+    bench_vm_region,
+    bench_compile
 );
 criterion_main!(benches);

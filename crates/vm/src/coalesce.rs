@@ -52,7 +52,7 @@ use crate::bytecode::{CompiledFn, Image, Insn, Reg};
 use crate::compile::CKey;
 use crate::optimize::{
     bit, block_leaders, dse, installed_spans, jump_target, liveness_of, map_regs, remap, succs,
-    Effects, Live,
+    visit_defs, Effects, Live,
 };
 use crate::value::Value;
 
@@ -298,7 +298,7 @@ pub(crate) fn coalesce_fn(f: &mut CompiledFn) {
     }
     // The candidates and the registers they name.
     let mut tracked = vec![false; f.nregs];
-    let mut any = false;
+    let mut cands = Vec::new();
     for (pc, insn) in f.code.iter().enumerate() {
         if span[pc] || depth[pc] == 0 {
             continue;
@@ -307,33 +307,88 @@ pub(crate) fn coalesce_fn(f: &mut CompiledFn) {
             Insn::Move { dst, src } if dst != src => {
                 tracked[dst as usize] = true;
                 tracked[src as usize] = true;
-                any = true;
+                cands.push(pc);
             }
             Insn::Const { dst, k } if is_scalar(&f.consts[k as usize]) => {
                 tracked[dst as usize] = true;
-                any = true;
+                cands.push(pc);
             }
             _ => {}
         }
     }
-    if !any && f.templates.is_empty() {
+    if cands.is_empty() && f.templates.is_empty() {
         return;
     }
-    let eff = Effects::of(f);
-    let live = liveness_of(f, &eff);
-    for t in 0..f.templates.len() {
-        let exit = f.templates[t].exit as usize;
-        f.templates[t].prune_outs(|r| eff.live_in(&live, exit, r));
+    let dataflow = |f: &CompiledFn| {
+        let eff = Effects::of(f);
+        let live = liveness_of(f, &eff);
+        (eff, live)
+    };
+    let mut flow = None;
+    if !f.templates.is_empty() {
+        let (eff, live) = flow.insert(dataflow(f));
+        for t in 0..f.templates.len() {
+            let exit = f.templates[t].exit as usize;
+            f.templates[t].prune_outs(|r| eff.live_in(live, exit, r));
+        }
     }
+    // A candidate can change nothing when its webs are pinned, as seen from
+    // registers alone: a copy's source and destination, or a constant's
+    // destination, named by an installed loop, or a definition an argument
+    // block reads before its block ends or the register is written again.
+    let pin_reg = pinned_regs(f);
+    let lead = block_leaders(f);
+    let fed = |pc: usize, r: Reg| {
+        for q in (pc + 1..n).take_while(|&q| !lead[q]) {
+            let mut writes = false;
+            visit_defs(&f.code[q], |d| writes |= d == r);
+            if writes || arg_block(&f.code[q]).is_some_and(|b| b.contains(&r)) {
+                return !writes;
+            }
+        }
+        false
+    };
+    let def_pinned = |pc: usize, d: Reg| pin_reg[d as usize] || fed(pc, d);
+    let movable = cands.iter().any(|&pc| match f.code[pc] {
+        Insn::Move { dst, src } => !pin_reg[src as usize] || !def_pinned(pc, dst),
+        Insn::Const { dst, .. } => !def_pinned(pc, dst),
+        _ => unreachable!("a candidate is a copy or a constant"),
+    });
     let regs: Vec<Reg> = (0..f.nregs as Reg)
         .filter(|&r| tracked[r as usize])
         .collect();
-    if !any || n.saturating_mul(regs.len()) > MAX_CELLS {
+    if !movable || n.saturating_mul(regs.len()) > MAX_CELLS {
         return;
     }
+    let (eff, live) = flow.unwrap_or_else(|| dataflow(f));
     let webs = Webs::build(f, &live, &eff, regs);
-    if webs.root.len().pow(2) <= MAX_CELLS * 32 && rewrite(f, &webs, &live, &eff, &span, &depth) {
+    let fits = webs.root.len().pow(2) <= MAX_CELLS * 32;
+    if fits && rewrite(f, &webs, &live, &eff, &span, &depth, &pin_reg) {
         dse(f, None);
+    }
+}
+
+/// The registers an installed kernel or template names.
+fn pinned_regs(f: &CompiledFn) -> Vec<bool> {
+    let mut pin = vec![false; f.nregs];
+    for d in &f.kernels {
+        d.visit_regs(|r| pin[r as usize] = true);
+    }
+    for d in &f.templates {
+        d.visit_regs(|r| pin[r as usize] = true);
+    }
+    pin
+}
+
+/// The register range a call passes its arguments in.
+fn arg_block(insn: &Insn) -> Option<std::ops::Range<Reg>> {
+    match *insn {
+        Insn::Call { base, n, .. }
+        | Insn::CallValue { base, n, .. }
+        | Insn::OmpCall { base, n, .. }
+        | Insn::Builtin { base, n, .. }
+        | Insn::Print { base, n } => Some(base..base + n),
+        _ => None,
     }
 }
 
@@ -351,6 +406,7 @@ fn rewrite(
     eff: &Effects,
     span: &[bool],
     depth: &[u32],
+    pin_reg: &[bool],
 ) -> bool {
     let (n, t) = (f.code.len(), webs.regs.len());
     let nweb = webs.root.len();
@@ -358,13 +414,6 @@ fn rewrite(
 
     // Pinned webs.
     let mut pinned = vec![false; nweb];
-    let mut pin_reg = vec![false; f.nregs];
-    for d in &f.kernels {
-        d.visit_regs(|r| pin_reg[r as usize] = true);
-    }
-    for d in &f.templates {
-        d.visit_regs(|r| pin_reg[r as usize] = true);
-    }
     for x in 0..t {
         pinned[webs.root[x] as usize] = true;
     }
@@ -377,15 +426,8 @@ fn rewrite(
                 webs.each_in(row, |r| pinned[webs.at(pc, r).unwrap() as usize] = true);
             }
         }
-        if let Insn::Call { base, n, .. }
-        | Insn::CallValue { base, n, .. }
-        | Insn::OmpCall { base, n, .. }
-        | Insn::Builtin { base, n, .. }
-        | Insn::Print { base, n } = *insn
-        {
-            for x in (base..base + n).filter_map(|r| webs.at(pc, r)) {
-                pinned[x as usize] = true;
-            }
+        for x in (arg_block(insn).into_iter().flatten()).filter_map(|r| webs.at(pc, r)) {
+            pinned[x as usize] = true;
         }
     }
 

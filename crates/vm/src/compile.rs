@@ -90,8 +90,9 @@ pub fn compile_image(ast: &Ast) -> Image {
 pub struct PassData {
     pub inline: InlineData,
     pub opt_stats: Vec<OptStats>,
-    /// One entry per step [`compile_image_opt`] ran, in order: `lowering`,
-    /// then each pass of [`PASSES`] (`zag --time-passes`).
+    /// One entry per step run, in order: `parse` and `preprocess` when
+    /// [`compile_source`] ran them, `lowering`, then each pass of
+    /// [`PASSES`] (`zag --time-passes`).
     pub times: Vec<PassTime>,
     /// Wall time of every [`verify_fn`] call, summed.
     pub verify: Duration,
@@ -101,8 +102,10 @@ pub struct PassData {
 pub struct PassTime {
     pub name: &'static str,
     pub wall: Duration,
-    /// Instructions in the image after the step.
-    pub insns: usize,
+    /// What the step left: AST nodes after a front-end step, instructions
+    /// in the image after a back-end one; `unit` says which.
+    pub size: usize,
+    pub unit: &'static str,
 }
 
 impl PassData {
@@ -113,7 +116,8 @@ impl PassData {
         self.times.push(PassTime {
             name,
             wall: done - *t,
-            insns: image.funcs.iter().map(|f| f.code.len()).sum(),
+            size: image.funcs.iter().map(|f| f.code.len()).sum(),
+            unit: "insns",
         });
         verify(image, name);
         *t = Instant::now();
@@ -124,9 +128,10 @@ impl PassData {
     /// total.
     pub fn time_table(&self) -> String {
         let us = |d: Duration| d.as_secs_f64() * 1e6;
-        let mut out = format!("{:<10} {:>10} {:>8}\n", "pass", "wall_us", "insns");
+        let mut out = format!("{:<10} {:>10} {:>8}\n", "pass", "wall_us", "size");
         for t in &self.times {
-            let _ = writeln!(out, "{:<10} {:>10.1} {:>8}", t.name, us(t.wall), t.insns);
+            let (name, wall) = (t.name, us(t.wall));
+            let _ = writeln!(out, "{name:<10} {wall:>10.1} {:>8} {}", t.size, t.unit);
         }
         let _ = writeln!(out, "{:<10} {:>10.1}", "verify", us(self.verify));
         let _ = writeln!(out, "{:<10} {:>10.1}", "total", us(self.total()));
@@ -134,7 +139,7 @@ impl PassData {
     }
 
     /// The step times as one JSON document: `passes` (`name`, `wall_us`,
-    /// `insns`), `verify_us` and `total_us`.
+    /// and `nodes` or `insns`), `verify_us` and `total_us`.
     pub fn time_json(&self) -> Json {
         let us = |d: Duration| Json::Float(d.as_secs_f64() * 1e6);
         let passes = (self.times.iter())
@@ -142,7 +147,7 @@ impl PassData {
                 obj([
                     ("name", Json::from(t.name)),
                     ("wall_us", us(t.wall)),
-                    ("insns", Json::Int(t.insns as i64)),
+                    (t.unit, Json::Int(t.size as i64)),
                 ])
             })
             .collect();
@@ -207,11 +212,28 @@ pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
 }
 
 /// Parse and preprocess `source`, then run the pipeline at `opt`, keeping
-/// what the passes recorded (`zag --remarks`, `zag --time-passes`). `unit`
-/// labels pragma loops `unit:line`, as in [`crate::compile_opt`].
+/// what the passes recorded (`zag --remarks`, `zag --time-passes`), the
+/// front end's two steps first: `parse`, and `preprocess` (every round and
+/// its reparse). `unit` labels pragma loops `unit:line`, as in
+/// [`crate::compile_opt`].
 pub fn compile_source(source: &str, unit: &str, opt: OptLevel) -> Result<(Image, PassData), Diag> {
-    let pre = zomp_front::preprocess::preprocess_parsed(zomp_front::parse(source)?, Some(unit))?;
-    Ok(compile_image_opt(&pre, opt))
+    let t = Instant::now();
+    let ast = zomp_front::parse(source)?;
+    let (parsed, nodes) = (Instant::now(), ast.nodes.len());
+    let pre = zomp_front::preprocess::preprocess_parsed(ast, Some(unit))?;
+    let front = [
+        ("parse", parsed - t, nodes),
+        ("preprocess", parsed.elapsed(), pre.nodes.len()),
+    ];
+    let (image, mut data) = compile_image_opt(&pre, opt);
+    let front = front.map(|(name, wall, size)| PassTime {
+        name,
+        wall,
+        size,
+        unit: "nodes",
+    });
+    data.times.splice(0..0, front);
+    Ok((image, data))
 }
 
 /// Panic unless every function passes [`verify_fn`]: the interpreter's

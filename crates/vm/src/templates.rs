@@ -73,7 +73,6 @@
 //!   iteration, so aliasing arrays behave exactly as interpreted.
 
 use std::cell::{RefCell, UnsafeCell};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::builtins::{Pure, PURE};
@@ -1945,6 +1944,149 @@ impl P {
     }
 }
 
+/// A key of a [`Dense`] table: its slot, and back.
+trait Key: Copy {
+    fn ix(self) -> usize;
+    fn of(ix: usize) -> Self;
+}
+
+impl Key for Reg {
+    fn ix(self) -> usize {
+        self as usize
+    }
+    fn of(ix: usize) -> Reg {
+        ix as Reg
+    }
+}
+
+/// A scalar key's slot: [`DEF`] first, then registers and scratch keys
+/// interleaved.
+impl Key for u32 {
+    fn ix(self) -> usize {
+        match self.checked_sub(SCRATCH0) {
+            _ if self == DEF => 0,
+            Some(s) => 2 * s as usize + 2,
+            None => 2 * self as usize + 1,
+        }
+    }
+    fn of(ix: usize) -> u32 {
+        match ix {
+            0 => DEF,
+            i if i % 2 == 1 => (i / 2) as u32,
+            i => SCRATCH0 + (i / 2 - 1) as u32,
+        }
+    }
+}
+
+impl Key for (Reg, K) {
+    fn ix(self) -> usize {
+        3 * self.0 as usize + self.1 as usize
+    }
+    fn of(ix: usize) -> (Reg, K) {
+        ((ix / 3) as Reg, [K::Unk, K::Int, K::Flt][ix % 3])
+    }
+}
+
+/// A map over registers or scalar keys, one slot per key: a loop of at
+/// most [`MAX_INSNS`] instructions names a few dozen of each, so a vector
+/// indexed by the key beats hashing it. Iteration is in slot order.
+#[derive(Clone)]
+struct Dense<T, V> {
+    slots: Vec<Option<V>>,
+    key: std::marker::PhantomData<T>,
+}
+
+impl<T, V> Default for Dense<T, V> {
+    fn default() -> Self {
+        Dense {
+            slots: Vec::new(),
+            key: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<T: Key, V> Dense<T, V> {
+    fn get(&self, k: &T) -> Option<&V> {
+        self.slots.get(k.ix())?.as_ref()
+    }
+    fn get_mut(&mut self, k: &T) -> Option<&mut V> {
+        self.slots.get_mut(k.ix())?.as_mut()
+    }
+    fn contains_key(&self, k: &T) -> bool {
+        self.get(k).is_some()
+    }
+    fn insert(&mut self, k: T, v: V) -> Option<V> {
+        let i = k.ix();
+        if i >= self.slots.len() {
+            let len = (i + 1).max(2 * self.slots.len()).max(32);
+            self.slots.resize_with(len, || None);
+        }
+        self.slots[i].replace(v)
+    }
+    fn remove(&mut self, k: &T) -> Option<V> {
+        self.slots.get_mut(k.ix())?.take()
+    }
+    /// The value of `k`, inserting `v` first if there is none.
+    fn or_insert(&mut self, k: T, v: V) -> &mut V {
+        if !self.contains_key(&k) {
+            self.insert(k, v);
+        }
+        self.get_mut(&k).expect("just inserted")
+    }
+    fn iter(&self) -> impl Iterator<Item = (T, &V)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, v)| Some((T::of(i), v.as_ref()?)))
+    }
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<T: Key, V> std::ops::Index<&T> for Dense<T, V> {
+    type Output = V;
+    fn index(&self, k: &T) -> &V {
+        self.get(k).expect("a key in the table")
+    }
+}
+
+impl<T: Key, V> FromIterator<(T, V)> for Dense<T, V> {
+    fn from_iter<I: IntoIterator<Item = (T, V)>>(it: I) -> Self {
+        let mut d = Dense::default();
+        it.into_iter().for_each(|(k, v)| _ = d.insert(k, v));
+        d
+    }
+}
+
+/// The set form of [`Dense`].
+#[derive(Clone, Default)]
+struct DSet<T>(Dense<T, ()>);
+
+impl<T: Key> DSet<T> {
+    fn insert(&mut self, k: T) -> bool {
+        self.0.insert(k, ()).is_none()
+    }
+    fn contains(&self, k: &T) -> bool {
+        self.0.contains_key(k)
+    }
+    fn clear(&mut self) {
+        self.0.slots.clear();
+    }
+}
+
+impl<T: Key> Extend<T> for DSet<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, it: I) {
+        it.into_iter().for_each(|k| _ = self.insert(k));
+    }
+}
+
+impl<T: Key> FromIterator<T> for DSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(it: I) -> Self {
+        let mut d = DSet(Dense::default());
+        d.extend(it);
+        d
+    }
+}
+
 /// Array operand info: cell-ness (bound through a `Ptr` slot or held
 /// directly), the element kind variable, and whether the template
 /// stores through it.
@@ -1959,14 +2101,14 @@ struct AInfo {
 struct Bld<'f> {
     consts: &'f [Value],
     uf: Uf,
-    svar: HashMap<u32, u32>,
+    svar: Dense<u32, u32>,
     sorder: Vec<u32>,
-    scalar_regs: HashSet<Reg>,
-    arrs: HashMap<Reg, AInfo>,
+    scalar_regs: DSet<Reg>,
+    arrs: Dense<Reg, AInfo>,
     aorder: Vec<Reg>,
     /// `Deref` destinations and the cell each reads: an array use of
     /// the destination binds the cell instead.
-    alias: HashMap<Reg, Reg>,
+    alias: Dense<Reg, Reg>,
     /// `(destination, cell)` per `Deref`, for the exit write-back.
     derefs: Vec<(Reg, Reg)>,
     protos: Vec<P>,
@@ -1979,12 +2121,12 @@ struct Bld<'f> {
     /// [`Bld::wr`]); the registers defined outside arms, and in the open
     /// arm; and those read before a definition, whose value a previous
     /// iteration may have left.
-    cur: HashMap<Reg, u32>,
-    defined: HashSet<Reg>,
-    in_arm: HashSet<Reg>,
-    carried: HashSet<Reg>,
+    cur: Dense<Reg, u32>,
+    defined: DSet<Reg>,
+    in_arm: DSet<Reg>,
+    carried: DSet<Reg>,
     /// The register of each key [`Bld::wr`] added.
-    version: HashMap<u32, Reg>,
+    version: Dense<u32, Reg>,
     /// Registers the open arm gave a new key, and their key before it;
     /// per closed arm, `(arm, key before, key in the arm)`.
     pending: Vec<(Reg, u32)>,
@@ -2478,14 +2620,14 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         K::Unk => unk,
         k => k,
     };
-    let skind: HashMap<u32, K> = (b.sorder.iter())
+    let skind: Dense<u32, K> = (b.sorder.iter())
         .map(|&k| (k, resolve(b.svar[&k])))
         .collect();
-    let akind: HashMap<Reg, K> = (b.aorder.iter())
+    let akind: Dense<Reg, K> = (b.aorder.iter())
         .map(|&r| (r, resolve(b.arrs[&r].elem)))
         .collect();
     let mut narr = [0u16; 2];
-    let aslot: HashMap<Reg, u16> = (b.aorder.iter())
+    let aslot: Dense<Reg, u16> = (b.aorder.iter())
         .map(|&r| {
             let n = &mut narr[(akind[&r] != K::Int) as usize];
             *n += 1;
@@ -2498,10 +2640,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // First-iteration read-before-write analysis over the execution
     // order decides which registers must be bound at entry. A write in an
     // arm counts only inside the arm: past it the test may have failed.
-    let mut written: HashSet<u32> = HashSet::new();
-    let mut bound: HashSet<u32> = HashSet::new();
+    let mut written: DSet<u32> = DSet::default();
+    let mut bound: DSet<u32> = DSet::default();
     {
-        let mut read = |key: u32, written: &HashSet<u32>| {
+        let mut read = |key: u32, written: &DSet<u32>| {
             if key < SCRATCH0 && !written.contains(&key) {
                 bound.insert(key);
             }
@@ -2529,10 +2671,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // `bound`) — hoist into a once-per-run prelude: they reload the
     // same value every iteration, and the slot still holds it for the
     // exit write-back. Everything else stays in iteration order.
-    let mut write_count: HashMap<u32, usize> = HashMap::new();
+    let mut write_count: Dense<u32, usize> = Dense::default();
     for p in &b.protos {
         if let Some(d) = p.write() {
-            *write_count.entry(d).or_default() += 1;
+            *write_count.or_insert(d, 0) += 1;
         }
     }
     let hoisted: Vec<bool> = b
@@ -2549,10 +2691,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // Slot assignment, in first-use order. The keys of one register's
     // values of one kind share its slot (each is dead when the next is
     // defined), unless one is a hoisted constant.
-    let mut slot: HashMap<u32, u16> = HashMap::new();
-    let mut shared: HashMap<(Reg, K), u16> = HashMap::new();
+    let mut slot: Dense<u32, u16> = Dense::default();
+    let mut shared: Dense<(Reg, K), u16> = Dense::default();
     let mut nslots = [0u16; 2];
-    let hoist_keys: HashSet<u32> = (b.protos.iter().zip(&hoisted))
+    let hoist_keys: DSet<u32> = (b.protos.iter().zip(&hoisted))
         .filter_map(|(p, &h)| p.write().filter(|_| h))
         .collect();
     for &key in &b.sorder {
@@ -2562,7 +2704,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             .or((key < SCRATCH0).then_some(key as Reg))
             .filter(|_| !hoist_keys.contains(&key));
         let s = match reg {
-            Some(r) => *shared.entry((r, k)).or_insert(*next),
+            Some(r) => *shared.or_insert((r, k), *next),
             None => *next,
         };
         if s == *next {
@@ -2653,7 +2795,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     let mut cond_outs = Vec::new();
     let mut snap = Vec::new();
     // A register exits with the value of its last key.
-    let last: HashMap<u32, Reg> = (b.cur.iter().map(|(&r, &k)| (k, r)))
+    let last: Dense<u32, Reg> = (b.cur.iter().map(|(r, &k)| (k, r)))
         .chain([(m.var as u32, m.var)])
         .collect();
     // An arm's key of another kind than the register's before the arm.
@@ -2736,10 +2878,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
 /// One kind resolution of a loop: the kind and frame slot of every
 /// scalar key and array register.
 struct Kinds<'m> {
-    skind: &'m HashMap<u32, K>,
-    akind: &'m HashMap<Reg, K>,
-    slot: &'m HashMap<u32, u16>,
-    aslot: &'m HashMap<Reg, u16>,
+    skind: &'m Dense<u32, K>,
+    akind: &'m Dense<Reg, K>,
+    slot: &'m Dense<u32, u16>,
+    aslot: &'m Dense<Reg, u16>,
 }
 
 /// Placeholder key for the destination of the proto being re-lowered
@@ -2829,8 +2971,8 @@ fn plan_strip(
     b: &Bld,
     m: &MatchOut,
     kinds: &Kinds,
-    bound: &HashSet<u32>,
-    write_count: &HashMap<u32, usize>,
+    bound: &DSet<u32>,
+    write_count: &Dense<u32, usize>,
     hoisted: &[bool],
 ) -> Result<StripPlan, &'static str> {
     let (var, step, lim, cmp) = (m.var as u32, m.step, m.lim as u32, m.cmp);
@@ -2845,13 +2987,13 @@ fn plan_strip(
     if write_count.contains_key(&var) {
         return Err("carried-scalar");
     }
-    let mut nreads: HashMap<u32, usize> = HashMap::from([(lim, 1)]);
+    let mut nreads: Dense<u32, usize> = [(lim, 1)].into_iter().collect();
     for p in &b.protos {
-        p.reads(|r| *nreads.entry(r).or_default() += 1);
+        p.reads(|r| *nreads.or_insert(r, 0) += 1);
     }
     // Scalar key -> the column holding its current definition.
-    let mut cur: HashMap<u32, u16> = HashMap::from([(var, IOTA)]);
-    for (&key, &count) in write_count {
+    let mut cur: Dense<u32, u16> = [(var, IOTA)].into_iter().collect();
+    for (key, &count) in write_count.iter() {
         if !bound.contains(&key) {
             continue;
         }
@@ -2925,7 +3067,7 @@ fn plan_strip(
     let mut w = Walk {
         kinds,
         cur,
-        cond: HashMap::new(),
+        cond: Dense::default(),
         merges: &b.merges,
         ncols: [1, 0],
         plan: StripPlan::default(),
@@ -2975,12 +3117,12 @@ fn plan_strip(
             && value_ok)
             .then_some((src, chain, div))
     });
-    let mut defined: HashSet<u32> = HashSet::new();
+    let mut defined: DSet<u32> = DSet::default();
     // Keys that hold the induction variable times a constant: a load they
     // index is a strided slice, one bounds check per strip.
-    let mut affine: HashMap<u32, i64> = HashMap::from([(var, 1)]);
+    let mut affine: Dense<u32, i64> = [(var, 1)].into_iter().collect();
     // The open arm, and the column each register it defines had before.
-    let mut open: Option<(u16, HashMap<u32, Option<u16>>)> = None;
+    let mut open: Option<(u16, Dense<u32, Option<u16>>)> = None;
     let mut tail_defs = Vec::new();
     for (i, (p, &g)) in body.iter().zip(&guard).enumerate() {
         if open.as_ref().is_some_and(|(a, _)| g != Some(*a)) {
@@ -3018,7 +3160,7 @@ fn plan_strip(
                     return Err("carried-scalar");
                 }
                 if let Some((_, pre)) = &mut open {
-                    pre.entry(d).or_insert(w.cur.get(&d).copied());
+                    pre.or_insert(d, w.cur.get(&d).copied());
                 }
                 let scale = match (*p, g) {
                     (P::Mov { s, .. }, None) => affine.get(&s).copied(),
@@ -3086,7 +3228,7 @@ fn plan_strip(
             w.plan.ops.push((f, op));
         }
         if let P::Br { arm, .. } = p {
-            open = Some((arm, HashMap::new()));
+            open = Some((arm, Dense::default()));
         }
         if let Some(d) = def {
             let c = w.cur[&DEF];
@@ -3098,7 +3240,7 @@ fn plan_strip(
     if b.merges.iter().any(|m| tail_defs.contains(&m.2)) {
         return Err("non-affine-store");
     }
-    let last: HashSet<u32> = (b.cur.values().copied())
+    let last: DSet<u32> = (b.cur.values().copied())
         .chain(b.merges.iter().map(|m| m.2))
         .collect();
     for &key in (b.sorder.iter())
@@ -3120,11 +3262,11 @@ fn plan_strip(
 struct Walk<'k> {
     kinds: &'k Kinds<'k>,
     /// Scalar key -> the column holding its current definition.
-    cur: HashMap<u32, u16>,
+    cur: Dense<u32, u16>,
     /// Registers a closed arm defined: `(arm, column, column before the
     /// arm)`, the one to use at a lane whose test failed (`None`: the
     /// value is an earlier iteration's).
-    cond: HashMap<u32, (u16, u16, Option<u16>)>,
+    cond: Dense<u32, (u16, u16, Option<u16>)>,
     /// [`Bld::merges`]: an arm's key for a register, and its key before.
     merges: &'k [(u16, u32, u32)],
     ncols: [usize; 2],
@@ -3169,9 +3311,9 @@ impl Walk<'_> {
     }
 
     /// Close an arm: what it defined becomes conditional on its test.
-    fn close(&mut self, open: Option<(u16, HashMap<u32, Option<u16>>)>) {
+    fn close(&mut self, open: Option<(u16, Dense<u32, Option<u16>>)>) {
         let Some((arm, pre)) = open else { return };
-        for (key, before) in pre {
+        for (key, &before) in pre.iter() {
             let c = match before {
                 Some(b) => self.cur.insert(key, b),
                 None => self.cur.remove(&key),
@@ -3269,10 +3411,10 @@ impl Walk<'_> {
 /// fallibility, and whether it is an array store.
 fn lower(
     p: &P,
-    skind: &HashMap<u32, K>,
-    akind: &HashMap<Reg, K>,
-    slot: &HashMap<u32, u16>,
-    aslot: &HashMap<Reg, u16>,
+    skind: &Dense<u32, K>,
+    akind: &Dense<Reg, K>,
+    slot: &Dense<u32, u16>,
+    aslot: &Dense<Reg, u16>,
 ) -> (TOp, StripFn, bool, bool) {
     let mut op = NOP;
     let ops: Ops;

@@ -174,7 +174,8 @@ fn json_outputs_parse_end_to_end() {
     let remarks = last_line(zag(&["--remarks=json", &tour]));
     assert!(remarks.as_arr().is_some(), "{remarks:?}");
 
-    // One row per step: lowering, then the four passes, each with the
+    // One row per step: parse and preprocess, each with the AST's node
+    // count after it, then lowering and the four passes, each with the
     // image's instruction count after it.
     let times = last_line(zag(&["--time-passes=json", &tour]));
     let passes = times.get("passes").and_then(Json::as_arr).expect("passes");
@@ -183,12 +184,21 @@ fn json_outputs_parse_end_to_end() {
         .collect();
     assert_eq!(
         names,
-        ["lowering", "inline", "optimize", "install", "coalesce"]
+        [
+            "parse",
+            "preprocess",
+            "lowering",
+            "inline",
+            "optimize",
+            "install",
+            "coalesce"
+        ]
     );
-    assert!(passes.iter().all(
-        |p| p.get("insns").and_then(Json::as_i64).is_some_and(|n| n > 0)
+    assert!(passes.iter().enumerate().all(|(i, p)| {
+        let size = if i < 2 { "nodes" } else { "insns" };
+        p.get(size).and_then(Json::as_i64).is_some_and(|n| n > 0)
             && p.get("wall_us").and_then(Json::as_f64).is_some()
-    ));
+    }));
     assert!(times.get("verify_us").and_then(Json::as_f64).is_some());
     assert!(times.get("total_us").and_then(Json::as_f64).is_some());
 }

@@ -3328,7 +3328,11 @@ fn nested_reductions_into_a_shared_variable_lose_no_update() {
     for team in [1, 2, 4] {
         let src = src.replace("TEAM", &team.to_string());
         let want = Ok(vec!["8000".to_string()]);
-        assert_eq!(run_on(&src, Backend::Ast, OptLevel::O0), want, "team {team}");
+        assert_eq!(
+            run_on(&src, Backend::Ast, OptLevel::O0),
+            want,
+            "team {team}"
+        );
         for opt in opt_levels() {
             let got = run_on(&src, Backend::Bytecode, opt);
             assert_eq!(got, want, "team {team}, --opt={opt}");
