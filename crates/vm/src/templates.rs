@@ -2057,19 +2057,51 @@ impl<T: Key, V> FromIterator<(T, V)> for Dense<T, V> {
     }
 }
 
-/// The set form of [`Dense`].
-#[derive(Clone, Default)]
-struct DSet<T>(Dense<T, ()>);
+/// The set form of [`Dense`]: one bit per slot, the first 256 inline.
+#[derive(Clone)]
+struct DSet<T> {
+    bits: [u64; 4],
+    spill: Vec<u64>,
+    key: std::marker::PhantomData<T>,
+}
+
+impl<T> Default for DSet<T> {
+    fn default() -> Self {
+        DSet {
+            bits: [0; 4],
+            spill: Vec::new(),
+            key: std::marker::PhantomData,
+        }
+    }
+}
 
 impl<T: Key> DSet<T> {
     fn insert(&mut self, k: T) -> bool {
-        self.0.insert(k, ()).is_none()
+        let (w, bit) = (k.ix() / 64, 1u64 << (k.ix() % 64));
+        let word = match w.checked_sub(4) {
+            None => &mut self.bits[w],
+            Some(i) => {
+                if i >= self.spill.len() {
+                    self.spill.resize(i + 1, 0);
+                }
+                &mut self.spill[i]
+            }
+        };
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
     }
     fn contains(&self, k: &T) -> bool {
-        self.0.contains_key(k)
+        let w = k.ix() / 64;
+        let word = match w.checked_sub(4) {
+            None => self.bits[w],
+            Some(i) => self.spill.get(i).copied().unwrap_or(0),
+        };
+        word & (1u64 << (k.ix() % 64)) != 0
     }
     fn clear(&mut self) {
-        self.0.slots.clear();
+        self.bits = [0; 4];
+        self.spill.clear();
     }
 }
 
@@ -2081,7 +2113,7 @@ impl<T: Key> Extend<T> for DSet<T> {
 
 impl<T: Key> FromIterator<T> for DSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(it: I) -> Self {
-        let mut d = DSet(Dense::default());
+        let mut d = DSet::default();
         d.extend(it);
         d
     }
@@ -2521,8 +2553,17 @@ pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String
     if exit >= f.code.len() {
         return Err("shape".into());
     }
+    // Room for every key and proto the body can make, allocated once.
+    let cap = 4 * (j - pc);
     let mut b = Bld {
         consts: &f.consts,
+        uf: Uf {
+            parent: Vec::with_capacity(cap),
+            kind: Vec::with_capacity(cap),
+        },
+        sorder: Vec::with_capacity(cap),
+        protos: Vec::with_capacity(cap),
+        guards: Vec::with_capacity(cap),
         ..Bld::default()
     };
     // The back-edge reads both, so a redefinition never starts a new key.
