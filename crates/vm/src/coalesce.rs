@@ -348,34 +348,21 @@ pub(crate) fn coalesce_fn(f: &mut CompiledFn) {
         }
         false
     };
-    // Only the registers of the others get webs: every web of a register
-    // that no such candidate names stays where it is, so the rest of the
-    // pass decides the same without them. The size limits still count
-    // every candidate's registers and their definitions.
     let def_pinned = |pc: usize, d: Reg| pin_reg[d as usize] || fed(pc, d);
-    let mut moves = vec![false; f.nregs];
-    for &pc in &cands {
-        match f.code[pc] {
-            Insn::Move { dst, src } if !pin_reg[src as usize] || !def_pinned(pc, dst) => {
-                moves[dst as usize] = true;
-                moves[src as usize] = true;
-            }
-            Insn::Const { dst, .. } if !def_pinned(pc, dst) => moves[dst as usize] = true,
-            _ => {}
-        }
-    }
-    let all = tracked.iter().filter(|&&t| t).count();
-    if !moves.contains(&true) || n.saturating_mul(all) > MAX_CELLS {
+    let movable = cands.iter().any(|&pc| match f.code[pc] {
+        Insn::Move { dst, src } => !pin_reg[src as usize] || !def_pinned(pc, dst),
+        Insn::Const { dst, .. } => !def_pinned(pc, dst),
+        _ => unreachable!("a candidate is a copy or a constant"),
+    });
+    let regs: Vec<Reg> = (0..f.nregs as Reg)
+        .filter(|&r| tracked[r as usize])
+        .collect();
+    if !movable || n.saturating_mul(regs.len()) > MAX_CELLS {
         return;
     }
-    let mut ndefs = 0;
-    for insn in &f.code {
-        visit_defs(insn, |d| ndefs += tracked[d as usize] as usize);
-    }
     let (eff, live) = flow.unwrap_or_else(|| dataflow(f));
-    let regs = (0..f.nregs as Reg).filter(|&r| moves[r as usize]).collect();
     let webs = Webs::build(f, &live, &eff, regs);
-    let fits = (all + ndefs).pow(2) <= MAX_CELLS * 32;
+    let fits = webs.root.len().pow(2) <= MAX_CELLS * 32;
     if fits && rewrite(f, &webs, &live, &eff, &span, &depth, &pin_reg) {
         dse(f, None);
     }

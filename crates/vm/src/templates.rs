@@ -1944,46 +1944,21 @@ impl P {
     }
 }
 
-/// A key of a [`Dense`] table: its slot, and back.
-trait Key: Copy {
-    fn ix(self) -> usize;
-    fn of(ix: usize) -> Self;
-}
-
-impl Key for Reg {
-    fn ix(self) -> usize {
-        self as usize
-    }
-    fn of(ix: usize) -> Reg {
-        ix as Reg
+/// The slot of a scalar key (a register number, a scratch key or [`DEF`])
+/// in a [`Dense`] table: [`DEF`] first, then registers and scratch keys
+/// interleaved; and the key of a slot.
+fn slot_of(key: u32) -> usize {
+    match key.checked_sub(SCRATCH0) {
+        _ if key == DEF => 0,
+        Some(s) => 2 * s as usize + 2,
+        None => 2 * key as usize + 1,
     }
 }
-
-/// A scalar key's slot: [`DEF`] first, then registers and scratch keys
-/// interleaved.
-impl Key for u32 {
-    fn ix(self) -> usize {
-        match self.checked_sub(SCRATCH0) {
-            _ if self == DEF => 0,
-            Some(s) => 2 * s as usize + 2,
-            None => 2 * self as usize + 1,
-        }
-    }
-    fn of(ix: usize) -> u32 {
-        match ix {
-            0 => DEF,
-            i if i % 2 == 1 => (i / 2) as u32,
-            i => SCRATCH0 + (i / 2 - 1) as u32,
-        }
-    }
-}
-
-impl Key for (Reg, K) {
-    fn ix(self) -> usize {
-        3 * self.0 as usize + self.1 as usize
-    }
-    fn of(ix: usize) -> (Reg, K) {
-        ((ix / 3) as Reg, [K::Unk, K::Int, K::Flt][ix % 3])
+fn key_of(slot: usize) -> u32 {
+    match slot {
+        0 => DEF,
+        s if s % 2 == 1 => (s / 2) as u32,
+        s => SCRATCH0 + (s / 2 - 1) as u32,
     }
 }
 
@@ -1998,25 +1973,23 @@ struct Dense<T, V> {
 
 impl<T, V> Default for Dense<T, V> {
     fn default() -> Self {
-        Dense {
-            slots: Vec::new(),
-            key: std::marker::PhantomData,
-        }
+        let (slots, key) = (Vec::new(), std::marker::PhantomData);
+        Dense { slots, key }
     }
 }
 
-impl<T: Key, V> Dense<T, V> {
+impl<T: Copy + Into<u32> + TryFrom<u32>, V> Dense<T, V> {
     fn get(&self, k: &T) -> Option<&V> {
-        self.slots.get(k.ix())?.as_ref()
+        self.slots.get(slot_of((*k).into()))?.as_ref()
     }
     fn get_mut(&mut self, k: &T) -> Option<&mut V> {
-        self.slots.get_mut(k.ix())?.as_mut()
+        self.slots.get_mut(slot_of((*k).into()))?.as_mut()
     }
     fn contains_key(&self, k: &T) -> bool {
         self.get(k).is_some()
     }
     fn insert(&mut self, k: T, v: V) -> Option<V> {
-        let i = k.ix();
+        let i = slot_of(k.into());
         if i >= self.slots.len() {
             let len = (i + 1).max(2 * self.slots.len()).max(32);
             self.slots.resize_with(len, || None);
@@ -2024,7 +1997,7 @@ impl<T: Key, V> Dense<T, V> {
         self.slots[i].replace(v)
     }
     fn remove(&mut self, k: &T) -> Option<V> {
-        self.slots.get_mut(k.ix())?.take()
+        self.slots.get_mut(slot_of((*k).into()))?.take()
     }
     /// The value of `k`, inserting `v` first if there is none.
     fn or_insert(&mut self, k: T, v: V) -> &mut V {
@@ -2035,21 +2008,21 @@ impl<T: Key, V> Dense<T, V> {
     }
     fn iter(&self) -> impl Iterator<Item = (T, &V)> {
         let slots = self.slots.iter().enumerate();
-        slots.filter_map(|(i, v)| Some((T::of(i), v.as_ref()?)))
+        slots.filter_map(|(i, v)| Some((T::try_from(key_of(i)).ok()?, v.as_ref()?)))
     }
     fn values(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().flatten()
     }
 }
 
-impl<T: Key, V> std::ops::Index<&T> for Dense<T, V> {
+impl<T: Copy + Into<u32> + TryFrom<u32>, V> std::ops::Index<&T> for Dense<T, V> {
     type Output = V;
     fn index(&self, k: &T) -> &V {
         self.get(k).expect("a key in the table")
     }
 }
 
-impl<T: Key, V> FromIterator<(T, V)> for Dense<T, V> {
+impl<T: Copy + Into<u32> + TryFrom<u32>, V> FromIterator<(T, V)> for Dense<T, V> {
     fn from_iter<I: IntoIterator<Item = (T, V)>>(it: I) -> Self {
         let mut d = Dense::default();
         it.into_iter().for_each(|(k, v)| _ = d.insert(k, v));
@@ -2057,65 +2030,22 @@ impl<T: Key, V> FromIterator<(T, V)> for Dense<T, V> {
     }
 }
 
-/// The set form of [`Dense`]: one bit per slot, the first 256 inline.
-#[derive(Clone)]
-struct DSet<T> {
-    bits: [u64; 4],
-    spill: Vec<u64>,
-    key: std::marker::PhantomData<T>,
-}
+/// The set form of [`Dense`].
+#[derive(Clone, Default)]
+struct DSet<T>(Dense<T, ()>);
 
-impl<T> Default for DSet<T> {
-    fn default() -> Self {
-        DSet {
-            bits: [0; 4],
-            spill: Vec::new(),
-            key: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<T: Key> DSet<T> {
+impl<T: Copy + Into<u32> + TryFrom<u32>> DSet<T> {
     fn insert(&mut self, k: T) -> bool {
-        let (w, bit) = (k.ix() / 64, 1u64 << (k.ix() % 64));
-        let word = match w.checked_sub(4) {
-            None => &mut self.bits[w],
-            Some(i) => {
-                if i >= self.spill.len() {
-                    self.spill.resize(i + 1, 0);
-                }
-                &mut self.spill[i]
-            }
-        };
-        let new = *word & bit == 0;
-        *word |= bit;
-        new
+        self.0.insert(k, ()).is_none()
     }
     fn contains(&self, k: &T) -> bool {
-        let w = k.ix() / 64;
-        let word = match w.checked_sub(4) {
-            None => self.bits[w],
-            Some(i) => self.spill.get(i).copied().unwrap_or(0),
-        };
-        word & (1u64 << (k.ix() % 64)) != 0
-    }
-    fn clear(&mut self) {
-        self.bits = [0; 4];
-        self.spill.clear();
+        self.0.contains_key(k)
     }
 }
 
-impl<T: Key> Extend<T> for DSet<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, it: I) {
-        it.into_iter().for_each(|k| _ = self.insert(k));
-    }
-}
-
-impl<T: Key> FromIterator<T> for DSet<T> {
+impl<T: Copy + Into<u32> + TryFrom<u32>> FromIterator<T> for DSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(it: I) -> Self {
-        let mut d = DSet::default();
-        d.extend(it);
-        d
+        DSet(it.into_iter().map(|k| (k, ())).collect())
     }
 }
 
@@ -2227,7 +2157,7 @@ impl Bld<'_> {
             self.merges
                 .push((arm, k0, self.cur.insert(r, k0).unwrap_or(k0)));
         }
-        self.in_arm.clear();
+        self.in_arm = DSet::default();
     }
 
     fn push(&mut self, p: P) {
@@ -2567,7 +2497,7 @@ pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String
         ..Bld::default()
     };
     // The back-edge reads both, so a redefinition never starts a new key.
-    b.carried.extend([var, limit]);
+    (b.carried.insert(var), b.carried.insert(limit));
     for (at, insn) in (pc..j).zip(&f.code[pc..j]) {
         if b.arm.is_some_and(|(_, to)| to == at) {
             b.close();
@@ -2733,7 +2663,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // values of one kind share its slot (each is dead when the next is
     // defined), unless one is a hoisted constant.
     let mut slot: Dense<u32, u16> = Dense::default();
-    let mut shared: Dense<(Reg, K), u16> = Dense::default();
+    let mut shared: Dense<Reg, [Option<u16>; 2]> = Dense::default();
     let mut nslots = [0u16; 2];
     let hoist_keys: DSet<u32> = (b.protos.iter().zip(&hoisted))
         .filter_map(|(p, &h)| p.write().filter(|_| h))
@@ -2745,7 +2675,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             .or((key < SCRATCH0).then_some(key as Reg))
             .filter(|_| !hoist_keys.contains(&key));
         let s = match reg {
-            Some(r) => *shared.or_insert((r, k), *next),
+            Some(r) => *shared.or_insert(r, [None; 2])[(k != K::Int) as usize].get_or_insert(*next),
             None => *next,
         };
         if s == *next {
