@@ -274,7 +274,7 @@ impl KernelDesc {
 // ---------------------------------------------------------------------------
 
 /// Symbolic value over a two-parameter `(ptr, scalar)` callee, its
-/// operands ids in a [`Dag`]. `Trunc` is the NPB truncation idiom
+/// operands' ids in a [`Dag`]. `Trunc` is the NPB truncation idiom
 /// `@intToFloat(@floatToInt(v))`; `FtoI` is its half-finished
 /// intermediate (an `i64`-typed node that is only legal as the immediate
 /// operand of `IntToFloat`).

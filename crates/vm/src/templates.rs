@@ -2497,7 +2497,7 @@ pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String
         ..Bld::default()
     };
     // The back-edge reads both, so a redefinition never starts a new key.
-    (b.carried.insert(var), b.carried.insert(limit));
+    b.carried = [var, limit].into_iter().collect();
     for (at, insn) in (pc..j).zip(&f.code[pc..j]) {
         if b.arm.is_some_and(|(_, to)| to == at) {
             b.close();

@@ -199,8 +199,8 @@ fn fold_leaves(text: &str) -> String {
 /// Compare `got` with the golden at `path`, or write it under `UPDATE_GOLDEN`.
 fn check_golden(path: &str, got: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(Path::new(&path).parent().unwrap()).expect("golden dir");
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::create_dir_all(Path::new(path).parent().unwrap()).expect("golden dir");
+        std::fs::write(path, got).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(path)
