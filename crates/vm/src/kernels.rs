@@ -299,7 +299,7 @@ enum Sym {
 /// the commutative ones (`Add`, `Mul`) sorted, so two values are the same
 /// LCG dataflow iff their ids are equal. A node costs one lookup, so
 /// comparing two DAGs is linear in their size however much they share.
-/// `base` is a finished DAG looked up first: ids below `base.ids.len()`
+/// `base` is a finished DAG looked up first: ids below `base.nodes.len()`
 /// are its nodes.
 #[derive(Default)]
 struct Dag<'b> {
