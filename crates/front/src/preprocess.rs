@@ -188,6 +188,15 @@ struct Place {
 }
 
 impl Place {
+    /// Whether this region received the place as shared from an enclosing
+    /// region that itself received it as shared (`__shr___shr_x.*`): the
+    /// teams of that region's threads may then reduce into it at the same
+    /// time.
+    fn passed_through(&self) -> bool {
+        let rest = self.ident.strip_prefix("__shr_");
+        self.deref && rest.is_some_and(|r| r.starts_with("__shr_"))
+    }
+
     /// The access expression for this place.
     fn access(&self) -> String {
         if self.deref {
@@ -207,6 +216,22 @@ fn place_of(ast: &Ast, tok: TokenId) -> Place {
         ident: ast.token_text(tok).to_string(),
         deref,
     }
+}
+
+/// The lock of a reduction's combine into a place other teams may reduce
+/// into at the same time (libomp's reduction lock). Not an identifier, so
+/// no `critical` can name it.
+const REDUCTION_LOCK: &str = "omp reduction";
+
+/// Combine `place` into the reduction cell `cell` and store the result
+/// back, under [`REDUCTION_LOCK`].
+fn locked_combine(cell: &str, place: &str) -> String {
+    format!(
+        "omp.internal.critical_enter(\"{REDUCTION_LOCK}\");\n\
+         omp.internal.red_combine({cell}, {place});\n\
+         {place} = omp.internal.red_get({cell});\n\
+         omp.internal.critical_exit(\"{REDUCTION_LOCK}\");\n"
+    )
 }
 
 /// One token-wise identifier rewrite (§III-B3): each identifier token
@@ -372,15 +397,12 @@ fn replace_parallel(
             // threads of that region may reduce into at the same time: the
             // cell starts from the operator's identity (of the original's
             // type), and after the join combines into the original under
-            // the unnamed critical, as libomp's lock-based combine does.
+            // the reduction lock.
             pre_call.push_str(&format!(
                 "const {cell} = omp.internal.red_cell({code}, \
                  omp.internal.red_identity(omp.internal.red_cell({code}, {place})));\n"
             ));
-            post_call.push_str(&format!(
-                "omp.internal.critical_enter(\"\");\nomp.internal.red_combine({cell}, {place});\n\
-                 {place} = omp.internal.red_get({cell});\nomp.internal.critical_exit(\"\");\n"
-            ));
+            post_call.push_str(&locked_combine(&cell, &place));
         } else {
             pre_call.push_str(&format!(
                 "const {cell} = omp.internal.red_cell({code}, {place});\n"
@@ -598,30 +620,8 @@ fn replace_while(
         renames.push(Rename::new(&p.ident, fresh, false));
     }
 
-    // Loop reductions: a team-shared cell per variable, a private
-    // accumulator, and a write-back after the combine (the "reduction
-    // temporaries which may not share their names with the shared variable"
-    // of §III-B3).
-    let mut has_reduction = false;
-    for &(op, tok) in &clauses.reduction {
-        has_reduction = true;
-        let p = place_of(ast, tok);
-        let cell = format!("__rc_{}_{k}", sanitize(&p.ident));
-        let acc = format!("__acc_{}_{k}", sanitize(&p.ident));
-        pre.push_str(&format!(
-            "const {cell} = omp.internal.red_loop_begin({}, {});\n",
-            red_op_code(op),
-            p.access()
-        ));
-        pre.push_str(&format!(
-            "var {acc}: any = omp.internal.red_identity({cell});\n"
-        ));
-        post.push_str(&format!(
-            "{} = omp.internal.red_loop_end({cell}, {acc});\n",
-            p.access()
-        ));
-        renames.push(Rename::new(&p.ident, acc, p.deref));
-    }
+    loop_reductions(ast, &clauses, k, &mut pre, &mut post, &mut renames);
+    let has_reduction = !clauses.reduction.is_empty();
     let body = rewrite_idents(body, &renames);
 
     // The loop itself: the generic wrapper over __kmpc_for_static_* /
@@ -658,6 +658,52 @@ fn replace_while(
         text,
         appendix: String::new(),
     })
+}
+
+/// Loop reductions: a team-shared cell per variable, a private
+/// accumulator, and a write-back after the combine (the "reduction
+/// temporaries which may not share their names with the shared variable"
+/// of §III-B3), into `pre`, `post` and `renames` of loop `k`.
+fn loop_reductions(
+    ast: &Ast,
+    clauses: &Clauses,
+    k: usize,
+    pre: &mut String,
+    post: &mut String,
+    renames: &mut Vec<Rename>,
+) {
+    for &(op, tok) in &clauses.reduction {
+        let p = place_of(ast, tok);
+        let cell = format!("__rc_{}_{k}", sanitize(&p.ident));
+        let acc = format!("__acc_{}_{k}", sanitize(&p.ident));
+        let (code, place) = (red_op_code(op), p.access());
+        if p.passed_through() {
+            // Other teams may reduce into the place at the same time: the
+            // cell starts from the operator's identity, the master combines
+            // the team's total into the place under the reduction lock, and
+            // the barrier after lets every thread of the team read it.
+            pre.push_str(&format!(
+                "const {cell} = omp.internal.red_loop_begin({code}, \
+                 omp.internal.red_identity(omp.internal.red_cell({code}, {place})));\n"
+            ));
+            post.push_str(&format!(
+                "_ = omp.internal.red_loop_end({cell}, {acc});\n\
+                 if (omp.internal.is_master()) {{\n{}}}\nomp.internal.barrier();\n",
+                locked_combine(&cell, &place)
+            ));
+        } else {
+            pre.push_str(&format!(
+                "const {cell} = omp.internal.red_loop_begin({code}, {place});\n"
+            ));
+            post.push_str(&format!(
+                "{place} = omp.internal.red_loop_end({cell}, {acc});\n"
+            ));
+        }
+        pre.push_str(&format!(
+            "var {acc}: any = omp.internal.red_identity({cell});\n"
+        ));
+        renames.push(Rename::new(&p.ident, acc, p.deref));
+    }
 }
 
 /// `collapse(2)`: fuse two perfectly nested loops into one logical
@@ -748,26 +794,8 @@ fn replace_while_collapse2(
         pre.push_str(&format!("var {fresh}: any = {};\n", p.access()));
         renames.push(Rename::new(&p.ident, fresh, false));
     }
-    let mut has_reduction = false;
-    for &(op, tok) in &clauses.reduction {
-        has_reduction = true;
-        let p = place_of(ast, tok);
-        let cell = format!("__rc_{}_{k}", sanitize(&p.ident));
-        let acc = format!("__acc_{}_{k}", sanitize(&p.ident));
-        pre.push_str(&format!(
-            "const {cell} = omp.internal.red_loop_begin({}, {});\n",
-            red_op_code(op),
-            p.access()
-        ));
-        pre.push_str(&format!(
-            "var {acc}: any = omp.internal.red_identity({cell});\n"
-        ));
-        post.push_str(&format!(
-            "{} = omp.internal.red_loop_end({cell}, {acc});\n",
-            p.access()
-        ));
-        renames.push(Rename::new(&p.ident, acc, p.deref));
-    }
+    loop_reductions(ast, clauses, k, &mut pre, &mut post, &mut renames);
+    let has_reduction = !clauses.reduction.is_empty();
     let body = rewrite_idents(body, &renames);
 
     let ws = format!("__ws_{k}");
