@@ -73,6 +73,8 @@
 //!   iteration, so aliasing arrays behave exactly as interpreted.
 
 use std::cell::{RefCell, UnsafeCell};
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use crate::builtins::{Pure, PURE};
@@ -1944,110 +1946,33 @@ impl P {
     }
 }
 
-/// The slot of a scalar key (a register number, a scratch key or [`DEF`])
-/// in a [`Dense`] table: [`DEF`] first, then registers and scratch keys
-/// interleaved; and the key of a slot.
-fn slot_of(key: u32) -> usize {
-    match key.checked_sub(SCRATCH0) {
-        _ if key == DEF => 0,
-        Some(s) => 2 * s as usize + 2,
-        None => 2 * key as usize + 1,
+/// A multiplicative hasher for the decoder's tables, whose keys are small
+/// integers the compiler made (registers, scalar keys): SipHash's
+/// resistance to chosen keys buys nothing there, and it costs most of a
+/// lookup.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl std::hash::Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-}
-fn key_of(slot: usize) -> u32 {
-    match slot {
-        0 => DEF,
-        s if s % 2 == 1 => (s / 2) as u32,
-        s => SCRATCH0 + (s / 2 - 1) as u32,
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
     }
 }
 
-/// A map over registers or scalar keys, one slot per key: a loop of at
-/// most [`MAX_INSNS`] instructions names a few dozen of each, so a vector
-/// indexed by the key beats hashing it. Iteration is in slot order.
-#[derive(Clone)]
-struct Dense<T, V> {
-    slots: Vec<Option<V>>,
-    key: std::marker::PhantomData<T>,
-}
-
-impl<T, V> Default for Dense<T, V> {
-    fn default() -> Self {
-        let (slots, key) = (Vec::new(), std::marker::PhantomData);
-        Dense { slots, key }
-    }
-}
-
-impl<T: Copy + Into<u32> + TryFrom<u32>, V> Dense<T, V> {
-    fn get(&self, k: &T) -> Option<&V> {
-        self.slots.get(slot_of((*k).into()))?.as_ref()
-    }
-    fn get_mut(&mut self, k: &T) -> Option<&mut V> {
-        self.slots.get_mut(slot_of((*k).into()))?.as_mut()
-    }
-    fn contains_key(&self, k: &T) -> bool {
-        self.get(k).is_some()
-    }
-    fn insert(&mut self, k: T, v: V) -> Option<V> {
-        let i = slot_of(k.into());
-        if i >= self.slots.len() {
-            let len = (i + 1).max(2 * self.slots.len()).max(32);
-            self.slots.resize_with(len, || None);
-        }
-        self.slots[i].replace(v)
-    }
-    fn remove(&mut self, k: &T) -> Option<V> {
-        self.slots.get_mut(slot_of((*k).into()))?.take()
-    }
-    /// The value of `k`, inserting `v` first if there is none.
-    fn or_insert(&mut self, k: T, v: V) -> &mut V {
-        if !self.contains_key(&k) {
-            self.insert(k, v);
-        }
-        self.get_mut(&k).expect("just inserted")
-    }
-    fn iter(&self) -> impl Iterator<Item = (T, &V)> {
-        let slots = self.slots.iter().enumerate();
-        slots.filter_map(|(i, v)| Some((T::try_from(key_of(i)).ok()?, v.as_ref()?)))
-    }
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten()
-    }
-}
-
-impl<T: Copy + Into<u32> + TryFrom<u32>, V> std::ops::Index<&T> for Dense<T, V> {
-    type Output = V;
-    fn index(&self, k: &T) -> &V {
-        self.get(k).expect("a key in the table")
-    }
-}
-
-impl<T: Copy + Into<u32> + TryFrom<u32>, V> FromIterator<(T, V)> for Dense<T, V> {
-    fn from_iter<I: IntoIterator<Item = (T, V)>>(it: I) -> Self {
-        let mut d = Dense::default();
-        it.into_iter().for_each(|(k, v)| _ = d.insert(k, v));
-        d
-    }
-}
-
-/// The set form of [`Dense`].
-#[derive(Clone, Default)]
-struct DSet<T>(Dense<T, ()>);
-
-impl<T: Copy + Into<u32> + TryFrom<u32>> DSet<T> {
-    fn insert(&mut self, k: T) -> bool {
-        self.0.insert(k, ()).is_none()
-    }
-    fn contains(&self, k: &T) -> bool {
-        self.0.contains_key(k)
-    }
-}
-
-impl<T: Copy + Into<u32> + TryFrom<u32>> FromIterator<T> for DSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(it: I) -> Self {
-        DSet(it.into_iter().map(|k| (k, ())).collect())
-    }
-}
+type Map<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type Set<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// Array operand info: cell-ness (bound through a `Ptr` slot or held
 /// directly), the element kind variable, and whether the template
@@ -2063,14 +1988,14 @@ struct AInfo {
 struct Bld<'f> {
     consts: &'f [Value],
     uf: Uf,
-    svar: Dense<u32, u32>,
+    svar: Map<u32, u32>,
     sorder: Vec<u32>,
-    scalar_regs: DSet<Reg>,
-    arrs: Dense<Reg, AInfo>,
+    scalar_regs: Set<Reg>,
+    arrs: Map<Reg, AInfo>,
     aorder: Vec<Reg>,
     /// `Deref` destinations and the cell each reads: an array use of
     /// the destination binds the cell instead.
-    alias: Dense<Reg, Reg>,
+    alias: Map<Reg, Reg>,
     /// `(destination, cell)` per `Deref`, for the exit write-back.
     derefs: Vec<(Reg, Reg)>,
     protos: Vec<P>,
@@ -2083,12 +2008,12 @@ struct Bld<'f> {
     /// [`Bld::wr`]); the registers defined outside arms, and in the open
     /// arm; and those read before a definition, whose value a previous
     /// iteration may have left.
-    cur: Dense<Reg, u32>,
-    defined: DSet<Reg>,
-    in_arm: DSet<Reg>,
-    carried: DSet<Reg>,
+    cur: Map<Reg, u32>,
+    defined: Set<Reg>,
+    in_arm: Set<Reg>,
+    carried: Set<Reg>,
     /// The register of each key [`Bld::wr`] added.
-    version: Dense<u32, Reg>,
+    version: Map<u32, Reg>,
     /// Registers the open arm gave a new key, and their key before it;
     /// per closed arm, `(arm, key before, key in the arm)`.
     pending: Vec<(Reg, u32)>,
@@ -2157,7 +2082,7 @@ impl Bld<'_> {
             self.merges
                 .push((arm, k0, self.cur.insert(r, k0).unwrap_or(k0)));
         }
-        self.in_arm = DSet::default();
+        self.in_arm.clear();
     }
 
     fn push(&mut self, p: P) {
@@ -2497,7 +2422,7 @@ pub(crate) fn match_at(f: &CompiledFn, pc: usize) -> Result<(TProg, u32), String
         ..Bld::default()
     };
     // The back-edge reads both, so a redefinition never starts a new key.
-    b.carried = [var, limit].into_iter().collect();
+    b.carried.extend([var, limit]);
     for (at, insn) in (pc..j).zip(&f.code[pc..j]) {
         if b.arm.is_some_and(|(_, to)| to == at) {
             b.close();
@@ -2591,14 +2516,14 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
         K::Unk => unk,
         k => k,
     };
-    let skind: Dense<u32, K> = (b.sorder.iter())
+    let skind: Map<u32, K> = (b.sorder.iter())
         .map(|&k| (k, resolve(b.svar[&k])))
         .collect();
-    let akind: Dense<Reg, K> = (b.aorder.iter())
+    let akind: Map<Reg, K> = (b.aorder.iter())
         .map(|&r| (r, resolve(b.arrs[&r].elem)))
         .collect();
     let mut narr = [0u16; 2];
-    let aslot: Dense<Reg, u16> = (b.aorder.iter())
+    let aslot: Map<Reg, u16> = (b.aorder.iter())
         .map(|&r| {
             let n = &mut narr[(akind[&r] != K::Int) as usize];
             *n += 1;
@@ -2611,10 +2536,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // First-iteration read-before-write analysis over the execution
     // order decides which registers must be bound at entry. A write in an
     // arm counts only inside the arm: past it the test may have failed.
-    let mut written: DSet<u32> = DSet::default();
-    let mut bound: DSet<u32> = DSet::default();
+    let mut written: Set<u32> = Set::default();
+    let mut bound: Set<u32> = Set::default();
     {
-        let mut read = |key: u32, written: &DSet<u32>| {
+        let mut read = |key: u32, written: &Set<u32>| {
             if key < SCRATCH0 && !written.contains(&key) {
                 bound.insert(key);
             }
@@ -2642,10 +2567,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // `bound`) — hoist into a once-per-run prelude: they reload the
     // same value every iteration, and the slot still holds it for the
     // exit write-back. Everything else stays in iteration order.
-    let mut write_count: Dense<u32, usize> = Dense::default();
+    let mut write_count: Map<u32, usize> = Map::default();
     for p in &b.protos {
         if let Some(d) = p.write() {
-            *write_count.or_insert(d, 0) += 1;
+            *write_count.entry(d).or_default() += 1;
         }
     }
     let hoisted: Vec<bool> = b
@@ -2662,10 +2587,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     // Slot assignment, in first-use order. The keys of one register's
     // values of one kind share its slot (each is dead when the next is
     // defined), unless one is a hoisted constant.
-    let mut slot: Dense<u32, u16> = Dense::default();
-    let mut shared: Dense<Reg, [Option<u16>; 2]> = Dense::default();
+    let mut slot: Map<u32, u16> = Map::default();
+    let mut shared: Map<(Reg, K), u16> = Map::default();
     let mut nslots = [0u16; 2];
-    let hoist_keys: DSet<u32> = (b.protos.iter().zip(&hoisted))
+    let hoist_keys: Set<u32> = (b.protos.iter().zip(&hoisted))
         .filter_map(|(p, &h)| p.write().filter(|_| h))
         .collect();
     for &key in &b.sorder {
@@ -2675,7 +2600,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
             .or((key < SCRATCH0).then_some(key as Reg))
             .filter(|_| !hoist_keys.contains(&key));
         let s = match reg {
-            Some(r) => *shared.or_insert(r, [None; 2])[(k != K::Int) as usize].get_or_insert(*next),
+            Some(r) => *shared.entry((r, k)).or_insert(*next),
             None => *next,
         };
         if s == *next {
@@ -2766,7 +2691,7 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
     let mut cond_outs = Vec::new();
     let mut snap = Vec::new();
     // A register exits with the value of its last key.
-    let last: Dense<u32, Reg> = (b.cur.iter().map(|(r, &k)| (k, r)))
+    let last: Map<u32, Reg> = (b.cur.iter().map(|(&r, &k)| (k, r)))
         .chain([(m.var as u32, m.var)])
         .collect();
     // An arm's key of another kind than the register's before the arm.
@@ -2849,10 +2774,10 @@ fn emit_one(b: &mut Bld, m: &MatchOut, unk: K) -> Result<TVariant, &'static str>
 /// One kind resolution of a loop: the kind and frame slot of every
 /// scalar key and array register.
 struct Kinds<'m> {
-    skind: &'m Dense<u32, K>,
-    akind: &'m Dense<Reg, K>,
-    slot: &'m Dense<u32, u16>,
-    aslot: &'m Dense<Reg, u16>,
+    skind: &'m Map<u32, K>,
+    akind: &'m Map<Reg, K>,
+    slot: &'m Map<u32, u16>,
+    aslot: &'m Map<Reg, u16>,
 }
 
 /// Placeholder key for the destination of the proto being re-lowered
@@ -2942,8 +2867,8 @@ fn plan_strip(
     b: &Bld,
     m: &MatchOut,
     kinds: &Kinds,
-    bound: &DSet<u32>,
-    write_count: &Dense<u32, usize>,
+    bound: &Set<u32>,
+    write_count: &Map<u32, usize>,
     hoisted: &[bool],
 ) -> Result<StripPlan, &'static str> {
     let (var, step, lim, cmp) = (m.var as u32, m.step, m.lim as u32, m.cmp);
@@ -2958,13 +2883,13 @@ fn plan_strip(
     if write_count.contains_key(&var) {
         return Err("carried-scalar");
     }
-    let mut nreads: Dense<u32, usize> = [(lim, 1)].into_iter().collect();
+    let mut nreads: Map<u32, usize> = [(lim, 1)].into_iter().collect();
     for p in &b.protos {
-        p.reads(|r| *nreads.or_insert(r, 0) += 1);
+        p.reads(|r| *nreads.entry(r).or_default() += 1);
     }
     // Scalar key -> the column holding its current definition.
-    let mut cur: Dense<u32, u16> = [(var, IOTA)].into_iter().collect();
-    for (key, &count) in write_count.iter() {
+    let mut cur: Map<u32, u16> = [(var, IOTA)].into_iter().collect();
+    for (&key, &count) in write_count {
         if !bound.contains(&key) {
             continue;
         }
@@ -3038,7 +2963,7 @@ fn plan_strip(
     let mut w = Walk {
         kinds,
         cur,
-        cond: Dense::default(),
+        cond: Map::default(),
         merges: &b.merges,
         ncols: [1, 0],
         plan: StripPlan::default(),
@@ -3088,12 +3013,12 @@ fn plan_strip(
             && value_ok)
             .then_some((src, chain, div))
     });
-    let mut defined: DSet<u32> = DSet::default();
+    let mut defined: Set<u32> = Set::default();
     // Keys that hold the induction variable times a constant: a load they
     // index is a strided slice, one bounds check per strip.
-    let mut affine: Dense<u32, i64> = [(var, 1)].into_iter().collect();
+    let mut affine: Map<u32, i64> = [(var, 1)].into_iter().collect();
     // The open arm, and the column each register it defines had before.
-    let mut open: Option<(u16, Dense<u32, Option<u16>>)> = None;
+    let mut open: Option<(u16, Map<u32, Option<u16>>)> = None;
     let mut tail_defs = Vec::new();
     for (i, (p, &g)) in body.iter().zip(&guard).enumerate() {
         if open.as_ref().is_some_and(|(a, _)| g != Some(*a)) {
@@ -3131,7 +3056,7 @@ fn plan_strip(
                     return Err("carried-scalar");
                 }
                 if let Some((_, pre)) = &mut open {
-                    pre.or_insert(d, w.cur.get(&d).copied());
+                    pre.entry(d).or_insert(w.cur.get(&d).copied());
                 }
                 let scale = match (*p, g) {
                     (P::Mov { s, .. }, None) => affine.get(&s).copied(),
@@ -3199,7 +3124,7 @@ fn plan_strip(
             w.plan.ops.push((f, op));
         }
         if let P::Br { arm, .. } = p {
-            open = Some((arm, Dense::default()));
+            open = Some((arm, Map::default()));
         }
         if let Some(d) = def {
             let c = w.cur[&DEF];
@@ -3211,7 +3136,7 @@ fn plan_strip(
     if b.merges.iter().any(|m| tail_defs.contains(&m.2)) {
         return Err("non-affine-store");
     }
-    let last: DSet<u32> = (b.cur.values().copied())
+    let last: Set<u32> = (b.cur.values().copied())
         .chain(b.merges.iter().map(|m| m.2))
         .collect();
     for &key in (b.sorder.iter())
@@ -3233,11 +3158,11 @@ fn plan_strip(
 struct Walk<'k> {
     kinds: &'k Kinds<'k>,
     /// Scalar key -> the column holding its current definition.
-    cur: Dense<u32, u16>,
+    cur: Map<u32, u16>,
     /// Registers a closed arm defined: `(arm, column, column before the
     /// arm)`, the one to use at a lane whose test failed (`None`: the
     /// value is an earlier iteration's).
-    cond: Dense<u32, (u16, u16, Option<u16>)>,
+    cond: Map<u32, (u16, u16, Option<u16>)>,
     /// [`Bld::merges`]: an arm's key for a register, and its key before.
     merges: &'k [(u16, u32, u32)],
     ncols: [usize; 2],
@@ -3282,9 +3207,9 @@ impl Walk<'_> {
     }
 
     /// Close an arm: what it defined becomes conditional on its test.
-    fn close(&mut self, open: Option<(u16, Dense<u32, Option<u16>>)>) {
+    fn close(&mut self, open: Option<(u16, Map<u32, Option<u16>>)>) {
         let Some((arm, pre)) = open else { return };
-        for (key, &before) in pre.iter() {
+        for (key, before) in pre {
             let c = match before {
                 Some(b) => self.cur.insert(key, b),
                 None => self.cur.remove(&key),
@@ -3382,10 +3307,10 @@ impl Walk<'_> {
 /// fallibility, and whether it is an array store.
 fn lower(
     p: &P,
-    skind: &Dense<u32, K>,
-    akind: &Dense<Reg, K>,
-    slot: &Dense<u32, u16>,
-    aslot: &Dense<Reg, u16>,
+    skind: &Map<u32, K>,
+    akind: &Map<Reg, K>,
+    slot: &Map<u32, u16>,
+    aslot: &Map<Reg, u16>,
 ) -> (TOp, StripFn, bool, bool) {
     let mut op = NOP;
     let ops: Ops;
