@@ -22,7 +22,8 @@
 //! (`benchmark/src/programs.rs`) in full: its variants' binds, ops,
 //! write-backs and strip plan, each op function by name. It pins the
 //! template decoder's output, not only its verdict; the same
-//! `UPDATE_GOLDEN=1` re-blesses it.
+//! `UPDATE_GOLDEN=1` re-blesses it. It runs in debug builds only (`cargo
+//! test -p zagd --test install_census`, without `--release`).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -221,39 +222,19 @@ fn install_sites_match_golden() {
     check_golden(&path, &got);
 }
 
-/// `text` with every op name `alias` holds replaced by its value, name by
-/// name (a name is a run of letters, digits, `_` and `.`).
-fn rename(text: &str, alias: &HashMap<String, String>) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut word = String::new();
-    for c in text.chars().chain(['\n']) {
-        if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-            word.push(c);
-            continue;
-        }
-        out.push_str(alias.get(&word).unwrap_or(&word));
-        word.clear();
-        out.push(c);
-    }
-    out.pop();
-    out
-}
-
+/// An optimised build may fold op functions whose machine code is
+/// identical (`k + x` and `x + k`) into one address, which then names
+/// both; the golden is written and checked by a debug build, which folds
+/// none.
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "an optimised build folds identical op functions"
+)]
 fn template_plans_match_golden() {
-    // An optimised build may fold two op functions whose machine code is
-    // identical (`k + x` and `x + k`) into one address; the golden, written
-    // by a build that did not, is then read with each such name as the one
-    // the rendering prints for that address.
-    let mut names: HashMap<usize, String> = HashMap::new();
-    let mut alias = HashMap::new();
-    for (addr, name) in zomp_vm::templates::op_names() {
-        if let Some(kept) = names.get(&addr) {
-            alias.insert(name, kept.clone());
-        } else {
-            names.insert(addr, name);
-        }
-    }
+    let ops = zomp_vm::templates::op_names();
+    let names: HashMap<usize, String> = ops.iter().cloned().collect();
+    assert_eq!(names.len(), ops.len(), "two op functions share an address");
     let mut all = programs();
     all.extend(benchmark_programs());
     let got: String = all.iter().map(|(l, s)| plans(l, s, &names)).collect();
@@ -261,14 +242,5 @@ fn template_plans_match_golden() {
         "{}/../vm/tests/golden/templates.txt",
         env!("CARGO_MANIFEST_DIR")
     );
-    if alias.is_empty() {
-        check_golden(&path, &got);
-        return;
-    }
-    assert!(
-        std::env::var_os("UPDATE_GOLDEN").is_none(),
-        "this build folds op functions; re-bless {path} from a debug build"
-    );
-    let want = std::fs::read_to_string(&path).expect("golden file missing");
-    assert_eq!(got, rename(&want, &alias), "{path} drifted");
+    check_golden(&path, &got);
 }
