@@ -122,7 +122,10 @@ impl Icvs {
     /// lives in [`crate::runtime::RuntimeConfig::from_env`] so nothing here
     /// is latched per process but the hardware concurrency: asking the OS
     /// reads the affinity mask and the cgroup files (tens of µs), which
-    /// every `zagd` request's runtime would pay again.
+    /// every `zagd` request's runtime would pay again. So the default team
+    /// size is read once per process, as libomp reads it at initialisation:
+    /// a process whose CPU affinity or cgroup quota changes keeps the old
+    /// default until it restarts.
     pub fn with_overrides(
         nthreads: Option<usize>,
         dynamic: Option<bool>,
