@@ -1090,6 +1090,32 @@ mod tests {
         assert!(!ast.has_pragmas());
     }
 
+    /// A loop reduction on a place its region passes through from an outer
+    /// region's shared variable combines the team's total into it under
+    /// the reduction lock, not by a plain store.
+    #[test]
+    fn passed_through_loop_reduction_combines_under_the_lock() {
+        let src = "fn f() void {\n\
+                   var v: i64 = 0;\n\
+                   //$omp parallel shared(v)\n{\n\
+                   //$omp parallel shared(v)\n{\n\
+                   var i: i64 = 0;\n\
+                   //$omp while reduction(+: v)\n\
+                   while (i < 4) : (i += 1) { v = v + 1; }\n\
+                   }\n}\n}";
+        let out = pp(src);
+        assert!(out.contains("_ = omp.internal.red_loop_end"), "{out}");
+        assert!(
+            out.contains("critical_enter(\"omp reduction\");\nomp.internal.red_combine"),
+            "{out}"
+        );
+        assert!(
+            !out.contains("__shr_v.* = omp.internal.red_loop_end"),
+            "{out}"
+        );
+        parse(&out).unwrap();
+    }
+
     #[test]
     fn simple_directives_lower() {
         let src = "fn f() void {\n\

@@ -3304,31 +3304,21 @@ fn nested_parallel_names_an_outer_shared_variable() {
     }
 }
 
-/// `src` with `TEAM` at 1, 2 and 4 prints `want` on every backend.
-fn prints_at_every_team(src: &str, want: &str) {
-    for team in [1, 2, 4] {
-        let src = src.replace("TEAM", &team.to_string());
-        let want = Ok(vec![want.to_string()]);
-        assert_eq!(
-            run_on(&src, Backend::Ast, OptLevel::O0),
-            want,
-            "team {team}"
-        );
-        for opt in opt_levels() {
-            let got = run_on(&src, Backend::Bytecode, opt);
-            assert_eq!(got, want, "team {team}, --opt={opt}");
-        }
-    }
-}
-
 /// A `reduction` on an enclosing region's shared variable combines into it
 /// after the join, so outer threads running such regions at the same time
-/// lose no update: each of 4 outer threads runs 2000 inner regions that add
-/// one to `v`, at inner teams of 1, 2 and 4 (nested regions run on a team
-/// of one), on every backend.
+/// lose no update, at inner teams of 1, 2 and 4 (nested regions run on a
+/// team of one), on every backend:
+/// - `region`: each of 4 outer threads runs 2000 inner regions that add one
+///   to `v`;
+/// - `looped`: the same for a worksharing loop's `reduction` in an inner
+///   region that shares the outer region's `v` (1000 regions of 20
+///   iterations): each inner team's total is combined into `v` once;
+/// - `critical`: both forms inside an unnamed `critical`, whose lock the
+///   combine does not take, so they finish (each outer thread adds 50 +
+///   50 * 4).
 #[test]
 fn nested_reductions_into_a_shared_variable_lose_no_update() {
-    let src = "fn main() void {
+    let region = "fn main() void {
     var v: i64 = 0;
     //$omp parallel num_threads(4) shared(v)
     {
@@ -3342,16 +3332,7 @@ fn nested_reductions_into_a_shared_variable_lose_no_update() {
     }
     print(v);
 }";
-    prints_at_every_team(src, "8000");
-}
-
-/// The same for a worksharing loop's `reduction` in an inner region that
-/// shares the outer region's `v`: each inner team's total is combined into
-/// `v` once, under the reduction lock (4 outer threads, 1000 inner regions
-/// each, 20 iterations a region).
-#[test]
-fn nested_loop_reductions_into_a_shared_variable_lose_no_update() {
-    let src = "fn main() void {
+    let looped = "fn main() void {
     var v: i64 = 0;
     //$omp parallel num_threads(4) shared(v)
     {
@@ -3369,14 +3350,7 @@ fn nested_loop_reductions_into_a_shared_variable_lose_no_update() {
     }
     print(v);
 }";
-    prints_at_every_team(src, "80000");
-}
-
-/// A nested reduction's combine does not take the unnamed `critical`: both
-/// forms run inside one and finish (each outer thread adds 50 + 50 * 4).
-#[test]
-fn nested_reductions_inside_an_unnamed_critical_finish() {
-    let src = "fn main() void {
+    let critical = "fn main() void {
     var v: i64 = 0;
     //$omp parallel num_threads(4) shared(v)
     {
@@ -3401,5 +3375,20 @@ fn nested_reductions_inside_an_unnamed_critical_finish() {
     }
     print(v);
 }";
-    prints_at_every_team(src, "1000");
+    for (name, src, want) in [
+        ("region", region, "8000"),
+        ("looped", looped, "80000"),
+        ("critical", critical, "1000"),
+    ] {
+        for team in [1, 2, 4] {
+            let src = src.replace("TEAM", &team.to_string());
+            let want = Ok(vec![want.to_string()]);
+            let ast = run_on(&src, Backend::Ast, OptLevel::O0);
+            assert_eq!(ast, want, "{name}, team {team}");
+            for opt in opt_levels() {
+                let got = run_on(&src, Backend::Bytecode, opt);
+                assert_eq!(got, want, "{name}, team {team}, --opt={opt}");
+            }
+        }
+    }
 }
