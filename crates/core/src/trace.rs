@@ -746,11 +746,20 @@ pub struct MetricsSnapshot {
 /// Fold every thread's counters into one snapshot.
 pub fn metrics() -> MetricsSnapshot {
     let rings: Vec<Arc<ThreadRing>> = registry().lock().clone();
-    let mut s = MetricsSnapshot {
-        threads: rings.len() as u64,
-        ..Default::default()
-    };
-    for r in &rings {
+    fold(rings.iter().map(|r| &**r))
+}
+
+/// The calling thread's counters alone, which no other test's team can
+/// reach.
+#[cfg(test)]
+fn thread_metrics() -> MetricsSnapshot {
+    with_ring(|r| fold(std::iter::once(r)))
+}
+
+fn fold<'a>(rings: impl Iterator<Item = &'a ThreadRing>) -> MetricsSnapshot {
+    let mut s = MetricsSnapshot::default();
+    for r in rings {
+        s.threads += 1;
         let c = &r.counters;
         s.regions += c.regions.load(Ordering::Relaxed);
         s.chunks_owned += c.chunks_owned.load(Ordering::Relaxed);
@@ -967,7 +976,7 @@ mod tests {
         let t = stamp();
         barrier_end(t, true);
         disable_all();
-        let m = metrics();
+        let m = thread_metrics();
         assert_eq!(m.chunks_owned, 1);
         assert_eq!(m.chunks_stolen, 1);
         assert_eq!(m.iters_owned, 10);
@@ -978,7 +987,7 @@ mod tests {
         assert_eq!(m.barrier_spins, 0);
         assert!(m.events_recorded >= 3);
         reset();
-        assert_eq!(metrics().chunks_owned, 0);
+        assert_eq!(thread_metrics().chunks_owned, 0);
     }
 
     #[test]

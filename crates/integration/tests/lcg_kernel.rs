@@ -27,6 +27,16 @@
 //!    tree-walker (both of which call the interpreted `randlc` once per
 //!    element) must agree on every deviate, the final seed cell and —
 //!    out of bounds — the error, on both sides of the precondition.
+//! 4. **Verified calls.** Outside a fill loop, a call of the verified
+//!    `randlc` with a `Float` cell and a `Float` multiplier runs as one
+//!    native LCG step at `--opt=3`; it must leave the same return value
+//!    and the same cell as the interpreted body of `--opt=0` and the
+//!    tree-walker, and any other argument type (or a call past the
+//!    depth limit) must end as those oracles end.
+//!
+//! Every test that runs a VM holds [`serial`]: one of them reads the
+//! process-wide trace counters, which a kernel bail in any other test
+//! running at the same time would bump.
 
 use std::sync::Arc;
 
@@ -34,6 +44,11 @@ use npb::randlc::randlc;
 use zomp_vm::kernels::LCG_STREAMS;
 use zomp_vm::value::{ArrF, Value};
 use zomp_vm::{Backend, OptLevel, Vm};
+
+fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    static M: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    M.lock()
+}
 
 /// The NPB 46-bit LCG step, ported exactly like `zag_ep.rs`: the callee
 /// every program below calls, and the matcher verifies.
@@ -128,6 +143,7 @@ fn fill(s: f64, a: f64, mk: i64, batches: i64, nthreads: i64, out: []f64) f64 {
 /// bit — generated here by a per-element `randlc` loop.
 #[test]
 fn lcg_fill_kernel_reproduces_vranlc_stream_bitwise() {
+    let _g = serial();
     for sched in [
         "schedule(static)",
         "schedule(static, 3)",
@@ -276,6 +292,7 @@ fn run_ep_bail(
 /// kernels (asserted inside the runner).
 #[test]
 fn ep_bail_program_agrees_in_bounds() {
+    let _g = serial();
     let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 128, 10);
     assert!(oracle.0.is_ok(), "{oracle:?}");
     for (backend, opt) in [
@@ -295,6 +312,7 @@ fn ep_bail_program_agrees_in_bounds() {
 /// oracle's exact out-of-bounds error.
 #[test]
 fn lcg_fill_bail_reproduces_oracle_error() {
+    let _g = serial();
     let oracle = run_ep_bail(Backend::Ast, OptLevel::O0, 127, 10);
     let err = oracle.0.clone().expect_err("fill must go out of bounds");
     assert!(err.contains("bounds") || err.contains("index"), "{err}");
@@ -318,6 +336,7 @@ fn lcg_fill_bail_reproduces_oracle_error() {
 /// fault are the walker's — with the walker's error.
 #[test]
 fn ep_pairs_bail_reproduces_oracle_error() {
+    let _g = serial();
     let src = format!("{RANDLC}{EP_BAIL}");
     let remarks = zomp_vm::remarks::collect(&src, "ep.zag", OptLevel::O3).unwrap();
     assert!(
@@ -419,6 +438,7 @@ fn ep(nk: i64, batches: i64, s: f64, sx0: f64, xint: i64, qint: i64, nthreads: i
 /// bails.
 #[test]
 fn ep_kernels_bail_on_each_wrong_typed_input() {
+    let _g = serial();
     let src = format!("{RANDLC}{EP_TYPES}");
     let build = |backend, opt| {
         Vm::build(&src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(&src)))
@@ -666,6 +686,7 @@ impl Cases {
 /// of the tree-walker.
 #[test]
 fn leapfrog_matches_per_element_oracles_on_exact_inputs() {
+    let _g = serial();
     let tiers = Tiers::new();
     let mut cases = Cases(0x5EED_2022_1CE5);
     let mut leapfrogged = 0;
@@ -683,28 +704,34 @@ fn leapfrog_matches_per_element_oracles_on_exact_inputs() {
     );
 }
 
+/// Seeds and multipliers outside the leapfrog's precondition: fractional,
+/// negative, `2^46` and above, and non-finite.
+const INEXACT: [f64; 11] = [
+    0.5,
+    271_828_183.25,
+    -1.0,
+    -1_220_703_125.0,
+    T46,
+    T46 + 2.0,
+    9_007_199_254_740_994.0, // 2^53 + 2
+    1e300,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// What each [`INEXACT`] value is paired with, on either side.
+const PARTNERS: [f64; 6] = [1_220_703_125.0, 0.0, -0.0, T46 - 1.0, 0.75, f64::NAN];
+
 /// (b) The other side: a fractional, negative, too large, or non-finite
 /// seed or multiplier must take the one-stream path and still match
 /// both oracles, whatever the other operand is.
 #[test]
 fn inexact_seed_or_multiplier_matches_per_element_oracles() {
+    let _g = serial();
     let tiers = Tiers::new();
-    let inexact = [
-        0.5,
-        271_828_183.25,
-        -1.0,
-        -1_220_703_125.0,
-        T46,
-        T46 + 2.0,
-        2f64.powi(53) + 2.0,
-        1e300,
-        f64::NAN,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-    ];
-    let partners = [1_220_703_125.0, 0.0, -0.0, T46 - 1.0, 0.75, f64::NAN];
-    for &bad in &inexact {
-        for &other in &partners {
+    for &bad in &INEXACT {
+        for &other in &PARTNERS {
             for len in [2 * N, 3 * N + 1, 65] {
                 tiers.one_fill(bad, other, 0, len, len as usize + 1);
                 tiers.one_fill(other, bad, 1, len, len as usize + 2);
@@ -721,6 +748,7 @@ fn inexact_seed_or_multiplier_matches_per_element_oracles() {
 /// because the failing iteration's `randlc` call runs before its store.
 #[test]
 fn out_of_bounds_claims_fail_like_the_oracles() {
+    let _g = serial();
     let tiers = Tiers::new();
     let (seed, mult) = (271_828_183.0, 1_220_703_125.0);
     let len = 3 * N + 2;
@@ -735,6 +763,221 @@ fn out_of_bounds_claims_fail_like_the_oracles() {
         let got = tiers.one_fill(seed, mult, lo, len, xlen);
         let err = got.result.expect_err(what);
         assert!(err.contains("out of bounds"), "{what}: {err}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A verified call outside a fill loop
+// ---------------------------------------------------------------------------
+
+/// Bare `randlc` calls from interpreted code: no loop, so neither the fill
+/// kernel nor a template takes them, and at `--opt=3` each call of the
+/// verified callee with `Float` arguments is one native LCG step.
+const CALLS: &str = r#"
+fn step(t: *f64, a: f64) f64 {
+    return randlc(t, a);
+}
+
+fn step_elem(x: []f64, i: i64, a: f64) f64 {
+    return randlc(&x[i], a);
+}
+
+fn deep(t: *f64, a: f64, d: i64) f64 {
+    if (d == 0) {
+        return randlc(t, a);
+    }
+    return deep(t, a, d - 1);
+}
+"#;
+
+/// A value as the tests compare it: a float by [`same_f64`], anything
+/// else by its rendering.
+#[derive(Debug)]
+enum Seen {
+    F(u64),
+    Other(String),
+}
+
+impl Seen {
+    fn of(v: &Value) -> Seen {
+        match v {
+            Value::Float(f) => Seen::F(f.to_bits()),
+            other => Seen::Other(other.render()),
+        }
+    }
+}
+
+impl PartialEq for Seen {
+    fn eq(&self, other: &Seen) -> bool {
+        match (self, other) {
+            (Seen::F(a), Seen::F(b)) => same_f64(*a, *b),
+            (Seen::Other(a), Seen::Other(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// What one call leaves behind: its return value (or error text) and
+/// the pointee it stepped.
+#[derive(Debug, PartialEq)]
+struct Called {
+    result: Result<Seen, String>,
+    cell: Seen,
+}
+
+/// [`CALLS`] at `--opt=3` and on its two oracles.
+struct CallTiers {
+    native: Vm,
+    o0: Vm,
+    walker: Vm,
+}
+
+impl CallTiers {
+    fn new() -> CallTiers {
+        let src = format!("{RANDLC}{CALLS}");
+        let build = |backend, opt| {
+            Vm::build(&src, None, backend, opt).unwrap_or_else(|e| panic!("{}", e.render(&src)))
+        };
+        let tiers = CallTiers {
+            native: build(Backend::Bytecode, OptLevel::O3),
+            o0: build(Backend::Bytecode, OptLevel::O0),
+            walker: build(Backend::Ast, OptLevel::O0),
+        };
+        let verified = |vm: &Vm| vm.program.code.get("randlc").expect("randlc").lcg;
+        assert!(verified(&tiers.native), "--opt=3 verifies `randlc`");
+        assert!(!verified(&tiers.o0), "--opt=0 runs every body");
+        tiers
+    }
+
+    /// Call `func` on every tier: `args(cell)` builds the argument list
+    /// around a fresh pointee from `fresh`, and `pointee` reads it back
+    /// after the call. The `--opt=3` and `--opt=0` outcomes must equal
+    /// the walker's, which is returned.
+    fn call(
+        &self,
+        func: &str,
+        fresh: impl Fn() -> Value,
+        args: impl Fn(&Value) -> Vec<Value>,
+        pointee: impl Fn(&Value) -> Value,
+        what: &str,
+    ) -> Called {
+        let run = |vm: &Vm| {
+            let cell = fresh();
+            let result = (vm.call_function(func, args(&cell)))
+                .map(|v| Seen::of(&v))
+                .map_err(|e| e.to_string());
+            Called {
+                result,
+                cell: Seen::of(&pointee(&cell)),
+            }
+        };
+        let want = run(&self.walker);
+        assert_eq!(run(&self.o0), want, "--opt=0, {what}");
+        assert_eq!(run(&self.native), want, "--opt=3, {what}");
+        want
+    }
+
+    /// `step(&x, a)` from a cell holding `x`.
+    fn step(&self, x: Value, a: Value) -> Called {
+        let what = format!("step({x:?}, {a:?})");
+        let args = |cell: &Value| vec![cell.clone(), a.clone()];
+        self.call("step", || new_cell(x.clone()), args, cell_value, &what)
+    }
+}
+
+fn new_cell(v: Value) -> Value {
+    Value::Ptr(Arc::new(parking_lot::Mutex::new(v)))
+}
+
+fn cell_value(cell: &Value) -> Value {
+    match cell {
+        Value::Ptr(slot) => slot.lock().clone(),
+        other => panic!("not a cell: {other:?}"),
+    }
+}
+
+/// The native step against both oracles: on the 10 000 seeded pairs of
+/// the leapfrog test, and on every inexact seed or multiplier, in both
+/// positions. Each call returns a float and leaves one in the cell.
+#[test]
+fn verified_randlc_call_matches_the_oracles() {
+    let _g = serial();
+    let tiers = CallTiers::new();
+    let mut cases = Cases(0x5EED_2022_1CE5);
+    for _ in 0..10_000 {
+        let (x, a) = (cases.exact(), cases.exact());
+        let got = tiers.step(Value::Float(x), Value::Float(a));
+        assert!(matches!(got.result, Ok(Seen::F(_))), "{got:?}");
+    }
+    for &bad in &INEXACT {
+        for &other in &PARTNERS {
+            tiers.step(Value::Float(bad), Value::Float(other));
+            tiers.step(Value::Float(other), Value::Float(bad));
+        }
+    }
+}
+
+/// Any argument type but a `Float` cell and a `Float` multiplier runs
+/// the interpreted body: an `Int` in the cell, an `Int` multiplier, and
+/// an array element's address as the pointer (in and out of bounds) end
+/// with the walker's value, cell and error text.
+#[test]
+fn randlc_call_falls_back_on_other_argument_types() {
+    let _g = serial();
+    let tiers = CallTiers::new();
+    let (x, a) = (271_828_183.0, 1_220_703_125.0);
+    tiers.step(Value::Int(x as i64), Value::Float(a));
+    tiers.step(Value::Float(x), Value::Int(a as i64));
+    tiers.step(Value::Int(x as i64), Value::Int(a as i64));
+    for i in [1, 3] {
+        let what = format!("step_elem(x, {i}, a)");
+        let xs = || {
+            let xs = ArrF::new(3);
+            xs.set(1, x).expect("in bounds");
+            Value::ArrF(Arc::new(xs))
+        };
+        let args = |arr: &Value| vec![arr.clone(), Value::Int(i), Value::Float(a)];
+        let elem = |arr: &Value| match arr {
+            Value::ArrF(xs) => Value::Float(xs.get(1).expect("element 1")),
+            other => panic!("not an array: {other:?}"),
+        };
+        let got = tiers.call("step_elem", xs, args, elem, &what);
+        assert_eq!(got.result.is_ok(), i == 1, "{what}: {got:?}");
+    }
+}
+
+/// A call of the verified `randlc` as activation number
+/// `MAX_CALL_DEPTH` steps; one level deeper it is the depth error on
+/// every tier, before the cell is touched.
+#[test]
+fn randlc_call_past_the_depth_limit_fails_like_the_oracles() {
+    let _g = serial();
+    let tiers = CallTiers::new();
+    let limit = zomp::MAX_CALL_DEPTH as i64;
+    // `deep(t, a, d)` nests `d` calls of itself, then the `randlc` call.
+    for d in [limit - 1, limit] {
+        let got = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(zomp::STACK_BYTES)
+                .spawn_scoped(s, || {
+                    let args = |cell: &Value| {
+                        vec![cell.clone(), Value::Float(1_220_703_125.0), Value::Int(d)]
+                    };
+                    let what = format!("deep(.., {d})");
+                    let seed = || new_cell(Value::Float(271_828_183.0));
+                    tiers.call("deep", seed, args, cell_value, &what)
+                })
+                .expect("spawn")
+                .join()
+                .expect("the call thread must not overflow its stack")
+        });
+        if d < limit {
+            assert!(matches!(got.result, Ok(Seen::F(_))), "{got:?}");
+        } else {
+            let e = got.result.expect_err("one call past the limit");
+            assert!(e.contains("stack overflow"), "{e}");
+            assert_eq!(got.cell, Seen::F(271_828_183f64.to_bits()));
+        }
     }
 }
 

@@ -548,6 +548,9 @@ pub struct CompiledFn {
     /// Typed-template descriptors referenced by
     /// [`Insn::TemplateLoop`] (`--opt=3` only; empty below that).
     pub templates: Vec<crate::templates::TemplateDesc>,
+    /// Verified as the NPB LCG step (`kernels::lcg_callee`, `--opt=3` only):
+    /// a call with `Float` arguments runs as one native step, not this body.
+    pub lcg: bool,
 }
 
 /// A whole program's compiled image, functions in declaration order.

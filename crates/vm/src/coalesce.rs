@@ -590,6 +590,7 @@ mod tests {
             locals: Vec::new(),
             kernels: Vec::new(),
             templates: Vec::new(),
+            lcg: false,
         }
     }
 

@@ -59,7 +59,7 @@ use zomp_front::Diag;
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::inline::InlineData;
 use crate::interp::{call_label, callee_path, str_lit};
-use crate::optimize::{verify_fn, OptLevel, OptStats};
+use crate::optimize::{falls_through, jump_target, verify_fn, OptLevel, OptStats};
 use crate::value::Value;
 
 /// Compile every function of a parsed (pragma-free) program.
@@ -350,6 +350,7 @@ impl<'a> FnCx<'a> {
             locals: self.locals_debug,
             kernels: Vec::new(),
             templates: Vec::new(),
+            lcg: false,
         }
     }
 
@@ -504,18 +505,26 @@ impl<'a> FnCx<'a> {
             N::If => {
                 let (cond, then, els) = self.ast.if_parts(&node);
                 let false_jumps = self.compile_cond(cond);
+                let arm = self.code.len();
                 self.tmp = self.locals_top;
                 self.compile_stmt(then);
                 match els {
                     Some(els) => {
-                        let skip = self.code.len();
-                        self.code.push(Insn::Jump { to: 0 });
+                        // An arm ending in a terminator that none of its jumps
+                        // lands after cannot reach the `else`: no jump over it.
+                        let (end, then) = (self.here(), &self.code[arm..]);
+                        let skip = (then.last().is_none_or(falls_through)
+                            || then.iter().any(|i| jump_target(i) == Some(end)))
+                        .then(|| {
+                            self.code.push(Insn::Jump { to: 0 });
+                            self.code.len() - 1
+                        });
                         let at_else = self.here();
                         self.patch(&false_jumps, at_else);
                         self.tmp = self.locals_top;
                         self.compile_stmt(els);
                         let end = self.here();
-                        self.patch(&[skip], end);
+                        self.patch(skip.as_slice(), end);
                     }
                     None => {
                         let end = self.here();

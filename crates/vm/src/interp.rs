@@ -718,6 +718,11 @@ impl Vm {
                 f.name, f.nparams
             ));
         }
+        if f.lcg {
+            if let Some(r) = crate::kernels::lcg_call(&mut regs[base as usize..][..2]) {
+                return Ok(Value::Float(r));
+            }
+        }
         let mut frame = acquire_frame(f.nregs.max(f.nparams));
         for i in 0..n as usize {
             frame[i] = std::mem::replace(&mut regs[base as usize + i], Value::Undefined);

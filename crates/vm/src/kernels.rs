@@ -498,7 +498,8 @@ pub fn install_image(image: &mut Image) {
 /// The fixed-kernel half of [`install_image`].
 pub(crate) fn install_kernels(image: &mut Image) {
     let lcg: Vec<bool> = image.funcs.iter().map(lcg_callee).collect();
-    for f in &mut image.funcs {
+    for (f, &verified) in image.funcs.iter_mut().zip(&lcg) {
+        f.lcg = verified;
         install_fn(f, &lcg);
     }
 }
@@ -1581,6 +1582,25 @@ fn lcg_step(x: &mut f64, a1: f64, a2: f64) -> f64 {
 fn lcg_split(a: f64) -> (f64, f64) {
     let a1 = npb_trunc(R23 * a);
     (a1, a - T23 * a1)
+}
+
+/// A verified callee's call ([`CompiledFn::lcg`]) on `[&x, a]` as one step,
+/// leaving the arguments `Undefined`; `None`, touching nothing, unless `&x` is
+/// a `Ptr` cell and `x`, `a` are `Float`s. Out of line: `call_fn` stays small.
+#[inline(never)]
+pub(crate) fn lcg_call(args: &mut [Value]) -> Option<f64> {
+    let [Value::Ptr(cell), Value::Float(a)] = &*args else {
+        return None;
+    };
+    let mut seed = cell.lock();
+    let Value::Float(x) = &mut *seed else {
+        return None;
+    };
+    let (a1, a2) = lcg_split(*a);
+    let r = lcg_step(x, a1, a2);
+    drop(seed);
+    args.fill(Value::Undefined);
+    Some(r)
 }
 
 /// Independent jump-ahead streams [`run_lcg_fill`] advances per trip on

@@ -1820,6 +1820,7 @@ mod tests {
             locals: Vec::new(),
             kernels: Vec::new(),
             templates: Vec::new(),
+            lcg: false,
         };
         let live = liveness(&f);
         assert!(live.has(1, 65) && !live.has(0, 70) && !live.has(1, 70));

@@ -13,7 +13,8 @@
 //!   in the loop and, in brackets, why it is still one: a program
 //!   function carries the inliner's slug — `over-budget (47 > 24)`,
 //!   `has-loop`, `calls`, `omp-call`, `recursive`, `arity`, `indirect`,
-//!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`] — and a
+//!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`], plus
+//!   `runs as one native LCG step` for a verified `randlc` — and a
 //!   runtime entry point or builtin says `runtime` / `builtin`),
 //!   `unsupported-op`, or `shape`. The remarks render
 //!   the rows [`kernel_misses`] exports structurally, so bench
@@ -262,8 +263,11 @@ fn classify_miss(
             Insn::Call { func, n, .. } => {
                 let g = func as usize;
                 // Every direct call left at `--opt=3` was refused.
-                let why = (inline.why_kept(image, fi, g, n))
+                let mut why = (inline.why_kept(image, fi, g, n))
                     .map_or("not-inlined".to_string(), |k| k.to_string());
+                if image.funcs[g].lcg {
+                    why += ", runs as one native LCG step";
+                }
                 push(format!("`{}` [{why}]", image.funcs[g].name));
             }
             Insn::CallValue { .. } => push(format!("a function value [{}]", Kept::Indirect)),

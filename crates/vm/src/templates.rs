@@ -3473,6 +3473,7 @@ mod tests {
             locals: Vec::new(),
             kernels: Vec::new(),
             templates: Vec::new(),
+            lcg: false,
         }
     }
 

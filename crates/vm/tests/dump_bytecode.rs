@@ -252,3 +252,83 @@ fn inlined_weigh_loop_matches_golden() {
     assert!(optimized.contains("omp.internal.ws_begin,") && optimized.contains("templateloop"));
     assert_golden(&golden, "inline_weigh.disasm");
 }
+
+/// Arms ending in a terminator, each followed by an `else`: `find`'s
+/// `return` arm ends where nothing lands, so no `jump` over its `else`
+/// follows it; `nested`'s outer arm ends in `return` too, but its inner
+/// `if` falls through to that end, so the jump stays; `skip`'s `break`
+/// arm, like `return`, gets none.
+const RETURN_ARMS: &str = r#"fn find(a: []i64, n: i64, v: i64) i64 {
+    var i: i64 = 0;
+    while (i < n) : (i += 1) {
+        if (a[i] == v) {
+            return i;
+        } else {
+            a[i] = a[i] + 1;
+        }
+    }
+    return -1;
+}
+fn nested(c: i64, d: i64) i64 {
+    var r: i64 = 0;
+    if (c > 0) {
+        if (d > 0) {
+            return 1;
+        }
+    } else {
+        r = 2;
+    }
+    return r + 10;
+}
+fn skip(n: i64) i64 {
+    var s: i64 = 0;
+    var i: i64 = 0;
+    while (i < n) {
+        if (i == 5) {
+            break;
+        } else {
+            s = s + i;
+        }
+        i += 1;
+    }
+    return s;
+}
+fn main() void {
+    var a: []i64 = @allocI(8);
+    a[5] = 3;
+    print(find(a, 8, 3), find(a, 8, 9), nested(1, 1), nested(1, 0), nested(0, 0), skip(9));
+}
+"#;
+
+/// The `--opt=0` stream of [`RETURN_ARMS`] has exactly the jumps its arms
+/// need, and it runs as the tree-walker and `--opt=3` do.
+#[test]
+fn no_jump_follows_an_arm_that_cannot_fall_through() {
+    let program = zomp_vm::compile_opt(RETURN_ARMS, None, OptLevel::O0).expect("compile");
+    let listing = disasm(&program.code);
+    let ops_of = |func: &str| -> Vec<String> {
+        let body = (listing.split("\n\n"))
+            .find(|l| l.starts_with(&format!("fn {func} ")))
+            .unwrap_or_else(|| panic!("no `{func}` in {listing}"));
+        (body.lines())
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|w| w.len() > 1 && w[0].parse::<usize>().is_ok())
+            .map(|w| w[1].to_string())
+            .collect()
+    };
+    let after = |ops: &[String], first: &str| ops.windows(2).any(|w| w == [first, "jump"]);
+    assert!(!after(&ops_of("find"), "ret"), "{listing}");
+    assert!(after(&ops_of("nested"), "ret"), "{listing}");
+    assert!(!after(&ops_of("skip"), "jump"), "{listing}");
+    use zomp_vm::{Backend, Vm};
+    for (backend, opt) in [
+        (Backend::Ast, OptLevel::O0),
+        (Backend::Bytecode, OptLevel::O0),
+        (Backend::Bytecode, OptLevel::O3),
+    ] {
+        let vm = Vm::build(RETURN_ARMS, None, backend, opt).expect("build");
+        vm.call_function("main", Vec::new()).expect("main runs");
+        let out = vm.output.into_inner();
+        assert_eq!(out, ["5 -1 1 10 12 10"], "{backend:?} at --opt={opt}");
+    }
+}
