@@ -49,7 +49,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::ast::{Ast, Clauses, DefaultKind, Node, NodeId, RedOpCode, SchedKind, Tag as N};
 use crate::diag::Diag;
-use crate::preprocess::loop_shape;
+use crate::preprocess::{loop_shape, perfect_nest};
 
 /// Run the data-sharing lint over a parsed, still-pragma'd AST. `unit` is
 /// the compilation-unit name used in diagnostic labels (`unit:line`).
@@ -453,7 +453,7 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        self.check_collapse(node, &clauses, &label, offset);
+        self.check_collapse(id, &clauses, &label, offset);
 
         let names = |toks: &[u32]| -> HashSet<String> {
             toks.iter()
@@ -521,37 +521,24 @@ impl<'a> Analyzer<'a> {
 
     // -- rule: collapse-imperfect / collapse-nonrect ------------------------
 
-    fn check_collapse(&mut self, node: &Node, clauses: &Clauses, label: &str, offset: usize) {
-        let depth = clauses.flags.collapse;
-        if depth < 2 || node.rhs == 0 || self.ast.node(node.rhs).tag != N::While {
+    fn check_collapse(&mut self, id: NodeId, clauses: &Clauses, label: &str, offset: usize) {
+        let (depth, rhs) = (clauses.flags.collapse, self.ast.node(id).rhs);
+        if depth < 2 || rhs == 0 || self.ast.node(rhs).tag != N::While {
             return;
         }
-        let mut outer_vars: Vec<String> = Vec::new();
-        let mut while_id = node.rhs;
-        for level in 1..depth {
-            let Ok(shape) = loop_shape(self.ast, while_id) else {
-                return; // the preprocessor reports malformed loop headers
-            };
-            outer_vars.push(shape.var.clone());
-            // A perfectly nested level is exactly `{ var j = ...; while ... }`.
-            let body = self.ast.node(shape.body);
-            let stmts = if body.tag == N::Block {
-                self.ast.range(body).to_vec()
-            } else {
-                Vec::new()
-            };
-            let inner_ok = stmts.len() == 2
-                && self.ast.node(stmts[0]).tag == N::VarDecl
-                && self.ast.node(stmts[1]).tag == N::While;
-            if !inner_ok {
+        let nest = match perfect_nest(self.ast, id, depth) {
+            Ok(nest) => nest,
+            // The preprocessor reports a malformed header of the
+            // directive's own loop.
+            Err((1, _)) => return,
+            Err((level, _)) => {
                 self.warn(
                     "collapse-imperfect",
                     offset,
                     label,
                     format!(
-                        "collapse({depth}) requires a perfectly nested loop at depth {}: \
-                         the body must be exactly `{{ var j = ...; while (...) ... }}`",
-                        level + 1
+                        "collapse({depth}) requires a perfectly nested loop at depth {level}: \
+                         the body must be exactly `{{ var j = ...; while (...) ... }}`"
                     ),
                 )
                 .note = Some(
@@ -561,31 +548,31 @@ impl<'a> Analyzer<'a> {
                 );
                 return;
             }
-            while_id = stmts[1];
-            // Non-rectangular check: the inner loop's bound or step must
-            // not depend on any outer induction variable.
-            if let Ok(inner) = loop_shape(self.ast, while_id) {
-                for outer in &outer_vars {
-                    if contains_ident(&inner.ub_text, outer)
-                        || contains_ident(&inner.incr_text, outer)
-                    {
-                        self.warn(
-                            "collapse-nonrect",
-                            offset,
-                            label,
-                            format!(
-                                "collapsed inner loop bound depends on outer induction \
-                                 variable `{outer}`: the nest is not rectangular"
-                            ),
-                        )
-                        .note = Some(
-                            "the collapsed iteration space is computed as a product of \
-                             fixed trip counts; non-rectangular nests miscount"
-                                .to_string(),
-                        );
-                        return;
-                    }
-                }
+        };
+        // Non-rectangular check: no inner loop's first value, bound or
+        // step may depend on an outer induction variable.
+        for (l, (inner, init)) in nest.iter().enumerate().skip(1) {
+            let texts = [init, &inner.ub_text, &inner.incr_text];
+            let outer = nest[..l]
+                .iter()
+                .map(|(s, _)| &s.var)
+                .find(|v| texts.iter().any(|t| contains_ident(t, v)));
+            if let Some(outer) = outer {
+                self.warn(
+                    "collapse-nonrect",
+                    offset,
+                    label,
+                    format!(
+                        "collapsed inner loop bound depends on outer induction \
+                         variable `{outer}`: the nest is not rectangular"
+                    ),
+                )
+                .note = Some(
+                    "the collapsed iteration space is computed as a product of \
+                     fixed trip counts; non-rectangular nests miscount"
+                        .to_string(),
+                );
+                return;
             }
         }
     }
@@ -1190,6 +1177,54 @@ fn main() void {
 }
 "#;
         assert_eq!(codes(src), vec!["collapse-nonrect"], "{:?}", lint(src));
+    }
+
+    /// A `collapse(3)` nest whose level-3 loop has `decl` ahead of it and
+    /// runs from `init` to `bound`.
+    fn depth_three_nest(decl: &str, init: &str, bound: &str) -> String {
+        format!(
+            "
+fn main() void {{
+    var s: i64 = 0;
+    //$omp parallel
+    {{
+        var i: i64 = 0;
+        //$omp while collapse(3) reduction(+: s)
+        while (i < 10) : (i += 1) {{
+            var j: i64 = 0;
+            while (j < 10) : (j += 1) {{
+                {decl}
+                var k: i64 = {init};
+                while (k < {bound}) : (k += 1) {{
+                    s += 1;
+                }}
+            }}
+        }}
+    }}
+}}
+"
+        )
+    }
+
+    #[test]
+    fn imperfect_level_three_collapse_flagged() {
+        assert!(lint(&depth_three_nest("", "0", "10")).is_empty());
+        let got = lint(&depth_three_nest("var extra: i64 = 7;", "0", "10"));
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].code, "collapse-imperfect", "{got:?}");
+        assert!(got[0].message.contains("at depth 3"), "{got:?}");
+    }
+
+    /// The collapsed space is computed from each level's first value and
+    /// bound at entry, so either naming an outer variable miscounts.
+    #[test]
+    fn level_three_bound_naming_level_one_flagged() {
+        for (init, bound) in [("0", "i"), ("i", "10")] {
+            let got = lint(&depth_three_nest("", init, bound));
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert_eq!(got[0].code, "collapse-nonrect", "{got:?}");
+            assert!(got[0].message.contains("`i`"), "{got:?}");
+        }
     }
 
     #[test]

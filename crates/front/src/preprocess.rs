@@ -476,10 +476,6 @@ pub(crate) struct LoopShape {
 }
 
 pub(crate) fn loop_shape(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag> {
-    loop_shape_inner(ast, while_id)
-}
-
-fn loop_shape_inner(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag> {
     let w = ast.node(while_id);
     let (wstart, _) = ast.byte_span(while_id);
     let cond = ast.node(w.lhs);
@@ -557,6 +553,62 @@ fn loop_shape_inner(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag> {
     })
 }
 
+/// The perfect nest of `depth` loops under the worksharing directive
+/// `directive`, as `collapse(depth)` lowers it: each level's shape and its
+/// counter's initial value (the first level's counter starts from the
+/// value it holds). Below each level but the last, the body is exactly
+/// `{ var j = <init>; while (j …) : (j ±= s) { … } }`, and its declared
+/// counter drives its loop. An error carries the level (from 1) the nest
+/// breaks at.
+pub(crate) fn perfect_nest(
+    ast: &Ast,
+    directive: NodeId,
+    depth: u8,
+) -> Result<Vec<(LoopShape, String)>, (usize, Diag)> {
+    let first = loop_shape(ast, ast.node(directive).rhs).map_err(|e| (1, e))?;
+    let var = first.var.clone();
+    let mut nest = vec![(first, var)];
+    let at = ast.byte_span(directive).0;
+    while nest.len() < depth as usize {
+        let level = nest.len() + 1;
+        let outer = nest[level - 2].0.body;
+        let fail = |msg: &str| Err((level, Diag::preprocess(at, msg)));
+        let body = ast.node(outer);
+        let stmts = if body.tag == N::Block {
+            ast.range(body)
+        } else {
+            &[]
+        };
+        let perfect = match *stmts {
+            [d, w] => {
+                (ast.node(d).tag == N::VarDecl && ast.node(w).tag == N::While).then_some((d, w))
+            }
+            _ => None,
+        };
+        let Some((decl, inner)) = perfect else {
+            return fail(&format!(
+                "collapse({depth}) requires the outer body to be exactly \
+                 `var j = ...; while (...) : (...) {{ }}`"
+            ));
+        };
+        let decl = ast.node(decl);
+        if decl.rhs == 0 {
+            return fail("inner counter needs an initializer");
+        }
+        let shape = loop_shape(ast, inner).map_err(|e| (level, e))?;
+        if shape.var != ast.token_text(decl.main_token) {
+            return fail("the declared counter must drive the inner loop");
+        }
+        nest.push((shape, ast.node_text(decl.rhs - 1).to_string()));
+    }
+    Ok(nest)
+}
+
+/// Lower a worksharing loop, collapsed or not. A single loop workshares
+/// its own iteration space. A `collapse(n)` nest workshares the
+/// linearised space `0..t1 * … * tn` of its levels' trip counts, and each
+/// iteration recovers the level indices from the flat index, outermost
+/// first: level `l` is `(idx / (t(l+1) * … * tn)) % tl`.
 fn replace_while(
     ast: &Ast,
     id: NodeId,
@@ -573,19 +625,9 @@ fn replace_while(
     // leading string argument of `ws_begin`.
     let ws_label = ws_label_arg(ast, id, unit);
 
-    if clauses.flags.collapse > 2 {
-        let (s, _) = ast.byte_span(id);
-        return Err(Diag::preprocess(
-            s,
-            "collapse depths greater than 2 are parsed and stored but not lowered",
-        ));
-    }
-    if clauses.flags.collapse == 2 {
-        return replace_while_collapse2(ast, id, node, &clauses, k, unit);
-    }
-
-    let shape = loop_shape(ast, node.rhs)?;
-    let body = block_inner(ast, shape.body)?;
+    let depth = clauses.flags.collapse.max(1);
+    let nest = perfect_nest(ast, id, depth).map_err(|(_, e)| e)?;
+    let body = block_inner(ast, nest[nest.len() - 1].0.body)?;
     let mut renames = Vec::new();
 
     // Schedule kind codes for ws_begin: 0 static, 1 dynamic, 2 guided,
@@ -603,9 +645,7 @@ fn replace_while(
         }
     };
 
-    let mut pre = String::new();
-    let mut post = String::new();
-
+    let (mut pre, mut post) = (String::new(), String::new());
     // Loop privates: fresh names to honour Zig's no-shadowing rule.
     for &tok in &clauses.private {
         let p = place_of(ast, tok);
@@ -621,36 +661,43 @@ fn replace_while(
     }
 
     loop_reductions(ast, &clauses, k, &mut pre, &mut post, &mut renames);
-    let has_reduction = !clauses.reduction.is_empty();
     let body = rewrite_idents(body, &renames);
 
     // The loop itself: the generic wrapper over __kmpc_for_static_* /
     // __kmpc_dispatch_* (§III-C). Bounds are evaluated once at entry.
     let ws = format!("__ws_{k}");
-    let ub = format!("__ub_{k}");
-    let var = &shape.var;
-    let inner_cmp = match shape.cmp_code {
-        2 | 3 => format!("{var} > {ub}"),
-        _ => format!("{var} < {ub}"),
+    let (space, chunk_loop) = match &nest[..] {
+        // One loop claims chunks of its own variable's values: no
+        // division per iteration, and the bytecode's counted-loop forms
+        // see the user's loop.
+        [(shape, _)] => {
+            let (var, ub) = (&shape.var, format!("__ub_{k}"));
+            let inner_cmp = match shape.cmp_code {
+                2 | 3 => format!("{var} > {ub}"),
+                _ => format!("{var} < {ub}"),
+            };
+            (
+                format!(
+                    "{var}, {}, {}, {}",
+                    shape.ub_text, shape.incr_text, shape.cmp_code
+                ),
+                format!(
+                    "{var} = omp.internal.ws_lb({ws});\n\
+                     const {ub} = omp.internal.ws_ub({ws});\n\
+                     while ({inner_cmp}) : ({}) {{\n{body}\n}}\n",
+                    shape.cont_text
+                ),
+            )
+        }
+        _ => collapsed(&nest, k, &ws, &body, &mut pre),
     };
     // With a reduction the combined value is only safe to read after a
     // barrier, so the barrier stays even under nowait (what Clang does).
-    let nowait_flag = if clauses.flags.nowait && !has_reduction {
-        1
-    } else {
-        0
-    };
-    let text =
-        format!(
-        "{{\n{pre}const {ws} = omp.internal.ws_begin({ws_label}{kind_code}, {chunk}, {var}, {}, {}, {});\n\
-         while (omp.internal.ws_next({ws})) {{\n\
-         {var} = omp.internal.ws_lb({ws});\n\
-         const {ub} = omp.internal.ws_ub({ws});\n\
-         while ({inner_cmp}) : ({cont}) {{\n{body}\n}}\n\
-         }}\n\
-         omp.internal.ws_fini({ws}, {nowait_flag});\n{post}}}",
-        shape.ub_text, shape.incr_text, shape.cmp_code,
-        cont = shape.cont_text,
+    let nowait_flag = (clauses.flags.nowait && clauses.reduction.is_empty()) as u32;
+    let text = format!(
+        "{{\n{pre}const {ws} = omp.internal.ws_begin({ws_label}{kind_code}, {chunk}, {space});\n\
+         while (omp.internal.ws_next({ws})) {{\n{chunk_loop}}}\n\
+         omp.internal.ws_fini({ws}, {nowait_flag});\n{post}}}"
     );
 
     Ok(Payload {
@@ -658,6 +705,71 @@ fn replace_while(
         text,
         appendix: String::new(),
     })
+}
+
+/// The `ws_begin` space and the chunk loop of a collapsed `nest` (loop
+/// `k`), whose set-up goes into `pre`: each level's first value and trip
+/// count, each trip checked with the product of those before it (a
+/// product past `i64` fails as `loop bound overflow`), then the flat
+/// index space and each level's index recovered from it.
+fn collapsed(
+    nest: &[(LoopShape, String)],
+    k: usize,
+    ws: &str,
+    body: &str,
+    pre: &mut String,
+) -> (String, String) {
+    let n = nest.len();
+    let level = |l: usize| (b'a' + l as u8) as char;
+    let trip = |l: usize| format!("__trip{}_{k}", level(l));
+    let trips = |r: std::ops::Range<usize>| r.map(trip).collect::<Vec<_>>().join(" * ");
+    for (l, (_, init)) in nest.iter().enumerate() {
+        pre.push_str(&format!("const __lb{}_{k} = {init};\n", level(l)));
+    }
+    for (l, (s, _)) in nest.iter().enumerate() {
+        let before = (l > 0).then(|| format!(", {}", trips(0..l)));
+        pre.push_str(&format!(
+            "const {} = omp.internal.trip_count(__lb{}_{k}, {}, {}, {}{});\n",
+            trip(l),
+            level(l),
+            s.ub_text,
+            s.incr_text,
+            s.cmp_code,
+            before.unwrap_or_default(),
+        ));
+    }
+    let idx = format!("__idx_{k}");
+    let mut chunk_loop = format!(
+        "var {idx}: i64 = omp.internal.ws_lb({ws});\n\
+         const __idxub_{k} = omp.internal.ws_ub({ws});\n\
+         while ({idx} < __idxub_{k}) : ({idx} += 1) {{\n"
+    );
+    for (l, (s, _)) in nest.iter().enumerate() {
+        let quot = match n - 1 - l {
+            0 => idx.clone(),
+            1 => format!("{idx} / {}", trips(l + 1..n)),
+            _ => format!("{idx} / ({})", trips(l + 1..n)),
+        };
+        let at = match l {
+            0 => quot,
+            _ if l == n - 1 => format!("{quot} % {}", trip(l)),
+            _ => format!("({quot}) % {}", trip(l)),
+        };
+        let (decl, ty) = if l == 0 { ("", "") } else { ("var ", ": any") };
+        chunk_loop.push_str(&format!(
+            "{decl}{}{ty} = __lb{}_{k} + ({at}) * ({});\n",
+            s.var,
+            level(l),
+            s.incr_text
+        ));
+    }
+    chunk_loop.push_str(body);
+    chunk_loop.push('\n');
+    for (s, _) in &nest[1..] {
+        chunk_loop.push_str(&format!("_ = {};\n", s.var));
+    }
+    chunk_loop.push_str("}\n");
+    (format!("0, {}, 1, 0", trips(0..n)), chunk_loop)
 }
 
 /// Loop reductions: a team-shared cell per variable, a private
@@ -706,129 +818,6 @@ fn loop_reductions(
     }
 }
 
-/// `collapse(2)`: fuse two perfectly nested loops into one logical
-/// iteration space of `tripA * tripB` and workshare over it. The canonical
-/// shape is required — the outer body must be exactly an inner-counter
-/// declaration followed by the inner while loop:
-///
-/// ```text
-/// //$omp while collapse(2)
-/// while (i < n) : (i += 1) {
-///     var j: i64 = 0;
-///     while (j < m) : (j += 1) { <body> }
-/// }
-/// ```
-///
-/// Both loops' bounds must be invariant across the collapsed space (the
-/// OpenMP requirement for rectangular collapse).
-fn replace_while_collapse2(
-    ast: &Ast,
-    id: NodeId,
-    node: &Node,
-    clauses: &Clauses,
-    k: usize,
-    unit: Option<&str>,
-) -> Result<Payload, Diag> {
-    let (start, _) = ast.byte_span(id);
-    let ws_label = ws_label_arg(ast, id, unit);
-    let outer = loop_shape(ast, node.rhs)?;
-
-    // The outer body: [VarDecl inner-counter, While inner].
-    let body_node = ast.node(outer.body);
-    if body_node.tag != N::Block {
-        return Err(Diag::preprocess(start, "collapse(2) needs a block body"));
-    }
-    let stmts = ast.range(body_node).to_vec();
-    if stmts.len() != 2
-        || ast.node(stmts[0]).tag != N::VarDecl
-        || ast.node(stmts[1]).tag != N::While
-    {
-        return Err(Diag::preprocess(
-            start,
-            "collapse(2) requires the outer body to be exactly `var j = ...; while (...) : (...) { }`",
-        ));
-    }
-    let decl = ast.node(stmts[0]);
-    let inner_var = ast.token_text(decl.main_token).to_string();
-    if decl.rhs == 0 {
-        return Err(Diag::preprocess(
-            start,
-            "inner counter needs an initializer",
-        ));
-    }
-    let inner_lb_text = ast.node_text(decl.rhs - 1).to_string();
-    let inner = loop_shape_of_while(ast, stmts[1])?;
-    if inner.var != inner_var {
-        return Err(Diag::preprocess(
-            start,
-            "the declared counter must drive the inner loop",
-        ));
-    }
-    let body = block_inner(ast, inner.body)?;
-    let mut renames = Vec::new();
-
-    let (kind_code, chunk) = match clauses.schedule {
-        None => (0u32, 0u32),
-        Some(s) => {
-            let code = match s.kind {
-                SchedKind::Dynamic => 1,
-                SchedKind::Guided => 2,
-                SchedKind::Runtime => 3,
-                _ => 0,
-            };
-            (code, s.chunk.unwrap_or(0))
-        }
-    };
-
-    let mut pre = String::new();
-    let mut post = String::new();
-    for &tok in &clauses.private {
-        let p = place_of(ast, tok);
-        let fresh = format!("__prv_{}_{k}", p.ident);
-        pre.push_str(&format!("var {fresh}: any = undefined;\n"));
-        renames.push(Rename::new(&p.ident, fresh, false));
-    }
-    for &tok in &clauses.firstprivate {
-        let p = place_of(ast, tok);
-        let fresh = format!("__prv_{}_{k}", p.ident);
-        pre.push_str(&format!("var {fresh}: any = {};\n", p.access()));
-        renames.push(Rename::new(&p.ident, fresh, false));
-    }
-    loop_reductions(ast, clauses, k, &mut pre, &mut post, &mut renames);
-    let has_reduction = !clauses.reduction.is_empty();
-    let body = rewrite_idents(body, &renames);
-
-    let ws = format!("__ws_{k}");
-    let (ta, tb) = (format!("__tripa_{k}"), format!("__tripb_{k}"));
-    let (lba, lbb) = (format!("__lba_{k}"), format!("__lbb_{k}"));
-    let idx = format!("__idx_{k}");
-    let idxub = format!("__idxub_{k}");
-    let ovar = &outer.var;
-    let nowait_flag = if clauses.flags.nowait && !has_reduction {
-        1
-    } else {
-        0
-    };
-
-    let text = format!(
-        "{{\n{pre}         const {lba} = {ovar};\n         const {lbb} = {inner_lb};\n         const {ta} = omp.internal.trip_count({lba}, {uba}, {inca}, {cmpa});\n         const {tb} = omp.internal.trip_count({lbb}, {ubb}, {incb}, {cmpb});\n         const {ws} = omp.internal.ws_begin({ws_label}{kind_code}, {chunk}, 0, {ta} * {tb}, 1, 0);\n         while (omp.internal.ws_next({ws})) {{\n         var {idx}: i64 = omp.internal.ws_lb({ws});\n         const {idxub} = omp.internal.ws_ub({ws});\n         while ({idx} < {idxub}) : ({idx} += 1) {{\n         {ovar} = {lba} + ({idx} / {tb}) * ({inca});\n         var {ivar}: any = {lbb} + ({idx} % {tb}) * ({incb});\n         {body}\n         _ = {ivar};\n         }}\n         }}\n         omp.internal.ws_fini({ws}, {nowait_flag});\n{post}}}",
-        inner_lb = inner_lb_text,
-        uba = outer.ub_text,
-        inca = outer.incr_text,
-        cmpa = outer.cmp_code,
-        ubb = inner.ub_text,
-        incb = inner.incr_text,
-        cmpb = inner.cmp_code,
-        ivar = inner_var,
-    );
-
-    Ok(Payload {
-        span: ast.byte_span(id),
-        text,
-        appendix: String::new(),
-    })
-}
-
 /// The `"unit:line", ` leading-argument text for `ws_begin` when the
 /// translation unit is named, `""` otherwise — the worksharing twin of
 /// `replace_parallel`'s region label.
@@ -839,11 +828,6 @@ fn ws_label_arg(ast: &Ast, id: NodeId, unit: Option<&str>) -> String {
         format!("\"{u}:{line}\", ")
     })
     .unwrap_or_default()
-}
-
-/// [`loop_shape`] for a bare `While` node (not a directive's rhs).
-fn loop_shape_of_while(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag> {
-    loop_shape_inner(ast, while_id)
 }
 
 fn sanitize(ident: &str) -> String {

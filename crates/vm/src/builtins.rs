@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 use zomp::kmpc::WsLoop;
 use zomp::reduction::RedOp;
-use zomp::schedule::{LoopBounds, LoopCmp, Schedule, ScheduleKind};
+use zomp::schedule::{LoopBounds, LoopCmp, Schedule, ScheduleError, ScheduleKind};
 use zomp::sync::OmpLock;
 use zomp::team::{Parallel, SingleToken, ThreadCtx};
 
@@ -342,18 +342,7 @@ pub(crate) fn call(vm: &Vm, func: OmpFn, args: &[Value]) -> VmResult<Value> {
         }
 
         // -- worksharing loops -------------------------------------------------
-        OmpFn::TripCount => {
-            let bounds = LoopBounds {
-                lb: args[0].as_int()?,
-                ub: args[1].as_int()?,
-                incr: args[2].as_int()?,
-                cmp: cmp_from_code(args[3].as_int()?)?,
-            };
-            let trip = bounds
-                .try_trip_count()
-                .map_err(|e| VmError(e.to_string()))?;
-            Ok(Value::Int(trip as i64))
-        }
+        OmpFn::TripCount => trip_count(args),
         OmpFn::WsBegin => ws_begin(args),
         // The unfused spelling of `Insn::WsNext`, for the tree-walker and
         // hand-written `omp.internal.*` programs.
@@ -503,6 +492,26 @@ fn cmp_from_code(code: i64) -> VmResult<LoopCmp> {
         3 => LoopCmp::Ge,
         other => return err(format!("bad comparison code {other}")),
     })
+}
+
+/// `trip_count(lb, ub, incr, cmp[, before])`: a level of a collapsed
+/// nest also gets the product of the trips outside it, and the whole
+/// product must fit an `i64`.
+fn trip_count(args: &[Value]) -> VmResult<Value> {
+    let bounds = LoopBounds {
+        lb: args[0].as_int()?,
+        ub: args[1].as_int()?,
+        incr: args[2].as_int()?,
+        cmp: cmp_from_code(args[3].as_int()?)?,
+    };
+    let trip = bounds
+        .try_trip_count()
+        .map_err(|e| VmError(e.to_string()))?;
+    let before = args.get(4).map_or(Ok(1), Value::as_int)?;
+    match i64::try_from(trip) {
+        Ok(trip) if before.checked_mul(trip).is_some() => Ok(Value::Int(trip)),
+        _ => err(ScheduleError::BoundOverflow.to_string()),
+    }
 }
 
 fn ws_begin(args: &[Value]) -> VmResult<Value> {

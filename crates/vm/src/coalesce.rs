@@ -51,8 +51,8 @@ use std::collections::HashMap;
 use crate::bytecode::{CompiledFn, Image, Insn, Reg};
 use crate::compile::CKey;
 use crate::optimize::{
-    bit, block_leaders, dse, installed_spans, jump_target, liveness_of, map_regs, remap, succs,
-    visit_defs, Effects, Live,
+    block_leaders, blocks, dse, installed_spans, jump_target, liveness_of, map_regs, remap, succs,
+    visit_defs, Bits, Effects, Live,
 };
 use crate::value::Value;
 
@@ -77,10 +77,10 @@ pub(crate) fn coalesce_image(image: &mut Image) {
 /// `regs.len() + j` is definition `defs[j]`.
 struct Webs {
     /// The tracked registers, each register's index among them, and
-    /// their set as a liveness row.
+    /// their set as a one-row matrix.
     regs: Vec<Reg>,
     index: Vec<u32>,
-    mask: Vec<u64>,
+    mask: Bits,
     /// Every (pc, register) an instruction writes of a tracked register.
     defs: Vec<(u32, Reg)>,
     /// Union-find parents, then (after [`Webs::build`]) each id's root.
@@ -126,7 +126,7 @@ impl Webs {
 
     /// Call `f` with each tracked register set in `row`.
     fn each_in(&self, row: &[u64], f: impl FnMut(Reg)) {
-        each_one(row, &self.mask, f)
+        each_one(row, self.mask.row(0), f)
     }
 
     /// Find the webs of the registers in `regs` in one forward walk per
@@ -139,10 +139,10 @@ impl Webs {
     fn build(f: &CompiledFn, live: &Live, eff: &Effects, regs: Vec<Reg>) -> Webs {
         let (n, t) = (f.code.len(), regs.len());
         let mut index = vec![NONE; f.nregs];
-        let mut mask = vec![0u64; f.nregs.div_ceil(64)];
+        let mut mask = Bits::new(1, f.nregs);
         for (i, &r) in regs.iter().enumerate() {
             index[r as usize] = i as u32;
-            mask[r as usize / 64] |= 1 << (r % 64);
+            mask.set(0, r);
         }
         let mut webs = Webs {
             root: Vec::new(),
@@ -152,23 +152,17 @@ impl Webs {
             defs: Vec::new(),
             at: vec![0; n * t],
         };
-        let mask = webs.mask.clone();
+        let mask = webs.mask.row(0).to_vec();
         let ndefs: u32 = (0..n)
-            .flat_map(|pc| eff.writes(pc).iter().zip(&mask))
+            .flat_map(|pc| eff.writes.row(pc).iter().zip(&mask))
             .map(|(a, m)| (a & m).count_ones())
             .sum();
-        let lead = block_leaders(f);
-        let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
-        let nb = starts.len();
-        let mut block_of = vec![0u32; n];
-        for (b, &s) in starts.iter().enumerate() {
-            let end = starts.get(b + 1).copied().unwrap_or(n);
-            block_of[s..end].fill(b as u32);
-        }
+        let (blocks, block_of) = blocks(f);
+        let nb = blocks.len();
         // Block `b`'s successors: `succ[first[b]..first[b + 1]]`.
         let (mut succ, mut first, mut buf) = (Vec::new(), vec![0], Vec::new());
-        for b in 0..nb {
-            succs(f, starts.get(b + 1).copied().unwrap_or(n) - 1, &mut buf);
+        for pcs in &blocks {
+            succs(f, pcs.end - 1, &mut buf);
             succ.extend_from_slice(&buf);
             first.push(succ.len());
         }
@@ -176,11 +170,7 @@ impl Webs {
         let mut stack = vec![0usize];
         while let Some(b) = stack.pop() {
             if !std::mem::replace(&mut reached[b], true) {
-                stack.extend(
-                    succ[first[b]..first[b + 1]]
-                        .iter()
-                        .map(|&s| block_of[s] as usize),
-                );
+                stack.extend(succ[first[b]..first[b + 1]].iter().map(|&s| block_of[s]));
             }
         }
         // Ids: entry values, definitions, then block `b`'s provisional
@@ -190,25 +180,23 @@ impl Webs {
         webs.defs.reserve(ndefs as usize);
         let mut cur = vec![0u32; t];
         for b in 0..nb {
-            let start = starts[b];
             for (i, c) in cur.iter_mut().enumerate() {
                 *c = i as u32;
-                if eff.live_in(live, start, webs.regs[i]) {
+                if eff.live_in(live, blocks[b].start, webs.regs[i]) {
                     *c = (phi + b * t + i) as u32;
                     if b == 0 || !reached[b] {
                         webs.union(*c, i as u32);
                     }
                 }
             }
-            let end = starts.get(b + 1).copied().unwrap_or(n);
-            for pc in start..end {
-                each_one(eff.writes(pc), &mask, |r| {
+            for pc in blocks[b].clone() {
+                each_one(eff.writes.row(pc), &mask, |r| {
                     let (i, def) = (
                         webs.index[r as usize] as usize,
                         (t + webs.defs.len()) as u32,
                     );
                     webs.defs.push((pc as u32, r));
-                    if bit(eff.reads(pc), r) {
+                    if eff.reads.has(pc, r) {
                         webs.union(cur[i], def);
                     }
                     cur[i] = def;
@@ -216,7 +204,7 @@ impl Webs {
                 webs.at[pc * t..(pc + 1) * t].copy_from_slice(&cur);
             }
             for &s in &succ[first[b]..first[b + 1]] {
-                let sb = block_of[s] as usize;
+                let sb = block_of[s];
                 for (i, &c) in cur.iter().enumerate() {
                     if eff.live_in(live, s, webs.regs[i]) {
                         webs.union(c, (phi + sb * t + i) as u32);
@@ -245,39 +233,6 @@ fn each_one(row: &[u64], mask: &[u64], mut f: impl FnMut(Reg)) {
         while rest != 0 {
             f((64 * k) as Reg + rest.trailing_zeros() as Reg);
             rest &= rest - 1;
-        }
-    }
-}
-
-/// A square bit matrix over web ids.
-struct Bits {
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl Bits {
-    fn new(n: usize) -> Bits {
-        let words = n.div_ceil(64);
-        Bits {
-            words,
-            bits: vec![0; n * words],
-        }
-    }
-
-    fn row(&self, x: u32) -> &[u64] {
-        &self.bits[x as usize * self.words..(x as usize + 1) * self.words]
-    }
-
-    fn set(&mut self, x: u32, y: u32) {
-        self.bits[x as usize * self.words + y as usize / 64] |= 1 << (y % 64);
-    }
-
-    /// Row `into` |= row `from`.
-    fn merge(&mut self, into: u32, from: u32) {
-        let w = self.words;
-        let (into, from) = (into as usize * w, from as usize * w);
-        for k in 0..w {
-            self.bits[into + k] |= self.bits[from + k];
         }
     }
 }
@@ -422,7 +377,7 @@ fn rewrite(
     }
     for (pc, insn) in f.code.iter().enumerate() {
         if span[pc] {
-            for row in [eff.reads(pc), eff.writes(pc)] {
+            for row in [eff.reads.row(pc), eff.writes.row(pc)] {
                 webs.each_in(row, |r| pinned[webs.at(pc, r).unwrap() as usize] = true);
             }
         }
@@ -476,19 +431,19 @@ fn rewrite(
     }
 
     // Interference: each definition against the webs live after it.
-    let mut adj = Bits::new(nweb);
+    let mut adj = Bits::new(nweb, nweb);
     for pc in 0..n {
         let copied = match f.code[pc] {
             Insn::Move { src, .. } => webs.at(pc, src),
             _ => None,
         };
-        webs.each_in(eff.writes(pc), |r| {
+        webs.each_in(eff.writes.row(pc), |r| {
             let d = webs.at(pc, r).unwrap();
             webs.each_in(live.row(pc), |s| {
                 let y = webs.at(pc, s).unwrap();
                 if y != d && Some(y) != copied {
-                    adj.set(d, y);
-                    adj.set(y, d);
+                    adj.set(d as usize, y);
+                    adj.set(y as usize, d);
                 }
             });
         });
@@ -496,10 +451,10 @@ fn rewrite(
 
     // Copy coalescing over classes of webs, innermost loops first.
     let mut class: Vec<u32> = (0..nweb as u32).collect();
-    let mut members = Bits::new(nweb);
+    let mut members = Bits::new(nweb, nweb);
     let mut on_reg: Vec<Vec<u32>> = vec![Vec::new(); f.nregs];
     for x in roots() {
-        members.set(x, x);
+        members.set(x as usize, x);
         if !gone[x as usize] {
             on_reg[reg_of[x as usize] as usize].push(x);
         }
@@ -521,17 +476,21 @@ fn rewrite(
         }
         for (from, to) in [(cs, cd), (cd, cs)] {
             let r = reg_of[to as usize] as usize;
-            let row = adj.row(from);
+            let row = adj.row(from as usize);
             let fits = !pinned[from as usize]
-                && on_reg[r]
-                    .iter()
-                    .all(|&c| c == from || row.iter().zip(members.row(c)).all(|(a, m)| a & m == 0));
+                && on_reg[r].iter().all(|&c| {
+                    c == from
+                        || row
+                            .iter()
+                            .zip(members.row(c as usize))
+                            .all(|(a, m)| a & m == 0)
+                });
             if !fits {
                 continue;
             }
             on_reg[reg_of[from as usize] as usize].retain(|&c| c != from);
-            adj.merge(to, from);
-            members.merge(to, from);
+            adj.merge(to as usize, from as usize);
+            members.merge(to as usize, from as usize);
             class
                 .iter_mut()
                 .filter(|c| **c == from)

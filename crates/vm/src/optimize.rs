@@ -65,6 +65,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::bytecode::{ArithOp, CompiledFn, Insn, Reg};
 use crate::interp::{arith_token, binop, binop_arith, cmp_token};
@@ -640,71 +641,77 @@ pub(crate) fn succs(f: &CompiledFn, end: usize, out: &mut Vec<usize>) {
     }
 }
 
-/// Backward liveness as one flat bit matrix: row `i` holds the registers
-/// whose value after instruction `i` may still be read.
-pub(crate) struct Live {
-    /// Words per row: `nregs.div_ceil(64)`.
-    stride: usize,
+/// A flat bit matrix: each row one bit per column, in `words` words.
+/// Liveness, each instruction's reads and writes, and `coalesce`'s web
+/// tables are each one.
+pub(crate) struct Bits {
+    words: usize,
     bits: Vec<u64>,
 }
 
-impl Live {
-    pub(crate) fn has(&self, at: usize, r: Reg) -> bool {
-        bit(&self.bits[at * self.stride..], r)
+impl Bits {
+    pub(crate) fn new(rows: usize, cols: usize) -> Bits {
+        let words = cols.div_ceil(64);
+        let bits = vec![0; rows * words];
+        Bits { words, bits }
     }
 
-    /// The registers live after instruction `at`, one bit each.
-    pub(crate) fn row(&self, at: usize) -> &[u64] {
-        &self.bits[at * self.stride..(at + 1) * self.stride]
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    pub(crate) fn has(&self, i: usize, c: impl Into<u32>) -> bool {
+        let c = c.into() as usize;
+        self.bits[i * self.words + c / 64] & (1 << (c % 64)) != 0
+    }
+
+    pub(crate) fn set(&mut self, i: usize, c: impl Into<u32>) {
+        let c = c.into() as usize;
+        self.bits[i * self.words + c / 64] |= 1 << (c % 64);
+    }
+
+    /// Row `into` |= row `from`.
+    pub(crate) fn merge(&mut self, into: usize, from: usize) {
+        let w = self.words;
+        for k in 0..w {
+            self.bits[into * w + k] |= self.bits[from * w + k];
+        }
     }
 }
 
+/// Backward liveness: row `i` holds the registers whose value after
+/// instruction `i` may still be read.
+pub(crate) type Live = Bits;
+
 /// What each instruction of `f` reads and writes as liveness sees it
-/// ([`visit_live`]), one row of `nregs.div_ceil(64)` words per instruction
-/// each. [`liveness`] builds them and drops them; a pass that reads them
-/// per instruction keeps them ([`liveness_of`]).
+/// ([`visit_live`]), a row per instruction each. [`liveness`] builds them
+/// and drops them; a pass that reads them per instruction keeps them
+/// ([`liveness_of`]).
 pub(crate) struct Effects {
-    stride: usize,
-    reads: Vec<u64>,
-    writes: Vec<u64>,
+    pub(crate) reads: Bits,
+    pub(crate) writes: Bits,
 }
 
 impl Effects {
     pub(crate) fn of(f: &CompiledFn) -> Effects {
-        let (n, w) = (f.code.len(), f.nregs.div_ceil(64));
-        let mut reads = vec![0u64; n * w];
-        let mut writes = vec![0u64; n * w];
+        let n = f.code.len();
+        let (mut reads, mut writes) = (Bits::new(n, f.nregs), Bits::new(n, f.nregs));
         for (i, insn) in f.code.iter().enumerate() {
-            let row = &mut reads[i * w..(i + 1) * w];
-            visit_live(f, insn, true, |u| row[u as usize / 64] |= 1u64 << (u % 64));
-            let row = &mut writes[i * w..(i + 1) * w];
-            visit_live(f, insn, false, |d| row[d as usize / 64] |= 1u64 << (d % 64));
+            visit_live(f, insn, true, |u| reads.set(i, u));
+            visit_live(f, insn, false, |d| writes.set(i, d));
         }
-        Effects {
-            stride: w,
-            reads,
-            writes,
-        }
-    }
-
-    pub(crate) fn reads(&self, at: usize) -> &[u64] {
-        &self.reads[at * self.stride..(at + 1) * self.stride]
-    }
-
-    pub(crate) fn writes(&self, at: usize) -> &[u64] {
-        &self.writes[at * self.stride..(at + 1) * self.stride]
+        Effects { reads, writes }
     }
 
     /// Whether `r` is live on entry to instruction `at`, after which
     /// `live` holds.
     pub(crate) fn live_in(&self, live: &Live, at: usize, r: Reg) -> bool {
-        bit(self.reads(at), r) || (live.has(at, r) && !bit(self.writes(at), r))
+        self.reads.has(at, r) || (live.has(at, r) && !self.writes.has(at, r))
     }
-}
-
-/// Bit `r` of a liveness row.
-pub(crate) fn bit(row: &[u64], r: Reg) -> bool {
-    row[r as usize / 64] & (1u64 << (r % 64)) != 0
 }
 
 /// Visit the registers instruction `insn` of `f` reads (`reads`) or
@@ -731,27 +738,6 @@ pub(crate) fn visit_live(f: &CompiledFn, insn: &Insn, reads: bool, mut v: impl F
     }
 }
 
-/// Union of the live-in rows of the successors of the block ending at
-/// `end`, into `out`.
-fn live_out(
-    f: &CompiledFn,
-    end: usize,
-    block_of: &[usize],
-    live_in: &[u64],
-    out: &mut [u64],
-    sbuf: &mut Vec<usize>,
-) {
-    let w = out.len();
-    out.fill(0);
-    succs(f, end, sbuf);
-    for &s in sbuf.iter() {
-        let b = block_of[s];
-        for (o, i) in out.iter_mut().zip(&live_in[b * w..(b + 1) * w]) {
-            *o |= i;
-        }
-    }
-}
-
 /// Block leaders of `f` for dataflow: [`leaders`] plus, for each installed
 /// loop head, its exit, the next pc and the replaced head's target.
 pub(crate) fn block_leaders(f: &CompiledFn) -> Vec<bool> {
@@ -767,6 +753,19 @@ pub(crate) fn block_leaders(f: &CompiledFn) -> Vec<bool> {
     lead
 }
 
+/// The dataflow blocks of `f` ([`block_leaders`]): each block's pcs, and
+/// each pc's block.
+pub(crate) fn blocks(f: &CompiledFn) -> (Vec<Range<usize>>, Vec<usize>) {
+    let (n, lead) = (f.code.len(), block_leaders(f));
+    let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).chain([n]).collect();
+    let blocks: Vec<Range<usize>> = starts.windows(2).map(|w| w[0]..w[1]).collect();
+    let mut block_of = vec![0; n];
+    for (b, pcs) in blocks.iter().enumerate() {
+        block_of[pcs.clone()].fill(b);
+    }
+    (blocks, block_of)
+}
+
 /// Backward liveness of every instruction of `f`: a fixpoint over the
 /// blocks' live-in rows, then one walk that fills each instruction's row.
 pub(crate) fn liveness(f: &CompiledFn) -> Live {
@@ -775,53 +774,48 @@ pub(crate) fn liveness(f: &CompiledFn) -> Live {
 
 /// [`liveness`] over the effects of `f` already built.
 pub(crate) fn liveness_of(f: &CompiledFn, eff: &Effects) -> Live {
-    let n = f.code.len();
-    let w = eff.stride;
-    let (reads, writes) = (&eff.reads, &eff.writes);
-    let lead = block_leaders(f);
-    let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
-    let nb = starts.len();
-    let mut block_of = vec![0usize; n];
-    {
-        let mut b = 0usize;
-        for (i, bo) in block_of.iter_mut().enumerate() {
-            if i > 0 && lead[i] {
-                b += 1;
-            }
-            *bo = b;
-        }
-    }
-    let ends: Vec<usize> = (0..nb)
-        .map(|b| if b + 1 < nb { starts[b + 1] - 1 } else { n - 1 })
-        .collect();
+    let (n, nregs) = (f.code.len(), f.nregs);
+    let (blocks, block_of) = blocks(f);
+    let nb = blocks.len();
     // Backwards over instruction `i`: `row` = `row` minus its writes plus
     // its reads.
     let step = |i: usize, row: &mut [u64]| {
+        let (reads, writes) = (eff.reads.row(i), eff.writes.row(i));
         for (x, word) in row.iter_mut().enumerate() {
-            *word = (*word & !writes[i * w + x]) | reads[i * w + x];
+            *word = (*word & !writes[x]) | reads[x];
         }
     };
     // Each block's summary: what it reads before writing (`gen`) and what
     // it writes (`kill`).
-    let mut gen = vec![0u64; nb * w];
-    let mut kill = vec![0u64; nb * w];
-    for b in 0..nb {
-        for i in (starts[b]..=ends[b]).rev() {
-            step(i, &mut gen[b * w..(b + 1) * w]);
-            for (k, d) in kill[b * w..(b + 1) * w].iter_mut().zip(&writes[i * w..]) {
+    let (mut gen, mut kill) = (Bits::new(nb, nregs), Bits::new(nb, nregs));
+    for (b, pcs) in blocks.iter().enumerate() {
+        for i in pcs.clone().rev() {
+            step(i, gen.row_mut(b));
+            for (k, d) in kill.row_mut(b).iter_mut().zip(eff.writes.row(i)) {
                 *k |= d;
             }
         }
     }
-    let mut live_in = vec![0u64; nb * w];
-    let mut cur = vec![0u64; w];
+    // The union of the live-in rows of the successors of the block
+    // ending at `end`, into `out`.
     let mut sbuf = Vec::new();
+    let mut live_out = |end: usize, live_in: &Bits, out: &mut [u64]| {
+        out.fill(0);
+        succs(f, end, &mut sbuf);
+        for &s in &sbuf {
+            for (o, i) in out.iter_mut().zip(live_in.row(block_of[s])) {
+                *o |= i;
+            }
+        }
+    };
+    let mut live_in = Bits::new(nb, nregs);
+    let mut cur = vec![0u64; nregs.div_ceil(64)];
     loop {
         let mut changed = false;
         for b in (0..nb).rev() {
-            live_out(f, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
-            let (g, k) = (&gen[b * w..(b + 1) * w], &kill[b * w..(b + 1) * w]);
-            for (x, a) in live_in[b * w..(b + 1) * w].iter_mut().enumerate() {
+            live_out(blocks[b].end - 1, &live_in, &mut cur);
+            let (g, k) = (gen.row(b), kill.row(b));
+            for (x, a) in live_in.row_mut(b).iter_mut().enumerate() {
                 let v = g[x] | (cur[x] & !k[x]);
                 changed |= *a | v != *a;
                 *a |= v;
@@ -831,15 +825,15 @@ pub(crate) fn liveness_of(f: &CompiledFn, eff: &Effects) -> Live {
             break;
         }
     }
-    let mut bits = vec![0u64; n * w];
-    for b in 0..nb {
-        live_out(f, ends[b], &block_of, &live_in, &mut cur, &mut sbuf);
-        for i in (starts[b]..=ends[b]).rev() {
-            bits[i * w..(i + 1) * w].copy_from_slice(&cur);
+    let mut live = Bits::new(n, nregs);
+    for pcs in &blocks {
+        live_out(pcs.end - 1, &live_in, &mut cur);
+        for i in pcs.clone().rev() {
+            live.row_mut(i).copy_from_slice(&cur);
             step(i, &mut cur);
         }
     }
-    Live { stride: w, bits }
+    live
 }
 
 // ---------------------------------------------------------------------------
@@ -1823,7 +1817,8 @@ mod tests {
             lcg: false,
         };
         let live = liveness(&f);
-        assert!(live.has(1, 65) && !live.has(0, 70) && !live.has(1, 70));
+        let (r65, r70): (Reg, Reg) = (65, 70);
+        assert!(live.has(1, r65) && !live.has(0, r70) && !live.has(1, r70));
         let stats = optimize_fn(&mut f, OptLevel::O3, 1);
         // The dead `const r70` goes, then the jump left pointing at the
         // next instruction.

@@ -134,7 +134,6 @@ pub struct TemplateDesc {
 }
 
 /// One compiled template program: the typed variants plus metadata.
-/// `{:?}` prints op functions as addresses; [`op_names`] names them.
 #[derive(Debug)]
 pub struct TProg {
     /// Candidate monomorphizations, tried in order at entry. More
@@ -239,7 +238,7 @@ pub struct StripPlan {
     /// The variant's protos lowered one by one (unfused) with column
     /// operands: every op's definition gets a fresh column (a copy names
     /// its source's), so a destination is numbered above its sources.
-    ops: Vec<(StripFn, TOp)>,
+    ops: Vec<(StripWalk, TOp)>,
     /// Columns used per kind.
     ni: usize,
     nf: usize,
@@ -252,7 +251,7 @@ pub struct StripPlan {
     iota: bool,
     /// The ops that fold into accumulators, run after the tail over the
     /// lanes it completed.
-    folds: Vec<(StripFn, TOp)>,
+    folds: Vec<(StripWalk, TOp)>,
     /// Written slots and the column of their last definition, copied
     /// back from the final lane on normal exit — from the column `base`
     /// instead when the last definition is in an arm whose test failed
@@ -317,10 +316,12 @@ enum TailForm {
 /// pre-resolved operands. `a` is the destination (or target array
 /// slot for stores), `b`/`c` are sources, `off` the index offset,
 /// `ki`/`kf` an immediate resolved from the constant pool at install
-/// time (the pool is frozen after installation).
-#[derive(Clone, Copy, Debug)]
+/// time (the pool is frozen after installation). `row` is `f`'s row of
+/// [`OPS`], which names it where the plan prints.
+#[derive(Clone, Copy)]
 pub struct TOp {
     pub f: OpFn,
+    row: u8,
     pub a: u16,
     pub b: u16,
     pub c: u16,
@@ -339,6 +340,7 @@ pub type OpFn = fn(&mut TFrame<'_>, &TOp) -> Result<(), Bail>;
 /// An op with no operands, to fill in.
 const NOP: TOp = TOp {
     f: mov_i.one,
+    row: MOV as u8,
     a: 0,
     b: 0,
     c: 0,
@@ -349,9 +351,46 @@ const NOP: TOp = TOp {
     arm: None,
 };
 
+impl std::fmt::Debug for TOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TOp")
+            .field("f", &format_args!("{}", op_name(self.row)))
+            .field("a", &self.a)
+            .field("b", &self.b)
+            .field("c", &self.c)
+            .field("off", &self.off)
+            .field("ki", &self.ki)
+            .field("kf", &self.kf)
+            .field("cmp", &self.cmp)
+            .field("arm", &self.arm)
+            .finish()
+    }
+}
+
 /// The strip form of an op: the same [`TOp`] operand layout, but `a`,
 /// `b`, `c` name columns (or carry the [`ACC`] tag) instead of slots.
 type StripFn = fn(&mut Strip<'_, '_>, &TOp) -> Result<(), Bail>;
+
+/// The strip walk that runs a strip plan's op: its row of [`OPS`] (the
+/// op's own, or a select's), which names it, and that row's function.
+#[derive(Clone, Copy)]
+struct StripWalk {
+    f: StripFn,
+    row: u8,
+}
+
+impl StripWalk {
+    fn of(row: usize) -> StripWalk {
+        let f = OPS[row].strip;
+        StripWalk { f, row: row as u8 }
+    }
+}
+
+impl std::fmt::Debug for StripWalk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.strip", op_name(self.row))
+    }
+}
 
 /// Both walks of one template op, generated together so each
 /// arithmetic expression is written once.
@@ -710,19 +749,6 @@ op_fk!(mulkl_f, |x, k| k * x);
 op_fk!(divkl_f, |x, k| k / x);
 op_fk!(remkl_f, |x, k| k % x);
 
-/// The arithmetic ops by kind (int, float) and [`ArithOp`]; with an
-/// immediate, by kind and the immediate's side (right, left).
-const BIN: [[Ops; 5]; 2] = [
-    [add_ii, sub_ii, mul_ii, div_ii, rem_ii],
-    [add_ff, sub_ff, mul_ff, div_ff, rem_ff],
-];
-const BINK: [[Ops; 5]; 4] = [
-    [addk_i, subk_i, mulk_i, divk_i, remk_i],
-    [addkl_i, subkl_i, mulkl_i, divkl_i, remkl_i],
-    [addk_f, subk_f, mulk_f, divk_f, remk_f],
-    [addkl_f, subkl_f, mulkl_f, divkl_f, remkl_f],
-];
-
 /// `a = b` and `a = immediate` for one kind. No strip plan runs them: a
 /// copy names its source's column, a constant a column filled once.
 macro_rules! ops_mov {
@@ -904,11 +930,6 @@ fn pure_strip<const R: usize>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
         }),
     }
 }
-macro_rules! pure_ops {
-    ($($r:literal)*) => { [$(Ops { one: pure_one::<$r>, strip: pure_strip::<$r> }),*] };
-}
-/// [`PURE`]'s rows as template ops (an added row fails to compile here).
-const PURE_OPS: [Ops; PURE.len()] = pure_ops!(0 1 2 3 4 5 6 7 8 9 10 11 12 13);
 
 /// The argument and result kinds of a pure row.
 fn sig(row: Pure) -> (&'static [K], K) {
@@ -982,37 +1003,47 @@ fn sel<T: Lane>(sf: &mut Strip, op: &TOp) -> Result<(), Bail> {
     Ok(())
 }
 
-/// Every op function by address, for reading a [`TProg`]'s `{:?}`:
-/// `(address, name)`, the strip walk's name ending in `.strip`.
-pub fn op_names() -> Vec<(usize, String)> {
-    let arith = |o: usize| ["add", "sub", "mul", "div", "rem"][o];
-    let mut named: Vec<(String, Ops)> = Vec::new();
-    for (k, row) in ["ii", "ff", "k_i", "kl_i", "k_f", "kl_f"]
-        .iter()
-        .enumerate()
-    {
-        let ops = if k < 2 { &BIN[k] } else { &BINK[k - 2] };
-        named.extend((0..5).map(|o| (format!("{}{row}", arith(o)), ops[o])));
-    }
-    named.extend((0..PURE.len()).map(|r| (format!("pure{r}_{:?}", PURE[r].0), PURE_OPS[r])));
-    let fixed = [
+macro_rules! op_table {
+    ($($r:literal)*) => {[
+        add_ii, sub_ii, mul_ii, div_ii, rem_ii, add_ff, sub_ff, mul_ff, div_ff, rem_ff,
+        addk_i, subk_i, mulk_i, divk_i, remk_i, addkl_i, subkl_i, mulkl_i, divkl_i, remkl_i,
+        addk_f, subk_f, mulk_f, divk_f, remk_f, addkl_f, subkl_f, mulkl_f, divkl_f, remkl_f,
+        $(Ops { one: pure_one::<$r>, strip: pure_strip::<$r> },)*
         mov_i, mov_f, const_i, const_f, ld_i, ld_f, st_i, st_f, br_i, br_f,
-    ];
-    let names = [
-        "mov_i", "mov_f", "const_i", "const_f", "ld_i", "ld_f", "st_i", "st_f", "br_i", "br_f",
-    ];
-    named.extend(names.iter().map(|n| n.to_string()).zip(fixed));
-    let mut out: Vec<(usize, String)> = (named.into_iter())
-        .flat_map(|(n, o)| {
-            [
-                (o.one as usize, n.clone()),
-                (o.strip as usize, n + ".strip"),
-            ]
-        })
-        .collect();
-    out.push((sel::<i64> as StripFn as usize, "sel_i.strip".into()));
-    out.push((sel::<f64> as StripFn as usize, "sel_f.strip".into()));
-    out
+        Ops { one: mov_i.one, strip: sel::<i64> },
+        Ops { one: mov_i.one, strip: sel::<f64> },
+    ]};
+}
+/// Every template op by row, the row a [`TOp`] carries: the arithmetic
+/// ops at `5 * kind + ArithOp`, the kinds being int, float, then an
+/// immediate on the right and on the left of an int and of a float; from
+/// `PURE_ROW`, [`PURE`]'s rows (an added row fails to compile here); from
+/// `MOV`, the fixed ops' int and float rows in pairs, the selects last
+/// (strip walks only).
+static OPS: [Ops; MOV + 12] = op_table!(0 1 2 3 4 5 6 7 8 9 10 11 12 13);
+const PURE_ROW: usize = 30;
+const MOV: usize = PURE_ROW + PURE.len();
+const KONST: usize = MOV + 2;
+const LD: usize = MOV + 4;
+const ST: usize = MOV + 6;
+const BR: usize = MOV + 8;
+const SEL: usize = MOV + 10;
+
+/// The name of row `row` of [`OPS`], as a plan prints it.
+fn op_name(row: u8) -> String {
+    let r = row as usize;
+    match r.checked_sub(PURE_ROW) {
+        None => {
+            let arith = ["add", "sub", "mul", "div", "rem"];
+            let kinds = ["ii", "ff", "k_i", "kl_i", "k_f", "kl_f"];
+            format!("{}{}", arith[r % 5], kinds[r / 5])
+        }
+        Some(p) if p < PURE.len() => format!("pure{p}_{:?}", PURE[p].0),
+        Some(_) => {
+            let fixed = ["mov", "const", "ld", "st", "br", "sel"];
+            format!("{}_{}", fixed[(r - MOV) / 2], ["i", "f"][(r - MOV) % 2])
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1337,7 +1368,7 @@ fn exec_strip(
                     *x = sf.i0 + k as i64 * step;
                 }
             }
-            if plan.ops.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
+            if plan.ops.iter().any(|(w, op)| (w.f)(&mut sf, op).is_err()) {
                 return exec(v, sf.fr);
             }
             // The tail checks each lane before storing it: a failure at
@@ -1357,7 +1388,7 @@ fn exec_strip(
             // Only a loop without a tail may fold fallibly (`plan_strip`).
             if !plan.folds.is_empty() {
                 let start = (sf.fr.ints, sf.fr.flts);
-                if plan.folds.iter().any(|(f, op)| f(&mut sf, op).is_err()) {
+                if plan.folds.iter().any(|(w, op)| (w.f)(&mut sf, op).is_err()) {
                     (sf.fr.ints, sf.fr.flts) = start;
                     return exec(v, sf.fr);
                 }
@@ -3184,9 +3215,8 @@ impl Walk<'_> {
         let flt = self.kinds.skind[&key] != K::Int;
         if let Some((arm, b, base)) = self.cond.remove(&key) {
             let (a, c, arm) = (self.fresh(flt)?, base.ok_or("carried-scalar")?, Some(arm));
-            let f = [sel::<i64>, sel::<f64>][flt as usize];
             self.plan.ops.push((
-                f,
+                StripWalk::of(SEL + flt as usize),
                 TOp {
                     a,
                     b,
@@ -3311,14 +3341,14 @@ fn lower(
     akind: &Map<Reg, K>,
     slot: &Map<u32, u16>,
     aslot: &Map<Reg, u16>,
-) -> (TOp, StripFn, bool, bool) {
+) -> (TOp, StripWalk, bool, bool) {
     let mut op = NOP;
-    let ops: Ops;
+    let row: usize;
     let (fallible, store) = match *p {
         P::Mov { d, s } => {
             op.a = slot[&d];
             op.b = slot[&s];
-            ops = if skind[&d] == K::Int { mov_i } else { mov_f };
+            row = MOV + (skind[&d] != K::Int) as usize;
             (false, false)
         }
         P::Const { d, v } => {
@@ -3326,11 +3356,11 @@ fn lower(
             match v {
                 KVal::I(x) => {
                     op.ki = x;
-                    ops = const_i;
+                    row = KONST;
                 }
                 KVal::F(x) => {
                     op.kf = x;
-                    ops = const_f;
+                    row = KONST + 1;
                 }
             }
             (false, false)
@@ -3340,7 +3370,7 @@ fn lower(
             op.b = slot[&a];
             op.c = slot[&b];
             let int = skind[&d] == K::Int;
-            ops = BIN[!int as usize][ao as usize];
+            row = 5 * !int as usize + ao as usize;
             (int && matches!(ao, ArithOp::Div | ArithOp::Rem), false)
         }
         P::BinK {
@@ -3362,7 +3392,7 @@ fn lower(
                     false
                 }
             };
-            ops = BINK[2 * !int as usize + left as usize][ao as usize];
+            row = 5 * (2 + 2 * !int as usize + left as usize) + ao as usize;
             (int && matches!(ao, ArithOp::Div | ArithOp::Rem), false)
         }
         P::Ld { d, arr, idx, off } => {
@@ -3370,14 +3400,14 @@ fn lower(
             op.b = slot[&idx];
             op.c = aslot[&arr];
             op.off = off as i64;
-            ops = if akind[&arr] == K::Int { ld_i } else { ld_f };
+            row = LD + (akind[&arr] != K::Int) as usize;
             (true, false)
         }
         P::St { arr, idx, s } => {
             op.a = aslot[&arr];
             op.b = slot[&idx];
             op.c = slot[&s];
-            ops = if akind[&arr] == K::Int { st_i } else { st_f };
+            row = ST + (akind[&arr] != K::Int) as usize;
             (true, true)
         }
         P::Call { op: bop, d, a, b } => {
@@ -3386,22 +3416,22 @@ fn lower(
             op.c = b.map_or(0, |b| slot[&b]);
             // The row whose kinds the resolution gave the operands.
             let kinds: Vec<K> = [a].into_iter().chain(b).map(|k| skind[&k]).collect();
-            let row = (PURE.iter())
-                .position(|&(o, row)| o == bop && sig(row) == (&kinds[..], skind[&d]))
-                .expect("the decoder pinned a row's kinds");
-            ops = PURE_OPS[row];
+            row = PURE_ROW
+                + (PURE.iter())
+                    .position(|&(o, row)| o == bop && sig(row) == (&kinds[..], skind[&d]))
+                    .expect("the decoder pinned a row's kinds");
             (false, false)
         }
         P::Br { op: cmp, a, b, arm } => {
             op.b = slot[&a];
             op.c = slot[&b];
             (op.cmp, op.arm) = (cmp, Some(arm));
-            ops = if skind[&a] == K::Int { br_i } else { br_f };
+            row = BR + (skind[&a] != K::Int) as usize;
             (false, false)
         }
     };
-    op.f = ops.one;
-    (op, ops.strip, fallible, store)
+    (op.f, op.row) = (OPS[row].one, row as u8);
+    (op, StripWalk::of(row), fallible, store)
 }
 
 // ---------------------------------------------------------------------------
@@ -3988,6 +4018,14 @@ mod tests {
             expect[i] = 0.25 * expect[i - 1] + 0.5 * expect[i] + 0.25 * expect[i + 1];
         }
         assert_eq!(u.to_vec(), expect);
+    }
+
+    /// An op's row rides in padding: naming its function costs no space.
+    #[test]
+    fn op_row_fits_in_padding() {
+        assert_eq!(std::mem::size_of::<TOp>(), 48);
+        assert_eq!(op_name(NOP.row), "mov_i");
+        assert_eq!(format!("{:?}", StripWalk::of(SEL + 1)), "sel_f.strip");
     }
 
     /// Trip counts: do-while runs once even when the test is already

@@ -1192,6 +1192,51 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             visits: (0..99).collect(),
         },
         ChunkShape {
+            name: "collapse3",
+            loops: "var i: i64 = 0;
+        //$omp while SCHED collapse(3)
+        while (i < 4) : (i += 1) {
+            var j: i64 = 4;
+            while (j >= 0) : (j -= 1) {
+                var k: i64 = 1;
+                while (k < 10) : (k += 2) { const e: i64 = i * 25 + j * 5 + (k - 1) / 2; BODY }
+            }
+        }",
+            bounds: vec![LoopBounds::upto(0, 100)],
+            visits: (0..100).collect(),
+        },
+        ChunkShape {
+            name: "collapse4",
+            loops: "var a: i64 = 0;
+        //$omp while SCHED collapse(4) nowait
+        while (a < 3) : (a += 1) {
+            var b: i64 = 0;
+            while (b < 2) : (b += 1) {
+                var c: i64 = 7;
+                while (c < 7) : (c += 1) {
+                    var d: i64 = 0;
+                    while (d < 5) : (d += 1) { const e: i64 = a + b + c + d; BODY }
+                }
+            }
+        }
+        var i: i64 = 0;
+        //$omp while SCHED collapse(4)
+        while (i < 2) : (i += 1) {
+            var j: i64 = 0;
+            while (j < 3) : (j += 1) {
+                var k: i64 = 12;
+                while (k > 0) : (k -= 3) {
+                    var l: i64 = 0;
+                    while (l <= 3) : (l += 1) {
+                        const e: i64 = i * 48 + j * 16 + (k / 3 - 1) * 4 + l; BODY
+                    }
+                }
+            }
+        }",
+            bounds: vec![LoopBounds::upto(0, 0), LoopBounds::upto(0, 96)],
+            visits: (0..96).collect(),
+        },
+        ChunkShape {
             name: "nowait",
             loops: "var i: i64 = 0;
         //$omp while SCHED nowait
@@ -1237,6 +1282,50 @@ fn chunk_shapes() -> Vec<ChunkShape> {
             visits: (0..97).step_by(2).collect(),
         },
     ]
+}
+
+/// A collapsed space whose product of trips overflows `i64`, and a level
+/// whose own trip does, fail as `loop bound overflow` on the walker and at
+/// every opt level, at teams of 1 and 2: the product is never computed
+/// wrapped (`2^32 * 2^32` wrapped to 0, and the loop ran no iteration).
+#[test]
+fn collapsed_trip_overflow_is_an_error() {
+    for (name, lb, ub, inner) in [
+        ("product", "0", "4294967296", "4294967296"),
+        (
+            "level",
+            "-9223372036854775807 - 1",
+            "9223372036854775807",
+            "1",
+        ),
+    ] {
+        for threads in [1, 2] {
+            let src = format!(
+                "fn main() void {{
+    var total: i64 = 0;
+    //$omp parallel num_threads({threads}) shared(total)
+    {{
+        var i: i64 = {lb};
+        //$omp while collapse(2) reduction(+: total)
+        while (i < {ub}) : (i += 1) {{
+            var j: i64 = 0;
+            while (j < {inner}) : (j += 1) {{
+                total = total + 1;
+            }}
+        }}
+    }}
+    print(total);
+}}"
+            );
+            let name = format!("{name}/t{threads}");
+            assert_eq!(
+                run_on(&src, Backend::Ast, OptLevel::O0),
+                Err("runtime error: loop bound overflow".to_string()),
+                "{name}"
+            );
+            assert_backends_agree(&name, &src);
+        }
+    }
 }
 
 /// The exported Chrome trace's slices of category `cat`, parsed back from

@@ -625,7 +625,7 @@ fn main() void {
     assert_eq!(out, vec!["4 2"]);
 }
 
-// -- collapse(2) ---------------------------------------------------------------
+// -- collapse -------------------------------------------------------------------
 
 #[test]
 fn collapse2_covers_2d_space_exactly() {
@@ -681,8 +681,48 @@ fn main() void {
     assert_eq!(out, vec!["4025"]);
 }
 
+/// `collapse(3)` over a descending `>=` level and a strided one, with a
+/// reduction: every point of the 4 x 5 x 5 space runs once, and each
+/// level's counter holds its value in the body.
 #[test]
-fn collapse3_reports_unsupported() {
+fn collapse3_covers_3d_space_exactly() {
+    let out = run(r#"
+fn main() void {
+    var grid: []i64 = @allocI(100);
+    var total: i64 = 0;
+    //$omp parallel num_threads(4) shared(grid, total)
+    {
+        var i: i64 = 0;
+        //$omp while collapse(3) schedule(static, 6) reduction(+: total)
+        while (i < 4) : (i += 1) {
+            var j: i64 = 4;
+            while (j >= 0) : (j -= 1) {
+                var k: i64 = 1;
+                while (k < 10) : (k += 2) {
+                    grid[i * 25 + j * 5 + (k - 1) / 2] = grid[i * 25 + j * 5 + (k - 1) / 2] + 1;
+                    total = total + i * 100 + j * 10 + k;
+                }
+            }
+        }
+    }
+    var bad: i64 = 0;
+    var e: i64 = 0;
+    while (e < 100) : (e += 1) {
+        if (grid[e] != 1) {
+            bad += 1;
+        }
+    }
+    print(bad, total);
+}
+"#);
+    // 25 * 100 * (0+1+2+3) + 20 * 10 * (0+1+2+3+4) + 20 * (1+3+5+7+9)
+    assert_eq!(out, vec!["0 17500"]);
+}
+
+/// A nest shallower than its `collapse` depth is an error, not a loop
+/// collapsed less deeply.
+#[test]
+fn collapse3_over_a_two_deep_nest_is_an_error() {
     let err = Vm::run(
         r#"
 fn main() void {
