@@ -11,6 +11,9 @@
 //! The `compile` group is what a `zagd` cache miss pays before its program
 //! runs: `compile_opt` on the NPB ports and one `Runtime` construction.
 //!
+//! The `trace_modes` group is the cost of one kernel-telemetry probe pair
+//! at each tracing setting (disabled, counters, events).
+//!
 //! These are host-machine measurements (the class C tables come from the
 //! `paper-figures` model harness); sample sizes are kept small so the suite
 //! stays quick on small hosts.
@@ -271,6 +274,40 @@ fn bench_worksharing_nowait(c: &mut Criterion) {
     g.finish();
 }
 
+/// What one kernel-telemetry probe pair (`kernel_begin_ts` then
+/// `kernel_end`, the hooks the VM crosses on every native kernel run)
+/// costs with tracing disabled, with counters (`ZOMP_METRICS`) and with
+/// events and counters (`ZOMP_TRACE`), in ns per pair. A thread's event
+/// ring holds `trace::RING_CAP` events and is never refilled, so past its
+/// first samples the events row times the full-ring path, which counts a
+/// drop instead of writing the event.
+fn bench_trace_modes(c: &mut Criterion) {
+    use zomp::trace;
+    let mut g = c.benchmark_group("trace_modes");
+    g.sample_size(20).measurement_time(Duration::from_secs(1));
+    let modes: [(&str, fn()); 3] = [
+        ("disabled", trace::disable_all),
+        ("counters", trace::enable_counters),
+        ("events", || {
+            trace::enable_counters();
+            trace::enable_events();
+        }),
+    ];
+    for (name, arm) in modes {
+        trace::disable_all();
+        arm();
+        g.bench_function(BenchmarkId::new("kernel_probe", name), |b| {
+            b.iter(|| {
+                let t0 = trace::kernel_begin_ts();
+                trace::kernel_end("bench-kernel", 7, black_box(64), None, t0);
+            })
+        });
+    }
+    trace::disable_all();
+    trace::reset();
+    g.finish();
+}
+
 /// Regions per timed call in [`bench_vm_region`]: the call's own cost
 /// is spread over them, and a call's median in µs reads as ns per region.
 const VM_REGIONS: i64 = 1000;
@@ -427,6 +464,7 @@ criterion_group!(
     bench_barrier_impls,
     bench_reduction_impls,
     bench_worksharing_nowait,
+    bench_trace_modes,
     bench_vm_region,
     bench_compile
 );

@@ -1,6 +1,6 @@
 //! The textbook dynamic-dispatch protocol, kept as the baseline the
 //! work-stealing deck ([`zomp::schedule::DynamicDispatch`]) is measured
-//! against (`runtime-bench`, the `dispatch_next` Criterion group).
+//! against (the `dispatch_next` Criterion group of `runtime_primitives`).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -20,6 +20,5 @@
 pub mod baseline;
 pub mod experiments;
 pub mod format;
-pub mod meta;
 pub mod paper;
 pub mod ports;

@@ -1,8 +1,122 @@
-//! The three NPB kernel ports in the Zag mini-language, shared by the
-//! measurement binaries (`vm-bench` for throughput, `tier-bench` for
-//! execution-tier residency). Each port exposes an entry function
-//! (`matvec` / `ep` / `rank`) invoked host-side with prebuilt arrays,
-//! exactly as the integration tests drive them.
+//! The three NPB kernel ports in the Zag mini-language, and their inputs.
+//! Each port exposes an entry function (`matvec` / `ep` / `rank`) invoked
+//! host-side with prebuilt arrays; [`inputs`] builds those arrays at a
+//! [`Size`] (the tier tests of `crates/integration` call it). `zagd`'s
+//! demos, the criterion `compile` group and the benchmark use the sources.
+
+use std::sync::Arc;
+
+use npb::class::{CgParams, Class};
+use zomp_vm::value::{ArrF, ArrI, Value};
+
+/// Input sizes of the three ports, for [`inputs`].
+#[derive(Debug, Clone, Copy)]
+pub struct Size {
+    /// CG: the order of the `makea` matrix and its nonzeros per row.
+    pub cg_na: usize,
+    pub cg_nonzer: usize,
+    /// CG: matvec sweeps per call, inside one parallel region.
+    pub cg_reps: i64,
+    /// EP: `2^ep_m` Gaussian-candidate pairs in batches of `2^ep_mk`.
+    pub ep_m: i64,
+    pub ep_mk: i64,
+    /// IS: `2^is_keys` keys in `[0, 2^11)`, ranked through 32 buckets.
+    pub is_keys: u32,
+}
+
+impl Size {
+    /// Inputs a debug build runs in milliseconds.
+    pub const SMALL: Size = Size {
+        cg_na: 160,
+        cg_nonzer: 4,
+        cg_reps: 2,
+        ep_m: 10,
+        ep_mk: 8,
+        is_keys: 12,
+    };
+    /// Inputs large enough to time and to profile for tier residency.
+    pub const TIMED: Size = Size {
+        cg_na: 1400,
+        cg_nonzer: 7,
+        cg_reps: 3,
+        ep_m: 13,
+        ep_mk: 10,
+        is_keys: 14,
+    };
+}
+
+/// One port ready to call: `(source, unit, entry, args)`.
+pub type PortCall = (&'static str, &'static str, &'static str, Vec<Value>);
+
+/// IS's key range and bucket count, as `log2`.
+const IS_MAXLOG: u32 = 11;
+const IS_NBLOG: u32 = 5;
+
+fn arr_i(v: impl ExactSizeIterator<Item = i64>) -> Arc<ArrI> {
+    let a = Arc::new(ArrI::new(v.len()));
+    for (i, x) in v.enumerate() {
+        a.set(i as i64, x).expect("in bounds");
+    }
+    a
+}
+
+fn arr_f(v: &[f64]) -> Arc<ArrF> {
+    let a = Arc::new(ArrF::new(v.len()));
+    for (i, &x) in v.iter().enumerate() {
+        a.set(i as i64, x).expect("in bounds");
+    }
+    a
+}
+
+/// The CG, EP and IS ports, in that order, with inputs of `size` for a
+/// team of `threads` (the last argument of every entry; IS's per-thread
+/// histogram rows are sized by it too). The arrays are shared by every
+/// clone of the arguments.
+pub fn inputs(size: Size, threads: i64) -> [PortCall; 3] {
+    let mat = npb::cg::makea::makea(&CgParams {
+        class: Class::S,
+        na: size.cg_na,
+        nonzer: size.cg_nonzer,
+        niter: 1,
+        shift: 7.0,
+        zeta_verify: f64::NAN,
+    });
+    let cg = vec![
+        Value::Int(mat.n as i64),
+        Value::ArrI(arr_i(mat.rowstr.iter().map(|&v| v as i64))),
+        Value::ArrI(arr_i(mat.colidx.iter().map(|&v| v as i64))),
+        Value::ArrF(arr_f(&mat.a)),
+        Value::ArrF(arr_f(&vec![1.0; mat.n])),
+        Value::ArrF(Arc::new(ArrF::new(mat.n))),
+        Value::Int(size.cg_reps),
+        Value::Int(threads),
+    ];
+    let ep = vec![
+        Value::Int(size.ep_m),
+        Value::Int(size.ep_mk),
+        Value::Int(threads),
+        Value::ArrF(Arc::new(ArrF::new(10))),
+    ];
+    let params = npb::is::custom_params(size.is_keys, IS_MAXLOG, IS_NBLOG);
+    let keys = npb::is::create_seq(&params);
+    let nb = 1usize << IS_NBLOG;
+    let is = vec![
+        Value::ArrI(arr_i(keys.iter().map(|&k| k as i64))),
+        Value::Int(keys.len() as i64),
+        Value::Int(IS_MAXLOG as i64),
+        Value::Int(IS_NBLOG as i64),
+        Value::ArrI(Arc::new(ArrI::new(threads as usize * nb))),
+        Value::ArrI(Arc::new(ArrI::new(nb + 1))),
+        Value::ArrI(Arc::new(ArrI::new(keys.len()))),
+        Value::ArrI(Arc::new(ArrI::new(1usize << IS_MAXLOG))),
+        Value::Int(threads),
+    ];
+    [
+        (ZAG_MATVEC, "cg.zag", "matvec", cg),
+        (ZAG_EP, "ep.zag", "ep", ep),
+        (ZAG_RANK, "is.zag", "rank", is),
+    ]
+}
 
 pub const ZAG_MATVEC: &str = r#"
 fn matvec(n: i64, rowstr: []i64, colidx: []i64, a: []f64, p: []f64, q: []f64,
@@ -235,7 +349,7 @@ fn rank(keys: []i64, nkeys: i64, maxlog: i64, nblog: i64,
 /// at a trip count large enough to measure the template speedup over the
 /// `--opt=0` bytecode. The real shape-missed loops in the NPB ports (EP's
 /// `nk`/`batches` setup doublings) run a handful of iterations, so the
-/// smoke gate measures here instead.
+/// `tier_speedups` test measures here instead.
 pub const ZAG_TEMPLATE: &str = r#"
 fn smooth(u: []f64, v: []f64, n: i64, reps: i64) f64 {
     var m: i64 = n - 1;

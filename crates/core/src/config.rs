@@ -1,10 +1,10 @@
 //! `ExecConfig`: one shared builder for the execution flags every driver
 //! accepts.
 //!
-//! `zag`, `npb-run`, `vm-bench`, `tier-bench`, and the `zagd` service all
-//! take the same knobs — optimization level, backend, team size, schedule,
-//! trace/metrics sinks, lint gating — and until this module
-//! each binary re-implemented the parsing. [`ExecConfig`] centralises it:
+//! `zag`, `npb-run` and the `zagd` service all take the same knobs —
+//! optimization level, backend, team size, schedule, trace/metrics sinks,
+//! lint gating — and until this module each binary re-implemented the
+//! parsing. [`ExecConfig`] centralises it:
 //! a CLI feeds `argv` through [`ExecConfig::parse_flag`] and keeps its
 //! binary-specific flags in its own `match`; a service fills the fields
 //! directly from a request body. Either way, [`ExecConfig::make_runtime`]

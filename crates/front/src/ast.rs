@@ -321,7 +321,8 @@ impl Default for PackedFlags {
 }
 
 /// Reduction operators, stored as a 4-bit code next to each reduction list
-/// entry.
+/// entry. Zag has no `|` or `^`, so no reduction can name them and codes 5
+/// and 6 are unassigned; the logical operators keep their codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum RedOpCode {
@@ -330,8 +331,6 @@ pub enum RedOpCode {
     Min = 2,
     Max = 3,
     BitAnd = 4,
-    BitOr = 5,
-    BitXor = 6,
     LogAnd = 7,
     LogOr = 8,
 }
@@ -344,8 +343,6 @@ impl RedOpCode {
             2 => RedOpCode::Min,
             3 => RedOpCode::Max,
             4 => RedOpCode::BitAnd,
-            5 => RedOpCode::BitOr,
-            6 => RedOpCode::BitXor,
             7 => RedOpCode::LogAnd,
             8 => RedOpCode::LogOr,
             _ => return None,

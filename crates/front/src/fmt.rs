@@ -208,8 +208,6 @@ fn red_op_text(op: RedOpCode) -> &'static str {
         RedOpCode::Min => "min",
         RedOpCode::Max => "max",
         RedOpCode::BitAnd => "&",
-        RedOpCode::BitOr => "|",
-        RedOpCode::BitXor => "^",
         RedOpCode::LogAnd => "and",
         RedOpCode::LogOr => "or",
     }
@@ -309,8 +307,6 @@ fn fmt_directive(ast: &Ast, id: NodeId, depth: usize, out: &mut String) {
         RedOpCode::Min,
         RedOpCode::Max,
         RedOpCode::BitAnd,
-        RedOpCode::BitOr,
-        RedOpCode::BitXor,
         RedOpCode::LogAnd,
         RedOpCode::LogOr,
     ] {

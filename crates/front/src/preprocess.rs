@@ -63,6 +63,7 @@ fn preprocess_inner(
     unit: Option<&str>,
     mut trace: Option<&mut Vec<String>>,
 ) -> Result<Ast, Diag> {
+    precheck(&ast)?;
     let mut counter = 0usize;
     // Each iteration eliminates at least one directive; bound generously.
     for _ in 0..256 {
@@ -83,6 +84,68 @@ fn preprocess_inner(
         ast = parse(&src)?;
     }
     Err(Diag::preprocess(0, "preprocessor did not converge"))
+}
+
+/// Refuse on the parse of the user's source what a later round would
+/// refuse on text the rounds before it rewrote: a worksharing nest
+/// `replace_while` cannot lower, a worksharing loop whose variable reaches
+/// it shared (see [`shared_at`]), and `threadprivate`. A worksharing loop
+/// inside a `parallel` region is lowered in the outlined function, whose
+/// offsets are not the file's, so its error must come from here.
+fn precheck(ast: &Ast) -> Result<(), Diag> {
+    for id in 0..ast.nodes.len() as NodeId {
+        let node = ast.node(id);
+        match node.tag {
+            N::OmpWhile => {
+                let (nest, _) = ws_nest(ast, id, &Clauses::read(&ast.extra_data, node.lhs))?;
+                let var = &nest[0].0.var;
+                if shared_at(ast, id, var) {
+                    return Err(Diag::preprocess(
+                        ast.byte_span(node.rhs).0,
+                        format!(
+                            "the worksharing loop variable `{var}` is shared by its region; \
+                             declare it inside the region or make it firstprivate"
+                        ),
+                    ));
+                }
+            }
+            N::OmpThreadprivate => {
+                return Err(Diag::preprocess(
+                    ast.byte_span(id).0,
+                    "threadprivate requires global variables, which Zag does not have; \
+                     use the zomp runtime's ThreadPrivate<T> from Rust instead",
+                ))
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Whether `var` reaches node `id` as a shared place: the innermost
+/// enclosing `parallel` region that lists it in a clause lists it in
+/// `shared`. Outlining then rewrites it to `__shr_var.*` throughout that
+/// region's body, nested regions included.
+fn shared_at(ast: &Ast, id: NodeId, var: &str) -> bool {
+    let (start, end) = ast.byte_span(id);
+    let mut regions: Vec<(usize, Clauses)> = (0..ast.nodes.len() as NodeId)
+        .filter(|&r| ast.node(r).tag == N::OmpParallel)
+        .filter_map(|r| {
+            let (rs, re) = ast.byte_span(r);
+            (rs <= start && end <= re)
+                .then(|| (rs, Clauses::read(&ast.extra_data, ast.node(r).lhs)))
+        })
+        .collect();
+    regions.sort_by_key(|&(rs, _)| std::cmp::Reverse(rs));
+    let names = |toks: &[TokenId]| toks.iter().any(|&t| ast.token_text(t) == var);
+    (regions.iter())
+        .find(|(_, c)| {
+            names(&c.shared)
+                || names(&c.private)
+                || names(&c.firstprivate)
+                || c.reduction.iter().any(|&(_, t)| ast.token_text(t) == var)
+        })
+        .is_some_and(|(_, c)| names(&c.shared))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,12 +183,7 @@ fn run_pass(
                 Step::While => t == N::OmpWhile,
                 Step::Simple => matches!(
                     t,
-                    N::OmpBarrier
-                        | N::OmpCritical
-                        | N::OmpMaster
-                        | N::OmpSingle
-                        | N::OmpAtomic
-                        | N::OmpThreadprivate
+                    N::OmpBarrier | N::OmpCritical | N::OmpMaster | N::OmpSingle | N::OmpAtomic
                 ),
             }
         })
@@ -553,6 +611,10 @@ pub(crate) fn loop_shape(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag>
     })
 }
 
+/// Each level of a loop nest, outermost first: its shape and its
+/// counter's initial value.
+pub(crate) type Nest = Vec<(LoopShape, String)>;
+
 /// The perfect nest of `depth` loops under the worksharing directive
 /// `directive`, as `collapse(depth)` lowers it: each level's shape and its
 /// counter's initial value (the first level's counter starts from the
@@ -560,11 +622,7 @@ pub(crate) fn loop_shape(ast: &Ast, while_id: NodeId) -> Result<LoopShape, Diag>
 /// `{ var j = <init>; while (j …) : (j ±= s) { … } }`, and its declared
 /// counter drives its loop. An error carries the level (from 1) the nest
 /// breaks at.
-pub(crate) fn perfect_nest(
-    ast: &Ast,
-    directive: NodeId,
-    depth: u8,
-) -> Result<Vec<(LoopShape, String)>, (usize, Diag)> {
+pub(crate) fn perfect_nest(ast: &Ast, directive: NodeId, depth: u8) -> Result<Nest, (usize, Diag)> {
     let first = loop_shape(ast, ast.node(directive).rhs).map_err(|e| (1, e))?;
     let var = first.var.clone();
     let mut nest = vec![(first, var)];
@@ -604,6 +662,14 @@ pub(crate) fn perfect_nest(
     Ok(nest)
 }
 
+/// The nest the worksharing directive `id` lowers, and the text inside
+/// its innermost body's braces.
+fn ws_nest<'a>(ast: &'a Ast, id: NodeId, clauses: &Clauses) -> Result<(Nest, &'a str), Diag> {
+    let nest = perfect_nest(ast, id, clauses.flags.collapse.max(1)).map_err(|(_, e)| e)?;
+    let body = block_inner(ast, nest[nest.len() - 1].0.body)?;
+    Ok((nest, body))
+}
+
 /// Lower a worksharing loop, collapsed or not. A single loop workshares
 /// its own iteration space. A `collapse(n)` nest workshares the
 /// linearised space `0..t1 * … * tn` of its levels' trip counts, and each
@@ -625,9 +691,7 @@ fn replace_while(
     // leading string argument of `ws_begin`.
     let ws_label = ws_label_arg(ast, id, unit);
 
-    let depth = clauses.flags.collapse.max(1);
-    let nest = perfect_nest(ast, id, depth).map_err(|(_, e)| e)?;
-    let body = block_inner(ast, nest[nest.len() - 1].0.body)?;
+    let (nest, body) = ws_nest(ast, id, &clauses)?;
     let mut renames = Vec::new();
 
     // Schedule kind codes for ws_begin: 0 static, 1 dynamic, 2 guided,
@@ -878,13 +942,6 @@ fn replace_simple(ast: &Ast, id: NodeId, node: &Node) -> Result<Payload, Diag> {
                 _ => unreachable!("parser enforces compound assignment"),
             };
             format!("omp.internal.atomic_rmw(&({lhs_text}), {op}, {rhs_text});")
-        }
-        N::OmpThreadprivate => {
-            return Err(Diag::preprocess(
-                span.0,
-                "threadprivate requires global variables, which Zag does not have; \
-                 use the zomp runtime's ThreadPrivate<T> from Rust instead",
-            ))
         }
         _ => unreachable!("replace_simple called on non-simple directive"),
     };
@@ -1193,6 +1250,67 @@ mod tests {
         let src = "//$omp threadprivate(g)\nfn f() void { }";
         let err = preprocess(src).unwrap_err();
         assert!(err.message.contains("threadprivate"));
+    }
+
+    /// A worksharing loop the lowering refuses is reported where it stands
+    /// in the user's file, inside a `parallel` region (whose loops are
+    /// lowered in the outlined function, appended past the file's end) as
+    /// outside one: a bad comparison, a broken collapsed nest, and a body
+    /// that is not a block.
+    #[test]
+    fn refused_loop_renders_the_same_line_col_inside_a_region() {
+        let cases = [
+            ("", "while (i != 10) : (i += 1) { t = t + i; }"),
+            (" collapse(2)", "while (i < 10) : (i += 1) { t = t + i; }"),
+            ("", "while (i < 10) : (i += 1) t = t + i;"),
+        ];
+        for (clauses, lp) in cases {
+            let file = |region: &str| {
+                format!(
+                    "fn main() void {{\n    var t: i64 = 0;\n    {region}\n    {{\n        \
+                     var i: i64 = 0;\n        //$omp while{clauses}\n        {lp}\n    }}\n    \
+                     print(t);\n}}\n"
+                )
+            };
+            let (inside, outside) = (file("//$omp parallel shared(t)"), file(""));
+            let err_in = preprocess(&inside).unwrap_err();
+            let err_out = preprocess(&outside).unwrap_err();
+            assert_eq!(err_in.message, err_out.message, "{lp}");
+            assert_eq!(
+                err_in.line_col(&inside),
+                err_out.line_col(&outside),
+                "{lp}: {}",
+                err_in.render(&inside)
+            );
+            assert!(
+                err_in.line_col(&inside).0 <= 7,
+                "{}",
+                err_in.render(&inside)
+            );
+        }
+    }
+
+    /// A worksharing loop over a variable its region shares is refused at
+    /// the loop; a nested region that makes the variable firstprivate
+    /// lowers it.
+    #[test]
+    fn loop_variable_shared_by_its_region_is_refused_at_the_loop() {
+        let file = |inner: &str| {
+            format!(
+                "fn main() void {{\n    var i: i64 = 0;\n    //$omp parallel shared(i)\n    {{\n        \
+                 {inner}\n        {{\n            //$omp while\n            \
+                 while (i < 10) : (i += 1) {{ }}\n        }}\n    }}\n}}\n"
+            )
+        };
+        let shared = file("");
+        let err = preprocess(&shared).unwrap_err();
+        assert_eq!(err.line_col(&shared), (8, 13), "{}", err.render(&shared));
+        assert!(
+            err.message.contains("`i` is shared by its region"),
+            "{}",
+            err.message
+        );
+        preprocess(&file("//$omp parallel firstprivate(i)")).expect("a firstprivate copy lowers");
     }
 
     #[test]

@@ -204,8 +204,6 @@ fn red_op_from_code(code: i64) -> VmResult<RedOp> {
         2 => RedOp::Min,
         3 => RedOp::Max,
         4 => RedOp::BitAnd,
-        5 => RedOp::BitOr,
-        6 => RedOp::BitXor,
         7 => RedOp::LogicalAnd,
         8 => RedOp::LogicalOr,
         other => return err(format!("unknown reduction op code {other}")),

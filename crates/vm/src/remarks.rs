@@ -16,9 +16,7 @@
 //!   `uninit-read`, `growth-cap`, see [`crate::inline::Kept`], plus
 //!   `runs as one native LCG step` for a verified `randlc` — and a
 //!   runtime entry point or builtin says `runtime` / `builtin`),
-//!   `unsupported-op`, or `shape`. The remarks render
-//!   the rows [`kernel_misses`] exports structurally, so bench
-//!   artifacts (`BENCH_tiers.json`) can embed them per loop.
+//!   `unsupported-op`, or `shape`.
 //! - **`inlined`** — a direct call replaced by its callee's body
 //!   (`--opt=3`, [`crate::inline`]), by its pc in the `[pre-opt]`
 //!   listing of `--dump-bytecode`.
@@ -188,7 +186,7 @@ fn misses(image: &Image, fi: usize, inline: &InlineData) -> Vec<MissRow> {
 /// inside a helper function the pragma body calls) are attributed to
 /// the unique pragma label enclosing the function's call sites, and
 /// failing that to a stable `fn:<name>` slug — so every miss row has
-/// a non-empty key that profiler and bench artifacts can join on.
+/// a non-empty key that `--profile` rows can join on.
 fn miss_label(image: &Image, f: &CompiledFn, head: usize) -> String {
     let own = crate::kernels::loop_label(f, head);
     if !own.is_empty() {
@@ -319,30 +317,28 @@ fn classify_miss(
     }
 }
 
-/// One `kernel-missed` row in structural form, for bench artifacts
-/// (`tier-bench` embeds these in `BENCH_tiers.json` so a 0%-native
-/// loop self-explains without re-running `--remarks`).
-pub struct MissRow {
+/// One `kernel-missed` row, before it is rendered as a remark.
+struct MissRow {
     /// Enclosing function name.
-    pub func: String,
+    func: String,
     /// The loop's label (see `miss_label`): its worksharing pragma's
     /// `unit:line`, the one pragma its function is called from, or
     /// `fn:<name>`.
-    pub label: String,
+    label: String,
     /// Loop head pc in the final instruction stream.
-    pub head: usize,
+    head: usize,
     /// The loop's furthest back-edge pc.
-    pub tail: usize,
+    tail: usize,
     /// Stable reason slug: `call-boundary`, `unsupported-op`, or
     /// `shape`.
-    pub reason: &'static str,
+    reason: &'static str,
     /// Human-readable detail (callee names, blocking opcode, ...).
-    pub note: String,
+    note: String,
 }
 
 impl MissRow {
     /// The message of this row's `kernel-missed` remark.
-    pub fn message(&self) -> String {
+    fn message(&self) -> String {
         let reason = match self.reason {
             "call-boundary" => "call boundary",
             "unsupported-op" => "unsupported opcode",
@@ -353,16 +349,6 @@ impl MissRow {
             self.func, self.head, self.tail
         )
     }
-}
-
-/// Recompile `source` at `--opt=3` and report every compute loop the
-/// kernel matcher left interpreted, with machine-readable reasons —
-/// the rows the `kernel-missed` remarks render.
-pub fn kernel_misses(source: &str, unit: &str) -> Result<Vec<MissRow>, Diag> {
-    let (image, data) = compile_source(source, unit, OptLevel::O3)?;
-    Ok((0..image.funcs.len())
-        .flat_map(|fi| misses(&image, fi, &data.inline))
-        .collect())
 }
 
 /// Whether the loop `head..=tail` claims chunks: the `while (ws_next(ws))`

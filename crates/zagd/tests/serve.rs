@@ -91,6 +91,53 @@ fn resubmission_hits_the_cache() {
     assert!(cache.get("hit_rate").and_then(Json::as_f64).unwrap() > 0.0);
 }
 
+/// The service under a small closed-loop load: after one warm-up request
+/// per program, 4 clients send 24 requests in all, cycling through the CG,
+/// EP and IS demos. Re-submissions must hit the cache, and the server must
+/// clear a throughput floor far below any healthy build, so the check
+/// trips only on a real regression (a compile per request, serialised
+/// execution). It times wall clock, so it runs in optimised builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times wall clock; run with --release")]
+fn demo_mix_hits_the_cache_and_clears_a_throughput_floor() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 24;
+    let addr = start(4, 128);
+    let bodies = [
+        body(&demo::cg(), "cg_demo", "[400, 2, 2]", 2),
+        body(&demo::ep(), "ep_demo", "[10, 8, 2]", 2),
+        body(&demo::is(), "is_demo", "[1500, 9, 4, 2]", 2),
+    ];
+    for b in &bodies {
+        post_ok(addr, b);
+    }
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let bodies = &bodies;
+            s.spawn(move || {
+                for i in 0..REQUESTS / CLIENTS {
+                    post_ok(addr, &bodies[(c + i) % bodies.len()]);
+                }
+            });
+        }
+    });
+    let per_sec = REQUESTS as f64 / t0.elapsed().as_secs_f64();
+    let reply = stats(addr);
+    let hit_rate = (reply.get("cache").and_then(|c| c.get("hit_rate")))
+        .and_then(Json::as_f64)
+        .expect("a cache hit rate");
+    eprintln!("{per_sec:.1} programs/s, cache hit rate {hit_rate:.2}");
+    assert!(
+        hit_rate > 0.5,
+        "cache hit rate {hit_rate:.2} <= 0.5: a compile per request?"
+    );
+    assert!(
+        per_sec > 2.0,
+        "{per_sec:.2} programs/s under the floor of 2"
+    );
+}
+
 #[test]
 fn identical_programs_at_different_team_sizes_agree() {
     // The isolation claim, end to end: the same deterministic program
