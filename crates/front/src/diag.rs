@@ -24,9 +24,9 @@ pub enum Severity {
 #[derive(Debug, Clone)]
 pub struct Diag {
     pub severity: Severity,
-    /// Stable machine-readable id: `"lex"`, `"parse"`, `"preprocess"` for
-    /// pipeline errors; the rule name (`"race-shared-write"`, ...) for
-    /// analysis findings.
+    /// Stable machine-readable id: `"lex"`, `"parse"`, `"preprocess"` and
+    /// the VM's `"compile"` for pipeline errors; the rule name
+    /// (`"race-shared-write"`, ...) for analysis findings.
     pub code: &'static str,
     /// Byte offset of the primary location in the source the diagnostic
     /// was produced against.

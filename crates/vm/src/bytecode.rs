@@ -71,7 +71,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// `a op b`. On floats an ordering against NaN is false and `!=` true,
     /// the walker's `partial_cmp` behaviour.
-    #[inline(always)]
+    #[inline]
     pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
         match self {
             CmpOp::Lt => a < b,
@@ -529,6 +529,119 @@ pub enum Insn {
         src: Reg,
     },
     RetVoid,
+}
+
+/// One operand of an [`Insn`], tagged with what the instruction does with
+/// it ([`Insn::operands`]).
+pub(crate) enum Operand<'a> {
+    /// A register the instruction reads.
+    Use(&'a mut Reg),
+    /// A register it writes.
+    Def(&'a mut Reg),
+    /// A register it updates in place: it reads and writes it, and on some
+    /// path leaves it as it was (`wsnext`'s exit edge).
+    UseDef(&'a mut Reg),
+    /// The argument block `[base, base + n)`, all of it read. `moved`: the
+    /// callee takes the values and leaves the block spent, so it counts as
+    /// written too (`call`, `callv`, `ompcall`; not `builtin`, `print`).
+    Args {
+        base: &'a mut Reg,
+        n: u16,
+        moved: bool,
+    },
+    /// An index into the function's constant pool.
+    Const(&'a mut u16),
+    /// A jump target.
+    Jump(&'a mut u32),
+}
+
+/// `f(op);` for each `op`, in order.
+macro_rules! each {
+    ($f:ident, $($op:expr),+) => {{
+        $($f($op);)+
+    }};
+}
+
+impl Insn {
+    /// Hand `f` every operand of the instruction, each once, with its
+    /// role. This is the one place an instruction's layout is declared;
+    /// the passes' register, constant and jump readers all derive from it.
+    /// An installed loop's registers live in its descriptor, not here.
+    #[inline]
+    pub(crate) fn operands(&mut self, mut f: impl FnMut(Operand<'_>)) {
+        use Operand::{Const, Def, Jump, Use, UseDef};
+        match self {
+            Insn::Const { dst, k } => each!(f, Def(dst), Const(k)),
+            Insn::Move { dst, src }
+            | Insn::NewCell { dst, src }
+            | Insn::AddrDeref { dst, src }
+            | Insn::Neg { dst, src }
+            | Insn::Not { dst, src }
+            | Insn::Truthy { dst, src } => each!(f, Def(dst), Use(src)),
+            Insn::CellGet { dst, cell } => each!(f, Def(dst), Use(cell)),
+            Insn::Deref { dst, ptr } => each!(f, Def(dst), Use(ptr)),
+            Insn::CellSet { cell, src } => each!(f, Use(cell), Use(src)),
+            Insn::StorePtr { ptr, src } => each!(f, Use(ptr), Use(src)),
+            Insn::ElemAddr { dst, arr, idx }
+            | Insn::Index { dst, arr, idx }
+            | Insn::IndexOff { dst, arr, idx, .. } => each!(f, Def(dst), Use(arr), Use(idx)),
+            Insn::DerefIndex { dst, cell, idx } | Insn::DerefIndexOff { dst, cell, idx, .. } => {
+                each!(f, Def(dst), Use(cell), Use(idx))
+            }
+            Insn::Arith { dst, a, b, .. } | Insn::Cmp { dst, a, b, .. } => {
+                each!(f, Def(dst), Use(a), Use(b))
+            }
+            Insn::IndexSet { arr, idx, src } => each!(f, Use(arr), Use(idx), Use(src)),
+            Insn::DerefIndexSet { cell, idx, src } => each!(f, Use(cell), Use(idx), Use(src)),
+            Insn::Jump { to } => f(Jump(to)),
+            Insn::JumpIfFalse { cond, to } | Insn::JumpIfTrue { cond, to } => {
+                each!(f, Use(cond), Jump(to))
+            }
+            Insn::CmpJumpFalse { a, b, to, .. } => each!(f, Use(a), Use(b), Jump(to)),
+            Insn::IncCmpJump { var, limit, to, .. } => each!(f, UseDef(var), Use(limit), Jump(to)),
+            Insn::IncJump { var, to, .. } => each!(f, UseDef(var), Jump(to)),
+            Insn::ArithK { dst, a, k, .. } => each!(f, Def(dst), Use(a), Const(k)),
+            Insn::ArithKL { dst, k, b, .. } => each!(f, Def(dst), Const(k), Use(b)),
+            Insn::IncElemK { arr, idx, k, .. } => each!(f, Use(arr), Use(idx), Const(k)),
+            Insn::FmaIdx { dst, x, arr, idx } => each!(f, UseDef(dst), Use(x), Use(arr), Use(idx)),
+            Insn::FmaGather {
+                dst,
+                xcell,
+                acell,
+                icell,
+                idx,
+            } => each!(f, UseDef(dst), Use(xcell), Use(acell), Use(icell), Use(idx)),
+            Insn::Call { dst, base, n, .. } | Insn::OmpCall { dst, base, n, .. } => {
+                each!(f, Def(dst), args(base, *n, true))
+            }
+            Insn::CallValue {
+                dst,
+                callee,
+                base,
+                n,
+            } => each!(f, Def(dst), Use(callee), args(base, *n, true)),
+            Insn::WsNext { ws, lb, ub, exit } => {
+                each!(f, Use(ws), UseDef(lb), UseDef(ub), Jump(exit))
+            }
+            Insn::Builtin {
+                dst,
+                name_k,
+                base,
+                n,
+                ..
+            } => each!(f, Def(dst), Const(name_k), args(base, *n, false)),
+            Insn::Print { base, n } => f(args(base, *n, false)),
+            Insn::Trap { msg } => f(Const(msg)),
+            Insn::Ret { src } => f(Use(src)),
+            Insn::BulkLoop { .. } | Insn::TemplateLoop { .. } | Insn::RetVoid => {}
+        }
+    }
+}
+
+/// The argument block `[base, base + n)`.
+#[inline(always)]
+fn args(base: &mut Reg, n: u16, moved: bool) -> Operand<'_> {
+    Operand::Args { base, n, moved }
 }
 
 /// One compiled function.

@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 
-use crate::bytecode::{CompiledFn, Image, Insn, Reg};
+use crate::bytecode::{CompiledFn, Image, Insn, Operand, Reg};
 use crate::compile::CKey;
 use crate::optimize::{
     block_leaders, blocks, dse, installed_spans, jump_target, liveness_of, map_regs, remap, succs,
@@ -337,14 +337,13 @@ fn pinned_regs(f: &CompiledFn) -> Vec<bool> {
 
 /// The register range a call passes its arguments in.
 fn arg_block(insn: &Insn) -> Option<std::ops::Range<Reg>> {
-    match *insn {
-        Insn::Call { base, n, .. }
-        | Insn::CallValue { base, n, .. }
-        | Insn::OmpCall { base, n, .. }
-        | Insn::Builtin { base, n, .. }
-        | Insn::Print { base, n } => Some(base..base + n),
-        _ => None,
-    }
+    let (mut insn, mut block) = (*insn, None);
+    insn.operands(|o| {
+        if let Operand::Args { base, n, .. } = o {
+            block = Some(*base..*base + n);
+        }
+    });
+    block
 }
 
 fn is_scalar(v: &Value) -> bool {

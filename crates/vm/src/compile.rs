@@ -56,14 +56,21 @@ use zomp_front::dump::children_of;
 use zomp_front::token::Tag as T;
 use zomp_front::Diag;
 
-use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
+use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Operand, Reg};
 use crate::inline::InlineData;
 use crate::interp::{call_label, callee_path, str_lit};
 use crate::optimize::{falls_through, jump_target, verify_fn, OptLevel, OptStats};
 use crate::value::Value;
 
-/// Compile every function of a parsed (pragma-free) program.
+/// Compile every function of a parsed (pragma-free) program. A function
+/// past an encoding limit of [`Insn`] lowers to a `trap` with the error
+/// [`compile_image_opt`] refuses the program with.
 pub fn compile_image(ast: &Ast) -> Image {
+    lower(ast).0
+}
+
+/// [`compile_image`], and the error of the first function it refused.
+fn lower(ast: &Ast) -> (Image, Option<Diag>) {
     let root = *ast.node(ast.root);
     let mut decls = Vec::new();
     let mut by_name = HashMap::new();
@@ -77,11 +84,17 @@ pub fn compile_image(ast: &Ast) -> Image {
             decls.push(decl);
         }
     }
-    let funcs = decls
-        .iter()
-        .map(|&decl| FnCx::new(ast, &by_name).compile_fn(decl))
+    let mut refused = None;
+    let funcs = (decls.iter())
+        .map(|&decl| {
+            let (f, error) = FnCx::new(ast, &by_name).compile_fn(decl);
+            if let Some(msg) = error {
+                refused.get_or_insert_with(|| Diag::error("compile", 0, msg));
+            }
+            f
+        })
         .collect();
-    Image { funcs, by_name }
+    (Image { funcs, by_name }, refused)
 }
 
 /// What the passes recorded about the image, indexed like `image.funcs`:
@@ -196,11 +209,16 @@ pub const PASSES: [Pass; 4] = [
 ];
 
 /// Lower `ast`, then run every pass of [`PASSES`] at `O3` (none at `O0`),
-/// verifying the whole image after lowering and after each pass.
-pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
+/// verifying the whole image after lowering and after each pass. A
+/// function past an encoding limit of [`Insn`] (registers, constants, or
+/// the functions a call can name) refuses the program.
+pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> Result<(Image, PassData), Diag> {
     let mut data = PassData::default();
     let mut t = Instant::now();
-    let mut image = compile_image(ast);
+    let (mut image, refused) = lower(ast);
+    if let Some(d) = refused {
+        return Err(d);
+    }
     data.step(&image, "lowering", &mut t);
     if opt == OptLevel::O3 {
         for pass in &PASSES {
@@ -208,7 +226,7 @@ pub fn compile_image_opt(ast: &Ast, opt: OptLevel) -> (Image, PassData) {
             data.step(&image, pass.name, &mut t);
         }
     }
-    (image, data)
+    Ok((image, data))
 }
 
 /// Parse and preprocess `source`, then run the pipeline at `opt`, keeping
@@ -225,7 +243,7 @@ pub fn compile_source(source: &str, unit: &str, opt: OptLevel) -> Result<(Image,
         ("parse", parsed - t, nodes),
         ("preprocess", parsed.elapsed(), pre.nodes.len()),
     ];
-    let (image, mut data) = compile_image_opt(&pre, opt);
+    let (image, mut data) = compile_image_opt(&pre, opt)?;
     let front = front.map(|(name, wall, size)| PassTime {
         name,
         wall,
@@ -304,6 +322,9 @@ struct FnCx<'a> {
     nregs: Reg,
     loops: Vec<LoopCx>,
     locals_debug: Vec<(Reg, String, bool)>,
+    /// The first encoding limit lowering ran past. Lowering goes on with
+    /// placeholder operands; [`FnCx::compile_fn`] throws the code away.
+    overflow: Option<String>,
 }
 
 impl<'a> FnCx<'a> {
@@ -321,10 +342,13 @@ impl<'a> FnCx<'a> {
             nregs: 0,
             loops: Vec::new(),
             locals_debug: Vec::new(),
+            overflow: None,
         }
     }
 
-    fn compile_fn(mut self, decl: NodeId) -> CompiledFn {
+    /// Lower one function. Past an encoding limit the function is a `trap`
+    /// with the error, which comes back too.
+    fn compile_fn(mut self, decl: NodeId) -> (CompiledFn, Option<String>) {
         let node = *self.ast.node(decl);
         let name = self.ast.token_text(node.main_token).to_string();
         let (params, body) = self.ast.fn_parts(&node);
@@ -341,7 +365,7 @@ impl<'a> FnCx<'a> {
         }
         self.compile_block(body);
         self.code.push(Insn::RetVoid);
-        CompiledFn {
+        let mut f = CompiledFn {
             name,
             nparams: params.len(),
             nregs: self.nregs as usize,
@@ -351,7 +375,25 @@ impl<'a> FnCx<'a> {
             kernels: Vec::new(),
             templates: Vec::new(),
             lcg: false,
+        };
+        let error = self.overflow.map(|what| format!("fn `{}` {what}", f.name));
+        if let Some(msg) = &error {
+            f.nregs = f.nparams;
+            f.code = vec![Insn::Trap { msg: 0 }];
+            f.consts = vec![Value::Str(Arc::from(msg.as_str()))];
+            f.locals.clear();
         }
+        (f, error)
+    }
+
+    /// Note that lowering ran past a limit: `what` completes "fn `name` ".
+    fn overflow(&mut self, what: String) {
+        self.overflow.get_or_insert(what);
+    }
+
+    fn out_of_registers(&mut self) -> Reg {
+        self.overflow(format!("needs more than {} registers", Reg::MAX));
+        0
     }
 
     // -- frame bookkeeping --------------------------------------------------
@@ -364,7 +406,9 @@ impl<'a> FnCx<'a> {
 
     fn alloc_tmp(&mut self) -> Reg {
         let r = self.tmp;
-        assert!(r < Reg::MAX, "function needs too many registers");
+        if r == Reg::MAX {
+            return self.out_of_registers();
+        }
         self.tmp += 1;
         self.bump_watermark(r);
         r
@@ -385,7 +429,9 @@ impl<'a> FnCx<'a> {
     /// (loop-pinned constants).
     fn alloc_pinned(&mut self) -> Reg {
         let r = self.locals_top;
-        assert!(r < Reg::MAX, "function needs too many registers");
+        if r == Reg::MAX {
+            return self.out_of_registers();
+        }
         self.locals_top += 1;
         if self.tmp < self.locals_top {
             self.tmp = self.locals_top;
@@ -413,7 +459,10 @@ impl<'a> FnCx<'a> {
         if let Some(&k) = self.const_map.get(&key) {
             return k;
         }
-        let k = self.consts.len() as u16;
+        let Ok(k) = u16::try_from(self.consts.len()) else {
+            self.overflow(format!("needs more than {} constants", 1 << 16));
+            return 0;
+        };
         self.consts.push(v);
         self.const_map.insert(key, k);
         k
@@ -427,15 +476,12 @@ impl<'a> FnCx<'a> {
 
     fn patch(&mut self, sites: &[usize], target: u32) {
         for &site in sites {
-            match &mut self.code[site] {
-                Insn::Jump { to }
-                | Insn::JumpIfFalse { to, .. }
-                | Insn::JumpIfTrue { to, .. }
-                | Insn::CmpJumpFalse { to, .. }
-                | Insn::IncCmpJump { to, .. }
-                | Insn::WsNext { exit: to, .. } => *to = target,
-                other => unreachable!("patching non-jump {other:?}"),
-            }
+            debug_assert!(jump_target(&self.code[site]).is_some(), "patching non-jump");
+            self.code[site].operands(|o| {
+                if let Operand::Jump(to) = o {
+                    *to = target;
+                }
+            });
         }
     }
 
@@ -1197,6 +1243,9 @@ impl<'a> FnCx<'a> {
     /// ([`call_label`]).
     fn compile_args(&mut self, ids: &[u32], func: Option<OmpFn>) -> (Reg, u16) {
         let base = self.tmp;
+        if base as usize + ids.len() > Reg::MAX as usize {
+            return (self.out_of_registers(), 0);
+        }
         for _ in ids {
             self.alloc_tmp();
         }
@@ -1242,7 +1291,13 @@ impl<'a> FnCx<'a> {
                 None => self.trap_expr(OmpFn::unknown(rest), hint),
             },
             Some([name]) if self.func_ids.contains_key(*name) => {
-                let func = self.func_ids[*name] as u16;
+                let func = u16::try_from(self.func_ids[*name]).unwrap_or_else(|_| {
+                    self.overflow(format!(
+                        "calls fn `{name}`, past the first {} functions",
+                        1 << 16
+                    ));
+                    0
+                });
                 let d = self.dst_reg(hint);
                 self.code.push(Insn::Call {
                     dst: d,

@@ -47,7 +47,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::bytecode::{CompiledFn, Image, Insn, Reg};
+use crate::bytecode::{CompiledFn, Image, Insn, Operand, Reg};
 use crate::compile::CKey;
 use crate::optimize::{falls_through, jump_target, map_regs, retarget, visit_defs, visit_uses};
 use crate::value::Value;
@@ -331,12 +331,11 @@ fn reachable(code: &[Insn]) -> Vec<bool> {
 /// for calls and loop forms, which [`refusal`] rejects. Jump targets are
 /// left for the caller to retarget; the splice rewrites `ret`s itself.
 fn renumber(insn: Insn, off: Reg, kmap: &[u16]) -> Option<Insn> {
-    let mut out = insn;
-    match &mut out {
-        Insn::Const { k, .. } | Insn::Builtin { name_k: k, .. } | Insn::Trap { msg: k } => {
-            *k = kmap[*k as usize]
-        }
-        Insn::Move { .. }
+    match insn {
+        Insn::Const { .. }
+        | Insn::Builtin { .. }
+        | Insn::Trap { .. }
+        | Insn::Move { .. }
         | Insn::NewCell { .. }
         | Insn::CellGet { .. }
         | Insn::CellSet { .. }
@@ -360,7 +359,13 @@ fn renumber(insn: Insn, off: Reg, kmap: &[u16]) -> Option<Insn> {
         | Insn::RetVoid => {}
         _ => return None,
     }
+    let mut out = insn;
     map_regs(&mut out, |r| r + off);
+    out.operands(|o| {
+        if let Operand::Const(k) = o {
+            *k = kmap[*k as usize];
+        }
+    });
     Some(out)
 }
 
@@ -554,7 +559,8 @@ mod tests {
         // It would fit if the budget were checked after `optimize`.
         let pre = zomp_front::preprocess(&src).unwrap();
         let (optimized, _) =
-            crate::compile::compile_image_opt(&zomp_front::parse(&pre).unwrap(), OptLevel::O3);
+            crate::compile::compile_image_opt(&zomp_front::parse(&pre).unwrap(), OptLevel::O3)
+                .unwrap();
         assert!(optimized.get("h").unwrap().code.len() <= MAX_CALLEE_INSNS);
         assert_eq!(calls(&optimized, "main"), 1);
 

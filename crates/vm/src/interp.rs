@@ -134,7 +134,7 @@ pub struct Program {
 
 /// Compile Zag source: preprocess pragmas away, parse, index functions.
 pub fn compile(source: &str) -> Result<Program, zomp_front::Diag> {
-    compile_inner(source, None, OptLevel::default())
+    compile_inner(source, None, OptLevel::default(), false)
 }
 
 /// [`compile`] at an explicit optimization level (`zag --opt=N`). `unit`
@@ -146,13 +146,17 @@ pub fn compile_opt(
     unit: Option<&str>,
     opt: OptLevel,
 ) -> Result<Program, zomp_front::Diag> {
-    compile_inner(source, unit, opt)
+    compile_inner(source, unit, opt, false)
 }
 
+/// `walker`: the program runs on [`Backend::Ast`], which reads only the
+/// image's function table, so a function the bytecode cannot encode (a
+/// `trap` in the image) does not refuse it.
 fn compile_inner(
     source: &str,
     unit: Option<&str>,
     opt: OptLevel,
+    walker: bool,
 ) -> Result<Program, zomp_front::Diag> {
     // The data-sharing lint runs on the original, still-pragma'd parse so
     // its diagnostics point at the user's directives, not the rewritten
@@ -170,7 +174,11 @@ fn compile_inner(
             functions.insert(ast.token_text(node.main_token).to_string(), decl);
         }
     }
-    let (code, _) = crate::compile::compile_image_opt(&ast, opt);
+    let code = match crate::compile::compile_image_opt(&ast, opt) {
+        Ok((code, _)) => code,
+        Err(_) if walker => crate::compile::compile_image(&ast),
+        Err(d) => return Err(d),
+    };
     Ok(Program {
         ast,
         functions,
@@ -264,7 +272,12 @@ impl Vm {
         opt: OptLevel,
     ) -> Result<Vm, zomp_front::Diag> {
         Ok(Vm::from_program(
-            Arc::new(compile_opt(source, unit, backend.opt_level(opt))?),
+            Arc::new(compile_inner(
+                source,
+                unit,
+                backend.opt_level(opt),
+                backend == Backend::Ast,
+            )?),
             backend,
             Arc::clone(zomp::Runtime::global()),
         ))

@@ -7,7 +7,10 @@
 //! it runs after [`crate::inline`] and before the native tiers install;
 //! [`crate::coalesce`] runs last and reuses its liveness, block leaders,
 //! successors, retargeting and dead-store elimination, which know an
-//! installed loop head. Pass ordering, repeated to a fixpoint:
+//! installed loop head, and its operand readers (`visit_defs`,
+//! `map_regs`, `jump_target`). Those readers, like every pass's view of
+//! an instruction's registers, constants and jump target, derive from
+//! `Insn::operands`. Pass ordering, repeated to a fixpoint:
 //!
 //! 1. **Constant folding + copy propagation** — block-local
 //!    forward walk: reads of registers holding a copy are redirected to
@@ -67,7 +70,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
-use crate::bytecode::{ArithOp, CompiledFn, Insn, Reg};
+use crate::bytecode::{ArithOp, CompiledFn, Insn, Operand, Reg};
 use crate::interp::{arith_token, binop, binop_arith, cmp_token};
 use crate::value::Value;
 
@@ -120,331 +123,67 @@ impl fmt::Display for OptLevel {
 // Operand visitors
 // ---------------------------------------------------------------------------
 
-/// Visit every register an instruction *reads*. Call-style instructions
-/// read their whole argument block; `FmaIdx` reads its accumulator;
-/// `IncCmpJump`/`IncJump` read the induction register they update.
-/// `WsNext` counts its out-registers as read: its exit edge leaves them
-/// untouched, so whatever they held before stays observable.
-/// `BulkLoop` and `TemplateLoop` report nothing: their registers live in
-/// their descriptors, range-checked in [`verify_fn`] and read by liveness
-/// through [`visit_live`].
+/// Visit every register an instruction *reads*, by [`Insn::operands`]:
+/// its `Use` and `UseDef` registers and every register of an argument
+/// block. `BulkLoop` and `TemplateLoop` report nothing: their registers
+/// live in their descriptors, range-checked in [`verify_fn`] and read by
+/// liveness through [`visit_live`].
 pub(crate) fn visit_uses(insn: &Insn, mut f: impl FnMut(Reg)) {
-    match *insn {
-        Insn::Const { .. }
-        | Insn::Jump { .. }
-        | Insn::Trap { .. }
-        | Insn::BulkLoop { .. }
-        | Insn::TemplateLoop { .. }
-        | Insn::RetVoid => {}
-        Insn::Move { src, .. }
-        | Insn::NewCell { src, .. }
-        | Insn::AddrDeref { src, .. }
-        | Insn::Neg { src, .. }
-        | Insn::Not { src, .. }
-        | Insn::Truthy { src, .. }
-        | Insn::Ret { src } => f(src),
-        Insn::CellGet { cell, .. } => f(cell),
-        Insn::CellSet { cell, src } => {
-            f(cell);
-            f(src);
-        }
-        Insn::Deref { ptr, .. } => f(ptr),
-        Insn::StorePtr { ptr, src } => {
-            f(ptr);
-            f(src);
-        }
-        Insn::ElemAddr { arr, idx, .. }
-        | Insn::Index { arr, idx, .. }
-        | Insn::IndexOff { arr, idx, .. }
-        | Insn::IncElemK { arr, idx, .. } => {
-            f(arr);
-            f(idx);
-        }
-        Insn::DerefIndex { cell, idx, .. } | Insn::DerefIndexOff { cell, idx, .. } => {
-            f(cell);
-            f(idx);
-        }
-        Insn::DerefIndexSet { cell, idx, src } => {
-            f(cell);
-            f(idx);
-            f(src);
-        }
-        Insn::FmaGather {
-            dst,
-            xcell,
-            acell,
-            icell,
-            idx,
-        } => {
-            f(dst);
-            f(xcell);
-            f(acell);
-            f(icell);
-            f(idx);
-        }
-        Insn::IndexSet { arr, idx, src } => {
-            f(arr);
-            f(idx);
-            f(src);
-        }
-        Insn::Arith { a, b, .. } | Insn::Cmp { a, b, .. } | Insn::CmpJumpFalse { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Insn::ArithK { a, .. } => f(a),
-        Insn::ArithKL { b, .. } => f(b),
-        Insn::FmaIdx { dst, x, arr, idx } => {
-            f(dst);
-            f(x);
-            f(arr);
-            f(idx);
-        }
-        Insn::JumpIfFalse { cond, .. } | Insn::JumpIfTrue { cond, .. } => f(cond),
-        Insn::IncCmpJump { var, limit, .. } => {
-            f(var);
-            f(limit);
-        }
-        Insn::IncJump { var, .. } => f(var),
-        Insn::WsNext { ws, lb, ub, .. } => {
-            f(ws);
-            f(lb);
-            f(ub);
-        }
-        Insn::Call { base, n, .. } => {
-            for r in base..base + n {
-                f(r);
-            }
-        }
-        Insn::CallValue {
-            callee, base, n, ..
-        } => {
-            f(callee);
-            for r in base..base + n {
-                f(r);
-            }
-        }
-        Insn::OmpCall { base, n, .. } | Insn::Builtin { base, n, .. } | Insn::Print { base, n } => {
-            for r in base..base + n {
-                f(r);
-            }
-        }
-    }
+    let mut insn = *insn;
+    insn.operands(|o| match o {
+        Operand::Use(r) | Operand::UseDef(r) => f(*r),
+        Operand::Args { base, n, .. } => (*base..*base + n).for_each(&mut f),
+        _ => {}
+    });
 }
 
-/// Visit every register an instruction *writes*. Call argument blocks
-/// count as defs: `call_fn` moves them out and leaves `Undefined` behind
-/// (`OmpCall` only borrows them; nothing reads a spent argument temporary,
-/// so one rule serves both).
+/// Visit every register an instruction *writes*: its `Def` and `UseDef`
+/// registers and a moved argument block, which `call_fn` leaves
+/// `Undefined` (`OmpCall` only borrows its block; nothing reads a spent
+/// argument temporary, so one rule serves both).
 pub(crate) fn visit_defs(insn: &Insn, mut f: impl FnMut(Reg)) {
-    match *insn {
-        Insn::Const { dst, .. }
-        | Insn::Move { dst, .. }
-        | Insn::NewCell { dst, .. }
-        | Insn::CellGet { dst, .. }
-        | Insn::Deref { dst, .. }
-        | Insn::ElemAddr { dst, .. }
-        | Insn::AddrDeref { dst, .. }
-        | Insn::Index { dst, .. }
-        | Insn::IndexOff { dst, .. }
-        | Insn::DerefIndex { dst, .. }
-        | Insn::DerefIndexOff { dst, .. }
-        | Insn::FmaGather { dst, .. }
-        | Insn::Arith { dst, .. }
-        | Insn::ArithK { dst, .. }
-        | Insn::ArithKL { dst, .. }
-        | Insn::FmaIdx { dst, .. }
-        | Insn::Cmp { dst, .. }
-        | Insn::Neg { dst, .. }
-        | Insn::Not { dst, .. }
-        | Insn::Truthy { dst, .. } => f(dst),
-        Insn::IncCmpJump { var, .. } | Insn::IncJump { var, .. } => f(var),
-        Insn::WsNext { lb, ub, .. } => {
-            f(lb);
-            f(ub);
-        }
-        Insn::Call { dst, base, n, .. } | Insn::OmpCall { dst, base, n, .. } => {
-            for r in base..base + n {
-                f(r);
-            }
-            f(dst);
-        }
-        Insn::CallValue { dst, base, n, .. } => {
-            for r in base..base + n {
-                f(r);
-            }
-            f(dst);
-        }
-        Insn::Builtin { dst, .. } => f(dst),
-        Insn::CellSet { .. }
-        | Insn::StorePtr { .. }
-        | Insn::IndexSet { .. }
-        | Insn::IncElemK { .. }
-        | Insn::DerefIndexSet { .. }
-        | Insn::Jump { .. }
-        | Insn::JumpIfFalse { .. }
-        | Insn::JumpIfTrue { .. }
-        | Insn::CmpJumpFalse { .. }
-        | Insn::Print { .. }
-        | Insn::Trap { .. }
-        | Insn::BulkLoop { .. }
-        | Insn::TemplateLoop { .. }
-        | Insn::Ret { .. }
-        | Insn::RetVoid => {}
-    }
+    let mut insn = *insn;
+    insn.operands(|o| match o {
+        Operand::Def(r) | Operand::UseDef(r) => f(*r),
+        Operand::Args {
+            base,
+            n,
+            moved: true,
+        } => (*base..*base + n).for_each(&mut f),
+        _ => {}
+    });
 }
 
 /// Send every register operand of `insn`, read or written, through `f`.
 /// An argument block is renamed by its base alone, so a caller renames
 /// none of its registers but keeps the whole block in place.
 pub(crate) fn map_regs(insn: &mut Insn, mut f: impl FnMut(Reg) -> Reg) {
-    let mut m = |r: &mut Reg| *r = f(*r);
-    match insn {
-        Insn::Jump { .. }
-        | Insn::Trap { .. }
-        | Insn::BulkLoop { .. }
-        | Insn::TemplateLoop { .. }
-        | Insn::RetVoid => {}
-        Insn::Const { dst: x, .. }
-        | Insn::Ret { src: x }
-        | Insn::Print { base: x, .. }
-        | Insn::IncJump { var: x, .. }
-        | Insn::JumpIfFalse { cond: x, .. }
-        | Insn::JumpIfTrue { cond: x, .. } => m(x),
-        Insn::Move { dst: x, src: y }
-        | Insn::NewCell { dst: x, src: y }
-        | Insn::CellGet { dst: x, cell: y }
-        | Insn::CellSet { cell: x, src: y }
-        | Insn::Deref { dst: x, ptr: y }
-        | Insn::StorePtr { ptr: x, src: y }
-        | Insn::AddrDeref { dst: x, src: y }
-        | Insn::Neg { dst: x, src: y }
-        | Insn::Not { dst: x, src: y }
-        | Insn::Truthy { dst: x, src: y }
-        | Insn::CmpJumpFalse { a: x, b: y, .. }
-        | Insn::IncCmpJump {
-            var: x, limit: y, ..
+    insn.operands(|o| match o {
+        Operand::Use(r) | Operand::Def(r) | Operand::UseDef(r) | Operand::Args { base: r, .. } => {
+            *r = f(*r)
         }
-        | Insn::ArithK { dst: x, a: y, .. }
-        | Insn::ArithKL { dst: x, b: y, .. }
-        | Insn::IncElemK { arr: x, idx: y, .. }
-        | Insn::Call {
-            dst: x, base: y, ..
-        }
-        | Insn::OmpCall {
-            dst: x, base: y, ..
-        }
-        | Insn::Builtin {
-            dst: x, base: y, ..
-        } => {
-            m(x);
-            m(y);
-        }
-        Insn::ElemAddr {
-            dst: x,
-            arr: y,
-            idx: z,
-        }
-        | Insn::Index {
-            dst: x,
-            arr: y,
-            idx: z,
-        }
-        | Insn::IndexOff {
-            dst: x,
-            arr: y,
-            idx: z,
-            ..
-        }
-        | Insn::IndexSet {
-            arr: x,
-            idx: y,
-            src: z,
-        }
-        | Insn::Arith {
-            dst: x, a: y, b: z, ..
-        }
-        | Insn::Cmp {
-            dst: x, a: y, b: z, ..
-        }
-        | Insn::DerefIndex {
-            dst: x,
-            cell: y,
-            idx: z,
-        }
-        | Insn::DerefIndexOff {
-            dst: x,
-            cell: y,
-            idx: z,
-            ..
-        }
-        | Insn::DerefIndexSet {
-            cell: x,
-            idx: y,
-            src: z,
-        }
-        | Insn::WsNext {
-            ws: x,
-            lb: y,
-            ub: z,
-            ..
-        }
-        | Insn::CallValue {
-            dst: x,
-            callee: y,
-            base: z,
-            ..
-        } => {
-            m(x);
-            m(y);
-            m(z);
-        }
-        Insn::FmaIdx { dst, x, arr, idx } => {
-            m(dst);
-            m(x);
-            m(arr);
-            m(idx);
-        }
-        Insn::FmaGather {
-            dst,
-            xcell,
-            acell,
-            icell,
-            idx,
-        } => {
-            m(dst);
-            m(xcell);
-            m(acell);
-            m(icell);
-            m(idx);
-        }
-    }
+        Operand::Const(_) | Operand::Jump(_) => {}
+    });
 }
 
+/// The instruction's jump target, if it has one.
 pub(crate) fn jump_target(insn: &Insn) -> Option<u32> {
-    match *insn {
-        Insn::Jump { to }
-        | Insn::JumpIfFalse { to, .. }
-        | Insn::JumpIfTrue { to, .. }
-        | Insn::CmpJumpFalse { to, .. }
-        | Insn::IncCmpJump { to, .. }
-        | Insn::IncJump { to, .. }
-        | Insn::WsNext { exit: to, .. } => Some(to),
-        _ => None,
-    }
+    let (mut insn, mut to) = (*insn, None);
+    insn.operands(|o| {
+        if let Operand::Jump(t) = o {
+            to = Some(*t);
+        }
+    });
+    to
 }
 
 /// Rewrite an instruction's jump target through an old→new index map.
 pub(crate) fn retarget(insn: &mut Insn, map: &[u32]) {
-    match insn {
-        Insn::Jump { to }
-        | Insn::JumpIfFalse { to, .. }
-        | Insn::JumpIfTrue { to, .. }
-        | Insn::CmpJumpFalse { to, .. }
-        | Insn::IncCmpJump { to, .. }
-        | Insn::IncJump { to, .. }
-        | Insn::WsNext { exit: to, .. } => *to = map[*to as usize],
-        _ => {}
-    }
+    insn.operands(|o| {
+        if let Operand::Jump(t) = o {
+            *t = map[*t as usize];
+        }
+    });
 }
 
 /// Whether control can fall through to the next instruction.
@@ -497,96 +236,61 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
     }
     let n = f.code.len();
     for (pc, insn) in f.code.iter().enumerate() {
-        let mut reg_err: Option<Reg> = None;
-        let mut check = |r: Reg| {
-            if (r as usize) >= f.nregs && reg_err.is_none() {
-                reg_err = Some(r);
+        let (mut fault, mut copy) = (None, *insn);
+        copy.operands(|o| {
+            let ok = match &o {
+                Operand::Use(r) | Operand::Def(r) | Operand::UseDef(r) => (**r as usize) < f.nregs,
+                Operand::Args { base, n: an, .. } => **base as usize + *an as usize <= f.nregs,
+                Operand::Const(k) => (**k as usize) < f.consts.len(),
+                Operand::Jump(t) => (**t as usize) < n,
+            };
+            if !ok && fault.is_none() {
+                fault = Some(operand_fault(o, f.nregs));
             }
-        };
-        visit_uses(insn, &mut check);
-        visit_defs(insn, &mut check);
-        if let Some(r) = reg_err {
-            return bad(
-                pc,
-                format!("register r{r} out of range (nregs {})", f.nregs),
-            );
-        }
-        // Argument blocks: `base + n` must not overflow the frame.
-        if let Insn::Call { base, n: an, .. }
-        | Insn::CallValue { base, n: an, .. }
-        | Insn::OmpCall { base, n: an, .. }
-        | Insn::Builtin { base, n: an, .. }
-        | Insn::Print { base, n: an } = *insn
-        {
-            if base as usize + an as usize > f.nregs {
-                return bad(pc, format!("arg block r{base}..{an} beyond frame"));
-            }
-        }
-        let kcheck = |k: u16| (k as usize) < f.consts.len();
-        let kbad = match *insn {
-            Insn::Const { k, .. }
-            | Insn::ArithK { k, .. }
-            | Insn::ArithKL { k, .. }
-            | Insn::IncElemK { k, .. } => !kcheck(k),
-            Insn::Builtin { name_k, .. } => !kcheck(name_k),
-            Insn::Trap { msg } => !kcheck(msg),
-            _ => false,
-        };
-        if kbad {
-            return bad(pc, "constant index out of range".into());
+        });
+        if let Some(what) = fault {
+            return bad(pc, what);
         }
         if let Insn::Call { func, .. } = *insn {
             if func as usize >= nfuncs {
                 return bad(pc, format!("function index f{func} out of range"));
             }
         }
-        if let Some(t) = jump_target(insn) {
-            if t as usize >= n {
-                return bad(pc, format!("jump target {t} out of range"));
-            }
-        }
-        // BulkLoop carries its registers and exit pc in the kernel
+        // An installed loop carries its registers and exit pc in its
         // descriptor (the instruction itself reports no operands).
-        if let Insn::BulkLoop { kidx } = *insn {
-            let Some(desc) = f.kernels.get(kidx as usize) else {
-                return bad(pc, format!("kernel index {kidx} out of range"));
+        let mut regs = Vec::new();
+        let desc = match *insn {
+            Insn::BulkLoop { kidx } => Some((
+                "kernel",
+                kidx,
+                f.kernels.get(kidx as usize).map(|d| {
+                    d.visit_regs(|r| regs.push(r));
+                    d.exit
+                }),
+            )),
+            Insn::TemplateLoop { tidx } => Some((
+                "template",
+                tidx,
+                f.templates.get(tidx as usize).map(|d| {
+                    d.visit_regs(|r| regs.push(r));
+                    d.exit
+                }),
+            )),
+            _ => None,
+        };
+        if let Some((what, idx, exit)) = desc {
+            let Some(exit) = exit else {
+                return bad(pc, format!("{what} index {idx} out of range"));
             };
-            let mut reg_err = None;
-            desc.visit_regs(|r| {
-                if (r as usize) >= f.nregs && reg_err.is_none() {
-                    reg_err = Some(r);
-                }
-            });
-            if let Some(r) = reg_err {
+            if let Some(r) = regs.iter().find(|&&r| r as usize >= f.nregs) {
+                let nregs = f.nregs;
                 return bad(
                     pc,
-                    format!("kernel register r{r} out of range (nregs {})", f.nregs),
+                    format!("{what} register r{r} out of range (nregs {nregs})"),
                 );
             }
-            if desc.exit as usize >= n {
-                return bad(pc, format!("kernel exit pc {} out of range", desc.exit));
-            }
-        }
-        // TemplateLoop likewise carries its registers and exit pc in
-        // the template descriptor.
-        if let Insn::TemplateLoop { tidx } = *insn {
-            let Some(desc) = f.templates.get(tidx as usize) else {
-                return bad(pc, format!("template index {tidx} out of range"));
-            };
-            let mut reg_err = None;
-            desc.visit_regs(|r| {
-                if (r as usize) >= f.nregs && reg_err.is_none() {
-                    reg_err = Some(r);
-                }
-            });
-            if let Some(r) = reg_err {
-                return bad(
-                    pc,
-                    format!("template register r{r} out of range (nregs {})", f.nregs),
-                );
-            }
-            if desc.exit as usize >= n {
-                return bad(pc, format!("template exit pc {} out of range", desc.exit));
+            if exit as usize >= n {
+                return bad(pc, format!("{what} exit pc {exit} out of range"));
             }
         }
     }
@@ -594,6 +298,19 @@ pub fn verify_fn(f: &CompiledFn, nfuncs: usize) -> Result<(), String> {
         return bad(n - 1, "stream does not end in a terminator".into());
     }
     Ok(())
+}
+
+/// Why operand `o` fails [`verify_fn`] in a frame of `nregs`.
+#[cold]
+fn operand_fault(o: Operand<'_>, nregs: usize) -> String {
+    match o {
+        Operand::Use(r) | Operand::Def(r) | Operand::UseDef(r) => {
+            format!("register r{r} out of range (nregs {nregs})")
+        }
+        Operand::Args { base, n, .. } => format!("arg block r{base}..{n} beyond frame"),
+        Operand::Const(_) => "constant index out of range".to_string(),
+        Operand::Jump(t) => format!("jump target {t} out of range"),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -865,89 +582,16 @@ fn pool_const(consts: &mut Vec<Value>, v: &Value) -> Option<u16> {
     Some((consts.len() - 1) as u16)
 }
 
-/// Redirect an instruction's single-register *reads* through the copy
-/// map. Argument blocks are never rewritten (the callee moves them out of
-/// their slots), and in-place update registers (`IncCmpJump`/`IncJump`
-/// `var`, `FmaIdx` accumulator) stay put because they are also defs.
-fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
-    let mut changed = false;
-    let mut m = |r: &mut Reg| {
-        if let Some(&s) = copy_of.get(r) {
-            if s != *r {
-                *r = s;
-                changed = true;
-            }
+/// Redirect an instruction's `Use` registers through the copy map.
+/// Argument blocks are never rewritten (the callee moves them out of
+/// their slots), and registers updated in place stay put because they
+/// are also defs.
+fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) {
+    insn.operands(|o| {
+        if let Operand::Use(r) = o {
+            *r = copy_of.get(r).copied().unwrap_or(*r);
         }
-    };
-    match insn {
-        Insn::Move { src, .. }
-        | Insn::NewCell { src, .. }
-        | Insn::AddrDeref { src, .. }
-        | Insn::Neg { src, .. }
-        | Insn::Not { src, .. }
-        | Insn::Truthy { src, .. }
-        | Insn::Ret { src } => m(src),
-        Insn::CellGet { cell, .. } => m(cell),
-        Insn::CellSet { cell, src } => {
-            m(cell);
-            m(src);
-        }
-        Insn::Deref { ptr, .. } => m(ptr),
-        Insn::StorePtr { ptr, src } => {
-            m(ptr);
-            m(src);
-        }
-        Insn::ElemAddr { arr, idx, .. }
-        | Insn::Index { arr, idx, .. }
-        | Insn::IndexOff { arr, idx, .. }
-        | Insn::IncElemK { arr, idx, .. } => {
-            m(arr);
-            m(idx);
-        }
-        Insn::DerefIndex { cell, idx, .. } | Insn::DerefIndexOff { cell, idx, .. } => {
-            m(cell);
-            m(idx);
-        }
-        Insn::DerefIndexSet { cell, idx, src } => {
-            m(cell);
-            m(idx);
-            m(src);
-        }
-        Insn::FmaGather {
-            xcell,
-            acell,
-            icell,
-            idx,
-            ..
-        } => {
-            m(xcell);
-            m(acell);
-            m(icell);
-            m(idx);
-        }
-        Insn::IndexSet { arr, idx, src } => {
-            m(arr);
-            m(idx);
-            m(src);
-        }
-        Insn::Arith { a, b, .. } | Insn::Cmp { a, b, .. } | Insn::CmpJumpFalse { a, b, .. } => {
-            m(a);
-            m(b);
-        }
-        Insn::ArithK { a, .. } => m(a),
-        Insn::ArithKL { b, .. } => m(b),
-        Insn::FmaIdx { x, arr, idx, .. } => {
-            m(x);
-            m(arr);
-            m(idx);
-        }
-        Insn::JumpIfFalse { cond, .. } | Insn::JumpIfTrue { cond, .. } => m(cond),
-        Insn::IncCmpJump { limit, .. } => m(limit),
-        Insn::WsNext { ws, .. } => m(ws),
-        Insn::CallValue { callee, .. } => m(callee),
-        _ => {}
-    }
-    changed
+    });
 }
 
 /// If `insn` is a pure register-only scalar op, return it with `dst`
@@ -957,17 +601,25 @@ fn rewrite_uses(insn: &mut Insn, copy_of: &HashMap<Reg, Reg>) -> bool {
 /// too — if the first evaluation succeeded, an identical re-evaluation
 /// cannot fail.
 fn cse_key(insn: &Insn) -> Option<(Insn, Reg)> {
-    let mut key = *insn;
-    let dst = match &mut key {
-        Insn::Arith { dst, .. }
-        | Insn::ArithK { dst, .. }
-        | Insn::ArithKL { dst, .. }
-        | Insn::Cmp { dst, .. }
-        | Insn::Neg { dst, .. }
-        | Insn::Not { dst, .. }
-        | Insn::Truthy { dst, .. } => std::mem::replace(dst, 0),
-        _ => return None,
-    };
+    let pure = matches!(
+        insn,
+        Insn::Arith { .. }
+            | Insn::ArithK { .. }
+            | Insn::ArithKL { .. }
+            | Insn::Cmp { .. }
+            | Insn::Neg { .. }
+            | Insn::Not { .. }
+            | Insn::Truthy { .. }
+    );
+    if !pure {
+        return None;
+    }
+    let (mut key, mut dst) = (*insn, 0);
+    key.operands(|o| {
+        if let Operand::Def(d) = o {
+            dst = std::mem::take(d);
+        }
+    });
     Some((key, dst))
 }
 
@@ -1793,6 +1445,398 @@ mod tests {
             },
         );
         assert!(verify_fn(f, 1).is_err());
+    }
+
+    /// One instance of every `Insn` variant, its registers distinct.
+    fn every_variant() -> Vec<Insn> {
+        use crate::bytecode::{BuiltinOp, CmpOp, OmpFn};
+        let (op, cmp) = (ArithOp::Add, CmpOp::Lt);
+        vec![
+            Insn::Const { dst: 1, k: 0 },
+            Insn::Move { dst: 1, src: 2 },
+            Insn::NewCell { dst: 1, src: 2 },
+            Insn::CellGet { dst: 1, cell: 2 },
+            Insn::CellSet { cell: 1, src: 2 },
+            Insn::Deref { dst: 1, ptr: 2 },
+            Insn::StorePtr { ptr: 1, src: 2 },
+            Insn::ElemAddr {
+                dst: 1,
+                arr: 2,
+                idx: 3,
+            },
+            Insn::AddrDeref { dst: 1, src: 2 },
+            Insn::Index {
+                dst: 1,
+                arr: 2,
+                idx: 3,
+            },
+            Insn::IndexSet {
+                arr: 1,
+                idx: 2,
+                src: 3,
+            },
+            Insn::Arith {
+                op,
+                dst: 1,
+                a: 2,
+                b: 3,
+            },
+            Insn::Cmp {
+                op: cmp,
+                dst: 1,
+                a: 2,
+                b: 3,
+            },
+            Insn::Neg { dst: 1, src: 2 },
+            Insn::Not { dst: 1, src: 2 },
+            Insn::Truthy { dst: 1, src: 2 },
+            Insn::Jump { to: 0 },
+            Insn::JumpIfFalse { cond: 1, to: 0 },
+            Insn::JumpIfTrue { cond: 1, to: 0 },
+            Insn::CmpJumpFalse {
+                op: cmp,
+                a: 1,
+                b: 2,
+                to: 0,
+            },
+            Insn::IncCmpJump {
+                var: 1,
+                step: 1,
+                limit: 2,
+                op: cmp,
+                to: 0,
+            },
+            Insn::ArithK {
+                op,
+                dst: 1,
+                a: 2,
+                k: 0,
+            },
+            Insn::ArithKL {
+                op,
+                dst: 1,
+                k: 0,
+                b: 2,
+            },
+            Insn::IncElemK {
+                op,
+                arr: 1,
+                idx: 2,
+                k: 0,
+            },
+            Insn::FmaIdx {
+                dst: 1,
+                x: 2,
+                arr: 3,
+                idx: 4,
+            },
+            Insn::IndexOff {
+                dst: 1,
+                arr: 2,
+                idx: 3,
+                off: 1,
+            },
+            Insn::IncJump {
+                var: 1,
+                step: 1,
+                to: 0,
+            },
+            Insn::DerefIndex {
+                dst: 1,
+                cell: 2,
+                idx: 3,
+            },
+            Insn::DerefIndexOff {
+                dst: 1,
+                cell: 2,
+                idx: 3,
+                off: -1,
+            },
+            Insn::DerefIndexSet {
+                cell: 1,
+                idx: 2,
+                src: 3,
+            },
+            Insn::FmaGather {
+                dst: 1,
+                xcell: 2,
+                acell: 3,
+                icell: 4,
+                idx: 5,
+            },
+            Insn::Call {
+                dst: 1,
+                func: 0,
+                base: 2,
+                n: 2,
+            },
+            Insn::CallValue {
+                dst: 1,
+                callee: 2,
+                base: 3,
+                n: 2,
+            },
+            Insn::OmpCall {
+                dst: 1,
+                func: OmpFn::Barrier,
+                base: 2,
+                n: 2,
+            },
+            Insn::WsNext {
+                ws: 1,
+                lb: 2,
+                ub: 3,
+                exit: 0,
+            },
+            Insn::Builtin {
+                dst: 1,
+                op: BuiltinOp::Max,
+                name_k: 0,
+                base: 2,
+                n: 2,
+            },
+            Insn::Print { base: 1, n: 2 },
+            Insn::BulkLoop { kidx: 0 },
+            Insn::TemplateLoop { tidx: 0 },
+            Insn::Trap { msg: 0 },
+            Insn::Ret { src: 1 },
+            Insn::RetVoid,
+        ]
+    }
+
+    /// Every register an instruction names, read or written.
+    fn regs_of(insn: &Insn) -> std::collections::BTreeSet<Reg> {
+        let mut regs = std::collections::BTreeSet::new();
+        visit_uses(insn, |r| {
+            regs.insert(r);
+        });
+        visit_defs(insn, |r| {
+            regs.insert(r);
+        });
+        regs
+    }
+
+    /// `insn` alone in a frame of `nregs`, with one constant and one
+    /// function to name.
+    fn verify_alone(insn: Insn, nregs: usize) -> Result<(), String> {
+        let f = CompiledFn {
+            name: "one".to_string(),
+            nparams: 0,
+            nregs,
+            code: vec![insn, Insn::RetVoid],
+            consts: vec![Value::Int(0)],
+            locals: Vec::new(),
+            kernels: Vec::new(),
+            templates: Vec::new(),
+            lcg: false,
+        };
+        verify_fn(&f, 1)
+    }
+
+    /// The operand roles, variant by variant: renaming moves exactly the
+    /// registers the use and def readers report (an argument block by its
+    /// base) and nothing else, and `verify_fn` wants a frame that holds
+    /// every one of them.
+    #[test]
+    fn every_variant_renames_and_verifies_the_registers_it_names() {
+        let all = every_variant();
+        let kinds: std::collections::HashSet<_> = all.iter().map(std::mem::discriminant).collect();
+        assert_eq!((all.len(), kinds.len()), (42, 42));
+        for insn in all {
+            let regs = regs_of(&insn);
+            let mut moved = insn;
+            map_regs(&mut moved, |r| r + 10);
+            let want: std::collections::BTreeSet<Reg> = regs.iter().map(|r| r + 10).collect();
+            assert_eq!(regs_of(&moved), want, "{insn:?}");
+            assert_eq!(jump_target(&moved), jump_target(&insn), "{insn:?}");
+            let Some(&top) = regs.last() else {
+                assert_eq!(moved, insn);
+                continue;
+            };
+            let need = top as usize + 1;
+            assert_eq!(verify_alone(moved, need + 10), Ok(()), "{moved:?}");
+            assert_eq!(verify_alone(insn, need), Ok(()), "{insn:?}");
+            assert!(verify_alone(insn, need - 1).is_err(), "{insn:?}");
+        }
+    }
+
+    /// The roles the readers single out: a call's argument block is
+    /// written (the callee moves it), a builtin's or a print's is not, and
+    /// copy propagation rewrites neither a block nor a register the
+    /// instruction updates in place.
+    #[test]
+    fn argument_blocks_and_in_place_registers_keep_their_roles() {
+        let defs = |insn: Insn| {
+            let mut out = Vec::new();
+            visit_defs(&insn, |r| out.push(r));
+            out.sort();
+            out
+        };
+        let (op, func) = (crate::bytecode::CmpOp::Lt, crate::bytecode::OmpFn::Barrier);
+        let (base, n) = (2, 2);
+        assert_eq!(
+            defs(Insn::Call {
+                dst: 1,
+                func: 0,
+                base,
+                n
+            }),
+            [1, 2, 3]
+        );
+        assert_eq!(
+            defs(Insn::CallValue {
+                dst: 1,
+                callee: 4,
+                base,
+                n
+            }),
+            [1, 2, 3]
+        );
+        assert_eq!(
+            defs(Insn::OmpCall {
+                dst: 1,
+                func,
+                base,
+                n
+            }),
+            [1, 2, 3]
+        );
+        let builtin = Insn::Builtin {
+            dst: 1,
+            op: crate::bytecode::BuiltinOp::Max,
+            name_k: 0,
+            base,
+            n,
+        };
+        assert_eq!(defs(builtin), [1]);
+        assert_eq!(defs(Insn::Print { base, n }), []);
+
+        let copy_of: HashMap<Reg, Reg> = (0..10).map(|r| (r, r + 20)).collect();
+        let rewritten = |mut insn: Insn| {
+            rewrite_uses(&mut insn, &copy_of);
+            insn
+        };
+        let cases = [
+            (
+                Insn::IncCmpJump {
+                    var: 1,
+                    step: 1,
+                    limit: 2,
+                    op,
+                    to: 0,
+                },
+                Insn::IncCmpJump {
+                    var: 1,
+                    step: 1,
+                    limit: 22,
+                    op,
+                    to: 0,
+                },
+            ),
+            (
+                Insn::IncJump {
+                    var: 1,
+                    step: 1,
+                    to: 0,
+                },
+                Insn::IncJump {
+                    var: 1,
+                    step: 1,
+                    to: 0,
+                },
+            ),
+            (
+                Insn::FmaIdx {
+                    dst: 1,
+                    x: 2,
+                    arr: 3,
+                    idx: 4,
+                },
+                Insn::FmaIdx {
+                    dst: 1,
+                    x: 22,
+                    arr: 23,
+                    idx: 24,
+                },
+            ),
+            (
+                Insn::FmaGather {
+                    dst: 1,
+                    xcell: 2,
+                    acell: 3,
+                    icell: 4,
+                    idx: 5,
+                },
+                Insn::FmaGather {
+                    dst: 1,
+                    xcell: 22,
+                    acell: 23,
+                    icell: 24,
+                    idx: 25,
+                },
+            ),
+            (
+                Insn::WsNext {
+                    ws: 1,
+                    lb: 2,
+                    ub: 3,
+                    exit: 0,
+                },
+                Insn::WsNext {
+                    ws: 21,
+                    lb: 2,
+                    ub: 3,
+                    exit: 0,
+                },
+            ),
+            (
+                Insn::Call {
+                    dst: 1,
+                    func: 0,
+                    base,
+                    n,
+                },
+                Insn::Call {
+                    dst: 1,
+                    func: 0,
+                    base,
+                    n,
+                },
+            ),
+            (
+                Insn::CallValue {
+                    dst: 1,
+                    callee: 4,
+                    base,
+                    n,
+                },
+                Insn::CallValue {
+                    dst: 1,
+                    callee: 24,
+                    base,
+                    n,
+                },
+            ),
+            (
+                Insn::OmpCall {
+                    dst: 1,
+                    func,
+                    base,
+                    n,
+                },
+                Insn::OmpCall {
+                    dst: 1,
+                    func,
+                    base,
+                    n,
+                },
+            ),
+            (builtin, builtin),
+            (Insn::Print { base, n }, Insn::Print { base, n }),
+        ];
+        for (insn, want) in cases {
+            assert_eq!(rewritten(insn), want, "{insn:?}");
+        }
     }
 
     /// Liveness rows two words wide (`nregs` 80): the dead `Const` into

@@ -202,3 +202,64 @@ fn json_outputs_parse_end_to_end() {
     assert!(times.get("verify_us").and_then(Json::as_f64).is_some());
     assert!(times.get("total_us").and_then(Json::as_f64).is_some());
 }
+
+/// Three generated programs, each one function past an operand limit of
+/// the bytecode: 70 000 distinct constants in one pool, a call of the
+/// 65 600th function, 66 000 locals in one frame. The walker runs each;
+/// `--opt=0` and `--opt=3` must print what it prints or refuse the
+/// program with a diagnostic naming the function and the limit (exit 1),
+/// never print another value or panic.
+#[test]
+fn programs_past_an_operand_limit_run_or_are_refused() {
+    let consts: String = (0..70_000)
+        .map(|i| format!("    s = s + {};\n", 1_000_000 + i))
+        .collect();
+    let mut funcs: String = (0..65_600)
+        .map(|i| format!("fn f{i}() i64 {{ return {i}; }}\n"))
+        .collect();
+    funcs.push_str("fn main() void { print(f65599()); }\n");
+    let locals: String = (0..66_000)
+        .map(|i| format!("    var x{i}: i64 = {};\n", i % 7))
+        .collect();
+    let cases = [
+        (
+            "consts",
+            format!("fn main() void {{\n    var s: i64 = 0;\n{consts}    print(s);\n}}\n"),
+            "72449965000",
+            "fn `main` needs more than 65536 constants",
+        ),
+        (
+            "funcs",
+            funcs,
+            "65599",
+            "fn `main` calls fn `f65599`, past the first 65536 functions",
+        ),
+        (
+            "locals",
+            format!("fn main() void {{\n{locals}    print(x65999);\n}}\n"),
+            "3",
+            "fn `main` needs more than 65535 registers",
+        ),
+    ];
+    for (name, src, want, refusal) in cases {
+        let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("limit_{name}.zag"));
+        std::fs::write(&path, src).expect("write the program");
+        let path = path.to_str().unwrap();
+        let walker = zag(&["--backend=ast", path]);
+        let stdout = String::from_utf8_lossy(&walker.stdout);
+        assert!(walker.status.success(), "{name} on the walker: {walker:?}");
+        assert_eq!(stdout.trim(), want, "{name} on the walker");
+        for opt in ["--opt=0", "--opt=3"] {
+            let out = zag(&[opt, path]);
+            let (stdout, stderr) = (
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr),
+            );
+            match out.status.code() {
+                Some(0) => assert_eq!(stdout.trim(), want, "{name} at {opt}"),
+                Some(1) => assert!(stderr.contains(refusal), "{name} at {opt}: {stderr}"),
+                _ => panic!("{name} at {opt}: {:?}\n{stderr}", out.status),
+            }
+        }
+    }
+}

@@ -363,6 +363,28 @@ mod tests {
         assert!(diags[0].get("message").is_some());
     }
 
+    /// A call of a function past the first 65 536 cannot be encoded: the
+    /// service refuses the program, at both levels, rather than run a call
+    /// of the wrong function.
+    #[test]
+    fn call_past_the_function_limit_is_a_422() {
+        let mut src: String = (0..65_600)
+            .map(|i| format!("fn f{i}() i64 {{ return {i}; }}\n"))
+            .collect();
+        src.push_str("fn main() void { print(f65599()); }\n");
+        for opt in [0, 3] {
+            let req = obj([("source", Json::Str(src.clone())), ("opt", Json::Int(opt))]);
+            let out = execute(&ProgramCache::new(8), &RunRequest::from_json(&req).unwrap());
+            assert_eq!(out.status, 422, "opt {opt}: {}", out.body.render());
+            let diags = out.body.get("diagnostics").unwrap().as_arr().unwrap();
+            let message = diags[0].get("message").unwrap().as_str().unwrap();
+            assert!(
+                message.contains("f65599") && message.contains("65536"),
+                "{message}"
+            );
+        }
+    }
+
     #[test]
     fn runtime_error_reports_500_with_output_so_far() {
         let out = run_body(
