@@ -71,7 +71,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// `a op b`. On floats an ordering against NaN is false and `!=` true,
     /// the walker's `partial_cmp` behaviour.
-    #[inline]
+    #[inline(always)]
     pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
         match self {
             CmpOp::Lt => a < b,

@@ -206,10 +206,11 @@ pub(crate) fn leaders(code: &[Insn]) -> Vec<bool> {
         *first = true;
     }
     for (i, insn) in code.iter().enumerate() {
-        if let Some(t) = jump_target(insn) {
+        let to = jump_target(insn);
+        if let Some(t) = to {
             l[t as usize] = true;
         }
-        let ends_block = jump_target(insn).is_some() || !falls_through(insn);
+        let ends_block = to.is_some() || !falls_through(insn);
         if ends_block && i + 1 < code.len() {
             l[i + 1] = true;
         }
