@@ -20,9 +20,9 @@
 //!    error the AST oracle produces — same message, same index —
 //!    for both the fill kernel and the pairs template.
 //! 3. **Leapfrog exactness.** On integer seeds and multipliers in
-//!    `[0, 2^46)` the fill kernel runs `LCG_STREAMS` jump-ahead streams
-//!    instead of one; DESIGN argues that every intermediate is then an
-//!    exact integer, and `one_fill` checks it: the same one-claim
+//!    `[0, 2^46)` the fill kernel runs jump-ahead streams instead of
+//!    one (`LCG_WIDE_STREAMS` at AVX2 width, `LCG_STREAMS` otherwise);
+//!    DESIGN argues that every intermediate is then an exact integer, and `one_fill` checks it: the same one-claim
 //!    program through the kernel, through `--opt=0` and through the
 //!    tree-walker (both of which call the interpreted `randlc` once per
 //!    element) must agree on every deviate, the final seed cell and —
@@ -41,7 +41,7 @@
 use std::sync::Arc;
 
 use npb::randlc::randlc;
-use zomp_vm::kernels::LCG_STREAMS;
+use zomp_vm::kernels::{LCG_STREAMS, LCG_WIDE_STREAMS};
 use zomp_vm::value::{ArrF, Value};
 use zomp_vm::{Backend, OptLevel, Vm};
 
@@ -669,13 +669,16 @@ impl Cases {
         }
     }
     /// Lengths around the group size (`0..=3N+1`: no group, the
-    /// two-group minimum, every tail) four times in five, `2^k ± 1`
-    /// up to 513 otherwise.
+    /// two-group minimum, every tail) three times in five; around two,
+    /// three and four groups of the AVX2 width (the 8-stream/32-stream
+    /// boundary and the wide tail) one time in five; `2^k ± 1` up to
+    /// 513 otherwise.
     fn len(&mut self) -> i64 {
-        if self.below(5) > 0 {
-            self.below(3 * N as u64 + 2) as i64
-        } else {
-            (1i64 << (1 + self.below(9))) + self.below(3) as i64 - 1
+        let w = LCG_WIDE_STREAMS as i64;
+        match self.below(5) {
+            0 => (1i64 << (1 + self.below(9))) + self.below(3) as i64 - 1,
+            1 => (2 + self.below(3) as i64) * w + self.below(3) as i64 - 1,
+            _ => self.below(3 * N as u64 + 2) as i64,
         }
     }
 }
@@ -689,7 +692,7 @@ fn leapfrog_matches_per_element_oracles_on_exact_inputs() {
     let _g = serial();
     let tiers = Tiers::new();
     let mut cases = Cases(0x5EED_2022_1CE5);
-    let mut leapfrogged = 0;
+    let (mut leapfrogged, mut wide) = (0, 0);
     for _ in 0..10_000 {
         let (seed, mult) = (cases.exact(), cases.exact());
         let (lo, len) = (cases.below(4) as i64, cases.len());
@@ -697,10 +700,15 @@ fn leapfrog_matches_per_element_oracles_on_exact_inputs() {
         let got = tiers.one_fill(seed, mult, lo, len, (lo + len + 1) as usize + slack);
         assert!(got.result.is_ok(), "in bounds: {:?}", got.result);
         leapfrogged += (len >= 2 * N) as usize;
+        wide += (len >= 2 * LCG_WIDE_STREAMS as i64) as usize;
     }
     assert!(
         leapfrogged > 2_000,
         "only {leapfrogged} cases were long enough to leapfrog"
+    );
+    assert!(
+        wide > 1_500,
+        "only {wide} cases were long enough for the AVX2 width"
     );
 }
 

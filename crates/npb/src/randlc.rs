@@ -32,8 +32,7 @@ pub const DEFAULT_MULT: f64 = 1_220_703_125.0;
 /// `x / 2^46 ∈ (0, 1)`. Port of `randlc(x, a)`.
 #[inline]
 pub fn randlc(x: &mut f64, a: f64) -> f64 {
-    let (a1, a2) = split(a);
-    step(x, a1, a2)
+    step(int, x, split(int, a))
 }
 
 /// Fortran's `int()` on a double: truncation toward zero through the
@@ -46,29 +45,32 @@ fn int(v: f64) -> f64 {
     (v as i64) as f64
 }
 
-/// Break A into two parts such that A = 2^23 * A1 + A2.
-#[inline]
-fn split(a: f64) -> (f64, f64) {
-    let t1 = R23 * a;
-    let a1 = int(t1);
+/// Break A into two parts such that A = 2^23 * A1 + A2, truncating
+/// with `tr` (see [`step`]).
+#[inline(always)]
+fn split(tr: impl Fn(f64) -> f64, a: f64) -> (f64, f64) {
+    let a1 = tr(R23 * a);
     (a1, a - T23 * a1)
 }
 
 /// The part of `randlc` that depends on the seed: a fill hoists
-/// [`split`] of its loop-invariant multiplier out of the loop.
-#[inline]
-fn step(x: &mut f64, a1: f64, a2: f64) -> f64 {
+/// [`split`] of its loop-invariant multiplier out of the loop. `tr` is
+/// the truncation: [`int`], or `f64::trunc` where that is one
+/// instruction ([`leapfrog_avx2`]); the two differ only in the sign of
+/// a zero, which no step result carries.
+#[inline(always)]
+fn step(tr: impl Fn(f64) -> f64, x: &mut f64, (a1, a2): (f64, f64)) -> f64 {
     // Break X into two parts such that X = 2^23 * X1 + X2, compute
     // Z = A1 * X2 + A2 * X1 (mod 2^23), and then
     // X = 2^23 * Z + A2 * X2 (mod 2^46).
     let t1 = R23 * *x;
-    let x1 = int(t1);
+    let x1 = tr(t1);
     let x2 = *x - T23 * x1;
     let t1 = a1 * x2 + a2 * x1;
-    let t2 = int(R23 * t1);
+    let t2 = tr(R23 * t1);
     let z = t1 - T23 * t2;
     let t3 = T23 * z + a2 * x2;
-    let t4 = int(R46 * t3);
+    let t4 = tr(R46 * t3);
     *x = t3 - T46 * t4;
     R46 * *x
 }
@@ -76,12 +78,13 @@ fn step(x: &mut f64, a1: f64, a2: f64) -> f64 {
 /// Fill `y` with successive deviates; port of `vranlc(n, x, a, y)`.
 ///
 /// One `randlc` step waits for the previous one through ~10 dependent
-/// multiplies, so a long fill of an exact stream runs as
-/// [`STREAMS`] independent jump-ahead streams ([`leapfrog`]); the bits
-/// are those of the per-element loop, which every other fill still is.
+/// multiplies, so a long fill of an exact stream runs as independent
+/// jump-ahead streams ([`leapfrog`]); the bits are those of the
+/// per-element loop, which every other fill still is.
 pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
     let tail = if y.len() >= 2 * STREAMS && is_exact(*x) && is_exact(a) {
-        leapfrog(x, a, y)
+        let filled = leapfrog_best(x, a, y);
+        &mut y[filled..]
     } else {
         y
     };
@@ -90,9 +93,12 @@ pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
     }
 }
 
-/// Streams [`leapfrog`] advances per trip (8 measured fastest; see
-/// `zomp_vm::kernels::LCG_STREAMS`, which runs the same scheme).
+/// Streams [`leapfrog`] advances per trip without AVX2, and with it
+/// (`WIDE_STREAMS`): `zomp_vm::kernels::LCG_STREAMS` and
+/// `LCG_WIDE_STREAMS`, which run the same scheme.
 const STREAMS: usize = 8;
+#[cfg(target_arch = "x86_64")]
+const WIDE_STREAMS: usize = 32;
 
 /// An integer-valued double in `[0, 2^46)`. For such a seed and
 /// multiplier every intermediate of [`randlc`] is an integer below
@@ -102,33 +108,65 @@ fn is_exact(v: f64) -> bool {
     (0.0..T46).contains(&v) && int(v) == v
 }
 
-/// Fill all whole groups of [`STREAMS`] elements of `y` (at least one)
-/// and return the rest. Requires [`is_exact`] of `*x` and `a`: then
-/// stream `k`, seeded
-/// with the state `k + 1` steps past `*x` and stepping by
-/// `a^STREAMS mod 2^46`, visits exactly the states `k + 1 + j * STREAMS`
-/// of the sequential stream.
-fn leapfrog<'y>(x: &mut f64, a: f64, y: &'y mut [f64]) -> &'y mut [f64] {
-    let (a1, a2) = split(a);
-    let mut an = a;
-    for _ in 1..STREAMS {
-        step(&mut an, a1, a2);
+/// Fill all whole groups of streams of `y` (at least two) and return
+/// how many elements that is: `WIDE_STREAMS` streams where the host has
+/// AVX2 and `y` holds two groups of them, [`STREAMS`] otherwise.
+/// Requires [`is_exact`] of `*x` and `a`.
+fn leapfrog_best(x: &mut f64, a: f64, y: &mut [f64]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if y.len() >= 2 * WIDE_STREAMS && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host has AVX2.
+        return unsafe { leapfrog_avx2(x, a, y) };
     }
-    let (an1, an2) = split(an);
-    let mut s = [0.0f64; STREAMS];
-    let (first, rest) = y.split_at_mut(STREAMS);
-    let mut groups = rest.chunks_exact_mut(STREAMS);
-    for (slot, sk) in first.iter_mut().zip(&mut s) {
-        *slot = step(x, a1, a2);
-        *sk = *x;
-    }
-    for group in groups.by_ref() {
-        for (slot, sk) in group.iter_mut().zip(&mut s) {
-            *slot = step(sk, an1, an2);
+    leapfrog::<STREAMS>(int, x, a, y)
+}
+
+/// [`leapfrog`] at AVX2 width; call it only where the host has AVX2.
+/// Its truncations are `f64::trunc` (one `vroundpd` here; baseline
+/// x86-64 has no truncation instruction). No FMA: each step stays
+/// `randlc`'s separate multiplies and adds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn leapfrog_avx2(x: &mut f64, a: f64, y: &mut [f64]) -> usize {
+    leapfrog::<WIDE_STREAMS>(f64::trunc, x, a, y)
+}
+
+/// `N` streams: stream `k`, seeded with the state `k + 1` steps past
+/// `*x` and stepping by `a^N mod 2^46`, visits exactly the states
+/// `k + 1 + j * N` of the sequential stream. The powers
+/// `p[k] = a^(k+1)` come by doubling, `p[len + k] = p[len − 1] ⊗ p[k]`,
+/// in log2 N rounds of independent steps; the first trip steps each
+/// `p[k]` by `*x`. Exact steps are `m * x mod 2^46`, associative and
+/// commutative, so the grouping does not change a bit.
+#[inline(always)]
+fn leapfrog<const N: usize>(
+    tr: impl Fn(f64) -> f64 + Copy,
+    x: &mut f64,
+    a: f64,
+    y: &mut [f64],
+) -> usize {
+    let mut p = [a; N];
+    let mut len = 1;
+    while len < N {
+        let m = split(tr, p[len - 1]);
+        for k in 0..len.min(N - len) {
+            let mut s = p[k];
+            step(tr, &mut s, m);
+            p[len + k] = s;
         }
+        len *= 2;
     }
-    *x = s[STREAMS - 1];
-    groups.into_remainder()
+    let leap = split(tr, p[N - 1]);
+    let mut m = split(tr, *x);
+    let filled = y.len() / N * N;
+    for group in y[..filled].chunks_exact_mut(N) {
+        for (slot, s) in group.iter_mut().zip(&mut p) {
+            *slot = step(tr, s, m);
+        }
+        m = leap;
+    }
+    *x = p[N - 1];
+    filled
 }
 
 /// Compute `a^n (mod 2^46)` in LCG space by binary exponentiation — the
@@ -238,7 +276,10 @@ mod tests {
         // fractional, negative, 2^46 and NaN operands take the
         // per-element loop, and must match it like the exact ones.
         let seeds = [DEFAULT_SEED, 0.0, 1.0, T46 - 1.0, 0.5, -3.0, T46, f64::NAN];
-        for len in (0..=3 * STREAMS + 1).chain([63, 64, 65, 1023]) {
+        // Around two, three and four groups of the AVX2 width too: the
+        // 8-stream/32-stream boundary and the wide tail.
+        let wide = [62, 63, 64, 65, 66, 95, 96, 97, 127, 128, 129, 1023];
+        for len in (0..=3 * STREAMS + 1).chain(wide) {
             for seed in seeds {
                 for mult in [DEFAULT_MULT, T23, T46 - 1.0, 1.5, f64::INFINITY] {
                     let (mut x1, mut x2) = (seed, seed);

@@ -38,6 +38,7 @@
 
 use crate::bytecode::{ArithOp, BuiltinOp, CmpOp, CompiledFn, Image, Insn, OmpFn, Reg};
 use crate::value::{ArrF, ArrI, Value};
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -195,9 +196,9 @@ impl KernelKind {
     /// the fast side is in the compiler's own output.
     pub fn note(&self) -> Option<String> {
         match self {
-            KernelKind::LcgFill { .. } => Some(format!(
-                "{LCG_STREAMS} exact streams when seed and multiplier are integers in [0, 2^46)"
-            )),
+            KernelKind::LcgFill { .. } => {
+                Some("jump-ahead streams when seed and multiplier are integers in [0, 2^46)".into())
+            }
             _ => None,
         }
     }
@@ -1561,17 +1562,20 @@ const T46: f64 = T23 * T23;
 /// One NPB 46-bit LCG step, dataflow-identical to the verified callee
 /// (see [`lcg_canonical`]): every multiply and subtract below is a node
 /// of that DAG, so the result and the updated seed match the
-/// interpreted `randlc` call bit for bit. `a1`/`a2` only depend on the
-/// loop-invariant multiplier; the caller hoists them out of the batch.
+/// interpreted `randlc` call bit for bit. `(a1, a2)` only depend on the
+/// loop-invariant multiplier ([`lcg_split`]); the caller hoists them out
+/// of the batch. `tr` is the truncation: [`npb_trunc`], or `f64::trunc`
+/// where that is one instruction ([`lcg_leapfrog`]); the two differ only
+/// in the sign of a zero, which no step result carries.
 #[inline(always)]
-fn lcg_step(x: &mut f64, a1: f64, a2: f64) -> f64 {
-    let x1 = npb_trunc(R23 * *x);
+fn lcg_step(tr: impl Fn(f64) -> f64, x: &mut f64, (a1, a2): (f64, f64)) -> f64 {
+    let x1 = tr(R23 * *x);
     let x2 = *x - T23 * x1;
     let t1 = a1 * x2 + a2 * x1;
-    let t2 = npb_trunc(R23 * t1);
+    let t2 = tr(R23 * t1);
     let z = t1 - T23 * t2;
     let t3 = T23 * z + a2 * x2;
-    let t4 = npb_trunc(R46 * t3);
+    let t4 = tr(R46 * t3);
     *x = t3 - T46 * t4;
     R46 * *x
 }
@@ -1579,8 +1583,8 @@ fn lcg_step(x: &mut f64, a1: f64, a2: f64) -> f64 {
 /// The 23-bit halves `(a1, a2)` of a multiplier, `a = 2^23·a1 + a2`, as
 /// the callee computes them on every call.
 #[inline(always)]
-fn lcg_split(a: f64) -> (f64, f64) {
-    let a1 = npb_trunc(R23 * a);
+fn lcg_split(tr: impl Fn(f64) -> f64, a: f64) -> (f64, f64) {
+    let a1 = tr(R23 * a);
     (a1, a - T23 * a1)
 }
 
@@ -1596,19 +1600,24 @@ pub(crate) fn lcg_call(args: &mut [Value]) -> Option<f64> {
     let Value::Float(x) = &mut *seed else {
         return None;
     };
-    let (a1, a2) = lcg_split(*a);
-    let r = lcg_step(x, a1, a2);
+    let r = lcg_step(npb_trunc, x, lcg_split(npb_trunc, *a));
     drop(seed);
     args.fill(Value::Undefined);
     Some(r)
 }
 
-/// Independent jump-ahead streams [`run_lcg_fill`] advances per trip on
-/// exact inputs. Chosen by measurement, the benchmark's `ep` op (2^18
-/// deviates in claims of 2^15, the acceptance tail included, when a
-/// kernel ran it): 1 stream 10.1 ms,
+/// Independent jump-ahead streams [`lcg_leapfrog`] advances per trip on
+/// exact inputs without AVX2. Chosen by measurement, the benchmark's `ep`
+/// op (2^18 deviates in claims of 2^15, the acceptance tail included,
+/// when a kernel ran it): 1 stream 10.1 ms,
 /// 4 streams 4.3 ms, 8 streams 3.9 ms, 16 streams 4.0 ms.
 pub const LCG_STREAMS: usize = 8;
+
+/// The streams at AVX2 width: four to a register, eight registers in
+/// flight. A standalone fill of 2^16 deviates in claims of 512 (2-vCPU
+/// Xeon @ 2.1 GHz), ns per deviate: 8 scalar streams 7.1–7.4, 32 scalar
+/// 8.4–8.7; AVX2 8 streams 3.5–3.7, 16 2.0, 32 1.3, 64 1.4.
+pub const LCG_WIDE_STREAMS: usize = 32;
 
 /// The exactness precondition of the leapfrog: an integer-valued double
 /// in `[0, 2^46)` (`NaN` fails the first comparison). For such a seed
@@ -1620,6 +1629,72 @@ pub const LCG_STREAMS: usize = 8;
 #[inline]
 fn lcg_exact(v: f64) -> bool {
     (0.0..T46).contains(&v) && npb_trunc(v) == v
+}
+
+/// Fill the whole groups of streams in `out` (at least two) with the
+/// deviates that follow the state `t`, leave `t` at the last of them,
+/// and return how many cells were filled. Requires [`lcg_exact`] of `t`
+/// and `a`. Runs [`LCG_WIDE_STREAMS`] streams where the host has AVX2
+/// and `out` holds two groups of them, [`LCG_STREAMS`] otherwise.
+fn lcg_leapfrog(t: &mut f64, a: f64, out: &[UnsafeCell<f64>]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if out.len() >= 2 * LCG_WIDE_STREAMS && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host has AVX2.
+        return unsafe { leapfrog_avx2(t, a, out) };
+    }
+    leapfrog::<LCG_STREAMS>(npb_trunc, t, a, out)
+}
+
+/// [`leapfrog`] at AVX2 width; call it only where the host has AVX2.
+/// Its truncations are `f64::trunc`, one `vroundpd` here; baseline
+/// x86-64 has no truncation instruction, so the portable path keeps
+/// [`npb_trunc`]. No FMA: each step stays the callee's DAG node for
+/// node.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn leapfrog_avx2(t: &mut f64, a: f64, out: &[UnsafeCell<f64>]) -> usize {
+    leapfrog::<LCG_WIDE_STREAMS>(f64::trunc, t, a, out)
+}
+
+/// `N` independent streams: stream `k` starts at the state `k + 1` steps
+/// past `t` and steps by `a^N mod 2^46`, so the steps of one trip share
+/// nothing and the ~80-cycle latency of one step overlaps N-fold. The
+/// powers `p[k] = a^(k+1)` come by doubling, `p[len + k] = p[len − 1] ⊗
+/// p[k]`: log2 N rounds of independent steps, not N − 1 serial ones.
+/// The first trip steps each `p[k]` by `t`. By [`lcg_exact`] every step
+/// here is `m·x mod 2^46`, associative and commutative, so any grouping
+/// lands on the sequential states bit for bit.
+#[inline(always)]
+fn leapfrog<const N: usize>(
+    tr: impl Fn(f64) -> f64 + Copy,
+    t: &mut f64,
+    a: f64,
+    out: &[UnsafeCell<f64>],
+) -> usize {
+    let mut p = [a; N];
+    let mut len = 1;
+    while len < N {
+        let m = lcg_split(tr, p[len - 1]);
+        for k in 0..len.min(N - len) {
+            let mut x = p[k];
+            lcg_step(tr, &mut x, m);
+            p[len + k] = x;
+        }
+        len *= 2;
+    }
+    let leap = lcg_split(tr, p[N - 1]);
+    let mut m = lcg_split(tr, *t);
+    let filled = out.len() / N * N;
+    for group in out[..filled].chunks_exact(N) {
+        for (cell, s) in group.iter().zip(&mut p) {
+            // SAFETY: OpenMP no-data-race contract for the elements, as
+            // for the per-element store of [`run_lcg_fill`].
+            unsafe { *cell.get() = lcg_step(tr, s, m) };
+        }
+        m = leap;
+    }
+    *t = p[N - 1];
+    filled
 }
 
 fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Bail> {
@@ -1656,49 +1731,19 @@ fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Ba
     // Seed-invariant halves of the multiplier, hoisted: the callee
     // recomputes them per call from the same `a`, so the values are
     // identical every iteration.
-    let (a1, a2) = lcg_split(av);
+    let am = lcg_split(npb_trunc, av);
     let xc = xv.cells();
     let xn = xc.len() as i64;
     let mut last: Option<f64> = None;
-    const N: usize = LCG_STREAMS;
-    if 0 <= jv && jv < limv && limv <= xn && limv - jv >= 2 * N as i64 {
+    if 0 <= jv && jv < limv && limv <= xn && limv - jv >= 2 * LCG_STREAMS as i64 {
         if lcg_exact(t) && lcg_exact(av) {
-            // Leapfrog: `s[k]` is the state `k + 1` steps past `t`, and
-            // every trip moves each of them N steps with `a^N mod 2^46`
-            // (the same `lcg_step`, so also exact). The N chains share
-            // nothing, so the ~80-cycle latency of one step overlaps
-            // N-fold.
-            let mut an = av;
-            for _ in 1..N {
-                lcg_step(&mut an, a1, a2);
-            }
-            let (an1, an2) = lcg_split(an);
-            let mut s = [0.0f64; N];
-            let mut d = [0.0f64; N];
-            for k in 0..N {
-                d[k] = lcg_step(&mut t, a1, a2);
-                s[k] = t;
-            }
             // One slice check for the whole claim (`0 <= jv`,
-            // `limv <= xn` held on entry); the < N elements past it
-            // take the loop below.
-            let groups = (limv - jv) as usize / N;
-            let out = &xc[jv as usize..jv as usize + groups * N];
-            for (gi, group) in out.chunks_exact(N).enumerate() {
-                if gi > 0 {
-                    for k in 0..N {
-                        d[k] = lcg_step(&mut s[k], an1, an2);
-                    }
-                }
-                for (cell, &dk) in group.iter().zip(&d) {
-                    // SAFETY: OpenMP no-data-race contract for the
-                    // elements, as for the per-element store below.
-                    unsafe { *cell.get() = dk };
-                }
-            }
-            t = s[N - 1];
-            last = Some(d[N - 1]);
-            jv += (groups * N) as i64;
+            // `limv <= xn` held on entry); the elements past the last
+            // whole group take the loop below.
+            let filled = lcg_leapfrog(&mut t, av, &xc[jv as usize..limv as usize]);
+            // The very multiply that returned the last stored deviate.
+            last = Some(R46 * t);
+            jv += filled as i64;
         } else {
             // A long in-bounds fill that runs one stream because its
             // seed or multiplier is not a 46-bit integer: say so.
@@ -1719,7 +1764,7 @@ fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Ba
             *slot.lock() = Value::Float(t);
             return Err(BAIL_BOUNDS);
         }
-        let d = lcg_step(&mut t, a1, a2);
+        let d = lcg_step(npb_trunc, &mut t, am);
         // SAFETY: jv bounds-checked just above; OpenMP no-data-race
         // contract for the elements themselves.
         unsafe { *xc.get_unchecked(jv as usize).get() = d };
@@ -1737,4 +1782,83 @@ fn run_lcg_fill(kind: &KernelKind, pc: u32, regs: &mut [Value]) -> Result<(), Ba
     }
     *slot.lock() = Value::Float(t);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Leapfrog = fn(&mut f64, f64, &[UnsafeCell<f64>]) -> usize;
+
+    /// `n` deviates from `seed` and the final seed, by `lf` and then one
+    /// step at a time past its last whole group, as [`run_lcg_fill`]
+    /// fills a claim; `lf = None` steps every element.
+    fn fill(seed: f64, a: f64, n: usize, lf: Option<Leapfrog>) -> (Vec<u64>, u64) {
+        let mut cells: Vec<UnsafeCell<f64>> = (0..n).map(|_| UnsafeCell::new(0.0)).collect();
+        let mut t = seed;
+        let filled = lf.map_or(0, |lf| lf(&mut t, a, &cells));
+        let m = lcg_split(npb_trunc, a);
+        for c in &mut cells[filled..] {
+            *c.get_mut() = lcg_step(npb_trunc, &mut t, m);
+        }
+        let d = cells.into_iter().map(|c| c.into_inner().to_bits());
+        (d.collect(), t.to_bits())
+    }
+
+    /// The portable `leapfrog::<32>` and `leapfrog::<8>` against the
+    /// per-element steps, and the AVX2 instantiation against the
+    /// portable one, on seeded exact seeds and multipliers and the
+    /// corners of the exactness argument: every deviate and the final
+    /// seed by `to_bits`. A debug build does not vectorise; CI runs this
+    /// in release as well.
+    #[test]
+    fn wide_leapfrog_matches_portable_and_per_element() {
+        let portable32: Leapfrog = |t, a, out| leapfrog::<LCG_WIDE_STREAMS>(npb_trunc, t, a, out);
+        let portable8: Leapfrog = |t, a, out| leapfrog::<LCG_STREAMS>(npb_trunc, t, a, out);
+        #[cfg(target_arch = "x86_64")]
+        let avx2: Option<Leapfrog> = std::is_x86_feature_detected!("avx2")
+            // SAFETY: the host has AVX2.
+            .then_some(|t, a, out| unsafe { leapfrog_avx2(t, a, out) });
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2: Option<Leapfrog> = None;
+        let corners = [
+            0.0,
+            -0.0,
+            1.0,
+            T23 - 1.0,
+            T23,
+            T46 - 1.0,
+            271_828_183.0,
+            1_220_703_125.0,
+        ];
+        let mut r = 0x5EED_2022_1CE5_u64;
+        let mut random = || {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            (r >> 18) as f64
+        };
+        let mut ops: Vec<f64> = corners.to_vec();
+        ops.extend((0..8).map(|_| random()));
+        for (i, &seed) in ops.iter().enumerate() {
+            for (k, &a) in ops.iter().enumerate() {
+                let n = [64, 65, 95, 96, 97, 127, 128, 129, 300][(i + k) % 9];
+                let want = fill(seed, a, n, None);
+                let what = format!("seed {seed:e}, multiplier {a:e}, {n} deviates");
+                assert_eq!(
+                    fill(seed, a, n, Some(portable8)),
+                    want,
+                    "leapfrog::<8>, {what}"
+                );
+                let wide = fill(seed, a, n, Some(portable32));
+                assert_eq!(wide, want, "leapfrog::<32>, {what}");
+                if let Some(avx2) = avx2 {
+                    assert_eq!(fill(seed, a, n, Some(avx2)), wide, "AVX2, {what}");
+                }
+            }
+        }
+        if avx2.is_none() {
+            eprintln!("wide_leapfrog_matches_portable_and_per_element: AVX2 half skipped, the host has no AVX2");
+        }
+    }
 }
